@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check bench bench-smoke bench-gate fuzz-smoke table serve serve-smoke family family-smoke family-cover ledger-smoke dist-smoke
+.PHONY: build test race vet fmt check serve-stress bench-build bench bench-smoke bench-gate fuzz-smoke table serve serve-smoke family family-smoke family-cover ledger-smoke dist-smoke
 
 build:
 	$(GO) build ./...
@@ -17,15 +17,28 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt test
+check: build vet fmt test serve-stress bench-build
+
+# The serving layer's ordering contracts (a job is "done" only once its
+# ledger record and log line exist; records land in completion order)
+# only show under repetition on a loaded box.
+serve-stress:
+	$(GO) test ./internal/serve -count=50
+
+# The repository benchmark (bench/, see BENCHMARK.json) is a nested
+# module, invisible to `go test ./...` at the root: vet it and run its
+# smoke test here, so an mc/dist/serve API change that breaks it fails
+# the check instead of the benchmark run.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Model-checker throughput at the paper config (3 caches, 2 dirs,
 # 2 addrs): states/sec, speedup, and heap footprint for MSI/MESI/MOESI
-# across the sequential, level-parallel, and pipelined engines.
+# on the sequential and pipelined engines, exact and compact stores.
 bench:
 	$(GO) run ./cmd/vnbench -workers 4 -out BENCH_mc.json
 
-# Small-bound version of bench for CI: exercises every engine end to
+# Small-bound version of bench for CI: exercises both engines end to
 # end and emits the artifact, without the full paper-scale state count.
 bench-smoke:
 	$(GO) run ./cmd/vnbench -workers 4 -max-states 20000 -out BENCH_mc.json
@@ -35,7 +48,8 @@ bench-smoke:
 # noise-aware thresholds (see cmd/vnbench/compare.go). Exits nonzero
 # on a >20% states/s or >50% heap regression, or when the baseline has
 # gone stale (search shape drifted — regenerate with `make bench-smoke`
-# and commit the result).
+# and commit the result); exits 2, refusing to compare, when the
+# baseline was recorded at a different GOMAXPROCS or CPU count.
 bench-gate:
 	$(GO) run ./cmd/vnbench -workers 4 -max-states 20000 -out BENCH_gate.json
 	$(GO) run ./cmd/vnbench -compare -diff-out BENCH_diff.json \
@@ -43,13 +57,13 @@ bench-gate:
 
 # Bounded differential-fuzzing pass for CI: a fixed-seed campaign of
 # generated protocols through the full analysis → assignment → model
-# checking stack on all three engines (~30s). Any oracle violation
-# (soundness, parity, or assignment) exits nonzero and leaves a shrunk
-# repro under vnfuzz-repros/.
+# checking stack on both engines and both stores (~20s). Any oracle
+# violation (soundness, parity, or assignment) exits nonzero and leaves
+# a shrunk repro under vnfuzz-repros/.
 fuzz-smoke:
 	$(GO) run ./cmd/vnfuzz -self-test
 	$(GO) run ./cmd/vnfuzz -seed 1 -count 40 -max-states 20000 \
-		-engines seq,levels,pipeline -stores exact,compact \
+		-engines seq,pipeline -stores exact,compact \
 		-repro-dir vnfuzz-repros \
 		-stats-json FUZZ_smoke.json
 

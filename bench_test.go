@@ -386,7 +386,7 @@ func BenchmarkConstrainedAssignment(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCheck compares sequential and parallel BFS on a
+// BenchmarkParallelCheck compares sequential and pipelined BFS on a
 // complete CHI exploration (gains require multiple cores).
 func BenchmarkParallelCheck(b *testing.B) {
 	p := protocols.MustLoad("CHI")
@@ -401,7 +401,7 @@ func BenchmarkParallelCheck(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mc.CheckParallel(sys, mc.Options{DisableTraces: true}, workers)
+				res := mc.CheckPipelined(sys, mc.Options{DisableTraces: true}, workers, 0)
 				if res.Outcome != mc.Complete {
 					b.Fatal(res)
 				}

@@ -9,6 +9,9 @@ package main
 //
 //   - Relative, not absolute: machines differ; only the ratio
 //     new/old within one artifact pair is meaningful.
+//   - Same parallelism on both sides: artifacts recorded at different
+//     GOMAXPROCS or CPU counts are refused like mismatched params —
+//     the parallel engine's rows differ by construction there.
 //   - A 20% states/s drop is the default gate. Short smoke runs
 //     (~0.3s per engine) jitter by ±5-10% under CI load; 20% is far
 //     enough outside that band to mean a real regression while still
@@ -78,10 +81,11 @@ type compareRun struct {
 }
 
 type compareDoc struct {
-	Tool    string         `json:"tool"`
-	Created string         `json:"created"`
-	Params  map[string]any `json:"params"`
-	Metrics struct {
+	Tool       string         `json:"tool"`
+	Created    string         `json:"created"`
+	Provenance obs.Provenance `json:"provenance"`
+	Params     map[string]any `json:"params"`
+	Metrics    struct {
 		Runs []compareRun `json:"runs"`
 	} `json:"metrics"`
 }
@@ -151,6 +155,20 @@ func checkComparable(old, new *compareDoc) error {
 	for _, k := range comparabilityParams {
 		if err := checkComparableParam(k, fmt.Sprint(old.Params[k]), fmt.Sprint(new.Params[k])); err != nil {
 			return err
+		}
+	}
+	// Parallelism of the recording host: a 1-CPU baseline cannot gate a
+	// 2-CPU candidate (or the reverse) on states/s — the parallel rows
+	// differ by construction. Regenerate the baseline on the new host.
+	for _, h := range []struct {
+		name     string
+		old, new int
+	}{
+		{"gomaxprocs", old.Provenance.GOMAXPROCS, new.Provenance.GOMAXPROCS},
+		{"num_cpu", old.Provenance.NumCPU, new.Provenance.NumCPU},
+	} {
+		if h.old != h.new {
+			return fmt.Errorf("provenance %q differs: baseline %d vs candidate %d", h.name, h.old, h.new)
 		}
 	}
 	return nil

@@ -162,26 +162,41 @@ func TestCompareSearchShapeDriftFails(t *testing.T) {
 }
 
 func TestCompareIncomparableParamsRejected(t *testing.T) {
-	dir := t.TempDir()
-	old := benchDoc(t, dir, "old.json", []map[string]any{benchRow("seq", 60000, 64<<20, 0.33)})
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*obs.Artifact)
+		wantErr string
+	}{
+		{"max_states", func(a *obs.Artifact) { a.Params["max_states"] = 300000 }, `param "max_states"`},
+		// The baseline's host parallelism is part of what a states/s
+		// number means: a 1-CPU recording must not gate a 2-CPU run.
+		{"gomaxprocs", func(a *obs.Artifact) { a.Provenance.GOMAXPROCS++ }, `provenance "gomaxprocs"`},
+		{"num_cpu", func(a *obs.Artifact) { a.Provenance.NumCPU++ }, `provenance "num_cpu"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			old := benchDoc(t, dir, "old.json", []map[string]any{benchRow("seq", 60000, 64<<20, 0.33)})
 
-	art := obs.NewArtifact("vnbench")
-	art.Params = map[string]any{
-		"max_states": 300000, "caches": 3, "dirs": 2, "addrs": 2,
-		"workers": 4, "shards": 0,
-	}
-	art.Metrics = map[string]any{"runs": []map[string]any{benchRow("seq", 66000, 120<<20, 4.5)}}
-	new := filepath.Join(dir, "new.json")
-	if err := art.WriteFile(new); err != nil {
-		t.Fatal(err)
-	}
+			art := obs.NewArtifact("vnbench")
+			art.Params = map[string]any{
+				"max_states": 20000, "caches": 3, "dirs": 2, "addrs": 2,
+				"workers": 4, "shards": 0,
+			}
+			tc.mutate(art)
+			art.Metrics = map[string]any{"runs": []map[string]any{benchRow("seq", 66000, 120<<20, 4.5)}}
+			new := filepath.Join(dir, "new.json")
+			if err := art.WriteFile(new); err != nil {
+				t.Fatal(err)
+			}
 
-	var out, errw bytes.Buffer
-	if code := runCompare(old, new, gateOpts(), &out, &errw); code != 2 {
-		t.Fatalf("mismatched max_states: exit %d, want 2\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(errw.String(), "not comparable") {
-		t.Fatalf("missing comparability error:\n%s", errw.String())
+			var out, errw bytes.Buffer
+			if code := runCompare(old, new, gateOpts(), &out, &errw); code != 2 {
+				t.Fatalf("mismatched %s: exit %d, want 2\n%s%s", tc.name, code, out.String(), errw.String())
+			}
+			if !strings.Contains(errw.String(), "not comparable") || !strings.Contains(errw.String(), tc.wantErr) {
+				t.Fatalf("missing comparability error naming %s:\n%s", tc.wantErr, errw.String())
+			}
+		})
 	}
 }
 

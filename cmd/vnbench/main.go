@@ -66,7 +66,7 @@ func main() {
 		addrs     = flag.Int("addrs", 2, "number of addresses (paper: 2)")
 		workers   = flag.Int("workers", 0, "workers for the parallel engines (0 = GOMAXPROCS)")
 		shards    = flag.Int("shards", 0, "visited-set shards for the pipeline engine (0 = default)")
-		engines   = flag.String("engines", "seq,levels,pipeline", "comma-separated engines to compare (seq, levels, pipeline, dist; dist applies -max-states at level granularity, so compare it with -max-states 0)")
+		engines   = flag.String("engines", "seq,pipeline", "comma-separated engines to compare (seq, pipeline, dist; dist applies -max-states at level granularity, so compare it with -max-states 0)")
 		stores    = flag.String("stores", "exact,compact", "comma-separated visited-set modes to compare")
 		seed      = flag.Int64("seed", 1, "base seed for the random-walk smoke pass (-walks)")
 		walks     = flag.Int("walks", 0, "seeded random-workload walks per protocol before the engine comparison")
@@ -224,31 +224,19 @@ func main() {
 				// garbage.
 				runtime.GC()
 				opts.Trace = tel.Recorder()
-				var res mc.Result
-				var occ *icn.OccupancyStats
-				if eng == mc.EngineDist {
-					// Dist workers profile occupancy themselves; the
-					// coordinator's merge lands in Stats.Occupancy, so the
-					// parity checks below compare it like any other engine.
-					dopts := opts
-					dopts.Observer = nil
-					var derr error
-					res, derr = dist.Check(context.Background(), dist.Job{
-						Config: cfg, Options: dopts,
-						Workers: *workers, Peers: tel.Peers(),
-						Occupancy: true,
-					})
-					if derr != nil {
-						fmt.Fprintln(os.Stderr, "vnbench: dist:", derr)
-						os.Exit(1)
-					}
-					occ, _ = res.Stats.Occupancy.(*icn.OccupancyStats)
-				} else {
-					prof := sys.NewOccupancyProfiler()
-					opts.Observer = prof
-					res = mc.CheckEngine(sys, opts, eng, *workers, *shards)
-					occ = prof.Stats()
+				// Every engine lands its occupancy profile in
+				// Stats.Occupancy, so the parity checks below compare them
+				// all the same way.
+				res, err := dist.Run(context.Background(), dist.Job{
+					Config: cfg, Options: opts,
+					Workers: *workers, Peers: tel.Peers(),
+					Occupancy: true,
+				}, eng, *shards, nil)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "vnbench:", err)
+					os.Exit(1)
 				}
+				occ, _ := res.Stats.Occupancy.(*icn.OccupancyStats)
 
 				speedup := 1.0
 				if baseline == nil {

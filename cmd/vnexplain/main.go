@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var model mc.Model = sys
 	if *seedOwned {
-		seed, err := ownedSeed(sys, *caches, *dirs, *addrs)
+		seed, err := machine.OwnedSeed(sys)
 		if err != nil {
 			fmt.Fprintln(stderr, "vnexplain: seeding:", err)
 			return 1
@@ -205,47 +205,4 @@ func loadProtocol(arg string, fromFile bool) (*protocol.Protocol, error) {
 		return protocol.Decode(data)
 	}
 	return protocols.Load(arg)
-}
-
-// ownedSeed drives the system into the Fig. 3 starting point: cache i
-// owns address i in the modified state, for i < min(caches, addrs, 2).
-func ownedSeed(sys *machine.System, caches, dirs, addrs int) ([]byte, error) {
-	sc := machine.NewScenario(sys)
-	n := caches
-	if addrs < n {
-		n = addrs
-	}
-	if n > 2 {
-		n = 2
-	}
-	dataName, getM := "Data", "GetM"
-	switch sys.Config().Protocol.Name {
-	case "CHI":
-		dataName, getM = "CompData", "ReadUnique"
-	case "TileLink":
-		dataName, getM = "GrantUnique", "AcquireUnique"
-	}
-	for i := 0; i < n; i++ {
-		home := caches + i%dirs
-		if err := sc.Core(i, i, protocol.Store); err != nil {
-			return nil, err
-		}
-		if err := sc.Handle(home, getM, i); err != nil {
-			return nil, err
-		}
-		if err := sc.Handle(i, dataName, i); err != nil {
-			return nil, err
-		}
-		switch sys.Config().Protocol.Name {
-		case "CHI":
-			if err := sc.Handle(home, "CompAck", i); err != nil {
-				return nil, err
-			}
-		case "TileLink":
-			if err := sc.Handle(home, "GrantAck", i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sc.State(), nil
 }

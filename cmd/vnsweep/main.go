@@ -124,7 +124,7 @@ func main() {
 		dirs      = flag.Int("dirs", 1, "directories per instance")
 		addrs     = flag.Int("addrs", 1, "addresses per instance")
 		maxStates = flag.Int("max-states", 4_000_000, "state cap per run (0 = none)")
-		engines   = flag.String("engines", "seq,levels,pipeline", "comma-separated engines")
+		engines   = flag.String("engines", "seq,pipeline", "comma-separated in-process engines")
 		stores    = flag.String("stores", "exact,compact", "comma-separated visited-set modes")
 		workers   = flag.Int("workers", 1, "workers for parallel engines")
 		ledgerOut = flag.String("ledger", "", "append the sweep's outcome to the content-addressed run ledger at this path")
@@ -297,6 +297,9 @@ func sweep(cfg config, engines, stores string, workers int) (*familyFile, error)
 			eng, err := mc.ParseEngine(strings.TrimSpace(engName))
 			if err != nil {
 				return nil, err
+			}
+			if eng == mc.EngineDist {
+				return nil, fmt.Errorf("engine dist is not swept: the sweep compares in-process engines on one built system")
 			}
 			for _, stName := range strings.Split(stores, ",") {
 				st, err := mc.ParseStore(strings.TrimSpace(stName))

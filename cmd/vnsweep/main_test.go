@@ -19,14 +19,14 @@ func TestAgrees(t *testing.T) {
 		{"single", []runRec{base}, true},
 		{"identical", []runRec{base, base}, true},
 		{"outcome-drift", []runRec{base,
-			{Engine: "levels", Store: "exact", Outcome: "deadlock", States: 100, Depth: 10}}, false},
+			{Engine: "pipeline", Store: "exact", Outcome: "deadlock", States: 100, Depth: 10}}, false},
 		{"states-drift-complete", []runRec{base,
-			{Engine: "levels", Store: "exact", Outcome: "complete", States: 99, Depth: 10}}, false},
+			{Engine: "pipeline", Store: "exact", Outcome: "complete", States: 99, Depth: 10}}, false},
 		{"depth-drift-complete", []runRec{base,
-			{Engine: "levels", Store: "exact", Outcome: "complete", States: 100, Depth: 11}}, false},
+			{Engine: "pipeline", Store: "exact", Outcome: "complete", States: 100, Depth: 11}}, false},
 		{"counts-free-when-bounded", []runRec{
 			{Engine: "seq", Store: "exact", Outcome: "bounded", States: 100, Depth: 10},
-			{Engine: "levels", Store: "exact", Outcome: "bounded", States: 73, Depth: 14}}, true},
+			{Engine: "pipeline", Store: "exact", Outcome: "bounded", States: 73, Depth: 14}}, true},
 		{"counts-free-when-deadlock", []runRec{
 			{Engine: "seq", Store: "exact", Outcome: "deadlock", States: 50, Depth: 9},
 			{Engine: "seq", Store: "compact", Outcome: "deadlock", States: 61, Depth: 12}}, true},

@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		caches    = fs.Int("caches", 3, "caches for model checking")
 		dirs      = fs.Int("dirs", 2, "directories for model checking")
 		addrs     = fs.Int("addrs", 2, "addresses for model checking")
-		engine    = fs.String("engine", "auto", "search engine for BFS cells: auto | seq | levels | pipeline | dist")
+		engine    = fs.String("engine", "auto", "search engine for BFS cells: auto | seq | pipeline | dist")
 		store     = fs.String("store", "exact", "visited-set mode: exact | compact (hash-compacted)")
 		workers   = fs.Int("workers", 1, "parallel BFS workers (0 = GOMAXPROCS; deadlock cells use DFS and stay sequential)")
 		shards    = fs.Int("shards", 0, "visited-set shards for the pipeline engine (0 = default)")
@@ -297,34 +297,28 @@ func runModelCheck(p *protocol.Protocol, a *vnassign.Assignment, mode string,
 		cfg.VN, cfg.NumVNs = a.VN, a.NumVNs
 		opts.Strategy = mc.BFS
 	}
-	sys, err := machine.New(cfg)
-	if err != nil {
-		return "error: " + err.Error(), false, mc.Result{}
-	}
-
-	var model mc.Model = sys
+	// Deadlock cells are seeded DFS hunts, which only the sequential
+	// checker runs; the -engine selection applies to the BFS verify
+	// cells.
+	var seeds [][]byte
 	if mode == "deadlock" {
-		seed, err := ownershipSeed(sys, caches, dirs, addrs)
+		sys, err := machine.New(cfg)
+		if err != nil {
+			return "error: " + err.Error(), false, mc.Result{}
+		}
+		seed, err := machine.OwnedSeed(sys)
 		if err != nil {
 			return "seeding error: " + err.Error(), false, mc.Result{}
 		}
-		model = &machine.Seeded{System: sys, Seeds: [][]byte{seed}}
+		seeds = [][]byte{seed}
+		engine = mc.EngineSeq
 	}
-	// Deadlock cells run DFS, which every engine — including dist —
-	// hands to the sequential checker (they also need seeding, which
-	// dist does not support); verify cells honor the engine selection.
-	var res mc.Result
-	if engine == mc.EngineDist && mode == "verify" {
-		var derr error
-		res, derr = dist.Check(context.Background(), dist.Job{
-			Config: cfg, Options: opts,
-			Workers: workers, Peers: tel.Peers(),
-		})
-		if derr != nil {
-			return "dist error: " + derr.Error(), false, res
-		}
-	} else {
-		res = mc.CheckEngine(model, opts, engine, workers, shards)
+	res, err := dist.Run(context.Background(), dist.Job{
+		Config: cfg, Options: opts,
+		Workers: workers, Peers: tel.Peers(),
+	}, engine, shards, seeds)
+	if err != nil {
+		return "error: " + err.Error(), false, res
 	}
 
 	switch mode {
@@ -342,30 +336,4 @@ func runModelCheck(p *protocol.Protocol, a *vnassign.Assignment, mode string,
 		}
 		return res.String() + " " + res.Message, false, res
 	}
-}
-
-// ownershipSeed establishes the Fig. 3 starting point: caches 0 and 1
-// own addresses 0 and 1 in the modified state.
-func ownershipSeed(sys *machine.System, caches, dirs, addrs int) ([]byte, error) {
-	sc := machine.NewScenario(sys)
-	n := 2
-	if caches < n {
-		n = caches
-	}
-	if addrs < n {
-		n = addrs
-	}
-	for i := 0; i < n; i++ {
-		home := caches + i%dirs
-		if err := sc.Core(i, i, protocol.Store); err != nil {
-			return nil, err
-		}
-		if err := sc.Handle(home, "GetM", i); err != nil {
-			return nil, err
-		}
-		if err := sc.Handle(i, "Data", i); err != nil {
-			return nil, err
-		}
-	}
-	return sc.State(), nil
 }

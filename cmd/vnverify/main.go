@@ -7,6 +7,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 		p2p       = flag.Int("p2p", -1, "point-to-point ordered mode with mapping variant 0-3 (-1 = unordered)")
 		noRepl    = flag.Bool("no-repl", false, "restrict the workload to loads and stores")
 		noSym     = flag.Bool("no-symmetry", false, "disable cache symmetry reduction")
-		engine    = flag.String("engine", "auto", "search engine: auto | seq | levels | pipeline | dist (parallel/distributed are BFS only)")
+		engine    = flag.String("engine", "auto", "search engine: auto | seq | pipeline | dist (parallel/distributed are BFS only)")
 		store     = flag.String("store", "exact", "visited-set mode: exact | compact (hash-compacted)")
 		workers   = flag.Int("workers", 1, "parallel BFS workers (0 = GOMAXPROCS; BFS only)")
 		shards    = flag.Int("shards", 0, "visited-set shards for the pipeline engine (0 = default)")
@@ -157,14 +158,14 @@ func main() {
 		return
 	}
 
-	var model mc.Model = sys
+	var seeds [][]byte
 	if *seedOwned {
-		seed, err := ownedSeed(sys, *caches, *dirs, *addrs)
+		seed, err := machine.OwnedSeed(sys)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vnverify: seeding:", err)
 			os.Exit(1)
 		}
-		model = &machine.Seeded{System: sys, Seeds: [][]byte{seed}}
+		seeds = [][]byte{seed}
 	}
 
 	opts := mc.Options{
@@ -177,40 +178,24 @@ func main() {
 		opts.Strategy = mc.DFS
 	}
 	tel.Configure(&opts, os.Stderr)
-	var prof *machine.OccupancyProfiler
-	if tel.Occupancy && eng != mc.EngineDist {
-		// Dist workers run their own profilers; the coordinator merges
-		// them into the final snapshot's Occupancy.
-		prof = sys.NewOccupancyProfiler()
-		opts.Observer = prof
-	}
 
 	fmt.Printf("model checking %s: %d caches, %d dirs, %d addrs, %d VNs (%s), %v\n",
 		p.Name, *caches, *dirs, *addrs, numVNs, *vnMode, opts.Strategy)
 	stop := tl.Start("mc/check")
-	var res mc.Result
-	if eng == mc.EngineDist {
-		if *seedOwned {
-			fmt.Fprintln(os.Stderr, "vnverify: -seed-owned is not supported by -engine dist (workers rebuild the model from its spec)")
+	res, err := dist.Run(context.Background(), dist.Job{
+		Config: cfg, Options: opts,
+		Workers: *workers, Peers: tel.Peers(),
+		Occupancy: tel.Occupancy,
+	}, eng, *shards, seeds)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vnverify:", err)
+		var unsupported *dist.UnsupportedError
+		if errors.As(err, &unsupported) {
 			os.Exit(2)
 		}
-		dopts := opts
-		dopts.Observer = nil // occupancy runs inside the workers
-		var derr error
-		res, derr = dist.Check(context.Background(), dist.Job{
-			Config: cfg, Options: dopts,
-			Workers: *workers, Peers: tel.Peers(),
-			Occupancy: tel.Occupancy,
-		})
-		if derr != nil {
-			stop()
-			fmt.Fprintln(os.Stderr, "vnverify: dist:", derr)
-			os.Exit(1)
-		}
-	} else {
-		res = mc.CheckEngine(model, opts, eng, *workers, *shards)
+		os.Exit(1)
 	}
-	stop()
 	fmt.Println(res)
 	if res.Message != "" {
 		fmt.Println(res.Message)
@@ -219,12 +204,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vnverify: trace-out:", err)
 		os.Exit(1)
 	}
-	var occStats *icn.OccupancyStats
-	if prof != nil {
-		occStats = prof.Stats()
-	} else if o, ok := res.Stats.Occupancy.(*icn.OccupancyStats); ok {
-		occStats = o // dist runs profile inside the workers and merge
-	}
+	occStats, _ := res.Stats.Occupancy.(*icn.OccupancyStats)
 	if occStats != nil {
 		fmt.Printf("occupancy over %d states: global high water %d/%s, local high water %d/%s\n",
 			occStats.StatesObserved,
@@ -292,52 +272,6 @@ func runArtifact(proto, vnMode string, numVNs int, vn map[string]int,
 	art.Params["max_depth"] = opts.MaxDepth
 	art.Params["workers"] = workers
 	return art
-}
-
-// ownedSeed drives the system into the Fig. 3 starting point: cache i
-// owns address i in the modified state, for i < min(caches, addrs).
-func ownedSeed(sys *machine.System, caches, dirs, addrs int) ([]byte, error) {
-	sc := machine.NewScenario(sys)
-	n := caches
-	if addrs < n {
-		n = addrs
-	}
-	if n > 2 {
-		n = 2
-	}
-	// The ownership prefix uses each protocol family's write-request
-	// vocabulary.
-	dataName, getM := "Data", "GetM"
-	store := protocol.Store
-	switch sys.Config().Protocol.Name {
-	case "CHI":
-		dataName, getM = "CompData", "ReadUnique"
-	case "TileLink":
-		dataName, getM = "GrantUnique", "AcquireUnique"
-	}
-	for i := 0; i < n; i++ {
-		home := caches + i%dirs
-		if err := sc.Core(i, i, store); err != nil {
-			return nil, err
-		}
-		if err := sc.Handle(home, getM, i); err != nil {
-			return nil, err
-		}
-		if err := sc.Handle(i, dataName, i); err != nil {
-			return nil, err
-		}
-		switch sys.Config().Protocol.Name {
-		case "CHI":
-			if err := sc.Handle(home, "CompAck", i); err != nil {
-				return nil, err
-			}
-		case "TileLink":
-			if err := sc.Handle(home, "GrantAck", i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sc.State(), nil
 }
 
 func loadProtocol(arg string, fromFile bool) (*protocol.Protocol, error) {

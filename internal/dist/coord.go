@@ -20,26 +20,32 @@ import (
 	"minvn/internal/obs/trace"
 )
 
-// Job describes one distributed check.
+// Job describes one search: the system to build and how to explore it.
+// Check runs it on the distributed engine; Run dispatches it to
+// whichever engine the caller's user picked.
 type Job struct {
 	Config machine.Config
-	// Options carries the search bounds and telemetry hooks. BFS only
-	// (the level-synchronized rounds ARE breadth-first); MaxStates
-	// applies at level granularity — the run stops at the first level
-	// boundary at or past the bound rather than mid-level; Observer is
-	// unsupported (state storage happens in worker processes — set
-	// Occupancy for the built-in profile); traces are limited to the
-	// single terminal state, exactly like DisableTraces.
+	// Options carries the search bounds and telemetry hooks. On the
+	// distributed engine: BFS only (the level-synchronized rounds ARE
+	// breadth-first); MaxStates applies at level granularity — the run
+	// stops at the first level boundary at or past the bound rather than
+	// mid-level; Observer is unsupported (state storage happens in
+	// worker processes — set Occupancy for the built-in profile); traces
+	// are limited to the single terminal state, exactly like
+	// DisableTraces.
 	Options mc.Options
-	// Workers is the loopback fleet size when Peers is empty: the
-	// coordinator spawns that many in-process workers on 127.0.0.1.
+	// Workers is the parallelism: in-process, the pipelined engine's
+	// worker count; distributed, the loopback fleet size when Peers is
+	// empty (the coordinator spawns that many workers on 127.0.0.1).
+	// Values below 1 pick GOMAXPROCS.
 	Workers int
 	// Peers, when non-empty, is the base URLs of already-running worker
 	// daemons (cmd/vnworkerd), one per worker; Workers is ignored.
 	Peers []string
-	// Occupancy asks every worker to run the per-VN occupancy profiler
-	// over its stored states; the merged aggregate lands in
-	// Result.Stats.Occupancy as an *icn.OccupancyStats.
+	// Occupancy runs the per-VN occupancy profiler over every stored
+	// state (in each worker, merged by the coordinator, on the
+	// distributed engine; as Options.Observer in-process); the aggregate
+	// lands in Result.Stats.Occupancy as an *icn.OccupancyStats.
 	Occupancy bool
 }
 
@@ -82,7 +88,7 @@ func Check(ctx context.Context, job Job) (mc.Result, error) {
 	start := time.Now()
 	opts := job.Options
 	if opts.Strategy != mc.BFS {
-		return mc.Result{}, fmt.Errorf("dist: only BFS is supported (the distributed rounds are level-synchronized)")
+		return mc.Result{}, &UnsupportedError{"a " + opts.Strategy.String() + " search", "the distributed rounds are level-synchronized BFS"}
 	}
 	if opts.Observer != nil {
 		return mc.Result{}, fmt.Errorf("dist: Observer is unsupported (states are stored in worker processes); set Job.Occupancy")

@@ -1,0 +1,106 @@
+package dist_test
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+
+	"minvn/internal/dist"
+	"minvn/internal/icn"
+	"minvn/internal/machine"
+	"minvn/internal/mc"
+)
+
+// TestRunDispatch pins the one dispatch point: in-process engines never
+// touch a worker, EngineDist always does (it is never answered by an
+// in-process substitute), every engine reports the same search with
+// the occupancy profile in the same place, and what dist cannot do is a
+// typed error rather than a fallback.
+func TestRunDispatch(t *testing.T) {
+	var hits atomic.Int64
+	worker := dist.NewWorker().Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		worker.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+
+	cfg := minimalConfig(t, "MSI_nonblocking_cache", 2, 1, 1)
+	job := dist.Job{
+		Config:  cfg,
+		Options: mc.Options{DisableTraces: true},
+		Workers: 2, Peers: []string{hs.URL},
+		Occupancy: true,
+	}
+	ctx := context.Background()
+
+	var ref mc.Result
+	for _, tc := range []struct {
+		engine   mc.Engine
+		wantDist bool
+	}{
+		{mc.EngineSeq, false}, {mc.EngineAuto, false}, {mc.EnginePipeline, false},
+		{mc.EngineDist, true},
+	} {
+		hits.Store(0)
+		res, err := dist.Run(ctx, job, tc.engine, 0, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.engine, err)
+		}
+		if got := hits.Load() > 0; got != tc.wantDist {
+			t.Fatalf("%v: worker requests = %d, want distributed = %v", tc.engine, hits.Load(), tc.wantDist)
+		}
+		occ, ok := res.Stats.Occupancy.(*icn.OccupancyStats)
+		if !ok || occ.StatesObserved != int64(res.States) {
+			t.Fatalf("%v: Stats.Occupancy = %T %+v, want the profile of all %d states", tc.engine, res.Stats.Occupancy, occ, res.States)
+		}
+		if tc.engine == mc.EngineSeq {
+			ref = res
+			if ref.Outcome != mc.Complete {
+				t.Fatalf("reference run: %v", ref)
+			}
+			continue
+		}
+		if res.Outcome != ref.Outcome || res.States != ref.States || res.MaxDepth != ref.MaxDepth {
+			t.Fatalf("%v: %v vs seq %v", tc.engine, res, ref)
+		}
+	}
+
+	// Seeds: honored in-process, a typed refusal on dist.
+	sys, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sys.Successors(sys.Initial()[0])
+	if err != nil || len(first) == 0 {
+		t.Fatalf("no successor to seed from: %v", err)
+	}
+	seeds := [][]byte{first[0]}
+	seeded, err := dist.Run(ctx, job, mc.EngineSeq, 0, seeds)
+	if err != nil || seeded.Stats.DepthHistogram[0] != 1 || seeded.States > ref.States {
+		t.Fatalf("seeded seq run: %v, %v", seeded, err)
+	}
+	dfs := job
+	dfs.Options.Strategy = mc.DFS
+	for name, run := range map[string]func() (mc.Result, error){
+		"seeds": func() (mc.Result, error) { return dist.Run(ctx, job, mc.EngineDist, 0, seeds) },
+		"dfs":   func() (mc.Result, error) { return dist.Run(ctx, dfs, mc.EngineDist, 0, nil) },
+	} {
+		hits.Store(0)
+		_, err := run()
+		var unsupported *dist.UnsupportedError
+		if !errors.As(err, &unsupported) {
+			t.Errorf("%s on dist: err = %v, want *UnsupportedError", name, err)
+		}
+		if hits.Load() != 0 {
+			t.Errorf("%s on dist: refused request still reached a worker", name)
+		}
+	}
+	// DFS in-process is fine on any engine (it runs sequentially).
+	if res, err := dist.Run(ctx, dfs, mc.EnginePipeline, 0, nil); err != nil || res.States != ref.States {
+		t.Errorf("in-process DFS: %v, %v", res, err)
+	}
+}

@@ -219,3 +219,38 @@ func (sc *Scenario) Describe() string { return sc.sys.Describe(sc.state) }
 
 // FormatLog renders the step log.
 func (sc *Scenario) FormatLog() string { return strings.Join(sc.log, "\n") }
+
+// OwnedSeed drives sys into the Fig. 3 starting point — cache i owns
+// address i in the modified state, for i < min(caches, addrs, 2) — and
+// returns the encoded state, the seed of the Table I deadlock hunts.
+// The ownership prefix uses each protocol family's write-request
+// vocabulary.
+func OwnedSeed(sys *System) ([]byte, error) {
+	cfg := sys.Config()
+	sc := NewScenario(sys)
+	dataName, getM, ack := "Data", "GetM", ""
+	switch cfg.Protocol.Name {
+	case "CHI":
+		dataName, getM, ack = "CompData", "ReadUnique", "CompAck"
+	case "TileLink":
+		dataName, getM, ack = "GrantUnique", "AcquireUnique", "GrantAck"
+	}
+	for i := 0; i < min(cfg.Caches, cfg.Addrs, 2); i++ {
+		home := cfg.Caches + i%cfg.Dirs
+		if err := sc.Core(i, i, protocol.Store); err != nil {
+			return nil, err
+		}
+		if err := sc.Handle(home, getM, i); err != nil {
+			return nil, err
+		}
+		if err := sc.Handle(i, dataName, i); err != nil {
+			return nil, err
+		}
+		if ack != "" {
+			if err := sc.Handle(home, ack, i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sc.State(), nil
+}

@@ -214,7 +214,7 @@ func TestParallelCheckOnSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := mc.Check(sys, mc.Options{DisableTraces: true})
-	par := mc.CheckParallel(sys, mc.Options{DisableTraces: true}, 4)
+	par := mc.CheckPipelined(sys, mc.Options{DisableTraces: true}, 4, 0)
 	if seq.Outcome != mc.Complete || par.Outcome != seq.Outcome || par.States != seq.States {
 		t.Fatalf("sequential %v vs parallel %v", seq, par)
 	}

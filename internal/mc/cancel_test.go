@@ -18,7 +18,7 @@ func (s *slowCounter) Successors(state []byte) ([][]byte, error) {
 	return s.counter.Successors(state)
 }
 
-// engineRuns enumerates the three engines as ctx-taking closures.
+// engineRuns enumerates the engines as ctx-taking closures.
 func engineRuns(m Model, opts Options) []struct {
 	name string
 	run  func(context.Context) Result
@@ -28,7 +28,6 @@ func engineRuns(m Model, opts Options) []struct {
 		run  func(context.Context) Result
 	}{
 		{"seq", func(ctx context.Context) Result { return CheckCtx(ctx, m, opts) }},
-		{"levels", func(ctx context.Context) Result { return CheckParallelCtx(ctx, m, opts, 4) }},
 		{"pipeline", func(ctx context.Context) Result { return CheckPipelinedCtx(ctx, m, opts, 4, 0) }},
 	}
 }

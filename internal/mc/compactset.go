@@ -1,11 +1,5 @@
 package mc
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
 // compactSet is the hash-compacted visited set (Murphi lineage): a
 // stored state is represented by its 64-bit fingerprint and node id,
 // not its canonical bytes. A bounded verified-bytes cache keeps the
@@ -19,8 +13,8 @@ import (
 // Determinism: every decision (conflate vs verify, budget charging,
 // id assignment) depends only on the storage order, which the engines'
 // parity contract already pins identical, so compact runs produce the
-// same result on seq, levels, and pipeline — the compact parity suite
-// rests on this.
+// same result on every engine — the compact parity suite rests on
+// this.
 //
 // Concurrency contract matches shardedSet: probes under RLock from any
 // goroutine; inserts only from the single store thread, which is also
@@ -37,7 +31,7 @@ type compactEntry struct {
 }
 
 type compactShard struct {
-	mu sync.RWMutex
+	mu stripeLock
 	// ids maps a fingerprint to the node id of the first state stored
 	// under it — the id an unverifiable hit resolves to.
 	ids map[uint64]int32
@@ -50,9 +44,6 @@ type compactShard struct {
 	// chainN/chainBytes track chain footprint for stats.
 	chainN     int
 	chainBytes int64
-	// Sampled lock-acquisition wait, as in setShard.
-	lockWaitNS atomic.Int64
-	lockWaitN  atomic.Int64
 }
 
 // lookup resolves key's membership. The caller must hold the shard
@@ -107,19 +98,9 @@ type compactSet struct {
 	retained int64
 }
 
-// newCompactSet builds a compact set with n shards, rounded up to a
-// power of two and clamped exactly like newShardedSet.
+// newCompactSet builds a compact set with shardCount(n) shards.
 func newCompactSet(n int) *compactSet {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
+	size := shardCount(n)
 	s := &compactSet{shards: make([]compactShard, size), mask: uint64(size - 1)}
 	for i := range s.shards {
 		s.shards[i].ids = make(map[uint64]int32)
@@ -135,41 +116,22 @@ func (s *compactSet) shardIdx(fp uint64) uint32 {
 
 func (s *compactSet) probe(fp uint64, key []byte) (int32, bool, bool) {
 	sh := &s.shards[s.shardIdx(fp)]
-	if fp&lockSampleMask == 0 {
-		t0 := time.Now()
-		sh.mu.RLock()
-		sh.lockWaitNS.Add(int64(time.Since(t0)))
-		sh.lockWaitN.Add(1)
-	} else {
-		sh.mu.RLock()
-	}
+	sh.mu.rlock(fp)
 	defer sh.mu.RUnlock()
 	return sh.lookup(fp, key)
 }
 
 func (s *compactSet) probeBatch(reqs []probeReq, sc *setScratch) {
 	sc.group(len(reqs), nil, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
-	for lo := 0; lo < len(sc.idx); {
-		hi := lo + 1
-		for hi < len(sc.idx) && sc.shards[hi] == sc.shards[lo] {
-			hi++
-		}
-		sh := &s.shards[sc.shards[lo]]
-		if reqs[sc.idx[lo]].fp&lockSampleMask == 0 {
-			t0 := time.Now()
-			sh.mu.RLock()
-			sh.lockWaitNS.Add(int64(time.Since(t0)))
-			sh.lockWaitN.Add(1)
-		} else {
-			sh.mu.RLock()
-		}
-		for _, i := range sc.idx[lo:hi] {
+	sc.runs(func(shard uint32, idx []int32) {
+		sh := &s.shards[shard]
+		sh.mu.rlock(reqs[idx[0]].fp)
+		for _, i := range idx {
 			r := &reqs[i]
 			_, r.hit, r.conflated = sh.lookup(r.fp, r.key)
 		}
 		sh.mu.RUnlock()
-		lo = hi
-	}
+	})
 }
 
 func (s *compactSet) insert(fp uint64, key []byte, id int32) (int32, bool, bool, error) {
@@ -293,27 +255,15 @@ pre:
 	// one-at-a-time insert sequence exactly.
 	if len(sc.pend) > 0 {
 		sc.group(processed, func(i int) bool { return reqs[i].fresh }, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
-		for lo := 0; lo < len(sc.idx); {
-			hi := lo + 1
-			for hi < len(sc.idx) && sc.shards[hi] == sc.shards[lo] {
-				hi++
-			}
-			sh := &s.shards[sc.shards[lo]]
-			if reqs[sc.idx[lo]].fp&lockSampleMask == 0 {
-				t0 := time.Now()
-				sh.mu.Lock()
-				sh.lockWaitNS.Add(int64(time.Since(t0)))
-				sh.lockWaitN.Add(1)
-			} else {
-				sh.mu.Lock()
-			}
-			for _, i := range sc.idx[lo:hi] {
+		sc.runs(func(shard uint32, idx []int32) {
+			sh := &s.shards[shard]
+			sh.mu.lock(reqs[idx[0]].fp)
+			for _, i := range idx {
 				r := &reqs[i]
 				sh.store(r.fp, r.key, r.id, r.retain)
 			}
 			sh.mu.Unlock()
-			lo = hi
-		}
+		})
 	}
 	return processed, fresh, err
 }
@@ -355,8 +305,8 @@ func (s *compactSet) stats() setStats {
 func (s *compactSet) lockWait() (ns, samples int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		ns += sh.lockWaitNS.Load()
-		samples += sh.lockWaitN.Load()
+		ns += sh.mu.waitNS.Load()
+		samples += sh.mu.waitN.Load()
 	}
 	return ns, samples
 }

@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// Engine selects which search implementation runs a model. All engines
-// produce identical results on identical inputs; they differ only in
-// throughput and memory footprint, so the choice is an operational one.
+// Engine selects which scheduler runs a model over the shared search
+// core. All engines produce identical results on identical inputs; they
+// differ only in throughput and memory footprint, so the choice is an
+// operational one.
 type Engine int
 
 const (
@@ -16,20 +17,15 @@ const (
 	EngineAuto Engine = iota
 	// EngineSeq is the sequential reference engine (Check).
 	EngineSeq
-	// EngineLevels is the level-barrier parallel engine
-	// (CheckParallel), kept as the parity oracle.
-	EngineLevels
 	// EnginePipeline is the pipelined parallel engine with the sharded
 	// fingerprint visited set (CheckPipelined).
 	EnginePipeline
 	// EngineDist is the distributed engine (internal/dist): hash-owned
 	// state shards across worker processes with batched frontier
-	// exchange. Dispatch is caller-level — the distributed coordinator
-	// needs a transportable model specification, which a bare mc.Model
-	// cannot provide — so the CLIs and the serving layer special-case
-	// it; CheckEngineCtx falls back to the pipelined engine, which is
-	// parity-identical for every bound except MaxStates (the
-	// distributed engine applies MaxStates at level granularity).
+	// exchange. It needs a transportable model specification, which a
+	// bare Model cannot provide, so it is not dispatchable from this
+	// package: callers that accept it go through dist.Run, the one home
+	// of in-process-vs-distributed dispatch.
 	EngineDist
 )
 
@@ -39,8 +35,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineSeq:
 		return "seq"
-	case EngineLevels:
-		return "levels"
 	case EnginePipeline:
 		return "pipeline"
 	case EngineDist:
@@ -56,19 +50,18 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineAuto, nil
 	case "seq", "sequential":
 		return EngineSeq, nil
-	case "levels", "parallel":
-		return EngineLevels, nil
 	case "pipeline", "pipelined":
 		return EnginePipeline, nil
 	case "dist", "distributed":
 		return EngineDist, nil
 	}
-	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, seq, levels, pipeline, or dist)", s)
+	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, seq, pipeline, or dist)", s)
 }
 
-// CheckEngine dispatches to the selected engine. workers and shards
-// are ignored where they do not apply (workers by EngineSeq, shards by
-// everything but the pipeline). DFS always runs sequentially.
+// CheckEngine dispatches to the selected in-process engine. workers and
+// shards are ignored by EngineSeq. DFS always runs sequentially.
+// EngineDist is not an in-process engine (see its comment) and panics
+// here rather than silently running something else.
 func CheckEngine(m Model, opts Options, engine Engine, workers, shards int) Result {
 	return CheckEngineCtx(context.Background(), m, opts, engine, workers, shards)
 }
@@ -78,14 +71,10 @@ func CheckEngineCtx(ctx context.Context, m Model, opts Options, engine Engine, w
 	switch engine {
 	case EngineSeq:
 		return CheckCtx(ctx, m, opts)
-	case EngineLevels:
-		return CheckParallelCtx(ctx, m, opts, workers)
 	case EnginePipeline:
 		return CheckPipelinedCtx(ctx, m, opts, workers, shards)
 	case EngineDist:
-		// See the EngineDist comment: distributed dispatch needs a model
-		// spec, so generic callers get the pipelined engine instead.
-		return CheckPipelinedCtx(ctx, m, opts, workers, shards)
+		panic("mc: EngineDist cannot run in-process; dispatch through dist.Run")
 	default:
 		if workers == 1 {
 			return CheckCtx(ctx, m, opts)

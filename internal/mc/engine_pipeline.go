@@ -6,35 +6,31 @@ import (
 	"runtime"
 	"time"
 
-	"minvn/internal/obs/health"
 	"minvn/internal/obs/trace"
 )
 
-// Pipelined parallel breadth-first search.
+// Pipelined parallel breadth-first search: the parallel scheduler over
+// the shared search core (search.go).
 //
-// The level-parallel engine (parallel.go) stalls every worker at each
-// depth boundary: the whole frontier must finish expanding before the
-// single-threaded merge starts, and the merge must finish before the
-// next level begins. This engine removes the barrier. Workers pull
-// batches of stored-but-unexpanded states from a shared work channel
-// and run the expensive per-state work — Successors, canonicalization,
-// fingerprinting, and a read-only duplicate probe against the sharded
-// visited set — while a single merge loop consumes the expansion
-// results strictly in storage order through a reorder buffer. States
-// at depth d+1 are being expanded while depth-d results are still
-// merging, so expansion never waits on a depth boundary.
+// Workers pull batches of stored-but-unexpanded states from a shared
+// work channel and run the expensive per-state work — Successors,
+// canonicalization, fingerprinting, and a read-only duplicate probe
+// against the sharded visited set — while a single merge loop consumes
+// the expansion results strictly in storage order through a reorder
+// buffer. There is no per-depth barrier: states at depth d+1 are being
+// expanded while depth-d results are still merging.
 //
 // Determinism: because successor computation is a pure function of the
 // state, farming it out does not change what the merge sees, and the
-// in-order merge performs exactly the sequential engine's loop —
-// same visited-set probe order, same storage order, same bound checks,
-// same first-violation-by-depth (BFS order is depth order, and the
-// merge order is BFS order, so whichever worker finds a bad state
-// first, the *reported* one is the one the sequential engine would
-// report). Outcome, States, Rules, MaxDepth, traces, and the telemetry
-// counters are bit-identical to Check for every model and bound,
-// including early-terminating runs. Speculative expansions past a
-// termination point are simply discarded.
+// in-order merge hands each expansion to the same search.merge the
+// sequential engine calls — same visited-set probe order, same storage
+// order, same bound checks, same first-violation-by-depth (BFS order is
+// depth order, and the merge order is BFS order, so whichever worker
+// finds a bad state first, the *reported* one is the one the sequential
+// engine would report). Outcome, States, Rules, MaxDepth, traces, and
+// the telemetry counters are bit-identical to Check for every model and
+// bound, including early-terminating runs. Speculative expansions past
+// a termination point are simply discarded.
 
 // pipelineBatch is the number of states per work/result message;
 // batching amortizes channel operations against Successors calls.
@@ -44,28 +40,6 @@ const pipelineBatch = 16
 type pwork struct {
 	id    int32
 	state []byte
-}
-
-// psucc is one generated successor, pre-digested by a worker.
-type psucc struct {
-	state []byte // nil when the worker probe already proved it a duplicate
-	ckey  []byte // canonical bytes (aliases state without a Canonicalizer)
-	fp    uint64
-	rule  string // rule name (NamedModels only)
-	dup   bool
-	// conflated carries a compact-store probe's unverified-hit verdict
-	// to the merge; the verdict is time-stable (compactShard.lookup),
-	// so recording it at merge time matches the sequential engine.
-	conflated bool
-}
-
-// pexp is one state's expansion result.
-type pexp struct {
-	id       int32
-	state    []byte // the expanded state, for traces on terminal outcomes
-	err      error
-	deadlock bool
-	succs    []psucc
 }
 
 // CheckPipelined runs Check's BFS with a pipelined worker pool and a
@@ -87,158 +61,46 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 		ctx = context.Background()
 	}
 	opts = opts.normalized()
-	if opts.Strategy == DFS {
-		return CheckCtx(ctx, m, opts)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
+	if opts.Strategy == DFS || workers == 1 {
 		return CheckCtx(ctx, m, opts)
 	}
 
-	start := time.Now()
-	canon, _ := m.(Canonicalizer)
-	named, _ := m.(NamedModel)
-	// Read the trace context before the local `trace` closure below
-	// shadows the package name.
+	s := newSearch(ctx, m, opts, "merge", workers, shards)
 	tc, _ := trace.TraceContextFrom(ctx)
-	lane := opts.Trace.Lane(tc.LanePrefix() + "merge")
-	tr := newTracker(opts, start, named != nil)
-	tr.lane = lane
-	tr.workers = health.NewWorkerSet(workers)
 	wlanes := make([]*trace.Lane, workers)
 	for w := range wlanes {
 		wlanes[w] = opts.Trace.Lane(fmt.Sprintf("%sworker %d", tc.LanePrefix(), w))
 	}
-	set := newVisitedSet(opts.Store, shards)
-	tr.setHealth = func(r *health.Report) {
-		st := set.stats()
-		r.ArenaBytes = st.arenaBytes
-		r.SetBytes = st.setBytes
-		r.LockWaitNS, r.LockWaitSamples = set.lockWait()
-	}
-
-	var (
-		nodes []node
-		res   Result
-	)
-
-	trace := func(id int32, last []byte) [][]byte {
-		if opts.DisableTraces {
-			return [][]byte{last}
-		}
-		var rev [][]byte
-		for cur := id; cur >= 0; cur = nodes[cur].parent {
-			rev = append(rev, nodes[cur].state)
-		}
-		out := make([][]byte, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			out = append(out, rev[i])
-		}
-		return out
-	}
-
-	finish := func(o Outcome) Result {
-		lane.InstantArg("outcome/"+o.Tag(), "states", int64(len(nodes)))
-		res.Outcome = o
-		res.States = len(nodes)
-		res.Duration = time.Since(start)
-		res.Stats = tr.finish(res.States, res.MaxDepth, res.Rules)
+	if res, done := s.seed(); done {
 		return res
-	}
-
-	canonKey := func(s []byte) []byte {
-		if canon != nil {
-			return canon.Canonicalize(s)
-		}
-		return s
-	}
-
-	bounded := false
-	for _, s := range m.Initial() {
-		if opts.MaxStates > 0 && len(nodes) >= opts.MaxStates {
-			bounded = true
-			break
-		}
-		ck := canonKey(s)
-		fp := Fingerprint(ck)
-		if int64(len(nodes)) >= maxNodeID {
-			res.Message = (&CapacityError{Limit: "node ids", Max: maxNodeID}).Error()
-			return finish(Capacity)
-		}
-		_, fresh, conflated, err := set.insert(fp, ck, int32(len(nodes)))
-		if err != nil {
-			res.Message = err.Error()
-			return finish(Capacity)
-		}
-		if !fresh {
-			tr.recordProbe(fp, 0, false, conflated)
-			continue
-		}
-		tr.recordProbe(fp, 0, true, false)
-		nodes = append(nodes, node{state: s, parent: -1, depth: 0})
-		if opts.Observer != nil {
-			opts.Observer.Observe(s)
-		}
 	}
 
 	quit := make(chan struct{})
 	defer close(quit)
 	workCh := make(chan []pwork, workers)
-	resCh := make(chan []pexp, workers)
-
-	expandOne := func(w pwork) pexp {
-		var succs [][]byte
-		var ruleNames []string
-		var err error
-		if named != nil {
-			succs, ruleNames, err = named.SuccessorsNamed(w.state)
-		} else {
-			succs, err = m.Successors(w.state)
-		}
-		if err != nil {
-			return pexp{id: w.id, state: w.state, err: err}
-		}
-		e := pexp{
-			id:       w.id,
-			state:    w.state,
-			deadlock: len(succs) == 0 && !m.Quiescent(w.state),
-			succs:    make([]psucc, len(succs)),
-		}
-		for i, s := range succs {
-			var rule string
-			if named != nil {
-				rule = ruleNames[i]
-			}
-			e.succs[i] = psucc{state: s, rule: rule}
-		}
-		return e
-	}
+	resCh := make(chan []expansion, workers)
 
 	// expandBatch runs the whole work batch through three passes:
 	// expand every state, then canonicalize+fingerprint every generated
 	// successor in one sweep, then resolve all membership probes
 	// shard-grouped — each shard lock is taken once per batch instead
-	// of once per successor, which is where the per-state lock traffic
-	// of the old expandOne went. preqs/scratch are per-worker reusable
+	// of once per successor. preqs/scratch are per-worker reusable
 	// buffers.
-	expandBatch := func(batch []pwork, preqs []probeReq, sc *setScratch) ([]pexp, []probeReq) {
-		out := make([]pexp, 0, len(batch))
-		for _, w := range batch {
-			out = append(out, expandOne(w))
-		}
+	expandBatch := func(batch []pwork, preqs []probeReq, sc *setScratch) ([]expansion, []probeReq) {
+		out := make([]expansion, 0, len(batch))
 		preqs = preqs[:0]
-		for bi := range out {
-			succs := out[bi].succs
-			for si := range succs {
-				ck := canonKey(succs[si].state)
-				succs[si].ckey = ck
-				succs[si].fp = Fingerprint(ck)
-				preqs = append(preqs, probeReq{fp: succs[si].fp, key: ck})
+		for _, w := range batch {
+			e := s.expand(w.id, w.state, nil)
+			s.digest(e.succs)
+			for i := range e.succs {
+				preqs = append(preqs, probeReq{fp: e.succs[i].fp, key: e.succs[i].ckey})
 			}
+			out = append(out, e)
 		}
-		set.probeBatch(preqs, sc)
+		s.set.probeBatch(preqs, sc)
 		k := 0
 		for bi := range out {
 			succs := out[bi].succs
@@ -260,7 +122,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 
 	for w := 0; w < workers; w++ {
 		wl := wlanes[w]
-		prof := tr.workers.Worker(w)
+		prof := s.tr.workers.Worker(w)
 		go func() {
 			var preqs []probeReq
 			var scratch setScratch
@@ -273,7 +135,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 					queueWait := time.Since(tq)
 					sp := wl.Start("batch")
 					t0 := time.Now()
-					var out []pexp
+					var out []expansion
 					out, preqs = expandBatch(batch, preqs, &scratch)
 					expand := time.Since(t0)
 					sp.EndArg("states", int64(len(batch)))
@@ -292,20 +154,14 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 	// maxWindow bounds how far dispatch may run ahead of the merge, so
 	// the reorder buffer (and the successor batches parked in it) stays
 	// a small multiple of the worker pool rather than the frontier.
-	maxWindow := workers * pipelineBatch * 4
-	if maxWindow < 64 {
-		maxWindow = 64
-	}
+	maxWindow := max(workers*pipelineBatch*4, 64)
 
 	var (
-		reorder      = make(map[int32]pexp)
+		reorder      = make(map[int32]expansion)
 		nextMerge    = 0 // next node id to merge, in storage order
 		nextDispatch = 0 // next node id to hand to a worker
 		outstanding  = 0 // dispatched states whose results have not arrived
-		popped       = 0 // merge-order counterpart of the sequential pop count
 		pending      []pwork
-		ireqs        []insertReq // reusable per-expansion insert batch
-		mscratch     setScratch
 	)
 
 	// nextBatch claims up to pipelineBatch dispatchable states.
@@ -316,39 +172,35 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 			return nil
 		}
 		var batch []pwork
-		for nextDispatch < len(nodes) && len(batch) < pipelineBatch {
-			n := &nodes[nextDispatch]
-			if opts.MaxDepth > 0 && int(n.depth) >= opts.MaxDepth {
-				nextDispatch++
-				continue
-			}
-			batch = append(batch, pwork{id: int32(nextDispatch), state: n.state})
-			if opts.DisableTraces {
-				n.state = nil // ownership moves to the work item
-			}
+		for nextDispatch < len(s.nodes) && len(batch) < pipelineBatch {
+			id := int32(nextDispatch)
 			nextDispatch++
+			if !s.atDepthBound(id) {
+				batch = append(batch, pwork{id: id, state: s.take(id)})
+			}
 		}
 		return batch
 	}
 
+	// receive parks a result batch in the reorder buffer.
+	receive := func(rb []expansion) {
+		outstanding -= len(rb)
+		for _, e := range rb {
+			reorder[e.id] = e
+		}
+		s.tr.reorderMax = max(s.tr.reorderMax, int64(len(reorder)))
+	}
+
 	for {
 		// Merge every result that is ready, strictly in storage order —
-		// this loop is the sequential engine's loop verbatim, with the
-		// expansion read from the reorder buffer instead of computed.
-		for nextMerge < len(nodes) {
-			if err := ctx.Err(); err != nil {
-				res.Message = err.Error()
-				return finish(Canceled)
-			}
-			if opts.MaxStates > 0 && len(nodes) >= opts.MaxStates {
-				bounded = true
-				return finish(Bounded)
+		// the sequential engine's loop, with the expansion read from the
+		// reorder buffer instead of computed.
+		for nextMerge < len(s.nodes) {
+			if res, done := s.stop(); done {
+				return res
 			}
 			id := int32(nextMerge)
-			depth := nodes[nextMerge].depth
-			if opts.MaxDepth > 0 && int(depth) >= opts.MaxDepth {
-				bounded = true
-				popped++
+			if s.atDepthBound(id) {
 				nextMerge++
 				continue
 			}
@@ -357,83 +209,17 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 				break // the expansion for the next id has not arrived yet
 			}
 			delete(reorder, id)
-			popped++
-			res.Rules++
-			if e.err != nil {
-				res.Message = e.err.Error()
-				res.Trace = trace(id, e.state)
-				return finish(Violation)
-			}
-			if e.deadlock {
-				res.Message = "no enabled rule in non-quiescent state"
-				res.Trace = trace(id, e.state)
-				return finish(Deadlock)
-			}
-			tr.generated.Add(int64(len(e.succs)))
-			// Settle the whole successor batch against the set in one
-			// shard-grouped call (worker-proven duplicates pass through
-			// as skip entries), then replay the sequential engine's
-			// bookkeeping in successor order. insertBatch assigns ids
-			// baseID+0,1,… to fresh entries in that same order, so the
-			// nodes appended below land exactly on their ids; its limit
-			// stops processing where the sequential loop would break on
-			// the MaxStates bound.
-			ireqs = ireqs[:0]
-			for i := range e.succs {
-				sc := &e.succs[i]
-				ireqs = append(ireqs, insertReq{fp: sc.fp, key: sc.ckey, skip: sc.dup})
-			}
-			limit := -1
-			if opts.MaxStates > 0 {
-				limit = opts.MaxStates - len(nodes)
-			}
-			processed, _, insErr := set.insertBatch(ireqs, int32(len(nodes)), limit, &mscratch)
-			for i := 0; i < processed; i++ {
-				sc := &e.succs[i]
-				if named != nil {
-					tr.fire(sc.rule)
-				}
-				if sc.dup {
-					tr.recordProbe(sc.fp, depth+1, false, sc.conflated)
-					continue
-				}
-				r := &ireqs[i]
-				if !r.fresh {
-					tr.recordProbe(sc.fp, depth+1, false, r.conflated)
-					continue
-				}
-				tr.recordProbe(sc.fp, depth+1, true, false)
-				// The state is retained until dispatch (workers need it)
-				// and, when traces are enabled, for counterexamples.
-				nodes = append(nodes, node{state: sc.state, parent: id, depth: depth + 1})
-				if int(depth+1) > res.MaxDepth {
-					res.MaxDepth = int(depth + 1)
-				}
-				if opts.Observer != nil {
-					opts.Observer.Observe(sc.state)
-				}
-			}
-			if insErr != nil {
-				// Match the sequential engine's fire-before-push order:
-				// the successor that tripped the capacity guard had its
-				// rule counted before push returned the error.
-				if named != nil && processed < len(e.succs) {
-					tr.fire(e.succs[processed].rule)
-				}
-				res.Message = insErr.Error()
-				return finish(Capacity)
-			}
-			if opts.MaxStates > 0 && len(nodes) >= opts.MaxStates {
-				bounded = true // the pre-merge check above ends the search
+			if res, done := s.merge(&e); done {
+				return res
 			}
 			nextMerge++
-			tr.maybeProgress(len(nodes), len(nodes)-popped, res.MaxDepth, res.Rules)
+			s.tr.maybeProgress(len(s.nodes), len(s.nodes)-nextMerge, s.res.MaxDepth, s.res.Rules)
 		}
 
-		if nextMerge == len(nodes) {
+		if nextMerge == len(s.nodes) {
 			// Everything stored has been merged; nothing can be in
 			// flight (in-flight ids are always unmerged).
-			break
+			return s.exhausted()
 		}
 
 		if pending == nil {
@@ -441,51 +227,26 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 				pending = b
 			}
 		}
-		if pending != nil {
-			select {
-			case workCh <- pending:
-				outstanding += len(pending)
-				pending = nil
-			case rb := <-resCh:
-				outstanding -= len(rb)
-				for _, e := range rb {
-					reorder[e.id] = e
-				}
-				if n := int64(len(reorder)); n > tr.reorderMax {
-					tr.reorderMax = n
-				}
-			case <-ctx.Done():
-				res.Message = ctx.Err().Error()
-				return finish(Canceled)
-			}
-		} else {
+		sendCh := workCh
+		if pending == nil {
 			// The merge is blocked on an expansion that must already be
 			// in flight: everything before it was dispatched (no batch
-			// is claimable) and it is not in the reorder buffer.
+			// is claimable) and it is not in the reorder buffer. This is
+			// the pipeline's only wait state, counted as a reorder stall.
 			if outstanding == 0 {
 				panic(fmt.Sprintf("mc: pipeline stalled at id %d with no work in flight", nextMerge))
 			}
-			// The merge is idle until the missing expansion arrives —
-			// the pipeline's only wait state, counted as a reorder stall.
-			tr.reorderStalls++
-			select {
-			case rb := <-resCh:
-				outstanding -= len(rb)
-				for _, e := range rb {
-					reorder[e.id] = e
-				}
-				if n := int64(len(reorder)); n > tr.reorderMax {
-					tr.reorderMax = n
-				}
-			case <-ctx.Done():
-				res.Message = ctx.Err().Error()
-				return finish(Canceled)
-			}
+			s.tr.reorderStalls++
+			sendCh = nil // a nil channel never selects
+		}
+		select {
+		case sendCh <- pending:
+			outstanding += len(pending)
+			pending = nil
+		case rb := <-resCh:
+			receive(rb)
+		case <-ctx.Done():
+			return s.cancel(ctx.Err())
 		}
 	}
-
-	if bounded {
-		return finish(Bounded)
-	}
-	return finish(Complete)
 }

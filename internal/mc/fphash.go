@@ -33,18 +33,6 @@ func Fingerprint(b []byte) uint64 {
 	return h
 }
 
-// FingerprintString is Fingerprint over a string key without copying.
-// The map-backed engines use it to attribute visited-set probes to the
-// same telemetry stripes the sharded set would use.
-func FingerprintString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // FingerprintMix folds the fingerprint's high bits into the low ones.
 // Every partition of fingerprint space (shard, stripe, worker) selects
 // on this mixed value rather than the raw fingerprint, so the

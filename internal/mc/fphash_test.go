@@ -32,9 +32,6 @@ func TestFingerprintPinned(t *testing.T) {
 		if got := Fingerprint([]byte(tc.in)); got != tc.fp {
 			t.Errorf("Fingerprint(%q) = %#x, want %#x", tc.in, got, tc.fp)
 		}
-		if got := FingerprintString(tc.in); got != tc.fp {
-			t.Errorf("FingerprintString(%q) = %#x, want %#x", tc.in, got, tc.fp)
-		}
 		if got := FingerprintMix(tc.fp); got != tc.mix {
 			t.Errorf("FingerprintMix(%#x) = %#x, want %#x", tc.fp, got, tc.mix)
 		}

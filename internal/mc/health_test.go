@@ -84,7 +84,7 @@ func skewedStates(t *testing.T, hotN, coldN int) ([][]byte, int) {
 }
 
 // TestHealthSkewIdenticalAcrossEngines runs a deliberately unbalanced
-// model through all three engines and requires the shard-occupancy and
+// model through both engines and requires the shard-occupancy and
 // dedup histograms to (a) surface the imbalance and (b) agree exactly.
 func TestHealthSkewIdenticalAcrossEngines(t *testing.T) {
 	const hotN, coldN = 40, 8
@@ -96,7 +96,6 @@ func TestHealthSkewIdenticalAcrossEngines(t *testing.T) {
 		check func() mc.Result
 	}{
 		{"seq", func() mc.Result { return mc.Check(sys, mc.Options{}) }},
-		{"levels", func() mc.Result { return mc.CheckParallel(sys, mc.Options{}, 4) }},
 		{"pipeline", func() mc.Result { return mc.CheckPipelined(sys, mc.Options{}, 4, 0) }},
 	}
 	var ref *health.Report
@@ -146,8 +145,9 @@ func TestHealthSkewIdenticalAcrossEngines(t *testing.T) {
 }
 
 // TestHealthWorkerAndContentionFields pins the structural shape of the
-// per-engine worker profiles and the pipeline-only contention fields on
-// a protocol-sized run.
+// per-engine worker profiles, the visited-set footprint fields both
+// engines report through the one shared store, and the pipeline-only
+// reorder fields, on a protocol-sized run.
 func TestHealthWorkerAndContentionFields(t *testing.T) {
 	p := protocols.MustLoad("MSI_nonblocking_cache")
 	vn, n := machine.PerMessageVN(p)
@@ -167,34 +167,21 @@ func TestHealthWorkerAndContentionFields(t *testing.T) {
 	if h.Workers[0].Batches == 0 || h.Workers[0].ExpandNS <= 0 {
 		t.Fatalf("seq worker profile empty: %+v", h.Workers[0])
 	}
-	if h.ArenaBytes != 0 || h.LockWaitSamples != 0 {
-		t.Fatalf("seq must not report sharded-set fields: %+v", h)
+	if h.ReorderStalls != 0 || h.ReorderMax != 0 {
+		t.Fatalf("seq must not report reorder-buffer fields: %+v", h)
 	}
-
-	par := mc.CheckParallel(sys, opts, 4)
-	h = par.Stats.Health
-	if h == nil || len(h.Workers) != 4 {
-		t.Fatalf("levels health = %+v", h)
-	}
-	// Workers expand whole levels; the merge may stop partway through
-	// the last one when the bound trips, so worker-expanded states can
-	// only exceed the merged expansion count.
-	var lvlStates int64
-	for _, w := range h.Workers {
-		lvlStates += w.States
-	}
-	if lvlStates < par.Stats.Expansions || lvlStates == 0 {
-		t.Fatalf("levels workers expanded %d states, engine reports %d expansions",
-			lvlStates, par.Stats.Expansions)
-	}
+	seqArena, seqSet := h.ArenaBytes, h.SetBytes
 
 	pip := mc.CheckPipelined(sys, opts, 4, 0)
 	h = pip.Stats.Health
 	if h == nil || len(h.Workers) != 4 {
 		t.Fatalf("pipeline health = %+v", h)
 	}
-	if h.ArenaBytes <= 0 {
-		t.Fatalf("pipeline arena bytes = %d", h.ArenaBytes)
+	// One store implementation, same stripe count, same storage order:
+	// the footprint is the same number on both engines.
+	if h.ArenaBytes <= 0 || h.ArenaBytes != seqArena || h.SetBytes != seqSet {
+		t.Fatalf("arena/set bytes: pipeline %d/%d vs seq %d/%d",
+			h.ArenaBytes, h.SetBytes, seqArena, seqSet)
 	}
 	// 1-in-64 sampling by fingerprint low bits: with thousands of
 	// probes the sampled set is deterministic and non-empty.
@@ -239,8 +226,6 @@ func TestTraceContextPrefixesLanes(t *testing.T) {
 	}{
 		{"seq", wantPrefix + "search (BFS)",
 			func(o mc.Options) mc.Result { return mc.CheckCtx(ctx, sys, o) }},
-		{"levels", wantPrefix + "worker 0",
-			func(o mc.Options) mc.Result { return mc.CheckParallelCtx(ctx, sys, o, 3) }},
 		{"pipeline", wantPrefix + "worker 0",
 			func(o mc.Options) mc.Result { return mc.CheckPipelinedCtx(ctx, sys, o, 3, 4) }},
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"minvn/internal/obs/health"
 	"minvn/internal/obs/trace"
 )
 
@@ -123,7 +122,7 @@ type Options struct {
 	// final metrics (Final = true) when the search ends. When both
 	// thresholds are zero, ProgressEvery defaults to
 	// DefaultProgressEvery. The callback runs on the search goroutine
-	// (single-threaded, even under CheckParallel); keep it cheap.
+	// (single-threaded, even under the pipelined engine); keep it cheap.
 	Progress         func(Snapshot)
 	ProgressEvery    int
 	ProgressInterval time.Duration
@@ -139,7 +138,7 @@ type Options struct {
 }
 
 // normalized clamps invalid bounds to "unbounded" and applies the
-// progress default, so both engines agree on Options semantics.
+// progress default, so every engine agrees on Options semantics.
 func (o Options) normalized() Options {
 	if o.MaxStates < 0 {
 		o.MaxStates = 0
@@ -241,13 +240,6 @@ func (r Result) String() string {
 		r.Outcome, r.States, r.Rules, r.MaxDepth, r.Duration.Round(time.Millisecond))
 }
 
-// node is one stored state.
-type node struct {
-	state  []byte
-	parent int32
-	depth  int32
-}
-
 // Check explores the reachable states of m under opts.
 func Check(m Model, opts Options) Result {
 	return CheckCtx(context.Background(), m, opts)
@@ -258,226 +250,77 @@ func Check(m Model, opts Options) Result {
 // cancel or deadline stops the search promptly with Outcome Canceled.
 // A background (never-canceled) context changes nothing — the result
 // is bit-identical to Check's, which the parity suite pins.
+//
+// This is the sequential scheduler over the shared search core
+// (search.go): expand one state at a time, in BFS or DFS order, and
+// merge it immediately.
 func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.normalized()
-	start := time.Now()
-	canon, _ := m.(Canonicalizer)
-	named, _ := m.(NamedModel)
-	// The trace context must be read before the local `trace` closure
-	// below shadows the package name.
-	tc, _ := trace.TraceContextFrom(ctx)
-	lane := opts.Trace.Lane(tc.LanePrefix() + "search (" + opts.Strategy.String() + ")")
-	tr := newTracker(opts, start, named != nil)
-	tr.lane = lane
-	tr.workers = health.NewWorkerSet(1)
-	canonKey := func(s []byte) []byte {
-		if canon != nil {
-			return canon.Canonicalize(s)
-		}
-		return s
-	}
-
-	var (
-		nodes []node
-		res   Result
-	)
-	// The visited set: a plain map keyed by the full canonical bytes in
-	// exact mode, the hash-compacted set in compact mode (single shard —
-	// this engine has no concurrent probes, and the verified-bytes
-	// budget is global, so compact semantics are shard-independent).
-	var (
-		seen      map[string]int32
-		seenBytes int64 // canonical key bytes held by seen, for telemetry
-		cset      *compactSet
-	)
-	if opts.Store == StoreCompact {
-		cset = newCompactSet(1)
-		tr.setHealth = func(r *health.Report) {
-			st := cset.stats()
-			r.ArenaBytes = st.arenaBytes
-			r.SetBytes = st.setBytes
-		}
-	} else {
-		seen = make(map[string]int32)
-		tr.setHealth = func(r *health.Report) {
-			r.SetBytes = seenBytes + int64(len(seen))*stringMapSlotSize
-		}
-	}
-	push := func(s []byte, parent int32, depth int32) (int32, bool, error) {
-		ck := canonKey(s)
-		fp := Fingerprint(ck)
-		if cset != nil {
-			if int64(len(nodes)) >= maxNodeID {
-				return 0, false, &CapacityError{Limit: "node ids", Max: maxNodeID}
-			}
-			got, fresh, conflated, err := cset.insert(fp, ck, int32(len(nodes)))
-			if err != nil {
-				return 0, false, err
-			}
-			if !fresh {
-				tr.recordProbe(fp, depth, false, conflated)
-				return got, false, nil
-			}
-			tr.recordProbe(fp, depth, true, false)
-		} else {
-			if id, ok := seen[string(ck)]; ok {
-				tr.recordProbe(fp, depth, false, false)
-				return id, false, nil
-			}
-			if int64(len(nodes)) >= maxNodeID {
-				return 0, false, &CapacityError{Limit: "node ids", Max: maxNodeID}
-			}
-			tr.recordProbe(fp, depth, true, false)
-			seen[string(ck)] = int32(len(nodes))
-			seenBytes += int64(len(ck))
-		}
-		id := int32(len(nodes))
-		n := node{parent: parent, depth: depth}
-		if !opts.DisableTraces {
-			n.state = s
-		}
-		nodes = append(nodes, n)
-		if int(depth) > res.MaxDepth {
-			res.MaxDepth = int(depth)
-		}
-		if opts.Observer != nil {
-			opts.Observer.Observe(s)
-		}
-		return id, true, nil
-	}
-
-	trace := func(id int32, last []byte) [][]byte {
-		if opts.DisableTraces {
-			return [][]byte{last}
-		}
-		var rev [][]byte
-		for cur := id; cur >= 0; cur = nodes[cur].parent {
-			rev = append(rev, nodes[cur].state)
-		}
-		out := make([][]byte, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			out = append(out, rev[i])
-		}
-		return out
-	}
-
-	finish := func(outcome Outcome) Result {
-		lane.InstantArg("outcome/"+outcome.Tag(), "states", int64(len(nodes)))
-		res.Outcome = outcome
-		res.States = len(nodes)
-		res.Duration = time.Since(start)
-		res.Stats = tr.finish(res.States, res.MaxDepth, res.Rules)
+	s := newSearch(ctx, m, opts, "search ("+opts.Strategy.String()+")", 1, 0)
+	if res, done := s.seed(); done {
 		return res
 	}
 
-	// The work list carries the state alongside its id so expansion
-	// works whether or not node states are retained for traces. BFS
-	// pops from the front, DFS from the back.
-	type work struct {
-		id    int32
-		state []byte
-	}
-	var queue []work
-	bounded := false
-	for _, s := range m.Initial() {
-		if opts.MaxStates > 0 && len(nodes) >= opts.MaxStates {
-			bounded = true
-			break
-		}
-		id, fresh, err := push(s, -1, 0)
-		if err != nil {
-			res.Message = err.Error()
-			return finish(Capacity)
-		}
-		if fresh {
-			queue = append(queue, work{id, s})
+	// BFS order is storage order, so the BFS work list is just a cursor
+	// over the node table; DFS keeps a stack of the ids it has yet to
+	// expand.
+	var (
+		next  int32
+		stack []int32
+		buf   []succ // reused across expansions
+	)
+	dfs := opts.Strategy == DFS
+	if dfs {
+		for id := range s.nodes {
+			stack = append(stack, int32(id))
 		}
 	}
-
-	for len(queue) > 0 {
-		// Cancellation and the store-size bound are checked before
-		// every expansion, so Result.States never exceeds MaxStates and
-		// always counts states actually stored — even when the bound
-		// trips mid-expansion and the remaining work list is abandoned.
-		if err := ctx.Err(); err != nil {
-			res.Message = err.Error()
-			return finish(Canceled)
+	for {
+		if (dfs && len(stack) == 0) || (!dfs && int(next) == len(s.nodes)) {
+			return s.exhausted()
 		}
-		if opts.MaxStates > 0 && len(nodes) >= opts.MaxStates {
-			bounded = true
-			break
+		if res, done := s.stop(); done {
+			return res
 		}
-		var w work
-		if opts.Strategy == DFS {
-			w = queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		var id int32
+		if dfs {
+			id = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 		} else {
-			w = queue[0]
-			queue = queue[1:]
+			id = next
+			next++
 		}
-		depth := nodes[w.id].depth
-
-		if opts.MaxDepth > 0 && int(depth) >= opts.MaxDepth {
-			bounded = true
+		if s.atDepthBound(id) {
 			continue
 		}
 
-		var succs [][]byte
-		var ruleNames []string
-		var err error
-		sampled := res.Rules%seqExpandSample == 0
+		sampled := s.res.Rules%seqExpandSample == 0
 		var t0 time.Time
 		if sampled {
 			t0 = time.Now()
 		}
-		sp := lane.Start("expand")
-		if named != nil {
-			succs, ruleNames, err = named.SuccessorsNamed(w.state)
-		} else {
-			succs, err = m.Successors(w.state)
-		}
-		sp.EndArg("succs", int64(len(succs)))
+		sp := s.lane.Start("expand")
+		e := s.expand(id, s.take(id), buf[:0])
+		sp.EndArg("succs", int64(len(e.succs)))
 		if sampled {
-			tr.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
+			s.tr.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
 		}
-		res.Rules++
-		if err != nil {
-			res.Message = err.Error()
-			res.Trace = trace(w.id, w.state)
-			return finish(Violation)
+		buf = e.succs
+		s.digest(e.succs)
+		stored := len(s.nodes)
+		if res, done := s.merge(&e); done {
+			return res
 		}
-		if len(succs) == 0 && !m.Quiescent(w.state) {
-			res.Message = "no enabled rule in non-quiescent state"
-			res.Trace = trace(w.id, w.state)
-			return finish(Deadlock)
+		frontier := len(s.nodes) - int(next)
+		if dfs {
+			for id := stored; id < len(s.nodes); id++ {
+				stack = append(stack, int32(id))
+			}
+			frontier = len(stack)
 		}
-		tr.generated.Add(int64(len(succs)))
-		for i, s := range succs {
-			if named != nil {
-				tr.fire(ruleNames[i])
-			}
-			id, fresh, err := push(s, w.id, depth+1)
-			if err != nil {
-				res.Message = err.Error()
-				return finish(Capacity)
-			}
-			if !fresh {
-				continue
-			}
-			queue = append(queue, work{id, s})
-			if opts.MaxStates > 0 && len(nodes) >= opts.MaxStates {
-				bounded = true
-				break // the pre-expansion check above ends the search
-			}
-		}
-		tr.maybeProgress(len(nodes), len(queue), res.MaxDepth, res.Rules)
+		s.tr.maybeProgress(len(s.nodes), frontier, s.res.MaxDepth, s.res.Rules)
 	}
-
-	if bounded {
-		return finish(Bounded)
-	}
-	return finish(Complete)
 }

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -40,11 +41,23 @@ func TestShardedSetBasic(t *testing.T) {
 
 // TestShardedSetCollisions forces distinct keys through one
 // fingerprint, so the collision chain (not the 64-bit hash) decides
-// membership.
+// membership — including across arena chunks: the keys are sized so the
+// chain links entries in four chunks, and the layout pins that a key
+// never straddles a chunk boundary.
 func TestShardedSetCollisions(t *testing.T) {
 	s := newShardedSet(4)
 	const fp = uint64(0xdeadbeefcafe)
-	keys := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte("")}
+	big := func(c byte, n int) []byte { return []byte(strings.Repeat(string(c), n)) }
+	keys := [][]byte{
+		[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte(""),
+		big('x', 3000),           // fits chunk 0's remainder
+		big('y', 3000),           // does not: starts chunk 1
+		big('z', arenaChunk+904), // longer than a chunk: gets chunk 2 to itself
+		[]byte("tail"),           // chunk 2 is full by construction: chunk 3
+		big('w', arenaChunk-4),   // exactly fills chunk 3
+	}
+	wantChunk := []uint32{0, 0, 0, 0, 0, 1, 2, 3, 3}
+	wantAt := []uint32{0, 5, 9, 14, 14, 0, 0, 0, 4}
 	for i, k := range keys {
 		if id, fresh, _, err := s.insert(fp, k, int32(i)); err != nil || !fresh || id != int32(i) {
 			t.Fatalf("colliding insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
@@ -60,6 +73,23 @@ func TestShardedSetCollisions(t *testing.T) {
 	}
 	if _, hit, _ := s.probe(fp, []byte("delta")); hit {
 		t.Fatal("unrelated key matched a collision chain")
+	}
+	sh := &s.shards[s.shardIdx(fp)]
+	for i, e := range sh.entries {
+		if c, at := e.off>>arenaChunkBits, e.off&(arenaChunk-1); c != wantChunk[i] || at != wantAt[i] {
+			t.Errorf("key %d (%d bytes) stored at chunk %d offset %d, want chunk %d offset %d",
+				i, len(keys[i]), c, at, wantChunk[i], wantAt[i])
+		}
+	}
+	if len(sh.chunks) != 4 || cap(sh.chunks[2]) != arenaChunk+904 || len(sh.chunks[3]) != arenaChunk {
+		t.Errorf("chunks: %d, oversize cap %d, last len %d", len(sh.chunks), cap(sh.chunks[2]), len(sh.chunks[3]))
+	}
+	var total int64
+	for _, k := range keys {
+		total += int64(len(k))
+	}
+	if st := s.stats(); st.arenaBytes != total {
+		t.Errorf("arenaBytes = %d, want the %d key bytes stored", st.arenaBytes, total)
 	}
 }
 
@@ -111,6 +141,31 @@ func comparePipelineAgainst(t *testing.T, name string, seq Result, m Model, opts
 		t.Fatalf("%s: stats %+v vs sequential %+v", name, pip.Stats, seq.Stats)
 	}
 }
+
+// wideModel fans out to many states per level so the workers have
+// something to chew on.
+type wideModel struct{ levels, width int }
+
+func (w *wideModel) enc(l, i int) []byte { return []byte(fmt.Sprintf("%04d:%06d", l, i)) }
+func (w *wideModel) Initial() [][]byte   { return [][]byte{w.enc(0, 0)} }
+func (w *wideModel) Successors(s []byte) ([][]byte, error) {
+	var l, i int
+	fmt.Sscanf(string(s), "%04d:%06d", &l, &i)
+	if l+1 >= w.levels {
+		return nil, nil
+	}
+	out := make([][]byte, 0, 3)
+	for k := 0; k < 3; k++ {
+		out = append(out, w.enc(l+1, (i*3+k)%w.width))
+	}
+	return out, nil
+}
+func (w *wideModel) Quiescent(s []byte) bool {
+	var l, i int
+	fmt.Sscanf(string(s), "%04d:%06d", &l, &i)
+	return l+1 >= w.levels
+}
+func (w *wideModel) Describe(s []byte) string { return string(s) }
 
 func TestPipelineMatchesSequential(t *testing.T) {
 	models := map[string]Model{
@@ -166,10 +221,10 @@ func TestPipelineDFSFallsBack(t *testing.T) {
 	}
 }
 
-// TestPipelineRulesCountOnEarlyTermination pins the Rules counter the
-// level engine used to overcount: on a violation run, Rules is the
-// number of states actually expanded in BFS order, not the size of the
-// last frontier touched.
+// TestPipelineRulesCountOnEarlyTermination pins the Rules counter on a
+// violation run: it is the number of states actually expanded in BFS
+// order — speculative worker expansions past the violation must not
+// count.
 func TestPipelineRulesCountOnEarlyTermination(t *testing.T) {
 	m := &counter{n: 5000, branch: true, quiet: -1, bad: -1, errAt: 3000}
 	seq := Check(m, Options{})
@@ -177,9 +232,6 @@ func TestPipelineRulesCountOnEarlyTermination(t *testing.T) {
 		t.Fatalf("seq = %v", seq)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		if lev := CheckParallel(m, Options{}, workers); lev.Rules != seq.Rules {
-			t.Errorf("levels workers=%d: Rules %d vs sequential %d", workers, lev.Rules, seq.Rules)
-		}
 		if pip := CheckPipelined(m, Options{}, workers, 0); pip.Rules != seq.Rules {
 			t.Errorf("pipeline workers=%d: Rules %d vs sequential %d", workers, pip.Rules, seq.Rules)
 		}
@@ -214,7 +266,7 @@ func TestPipelineProgress(t *testing.T) {
 func TestCheckEngineDispatch(t *testing.T) {
 	m := &counter{n: 2000, branch: true, quiet: 1999, bad: -1, errAt: -1}
 	seq := Check(m, Options{})
-	for _, e := range []Engine{EngineAuto, EngineSeq, EngineLevels, EnginePipeline} {
+	for _, e := range []Engine{EngineAuto, EngineSeq, EnginePipeline} {
 		res := CheckEngine(m, Options{}, e, 4, 0)
 		if res.Outcome != seq.Outcome || res.States != seq.States || res.Rules != seq.Rules {
 			t.Errorf("engine %v: %v vs sequential %v", e, res, seq)
@@ -223,21 +275,43 @@ func TestCheckEngineDispatch(t *testing.T) {
 	if got := CheckEngine(m, Options{}, EngineAuto, 1, 0); got.States != seq.States {
 		t.Errorf("auto single-worker: %v", got)
 	}
+	// EngineDist has no in-process form; answering it with some other
+	// engine (the old silent pipeline fallback) would be a wrong engine
+	// in every artifact, so it must refuse loudly.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("CheckEngine(EngineDist) ran an in-process engine instead of refusing")
+			}
+		}()
+		CheckEngine(m, Options{}, EngineDist, 4, 0)
+	}()
 }
 
 func TestParseEngine(t *testing.T) {
 	for s, want := range map[string]Engine{
 		"": EngineAuto, "auto": EngineAuto, "seq": EngineSeq, "sequential": EngineSeq,
-		"levels": EngineLevels, "parallel": EngineLevels,
 		"pipeline": EnginePipeline, "pipelined": EnginePipeline,
+		"dist": EngineDist, "distributed": EngineDist,
 	} {
 		got, err := ParseEngine(s)
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("ParseEngine accepted a bogus engine name")
+	// The removed level-barrier engine's names are errors like any other
+	// unknown name, and the error lists what remains.
+	for _, s := range []string{"bogus", "levels", "parallel"} {
+		_, err := ParseEngine(s)
+		if err == nil {
+			t.Errorf("ParseEngine accepted %q", s)
+			continue
+		}
+		for _, want := range []string{"auto", "seq", "pipeline", "dist"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseEngine(%q) error %q does not name %q", s, err, want)
+			}
+		}
 	}
 }
 

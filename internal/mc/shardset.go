@@ -6,23 +6,28 @@ import (
 	"time"
 )
 
-// The visited set is the model checker's dominant memory consumer: the
-// original engines keyed a single map[string]int32 by the full
-// canonical state bytes, paying a string header, map bucket, and hash
-// of the whole state per stored state — the storage pressure that
-// forces explicit-state tools onto big-memory servers. shardedSet
-// replaces it with N lock-striped shards keyed by a 64-bit FNV-1a
-// fingerprint. Each shard holds a compact map[uint64]int32 into an
-// entry arena, and keeps the full canonical bytes in one contiguous
-// per-shard byte arena used only to verify (and chain past) the rare
-// fingerprint collisions — correctness never rests on 64-bit hashes
-// alone.
+// The visited set is the model checker's dominant memory consumer.
+// shardedSet is the exact store every engine uses: N lock-striped
+// shards keyed by a 64-bit FNV-1a fingerprint. Each shard holds a
+// compact map[uint64]int32 into an entry table, and keeps the full
+// canonical bytes in a chunked per-shard byte arena used only to verify
+// (and chain past) the rare fingerprint collisions — correctness never
+// rests on 64-bit hashes alone.
+//
+// The arena is a list of fixed arenaChunk-byte chunks that are filled
+// front to back and never recopied (one contiguous slice would be
+// recopied on every growth, a measured +15 % in allocated bytes and
+// peak RSS on the sequential engine). A key never straddles chunks: one
+// that does not fit the current chunk's remainder starts the next, and
+// one longer than a chunk gets a chunk of its own. Entries stay 16
+// bytes and pointer-free by packing the location as
+// off = chunk<<arenaChunkBits | offset-within-chunk.
 //
 // Concurrency contract: probe takes a read lock and may run from any
-// number of worker goroutines; insert takes a write lock and, in the
-// pipelined engine, is only ever called by the single merge goroutine.
-// Entries are never removed, so a successful probe is stable: a state
-// seen in the set stays in the set.
+// number of worker goroutines; insert takes a write lock and is only
+// ever called by the single store thread (the sequential search loop or
+// the pipelined merge). Entries are never removed, so a successful
+// probe is stable: a state seen in the set stays in the set.
 
 // DefaultShards is the shard count the engines use when the caller
 // passes 0. Striping only has to out-provision the worker count; 64
@@ -35,25 +40,94 @@ const DefaultShards = 64
 // rather than per probe.
 const lockSampleMask = 63
 
+// arenaChunkBits sizes the arena chunks (4 KiB). Larger chunks cost a
+// small search real memory — every touched stripe holds at least one.
+const (
+	arenaChunkBits = 12
+	arenaChunk     = 1 << arenaChunkBits
+)
+
 // setEntry is one stored state: its node id plus the location of its
 // canonical bytes in the shard arena, chained on fingerprint collision.
 type setEntry struct {
 	id   int32
-	next int32 // index of the next entry with the same fingerprint, -1 = none
-	off  uint32
+	next int32  // index of the next entry with the same fingerprint, -1 = none
+	off  uint32 // chunk<<arenaChunkBits | offset within the chunk
 	n    uint32
 }
 
+// arenaFill tracks how full a chunked arena is: the chunk count and the
+// free bytes left in the last chunk. The capacity guards replay pending
+// keys through it, so a batch trips the chunk limit exactly where a
+// one-at-a-time insert sequence would.
+type arenaFill struct {
+	chunks int
+	free   int
+}
+
+// add accounts one n-byte key, reporting whether it opens a new chunk.
+func (f *arenaFill) add(n int) bool {
+	if f.chunks > 0 && n <= f.free {
+		f.free -= n
+		return false
+	}
+	f.chunks++
+	f.free = max(arenaChunk, n) - n
+	return true
+}
+
+// stripeLock is one shard's lock plus the sampled wait to acquire it
+// (see lockSampleMask): how long callers waited for this stripe, a
+// direct read on contention. Atomic because probes run from every
+// worker.
+type stripeLock struct {
+	sync.RWMutex
+	waitNS, waitN atomic.Int64
+}
+
+// lock write-locks on behalf of fingerprint fp; rlock read-locks.
+func (l *stripeLock) lock(fp uint64) {
+	if fp&lockSampleMask != 0 {
+		l.Lock()
+		return
+	}
+	t0 := time.Now()
+	l.Lock()
+	l.waitNS.Add(int64(time.Since(t0)))
+	l.waitN.Add(1)
+}
+
+func (l *stripeLock) rlock(fp uint64) {
+	if fp&lockSampleMask != 0 {
+		l.RLock()
+		return
+	}
+	t0 := time.Now()
+	l.RLock()
+	l.waitNS.Add(int64(time.Since(t0)))
+	l.waitN.Add(1)
+}
+
+// shardCount rounds a requested shard count up to a power of two,
+// clamped to [1, 1<<16]; n <= 0 selects DefaultShards.
+func shardCount(n int) int {
+	if n <= 0 {
+		n = DefaultShards
+	}
+	size := 1
+	for size < min(n, 1<<16) {
+		size <<= 1
+	}
+	return size
+}
+
 type setShard struct {
-	mu      sync.RWMutex
+	mu      stripeLock
 	m       map[uint64]int32 // fingerprint → index of chain head in entries
 	entries []setEntry
-	arena   []byte // canonical state bytes, contiguous
-	// Sampled lock-acquisition wait (see lockSampleMask): how long
-	// callers waited for this shard's lock, a direct read on stripe
-	// contention. Atomic because probes run from every worker.
-	lockWaitNS atomic.Int64
-	lockWaitN  atomic.Int64
+	chunks  [][]byte // canonical state bytes; see the package comment above
+	fill    arenaFill
+	keyLen  int64 // canonical bytes stored, for telemetry
 }
 
 type shardedSet struct {
@@ -61,19 +135,9 @@ type shardedSet struct {
 	mask   uint64
 }
 
-// newShardedSet builds a set with n shards, rounded up to a power of
-// two and clamped to [1, 1<<16]. n <= 0 selects DefaultShards.
+// newShardedSet builds a set with shardCount(n) shards.
 func newShardedSet(n int) *shardedSet {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
+	size := shardCount(n)
 	s := &shardedSet{shards: make([]setShard, size), mask: uint64(size - 1)}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]int32)
@@ -93,7 +157,8 @@ func (sh *setShard) lookup(fp uint64, key []byte) (int32, bool) {
 	idx, ok := sh.m[fp]
 	for ok {
 		e := &sh.entries[idx]
-		if string(sh.arena[e.off:e.off+e.n]) == string(key) {
+		at := e.off & (arenaChunk - 1)
+		if string(sh.chunks[e.off>>arenaChunkBits][at:at+e.n]) == string(key) {
 			return e.id, true
 		}
 		idx = e.next
@@ -103,16 +168,18 @@ func (sh *setShard) lookup(fp uint64, key []byte) (int32, bool) {
 }
 
 // capacity reports the guard error, if any, for storing one more
-// keyLen-byte entry. Checked before every append so the int32 entry
-// indices and uint32 arena offsets can never wrap (the silent-wrap bug
-// this guard replaced corrupted collision chains past 2^31 entries or
-// a 4 GiB per-shard arena).
-func (sh *setShard) capacity(keyLen int) error {
-	if int64(len(sh.entries)) >= maxShardEntries {
+// keyLen-byte entry. pending and fill account for a batch's earlier
+// fresh inserts into this shard that are not applied yet (0 and sh.fill
+// for a single insert). Checked before every append so the int32 entry
+// indices and the chunk index packed into uint32 offsets can never wrap
+// (the silent-wrap bug this guard replaced corrupted collision chains
+// past 2^31 entries or a 4 GiB per-shard arena).
+func (sh *setShard) capacity(pending int, fill arenaFill, keyLen int) error {
+	if int64(len(sh.entries)+pending) >= maxShardEntries {
 		return &CapacityError{Limit: "shard entries", Max: maxShardEntries}
 	}
-	if int64(len(sh.arena))+int64(keyLen) > maxShardArena {
-		return &CapacityError{Limit: "shard arena bytes", Max: maxShardArena}
+	if fill.add(keyLen) && int64(fill.chunks) > maxShardChunks {
+		return &CapacityError{Limit: "shard arena chunks", Max: maxShardChunks}
 	}
 	return nil
 }
@@ -123,8 +190,13 @@ func (sh *setShard) capacity(keyLen int) error {
 // iteration runs newest-first — ids stay stable regardless because an
 // equal key is never inserted twice.
 func (sh *setShard) append(fp uint64, key []byte, id int32) {
-	off := uint32(len(sh.arena))
-	sh.arena = append(sh.arena, key...)
+	if sh.fill.add(len(key)) {
+		sh.chunks = append(sh.chunks, make([]byte, 0, max(arenaChunk, len(key))))
+	}
+	last := len(sh.chunks) - 1
+	off := uint32(last)<<arenaChunkBits | uint32(len(sh.chunks[last]))
+	sh.chunks[last] = append(sh.chunks[last], key...)
+	sh.keyLen += int64(len(key))
 	next := int32(-1)
 	if head, collision := sh.m[fp]; collision {
 		next = head
@@ -138,14 +210,7 @@ func (sh *setShard) append(fp uint64, key []byte, id int32) {
 // result (conflated) is always false: exact-store hits are verified.
 func (s *shardedSet) probe(fp uint64, key []byte) (int32, bool, bool) {
 	sh := &s.shards[s.shardIdx(fp)]
-	if fp&lockSampleMask == 0 {
-		t0 := time.Now()
-		sh.mu.RLock()
-		sh.lockWaitNS.Add(int64(time.Since(t0)))
-		sh.lockWaitN.Add(1)
-	} else {
-		sh.mu.RLock()
-	}
+	sh.mu.rlock(fp)
 	defer sh.mu.RUnlock()
 	id, hit := sh.lookup(fp, key)
 	return id, hit, false
@@ -156,27 +221,15 @@ func (s *shardedSet) probe(fp uint64, key []byte) (int32, bool, bool) {
 // positions, so callers see request order).
 func (s *shardedSet) probeBatch(reqs []probeReq, sc *setScratch) {
 	sc.group(len(reqs), nil, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
-	for lo := 0; lo < len(sc.idx); {
-		hi := lo + 1
-		for hi < len(sc.idx) && sc.shards[hi] == sc.shards[lo] {
-			hi++
-		}
-		sh := &s.shards[sc.shards[lo]]
-		if reqs[sc.idx[lo]].fp&lockSampleMask == 0 {
-			t0 := time.Now()
-			sh.mu.RLock()
-			sh.lockWaitNS.Add(int64(time.Since(t0)))
-			sh.lockWaitN.Add(1)
-		} else {
-			sh.mu.RLock()
-		}
-		for _, i := range sc.idx[lo:hi] {
+	sc.runs(func(shard uint32, idx []int32) {
+		sh := &s.shards[shard]
+		sh.mu.rlock(reqs[idx[0]].fp)
+		for _, i := range idx {
 			r := &reqs[i]
 			_, r.hit = sh.lookup(r.fp, r.key)
 		}
 		sh.mu.RUnlock()
-		lo = hi
-	}
+	})
 }
 
 // insert stores key with node id unless an equal key is present,
@@ -184,19 +237,12 @@ func (s *shardedSet) probeBatch(reqs []probeReq, sc *setScratch) {
 // thread only.
 func (s *shardedSet) insert(fp uint64, key []byte, id int32) (int32, bool, bool, error) {
 	sh := &s.shards[s.shardIdx(fp)]
-	if fp&lockSampleMask == 0 {
-		t0 := time.Now()
-		sh.mu.Lock()
-		sh.lockWaitNS.Add(int64(time.Since(t0)))
-		sh.lockWaitN.Add(1)
-	} else {
-		sh.mu.Lock()
-	}
+	sh.mu.lock(fp)
 	defer sh.mu.Unlock()
 	if got, ok := sh.lookup(fp, key); ok {
 		return got, false, false, nil
 	}
-	if err := sh.capacity(len(key)); err != nil {
+	if err := sh.capacity(0, sh.fill, len(key)); err != nil {
 		return 0, false, false, err
 	}
 	sh.append(fp, key, id)
@@ -241,19 +287,14 @@ pre:
 		}
 		// Capacity guards must count this batch's still-pending inserts
 		// into the same shard, or a batch could overshoot the caps.
-		pendEntries, pendArena := int64(0), int64(0)
+		pending, fill := 0, sh.fill
 		for k, j := range sc.pend {
 			if sc.pendShard[k] == shard {
-				pendEntries++
-				pendArena += int64(len(reqs[j].key))
+				pending++
+				fill.add(len(reqs[j].key))
 			}
 		}
-		switch {
-		case int64(len(sh.entries))+pendEntries >= maxShardEntries:
-			err = &CapacityError{Limit: "shard entries", Max: maxShardEntries}
-		case int64(len(sh.arena))+pendArena+int64(len(r.key)) > maxShardArena:
-			err = &CapacityError{Limit: "shard arena bytes", Max: maxShardArena}
-		case int64(baseID)+int64(fresh) >= maxNodeID:
+		if err = sh.capacity(pending, fill, len(r.key)); err == nil && int64(baseID)+int64(fresh) >= maxNodeID {
 			err = &CapacityError{Limit: "node ids", Max: maxNodeID}
 		}
 		if err != nil {
@@ -276,27 +317,15 @@ pre:
 	// sequence exactly.
 	if len(sc.pend) > 0 {
 		sc.group(processed, func(i int) bool { return reqs[i].fresh }, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
-		for lo := 0; lo < len(sc.idx); {
-			hi := lo + 1
-			for hi < len(sc.idx) && sc.shards[hi] == sc.shards[lo] {
-				hi++
-			}
-			sh := &s.shards[sc.shards[lo]]
-			if reqs[sc.idx[lo]].fp&lockSampleMask == 0 {
-				t0 := time.Now()
-				sh.mu.Lock()
-				sh.lockWaitNS.Add(int64(time.Since(t0)))
-				sh.lockWaitN.Add(1)
-			} else {
-				sh.mu.Lock()
-			}
-			for _, i := range sc.idx[lo:hi] {
+		sc.runs(func(shard uint32, idx []int32) {
+			sh := &s.shards[shard]
+			sh.mu.lock(reqs[idx[0]].fp)
+			for _, i := range idx {
 				r := &reqs[i]
 				sh.append(r.fp, r.key, r.id)
 			}
 			sh.mu.Unlock()
-			lo = hi
-		}
+		})
 	}
 	return processed, fresh, err
 }
@@ -308,9 +337,13 @@ func (s *shardedSet) stats() setStats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
+		var chunkBytes int64
+		for _, c := range sh.chunks {
+			chunkBytes += int64(cap(c)) + sliceHeaderSize
+		}
 		st.entries += len(sh.entries)
-		st.arenaBytes += int64(len(sh.arena))
-		st.setBytes += int64(len(sh.arena)) +
+		st.arenaBytes += sh.keyLen
+		st.setBytes += chunkBytes +
 			int64(len(sh.entries))*setEntrySize + int64(len(sh.m))*mapSlotSize
 		sh.mu.RUnlock()
 	}
@@ -322,8 +355,8 @@ func (s *shardedSet) stats() setStats {
 func (s *shardedSet) lockWait() (ns, samples int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		ns += sh.lockWaitNS.Load()
-		samples += sh.lockWaitN.Load()
+		ns += sh.mu.waitNS.Load()
+		samples += sh.mu.waitN.Load()
 	}
 	return ns, samples
 }

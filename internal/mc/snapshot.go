@@ -22,8 +22,8 @@ type Snapshot struct {
 	Store          string  `json:"store"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// States is the number of distinct states stored; Frontier the
-	// current work-list size (queue/stack for the sequential engine,
-	// accumulated next level for the parallel one).
+	// current work-list size: stored states not yet expanded (the DFS
+	// stack under DFS).
 	States   int `json:"states"`
 	Frontier int `json:"frontier"`
 	MaxDepth int `json:"max_depth"`
@@ -51,9 +51,9 @@ type Snapshot struct {
 	Occupancy any `json:"occupancy,omitempty"`
 	// Health is the run's contention profile: per-stripe visited-set
 	// occupancy and dedup-hit histograms (identical across engines by
-	// construction), per-worker expand/queue-wait/send-wait times, and
-	// — for the pipelined engine — shard lock-wait, arena footprint,
-	// and reorder-buffer stalls.
+	// construction), per-worker expand/queue-wait/send-wait times,
+	// visited-set footprint and shard lock-wait, and — for the
+	// pipelined engine — reorder-buffer stalls.
 	Health *health.Report `json:"health,omitempty"`
 	// Final marks the end-of-run snapshot stored in Result.Stats.
 	Final bool `json:"final"`
@@ -86,11 +86,10 @@ func (s Snapshot) Obs() obs.Snapshot {
 	return obs.Snapshot{Counters: c, Gauges: g}
 }
 
-// tracker accumulates search telemetry for both engines. The atomic
-// counters (obs.Counter) are the only fields touched concurrently:
-// CheckParallel's workers add to generated while expanding a level;
-// everything else — depth histogram, rule map, progress scheduling —
-// is only updated from the single-threaded push/merge path.
+// tracker accumulates search telemetry for the shared search core
+// (search.go). Everything except the worker profiles — counters, depth
+// histogram, rule map, progress scheduling — is only updated from the
+// single store thread.
 type tracker struct {
 	opts       Options
 	strategy   Strategy
@@ -114,8 +113,8 @@ type tracker struct {
 	unverified    int64 // conflated dedup hits (compact store)
 	reorderStalls int64
 	reorderMax    int64
-	// setHealth, when set by an engine, contributes engine-specific
-	// fields (arena bytes, lock wait) to each report.
+	// setHealth contributes the visited set's fields (footprint, lock
+	// wait) to each report.
 	setHealth func(*health.Report)
 }
 

@@ -206,7 +206,7 @@ func TestNamedModelParallelRuleFirings(t *testing.T) {
 	seqM := &namedCounter{counter{n: 500, branch: true, quiet: 499, bad: -1, errAt: -1}}
 	parM := &namedCounter{counter{n: 500, branch: true, quiet: 499, bad: -1, errAt: -1}}
 	seq := Check(seqM, Options{})
-	par := CheckParallel(parM, Options{}, 4)
+	par := CheckPipelined(parM, Options{}, 4, 0)
 	if seq.Outcome != par.Outcome || seq.States != par.States {
 		t.Fatalf("seq %v vs par %v", seq, par)
 	}

@@ -15,7 +15,7 @@ const (
 	// StoreExact keeps every state's full canonical bytes, so a
 	// fingerprint hit is always byte-verified before it counts as a
 	// duplicate. Results are exact: the engines' parity contract pins
-	// them bit-identical across seq/levels/pipeline.
+	// them bit-identical across the engines.
 	StoreExact Store = iota
 	// StoreCompact keeps only 64-bit fingerprints plus a small
 	// verified-bytes cache used to detect (and chain past) fingerprint
@@ -51,11 +51,11 @@ func ParseStore(s string) (Store, error) {
 
 // CapacityError is the typed error behind the Capacity outcome: the
 // visited set or the node table reached a hard implementation limit —
-// int32 node ids, int32 per-shard entry indices, or uint32 per-shard
-// arena offsets — and the search stopped instead of letting an index
+// int32 node ids, int32 per-shard entry indices, or the per-shard
+// arena chunk count — and the search stopped instead of letting an index
 // silently wrap and corrupt collision chains.
 type CapacityError struct {
-	Limit string // which limit tripped ("node ids", "shard entries", "shard arena bytes")
+	Limit string // which limit tripped ("node ids", "shard entries", "shard arena chunks")
 	Max   int64  // the limit's value
 }
 
@@ -73,9 +73,9 @@ var (
 	// maxShardEntries caps one shard's entry table: collision-chain
 	// links are int32 indices into it.
 	maxShardEntries = int64(math.MaxInt32)
-	// maxShardArena caps one shard's canonical-bytes arena: entry
-	// offsets and lengths are uint32.
-	maxShardArena = int64(math.MaxUint32)
+	// maxShardChunks caps one shard's canonical-bytes arena (4 GiB of
+	// full chunks): the chunk index is the upper bits of a uint32 offset.
+	maxShardChunks = int64(1) << (32 - arenaChunkBits)
 	// compactVerifiedBudget is the compact store's global verified-bytes
 	// budget: canonical bytes are retained for collision verification
 	// until this many bytes are cached, then new states keep only their
@@ -131,10 +131,6 @@ const (
 	setEntrySize    = 16 // setEntry: id, next, off, n
 	mapSlotSize     = 20 // map[uint64]int32 entry: key+value plus bucket overhead
 	sliceHeaderSize = 24 // []byte header
-	// stringMapSlotSize approximates one map[string]int32 entry of the
-	// exact map-backed engines: string header + value + bucket overhead
-	// (the key bytes are counted separately).
-	stringMapSlotSize = 32
 )
 
 // setStats is a visited set's footprint report.
@@ -149,11 +145,11 @@ type setStats struct {
 	setBytes int64
 }
 
-// visitedSet is the deduplication store shared by the engines: the
-// pipelined engine always uses one (exact or compact), and the
-// map-backed engines switch to the compact implementation when
-// Options.Store selects it, so conflation behavior is identical across
-// engines by construction.
+// visitedSet is the deduplication store every engine goes through —
+// the in-process engines via the shared store thread (search.go), the
+// distributed workers via VisitedStore — so exact and compact
+// semantics, capacity guards, and footprint telemetry are identical
+// across engines by construction.
 //
 // Concurrency contract: probe/probeBatch take read locks and may run
 // from any goroutine. insert/insertBatch are store-thread-only (the
@@ -227,4 +223,17 @@ func (s *setScratch) group(n int, keep func(int) bool, shardOf func(int) uint32)
 		s.shards = append(s.shards, shardOf(i))
 	}
 	sort.Sort(s)
+}
+
+// runs calls f once per shard with the grouped request indices that
+// fall in it, in request order.
+func (s *setScratch) runs(f func(shard uint32, idx []int32)) {
+	for lo := 0; lo < len(s.idx); {
+		hi := lo + 1
+		for hi < len(s.idx) && s.shards[hi] == s.shards[lo] {
+			hi++
+		}
+		f(s.shards[lo], s.idx[lo:hi])
+		lo = hi
+	}
 }

@@ -68,25 +68,44 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 	}
 }
 
+// The arena guard counts chunks: the chunk index is what the packed
+// uint32 offset can run out of.
 func TestShardedSetArenaCapacityGuard(t *testing.T) {
-	withCap(t, &maxShardArena, 10)
+	withCap(t, &maxShardChunks, 2)
 	s := newShardedSet(1)
-	a, b := []byte("aaaa"), []byte("bbbb")
+	a, b := make([]byte, arenaChunk-8), make([]byte, arenaChunk-8)
+	a[0], b[0] = 'a', 'b'
 	if _, _, _, err := s.insert(Fingerprint(a), a, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := s.insert(Fingerprint(b), b, 1); err != nil {
 		t.Fatal(err)
 	}
-	c := []byte("ccc") // 8+3 > 10
+	c := []byte("ccccccccc") // 9 bytes: neither chunk's 8-byte remainder holds it
 	_, _, _, err := s.insert(Fingerprint(c), c, 2)
 	var ce *CapacityError
-	if !errors.As(err, &ce) || ce.Limit != "shard arena bytes" {
+	if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || ce.Max != 2 {
 		t.Fatalf("arena overflow: err=%v", err)
 	}
-	d := []byte("dd") // 8+2 <= 10 still fits
+	d := []byte("dddddddd") // 8 bytes still fit the last chunk
 	if _, fresh, _, err := s.insert(Fingerprint(d), d, 2); err != nil || !fresh {
 		t.Fatalf("fitting insert after overflow: fresh=%v err=%v", fresh, err)
+	}
+	// The batched pre-pass must count its own pending inserts: the second
+	// half-chunk-plus-one key needs a third chunk only because the first
+	// is pending in the same shard.
+	s = newShardedSet(1)
+	reqs := make([]insertReq, 3)
+	for i := range reqs {
+		k := make([]byte, arenaChunk/2+1)
+		k[0] = byte('p' + i)
+		reqs[i] = insertReq{fp: Fingerprint(k), key: k}
+	}
+	var sc setScratch
+	withCap(t, &maxShardChunks, 1)
+	processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
+	if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || processed != 1 || fresh != 1 {
+		t.Fatalf("batch arena overflow: processed=%d fresh=%d err=%v", processed, fresh, err)
 	}
 }
 
@@ -124,42 +143,57 @@ func TestInsertBatchCapacityGuard(t *testing.T) {
 // same stored-state count, and a message naming the limit — instead of
 // the silent index wrap the guards replaced.
 func TestCapacityOutcomeAllEngines(t *testing.T) {
-	withCap(t, &maxNodeID, 10)
-	m := &counter{n: 1000, branch: true, quiet: -1, bad: -1, errAt: -1}
-	for _, store := range []Store{StoreExact, StoreCompact} {
-		opts := Options{DisableTraces: true, Store: store}
-		seq := Check(m, opts)
-		if seq.Outcome != Capacity || seq.States != 10 {
-			t.Fatalf("store=%v seq: %v (states=%d)", store, seq, seq.States)
-		}
-		if !strings.Contains(seq.Message, "node ids") {
-			t.Fatalf("store=%v seq message: %q", store, seq.Message)
-		}
-		if seq.Outcome.Tag() != "capacity" {
-			t.Fatalf("tag = %q", seq.Outcome.Tag())
-		}
-		lev := CheckParallel(m, opts, 4)
-		pip := CheckPipelined(m, opts, 4, 8)
-		for name, r := range map[string]Result{"levels": lev, "pipeline": pip} {
-			if r.Outcome != seq.Outcome || r.States != seq.States ||
-				r.MaxDepth != seq.MaxDepth || r.Rules != seq.Rules || r.Message != seq.Message {
-				t.Fatalf("store=%v %s: %v (states=%d rules=%d) vs seq %v (states=%d rules=%d)",
-					store, name, r, r.States, r.Rules, seq, seq.States, seq.Rules)
+	m := &counter{n: 100000, branch: true, quiet: -1, bad: -1, errAt: -1}
+	for _, tc := range []struct {
+		name   string
+		cap    *int64
+		n      int64
+		stores []Store
+		limit  string
+		states int // 0 = only require engine agreement
+	}{
+		{"node-ids", &maxNodeID, 10, []Store{StoreExact, StoreCompact}, "node ids", 10},
+		// One 4 KiB chunk per stripe: the first stripe to need a second
+		// chunk stops the search (the compact store has no arena).
+		{"arena-chunks", &maxShardChunks, 1, []Store{StoreExact}, "shard arena chunks", 0},
+		{"shard-entries", &maxShardEntries, 50, []Store{StoreExact}, "shard entries", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withCap(t, tc.cap, tc.n)
+			for _, store := range tc.stores {
+				opts := Options{DisableTraces: true, Store: store}
+				seq := Check(m, opts)
+				if seq.Outcome != Capacity || (tc.states > 0 && seq.States != tc.states) {
+					t.Fatalf("store=%v seq: %v (states=%d)", store, seq, seq.States)
+				}
+				if !strings.Contains(seq.Message, tc.limit) {
+					t.Fatalf("store=%v seq message: %q", store, seq.Message)
+				}
+				if seq.Outcome.Tag() != "capacity" {
+					t.Fatalf("tag = %q", seq.Outcome.Tag())
+				}
+				// Same stripe count as seq, so the same stripe fills first.
+				pip := CheckPipelined(m, opts, 4, 0)
+				if pip.Outcome != seq.Outcome || pip.States != seq.States ||
+					pip.MaxDepth != seq.MaxDepth || pip.Rules != seq.Rules || pip.Message != seq.Message {
+					t.Fatalf("store=%v pipeline: %v (states=%d rules=%d) vs seq %v (states=%d rules=%d)",
+						store, pip, pip.States, pip.Rules, seq, seq.States, seq.Rules)
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
-	withCap(t, &maxShardArena, 64)
+	withCap(t, &maxShardChunks, 1)
 	m := &counter{n: 1000, branch: true, quiet: -1, bad: -1, errAt: -1}
 	res := CheckPipelined(m, Options{DisableTraces: true}, 4, 1)
-	if res.Outcome != Capacity || !strings.Contains(res.Message, "shard arena bytes") {
+	if res.Outcome != Capacity || !strings.Contains(res.Message, "shard arena chunks") {
 		t.Fatalf("res = %v message %q", res, res.Message)
 	}
-	// 6-byte states into a 64-byte single-shard arena: exactly 10 fit.
-	if res.States != 10 {
-		t.Fatalf("states = %d, want 10", res.States)
+	// 6-byte states into a single 4 KiB chunk: exactly 682 fit.
+	if res.States != arenaChunk/6 {
+		t.Fatalf("states = %d, want %d", res.States, arenaChunk/6)
 	}
 }
 
@@ -262,8 +296,8 @@ func TestCompactVerifiedChainUnderBudget(t *testing.T) {
 }
 
 // TestCompactConflationDeterministicAcrossEngines exhausts the
-// verified-bytes budget mid-run and requires all three engines to
-// report identical results and identical unverified-hit counts — the
+// verified-bytes budget mid-run and requires the engines to report
+// identical results and identical unverified-hit counts — the
 // determinism claim the compact parity contract rests on.
 func TestCompactConflationDeterministicAcrossEngines(t *testing.T) {
 	withCap(t, &compactVerifiedBudget, 128)
@@ -277,7 +311,6 @@ func TestCompactConflationDeterministicAcrossEngines(t *testing.T) {
 		t.Fatal("budget 128 produced no unverified hits; test is vacuous")
 	}
 	for name, r := range map[string]Result{
-		"levels":   CheckParallel(m, opts, 4),
 		"pipeline": CheckPipelined(m, opts, 4, 8),
 	} {
 		if r.Outcome != seq.Outcome || r.States != seq.States ||

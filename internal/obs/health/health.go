@@ -26,11 +26,11 @@ import (
 )
 
 // Stripes is the fixed stripe count of the telemetry occupancy
-// histogram. It matches mc.DefaultShards so that for a default
-// pipeline run the telemetry stripes coincide with the physical
-// visited-set shards; for every other configuration (and for the
-// map-backed engines) the stripes are a virtual partition of
-// fingerprint space, identical across engines by construction.
+// histogram. It matches mc.DefaultShards so that for a default run the
+// telemetry stripes coincide with the physical visited-set shards; for
+// every other shard count (and for the distributed workers) the
+// stripes are a virtual partition of fingerprint space, identical
+// across engines by construction.
 const Stripes = 64
 
 // stripeMask selects a stripe from a fingerprint exactly the way the
@@ -40,16 +40,13 @@ const stripeMask = Stripes - 1
 // StripeOf maps a 64-bit state fingerprint to its telemetry stripe.
 func StripeOf(fp uint64) int { return int((fp ^ (fp >> 32)) & stripeMask) }
 
-// WorkerStats is one engine worker's contention profile. The three
-// engines fill it differently:
+// WorkerStats is one engine worker's contention profile. The engines
+// fill it differently:
 //
 //   - pipeline: one entry per pool worker; Batches counts work-channel
 //     batches, ExpandNS the time inside Successors/canonicalize/probe,
 //     QueueWaitNS the time blocked receiving work, SendWaitNS the time
 //     blocked handing results to the merge loop.
-//   - levels: one entry per pool worker; Batches counts level chunks
-//     and ExpandNS the chunk expansion time (the level barrier makes
-//     queue/send waits structural, not observable per worker).
 //   - seq: a single entry; ExpandNS covers a 1-in-N sample of
 //     expansions, with Batches counting the sampled expansions.
 type WorkerStats struct {
@@ -81,9 +78,8 @@ type Report struct {
 	OccCV   float64 `json:"occ_cv"`
 
 	// ArenaBytes counts full canonical state bytes retained by the
-	// visited set: the whole arena for the exact sharded set, only the
-	// collision-verification cache for the compact one. Map-backed
-	// exact engines report 0 (their key bytes live inside SetBytes).
+	// visited set: every stored key for the exact sharded set, only the
+	// collision-verification cache for the compact one.
 	ArenaBytes int64 `json:"arena_bytes,omitempty"`
 	// SetBytes approximates the visited set's total footprint —
 	// canonical bytes plus index structures — the number the
@@ -97,7 +93,8 @@ type Report struct {
 	// LockWaitNS is the summed shard-lock acquisition wait over
 	// LockWaitSamples sampled acquisitions (1-in-N by fingerprint), so
 	// LockWaitNS/LockWaitSamples estimates the mean wait per
-	// acquisition. Pipeline engine only.
+	// acquisition. Near zero on the sequential engine, whose store
+	// thread is the only locker.
 	LockWaitNS      int64 `json:"lock_wait_ns,omitempty"`
 	LockWaitSamples int64 `json:"lock_wait_samples,omitempty"`
 

@@ -71,7 +71,7 @@ type Options struct {
 	Caches, Dirs, Addrs int
 	// MaxStates bounds each model-checking run (default 50_000).
 	MaxStates int
-	// Engines to cross-check (default seq, levels, pipeline).
+	// Engines to cross-check (default seq, pipeline; in-process only).
 	Engines []mc.Engine
 	// Stores to cross-check (default exact only). With more than one,
 	// every engine runs under every store and all answers must agree —
@@ -98,7 +98,7 @@ func (o Options) normalized() Options {
 		o.MaxStates = 50_000
 	}
 	if len(o.Engines) == 0 {
-		o.Engines = []mc.Engine{mc.EngineSeq, mc.EngineLevels, mc.EnginePipeline}
+		o.Engines = []mc.Engine{mc.EngineSeq, mc.EnginePipeline}
 	}
 	if len(o.Stores) == 0 {
 		o.Stores = []mc.Store{mc.StoreExact}

@@ -12,7 +12,7 @@
 //
 //	soundness:  the analysis said deadlock-free (Eq. 4) under the
 //	            assignment, but the checker found a VN deadlock;
-//	parity:     the seq / levels / pipeline engines disagree on the
+//	parity:     the seq and pipeline engines disagree on the
 //	            same input;
 //	assignment: the checker deadlocks under the k VNs the assignment
 //	            claimed sufficient.

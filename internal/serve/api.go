@@ -8,7 +8,7 @@
 //
 // Verification is deterministic: the same protocol and options always
 // produce bit-identical results (the engine-parity suite pins this
-// across all three engines), so results are cached under the SHA-256
+// across the engines), so results are cached under the SHA-256
 // of the canonical protocol encoding plus the normalized
 // result-affecting options, and one run serves every identical
 // request after it. Jobs carry per-job deadlines enforced through the
@@ -405,8 +405,9 @@ func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, e
 	if norm.NoRepl {
 		cfg.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
 	}
-	sys, err := machine.New(cfg)
-	if err != nil {
+	// Build once at admission so a bad configuration is a 400, not a
+	// failed job; the run builds its own (dist.Run).
+	if _, err := machine.New(cfg); err != nil {
 		return nil, &RequestError{msg: err.Error()}
 	}
 
@@ -441,31 +442,21 @@ func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, e
 				mopts.Progress = progress
 			}
 			mopts.Trace = rec
-			var res mc.Result
-			if engine == mc.EngineDist {
-				// The coordinator spawns loopback workers (serve has no
-				// -peers surface); they profile occupancy themselves and
-				// the merge lands in Stats.Occupancy. Infra failures
-				// (worker loss) fail the job; cancellation surfaces as
-				// Outcome Canceled with a nil error.
-				res2, derr := dist.Check(ctx, dist.Job{
-					Config: cfg, Options: mopts,
-					Workers: workers, Occupancy: true,
-				})
-				if derr != nil && ctx.Err() == nil {
-					return nil, fmt.Errorf("dist: %w", derr)
-				}
-				res = res2
-			} else {
-				// Per-VN queue-depth histograms for the dashboard's occupancy
-				// panel and the job's ledger record. Passive and engine-
-				// invariant (pinned by the occupancy parity tests), so it
-				// cannot affect the cached result beyond adding the summary.
-				// Fresh per run: the profiler is single-use state.
-				mopts.Observer = sys.NewOccupancyProfiler()
-				res = mc.CheckEngineCtx(ctx, sys, mopts, engine, workers, shards)
+			// Occupancy: per-VN queue-depth histograms for the dashboard's
+			// occupancy panel and the job's ledger record. Passive and
+			// engine-invariant (pinned by the occupancy parity tests), so
+			// it cannot affect the cached result beyond adding the summary.
+			// A dist job gets loopback workers (serve has no -peers
+			// surface); a fleet failure fails the job, while cancellation
+			// surfaces as Outcome Canceled on every engine.
+			res, err := dist.Run(ctx, dist.Job{
+				Config: cfg, Options: mopts,
+				Workers: workers, Occupancy: true,
+			}, engine, shards, nil)
+			if err != nil && ctx.Err() == nil {
+				return nil, err
 			}
-			if res.Outcome == mc.Canceled {
+			if err != nil || res.Outcome == mc.Canceled {
 				return nil, errJobCanceled
 			}
 			doc := VerifyResult{

@@ -57,10 +57,10 @@ func (s *Server) FleetEvents(from int) ([]Event, <-chan struct{}) {
 }
 
 // recordJob appends a finished job to the run ledger, if one is
-// configured. Called after the terminal state is published and outside
-// s.mu — the ledger serializes its own writers, and a slow disk must
-// not stall the pool. Cache hits never reach here: a replayed result
-// is not a run.
+// configured. Called before the terminal state is published (see
+// runJob) and outside s.mu — a slow disk stalls only the completing
+// worker, never admission or readers. Cache hits never reach here: a
+// replayed result is not a run.
 func (s *Server) recordJob(job *Job, status JobStatus, errMsg string, snap *mc.Snapshot, seconds float64) {
 	if s.cfg.Ledger == nil {
 		return

@@ -62,15 +62,12 @@ type Job struct {
 
 	task *task
 
-	status JobStatus
-	cached bool
-	err    string
-	result json.RawMessage
-	// finalSnap is the run's end-of-search snapshot, kept for the
-	// job's ledger record (progress events only stream interim ones).
-	finalSnap *mc.Snapshot
-	events    []Event
-	updated   chan struct{} // closed and replaced on every change
+	status  JobStatus
+	cached  bool
+	err     string
+	result  json.RawMessage
+	events  []Event
+	updated chan struct{} // closed and replaced on every change
 }
 
 func newJob(id string, t *task) *Job {

@@ -129,6 +129,9 @@ type Server struct {
 	runningHWM int // high-water mark of running
 
 	joblog *JobLogger
+	// finishMu serializes job completion (record, then publish); see
+	// runJob. Taken before mu, never the other way round.
+	finishMu sync.Mutex
 
 	// Per-job flight recorders, newest last; bounded at cfg.TraceJobs.
 	// A job's recorder is installed when it starts running and survives
@@ -408,6 +411,9 @@ func (s *Server) runJob(job *Job) {
 		rec = trace.New(trace.Config{LaneCapacity: s.cfg.TraceLaneCap})
 	}
 
+	// Logged before the status flips, so a client that sees "running"
+	// finds the line (the same rule the terminal state follows below).
+	s.joblog.Log(LogInfo, "started", job.tc, map[string]any{"kind": job.task.kind})
 	s.mu.Lock()
 	job.status = StatusRunning
 	s.running++
@@ -431,13 +437,13 @@ func (s *Server) runJob(job *Job) {
 	if s.cfg.BeforeRun != nil {
 		s.cfg.BeforeRun()
 	}
-	s.joblog.Log(LogInfo, "started", job.tc, map[string]any{"kind": job.task.kind})
 
 	deadline := effectiveDeadline(job.task.deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	ctx, cancel := context.WithTimeout(s.runBase, deadline)
 	// The TraceContext rides the run context into the engines, which
 	// prefix their recorder lanes with the job/request identity.
 	ctx = trace.WithTraceContext(ctx, job.tc)
+	var finalSnap *mc.Snapshot
 	progress := func(snap mc.Snapshot) {
 		if snap.Health != nil {
 			s.mu.Lock()
@@ -446,11 +452,10 @@ func (s *Server) runJob(job *Job) {
 		}
 		if snap.Final {
 			// The terminal event carries the final state; keep it for
-			// the job's ledger record.
+			// the job's ledger record. Engines deliver snapshots on the
+			// goroutine that called them — this one.
 			c := snap
-			s.mu.Lock()
-			job.finalSnap = &c
-			s.mu.Unlock()
+			finalSnap = &c
 			return
 		}
 		s.joblog.Log(LogDebug, "snapshot", job.tc, map[string]any{
@@ -473,21 +478,46 @@ func (s *Server) runJob(job *Job) {
 	jobSpan.End()
 	cancel()
 
-	s.mu.Lock()
+	seconds := time.Since(start).Seconds()
+	status, errMsg, level := StatusDone, "", LogInfo
 	switch {
 	case err == nil:
-		job.status = StatusDone
+	case errors.Is(err, errJobCanceled):
+		status, errMsg, level = StatusCanceled, "canceled: deadline exceeded or server shutdown", LogWarn
+	default:
+		status, errMsg, level = StatusFailed, err.Error(), LogError
+	}
+	fields := map[string]any{
+		"kind": job.task.kind, "status": string(status), "seconds": seconds,
+	}
+	if errMsg != "" {
+		fields["error"] = errMsg
+	}
+
+	// "Done" means "recorded": the job-log line and the ledger record are
+	// written before the terminal state is published, so a client
+	// released by the done event (or ?wait=1) finds its run in /v1/runs
+	// and in the log. finishMu spans record-then-publish, which keeps
+	// ledger order equal to completion order across workers, and it is
+	// the only lock held over the file I/O — s.mu is not, so submitters
+	// and readers never wait on the disk.
+	s.finishMu.Lock()
+	defer s.finishMu.Unlock()
+	s.joblog.Log(level, "finished", job.tc, fields)
+	s.recordJob(job, status, errMsg, finalSnap, seconds)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job.status, job.err = status, errMsg
+	switch status {
+	case StatusDone:
 		job.result = result
 		s.cache.add(job.task.key, result, job.id)
 		s.gCacheSize.Set(int64(s.cache.len()))
 		s.mDone.Inc()
-	case errors.Is(err, errJobCanceled):
-		job.status = StatusCanceled
-		job.err = "canceled: deadline exceeded or server shutdown"
+	case StatusCanceled:
 		s.mCanceled.Inc()
 	default:
-		job.status = StatusFailed
-		job.err = err.Error()
 		s.mFailed.Inc()
 	}
 	delete(s.inflight, job.task.key)
@@ -495,23 +525,4 @@ func (s *Server) runJob(job *Job) {
 	s.gRunning.Set(int64(s.running))
 	job.appendEvent(Event{Type: "done", Job: job.view()})
 	s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
-	status, errMsg := job.status, job.err
-	finalSnap := job.finalSnap
-	s.mu.Unlock()
-
-	level := LogInfo
-	if status == StatusFailed {
-		level = LogError
-	} else if status == StatusCanceled {
-		level = LogWarn
-	}
-	fields := map[string]any{
-		"kind": job.task.kind, "status": string(status),
-		"seconds": time.Since(start).Seconds(),
-	}
-	if errMsg != "" {
-		fields["error"] = errMsg
-	}
-	s.joblog.Log(level, "finished", job.tc, fields)
-	s.recordJob(job, status, errMsg, finalSnap, time.Since(start).Seconds())
 }

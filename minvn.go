@@ -144,7 +144,8 @@ type VerifyConfig struct {
 	MaxStates int
 	// DFS hunts deadlocks depth-first instead of breadth-first.
 	DFS bool
-	// Workers > 1 enables deterministic level-parallel BFS.
+	// Workers > 1 runs the BFS on the pipelined parallel engine with
+	// that many workers; results are identical to the sequential run.
 	Workers int
 	// Invariants enables SWMR/bookkeeping checking on every state.
 	Invariants bool
@@ -199,12 +200,7 @@ func Verify(p *protocol.Protocol, cfg VerifyConfig) (VerifyResult, error) {
 	if cfg.DFS {
 		opts.Strategy = mc.DFS
 	}
-	var res mc.Result
-	if cfg.Workers > 1 && !cfg.DFS {
-		res = mc.CheckParallel(sys, opts, cfg.Workers)
-	} else {
-		res = mc.Check(sys, opts)
-	}
+	res := mc.CheckEngine(sys, opts, mc.EngineAuto, max(cfg.Workers, 1), 0)
 	out := VerifyResult{
 		Deadlock: res.Outcome == mc.Deadlock,
 		Complete: res.Outcome == mc.Complete,
