@@ -22,16 +22,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/icn"
-	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/protocols"
-	"minvn/internal/vnassign"
 )
 
 // occMeans computes the observation-weighted mean global-buffer and
@@ -58,16 +55,16 @@ func occMeans(st *icn.OccupancyStats) (global, local float64) {
 }
 
 func main() {
+	// The bench matrix runs every protocol under its minimal assignment.
+	// -engines accepts dist, which applies -max-states at level
+	// granularity: compare it with -max-states 0.
+	search := cliflag.Search{
+		Spec:    dist.Spec{Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 300_000},
+		Engines: "seq,pipeline", Stores: "exact,compact",
+	}
+	search.Register(flag.CommandLine, cliflag.SearchSystem|cliflag.SearchMatrix|cliflag.SearchWorkers|cliflag.SearchShards)
 	var (
 		out       = flag.String("out", "BENCH_mc.json", "write the benchmark artifact to this file")
-		maxStates = flag.Int("max-states", 300_000, "state limit per run (0 = exhaust the state space)")
-		caches    = flag.Int("caches", 3, "number of caches (paper: 3)")
-		dirs      = flag.Int("dirs", 2, "number of directories (paper: 2)")
-		addrs     = flag.Int("addrs", 2, "number of addresses (paper: 2)")
-		workers   = flag.Int("workers", 0, "workers for the parallel engines (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "visited-set shards for the pipeline engine (0 = default)")
-		engines   = flag.String("engines", "seq,pipeline", "comma-separated engines to compare (seq, pipeline, dist; dist applies -max-states at level granularity, so compare it with -max-states 0)")
-		stores    = flag.String("stores", "exact,compact", "comma-separated visited-set modes to compare")
 		seed      = flag.Int64("seed", 1, "base seed for the random-walk smoke pass (-walks)")
 		walks     = flag.Int("walks", 0, "seeded random-workload walks per protocol before the engine comparison")
 		walkSteps = flag.Int("walk-steps", 2000, "steps per random walk")
@@ -130,24 +127,11 @@ func main() {
 		}, art, *out))
 	}
 
-	var engList []mc.Engine
-	for _, s := range strings.Split(*engines, ",") {
-		e, err := mc.ParseEngine(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vnbench:", err)
-			os.Exit(2)
-		}
-		engList = append(engList, e)
+	engList, storeList, err := search.Matrix(true)
+	if err != nil {
+		os.Exit(cliflag.Fail(os.Stderr, "vnbench", err))
 	}
-	var storeList []mc.Store
-	for _, s := range strings.Split(*stores, ",") {
-		st, err := mc.ParseStore(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vnbench:", err)
-			os.Exit(2)
-		}
-		storeList = append(storeList, st)
-	}
+	search.Peers = tel.Peers()
 
 	benchProtos := []string{
 		"MSI_nonblocking_cache",
@@ -159,14 +143,7 @@ func main() {
 	}
 
 	art := obs.NewArtifact("vnbench")
-	art.Params["max_states"] = *maxStates
-	art.Params["caches"] = *caches
-	art.Params["dirs"] = *dirs
-	art.Params["addrs"] = *addrs
-	art.Params["workers"] = *workers
-	art.Params["shards"] = *shards
-	art.Params["engines"] = *engines
-	art.Params["stores"] = *stores
+	art.Params = search.Params()
 	art.Params["seed"] = *seed
 	art.Params["walks"] = *walks
 	art.Params["walk_steps"] = *walkSteps
@@ -176,24 +153,15 @@ func main() {
 	for _, name := range benchProtos {
 		p, err := protocols.Load(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vnbench:", err)
-			os.Exit(1)
+			os.Exit(cliflag.Fail(os.Stderr, "vnbench", err))
 		}
-		a := vnassign.Assign(p)
-		if a.Class != vnassign.Class3 {
-			fmt.Fprintf(os.Stderr, "vnbench: %s is %s — benchmarks need a finite assignment\n",
-				p.Name, a.Class)
-			os.Exit(1)
-		}
-		cfg := machine.Config{
-			Protocol: p, Caches: *caches, Dirs: *dirs, Addrs: *addrs,
-			VN: a.VN, NumVNs: a.NumVNs,
-		}
-		sys, err := machine.New(cfg)
+		job, err := search.Resolve(p, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vnbench:", err)
-			os.Exit(1)
+			os.Exit(cliflag.Fail(os.Stderr, "vnbench", err))
 		}
+		job.Options.Trace = tel.Recorder()
+		job.Occupancy = true
+		sys := job.System
 		// Seeded random-walk smoke pass: cheap wedge detection before
 		// the exhaustive engine comparison. The base seed is recorded
 		// in the artifact so any wedged walk replays exactly.
@@ -210,80 +178,46 @@ func main() {
 		}
 
 		// The first store's first engine is the protocol's reference
-		// row: speedups are relative to it, and every other
-		// store/engine combination must reproduce its search shape.
-		var protoBase *mc.Result
-		var protoBaseOcc *icn.OccupancyStats
+		// row: speedups are relative to it, and every other cell must
+		// reproduce its search (mc.Agree) and its occupancy aggregate.
+		// That one comparison covers engines within a store — they run
+		// the identical search — and exact against compact, where at
+		// bench scale a fingerprint conflation is a ~n²/2⁶⁵ event, so a
+		// mismatch is a dedup bug, not bad luck.
+		var ref *mc.Result
+		var refOcc *icn.OccupancyStats
 		for _, store := range storeList {
-			opts := mc.Options{MaxStates: *maxStates, DisableTraces: true, Store: store}
-			var baseline *mc.Result
-			var baselineOcc *icn.OccupancyStats
+			job.Options.Store = store
 			for _, eng := range engList {
 				// Start every engine from a collected heap so HeapBytes
 				// reflects this run's live set, not the previous engine's
 				// garbage.
 				runtime.GC()
-				opts.Trace = tel.Recorder()
-				// Every engine lands its occupancy profile in
-				// Stats.Occupancy, so the parity checks below compare them
-				// all the same way.
-				res, err := dist.Run(context.Background(), dist.Job{
-					Config: cfg, Options: opts,
-					Workers: *workers, Peers: tel.Peers(),
-					Occupancy: true,
-				}, eng, *shards, nil)
+				job.Engine = eng
+				res, err := dist.Run(context.Background(), job)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "vnbench:", err)
-					os.Exit(1)
+					os.Exit(cliflag.Fail(os.Stderr, "vnbench", err))
 				}
+				// Every engine lands its occupancy profile in
+				// Stats.Occupancy, so they all compare the same way.
 				occ, _ := res.Stats.Occupancy.(*icn.OccupancyStats)
 
 				speedup := 1.0
-				if baseline == nil {
-					r := res
-					baseline = &r
-					baselineOcc = occ
+				if ref == nil {
+					ref, refOcc = &res, occ
 				} else {
-					// Within-store parity is strict, occupancy included:
-					// the engines run the identical search.
-					if res.Outcome != baseline.Outcome || res.States != baseline.States ||
-						res.MaxDepth != baseline.MaxDepth {
-						fmt.Fprintf(os.Stderr,
-							"vnbench: %s/%v: engine %v disagrees with %v: %v vs %v\n",
-							p.Name, store, eng, engList[0], res, *baseline)
+					if !mc.Agree(res, *ref) {
+						fmt.Fprintf(os.Stderr, "vnbench: %s: %v/%v disagrees with %v/%v: %v vs %v\n",
+							p.Name, eng, store, engList[0], storeList[0], res, *ref)
 						exitCode = 1
 					}
-					if !occ.Equal(baselineOcc) {
-						fmt.Fprintf(os.Stderr,
-							"vnbench: %s/%v: engine %v occupancy aggregate disagrees with %v\n",
-							p.Name, store, eng, engList[0])
+					if !occ.Equal(refOcc) {
+						fmt.Fprintf(os.Stderr, "vnbench: %s: %v/%v occupancy aggregate disagrees with %v/%v\n",
+							p.Name, eng, store, engList[0], storeList[0])
 						exitCode = 1
 					}
-				}
-				if protoBase == nil {
-					r := res
-					protoBase = &r
-					protoBaseOcc = occ
-				} else {
-					// Cross-store differential: exact and compact must
-					// agree on the outcome class and the search shape. At
-					// bench scale a fingerprint conflation is a ~n²/2⁶⁵
-					// event, so a mismatch is a dedup bug, not bad luck.
-					if res.Outcome != protoBase.Outcome || res.States != protoBase.States ||
-						res.MaxDepth != protoBase.MaxDepth {
-						fmt.Fprintf(os.Stderr,
-							"vnbench: %s: store %v (engine %v) disagrees with %v/%v: %v vs %v\n",
-							p.Name, store, eng, storeList[0], engList[0], res, *protoBase)
-						exitCode = 1
-					}
-					if !occ.Equal(protoBaseOcc) {
-						fmt.Fprintf(os.Stderr,
-							"vnbench: %s: store %v (engine %v) occupancy aggregate disagrees with %v\n",
-							p.Name, store, eng, storeList[0])
-						exitCode = 1
-					}
-					if protoBase.Stats.StatesPerSec > 0 {
-						speedup = res.Stats.StatesPerSec / protoBase.Stats.StatesPerSec
+					if ref.Stats.StatesPerSec > 0 {
+						speedup = res.Stats.StatesPerSec / ref.Stats.StatesPerSec
 					}
 				}
 				gMean, lMean := occMeans(occ)
@@ -300,9 +234,9 @@ func main() {
 					"protocol":        p.Name,
 					"engine":          eng.String(),
 					"store":           store.String(),
-					"workers":         *workers,
-					"shards":          *shards,
-					"num_vns":         a.NumVNs,
+					"workers":         search.Workers,
+					"shards":          search.Shards,
+					"num_vns":         job.Config.NumVNs,
 					"outcome":         res.Outcome.Tag(),
 					"states":          res.States,
 					"peak_states":     res.States,
@@ -357,8 +291,7 @@ func main() {
 		os.Exit(1)
 	}
 	if err := art.WriteFile(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "vnbench:", err)
-		os.Exit(1)
+		os.Exit(cliflag.Fail(os.Stderr, "vnbench", err))
 	}
 	fmt.Printf("wrote %s\n", *out)
 	// -stats-json writes a second copy of the artifact, so pipelines
@@ -368,8 +301,7 @@ func main() {
 		tel.StatsJSON = ""
 	}
 	if err := tel.Finish(art, nil, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "vnbench:", err)
-		os.Exit(1)
+		os.Exit(cliflag.Fail(os.Stderr, "vnbench", err))
 	}
 	os.Exit(exitCode)
 }

@@ -8,53 +8,36 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"minvn/internal/analysis"
 	"minvn/internal/cliflag"
-	"minvn/internal/machine"
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
-	"minvn/internal/protocol"
-	"minvn/internal/protocols"
-	"minvn/internal/vnassign"
 )
 
-// newArtifact records the run configuration for the stats-json
-// artifact; the caller fills Outcome, Metrics, and Extra.
-func newArtifact(proto, vnMode string, numVNs int, cfg machine.Config, opts mc.Options) *obs.Artifact {
-	art := obs.NewArtifact("vnexplain")
-	art.Params["protocol"] = proto
-	art.Params["vn_mode"] = vnMode
-	art.Params["num_vns"] = numVNs
-	art.Params["caches"] = cfg.Caches
-	art.Params["dirs"] = cfg.Dirs
-	art.Params["addrs"] = cfg.Addrs
-	art.Params["strategy"] = opts.Strategy.String()
-	art.Params["max_states"] = opts.MaxStates
-	return art
-}
+// defaults is vnexplain's starting point: the deadlock hunt of
+// vntable's Class 2 cells — per-message VNs, sequential DFS with traces
+// from the Fig. 3 ownership prefix, bounded at 600k states.
+var defaults = cliflag.Search{Spec: dist.Spec{
+	VN: dist.VNPerMessage, Caches: 3, Dirs: 2, Addrs: 2,
+	Strategy: "dfs", MaxStates: 600_000, SeedOwned: true,
+	Engine: "seq", Traces: true,
+}}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vnexplain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	search := defaults
+	search.Register(fs, cliflag.SearchSystem|cliflag.SearchVN|cliflag.SearchL2s)
 	var (
-		fromFile  = fs.Bool("file", false, "treat the argument as a JSON protocol file")
-		vnMode    = fs.String("vn", "permsg", "VN assignment: permsg | minimal | uniform")
-		caches    = fs.Int("caches", 3, "number of caches (paper: 3)")
-		dirs      = fs.Int("dirs", 2, "number of directories (paper: 2)")
-		addrs     = fs.Int("addrs", 2, "number of addresses (paper: 2)")
-		l2s       = fs.Int("l2s", 0, "L2 clusters for two-level protocols (0 = 1 when the protocol is two-level)")
-		strategy  = fs.String("strategy", "dfs", "search order: dfs | bfs (dfs finds deep deadlocks cheaply)")
-		maxStates = fs.Int("max-states", 600_000, "state limit for the deadlock hunt (0 = none)")
-		seedOwned = fs.Bool("seed-owned", true, "seed the search with the Fig. 3 ownership prefix")
-		noRepl    = fs.Bool("no-repl", false, "restrict the workload to loads and stores")
 		chartRows = fs.Int("chart", 16, "sequence-chart rows for the trace tail (0 = no chart)")
 		dotOut    = fs.String("dot", "", "write the blocking graph as Graphviz dot to this file")
 	)
@@ -72,77 +55,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	p, err := loadProtocol(fs.Arg(0), *fromFile)
+	p, err := cliflag.LoadProtocol(fs.Arg(0), search.File)
 	if err != nil {
-		fmt.Fprintln(stderr, "vnexplain:", err)
-		return 1
+		return cliflag.Fail(stderr, "vnexplain", err)
 	}
-	if p.TwoLevel() && *l2s == 0 {
-		*l2s = 1
-	}
-
-	var vn map[string]int
-	var numVNs int
-	switch *vnMode {
-	case "permsg":
-		vn, numVNs = machine.PerMessageVN(p)
-	case "minimal":
-		a := vnassign.Assign(p)
-		if a.Class != vnassign.Class3 {
-			fmt.Fprintf(stderr, "vnexplain: %s is %s — no finite per-name assignment; use -vn permsg\n",
-				p.Name, a.Class)
-			return 1
-		}
-		vn, numVNs = a.VN, a.NumVNs
-	case "uniform":
-		vn, numVNs = machine.UniformVN(p)
-	default:
-		fmt.Fprintf(stderr, "vnexplain: unknown -vn mode %q\n", *vnMode)
-		return 2
-	}
-
-	cfg := machine.Config{
-		Protocol: p, Caches: *caches, Dirs: *dirs, Addrs: *addrs, L2s: *l2s,
-		VN: vn, NumVNs: numVNs,
-	}
-	if *noRepl {
-		cfg.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
-	}
-	sys, err := machine.New(cfg)
+	job, err := search.Resolve(p, nil)
 	if err != nil {
-		fmt.Fprintln(stderr, "vnexplain:", err)
-		return 1
+		return cliflag.Fail(stderr, "vnexplain", err)
 	}
+	job.Occupancy = tel.Occupancy
+	tel.Configure(&job.Options, stderr)
+	sys, cfg := job.System, job.Config
 
-	var model mc.Model = sys
-	if *seedOwned {
-		seed, err := machine.OwnedSeed(sys)
-		if err != nil {
-			fmt.Fprintln(stderr, "vnexplain: seeding:", err)
-			return 1
-		}
-		model = &machine.Seeded{System: sys, Seeds: [][]byte{seed}}
+	l2s := ""
+	if cfg.L2s > 0 {
+		l2s = fmt.Sprintf(" %d l2s,", cfg.L2s)
 	}
-
-	opts := mc.Options{MaxStates: *maxStates, Strategy: mc.DFS}
-	if strings.EqualFold(*strategy, "bfs") {
-		opts.Strategy = mc.BFS
+	fmt.Fprintf(stdout, "hunting a deadlock in %s: %d caches,%s %d dirs, %d addrs, %d VNs (%s), %v\n",
+		p.Name, cfg.Caches, l2s, cfg.Dirs, cfg.Addrs, cfg.NumVNs, job.Spec.VN, job.Options.Strategy)
+	res, err := dist.Run(context.Background(), job)
+	if err != nil {
+		return cliflag.Fail(stderr, "vnexplain", err)
 	}
-	tel.Configure(&opts, stderr)
-	var prof *machine.OccupancyProfiler
-	if tel.Occupancy {
-		prof = sys.NewOccupancyProfiler()
-		opts.Observer = prof
-	}
-
-	if *l2s > 0 {
-		fmt.Fprintf(stdout, "hunting a deadlock in %s: %d caches, %d l2s, %d dirs, %d addrs, %d VNs (%s), %v\n",
-			p.Name, *caches, *l2s, *dirs, *addrs, numVNs, *vnMode, opts.Strategy)
-	} else {
-		fmt.Fprintf(stdout, "hunting a deadlock in %s: %d caches, %d dirs, %d addrs, %d VNs (%s), %v\n",
-			p.Name, *caches, *dirs, *addrs, numVNs, *vnMode, opts.Strategy)
-	}
-	res := mc.Check(model, opts)
 	if err := tel.WriteTrace(stdout); err != nil {
 		fmt.Fprintln(stderr, "vnexplain: trace-out:", err)
 		return 1
@@ -181,28 +115,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *dotOut)
 	}
 	if tel.WantArtifact() {
-		art := newArtifact(p.Name, *vnMode, numVNs, cfg, opts)
+		art := obs.NewArtifact("vnexplain")
+		art.Params = job.Params()
 		art.Outcome = res.Outcome.Tag()
 		art.Metrics = res.Stats
 		art.Extra = map[string]any{"report": rep}
-		if prof != nil {
-			art.Extra["occupancy"] = prof.Stats()
+		if res.Stats.Occupancy != nil {
+			art.Extra["occupancy"] = res.Stats.Occupancy
 		}
 		if err := tel.Finish(art, &res.Stats, stdout); err != nil {
-			fmt.Fprintln(stderr, "vnexplain:", err)
-			return 1
+			return cliflag.Fail(stderr, "vnexplain", err)
 		}
 	}
 	return 0
-}
-
-func loadProtocol(arg string, fromFile bool) (*protocol.Protocol, error) {
-	if fromFile {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, err
-		}
-		return protocol.Decode(data)
-	}
-	return protocols.Load(arg)
 }

@@ -5,9 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"minvn/internal/dist"
+	"minvn/internal/mc"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
@@ -139,6 +142,25 @@ func TestNoDeadlockExit(t *testing.T) {
 	}
 }
 
+// TestDefaults: with no flags given, vnexplain hunts the way it always
+// has — per-message VNs, sequential DFS with traces from the Fig. 3
+// ownership seed, 600k states.
+func TestDefaults(t *testing.T) {
+	job, err := defaults.Resolve(protocols.MustLoad("MSI_blocking_cache"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dist.Spec{VN: "permsg", Caches: 3, Dirs: 2, Addrs: 2, Strategy: "dfs",
+		MaxStates: 600_000, Engine: "seq", Store: "exact", SeedOwned: true, Traces: true}
+	if !reflect.DeepEqual(job.Spec, want) {
+		t.Errorf("spec = %+v\nwant   %+v", job.Spec, want)
+	}
+	if job.Engine != mc.EngineSeq || len(job.Seeds) != 1 || job.Options.DisableTraces ||
+		job.Options.Strategy != mc.DFS || job.Config.NumVNs != len(job.Config.Protocol.Messages) {
+		t.Errorf("job: engine %v seeds %d options %+v vns %d", job.Engine, len(job.Seeds), job.Options, job.Config.NumVNs)
+	}
+}
+
 // TestRunErrors covers flag and argument failures.
 func TestRunErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -150,6 +172,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if code := run([]string{"-vn", "bogus", "MSI_blocking_cache"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad vn mode: run = %d, want 2", code)
+	}
+	if code := run([]string{"-strategy", "sideways", "MSI_blocking_cache"}, &stdout, &stderr); code != 2 {
+		t.Errorf("bad strategy: run = %d, want 2", code)
 	}
 }
 

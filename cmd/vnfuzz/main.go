@@ -12,10 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"minvn/internal/cliflag"
-	"minvn/internal/mc"
+	"minvn/internal/dist"
 	"minvn/internal/obs"
 	"minvn/internal/ptest"
 )
@@ -25,17 +24,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("vnfuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	search := cliflag.Search{
+		Spec:    dist.Spec{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 50_000, Workers: 2},
+		Engines: "seq,pipeline", Stores: "exact",
+	}
+	search.Register(fs, cliflag.SearchSystem|cliflag.SearchMatrix|cliflag.SearchWorkers|cliflag.SearchShards)
 	var (
 		seed       = fs.Int64("seed", 1, "campaign seed; every case derives a sub-seed from (seed, index)")
 		count      = fs.Int("count", 500, "number of generated protocols")
-		caches     = fs.Int("caches", 2, "caches per checked system")
-		dirs       = fs.Int("dirs", 1, "directories per checked system")
-		addrs      = fs.Int("addrs", 1, "addresses per checked system")
-		maxStates  = fs.Int("max-states", 50_000, "state bound per model-checking run")
-		engines    = fs.String("engines", "seq,pipeline", "comma-separated in-process engines to cross-check")
-		stores     = fs.String("stores", "exact", "comma-separated visited-set modes to cross-check (exact, compact)")
-		workers    = fs.Int("workers", 2, "workers for the parallel engines")
-		shards     = fs.Int("shards", 0, "visited-set shards for the pipeline engine (0 = default)")
 		mutateFrac = fs.Float64("mutate-frac", 0.5, "fraction of cases mutated from built-ins (rest synthesized)")
 		shrink     = fs.Bool("shrink", true, "delta-debug violations to minimal repros")
 		reproDir   = fs.String("repro-dir", "vnfuzz-repros", "directory for violation repro artifacts")
@@ -53,20 +49,14 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 
-	engs, err := parseEngines(*engines)
+	engs, sts, err := search.Matrix(false)
 	if err != nil {
-		fmt.Fprintln(stderr, "vnfuzz:", err)
-		return 2
-	}
-	sts, err := parseStores(*stores)
-	if err != nil {
-		fmt.Fprintln(stderr, "vnfuzz:", err)
-		return 2
+		return cliflag.Fail(stderr, "vnfuzz", err)
 	}
 	opts := ptest.Options{
-		Caches: *caches, Dirs: *dirs, Addrs: *addrs,
-		MaxStates: *maxStates, Engines: engs, Stores: sts,
-		Workers: *workers, Shards: *shards,
+		Caches: search.Caches, Dirs: search.Dirs, Addrs: search.Addrs,
+		MaxStates: search.MaxStates, Engines: engs, Stores: sts,
+		Workers: search.Workers, Shards: search.Shards,
 	}
 
 	if *selfTest {
@@ -135,16 +125,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	if tel.WantArtifact() {
 		art := obs.NewArtifact("vnfuzz")
+		art.Params = search.Params()
 		art.Params["seed"] = *seed
 		art.Params["count"] = *count
-		art.Params["caches"] = *caches
-		art.Params["dirs"] = *dirs
-		art.Params["addrs"] = *addrs
-		art.Params["max_states"] = *maxStates
-		art.Params["engines"] = *engines
-		art.Params["stores"] = *stores
-		art.Params["workers"] = *workers
-		art.Params["shards"] = *shards
 		art.Params["mutate_frac"] = *mutateFrac
 		art.Outcome = "clean"
 		if len(res.Violations) > 0 {
@@ -161,53 +144,11 @@ func run(args []string, stdout, stderr *os.File) int {
 			art.Extra = map[string]any{"repros": reproPaths}
 		}
 		if err := tel.Finish(art, nil, stdout); err != nil {
-			fmt.Fprintln(stderr, "vnfuzz:", err)
-			return 1
+			return cliflag.Fail(stderr, "vnfuzz", err)
 		}
 	}
 	if len(res.Violations) > 0 {
 		return 1
 	}
 	return 0
-}
-
-func parseEngines(s string) ([]mc.Engine, error) {
-	var out []mc.Engine
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		e, err := mc.ParseEngine(part)
-		if err != nil {
-			return nil, err
-		}
-		if e == mc.EngineDist {
-			return nil, fmt.Errorf("engine dist is not fuzzed: the harness cross-checks in-process engines on one built system")
-		}
-		out = append(out, e)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no engines in %q", s)
-	}
-	return out, nil
-}
-
-func parseStores(s string) ([]mc.Store, error) {
-	var out []mc.Store
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		st, err := mc.ParseStore(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no stores in %q", s)
-	}
-	return out, nil
 }

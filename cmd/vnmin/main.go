@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"minvn/internal/analysis"
+	"minvn/internal/cliflag"
 	"minvn/internal/obs"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
@@ -70,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	p, err := loadProtocol(fs.Arg(0), *fromFile)
+	p, err := cliflag.LoadProtocol(fs.Arg(0), *fromFile)
 	if err != nil {
 		fmt.Fprintln(stderr, "vnmin:", err)
 		return 1
@@ -174,15 +175,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *statsJSON)
 	}
 	return 0
-}
-
-func loadProtocol(arg string, fromFile bool) (*protocol.Protocol, error) {
-	if fromFile {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, err
-		}
-		return protocol.Decode(data)
-	}
-	return protocols.Load(arg)
 }

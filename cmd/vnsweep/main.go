@@ -8,22 +8,22 @@
 // into a hierarchy is not statically certifiable at all.
 //
 // Cross-combination agreement is enforced: all engines and stores must
-// report the same outcome, and — when exploration completes — the same
-// state and depth counts. Disagreement is an engine bug and fails the
-// run.
+// report the same outcome, state count and depth (mc.Agree).
+// Disagreement is an engine bug and fails the run.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"minvn/internal/machine"
+	"minvn/internal/cliflag"
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
-	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
@@ -117,28 +117,25 @@ const verdict = "add wins: every non-stalling variant certifies 1 VN statically 
 	"to trust, where the add route needs one VN and a proof."
 
 func main() {
+	search := cliflag.Search{
+		Spec:    dist.Spec{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 4_000_000, Workers: 1},
+		Engines: "seq,pipeline", Stores: "exact,compact",
+	}
+	search.Register(flag.CommandLine, cliflag.SearchSystem|cliflag.SearchMatrix|cliflag.SearchWorkers)
 	var (
-		out       = flag.String("out", "", "write FAMILY_mc.json to this path")
-		check     = flag.String("check", "", "recompute and compare against this existing FAMILY_mc.json")
-		caches    = flag.Int("caches", 2, "caches per instance")
-		dirs      = flag.Int("dirs", 1, "directories per instance")
-		addrs     = flag.Int("addrs", 1, "addresses per instance")
-		maxStates = flag.Int("max-states", 4_000_000, "state cap per run (0 = none)")
-		engines   = flag.String("engines", "seq,pipeline", "comma-separated in-process engines")
-		stores    = flag.String("stores", "exact,compact", "comma-separated visited-set modes")
-		workers   = flag.Int("workers", 1, "workers for parallel engines")
-		ledgerOut = flag.String("ledger", "", "append the sweep's outcome to the content-addressed run ledger at this path")
+		out   = flag.String("out", "", "write FAMILY_mc.json to this path")
+		check = flag.String("check", "", "recompute and compare against this existing FAMILY_mc.json")
 	)
+	tel := cliflag.Register(flag.CommandLine, cliflag.FlagLedger)
 	flag.Parse()
 	if *out == "" && *check == "" {
 		fmt.Fprintln(os.Stderr, "vnsweep: need -out or -check")
 		os.Exit(2)
 	}
 
-	ff, err := sweep(config{*caches, *dirs, *addrs, 1, *maxStates}, *engines, *stores, *workers)
+	ff, err := sweep(search)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vnsweep:", err)
-		os.Exit(1)
+		os.Exit(cliflag.Fail(os.Stderr, "vnsweep", err))
 	}
 
 	disagree := 0
@@ -154,8 +151,7 @@ func main() {
 
 	if *out != "" {
 		if err := writeJSON(*out, ff); err != nil {
-			fmt.Fprintln(os.Stderr, "vnsweep:", err)
-			os.Exit(1)
+			os.Exit(cliflag.Fail(os.Stderr, "vnsweep", err))
 		}
 		fmt.Printf("wrote %s (%d rows)\n", *out, len(ff.Rows))
 	}
@@ -170,11 +166,8 @@ func main() {
 		}
 		fmt.Printf("%s agrees with recomputed family (%d rows)\n", *check, len(ff.Rows))
 	}
-	if *ledgerOut != "" {
-		if err := recordSweep(*ledgerOut, ff, disagree); err != nil {
-			fmt.Fprintln(os.Stderr, "vnsweep: ledger:", err)
-			os.Exit(1)
-		}
+	if err := tel.AppendLedger(sweepArtifact(search, ff, disagree), nil, os.Stdout); err != nil {
+		os.Exit(cliflag.Fail(os.Stderr, "vnsweep", err))
 	}
 	if disagree > 0 {
 		fmt.Fprintf(os.Stderr, "vnsweep: %d rows with engine/store disagreement\n", disagree)
@@ -182,18 +175,13 @@ func main() {
 	}
 }
 
-// recordSweep appends one ledger record summarizing the whole campaign:
+// sweepArtifact summarizes the whole campaign as one ledger record:
 // the sweep config, row count, and per-row class/minVN/outcome — enough
 // for vnstats to track family drift across commits without replaying
 // FAMILY_mc.json.
-func recordSweep(path string, ff *familyFile, disagree int) error {
+func sweepArtifact(search cliflag.Search, ff *familyFile, disagree int) *obs.Artifact {
 	art := obs.NewArtifact("vnsweep")
-	art.Params["caches"] = ff.Config.Caches
-	art.Params["dirs"] = ff.Config.Dirs
-	art.Params["addrs"] = ff.Config.Addrs
-	art.Params["max_states"] = ff.Config.MaxStates
-	art.Params["engines"] = ff.Engines
-	art.Params["stores"] = ff.Stores
+	art.Params = search.Params()
 	art.Outcome = "ok"
 	if disagree > 0 {
 		art.Outcome = "disagree"
@@ -207,27 +195,21 @@ func recordSweep(path string, ff *familyFile, disagree int) error {
 	}
 	art.Metrics = map[string]any{"rows": len(ff.Rows), "disagree": disagree}
 	art.Extra = map[string]any{"family": rows}
-
-	l, err := ledger.Open(path)
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	id, dup, err := l.Append(ledger.FromArtifact(art))
-	if err != nil {
-		return err
-	}
-	if dup {
-		fmt.Printf("ledger: %s already recorded (%s)\n", id[:12], path)
-	} else {
-		fmt.Printf("ledger: recorded %s (%s)\n", id[:12], path)
-	}
-	return nil
+	return art
 }
 
 // sweep computes the full family table.
-func sweep(cfg config, engines, stores string, workers int) (*familyFile, error) {
-	ff := &familyFile{Tool: "vnsweep", Config: cfg, Engines: engines, Stores: stores}
+func sweep(search cliflag.Search) (*familyFile, error) {
+	engines, stores, err := search.Matrix(false)
+	if err != nil {
+		return nil, err
+	}
+	ff := &familyFile{
+		Tool: "vnsweep",
+		// L2s: composites get the resolver's default of one L2 home.
+		Config:  config{search.Caches, search.Dirs, search.Addrs, 1, search.MaxStates},
+		Engines: search.Engines, Stores: search.Stores,
+	}
 
 	type job struct {
 		p       *protocol.Protocol
@@ -267,48 +249,38 @@ func sweep(cfg config, engines, stores string, workers int) (*familyFile, error)
 			Inner: j.inner, Outer: j.outer, AlreadyNonStalling: j.ident,
 			Messages: len(j.p.Messages), Class: a.Class.String(),
 		}
-		vn, numVNs := machine.PerMessageVN(j.p)
-		r.VNMode = "permsg"
+		// A Class 3 row is checked under its minimal assignment; a Class 2
+		// row has none, so it runs under per-message VNs.
+		spec := search.Spec
+		spec.VN = dist.VNPerMessage
 		if a.Class == vnassign.Class3 {
-			vn, numVNs = a.VN, a.NumVNs
+			spec.VN = dist.VNMinimal
 			r.MinVNs = a.NumVNs
-			r.VNMode = "minimal"
 		} else {
 			r.WaitsCycle = a.WaitsCycle
 		}
-		r.NumVNsUsed = numVNs
-
-		mcfg := machine.Config{
-			Protocol: j.p, Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
-			VN: vn, NumVNs: numVNs,
-		}
-		if j.p.TwoLevel() {
-			mcfg.L2s = cfg.L2s
-		}
 		if strings.HasPrefix(j.family, "MO") {
-			mcfg.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
+			spec.NoReplacement = true
 			r.Workload = "load-store"
 		}
-		sys, err := machine.New(mcfg)
+		job, err := spec.Resolve(j.p, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", j.p.Name, err)
 		}
-		for _, engName := range strings.Split(engines, ",") {
-			eng, err := mc.ParseEngine(strings.TrimSpace(engName))
-			if err != nil {
-				return nil, err
-			}
-			if eng == mc.EngineDist {
-				return nil, fmt.Errorf("engine dist is not swept: the sweep compares in-process engines on one built system")
-			}
-			for _, stName := range strings.Split(stores, ",") {
-				st, err := mc.ParseStore(strings.TrimSpace(stName))
+		r.VNMode, r.NumVNsUsed = job.Spec.VN, job.Config.NumVNs
+		r.Agree = true
+		var first mc.Result
+		for _, eng := range engines {
+			for _, st := range stores {
+				job.Engine, job.Options.Store = eng, st
+				res, err := dist.Run(context.Background(), job)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %w", j.p.Name, err)
 				}
-				res := mc.CheckEngine(sys, mc.Options{
-					MaxStates: cfg.MaxStates, DisableTraces: true, Store: st,
-				}, eng, workers, 0)
+				if len(r.Runs) == 0 {
+					first = res
+				}
+				r.Agree = r.Agree && mc.Agree(res, first)
 				r.Runs = append(r.Runs, runRec{
 					Engine: eng.String(), Store: st.String(),
 					Outcome: res.Outcome.Tag(), States: res.States,
@@ -316,7 +288,6 @@ func sweep(cfg config, engines, stores string, workers int) (*familyFile, error)
 				})
 			}
 		}
-		r.Agree = agrees(r.Runs)
 		ff.Rows = append(ff.Rows, r)
 	}
 
@@ -346,23 +317,6 @@ func sweep(cfg config, engines, stores string, workers int) (*familyFile, error)
 		})
 	}
 	return ff, nil
-}
-
-// agrees enforces the cross-combination contract: identical outcomes
-// always; identical state and depth counts when exploration completed.
-// Bounded and deadlock searches stop at engine-dependent frontiers, so
-// their counts legitimately differ.
-func agrees(runs []runRec) bool {
-	for _, r := range runs[1:] {
-		if r.Outcome != runs[0].Outcome {
-			return false
-		}
-		if runs[0].Outcome == mc.Complete.Tag() &&
-			(r.States != runs[0].States || r.Depth != runs[0].Depth) {
-			return false
-		}
-	}
-	return true
 }
 
 func writeJSON(path string, ff *familyFile) error {

@@ -7,37 +7,6 @@ import (
 	"testing"
 )
 
-// TestAgrees pins the cross-combination contract: outcomes must match
-// unconditionally, state and depth counts only for completed runs.
-func TestAgrees(t *testing.T) {
-	base := runRec{Engine: "seq", Store: "exact", Outcome: "complete", States: 100, Depth: 10}
-	cases := []struct {
-		name string
-		runs []runRec
-		want bool
-	}{
-		{"single", []runRec{base}, true},
-		{"identical", []runRec{base, base}, true},
-		{"outcome-drift", []runRec{base,
-			{Engine: "pipeline", Store: "exact", Outcome: "deadlock", States: 100, Depth: 10}}, false},
-		{"states-drift-complete", []runRec{base,
-			{Engine: "pipeline", Store: "exact", Outcome: "complete", States: 99, Depth: 10}}, false},
-		{"depth-drift-complete", []runRec{base,
-			{Engine: "pipeline", Store: "exact", Outcome: "complete", States: 100, Depth: 11}}, false},
-		{"counts-free-when-bounded", []runRec{
-			{Engine: "seq", Store: "exact", Outcome: "bounded", States: 100, Depth: 10},
-			{Engine: "pipeline", Store: "exact", Outcome: "bounded", States: 73, Depth: 14}}, true},
-		{"counts-free-when-deadlock", []runRec{
-			{Engine: "seq", Store: "exact", Outcome: "deadlock", States: 50, Depth: 9},
-			{Engine: "seq", Store: "compact", Outcome: "deadlock", States: 61, Depth: 12}}, true},
-	}
-	for _, tc := range cases {
-		if got := agrees(tc.runs); got != tc.want {
-			t.Errorf("%s: agrees = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestCheckAgainst covers the baseline comparison: a file round-trip
 // agrees with itself, and each guarded column drifts loudly.
 func TestCheckAgainst(t *testing.T) {

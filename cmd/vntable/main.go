@@ -21,7 +21,6 @@ import (
 	"minvn/internal/analysis"
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
-	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/protocol"
@@ -71,34 +70,21 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vntable", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	search := cliflag.Search{Spec: dist.Spec{
+		Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 300_000,
+		Engine: "auto", Store: "exact", Workers: 1,
+	}}
+	search.Register(fs, cliflag.SearchSystem|cliflag.SearchEngine|cliflag.SearchWorkers|cliflag.SearchShards)
 	var (
-		runMC     = fs.Bool("mc", false, "also run the model-checking verification per cell")
-		maxStates = fs.Int("max-states", 300_000, "state limit per model-checking run")
-		ext       = fs.Bool("extensions", false, "include the extension protocols (MESIF, TileLink, MSI_completion)")
-		family    = fs.Bool("family", false, "append the synthesized family rows (non-stalling variants and two-level composites)")
-		caches    = fs.Int("caches", 3, "caches for model checking")
-		dirs      = fs.Int("dirs", 2, "directories for model checking")
-		addrs     = fs.Int("addrs", 2, "addresses for model checking")
-		engine    = fs.String("engine", "auto", "search engine for BFS cells: auto | seq | pipeline | dist")
-		store     = fs.String("store", "exact", "visited-set mode: exact | compact (hash-compacted)")
-		workers   = fs.Int("workers", 1, "parallel BFS workers (0 = GOMAXPROCS; deadlock cells use DFS and stay sequential)")
-		shards    = fs.Int("shards", 0, "visited-set shards for the pipeline engine (0 = default)")
+		runMC  = fs.Bool("mc", false, "also run the model-checking verification per cell")
+		ext    = fs.Bool("extensions", false, "include the extension protocols (MESIF, TileLink, MSI_completion)")
+		family = fs.Bool("family", false, "append the synthesized family rows (non-stalling variants and two-level composites)")
 	)
 	tel := cliflag.Register(fs, cliflag.FlagProgress|cliflag.FlagStatsJSON|cliflag.FlagPprof|cliflag.FlagTrace|cliflag.FlagLedger|cliflag.FlagDist)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	eng, err := mc.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "vntable:", err)
-		return 2
-	}
-	st, err := mc.ParseStore(*store)
-	if err != nil {
-		fmt.Fprintln(stderr, "vntable:", err)
-		return 2
-	}
+	search.Peers = tel.Peers()
 
 	if err := tel.StartPprof(stderr); err != nil {
 		fmt.Fprintln(stderr, "vntable: pprof:", err)
@@ -141,9 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			mcCol := "-"
 			if *runMC && r.mcMode != "" {
-				out, ok, mcRes := runModelCheck(p, a, r.mcMode,
-					*caches, *dirs, *addrs, *maxStates, tel,
-					eng, st, *workers, *shards, stderr)
+				out, ok, mcRes, err := runModelCheck(p, r.mcMode, search.Spec, tel, stderr)
+				if err != nil {
+					return cliflag.Fail(stderr, "vntable", err)
+				}
 				mcCol = out
 				if !ok {
 					exitCode = 1
@@ -162,8 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *family {
 		if err := printFamily(stdout, &artRows); err != nil {
-			fmt.Fprintln(stderr, "vntable:", err)
-			return 1
+			return cliflag.Fail(stderr, "vntable", err)
 		}
 	}
 
@@ -173,24 +159,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if tel.WantArtifact() {
 		art := obs.NewArtifact("vntable")
+		art.Params = search.Params()
 		art.Params["mc"] = *runMC
 		art.Params["extensions"] = *ext
-		art.Params["max_states"] = *maxStates
-		art.Params["caches"] = *caches
-		art.Params["dirs"] = *dirs
-		art.Params["addrs"] = *addrs
-		art.Params["engine"] = eng.String()
-		art.Params["store"] = st.String()
-		art.Params["workers"] = *workers
-		art.Params["shards"] = *shards
 		art.Outcome = "ok"
 		if exitCode != 0 {
 			art.Outcome = "mismatch"
 		}
 		art.Metrics = map[string]any{"rows": artRows}
 		if err := tel.Finish(art, nil, stdout); err != nil {
-			fmt.Fprintln(stderr, "vntable:", err)
-			return 1
+			return cliflag.Fail(stderr, "vntable", err)
 		}
 	}
 	return exitCode
@@ -264,76 +242,50 @@ func staticLabel(a *vnassign.Assignment) string {
 
 // runModelCheck verifies one cell. For "deadlock" cells, every message
 // gets its own VN and the search must find a deadlock anyway (the
-// Class 2 signature); the search is seeded with the Fig. 3 ownership
-// prefix and, for the never-blocking-directory protocols, restricted
-// to loads and stores (see DESIGN.md). For "verify" cells the
-// computed minimal assignment must show no deadlock up to the bound.
-func runModelCheck(p *protocol.Protocol, a *vnassign.Assignment, mode string,
-	caches, dirs, addrs, maxStates int, tel *cliflag.Telemetry,
-	engine mc.Engine, store mc.Store, workers, shards int, stderr io.Writer) (string, bool, mc.Result) {
+// Class 2 signature): a DFS hunt, which only the sequential engine
+// runs, seeded with the Fig. 3 ownership prefix and, for the
+// never-blocking-directory protocols, restricted to loads and stores
+// (see DESIGN.md). For "verify" cells the computed minimal assignment
+// must show no deadlock up to the bound, on the engine the flags chose.
+// A non-nil error is a fault in the flags (a *dist.RequestError).
+func runModelCheck(p *protocol.Protocol, mode string, spec dist.Spec,
+	tel *cliflag.Telemetry, stderr io.Writer) (string, bool, mc.Result, error) {
 
-	cfg := machine.Config{
-		Protocol: p, Caches: caches, Dirs: dirs, Addrs: addrs,
+	if mode == "deadlock" {
+		spec.VN, spec.Strategy, spec.SeedOwned, spec.Engine = dist.VNPerMessage, "dfs", true, "seq"
+		spec.NoReplacement = strings.HasPrefix(p.Name, "MOSI") || strings.HasPrefix(p.Name, "MOESI")
 	}
-	opts := mc.Options{MaxStates: maxStates, DisableTraces: true, Store: store}
+	job, err := spec.Resolve(p, nil)
+	if err != nil {
+		return "", false, mc.Result{}, err
+	}
 	if tel.Progress {
-		opts.Progress = func(s mc.Snapshot) {
+		job.Options.Progress = func(s mc.Snapshot) {
 			fmt.Fprintf(stderr, "[%s] %s\n", p.Name, s)
 		}
-		opts.ProgressEvery = tel.ProgressEvery
-		opts.ProgressInterval = tel.ProgressInterval
+		job.Options.ProgressEvery = tel.ProgressEvery
+		job.Options.ProgressInterval = tel.ProgressInterval
 	}
 	// All cells share one recorder; each run contributes its own lanes.
-	opts.Trace = tel.Recorder()
-
-	switch mode {
-	case "deadlock":
-		cfg.VN, cfg.NumVNs = machine.PerMessageVN(p)
-		if strings.HasPrefix(p.Name, "MOSI") || strings.HasPrefix(p.Name, "MOESI") {
-			cfg.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
-		}
-		opts.Strategy = mc.DFS
-	case "verify":
-		cfg.VN, cfg.NumVNs = a.VN, a.NumVNs
-		opts.Strategy = mc.BFS
-	}
-	// Deadlock cells are seeded DFS hunts, which only the sequential
-	// checker runs; the -engine selection applies to the BFS verify
-	// cells.
-	var seeds [][]byte
-	if mode == "deadlock" {
-		sys, err := machine.New(cfg)
-		if err != nil {
-			return "error: " + err.Error(), false, mc.Result{}
-		}
-		seed, err := machine.OwnedSeed(sys)
-		if err != nil {
-			return "seeding error: " + err.Error(), false, mc.Result{}
-		}
-		seeds = [][]byte{seed}
-		engine = mc.EngineSeq
-	}
-	res, err := dist.Run(context.Background(), dist.Job{
-		Config: cfg, Options: opts,
-		Workers: workers, Peers: tel.Peers(),
-	}, engine, shards, seeds)
+	job.Options.Trace = tel.Recorder()
+	res, err := dist.Run(context.Background(), job)
 	if err != nil {
-		return "error: " + err.Error(), false, res
+		return "error: " + err.Error(), false, res, nil
 	}
 
 	switch mode {
 	case "deadlock":
 		if res.Outcome == mc.Deadlock {
-			return fmt.Sprintf("DEADLOCK found (%d states, depth %d)", res.States, res.MaxDepth), true, res
+			return fmt.Sprintf("DEADLOCK found (%d states, depth %d)", res.States, res.MaxDepth), true, res, nil
 		}
-		return fmt.Sprintf("no deadlock within bound (%v)", res), false, res
+		return fmt.Sprintf("no deadlock within bound (%v)", res), false, res, nil
 	default:
 		if res.Outcome == mc.Complete {
-			return fmt.Sprintf("no deadlock, complete (%d states)", res.States), true, res
+			return fmt.Sprintf("no deadlock, complete (%d states)", res.States), true, res, nil
 		}
 		if res.Outcome == mc.Bounded {
-			return fmt.Sprintf("no deadlock to depth %d (%d states, bounded)", res.MaxDepth, res.States), true, res
+			return fmt.Sprintf("no deadlock to depth %d (%d states, bounded)", res.MaxDepth, res.States), true, res, nil
 		}
-		return res.String() + " " + res.Message, false, res
+		return res.String() + " " + res.Message, false, res, nil
 	}
 }

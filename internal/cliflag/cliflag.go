@@ -1,16 +1,25 @@
-// Package cliflag factors the telemetry flag set shared by the repo's
-// CLIs (vnverify, vntable, vnbench, vnfuzz, vnexplain): live progress,
-// JSON run artifacts, pprof, the flight recorder, and per-VN occupancy
-// profiling. Each command registers the subset it supports on its flag
-// set and gets one Telemetry value carrying the parsed knobs plus the
-// helpers that turn them into mc.Options wiring.
+// Package cliflag registers the flags the repo's CLIs share, each
+// exactly once, so a flag means the same thing in every tool.
+//
+// Search (search.go) is the verification half: the flags that describe
+// a model-checking run parse straight into a dist.Spec, the one
+// description dist.Spec.Resolve turns into a search. A command states
+// its defaults, registers the subset it offers, and resolves; it never
+// parses an engine name, switches on a VN mode or fills in a
+// machine.Config itself. The -engines/-stores list parser, the -file
+// loader, and the exit-status rule (Fail) live here too.
+//
+// Telemetry (this file) is the observation half: live progress, JSON
+// run artifacts, the run ledger, pprof, the flight recorder, per-VN
+// occupancy profiling, and the -peers worker fleet. Each command
+// registers the subset it supports and gets one Telemetry value with
+// the helpers that turn the parsed knobs into mc.Options wiring.
 package cliflag
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"minvn/internal/mc"
@@ -101,15 +110,7 @@ func Register(fs *flag.FlagSet, which Flags) *Telemetry {
 // Peers splits -peers into worker base URLs, dropping empty elements
 // so trailing commas are harmless. Nil when the flag is unset, which
 // tells the distributed coordinator to spawn loopback workers.
-func (t *Telemetry) Peers() []string {
-	var out []string
-	for _, p := range strings.Split(t.PeerList, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (t *Telemetry) Peers() []string { return splitList(t.PeerList) }
 
 // WantArtifact reports whether the command should build a run artifact
 // at all: either surface (-stats-json file, -ledger history) needs one.

@@ -6,14 +6,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/obs/trace/tracetest"
+	"minvn/internal/protocol"
 )
 
 // TestRegisterSubsets: each Flags bit defines exactly its own flags,
@@ -218,5 +221,147 @@ func TestFinishNoSinks(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("no-op Finish produced output: %q", out.String())
+	}
+}
+
+// TestSearchRegisterSubsets: each SearchFlags bit defines exactly its
+// own flags, with the command's defaults as the flag defaults.
+func TestSearchRegisterSubsets(t *testing.T) {
+	all := map[SearchFlags][]string{
+		SearchSystem:  {"caches", "dirs", "addrs", "max-states"},
+		SearchVN:      {"file", "vn", "strategy", "no-repl", "seed-owned"},
+		SearchL2s:     {"l2s"},
+		SearchNet:     {"max-depth", "gcap", "lcap", "p2p", "no-symmetry", "invariants", "trace"},
+		SearchEngine:  {"engine", "store"},
+		SearchMatrix:  {"engines", "stores"},
+		SearchWorkers: {"workers"},
+		SearchShards:  {"shards"},
+	}
+	for which, defined := range all {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		s := Search{Spec: dist.Spec{Caches: 3, MaxStates: 77, VN: "permsg", SeedOwned: true, Workers: 2},
+			Engines: "seq", Stores: "exact"}
+		s.Register(fs, which)
+		n := 0
+		fs.VisitAll(func(*flag.Flag) { n++ })
+		if n != len(defined) {
+			t.Errorf("Register(%b) defines %d flags, want %d", which, n, len(defined))
+		}
+		for _, name := range defined {
+			if fs.Lookup(name) == nil {
+				t.Errorf("Register(%b) missing -%s", which, name)
+			}
+		}
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	s := Search{Spec: dist.Spec{Caches: 3, MaxStates: 77, VN: "permsg", SeedOwned: true}, Engines: "seq,pipeline"}
+	s.Register(fs, SearchSystem|SearchVN|SearchNet|SearchMatrix)
+	for name, def := range map[string]string{
+		"caches": "3", "max-states": "77", "vn": "permsg", "seed-owned": "true",
+		"p2p": "-1", "engines": "seq,pipeline", "dirs": "0",
+	} {
+		if got := fs.Lookup(name).DefValue; got != def {
+			t.Errorf("-%s default = %q, want %q", name, got, def)
+		}
+	}
+}
+
+// TestSearchParse: parsed values land in the spec; -p2p maps its
+// "negative = unordered" convention onto the spec's optional variant.
+func TestSearchParse(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	s := Search{Spec: dist.Spec{VN: "minimal", MaxStates: 100}}
+	s.Register(fs, SearchSystem|SearchVN|SearchL2s|SearchNet|SearchEngine|SearchWorkers|SearchShards)
+	err := fs.Parse([]string{"-caches", "4", "-vn", "uniform", "-strategy", "dfs", "-no-repl",
+		"-seed-owned", "-file", "-l2s", "2", "-max-depth", "9", "-gcap", "5", "-lcap", "6", "-p2p", "2",
+		"-no-symmetry", "-invariants", "-trace", "-engine", "pipeline", "-store", "compact",
+		"-workers", "3", "-shards", "8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := 2
+	want := dist.Spec{VN: "uniform", Caches: 4, Strategy: "dfs", MaxStates: 100, MaxDepth: 9,
+		GlobalCap: 5, LocalCap: 6, P2P: &two, NoReplacement: true, NoSymmetry: true, Invariants: true,
+		Engine: "pipeline", Store: "compact", Workers: 3, Shards: 8, L2s: 2, SeedOwned: true, Traces: true}
+	if !reflect.DeepEqual(s.Spec, want) || !s.File {
+		t.Errorf("parsed spec = %+v (file %v)\nwant          %+v", s.Spec, s.File, want)
+	}
+	if err := fs.Parse([]string{"-p2p", "-1"}); err != nil || s.P2P != nil {
+		t.Errorf("-p2p -1: P2P = %v, err %v; want unordered", s.P2P, err)
+	}
+	if err := fs.Parse([]string{"-p2p", "x"}); err == nil {
+		t.Error("-p2p x parsed")
+	}
+}
+
+// TestSearchMatrix: the one -engines/-stores parser. Every fault is a
+// request error, so every matrix tool exits 2 on it.
+func TestSearchMatrix(t *testing.T) {
+	s := Search{Engines: " seq, pipeline,,dist ", Stores: "exact,compact,"}
+	engs, sts, err := s.Matrix(true)
+	if err != nil || !reflect.DeepEqual(engs, []mc.Engine{mc.EngineSeq, mc.EnginePipeline, mc.EngineDist}) ||
+		!reflect.DeepEqual(sts, []mc.Store{mc.StoreExact, mc.StoreCompact}) {
+		t.Errorf("Matrix = %v, %v, %v", engs, sts, err)
+	}
+	for name, tc := range map[string]struct {
+		s         Search
+		allowDist bool
+	}{
+		"dist where bounded runs are cross-checked": {Search{Engines: "seq,dist", Stores: "exact"}, false},
+		"unknown engine": {Search{Engines: "levels", Stores: "exact"}, true},
+		"unknown store":  {Search{Engines: "seq", Stores: "bogus"}, true},
+		"no engines":     {Search{Engines: " , ", Stores: "exact"}, true},
+		"no stores":      {Search{Engines: "seq"}, true},
+	} {
+		_, _, err := tc.s.Matrix(tc.allowDist)
+		if err == nil || Fail(io.Discard, "test", err) != 2 {
+			t.Errorf("%s: err = %v, want a request error (exit 2)", name, err)
+		}
+	}
+	var stderr bytes.Buffer
+	if Fail(&stderr, "vnx", io.ErrUnexpectedEOF) != 1 || stderr.String() != "vnx: unexpected EOF\n" {
+		t.Errorf("a failure while answering must exit 1 and be reported; stderr %q", stderr.String())
+	}
+}
+
+// TestSearchParams: a matrix tool's artifact records exactly the flags
+// it registered, under the key names BENCH_mc.json's gate compares.
+func TestSearchParams(t *testing.T) {
+	s := Search{Spec: dist.Spec{Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 20000, Workers: 4},
+		Engines: "seq,pipeline", Stores: "exact,compact"}
+	s.Register(flag.NewFlagSet("vnbench", flag.ContinueOnError), SearchSystem|SearchMatrix|SearchWorkers|SearchShards)
+	want := map[string]any{"caches": 3, "dirs": 2, "addrs": 2, "max_states": 20000,
+		"workers": 4, "shards": 0, "engines": "seq,pipeline", "stores": "exact,compact"}
+	if got := s.Params(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Params = %v, want %v", got, want)
+	}
+	e := Search{Spec: dist.Spec{Engine: "auto", Store: "exact"}}
+	e.Register(flag.NewFlagSet("vntable", flag.ContinueOnError), SearchEngine)
+	if got := e.Params(); !reflect.DeepEqual(got, map[string]any{"engine": "auto", "store": "exact"}) {
+		t.Errorf("Params = %v", got)
+	}
+}
+
+func TestLoadProtocol(t *testing.T) {
+	p, err := LoadProtocol("MSI_nonblocking_cache", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := protocol.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "p.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if q, err := LoadProtocol(path, true); err != nil || q.Name != p.Name {
+		t.Errorf("from file: %v, %v", q, err)
+	}
+	if _, err := LoadProtocol(path, false); err == nil {
+		t.Error("a path loaded as a built-in name")
+	}
+	if _, err := LoadProtocol(filepath.Join(t.TempDir(), "missing.json"), true); !os.IsNotExist(err) {
+		t.Errorf("missing file: err = %v", err)
 	}
 }

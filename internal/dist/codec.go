@@ -9,7 +9,7 @@ import (
 // Frontier batch wire format. A batch carries states generated at one
 // depth by one worker for one owner, as raw canonical state bytes —
 // the receiver recomputes the canonical key and fingerprint with its
-// own (identical, see ModelSpec.Build) system, so the wire never has
+// own (identical, see buildSystem) system, so the wire never has
 // to be trusted about ownership or identity.
 //
 //	magic   "MVNF" (4 bytes)

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -22,9 +21,18 @@ import (
 
 // Job describes one search: the system to build and how to explore it.
 // Check runs it on the distributed engine; Run dispatches it to
-// whichever engine the caller's user picked.
+// Engine. Spec.Resolve builds one from a description; a Job is plain
+// data, so a matrix tool resolves once and varies Engine and
+// Options.Store per cell.
 type Job struct {
+	// Spec is the normalized description the job was resolved from
+	// (zero for a hand-built job); Params and Key read it.
+	Spec   Spec
 	Config machine.Config
+	// System, when non-nil, is Config already built (Resolve sets it);
+	// the in-process engines search it instead of building another.
+	// Distributed workers always rebuild from Config.
+	System *machine.System
 	// Options carries the search bounds and telemetry hooks. On the
 	// distributed engine: BFS only (the level-synchronized rounds ARE
 	// breadth-first); MaxStates applies at level granularity — the run
@@ -42,6 +50,13 @@ type Job struct {
 	// Peers, when non-empty, is the base URLs of already-running worker
 	// daemons (cmd/vnworkerd), one per worker; Workers is ignored.
 	Peers []string
+	// Engine picks the scheduler (Run); Shards is the pipelined engine's
+	// visited-set shard count (0 = default).
+	Engine mc.Engine
+	Shards int
+	// Seeds, when non-empty, replace the reset state as the search's
+	// initial states. In-process engines only.
+	Seeds [][]byte
 	// Occupancy runs the per-VN occupancy profiler over every stored
 	// state (in each worker, merged by the coordinator, on the
 	// distributed engine; as Options.Observer in-process); the aggregate
@@ -87,30 +102,24 @@ func Check(ctx context.Context, job Job) (mc.Result, error) {
 	}
 	start := time.Now()
 	opts := job.Options
-	if opts.Strategy != mc.BFS {
-		return mc.Result{}, &UnsupportedError{"a " + opts.Strategy.String() + " search", "the distributed rounds are level-synchronized BFS"}
+	if err := job.distRefusal(); err != nil {
+		return mc.Result{}, err
 	}
 	if opts.Observer != nil {
 		return mc.Result{}, fmt.Errorf("dist: Observer is unsupported (states are stored in worker processes); set Job.Occupancy")
 	}
-	if opts.MaxStates < 0 {
-		opts.MaxStates = 0
+	if job.Config.Protocol == nil {
+		return mc.Result{}, fmt.Errorf("dist: no protocol in config")
 	}
-	if opts.MaxDepth < 0 {
-		opts.MaxDepth = 0
-	}
-	spec, err := SpecFromConfig(job.Config)
+	// Encoded once for the whole fleet (see machine.Config's JSON form).
+	config, err := json.Marshal(job.Config)
 	if err != nil {
-		return mc.Result{}, err
+		return mc.Result{}, fmt.Errorf("dist: encode config: %w", err)
 	}
 
 	peers := job.Peers
 	if len(peers) == 0 {
-		n := job.Workers
-		if n < 1 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		loop, err := spawnLoopback(n)
+		loop, err := spawnLoopback(job.fleetSize())
 		if err != nil {
 			return mc.Result{}, err
 		}
@@ -130,7 +139,7 @@ func Check(ctx context.Context, job Job) (mc.Result, error) {
 	for i := range c.workerLanes {
 		c.workerLanes[i] = opts.Trace.Lane(tc.LanePrefix() + fmt.Sprintf("dist worker %d", i))
 	}
-	res, err := c.run(ctx, spec)
+	res, err := c.run(ctx, config)
 	res.Duration = time.Since(start)
 	return res, err
 }
@@ -272,7 +281,7 @@ func (c *coord) finish(outcome mc.Outcome, frontier int) mc.Result {
 	return res
 }
 
-func (c *coord) run(ctx context.Context, spec *ModelSpec) (mc.Result, error) {
+func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, error) {
 	// Initialize the fleet: each worker builds the system, settles its
 	// owned initial states at depth 0, and reports its first block.
 	initErr := c.each(ctx, "init", func(ctx context.Context, i int) error {
@@ -281,7 +290,7 @@ func (c *coord) run(ctx context.Context, spec *ModelSpec) (mc.Result, error) {
 		var out initResp
 		err := c.postJSON(ctx, c.peers[i]+"/dist/v1/init", initReq{
 			RunID: c.runID, Self: i, Workers: c.n,
-			Spec: spec, Store: c.opts.Store.String(),
+			Spec: config, Store: c.opts.Store.String(),
 			Occupancy: c.job.Occupancy, Peers: c.peers,
 		}, &out)
 		if err != nil {

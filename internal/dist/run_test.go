@@ -46,7 +46,8 @@ func TestRunDispatch(t *testing.T) {
 		{mc.EngineDist, true},
 	} {
 		hits.Store(0)
-		res, err := dist.Run(ctx, job, tc.engine, 0, nil)
+		job.Engine = tc.engine
+		res, err := dist.Run(ctx, job)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.engine, err)
 		}
@@ -78,29 +79,31 @@ func TestRunDispatch(t *testing.T) {
 	if err != nil || len(first) == 0 {
 		t.Fatalf("no successor to seed from: %v", err)
 	}
-	seeds := [][]byte{first[0]}
-	seeded, err := dist.Run(ctx, job, mc.EngineSeq, 0, seeds)
+	seededJob := job
+	seededJob.Seeds = [][]byte{first[0]}
+	seededJob.Engine = mc.EngineSeq
+	seeded, err := dist.Run(ctx, seededJob)
 	if err != nil || seeded.Stats.DepthHistogram[0] != 1 || seeded.States > ref.States {
 		t.Fatalf("seeded seq run: %v, %v", seeded, err)
 	}
+	seededJob.Engine = mc.EngineDist
 	dfs := job
 	dfs.Options.Strategy = mc.DFS
-	for name, run := range map[string]func() (mc.Result, error){
-		"seeds": func() (mc.Result, error) { return dist.Run(ctx, job, mc.EngineDist, 0, seeds) },
-		"dfs":   func() (mc.Result, error) { return dist.Run(ctx, dfs, mc.EngineDist, 0, nil) },
-	} {
+	dfs.Engine = mc.EngineDist
+	for name, refused := range map[string]dist.Job{"seeds": seededJob, "dfs": dfs} {
 		hits.Store(0)
-		_, err := run()
-		var unsupported *dist.UnsupportedError
-		if !errors.As(err, &unsupported) {
-			t.Errorf("%s on dist: err = %v, want *UnsupportedError", name, err)
+		_, err := dist.Run(ctx, refused)
+		var re *dist.RequestError
+		if !errors.As(err, &re) {
+			t.Errorf("%s on dist: err = %v, want *RequestError", name, err)
 		}
 		if hits.Load() != 0 {
 			t.Errorf("%s on dist: refused request still reached a worker", name)
 		}
 	}
 	// DFS in-process is fine on any engine (it runs sequentially).
-	if res, err := dist.Run(ctx, dfs, mc.EnginePipeline, 0, nil); err != nil || res.States != ref.States {
+	dfs.Engine = mc.EnginePipeline
+	if res, err := dist.Run(ctx, dfs); err != nil || res.States != ref.States {
 		t.Errorf("in-process DFS: %v, %v", res, err)
 	}
 }

@@ -39,12 +39,13 @@ const maxControlBody = 8 << 20
 // worker; control calls (init/expand/settle/cancel) never overlap,
 // while frontier batches from peers arrive concurrently with expand.
 type initReq struct {
-	RunID     string     `json:"run_id"`
-	Self      int        `json:"self"`
-	Workers   int        `json:"workers"`
-	Spec      *ModelSpec `json:"spec"`
-	Store     string     `json:"store"`
-	Occupancy bool       `json:"occupancy"`
+	RunID   string `json:"run_id"`
+	Self    int    `json:"self"`
+	Workers int    `json:"workers"`
+	// Spec is the machine.Config to build, in its JSON form.
+	Spec      json.RawMessage `json:"spec"`
+	Store     string          `json:"store"`
+	Occupancy bool            `json:"occupancy"`
 	// Peers[i] is worker i's base URL; Peers[Self] is unused.
 	Peers []string `json:"peers"`
 }
@@ -229,7 +230,7 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 	if !readJSON(rw, req, &in) {
 		return
 	}
-	if in.Spec == nil || in.Workers < 1 || in.Self < 0 || in.Self >= in.Workers ||
+	if len(in.Spec) == 0 || in.Workers < 1 || in.Self < 0 || in.Self >= in.Workers ||
 		len(in.Peers) != in.Workers || in.RunID == "" {
 		httpError(rw, http.StatusBadRequest, "init: bad worker geometry (self %d of %d, %d peers)",
 			in.Self, in.Workers, len(in.Peers))
@@ -240,7 +241,7 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 		httpError(rw, http.StatusBadRequest, "init: %v", err)
 		return
 	}
-	sys, err := in.Spec.Build()
+	sys, err := buildSystem(in.Spec)
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, "init: %v", err)
 		return
@@ -278,6 +279,19 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 	w.run = r
 	w.mu.Unlock()
 	writeJSON(rw, initResp{Stats: r.stats()})
+}
+
+// buildSystem rebuilds the executable system from an init request's
+// config document (machine.Config's JSON form). Every worker building
+// from the same document gets the same transition system,
+// canonicalizer, and state encoding — the property the whole ownership
+// scheme rests on.
+func buildSystem(config []byte) (*machine.System, error) {
+	var cfg machine.Config
+	if err := json.Unmarshal(config, &cfg); err != nil {
+		return nil, fmt.Errorf("dist: decode config: %w", err)
+	}
+	return machine.New(cfg)
 }
 
 // settleOne probes one candidate at the given depth, storing it if

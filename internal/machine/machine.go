@@ -18,22 +18,27 @@ import (
 
 // Config describes one system instance. The paper's verification uses
 // 3 caches, 2 addresses, and 2 directories (§VII-A.2).
+//
+// The JSON form is what the distributed engine sends its workers: the
+// protocol travels as its canonical protocol.Encode document and is
+// rebuilt through the hardened protocol.Decode, so every worker builds
+// the identical system or refuses the document.
 type Config struct {
-	Protocol *protocol.Protocol
-	Caches   int
-	Dirs     int
-	Addrs    int
+	Protocol *protocol.Protocol `json:"protocol"`
+	Caches   int                `json:"caches"`
+	Dirs     int                `json:"dirs"`
+	Addrs    int                `json:"addrs"`
 	// L2s is the number of L2 home nodes for a two-level composite
 	// protocol (Protocol.L2 != nil); it must be 0 for flat protocols.
 	// Address a is homed at L2 a mod L2s on the inner tier and at
 	// directory a mod Dirs on the outer tier. Endpoint ids run caches,
 	// then L2 homes, then directories. Caches+L2s must stay ≤ 8 (the
 	// sharer bitmasks are bytes of absolute endpoint ids).
-	L2s int
+	L2s int `json:"l2s,omitempty"`
 	// VN maps message names to virtual networks; NumVNs must exceed
 	// every value. Helpers in this package build common assignments.
-	VN     map[string]int
-	NumVNs int
+	VN     map[string]int `json:"vn"`
+	NumVNs int            `json:"num_vns"`
 	// Buffer capacities. When zero they default to the paper's
 	// sizing (footnote 5: the model suffices for protocols limiting
 	// in-flight messages per source/destination pair to two):
@@ -42,26 +47,26 @@ type Config struct {
 	// reported deadlock is a genuine protocol/VN deadlock rather
 	// than buffer backpressure. Smaller explicit values model
 	// capacity-constrained networks (the capacity-sweep ablation).
-	GlobalCap int
-	LocalCap  int
+	GlobalCap int `json:"global_cap,omitempty"`
+	LocalCap  int `json:"local_cap,omitempty"`
 	// PointToPoint selects ordered mode with the given mapping
 	// variant (see icn.UniformP2P).
-	PointToPoint bool
-	P2PVariant   int
+	PointToPoint bool `json:"point_to_point,omitempty"`
+	P2PVariant   int  `json:"p2p_variant,omitempty"`
 	// NoSymmetry disables the cache-permutation symmetry reduction.
-	NoSymmetry bool
+	NoSymmetry bool `json:"no_symmetry,omitempty"`
 	// CoreEvents restricts the processor events the model checker
 	// injects (nil = all of Load, Store, Replacement). Restricting
 	// the workload is standard verification practice for focusing a
 	// search; the Table I deadlock hunts for MOSI/MOESI use
 	// {Load, Store}.
-	CoreEvents []protocol.CoreEvent
+	CoreEvents []protocol.CoreEvent `json:"core_events,omitempty"`
 	// Invariants enables SWMR and bookkeeping checks on every
 	// explored state (see invariants.go).
-	Invariants bool
+	Invariants bool `json:"invariants,omitempty"`
 	// Permissions overrides the stable-state permission table used by
 	// the SWMR check, for protocols with novel state names.
-	Permissions map[string]Permission
+	Permissions map[string]Permission `json:"permissions,omitempty"`
 }
 
 // System is an executable instance; build with New.

@@ -58,15 +58,11 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, seq, pipeline, or dist)", s)
 }
 
-// CheckEngine dispatches to the selected in-process engine. workers and
-// shards are ignored by EngineSeq. DFS always runs sequentially.
-// EngineDist is not an in-process engine (see its comment) and panics
-// here rather than silently running something else.
-func CheckEngine(m Model, opts Options, engine Engine, workers, shards int) Result {
-	return CheckEngineCtx(context.Background(), m, opts, engine, workers, shards)
-}
-
-// CheckEngineCtx is CheckEngine with cancellation (see CheckCtx).
+// CheckEngineCtx dispatches to the selected in-process engine, with
+// cancellation (see CheckCtx). workers and shards are ignored by
+// EngineSeq. DFS always runs sequentially. EngineDist is not an
+// in-process engine (see its comment) and panics here rather than
+// silently running something else.
 func CheckEngineCtx(ctx context.Context, m Model, opts Options, engine Engine, workers, shards int) Result {
 	switch engine {
 	case EngineSeq:

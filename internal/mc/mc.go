@@ -240,6 +240,16 @@ func (r Result) String() string {
 		r.Outcome, r.States, r.Rules, r.MaxDepth, r.Duration.Round(time.Millisecond))
 }
 
+// Agree is the cross-engine, cross-store agreement predicate of the
+// matrix tools (vnbench, vnsweep, the ptest harness): two runs of the
+// same search agree when they report the same outcome, stored-state
+// count and depth. Bounded and terminal runs are held to it too — seq
+// and pipeline are two schedulers over one search core, so they stop
+// at the same state.
+func Agree(a, b Result) bool {
+	return a.Outcome == b.Outcome && a.States == b.States && a.MaxDepth == b.MaxDepth
+}
+
 // Check explores the reachable states of m under opts.
 func Check(m Model, opts Options) Result {
 	return CheckCtx(context.Background(), m, opts)

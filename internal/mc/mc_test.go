@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // counter is a toy model: states 0..N-1, successor i+1 (and i+2 when
@@ -182,3 +183,33 @@ func (multiInit) Initial() [][]byte                     { return [][]byte{{1}, {
 func (multiInit) Successors(s []byte) ([][]byte, error) { return nil, nil }
 func (multiInit) Quiescent(s []byte) bool               { return true }
 func (multiInit) Describe(s []byte) string              { return fmt.Sprint(s) }
+
+// TestAgree pins the matrix tools' agreement predicate: outcome, stored
+// states and depth must all match, for every outcome — a bounded or
+// deadlocked run whose counts differ is a disagreement, not an
+// engine-dependent frontier (seq and pipeline are one search core).
+func TestAgree(t *testing.T) {
+	base := Result{Outcome: Complete, States: 100, MaxDepth: 10}
+	for _, tc := range []struct {
+		name string
+		a, b Result
+		want bool
+	}{
+		{"identical", base, base, true},
+		{"timing and rule counts are not compared", base,
+			Result{Outcome: Complete, States: 100, MaxDepth: 10, Rules: 7, Duration: time.Second}, true},
+		{"outcome drift", base, Result{Outcome: Deadlock, States: 100, MaxDepth: 10}, false},
+		{"states drift, complete", base, Result{Outcome: Complete, States: 99, MaxDepth: 10}, false},
+		{"depth drift, complete", base, Result{Outcome: Complete, States: 100, MaxDepth: 11}, false},
+		{"states drift, bounded",
+			Result{Outcome: Bounded, States: 100, MaxDepth: 10},
+			Result{Outcome: Bounded, States: 73, MaxDepth: 10}, false},
+		{"depth drift, deadlock",
+			Result{Outcome: Deadlock, States: 50, MaxDepth: 9},
+			Result{Outcome: Deadlock, States: 50, MaxDepth: 12}, false},
+	} {
+		if got := Agree(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Agree = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

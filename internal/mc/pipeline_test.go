@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -267,12 +268,12 @@ func TestCheckEngineDispatch(t *testing.T) {
 	m := &counter{n: 2000, branch: true, quiet: 1999, bad: -1, errAt: -1}
 	seq := Check(m, Options{})
 	for _, e := range []Engine{EngineAuto, EngineSeq, EnginePipeline} {
-		res := CheckEngine(m, Options{}, e, 4, 0)
+		res := CheckEngineCtx(context.Background(), m, Options{}, e, 4, 0)
 		if res.Outcome != seq.Outcome || res.States != seq.States || res.Rules != seq.Rules {
 			t.Errorf("engine %v: %v vs sequential %v", e, res, seq)
 		}
 	}
-	if got := CheckEngine(m, Options{}, EngineAuto, 1, 0); got.States != seq.States {
+	if got := CheckEngineCtx(context.Background(), m, Options{}, EngineAuto, 1, 0); got.States != seq.States {
 		t.Errorf("auto single-worker: %v", got)
 	}
 	// EngineDist has no in-process form; answering it with some other
@@ -284,7 +285,7 @@ func TestCheckEngineDispatch(t *testing.T) {
 				t.Error("CheckEngine(EngineDist) ran an in-process engine instead of refusing")
 			}
 		}()
-		CheckEngine(m, Options{}, EngineDist, 4, 0)
+		CheckEngineCtx(context.Background(), m, Options{}, EngineDist, 4, 0)
 	}()
 }
 

@@ -66,26 +66,6 @@ func (s Snapshot) String() string {
 		s.MaxDepth, s.Expansions, 100*s.DedupHitRate, obs.FormatBytes(s.HeapBytes))
 }
 
-// Obs converts the snapshot to the generic obs form for Sink
-// consumers. Rule firings become "rule/<name>" counters.
-func (s Snapshot) Obs() obs.Snapshot {
-	c := map[string]int64{
-		"states":               int64(s.States),
-		"expansions":           s.Expansions,
-		"successors_generated": s.Generated,
-		"dedup_hits":           s.DedupHits,
-	}
-	for r, n := range s.RuleFirings {
-		c["rule/"+r] = n
-	}
-	g := map[string]int64{
-		"frontier":   int64(s.Frontier),
-		"max_depth":  int64(s.MaxDepth),
-		"heap_bytes": int64(s.HeapBytes),
-	}
-	return obs.Snapshot{Counters: c, Gauges: g}
-}
-
 // tracker accumulates search telemetry for the shared search core
 // (search.go). Everything except the worker profiles — counters, depth
 // histogram, rule map, progress scheduling — is only updated from the

@@ -194,12 +194,6 @@ func TestNamedModelRuleFirings(t *testing.T) {
 	if rf["inc1"]+rf["inc2"] != res.Stats.Generated {
 		t.Fatalf("firings %v do not sum to generated %d", rf, res.Stats.Generated)
 	}
-
-	// The obs conversion exposes them as rule/<name> counters.
-	o := res.Stats.Obs()
-	if o.Counters["rule/inc1"] != rf["inc1"] {
-		t.Fatalf("Obs() counters = %v", o.Counters)
-	}
 }
 
 func TestNamedModelParallelRuleFirings(t *testing.T) {

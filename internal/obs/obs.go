@@ -1,7 +1,6 @@
 // Package obs is the repository's zero-dependency telemetry layer:
-// atomic counters and gauges, wall-clock stage timers, a serializable
-// Snapshot, and a Sink interface for delivering snapshots to consumers
-// (live progress printers, JSON artifact writers, tests).
+// atomic counters and gauges, wall-clock stage timers, and a
+// serializable Snapshot.
 //
 // The package exists so that long explicit-state model-checking runs
 // (paper §VII: millions of states) and the static analysis pipeline
@@ -136,15 +135,6 @@ func Summarize(stages []Stage) []StageSummary {
 	return out
 }
 
-// Total sums the recorded stage durations in seconds.
-func (t *Timeline) Total() float64 {
-	var sum float64
-	for _, s := range t.Stages() {
-		sum += s.Seconds
-	}
-	return sum
-}
-
 // Snapshot is a serializable point-in-time view of a metric set.
 type Snapshot struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
@@ -153,29 +143,6 @@ type Snapshot struct {
 	// StageSummaries is the per-name aggregation of Stages (count,
 	// total, max); Stages keeps the raw completion order.
 	StageSummaries []StageSummary `json:"stage_summaries,omitempty"`
-}
-
-// Sink consumes snapshots (a progress printer, a JSON-lines writer, a
-// test recorder).
-type Sink interface {
-	Emit(Snapshot)
-}
-
-// FuncSink adapts a function to the Sink interface.
-type FuncSink func(Snapshot)
-
-// Emit calls f.
-func (f FuncSink) Emit(s Snapshot) { f(s) }
-
-// MultiSink fans one snapshot out to several sinks.
-func MultiSink(sinks ...Sink) Sink {
-	return FuncSink(func(s Snapshot) {
-		for _, sk := range sinks {
-			if sk != nil {
-				sk.Emit(s)
-			}
-		}
-	})
 }
 
 // Registry is a named collection of counters and gauges plus a

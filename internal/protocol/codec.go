@@ -200,6 +200,22 @@ func Encode(p *Protocol) ([]byte, error) {
 	return json.MarshalIndent(jp, "", "  ")
 }
 
+// MarshalJSON embeds a protocol in a larger JSON document (the dist
+// init request's machine.Config) as its Encode document.
+func (p *Protocol) MarshalJSON() ([]byte, error) { return Encode(p) }
+
+// UnmarshalJSON rebuilds an embedded protocol through Decode, so the
+// same caps and validation apply as to a standalone document and a
+// *LimitError reaches the caller of json.Unmarshal unchanged.
+func (p *Protocol) UnmarshalJSON(data []byte) error {
+	q, err := Decode(data)
+	if err != nil {
+		return err
+	}
+	*p = *q
+	return nil
+}
+
 // Decode parses a JSON protocol definition and validates it. Inputs
 // exceeding the decode caps above are rejected with a *LimitError.
 func Decode(data []byte) (*Protocol, error) {

@@ -1,11 +1,12 @@
 package ptest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"minvn/internal/analysis"
-	"minvn/internal/machine"
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/protocol"
 	"minvn/internal/vnassign"
@@ -150,8 +151,7 @@ func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 	res.NumVNs, res.VN = a.NumVNs, a.VN
 
 	// Phase 1: screen under per-message VNs.
-	vn, n := machine.PerMessageVN(p)
-	screen, verdict, detail := runAllEngines(p, vn, n, "screen", opts, res)
+	screen, verdict, detail := runAllEngines(p, dist.Spec{VN: dist.VNPerMessage}, "screen", opts, res)
 	if verdict != VerdictOK {
 		res.Verdict, res.Detail = verdict, detail
 		return res
@@ -175,7 +175,7 @@ func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 	}
 
 	// Phase 2: the assigned mapping.
-	final, verdict, detail := runAllEngines(p, a.VN, a.NumVNs, "assigned", opts, res)
+	final, verdict, detail := runAllEngines(p, dist.Spec{Assignment: a.VN, NumVNs: a.NumVNs}, "assigned", opts, res)
 	if verdict != VerdictOK {
 		res.Verdict, res.Detail = verdict, detail
 		return res
@@ -203,31 +203,31 @@ func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 	return res
 }
 
-// runAllEngines checks one system instance with every configured
-// engine, appends the records to res, and reports the first engine's
-// result plus a parity verdict. A machine build error is reported as
-// VerdictDynInvalid (the mutant asks for something the executable
-// semantics rejects).
-func runAllEngines(p *protocol.Protocol, vn map[string]int, numVNs int,
+// runAllEngines checks one system instance — p under the VN assignment
+// spec names, at the harness's system size and bound — with every
+// configured engine, appends the records to res, and reports the first
+// engine's result plus a parity verdict. A configuration the shared
+// resolver refuses is reported as VerdictDynInvalid (the mutant asks
+// for something the executable semantics rejects).
+func runAllEngines(p *protocol.Protocol, spec dist.Spec,
 	phase string, opts Options, res *CaseResult) (mc.Result, Verdict, string) {
 
-	mcfg := machine.Config{
-		Protocol: p, Caches: opts.Caches, Dirs: opts.Dirs, Addrs: opts.Addrs,
-		VN: vn, NumVNs: numVNs,
-	}
-	if p.TwoLevel() {
-		mcfg.L2s = 1
-	}
-	sys, err := machine.New(mcfg)
+	spec.Caches, spec.Dirs, spec.Addrs = opts.Caches, opts.Dirs, opts.Addrs
+	spec.MaxStates, spec.Workers, spec.Shards = opts.MaxStates, opts.Workers, opts.Shards
+	job, err := spec.Resolve(p, nil)
 	if err != nil {
 		return mc.Result{}, VerdictDynInvalid, err.Error()
 	}
 	var first mc.Result
 	var firstTag string
 	for _, st := range opts.Stores {
-		mopts := mc.Options{MaxStates: opts.MaxStates, DisableTraces: true, Store: st}
+		job.Options.Store = st
 		for _, eng := range opts.Engines {
-			r := mc.CheckEngine(sys, mopts, eng, opts.Workers, opts.Shards)
+			job.Engine = eng
+			r, err := dist.Run(context.Background(), job)
+			if err != nil {
+				return first, VerdictParityBug, fmt.Sprintf("%s phase: %v/%v failed to run: %v", phase, eng, st, err)
+			}
 			res.Runs = append(res.Runs, RunRecord{
 				Phase: phase, Engine: eng.String(), Store: st.String(),
 				Outcome: r.Outcome.Tag(),
@@ -238,7 +238,7 @@ func runAllEngines(p *protocol.Protocol, vn map[string]int, numVNs int,
 				first, firstTag = r, tag
 				continue
 			}
-			if r.Outcome != first.Outcome || r.States != first.States || r.MaxDepth != first.MaxDepth {
+			if !mc.Agree(r, first) {
 				detail := fmt.Sprintf("%s phase: %s=(%s,%d states,depth %d) vs %s=(%s,%d states,depth %d)",
 					phase, firstTag, first.Outcome.Tag(), first.States, first.MaxDepth,
 					tag, r.Outcome.Tag(), r.States, r.MaxDepth)

@@ -8,14 +8,21 @@
 //
 // Verification is deterministic: the same protocol and options always
 // produce bit-identical results (the engine-parity suite pins this
-// across the engines), so results are cached under the SHA-256
-// of the canonical protocol encoding plus the normalized
-// result-affecting options, and one run serves every identical
-// request after it. Jobs carry per-job deadlines enforced through the
-// model checker's context plumbing (mc.CheckEngineCtx / Outcome
-// Canceled), progress is streamed over SSE from the existing
-// mc.Snapshot machinery, and SIGTERM drains gracefully: admitted jobs
-// complete, new ones are refused.
+// across the in-process engines), so results are cached under the
+// SHA-256 of the canonical protocol encoding plus the result-affecting
+// part of the request's verification spec (dist.Job.Key), and one run
+// serves every identical request after it. The request's "options"
+// object is a dist.Spec — the same description the CLIs' flags fill
+// in — and dist.Spec.Resolve is the only code that turns it into a
+// search, so a request and the equivalent command line cannot mean
+// different things, and a job's ledger record states what was asked in
+// the CLIs' parameter names (dist.Job.Params).
+//
+// Jobs carry per-job deadlines enforced through the model checker's
+// context plumbing (mc.CheckEngineCtx / Outcome Canceled), progress is
+// streamed over SSE from the existing mc.Snapshot machinery, and
+// SIGTERM drains gracefully: admitted jobs complete, new ones are
+// refused.
 package serve
 
 import (
@@ -28,7 +35,6 @@ import (
 
 	"minvn/internal/analysis"
 	"minvn/internal/dist"
-	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/obs/trace"
 	"minvn/internal/protocol"
@@ -46,40 +52,12 @@ type AnalyzeRequest struct {
 	ProtocolSpec json.RawMessage `json:"protocol_spec,omitempty"`
 }
 
-// VerifyOptions configures a bounded model-checking job. The zero
-// value means the paper's experiment configuration (3 caches, 2
-// directories, 2 addresses, minimal VN assignment, BFS) under the
-// server's state bound. Engine, Workers, and Shards are performance
-// knobs: the engine-parity contract guarantees they cannot change the
-// result, so they are excluded from the cache key — with one
-// exception: engine "dist" applies max_states at level granularity,
-// so its bounded results can legitimately differ from the in-process
-// engines' and it gets its own cache entries. Store is NOT such
-// a knob: a hash-compacted visited set can (with ~n²/2⁶⁵ probability)
-// conflate distinct states and change the outcome class, so it is
-// part of the cache key — an exact result is never served for a
-// compact request or vice versa.
-type VerifyOptions struct {
-	VN        string `json:"vn,omitempty"` // minimal | permsg | uniform | type
-	Caches    int    `json:"caches,omitempty"`
-	Dirs      int    `json:"dirs,omitempty"`
-	Addrs     int    `json:"addrs,omitempty"`
-	Strategy  string `json:"strategy,omitempty"` // bfs | dfs
-	MaxStates int    `json:"max_states,omitempty"`
-	MaxDepth  int    `json:"max_depth,omitempty"`
-	GlobalCap int    `json:"global_cap,omitempty"`
-	LocalCap  int    `json:"local_cap,omitempty"`
-	// P2P, when non-nil, selects point-to-point ordered mode with the
-	// given mapping variant (0-3).
-	P2P           *int   `json:"p2p,omitempty"`
-	NoReplacement bool   `json:"no_replacement,omitempty"`
-	NoSymmetry    bool   `json:"no_symmetry,omitempty"`
-	Invariants    bool   `json:"invariants,omitempty"`
-	Engine        string `json:"engine,omitempty"`
-	Store         string `json:"store,omitempty"` // exact | compact
-	Workers       int    `json:"workers,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
-}
+// VerifyOptions configures a bounded model-checking job: it is the
+// verification spec every entry point shares (dist.Spec has the fields,
+// their defaults, and which of them a request can set; dist.Job.Key
+// says which are result-affecting and so part of the cache key). The
+// zero value is the paper's experiment under the server's state bound.
+type VerifyOptions = dist.Spec
 
 // VerifyRequest asks for a bounded model check. DeadlineMillis, when
 // positive, overrides the server's default per-job deadline (clamped
@@ -135,13 +113,9 @@ type VerifyResult struct {
 
 // RequestError is a client-side fault (unknown protocol, invalid
 // options, oversized spec): the HTTP layer maps it to 400.
-type RequestError struct{ msg string }
+type RequestError = dist.RequestError
 
-func (e *RequestError) Error() string { return e.msg }
-
-func reqErrf(format string, args ...any) error {
-	return &RequestError{msg: fmt.Sprintf(format, args...)}
-}
+var reqErrf = dist.RequestErrorf
 
 // resolveProtocol loads the request's protocol from its built-in name
 // or inline spec and returns it with its canonical encoding (the
@@ -149,129 +123,42 @@ func reqErrf(format string, args ...any) error {
 // hardened protocol.Decode, so oversized documents are rejected here
 // with a *protocol.LimitError wrapped as a RequestError.
 func resolveProtocol(name string, spec json.RawMessage) (*protocol.Protocol, []byte, error) {
+	var p *protocol.Protocol
+	var err error
 	switch {
 	case name != "" && len(spec) > 0:
 		return nil, nil, reqErrf("give either protocol or protocol_spec, not both")
 	case name != "":
-		p, err := protocols.Load(name)
-		if err != nil {
-			return nil, nil, &RequestError{msg: err.Error()}
-		}
-		canon, err := protocol.Encode(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("encode %s: %w", name, err)
-		}
-		return p, canon, nil
+		p, err = protocols.Load(name)
 	case len(spec) > 0:
-		p, err := protocol.Decode(spec)
-		if err != nil {
-			return nil, nil, &RequestError{msg: err.Error()}
-		}
-		// Re-encode rather than hashing the user's bytes: Decode→Encode
-		// is a fixpoint (pinned by FuzzProtocolRoundTrip), so all
-		// formattings of the same protocol share one cache entry.
-		canon, err := protocol.Encode(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("encode spec: %w", err)
-		}
-		return p, canon, nil
+		p, err = protocol.Decode(spec)
 	default:
 		return nil, nil, reqErrf("protocol or protocol_spec is required")
 	}
-}
-
-// normVerifyOptions is the result-affecting slice of VerifyOptions
-// with every default applied — the options half of the verify cache
-// key. Field order is fixed; json.Marshal of this struct is
-// deterministic.
-type normVerifyOptions struct {
-	VN        string `json:"vn"`
-	Caches    int    `json:"caches"`
-	Dirs      int    `json:"dirs"`
-	Addrs     int    `json:"addrs"`
-	Strategy  string `json:"strategy"`
-	MaxStates int    `json:"max_states"`
-	MaxDepth  int    `json:"max_depth"`
-	GlobalCap int    `json:"global_cap"`
-	LocalCap  int    `json:"local_cap"`
-	P2P       int    `json:"p2p"` // -1 = unordered
-	NoRepl    bool   `json:"no_repl"`
-	NoSym     bool   `json:"no_sym"`
-	Invar     bool   `json:"invariants"`
-	// Store is result-affecting (see VerifyOptions) and therefore keyed.
-	Store string `json:"store"`
-	// Engine is "" for every in-process engine (the parity suite pins
-	// them bit-identical) and "dist" for the distributed engine, whose
-	// level-granular max_states makes bounded results its own (see
-	// VerifyOptions).
-	Engine string `json:"engine"`
-}
-
-func normalizeVerifyOptions(o VerifyOptions, maxStatesCap int) (normVerifyOptions, error) {
-	n := normVerifyOptions{
-		VN: o.VN, Caches: o.Caches, Dirs: o.Dirs, Addrs: o.Addrs,
-		Strategy: o.Strategy, MaxStates: o.MaxStates, MaxDepth: o.MaxDepth,
-		GlobalCap: o.GlobalCap, LocalCap: o.LocalCap, P2P: -1,
-		NoRepl: o.NoReplacement, NoSym: o.NoSymmetry, Invar: o.Invariants,
-	}
-	if n.VN == "" {
-		n.VN = "minimal"
-	}
-	switch n.VN {
-	case "minimal", "permsg", "uniform", "type":
-	default:
-		return n, reqErrf("unknown vn mode %q (want minimal, permsg, uniform, or type)", n.VN)
-	}
-	if n.Caches == 0 {
-		n.Caches = 3
-	}
-	if n.Dirs == 0 {
-		n.Dirs = 2
-	}
-	if n.Addrs == 0 {
-		n.Addrs = 2
-	}
-	switch n.Strategy {
-	case "":
-		n.Strategy = "bfs"
-	case "bfs", "dfs":
-	default:
-		return n, reqErrf("unknown strategy %q (want bfs or dfs)", n.Strategy)
-	}
-	// The server bounds every job: unbounded (0) or over-cap requests
-	// are clamped, and the clamp happens before key computation so
-	// "0" and the explicit cap share one cache entry.
-	if n.MaxStates <= 0 || n.MaxStates > maxStatesCap {
-		n.MaxStates = maxStatesCap
-	}
-	if n.MaxDepth < 0 {
-		n.MaxDepth = 0
-	}
-	if o.P2P != nil {
-		if *o.P2P < 0 || *o.P2P > 3 {
-			return n, reqErrf("p2p variant %d out of range 0-3", *o.P2P)
-		}
-		n.P2P = *o.P2P
-	}
-	st, err := mc.ParseStore(o.Store)
 	if err != nil {
-		return n, &RequestError{msg: err.Error()}
+		return nil, nil, reqErrf("%v", err)
 	}
-	n.Store = st.String()
-	return n, nil
+	// Re-encode rather than hashing the user's bytes: Decode→Encode is a
+	// fixpoint (pinned by FuzzProtocolRoundTrip), so all formattings of
+	// the same protocol — and its built-in name — share one cache entry.
+	canon, err := protocol.Encode(p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("encode %s: %w", p.Name, err)
+	}
+	return p, canon, nil
 }
 
 // requestKey computes the content address of a job: SHA-256 over a
 // format tag, the job kind, the canonical protocol encoding, and the
-// normalized options document.
-func requestKey(kind string, canonProto, normOpts []byte) cacheKey {
+// result-affecting options (dist.Job.Key; empty for analyze).
+func requestKey(kind string, canonProto []byte, optsKey string) cacheKey {
 	h := sha256.New()
 	h.Write([]byte("vnserved/v1\x00"))
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
 	h.Write(canonProto)
 	h.Write([]byte{0})
-	h.Write(normOpts)
+	h.Write([]byte(optsKey))
 	var key cacheKey
 	h.Sum(key[:0])
 	return key
@@ -283,9 +170,9 @@ type task struct {
 	kind     string
 	key      cacheKey
 	protocol string
-	// engine is the verify job's engine name for the run-ledger record
-	// ("" for analyze jobs).
-	engine   string
+	// search is the verify job's resolved spec (nil for analyze jobs);
+	// its Params are what the run-ledger record says was asked.
+	search   *dist.Job
 	deadline time.Duration
 	// requestID is the caller's X-Request-ID (sanitized), set by the
 	// HTTP layer before Submit. It feeds the job's TraceContext and is
@@ -320,7 +207,7 @@ func prepareAnalyze(req AnalyzeRequest) (*task, error) {
 	}
 	return &task{
 		kind:     "analyze",
-		key:      requestKey("analyze", canon, nil),
+		key:      requestKey("analyze", canon, ""),
 		protocol: p.Name,
 		run: func(ctx context.Context, _ func(mc.Snapshot), _ *trace.Recorder) (json.RawMessage, error) {
 			if ctx.Err() != nil {
@@ -352,119 +239,59 @@ func prepareAnalyze(req AnalyzeRequest) (*task, error) {
 }
 
 // prepareVerify validates a verify request into a runnable task: the
-// VN assignment is computed and the system built at admission time,
-// so a Class 2 protocol under -vn minimal is a 400, not a failed job.
+// spec is resolved at admission time — VN assignment computed, system
+// built — so a Class 2 protocol under vn=minimal or an option the
+// machine rejects is a 400, not a failed job.
 func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, error) {
 	p, canon, err := resolveProtocol(req.Protocol, req.ProtocolSpec)
 	if err != nil {
 		return nil, err
 	}
-	norm, err := normalizeVerifyOptions(req.Options, maxStatesCap)
+	// The server bounds every job: unbounded (0) or over-cap requests
+	// are clamped, and the clamp happens before key computation so
+	// "0" and the explicit cap share one cache entry.
+	spec := req.Options
+	if spec.MaxStates <= 0 || spec.MaxStates > maxStatesCap {
+		spec.MaxStates = maxStatesCap
+	}
+	job, err := spec.Resolve(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := mc.ParseEngine(req.Options.Engine)
-	if err != nil {
-		return nil, &RequestError{msg: err.Error()}
-	}
-	if engine == mc.EngineDist {
-		if norm.Strategy != "bfs" {
-			return nil, reqErrf("engine dist supports only strategy bfs")
-		}
-		norm.Engine = "dist"
-	}
-
-	var vn map[string]int
-	var numVNs int
-	switch norm.VN {
-	case "minimal":
-		a := vnassign.Assign(p)
-		if a.Class != vnassign.Class3 {
-			return nil, reqErrf("%s is %s — no finite per-name assignment exists; use vn=permsg to exhibit the deadlock", p.Name, a.Class)
-		}
-		vn, numVNs = a.VN, a.NumVNs
-	case "permsg":
-		vn, numVNs = machine.PerMessageVN(p)
-	case "uniform":
-		vn, numVNs = machine.UniformVN(p)
-	case "type":
-		vn, numVNs = machine.TypeVN(p, true)
-	}
-
-	cfg := machine.Config{
-		Protocol: p, Caches: norm.Caches, Dirs: norm.Dirs, Addrs: norm.Addrs,
-		VN: vn, NumVNs: numVNs,
-		GlobalCap: norm.GlobalCap, LocalCap: norm.LocalCap,
-		NoSymmetry: norm.NoSym,
-		Invariants: norm.Invar,
-	}
-	if norm.P2P >= 0 {
-		cfg.PointToPoint = true
-		cfg.P2PVariant = norm.P2P
-	}
-	if norm.NoRepl {
-		cfg.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
-	}
-	// Build once at admission so a bad configuration is a 400, not a
-	// failed job; the run builds its own (dist.Run).
-	if _, err := machine.New(cfg); err != nil {
-		return nil, &RequestError{msg: err.Error()}
-	}
-
-	normBytes, err := json.Marshal(norm)
-	if err != nil {
-		return nil, err
-	}
-	// norm.Store was validated by normalizeVerifyOptions; re-parse for
-	// the typed value.
-	storeMode, _ := mc.ParseStore(norm.Store)
-	opts := mc.Options{
-		MaxStates:     norm.MaxStates,
-		MaxDepth:      norm.MaxDepth,
-		DisableTraces: true,
-		ProgressEvery: progressEvery,
-		Store:         storeMode,
-	}
-	if norm.Strategy == "dfs" {
-		opts.Strategy = mc.DFS
-	}
-	workers, shards := req.Options.Workers, req.Options.Shards
+	job.Options.ProgressEvery = progressEvery
+	// Occupancy: per-VN queue-depth histograms for the dashboard's
+	// occupancy panel and the job's ledger record. Passive and
+	// engine-invariant (pinned by the occupancy parity tests), so it
+	// cannot affect the cached result beyond adding the summary.
+	job.Occupancy = true
 
 	return &task{
 		kind:     "verify",
-		key:      requestKey("verify", canon, normBytes),
+		key:      requestKey("verify", canon, job.Key()),
 		protocol: p.Name,
-		engine:   engine.String(),
+		search:   &job,
 		deadline: time.Duration(req.DeadlineMillis) * time.Millisecond,
 		run: func(ctx context.Context, progress func(mc.Snapshot), rec *trace.Recorder) (json.RawMessage, error) {
-			mopts := opts
-			if progress != nil {
-				mopts.Progress = progress
-			}
-			mopts.Trace = rec
-			// Occupancy: per-VN queue-depth histograms for the dashboard's
-			// occupancy panel and the job's ledger record. Passive and
-			// engine-invariant (pinned by the occupancy parity tests), so
-			// it cannot affect the cached result beyond adding the summary.
+			job := job
+			job.Options.Progress = progress
+			job.Options.Trace = rec
 			// A dist job gets loopback workers (serve has no -peers
 			// surface); a fleet failure fails the job, while cancellation
 			// surfaces as Outcome Canceled on every engine.
-			res, err := dist.Run(ctx, dist.Job{
-				Config: cfg, Options: mopts,
-				Workers: workers, Occupancy: true,
-			}, engine, shards, nil)
+			res, err := dist.Run(ctx, job)
 			if err != nil && ctx.Err() == nil {
 				return nil, err
 			}
 			if err != nil || res.Outcome == mc.Canceled {
 				return nil, errJobCanceled
 			}
+			cfg := job.Config
 			doc := VerifyResult{
 				Protocol: p.Name,
-				VNMode:   norm.VN, NumVNs: numVNs, VN: vn,
-				Caches: norm.Caches, Dirs: norm.Dirs, Addrs: norm.Addrs,
-				Engine:          engine.String(),
-				Store:           norm.Store,
+				VNMode:   job.Spec.VN, NumVNs: cfg.NumVNs, VN: cfg.VN,
+				Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
+				Engine:          job.Engine.String(),
+				Store:           job.Options.Store.String(),
 				Outcome:         res.Outcome.Tag(),
 				States:          res.States,
 				Rules:           res.Rules,

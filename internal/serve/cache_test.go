@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -59,9 +61,13 @@ func TestLRUCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestVerifyKeyIgnoresPerfKnobs pins the cache-key contract: engine,
-// workers, shards, and the deadline never affect the key, while every
-// result-affecting option does.
+// TestVerifyKeyIgnoresPerfKnobs pins the cache-key contract: the
+// in-process engine, workers, shards, and the deadline never affect the
+// key, while every result-affecting option does — which for engine
+// "dist" includes the effective fleet size, because its stored-state
+// set under symmetry reduction depends on how many workers partition
+// the frontier (44,662 / 44,719 / 44,763 states for CXL_cache at
+// 3c/1d/1a on 1 / 2 / 3 workers).
 func TestVerifyKeyIgnoresPerfKnobs(t *testing.T) {
 	const cap = 1_000_000
 	base := VerifyRequest{Protocol: "MSI_nonblocking_cache",
@@ -103,6 +109,23 @@ func TestVerifyKeyIgnoresPerfKnobs(t *testing.T) {
 			t.Errorf("%s did not change the cache key", name)
 		}
 	}
+
+	distKey := func(workers int) cacheKey {
+		req := base
+		req.Options.Engine, req.Options.Workers = "dist", workers
+		return keyOf(t, req)
+	}
+	if distKey(2) == k0 {
+		t.Error("dist shares the in-process engines' cache key")
+	}
+	if distKey(2) == distKey(3) {
+		t.Error("dist fleets of 2 and 3 workers share a cache key")
+	}
+	// Below one worker the fleet is the host's GOMAXPROCS: the same
+	// fleet, asked for two ways, is one cache entry.
+	if distKey(0) != distKey(runtime.GOMAXPROCS(0)) {
+		t.Error("dist workers=0 is keyed apart from the GOMAXPROCS fleet it runs")
+	}
 }
 
 // TestVerifyKeyClampsMaxStates pins that an unbounded request and an
@@ -125,6 +148,13 @@ func TestVerifyKeyClampsMaxStates(t *testing.T) {
 	}
 	if unbounded.key != atCap.key || overCap.key != atCap.key {
 		t.Error("clamped max_states requests do not share a cache key")
+	}
+	// The zero options under the server's defaults: the paper's
+	// experiment at the server's bound.
+	want := VerifyOptions{VN: "minimal", Caches: 3, Dirs: 2, Addrs: 2, Strategy: "bfs",
+		MaxStates: cap, Engine: "auto", Store: "exact"}
+	if got := unbounded.search.Spec; !reflect.DeepEqual(got, want) {
+		t.Errorf("zero options resolve to %+v, want %+v", got, want)
 	}
 }
 

@@ -91,6 +91,16 @@ func TestRunsEndpoint(t *testing.T) {
 	if !page.Runs[0].Record.Snapshot.Final {
 		t.Errorf("recorded snapshot is not the final one")
 	}
+	// The record states what was asked — the spec's params — not just of
+	// which protocol. (JSON numbers decode as float64.)
+	for k, want := range map[string]any{
+		"kind": "verify", "vn_mode": "minimal", "caches": 3.0, "dirs": 2.0, "addrs": 2.0,
+		"max_states": 2000.0, "strategy": "BFS", "store": "exact", "engine": "auto", "num_vns": 2.0,
+	} {
+		if got := page.Runs[0].Record.Params[k]; got != want {
+			t.Errorf("ledger record params[%q] = %v, want %v", k, got, want)
+		}
+	}
 	// The dashboard's per-VN bars and stripe-heat panels read these off
 	// the job snapshots; the ledger record must carry both.
 	if page.Runs[0].Record.Snapshot.Occupancy == nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"maps"
 	"time"
 
 	"minvn/internal/mc"
@@ -69,19 +70,17 @@ func (s *Server) recordJob(job *Job, status JobStatus, errMsg string, snap *mc.S
 		Tool:       "vnserved",
 		Created:    time.Now().Format(time.RFC3339),
 		Provenance: obs.CollectProvenance(),
-		Params: map[string]any{
-			"kind":     job.task.kind,
-			"protocol": job.task.protocol,
-		},
-		Outcome:  string(status),
-		Snapshot: snap,
+		Params:     map[string]any{"kind": job.task.kind, "protocol": job.task.protocol},
+		Outcome:    string(status),
+		Snapshot:   snap,
 		Extra: map[string]any{
 			"job_id":  job.id,
 			"seconds": seconds,
 		},
 	}
-	if job.task.engine != "" {
-		rec.Params["engine"] = job.task.engine
+	// A verify record states what was asked, not just of which protocol.
+	if job.task.search != nil {
+		maps.Copy(rec.Params, job.task.search.Params())
 	}
 	if errMsg != "" {
 		rec.Extra["error"] = errMsg

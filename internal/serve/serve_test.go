@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"minvn/internal/protocol"
+	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
 	"minvn/internal/serve"
 	"minvn/internal/serve/client"
@@ -443,6 +444,37 @@ func TestVerifyDistEngine(t *testing.T) {
 	var se *client.StatusError
 	if !asStatusError(err, &se) || se.Code != http.StatusBadRequest {
 		t.Errorf("dfs+dist: err = %v, want 400", err)
+	}
+}
+
+// TestVerifyTwoLevelSpec: a two-level composite posted as an inline
+// protocol_spec is checked like any other protocol — the shared
+// resolver gives it its one L2 home, where the request used to die in
+// machine.New ("needs L2s >= 1") with no request field to fix it.
+func TestVerifyTwoLevelSpec(t *testing.T) {
+	comp, err := xform.Compose(protocols.MustLoad("MSI_blocking_cache"),
+		protocols.MustLoad("MESI_blocking_cache"), "MSI_under_MESI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := protocol.Encode(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl := testServer(t, serve.Config{})
+	view, err := cl.Verify(context.Background(), serve.VerifyRequest{
+		ProtocolSpec: spec,
+		Options:      serve.VerifyOptions{VN: "permsg", Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 3000},
+	}, true)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	var res serve.VerifyResult
+	if err := jsonUnmarshal(view.Result, &res); err != nil || view.Status != serve.StatusDone {
+		t.Fatalf("status=%s (%s), result err %v", view.Status, view.Error, err)
+	}
+	if res.Protocol != "MSI_under_MESI" || res.States == 0 || res.VNMode != "permsg" {
+		t.Errorf("result = %+v", res)
 	}
 }
 

@@ -15,7 +15,9 @@
 //   - internal/vnassign: the minimum-VN algorithm (paper §VI),
 //   - internal/machine + internal/icn + internal/mc: the executable
 //     semantics, the paper's ICN model, and the explicit-state model
-//     checker used for verification (paper §VII).
+//     checker used for verification (paper §VII),
+//   - internal/dist: the verification spec every entry point shares and
+//     the one place a search is dispatched to an engine.
 //
 // Quick use:
 //
@@ -26,10 +28,11 @@
 package minvn
 
 import (
+	"context"
 	"fmt"
 
 	"minvn/internal/analysis"
-	"minvn/internal/machine"
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
@@ -168,39 +171,37 @@ type VerifyResult struct {
 }
 
 // Verify model checks a protocol under a VN assignment on the paper's
-// ICN model.
+// ICN model. It describes the run as the repository's one verification
+// spec (dist.Spec), so it means exactly what the equivalent vnverify
+// command line or vnserved request means.
 func Verify(p *protocol.Protocol, cfg VerifyConfig) (VerifyResult, error) {
-	if cfg.Caches == 0 {
-		cfg.Caches, cfg.Dirs, cfg.Addrs = 3, 2, 2
+	spec := dist.Spec{
+		Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
+		Assignment: cfg.VN, NumVNs: cfg.NumVNs,
+		MaxStates:  cfg.MaxStates,
+		Workers:    max(cfg.Workers, 1),
+		Invariants: cfg.Invariants,
 	}
-	if cfg.MaxStates == 0 {
-		cfg.MaxStates = 200_000
+	if spec.MaxStates == 0 {
+		spec.MaxStates = 200_000
 	}
-	vn, numVNs := cfg.VN, cfg.NumVNs
-	switch {
-	case cfg.PerMessageVNs:
-		vn, numVNs = machine.PerMessageVN(p)
-	case vn == nil:
-		a := vnassign.Assign(p)
-		if a.Class != vnassign.Class3 {
-			return VerifyResult{}, fmt.Errorf("minvn: %s is %v; no minimal assignment to verify", p.Name, a.Class)
-		}
-		vn, numVNs = a.VN, a.NumVNs
+	if cfg.PerMessageVNs {
+		spec.VN, spec.Assignment = dist.VNPerMessage, nil
 	}
-	sys, err := machine.New(machine.Config{
-		Protocol: p, Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
-		VN: vn, NumVNs: numVNs,
-		Invariants:   cfg.Invariants,
-		PointToPoint: cfg.Ordered, P2PVariant: cfg.PointToPointVariant,
-	})
-	if err != nil {
-		return VerifyResult{}, err
-	}
-	opts := mc.Options{MaxStates: cfg.MaxStates, DisableTraces: true}
 	if cfg.DFS {
-		opts.Strategy = mc.DFS
+		spec.Strategy = "dfs"
 	}
-	res := mc.CheckEngine(sys, opts, mc.EngineAuto, max(cfg.Workers, 1), 0)
+	if cfg.Ordered {
+		spec.P2P = &cfg.PointToPointVariant
+	}
+	job, err := spec.Resolve(p, nil)
+	if err != nil {
+		return VerifyResult{}, fmt.Errorf("minvn: %w", err)
+	}
+	res, err := dist.Run(context.Background(), job)
+	if err != nil {
+		return VerifyResult{}, fmt.Errorf("minvn: %w", err)
+	}
 	out := VerifyResult{
 		Deadlock: res.Outcome == mc.Deadlock,
 		Complete: res.Outcome == mc.Complete,
