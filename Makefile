@@ -40,8 +40,11 @@ bench:
 
 # Small-bound version of bench for CI: exercises both engines end to
 # end and emits the artifact, without the full paper-scale state count.
+# 60,000 states is the smallest round bound whose rows (~130 ms) clear
+# the gate's 50 ms noise floor since expansion got 3x faster; at the
+# old 20,000 every row ran ~40 ms and throughput went ungated.
 bench-smoke:
-	$(GO) run ./cmd/vnbench -workers 4 -max-states 20000 -out BENCH_mc.json
+	$(GO) run ./cmd/vnbench -workers 4 -max-states 60000 -out BENCH_mc.json
 
 # Perf-regression gate: rerun the smoke bench into a fresh artifact
 # and diff it against the checked-in BENCH_mc.json baseline with
@@ -51,7 +54,7 @@ bench-smoke:
 # and commit the result); exits 2, refusing to compare, when the
 # baseline was recorded at a different GOMAXPROCS or CPU count.
 bench-gate:
-	$(GO) run ./cmd/vnbench -workers 4 -max-states 20000 -out BENCH_gate.json
+	$(GO) run ./cmd/vnbench -workers 4 -max-states 60000 -out BENCH_gate.json
 	$(GO) run ./cmd/vnbench -compare -diff-out BENCH_diff.json \
 		BENCH_mc.json BENCH_gate.json
 

@@ -28,7 +28,10 @@ type Message struct {
 	Acks int8
 }
 
-const msgBytes = 6
+// MessageBytes is the encoded size of a Message: Name, Addr, Src, Req,
+// Dst and Acks (biased by 128), one byte each, in that order. Every
+// queue encodes as one length byte followed by that many records.
+const MessageBytes = 6
 
 // Config shapes a network.
 type Config struct {
@@ -120,14 +123,19 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// bufferChoices are the three possible answers of BufferChoices:
+// buffer 0 only, buffer 1 only, either.
+var bufferChoices = [3][]int{{0}, {1}, {0, 1}}
+
 // BufferChoices returns the global buffers a message from src to dst
 // may be inserted into: both in unordered mode, exactly one in
-// point-to-point mode.
+// point-to-point mode. The result is shared; callers must not modify
+// it.
 func (cfg Config) BufferChoices(src, dst uint8) []int {
 	if cfg.PointToPoint {
-		return []int{int(cfg.P2P[src][dst])}
+		return bufferChoices[cfg.P2P[src][dst]]
 	}
-	return []int{0, 1}
+	return bufferChoices[2]
 }
 
 // CanSend reports whether global buffer buf of vn has room.
@@ -285,14 +293,14 @@ func DecodeInto(cfg Config, dst *State, src []byte) ([]byte, error) {
 		if n > capacity {
 			return nil, fmt.Errorf("icn: queue length %d exceeds capacity %d", n, capacity)
 		}
-		if len(src) < n*msgBytes {
+		if len(src) < n*MessageBytes {
 			return nil, fmt.Errorf("icn: truncated state: queue needs %d bytes, %d left",
-				n*msgBytes, len(src))
+				n*MessageBytes, len(src))
 		}
 		q = q[:0]
 		for i := 0; i < n; i++ {
 			q = append(q, decodeMsg(src))
-			src = src[msgBytes:]
+			src = src[MessageBytes:]
 		}
 		return q, nil
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"minvn/internal/mc"
@@ -27,33 +28,84 @@ func benchSystem(b *testing.B, proto string, caches, dirs, addrs int, noSym bool
 	return sys
 }
 
-// BenchmarkSuccessors measures raw rule-enumeration throughput on a
-// mid-exploration state.
+// paperSystem builds the paper's verification cell (§VII-A): proto at
+// 2 directories and 2 addresses under its minimal assignment, with the
+// default (footnote 5) buffer capacities.
+func paperSystem(tb testing.TB, proto string, caches int) *System {
+	tb.Helper()
+	p := protocols.MustLoad(proto)
+	a := vnassign.Assign(p)
+	sys, err := New(Config{Protocol: p, Caches: caches, Dirs: 2, Addrs: 2, VN: a.VN, NumVNs: a.NumVNs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+// benchCorpus samples 512 of the first 65,536 states a search of sys
+// stores, evenly: raw successors from the shallow symmetric levels up
+// to levels with a handful of messages in flight.
+func benchCorpus(sys *System) [][]byte {
+	all := bfsStates(sys, 65536)
+	var out [][]byte
+	for i := 0; i < len(all); i += len(all) / 512 {
+		out = append(out, all[i])
+	}
+	return out
+}
+
+// BenchmarkSuccessors measures expansion over a corpus of reachable
+// states of the paper's cell.
 func BenchmarkSuccessors(b *testing.B) {
-	sys := benchSystem(b, "MSI_nonblocking_cache", 3, 2, 2, false)
-	sc := NewScenario(sys)
-	if err := sc.Core(0, 0, protocol.Store); err != nil {
-		b.Fatal(err)
-	}
-	if err := sc.Core(1, 1, protocol.Store); err != nil {
-		b.Fatal(err)
-	}
-	st := sc.State()
+	sys := paperSystem(b, "MSI_nonblocking_cache", 3)
+	corpus := benchCorpus(sys)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Successors(st); err != nil {
+		if _, err := sys.Successors(corpus[i%len(corpus)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCanonicalize measures the symmetry-reduction hook.
+// BenchmarkCanonicalize measures the symmetry-reduction hook over the
+// same kind of corpus, at the paper's 3 caches (6 permutations) and at
+// 4 (24).
 func BenchmarkCanonicalize(b *testing.B) {
-	sys := benchSystem(b, "MSI_nonblocking_cache", 3, 2, 2, false)
-	st := sys.Initial()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Canonicalize(st)
+	for _, caches := range []int{3, 4} {
+		sys := paperSystem(b, "MSI_nonblocking_cache", caches)
+		corpus := benchCorpus(sys)
+		b.Run(fmt.Sprintf("%dc", caches), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys.Canonicalize(corpus[i%len(corpus)])
+			}
+		})
+	}
+}
+
+// TestExpansionAllocations is the allocation budget of the two calls a
+// search makes per state, on a fixed mid-exploration state of the
+// paper's cell: SuccessorsNamed allocates its two result slices and the
+// bytes of each successor it returns (one spare for a pool refill after
+// a GC), Canonicalize at most the copy it returns. Counts, unlike
+// timings, are deterministic on a loaded box.
+func TestExpansionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	sys := paperSystem(t, "MSI_nonblocking_cache", 3)
+	states := bfsStates(sys, 5000)
+	raw := states[len(states)-1]
+	succs, _, err := sys.SuccessorsNamed(raw)
+	if err != nil || len(succs) < 4 {
+		t.Fatalf("fixture state has %d successors, err %v", len(succs), err)
+	}
+	if got, max := testing.AllocsPerRun(200, func() { sys.SuccessorsNamed(raw) }), float64(len(succs)+3); got > max {
+		t.Errorf("SuccessorsNamed: %v allocations for %d successors, budget %v", got, len(succs), max)
+	}
+	if got := testing.AllocsPerRun(200, func() { sys.Canonicalize(raw) }); got > 1 {
+		t.Errorf("Canonicalize: %v allocations, budget 1", got)
 	}
 }
 

@@ -1,154 +1,282 @@
 package machine
 
 import (
+	"bytes"
+	"math/bits"
+
 	"minvn/internal/icn"
 )
 
-// Canonicalization is the hottest operation in a symmetry-reduced
-// search: every generated successor is re-encoded once per non-trivial
-// cache permutation (5 for the paper's 3-cache config) to find the
-// lexicographically smallest relabeling. The naive form — decode, then
-// clone+encode per permutation — allocates a dozen objects per
-// successor and dominated the checker's allocation profile. This file
-// keeps a pooled scratch (two reusable decoded states and two byte
-// buffers) per concurrent caller, so a Canonicalize call allocates at
-// most once: the final copy of a winning non-identity encoding.
+// Canonicalization is called once per generated successor in a
+// symmetry-reduced search, which makes it as hot as expansion itself.
+// The canonical form is the lexicographically smallest encoding among
+// all relabelings of the (identical) caches. Nothing is decoded: a
+// relabeling is written straight from the encoded bytes, a section at a
+// time — each cache row, the home entries, the global buffers, each
+// endpoint's input FIFOs — and compared with the best encoding so far
+// after every section. Most permutations lose on the first cache row
+// and are abandoned there; only one that wins is written out in full.
+
+// perm is one permutation of the caches: fwd[c] is where it sends
+// cache c, inv[j] which cache it puts in row j.
+type perm struct{ fwd, inv []uint8 }
+
+// permutations enumerates all permutations of 0..n-1, identity first.
+func permutations(n int) []perm {
+	var out []perm
+	base := make([]uint8, n)
+	for i := range base {
+		base[i] = uint8(i)
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			p := perm{append([]uint8(nil), base...), make([]uint8, n)}
+			for c, to := range base {
+				p.inv[to] = uint8(c)
+			}
+			out = append(out, p)
+			return
+		}
+		for i := k; i < n; i++ {
+			base[k], base[i] = base[i], base[k]
+			rec(k + 1)
+			base[k], base[i] = base[i], base[k]
+		}
+	}
+	rec(0)
+	return out
+}
+
+// endpoint relabels endpoint id e: caches move, L2 homes and
+// directories are fixed points.
+func (p perm) endpoint(e uint8) uint8 {
+	if int(e) < len(p.fwd) {
+		return p.fwd[e]
+	}
+	return e
+}
+
+// ref relabels an "endpoint id + 1, 0 = none" reference (a saved
+// requestor, an owner).
+func (p perm) ref(r uint8) uint8 {
+	if r == 0 {
+		return 0
+	}
+	return p.endpoint(r-1) + 1
+}
+
+// mask relabels a sharer bitmask of endpoint ids.
+func (p perm) mask(m uint8) uint8 {
+	var out uint8
+	for ; m != 0; m &= m - 1 {
+		out |= 1 << p.endpoint(uint8(bits.TrailingZeros8(m)))
+	}
+	return out
+}
 
 // canonScratch is the per-call reusable working set. It never escapes
 // Canonicalize; the pool makes it safe under the parallel engines'
 // concurrent Canonicalize calls.
 type canonScratch struct {
-	src  *state // decoded input
-	tmp  *state // relabeled candidate, rebuilt per permutation
-	buf  []byte // candidate encoding
-	best []byte // best non-identity encoding so far
+	buf  []byte // the candidate relabeling under construction
+	best []byte // the best non-identity relabeling so far
+	tied []int  // permutations whose cache rows equal the smallest seen
+	// local[e] is the offset in the input of endpoint e's first input
+	// FIFO, local[endpoints] the end of the state; filled on demand,
+	// haveLocal says whether it describes the current input.
+	local     []int
+	haveLocal bool
 }
 
 // Canonicalize implements symmetry reduction: among all relabelings of
 // the (identical) caches, pick the lexicographically smallest
 // encoding. Directories are distinguished by their address ranges and
-// are not permuted. Equivalent to encoding applyPerm for every
-// permutation (the reference the tests compare against) but
-// allocation-free apart from the final copy.
+// are not permuted. It allocates once, the returned copy, and only when
+// a non-identity relabeling wins.
+//
+// The cache rows lead the encoding, so they decide almost every
+// comparison. A first pass finds the permutations with the smallest
+// rows by comparing rows in place in raw, writing nothing; only those
+// (usually one) are then written out and compared in full.
 func (s *System) Canonicalize(raw []byte) []byte {
 	if len(s.perms) <= 1 {
 		return raw
 	}
+	s.checkLen(raw)
 	sc := s.canonPool.Get().(*canonScratch)
-	if sc.src == nil {
-		sc.src = s.newState()
-		sc.tmp = s.newState()
+	sc.haveLocal = false
+	lead, tied := 0, sc.tied[:0] // 0 is the identity
+	for i := 1; i < len(s.perms); i++ {
+		switch s.compareRows(raw, s.perms[i], s.perms[lead]) {
+		case -1:
+			lead, tied = i, append(tied[:0], i)
+		case 0:
+			tied = append(tied, i)
+		}
 	}
-	s.decodeInto(sc.src, raw)
-	best := raw
-	changed := false
-	for _, perm := range s.perms[1:] { // perms[0] is identity
-		s.permuteInto(sc.tmp, sc.src, perm)
-		sc.buf = s.appendEncode(sc.buf[:0], sc.tmp)
-		if string(sc.buf) < string(best) {
+	sc.tied = tied
+	// tied now lists every non-identity permutation with minimal rows,
+	// lead first; raw itself is among the minimal iff lead is still 0.
+	best, relabeled := raw, false
+	for _, i := range tied {
+		from, against := s.cfg.Caches, best
+		if i == lead {
+			from, against = 0, nil // beats raw on the rows alone
+		}
+		if s.relabel(sc, raw, against, s.perms[i], from) {
 			// The candidate buffer becomes the best; swap so the next
 			// candidate doesn't overwrite it.
 			sc.best, sc.buf = sc.buf, sc.best
-			best = sc.best
-			changed = true
+			best, relabeled = sc.best, true
 		}
 	}
-	if changed {
+	if relabeled {
 		// best aliases pooled scratch; copy before releasing it.
-		best = append([]byte(nil), best...)
+		best = append(make([]byte, 0, len(best)), best...)
 	}
 	s.canonPool.Put(sc)
 	return best
 }
 
-// decodeInto is decode into a reusable scratch state (same panics on
-// corrupt input; see decode).
-func (s *System) decodeInto(st *state, raw []byte) {
-	i := 0
-	for c := 0; c < s.cfg.Caches; c++ {
-		for a := 0; a < s.cfg.Addrs; a++ {
-			st.cache[c][a] = cacheEntry{raw[i], bInt8(raw[i+1]), raw[i+2], bInt8(raw[i+3])}
-			i += 4
+// compareRows compares the cache sections of raw relabeled under p and
+// under q, reading both out of raw.
+func (s *System) compareRows(raw []byte, p, q perm) int {
+	width := s.cfg.Addrs * cacheEntryBytes
+	for j := range p.inv {
+		a := raw[int(p.inv[j])*width:][:width]
+		b := raw[int(q.inv[j])*width:][:width]
+		for i := 0; i < width; i += cacheEntryBytes {
+			// state, acks, saved (relabeled), savedAcks — most
+			// significant first, as the encoding orders them.
+			x := uint32(a[i])<<24 | uint32(a[i+1])<<16 | uint32(p.ref(a[i+2]))<<8 | uint32(a[i+3])
+			y := uint32(b[i])<<24 | uint32(b[i+1])<<16 | uint32(q.ref(b[i+2]))<<8 | uint32(b[i+3])
+			if x != y {
+				if x < y {
+					return -1
+				}
+				return 1
+			}
 		}
 	}
-	if s.cfg.L2s > 0 {
-		for a := 0; a < s.cfg.Addrs; a++ {
-			st.l2[a] = l2Entry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3]), bInt8(raw[i+4])}
-			i += 5
-		}
-	}
-	for a := 0; a < s.cfg.Addrs; a++ {
-		st.dir[a] = dirEntry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3])}
-		i += 4
-	}
-	rest, err := icn.DecodeInto(s.net, st.net, raw[i:])
-	if err != nil {
-		panic("machine: corrupt network state: " + err.Error())
-	}
-	if len(rest) != 0 {
-		panic("machine: trailing bytes after network state")
-	}
+	return 0
 }
 
-// permuteInto rewrites dst to be st relabeled under perm, reusing
-// dst's storage. dst and st must not share storage. Semantics match
-// applyPerm exactly.
-func (s *System) permuteInto(dst, st *state, perm []int) {
-	for c := range st.cache {
-		copy(dst.cache[perm[c]], st.cache[c])
+// relabel writes raw relabeled under p into sc.buf section by section
+// — each cache row, the home entries, the global buffers, each
+// endpoint's input FIFOs — starting at section from (the sections
+// before it are known to equal best's and are copied from it). After
+// each section it compares what it wrote with the same bytes of best
+// and gives up at the first that is greater. It reports whether the
+// relabeling is strictly smaller than best, in which case sc.buf holds
+// all of it; a nil best is beaten without comparing. Every relabeling
+// of raw has raw's length, and a section is only compared after all
+// earlier bytes tied, so the compared ranges line up.
+func (s *System) relabel(sc *canonScratch, raw, best []byte, p perm, from int) bool {
+	buf := sc.buf[:0]
+	if from > 0 {
+		buf = append(buf, best[:from*s.cfg.Addrs*cacheEntryBytes]...)
 	}
-	for c := range dst.cache {
-		for a := range dst.cache[c] {
-			e := &dst.cache[c][a]
-			if e.saved != 0 {
-				e.saved = permuteEndpoint(perm, e.saved-1) + 1
+	less := best == nil
+	sections := s.cfg.Caches + 2 + s.endpoints
+	for sec := from; sec < sections; sec++ {
+		start := len(buf)
+		switch {
+		case sec < s.cfg.Caches:
+			buf = s.appendCacheRow(buf, raw, p, sec)
+		case sec == s.cfg.Caches:
+			buf = s.appendHomes(buf, raw, p)
+		case sec == s.cfg.Caches+1:
+			buf = appendQueues(buf, raw[s.netOff:], 2*s.net.NumVNs, p)
+		default:
+			if !sc.haveLocal {
+				s.indexLocal(sc, raw)
+			}
+			// Input FIFOs move with their endpoint: row e of the
+			// relabeling holds the queues of the cache p puts there.
+			e := sec - s.cfg.Caches - 2
+			src := e
+			if e < len(p.inv) {
+				src = int(p.inv[e])
+			}
+			buf = appendQueues(buf, raw[sc.local[src]:sc.local[src+1]], s.net.NumVNs, p)
+		}
+		if !less {
+			switch bytes.Compare(buf[start:], best[start:len(buf)]) {
+			case 1:
+				sc.buf = buf
+				return false
+			case -1:
+				less = true
 			}
 		}
 	}
-	copy(dst.l2, st.l2)
-	for a := range dst.l2 {
-		e := &dst.l2[a]
-		if e.owner != 0 {
-			e.owner = permuteEndpoint(perm, e.owner-1) + 1
-		}
-		e.sharers = permuteMask(perm, e.sharers)
+	sc.buf = buf
+	return less
+}
+
+// appendCacheRow appends row j of the relabeling: the entries of the
+// cache p puts there, saved requestors relabeled.
+func (s *System) appendCacheRow(buf, raw []byte, p perm, j int) []byte {
+	width := s.cfg.Addrs * cacheEntryBytes
+	from := int(p.inv[j]) * width
+	start := len(buf)
+	buf = append(buf, raw[from:from+width]...)
+	for i := start + 2; i < len(buf); i += cacheEntryBytes {
+		buf[i] = p.ref(buf[i]) // saved
 	}
-	copy(dst.dir, st.dir)
-	for a := range dst.dir {
-		e := &dst.dir[a]
-		if e.owner != 0 {
-			e.owner = permuteEndpoint(perm, e.owner-1) + 1
-		}
-		e.sharers = permuteMask(perm, e.sharers)
+	return buf
+}
+
+// appendHomes appends the l2 and directory sections with owners and
+// sharer masks relabeled. Both entry kinds keep them in bytes 1 and 2.
+func (s *System) appendHomes(buf, raw []byte, p perm) []byte {
+	start := len(buf)
+	buf = append(buf, raw[s.l2Off:s.netOff]...)
+	homes := buf[start:]
+	for i := 0; i < s.dirOff-s.l2Off; i += l2EntryBytes {
+		homes[i+1], homes[i+2] = p.ref(homes[i+1]), p.mask(homes[i+2])
 	}
-	permMsg := func(m icn.Message) icn.Message {
-		m.Src = permuteEndpoint(perm, m.Src)
-		m.Req = permuteEndpoint(perm, m.Req)
-		m.Dst = permuteEndpoint(perm, m.Dst)
-		return m
+	for i := s.dirOff - s.l2Off; i < len(homes); i += dirEntryBytes {
+		homes[i+1], homes[i+2] = p.ref(homes[i+1]), p.mask(homes[i+2])
 	}
-	for vn := range st.net.Global {
-		for b := 0; b < 2; b++ {
-			q := append(dst.net.Global[vn][b][:0], st.net.Global[vn][b]...)
-			for i := range q {
-				q[i] = permMsg(q[i])
-			}
-			dst.net.Global[vn][b] = q
-		}
-	}
-	// Local FIFOs move with their endpoints: cache c's queues become
-	// cache perm[c]'s queues; directories are fixed points.
-	for e := range st.net.Local {
-		target := e
-		if e < len(perm) {
-			target = perm[e]
-		}
-		for vn := range st.net.Local[e] {
-			q := append(dst.net.Local[target][vn][:0], st.net.Local[e][vn]...)
-			for i := range q {
-				q[i] = permMsg(q[i])
-			}
-			dst.net.Local[target][vn] = q
+	return buf
+}
+
+// appendQueues appends the first n queues encoded at the head of src
+// with every message's Src, Req and Dst relabeled (bytes 2–4 of a
+// record, see icn.MessageBytes).
+func appendQueues(buf, src []byte, n int, p perm) []byte {
+	i := 0
+	for q := 0; q < n; q++ {
+		msgs := int(src[i])
+		buf = append(buf, src[i])
+		i++
+		for ; msgs > 0; msgs-- {
+			m := src[i : i+icn.MessageBytes]
+			buf = append(buf, m[0], m[1], p.endpoint(m[2]), p.endpoint(m[3]), p.endpoint(m[4]), m[5])
+			i += icn.MessageBytes
 		}
 	}
+	return buf
+}
+
+// indexLocal finds where each endpoint's input FIFOs start in raw.
+func (s *System) indexLocal(sc *canonScratch, raw []byte) {
+	if sc.local == nil {
+		sc.local = make([]int, s.endpoints+1)
+	}
+	i := s.netOff
+	skip := func(queues int) {
+		for ; queues > 0; queues-- {
+			i += 1 + int(raw[i])*icn.MessageBytes
+		}
+	}
+	skip(2 * s.net.NumVNs)
+	for e := 0; e < s.endpoints; e++ {
+		sc.local[e] = i
+		skip(s.net.NumVNs)
+	}
+	sc.local[s.endpoints] = i
+	sc.haveLocal = true
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"minvn/internal/icn"
+	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
 )
 
@@ -16,12 +18,96 @@ func referenceCanonicalize(s *System, raw []byte) []byte {
 	st := s.decode(raw)
 	best := raw
 	for _, perm := range s.perms[1:] {
-		cand := s.encode(s.applyPerm(st, perm))
+		cand := s.encode(s.applyPerm(st, perm.fwd))
 		if string(cand) < string(best) {
 			best = cand
 		}
 	}
 	return best
+}
+
+// permuteEndpoint maps endpoint id e under cache permutation perm
+// (L2 homes and directories are fixed points).
+func permuteEndpoint(perm []uint8, e uint8) uint8 {
+	if int(e) < len(perm) {
+		return perm[e]
+	}
+	return e
+}
+
+// permuteMask relabels a sharer bitmask of endpoint ids under perm.
+// Bits at or beyond len(perm) (L2 homes, directories) stay in place.
+func permuteMask(perm []uint8, mask uint8) uint8 {
+	var out uint8
+	for b := 0; b < 8; b++ {
+		if mask&(1<<uint(b)) != 0 {
+			out |= 1 << uint(permuteEndpoint(perm, uint8(b)))
+		}
+	}
+	return out
+}
+
+// applyPerm is the reference relabeling on decoded states that
+// Canonicalize's byte-level relabeling must agree with: a deep copy of
+// st with cache c renamed perm[c] everywhere a cache id appears.
+func (s *System) applyPerm(st *state, perm []uint8) *state {
+	out := s.decode(s.encode(st))
+	for c := range st.cache {
+		copy(out.cache[perm[c]], st.cache[c])
+	}
+	for c := range out.cache {
+		for a := range out.cache[c] {
+			e := &out.cache[c][a]
+			if e.saved != 0 {
+				e.saved = permuteEndpoint(perm, e.saved-1) + 1
+			}
+		}
+	}
+	for a := range out.l2 {
+		e := &out.l2[a]
+		if e.owner != 0 {
+			e.owner = permuteEndpoint(perm, e.owner-1) + 1
+		}
+		e.sharers = permuteMask(perm, e.sharers)
+	}
+	for a := range out.dir {
+		e := &out.dir[a]
+		if e.owner != 0 {
+			e.owner = permuteEndpoint(perm, e.owner-1) + 1
+		}
+		e.sharers = permuteMask(perm, e.sharers)
+	}
+	permMsg := func(m icn.Message) icn.Message {
+		m.Src = permuteEndpoint(perm, m.Src)
+		m.Req = permuteEndpoint(perm, m.Req)
+		m.Dst = permuteEndpoint(perm, m.Dst)
+		return m
+	}
+	for vn := range out.net.Global {
+		for b := 0; b < 2; b++ {
+			q := out.net.Global[vn][b]
+			for i := range q {
+				q[i] = permMsg(q[i])
+			}
+		}
+	}
+	// Local FIFOs move with their endpoints: cache c's queues become
+	// cache perm[c]'s queues.
+	local := make([][][]icn.Message, len(out.net.Local))
+	copy(local, out.net.Local)
+	for c := 0; c < s.cfg.Caches; c++ {
+		local[perm[c]] = out.net.Local[c]
+	}
+	out.net.Local = local
+	for e := range out.net.Local {
+		for vn := range out.net.Local[e] {
+			q := out.net.Local[e][vn]
+			for i := range q {
+				q[i] = permMsg(q[i])
+			}
+		}
+	}
+	return out
 }
 
 func canonSystem(t *testing.T) *System {
@@ -35,20 +121,41 @@ func canonSystem(t *testing.T) *System {
 	return sys
 }
 
-// TestCanonicalizeMatchesReference pins the pooled scratch
-// canonicalizer against the reference implementation on a spread of
-// reachable states, and checks idempotence.
+// TestCanonicalizeMatchesReference pins the streaming canonicalizer
+// against the reference implementation on a spread of reachable states
+// of a 3-cache, a 4-cache and a two-level system, and checks
+// idempotence.
 func TestCanonicalizeMatchesReference(t *testing.T) {
-	sys := canonSystem(t)
-	states := walkStates(sys, 400)
-	for i, raw := range states {
-		got := sys.Canonicalize(raw)
-		want := referenceCanonicalize(sys, raw)
-		if string(got) != string(want) {
-			t.Fatalf("state %d: canonical forms diverge\n got  %x\n want %x", i, got, want)
+	msi := protocols.MustLoad("MSI_nonblocking_cache")
+	vn, n := PerMessageVN(msi)
+	comp, err := xform.Compose(protocols.MustLoad("MSI_blocking_cache"),
+		protocols.MustLoad("MESI_blocking_cache"), "MSI_under_MESI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cvn, cn := PerMessageVN(comp)
+	for name, cfg := range map[string]Config{
+		"3c":        {Protocol: msi, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n},
+		"4c":        {Protocol: msi, Caches: 4, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n},
+		"two-level": {Protocol: comp, Caches: 3, L2s: 2, Dirs: 1, Addrs: 2, VN: cvn, NumVNs: cn},
+	} {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if again := sys.Canonicalize(got); string(again) != string(got) {
-			t.Fatalf("state %d: canonicalization not idempotent", i)
+		states := walkStates(sys, 400)
+		if len(states) < 100 {
+			t.Fatalf("%s: only %d states to compare", name, len(states))
+		}
+		for i, raw := range states {
+			got := sys.Canonicalize(raw)
+			want := referenceCanonicalize(sys, raw)
+			if string(got) != string(want) {
+				t.Fatalf("%s state %d: canonical forms diverge\n got  %x\n want %x", name, i, got, want)
+			}
+			if again := sys.Canonicalize(got); string(again) != string(got) {
+				t.Fatalf("%s state %d: canonicalization not idempotent", name, i)
+			}
 		}
 	}
 }

@@ -1,0 +1,239 @@
+package machine
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"minvn/internal/protocol"
+	"minvn/internal/protocol/xform"
+	"minvn/internal/protocols"
+	"minvn/internal/vnassign"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/expansion.golden")
+
+// The expansion golden file is the reference semantics of this package.
+// It was recorded from the table interpreter that expansion used to be
+// (one Controller.Lookup and one state clone per rule) immediately
+// before that interpreter was deleted; the compiled tables and the
+// streaming canonicalizer must reproduce every digest. A digest covers,
+// for the first expansionStates states of a system in BFS storage
+// order: the state, Quiescent, the ordered successors of Successors and
+// SuccessorsNamed with their labels, Canonicalize of the state and of
+// each successor, every EnabledRules string, Apply of every enabled
+// rule, and any error text; then three seeded random walks.
+const expansionStates = 3000
+
+type expansionCase struct {
+	name string
+	cfg  Config
+}
+
+// expansionCases lists the pinned systems: every built-in at the
+// paper's 3c/2d/2a under its minimal assignment (where one exists) and
+// under one VN per message, plus one system per configuration axis the
+// expansion code branches on.
+func expansionCases(t testing.TB) []expansionCase {
+	t.Helper()
+	var out []expansionCase
+	paper := func(p *protocol.Protocol, vn map[string]int, n int) Config {
+		return Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n}
+	}
+	for _, name := range protocols.Names() {
+		p := protocols.MustLoad(name)
+		if a := vnassign.Assign(p); a.VN != nil {
+			out = append(out, expansionCase{name + "/minimal", paper(p, a.VN, a.NumVNs)})
+		}
+		vn, n := PerMessageVN(p)
+		out = append(out, expansionCase{name + "/permsg", paper(p, vn, n)})
+	}
+
+	msi := protocols.MustLoad("MSI_nonblocking_cache")
+	minimal := vnassign.Assign(msi)
+
+	comp, err := xform.Compose(protocols.MustLoad("MSI_blocking_cache"),
+		protocols.MustLoad("MESI_blocking_cache"), "MSI_under_MESI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cvn, cn := PerMessageVN(comp)
+	out = append(out, expansionCase{"two-level/MSI_under_MESI", Config{
+		Protocol: comp, Caches: 2, L2s: 2, Dirs: 1, Addrs: 2, VN: cvn, NumVNs: cn}})
+
+	p2p := paper(msi, minimal.VN, minimal.NumVNs)
+	p2p.PointToPoint, p2p.P2PVariant = true, 3
+	out = append(out, expansionCase{"p2p3/MSI_nonblocking_cache", p2p})
+
+	tight := paper(msi, minimal.VN, minimal.NumVNs)
+	tight.GlobalCap, tight.LocalCap = 2, 2
+	out = append(out, expansionCase{"caps2/MSI_nonblocking_cache", tight})
+
+	inv := paper(msi, minimal.VN, minimal.NumVNs)
+	inv.Invariants = true
+	out = append(out, expansionCase{"invariants/MSI_nonblocking_cache", inv})
+
+	four := paper(msi, minimal.VN, minimal.NumVNs)
+	four.Caches = 4
+	out = append(out, expansionCase{"4c/MSI_nonblocking_cache", four})
+
+	nosym := paper(msi, minimal.VN, minimal.NumVNs)
+	nosym.NoSymmetry = true
+	nosym.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
+	out = append(out, expansionCase{"nosym-loadstore/MSI_nonblocking_cache", nosym})
+
+	// Violation texts: an SWMR break under Invariants, and a table with
+	// a missing cell.
+	broken := protocols.MustLoad("MSI_blocking_cache")
+	broken.Name = "MSI_broken"
+	broken.Dir.Transitions[protocol.TransKey{State: "M", Event: protocol.MsgEv("GetM")}] = cellSendDataSetOwner()
+	bvn, bn := PerMessageVN(broken)
+	out = append(out, expansionCase{"swmr-broken/MSI_blocking_cache", Config{
+		Protocol: broken, Caches: 2, Dirs: 1, Addrs: 1, VN: bvn, NumVNs: bn, Invariants: true}})
+
+	holed := protocols.MustLoad("MSI_blocking_cache")
+	holed.Name = "MSI_holed"
+	delete(holed.Dir.Transitions, protocol.TransKey{State: "M", Event: protocol.MsgEv("GetM")})
+	hvn, hn := PerMessageVN(holed)
+	out = append(out, expansionCase{"missing-cell/MSI_blocking_cache", Config{
+		Protocol: holed, Caches: 2, Dirs: 1, Addrs: 1, VN: hvn, NumVNs: hn}})
+	return out
+}
+
+// digester frames every field it hashes, so no two field sequences
+// share a byte stream.
+type digester struct{ h hash.Hash }
+
+func (d digester) bytes(b []byte) {
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
+	d.h.Write(n[:])
+	d.h.Write(b)
+}
+func (d digester) str(s string) { d.bytes([]byte(s)) }
+func (d digester) num(n int)    { d.bytes([]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)}) }
+func (d digester) err(e error) {
+	if e == nil {
+		d.str("ok")
+		return
+	}
+	d.str("error: " + e.Error())
+}
+
+// bfsStates returns the first n states sys stores in breadth-first
+// order, deduplicating on the canonical form as the model checker does
+// (so the states themselves are raw successors, not canonical forms). A
+// state whose expansion fails is kept and contributes no successors.
+func bfsStates(sys *System, n int) [][]byte {
+	seen := map[string]bool{}
+	var queue [][]byte
+	store := func(states [][]byte) {
+		for _, st := range states {
+			if k := string(sys.Canonicalize(st)); !seen[k] {
+				seen[k] = true
+				queue = append(queue, st)
+			}
+		}
+	}
+	store(sys.Initial())
+	for i := 0; i < len(queue) && len(queue) < n; i++ {
+		succs, _ := sys.Successors(queue[i])
+		store(succs)
+	}
+	return queue[:min(n, len(queue))]
+}
+
+// expansionDigest hashes everything the package's expansion surface
+// says about each of sys's first expansionStates stored states.
+func expansionDigest(sys *System) (sum string, states, succs int) {
+	d := digester{sha256.New()}
+	for _, raw := range bfsStates(sys, expansionStates) {
+		states++
+		d.bytes(raw)
+		d.bytes(sys.Canonicalize(raw))
+		if sys.Quiescent(raw) {
+			d.str("quiescent")
+		}
+
+		plain, err := sys.Successors(raw)
+		d.err(err)
+		d.num(len(plain))
+		for _, s := range plain {
+			d.bytes(s)
+			d.bytes(sys.Canonicalize(s))
+		}
+		succs += len(plain)
+		named, labels, nerr := sys.SuccessorsNamed(raw)
+		d.err(nerr)
+		d.num(len(named))
+		for i, s := range named {
+			d.bytes(s)
+			d.str(labels[i])
+		}
+
+		rules, rerr := sys.EnabledRules(raw)
+		d.err(rerr)
+		d.num(len(rules))
+		for _, r := range rules {
+			d.str(r.String())
+			next, aerr := sys.Apply(raw, r)
+			d.err(aerr)
+			d.bytes(next)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		w := sys.Walk(seed, 300)
+		d.str(w.String())
+		d.bytes(w.Final)
+	}
+	return fmt.Sprintf("%x", d.h.Sum(nil)), states, succs
+}
+
+// TestExpansionGolden: the compiled expansion path reproduces the
+// recorded interpreter on every pinned system. Run with -update to
+// re-record (only legitimate when the semantics are meant to change).
+func TestExpansionGolden(t *testing.T) {
+	path := filepath.Join("testdata", "expansion.golden")
+	var got []string
+	for _, c := range expansionCases(t) {
+		sys, err := New(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum, states, succs := expansionDigest(sys)
+		got = append(got, fmt.Sprintf("%s %s states=%d successors=%d", c.name, sum, states, succs))
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		want = append(want, sc.Text())
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden has %d systems, test has %d (re-record with -update only if the case list changed)", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("expansion digest diverged\n got  %s\n want %s", got[i], want[i])
+		}
+	}
+}

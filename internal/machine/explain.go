@@ -59,10 +59,8 @@ func (s *System) Explain(raw []byte) *Explanation {
 				continue
 			}
 			m := q[0]
-			ctrl, stateName := s.ctrlAt(st, ep, int(m.Addr))
-			ev := s.resolveEvent(st, ep, m)
-			t := lookup(ctrl, stateName, ev)
-			if t == nil || !t.Stall {
+			tab, state, _, t := s.reception(st, ep, m)
+			if t == nil || !t.stall {
 				continue
 			}
 			head := BlockedHead{
@@ -70,7 +68,7 @@ func (s *System) Explain(raw []byte) *Explanation {
 				VN:       vn,
 				Msg:      s.msgNames[m.Name],
 				Addr:     int(m.Addr),
-				State:    stateName,
+				State:    tab.states[state],
 			}
 			stalledNames[head.Msg] = true
 			for _, behind := range q[1:] {
@@ -89,25 +87,22 @@ func (s *System) Explain(raw []byte) *Explanation {
 	// Transient controllers with nothing deliverable: starved waiters.
 	for c := 0; c < s.cfg.Caches; c++ {
 		for a := 0; a < s.cfg.Addrs; a++ {
-			name := s.cacheStates[st.cache[c][a].state]
-			if s.p.Cache.States[name].Transient {
+			if id := st.cache[c][a].state; s.cache.transient[id] {
 				ex.PendingTransients = append(ex.PendingTransients,
-					fmt.Sprintf("cache %d a%d in %s", c, a, name))
+					fmt.Sprintf("cache %d a%d in %s", c, a, s.cache.states[id]))
 			}
 		}
 	}
 	for a := range st.l2 {
-		name := s.l2States[st.l2[a].state]
-		if s.p.L2.States[name].Transient {
+		if id := st.l2[a].state; s.l2.transient[id] {
 			ex.PendingTransients = append(ex.PendingTransients,
-				fmt.Sprintf("l2(a%d) in %s", a, name))
+				fmt.Sprintf("l2(a%d) in %s", a, s.l2.states[id]))
 		}
 	}
 	for a := 0; a < s.cfg.Addrs; a++ {
-		name := s.dirStates[st.dir[a].state]
-		if s.p.Dir.States[name].Transient {
+		if id := st.dir[a].state; s.dir.transient[id] {
 			ex.PendingTransients = append(ex.PendingTransients,
-				fmt.Sprintf("directory(a%d) in %s", a, name))
+				fmt.Sprintf("directory(a%d) in %s", a, s.dir.states[id]))
 		}
 	}
 
@@ -173,14 +168,14 @@ func (s *System) SequenceChart(trace [][]byte, maxRows int) string {
 			case s.isCache(ep):
 				var parts []string
 				for a := 0; a < s.cfg.Addrs; a++ {
-					parts = append(parts, s.cacheStates[st.cache[ep][a].state])
+					parts = append(parts, s.cache.states[st.cache[ep][a].state])
 				}
 				cell = strings.Join(parts, "/")
 			case s.isL2(ep):
 				var parts []string
 				for a := 0; a < s.cfg.Addrs; a++ {
 					if s.innerHome(a) == ep {
-						parts = append(parts, s.l2States[st.l2[a].state])
+						parts = append(parts, s.l2.states[st.l2[a].state])
 					}
 				}
 				cell = strings.Join(parts, "/")
@@ -188,7 +183,7 @@ func (s *System) SequenceChart(trace [][]byte, maxRows int) string {
 				var parts []string
 				for a := 0; a < s.cfg.Addrs; a++ {
 					if s.home(a) == ep {
-						parts = append(parts, s.dirStates[st.dir[a].state])
+						parts = append(parts, s.dir.states[st.dir[a].state])
 					}
 				}
 				cell = strings.Join(parts, "/")

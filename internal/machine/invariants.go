@@ -53,8 +53,9 @@ func (v *InvariantViolation) Error() string {
 	return fmt.Sprintf("invariant %s violated: %s", v.Name, v.Detail)
 }
 
-// permissionOf returns the access a cache entry grants, using the
-// configured override table first.
+// permissionOf returns the access a stable cache state grants, using
+// the configured override table first. New resolves it once per state
+// id into cachePerm, where transient states grant nothing.
 func (s *System) permissionOf(stateName string) Permission {
 	if s.cfg.Permissions != nil {
 		if p, ok := s.cfg.Permissions[stateName]; ok {
@@ -75,23 +76,22 @@ func (s *System) checkInvariants(st *state) error {
 	}
 	for a := 0; a < s.cfg.Addrs; a++ {
 		writers, readers := 0, 0
-		var holders []string
 		for c := 0; c < s.cfg.Caches; c++ {
-			name := s.cacheStates[st.cache[c][a].state]
-			if s.p.Cache.States[name].Transient {
-				continue
-			}
-			switch s.permissionOf(name) {
+			switch s.cachePerm[st.cache[c][a].state] {
 			case PermWrite:
 				writers++
-				holders = append(holders, fmt.Sprintf("c%d=%s", c, name))
 			case PermRead:
 				readers++
-				holders = append(holders, fmt.Sprintf("c%d=%s", c, name))
 			}
 		}
 		// SWMR: a writer excludes every other reader or writer.
 		if writers > 1 || (writers == 1 && readers > 0) {
+			var holders []string
+			for c := 0; c < s.cfg.Caches; c++ {
+				if id := st.cache[c][a].state; s.cachePerm[id] != PermNone {
+					holders = append(holders, fmt.Sprintf("c%d=%s", c, s.cache.states[id]))
+				}
+			}
 			return &InvariantViolation{
 				Name: "SWMR",
 				Detail: fmt.Sprintf("a%d held by %s (%d writers, %d readers)",

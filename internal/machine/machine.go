@@ -5,11 +5,22 @@
 // assignment. It exposes the guarded-rule transition system the model
 // checker explores (paper §VII-A) and a deterministic scenario driver
 // for replaying specific executions such as the Fig. 3 deadlock.
+//
+// New compiles the protocol once (compile.go): the source tables, maps
+// keyed by state and event names, become dense per-controller tables
+// indexed by state id and event slot, with the unqualified fallback
+// column folded in, actions resolved to message ids, and rule labels
+// interned. Expansion (rules.go) then runs over a pooled scratch state:
+// decode into it, fire one rule in place, encode, roll the rule back —
+// allocating only the successors it returns. Canonicalize (canon.go)
+// relabels straight from the encoded bytes. The reference for all of
+// it is testdata/expansion.golden, recorded from the table interpreter
+// this replaced.
 package machine
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"minvn/internal/icn"
@@ -74,24 +85,40 @@ type System struct {
 	cfg Config
 	p   *protocol.Protocol
 
+	// Messages by id (declaration order) and their attributes.
 	msgNames []string
 	msgIdx   map[string]uint8
-	msgs     []*protocol.Message
 	vnOf     []int
+	msgQual  []protocol.QualKind
+	msgOuter []bool
+	// undeclared holds the spellings of sent messages the protocol does
+	// not declare, for the violation such a send raises when it fires.
+	undeclared []string
 
-	cacheStates   []string
-	cacheStateIdx map[string]uint8
-	dirStates     []string
-	dirStateIdx   map[string]uint8
-	l2States      []string
-	l2StateIdx    map[string]uint8
+	// The compiled controller tables (l2 is nil for flat systems), the
+	// core events by slot, the slots expansion injects, and the interned
+	// rule labels by core slot / VN / message id. See compile.go.
+	cache, dir, l2 *ctrlTable
+	cachePerm      []Permission // cache state id → access granted (SWMR check)
+	coreSlots      []protocol.CoreEvent
+	coreEnum       []int
+	coreLabels     []string
+	deliverLabels  []string
+	processLabels  []string
 
 	endpoints int
 	net       icn.Config
-	perms     [][]int // cache permutations for symmetry reduction
-	// canonPool recycles the canonicalizer's scratch states and
-	// buffers across (possibly concurrent) Canonicalize calls.
-	canonPool sync.Pool
+	perms     []perm // cache permutations for symmetry reduction; nil when off
+
+	// Layout of an encoded state: the cache section starts at 0, then
+	// the l2 section (empty for flat systems), the directory section
+	// and the network, which holds `queues` FIFOs.
+	l2Off, dirOff, netOff, queues int
+
+	// expandPool and canonPool recycle the scratch of expansion and of
+	// the canonicalizer across (possibly concurrent) calls.
+	expandPool sync.Pool
+	canonPool  sync.Pool
 }
 
 // New validates cfg and builds a system.
@@ -140,17 +167,14 @@ func New(cfg Config) (*System, error) {
 	}
 
 	s := &System{
-		cfg:           cfg,
-		p:             cfg.Protocol,
-		msgIdx:        make(map[string]uint8),
-		cacheStateIdx: make(map[string]uint8),
-		dirStateIdx:   make(map[string]uint8),
-		endpoints:     endpoints,
+		cfg:       cfg,
+		p:         cfg.Protocol,
+		msgIdx:    make(map[string]uint8),
+		endpoints: endpoints,
 	}
 	for _, name := range s.p.MessageNames() {
 		s.msgIdx[name] = uint8(len(s.msgNames))
 		s.msgNames = append(s.msgNames, name)
-		s.msgs = append(s.msgs, s.p.Messages[name])
 		vn, ok := cfg.VN[name]
 		if !ok {
 			return nil, fmt.Errorf("machine: message %q has no VN assignment", name)
@@ -159,21 +183,6 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("machine: message %q assigned VN %d outside [0,%d)", name, vn, cfg.NumVNs)
 		}
 		s.vnOf = append(s.vnOf, vn)
-	}
-	for _, st := range s.p.Cache.StateNames() {
-		s.cacheStateIdx[st] = uint8(len(s.cacheStates))
-		s.cacheStates = append(s.cacheStates, st)
-	}
-	for _, st := range s.p.Dir.StateNames() {
-		s.dirStateIdx[st] = uint8(len(s.dirStates))
-		s.dirStates = append(s.dirStates, st)
-	}
-	if s.p.L2 != nil {
-		s.l2StateIdx = make(map[string]uint8)
-		for _, st := range s.p.L2.StateNames() {
-			s.l2StateIdx[st] = uint8(len(s.l2States))
-			s.l2States = append(s.l2States, st)
-		}
 	}
 
 	s.net = icn.Config{
@@ -189,10 +198,20 @@ func New(cfg Config) (*System, error) {
 	if err := s.net.Validate(); err != nil {
 		return nil, err
 	}
+	s.compile()
+
+	s.l2Off = cfg.Caches * cfg.Addrs * cacheEntryBytes
+	s.dirOff = s.l2Off
+	if cfg.L2s > 0 {
+		s.dirOff += cfg.Addrs * l2EntryBytes
+	}
+	s.netOff = s.dirOff + cfg.Addrs*dirEntryBytes
+	s.queues = (2 + s.endpoints) * cfg.NumVNs
 
 	if !cfg.NoSymmetry {
 		s.perms = permutations(cfg.Caches)
 	}
+	s.expandPool.New = func() any { return s.newScratch() }
 	s.canonPool.New = func() any { return &canonScratch{} }
 	return s, nil
 }
@@ -249,6 +268,13 @@ type l2Entry struct {
 	cacheAcks int8  // outer (cache-role) ack counter
 }
 
+// Encoded sizes of the three entry kinds (see appendEncode).
+const (
+	cacheEntryBytes = 4 // state, acks, saved, savedAcks
+	l2EntryBytes    = 5 // state, owner, sharers, acks, cacheAcks
+	dirEntryBytes   = 4 // state, owner, sharers, acks
+)
+
 // state is the decoded system state. l2 is nil for flat systems.
 type state struct {
 	cache [][]cacheEntry // [cache][addr]
@@ -263,40 +289,23 @@ func (s *System) newState() *state {
 		dir:   make([]dirEntry, s.cfg.Addrs),
 		net:   icn.NewState(s.net),
 	}
-	ci := s.cacheStateIdx[s.p.Cache.Initial]
-	di := s.dirStateIdx[s.p.Dir.Initial]
+	rows := make([]cacheEntry, s.cfg.Caches*s.cfg.Addrs)
+	for i := range rows {
+		rows[i].state = s.cache.initial
+	}
 	for c := range st.cache {
-		st.cache[c] = make([]cacheEntry, s.cfg.Addrs)
-		for a := range st.cache[c] {
-			st.cache[c][a].state = ci
-		}
+		st.cache[c] = rows[c*s.cfg.Addrs : (c+1)*s.cfg.Addrs : (c+1)*s.cfg.Addrs]
 	}
 	for a := range st.dir {
-		st.dir[a].state = di
+		st.dir[a].state = s.dir.initial
 	}
 	if s.cfg.L2s > 0 {
 		st.l2 = make([]l2Entry, s.cfg.Addrs)
-		li := s.l2StateIdx[s.p.L2.Initial]
 		for a := range st.l2 {
-			st.l2[a].state = li
+			st.l2[a].state = s.l2.initial
 		}
 	}
 	return st
-}
-
-func (st *state) clone() *state {
-	c := &state{
-		cache: make([][]cacheEntry, len(st.cache)),
-		dir:   append([]dirEntry(nil), st.dir...),
-		net:   st.net.Clone(),
-	}
-	if st.l2 != nil {
-		c.l2 = append([]l2Entry(nil), st.l2...)
-	}
-	for i := range st.cache {
-		c.cache[i] = append([]cacheEntry(nil), st.cache[i]...)
-	}
-	return c
 }
 
 func int8b(v int8) byte { return byte(uint8(v) + 128) }
@@ -305,13 +314,13 @@ func bInt8(b byte) int8 { return int8(b - 128) }
 // encode produces the deterministic byte form used for deduplication
 // and trace storage.
 func (s *System) encode(st *state) []byte {
-	size := len(st.cache)*s.cfg.Addrs*4 + s.cfg.Addrs*4 + len(st.l2)*5
-	return s.appendEncode(make([]byte, 0, size+64), st)
+	size := s.netOff + s.queues + st.net.InFlight()*icn.MessageBytes
+	return s.appendEncode(make([]byte, 0, size), st)
 }
 
 // appendEncode appends st's encoding to out, reusing out's capacity —
-// the allocation-free form the canonicalizer and the parallel engines
-// lean on when scoring many candidate encodings per successor.
+// the allocation-free form expansion leans on when it encodes one
+// candidate per enabled rule.
 func (s *System) appendEncode(out []byte, st *state) []byte {
 	for _, row := range st.cache {
 		for _, e := range row {
@@ -329,159 +338,55 @@ func (s *System) appendEncode(out []byte, st *state) []byte {
 	return st.net.Encode(out)
 }
 
-// decode is the inverse of encode. It only ever sees bytes produced by
-// encode (model-checker states feed back into Successors), so a decode
-// failure is a programming bug, not an input condition — it panics with
-// the codec error rather than returning one through every caller.
+// checkLen panics unless raw is long enough to hold every controller
+// entry and queue length. The package only ever sees bytes produced by
+// encode (model-checker states feed back into Successors), so a short
+// state is a programming bug, not an input condition — it panics with
+// the codec message rather than returning an error through every
+// caller, or faulting on an index.
+func (s *System) checkLen(raw []byte) {
+	if len(raw) < s.netOff+s.queues {
+		panic(fmt.Sprintf("machine: state truncated: %d bytes, controllers and queue lengths need %d",
+			len(raw), s.netOff+s.queues))
+	}
+}
+
+// decode is the inverse of encode, into a fresh state.
 func (s *System) decode(raw []byte) *state {
-	st := &state{
-		cache: make([][]cacheEntry, s.cfg.Caches),
-		dir:   make([]dirEntry, s.cfg.Addrs),
-	}
+	st := s.newState()
+	s.decodeInto(st, raw)
+	return st
+}
+
+// decodeInto is decode into a reusable state of this system's shape
+// (newState or a previous decodeInto); it allocates nothing once st's
+// queues have grown to their working size. Corrupt input panics, see
+// checkLen.
+func (s *System) decodeInto(st *state, raw []byte) {
+	s.checkLen(raw)
 	i := 0
-	minSize := (s.cfg.Caches + 1) * s.cfg.Addrs * 4
-	if s.cfg.L2s > 0 {
-		minSize += s.cfg.Addrs * 5
-	}
-	if len(raw) < minSize {
-		panic(fmt.Sprintf("machine: state truncated: %d bytes for %d controllers",
-			len(raw), s.cfg.Caches+1))
-	}
-	for c := 0; c < s.cfg.Caches; c++ {
-		st.cache[c] = make([]cacheEntry, s.cfg.Addrs)
-		for a := 0; a < s.cfg.Addrs; a++ {
-			st.cache[c][a] = cacheEntry{raw[i], bInt8(raw[i+1]), raw[i+2], bInt8(raw[i+3])}
-			i += 4
+	for c := range st.cache {
+		row := st.cache[c]
+		for a := range row {
+			row[a] = cacheEntry{raw[i], bInt8(raw[i+1]), raw[i+2], bInt8(raw[i+3])}
+			i += cacheEntryBytes
 		}
 	}
-	if s.cfg.L2s > 0 {
-		st.l2 = make([]l2Entry, s.cfg.Addrs)
-		for a := 0; a < s.cfg.Addrs; a++ {
-			st.l2[a] = l2Entry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3]), bInt8(raw[i+4])}
-			i += 5
-		}
+	for a := range st.l2 {
+		st.l2[a] = l2Entry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3]), bInt8(raw[i+4])}
+		i += l2EntryBytes
 	}
-	for a := 0; a < s.cfg.Addrs; a++ {
+	for a := range st.dir {
 		st.dir[a] = dirEntry{raw[i], raw[i+1], raw[i+2], bInt8(raw[i+3])}
-		i += 4
+		i += dirEntryBytes
 	}
-	net, rest, err := icn.Decode(s.net, raw[i:])
+	rest, err := icn.DecodeInto(s.net, st.net, raw[i:])
 	if err != nil {
 		panic(fmt.Sprintf("machine: corrupt network state: %v", err))
 	}
 	if len(rest) != 0 {
 		panic(fmt.Sprintf("machine: %d trailing bytes after network state", len(rest)))
 	}
-	st.net = net
-	return st
-}
-
-// permutations returns all permutations of 0..n-1.
-func permutations(n int) [][]int {
-	base := make([]int, n)
-	for i := range base {
-		base[i] = i
-	}
-	var out [][]int
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			out = append(out, append([]int(nil), base...))
-			return
-		}
-		for i := k; i < n; i++ {
-			base[k], base[i] = base[i], base[k]
-			rec(k + 1)
-			base[k], base[i] = base[i], base[k]
-		}
-	}
-	rec(0)
-	return out
-}
-
-// permuteEndpoint maps endpoint id e under cache permutation perm
-// (L2 homes and directories are fixed points).
-func permuteEndpoint(perm []int, e uint8) uint8 {
-	if int(e) < len(perm) {
-		return uint8(perm[e])
-	}
-	return e
-}
-
-// permuteMask relabels a sharer bitmask of endpoint ids under perm.
-// Bits at or beyond len(perm) (L2 homes, directories) stay in place.
-func permuteMask(perm []int, mask uint8) uint8 {
-	var out uint8
-	for b := 0; b < 8; b++ {
-		if mask&(1<<uint(b)) != 0 {
-			out |= 1 << uint(permuteEndpoint(perm, uint8(b)))
-		}
-	}
-	return out
-}
-
-// Canonicalize lives in canon.go (pooled, allocation-free scratch);
-// applyPerm below is its allocating reference implementation, kept for
-// the equivalence tests that pin the two against each other.
-
-func (s *System) applyPerm(st *state, perm []int) *state {
-	out := st.clone()
-	for c := range st.cache {
-		out.cache[perm[c]] = append([]cacheEntry(nil), st.cache[c]...)
-	}
-	for c := range out.cache {
-		for a := range out.cache[c] {
-			e := &out.cache[c][a]
-			if e.saved != 0 {
-				e.saved = permuteEndpoint(perm, e.saved-1) + 1
-			}
-		}
-	}
-	for a := range out.l2 {
-		e := &out.l2[a]
-		if e.owner != 0 {
-			e.owner = permuteEndpoint(perm, e.owner-1) + 1
-		}
-		e.sharers = permuteMask(perm, e.sharers)
-	}
-	for a := range out.dir {
-		e := &out.dir[a]
-		if e.owner != 0 {
-			e.owner = permuteEndpoint(perm, e.owner-1) + 1
-		}
-		e.sharers = permuteMask(perm, e.sharers)
-	}
-	permMsg := func(m icn.Message) icn.Message {
-		m.Src = permuteEndpoint(perm, m.Src)
-		m.Req = permuteEndpoint(perm, m.Req)
-		m.Dst = permuteEndpoint(perm, m.Dst)
-		return m
-	}
-	for vn := range out.net.Global {
-		for b := 0; b < 2; b++ {
-			q := out.net.Global[vn][b]
-			for i := range q {
-				q[i] = permMsg(q[i])
-			}
-		}
-	}
-	// Local FIFOs move with their endpoints: cache c's queues become
-	// cache perm[c]'s queues.
-	local := make([][][]icn.Message, len(out.net.Local))
-	copy(local, out.net.Local)
-	for c := 0; c < s.cfg.Caches; c++ {
-		local[perm[c]] = out.net.Local[c]
-	}
-	out.net.Local = local
-	for e := range out.net.Local {
-		for vn := range out.net.Local[e] {
-			q := out.net.Local[e][vn]
-			for i := range q {
-				q[i] = permMsg(q[i])
-			}
-		}
-	}
-	return out
 }
 
 // UniformVN assigns every message to VN 0.
@@ -525,43 +430,15 @@ func TypeVN(p *protocol.Protocol, mergeResponses bool) (map[string]int, int) {
 	return vn, len(used)
 }
 
-// sharersIn lists the endpoint ids in mask within [lo,hi) excluding
-// req, ascending.
-func sharersIn(mask uint8, req uint8, lo, hi int) []int {
-	var out []int
-	for c := lo; c < hi; c++ {
-		if mask&(1<<uint(c)) != 0 && uint8(c) != req {
-			out = append(out, c)
-		}
-	}
-	return out
+// sharersIn returns the bits of mask for endpoint ids within [lo,hi),
+// without req's.
+func sharersIn(mask uint8, req uint8, lo, hi int) uint8 {
+	within := (uint8(1)<<uint(hi) - 1) &^ (uint8(1)<<uint(lo) - 1) // hi = 8 wraps to all ones
+	return mask & within &^ (1 << req)
 }
 
+// countSharersIn counts the endpoint ids in mask within [lo,hi),
+// excluding req.
 func countSharersIn(mask uint8, req uint8, lo, hi int) int {
-	n := 0
-	for c := lo; c < hi; c++ {
-		if mask&(1<<uint(c)) != 0 && uint8(c) != req {
-			n++
-		}
-	}
-	return n
-}
-
-// sharersExcept lists the cache ids in mask excluding req, ascending.
-func sharersExcept(mask uint8, req uint8, caches int) []int {
-	return sharersIn(mask, req, 0, caches)
-}
-
-func countSharersExcept(mask uint8, req uint8, caches int) int {
-	return countSharersIn(mask, req, 0, caches)
-}
-
-// sortedKeys is a tiny helper for deterministic map iteration.
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return bits.OnesCount8(sharersIn(mask, req, lo, hi))
 }

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"strings"
+
+	"minvn/internal/icn"
 )
 
 // The System implements mc.Model over its encoded states.
@@ -18,21 +20,8 @@ func (s *System) Initial() [][]byte {
 // Murphi's deadlock semantics: a state whose only enabled rules map it
 // to itself is deadlocked.
 func (s *System) Successors(raw []byte) ([][]byte, error) {
-	st := s.decode(raw)
-	if err := s.checkInvariants(st); err != nil {
-		return nil, err
-	}
-	var out [][]byte
-	err := s.rules(st, func(_ Rule, next *state) {
-		enc := s.encode(next)
-		if string(enc) != string(raw) {
-			out = append(out, enc)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := s.successors(raw, false)
+	return out, err
 }
 
 // SuccessorsNamed implements the model checker's optional NamedModel
@@ -41,94 +30,125 @@ func (s *System) Successors(raw []byte) ([][]byte, error) {
 // that fired. Labels aggregate the rule's enumeration parameters
 // (plan, endpoint ids) into the protocol-level identity that matters
 // for the paper's per-rule fire counts: the processor event for core
-// rules, the virtual network for deliveries, and the consumed message
-// name for processing rules.
+// rules ("core/Load"), the virtual network for deliveries
+// ("deliver/vn3"), and the consumed message name for processing rules
+// ("process/GetM"). The strings are interned at New.
 func (s *System) SuccessorsNamed(raw []byte) ([][]byte, []string, error) {
-	st := s.decode(raw)
-	if err := s.checkInvariants(st); err != nil {
+	return s.successors(raw, true)
+}
+
+// successors expands raw on a pooled scratch and allocates exactly what
+// it returns: the two slices and the bytes of each successor.
+func (s *System) successors(raw []byte, named bool) ([][]byte, []string, error) {
+	sc := s.open(raw, false)
+	if err := s.checkInvariants(sc.st); err != nil {
+		return nil, nil, err
+	}
+	if err := s.enumerate(sc); err != nil {
 		return nil, nil, err
 	}
 	var out [][]byte
 	var labels []string
-	err := s.rules(st, func(r Rule, next *state) {
-		enc := s.encode(next)
-		if string(enc) != string(raw) {
-			out = append(out, enc)
-			labels = append(labels, s.ruleLabel(st, r))
+	if n := len(sc.ends); n > 0 {
+		out = make([][]byte, n)
+		lo := 0
+		for i, hi := range sc.ends {
+			out[i] = append(make([]byte, 0, hi-lo), sc.arena[lo:hi]...)
+			lo = hi
 		}
-	})
-	if err != nil {
-		return nil, nil, err
+		if named {
+			labels = append(make([]string, 0, n), sc.labels...)
+		}
 	}
+	s.close(sc)
 	return out, labels, nil
 }
 
-// ruleLabel names a rule for telemetry attribution.
-func (s *System) ruleLabel(st *state, r Rule) string {
-	switch r.Kind {
-	case RuleCore:
-		return "core/" + string(r.Core)
-	case RuleDeliver:
-		return fmt.Sprintf("deliver/vn%d", r.VN)
-	default:
-		if m, ok := st.net.Head(r.Endpoint, r.PVN); ok {
-			return "process/" + s.msgNames[m.Name]
-		}
-		return "process/?"
-	}
+// EnabledRules lists the enabled rules of a state, for the scenario
+// driver and diagnostics. It fires each rule to learn what it sends
+// (plans depend on it) but encodes nothing.
+func (s *System) EnabledRules(raw []byte) ([]Rule, error) {
+	return s.enabled(raw, false)
 }
 
-// EnabledRules lists the enabled rules of a state, for the scenario
-// driver and diagnostics.
-func (s *System) EnabledRules(raw []byte) ([]Rule, error) {
-	st := s.decode(raw)
-	var out []Rule
-	err := s.rules(st, func(r Rule, _ *state) {
-		out = append(out, r)
-	})
-	return out, err
+// enabled is EnabledRules, optionally behind the invariant check that
+// guards Successors.
+func (s *System) enabled(raw []byte, invariants bool) ([]Rule, error) {
+	sc := s.open(raw, true)
+	if invariants {
+		if err := s.checkInvariants(sc.st); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.enumerate(sc); err != nil {
+		// The rules listed before the violation are still reported.
+		return sc.takeRules(), err
+	}
+	out := sc.takeRules()
+	s.close(sc)
+	return out, nil
+}
+
+// takeRules copies the collected rules out of the scratch: one slice
+// of rules, one of plan entries that the rules' Plans are cut from.
+func (sc *scratch) takeRules() []Rule {
+	if len(sc.rules) == 0 {
+		return nil
+	}
+	out := append(make([]Rule, 0, len(sc.rules)), sc.rules...)
+	plans := make([]int, len(sc.plans))
+	for i := range out {
+		if k := len(out[i].Plan); k > 0 {
+			copy(plans[:k:k], out[i].Plan)
+			out[i].Plan, plans = plans[:k:k], plans[k:]
+		}
+	}
+	return out
 }
 
 // Apply fires one rule on an encoded state.
 func (s *System) Apply(raw []byte, r Rule) ([]byte, error) {
-	st := s.decode(raw)
-	var next *state
-	var err error
-	switch r.Kind {
-	case RuleCore:
-		next, err = s.applyCore(st, r)
-	case RuleDeliver:
-		next, err = s.applyDeliver(st, r)
-	default:
-		next, err = s.applyProcess(st, r)
-	}
-	if err != nil {
+	sc := s.open(raw, false)
+	if err := s.fire(sc, &r); err != nil {
 		return nil, err
 	}
-	return s.encode(next), nil
+	plan := r.Plan
+	if r.Kind == RuleDeliver {
+		plan = nil // a delivery sends nothing; its Plan is ignored
+	}
+	if len(plan) != len(sc.outs) {
+		return nil, violation("plan length %d for %d messages", len(plan), len(sc.outs))
+	}
+	if !s.place(sc, plan) {
+		return nil, errBlocked
+	}
+	out := s.encode(sc.st)
+	s.unplace(sc, plan)
+	sc.rollback()
+	s.close(sc)
+	return out, nil
 }
 
-// Quiescent: every controller stable and the network drained.
+// Quiescent: every controller stable and the network drained. It reads
+// the controller-state bytes of the encoding directly.
 func (s *System) Quiescent(raw []byte) bool {
-	st := s.decode(raw)
-	for c := range st.cache {
-		for a := range st.cache[c] {
-			if s.p.Cache.States[s.cacheStates[st.cache[c][a].state]].Transient {
-				return false
-			}
-		}
-	}
-	for a := range st.l2 {
-		if s.p.L2.States[s.l2States[st.l2[a].state]].Transient {
+	s.checkLen(raw)
+	for i := 0; i < s.l2Off; i += cacheEntryBytes {
+		if s.cache.transient[raw[i]] {
 			return false
 		}
 	}
-	for a := range st.dir {
-		if s.p.Dir.States[s.dirStates[st.dir[a].state]].Transient {
+	for i := s.l2Off; i < s.dirOff; i += l2EntryBytes {
+		if s.l2.transient[raw[i]] {
 			return false
 		}
 	}
-	return st.net.Empty()
+	for i := s.dirOff; i < s.netOff; i += dirEntryBytes {
+		if s.dir.transient[raw[i]] {
+			return false
+		}
+	}
+	return s.InFlight(raw) == 0
 }
 
 // Describe renders a state for counterexample traces.
@@ -139,7 +159,7 @@ func (s *System) Describe(raw []byte) string {
 		fmt.Fprintf(&b, "  cache %d:", c)
 		for a := range st.cache[c] {
 			e := st.cache[c][a]
-			fmt.Fprintf(&b, "  a%d=%s", a, s.cacheStates[e.state])
+			fmt.Fprintf(&b, "  a%d=%s", a, s.cache.states[e.state])
 			if e.acks != 0 {
 				fmt.Fprintf(&b, "(acks=%d)", e.acks)
 			}
@@ -155,7 +175,7 @@ func (s *System) Describe(raw []byte) string {
 	}
 	for a := range st.l2 {
 		e := st.l2[a]
-		fmt.Fprintf(&b, "  l2(a%d) ep%d: %s", a, s.innerHome(a), s.l2States[e.state])
+		fmt.Fprintf(&b, "  l2(a%d) ep%d: %s", a, s.innerHome(a), s.l2.states[e.state])
 		if e.owner != 0 {
 			fmt.Fprintf(&b, " owner=ep%d", e.owner-1)
 		}
@@ -177,7 +197,7 @@ func (s *System) Describe(raw []byte) string {
 	}
 	for a := range st.dir {
 		e := st.dir[a]
-		fmt.Fprintf(&b, "  dir(a%d) ep%d: %s", a, s.home(a), s.dirStates[e.state])
+		fmt.Fprintf(&b, "  dir(a%d) ep%d: %s", a, s.home(a), s.dir.states[e.state])
 		if e.owner != 0 {
 			fmt.Fprintf(&b, " owner=ep%d", e.owner-1)
 		}
@@ -215,23 +235,26 @@ func (s *Seeded) Initial() [][]byte { return s.Seeds }
 // CacheState returns cache c's state name for addr in an encoded
 // state (test helper).
 func (s *System) CacheState(raw []byte, c, addr int) string {
-	st := s.decode(raw)
-	return s.cacheStates[st.cache[c][addr].state]
+	s.checkLen(raw)
+	return s.cache.states[raw[(c*s.cfg.Addrs+addr)*cacheEntryBytes]]
 }
 
 // DirState returns the home directory state name for addr.
 func (s *System) DirState(raw []byte, addr int) string {
-	st := s.decode(raw)
-	return s.dirStates[st.dir[addr].state]
+	s.checkLen(raw)
+	return s.dir.states[raw[s.dirOff+addr*dirEntryBytes]]
 }
 
 // L2State returns the L2 home state name for addr (two-level systems).
 func (s *System) L2State(raw []byte, addr int) string {
-	st := s.decode(raw)
-	return s.l2States[st.l2[addr].state]
+	s.checkLen(raw)
+	return s.l2.states[raw[s.l2Off+addr*l2EntryBytes]]
 }
 
-// InFlight counts in-flight messages in an encoded state.
+// InFlight counts in-flight messages in an encoded state: every queue
+// is one length byte plus a fixed-size record per message, so the count
+// is what the network section holds beyond its length bytes.
 func (s *System) InFlight(raw []byte) int {
-	return s.decode(raw).net.InFlight()
+	s.checkLen(raw)
+	return (len(raw) - s.netOff - s.queues) / icn.MessageBytes
 }

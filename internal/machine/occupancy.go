@@ -27,10 +27,7 @@ type OccupancyProfiler struct {
 func (s *System) NewOccupancyProfiler() *OccupancyProfiler {
 	p := &OccupancyProfiler{
 		prof:      icn.NewOccupancyProfiler(s.net),
-		ctrlBytes: (s.cfg.Caches + 1) * s.cfg.Addrs * 4,
-	}
-	if s.cfg.L2s > 0 {
-		p.ctrlBytes += s.cfg.Addrs * 5 // the l2 section (see appendEncode)
+		ctrlBytes: s.netOff,
 	}
 	byVN := make([][]string, s.cfg.NumVNs)
 	for name, vn := range s.cfg.VN {

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"minvn/internal/icn"
 	"minvn/internal/protocol"
@@ -25,8 +27,8 @@ const (
 
 // Rule identifies one deterministic transition. Plan selects, for each
 // message the firing sends (in action order), which global buffer
-// receives it; plans are enumerated by Rules so that the model checker
-// explores every insertion choice of the ICN model.
+// receives it; plans are enumerated by EnabledRules so that the model
+// checker explores every insertion choice of the ICN model.
 type Rule struct {
 	Kind RuleKind
 
@@ -67,12 +69,117 @@ func violation(format string, args ...any) error {
 	return fmt.Errorf("invariant violation: "+format, args...)
 }
 
-// firing is the controller-side effect of a transition, before network
-// insertion: next is the mutated state with the trigger consumed, outs
-// the messages to insert.
-type firing struct {
-	next *state
-	outs []icn.Message
+// scratch is the working set of one expansion call: a decoded state
+// that rules fire on in place and are rolled back from, the fired
+// rule's out-messages, and what the call collects. It is pooled per
+// System; a call that ends in an error drops its scratch instead of
+// returning it, so a pooled scratch is always fully rolled back and its
+// queues keep the capacity newScratch gave them.
+type scratch struct {
+	st   *state
+	outs []icn.Message // what the fired rule sends, in action order
+	plan []int         // the global buffer chosen for each of outs
+	undo undo
+
+	// Collected by emit: either the enabled rules (their plans back to
+	// back in plans), or the encodings of the successors that differ
+	// from raw, back to back in arena with their end offsets and rule
+	// labels. All of it is reused from call to call; the callers copy
+	// out what they return.
+	raw       []byte
+	wantRules bool
+	rules     []Rule
+	plans     []int
+	arena     []byte
+	ends      []int
+	labels    []string
+}
+
+// undo is what rollback restores after a rule fired on the scratch
+// state: the controller entries at (ep, addr) and up to two queue
+// headers (a pop reslices and an append within capacity leaves the
+// popped head intact, so restoring the header restores the queue).
+type undo struct {
+	ep, addr int // addr < 0: no controller entry touched
+	cache    cacheEntry
+	l2       l2Entry
+	dir      dirEntry
+	queue    [2]*[]icn.Message
+	header   [2][]icn.Message
+}
+
+// newScratch builds a scratch whose every queue already has its full
+// capacity, so firing rules on it never allocates.
+func (s *System) newScratch() *scratch {
+	st := s.newState()
+	vns := s.net.NumVNs
+	slab := make([]icn.Message, 2*vns*s.net.GlobalCap+s.endpoints*vns*s.net.LocalCap)
+	carve := func(n int) []icn.Message {
+		q := slab[:0:n]
+		slab = slab[n:]
+		return q
+	}
+	for vn := range st.net.Global {
+		st.net.Global[vn] = [2][]icn.Message{carve(s.net.GlobalCap), carve(s.net.GlobalCap)}
+	}
+	for e := range st.net.Local {
+		for vn := range st.net.Local[e] {
+			st.net.Local[e][vn] = carve(s.net.LocalCap)
+		}
+	}
+	return &scratch{st: st}
+}
+
+// open takes a scratch from the pool with raw decoded into it, set to
+// collect enabled rules or successor encodings.
+func (s *System) open(raw []byte, wantRules bool) *scratch {
+	sc := s.expandPool.Get().(*scratch)
+	s.decodeInto(sc.st, raw)
+	sc.raw, sc.wantRules = raw, wantRules
+	return sc
+}
+
+// close returns a fully rolled-back scratch to the pool.
+func (s *System) close(sc *scratch) {
+	sc.raw = nil
+	s.expandPool.Put(sc)
+}
+
+// touch starts an undo record covering every controller entry a
+// transition at (ep, addr) can write.
+func (sc *scratch) touch(ep, addr int) {
+	st := sc.st
+	sc.undo = undo{ep: ep, addr: addr, dir: st.dir[addr]}
+	if st.l2 != nil {
+		sc.undo.l2 = st.l2[addr]
+	}
+	if ep < len(st.cache) {
+		sc.undo.cache = st.cache[ep][addr]
+	}
+}
+
+// keep records a queue header for rollback.
+func (sc *scratch) keep(i int, q *[]icn.Message) {
+	sc.undo.queue[i], sc.undo.header[i] = q, *q
+}
+
+// rollback undoes the last fired rule.
+func (sc *scratch) rollback() {
+	u, st := &sc.undo, sc.st
+	if u.addr >= 0 {
+		st.dir[u.addr] = u.dir
+		if st.l2 != nil {
+			st.l2[u.addr] = u.l2
+		}
+		if u.ep < len(st.cache) {
+			st.cache[u.ep][u.addr] = u.cache
+		}
+	}
+	for i, q := range u.queue {
+		if q != nil {
+			*q = u.header[i]
+		}
+	}
 }
 
 // book is the directory-role bookkeeping an endpoint consults while
@@ -102,17 +209,17 @@ func (s *System) book(st *state, ep, addr int) book {
 	return book{&e.owner, &e.sharers, &e.acks, lo, hi}
 }
 
-// ackCounter returns the ack counter a message at the given level
-// updates at endpoint ep: the cache entry's counter at a cache, the
-// directory entry's at a directory, and — at an L2 home — the inner
-// (directory-role) counter for inner traffic or the cache-role counter
-// for its own outer transactions.
-func (s *System) ackCounter(st *state, ep int, level protocol.MsgLevel, addr int) *int8 {
+// ackCounter returns the ack counter a message updates at endpoint ep:
+// the cache entry's counter at a cache, the directory entry's at a
+// directory, and — at an L2 home — the inner (directory-role) counter
+// for inner traffic or the cache-role counter for its own outer
+// transactions.
+func (s *System) ackCounter(st *state, ep int, outer bool, addr int) *int8 {
 	switch {
 	case s.isCache(ep):
 		return &st.cache[ep][addr].acks
 	case s.isL2(ep):
-		if level == protocol.LevelOuter {
+		if outer {
 			return &st.l2[addr].cacheAcks
 		}
 		return &st.l2[addr].acks
@@ -121,184 +228,89 @@ func (s *System) ackCounter(st *state, ep int, level protocol.MsgLevel, addr int
 	}
 }
 
-// ctrlAt returns endpoint ep's controller and current state name for
-// addr.
-func (s *System) ctrlAt(st *state, ep, addr int) (*protocol.Controller, string) {
+// ctrlAt returns endpoint ep's compiled table and its state id for
+// addr, as a pointer so a transition can move it.
+func (s *System) ctrlAt(st *state, ep, addr int) (*ctrlTable, *uint8) {
 	switch {
 	case s.isCache(ep):
-		return s.p.Cache, s.cacheStates[st.cache[ep][addr].state]
+		return s.cache, &st.cache[ep][addr].state
 	case s.isL2(ep):
-		return s.p.L2, s.l2States[st.l2[addr].state]
+		return s.l2, &st.l2[addr].state
 	default:
-		return s.p.Dir, s.dirStates[st.dir[addr].state]
+		return s.dir, &st.dir[addr].state
 	}
 }
 
-// resolveEvent computes the qualified reception event for message m at
-// endpoint ep (paper §II's table columns such as "Data from Dir
-// (ack>0)" or "PutM from Owner").
-func (s *System) resolveEvent(st *state, ep int, m icn.Message) protocol.Event {
-	spec := s.msgs[m.Name]
-	name := s.msgNames[m.Name]
+// qualify resolves the qualifier of receiving m at endpoint ep (paper
+// §II's table columns such as "Data from Dir (ack>0)" or "PutM from
+// Owner") to its index in the message's QualKind.Qualifiers: 0 for
+// ack=0 / last-ack / from-owner / last-sharer and for unqualified
+// messages, 1 for the other value.
+func (s *System) qualify(st *state, ep int, m icn.Message) int {
 	addr := int(m.Addr)
-	switch spec.Qual {
+	first := true
+	switch s.msgQual[m.Name] {
 	case protocol.QualDataSource:
-		acks := *s.ackCounter(st, ep, spec.Level, addr)
-		if int(acks)+int(m.Acks) == 0 {
-			return protocol.MsgQualEv(name, protocol.QAckZero)
-		}
-		return protocol.MsgQualEv(name, protocol.QAckPositive)
+		acks := *s.ackCounter(st, ep, s.msgOuter[m.Name], addr)
+		first = int(acks)+int(m.Acks) == 0
 	case protocol.QualAckUnit:
-		acks := *s.ackCounter(st, ep, spec.Level, addr)
-		if acks == 1 {
-			return protocol.MsgQualEv(name, protocol.QLastAck)
-		}
-		return protocol.MsgQualEv(name, protocol.QNotLastAck)
+		first = *s.ackCounter(st, ep, s.msgOuter[m.Name], addr) == 1
 	case protocol.QualOwnership:
 		bk := s.book(st, ep, addr)
-		if *bk.owner != 0 && *bk.owner-1 == m.Src {
-			return protocol.MsgQualEv(name, protocol.QFromOwner)
-		}
-		return protocol.MsgQualEv(name, protocol.QFromNonOwner)
+		first = *bk.owner != 0 && *bk.owner-1 == m.Src
 	case protocol.QualLastSharer:
 		bk := s.book(st, ep, addr)
-		if countSharersIn(*bk.sharers, m.Req, bk.lo, bk.hi) == 0 {
-			return protocol.MsgQualEv(name, protocol.QLastSharer)
-		}
-		return protocol.MsgQualEv(name, protocol.QNotLastSharer)
-	default:
-		return protocol.MsgEv(name)
+		first = countSharersIn(*bk.sharers, m.Req, bk.lo, bk.hi) == 0
 	}
+	if first {
+		return 0
+	}
+	return 1
 }
 
-// lookup finds the transition for ev in the given controller state,
-// falling back to the unqualified column.
-func lookup(c *protocol.Controller, stateName string, ev protocol.Event) *protocol.Transition {
-	if t := c.Lookup(stateName, ev); t != nil {
-		return t
-	}
-	if !ev.IsCore() && ev.Qual != protocol.QNone {
-		return c.Lookup(stateName, protocol.MsgEv(ev.Msg))
-	}
-	return nil
+// reception finds the cell endpoint ep answers message m with: its
+// table, its state id for m's address, the qualifier index m resolves
+// to, and the transition (nil for an empty cell).
+func (s *System) reception(st *state, ep int, m icn.Message) (tab *ctrlTable, state uint8, qual int, t *transition) {
+	tab, at := s.ctrlAt(st, ep, int(m.Addr))
+	qual = s.qualify(st, ep, m)
+	return tab, *at, qual, tab.cell(*at, s.msgSlot(m.Name, qual))
 }
 
-// execute applies a transition at endpoint ep for addr. trigger is the
-// consumed message (nil for core events); requestor is the requestor
-// id for new messages. The trigger must already have been popped from
-// its FIFO by the caller. Returns the out-messages in action order.
-func (s *System) execute(st *state, ep, addr int, t *protocol.Transition,
-	trigger *icn.Message, requestor uint8) (firing, error) {
-
-	f := firing{next: st}
+// execute applies a transition at endpoint ep for addr, in place.
+// trigger is the consumed message (nil for core events), already popped
+// from its FIFO; requestor is the requestor id for new messages. The
+// out-messages land in sc.outs in action order.
+func (s *System) execute(sc *scratch, ep, addr int, t *transition, trigger *icn.Message, requestor uint8) error {
+	st := sc.st
+	sc.outs = sc.outs[:0]
 
 	// Automatic ack arithmetic at reception (paper §II tables'
 	// "ack--"/"ack+=" semantics).
 	if trigger != nil {
-		spec := s.msgs[trigger.Name]
-		switch spec.Qual {
+		switch s.msgQual[trigger.Name] {
 		case protocol.QualDataSource:
-			*s.ackCounter(st, ep, spec.Level, addr) += trigger.Acks
+			*s.ackCounter(st, ep, s.msgOuter[trigger.Name], addr) += trigger.Acks
 		case protocol.QualAckUnit:
-			*s.ackCounter(st, ep, spec.Level, addr)--
+			*s.ackCounter(st, ep, s.msgOuter[trigger.Name], addr)--
 		}
 	}
 
-	for _, a := range t.Actions {
-		switch a.Kind {
+	for i := range t.ops {
+		a := &t.ops[i]
+		switch protocol.ActionKind(a.kind) {
 		case protocol.ASend:
-			msgSpec, ok := s.p.Messages[a.Msg]
-			if !ok {
-				return f, violation("endpoint %d sends undeclared message %q", ep, a.Msg)
-			}
-			var dsts []int
-			bk := s.book(st, ep, addr)
-			switch a.To {
-			case protocol.ToDir:
-				// Inner traffic targets the tier's home (the L2 in a
-				// two-level system), outer traffic the directory.
-				if msgSpec.Level == protocol.LevelOuter {
-					dsts = []int{s.home(addr)}
-				} else {
-					dsts = []int{s.innerHome(addr)}
-				}
-			case protocol.ToReq:
-				dsts = []int{int(requestor)}
-			case protocol.ToOwner:
-				if *bk.owner == 0 {
-					return f, violation("directory for a%d sends %s to missing owner", addr, a.Msg)
-				}
-				dsts = []int{int(*bk.owner - 1)}
-			case protocol.ToSharers:
-				dsts = append(dsts, sharersIn(*bk.sharers, requestor, bk.lo, bk.hi)...)
-			case protocol.ToSaved:
-				ce := &st.cache[ep][addr]
-				if ce.saved == 0 {
-					return f, violation("cache %d a%d sends %s to empty saved register", ep, addr, a.Msg)
-				}
-				dsts = []int{int(ce.saved - 1)}
-			case protocol.ToSelf:
-				dsts = []int{ep}
-			default:
-				return f, violation("unknown destination %v", a.To)
-			}
-			var acks int8
-			switch {
-			case a.WithAcks:
-				acks = int8(countSharersIn(*bk.sharers, requestor, bk.lo, bk.hi))
-			case a.To == protocol.ToSaved && msgSpec.Ack == protocol.AckCarrier:
-				acks = st.cache[ep][addr].savedAcks
-			case a.Inherit && trigger != nil:
-				acks = trigger.Acks
-			}
-			req := requestor
-			if a.To == protocol.ToSaved || a.ReqSaved {
-				// The deferred response answers the recorded
-				// requestor's transaction.
-				ce := &st.cache[ep][addr]
-				if ce.saved == 0 {
-					return f, violation("cache %d a%d sends %s with empty saved register", ep, addr, a.Msg)
-				}
-				req = ce.saved - 1
-			}
-			if msgSpec.Level == protocol.LevelOuter && s.isL2(ep) {
-				// The L2 home is the requestor of its own outer
-				// transactions, even when an inner request triggered
-				// the send (the composer's launch transitions).
-				req = uint8(ep)
-			}
-			src := uint8(ep)
-			if a.To == protocol.ToSelf && trigger != nil {
-				// A self-requeue re-enqueues the message it is
-				// processing, so the replay keeps the original sender
-				// and ownership qualifiers resolve identically.
-				src = trigger.Src
-			}
-			for _, d := range dsts {
-				if d == ep && a.To != protocol.ToSelf {
-					return f, violation("endpoint %d sends %s to itself", ep, a.Msg)
-				}
-				f.outs = append(f.outs, icn.Message{
-					Name: s.msgIdx[a.Msg],
-					Addr: uint8(addr),
-					Src:  src,
-					Req:  req,
-					Dst:  uint8(d),
-					Acks: acks,
-				})
-			}
-			if a.To == protocol.ToSaved || a.ReqSaved {
-				st.cache[ep][addr].saved = 0
-				st.cache[ep][addr].savedAcks = 0
+			if err := s.send(sc, ep, addr, a, trigger, requestor); err != nil {
+				return err
 			}
 
 		case protocol.ARecordSaved:
 			if !s.isCache(ep) || trigger == nil {
-				return f, violation("RecordSaved outside cache message processing")
+				return violation("RecordSaved outside cache message processing")
 			}
 			ce := &st.cache[ep][addr]
 			if ce.saved != 0 {
-				return f, violation("cache %d a%d defers a second forward (%s) with one saved register",
+				return violation("cache %d a%d defers a second forward (%s) with one saved register",
 					ep, addr, s.msgNames[trigger.Name])
 			}
 			ce.saved = trigger.Req + 1
@@ -313,10 +325,10 @@ func (s *System) execute(st *state, ep, addr int, t *protocol.Transition,
 		case protocol.AAddOwnerToSharers:
 			bk := s.book(st, ep, addr)
 			if *bk.owner == 0 {
-				return f, violation("AddOwnerToSharers with no owner (a%d)", addr)
+				return violation("AddOwnerToSharers with no owner (a%d)", addr)
 			}
 			if int(*bk.owner-1) < bk.lo || int(*bk.owner-1) >= bk.hi {
-				return f, violation("owner %d is not a client (a%d)", *bk.owner-1, addr)
+				return violation("owner %d is not a client (a%d)", *bk.owner-1, addr)
 			}
 			*bk.sharers |= 1 << uint(*bk.owner-1)
 		case protocol.ARemoveReqFromSharers:
@@ -330,236 +342,311 @@ func (s *System) execute(st *state, ep, addr int, t *protocol.Transition,
 			// Memory contents are not modeled; deadlock behaviour is
 			// unaffected.
 		default:
-			return f, violation("unknown action kind %v", a.Kind)
+			return violation("unknown action kind %v", protocol.ActionKind(a.kind))
 		}
 	}
 
-	if t.Next != "" {
-		switch {
-		case s.isCache(ep):
-			idx, ok := s.cacheStateIdx[t.Next]
-			if !ok {
-				return f, violation("cache next state %q undeclared", t.Next)
-			}
-			st.cache[ep][addr].state = idx
-		case s.isL2(ep):
-			idx, ok := s.l2StateIdx[t.Next]
-			if !ok {
-				return f, violation("l2 next state %q undeclared", t.Next)
-			}
-			st.l2[addr].state = idx
-		default:
-			idx, ok := s.dirStateIdx[t.Next]
-			if !ok {
-				return f, violation("directory next state %q undeclared", t.Next)
-			}
-			st.dir[addr].state = idx
+	if t.next != stayState {
+		tab, at := s.ctrlAt(st, ep, addr)
+		if t.next <= badState {
+			return violation("%s next state %q undeclared", tab.kind, tab.badNext[badState-int(t.next)])
 		}
-	}
-	return f, nil
-}
-
-// planChoices returns, for each out-message, the allowed global
-// buffers.
-func (s *System) planChoices(outs []icn.Message) [][]int {
-	choices := make([][]int, len(outs))
-	for i, m := range outs {
-		choices[i] = s.net.BufferChoices(m.Src, m.Dst)
-	}
-	return choices
-}
-
-// enumeratePlans expands the cartesian product of per-message buffer
-// choices.
-func enumeratePlans(choices [][]int) [][]int {
-	plans := [][]int{nil}
-	for _, cs := range choices {
-		var next [][]int
-		for _, p := range plans {
-			for _, c := range cs {
-				np := make([]int, len(p)+1)
-				copy(np, p)
-				np[len(p)] = c
-				next = append(next, np)
-			}
-		}
-		plans = next
-	}
-	return plans
-}
-
-// insert places the out-messages per plan, or errBlocked if any chosen
-// buffer lacks room.
-func (s *System) insert(st *state, outs []icn.Message, plan []int) error {
-	if len(plan) != len(outs) {
-		return violation("plan length %d for %d messages", len(plan), len(outs))
-	}
-	for i, m := range outs {
-		vn := s.vnOf[m.Name]
-		if !st.net.CanSend(s.net, vn, plan[i]) {
-			return errBlocked
-		}
-		st.net.Send(vn, plan[i], m)
+		*at = uint8(t.next)
 	}
 	return nil
 }
 
-// applyCore fires a core event; returns errBlocked when disabled.
-func (s *System) applyCore(st *state, r Rule) (*state, error) {
-	entry := st.cache[r.Cache][r.Addr]
-	stateName := s.cacheStates[entry.state]
-	t := lookup(s.p.Cache, stateName, protocol.CoreEv(r.Core))
-	if t == nil || t.Stall {
-		return nil, errBlocked
+// send executes one compiled ASend, appending its message(s) to
+// sc.outs.
+func (s *System) send(sc *scratch, ep, addr int, a *op, trigger *icn.Message, requestor uint8) error {
+	st := sc.st
+	if !a.declared {
+		return violation("endpoint %d sends undeclared message %q", ep, s.undeclared[a.msg])
 	}
-	next := st.clone()
-	f, err := s.execute(next, r.Cache, r.Addr, t, nil, uint8(r.Cache))
-	if err != nil {
-		return nil, err
+	name, to := s.msgNames[a.msg], protocol.Dest(a.to)
+	bk := s.book(st, ep, addr)
+	// One destination, or for ToSharers every client in fanout.
+	dst, fanout := 0, uint8(0)
+	switch to {
+	case protocol.ToDir:
+		// Inner traffic targets the tier's home (the L2 in a two-level
+		// system), outer traffic the directory.
+		if a.outer {
+			dst = s.home(addr)
+		} else {
+			dst = s.innerHome(addr)
+		}
+	case protocol.ToReq:
+		dst = int(requestor)
+	case protocol.ToOwner:
+		if *bk.owner == 0 {
+			return violation("directory for a%d sends %s to missing owner", addr, name)
+		}
+		dst = int(*bk.owner - 1)
+	case protocol.ToSharers:
+		fanout = sharersIn(*bk.sharers, requestor, bk.lo, bk.hi)
+	case protocol.ToSaved:
+		ce := &st.cache[ep][addr]
+		if ce.saved == 0 {
+			return violation("cache %d a%d sends %s to empty saved register", ep, addr, name)
+		}
+		dst = int(ce.saved - 1)
+	case protocol.ToSelf:
+		dst = ep
+	default:
+		return violation("unknown destination %v", to)
 	}
-	if err := s.insert(f.next, f.outs, r.Plan); err != nil {
-		return nil, err
+	var acks int8
+	switch {
+	case a.withAcks:
+		acks = int8(countSharersIn(*bk.sharers, requestor, bk.lo, bk.hi))
+	case to == protocol.ToSaved && a.carrier:
+		acks = st.cache[ep][addr].savedAcks
+	case a.inherit && trigger != nil:
+		acks = trigger.Acks
 	}
-	return f.next, nil
+	req := requestor
+	if to == protocol.ToSaved || a.reqSaved {
+		// The deferred response answers the recorded requestor's
+		// transaction.
+		ce := &st.cache[ep][addr]
+		if ce.saved == 0 {
+			return violation("cache %d a%d sends %s with empty saved register", ep, addr, name)
+		}
+		req = ce.saved - 1
+	}
+	if a.outer && s.isL2(ep) {
+		// The L2 home is the requestor of its own outer transactions,
+		// even when an inner request triggered the send (the composer's
+		// launch transitions).
+		req = uint8(ep)
+	}
+	src := uint8(ep)
+	if to == protocol.ToSelf && trigger != nil {
+		// A self-requeue re-enqueues the message it is processing, so
+		// the replay keeps the original sender and ownership qualifiers
+		// resolve identically.
+		src = trigger.Src
+	}
+	m := icn.Message{Name: uint8(a.msg), Addr: uint8(addr), Src: src, Req: req, Acks: acks}
+	if to == protocol.ToSharers {
+		for ; fanout != 0; fanout &= fanout - 1 {
+			m.Dst = uint8(bits.TrailingZeros8(fanout))
+			if int(m.Dst) == ep {
+				return violation("endpoint %d sends %s to itself", ep, name)
+			}
+			sc.outs = append(sc.outs, m)
+		}
+	} else {
+		if dst == ep && to != protocol.ToSelf {
+			return violation("endpoint %d sends %s to itself", ep, name)
+		}
+		m.Dst = uint8(dst)
+		sc.outs = append(sc.outs, m)
+	}
+	if to == protocol.ToSaved || a.reqSaved {
+		st.cache[ep][addr].saved = 0
+		st.cache[ep][addr].savedAcks = 0
+	}
+	return nil
 }
 
-// applyDeliver moves a global-buffer head to its destination FIFO.
-func (s *System) applyDeliver(st *state, r Rule) (*state, error) {
-	if !st.net.CanDeliver(s.net, r.VN, r.Buf) {
-		return nil, errBlocked
+// fireCore runs cache c's transition for the core event in slot on
+// addr, in place on sc.st, leaving its sends in sc.outs. errBlocked
+// means the rule is disabled and nothing was touched; any other error
+// leaves sc.st partly written.
+func (s *System) fireCore(sc *scratch, c, addr, slot int) error {
+	t := s.cache.cell(sc.st.cache[c][addr].state, slot)
+	if t == nil || t.stall {
+		return errBlocked
 	}
-	next := st.clone()
-	next.net.Deliver(r.VN, r.Buf)
-	return next, nil
+	sc.touch(c, addr)
+	return s.execute(sc, c, addr, t, nil, uint8(c))
 }
 
-// applyProcess consumes the head of an endpoint's input FIFO.
-func (s *System) applyProcess(st *state, r Rule) (*state, error) {
-	m, ok := st.net.Head(r.Endpoint, r.PVN)
+// fireDeliver moves the head of global buffer buf of vn to its
+// destination's input FIFO. Same contract as fireCore.
+func (s *System) fireDeliver(sc *scratch, vn, buf int) error {
+	net := sc.st.net
+	if !net.CanDeliver(s.net, vn, buf) {
+		return errBlocked
+	}
+	sc.outs = sc.outs[:0]
+	sc.undo = undo{addr: -1}
+	sc.keep(0, &net.Global[vn][buf])
+	sc.keep(1, &net.Local[net.Global[vn][buf][0].Dst][vn])
+	net.Deliver(vn, buf)
+	return nil
+}
+
+// fireProcess has endpoint ep consume the head of its vn input FIFO,
+// and returns the consumed message's id. Same contract as fireCore.
+func (s *System) fireProcess(sc *scratch, ep, vn int) (uint8, error) {
+	st := sc.st
+	m, ok := st.net.Head(ep, vn)
 	if !ok {
-		return nil, errBlocked
+		return 0, errBlocked
 	}
 	addr := int(m.Addr)
-	ctrl, stateName := s.ctrlAt(st, r.Endpoint, addr)
-	if !s.isCache(r.Endpoint) {
+	if !s.isCache(ep) {
 		home := s.home(addr)
-		if s.isL2(r.Endpoint) {
+		if s.isL2(ep) {
 			home = s.innerHome(addr)
 		}
-		if home != r.Endpoint {
-			return nil, violation("message for a%d delivered to wrong home ep%d", addr, r.Endpoint)
+		if home != ep {
+			return 0, violation("message for a%d delivered to wrong home ep%d", addr, ep)
 		}
 	}
-	ev := s.resolveEvent(st, r.Endpoint, m)
-	t := lookup(ctrl, stateName, ev)
+	tab, state, qual, t := s.reception(st, ep, m)
 	if t == nil {
-		return nil, violation("%s ep%d in state %s has no transition for %s",
-			ctrl.Kind, r.Endpoint, stateName, ev)
+		return 0, violation("%s ep%d in state %s has no transition for %s",
+			tab.kind, ep, tab.states[state], s.eventOf(m.Name, qual))
 	}
-	if t.Stall {
-		return nil, errBlocked
+	if t.stall {
+		return 0, errBlocked
 	}
-	next := st.clone()
-	popped := next.net.PopLocal(r.Endpoint, r.PVN)
-	f, err := s.execute(next, r.Endpoint, addr, t, &popped, popped.Req)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.insert(f.next, f.outs, r.Plan); err != nil {
-		return nil, err
-	}
-	return f.next, nil
+	sc.touch(ep, addr)
+	sc.keep(0, &st.net.Local[ep][vn])
+	st.net.PopLocal(ep, vn)
+	return m.Name, s.execute(sc, ep, addr, t, &m, m.Req)
 }
 
-// emitPlans clones the executed firing once per feasible buffer plan
-// and emits the completed successor.
-func (s *System) emitPlans(f firing, mk func(plan []int) Rule, emit func(Rule, *state)) {
-	plans := enumeratePlans(s.planChoices(f.outs))
-	for i, plan := range plans {
-		cand := f.next
-		if i < len(plans)-1 {
-			cand = f.next.clone()
+// fire runs rule r's controller side (everything but the insertion of
+// its sends, which r.Plan directs). Same contract as fireCore.
+func (s *System) fire(sc *scratch, r *Rule) error {
+	switch r.Kind {
+	case RuleCore:
+		slot := s.coreSlot(r.Core)
+		if slot < 0 {
+			return errBlocked
 		}
-		if err := s.insert(cand, f.outs, plan); err != nil {
-			continue // errBlocked: this plan's buffer is full
-		}
-		emit(mk(plan), cand)
+		return s.fireCore(sc, r.Cache, r.Addr, slot)
+	case RuleDeliver:
+		return s.fireDeliver(sc, r.VN, r.Buf)
+	default:
+		_, err := s.fireProcess(sc, r.Endpoint, r.PVN)
+		return err
 	}
 }
 
-// rules enumerates every enabled rule in st, invoking emit with the
-// rule and its successor. A non-nil return aborts with an invariant
-// violation. Each transition executes once; per-plan successors are
-// clones of the executed state with the sends inserted.
-func (s *System) rules(st *state, emit func(Rule, *state)) error {
-	// Core events.
-	coreEvents := s.cfg.CoreEvents
-	if coreEvents == nil {
-		coreEvents = protocol.CoreEvents
+// place inserts sc.outs into the global buffers plan names, one per
+// message, and reports whether every buffer had room; when one does
+// not it takes the earlier ones back out.
+func (s *System) place(sc *scratch, plan []int) bool {
+	net := sc.st.net
+	for j := range sc.outs {
+		m := &sc.outs[j]
+		if !net.CanSend(s.net, s.vnOf[m.Name], plan[j]) {
+			s.unplace(sc, plan[:j])
+			return false
+		}
+		net.Send(s.vnOf[m.Name], plan[j], *m)
 	}
+	return true
+}
+
+// unplace removes the messages place appended for plan, last first.
+func (s *System) unplace(sc *scratch, plan []int) {
+	net := sc.st.net
+	for j := len(plan) - 1; j >= 0; j-- {
+		q := &net.Global[s.vnOf[sc.outs[j].Name]][plan[j]]
+		*q = (*q)[:len(*q)-1]
+	}
+}
+
+// emitPlans emits the fired rule once per feasible buffer plan: the
+// cartesian product of each out-message's allowed global buffers
+// (icn.Config.BufferChoices), counted with the first message most
+// significant. Each plan is insert → emit → take back out.
+func (s *System) emitPlans(sc *scratch, r *Rule, label string) {
+	k := len(sc.outs)
+	for len(sc.plan) < k {
+		sc.plan = append(sc.plan, 0)
+	}
+	plan := sc.plan[:k]
+	plans := 1
+	for _, m := range sc.outs {
+		plans *= len(s.net.BufferChoices(m.Src, m.Dst))
+	}
+	for i := 0; i < plans; i++ {
+		digits := i
+		for j := k - 1; j >= 0; j-- {
+			choices := s.net.BufferChoices(sc.outs[j].Src, sc.outs[j].Dst)
+			plan[j] = choices[digits%len(choices)]
+			digits /= len(choices)
+		}
+		if s.place(sc, plan) {
+			s.emit(sc, r, plan, label)
+			s.unplace(sc, plan)
+		}
+	}
+}
+
+// emit collects one enabled (rule, plan) whose effect is in sc.st: the
+// rule itself, or its successor encoding unless it is a self-loop.
+func (s *System) emit(sc *scratch, r *Rule, plan []int, label string) {
+	if sc.wantRules {
+		rr := *r
+		if len(plan) > 0 {
+			sc.plans = append(sc.plans, plan...)
+			rr.Plan = sc.plans[len(sc.plans)-len(plan):]
+		}
+		sc.rules = append(sc.rules, rr)
+		return
+	}
+	start := len(sc.arena)
+	sc.arena = s.appendEncode(sc.arena, sc.st)
+	if bytes.Equal(sc.arena[start:], sc.raw) {
+		sc.arena = sc.arena[:start]
+		return
+	}
+	sc.ends = append(sc.ends, len(sc.arena))
+	sc.labels = append(sc.labels, label)
+}
+
+// enumerate fires every enabled rule of sc.st under every feasible
+// plan, in the fixed order core events → deliveries → processing, and
+// emits each; sc.st is back to the decoded state afterwards. A non-nil
+// return is an invariant violation.
+func (s *System) enumerate(sc *scratch) error {
+	sc.rules, sc.plans = sc.rules[:0], sc.plans[:0]
+	sc.arena, sc.ends, sc.labels = sc.arena[:0], sc.ends[:0], sc.labels[:0]
+	var r Rule
 	for c := 0; c < s.cfg.Caches; c++ {
 		for a := 0; a < s.cfg.Addrs; a++ {
-			stateName := s.cacheStates[st.cache[c][a].state]
-			for _, core := range coreEvents {
-				t := lookup(s.p.Cache, stateName, protocol.CoreEv(core))
-				if t == nil || t.Stall {
-					continue
-				}
-				f, err := s.execute(st.clone(), c, a, t, nil, uint8(c))
-				if err != nil {
+			for _, slot := range s.coreEnum {
+				switch err := s.fireCore(sc, c, a, slot); err {
+				case nil:
+					r = Rule{Kind: RuleCore, Cache: c, Addr: a, Core: s.coreSlots[slot]}
+					s.emitPlans(sc, &r, s.coreLabels[slot])
+					sc.rollback()
+				case errBlocked:
+				default:
 					return err
 				}
-				core := core
-				s.emitPlans(f, func(plan []int) Rule {
-					return Rule{Kind: RuleCore, Cache: c, Addr: a, Core: core, Plan: plan}
-				}, emit)
 			}
 		}
 	}
-
-	// Deliveries.
 	for vn := 0; vn < s.net.NumVNs; vn++ {
 		for buf := 0; buf < 2; buf++ {
-			r := Rule{Kind: RuleDeliver, VN: vn, Buf: buf}
-			next, err := s.applyDeliver(st, r)
-			if err == errBlocked {
-				continue
+			if s.fireDeliver(sc, vn, buf) == nil {
+				r = Rule{Kind: RuleDeliver, VN: vn, Buf: buf}
+				s.emit(sc, &r, nil, s.deliverLabels[vn])
+				sc.rollback()
 			}
-			if err != nil {
-				return err
-			}
-			emit(r, next)
 		}
 	}
-
-	// Processing.
 	for ep := 0; ep < s.endpoints; ep++ {
 		for vn := 0; vn < s.net.NumVNs; vn++ {
-			m, ok := st.net.Head(ep, vn)
-			if !ok {
-				continue
-			}
-			addr := int(m.Addr)
-			ctrl, stateName := s.ctrlAt(st, ep, addr)
-			ev := s.resolveEvent(st, ep, m)
-			t := lookup(ctrl, stateName, ev)
-			if t == nil {
-				return violation("%s ep%d in state %s has no transition for %s",
-					ctrl.Kind, ep, stateName, ev)
-			}
-			if t.Stall {
-				continue
-			}
-			next := st.clone()
-			popped := next.net.PopLocal(ep, vn)
-			f, err := s.execute(next, ep, addr, t, &popped, popped.Req)
-			if err != nil {
+			switch msg, err := s.fireProcess(sc, ep, vn); err {
+			case nil:
+				r = Rule{Kind: RuleProcess, Endpoint: ep, PVN: vn}
+				s.emitPlans(sc, &r, s.processLabels[msg])
+				sc.rollback()
+			case errBlocked:
+			default:
 				return err
 			}
-			ep, vn := ep, vn
-			s.emitPlans(f, func(plan []int) Rule {
-				return Rule{Kind: RuleProcess, Endpoint: ep, PVN: vn, Plan: plan}
-			}, emit)
 		}
 	}
 	return nil

@@ -202,12 +202,10 @@ func (sc *Scenario) StalledHeads() []string {
 			if !ok {
 				continue
 			}
-			ctrl, stateName := sc.sys.ctrlAt(st, ep, int(m.Addr))
-			ev := sc.sys.resolveEvent(st, ep, m)
-			t := lookup(ctrl, stateName, ev)
-			if t != nil && t.Stall {
+			tab, state, _, t := sc.sys.reception(st, ep, m)
+			if t != nil && t.stall {
 				out = append(out, fmt.Sprintf("ep%d VN%d: %s a%d stalled in %s",
-					ep, vn, sc.sys.msgNames[m.Name], m.Addr, stateName))
+					ep, vn, sc.sys.msgNames[m.Name], m.Addr, tab.states[state]))
 			}
 		}
 	}

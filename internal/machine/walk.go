@@ -35,24 +35,12 @@ func (s *System) WalkFrom(start []byte, seed int64, maxSteps int) WalkResult {
 
 	cur := start
 	for res.Steps < maxSteps {
-		st := s.decode(cur)
-		if err := s.checkInvariants(st); err != nil {
-			res.Violation = err
-			break
-		}
-		type cand struct {
-			r    Rule
-			next *state
-		}
-		var cands []cand
-		err := s.rules(st, func(r Rule, next *state) {
-			cands = append(cands, cand{r, next})
-		})
+		rules, err := s.enabled(cur, true)
 		if err != nil {
 			res.Violation = err
 			break
 		}
-		if len(cands) == 0 {
+		if len(rules) == 0 {
 			if s.Quiescent(cur) {
 				res.Quiesced = true
 			} else {
@@ -60,9 +48,14 @@ func (s *System) WalkFrom(start []byte, seed int64, maxSteps int) WalkResult {
 			}
 			break
 		}
-		pick := cands[rng.Intn(len(cands))]
-		res.RuleMix[pick.r.Kind]++
-		cur = s.encode(pick.next)
+		pick := rules[rng.Intn(len(rules))]
+		next, err := s.Apply(cur, pick)
+		if err != nil {
+			res.Violation = err
+			break
+		}
+		res.RuleMix[pick.Kind]++
+		cur = next
 		res.Steps++
 	}
 	res.Final = cur
