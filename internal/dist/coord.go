@@ -359,21 +359,16 @@ func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, err
 			return res, expandErr
 		}
 
-		// A terminal (deadlock/violation/capacity) ends the run. The
+		// A terminal (deadlock or violation) ends the run. The
 		// lowest worker index wins for determinism; counts in the result
 		// are from the last settled level boundary.
 		for i := 0; i < c.n; i++ {
 			if t := expandResps[i].Terminal; t != nil {
 				levelSpan.EndArg("terminal", int64(i))
 				c.cancelAll()
-				var oc mc.Outcome
-				switch t.Kind {
-				case "violation":
+				oc := mc.Deadlock
+				if t.Kind == "violation" {
 					oc = mc.Violation
-				case "capacity":
-					oc = mc.Capacity
-				default:
-					oc = mc.Deadlock
 				}
 				res := c.finish(oc, frontier)
 				res.Message = t.Message

@@ -59,12 +59,13 @@ type expandReq struct {
 	Depth int    `json:"depth"`
 }
 
-// terminalReport describes a deadlock, violation, or capacity stop hit
-// while expanding. State is the offending raw state (the distributed
-// engine has no parent table, so like DisableTraces the trace is the
-// single terminal state).
+// terminalReport describes a deadlock or violation hit while expanding
+// (a capacity stop happens at settle, whose handler answers 507
+// instead). State is the offending raw state (the distributed engine
+// has no parent table, so like DisableTraces the trace is the single
+// terminal state).
 type terminalReport struct {
-	Kind    string `json:"kind"` // "deadlock", "violation", or "capacity"
+	Kind    string `json:"kind"` // "deadlock" or "violation"
 	Message string `json:"message"`
 	State   []byte `json:"state,omitempty"`
 }
@@ -154,12 +155,11 @@ func (w *Worker) current() *workerRun {
 // receipt MUST NOT take ctrlMu, or two workers mid-expand shipping to
 // each other would deadlock waiting for acknowledgements.
 type workerRun struct {
-	id        string
-	self, n   int
-	sys       *machine.System
-	visited   *mc.VisitedStore
-	storeMode mc.Store
-	canceled  atomic.Bool
+	id       string
+	self, n  int
+	sys      *machine.System
+	visited  *mc.VisitedStore
+	canceled atomic.Bool
 
 	ctrlMu   sync.Mutex
 	depth    int      // depth of the states in frontier
@@ -248,7 +248,7 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 	}
 	r := &workerRun{
 		id: in.RunID, self: in.Self, n: in.Workers,
-		sys: sys, visited: mc.NewVisitedStore(store, 1), storeMode: store,
+		sys: sys, visited: mc.NewVisitedStore(store, 1),
 		recvSeen:    make(map[int]map[uint64]bool),
 		recvBatches: make(map[int][]*batch),
 		rules:       make(map[string]int64),

@@ -3,8 +3,8 @@ package mc
 // State-fingerprint hashing and partition layout, extracted here so
 // every consumer of the partition agrees on it by construction:
 //
-//   - the lock-striped visited sets (shardset.go, compactset.go) pick
-//     a thread-level shard with FingerprintMix(fp) & mask;
+//   - the lock-striped visited set (shardset.go) picks a thread-level
+//     shard with FingerprintMix(fp) & mask;
 //   - the telemetry stripes (health.StripeOf) use the same mix over a
 //     fixed 64-stripe partition (pinned against this file by
 //     TestStripePartitionMatchesHealth);

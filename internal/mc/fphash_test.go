@@ -84,24 +84,22 @@ func TestStripePartitionMatchesHealth(t *testing.T) {
 	}
 }
 
-// TestShardIndexUsesSharedMix pins the thread-level shard choice of
-// both visited-set implementations to the shared mix.
+// TestShardIndexUsesSharedMix pins the visited set's thread-level
+// shard choice, in both store modes, to the shared mix.
 func TestShardIndexUsesSharedMix(t *testing.T) {
-	ss := newShardedSet(64)
-	cs := newCompactSet(64)
-	fp := uint64(0x243f6a8885a308d3)
-	for i := 0; i < 1000; i++ {
-		fp ^= fp << 13
-		fp ^= fp >> 7
-		fp ^= fp << 17
-		want := uint32(FingerprintMix(fp) & 63)
-		if got := ss.shardIdx(fp); got != want {
-			t.Fatalf("shardedSet.shardIdx(%#x) = %d, want %d", fp, got, want)
+	eachStore(t, func(t *testing.T, store Store) {
+		s := newVisitedStore(store, 64)
+		fp := uint64(0x243f6a8885a308d3)
+		for i := 0; i < 1000; i++ {
+			fp ^= fp << 13
+			fp ^= fp >> 7
+			fp ^= fp << 17
+			want := uint32(FingerprintMix(fp) & 63)
+			if got := s.shardIdx(fp); got != want {
+				t.Fatalf("shardIdx(%#x) = %d, want %d", fp, got, want)
+			}
 		}
-		if got := cs.shardIdx(fp); got != want {
-			t.Fatalf("compactSet.shardIdx(%#x) = %d, want %d", fp, got, want)
-		}
-	}
+	})
 }
 
 // TestOwnerOfPartitions checks the ownership map is a total partition:

@@ -10,34 +10,36 @@ import (
 // --- sharded visited set ---
 
 func TestShardedSetBasic(t *testing.T) {
-	s := newShardedSet(8)
-	keys := make([][]byte, 200)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("state-%03d", i))
-	}
-	for i, k := range keys {
-		fp := Fingerprint(k)
-		if _, hit, _ := s.probe(fp, k); hit {
-			t.Fatalf("key %d present before insert", i)
+	eachStore(t, func(t *testing.T, store Store) {
+		s := newVisitedStore(store, 8)
+		keys := make([][]byte, 200)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("state-%03d", i))
 		}
-		id, fresh, _, err := s.insert(fp, k, int32(i))
-		if err != nil || !fresh || id != int32(i) {
-			t.Fatalf("insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+		for i, k := range keys {
+			fp := Fingerprint(k)
+			if _, hit, _ := probe(s, fp, k); hit {
+				t.Fatalf("key %d present before insert", i)
+			}
+			id, fresh, _, err := s.Insert(fp, k, int32(i))
+			if err != nil || !fresh || id != int32(i) {
+				t.Fatalf("insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+			}
 		}
-	}
-	for i, k := range keys {
-		fp := Fingerprint(k)
-		if id, hit, _ := s.probe(fp, k); !hit || id != int32(i) {
-			t.Fatalf("probe %d: id=%d hit=%v", i, id, hit)
+		for i, k := range keys {
+			fp := Fingerprint(k)
+			if id, hit, _ := probe(s, fp, k); !hit || id != int32(i) {
+				t.Fatalf("probe %d: id=%d hit=%v", i, id, hit)
+			}
+			// Re-insert must return the original id and report a duplicate.
+			if id, fresh, _, err := s.Insert(fp, k, int32(1000+i)); err != nil || fresh || id != int32(i) {
+				t.Fatalf("re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+			}
 		}
-		// Re-insert must return the original id and report a duplicate.
-		if id, fresh, _, err := s.insert(fp, k, int32(1000+i)); err != nil || fresh || id != int32(i) {
-			t.Fatalf("re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+		if st := s.stats(); st.entries != len(keys) || st.arenaBytes == 0 {
+			t.Fatalf("stats: %+v", st)
 		}
-	}
-	if st := s.stats(); st.entries != len(keys) || st.arenaBytes == 0 {
-		t.Fatalf("stats: %+v", st)
-	}
+	})
 }
 
 // TestShardedSetCollisions forces distinct keys through one
@@ -46,52 +48,54 @@ func TestShardedSetBasic(t *testing.T) {
 // chain links entries in four chunks, and the layout pins that a key
 // never straddles a chunk boundary.
 func TestShardedSetCollisions(t *testing.T) {
-	s := newShardedSet(4)
-	const fp = uint64(0xdeadbeefcafe)
-	big := func(c byte, n int) []byte { return []byte(strings.Repeat(string(c), n)) }
-	keys := [][]byte{
-		[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte(""),
-		big('x', 3000),           // fits chunk 0's remainder
-		big('y', 3000),           // does not: starts chunk 1
-		big('z', arenaChunk+904), // longer than a chunk: gets chunk 2 to itself
-		[]byte("tail"),           // chunk 2 is full by construction: chunk 3
-		big('w', arenaChunk-4),   // exactly fills chunk 3
-	}
-	wantChunk := []uint32{0, 0, 0, 0, 0, 1, 2, 3, 3}
-	wantAt := []uint32{0, 5, 9, 14, 14, 0, 0, 0, 4}
-	for i, k := range keys {
-		if id, fresh, _, err := s.insert(fp, k, int32(i)); err != nil || !fresh || id != int32(i) {
-			t.Fatalf("colliding insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+	eachStore(t, func(t *testing.T, store Store) {
+		s := newVisitedStore(store, 4)
+		const fp = uint64(0xdeadbeefcafe)
+		big := func(c byte, n int) []byte { return []byte(strings.Repeat(string(c), n)) }
+		keys := [][]byte{
+			[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte(""),
+			big('x', 3000),           // fits chunk 0's remainder
+			big('y', 3000),           // does not: starts chunk 1
+			big('z', arenaChunk+904), // longer than a chunk: gets chunk 2 to itself
+			[]byte("tail"),           // chunk 2 is full by construction: chunk 3
+			big('w', arenaChunk-4),   // exactly fills chunk 3
 		}
-	}
-	for i, k := range keys {
-		if id, hit, _ := s.probe(fp, k); !hit || id != int32(i) {
-			t.Fatalf("colliding probe %d: id=%d hit=%v", i, id, hit)
+		wantChunk := []uint32{0, 0, 0, 0, 0, 1, 2, 3, 3}
+		wantAt := []uint32{0, 5, 9, 14, 14, 0, 0, 0, 4}
+		for i, k := range keys {
+			if id, fresh, _, err := s.Insert(fp, k, int32(i)); err != nil || !fresh || id != int32(i) {
+				t.Fatalf("colliding insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+			}
 		}
-		if id, fresh, _, err := s.insert(fp, k, 99); err != nil || fresh || id != int32(i) {
-			t.Fatalf("colliding re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+		for i, k := range keys {
+			if id, hit, _ := probe(s, fp, k); !hit || id != int32(i) {
+				t.Fatalf("colliding probe %d: id=%d hit=%v", i, id, hit)
+			}
+			if id, fresh, _, err := s.Insert(fp, k, 99); err != nil || fresh || id != int32(i) {
+				t.Fatalf("colliding re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+			}
 		}
-	}
-	if _, hit, _ := s.probe(fp, []byte("delta")); hit {
-		t.Fatal("unrelated key matched a collision chain")
-	}
-	sh := &s.shards[s.shardIdx(fp)]
-	for i, e := range sh.entries {
-		if c, at := e.off>>arenaChunkBits, e.off&(arenaChunk-1); c != wantChunk[i] || at != wantAt[i] {
-			t.Errorf("key %d (%d bytes) stored at chunk %d offset %d, want chunk %d offset %d",
-				i, len(keys[i]), c, at, wantChunk[i], wantAt[i])
+		if _, hit, _ := probe(s, fp, []byte("delta")); hit {
+			t.Fatal("unrelated key matched a collision chain")
 		}
-	}
-	if len(sh.chunks) != 4 || cap(sh.chunks[2]) != arenaChunk+904 || len(sh.chunks[3]) != arenaChunk {
-		t.Errorf("chunks: %d, oversize cap %d, last len %d", len(sh.chunks), cap(sh.chunks[2]), len(sh.chunks[3]))
-	}
-	var total int64
-	for _, k := range keys {
-		total += int64(len(k))
-	}
-	if st := s.stats(); st.arenaBytes != total {
-		t.Errorf("arenaBytes = %d, want the %d key bytes stored", st.arenaBytes, total)
-	}
+		sh := &s.shards[s.shardIdx(fp)]
+		for i, e := range sh.entries {
+			if c, at := e.off>>arenaChunkBits, e.off&(arenaChunk-1); c != wantChunk[i] || at != wantAt[i] {
+				t.Errorf("key %d (%d bytes) stored at chunk %d offset %d, want chunk %d offset %d",
+					i, len(keys[i]), c, at, wantChunk[i], wantAt[i])
+			}
+		}
+		if len(sh.chunks) != 4 || cap(sh.chunks[2]) != arenaChunk+904 || len(sh.chunks[3]) != arenaChunk {
+			t.Errorf("chunks: %d, oversize cap %d, last len %d", len(sh.chunks), cap(sh.chunks[2]), len(sh.chunks[3]))
+		}
+		var total int64
+		for _, k := range keys {
+			total += int64(len(k))
+		}
+		if st := s.stats(); st.arenaBytes != total {
+			t.Errorf("arenaBytes = %d, want the %d key bytes stored", st.arenaBytes, total)
+		}
+	})
 }
 
 func TestShardedSetShardCount(t *testing.T) {
@@ -99,8 +103,10 @@ func TestShardedSetShardCount(t *testing.T) {
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4},
 		{64, 64}, {100, 128}, {1 << 20, 1 << 16},
 	} {
-		if got := len(newShardedSet(tc.n).shards); got != tc.want {
-			t.Errorf("newShardedSet(%d): %d shards, want %d", tc.n, got, tc.want)
+		for _, store := range []Store{StoreExact, StoreCompact} {
+			if got := len(newVisitedStore(store, tc.n).shards); got != tc.want {
+				t.Errorf("newVisitedStore(%v, %d): %d shards, want %d", store, tc.n, got, tc.want)
+			}
 		}
 	}
 }

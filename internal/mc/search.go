@@ -28,7 +28,7 @@ type search struct {
 	start time.Time
 	lane  *trace.Lane
 	tr    *tracker
-	set   visitedSet
+	set   *VisitedStore
 	nodes []node
 	res   Result
 	// bounded records that some state was left unexpanded at MaxDepth.
@@ -54,7 +54,7 @@ type succ struct {
 	// dup marks a duplicate verdict already proven by a worker's
 	// read-only probe (the set only grows, so it is conclusive);
 	// conflated carries that probe's unverified-hit flag, which is
-	// time-stable (compactShard.lookup).
+	// time-stable (see the shardset.go contract).
 	dup       bool
 	conflated bool
 }
@@ -76,7 +76,7 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	s.named, _ = m.(NamedModel)
 	tc, _ := trace.TraceContextFrom(ctx)
 	s.lane = opts.Trace.Lane(tc.LanePrefix() + mainLane)
-	s.set = newVisitedSet(opts.Store, shards)
+	s.set = newVisitedStore(opts.Store, shards)
 	s.tr = newTracker(opts, s.start, s.named != nil)
 	s.tr.lane = s.lane
 	s.tr.workers = health.NewWorkerSet(workers)

@@ -6,13 +6,31 @@ import (
 	"time"
 )
 
-// The visited set is the model checker's dominant memory consumer.
-// shardedSet is the exact store every engine uses: N lock-striped
-// shards keyed by a 64-bit FNV-1a fingerprint. Each shard holds a
-// compact map[uint64]int32 into an entry table, and keeps the full
-// canonical bytes in a chunked per-shard byte arena used only to verify
-// (and chain past) the rare fingerprint collisions — correctness never
-// rests on 64-bit hashes alone.
+// The visited set is the model checker's dominant memory consumer and
+// the one decision every engine makes per successor: "have I stored this
+// state?". VisitedStore is the only implementation: N lock-striped
+// shards keyed by a 64-bit FNV-1a fingerprint, each a map[uint64]int32
+// whose value is tagged.
+//
+//   - v >= 0 is the head index of a byte-verified collision chain in the
+//     shard's entry table; the entries' canonical bytes live in a chunked
+//     per-shard arena and decide membership, so correctness never rests
+//     on the 64-bit hash.
+//   - v < 0 is ^id of a state stored by fingerprint alone (hash
+//     compaction, Murphi lineage): it has no entry record and no bytes,
+//     just the map slot, and every hit on it conflates — is taken as a
+//     duplicate on faith and surfaced to telemetry as an unverified hit.
+//
+// Which states keep their bytes is a retained-bytes budget. With no
+// budget (StoreExact) every key is kept and no value is ever negative.
+// With a finite one (StoreCompact, compactVerifiedBudget) the first
+// state stored under a fingerprint keeps its bytes while the budget
+// lasts and is stored bare after; a state whose fingerprint collides
+// with a verified chain always keeps its bytes, uncharged (collisions
+// are rare, and conflating two states already told apart would be
+// gratuitous). The budget is charged in storage order, which the
+// engines' parity contract pins identical, so compact runs produce the
+// same result on every engine.
 //
 // The arena is a list of fixed arenaChunk-byte chunks that are filled
 // front to back and never recopied (one contiguous slice would be
@@ -23,11 +41,16 @@ import (
 // bytes and pointer-free by packing the location as
 // off = chunk<<arenaChunkBits | offset-within-chunk.
 //
-// Concurrency contract: probe takes a read lock and may run from any
-// number of worker goroutines; insert takes a write lock and is only
-// ever called by the single store thread (the sequential search loop or
-// the pipelined merge). Entries are never removed, so a successful
-// probe is stable: a state seen in the set stays in the set.
+// Concurrency contract: probeBatch takes read locks and may run from
+// any number of worker goroutines. Insert and insertBatch are only ever
+// called by the single store thread (the sequential search loop, the
+// pipelined merge, or a distributed worker's settle), which is also the
+// only writer of the budget counter; because it is the sole writer it
+// decides duplicate status with unlocked reads and takes a shard's write
+// lock only to append. Nothing is ever removed or rewritten — a map
+// value changes only from one chain head to a newer one — so a hit, and
+// whether it conflates, is stable over the whole run: a worker's early
+// probe and the store thread's authoritative insert agree.
 
 // DefaultShards is the shard count the engines use when the caller
 // passes 0. Striping only has to out-provision the worker count; 64
@@ -122,49 +145,85 @@ func shardCount(n int) int {
 }
 
 type setShard struct {
-	mu      stripeLock
-	m       map[uint64]int32 // fingerprint → index of chain head in entries
+	mu stripeLock
+	// m maps a fingerprint to its tagged value: >= 0 the index of its
+	// verified chain's head in entries, < 0 the ^id of the one state
+	// stored under it without bytes (see the package comment above).
+	m       map[uint64]int32
 	entries []setEntry
-	chunks  [][]byte // canonical state bytes; see the package comment above
+	chunks  [][]byte // canonical state bytes of entries
 	fill    arenaFill
 	keyLen  int64 // canonical bytes stored, for telemetry
+	bare    int   // states stored by fingerprint alone (negative m values)
 }
 
-type shardedSet struct {
+// VisitedStore is the visited set (see the package comment above). The
+// in-process engines reach it through the search core; out-of-package
+// engines — the distributed workers (internal/dist) store their owned
+// slice of fingerprint space in one — get the single-threaded
+// insert-or-get path, Insert, so exact and compact dedup semantics are
+// shared by construction rather than re-implemented. In compact mode
+// the budget is per store, and therefore per distributed worker rather
+// than global across the fleet; see the distributed engine's docs for
+// the (tiny) omission-probability consequence.
+type VisitedStore struct {
 	shards []setShard
 	mask   uint64
+	// budget is the retained-bytes budget for first-for-fingerprint
+	// keys, -1 for none (keep every key); retained is how much of it is
+	// spent. Store thread only.
+	budget, retained int64
 }
 
-// newShardedSet builds a set with shardCount(n) shards.
-func newShardedSet(n int) *shardedSet {
+// newVisitedStore builds a store of the given mode with shardCount(n)
+// shards.
+func newVisitedStore(store Store, n int) *VisitedStore {
 	size := shardCount(n)
-	s := &shardedSet{shards: make([]setShard, size), mask: uint64(size - 1)}
+	s := &VisitedStore{shards: make([]setShard, size), mask: uint64(size - 1), budget: -1}
+	if store == StoreCompact {
+		s.budget = compactVerifiedBudget
+	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]int32)
 	}
 	return s
 }
 
+// NewVisitedStore builds a store of the given mode for an
+// out-of-package engine. shards <= 0 selects a single shard, the right
+// choice for a single-threaded owner (striping only pays off under
+// concurrent probes).
+func NewVisitedStore(store Store, shards int) *VisitedStore {
+	if shards <= 0 {
+		shards = 1
+	}
+	return newVisitedStore(store, shards)
+}
+
 // shardIdx picks the stripe: the shared mix (fphash.go) keeps the
 // index independent of the map's use of the low bits.
-func (s *shardedSet) shardIdx(fp uint64) uint32 {
+func (s *VisitedStore) shardIdx(fp uint64) uint32 {
 	return uint32(FingerprintMix(fp) & s.mask)
 }
 
-// lookup walks fp's collision chain for key. The caller must hold the
+// lookup resolves key's membership: a bare fingerprint conflates, a
+// verified chain is walked for an equal key. The caller must hold the
 // shard lock, or be the store thread (the sole writer).
-func (sh *setShard) lookup(fp uint64, key []byte) (int32, bool) {
+func (sh *setShard) lookup(fp uint64, key []byte) (id int32, hit, conflated bool) {
 	idx, ok := sh.m[fp]
+	if ok && idx < 0 {
+		return ^idx, true, true
+	}
 	for ok {
 		e := &sh.entries[idx]
 		at := e.off & (arenaChunk - 1)
 		if string(sh.chunks[e.off>>arenaChunkBits][at:at+e.n]) == string(key) {
-			return e.id, true
+			return e.id, true, false
 		}
 		idx = e.next
 		ok = idx >= 0
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // capacity reports the guard error, if any, for storing one more
@@ -185,11 +244,17 @@ func (sh *setShard) capacity(pending int, fill arenaFill, keyLen int) error {
 }
 
 // append stores key unconditionally; the caller holds the write lock
-// and has already checked freshness and capacity. New entries are
-// prepended to the fingerprint's chain (next = old head), so chain
-// iteration runs newest-first — ids stay stable regardless because an
-// equal key is never inserted twice.
-func (sh *setShard) append(fp uint64, key []byte, id int32) {
+// and has already decided freshness, retention and capacity. A bare
+// state takes the fingerprint's map slot and nothing else. A retained
+// one is prepended to the fingerprint's chain (next = old head), so
+// chain iteration runs newest-first — ids stay stable regardless
+// because an equal key is never inserted twice.
+func (sh *setShard) append(fp uint64, key []byte, id int32, retain bool) {
+	if !retain {
+		sh.m[fp] = ^id
+		sh.bare++
+		return
+	}
 	if sh.fill.add(len(key)) {
 		sh.chunks = append(sh.chunks, make([]byte, 0, max(arenaChunk, len(key))))
 	}
@@ -205,60 +270,87 @@ func (sh *setShard) append(fp uint64, key []byte, id int32) {
 	sh.m[fp] = int32(len(sh.entries) - 1)
 }
 
-// probe reports whether key (with fingerprint fp) is already stored,
-// returning its node id. Read-only; safe from any goroutine. The third
-// result (conflated) is always false: exact-store hits are verified.
-func (s *shardedSet) probe(fp uint64, key []byte) (int32, bool, bool) {
-	sh := &s.shards[s.shardIdx(fp)]
-	sh.mu.rlock(fp)
-	defer sh.mu.RUnlock()
-	id, hit := sh.lookup(fp, key)
-	return id, hit, false
+// firstFor reports whether a key that just missed lookup would be the
+// first state stored under fp, the only kind the budget applies to.
+// Without a budget the answer is never needed, so the map is not asked.
+func (s *VisitedStore) firstFor(sh *setShard, fp uint64) bool {
+	if s.budget < 0 {
+		return false
+	}
+	_, known := sh.m[fp]
+	return !known
+}
+
+// admit is the one decision on a fresh n-byte key about to be stored in
+// sh under id: whether it keeps its bytes — always, unless it is first
+// for its fingerprint and the budget cannot take it — and whether the
+// guards let it in. A retained key needs an entry and arena room
+// (pending and fill as for capacity); every key needs an id in
+// [0, maxNodeID): ids are int32 everywhere and the map value's sign bit
+// is the bare-state tag. The budget is charged only when err is nil.
+func (s *VisitedStore) admit(sh *setShard, first bool, pending int, fill arenaFill, n int, id int64) (retain bool, err error) {
+	retain = !first || s.retained+int64(n) <= s.budget
+	if retain {
+		err = sh.capacity(pending, fill, n)
+	}
+	if err == nil && (id < 0 || id >= maxNodeID) {
+		err = &CapacityError{Limit: "node ids", Max: maxNodeID}
+	}
+	if err == nil && first && retain {
+		s.retained += int64(n)
+	}
+	return retain, err
 }
 
 // probeBatch resolves all requests with one read-lock acquisition per
 // touched shard, in shard-grouped order (results land back in request
-// positions, so callers see request order).
-func (s *shardedSet) probeBatch(reqs []probeReq, sc *setScratch) {
+// positions, so callers see request order). Read-only; safe from any
+// goroutine.
+func (s *VisitedStore) probeBatch(reqs []probeReq, sc *setScratch) {
 	sc.group(len(reqs), nil, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
 	sc.runs(func(shard uint32, idx []int32) {
 		sh := &s.shards[shard]
 		sh.mu.rlock(reqs[idx[0]].fp)
 		for _, i := range idx {
 			r := &reqs[i]
-			_, r.hit = sh.lookup(r.fp, r.key)
+			_, r.hit, r.conflated = sh.lookup(r.fp, r.key)
 		}
 		sh.mu.RUnlock()
 	})
 }
 
-// insert stores key with node id unless an equal key is present,
-// returning the surviving id and whether the insert was fresh. Store
-// thread only.
-func (s *shardedSet) insert(fp uint64, key []byte, id int32) (int32, bool, bool, error) {
+// Insert stores key (with fingerprint fp) under id unless an equal key
+// is present, returning the surviving id, whether the insert was
+// fresh, and whether a duplicate verdict was unverifiable (compact
+// conflation). A *CapacityError means nothing was stored. Store thread
+// only.
+func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error) {
 	sh := &s.shards[s.shardIdx(fp)]
-	sh.mu.lock(fp)
-	defer sh.mu.Unlock()
-	if got, ok := sh.lookup(fp, key); ok {
-		return got, false, false, nil
+	if got, hit, conflated := sh.lookup(fp, key); hit {
+		return got, false, conflated, nil
 	}
-	if err := sh.capacity(0, sh.fill, len(key)); err != nil {
+	retain, err := s.admit(sh, s.firstFor(sh, fp), 0, sh.fill, len(key), int64(id))
+	if err != nil {
 		return 0, false, false, err
 	}
-	sh.append(fp, key, id)
+	sh.mu.lock(fp)
+	sh.append(fp, key, id, retain)
+	sh.mu.Unlock()
 	return id, true, false, nil
 }
 
-// insertBatch settles reqs per the visitedSet contract: a lock-free
-// pre-pass (this goroutine is the sole writer, so its unlocked reads
-// cannot race the write-locked appends it performs itself) decides
-// duplicate status, ids, and capacity in request order; the apply pass
-// then takes each touched shard's write lock once.
-func (s *shardedSet) insertBatch(reqs []insertReq, baseID int32, limit int, sc *setScratch) (int, int, error) {
+// insertBatch settles reqs in order with ids baseID, baseID+1, …
+// assigned to fresh entries, taking each touched shard's write lock at
+// most once. limit >= 0 stops processing after that many fresh inserts
+// (the limiting request is still processed); processed reports how many
+// leading requests were settled. A *CapacityError stops before the
+// offending request, which is then reqs[processed]; everything before
+// it is fully applied. Store thread only: the pre-pass decides duplicate
+// status, retention, ids and capacity in request order with unlocked
+// reads, and the apply pass then appends under the locks.
+func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int, sc *setScratch) (processed, fresh int, err error) {
 	sc.pend, sc.pendShard = sc.pend[:0], sc.pendShard[:0]
-	processed := len(reqs)
-	fresh := 0
-	var err error
+	processed = len(reqs)
 pre:
 	for i := range reqs {
 		r := &reqs[i]
@@ -268,36 +360,38 @@ pre:
 		r.fresh, r.id, r.conflated, r.retain = false, 0, false, false
 		shard := s.shardIdx(r.fp)
 		sh := &s.shards[shard]
-		if got, ok := sh.lookup(r.fp, r.key); ok {
-			r.id = got
+		if got, hit, conflated := sh.lookup(r.fp, r.key); hit {
+			r.id, r.conflated = got, conflated
 			continue
 		}
-		// Duplicate of an earlier fresh insert in this same batch?
-		dup := false
-		for _, j := range sc.pend {
-			p := &reqs[j]
-			if p.fp == r.fp && string(p.key) == string(r.key) {
-				r.id = p.id
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		// Capacity guards must count this batch's still-pending inserts
-		// into the same shard, or a batch could overshoot the caps.
+		// Replay this batch's pending inserts into the shard against the
+		// semantics lookup applies to stored entries, so a batch settles
+		// exactly like a one-at-a-time insert sequence; and count the
+		// entries and arena bytes they will take, or a batch could
+		// overshoot the caps.
+		first := s.firstFor(sh, r.fp)
 		pending, fill := 0, sh.fill
 		for k, j := range sc.pend {
-			if sc.pendShard[k] == shard {
+			if sc.pendShard[k] != shard {
+				continue
+			}
+			p := &reqs[j]
+			if p.retain {
 				pending++
-				fill.add(len(reqs[j].key))
+				fill.add(len(p.key))
+			}
+			if p.fp != r.fp {
+				continue
+			}
+			first = false
+			// A pending entry without bytes is necessarily the first for
+			// its fingerprint (colliders always keep theirs): conflate.
+			if !p.retain || string(p.key) == string(r.key) {
+				r.id, r.conflated = p.id, !p.retain
+				continue pre
 			}
 		}
-		if err = sh.capacity(pending, fill, len(r.key)); err == nil && int64(baseID)+int64(fresh) >= maxNodeID {
-			err = &CapacityError{Limit: "node ids", Max: maxNodeID}
-		}
-		if err != nil {
+		if r.retain, err = s.admit(sh, first, pending, fill, len(r.key), int64(baseID)+int64(fresh)); err != nil {
 			processed = i
 			break pre
 		}
@@ -322,7 +416,7 @@ pre:
 			sh.mu.lock(reqs[idx[0]].fp)
 			for _, i := range idx {
 				r := &reqs[i]
-				sh.append(r.fp, r.key, r.id)
+				sh.append(r.fp, r.key, r.id, r.retain)
 			}
 			sh.mu.Unlock()
 		})
@@ -330,9 +424,9 @@ pre:
 	return processed, fresh, err
 }
 
-// stats reports the stored entry count and footprint across all
+// stats reports the stored state count and footprint across all
 // shards, for telemetry.
-func (s *shardedSet) stats() setStats {
+func (s *VisitedStore) stats() setStats {
 	var st setStats
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -341,7 +435,7 @@ func (s *shardedSet) stats() setStats {
 		for _, c := range sh.chunks {
 			chunkBytes += int64(cap(c)) + sliceHeaderSize
 		}
-		st.entries += len(sh.entries)
+		st.entries += len(sh.entries) + sh.bare
 		st.arenaBytes += sh.keyLen
 		st.setBytes += chunkBytes +
 			int64(len(sh.entries))*setEntrySize + int64(len(sh.m))*mapSlotSize
@@ -350,9 +444,15 @@ func (s *shardedSet) stats() setStats {
 	return st
 }
 
+// Stats reports the stored state count and approximate footprint.
+func (s *VisitedStore) Stats() (entries int, arenaBytes, setBytes int64) {
+	st := s.stats()
+	return st.entries, st.arenaBytes, st.setBytes
+}
+
 // lockWait sums the sampled lock-acquisition wait across all shards:
 // total nanoseconds waited and the number of sampled acquisitions.
-func (s *shardedSet) lockWait() (ns, samples int64) {
+func (s *VisitedStore) lockWait() (ns, samples int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		ns += sh.mu.waitNS.Load()

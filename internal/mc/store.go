@@ -17,10 +17,11 @@ const (
 	// duplicate. Results are exact: the engines' parity contract pins
 	// them bit-identical across the engines.
 	StoreExact Store = iota
-	// StoreCompact keeps only 64-bit fingerprints plus a small
-	// verified-bytes cache used to detect (and chain past) fingerprint
-	// collisions while the cache budget lasts. Past the budget the set
-	// degrades to classic Murphi-style hash compaction: a fingerprint
+	// StoreCompact keeps canonical bytes only while a small retained-bytes
+	// budget lasts, enough to detect (and chain past) fingerprint
+	// collisions among the earliest states. Past the budget a state is
+	// stored as its 64-bit fingerprint alone and the set degrades to
+	// classic Murphi-style hash compaction: a fingerprint
 	// hit that cannot be byte-verified is assumed to be a duplicate, so
 	// with probability ~n²/2⁶⁵ a distinct state (and its subtree) is
 	// omitted from the search. Deadlocks and violations found are still
@@ -76,23 +77,18 @@ var (
 	// maxShardChunks caps one shard's canonical-bytes arena (4 GiB of
 	// full chunks): the chunk index is the upper bits of a uint32 offset.
 	maxShardChunks = int64(1) << (32 - arenaChunkBits)
-	// compactVerifiedBudget is the compact store's global verified-bytes
-	// budget: canonical bytes are retained for collision verification
-	// until this many bytes are cached, then new states keep only their
-	// fingerprint. The budget is consumed in storage order, which is
-	// identical across engines, so compact runs stay engine-independent.
+	// compactVerifiedBudget is the compact store's retained-bytes budget
+	// (read when a store is built): canonical bytes are retained for
+	// collision verification until this many bytes are kept, then new
+	// states keep only their fingerprint. The budget is consumed in
+	// storage order, which is identical across engines, so compact runs
+	// stay engine-independent.
 	// 64 KiB keeps the earliest (hottest, most re-probed) states
 	// byte-verified while the asymptotic footprint stays fingerprint-
 	// sized — the point of hash compaction; a large budget would quietly
 	// turn the compact store back into the exact one.
 	compactVerifiedBudget = int64(64 << 10)
 )
-
-// compactBudgetExhausted reports whether adding n bytes would exceed
-// the verified-bytes budget.
-func compactBudgetExhausted(retained int64, n int) bool {
-	return retained+int64(n) > compactVerifiedBudget
-}
 
 // probeReq is one membership test in a batched read-only probe.
 type probeReq struct {
@@ -118,9 +114,8 @@ type insertReq struct {
 	fresh     bool
 	id        int32
 	conflated bool
-	// retain is compact-store internal: whether this fresh entry's
-	// bytes fit the verified-bytes budget (decided in the pre-pass,
-	// applied under the shard lock).
+	// retain is store-internal: whether this fresh entry keeps its
+	// bytes (decided in the pre-pass, applied under the shard lock).
 	retain bool
 }
 
@@ -145,47 +140,6 @@ type setStats struct {
 	setBytes int64
 }
 
-// visitedSet is the deduplication store every engine goes through —
-// the in-process engines via the shared store thread (search.go), the
-// distributed workers via VisitedStore — so exact and compact
-// semantics, capacity guards, and footprint telemetry are identical
-// across engines by construction.
-//
-// Concurrency contract: probe/probeBatch take read locks and may run
-// from any goroutine. insert/insertBatch are store-thread-only (the
-// merge loop, or the single search goroutine); because that thread is
-// the only writer, insertBatch may pre-compute duplicate status with
-// unlocked reads and then take each shard's write lock once per batch.
-type visitedSet interface {
-	// probe reports whether key (with fingerprint fp) is stored,
-	// returning its id and whether the hit was unverifiable (compact).
-	probe(fp uint64, key []byte) (id int32, hit, conflated bool)
-	// probeBatch resolves every request, taking each touched shard's
-	// read lock at most once. Request order is preserved.
-	probeBatch(reqs []probeReq, sc *setScratch)
-	// insert stores key under id unless present, returning the
-	// surviving id. A *CapacityError means nothing was stored.
-	insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error)
-	// insertBatch settles reqs in order with ids baseID, baseID+1, …
-	// assigned to fresh entries, taking each touched shard's write
-	// lock at most once. limit >= 0 stops processing after that many
-	// fresh inserts (the limiting request is still processed);
-	// processed reports how many leading requests were settled. A
-	// *CapacityError stops before the offending request, which is then
-	// reqs[processed]; everything before it is fully applied.
-	insertBatch(reqs []insertReq, baseID int32, limit int, sc *setScratch) (processed, fresh int, err error)
-	stats() setStats
-	lockWait() (ns, samples int64)
-}
-
-// newVisitedSet builds the store implementation for the mode.
-func newVisitedSet(store Store, shards int) visitedSet {
-	if store == StoreCompact {
-		return newCompactSet(shards)
-	}
-	return newShardedSet(shards)
-}
-
 // setScratch holds the reusable buffers behind batched probes and
 // inserts: the shard-grouping sort and the intra-batch pending-insert
 // bookkeeping. One scratch per goroutine; the zero value is ready.
@@ -193,9 +147,8 @@ type setScratch struct {
 	idx    []int32  // request indices, sorted by (shard, index)
 	shards []uint32 // parallel to idx
 	// pending insert bookkeeping (store thread only):
-	pend       []int32 // request indices of this batch's fresh inserts
-	pendShard  []uint32
-	pendRetain []bool // compact store: whether the pending entry kept bytes
+	pend      []int32 // request indices of this batch's fresh inserts
+	pendShard []uint32
 }
 
 func (s *setScratch) Len() int { return len(s.idx) }

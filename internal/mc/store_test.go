@@ -42,100 +42,126 @@ func withCap(t *testing.T, v *int64, n int64) {
 	t.Cleanup(func() { *v = old })
 }
 
+// eachStore runs f once per store mode, as subtests "exact" and
+// "compact". One implementation serves both modes, so a store-level
+// assertion is written once and holds on both: at the default budget
+// the small key sets below are all retained and compact must behave
+// exactly like exact.
+func eachStore(t *testing.T, f func(t *testing.T, store Store)) {
+	for _, store := range []Store{StoreExact, StoreCompact} {
+		t.Run(store.String(), func(t *testing.T) { f(t, store) })
+	}
+}
+
+// probe is the single-key form of one probeBatch request, for tests
+// that also want the id a hit resolves to.
+func probe(s *VisitedStore, fp uint64, key []byte) (id int32, hit, conflated bool) {
+	sh := &s.shards[s.shardIdx(fp)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.lookup(fp, key)
+}
+
 func TestShardedSetEntryCapacityGuard(t *testing.T) {
-	withCap(t, &maxShardEntries, 3)
-	s := newShardedSet(1)
-	for i := 0; i < 3; i++ {
-		k := []byte(fmt.Sprintf("key-%d", i))
-		if _, fresh, _, err := s.insert(Fingerprint(k), k, int32(i)); err != nil || !fresh {
-			t.Fatalf("insert %d: fresh=%v err=%v", i, fresh, err)
+	eachStore(t, func(t *testing.T, store Store) {
+		withCap(t, &maxShardEntries, 3)
+		s := newVisitedStore(store, 1)
+		for i := 0; i < 3; i++ {
+			k := []byte(fmt.Sprintf("key-%d", i))
+			if _, fresh, _, err := s.Insert(Fingerprint(k), k, int32(i)); err != nil || !fresh {
+				t.Fatalf("insert %d: fresh=%v err=%v", i, fresh, err)
+			}
 		}
-	}
-	k := []byte("key-overflow")
-	_, _, _, err := s.insert(Fingerprint(k), k, 3)
-	var ce *CapacityError
-	if !errors.As(err, &ce) || ce.Limit != "shard entries" || ce.Max != 3 {
-		t.Fatalf("overflow insert: err=%v", err)
-	}
-	// The failed insert must not have stored anything.
-	if st := s.stats(); st.entries != 3 {
-		t.Fatalf("entries after failed insert: %d", st.entries)
-	}
-	// Duplicates of stored keys still resolve (no capacity consumed).
-	k0 := []byte("key-0")
-	if id, fresh, _, err := s.insert(Fingerprint(k0), k0, 9); err != nil || fresh || id != 0 {
-		t.Fatalf("dup insert at capacity: id=%d fresh=%v err=%v", id, fresh, err)
-	}
+		k := []byte("key-overflow")
+		_, _, _, err := s.Insert(Fingerprint(k), k, 3)
+		var ce *CapacityError
+		if !errors.As(err, &ce) || ce.Limit != "shard entries" || ce.Max != 3 {
+			t.Fatalf("overflow insert: err=%v", err)
+		}
+		// The failed insert must not have stored anything.
+		if st := s.stats(); st.entries != 3 {
+			t.Fatalf("entries after failed insert: %d", st.entries)
+		}
+		// Duplicates of stored keys still resolve (no capacity consumed).
+		k0 := []byte("key-0")
+		if id, fresh, _, err := s.Insert(Fingerprint(k0), k0, 9); err != nil || fresh || id != 0 {
+			t.Fatalf("dup insert at capacity: id=%d fresh=%v err=%v", id, fresh, err)
+		}
+	})
 }
 
 // The arena guard counts chunks: the chunk index is what the packed
 // uint32 offset can run out of.
 func TestShardedSetArenaCapacityGuard(t *testing.T) {
-	withCap(t, &maxShardChunks, 2)
-	s := newShardedSet(1)
-	a, b := make([]byte, arenaChunk-8), make([]byte, arenaChunk-8)
-	a[0], b[0] = 'a', 'b'
-	if _, _, _, err := s.insert(Fingerprint(a), a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s.insert(Fingerprint(b), b, 1); err != nil {
-		t.Fatal(err)
-	}
-	c := []byte("ccccccccc") // 9 bytes: neither chunk's 8-byte remainder holds it
-	_, _, _, err := s.insert(Fingerprint(c), c, 2)
-	var ce *CapacityError
-	if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || ce.Max != 2 {
-		t.Fatalf("arena overflow: err=%v", err)
-	}
-	d := []byte("dddddddd") // 8 bytes still fit the last chunk
-	if _, fresh, _, err := s.insert(Fingerprint(d), d, 2); err != nil || !fresh {
-		t.Fatalf("fitting insert after overflow: fresh=%v err=%v", fresh, err)
-	}
-	// The batched pre-pass must count its own pending inserts: the second
-	// half-chunk-plus-one key needs a third chunk only because the first
-	// is pending in the same shard.
-	s = newShardedSet(1)
-	reqs := make([]insertReq, 3)
-	for i := range reqs {
-		k := make([]byte, arenaChunk/2+1)
-		k[0] = byte('p' + i)
-		reqs[i] = insertReq{fp: Fingerprint(k), key: k}
-	}
-	var sc setScratch
-	withCap(t, &maxShardChunks, 1)
-	processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
-	if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || processed != 1 || fresh != 1 {
-		t.Fatalf("batch arena overflow: processed=%d fresh=%d err=%v", processed, fresh, err)
-	}
+	eachStore(t, func(t *testing.T, store Store) {
+		withCap(t, &maxShardChunks, 2)
+		s := newVisitedStore(store, 1)
+		a, b := make([]byte, arenaChunk-8), make([]byte, arenaChunk-8)
+		a[0], b[0] = 'a', 'b'
+		if _, _, _, err := s.Insert(Fingerprint(a), a, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.Insert(Fingerprint(b), b, 1); err != nil {
+			t.Fatal(err)
+		}
+		c := []byte("ccccccccc") // 9 bytes: neither chunk's 8-byte remainder holds it
+		_, _, _, err := s.Insert(Fingerprint(c), c, 2)
+		var ce *CapacityError
+		if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || ce.Max != 2 {
+			t.Fatalf("arena overflow: err=%v", err)
+		}
+		d := []byte("dddddddd") // 8 bytes still fit the last chunk
+		if _, fresh, _, err := s.Insert(Fingerprint(d), d, 2); err != nil || !fresh {
+			t.Fatalf("fitting insert after overflow: fresh=%v err=%v", fresh, err)
+		}
+		// The batched pre-pass must count its own pending inserts: the second
+		// half-chunk-plus-one key needs a third chunk only because the first
+		// is pending in the same shard.
+		s = newVisitedStore(store, 1)
+		reqs := make([]insertReq, 3)
+		for i := range reqs {
+			k := make([]byte, arenaChunk/2+1)
+			k[0] = byte('p' + i)
+			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
+		}
+		var sc setScratch
+		withCap(t, &maxShardChunks, 1)
+		processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
+		if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || processed != 1 || fresh != 1 {
+			t.Fatalf("batch arena overflow: processed=%d fresh=%d err=%v", processed, fresh, err)
+		}
+	})
 }
 
 func TestInsertBatchCapacityGuard(t *testing.T) {
-	withCap(t, &maxShardEntries, 4)
-	s := newShardedSet(1)
-	var sc setScratch
-	reqs := make([]insertReq, 7)
-	for i := range reqs {
-		k := []byte(fmt.Sprintf("bk-%d", i))
-		reqs[i] = insertReq{fp: Fingerprint(k), key: k}
-	}
-	processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
-	var ce *CapacityError
-	if !errors.As(err, &ce) || ce.Limit != "shard entries" {
-		t.Fatalf("batch overflow: err=%v", err)
-	}
-	if processed != 4 || fresh != 4 {
-		t.Fatalf("processed=%d fresh=%d, want 4/4", processed, fresh)
-	}
-	// The prefix before the overflowing request must be fully applied.
-	for i := 0; i < 4; i++ {
-		k := []byte(fmt.Sprintf("bk-%d", i))
-		if id, hit, _ := s.probe(Fingerprint(k), k); !hit || id != int32(i) {
-			t.Fatalf("prefix key %d: id=%d hit=%v", i, id, hit)
+	eachStore(t, func(t *testing.T, store Store) {
+		withCap(t, &maxShardEntries, 4)
+		s := newVisitedStore(store, 1)
+		var sc setScratch
+		reqs := make([]insertReq, 7)
+		for i := range reqs {
+			k := []byte(fmt.Sprintf("bk-%d", i))
+			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 		}
-	}
-	if k := []byte("bk-4"); func() bool { _, hit, _ := s.probe(Fingerprint(k), k); return hit }() {
-		t.Fatal("overflowing key was stored")
-	}
+		processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
+		var ce *CapacityError
+		if !errors.As(err, &ce) || ce.Limit != "shard entries" {
+			t.Fatalf("batch overflow: err=%v", err)
+		}
+		if processed != 4 || fresh != 4 {
+			t.Fatalf("processed=%d fresh=%d, want 4/4", processed, fresh)
+		}
+		// The prefix before the overflowing request must be fully applied.
+		for i := 0; i < 4; i++ {
+			k := []byte(fmt.Sprintf("bk-%d", i))
+			if id, hit, _ := probe(s, Fingerprint(k), k); !hit || id != int32(i) {
+				t.Fatalf("prefix key %d: id=%d hit=%v", i, id, hit)
+			}
+		}
+		if k := []byte("bk-4"); func() bool { _, hit, _ := probe(s, Fingerprint(k), k); return hit }() {
+			t.Fatal("overflowing key was stored")
+		}
+	})
 }
 
 // TestCapacityOutcomeAllEngines pins the engine-level behavior: when a
@@ -148,19 +174,21 @@ func TestCapacityOutcomeAllEngines(t *testing.T) {
 		name   string
 		cap    *int64
 		n      int64
-		stores []Store
+		budget int64 // compact retained-bytes budget for the row
 		limit  string
 		states int // 0 = only require engine agreement
 	}{
-		{"node-ids", &maxNodeID, 10, []Store{StoreExact, StoreCompact}, "node ids", 10},
+		{"node-ids", &maxNodeID, 10, compactVerifiedBudget, "node ids", 10},
 		// One 4 KiB chunk per stripe: the first stripe to need a second
-		// chunk stops the search (the compact store has no arena).
-		{"arena-chunks", &maxShardChunks, 1, []Store{StoreExact}, "shard arena chunks", 0},
-		{"shard-entries", &maxShardEntries, 50, []Store{StoreExact}, "shard entries", 0},
+		// chunk stops the search. The compact store fills a chunk only
+		// with a budget that retains that much per stripe.
+		{"arena-chunks", &maxShardChunks, 1, 1 << 20, "shard arena chunks", 0},
+		{"shard-entries", &maxShardEntries, 50, compactVerifiedBudget, "shard entries", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withCap(t, tc.cap, tc.n)
-			for _, store := range tc.stores {
+			withCap(t, &compactVerifiedBudget, tc.budget)
+			for _, store := range []Store{StoreExact, StoreCompact} {
 				opts := Options{DisableTraces: true, Store: store}
 				seq := Check(m, opts)
 				if seq.Outcome != Capacity || (tc.states > 0 && seq.States != tc.states) {
@@ -182,6 +210,41 @@ func TestCapacityOutcomeAllEngines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInsertNodeIDGuard is the single-insert row of the node-ids limit
+// (the path behind the distributed workers, which pass int32(states)):
+// an id outside [0, maxNodeID) — a wrapped counter, or one past the
+// cap — is refused, never stored. A negative id stored bare would read
+// back as a chain index.
+func TestInsertNodeIDGuard(t *testing.T) {
+	eachStore(t, func(t *testing.T, store Store) {
+		withCap(t, &maxNodeID, 10)
+		withCap(t, &compactVerifiedBudget, 4) // "in" is retained, the rest bare
+		s := NewVisitedStore(store, 0)
+		in, dup := []byte("in"), []byte("in")
+		if id, fresh, _, err := s.Insert(Fingerprint(in), in, 9); err != nil || !fresh || id != 9 {
+			t.Fatalf("id 9 under cap 10: id=%d fresh=%v err=%v", id, fresh, err)
+		}
+		for _, id := range []int32{-1, math.MinInt32, 10, math.MaxInt32} {
+			k := []byte(fmt.Sprintf("out-%d", id))
+			_, fresh, _, err := s.Insert(Fingerprint(k), k, id)
+			var ce *CapacityError
+			if !errors.As(err, &ce) || ce.Limit != "node ids" || ce.Max != 10 || fresh {
+				t.Fatalf("id %d: fresh=%v err=%v", id, fresh, err)
+			}
+			if _, hit, _ := probe(s, Fingerprint(k), k); hit {
+				t.Fatalf("refused id %d was stored", id)
+			}
+		}
+		if n, _, _ := s.Stats(); n != 1 {
+			t.Fatalf("entries after refused inserts: %d", n)
+		}
+		// A duplicate needs no id: it still resolves at the cap.
+		if id, fresh, _, err := s.Insert(Fingerprint(dup), dup, -1); err != nil || fresh || id != 9 {
+			t.Fatalf("dup insert with a bad id: id=%d fresh=%v err=%v", id, fresh, err)
+		}
+	})
 }
 
 func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
@@ -206,70 +269,62 @@ func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
 // a worker's early probe and the merge's authoritative insert must
 // name the same node.
 func TestCollisionChainFirstInsertedID(t *testing.T) {
-	const fp = uint64(0x42) // all keys forced through one chain
-	exact := newShardedSet(1)
-	compact := newCompactSet(1)
-	keys := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
-	for i, k := range keys {
-		if id, fresh, _, err := exact.insert(fp, k, int32(10+i)); err != nil || !fresh || id != int32(10+i) {
-			t.Fatalf("exact insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+	eachStore(t, func(t *testing.T, store Store) {
+		const fp = uint64(0x42) // all keys forced through one chain
+		s := newVisitedStore(store, 1)
+		keys := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
+		for i, k := range keys {
+			if id, fresh, _, err := s.Insert(fp, k, int32(10+i)); err != nil || !fresh || id != int32(10+i) {
+				t.Fatalf("insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+			}
 		}
-		if id, fresh, _, err := compact.insert(fp, k, int32(10+i)); err != nil || !fresh || id != int32(10+i) {
-			t.Fatalf("compact insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+		for i, k := range keys {
+			want := int32(10 + i)
+			if id, hit, conf := probe(s, fp, k); !hit || conf || id != want {
+				t.Errorf("probe %q: id=%d hit=%v conflated=%v, want %d", k, id, hit, conf, want)
+			}
+			// Re-inserting under a new id must return the first-inserted id,
+			// not the new one and not the newest chain entry's.
+			if id, fresh, _, _ := s.Insert(fp, k, 999); fresh || id != want {
+				t.Errorf("re-insert %q: id=%d fresh=%v, want %d", k, id, fresh, want)
+			}
 		}
-	}
-	for i, k := range keys {
-		want := int32(10 + i)
-		if id, hit, _ := exact.probe(fp, k); !hit || id != want {
-			t.Errorf("exact probe %q: id=%d hit=%v, want %d", k, id, hit, want)
+		// Same stability through the batched path.
+		var sc setScratch
+		reqs := []insertReq{
+			{fp: fp, key: []byte("second")}, // dup of id 11
+			{fp: fp, key: []byte("fourth")}, // fresh
+			{fp: fp, key: []byte("first")},  // dup of id 10
 		}
-		if id, hit, conf := compact.probe(fp, k); !hit || conf || id != want {
-			t.Errorf("compact probe %q: id=%d hit=%v conflated=%v, want %d", k, id, hit, conf, want)
+		processed, fresh, err := s.insertBatch(reqs, 100, -1, &sc)
+		if err != nil || processed != 3 || fresh != 1 {
+			t.Fatalf("batch: processed=%d fresh=%d err=%v", processed, fresh, err)
 		}
-		// Re-inserting under a new id must return the first-inserted id,
-		// not the new one and not the newest chain entry's.
-		if id, fresh, _, _ := exact.insert(fp, k, 999); fresh || id != want {
-			t.Errorf("exact re-insert %q: id=%d fresh=%v, want %d", k, id, fresh, want)
+		if reqs[0].fresh || reqs[0].id != 11 || reqs[2].fresh || reqs[2].id != 10 {
+			t.Fatalf("batch dup ids: %+v %+v", reqs[0], reqs[2])
 		}
-		if id, fresh, _, _ := compact.insert(fp, k, 999); fresh || id != want {
-			t.Errorf("compact re-insert %q: id=%d fresh=%v, want %d", k, id, fresh, want)
+		if !reqs[1].fresh || reqs[1].id != 100 {
+			t.Fatalf("batch fresh id: %+v", reqs[1])
 		}
-	}
-	// Same stability through the batched path.
-	var sc setScratch
-	reqs := []insertReq{
-		{fp: fp, key: []byte("second")}, // dup of id 11
-		{fp: fp, key: []byte("fourth")}, // fresh
-		{fp: fp, key: []byte("first")},  // dup of id 10
-	}
-	processed, fresh, err := exact.insertBatch(reqs, 100, -1, &sc)
-	if err != nil || processed != 3 || fresh != 1 {
-		t.Fatalf("batch: processed=%d fresh=%d err=%v", processed, fresh, err)
-	}
-	if reqs[0].fresh || reqs[0].id != 11 || reqs[2].fresh || reqs[2].id != 10 {
-		t.Fatalf("batch dup ids: %+v %+v", reqs[0], reqs[2])
-	}
-	if !reqs[1].fresh || reqs[1].id != 100 {
-		t.Fatalf("batch fresh id: %+v", reqs[1])
-	}
+	})
 }
 
 // --- compact-store semantics ---
 
 func TestCompactConflationWhenBudgetExhausted(t *testing.T) {
 	withCap(t, &compactVerifiedBudget, 0)
-	s := newCompactSet(1)
+	s := newVisitedStore(StoreCompact, 1)
 	const fp = uint64(7)
 	a, b := []byte("aaa"), []byte("bbb")
-	if id, fresh, conf, err := s.insert(fp, a, 5); err != nil || !fresh || conf || id != 5 {
+	if id, fresh, conf, err := s.Insert(fp, a, 5); err != nil || !fresh || conf || id != 5 {
 		t.Fatalf("first insert: id=%d fresh=%v conf=%v err=%v", id, fresh, conf, err)
 	}
 	// With no verified bytes, a distinct key with the same fingerprint
 	// conflates: reported as a duplicate of the first id.
-	if id, fresh, conf, err := s.insert(fp, b, 6); err != nil || fresh || !conf || id != 5 {
+	if id, fresh, conf, err := s.Insert(fp, b, 6); err != nil || fresh || !conf || id != 5 {
 		t.Fatalf("conflated insert: id=%d fresh=%v conf=%v err=%v", id, fresh, conf, err)
 	}
-	if id, hit, conf := s.probe(fp, b); !hit || !conf || id != 5 {
+	if id, hit, conf := probe(s, fp, b); !hit || !conf || id != 5 {
 		t.Fatalf("conflated probe: id=%d hit=%v conf=%v", id, hit, conf)
 	}
 	if st := s.stats(); st.entries != 1 || st.arenaBytes != 0 {
@@ -278,16 +333,16 @@ func TestCompactConflationWhenBudgetExhausted(t *testing.T) {
 }
 
 func TestCompactVerifiedChainUnderBudget(t *testing.T) {
-	s := newCompactSet(1)
+	s := newVisitedStore(StoreCompact, 1)
 	const fp = uint64(7)
 	a, b := []byte("aaa"), []byte("bbb")
-	s.insert(fp, a, 5)
+	s.Insert(fp, a, 5)
 	// Within budget the first entry kept its bytes, so the collision is
 	// detected and b stored (verified) on the chain.
-	if id, fresh, conf, _ := s.insert(fp, b, 6); !fresh || conf || id != 6 {
+	if id, fresh, conf, _ := s.Insert(fp, b, 6); !fresh || conf || id != 6 {
 		t.Fatalf("collider insert: id=%d fresh=%v conf=%v", id, fresh, conf)
 	}
-	if id, hit, conf := s.probe(fp, b); !hit || conf || id != 6 {
+	if id, hit, conf := probe(s, fp, b); !hit || conf || id != 6 {
 		t.Fatalf("collider probe: id=%d hit=%v conf=%v", id, hit, conf)
 	}
 	if st := s.stats(); st.entries != 2 || st.arenaBytes != 6 {
@@ -328,61 +383,102 @@ func TestCompactConflationDeterministicAcrossEngines(t *testing.T) {
 
 // --- batched vs one-at-a-time equivalence ---
 
+// TestInsertBatchMatchesSingleInserts replays one request stream
+// through insertBatch and through Insert and requires the same verdict
+// per request and the same footprint at the end. Each 9-request batch
+// holds five distinct keys and then repeats four of them, and batches
+// revisit keys stored by earlier ones. "spread" uses real fingerprints
+// over many shards; "forced" squeezes the keys into three fingerprints,
+// so every batch holds several distinct keys per fingerprint, and runs
+// at a retained-bytes budget of nothing, a few bytes and unlimited:
+// together those reach every branch of the pre-pass's pending-entry
+// replay (conflate on a pending bare entry, byte-compare against
+// pending retained ones, a first-for-fingerprint decision that a
+// pending entry pre-empts).
 func TestInsertBatchMatchesSingleInserts(t *testing.T) {
-	for _, mode := range []Store{StoreExact, StoreCompact} {
-		t.Run(mode.String(), func(t *testing.T) {
-			batched := newVisitedSet(mode, 8)
-			single := newVisitedSet(mode, 8)
-			var sc setScratch
-			// Deterministic key stream with plenty of duplicates (small
-			// id space) hitting many shards.
-			keyOf := func(i int) []byte { return []byte(fmt.Sprintf("k-%03d", i%97)) }
-			nextB, nextS := int32(0), int32(0)
-			seen := make(map[string]bool)
-			for lo := 0; lo < 500; lo += 9 {
-				reqs := reqs500(keyOf, lo, 9, seen)
-				processed, fresh, err := batched.insertBatch(reqs, nextB, -1, &sc)
-				if err != nil || processed != len(reqs) {
-					t.Fatalf("batch @%d: processed=%d err=%v", lo, processed, err)
-				}
-				nextB += int32(fresh)
-				for _, r := range reqs {
-					if r.skip {
-						continue
-					}
-					id, fr, _, err := single.insert(r.fp, r.key, nextS)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fr {
-						nextS++
-					}
-					if fr != r.fresh || id != r.id {
-						t.Fatalf("@%d key %q: batch (fresh=%v id=%d) vs single (fresh=%v id=%d)",
-							lo, r.key, r.fresh, r.id, fr, id)
-					}
-				}
-			}
-			if nextB != nextS {
-				t.Fatalf("fresh counts diverge: %d vs %d", nextB, nextS)
-			}
-			bs, ss := batched.stats(), single.stats()
-			if bs.entries != ss.entries || bs.arenaBytes != ss.arenaBytes {
-				t.Fatalf("stats diverge: %+v vs %+v", bs, ss)
-			}
-		})
+	keyOf := func(i int) []byte {
+		j := i % 9
+		return []byte(fmt.Sprintf("k-%03d", (i-j+j%5)%97))
 	}
+	forced := func(k []byte) uint64 { return Fingerprint(k) % 3 }
+	eachStore(t, func(t *testing.T, store Store) {
+		for _, tc := range []struct {
+			name   string
+			fpOf   func([]byte) uint64
+			budget int64
+		}{
+			{"spread", Fingerprint, compactVerifiedBudget},
+			{"forced/budget-0", forced, 0},
+			{"forced/budget-12", forced, 12}, // two 5-byte keys, not a third
+			{"forced/budget-unlimited", forced, 1 << 20},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				withCap(t, &compactVerifiedBudget, tc.budget)
+				batched := newVisitedStore(store, 8)
+				single := newVisitedStore(store, 8)
+				var sc setScratch
+				nextB, nextS := int32(0), int32(0)
+				conflated := 0
+				seen := make(map[string]bool)
+				for lo := 0; lo < 500; lo += 9 {
+					reqs := reqs500(keyOf, tc.fpOf, lo, 9, seen)
+					processed, fresh, err := batched.insertBatch(reqs, nextB, -1, &sc)
+					if err != nil || processed != len(reqs) {
+						t.Fatalf("batch @%d: processed=%d err=%v", lo, processed, err)
+					}
+					nextB += int32(fresh)
+					for _, r := range reqs {
+						if r.skip {
+							continue
+						}
+						id, fr, conf, err := single.Insert(r.fp, r.key, nextS)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fr {
+							nextS++
+						}
+						if conf {
+							conflated++
+						}
+						if fr != r.fresh || id != r.id || conf != r.conflated {
+							t.Fatalf("@%d key %q: batch (fresh=%v id=%d conflated=%v) vs single (fresh=%v id=%d conflated=%v)",
+								lo, r.key, r.fresh, r.id, r.conflated, fr, id, conf)
+						}
+					}
+				}
+				if nextB != nextS {
+					t.Fatalf("fresh counts diverge: %d vs %d", nextB, nextS)
+				}
+				bs, ss := batched.stats(), single.stats()
+				if bs.entries != ss.entries || bs.arenaBytes != ss.arenaBytes {
+					t.Fatalf("stats diverge: %+v vs %+v", bs, ss)
+				}
+				// Exact conflates nothing and keeps every key; compact
+				// conflates exactly when the budget leaves a bare entry.
+				wantConflation := store == StoreCompact && tc.budget < 15 && tc.name != "spread"
+				if (conflated > 0) != wantConflation {
+					t.Fatalf("conflated %d requests, want conflation = %v", conflated, wantConflation)
+				}
+				if !wantConflation && (ss.entries != len(seen) || ss.arenaBytes != int64(5*len(seen))) {
+					t.Fatalf("stats %+v, want all %d five-byte keys kept", ss, len(seen))
+				}
+			})
+		}
+	})
 }
 
-// reqs500 builds one insert batch; keys already stored in earlier
-// batches are marked skip (the worker-proved-duplicate path).
-func reqs500(keyOf func(int) []byte, lo, n int, seen map[string]bool) []insertReq {
+// reqs500 builds one insert batch. Every other request for a key an
+// earlier batch settled is marked skip (the worker-proved-duplicate
+// path: stored or conflated, such a key hits for good); the rest are
+// left for the store to resolve.
+func reqs500(keyOf func(int) []byte, fpOf func([]byte) uint64, lo, n int, seen map[string]bool) []insertReq {
 	reqs := make([]insertReq, 0, n)
 	fresh := make(map[string]bool, n)
 	for i := lo; i < lo+n; i++ {
 		k := keyOf(i)
-		skip := seen[string(k)]
-		reqs = append(reqs, insertReq{fp: Fingerprint(k), key: k, skip: skip})
+		skip := seen[string(k)] && i%2 == 0
+		reqs = append(reqs, insertReq{fp: fpOf(k), key: k, skip: skip})
 		fresh[string(k)] = true
 	}
 	for k := range fresh {
@@ -392,7 +488,7 @@ func reqs500(keyOf func(int) []byte, lo, n int, seen map[string]bool) []insertRe
 }
 
 func TestInsertBatchLimit(t *testing.T) {
-	s := newShardedSet(4)
+	s := newVisitedStore(StoreExact, 4)
 	var sc setScratch
 	reqs := make([]insertReq, 10)
 	for i := range reqs {
@@ -420,7 +516,7 @@ func TestConcurrentProbeDuringInsert(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			// 2 shards so thousands of inserts funnel into each shard's
 			// arena, forcing repeated growth while probes hold RLocks.
-			set := newVisitedSet(mode, 2)
+			set := newVisitedStore(mode, 2)
 			const total = 20000
 			keys := make([][]byte, total)
 			fps := make([]uint64, total)
@@ -448,7 +544,7 @@ func TestConcurrentProbeDuringInsert(t *testing.T) {
 							continue
 						}
 						i := (step*2654435761 + g) % int(n)
-						if id, hit, _ := set.probe(fps[i], keys[i]); !hit || id != int32(i) {
+						if id, hit, _ := probe(set, fps[i], keys[i]); !hit || id != int32(i) {
 							t.Errorf("probe %d: id=%d hit=%v", i, id, hit)
 							return
 						}
@@ -478,7 +574,7 @@ func TestConcurrentProbeDuringInsert(t *testing.T) {
 			for i := 0; i < total; {
 				// Alternate single inserts and batches, as the engines do.
 				if i%3 == 0 {
-					if _, fresh, _, err := set.insert(fps[i], keys[i], int32(i)); err != nil || !fresh {
+					if _, fresh, _, err := set.Insert(fps[i], keys[i], int32(i)); err != nil || !fresh {
 						t.Fatalf("insert %d: fresh=%v err=%v", i, fresh, err)
 					}
 					i++
@@ -523,16 +619,16 @@ func BenchmarkVisitedSet(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				set := newVisitedSet(mode, 1)
+				set := newVisitedStore(mode, 1)
 				for j := 0; j < n; j++ {
-					if _, fresh, _, err := set.insert(fps[j], keys[j], int32(j)); err != nil || !fresh {
+					if _, fresh, _, err := set.Insert(fps[j], keys[j], int32(j)); err != nil || !fresh {
 						b.Fatal(fresh, err)
 					}
-					if _, hit, _ := set.probe(fps[j/2], keys[j/2]); !hit {
+					if _, hit, _ := probe(set, fps[j/2], keys[j/2]); !hit {
 						b.Fatal("miss on stored key")
 					}
 					miss := fps[j] ^ 0x9e3779b97f4a7c15
-					set.probe(miss, keys[j])
+					probe(set, miss, keys[j])
 				}
 			}
 			b.ReportMetric(float64(n), "states")
