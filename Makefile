@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check serve-stress bench-build bench bench-smoke bench-gate fuzz-smoke table serve serve-smoke family family-smoke family-cover ledger-smoke dist-smoke
+.PHONY: build test race vet fmt check serve-stress bench-build perf-gate fuzz-smoke table serve family family-smoke family-cover ledger-smoke dist-smoke
 
 build:
 	$(GO) build ./...
@@ -17,7 +17,7 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: build vet fmt test serve-stress bench-build
+check: build vet fmt test serve-stress bench-build perf-gate
 
 # The serving layer's ordering contracts (a job is "done" only once its
 # ledger record and log line exist; records land in completion order)
@@ -32,31 +32,12 @@ serve-stress:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Model-checker throughput at the paper config (3 caches, 2 dirs,
-# 2 addrs): states/sec, speedup, and heap footprint for MSI/MESI/MOESI
-# on the sequential and pipelined engines, exact and compact stores.
-bench:
-	$(GO) run ./cmd/vnbench -workers 4 -out BENCH_mc.json
-
-# Small-bound version of bench for CI: exercises both engines end to
-# end and emits the artifact, without the full paper-scale state count.
-# 60,000 states is the smallest round bound whose rows (~130 ms) clear
-# the gate's 50 ms noise floor since expansion got 3x faster; at the
-# old 20,000 every row ran ~40 ms and throughput went ungated.
-bench-smoke:
-	$(GO) run ./cmd/vnbench -workers 4 -max-states 60000 -out BENCH_mc.json
-
-# Perf-regression gate: rerun the smoke bench into a fresh artifact
-# and diff it against the checked-in BENCH_mc.json baseline with
-# noise-aware thresholds (see cmd/vnbench/compare.go). Exits nonzero
-# on a >20% states/s or >50% heap regression, or when the baseline has
-# gone stale (search shape drifted — regenerate with `make bench-smoke`
-# and commit the result); exits 2, refusing to compare, when the
-# baseline was recorded at a different GOMAXPROCS or CPU count.
-bench-gate:
-	$(GO) run ./cmd/vnbench -workers 4 -max-states 60000 -out BENCH_gate.json
-	$(GO) run ./cmd/vnbench -compare -diff-out BENCH_diff.json \
-		BENCH_mc.json BENCH_gate.json
+# Performance gate (~6 min): a same-session A/B of bench/ at
+# `--seconds 1` against the base commit, two alternating pairs under
+# BENCHMARK.json's bounds; see scripts/perf-gate.sh. There is no
+# checked-in throughput baseline to go stale.
+perf-gate:
+	bash scripts/perf-gate.sh
 
 # Bounded differential-fuzzing pass for CI: a fixed-seed campaign of
 # generated protocols through the full analysis → assignment → model
@@ -100,31 +81,14 @@ family-cover:
 serve:
 	$(GO) run ./cmd/vnserved -addr 127.0.0.1:8437
 
-# Serving-layer smoke: spin up an in-process server, oversubscribe it
-# with a burst of distinct verify jobs (asserting >=8 concurrent
-# in-flight jobs and 503 backpressure), then check analyze, cold/hot
-# cache byte-identity, and SSE event ordering. Artifacts:
-# BENCH_serve.json (load-gen numbers) + SERVE_stats.json (server
-# counters).
-serve-smoke:
-	$(GO) run ./cmd/vnbench -serve -serve-stats SERVE_stats.json \
-		-out BENCH_serve.json
-
-# Distributed-engine smoke, in three parts. First the agreement check:
-# the pipelined and distributed (coordinator + 2 loopback workers)
-# engines must agree byte-for-byte — outcome, state count, depth, and
-# the full per-VN occupancy aggregate — on an exhaustively-checkable
-# configuration; vnbench exits nonzero on any disagreement. (-max-states
-# 0 because dist applies the state bound at level granularity.) Second,
-# failure recovery under the race detector: a worker killed mid-run and
-# a worker whose frontier endpoint blackholes must both fail the job
-# cleanly (typed WorkerLostError, no hang, no partial result). Third, a
-# dist run is recorded to a ledger and read back, proving dist runs
-# carry the "dist" engine tag through the query side.
+# Distributed-engine smoke, in two parts. First, failure recovery
+# under the race detector: a worker killed mid-run and a worker whose
+# frontier endpoint blackholes must both fail the job cleanly (typed
+# WorkerLostError, no hang, no partial result). Second, a dist run is
+# recorded to a ledger and read back, proving dist runs carry the
+# "dist" engine tag through the query side. (Pipeline-vs-dist
+# agreement, occupancy aggregate included, is TestDistParityComplete.)
 dist-smoke:
-	$(GO) run ./cmd/vnbench -engines pipeline,dist -max-states 0 \
-		-caches 2 -dirs 1 -addrs 1 -workers 2 \
-		-out BENCH_dist.json MSI_nonblocking_cache
 	$(GO) test -race -run 'TestDistWorkerLoss|TestDistSendFailure' ./internal/dist/
 	rm -f LEDGER_dist.jsonl
 	$(GO) run ./cmd/vnverify -engine dist -workers 2 -max-states 30000 \

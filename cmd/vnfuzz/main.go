@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 
-	engs, sts, err := search.Matrix(false)
+	engs, sts, err := search.Matrix()
 	if err != nil {
 		return cliflag.Fail(stderr, "vnfuzz", err)
 	}

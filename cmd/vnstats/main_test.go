@@ -178,7 +178,7 @@ func TestTrendReadsBenchRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := obs.NewArtifact("vnbench")
+	art := obs.NewArtifact("vnsweep")
 	art.Metrics = map[string]any{"runs": []any{
 		map[string]any{
 			"protocol": "MSI", "engine": "seq", "store": "exact",

@@ -200,7 +200,7 @@ func sweepArtifact(search cliflag.Search, ff *familyFile, disagree int) *obs.Art
 
 // sweep computes the full family table.
 func sweep(search cliflag.Search) (*familyFile, error) {
-	engines, stores, err := search.Matrix(false)
+	engines, stores, err := search.Matrix()
 	if err != nil {
 		return nil, err
 	}

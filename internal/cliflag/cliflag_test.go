@@ -297,23 +297,20 @@ func TestSearchParse(t *testing.T) {
 // TestSearchMatrix: the one -engines/-stores parser. Every fault is a
 // request error, so every matrix tool exits 2 on it.
 func TestSearchMatrix(t *testing.T) {
-	s := Search{Engines: " seq, pipeline,,dist ", Stores: "exact,compact,"}
-	engs, sts, err := s.Matrix(true)
-	if err != nil || !reflect.DeepEqual(engs, []mc.Engine{mc.EngineSeq, mc.EnginePipeline, mc.EngineDist}) ||
+	s := Search{Engines: " seq, pipeline,, ", Stores: "exact,compact,"}
+	engs, sts, err := s.Matrix()
+	if err != nil || !reflect.DeepEqual(engs, []mc.Engine{mc.EngineSeq, mc.EnginePipeline}) ||
 		!reflect.DeepEqual(sts, []mc.Store{mc.StoreExact, mc.StoreCompact}) {
 		t.Errorf("Matrix = %v, %v, %v", engs, sts, err)
 	}
-	for name, tc := range map[string]struct {
-		s         Search
-		allowDist bool
-	}{
-		"dist where bounded runs are cross-checked": {Search{Engines: "seq,dist", Stores: "exact"}, false},
-		"unknown engine": {Search{Engines: "levels", Stores: "exact"}, true},
-		"unknown store":  {Search{Engines: "seq", Stores: "bogus"}, true},
-		"no engines":     {Search{Engines: " , ", Stores: "exact"}, true},
-		"no stores":      {Search{Engines: "seq"}, true},
+	for name, s := range map[string]Search{
+		"dist, whose bounded runs stop at a level boundary": {Engines: "seq,dist", Stores: "exact"},
+		"unknown engine": {Engines: "levels", Stores: "exact"},
+		"unknown store":  {Engines: "seq", Stores: "bogus"},
+		"no engines":     {Engines: " , ", Stores: "exact"},
+		"no stores":      {Engines: "seq"},
 	} {
-		_, _, err := tc.s.Matrix(tc.allowDist)
+		_, _, err := s.Matrix()
 		if err == nil || Fail(io.Discard, "test", err) != 2 {
 			t.Errorf("%s: err = %v, want a request error (exit 2)", name, err)
 		}
@@ -325,11 +322,11 @@ func TestSearchMatrix(t *testing.T) {
 }
 
 // TestSearchParams: a matrix tool's artifact records exactly the flags
-// it registered, under the key names BENCH_mc.json's gate compares.
+// it registered (here vnfuzz's set), under dist.Job.Params' key names.
 func TestSearchParams(t *testing.T) {
 	s := Search{Spec: dist.Spec{Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 20000, Workers: 4},
 		Engines: "seq,pipeline", Stores: "exact,compact"}
-	s.Register(flag.NewFlagSet("vnbench", flag.ContinueOnError), SearchSystem|SearchMatrix|SearchWorkers|SearchShards)
+	s.Register(flag.NewFlagSet("vnfuzz", flag.ContinueOnError), SearchSystem|SearchMatrix|SearchWorkers|SearchShards)
 	want := map[string]any{"caches": 3, "dirs": 2, "addrs": 2, "max_states": 20000,
 		"workers": 4, "shards": 0, "engines": "seq,pipeline", "stores": "exact,compact"}
 	if got := s.Params(); !reflect.DeepEqual(got, want) {

@@ -116,7 +116,7 @@ func (s *Search) Register(fs *flag.FlagSet, which SearchFlags) {
 		fs.StringVar(&s.Store, "store", s.Store, "visited-set mode: exact | compact (hash-compacted)")
 	}
 	if which&SearchMatrix != 0 {
-		fs.StringVar(&s.Engines, "engines", s.Engines, "comma-separated engines to cross-check (seq, pipeline; dist where the tool supports it)")
+		fs.StringVar(&s.Engines, "engines", s.Engines, "comma-separated engines to cross-check (seq, pipeline)")
 		fs.StringVar(&s.Stores, "stores", s.Stores, "comma-separated visited-set modes to cross-check (exact, compact)")
 	}
 	if which&SearchWorkers != 0 {
@@ -151,10 +151,10 @@ func (s *Search) Params() map[string]any {
 }
 
 // Matrix parses -engines and -stores into the engine × store matrix a
-// tool cross-checks. allowDist is false for the tools whose agreement
-// contract covers state-bounded runs, which the distributed engine
-// cuts at a level boundary. Errors are *dist.RequestError.
-func (s *Search) Matrix(allowDist bool) ([]mc.Engine, []mc.Store, error) {
+// tool cross-checks. The distributed engine is refused: the agreement
+// contract covers state-bounded runs, which it cuts at a level
+// boundary. Errors are *dist.RequestError.
+func (s *Search) Matrix() ([]mc.Engine, []mc.Store, error) {
 	engines, err := parseList(s.Engines, mc.ParseEngine)
 	if err != nil {
 		return nil, nil, err
@@ -166,7 +166,7 @@ func (s *Search) Matrix(allowDist bool) ([]mc.Engine, []mc.Store, error) {
 	if len(engines) == 0 || len(stores) == 0 {
 		return nil, nil, dist.RequestErrorf("empty matrix: engines %q, stores %q", s.Engines, s.Stores)
 	}
-	if !allowDist && slices.Contains(engines, mc.EngineDist) {
+	if slices.Contains(engines, mc.EngineDist) {
 		return nil, nil, dist.RequestErrorf("engine dist is not cross-checked here: it applies -max-states at level granularity, so its bounded runs differ from the in-process engines' by design")
 	}
 	return engines, stores, nil

@@ -241,7 +241,7 @@ func (r Result) String() string {
 }
 
 // Agree is the cross-engine, cross-store agreement predicate of the
-// matrix tools (vnbench, vnsweep, the ptest harness): two runs of the
+// matrix tools (vnsweep, vnfuzz's ptest harness): two runs of the
 // same search agree when they report the same outcome, stored-state
 // count and depth. Bounded and terminal runs are held to it too — seq
 // and pipeline are two schedulers over one search core, so they stop

@@ -11,9 +11,11 @@ package mc_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"minvn/internal/icn"
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/protocols"
@@ -49,63 +51,88 @@ func paritySystem(t *testing.T, proto, vnMode string, caches, dirs, addrs int) *
 	return sys
 }
 
+// TestParallelParityProtocols runs every row on both engines and both
+// visited-set modes: all four runs must mc.Agree with the sequential
+// exact-store reference, fire the same rules the same number of times
+// and profile the same per-VN occupancy, and the reference's search
+// shape is pinned. The 3c/2d/2a rows are the paper's system under the
+// minimal assignment: the exact pin of the search at that size.
 func TestParallelParityProtocols(t *testing.T) {
+	small, paper := [3]int{2, 1, 1}, [3]int{3, 2, 2}
 	cases := []struct {
 		name   string
 		proto  string
 		vnMode string
+		size   [3]int // caches, dirs, addrs
 		opts   mc.Options
+		// Pinned shape of the search: stored states, deepest level,
+		// duplicate successors.
+		states, depth int
+		dedup         int64
 	}{
-		{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal",
-			mc.Options{MaxStates: 4000, DisableTraces: true}},
-		{"MSI-minimal-traces", "MSI_nonblocking_cache", "minimal",
-			mc.Options{MaxStates: 2500}},
-		{"MESI-minimal-bounded", "MESI_nonblocking_cache", "minimal",
-			mc.Options{MaxStates: 4000, DisableTraces: true}},
-		{"MESI-uniform-depth", "MESI_nonblocking_cache", "uniform",
-			mc.Options{MaxDepth: 3, DisableTraces: true}},
-		{"MOESI-minimal-bounded", "MOESI_nonblocking_cache", "minimal",
-			mc.Options{MaxStates: 3000, DisableTraces: true}},
-		{"CHI-permsg-bounded", "CHI", "permsg",
-			mc.Options{MaxStates: 2000, DisableTraces: true}},
+		{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal", small,
+			mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 20, 5787},
+		{"MSI-minimal-traces", "MSI_nonblocking_cache", "minimal", small,
+			mc.Options{MaxStates: 2500}, 2500, 17, 3332},
+		{"MESI-minimal-bounded", "MESI_nonblocking_cache", "minimal", small,
+			mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 22, 6278},
+		{"MESI-uniform-depth", "MESI_nonblocking_cache", "uniform", small,
+			mc.Options{MaxDepth: 3, DisableTraces: true}, 31, 3, 26},
+		{"MOESI-minimal-bounded", "MOESI_nonblocking_cache", "minimal", small,
+			mc.Options{MaxStates: 3000, DisableTraces: true}, 1764, 20, 1680},
+		{"CHI-permsg-bounded", "CHI", "permsg", small,
+			mc.Options{MaxStates: 2000, DisableTraces: true}, 2000, 32, 3480},
+		{"MSI-minimal-paper", "MSI_nonblocking_cache", "minimal", paper,
+			mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
+		{"MESI-minimal-paper", "MESI_nonblocking_cache", "minimal", paper,
+			mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
+		{"MOESI-minimal-paper", "MOESI_nonblocking_cache", "minimal", paper,
+			mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 36494},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			sys := paritySystem(t, tc.proto, tc.vnMode, 2, 1, 1)
-			seq := mc.Check(sys, tc.opts)
-
-			// The progress callback runs on the pipeline's merge
-			// goroutine; -race verifies it never races with workers.
-			popts := tc.opts
-			snaps := 0
-			popts.Progress = func(mc.Snapshot) { snaps++ }
-			popts.ProgressEvery = 500
-			pip := mc.CheckPipelined(sys, popts, 4, 0)
-
-			for _, eng := range []struct {
-				name string
-				res  mc.Result
-			}{{"pipeline", pip}} {
-				if seq.Outcome != eng.res.Outcome {
-					t.Fatalf("%s outcome: seq %v vs %v", eng.name, seq.Outcome, eng.res.Outcome)
-				}
-				if seq.States != eng.res.States {
-					t.Fatalf("%s states: seq %d vs %d", eng.name, seq.States, eng.res.States)
-				}
-				if seq.MaxDepth != eng.res.MaxDepth {
-					t.Fatalf("%s depth: seq %d vs %d", eng.name, seq.MaxDepth, eng.res.MaxDepth)
-				}
-				if seq.Rules != eng.res.Rules {
-					t.Fatalf("%s rules: seq %d vs %d", eng.name, seq.Rules, eng.res.Rules)
-				}
-				if !eng.res.Stats.Final || eng.res.Stats.States != eng.res.States {
-					t.Fatalf("%s Stats inconsistent: %+v", eng.name, eng.res.Stats)
+			sys := paritySystem(t, tc.proto, tc.vnMode, tc.size[0], tc.size[1], tc.size[2])
+			var ref mc.Result
+			var refOcc *icn.OccupancyStats
+			for _, store := range []mc.Store{mc.StoreExact, mc.StoreCompact} {
+				for _, engine := range []mc.Engine{mc.EngineSeq, mc.EnginePipeline} {
+					name := engine.String() + "/" + store.String()
+					opts := tc.opts
+					opts.Store = store
+					prof := sys.NewOccupancyProfiler()
+					opts.Observer = prof
+					// The progress callback runs on the pipeline's merge
+					// goroutine; -race verifies it never races with workers.
+					snaps := 0
+					opts.Progress = func(mc.Snapshot) { snaps++ }
+					opts.ProgressEvery = 500
+					res := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4, 0)
+					if !res.Stats.Final || res.Stats.States != res.States {
+						t.Fatalf("%s Stats inconsistent: %+v", name, res.Stats)
+					}
+					if snaps == 0 {
+						t.Fatalf("%s delivered no progress snapshots", name)
+					}
+					if refOcc == nil {
+						ref, refOcc = res, prof.Stats()
+						continue
+					}
+					if !mc.Agree(ref, res) || ref.Rules != res.Rules {
+						t.Fatalf("%s: %v vs reference %v", name, res, ref)
+					}
+					if !reflect.DeepEqual(ref.Stats.RuleFirings, res.Stats.RuleFirings) {
+						t.Fatalf("%s rule firings: %v vs reference %v", name, res.Stats.RuleFirings, ref.Stats.RuleFirings)
+					}
+					if !prof.Stats().Equal(refOcc) {
+						t.Fatalf("%s occupancy aggregate differs from the reference's", name)
+					}
 				}
 			}
-			if snaps == 0 {
-				t.Fatal("parallel runs delivered no progress snapshots")
+			if ref.States != tc.states || ref.MaxDepth != tc.depth || ref.Stats.DedupHits != tc.dedup {
+				t.Fatalf("search shape: %d states, depth %d, %d dedup hits; pinned %d, %d, %d",
+					ref.States, ref.MaxDepth, ref.Stats.DedupHits, tc.states, tc.depth, tc.dedup)
 			}
 		})
 	}

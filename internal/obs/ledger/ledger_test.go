@@ -261,13 +261,13 @@ func TestFromArtifact(t *testing.T) {
 	}
 
 	// Non-snapshot metrics ride in Extra so nothing is dropped.
-	art2 := obs.NewArtifact("vnbench")
-	art2.Metrics = map[string]any{"runs": []any{}}
+	art2 := obs.NewArtifact("vnsweep")
+	art2.Metrics = map[string]any{"rows": 30, "disagree": 0}
 	rec2 := FromArtifact(art2)
 	if rec2.Snapshot != nil {
-		t.Fatal("bench metrics mistaken for a snapshot")
+		t.Fatal("sweep metrics mistaken for a snapshot")
 	}
 	if _, ok := rec2.Extra["metrics"]; !ok {
-		t.Fatalf("bench metrics dropped: %+v", rec2.Extra)
+		t.Fatalf("sweep metrics dropped: %+v", rec2.Extra)
 	}
 }

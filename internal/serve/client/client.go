@@ -1,8 +1,7 @@
 // Package client is the typed Go client for the vnserved HTTP API.
 // It wraps the JSON endpoints in methods mirroring the serve package's
 // request/response types and decodes the SSE progress stream. It is
-// the substrate for `vnbench -serve` load generation and the server
-// integration tests.
+// the substrate for the server and daemon integration tests.
 package client
 
 import (

@@ -150,37 +150,65 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
-// TestBackpressure503 fills the pool and queue, then requires the next
-// distinct submit to be refused with 503 + Retry-After.
+// TestBackpressure503 holds every admitted job at the run gate and
+// submits a burst of three times the server's capacity: the pool must
+// run Workers jobs at once, the queue must admit QueueDepth more, and
+// every submit past that must be refused with 503 + Retry-After.
 func TestBackpressure503(t *testing.T) {
-	gate := make(chan struct{})
-	_, cl := testServer(t, serve.Config{
-		Workers:    1,
-		QueueDepth: 1,
-		BeforeRun:  func() { <-gate },
-	})
-	ctx := context.Background()
-	first, err := cl.Verify(ctx, verifyMSI(3000), false)
-	if err != nil {
-		t.Fatalf("first: %v", err)
-	}
-	// Wait until the single worker holds the first job so the queue
-	// slot is free for exactly one more.
-	waitForRunning(t, cl, 1)
-	if _, err := cl.Verify(ctx, verifyMSI(3001), false); err != nil {
-		t.Fatalf("second (queued): %v", err)
-	}
-	_, err = cl.Verify(ctx, verifyMSI(3002), false)
-	if !client.IsBusy(err) {
-		t.Fatalf("third submit: err = %v, want 503 busy", err)
-	}
-	var se *client.StatusError
-	if !asStatusError(err, &se) || se.RetryAfter == "" {
-		t.Errorf("503 missing Retry-After: %+v", se)
-	}
-	close(gate)
-	if _, err := cl.WaitDone(ctx, first.ID, 0); err != nil {
-		t.Fatalf("drain after gate: %v", err)
+	for _, tc := range []struct {
+		name                string
+		workers, queueDepth int
+	}{
+		{"1 worker", 1, 1},
+		{"8 workers", 8, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			srv, cl := testServer(t, serve.Config{
+				Workers:    tc.workers,
+				QueueDepth: tc.queueDepth,
+				BeforeRun:  func() { <-gate },
+			})
+			ctx := context.Background()
+			next := 3000 // distinct max_states: no singleflight, no cache hit
+			var accepted []string
+			submit := func(what string, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					view, err := cl.Verify(ctx, verifyMSI(next), false)
+					if err != nil {
+						t.Fatalf("%s job %d: %v", what, i, err)
+					}
+					next++
+					accepted = append(accepted, view.ID)
+				}
+			}
+			submit("running", tc.workers)
+			// Once every worker holds a job at the gate, the queue has
+			// room for exactly QueueDepth more.
+			waitForRunning(t, cl, tc.workers)
+			submit("queued", tc.queueDepth)
+			for i := 0; i < 2*(tc.workers+tc.queueDepth); i++ {
+				_, err := cl.Verify(ctx, verifyMSI(next), false)
+				next++
+				if !client.IsBusy(err) {
+					t.Fatalf("submit %d past capacity: err = %v, want 503 busy", i, err)
+				}
+				var se *client.StatusError
+				if !asStatusError(err, &se) || se.RetryAfter == "" {
+					t.Errorf("503 missing Retry-After: %+v", se)
+				}
+			}
+			close(gate)
+			for _, id := range accepted {
+				if view, err := cl.WaitDone(ctx, id, 0); err != nil || view.Status != serve.StatusDone {
+					t.Fatalf("drain after gate: job %s: %v %+v", id, err, view)
+				}
+			}
+			if st := srv.Stats(); st.RunningHWM < tc.workers {
+				t.Errorf("running high-water mark %d, want >= %d", st.RunningHWM, tc.workers)
+			}
+		})
 	}
 }
 
