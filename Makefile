@@ -43,7 +43,8 @@ perf-gate:
 # generated protocols through the full analysis → assignment → model
 # checking stack on both engines and both stores (~20s). Any oracle
 # violation (soundness, parity, or assignment) exits nonzero and leaves
-# a shrunk repro under vnfuzz-repros/.
+# a shrunk repro under vnfuzz-repros/; FUZZ_smoke.json is the campaign's
+# run record.
 fuzz-smoke:
 	$(GO) run ./cmd/vnfuzz -self-test
 	$(GO) run ./cmd/vnfuzz -seed 1 -count 40 -max-states 20000 \
@@ -102,7 +103,8 @@ dist-smoke:
 # the regression to exactly the injected stage, rule, and stripe range
 # (-expect exits nonzero on a miss). list and trend then read the same
 # ledger back, proving the query side parses what the record side
-# wrote. Leaves LEDGER_smoke.jsonl behind as the artifact.
+# wrote. Leaves LEDGER_smoke.jsonl (run records) and LEDGER_attr.json
+# (the attribution, itself a run record) behind.
 ledger-smoke:
 	rm -f LEDGER_smoke.jsonl
 	$(GO) run ./cmd/vnverify -workers 4 -store compact -max-states 30000 \

@@ -18,7 +18,7 @@ import (
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/mc"
-	"minvn/internal/obs"
+	"minvn/internal/obs/ledger"
 )
 
 // defaults is vnexplain's starting point: the deadlock hunt of
@@ -114,18 +114,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *dotOut)
 	}
-	if tel.WantArtifact() {
-		art := obs.NewArtifact("vnexplain")
-		art.Params = job.Params()
-		art.Outcome = res.Outcome.Tag()
-		art.Metrics = res.Stats
-		art.Extra = map[string]any{"report": rep}
-		if res.Stats.Occupancy != nil {
-			art.Extra["occupancy"] = res.Stats.Occupancy
-		}
-		if err := tel.Finish(art, &res.Stats, stdout); err != nil {
-			return cliflag.Fail(stderr, "vnexplain", err)
-		}
+	rec := ledger.New("vnexplain")
+	rec.Params = job.Params()
+	rec.Outcome = res.Outcome.Tag()
+	rec.Snapshot = &res.Stats
+	rec.Extra = map[string]any{"report": rep}
+	if err := tel.Record(rec, stdout); err != nil {
+		return cliflag.Fail(stderr, "vnexplain", err)
 	}
 	return 0
 }

@@ -16,6 +16,7 @@ import (
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/obs"
+	"minvn/internal/obs/ledger"
 	"minvn/internal/ptest"
 )
 
@@ -123,29 +124,27 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "vnfuzz: trace-out:", err)
 		return 1
 	}
-	if tel.WantArtifact() {
-		art := obs.NewArtifact("vnfuzz")
-		art.Params = search.Params()
-		art.Params["seed"] = *seed
-		art.Params["count"] = *count
-		art.Params["mutate_frac"] = *mutateFrac
-		art.Outcome = "clean"
-		if len(res.Violations) > 0 {
-			art.Outcome = "violations"
-		}
-		art.Metrics = map[string]any{
-			"cases":      res.Cases,
-			"by_verdict": res.ByVerdict,
-			"by_origin":  res.ByOrigin,
-			"violations": len(res.Violations),
-		}
-		art.Stages = tl.Stages()
-		if len(reproPaths) > 0 {
-			art.Extra = map[string]any{"repros": reproPaths}
-		}
-		if err := tel.Finish(art, nil, stdout); err != nil {
-			return cliflag.Fail(stderr, "vnfuzz", err)
-		}
+	rec := ledger.New("vnfuzz")
+	rec.Params = search.Params()
+	rec.Params["seed"] = *seed
+	rec.Params["count"] = *count
+	rec.Params["mutate_frac"] = *mutateFrac
+	rec.Outcome = "clean"
+	if len(res.Violations) > 0 {
+		rec.Outcome = "violations"
+	}
+	rec.Stages = tl.Summaries()
+	rec.Extra = map[string]any{"metrics": map[string]any{
+		"cases":      res.Cases,
+		"by_verdict": res.ByVerdict,
+		"by_origin":  res.ByOrigin,
+		"violations": len(res.Violations),
+	}}
+	if len(reproPaths) > 0 {
+		rec.Extra["repros"] = reproPaths
+	}
+	if err := tel.Record(rec, stdout); err != nil {
+		return cliflag.Fail(stderr, "vnfuzz", err)
 	}
 	if len(res.Violations) > 0 {
 		return 1

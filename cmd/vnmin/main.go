@@ -21,6 +21,7 @@ import (
 	"minvn/internal/analysis"
 	"minvn/internal/cliflag"
 	"minvn/internal/obs"
+	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
 	"minvn/internal/vnassign"
@@ -41,21 +42,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sepData   = fs.Bool("separate-data", false, "designer constraint: keep data and control responses on different VNs")
 		enumerate = fs.Int("enumerate", 0, "list up to N distinct minimal assignments")
 
-		progress  = fs.Bool("progress", false, "print per-stage pipeline timings to stderr")
-		statsJSON = fs.String("stats-json", "", "write a machine-readable JSON run artifact to this file")
-		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		progress = fs.Bool("progress", false, "print per-stage pipeline timings to stderr")
 	)
+	tel := cliflag.Register(fs, cliflag.FlagStatsJSON|cliflag.FlagPprof)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "vnmin: pprof:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "pprof: http://%s/debug/pprof/\n", addr)
+	if err := tel.StartPprof(stderr); err != nil {
+		fmt.Fprintln(stderr, "vnmin: pprof:", err)
+		return 1
 	}
 
 	if *list {
@@ -147,32 +143,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "stage %-20s %8.3fms\n", st.Name, st.Seconds*1e3)
 		}
 	}
-	if *statsJSON != "" {
-		art := obs.NewArtifact("vnmin")
-		art.Params["protocol"] = p.Name
-		art.Params["separate_data"] = *sepData
-		art.Stages = tl.Stages()
-		switch a.Class {
-		case vnassign.Class2:
-			art.Outcome = "class2"
-			art.Metrics = map[string]any{"waits_cycle": a.WaitsCycle}
-		default:
-			art.Outcome = "class3"
-			art.Metrics = map[string]any{
-				"num_vns":        a.NumVNs,
-				"vn":             a.VN,
-				"vn_groups":      a.VNGroups(),
-				"exact":          a.Exact,
-				"refinements":    a.Refinements,
-				"conflict_pairs": len(a.ConflictPairs),
-				"textbook_vns":   vnassign.Textbook(r).NumVNs,
-			}
-		}
-		if err := art.WriteFile(*statsJSON); err != nil {
-			fmt.Fprintln(stderr, "vnmin: stats-json:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *statsJSON)
+	rec := ledger.New("vnmin")
+	rec.Params["protocol"] = p.Name
+	rec.Params["separate_data"] = *sepData
+	rec.Stages = tl.Summaries()
+	switch a.Class {
+	case vnassign.Class2:
+		rec.Outcome = "class2"
+		rec.Extra = map[string]any{"metrics": map[string]any{"waits_cycle": a.WaitsCycle}}
+	default:
+		rec.Outcome = "class3"
+		rec.Extra = map[string]any{"metrics": map[string]any{
+			"num_vns":        a.NumVNs,
+			"vn":             a.VN,
+			"vn_groups":      a.VNGroups(),
+			"exact":          a.Exact,
+			"refinements":    a.Refinements,
+			"conflict_pairs": len(a.ConflictPairs),
+			"textbook_vns":   vnassign.Textbook(r).NumVNs,
+		}}
+	}
+	if err := tel.Record(rec, stdout); err != nil {
+		return cliflag.Fail(stderr, "vnmin", err)
 	}
 	return 0
 }

@@ -7,8 +7,7 @@
 // 503), queued and running jobs finish (bounded by -drain-timeout,
 // after which they are hard-canceled through their contexts), and the
 // process exits 0. With -stats-json, the final server stats are
-// written as a JSON artifact on the way out — CI uses this to archive
-// what the smoke run did.
+// written as a run record (ledger.Record) on the way out.
 package main
 
 import (
@@ -16,7 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -24,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"minvn/internal/obs"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/serve"
 )
@@ -40,34 +38,32 @@ func main() {
 	maxDeadline := fs.Duration("max-deadline", 10*time.Minute, "largest per-job deadline a request may ask for")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	progressEvery := fs.Int("progress-every", 50_000, "SSE progress snapshot every N stored states")
-	statsJSON := fs.String("stats-json", "", "write final server stats as a JSON artifact to this file on shutdown")
-	jobLog := fs.String("job-log", "", "write the structured per-job JSONL event log to this file (\"-\" = stderr)")
+	statsJSON := fs.String("stats-json", "", "write final server stats as a JSON run record to this file on shutdown")
+	jobLog := fs.String("job-log", "", "append the structured per-job JSONL lifecycle log to this file (\"-\" = stderr); rotate it externally")
 	jobLogLevel := fs.String("job-log-level", "info", "minimum job-log level: debug, info, warn, or error")
-	jobLogMaxBytes := fs.Int64("job-log-max-bytes", 0, "rotate the -job-log file when it would exceed this size (0 = never)")
-	jobLogKeep := fs.Int("job-log-keep", 3, "rotated -job-log generations to keep (file.1 .. file.N)")
 	traceJobs := fs.Int("trace-jobs", 4, "keep per-job flight recorders for the N most recent jobs (GET /debug/trace; 0 disables)")
 	ledgerPath := fs.String("ledger", "", "append one content-addressed record per completed job to this run-ledger file (GET /v1/runs pages it)")
 	fs.Parse(os.Args[1:])
 
-	level, err := serve.ParseLogLevel(*jobLogLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vnserved:", err)
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*jobLogLevel)); err != nil {
+		fmt.Fprintf(os.Stderr, "vnserved: -job-log-level %q: want debug, info, warn, or error\n", *jobLogLevel)
 		os.Exit(2)
 	}
-	var logW io.Writer
-	var logFile *serve.RotatingWriter
+	var jobLogger *slog.Logger
+	var logFile *os.File
 	switch *jobLog {
 	case "":
 	case "-":
-		logW = os.Stderr
+		jobLogger = serve.NewJobLog(os.Stderr, level)
 	default:
-		f, err := serve.NewRotatingWriter(*jobLog, *jobLogMaxBytes, *jobLogKeep)
+		f, err := os.OpenFile(*jobLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vnserved:", err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		logW = f
+		jobLogger = serve.NewJobLog(f, level)
 		logFile = f
 	}
 
@@ -90,17 +86,16 @@ func main() {
 		DefaultDeadline: *defaultDeadline,
 		MaxDeadline:     *maxDeadline,
 		ProgressEvery:   *progressEvery,
-		JobLog:          logW,
-		JobLogLevel:     level,
+		JobLog:          jobLogger,
 		TraceJobs:       *traceJobs,
 		Ledger:          led,
-	}, *drainTimeout, *statsJSON, logFile, led); err != nil {
+	}, *drainTimeout, *statsJSON, logFile); err != nil {
 		fmt.Fprintln(os.Stderr, "vnserved:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, cfg serve.Config, drainTimeout time.Duration, statsJSON string, logFile *serve.RotatingWriter, led *ledger.Ledger) error {
+func run(addr string, cfg serve.Config, drainTimeout time.Duration, statsJSON string, logFile *os.File) error {
 	srv := serve.New(cfg)
 
 	ln, err := net.Listen("tcp", addr)
@@ -141,22 +136,22 @@ func run(addr string, cfg serve.Config, drainTimeout time.Duration, statsJSON st
 			fmt.Fprintf(os.Stderr, "vnserved: job-log sync: %v\n", err)
 		}
 	}
-	if led != nil {
-		if err := led.Sync(); err != nil {
+	if cfg.Ledger != nil {
+		if err := cfg.Ledger.Sync(); err != nil {
 			fmt.Fprintf(os.Stderr, "vnserved: ledger sync: %v\n", err)
 		}
 	}
 
 	if statsJSON != "" {
 		st := srv.Stats()
-		art := obs.NewArtifact("vnserved")
-		art.Params["addr"] = addr
-		art.Params["workers"] = st.Workers
-		art.Params["queue_depth"] = st.QueueDepth
-		art.Outcome = "drained"
-		art.Metrics = st
-		if err := art.WriteFile(statsJSON); err != nil {
-			return fmt.Errorf("write stats artifact: %w", err)
+		rec := ledger.New("vnserved")
+		rec.Params["addr"] = addr
+		rec.Params["workers"] = st.Workers
+		rec.Params["queue_depth"] = st.QueueDepth
+		rec.Outcome = "drained"
+		rec.Extra = map[string]any{"metrics": st}
+		if err := rec.WriteFile(statsJSON); err != nil {
+			return fmt.Errorf("stats-json: %w", err)
 		}
 	}
 	fmt.Fprintln(os.Stderr, "vnserved: stopped")

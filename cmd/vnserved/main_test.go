@@ -38,9 +38,9 @@ func TestDaemon(t *testing.T) {
 	dir := t.TempDir()
 	statsPath := filepath.Join(dir, "stats.json")
 	ledgerPath := filepath.Join(dir, "ledger.jsonl")
+	jobLogPath := filepath.Join(dir, "jobs.log")
 	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0",
-		"-stats-json", statsPath, "-ledger", ledgerPath,
-		"-job-log", filepath.Join(dir, "jobs.log"), "-job-log-max-bytes", "65536")
+		"-stats-json", statsPath, "-ledger", ledgerPath, "-job-log", jobLogPath)
 	cmd.Env = append(os.Environ(), daemonEnv+"=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -155,7 +155,7 @@ func TestDaemon(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("daemon did not exit after SIGTERM")
 	}
-	for _, path := range []string{statsPath, ledgerPath} {
+	for _, path := range []string{statsPath, ledgerPath, jobLogPath} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s missing or empty after the drain: %v", filepath.Base(path), err)
 		}

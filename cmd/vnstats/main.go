@@ -143,54 +143,39 @@ type point struct {
 	HeapBytes float64 `json:"heap_bytes"`
 }
 
-// trendPoints flattens the ledger into per-subject samples: one per
-// search record (keyed by protocol), and one per bench row (keyed by
-// protocol/engine/store, decoded from the artifact metrics a bench
-// record carries in Extra).
+// trendPoints flattens the ledger into per-protocol samples, one per
+// record that carries a final snapshot.
 func trendPoints(entries []ledger.Entry, proto string) map[string][]point {
 	series := make(map[string][]point)
 	for _, e := range entries {
 		r := e.Record
-		if r.Snapshot != nil {
-			p := protoOf(r)
-			if p == "" || (proto != "" && p != proto) {
-				continue
-			}
-			series[p] = append(series[p], point{
-				Seq: e.Seq, Created: r.Created,
-				Sps:       r.Snapshot.StatesPerSec,
-				DedupRate: r.Snapshot.DedupHitRate,
-				HeapBytes: float64(r.Snapshot.HeapBytes),
-			})
+		p := protoOf(r)
+		if r.Snapshot == nil || p == "" || (proto != "" && p != proto) {
 			continue
 		}
-		m, _ := r.Extra["metrics"].(map[string]any)
-		runs, _ := m["runs"].([]any)
-		for _, rr := range runs {
-			row, _ := rr.(map[string]any)
-			p, _ := row["protocol"].(string)
-			if p == "" || (proto != "" && p != proto) {
-				continue
-			}
-			eng, _ := row["engine"].(string)
-			store, _ := row["store"].(string)
-			key := p
-			if eng != "" {
-				key += "/" + eng
-			}
-			if store != "" {
-				key += "/" + store
-			}
-			num := func(k string) float64 { v, _ := row[k].(float64); return v }
-			series[key] = append(series[key], point{
-				Seq: e.Seq, Created: r.Created,
-				Sps:       num("states_per_sec"),
-				DedupRate: num("dedup_hit_rate"),
-				HeapBytes: num("heap_bytes"),
-			})
-		}
+		series[p] = append(series[p], point{
+			Seq: e.Seq, Created: r.Created,
+			Sps:       r.Snapshot.StatesPerSec,
+			DedupRate: r.Snapshot.DedupHitRate,
+			HeapBytes: float64(r.Snapshot.HeapBytes),
+		})
 	}
 	return series
+}
+
+// writeResult writes a query's result to its -json path as a run
+// record, the same document every other tool leaves behind.
+func writeResult(path string, params map[string]any, result any, stdout, stderr io.Writer) bool {
+	rec := ledger.New("vnstats")
+	rec.Params = params
+	rec.Outcome = "ok"
+	rec.Extra = map[string]any{"metrics": result}
+	if err := rec.WriteFile(path); err != nil {
+		fmt.Fprintf(stderr, "vnstats: json: %v\n", err)
+		return false
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", path)
+	return true
 }
 
 // spark renders values as a unicode sparkline scaled to their range.
@@ -224,7 +209,7 @@ func runTrend(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	path := fs.String("ledger", "", "ledger file (required)")
 	proto := fs.String("protocol", "", "only this protocol")
-	jsonOut := fs.String("json", "", "also write the series as a JSON artifact")
+	jsonOut := fs.String("json", "", "also write the series as a JSON run record")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -236,7 +221,7 @@ func runTrend(args []string, stdout, stderr io.Writer) int {
 
 	series := trendPoints(l.Entries(), *proto)
 	if len(series) == 0 {
-		fmt.Fprintln(stdout, "no trend data (records need a snapshot or bench rows with a protocol)")
+		fmt.Fprintln(stdout, "no trend data (records need a snapshot and a protocol)")
 		return 0
 	}
 	keys := make([]string, 0, len(series))
@@ -258,16 +243,10 @@ func runTrend(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  heap      last %10s   %s\n",
 			obs.FormatBytes(uint64(heap[len(heap)-1])), spark(heap))
 	}
-	if *jsonOut != "" {
-		art := obs.NewArtifact("vnstats")
-		art.Params = map[string]any{"subcommand": "trend", "ledger": *path, "protocol": *proto}
-		art.Outcome = "ok"
-		art.Metrics = map[string]any{"series": series}
-		if err := art.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintf(stderr, "vnstats: json: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
+	if *jsonOut != "" && !writeResult(*jsonOut,
+		map[string]any{"subcommand": "trend", "ledger": *path, "protocol": *proto},
+		map[string]any{"series": series}, stdout, stderr) {
+		return 2
 	}
 	return 0
 }
@@ -279,7 +258,7 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 	tool := fs.String("tool", "", "filter: only records from this tool")
 	proto := fs.String("protocol", "", "filter: only records for this protocol")
 	top := fs.Int("top", 3, "report the top-k contributors")
-	jsonOut := fs.String("json", "", "write the attribution as a JSON artifact")
+	jsonOut := fs.String("json", "", "write the attribution as a JSON run record")
 	expect := fs.String("expect", "",
 		"comma-separated kind:name entries that must appear in the top-k (exit 1 otherwise); name matches by substring")
 	if err := fs.Parse(args); err != nil {
@@ -340,16 +319,10 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, " %d. %s\n", i+1, c)
 		}
 	}
-	if *jsonOut != "" {
-		art := obs.NewArtifact("vnstats")
-		art.Params = map[string]any{"subcommand": "compare", "ledger": *path, "top": *top}
-		art.Outcome = "ok"
-		art.Metrics = att
-		if err := art.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintf(stderr, "vnstats: json: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
+	if *jsonOut != "" && !writeResult(*jsonOut,
+		map[string]any{"subcommand": "compare", "ledger": *path, "top": *top},
+		att, stdout, stderr) {
+		return 2
 	}
 	if *expect != "" {
 		if miss := checkExpectations(att.Contributors, *expect); len(miss) > 0 {

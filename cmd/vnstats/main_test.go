@@ -129,18 +129,23 @@ func TestCompareJSONArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var art struct {
-		Tool    string             `json:"tool"`
-		Metrics ledger.Attribution `json:"metrics"`
+	// The result is a run record like every other tool's, with the
+	// attribution under extra.metrics.
+	var rec struct {
+		Tool  string `json:"tool"`
+		Extra struct {
+			Metrics ledger.Attribution `json:"metrics"`
+		} `json:"extra"`
 	}
-	if err := json.Unmarshal(raw, &art); err != nil {
+	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if art.Tool != "vnstats" || len(art.Metrics.Contributors) == 0 {
-		t.Fatalf("artifact = %+v", art)
+	att := rec.Extra.Metrics
+	if rec.Tool != "vnstats" || len(att.Contributors) == 0 {
+		t.Fatalf("record = %+v", rec)
 	}
-	if art.Metrics.Contributors[0].Kind != "stage" || art.Metrics.Contributors[0].Name != "mc/check" {
-		t.Fatalf("top contributor = %+v", art.Metrics.Contributors[0])
+	if att.Contributors[0].Kind != "stage" || att.Contributors[0].Name != "mc/check" {
+		t.Fatalf("top contributor = %+v", att.Contributors[0])
 	}
 }
 
@@ -169,30 +174,6 @@ func TestListAndTrend(t *testing.T) {
 	}
 	if !strings.Contains(out, "MSI_nonblocking_cache (2 runs)") || !strings.Contains(out, "states/s") {
 		t.Fatalf("trend output:\n%s", out)
-	}
-}
-
-func TestTrendReadsBenchRows(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	l, err := ledger.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art := obs.NewArtifact("vnsweep")
-	art.Metrics = map[string]any{"runs": []any{
-		map[string]any{
-			"protocol": "MSI", "engine": "seq", "store": "exact",
-			"states_per_sec": 1000.0, "dedup_hit_rate": 0.3, "heap_bytes": 1024.0,
-		},
-	}}
-	if _, _, err := l.Append(ledger.FromArtifact(art)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	code, out, _ := runCmd(t, "trend", "-ledger", path)
-	if code != 0 || !strings.Contains(out, "MSI/seq/exact (1 runs)") {
-		t.Fatalf("bench trend: code=%d out:\n%s", code, out)
 	}
 }
 

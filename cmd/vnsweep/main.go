@@ -23,7 +23,7 @@ import (
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/mc"
-	"minvn/internal/obs"
+	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
@@ -166,7 +166,7 @@ func main() {
 		}
 		fmt.Printf("%s agrees with recomputed family (%d rows)\n", *check, len(ff.Rows))
 	}
-	if err := tel.AppendLedger(sweepArtifact(search, ff, disagree), nil, os.Stdout); err != nil {
+	if err := tel.Record(sweepRecord(search, ff, disagree), os.Stdout); err != nil {
 		os.Exit(cliflag.Fail(os.Stderr, "vnsweep", err))
 	}
 	if disagree > 0 {
@@ -175,16 +175,16 @@ func main() {
 	}
 }
 
-// sweepArtifact summarizes the whole campaign as one ledger record:
+// sweepRecord summarizes the whole campaign as one ledger record:
 // the sweep config, row count, and per-row class/minVN/outcome — enough
 // for vnstats to track family drift across commits without replaying
 // FAMILY_mc.json.
-func sweepArtifact(search cliflag.Search, ff *familyFile, disagree int) *obs.Artifact {
-	art := obs.NewArtifact("vnsweep")
-	art.Params = search.Params()
-	art.Outcome = "ok"
+func sweepRecord(search cliflag.Search, ff *familyFile, disagree int) *ledger.Record {
+	rec := ledger.New("vnsweep")
+	rec.Params = search.Params()
+	rec.Outcome = "ok"
 	if disagree > 0 {
-		art.Outcome = "disagree"
+		rec.Outcome = "disagree"
 	}
 	rows := make([]map[string]any, 0, len(ff.Rows))
 	for _, r := range ff.Rows {
@@ -193,9 +193,11 @@ func sweepArtifact(search cliflag.Search, ff *familyFile, disagree int) *obs.Art
 			"class": r.Class, "min_vns": r.MinVNs, "agree": r.Agree,
 		})
 	}
-	art.Metrics = map[string]any{"rows": len(ff.Rows), "disagree": disagree}
-	art.Extra = map[string]any{"family": rows}
-	return art
+	rec.Extra = map[string]any{
+		"metrics": map[string]any{"rows": len(ff.Rows), "disagree": disagree},
+		"family":  rows,
+	}
+	return rec
 }
 
 // sweep computes the full family table.

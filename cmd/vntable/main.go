@@ -22,7 +22,7 @@ import (
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/mc"
-	"minvn/internal/obs"
+	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
@@ -157,19 +157,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vntable: trace-out:", err)
 		return 1
 	}
-	if tel.WantArtifact() {
-		art := obs.NewArtifact("vntable")
-		art.Params = search.Params()
-		art.Params["mc"] = *runMC
-		art.Params["extensions"] = *ext
-		art.Outcome = "ok"
-		if exitCode != 0 {
-			art.Outcome = "mismatch"
-		}
-		art.Metrics = map[string]any{"rows": artRows}
-		if err := tel.Finish(art, nil, stdout); err != nil {
-			return cliflag.Fail(stderr, "vntable", err)
-		}
+	rec := ledger.New("vntable")
+	rec.Params = search.Params()
+	rec.Params["mc"] = *runMC
+	rec.Params["extensions"] = *ext
+	rec.Outcome = "ok"
+	if exitCode != 0 {
+		rec.Outcome = "mismatch"
+	}
+	rec.Extra = map[string]any{"metrics": map[string]any{"rows": artRows}}
+	if err := tel.Record(rec, stdout); err != nil {
+		return cliflag.Fail(stderr, "vntable", err)
 	}
 	return exitCode
 }

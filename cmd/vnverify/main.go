@@ -16,6 +16,7 @@ import (
 	"minvn/internal/icn"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
+	"minvn/internal/obs/ledger"
 )
 
 // capLabel renders a queue capacity, where 0 means unbounded.
@@ -69,6 +70,18 @@ func main() {
 	job.Occupancy = tel.Occupancy
 	tel.Configure(&job.Options, os.Stderr)
 	sys, cfg := job.System, job.Config
+	// record writes the run's one document to -stats-json and -ledger.
+	record := func(outcome string, snap *mc.Snapshot, extra map[string]any) {
+		rec := ledger.New("vnverify")
+		rec.Params = job.Params()
+		rec.Outcome = outcome
+		rec.Snapshot = snap
+		rec.Stages = tl.Summaries()
+		rec.Extra = extra
+		if err := tel.Record(rec, os.Stdout); err != nil {
+			os.Exit(cliflag.Fail(os.Stderr, "vnverify", err))
+		}
+	}
 
 	if *walk > 0 {
 		bad := 0
@@ -79,19 +92,11 @@ func main() {
 				bad++
 			}
 		}
-		if tel.WantArtifact() {
-			art := obs.NewArtifact("vnverify")
-			art.Params = job.Params()
-			art.Outcome = "walks-ok"
-			if bad > 0 {
-				art.Outcome = "walks-wedged"
-			}
-			art.Metrics = map[string]any{"walks": *walk, "walk_steps": *walkSteps, "bad": bad}
-			art.Stages = tl.Stages()
-			if err := tel.Finish(art, nil, os.Stdout); err != nil {
-				os.Exit(cliflag.Fail(os.Stderr, "vnverify", err))
-			}
+		outcome := "walks-ok"
+		if bad > 0 {
+			outcome = "walks-wedged"
 		}
+		record(outcome, nil, map[string]any{"metrics": map[string]any{"walks": *walk, "walk_steps": *walkSteps, "bad": bad}})
 		if bad > 0 {
 			fmt.Printf("%d of %d walks wedged or violated\n", bad, *walk)
 			os.Exit(1)
@@ -122,25 +127,11 @@ func main() {
 			occStats.GlobalHighWater, capLabel(occStats.GlobalCap),
 			occStats.LocalHighWater, capLabel(occStats.LocalCap))
 	}
-	if tel.WantArtifact() {
-		art := obs.NewArtifact("vnverify")
-		art.Params = job.Params()
-		art.Outcome = res.Outcome.Tag()
-		art.Metrics = res.Stats
-		art.Stages = tl.Stages()
-		if res.Message != "" {
-			art.Extra = map[string]any{"message": res.Message}
-		}
-		if occStats != nil {
-			if art.Extra == nil {
-				art.Extra = map[string]any{}
-			}
-			art.Extra["occupancy"] = occStats
-		}
-		if err := tel.Finish(art, &res.Stats, os.Stdout); err != nil {
-			os.Exit(cliflag.Fail(os.Stderr, "vnverify", err))
-		}
+	var extra map[string]any
+	if res.Message != "" {
+		extra = map[string]any{"message": res.Message}
 	}
+	record(res.Outcome.Tag(), &res.Stats, extra)
 	if len(res.Trace) > 0 && search.Traces {
 		last := res.Trace[len(res.Trace)-1]
 		fmt.Println("\nsequence chart (controller states per endpoint, (+n) = queued messages):")

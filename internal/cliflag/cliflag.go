@@ -9,11 +9,12 @@
 // machine.Config itself. The -engines/-stores list parser, the -file
 // loader, and the exit-status rule (Fail) live here too.
 //
-// Telemetry (this file) is the observation half: live progress, JSON
-// run artifacts, the run ledger, pprof, the flight recorder, per-VN
-// occupancy profiling, and the -peers worker fleet. Each command
-// registers the subset it supports and gets one Telemetry value with
-// the helpers that turn the parsed knobs into mc.Options wiring.
+// Telemetry (this file) is the observation half: live progress, the
+// run record's two sinks (-stats-json file, -ledger history; see
+// Record), pprof, the flight recorder, per-VN occupancy profiling, and
+// the -peers worker fleet. Each command registers the subset it
+// supports and gets one Telemetry value with the helpers that turn the
+// parsed knobs into mc.Options wiring.
 package cliflag
 
 import (
@@ -85,7 +86,7 @@ func Register(fs *flag.FlagSet, which Flags) *Telemetry {
 		fs.DurationVar(&t.ProgressInterval, "progress-interval", 5*time.Second, "progress snapshot every wall-clock interval (0 = count-only)")
 	}
 	if which&FlagStatsJSON != 0 {
-		fs.StringVar(&t.StatsJSON, "stats-json", "", "write a machine-readable JSON run artifact to this file")
+		fs.StringVar(&t.StatsJSON, "stats-json", "", "write this run's record (the document -ledger appends) to this file as indented JSON")
 	}
 	if which&FlagPprof != 0 {
 		fs.StringVar(&t.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -99,7 +100,7 @@ func Register(fs *flag.FlagSet, which Flags) *Telemetry {
 		fs.BoolVar(&t.Occupancy, "occupancy", false, "aggregate per-VN queue-depth histograms across stored states")
 	}
 	if which&FlagLedger != 0 {
-		fs.StringVar(&t.Ledger, "ledger", "", "append this run's artifact to the content-addressed run ledger at this path")
+		fs.StringVar(&t.Ledger, "ledger", "", "append this run's record to the content-addressed run ledger at this path")
 	}
 	if which&FlagDist != 0 {
 		fs.StringVar(&t.PeerList, "peers", "", "comma-separated worker URLs for -engine dist (e.g. http://h1:9410,http://h2:9410); empty spawns -workers loopback workers")
@@ -112,33 +113,19 @@ func Register(fs *flag.FlagSet, which Flags) *Telemetry {
 // tells the distributed coordinator to spawn loopback workers.
 func (t *Telemetry) Peers() []string { return splitList(t.PeerList) }
 
-// WantArtifact reports whether the command should build a run artifact
-// at all: either surface (-stats-json file, -ledger history) needs one.
-func (t *Telemetry) WantArtifact() bool {
-	return t.StatsJSON != "" || t.Ledger != ""
-}
-
-// WriteStats writes the run artifact to -stats-json, announcing the
-// path on stdout — the write/error path every CLI used to duplicate.
-// A no-op when the flag is unset.
-func (t *Telemetry) WriteStats(art *obs.Artifact, stdout io.Writer) error {
-	if t.StatsJSON == "" || art == nil {
-		return nil
+// Record sends the run's one document to both sinks: the -stats-json
+// file (indented) and the -ledger history (one canonical line). An
+// unset sink is a no-op, so commands call this unconditionally. Ledger
+// dedup is announced rather than hidden: re-recording an identical run
+// is normal across replicas.
+func (t *Telemetry) Record(rec *ledger.Record, stdout io.Writer) error {
+	if t.StatsJSON != "" {
+		if err := rec.WriteFile(t.StatsJSON); err != nil {
+			return fmt.Errorf("stats-json: %w", err)
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", t.StatsJSON)
 	}
-	if err := art.WriteFile(t.StatsJSON); err != nil {
-		return fmt.Errorf("stats-json: %w", err)
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", t.StatsJSON)
-	return nil
-}
-
-// AppendLedger appends the run artifact to the -ledger history,
-// overriding the artifact's generic metrics with the typed final
-// snapshot when the caller has one. Dedup is announced rather than
-// hidden: re-recording an identical run is normal across replicas.
-// A no-op when the flag is unset.
-func (t *Telemetry) AppendLedger(art *obs.Artifact, snap *mc.Snapshot, stdout io.Writer) error {
-	if t.Ledger == "" || art == nil {
+	if t.Ledger == "" {
 		return nil
 	}
 	l, err := ledger.Open(t.Ledger)
@@ -146,10 +133,6 @@ func (t *Telemetry) AppendLedger(art *obs.Artifact, snap *mc.Snapshot, stdout io
 		return fmt.Errorf("ledger: %w", err)
 	}
 	defer l.Close()
-	rec := ledger.FromArtifact(art)
-	if snap != nil {
-		rec.Snapshot = snap
-	}
 	id, dup, err := l.Append(rec)
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
@@ -160,15 +143,6 @@ func (t *Telemetry) AppendLedger(art *obs.Artifact, snap *mc.Snapshot, stdout io
 		fmt.Fprintf(stdout, "ledger: recorded %s (%s)\n", id[:12], t.Ledger)
 	}
 	return nil
-}
-
-// Finish runs both artifact sinks: the -stats-json file and the
-// -ledger run history.
-func (t *Telemetry) Finish(art *obs.Artifact, snap *mc.Snapshot, stdout io.Writer) error {
-	if err := t.WriteStats(art, stdout); err != nil {
-		return err
-	}
-	return t.AppendLedger(art, snap, stdout)
 }
 
 // StartPprof serves net/http/pprof when -pprof was given, announcing

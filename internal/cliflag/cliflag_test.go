@@ -2,6 +2,7 @@ package cliflag
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -12,8 +13,10 @@ import (
 	"time"
 
 	"minvn/internal/dist"
+	"minvn/internal/icn"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
+	"minvn/internal/obs/health"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/obs/trace/tracetest"
 	"minvn/internal/protocol"
@@ -146,81 +149,159 @@ func TestWriteTrace(t *testing.T) {
 	}
 }
 
-// TestFinishSinks: the shared artifact-write helper must honor both
-// sinks — the -stats-json file and the -ledger history — and dedup a
-// re-recorded identical run.
-func TestFinishSinks(t *testing.T) {
-	dir := t.TempDir()
-	statsPath := filepath.Join(dir, "stats.json")
-	ledgerPath := filepath.Join(dir, "ledger.jsonl")
-	tel := &Telemetry{StatsJSON: statsPath, Ledger: ledgerPath}
-	if !tel.WantArtifact() {
-		t.Fatal("WantArtifact false with both sinks set")
+// TestRecordSinks: a run has one document. Both sinks write the same
+// ledger.Record — the -stats-json file decodes to a record whose
+// canonical encoding is the -ledger line byte for byte (so both carry
+// one content address), nothing typed is lost on the way (the health
+// report above all: vnstats compare reasons over it), a re-recorded
+// identical run dedups, and unset sinks are no-ops.
+func TestRecordSinks(t *testing.T) {
+	snap := mc.Snapshot{
+		Strategy: "pipeline", Store: "compact",
+		ElapsedSeconds: 1.25, States: 20000, Frontier: 12, MaxDepth: 7,
+		Expansions: 41000, Generated: 120000, DedupHits: 79000,
+		DedupHitRate: 0.65, StatesPerSec: 16000,
+		DepthHistogram: []int64{1, 8, 64, 512},
+		RuleFirings:    map[string]int64{"core/load": 9000, "deliver/vn0": 15000},
+		HeapBytes:      64 << 20,
+		Health: &health.Report{
+			Stripes:         4,
+			StripeOccupancy: []int64{5000, 5001, 4999, 5000},
+			StripeDedupHits: []int64{100, 90, 110, 95},
+			OccMin:          4999, OccMax: 5001, OccMean: 5000, OccCV: 0.00014,
+			ArenaBytes: 1 << 20, SetBytes: 2 << 20, UnverifiedHits: 3,
+			LockWaitNS: 12345, LockWaitSamples: 17,
+			ReorderStalls: 2, ReorderMax: 9,
+			Workers: []health.WorkerStats{
+				{Worker: 0, Batches: 10, States: 10000, ExpandNS: 600_000_000, QueueWaitNS: 50_000_000, SendWaitNS: 1_000_000},
+				{Worker: 1, Batches: 11, States: 10000, ExpandNS: 610_000_000, QueueWaitNS: 40_000_000, SendWaitNS: 2_000_000},
+			},
+		},
+		Occupancy: &icn.OccupancyStats{
+			StatesObserved: 20000, GlobalCap: 2, LocalCap: 2, GlobalHighWater: 2, LocalHighWater: 1,
+		},
+		Final: true,
 	}
+	tl := &obs.Timeline{}
+	tl.Time("mc/check", func() {})
+	tl.Time("mc/check", func() {})
 
-	art := obs.NewArtifact("vnverify")
-	art.Params["protocol"] = "MSI"
-	art.Outcome = "ok"
-	snap := &mc.Snapshot{Strategy: "seq", States: 3, StatesPerSec: 42}
+	cases := []struct {
+		name  string
+		build func() *ledger.Record
+	}{
+		{"typed snapshot", func() *ledger.Record {
+			rec := ledger.New("vnverify")
+			rec.Params["protocol"] = "MSI"
+			rec.Outcome = "bounded"
+			rec.Snapshot = &snap
+			rec.Stages = tl.Summaries()
+			rec.Extra = map[string]any{"message": "bound reached"}
+			return rec
+		}},
+		{"extra metrics only", func() *ledger.Record {
+			rec := ledger.New("vnsweep")
+			rec.Outcome = "ok"
+			rec.Extra = map[string]any{"metrics": map[string]any{"rows": 30, "disagree": 0}}
+			return rec
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tel := &Telemetry{StatsJSON: filepath.Join(dir, "stats.json"), Ledger: filepath.Join(dir, "ledger.jsonl")}
+			rec := tc.build()
+			if rec.Created == "" || rec.Provenance.GoVersion == "" {
+				t.Fatalf("ledger.New left the record unstamped: %+v", rec)
+			}
+			var out bytes.Buffer
+			if err := tel.Record(rec, &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"wrote " + tel.StatsJSON, "ledger: recorded"} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output lacks %q: %q", want, out.String())
+				}
+			}
 
-	var out bytes.Buffer
-	if err := tel.Finish(art, snap, &out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(statsPath); err != nil {
-		t.Fatalf("stats-json not written: %v", err)
-	}
-	if !strings.Contains(out.String(), "ledger: recorded") {
-		t.Fatalf("ledger append not announced: %q", out.String())
-	}
+			raw, err := os.ReadFile(tel.StatsJSON)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(raw, []byte("\n  \"tool\": ")) {
+				t.Errorf("stats-json is not indented:\n%.200s", raw)
+			}
+			var back ledger.Record
+			if err := json.Unmarshal(raw, &back); err != nil {
+				t.Fatal(err)
+			}
+			canon, err := back.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, err := os.ReadFile(tel.Ledger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(canon, '\n'), line) {
+				t.Fatalf("stats-json re-encoded differs from the ledger line:\n%s\n%s", canon, line)
+			}
 
-	l, err := ledger.Open(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := l.Entries()
-	l.Close()
-	if len(entries) != 1 {
-		t.Fatalf("ledger has %d records, want 1", len(entries))
-	}
-	rec := entries[0].Record
-	if rec.Tool != "vnverify" || rec.Snapshot == nil || rec.Snapshot.States != 3 {
-		t.Fatalf("record = %+v snapshot = %+v", rec, rec.Snapshot)
-	}
+			l, err := ledger.Open(tel.Ledger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := l.Entries()
+			l.Close()
+			if len(entries) != 1 || entries[0].ID != ledger.IDOf(canon) {
+				t.Fatalf("ledger entries = %+v, want one with the file's content address", entries)
+			}
+			if got := entries[0].Record; got.Tool != rec.Tool || got.Outcome != rec.Outcome || !reflect.DeepEqual(got.Stages, rec.Stages) {
+				t.Fatalf("record = %+v", got)
+			}
+			if rec.Snapshot == nil {
+				if back.Snapshot != nil {
+					t.Fatal("extra metrics mistaken for a snapshot")
+				}
+				if m, _ := back.Extra["metrics"].(map[string]any); m["rows"] != float64(30) {
+					t.Fatalf("extra metrics dropped: %+v", back.Extra)
+				}
+			} else {
+				// Occupancy is declared `any` and comes back generic;
+				// everything else must survive bit-exactly.
+				occ, _ := back.Snapshot.Occupancy.(map[string]any)
+				if occ["states_observed"] != float64(20000) {
+					t.Fatalf("occupancy did not round-trip: %+v", back.Snapshot.Occupancy)
+				}
+				want := snap
+				want.Occupancy, back.Snapshot.Occupancy = nil, nil
+				if !reflect.DeepEqual(*back.Snapshot, want) {
+					t.Fatalf("snapshot did not round-trip:\ngot  %+v\nwant %+v", *back.Snapshot, want)
+				}
+				if sum := back.Stages; len(sum) != 1 || sum[0].Name != "mc/check" || sum[0].Count != 2 {
+					t.Fatalf("stages = %+v, want one mc/check summary of 2 runs", sum)
+				}
+			}
 
-	// Re-finishing the identical artifact dedups (acceptance: appending
-	// the same artifact twice yields one record). Created is part of the
-	// record, so reuse the same artifact verbatim.
-	out.Reset()
-	if err := tel.Finish(art, snap, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "already recorded") {
-		t.Fatalf("dedup not announced: %q", out.String())
-	}
-	l2, err := ledger.Open(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := l2.Len()
-	l2.Close()
-	if n != 1 {
-		t.Fatalf("ledger grew to %d records on duplicate append", n)
-	}
-}
+			// Recording the identical record again dedups; Created is
+			// part of the record, so reuse it verbatim.
+			out.Reset()
+			if err := tel.Record(rec, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "already recorded") {
+				t.Fatalf("dedup not announced: %q", out.String())
+			}
+			if again, _ := os.ReadFile(tel.Ledger); !bytes.Equal(again, line) {
+				t.Fatal("ledger grew on a duplicate append")
+			}
 
-// Unset sinks are no-ops, so CLIs call Finish unconditionally.
-func TestFinishNoSinks(t *testing.T) {
-	tel := &Telemetry{}
-	if tel.WantArtifact() {
-		t.Fatal("WantArtifact true with no sinks")
-	}
-	var out bytes.Buffer
-	if err := tel.Finish(obs.NewArtifact("x"), nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("no-op Finish produced output: %q", out.String())
+			// Unset sinks are no-ops, so commands record unconditionally.
+			out.Reset()
+			if err := (&Telemetry{}).Record(rec, &out); err != nil || out.Len() != 0 {
+				t.Fatalf("no-op Record: err=%v output=%q", err, out.String())
+			}
+		})
 	}
 }
 

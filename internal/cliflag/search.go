@@ -127,9 +127,9 @@ func (s *Search) Register(fs *flag.FlagSet, which SearchFlags) {
 	}
 }
 
-// Params records the registered flags' values under the artifact key
+// Params records the registered flags' values under the run-record key
 // names dist.Job.Params uses — the tool-level parameters of a matrix
-// tool, whose artifact covers many resolved jobs.
+// tool, whose record covers many resolved jobs.
 func (s *Search) Params() map[string]any {
 	p := map[string]any{}
 	if s.which&SearchSystem != 0 {

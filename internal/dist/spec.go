@@ -243,7 +243,7 @@ func (s Spec) Resolve(p *protocol.Protocol, tl *obs.Timeline) (Job, error) {
 }
 
 // Params is the one rendering of a resolved job's question, under the
-// key names run artifacts and ledger records have always used.
+// key names run records have always used.
 func (j Job) Params() map[string]any {
 	return map[string]any{
 		"protocol": j.Config.Protocol.Name,

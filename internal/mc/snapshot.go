@@ -12,8 +12,8 @@ import (
 
 // Snapshot is a point-in-time view of a running (or finished) search —
 // the Go counterpart of CMurphi's periodic progress reports. It is
-// fully serializable so CLI runs can persist it inside a JSON run
-// artifact (obs.Artifact).
+// fully serializable so every run can persist its final one inside
+// its run record (ledger.Record).
 type Snapshot struct {
 	Strategy string `json:"strategy"`
 	// Store names the visited-set mode the run used ("exact" or

@@ -18,8 +18,6 @@
 package health
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 	"time"
@@ -59,11 +57,11 @@ type WorkerStats struct {
 }
 
 // Report is the serializable contention profile of one search run,
-// embedded in mc.Snapshot (and therefore in -stats-json artifacts and
-// the serving layer's SSE snapshots).
+// embedded in mc.Snapshot (and therefore in every run record and the
+// serving layer's SSE snapshots).
 type Report struct {
 	// Stripes is the length of the per-stripe slices (always the
-	// package constant today; carried so artifacts self-describe).
+	// package constant today; carried so records self-describe).
 	Stripes int `json:"stripes"`
 	// StripeOccupancy[i] counts stored states whose fingerprint maps
 	// to stripe i; StripeDedupHits[i] counts duplicate probes there.
@@ -244,78 +242,6 @@ func (s *WorkerSet) Stats() []WorkerStats {
 		}
 	}
 	return out
-}
-
-// WritePromText renders the report as Prometheus exposition text with
-// per-stripe and per-worker series, for the serving layer's /metrics
-// endpoint. Families:
-//
-//	mc_shard_occupancy{shard="i"}    stored states per stripe
-//	mc_shard_dedup_hits{shard="i"}   duplicate probes per stripe
-//	mc_shard_occ_cv_ppm              occupancy skew (CV × 1e6)
-//	mc_worker_expand_seconds{worker="i"}
-//	mc_worker_queue_wait_seconds{worker="i"}
-//	mc_worker_send_wait_seconds{worker="i"}
-//	mc_lock_wait_seconds, mc_arena_bytes, mc_set_bytes,
-//	mc_unverified_hits, mc_reorder_stalls, mc_reorder_max
-//
-// A nil report writes nothing and returns nil.
-func (r *Report) WritePromText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	emitSeries := func(family string, vals []int64, label string, f func(int64) string) error {
-		if len(vals) == 0 {
-			return nil
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", family); err != nil {
-			return err
-		}
-		for i, v := range vals {
-			if _, err := fmt.Fprintf(w, "%s{%s=\"%d\"} %s\n", family, label, i, f(v)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	asInt := func(v int64) string { return fmt.Sprintf("%d", v) }
-	asSeconds := func(ns int64) string { return fmt.Sprintf("%g", float64(ns)/1e9) }
-
-	if err := emitSeries("mc_shard_occupancy", r.StripeOccupancy, "shard", asInt); err != nil {
-		return err
-	}
-	if err := emitSeries("mc_shard_dedup_hits", r.StripeDedupHits, "shard", asInt); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE mc_shard_occ_cv_ppm gauge\nmc_shard_occ_cv_ppm %d\n",
-		int64(r.OccCV*1e6)); err != nil {
-		return err
-	}
-	var expand, queue, send []int64
-	for _, ws := range r.Workers {
-		expand = append(expand, ws.ExpandNS)
-		queue = append(queue, ws.QueueWaitNS)
-		send = append(send, ws.SendWaitNS)
-	}
-	if err := emitSeries("mc_worker_expand_seconds", expand, "worker", asSeconds); err != nil {
-		return err
-	}
-	if err := emitSeries("mc_worker_queue_wait_seconds", queue, "worker", asSeconds); err != nil {
-		return err
-	}
-	if err := emitSeries("mc_worker_send_wait_seconds", send, "worker", asSeconds); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w,
-		"# TYPE mc_lock_wait_seconds gauge\nmc_lock_wait_seconds %g\n"+
-			"# TYPE mc_arena_bytes gauge\nmc_arena_bytes %d\n"+
-			"# TYPE mc_set_bytes gauge\nmc_set_bytes %d\n"+
-			"# TYPE mc_unverified_hits gauge\nmc_unverified_hits %d\n"+
-			"# TYPE mc_reorder_stalls gauge\nmc_reorder_stalls %d\n"+
-			"# TYPE mc_reorder_max gauge\nmc_reorder_max %d\n",
-		float64(r.LockWaitNS)/1e9, r.ArenaBytes, r.SetBytes, r.UnverifiedHits,
-		r.ReorderStalls, r.ReorderMax)
-	return err
 }
 
 // Merge folds another run's report into r, for coordinators that

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -78,106 +77,6 @@ func TestReportAggregates(t *testing.T) {
 	}}
 	if r.ExpandNS() != 30 || r.QueueWaitNS() != 7 {
 		t.Fatalf("aggregates: expand=%d queue=%d", r.ExpandNS(), r.QueueWaitNS())
-	}
-}
-
-func TestWritePromText(t *testing.T) {
-	var s ShardSampler
-	s.Store(1)
-	s.Dup(1)
-	var r Report
-	s.Fill(&r)
-	r.Workers = []WorkerStats{{Worker: 0, ExpandNS: 2_000_000_000, QueueWaitNS: 500_000_000}}
-	r.LockWaitNS = 1_000_000
-	r.ArenaBytes = 4096
-	r.ReorderStalls = 7
-	r.ReorderMax = 12
-
-	var b strings.Builder
-	if err := r.WritePromText(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	for _, want := range []string{
-		"# TYPE mc_shard_occupancy gauge",
-		`mc_shard_occupancy{shard="` + itoa(StripeOf(1)) + `"} 1`,
-		"# TYPE mc_shard_dedup_hits gauge",
-		`mc_worker_expand_seconds{worker="0"} 2`,
-		`mc_worker_queue_wait_seconds{worker="0"} 0.5`,
-		"mc_lock_wait_seconds 0.001",
-		"mc_arena_bytes 4096",
-		"mc_reorder_stalls 7",
-		"mc_reorder_max 12",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("exposition missing %q:\n%s", want, got)
-		}
-	}
-
-	var nilReport *Report
-	var nb strings.Builder
-	if err := nilReport.WritePromText(&nb); err != nil || nb.Len() != 0 {
-		t.Fatalf("nil report must write nothing: err=%v out=%q", err, nb.String())
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
-}
-
-// TestWritePromTextZeroReport: a zero-value report (no stripes, no
-// workers — an engine that never filled it) still renders valid
-// exposition text: the scalar families with zero samples, no labeled
-// series, and no panic.
-func TestWritePromTextZeroReport(t *testing.T) {
-	var r Report
-	var b strings.Builder
-	if err := r.WritePromText(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	for _, want := range []string{
-		"mc_shard_occ_cv_ppm 0",
-		"mc_lock_wait_seconds 0",
-		"mc_arena_bytes 0",
-		"mc_set_bytes 0",
-		"mc_unverified_hits 0",
-		"mc_reorder_stalls 0",
-		"mc_reorder_max 0",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("zero report missing %q:\n%s", want, got)
-		}
-	}
-	for _, absent := range []string{"mc_shard_occupancy{", "mc_worker_expand_seconds{"} {
-		if strings.Contains(got, absent) {
-			t.Errorf("zero report emitted empty labeled series %q:\n%s", absent, got)
-		}
-	}
-	// Exposition-format shape: every non-comment line is "name value"
-	// and every family is typed before its first sample.
-	typed := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			typed[strings.Fields(line)[2]] = true
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Errorf("malformed sample line %q", line)
-			continue
-		}
-		if !typed[fields[0]] {
-			t.Errorf("sample %q precedes its # TYPE line", fields[0])
-		}
 	}
 }
 

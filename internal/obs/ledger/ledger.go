@@ -1,9 +1,12 @@
-// Package ledger is the repo's durable observability plane: an
-// append-only, content-addressed history of runs. Each record captures
-// one search / bench / serve artifact — provenance, parameters,
-// outcome, the final mc.Snapshot (including health stripes and
-// occupancy), and stage-timer summaries — as a single canonical JSON
-// line. The record's identity is the SHA-256 of those bytes, so the
+// Package ledger holds the one run document, Record, and the repo's
+// durable observability plane built on it: an append-only,
+// content-addressed history of runs. A Record captures one CLI run or
+// one vnserved job — provenance, parameters, outcome, the final
+// mc.Snapshot (including health stripes and occupancy), and stage-timer
+// summaries. New is its only constructor and it has two writers,
+// WriteFile (a -stats-json file, indented) and Ledger.Append (one
+// canonical JSON line), which emit the same bytes modulo whitespace.
+// The record's identity is the SHA-256 of the canonical line, so the
 // same run recorded twice (or shipped between replicas) dedups to one
 // record, and the index can always be rebuilt by rehashing the file.
 //
@@ -22,6 +25,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"time"
 
 	"minvn/internal/mc"
 	"minvn/internal/obs"
@@ -42,37 +46,18 @@ type Record struct {
 	Extra      map[string]any     `json:"extra,omitempty"`
 }
 
-// FromArtifact converts a run artifact into a ledger record. A typed
-// mc.Snapshot in the artifact's Metrics becomes the record's Snapshot;
-// any other metrics payload rides in Extra["metrics"]. Raw stages are
-// reduced to summaries — the ledger stores aggregates, not timelines.
-func FromArtifact(a *obs.Artifact) *Record {
-	r := &Record{
-		Tool:       a.Tool,
-		Created:    a.Created,
-		Provenance: a.Provenance,
-		Params:     a.Params,
-		Outcome:    a.Outcome,
-		Stages:     obs.Summarize(a.Stages),
+// New starts the record of one run of tool, stamped with the current
+// time and the producing binary's provenance. Every run document is
+// born here; the caller fills in what was asked (Params), what was
+// answered (Outcome, Snapshot), where the time went (Stages) and any
+// tool-specific payload (Extra).
+func New(tool string) *Record {
+	return &Record{
+		Tool:       tool,
+		Created:    time.Now().Format(time.RFC3339),
+		Provenance: obs.CollectProvenance(),
+		Params:     make(map[string]any),
 	}
-	switch m := a.Metrics.(type) {
-	case *mc.Snapshot:
-		r.Snapshot = m
-	case mc.Snapshot:
-		r.Snapshot = &m
-	case nil:
-	default:
-		r.Extra = map[string]any{"metrics": a.Metrics}
-	}
-	if len(a.Extra) > 0 {
-		if r.Extra == nil {
-			r.Extra = make(map[string]any, len(a.Extra))
-		}
-		for k, v := range a.Extra {
-			r.Extra[k] = v
-		}
-	}
-	return r
 }
 
 // Encode renders the record in the ledger's canonical byte-stable form:
@@ -89,6 +74,23 @@ func (r *Record) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(v)
+}
+
+// WriteFile writes the canonical encoding to path, indented for people
+// and scripts. Decoding the file and re-encoding it yields the ledger
+// line byte for byte, so a run's -stats-json file and its -ledger entry
+// share one content address.
+func (r *Record) WriteFile(path string) error {
+	canon, err := r.Encode()
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, canon, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // IDOf is the content address of a canonical record line.

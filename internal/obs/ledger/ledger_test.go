@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"minvn/internal/mc"
 	"minvn/internal/obs"
-	"minvn/internal/obs/health"
 )
 
 func testRecord(outcome string, sps float64) *Record {
@@ -235,39 +233,5 @@ func TestLastAndEntries(t *testing.T) {
 	}
 	if got := l.Last(10); len(got) != 5 {
 		t.Fatalf("Last(10) len=%d want 5", len(got))
-	}
-}
-
-func TestFromArtifact(t *testing.T) {
-	art := obs.NewArtifact("vnverify")
-	art.Params = map[string]any{"protocol": "MSI"}
-	art.Outcome = "ok"
-	snap := mc.Snapshot{Strategy: "seq", States: 7, Health: &health.Report{Stripes: 64}}
-	art.Metrics = snap
-	art.Stages = []obs.Stage{
-		{Name: "mc/check", Seconds: 0.2},
-		{Name: "mc/check", Seconds: 0.3},
-	}
-	rec := FromArtifact(art)
-	if rec.Tool != "vnverify" || rec.Outcome != "ok" {
-		t.Fatalf("rec = %+v", rec)
-	}
-	if rec.Snapshot == nil || rec.Snapshot.States != 7 || rec.Snapshot.Health == nil {
-		t.Fatalf("typed snapshot not captured: %+v", rec.Snapshot)
-	}
-	want := []obs.StageSummary{{Name: "mc/check", Count: 2, Seconds: 0.5, Max: 0.3}}
-	if !reflect.DeepEqual(rec.Stages, want) {
-		t.Fatalf("stages = %+v want %+v", rec.Stages, want)
-	}
-
-	// Non-snapshot metrics ride in Extra so nothing is dropped.
-	art2 := obs.NewArtifact("vnsweep")
-	art2.Metrics = map[string]any{"rows": 30, "disagree": 0}
-	rec2 := FromArtifact(art2)
-	if rec2.Snapshot != nil {
-		t.Fatal("sweep metrics mistaken for a snapshot")
-	}
-	if _, ok := rec2.Extra["metrics"]; !ok {
-		t.Fatalf("sweep metrics dropped: %+v", rec2.Extra)
 	}
 }

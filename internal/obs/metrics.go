@@ -38,7 +38,7 @@ func helpText(name, kind string) string {
 // exposition format: one `# HELP` + `# TYPE` pair and one sample per
 // metric, names sanitized to the metric charset (dots become
 // underscores), deterministic order — counters sorted by name, then
-// gauges sorted by name, then stage summaries in timeline order. It is
+// gauges sorted by name, then stage summaries sorted by name. It is
 // deliberately minimal — enough for `curl /metrics`, scrape jobs, and
 // tests, with no client library.
 func WriteMetricsText(w io.Writer, s Snapshot) error {

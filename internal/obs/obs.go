@@ -4,11 +4,12 @@
 //
 // The package exists so that long explicit-state model-checking runs
 // (paper §VII: millions of states) and the static analysis pipeline
-// are observable while they run, and so that every CLI run can leave a
-// machine-readable artifact behind (see Artifact). Everything here is
-// standard library only; the hot-path primitives (Counter, Gauge) are
-// single atomic words so they are safe to hammer from the parallel
-// searcher's workers.
+// are observable while they run. What a run leaves behind is one
+// document, ledger.Record (obs/ledger): this package supplies its
+// provenance (CollectProvenance) and its stage columns
+// (Timeline.Summaries). Everything here is standard library only; the
+// hot-path primitives (Counter, Gauge) are single atomic words so they
+// are safe to hammer from the parallel searcher's workers.
 package obs
 
 import (
@@ -99,61 +100,64 @@ type StageSummary struct {
 	Max     float64 `json:"max_seconds"`
 }
 
-// Summaries aggregates the completed stages by name, sorted by name
-// for deterministic rendering. Repeated stages (a per-job pipeline
-// phase, a retried pass) collapse into one summary instead of one
-// entry per run.
-func (t *Timeline) Summaries() []StageSummary {
-	return Summarize(t.Stages())
+// stageSums accumulates stage runs by name.
+type stageSums map[string]*StageSummary
+
+// add folds one completed run of the named stage into its summary.
+func (m stageSums) add(name string, seconds float64) {
+	s, ok := m[name]
+	if !ok {
+		s = &StageSummary{Name: name}
+		m[name] = s
+	}
+	s.Count++
+	s.Seconds += seconds
+	if seconds > s.Max {
+		s.Max = seconds
+	}
 }
 
-// Summarize aggregates raw stage records by name into per-stage
-// count/total/max summaries, sorted by stage name. It is the shared
-// reduction behind Timeline.Summaries and the run ledger's stage
-// columns.
-func Summarize(stages []Stage) []StageSummary {
-	if len(stages) == 0 {
+// sorted renders the summaries in stage-name order.
+func (m stageSums) sorted() []StageSummary {
+	if len(m) == 0 {
 		return nil
 	}
-	byName := make(map[string]*StageSummary)
-	for _, s := range stages {
-		sum, ok := byName[s.Name]
-		if !ok {
-			sum = &StageSummary{Name: s.Name}
-			byName[s.Name] = sum
-		}
-		sum.Count++
-		sum.Seconds += s.Seconds
-		if s.Seconds > sum.Max {
-			sum.Max = s.Seconds
-		}
-	}
-	out := make([]StageSummary, 0, len(byName))
-	for _, name := range SortedNames(byName) {
-		out = append(out, *byName[name])
+	out := make([]StageSummary, 0, len(m))
+	for _, name := range SortedNames(m) {
+		out = append(out, *m[name])
 	}
 	return out
+}
+
+// Summaries aggregates the completed stages by name, sorted by name
+// for deterministic rendering: a run record's stage columns.
+func (t *Timeline) Summaries() []StageSummary {
+	sums := stageSums{}
+	for _, s := range t.Stages() {
+		sums.add(s.Name, s.Seconds)
+	}
+	return sums.sorted()
 }
 
 // Snapshot is a serializable point-in-time view of a metric set.
 type Snapshot struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
-	Stages   []Stage          `json:"stages,omitempty"`
-	// StageSummaries is the per-name aggregation of Stages (count,
-	// total, max); Stages keeps the raw completion order.
+	// StageSummaries is the per-name aggregation of every stage run
+	// timed through the registry (count, total, max), sorted by name.
 	StageSummaries []StageSummary `json:"stage_summaries,omitempty"`
 }
 
-// Registry is a named collection of counters and gauges plus a
-// timeline, snapshotted together. Counter and Gauge handles are
-// created on first use and stable thereafter, so hot paths can resolve
-// them once and update lock-free.
+// Registry is a named collection of counters, gauges and stage timers,
+// snapshotted together. Counter and Gauge handles are created on first
+// use and stable thereafter, so hot paths can resolve them once and
+// update lock-free. Stage timers keep per-name running summaries only:
+// a server times a stage per job, and a snapshot must not cost O(jobs).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timeline Timeline
+	stages   stageSums
 }
 
 // NewRegistry returns an empty registry.
@@ -161,6 +165,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
+		stages:   stageSums{},
 	}
 }
 
@@ -188,15 +193,26 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timeline returns the registry's stage timeline.
-func (r *Registry) Timeline() *Timeline { return &r.timeline }
+// StartStage begins timing one run of the named stage and returns the
+// function that ends it, folding the run into the stage's summary.
+func (r *Registry) StartStage(name string) func() {
+	start := time.Now()
+	return func() {
+		seconds := time.Since(start).Seconds()
+		r.mu.Lock()
+		r.stages.add(name, seconds)
+		r.mu.Unlock()
+	}
+}
 
-// Snapshot captures every counter, gauge, and completed stage.
+// Snapshot captures every counter, gauge, and stage summary.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters: make(map[string]int64, len(r.counters)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
+		Counters:       make(map[string]int64, len(r.counters)),
+		Gauges:         make(map[string]int64, len(r.gauges)),
+		StageSummaries: r.stages.sorted(),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
@@ -204,9 +220,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
 	}
-	r.mu.Unlock()
-	s.Stages = r.timeline.Stages()
-	s.StageSummaries = r.timeline.Summaries()
 	return s
 }
 

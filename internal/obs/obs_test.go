@@ -3,8 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +98,8 @@ func TestRegistrySnapshot(t *testing.T) {
 	r.Counter("states").Add(10)
 	r.Counter("states").Inc() // same handle by name
 	r.Gauge("frontier").Set(3)
-	r.Timeline().Time("stage", func() {})
+	r.StartStage("stage")()
+	r.StartStage("stage")()
 
 	s := r.Snapshot()
 	if s.Counters["states"] != 11 {
@@ -108,8 +108,13 @@ func TestRegistrySnapshot(t *testing.T) {
 	if s.Gauges["frontier"] != 3 {
 		t.Fatalf("frontier = %d", s.Gauges["frontier"])
 	}
-	if len(s.Stages) != 1 || s.Stages[0].Name != "stage" {
-		t.Fatalf("stages = %+v", s.Stages)
+	// Stage runs fold into one running summary per name: a snapshot
+	// costs O(names), however many runs were timed.
+	if len(s.StageSummaries) != 1 || s.StageSummaries[0].Name != "stage" || s.StageSummaries[0].Count != 2 {
+		t.Fatalf("stage summaries = %+v", s.StageSummaries)
+	}
+	if sum := s.StageSummaries[0]; sum.Max <= 0 || sum.Max > sum.Seconds {
+		t.Fatalf("stage max %g outside (0, sum %g]", sum.Max, sum.Seconds)
 	}
 
 	// The snapshot must be serializable and round-trip.
@@ -123,33 +128,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 	if back.Counters["states"] != 11 || back.Gauges["frontier"] != 3 {
 		t.Fatalf("round trip lost data: %+v", back)
-	}
-}
-
-func TestArtifactWriteFile(t *testing.T) {
-	a := NewArtifact("test-tool")
-	a.Params["protocol"] = "MSI"
-	a.Outcome = "complete"
-	a.Metrics = map[string]any{"states": 123}
-	a.Stages = []Stage{{Name: "check", Seconds: 0.5}}
-
-	path := filepath.Join(t.TempDir(), "run.json")
-	if err := a.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back["tool"] != "test-tool" || back["outcome"] != "complete" {
-		t.Fatalf("artifact = %v", back)
-	}
-	if _, err := time.Parse(time.RFC3339, back["created"].(string)); err != nil {
-		t.Fatalf("created timestamp: %v", err)
 	}
 }
 
@@ -237,6 +215,7 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				r.Counter("states").Inc()
 				r.Gauge("frontier").Set(int64(i))
+				r.StartStage("job")()
 				if i%50 == 0 {
 					s := r.Snapshot()
 					if s.Counters["states"] <= 0 {
@@ -248,14 +227,19 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Snapshot().Counters["states"]; got != 8*500 {
+	final := r.Snapshot()
+	if got := final.Counters["states"]; got != 8*500 {
 		t.Fatalf("states = %d, want %d", got, 8*500)
+	}
+	if len(final.StageSummaries) != 1 || final.StageSummaries[0].Count != 8*500 {
+		t.Fatalf("stage summaries = %+v, want one with count %d", final.StageSummaries, 8*500)
 	}
 }
 
-// TestCollectProvenance checks the host facts every artifact embeds.
+// TestCollectProvenance checks the host facts every run record embeds.
 // Git fields may legitimately be empty (test binaries are built
-// without VCS stamping), but the runtime facts always exist.
+// without VCS stamping), but the runtime facts always exist. The
+// build/host half is read once per process; GOMAXPROCS stays live.
 func TestCollectProvenance(t *testing.T) {
 	p := CollectProvenance()
 	if p.GoVersion == "" {
@@ -268,21 +252,14 @@ func TestCollectProvenance(t *testing.T) {
 		t.Errorf("GOMAXPROCS=%d NumCPU=%d", p.GOMAXPROCS, p.NumCPU)
 	}
 
-	// The artifact carries the provenance through serialization.
-	a := NewArtifact("prov-test")
-	data, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
+	prev := runtime.GOMAXPROCS(p.GOMAXPROCS + 1)
+	defer runtime.GOMAXPROCS(prev)
+	q := CollectProvenance()
+	if q.GOMAXPROCS != p.GOMAXPROCS+1 {
+		t.Errorf("GOMAXPROCS = %d after raising it to %d: cached, not live", q.GOMAXPROCS, p.GOMAXPROCS+1)
 	}
-	var back map[string]any
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	prov, ok := back["provenance"].(map[string]any)
-	if !ok {
-		t.Fatalf("artifact has no provenance object: %s", data)
-	}
-	if prov["go_version"] != p.GoVersion {
-		t.Errorf("provenance go_version = %v, want %v", prov["go_version"], p.GoVersion)
+	q.GOMAXPROCS = p.GOMAXPROCS
+	if q != p {
+		t.Errorf("host facts changed between calls:\n%+v\n%+v", p, q)
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 )
 
-// Provenance records where and how a run artifact was produced, so
+// Provenance records where and how a run record was produced, so
 // benchmark numbers can be compared across commits and machines.
 type Provenance struct {
 	// GitCommit is the VCS revision baked into the binary by the Go
@@ -27,14 +28,21 @@ type Provenance struct {
 }
 
 // CollectProvenance gathers the running binary's build and host facts.
+// The facts that cannot change while the process runs (build info, CPU
+// model) are read once; GOMAXPROCS is read on every call.
 func CollectProvenance() Provenance {
+	p := hostFacts()
+	p.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	return p
+}
+
+var hostFacts = sync.OnceValue(func() Provenance {
 	p := Provenance{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		CPUModel:   cpuModel(),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		CPUModel:  cpuModel(),
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -47,7 +55,7 @@ func CollectProvenance() Provenance {
 		}
 	}
 	return p
-}
+})
 
 // cpuModel reads the processor model from /proc/cpuinfo; empty when
 // unavailable (non-Linux, restricted environments).

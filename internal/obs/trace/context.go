@@ -14,7 +14,7 @@ import (
 //
 // It travels inside a context.Context (WithTraceContext /
 // TraceContextFrom), so any layer with the job's context — the flight
-// recorder, the structured job log, SSE events, run artifacts — can
+// recorder, the structured job log, SSE events, run records — can
 // stamp its output with the same identity. This in-process plumbing is
 // the same mechanism a distributed coordinator would serialize across
 // process boundaries.

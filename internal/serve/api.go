@@ -23,6 +23,17 @@
 // streamed over SSE from the existing mc.Snapshot machinery, and
 // SIGTERM drains gracefully: admitted jobs complete, new ones are
 // refused.
+//
+// What a job leaves behind is one document: its ledger.Record (params,
+// outcome, final snapshot with the health report, and the job, request
+// and trace ids), written before the job is published as done and
+// served back by GET /v1/runs. The other surfaces answer what the
+// record cannot: SSE and GET /v1/jobs/{id} are the live job; the job
+// log (Config.JobLog) is every request's lifecycle, including those
+// that never became a run; GET /v1/stats and /metrics are the
+// fleet-level registry as JSON and as Prometheus text; /debug/dash is
+// the only live cross-job view. Memory is bounded in jobs served (see
+// maxTerminalJobs; stage timing is per-kind running summaries).
 package serve
 
 import (

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -229,56 +228,5 @@ func TestFleetFeed(t *testing.T) {
 	}
 	if !sawStarted || !sawDone {
 		t.Fatalf("SSE replay incomplete: started=%v done=%v", sawStarted, sawDone)
-	}
-}
-
-// TestRotatingWriter: size-based rotation keeps the newest generations
-// and never splits a write across files.
-func TestRotatingWriter(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "job.log")
-	w, err := serve.NewRotatingWriter(path, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := strings.Repeat("x", 39) + "\n" // 40 bytes: 2 per generation
-	for i := 0; i < 7; i++ {
-		if _, err := w.Write([]byte(line)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, f := range []string{path, path + ".1", path + ".2"} {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		// Whole lines only: every generation ends exactly on a boundary.
-		if len(data)%40 != 0 || len(data) == 0 {
-			t.Errorf("%s holds %d bytes, not whole lines", f, len(data))
-		}
-	}
-	if _, err := os.Stat(path + ".3"); err == nil {
-		t.Errorf("generation beyond keep=2 survived rotation")
-	}
-
-	// maxBytes=0 disables rotation entirely.
-	p2 := filepath.Join(dir, "norotate.log")
-	w2, err := serve.NewRotatingWriter(p2, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		w2.Write([]byte(line))
-	}
-	w2.Close()
-	if _, err := os.Stat(p2 + ".1"); err == nil {
-		t.Errorf("unbounded writer rotated")
 	}
 }

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"maps"
-	"time"
 
 	"minvn/internal/mc"
-	"minvn/internal/obs"
 	"minvn/internal/obs/ledger"
 )
 
@@ -66,21 +64,24 @@ func (s *Server) recordJob(job *Job, status JobStatus, errMsg string, snap *mc.S
 	if s.cfg.Ledger == nil {
 		return
 	}
-	rec := &ledger.Record{
-		Tool:       "vnserved",
-		Created:    time.Now().Format(time.RFC3339),
-		Provenance: obs.CollectProvenance(),
-		Params:     map[string]any{"kind": job.task.kind, "protocol": job.task.protocol},
-		Outcome:    string(status),
-		Snapshot:   snap,
-		Extra: map[string]any{
-			"job_id":  job.id,
-			"seconds": seconds,
-		},
-	}
+	rec := ledger.New("vnserved")
+	rec.Params["kind"] = job.task.kind
+	rec.Params["protocol"] = job.task.protocol
 	// A verify record states what was asked, not just of which protocol.
 	if job.task.search != nil {
 		maps.Copy(rec.Params, job.task.search.Params())
+	}
+	rec.Outcome = string(status)
+	rec.Snapshot = snap
+	// The three ids join the record to the job log, the SSE stream and
+	// /debug/trace.
+	rec.Extra = map[string]any{
+		"job_id":   job.id,
+		"trace_id": job.tc.TraceID,
+		"seconds":  seconds,
+	}
+	if job.tc.RequestID != "" {
+		rec.Extra["request_id"] = job.tc.RequestID
 	}
 	if errMsg != "" {
 		rec.Extra["error"] = errMsg

@@ -20,7 +20,7 @@ import (
 //	GET  /v1/stats              pool occupancy + serve.* counters
 //	GET  /v1/runs               run-ledger history (paged, filterable)
 //	GET  /healthz               liveness
-//	GET  /metrics               Prometheus text format (incl. engine health)
+//	GET  /metrics               Prometheus text format (serve_* + stage_job_*)
 //	GET  /debug/dash            live fleet dashboard (self-contained HTML)
 //	GET  /debug/dash/events     server-wide SSE activity feed for the dashboard
 //	GET  /debug/trace           Chrome-trace JSON of a recent job (?job=<id>)
@@ -41,9 +41,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = obs.WriteMetricsText(w, s.cfg.Registry.Snapshot())
-		// The last completed check's contention profile: per-shard
-		// occupancy/dedup series, per-worker timings, lock wait.
-		_ = s.LastHealth().WritePromText(w)
 	})
 	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -96,7 +93,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *task, prepErr
 	if t.requestID != "" {
 		w.Header().Set("X-Request-ID", t.requestID)
 	}
-	view, err := s.Submit(t)
+	job, view, err := s.Submit(t)
 	switch {
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "1")
@@ -107,7 +104,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *task, prepErr
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
-		view = s.wait(r, view.ID)
+		view = s.wait(r, job)
 	}
 	code := http.StatusAccepted
 	if view.Status == StatusDone || view.Status == StatusFailed || view.Status == StatusCanceled {
@@ -116,24 +113,19 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *task, prepErr
 	writeJSON(w, code, view)
 }
 
-// wait blocks until the job is terminal or the client goes away,
-// then returns the freshest view.
-func (s *Server) wait(r *http.Request, id string) *JobView {
+// wait blocks until the job is terminal or the client goes away, then
+// returns the freshest view. It holds the job, not its id, so eviction
+// from the id map (maxTerminalJobs) cannot strand it.
+func (s *Server) wait(r *http.Request, j *Job) *JobView {
 	for {
 		s.mu.Lock()
-		j, ok := s.jobs[id]
-		if !ok {
-			s.mu.Unlock()
-			return &JobView{ID: id, Status: StatusFailed, Error: "job disappeared"}
-		}
-		if j.terminal() {
-			view := j.view()
-			s.mu.Unlock()
-			return view
-		}
 		ch := j.updated
 		view := j.view()
+		done := j.terminal()
 		s.mu.Unlock()
+		if done {
+			return view
+		}
 		select {
 		case <-ch:
 		case <-r.Context().Done():

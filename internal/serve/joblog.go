@@ -1,139 +1,53 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
+	"context"
 	"io"
-	"sync"
+	"log/slog"
+	"strings"
 	"time"
 
 	"minvn/internal/obs/trace"
 )
 
-// LogLevel orders job-log events by severity. The logger drops events
-// below its configured minimum, so a production server can run at info
-// while a debugging session turns on the per-snapshot debug firehose.
-type LogLevel int
-
-const (
-	LogDebug LogLevel = iota
-	LogInfo
-	LogWarn
-	LogError
-)
-
-func (l LogLevel) String() string {
-	switch l {
-	case LogDebug:
-		return "debug"
-	case LogInfo:
-		return "info"
-	case LogWarn:
-		return "warn"
-	case LogError:
-		return "error"
-	default:
-		return fmt.Sprintf("level-%d", int(l))
-	}
+// NewJobLog builds the structured per-job event log for Config.JobLog:
+// a stdlib slog JSON handler writing one object per line to w, dropping
+// events below level, with the built-in keys renamed to the log's own —
+// "ts" (RFC 3339, UTC), "level" (lower case) and "event". The log
+// carries lifecycle events only (admitted, joined, cache_hit,
+// rejected_busy, started, finished): it is the one surface that sees
+// requests which never became a run. Progress snapshots are on the SSE
+// stream; the finished run is in the ledger.
+func NewJobLog(w io.Writer, level slog.Leveler) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
+		Level: level,
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			switch a.Key { // the log is flat: no groups to tell apart
+			case slog.TimeKey:
+				return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+			case slog.LevelKey:
+				return slog.String("level", strings.ToLower(a.Value.String()))
+			case slog.MessageKey:
+				a.Key = "event"
+			}
+			return a
+		},
+	}))
 }
 
-// ParseLogLevel maps a flag value onto a LogLevel.
-func ParseLogLevel(s string) (LogLevel, error) {
-	switch s {
-	case "", "info":
-		return LogInfo, nil
-	case "debug":
-		return LogDebug, nil
-	case "warn":
-		return LogWarn, nil
-	case "error":
-		return LogError, nil
-	default:
-		return LogInfo, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
-	}
-}
-
-// JobLogger writes the server's structured per-job event log: one JSON
-// object per line, every line stamped with the job's correlation
-// identity (request ID, job ID, trace ID), so `grep <request-id>
-// joblog.jsonl` reconstructs one request's lifecycle and the same IDs
-// tie the log to the SSE stream, the flight-recorder export, and the
-// final job view.
-//
-// A nil *JobLogger is valid and logs nothing, so call sites never
-// branch on whether logging is configured.
-type JobLogger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min LogLevel
-	now func() time.Time // test hook; time.Now when nil
-}
-
-// NewJobLogger builds a logger writing JSONL to w, dropping events
-// below min. A nil w returns a nil (disabled) logger.
-func NewJobLogger(w io.Writer, min LogLevel) *JobLogger {
-	if w == nil {
-		return nil
-	}
-	return &JobLogger{w: w, min: min}
-}
-
-// jobLogLine fixes the field order of the shared prefix; extra fields
-// are flattened alongside via the map below.
-type jobLogLine struct {
-	TS        string         `json:"ts"`
-	Level     string         `json:"level"`
-	Event     string         `json:"event"`
-	JobID     string         `json:"job_id,omitempty"`
-	RequestID string         `json:"request_id,omitempty"`
-	TraceID   string         `json:"trace_id,omitempty"`
-	Fields    map[string]any `json:"-"`
-}
-
-func (l jobLogLine) MarshalJSON() ([]byte, error) {
-	type prefix jobLogLine
-	raw, err := json.Marshal(prefix(l))
-	if err != nil {
-		return nil, err
-	}
-	if len(l.Fields) == 0 {
-		return raw, nil
-	}
-	extra, err := json.Marshal(l.Fields)
-	if err != nil {
-		return nil, err
-	}
-	// Splice the extra object's members into the prefix object.
-	raw[len(raw)-1] = ','
-	return append(raw, extra[1:]...), nil
-}
-
-// Log writes one event line carrying tc's identity plus any extra
-// fields. Safe from any goroutine; no-op on a nil logger or an event
-// below the minimum level.
-func (l *JobLogger) Log(level LogLevel, event string, tc trace.TraceContext, fields map[string]any) {
-	if l == nil || level < l.min {
+// logJob writes one lifecycle line: the job's correlation identity
+// (job_id, request_id, trace_id — the ids on its SSE events, trace
+// lanes, view and ledger record), then the event's own key/value
+// fields. A nil Config.JobLog logs nothing.
+func (s *Server) logJob(level slog.Level, event string, tc trace.TraceContext, fields ...any) {
+	if s.cfg.JobLog == nil {
 		return
 	}
-	now := time.Now
-	if l.now != nil {
-		now = l.now
+	var ids []any
+	for _, id := range [][2]string{{"job_id", tc.JobID}, {"request_id", tc.RequestID}, {"trace_id", tc.TraceID}} {
+		if id[1] != "" {
+			ids = append(ids, id[0], id[1])
+		}
 	}
-	line := jobLogLine{
-		TS:        now().UTC().Format(time.RFC3339Nano),
-		Level:     level.String(),
-		Event:     event,
-		JobID:     tc.JobID,
-		RequestID: tc.RequestID,
-		TraceID:   tc.TraceID,
-		Fields:    fields,
-	}
-	raw, err := json.Marshal(line)
-	if err != nil {
-		return
-	}
-	raw = append(raw, '\n')
-	l.mu.Lock()
-	l.w.Write(raw)
-	l.mu.Unlock()
+	s.cfg.JobLog.Log(context.Background(), level, event, append(ids, fields...)...)
 }

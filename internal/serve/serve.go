@@ -3,14 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
 	"log"
+	"log/slog"
 	"sync"
 	"time"
 
 	"minvn/internal/mc"
 	"minvn/internal/obs"
-	"minvn/internal/obs/health"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/obs/trace"
 )
@@ -44,15 +43,14 @@ type Config struct {
 	// Registry receives the server's metrics; a fresh one is created
 	// if nil.
 	Registry *obs.Registry
-	// JobLog, when non-nil, receives the structured per-job JSONL
-	// event log (see JobLogger); JobLogLevel filters it.
-	JobLog      io.Writer
-	JobLogLevel LogLevel
+	// JobLog, when non-nil, receives the per-job lifecycle log (see
+	// NewJobLog for the JSONL form vnserved writes).
+	JobLog *slog.Logger
 	// Ledger, when non-nil, receives one content-addressed record per
 	// completed (non-cached) job — the run history behind GET /v1/runs
-	// and the dashboard. Recording is strictly passive: appends happen
-	// after the job's terminal state is published, off the pool's
-	// locked sections.
+	// and the dashboard. Recording is strictly passive: the append
+	// happens just before the job's terminal state is published, off
+	// the pool's locked sections.
 	Ledger *ledger.Ledger
 	// TraceJobs is how many recent jobs keep a per-job flight
 	// recorder, exported by GET /debug/trace. 0 disables job tracing
@@ -111,6 +109,12 @@ func (cfg Config) Defaults() Config {
 // recorders: small, because the server keeps TraceJobs of them alive.
 const DefaultTraceLaneCap = 512
 
+// maxTerminalJobs is how many finished jobs stay addressable by id
+// (status, result, SSE replay), oldest evicted first: a job pins its
+// result bytes and whole snapshot history. Queued and running jobs are
+// never evicted, and a finished run stays in the ledger.
+const maxTerminalJobs = 256
+
 // Server is the analysis service: a bounded worker pool over an
 // admission-controlled queue, with singleflight deduplication and a
 // content-addressed result cache in front of it.
@@ -119,6 +123,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	finished []string          // ids of terminal jobs in completion order, at most maxTerminalJobs
 	inflight map[cacheKey]*Job // queued/running job per key (singleflight)
 	cache    *lruCache
 	queue    chan *Job
@@ -128,7 +133,6 @@ type Server struct {
 	running    int // jobs currently executing
 	runningHWM int // high-water mark of running
 
-	joblog *JobLogger
 	// finishMu serializes job completion (record, then publish); see
 	// runJob. Taken before mu, never the other way round.
 	finishMu sync.Mutex
@@ -138,10 +142,6 @@ type Server struct {
 	// completion until evicted, so /debug/trace covers recent history.
 	traces     map[string]*trace.Recorder
 	traceOrder []string
-
-	// lastHealth is the most recent engine contention report, captured
-	// from verify-job snapshots and appended to /metrics.
-	lastHealth *health.Report
 
 	// fleet is the server-wide activity ring feeding the dashboard's
 	// SSE stream: started/snapshot/done events across all jobs, with a
@@ -184,7 +184,6 @@ func New(cfg Config) *Server {
 		inflight: make(map[cacheKey]*Job),
 		cache:    newLRUCache(cfg.CacheEntries),
 		queue:    make(chan *Job, cfg.QueueDepth),
-		joblog:   NewJobLogger(cfg.JobLog, cfg.JobLogLevel),
 		traces:   make(map[string]*trace.Recorder),
 		fleetCh:  make(chan struct{}),
 	}
@@ -211,15 +210,15 @@ func New(cfg Config) *Server {
 // Submit admits a prepared task. It returns the job serving it — a
 // fresh one, or (with cached/deduped true in the view) an existing
 // one when the result cache or the singleflight map already covers
-// the key. ErrBusy means the queue is full; ErrDraining means the
-// server is shutting down.
-func (s *Server) Submit(t *task) (*JobView, error) {
+// the key — and its view at admission. ErrBusy means the queue is
+// full; ErrDraining means the server is shutting down.
+func (s *Server) Submit(t *task) (*Job, *JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mRequests.Inc()
 
 	if s.draining {
-		return nil, ErrDraining
+		return nil, nil, ErrDraining
 	}
 
 	// Content-addressed cache: replay the first completed run's exact
@@ -231,12 +230,11 @@ func (s *Server) Submit(t *task) (*JobView, error) {
 		job.cached = true
 		job.result = ent.result
 		s.jobs[job.id] = job
+		s.retireLocked(job)
 		job.appendEvent(Event{Type: "done", Job: job.view()})
 		s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
-		s.joblog.Log(LogInfo, "cache_hit", job.tc, map[string]any{
-			"kind": t.kind, "protocol": t.protocol, "produced_by": ent.jobID,
-		})
-		return job.view(), nil
+		s.logJob(slog.LevelInfo, "cache_hit", job.tc, "kind", t.kind, "protocol", t.protocol, "produced_by", ent.jobID)
+		return job, job.view(), nil
 	}
 	s.mCacheMisses.Inc()
 
@@ -246,11 +244,9 @@ func (s *Server) Submit(t *task) (*JobView, error) {
 	// traceable even though only one job runs.
 	if job, ok := s.inflight[t.key]; ok {
 		s.mDedup.Inc()
-		s.joblog.Log(LogInfo, "joined", trace.NewTraceContext(t.requestID, job.id), map[string]any{
-			"kind": t.kind, "protocol": t.protocol,
-			"job_request_id": job.tc.RequestID, "job_trace_id": job.tc.TraceID,
-		})
-		return job.view(), nil
+		s.logJob(slog.LevelInfo, "joined", trace.NewTraceContext(t.requestID, job.id), "kind", t.kind,
+			"protocol", t.protocol, "job_request_id", job.tc.RequestID, "job_trace_id", job.tc.TraceID)
+		return job, job.view(), nil
 	}
 
 	job := newJob(jobID(s.bumpID()), t)
@@ -258,18 +254,26 @@ func (s *Server) Submit(t *task) (*JobView, error) {
 	case s.queue <- job:
 	default:
 		s.mRejected.Inc()
-		s.joblog.Log(LogWarn, "rejected_busy", trace.NewTraceContext(t.requestID, ""), map[string]any{
-			"kind": t.kind, "protocol": t.protocol, "queued": len(s.queue),
-		})
-		return nil, ErrBusy
+		s.logJob(slog.LevelWarn, "rejected_busy", trace.NewTraceContext(t.requestID, ""),
+			"kind", t.kind, "protocol", t.protocol, "queued", len(s.queue))
+		return nil, nil, ErrBusy
 	}
 	s.jobs[job.id] = job
 	s.inflight[t.key] = job
 	s.gQueued.Set(int64(len(s.queue)))
-	s.joblog.Log(LogInfo, "admitted", job.tc, map[string]any{
-		"kind": t.kind, "protocol": t.protocol, "queued": len(s.queue),
-	})
-	return job.view(), nil
+	s.logJob(slog.LevelInfo, "admitted", job.tc, "kind", t.kind, "protocol", t.protocol, "queued", len(s.queue))
+	return job, job.view(), nil
+}
+
+// retireLocked notes that job is terminal and evicts the oldest
+// finished jobs beyond maxTerminalJobs from the id map; holders of an
+// evicted *Job (a ?wait=1 handler) are unaffected. Caller holds s.mu.
+func (s *Server) retireLocked(job *Job) {
+	s.finished = append(s.finished, job.id)
+	for len(s.finished) > maxTerminalJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 func (s *Server) bumpID() uint64 {
@@ -322,14 +326,6 @@ func (s *Server) TraceRecorder(jobID string) *trace.Recorder {
 		jobID = s.traceOrder[len(s.traceOrder)-1]
 	}
 	return s.traces[jobID]
-}
-
-// LastHealth returns the most recent engine contention report (nil
-// until a verify job has produced a snapshot).
-func (s *Server) LastHealth() *health.Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastHealth
 }
 
 // Stats is the server's metric snapshot plus pool facts.
@@ -413,7 +409,7 @@ func (s *Server) runJob(job *Job) {
 
 	// Logged before the status flips, so a client that sees "running"
 	// finds the line (the same rule the terminal state follows below).
-	s.joblog.Log(LogInfo, "started", job.tc, map[string]any{"kind": job.task.kind})
+	s.logJob(slog.LevelInfo, "started", job.tc, "kind", job.task.kind)
 	s.mu.Lock()
 	job.status = StatusRunning
 	s.running++
@@ -445,33 +441,22 @@ func (s *Server) runJob(job *Job) {
 	ctx = trace.WithTraceContext(ctx, job.tc)
 	var finalSnap *mc.Snapshot
 	progress := func(snap mc.Snapshot) {
-		if snap.Health != nil {
-			s.mu.Lock()
-			s.lastHealth = snap.Health
-			s.mu.Unlock()
-		}
 		if snap.Final {
 			// The terminal event carries the final state; keep it for
 			// the job's ledger record. Engines deliver snapshots on the
 			// goroutine that called them — this one.
-			c := snap
-			finalSnap = &c
+			finalSnap = &snap
 			return
 		}
-		s.joblog.Log(LogDebug, "snapshot", job.tc, map[string]any{
-			"states": snap.States, "depth": snap.MaxDepth,
-			"states_per_sec": int64(snap.StatesPerSec),
-		})
-		c := snap
 		s.mu.Lock()
-		job.appendEvent(Event{Type: "snapshot", Snapshot: &c})
-		s.appendFleetLocked(fleetEvent("snapshot", job, &c, nil))
+		job.appendEvent(Event{Type: "snapshot", Snapshot: &snap})
+		s.appendFleetLocked(fleetEvent("snapshot", job, &snap, nil))
 		s.mu.Unlock()
 	}
 	// The job lane guarantees the correlation identity appears in the
 	// trace export even for jobs that never reach an engine.
 	jobSpan := rec.Lane(job.tc.LanePrefix() + "job").Start(job.task.kind)
-	stopStage := s.cfg.Registry.Timeline().Start("job." + job.task.kind)
+	stopStage := s.cfg.Registry.StartStage("job." + job.task.kind)
 	start := time.Now()
 	result, err := job.task.run(ctx, progress, rec)
 	stopStage()
@@ -479,19 +464,17 @@ func (s *Server) runJob(job *Job) {
 	cancel()
 
 	seconds := time.Since(start).Seconds()
-	status, errMsg, level := StatusDone, "", LogInfo
+	status, errMsg, level := StatusDone, "", slog.LevelInfo
 	switch {
 	case err == nil:
 	case errors.Is(err, errJobCanceled):
-		status, errMsg, level = StatusCanceled, "canceled: deadline exceeded or server shutdown", LogWarn
+		status, errMsg, level = StatusCanceled, "canceled: deadline exceeded or server shutdown", slog.LevelWarn
 	default:
-		status, errMsg, level = StatusFailed, err.Error(), LogError
+		status, errMsg, level = StatusFailed, err.Error(), slog.LevelError
 	}
-	fields := map[string]any{
-		"kind": job.task.kind, "status": string(status), "seconds": seconds,
-	}
+	fields := []any{"kind", job.task.kind, "status", string(status), "seconds", seconds}
 	if errMsg != "" {
-		fields["error"] = errMsg
+		fields = append(fields, "error", errMsg)
 	}
 
 	// "Done" means "recorded": the job-log line and the ledger record are
@@ -503,7 +486,7 @@ func (s *Server) runJob(job *Job) {
 	// and readers never wait on the disk.
 	s.finishMu.Lock()
 	defer s.finishMu.Unlock()
-	s.joblog.Log(level, "finished", job.tc, fields)
+	s.logJob(level, "finished", job.tc, fields...)
 	s.recordJob(job, status, errMsg, finalSnap, seconds)
 
 	s.mu.Lock()
@@ -521,6 +504,7 @@ func (s *Server) runJob(job *Job) {
 		s.mFailed.Inc()
 	}
 	delete(s.inflight, job.task.key)
+	s.retireLocked(job)
 	s.running--
 	s.gRunning.Set(int64(s.running))
 	job.appendEvent(Event{Type: "done", Job: job.view()})

@@ -1,23 +1,26 @@
 package serve_test
 
 // Correlation contract: a request ID submitted with a job must be
-// recoverable from every telemetry surface — the job view, the SSE
-// event stream, the structured JSONL job log, the flight-recorder
-// export, and /metrics must carry the run's health profile.
+// recoverable from every per-job telemetry surface — the job view, the
+// SSE event stream, the structured JSONL job log, the flight-recorder
+// export, and the job's ledger record, which is also where the run's
+// health profile lives.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"minvn/internal/obs/trace"
+	"minvn/internal/obs/ledger"
 	"minvn/internal/serve"
 	"minvn/internal/serve/client"
 )
@@ -86,9 +89,14 @@ func httpGet(t *testing.T, url string) (int, string) {
 
 func TestRequestIDCorrelation(t *testing.T) {
 	var logBuf syncBuffer
+	led, err := ledger.Open(filepath.Join(t.TempDir(), "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
 	_, cl, base := telemetryServer(t, serve.Config{
-		JobLog:        &logBuf,
-		JobLogLevel:   serve.LogDebug,
+		JobLog:        serve.NewJobLog(&logBuf, slog.LevelDebug),
+		Ledger:        led,
 		TraceJobs:     4,
 		ProgressEvery: 500,
 	})
@@ -131,11 +139,15 @@ func TestRequestIDCorrelation(t *testing.T) {
 	}
 
 	// 3. The JSONL job log ties the whole lifecycle to the request ID.
+	// It carries lifecycle events only — snapshots are on the SSE stream.
 	logText := logBuf.waitFor(t, `"event":"finished"`)
-	for _, want := range []string{`"event":"admitted"`, `"event":"started"`, `"event":"snapshot"`} {
+	for _, want := range []string{`"event":"admitted"`, `"event":"started"`} {
 		if !strings.Contains(logText, want) {
 			t.Errorf("job log missing %s:\n%s", want, logText)
 		}
+	}
+	if strings.Contains(logText, `"event":"snapshot"`) {
+		t.Errorf("job log carries per-snapshot events:\n%s", logText)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(logText), "\n") {
 		var rec struct {
@@ -171,21 +183,48 @@ func TestRequestIDCorrelation(t *testing.T) {
 		t.Fatal("trace export is empty")
 	}
 
-	// 5. /metrics carries the engine health profile and job stage
-	// summaries.
+	// 5. /metrics is the fleet's scrape view: every serve_* series and
+	// the per-kind job stage summaries, and nothing attributable to a
+	// single job.
 	metrics, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`mc_shard_occupancy{shard="0"}`,
-		`mc_worker_expand_seconds{worker="0"}`,
-		"stage_job_verify_seconds_count",
+		"serve_requests 1", "serve_cache_misses 1", "serve_jobs_done 1", "serve_running 0",
+		"stage_job_verify_seconds_count 1",
 		"stage_job_verify_seconds_sum",
+		"stage_job_verify_seconds_max",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+	if strings.Contains(metrics, "mc_") {
+		t.Errorf("/metrics carries a per-run mc_ series:\n%s", metrics)
+	}
+
+	// 6. The job's ledger record carries the same three ids next to the
+	// run's health report, so it joins to everything above.
+	code, body = httpGet(t, base+"/v1/runs?full=1")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/runs: HTTP %d", code)
+	}
+	var page serve.RunsPage
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Runs) != 1 || page.Runs[0].Record == nil {
+		t.Fatalf("/v1/runs?full=1 = %+v, want the one job's record", page)
+	}
+	rec := page.Runs[0].Record
+	for k, want := range map[string]string{"job_id": view.ID, "request_id": "req-abc", "trace_id": view.TraceID} {
+		if got, _ := rec.Extra[k].(string); got != want {
+			t.Errorf("ledger record extra[%q] = %q, want %q", k, got, want)
+		}
+	}
+	if rec.Snapshot == nil || rec.Snapshot.Health == nil || len(rec.Snapshot.Health.StripeOccupancy) == 0 {
+		t.Errorf("ledger record lacks the health report: %+v", rec.Snapshot)
 	}
 }
 
@@ -241,34 +280,69 @@ func TestRequestIDSanitized(t *testing.T) {
 	}
 }
 
+// TestJobLoggerLevelsAndShape pins the slog-backed job log: every line
+// is one JSON object with the ts/level/event keys and the job's three
+// ids ahead of the event's own fields, events below the level are
+// dropped, and a server without a logger logs nothing.
 func TestJobLoggerLevelsAndShape(t *testing.T) {
-	var buf syncBuffer
-	l := serve.NewJobLogger(&buf, serve.LogInfo)
-	tc := trace.NewTraceContext("r-1", "job-9")
-	l.Log(serve.LogDebug, "dropped", tc, nil)
-	l.Log(serve.LogWarn, "kept", tc, map[string]any{"states": 42})
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1 (debug filtered):\n%s", len(lines), buf.String())
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("bad line: %v", err)
-	}
-	if rec["level"] != "warn" || rec["event"] != "kept" ||
-		rec["job_id"] != "job-9" || rec["request_id"] != "r-1" ||
-		rec["trace_id"] != tc.TraceID || rec["states"] != float64(42) {
-		t.Fatalf("line = %v", rec)
-	}
-	if _, hasTS := rec["ts"]; !hasTS {
-		t.Fatal("line has no timestamp")
+	ctx := context.Background()
+	long := serve.VerifyRequest{
+		Protocol:       "MOESI_nonblocking_cache",
+		Options:        serve.VerifyOptions{MaxStates: 5_000_000},
+		DeadlineMillis: 30,
 	}
 
-	// Nil sinks and nil loggers are inert.
-	if serve.NewJobLogger(nil, serve.LogInfo) != nil {
-		t.Fatal("nil writer must yield a nil logger")
+	// At info, a successful analyze logs its whole lifecycle.
+	var info syncBuffer
+	_, cl, _ := telemetryServer(t, serve.Config{JobLog: serve.NewJobLog(&info, slog.LevelInfo)})
+	cl.RequestID = "r-1"
+	view, err := cl.Analyze(ctx, serve.AnalyzeRequest{Protocol: "MSI_nonblocking_cache"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var nilLogger *serve.JobLogger
-	nilLogger.Log(serve.LogError, "x", tc, nil) // must not panic
+	lines := strings.Split(strings.TrimSpace(info.waitFor(t, `"event":"finished"`)), "\n")
+	var events []string
+	for _, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		if rec["level"] != "info" || rec["job_id"] != view.ID ||
+			rec["request_id"] != "r-1" || rec["trace_id"] != view.TraceID || rec["kind"] != "analyze" {
+			t.Fatalf("line = %v", rec)
+		}
+		if ts, _ := rec["ts"].(string); !strings.HasSuffix(ts, "Z") {
+			t.Fatalf("ts %q is not a UTC RFC 3339 timestamp", rec["ts"])
+		}
+		for _, builtin := range []string{"time", "msg"} {
+			if _, has := rec[builtin]; has {
+				t.Fatalf("line keeps slog's %q key: %v", builtin, rec)
+			}
+		}
+		events = append(events, rec["event"].(string))
+	}
+	if got := strings.Join(events, ","); got != "admitted,started,finished" {
+		t.Fatalf("events = %s", got)
+	}
+	if !strings.Contains(lines[2], `"status":"done"`) || !strings.Contains(lines[2], `"seconds":`) {
+		t.Fatalf("finished line lacks its fields: %s", lines[2])
+	}
+
+	// At warn, the info lifecycle lines are dropped and only the
+	// canceled job's "finished" survives.
+	var warn syncBuffer
+	_, cl, _ = telemetryServer(t, serve.Config{JobLog: serve.NewJobLog(&warn, slog.LevelWarn), MaxStates: 5_000_000})
+	if view, err := cl.Verify(ctx, long, true); err != nil || view.Status != serve.StatusCanceled {
+		t.Fatalf("verify: %v %+v", err, view)
+	}
+	got := strings.TrimSpace(warn.waitFor(t, `"event":"finished"`))
+	if strings.Count(got, "\n") != 0 || !strings.Contains(got, `"level":"warn"`) || !strings.Contains(got, `"status":"canceled"`) {
+		t.Fatalf("warn-level log = %q, want the one canceled line", got)
+	}
+
+	// No logger: nothing to write to, nothing panics.
+	_, cl, _ = telemetryServer(t, serve.Config{})
+	if _, err := cl.Analyze(ctx, serve.AnalyzeRequest{Protocol: "MSI_nonblocking_cache"}); err != nil {
+		t.Fatal(err)
+	}
 }

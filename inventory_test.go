@@ -114,3 +114,103 @@ func TestInventoriesNameEveryPackage(t *testing.T) {
 		}
 	}
 }
+
+// literals returns the first capture of every match of re in a Go
+// source file — a source scan, so the gate needs no build of the
+// package it inspects.
+func literals(t *testing.T, file string, re *regexp.Regexp) []string {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, m := range re.FindAllSubmatch(src, -1) {
+		out = append(out, string(m[1]))
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no match for %s; the scan is out of date", file, re)
+	}
+	return out
+}
+
+// routeMatches reports whether a concrete path (as a README names it)
+// is served by a ServeMux pattern: segment by segment, with {wildcard}
+// segments matching anything and a trailing-slash pattern matching its
+// whole subtree.
+func routeMatches(pattern, path string) bool {
+	if strings.HasSuffix(pattern, "/") && strings.HasPrefix(path, pattern) {
+		return true
+	}
+	ps, qs := strings.Split(pattern, "/"), strings.Split(path, "/")
+	if len(ps) != len(qs) {
+		return false
+	}
+	for i := range ps {
+		if ps[i] != qs[i] && !strings.HasPrefix(ps[i], "{") {
+			return false
+		}
+	}
+	return true
+}
+
+// TestREADMENamesServeSurface gates the two hand-written tables that
+// describe vnserved: README must name every route serve.Handler()
+// registers and every flag cmd/vnserved registers, and must not name a
+// route or a vnserved flag that is gone.
+func TestREADMENamesServeSurface(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+
+	routes := literals(t, "internal/serve/http.go",
+		regexp.MustCompile(`mux\.HandleFunc\("(?:[A-Z]+ )?(/[^"]*)"`))
+	for _, r := range routes {
+		covered := strings.Contains(readme, r)
+		for _, sub := range routes {
+			// /debug/pprof/profile is documented by its subtree root.
+			if sub != r && strings.HasSuffix(sub, "/") && strings.HasPrefix(r, sub) && strings.Contains(readme, sub) {
+				covered = true
+			}
+		}
+		if !covered {
+			t.Errorf("README does not name route %s (internal/serve/http.go)", r)
+		}
+	}
+	for _, named := range regexp.MustCompile(`/(?:v1|debug)/[A-Za-z0-9{}/_-]*|/metrics\b|/healthz\b`).FindAllString(readme, -1) {
+		served := false
+		for _, r := range routes {
+			served = served || routeMatches(r, named)
+		}
+		if !served {
+			t.Errorf("README names route %s, which serve.Handler() does not register", named)
+		}
+	}
+
+	flags := literals(t, "cmd/vnserved/main.go",
+		regexp.MustCompile(`fs\.(?:String|Int|Int64|Bool|Duration|Float64)\("([^"]+)"`))
+	registered := map[string]bool{}
+	serving := section(t, "README.md", "## Serving")
+	for _, f := range flags {
+		registered[f] = true
+		if !regexp.MustCompile("`-" + regexp.QuoteMeta(f) + "[` ]").MatchString(serving) {
+			t.Errorf("README \"## Serving\" does not name vnserved flag -%s", f)
+		}
+	}
+	// Gone flags: anything README attributes to vnserved by name, and
+	// every flag-shaped token of the Serving section.
+	var named []string
+	for _, m := range regexp.MustCompile("vnserved -([a-z][a-z-]*)").FindAllStringSubmatch(readme, -1) {
+		named = append(named, m[1])
+	}
+	for _, m := range regexp.MustCompile("`-([a-z][a-z-]*)").FindAllStringSubmatch(serving, -1) {
+		named = append(named, m[1])
+	}
+	for _, f := range named {
+		if !registered[f] {
+			t.Errorf("README names vnserved flag -%s, which cmd/vnserved does not register", f)
+		}
+	}
+}
