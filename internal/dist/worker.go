@@ -19,7 +19,9 @@ import (
 )
 
 // expandSample matches the sequential engine's 1-in-N expansion-timing
-// sample period, so per-worker expand-time profiles are comparable.
+// sample period and, like it, brackets expansion, canonicalization and
+// fingerprinting of one state's successors, so per-worker expand-time
+// profiles are comparable.
 const expandSample = 8
 
 // sendRetries and sendBackoff govern frontier-send failure recovery: a
@@ -184,7 +186,8 @@ type workerRun struct {
 	unverified int64
 	maxDepth   int
 	depthHist  []int64
-	rules      map[string]int64
+	rules      []int64 // firings by rule id (sys.RuleNames)
+	key        []byte  // AppendCanonical's destination, under ctrlMu
 	sampler    health.ShardSampler
 	wset       *health.WorkerSet
 	prof       *machine.OccupancyProfiler
@@ -251,7 +254,7 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 		sys: sys, visited: mc.NewVisitedStore(store, 1),
 		recvSeen:    make(map[int]map[uint64]bool),
 		recvBatches: make(map[int][]*batch),
-		rules:       make(map[string]int64),
+		rules:       make([]int64, len(sys.RuleNames())),
 		wset:        health.NewWorkerSet(1),
 		peers:       in.Peers,
 		client:      &http.Client{Timeout: 30 * time.Second},
@@ -265,8 +268,7 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 	// across the fleet is exactly the sequential engine's initial
 	// frontier, each state probed at exactly one owner.
 	for _, s := range sys.Initial() {
-		ck := sys.Canonicalize(s)
-		if mc.OwnerOf(mc.Fingerprint(ck), r.n) != r.self {
+		if mc.OwnerOf(mc.Fingerprint(r.canonical(s)), r.n) != r.self {
 			continue
 		}
 		if err := r.settleOne(s, 0); err != nil {
@@ -294,10 +296,22 @@ func buildSystem(config []byte) (*machine.System, error) {
 	return machine.New(cfg)
 }
 
+// canonical returns s's canonical form, in the run's key buffer unless s
+// is canonical already; it is valid until the next call. Like every
+// control-path method it runs under ctrlMu (or before the run is
+// published).
+func (r *workerRun) canonical(s []byte) []byte {
+	ck := r.sys.AppendCanonical(r.key, s)
+	if len(ck) > 0 && &ck[0] != &s[0] {
+		r.key = ck[:0]
+	}
+	return ck
+}
+
 // settleOne probes one candidate at the given depth, storing it if
 // fresh — the distributed counterpart of the sequential engine's push.
 func (r *workerRun) settleOne(s []byte, depth int) error {
-	ck := r.sys.Canonicalize(s)
+	ck := r.canonical(s)
 	fp := mc.Fingerprint(ck)
 	r.probes++
 	_, fresh, conflated, err := r.visited.Insert(fp, ck, int32(r.states))
@@ -364,10 +378,15 @@ func (r *workerRun) stats() statsBlock {
 		Health:     hr,
 		Frontier:   len(r.frontier),
 	}
-	if len(r.rules) > 0 {
-		b.Rules = make(map[string]int64, len(r.rules))
-		for k, v := range r.rules {
-			b.Rules[k] = v
+	// Rule names are resolved here, where the block is reported: the wire
+	// carries firings by name.
+	names := r.sys.RuleNames()
+	for id, n := range r.rules {
+		if n != 0 {
+			if b.Rules == nil {
+				b.Rules = make(map[string]int64)
+			}
+			b.Rules[names[id]] += n
 		}
 	}
 	if r.prof != nil {
@@ -408,9 +427,23 @@ func (w *Worker) handleExpand(rw http.ResponseWriter, req *http.Request) {
 // frontier state, keep self-owned successors, and ship the rest to
 // their owners. Every shipped batch is acknowledged before expand
 // returns, so once all expand responses are in, every candidate for
-// the next depth has landed at its owner.
+// the next depth has landed at its owner. Unlike the in-process
+// engines the worker keeps every successor it generates — as a local
+// candidate or in a peer's pending batch — so it copies each out of the
+// expansion's work buffer at exact size; only the key is transient.
 func (r *workerRun) expand() expandResp {
 	resp := expandResp{Sent: make([]int, r.n)}
+	visit := func(succ []byte, rule int) {
+		r.rules[rule]++
+		owner := mc.OwnerOf(mc.Fingerprint(r.canonical(succ)), r.n)
+		s := append(make([]byte, 0, len(succ)), succ...)
+		if owner == r.self {
+			r.candLocal = append(r.candLocal, s)
+			return
+		}
+		resp.Sent[owner]++
+		r.pending[owner] = append(r.pending[owner], s)
+	}
 	flushAll := func() error {
 		for p := range r.pending {
 			if err := r.flush(p); err != nil {
@@ -429,7 +462,7 @@ func (r *workerRun) expand() expandResp {
 		if sampled {
 			t0 = time.Now()
 		}
-		succs, names, err := r.sys.SuccessorsNamed(st)
+		n, err := r.sys.Expand(st, visit)
 		if sampled {
 			r.wset.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
 		}
@@ -439,30 +472,24 @@ func (r *workerRun) expand() expandResp {
 			r.expanded = true
 			return resp
 		}
-		if len(succs) == 0 && !r.sys.Quiescent(st) {
+		if n == 0 && !r.sys.Quiescent(st) {
 			resp.Terminal = &terminalReport{
 				Kind: "deadlock", Message: "no enabled rule in non-quiescent state", State: st,
 			}
 			r.expanded = true
 			return resp
 		}
-		r.generated += int64(len(succs))
-		for i, s := range succs {
-			r.rules[names[i]]++
-			ck := r.sys.Canonicalize(s)
-			owner := mc.OwnerOf(mc.Fingerprint(ck), r.n)
-			if owner == r.self {
-				r.candLocal = append(r.candLocal, s)
+		r.generated += int64(n)
+		// Flushing between expansions keeps network I/O out of the visit;
+		// a batch overshoots flushEntries by less than one state's fan-out.
+		for p := range r.pending {
+			if len(r.pending[p]) < flushEntries {
 				continue
 			}
-			resp.Sent[owner]++
-			r.pending[owner] = append(r.pending[owner], s)
-			if len(r.pending[owner]) >= flushEntries {
-				if err := r.flush(owner); err != nil {
-					resp.SendFailed = err.Error()
-					r.expanded = true
-					return resp
-				}
+			if err := r.flush(p); err != nil {
+				resp.SendFailed = err.Error()
+				r.expanded = true
+				return resp
 			}
 		}
 	}

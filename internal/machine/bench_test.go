@@ -68,28 +68,62 @@ func BenchmarkSuccessors(b *testing.B) {
 	}
 }
 
-// BenchmarkCanonicalize measures the symmetry-reduction hook over the
-// same kind of corpus, at the paper's 3 caches (6 permutations) and at
-// 4 (24).
-func BenchmarkCanonicalize(b *testing.B) {
+// BenchmarkExpand is BenchmarkSuccessors through the visitor the search
+// runs on: the same corpus, nothing copied out.
+func BenchmarkExpand(b *testing.B) {
+	sys := paperSystem(b, "MSI_nonblocking_cache", 3)
+	corpus := benchCorpus(sys)
+	var bytes int
+	visit := func(succ []byte, _ int) { bytes += len(succ) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Expand(corpus[i%len(corpus)], visit); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchCanonical runs canon over a corpus of the paper's cell at 3
+// caches (6 permutations) and at 4 (24).
+func benchCanonical(b *testing.B, canon func(sys *System, raw []byte)) {
 	for _, caches := range []int{3, 4} {
 		sys := paperSystem(b, "MSI_nonblocking_cache", caches)
 		corpus := benchCorpus(sys)
 		b.Run(fmt.Sprintf("%dc", caches), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sys.Canonicalize(corpus[i%len(corpus)])
+				canon(sys, corpus[i%len(corpus)])
 			}
 		})
 	}
 }
 
-// TestExpansionAllocations is the allocation budget of the two calls a
-// search makes per state, on a fixed mid-exploration state of the
-// paper's cell: SuccessorsNamed allocates its two result slices and the
-// bytes of each successor it returns (one spare for a pool refill after
-// a GC), Canonicalize at most the copy it returns. Counts, unlike
-// timings, are deterministic on a loaded box.
+// BenchmarkCanonicalize measures the symmetry-reduction hook over the
+// same kind of corpus.
+func BenchmarkCanonicalize(b *testing.B) {
+	benchCanonical(b, func(sys *System, raw []byte) { sys.Canonicalize(raw) })
+}
+
+// BenchmarkAppendCanonical is BenchmarkCanonicalize into a warm buffer,
+// as the search calls it.
+func BenchmarkAppendCanonical(b *testing.B) {
+	var key []byte
+	benchCanonical(b, func(sys *System, raw []byte) {
+		if ck := sys.AppendCanonical(key, raw); &ck[0] != &raw[0] {
+			key = ck[:0]
+		}
+	})
+}
+
+// TestExpansionAllocations is the allocation budget of the calls a
+// search makes per state and per successor, on a fixed mid-exploration
+// state of the paper's cell: Expand and AppendCanonical into a warm
+// buffer allocate nothing; of the collecting forms, SuccessorsNamed
+// allocates its two result slices and the bytes of each successor it
+// returns (one spare for a pool refill after a GC), Canonicalize at most
+// the copy it returns. Counts, unlike timings, are deterministic on a
+// loaded box.
 func TestExpansionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -106,6 +140,24 @@ func TestExpansionAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { sys.Canonicalize(raw) }); got > 1 {
 		t.Errorf("Canonicalize: %v allocations, budget 1", got)
+	}
+	visit := func([]byte, int) {}
+	if got := testing.AllocsPerRun(200, func() { sys.Expand(raw, visit) }); got != 0 {
+		t.Errorf("Expand: %v allocations, budget 0", got)
+	}
+	// A successor the identity does not win on, so the buffer is written.
+	var moved []byte
+	for _, s := range succs {
+		if ck := sys.Canonicalize(s); &ck[0] != &s[0] {
+			moved = s
+		}
+	}
+	if moved == nil {
+		t.Fatal("fixture state has no successor that canonicalization relabels")
+	}
+	key := make([]byte, 0, len(moved))
+	if got := testing.AllocsPerRun(200, func() { sys.AppendCanonical(key, moved) }); got != 0 {
+		t.Errorf("AppendCanonical into a warm buffer: %v allocations, budget 0", got)
 	}
 }
 

@@ -76,8 +76,8 @@ func (p perm) mask(m uint8) uint8 {
 }
 
 // canonScratch is the per-call reusable working set. It never escapes
-// Canonicalize; the pool makes it safe under the parallel engines'
-// concurrent Canonicalize calls.
+// AppendCanonical; the pool makes it safe under the parallel engines'
+// concurrent calls.
 type canonScratch struct {
 	buf  []byte // the candidate relabeling under construction
 	best []byte // the best non-identity relabeling so far
@@ -94,12 +94,20 @@ type canonScratch struct {
 // encoding. Directories are distinguished by their address ranges and
 // are not permuted. It allocates once, the returned copy, and only when
 // a non-identity relabeling wins.
+func (s *System) Canonicalize(raw []byte) []byte {
+	return s.AppendCanonical(nil, raw)
+}
+
+// AppendCanonical is Canonicalize into a caller-owned buffer, the form
+// mc's Expander uses: it returns raw itself when the identity relabeling
+// is the smallest, and otherwise the canonical form appended to dst[:0]
+// — so with a warm dst it allocates nothing.
 //
 // The cache rows lead the encoding, so they decide almost every
 // comparison. A first pass finds the permutations with the smallest
 // rows by comparing rows in place in raw, writing nothing; only those
 // (usually one) are then written out and compared in full.
-func (s *System) Canonicalize(raw []byte) []byte {
+func (s *System) AppendCanonical(dst, raw []byte) []byte {
 	if len(s.perms) <= 1 {
 		return raw
 	}
@@ -133,7 +141,7 @@ func (s *System) Canonicalize(raw []byte) []byte {
 	}
 	if relabeled {
 		// best aliases pooled scratch; copy before releasing it.
-		best = append(make([]byte, 0, len(best)), best...)
+		best = append(dst[:0], best...)
 	}
 	s.canonPool.Put(sc)
 	return best

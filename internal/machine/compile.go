@@ -136,17 +136,18 @@ func (s *System) compile() {
 		}
 	}
 
-	s.coreLabels = make([]string, len(s.coreSlots))
-	for i, ev := range s.coreSlots {
-		s.coreLabels[i] = "core/" + string(ev)
+	// Rule ids: core events by slot, then deliveries by VN, then
+	// processing by message id.
+	for _, ev := range s.coreSlots {
+		s.ruleNames = append(s.ruleNames, "core/"+string(ev))
 	}
-	s.deliverLabels = make([]string, s.cfg.NumVNs)
-	for vn := range s.deliverLabels {
-		s.deliverLabels[vn] = "deliver/vn" + strconv.Itoa(vn)
+	s.deliverRule = len(s.ruleNames)
+	for vn := 0; vn < s.cfg.NumVNs; vn++ {
+		s.ruleNames = append(s.ruleNames, "deliver/vn"+strconv.Itoa(vn))
 	}
-	s.processLabels = make([]string, len(s.msgNames))
-	for i, name := range s.msgNames {
-		s.processLabels[i] = "process/" + name
+	s.processRule = len(s.ruleNames)
+	for _, name := range s.msgNames {
+		s.ruleNames = append(s.ruleNames, "process/"+name)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +24,11 @@ var update = flag.Bool("update", false, "rewrite testdata/expansion.golden")
 // It was recorded from the table interpreter that expansion used to be
 // (one Controller.Lookup and one state clone per rule) immediately
 // before that interpreter was deleted; the compiled tables and the
-// streaming canonicalizer must reproduce every digest. A digest covers,
+// streaming canonicalizer must reproduce every digest — twice over,
+// once derived through the collecting forms the recording used
+// (Successors, SuccessorsNamed, Canonicalize) and once through the
+// streaming forms the search runs on (Expand with RuleNames,
+// AppendCanonical). A digest covers,
 // for the first expansionStates states of a system in BFS storage
 // order: the state, Quiescent, the ordered successors of Successors and
 // SuccessorsNamed with their labels, Canonicalize of the state and of
@@ -109,7 +113,7 @@ func expansionCases(t testing.TB) []expansionCase {
 
 // digester frames every field it hashes, so no two field sequences
 // share a byte stream.
-type digester struct{ h hash.Hash }
+type digester struct{ h io.Writer }
 
 func (d digester) bytes(b []byte) {
 	var n [4]byte
@@ -151,32 +155,78 @@ func bfsStates(sys *System, n int) [][]byte {
 }
 
 // expansionDigest hashes everything the package's expansion surface
-// says about each of sys's first expansionStates stored states.
-func expansionDigest(sys *System) (sum string, states, succs int) {
-	d := digester{sha256.New()}
+// says about each of sys's first expansionStates stored states, into two
+// digests that must come out equal: collected reads successors, labels
+// and canonical forms off the collecting forms, streamed off Expand,
+// RuleNames and AppendCanonical; everything else goes into both.
+func expansionDigest(sys *System) (collected, streamed string, states, succs int) {
+	hc, hs := sha256.New(), sha256.New()
+	d, dc, ds := digester{io.MultiWriter(hc, hs)}, digester{hc}, digester{hs}
+	var key []byte // AppendCanonical's warm destination
+	canonical := func(raw []byte) []byte {
+		ck := sys.AppendCanonical(key, raw)
+		if len(ck) > 0 && &ck[0] != &raw[0] {
+			key = ck[:0]
+		}
+		return ck
+	}
+	// expand copies what Expand lends — the successors back to back, their
+	// end offsets and rule ids — and digests error and count; each then
+	// walks the copies.
+	var arena []byte
+	var ends, ids []int
+	visit := func(succ []byte, rule int) {
+		arena = append(arena, succ...)
+		ends, ids = append(ends, len(arena)), append(ids, rule)
+	}
+	expand := func(raw []byte) {
+		arena, ends, ids = arena[:0], ends[:0], ids[:0]
+		n, err := sys.Expand(raw, visit)
+		ds.err(err)
+		ds.num(n)
+	}
+	each := func(f func(succ []byte, rule int)) {
+		lo := 0
+		for i, hi := range ends {
+			f(arena[lo:hi], ids[i])
+			lo = hi
+		}
+	}
 	for _, raw := range bfsStates(sys, expansionStates) {
 		states++
 		d.bytes(raw)
-		d.bytes(sys.Canonicalize(raw))
+		dc.bytes(sys.Canonicalize(raw))
+		ds.bytes(canonical(raw))
 		if sys.Quiescent(raw) {
 			d.str("quiescent")
 		}
 
 		plain, err := sys.Successors(raw)
-		d.err(err)
-		d.num(len(plain))
+		dc.err(err)
+		dc.num(len(plain))
 		for _, s := range plain {
-			d.bytes(s)
-			d.bytes(sys.Canonicalize(s))
+			dc.bytes(s)
+			dc.bytes(sys.Canonicalize(s))
 		}
 		succs += len(plain)
 		named, labels, nerr := sys.SuccessorsNamed(raw)
-		d.err(nerr)
-		d.num(len(named))
+		dc.err(nerr)
+		dc.num(len(named))
 		for i, s := range named {
-			d.bytes(s)
-			d.str(labels[i])
+			dc.bytes(s)
+			dc.str(labels[i])
 		}
+
+		expand(raw)
+		each(func(s []byte, _ int) {
+			ds.bytes(s)
+			ds.bytes(canonical(s))
+		})
+		expand(raw)
+		each(func(s []byte, rule int) {
+			ds.bytes(s)
+			ds.str(sys.RuleNames()[rule])
+		})
 
 		rules, rerr := sys.EnabledRules(raw)
 		d.err(rerr)
@@ -193,7 +243,7 @@ func expansionDigest(sys *System) (sum string, states, succs int) {
 		d.str(w.String())
 		d.bytes(w.Final)
 	}
-	return fmt.Sprintf("%x", d.h.Sum(nil)), states, succs
+	return fmt.Sprintf("%x", hc.Sum(nil)), fmt.Sprintf("%x", hs.Sum(nil)), states, succs
 }
 
 // TestExpansionGolden: the compiled expansion path reproduces the
@@ -207,7 +257,10 @@ func TestExpansionGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		sum, states, succs := expansionDigest(sys)
+		sum, streamed, states, succs := expansionDigest(sys)
+		if streamed != sum {
+			t.Errorf("%s: digest through Expand/RuleNames/AppendCanonical is %s, through the collecting forms %s", c.name, streamed, sum)
+		}
 		got = append(got, fmt.Sprintf("%s %s states=%d successors=%d", c.name, sum, states, succs))
 	}
 	if *update {

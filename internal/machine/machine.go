@@ -11,11 +11,15 @@
 // indexed by state id and event slot, with the unqualified fallback
 // column folded in, actions resolved to message ids, and rule labels
 // interned. Expansion (rules.go) then runs over a pooled scratch state:
-// decode into it, fire one rule in place, encode, roll the rule back —
-// allocating only the successors it returns. Canonicalize (canon.go)
-// relabels straight from the encoded bytes. The reference for all of
-// it is testdata/expansion.golden, recorded from the table interpreter
-// this replaced.
+// decode into it, fire one rule in place, encode into the scratch's
+// arena, roll the rule back. Expand (model.go) lends those encodings to
+// a visitor and allocates nothing — the form the model checker runs on,
+// since most successors turn out to be duplicates and are never kept;
+// the collecting forms beside it copy them into fresh slices.
+// AppendCanonical (canon.go) relabels straight from the encoded bytes
+// into the caller's buffer; Canonicalize is the same into a fresh one.
+// The reference for all of it is testdata/expansion.golden, recorded
+// from the table interpreter this replaced.
 package machine
 
 import (
@@ -97,14 +101,16 @@ type System struct {
 
 	// The compiled controller tables (l2 is nil for flat systems), the
 	// core events by slot, the slots expansion injects, and the interned
-	// rule labels by core slot / VN / message id. See compile.go.
+	// rule labels by rule id: a core rule's id is its slot, a delivery's
+	// deliverRule + VN, a processing rule's processRule + message id. See
+	// compile.go.
 	cache, dir, l2 *ctrlTable
 	cachePerm      []Permission // cache state id → access granted (SWMR check)
 	coreSlots      []protocol.CoreEvent
 	coreEnum       []int
-	coreLabels     []string
-	deliverLabels  []string
-	processLabels  []string
+	ruleNames      []string
+	deliverRule    int
+	processRule    int
 
 	endpoints int
 	net       icn.Config

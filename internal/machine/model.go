@@ -15,49 +15,87 @@ func (s *System) Initial() [][]byte {
 	return [][]byte{s.encode(s.newState())}
 }
 
-// Successors enumerates all successor states. Self-loop transitions
-// (e.g. a load hit, which changes nothing) are filtered out, matching
-// Murphi's deadlock semantics: a state whose only enabled rules map it
-// to itself is deadlocked.
+// Expand is the streaming form of expansion, mc's Expander: it calls
+// visit once per successor of raw, in the fixed rule order, with the
+// successor's encoding and the id of the rule that produced it — an
+// index into RuleNames. The bytes are lent from the pooled scratch and
+// are only valid until Expand returns; a visitor that keeps a successor
+// copies it. An invariant violation in (or when leaving) raw is returned
+// before any visit. Expand itself allocates nothing. Self-loop
+// transitions (e.g. a load hit, which changes nothing) are filtered out,
+// matching Murphi's deadlock semantics: a state whose only enabled
+// rules map it to itself is deadlocked.
+func (s *System) Expand(raw []byte, visit func(succ []byte, rule int)) (n int, err error) {
+	sc, err := s.expanded(raw)
+	if err != nil {
+		return 0, err
+	}
+	lo := 0
+	for i, hi := range sc.ends {
+		visit(sc.arena[lo:hi:hi], sc.ids[i])
+		lo = hi
+	}
+	n = len(sc.ends)
+	s.close(sc)
+	return n, nil
+}
+
+// RuleNames lists the rule labels by the ids Expand reports. Labels
+// aggregate a rule's enumeration parameters (plan, endpoint ids) into
+// the protocol-level identity that matters for the paper's per-rule
+// fire counts: the processor event for core rules ("core/Load"), the
+// virtual network for deliveries ("deliver/vn3"), and the consumed
+// message name for processing rules ("process/GetM"). The strings are
+// interned at New; callers must not modify the slice.
+func (s *System) RuleNames() []string { return s.ruleNames }
+
+// expanded opens a scratch on raw with every successor collected in it.
+func (s *System) expanded(raw []byte) (*scratch, error) {
+	sc := s.open(raw, false)
+	if err := s.checkInvariants(sc.st); err != nil {
+		return nil, err
+	}
+	if err := s.enumerate(sc); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// Successors is Expand collected into freshly allocated slices, for
+// callers that keep every successor.
 func (s *System) Successors(raw []byte) ([][]byte, error) {
 	out, _, err := s.successors(raw, false)
 	return out, err
 }
 
-// SuccessorsNamed implements the model checker's optional NamedModel
-// extension: identical to Successors, plus a rule label per successor
-// so telemetry can attribute transitions to the guarded rule family
-// that fired. Labels aggregate the rule's enumeration parameters
-// (plan, endpoint ids) into the protocol-level identity that matters
-// for the paper's per-rule fire counts: the processor event for core
-// rules ("core/Load"), the virtual network for deliveries
-// ("deliver/vn3"), and the consumed message name for processing rules
-// ("process/GetM"). The strings are interned at New.
+// SuccessorsNamed implements the model checker's NamedModel: Successors
+// plus each successor's rule label (see RuleNames).
 func (s *System) SuccessorsNamed(raw []byte) ([][]byte, []string, error) {
 	return s.successors(raw, true)
 }
 
-// successors expands raw on a pooled scratch and allocates exactly what
-// it returns: the two slices and the bytes of each successor.
+// successors allocates exactly what it returns: the two slices and the
+// bytes of each successor. It reads the successor count off the scratch
+// to size them, which a visitor cannot.
 func (s *System) successors(raw []byte, named bool) ([][]byte, []string, error) {
-	sc := s.open(raw, false)
-	if err := s.checkInvariants(sc.st); err != nil {
-		return nil, nil, err
-	}
-	if err := s.enumerate(sc); err != nil {
+	sc, err := s.expanded(raw)
+	if err != nil {
 		return nil, nil, err
 	}
 	var out [][]byte
 	var labels []string
 	if n := len(sc.ends); n > 0 {
 		out = make([][]byte, n)
+		if named {
+			labels = make([]string, n)
+		}
 		lo := 0
 		for i, hi := range sc.ends {
 			out[i] = append(make([]byte, 0, hi-lo), sc.arena[lo:hi]...)
+			if named {
+				labels[i] = s.ruleNames[sc.ids[i]]
+			}
 			lo = hi
-		}
-		if named {
-			labels = append(make([]string, 0, n), sc.labels...)
 		}
 	}
 	s.close(sc)

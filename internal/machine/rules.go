@@ -84,15 +84,16 @@ type scratch struct {
 	// Collected by emit: either the enabled rules (their plans back to
 	// back in plans), or the encodings of the successors that differ
 	// from raw, back to back in arena with their end offsets and rule
-	// labels. All of it is reused from call to call; the callers copy
-	// out what they return.
+	// ids (indices into System.RuleNames). All of it is reused from call
+	// to call; Expand lends the arena to its visitor and every other
+	// caller copies out what it returns.
 	raw       []byte
 	wantRules bool
 	rules     []Rule
 	plans     []int
 	arena     []byte
 	ends      []int
-	labels    []string
+	ids       []int
 }
 
 // undo is what rollback restores after a rule fired on the scratch
@@ -558,7 +559,7 @@ func (s *System) unplace(sc *scratch, plan []int) {
 // cartesian product of each out-message's allowed global buffers
 // (icn.Config.BufferChoices), counted with the first message most
 // significant. Each plan is insert → emit → take back out.
-func (s *System) emitPlans(sc *scratch, r *Rule, label string) {
+func (s *System) emitPlans(sc *scratch, r *Rule, id int) {
 	k := len(sc.outs)
 	for len(sc.plan) < k {
 		sc.plan = append(sc.plan, 0)
@@ -576,7 +577,7 @@ func (s *System) emitPlans(sc *scratch, r *Rule, label string) {
 			digits /= len(choices)
 		}
 		if s.place(sc, plan) {
-			s.emit(sc, r, plan, label)
+			s.emit(sc, r, plan, id)
 			s.unplace(sc, plan)
 		}
 	}
@@ -584,7 +585,7 @@ func (s *System) emitPlans(sc *scratch, r *Rule, label string) {
 
 // emit collects one enabled (rule, plan) whose effect is in sc.st: the
 // rule itself, or its successor encoding unless it is a self-loop.
-func (s *System) emit(sc *scratch, r *Rule, plan []int, label string) {
+func (s *System) emit(sc *scratch, r *Rule, plan []int, id int) {
 	if sc.wantRules {
 		rr := *r
 		if len(plan) > 0 {
@@ -601,7 +602,7 @@ func (s *System) emit(sc *scratch, r *Rule, plan []int, label string) {
 		return
 	}
 	sc.ends = append(sc.ends, len(sc.arena))
-	sc.labels = append(sc.labels, label)
+	sc.ids = append(sc.ids, id)
 }
 
 // enumerate fires every enabled rule of sc.st under every feasible
@@ -610,7 +611,7 @@ func (s *System) emit(sc *scratch, r *Rule, plan []int, label string) {
 // return is an invariant violation.
 func (s *System) enumerate(sc *scratch) error {
 	sc.rules, sc.plans = sc.rules[:0], sc.plans[:0]
-	sc.arena, sc.ends, sc.labels = sc.arena[:0], sc.ends[:0], sc.labels[:0]
+	sc.arena, sc.ends, sc.ids = sc.arena[:0], sc.ends[:0], sc.ids[:0]
 	var r Rule
 	for c := 0; c < s.cfg.Caches; c++ {
 		for a := 0; a < s.cfg.Addrs; a++ {
@@ -618,7 +619,7 @@ func (s *System) enumerate(sc *scratch) error {
 				switch err := s.fireCore(sc, c, a, slot); err {
 				case nil:
 					r = Rule{Kind: RuleCore, Cache: c, Addr: a, Core: s.coreSlots[slot]}
-					s.emitPlans(sc, &r, s.coreLabels[slot])
+					s.emitPlans(sc, &r, slot)
 					sc.rollback()
 				case errBlocked:
 				default:
@@ -631,7 +632,7 @@ func (s *System) enumerate(sc *scratch) error {
 		for buf := 0; buf < 2; buf++ {
 			if s.fireDeliver(sc, vn, buf) == nil {
 				r = Rule{Kind: RuleDeliver, VN: vn, Buf: buf}
-				s.emit(sc, &r, nil, s.deliverLabels[vn])
+				s.emit(sc, &r, nil, s.deliverRule+vn)
 				sc.rollback()
 			}
 		}
@@ -641,7 +642,7 @@ func (s *System) enumerate(sc *scratch) error {
 			switch msg, err := s.fireProcess(sc, ep, vn); err {
 			case nil:
 				r = Rule{Kind: RuleProcess, Endpoint: ep, PVN: vn}
-				s.emitPlans(sc, &r, s.processLabels[msg])
+				s.emitPlans(sc, &r, s.processRule+int(msg))
 				sc.rollback()
 			case errBlocked:
 			default:

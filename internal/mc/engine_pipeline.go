@@ -13,12 +13,13 @@ import (
 // the shared search core (search.go).
 //
 // Workers pull batches of stored-but-unexpanded states from a shared
-// work channel and run the expensive per-state work — Successors,
-// canonicalization, fingerprinting, and a read-only duplicate probe
-// against the sharded visited set — while a single merge loop consumes
-// the expansion results strictly in storage order through a reorder
-// buffer. There is no per-depth barrier: states at depth d+1 are being
-// expanded while depth-d results are still merging.
+// work channel and run the expensive per-state work — expansion,
+// canonicalization and fingerprinting on a per-worker collector, and a
+// read-only duplicate probe against the sharded visited set — while a
+// single merge loop consumes the expansion results strictly in storage
+// order through a reorder buffer. There is no per-depth barrier: states
+// at depth d+1 are being expanded while depth-d results are still
+// merging.
 //
 // Determinism: because successor computation is a pure function of the
 // state, farming it out does not change what the merge sees, and the
@@ -33,7 +34,8 @@ import (
 // a termination point are simply discarded.
 
 // pipelineBatch is the number of states per work/result message;
-// batching amortizes channel operations against Successors calls.
+// batching amortizes channel operations (and the two allocations a
+// result batch costs) against expansions.
 const pipelineBatch = 16
 
 // pwork is one state handed to a worker for expansion.
@@ -83,39 +85,60 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 	workCh := make(chan []pwork, workers)
 	resCh := make(chan []expansion, workers)
 
-	// expandBatch runs the whole work batch through three passes:
-	// expand every state, then canonicalize+fingerprint every generated
-	// successor in one sweep, then resolve all membership probes
-	// shard-grouped — each shard lock is taken once per batch instead
-	// of once per successor. preqs/scratch are per-worker reusable
-	// buffers.
-	expandBatch := func(batch []pwork, preqs []probeReq, sc *setScratch) ([]expansion, []probeReq) {
+	// expandBatch collects the whole work batch on the worker's own
+	// collector, resolves all membership probes shard-grouped — each
+	// shard lock is taken once per batch instead of once per successor —
+	// and ships what the merge needs and nothing else: one succ slab
+	// holding every successor's fingerprint, rule and probe verdict, and
+	// one exact-size buffer holding the bytes of the probe misses only.
+	// The set only grows, so a probe hit is conclusive: the merge need
+	// not see, let alone re-hash, a duplicate's bytes, and at two
+	// duplicates in three shipping the collection arena instead would
+	// more than double what a batch allocates.
+	expandBatch := func(batch []pwork, col *collector, preqs []probeReq, sc *setScratch) ([]expansion, []probeReq) {
 		out := make([]expansion, 0, len(batch))
-		preqs = preqs[:0]
+		col.reset()
 		for _, w := range batch {
-			e := s.expand(w.id, w.state, nil)
-			s.digest(e.succs)
-			for i := range e.succs {
-				preqs = append(preqs, probeReq{fp: e.succs[i].fp, key: e.succs[i].ckey})
-			}
-			out = append(out, e)
+			out = append(out, col.expand(w.id, w.state))
+		}
+		succs := col.resolve()
+		preqs = preqs[:0]
+		for i := range succs {
+			preqs = append(preqs, probeReq{fp: succs[i].fp, key: succs[i].ckey})
 		}
 		s.set.probeBatch(preqs, sc)
-		k := 0
-		for bi := range out {
-			succs := out[bi].succs
-			for si := range succs {
-				r := &preqs[k]
-				k++
-				if !r.hit {
-					continue
+		missBytes := 0
+		for i := range preqs {
+			if !preqs[i].hit {
+				missBytes += len(succs[i].state)
+				if keyed(&succs[i]) {
+					missBytes += len(succs[i].ckey)
 				}
-				// The set only grows, so a probe hit is conclusive: the
-				// merge need not ship or re-hash this state's bytes.
-				succs[si].dup = true
-				succs[si].conflated = r.conflated
-				succs[si].state, succs[si].ckey = nil, nil
 			}
+		}
+		slab, buf := make([]succ, len(succs)), make([]byte, 0, missBytes)
+		for i := range succs {
+			c, r, sh := &succs[i], &preqs[i], &slab[i]
+			sh.fp, sh.rule = c.fp, c.rule
+			if r.hit {
+				sh.dup, sh.conflated = true, r.conflated
+				continue
+			}
+			at := len(buf)
+			buf = append(buf, c.state...)
+			sh.state = buf[at:len(buf):len(buf)]
+			sh.ckey = sh.state
+			if keyed(c) {
+				at = len(buf)
+				buf = append(buf, c.ckey...)
+				sh.ckey = buf[at:len(buf):len(buf)]
+			}
+		}
+		// The expansions' succs were cut from the collector's list; their
+		// lengths partition the slab in order.
+		for bi := range out {
+			n := len(out[bi].succs)
+			out[bi].succs, slab = slab[:n:n], slab[n:]
 		}
 		return out, preqs
 	}
@@ -124,6 +147,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 		wl := wlanes[w]
 		prof := s.tr.workers.Worker(w)
 		go func() {
+			col := newCollector(s.m, s.exp)
 			var preqs []probeReq
 			var scratch setScratch
 			for {
@@ -136,7 +160,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 					sp := wl.Start("batch")
 					t0 := time.Now()
 					var out []expansion
-					out, preqs = expandBatch(batch, preqs, &scratch)
+					out, preqs = expandBatch(batch, col, preqs, &scratch)
 					expand := time.Since(t0)
 					sp.EndArg("states", int64(len(batch)))
 					ts := time.Now()

@@ -5,19 +5,30 @@
 // depth-first exploration, bounded model checking (state and depth
 // limits), optional symmetry reduction via a canonicalization hook,
 // and counterexample trace reconstruction.
+//
+// Like Murphi, the search never materializes a duplicate. It runs on the
+// model's streaming form (Expander; a model that has only Successors is
+// adapted by asExpander): each successor is visited in the model's work
+// buffer, canonicalized and fingerprinted in a reusable arena (the
+// collector, search.go), probed, and copied out — once, at exact size,
+// into the node table — only if it is new. Both schedulers and the seed
+// go through that one path.
 package mc
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"minvn/internal/obs/trace"
 )
 
 // seqExpandSample is the sequential engine's expansion-timing sample
-// period: 1-in-N expansions get their Successors call timed for the
-// worker profile, keeping the clock-read cost off the hot path.
+// period: 1-in-N expansions get their collection (expand, canonicalize
+// and fingerprint every successor — what a pipeline worker's expand time
+// covers too, short of its read-only probe) timed for the worker
+// profile, keeping the clock-read cost off the hot path.
 const seqExpandSample = 8
 
 // Model is an explicit-state transition system over opaque encoded
@@ -53,6 +64,104 @@ type Canonicalizer interface {
 // per-rule fire report the paper's experiments rely on.
 type NamedModel interface {
 	SuccessorsNamed(state []byte) (succs [][]byte, rules []string, err error)
+}
+
+// Expander is an optional Model extension, the streaming form the search
+// core runs on: successors are visited in the model's own work buffer,
+// canonicalized into the caller's, and copied only if they turn out to
+// be new — two of three are not, at the paper's configuration. A model
+// without it is adapted from its Successors/SuccessorsNamed and
+// Canonicalize (asExpander), at the cost of the allocations those make.
+type Expander interface {
+	// Expand calls visit once per successor of state, in the order
+	// Successors would return them. succ is only valid until Expand
+	// returns — a visitor that keeps it copies it — and rule indexes
+	// RuleNames. A non-nil error is what Successors would have returned,
+	// and is returned before any visit. n is the number of visits.
+	Expand(state []byte, visit func(succ []byte, rule int)) (n int, err error)
+	// RuleNames resolves Expand's rule ids: nil when the model does not
+	// attribute successors to rules (the ids are then meaningless), else
+	// a slice covering every id reported so far. Callers do not modify it.
+	RuleNames() []string
+	// AppendCanonical returns raw's canonical form (see Canonicalizer):
+	// raw itself when raw is canonical, else the form appended to dst[:0]
+	// or freshly allocated. Safe for concurrent use, like Expand.
+	AppendCanonical(dst, raw []byte) []byte
+}
+
+// collected adapts a Model without Expand to Expander by collecting its
+// successor slices and interning its rule names.
+type collected struct {
+	m     Model
+	named NamedModel    // nil without rule attribution
+	canon Canonicalizer // nil without symmetry reduction
+
+	mu    sync.Mutex // guards ids and names: pipeline workers expand concurrently
+	ids   map[string]int
+	names []string
+}
+
+// asExpander returns m's streaming form: m itself when it has one, the
+// collecting adapter otherwise. It is the search core's only way to a
+// model's successors.
+func asExpander(m Model) Expander {
+	if e, ok := m.(Expander); ok {
+		return e
+	}
+	c := &collected{m: m}
+	c.canon, _ = m.(Canonicalizer)
+	if c.named, _ = m.(NamedModel); c.named != nil {
+		c.ids, c.names = make(map[string]int), []string{}
+	}
+	return c
+}
+
+func (c *collected) Expand(state []byte, visit func(succ []byte, rule int)) (int, error) {
+	if c.named == nil {
+		succs, err := c.m.Successors(state)
+		if err != nil {
+			return 0, err
+		}
+		for _, s := range succs {
+			visit(s, 0)
+		}
+		return len(succs), nil
+	}
+	succs, rules, err := c.named.SuccessorsNamed(state)
+	if err != nil {
+		return 0, err
+	}
+	ids := make([]int, len(succs))
+	c.mu.Lock()
+	for i, name := range rules {
+		id, ok := c.ids[name]
+		if !ok {
+			id = len(c.names)
+			c.ids[name] = id
+			c.names = append(c.names, name)
+		}
+		ids[i] = id
+	}
+	c.mu.Unlock()
+	for i, s := range succs {
+		visit(s, ids[i])
+	}
+	return len(succs), nil
+}
+
+// RuleNames returns the names interned so far; entries are never
+// rewritten, so the returned prefix stays valid while workers intern more.
+func (c *collected) RuleNames() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.names[:len(c.names):len(c.names)]
+}
+
+func (c *collected) AppendCanonical(_, raw []byte) []byte {
+	if c.canon == nil {
+		return raw
+	}
+	return c.canon.Canonicalize(raw)
 }
 
 // Strategy selects the exploration order.
@@ -262,8 +371,8 @@ func Check(m Model, opts Options) Result {
 // is bit-identical to Check's, which the parity suite pins.
 //
 // This is the sequential scheduler over the shared search core
-// (search.go): expand one state at a time, in BFS or DFS order, and
-// merge it immediately.
+// (search.go): collect one state's successors at a time, in BFS or DFS
+// order, on the core's own collector, and merge them immediately.
 func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -280,7 +389,6 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 	var (
 		next  int32
 		stack []int32
-		buf   []succ // reused across expansions
 	)
 	dfs := opts.Strategy == DFS
 	if dfs {
@@ -313,13 +421,13 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 			t0 = time.Now()
 		}
 		sp := s.lane.Start("expand")
-		e := s.expand(id, s.take(id), buf[:0])
+		s.col.reset()
+		e := s.col.expand(id, s.take(id))
+		s.col.resolve()
 		sp.EndArg("succs", int64(len(e.succs)))
 		if sampled {
 			s.tr.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
 		}
-		buf = e.succs
-		s.digest(e.succs)
 		stored := len(s.nodes)
 		if res, done := s.merge(&e); done {
 			return res

@@ -17,14 +17,13 @@ import (
 // their results bit-identical by construction rather than by parallel
 // maintenance.
 //
-// Except for expand and digest (pure functions of their arguments,
-// safe from worker goroutines), every method is store-thread only.
+// Except for the Expander itself (safe from worker goroutines, each with
+// its own collector), every method is store-thread only.
 type search struct {
 	ctx   context.Context
 	m     Model
-	canon Canonicalizer // nil without symmetry reduction
-	named NamedModel    // nil without rule attribution
-	opts  Options       // normalized
+	exp   Expander // m's streaming form; the only way to its successors
+	opts  Options  // normalized
 	start time.Time
 	lane  *trace.Lane
 	tr    *tracker
@@ -33,30 +32,44 @@ type search struct {
 	res   Result
 	// bounded records that some state was left unexpanded at MaxDepth.
 	bounded bool
+	col     *collector  // the store thread's: seed, and the sequential scheduler
 	ireqs   []insertReq // settle's reusable insert batch
 	scratch setScratch
 }
 
-// node is one stored state. state is retained until the scheduler
-// takes it for expansion and, when traces are enabled, for good.
+// node is one stored state. state is the node's own exact-size copy,
+// retained until the scheduler takes it for expansion and, when traces
+// are enabled, for good.
 type node struct {
 	state  []byte
 	parent int32
 	depth  int32
 }
 
-// succ is one generated successor on its way to the store.
+// succ is one generated successor on its way to the store. Its bytes
+// are lent — they alias a collector's arena or a worker's batch buffer —
+// so settle copies the state of one it stores.
 type succ struct {
 	state []byte // nil once a worker probe proved it a duplicate
-	ckey  []byte // canonical bytes (aliases state without a Canonicalizer)
+	ckey  []byte // canonical bytes (aliases state when state is canonical)
 	fp    uint64
-	rule  string // producing rule's name (NamedModels only)
+	rule  int32 // producing rule's id (see Expander.RuleNames)
 	// dup marks a duplicate verdict already proven by a worker's
 	// read-only probe (the set only grows, so it is conclusive);
 	// conflated carries that probe's unverified-hit flag, which is
 	// time-stable (see the shardset.go contract).
 	dup       bool
 	conflated bool
+}
+
+// keyed reports whether sc's canonical key is bytes of its own rather
+// than the state's.
+func keyed(sc *succ) bool { return !aliases(sc.ckey, sc.state) }
+
+// aliases reports whether a and b are the same bytes in memory — how an
+// Expander says "already canonical" without a second return value.
+func aliases(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // expansion is one stored state's successor set, or its terminal info.
@@ -68,16 +81,92 @@ type expansion struct {
 	succs    []succ
 }
 
+// collector is the one expansion path of both schedulers: it visits a
+// state's successors in the model's work buffer and, per successor,
+// appends the raw bytes and — when it differs — the canonical key to a
+// reusable arena, fingerprints the key, and notes the rule id. Nothing
+// is allocated once the arena is warm. Everything collected since the
+// last reset stays valid until the next one, so a pipeline worker
+// collects a whole batch before it probes. One collector per goroutine.
+type collector struct {
+	m     Model
+	exp   Expander
+	visit func(succ []byte, rule int) // c.add, bound once
+	arena []byte
+	key   []byte // AppendCanonical's destination
+	spans []span
+	succs []succ
+}
+
+// span locates one collected successor in the arena, which may move
+// while a collection is under way: raw bytes in [lo, mid), the key in
+// [mid, end), or the raw bytes again when mid == end.
+type span struct{ lo, mid, end int }
+
+func newCollector(m Model, exp Expander) *collector {
+	c := &collector{m: m, exp: exp}
+	c.visit = c.add
+	return c
+}
+
+func (c *collector) reset() {
+	c.arena, c.spans, c.succs = c.arena[:0], c.spans[:0], c.succs[:0]
+}
+
+// add collects one successor; it is the Expander's visitor.
+func (c *collector) add(state []byte, rule int) {
+	lo := len(c.arena)
+	c.arena = append(c.arena, state...)
+	mid := len(c.arena)
+	key := c.exp.AppendCanonical(c.key, state)
+	if !aliases(key, state) {
+		c.arena = append(c.arena, key...)
+		c.key = key[:0]
+	}
+	c.spans = append(c.spans, span{lo, mid, len(c.arena)})
+	c.succs = append(c.succs, succ{fp: Fingerprint(key), rule: int32(rule)})
+}
+
+// expand collects id's successors behind whatever is already collected.
+// The expansion's succs alias the collector's list and get their bytes
+// from the next resolve. That serves the latest expansion of a
+// collection; an earlier one may have been left behind by the list's
+// growth, but its length is still right, and the lengths partition
+// resolve's result in expansion order.
+func (c *collector) expand(id int32, state []byte) expansion {
+	from := len(c.succs)
+	n, err := c.exp.Expand(state, c.visit)
+	e := expansion{id: id, state: state, err: err}
+	if err == nil {
+		e.deadlock = n == 0 && !c.m.Quiescent(state)
+		e.succs = c.succs[from:len(c.succs):len(c.succs)]
+	}
+	return e
+}
+
+// resolve points every collected successor at its bytes, now that the
+// arena has stopped moving, and returns them all.
+func (c *collector) resolve() []succ {
+	for i, sp := range c.spans {
+		sc := &c.succs[i]
+		sc.state = c.arena[sp.lo:sp.mid:sp.mid]
+		sc.ckey = sc.state
+		if sp.mid != sp.end {
+			sc.ckey = c.arena[sp.mid:sp.end:sp.end]
+		}
+	}
+	return c.succs
+}
+
 // newSearch builds the core for one run; mainLane names the store
 // thread's flight-recorder lane. shards <= 0 picks DefaultShards.
 func newSearch(ctx context.Context, m Model, opts Options, mainLane string, workers, shards int) *search {
-	s := &search{ctx: ctx, m: m, opts: opts, start: time.Now()}
-	s.canon, _ = m.(Canonicalizer)
-	s.named, _ = m.(NamedModel)
+	s := &search{ctx: ctx, m: m, exp: asExpander(m), opts: opts, start: time.Now()}
+	s.col = newCollector(m, s.exp)
 	tc, _ := trace.TraceContextFrom(ctx)
 	s.lane = opts.Trace.Lane(tc.LanePrefix() + mainLane)
 	s.set = newVisitedStore(opts.Store, shards)
-	s.tr = newTracker(opts, s.start, s.named != nil)
+	s.tr = newTracker(opts, s.start, s.exp)
 	s.tr.lane = s.lane
 	s.tr.workers = health.NewWorkerSet(workers)
 	s.tr.setHealth = func(r *health.Report) {
@@ -89,58 +178,13 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	return s
 }
 
-// expand computes id's successors into buf (appending; nil allocates
-// an exact-size slice). Successors are neither canonicalized nor
-// fingerprinted yet — see digest.
-func (s *search) expand(id int32, state []byte, buf []succ) expansion {
-	var succs [][]byte
-	var rules []string
-	var err error
-	if s.named != nil {
-		succs, rules, err = s.named.SuccessorsNamed(state)
-	} else {
-		succs, err = s.m.Successors(state)
-	}
-	e := expansion{id: id, state: state, err: err}
-	if err != nil {
-		return e
-	}
-	e.deadlock = len(succs) == 0 && !s.m.Quiescent(state)
-	if buf == nil {
-		buf = make([]succ, 0, len(succs))
-	}
-	for i, st := range succs {
-		sc := succ{state: st}
-		if s.named != nil {
-			sc.rule = rules[i]
-		}
-		buf = append(buf, sc)
-	}
-	e.succs = buf
-	return e
-}
-
-// digest canonicalizes and fingerprints every successor.
-func (s *search) digest(succs []succ) {
-	for i := range succs {
-		sc := &succs[i]
-		sc.ckey = sc.state
-		if s.canon != nil {
-			sc.ckey = s.canon.Canonicalize(sc.state)
-		}
-		sc.fp = Fingerprint(sc.ckey)
-	}
-}
-
 // seed stores the model's initial states.
 func (s *search) seed() (Result, bool) {
-	init := s.m.Initial()
-	succs := make([]succ, len(init))
-	for i, st := range init {
-		succs[i].state = st
+	s.col.reset()
+	for _, st := range s.m.Initial() {
+		s.col.add(st, 0)
 	}
-	s.digest(succs)
-	if err := s.settle(-1, 0, succs); err != nil {
+	if err := s.settle(-1, 0, s.col.resolve()); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true
 	}
@@ -179,12 +223,13 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 			s.tr.recordProbe(sc.fp, depth, false, r.conflated)
 		default:
 			s.tr.recordProbe(sc.fp, depth, true, false)
-			s.nodes = append(s.nodes, node{state: sc.state, parent: parent, depth: depth})
+			state := append(make([]byte, 0, len(sc.state)), sc.state...)
+			s.nodes = append(s.nodes, node{state: state, parent: parent, depth: depth})
 			if int(depth) > s.res.MaxDepth {
 				s.res.MaxDepth = int(depth)
 			}
 			if s.opts.Observer != nil {
-				s.opts.Observer.Observe(sc.state)
+				s.opts.Observer.Observe(state)
 			}
 		}
 	}
@@ -244,7 +289,7 @@ func (s *search) merge(e *expansion) (Result, bool) {
 		s.res.Trace = s.trace(e.id, e.state)
 		return s.finish(Deadlock), true
 	}
-	s.tr.generated.Add(int64(len(e.succs)))
+	s.tr.generated += int64(len(e.succs))
 	if err := s.settle(e.id, s.nodes[e.id].depth+1, e.succs); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true

@@ -68,17 +68,20 @@ func (s Snapshot) String() string {
 
 // tracker accumulates search telemetry for the shared search core
 // (search.go). Everything except the worker profiles — counters, depth
-// histogram, rule map, progress scheduling — is only updated from the
-// single store thread.
+// histogram, rule firings, progress scheduling — is only updated (and
+// read) from the single store thread, so the counters are plain ints.
 type tracker struct {
-	opts       Options
-	strategy   Strategy
-	start      time.Time
-	probes     obs.Counter // visited-set probes (push attempts)
-	dedupHits  obs.Counter
-	generated  obs.Counter
-	depthHist  []int64
-	rules      map[string]int64 // nil unless the model is a NamedModel
+	opts      Options
+	strategy  Strategy
+	start     time.Time
+	probes    int64 // visited-set probes (push attempts)
+	dedupHits int64
+	generated int64
+	depthHist []int64
+	// rules counts firings by rule id, nil unless the model attributes
+	// rules; exp.RuleNames resolves the ids, once per snapshot.
+	rules      []int64
+	exp        Expander
 	nextStates int
 	nextTime   time.Time
 	// lane, when tracing, receives progress instants from the search
@@ -98,10 +101,10 @@ type tracker struct {
 	setHealth func(*health.Report)
 }
 
-func newTracker(opts Options, start time.Time, named bool) *tracker {
-	t := &tracker{opts: opts, strategy: opts.Strategy, start: start}
-	if named {
-		t.rules = make(map[string]int64)
+func newTracker(opts Options, start time.Time, exp Expander) *tracker {
+	t := &tracker{opts: opts, strategy: opts.Strategy, start: start, exp: exp}
+	if names := exp.RuleNames(); names != nil {
+		t.rules = make([]int64, len(names))
 	}
 	if opts.Progress != nil {
 		if opts.ProgressEvery > 0 {
@@ -121,9 +124,9 @@ func newTracker(opts Options, start time.Time, named bool) *tracker {
 // conflation verdicts are stable over a run (see compactShard.lookup),
 // so this count is deterministic and identical across engines.
 func (t *tracker) recordProbe(fp uint64, depth int32, fresh, conflated bool) {
-	t.probes.Inc()
+	t.probes++
 	if !fresh {
-		t.dedupHits.Inc()
+		t.dedupHits++
 		if conflated {
 			t.unverified++
 		}
@@ -152,11 +155,15 @@ func (t *tracker) health() *health.Report {
 	return r
 }
 
-// fire records a rule firing (one generated successor) by name.
-func (t *tracker) fire(rule string) {
-	if t.rules != nil {
-		t.rules[rule]++
+// fire records a rule firing (one generated successor) by rule id.
+func (t *tracker) fire(rule int32) {
+	if t.rules == nil {
+		return
 	}
+	for int(rule) >= len(t.rules) {
+		t.rules = append(t.rules, 0) // an adapted model interns names as it goes
+	}
+	t.rules[rule]++
 }
 
 // maybeProgress emits a snapshot when a count or wall-clock threshold
@@ -211,8 +218,8 @@ func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final boo
 		Frontier:       frontier,
 		MaxDepth:       maxDepth,
 		Expansions:     int64(expansions),
-		Generated:      t.generated.Load(),
-		DedupHits:      t.dedupHits.Load(),
+		Generated:      t.generated,
+		DedupHits:      t.dedupHits,
 		DepthHistogram: append([]int64(nil), t.depthHist...),
 		HeapBytes:      obs.HeapBytes(),
 		Final:          final,
@@ -220,16 +227,19 @@ func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final boo
 	// Both rates are division results on counters an engine bug (or a
 	// sub-resolution elapsed time) could zero out; sanitize so a tiny
 	// run can never emit +Inf/NaN and break JSON encoding.
-	if p := t.probes.Load(); p > 0 {
-		s.DedupHitRate = SanitizeRate(float64(s.DedupHits) / float64(p))
+	if t.probes > 0 {
+		s.DedupHitRate = SanitizeRate(float64(s.DedupHits) / float64(t.probes))
 	}
 	if elapsed > 0 {
 		s.StatesPerSec = SanitizeRate(float64(states) / elapsed)
 	}
 	if t.rules != nil {
-		s.RuleFirings = make(map[string]int64, len(t.rules))
-		for k, v := range t.rules {
-			s.RuleFirings[k] = v
+		names := t.exp.RuleNames()
+		s.RuleFirings = make(map[string]int64)
+		for id, n := range t.rules {
+			if n != 0 {
+				s.RuleFirings[names[id]] += n
+			}
 		}
 	}
 	if so, ok := t.opts.Observer.(SummarizingObserver); ok {

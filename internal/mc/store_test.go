@@ -674,7 +674,7 @@ func TestSanitizeRate(t *testing.T) {
 func TestSnapshotZeroElapsed(t *testing.T) {
 	// A start time in the future forces elapsed <= 0, the degenerate
 	// case a sub-resolution clock read produces.
-	tr := newTracker(Options{}, time.Now().Add(time.Hour), false)
+	tr := newTracker(Options{}, time.Now().Add(time.Hour), asExpander(multiInit{}))
 	tr.recordProbe(1, 0, true, false)
 	tr.recordProbe(1, 0, false, false)
 	s := tr.snapshot(10, 2, 1, 5, true)
@@ -695,7 +695,7 @@ func TestSnapshotZeroElapsed(t *testing.T) {
 		t.Fatalf("non-finite value leaked into JSON: %s", raw)
 	}
 	// Zero probes: DedupHitRate guard (0/0) must also hold.
-	tr2 := newTracker(Options{}, time.Now(), false)
+	tr2 := newTracker(Options{}, time.Now(), asExpander(multiInit{}))
 	if s2 := tr2.snapshot(0, 0, 0, 0, true); s2.DedupHitRate != 0 {
 		t.Errorf("zero-probe DedupHitRate = %v", s2.DedupHitRate)
 	}

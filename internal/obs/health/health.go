@@ -38,15 +38,19 @@ const stripeMask = Stripes - 1
 // StripeOf maps a 64-bit state fingerprint to its telemetry stripe.
 func StripeOf(fp uint64) int { return int((fp ^ (fp >> 32)) & stripeMask) }
 
-// WorkerStats is one engine worker's contention profile. The engines
-// fill it differently:
+// WorkerStats is one engine worker's contention profile. On every
+// engine ExpandNS brackets the same work per state — expanding it and
+// canonicalizing and fingerprinting each successor — so ExpandNS /
+// States compares across engines, with one difference: a pipeline
+// worker's also covers its read-only probe of the visited set (and
+// cutting the batch it ships), which the seq and dist store paths do
+// outside the bracket. Otherwise the engines fill it differently:
 //
 //   - pipeline: one entry per pool worker; Batches counts work-channel
-//     batches, ExpandNS the time inside Successors/canonicalize/probe,
-//     QueueWaitNS the time blocked receiving work, SendWaitNS the time
-//     blocked handing results to the merge loop.
-//   - seq: a single entry; ExpandNS covers a 1-in-N sample of
-//     expansions, with Batches counting the sampled expansions.
+//     batches, QueueWaitNS the time blocked receiving work, SendWaitNS
+//     the time blocked handing results to the merge loop.
+//   - seq, dist: a single entry; ExpandNS and States cover a 1-in-N
+//     sample of expansions, with Batches counting the sampled ones.
 type WorkerStats struct {
 	Worker      int   `json:"worker"`
 	Batches     int64 `json:"batches"`
