@@ -15,6 +15,8 @@
 //   - BenchmarkSecIII_TextbookBaseline — the conventional-wisdom rule.
 //   - BenchmarkSecVIB_AlgorithmScaling — tractability of the reduction
 //     (FAS + coloring) on the real protocol instances.
+//   - BenchmarkStaticSweep        — the static path over the repository
+//     benchmark's static_sweep set (742 protocols), for profiling.
 //
 // Run: go test -bench=. -benchmem
 package minvn_test
@@ -30,6 +32,7 @@ import (
 	"minvn/internal/mc"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
+	"minvn/internal/ptest"
 	"minvn/internal/vnassign"
 )
 
@@ -59,6 +62,24 @@ func BenchmarkTableI_Static(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkStaticSweep is the measured loop of bench/'s static_sweep
+// workload, in-package so -cpuprofile and -memprofile see it: one
+// iteration analyzes and assigns the whole sweep set (built-ins,
+// NonStalling variants, composites, 600 generated protocols) once.
+func BenchmarkStaticSweep(b *testing.B) {
+	ps := ptest.SweepSet([]int64{3}, 600)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range ps {
+			if a := vnassign.AssignFromAnalysis(analysis.Analyze(p)); a.Class == vnassign.ClassUnknown {
+				b.Fatal("unclassified")
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/protocol")
 }
 
 // Per-protocol static benchmarks, one per Table I row.

@@ -16,10 +16,14 @@
 //
 // The queues relation (§IV-E) depends on the VN assignment and is
 // computed by QueuesUnder.
+//
+// All four are bit matrices over one relation.Universe of the
+// protocol's message names (Result.Names); the tables are read once per
+// stage, every name resolved to its index as it is met.
 package analysis
 
 import (
-	"sort"
+	"fmt"
 
 	"minvn/internal/obs"
 	"minvn/internal/protocol"
@@ -29,9 +33,12 @@ import (
 // Result bundles the static relations of a protocol.
 type Result struct {
 	Protocol *protocol.Protocol
-	Causes   *relation.Relation
-	Stalls   *relation.Relation
-	Waits    *relation.Relation
+	// Names interns the protocol's message names; Causes, Stalls and
+	// Waits are indexed over it.
+	Names  *relation.Universe
+	Causes *relation.Relation
+	Stalls *relation.Relation
+	Waits  *relation.Relation
 	// Stallable lists the message names that some controller can
 	// stall, sorted. Only these can block a virtual network.
 	Stallable []string
@@ -40,7 +47,9 @@ type Result struct {
 	Roots map[protocol.ControllerKind]map[string][]string
 }
 
-// Analyze computes the static relations for p.
+// Analyze computes the static relations for p, which must be valid
+// (as protocol.Builder.Build leaves it): a table that names an
+// undeclared message panics.
 func Analyze(p *protocol.Protocol) *Result {
 	return AnalyzeObserved(p, nil)
 }
@@ -52,42 +61,40 @@ func Analyze(p *protocol.Protocol) *Result {
 func AnalyzeObserved(p *protocol.Protocol, tl *obs.Timeline) *Result {
 	r := &Result{
 		Protocol: p,
+		Names:    relation.NewUniverse(p.MessageNames()...),
 		Roots:    make(map[protocol.ControllerKind]map[string][]string),
 	}
 	tl.Time("analysis/causes", func() {
-		r.Causes = computeCauses(p)
+		r.Causes = r.computeCauses()
 	})
 
 	tl.Time("analysis/stalls", func() {
-		r.Stalls = relation.New()
+		r.Stalls = relation.NewOver(r.Names)
 		for _, c := range p.Controllers() {
-			roots := transientRoots(c)
-			r.Roots[c.Kind] = roots
-			for key, t := range c.Transitions {
-				if !t.Stall || key.Event.IsCore() {
-					continue
-				}
-				for _, root := range roots[key.State] {
-					r.Stalls.Add(root, key.Event.Msg)
-				}
-			}
+			r.Roots[c.Kind] = r.transientRoots(c)
 		}
 	})
 
 	tl.Time("analysis/waits", func() {
 		// waits = stalls⁻¹ ; causes⁺  (Eq. 3).
-		r.Waits = r.Stalls.Inverse().Compose(r.Causes.TransitiveClosure())
-
-		stallSet := make(map[string]bool)
-		for _, pr := range r.Stalls.Pairs() {
-			stallSet[pr.To] = true
+		stalledBy := r.Stalls.Inverse()
+		r.Waits = stalledBy.Compose(r.Causes.TransitiveClosure())
+		for i := 0; i < r.Names.Len(); i++ {
+			if !stalledBy.Row(i).Empty() {
+				r.Stallable = append(r.Stallable, r.Names.Name(i))
+			}
 		}
-		for m := range stallSet {
-			r.Stallable = append(r.Stallable, m)
-		}
-		sort.Strings(r.Stallable)
 	})
 	return r
+}
+
+// index returns the index of a message name the tables use.
+func (r *Result) index(name string) int {
+	i, ok := r.Names.Index(name)
+	if !ok {
+		panic(fmt.Sprintf("analysis: %s uses undeclared message %q", r.Protocol.Name, name))
+	}
+	return i
 }
 
 // computeCauses extracts the causes relation from the tables. For
@@ -102,49 +109,50 @@ func AnalyzeObserved(p *protocol.Protocol, tl *obs.Timeline) *Result {
 // forwarded request recorded earlier by ARecordSaved, so the edge is
 // attributed to every message that can be recorded, and no edge is
 // added from the message whose reception triggered the send.
-func computeCauses(p *protocol.Protocol) *relation.Relation {
-	causes := relation.New()
-	for _, c := range p.Controllers() {
-		// Messages that can be recorded into the saved register.
-		var recorded []string
+func (r *Result) computeCauses() *relation.Relation {
+	causes := relation.NewOver(r.Names)
+	for _, c := range r.Protocol.Controllers() {
+		// recorded: messages that can be recorded into the saved
+		// register. answers: everything a deferral-completion
+		// transition sends — it answers the recorded forwarded request,
+		// so all of its sends belong to that transaction. We
+		// conservatively keep the edge from the triggering message too
+		// (footnote 3: over-approximation is safe).
+		recorded, answers := r.Names.NewRow(), r.Names.NewRow()
 		for key, t := range c.Transitions {
-			if key.Event.IsCore() {
+			if len(t.Actions) == 0 {
 				continue
 			}
-			for _, a := range t.Actions {
-				if a.Kind == protocol.ARecordSaved {
-					recorded = append(recorded, key.Event.Msg)
-				}
+			from := -1
+			if !key.Event.IsCore() {
+				from = r.index(key.Event.Msg)
 			}
-		}
-		sort.Strings(recorded)
-
-		for key, t := range c.Transitions {
 			deferred := false
-			for _, a := range t.Actions {
+			for i := range t.Actions {
+				a := &t.Actions[i]
+				if a.Kind == protocol.ARecordSaved && from >= 0 {
+					recorded.Set(from)
+				}
 				if a.Kind == protocol.ASend && a.To == protocol.ToSaved {
 					deferred = true
-					break
 				}
 			}
-			for _, a := range t.Actions {
+			for i := range t.Actions {
+				a := &t.Actions[i]
 				if a.Kind != protocol.ASend {
 					continue
 				}
+				sent := r.index(a.Msg)
 				if deferred {
-					// A deferral-completion transition answers the
-					// recorded forwarded request: all of its sends
-					// belong to that transaction. We conservatively
-					// keep the edge from the triggering message too
-					// (footnote 3: over-approximation is safe).
-					for _, m := range recorded {
-						causes.Add(m, a.Msg)
-					}
+					answers.Set(sent)
 				}
-				if !key.Event.IsCore() && a.To != protocol.ToSaved {
-					causes.Add(key.Event.Msg, a.Msg)
+				if from >= 0 && a.To != protocol.ToSaved {
+					causes.Set(from, sent)
 				}
 			}
+		}
+		for m := recorded.Next(-1); m >= 0; m = recorded.Next(m) {
+			causes.Row(m).Or(answers)
 		}
 	}
 	return causes
@@ -155,62 +163,77 @@ func computeCauses(p *protocol.Protocol) *relation.Relation {
 // while in that state: the message received on entry from a stable
 // state, the request sent on entry from a stable state (core-event
 // entries), or — transitively — the roots of the transient state the
-// controller came from (§IV-D).
-func transientRoots(c *protocol.Controller) map[string][]string {
-	rootSets := make(map[string]map[string]bool)
+// controller came from (§IV-D). Every message c stalls in such a state
+// is added to r.Stalls under each of the state's roots.
+func (r *Result) transientRoots(c *protocol.Controller) map[string][]string {
+	// Two sets of messages per transient state, cut from one slab: its
+	// roots, and the messages stalled in it. transient numbers the
+	// transient states from 1, so 0 reads "not transient".
+	words := (r.Names.Len() + 63) / 64
+	transient := make(map[string]int, len(c.States))
 	for name, st := range c.States {
 		if st.Transient {
-			rootSets[name] = make(map[string]bool)
+			transient[name] = len(transient) + 1
 		}
 	}
+	slab := make(relation.Row, 2*words*len(transient))
+	roots := func(k int) relation.Row { return slab[(2*k-2)*words : (2*k-1)*words] }
+	stalled := func(k int) relation.Row { return slab[(2*k-1)*words : 2*k*words] }
 
-	// Seed: entries from stable states.
+	// One pass over the table: seed the entries from stable states,
+	// and note the transient-to-transient moves and the stalled cells.
+	var moves [][2]int
 	for key, t := range c.Transitions {
-		if t.Stall || t.Next == "" {
-			continue
-		}
-		from, to := c.States[key.State], c.States[t.Next]
-		if from == nil || to == nil || from.Transient || !to.Transient {
-			continue
-		}
-		if key.Event.IsCore() {
-			for _, m := range t.Sends() {
-				rootSets[t.Next][m] = true
+		if t.Stall {
+			if from := transient[key.State]; from > 0 && !key.Event.IsCore() {
+				stalled(from).Set(r.index(key.Event.Msg))
 			}
+			continue
+		}
+		if t.Next == "" {
+			continue
+		}
+		to := transient[t.Next]
+		if to == 0 {
+			continue
+		}
+		if from := transient[key.State]; from > 0 {
+			if from != to {
+				moves = append(moves, [2]int{from, to})
+			}
+		} else if !key.Event.IsCore() {
+			roots(to).Set(r.index(key.Event.Msg))
 		} else {
-			rootSets[t.Next][key.Event.Msg] = true
-		}
-	}
-
-	// Propagate through transient-to-transient transitions until a
-	// fixpoint: the ongoing transaction is unchanged.
-	for changed := true; changed; {
-		changed = false
-		for key, t := range c.Transitions {
-			if t.Stall || t.Next == "" {
-				continue
-			}
-			from, to := c.States[key.State], c.States[t.Next]
-			if from == nil || to == nil || !from.Transient || !to.Transient {
-				continue
-			}
-			for m := range rootSets[key.State] {
-				if !rootSets[t.Next][m] {
-					rootSets[t.Next][m] = true
-					changed = true
+			for i := range t.Actions {
+				if a := &t.Actions[i]; a.Kind == protocol.ASend {
+					roots(to).Set(r.index(a.Msg))
 				}
 			}
 		}
 	}
 
-	out := make(map[string][]string, len(rootSets))
-	for state, set := range rootSets {
-		ms := make([]string, 0, len(set))
-		for m := range set {
-			ms = append(ms, m)
+	// Propagate through the moves until a fixpoint: the ongoing
+	// transaction is unchanged.
+	for changed := true; changed; {
+		changed = false
+		for _, m := range moves {
+			from, to := roots(m[0]), roots(m[1])
+			before := to.Count()
+			to.Or(from)
+			changed = changed || to.Count() != before
 		}
-		sort.Strings(ms)
-		out[state] = ms
+	}
+
+	out := make(map[string][]string, len(transient))
+	names := make([]string, 0, slab.Count()) // an upper bound: the slab holds the stalled sets too
+	for state, k := range transient {
+		first := len(names)
+		set := roots(k)
+		for root := set.Next(-1); root >= 0; root = set.Next(root) {
+			r.Stalls.Row(root).Or(stalled(k))
+			names = append(names, r.Names.Name(root))
+		}
+		out[state] = names[first:len(names):len(names)]
 	}
 	return out
 }
@@ -221,13 +244,20 @@ func transientRoots(c *protocol.Controller) map[string][]string {
 // conservative ICN assumption means any same-VN message can queue
 // behind any other, including a message behind another instance of its
 // own name (that self-pair is what makes Class 2 protocols
-// unsalvageable).
+// unsalvageable). A message missing from vn is on VN 0, so a nil vn is
+// the single-VN assignment.
 func QueuesUnder(r *Result, vn map[string]int) *relation.Relation {
-	q := relation.New()
+	n := r.Names.Len()
+	vnOf := make([]int, n)
+	for i := range vnOf {
+		vnOf[i] = vn[r.Names.Name(i)]
+	}
+	q := relation.NewOver(r.Names)
 	for _, m1 := range r.Stallable {
-		for _, m2 := range r.Protocol.MessageNames() {
-			if vn[m2] == vn[m1] {
-				q.Add(m2, m1)
+		i1 := r.index(m1)
+		for i2 := 0; i2 < n; i2++ {
+			if vnOf[i2] == vnOf[i1] {
+				q.Set(i2, i1)
 			}
 		}
 	}
@@ -256,15 +286,23 @@ func UniqueVNs(p *protocol.Protocol) map[string]int {
 	return vn
 }
 
+// Dependencies returns waits ; (waits ∪ queues)* under a VN
+// assignment: the relation whose acyclicity is the paper's sufficient
+// condition (Eq. 4) and, under a single VN, the dependency graph of
+// Eq. 5.
+func Dependencies(r *Result, vn map[string]int) *relation.Relation {
+	waits := r.Waits.Over(r.Names)
+	star := waits.Union(QueuesUnder(r, vn)).TransitiveClosure()
+	for i := 0; i < r.Names.Len(); i++ {
+		star.Set(i, i)
+	}
+	return waits.Compose(star)
+}
+
 // DeadlockFree evaluates the paper's sufficient condition (Eq. 4)
 // under a VN assignment: acyclic(waits ; (waits ∪ queues)*). It
 // returns true when no cycle exists, plus a witness cycle otherwise.
 func DeadlockFree(r *Result, vn map[string]int) (bool, []string) {
-	queues := QueuesUnder(r, vn)
-	union := r.Waits.Union(queues)
-	combined := r.Waits.Compose(union.ReflexiveTransitiveClosure(r.Protocol.MessageNames()))
-	if w := combined.CycleWitness(); w != nil {
-		return false, w
-	}
-	return true, nil
+	w := Dependencies(r, vn).CycleWitness()
+	return w == nil, w
 }

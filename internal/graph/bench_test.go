@@ -76,7 +76,7 @@ func BenchmarkColoringDSATUR(b *testing.B) {
 	g := benchUndirected(14, 40, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		colorDSATUR(g)
+		colorDSATUR(g, g.nodes())
 	}
 }
 

@@ -1,83 +1,105 @@
 package graph
 
-import "sort"
+import (
+	"sort"
 
-// Undirected is a simple undirected graph over string nodes (the
-// "conflict graph" of paper §VI.A-c). Self-edges are rejected by
-// construction in the caller; AddEdge on equal endpoints panics to
-// surface the programming error (the paper proves the conflict graph
-// has no self-edges).
+	"minvn/internal/relation"
+)
+
+// Undirected is a simple undirected graph (the "conflict graph" of
+// paper §VI.A-c). Unlike a Digraph, not every name of its universe is
+// a node. Self-edges are rejected by construction in the caller;
+// adding one panics to surface the programming error (the paper proves
+// the conflict graph has no self-edges).
 type Undirected struct {
-	nodes map[string]bool
-	adj   map[string]map[string]bool
+	// adj is symmetric. As no node is its own neighbour, the diagonal
+	// is free to record membership: (i, i) is set iff i is a node.
+	adj *relation.Relation
 }
 
-// NewUndirected returns an empty undirected graph.
-func NewUndirected() *Undirected {
-	return &Undirected{
-		nodes: make(map[string]bool),
-		adj:   make(map[string]map[string]bool),
-	}
+// NewUndirected returns an empty undirected graph; AddNode and AddEdge
+// grow it.
+func NewUndirected() *Undirected { return &Undirected{relation.New()} }
+
+// UndirectedOf returns the graph with an edge {a, b} for every pair
+// (a, b) of pairs, over the same universe; its nodes are the names
+// that occur in a pair.
+func UndirectedOf(pairs *relation.Relation) *Undirected {
+	g := &Undirected{relation.NewOver(pairs.Universe())}
+	pairs.Each(g.AddEdgeAt)
+	return g
 }
 
 // AddNode ensures n is a node.
-func (g *Undirected) AddNode(n string) { g.nodes[n] = true }
+func (g *Undirected) AddNode(n string) { g.adj.Add(n, n) }
 
 // AddEdge inserts the undirected edge {a, b}.
-func (g *Undirected) AddEdge(a, b string) {
-	if a == b {
+func (g *Undirected) AddEdge(a, b string) { g.AddEdgeAt(g.adj.Intern(a, b)) }
+
+// AddEdgeAt is AddEdge between the names with indexes i and j.
+func (g *Undirected) AddEdgeAt(i, j int) {
+	if i == j {
 		panic("graph: self-edge in conflict graph")
 	}
-	g.AddNode(a)
-	g.AddNode(b)
-	if g.adj[a] == nil {
-		g.adj[a] = make(map[string]bool)
-	}
-	if g.adj[b] == nil {
-		g.adj[b] = make(map[string]bool)
-	}
-	g.adj[a][b] = true
-	g.adj[b][a] = true
+	g.adj.Set(i, j)
+	g.adj.Set(j, i)
+	g.adj.Set(i, i)
+	g.adj.Set(j, j)
 }
 
 // HasEdge reports whether {a, b} is an edge.
-func (g *Undirected) HasEdge(a, b string) bool { return g.adj[a][b] }
+func (g *Undirected) HasEdge(a, b string) bool { return a != b && g.adj.Has(a, b) }
+
+// nodes returns the node indexes in ascending order.
+func (g *Undirected) nodes() []int {
+	var out []int
+	for i := 0; i < g.adj.Universe().Len(); i++ {
+		if g.adj.Test(i, i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // Nodes returns all nodes, sorted.
 func (g *Undirected) Nodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
+	out := []string{}
+	for _, i := range g.nodes() {
+		out = append(out, g.adj.Universe().Name(i))
 	}
-	sort.Strings(out)
 	return out
 }
 
 // NumNodes returns the node count.
-func (g *Undirected) NumNodes() int { return len(g.nodes) }
+func (g *Undirected) NumNodes() int { return len(g.nodes()) }
 
 // NumEdges returns the edge count.
-func (g *Undirected) NumEdges() int {
-	n := 0
-	for _, m := range g.adj {
-		n += len(m)
-	}
-	return n / 2
-}
+func (g *Undirected) NumEdges() int { return (g.adj.Size() - g.NumNodes()) / 2 }
 
 // Neighbors returns the neighbors of n, sorted.
 func (g *Undirected) Neighbors(n string) []string {
-	m := g.adj[n]
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
+	out := []string{}
+	for _, nb := range g.adj.Image(n) {
+		if nb != n {
+			out = append(out, nb)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Degree returns the number of neighbors of n.
-func (g *Undirected) Degree(n string) int { return len(g.adj[n]) }
+// degree returns the number of neighbors of node i.
+func (g *Undirected) degree(i int) int { return g.adj.Row(i).Count() - 1 }
+
+// colorAround reports whether a neighbor of node v has color c.
+func (g *Undirected) colorAround(v, c int, color []int) bool {
+	row := g.adj.Row(v)
+	for nb := row.Next(-1); nb >= 0; nb = row.Next(nb) {
+		if nb != v && color[nb] == c {
+			return true
+		}
+	}
+	return false
+}
 
 // ExactColoringLimit is the largest node count for which ColorMinimal
 // runs the exact branch-and-bound search; bigger graphs fall back to
@@ -85,9 +107,11 @@ func (g *Undirected) Degree(n string) int { return len(g.adj[n]) }
 // nodes.
 const ExactColoringLimit = 24
 
-// Coloring maps each node to a color in [0, NumColors).
+// Coloring gives each node a color in [0, NumColors).
 type Coloring struct {
-	Colors    map[string]int
+	// Color is indexed like the graph's universe; -1 marks a name that
+	// is not a node.
+	Color     []int
 	NumColors int
 	// Exact reports whether NumColors is the true chromatic number.
 	Exact bool
@@ -97,99 +121,85 @@ type Coloring struct {
 // branch-and-bound (seeded and bounded by DSATUR) for graphs up to
 // ExactColoringLimit nodes, DSATUR alone beyond.
 func ColorMinimal(g *Undirected) Coloring {
-	if g.NumNodes() == 0 {
-		return Coloring{Colors: map[string]int{}, NumColors: 0, Exact: true}
-	}
-	upper := colorDSATUR(g)
-	if g.NumNodes() > ExactColoringLimit {
-		upper.Exact = false
+	nodes := g.nodes()
+	upper := colorDSATUR(g, nodes)
+	upper.Exact = len(nodes) <= ExactColoringLimit
+	if !upper.Exact {
 		return upper
 	}
 	for k := 1; k < upper.NumColors; k++ {
-		if c, ok := colorWithK(g, k); ok {
-			return Coloring{Colors: c, NumColors: k, Exact: true}
+		if c, ok := colorWithK(g, nodes, k); ok {
+			return Coloring{Color: c, NumColors: k, Exact: true}
 		}
 	}
-	upper.Exact = true
 	return upper
 }
 
-// colorDSATUR is the classic saturation-degree greedy coloring.
-func colorDSATUR(g *Undirected) Coloring {
-	colors := make(map[string]int, g.NumNodes())
-	satur := make(map[string]map[int]bool, g.NumNodes())
-	for _, n := range g.Nodes() {
-		satur[n] = make(map[int]bool)
+// uncolored returns the all -1 color table of g.
+func (g *Undirected) uncolored() []int {
+	color := make([]int, g.adj.Universe().Len())
+	for i := range color {
+		color[i] = -1
 	}
+	return color
+}
+
+// colorDSATUR is the classic saturation-degree greedy coloring.
+func colorDSATUR(g *Undirected, nodes []int) Coloring {
+	color := g.uncolored()
+	// Row v of satur is the set of colors v's neighbors use.
+	satur := relation.NewOver(g.adj.Universe())
 	numColors := 0
-	for len(colors) < g.NumNodes() {
+	for range nodes {
 		// Pick uncolored node with max saturation, ties by degree then name.
-		best := ""
-		for _, n := range g.Nodes() {
-			if _, done := colors[n]; done {
+		best := -1
+		for _, v := range nodes {
+			if color[v] >= 0 {
 				continue
 			}
-			if best == "" {
-				best = n
+			if best < 0 {
+				best = v
 				continue
 			}
-			sn, sb := len(satur[n]), len(satur[best])
-			if sn > sb || (sn == sb && g.Degree(n) > g.Degree(best)) {
-				best = n
+			sv, sb := satur.Row(v).Count(), satur.Row(best).Count()
+			if sv > sb || (sv == sb && g.degree(v) > g.degree(best)) {
+				best = v
 			}
 		}
 		c := 0
-		for satur[best][c] {
+		for satur.Test(best, c) {
 			c++
 		}
-		colors[best] = c
-		if c+1 > numColors {
-			numColors = c + 1
-		}
-		for _, nb := range g.Neighbors(best) {
-			satur[nb][c] = true
+		color[best] = c
+		numColors = max(numColors, c+1)
+		around := g.adj.Row(best)
+		for nb := around.Next(-1); nb >= 0; nb = around.Next(nb) {
+			satur.Set(nb, c)
 		}
 	}
-	return Coloring{Colors: colors, NumColors: numColors}
+	return Coloring{Color: color, NumColors: numColors}
 }
 
 // colorWithK attempts a proper coloring with exactly k colors via
 // backtracking over nodes in decreasing-degree order, with symmetry
 // breaking (a node may use at most one color beyond those already
 // introduced).
-func colorWithK(g *Undirected, k int) (map[string]int, bool) {
-	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool {
-		di, dj := g.Degree(nodes[i]), g.Degree(nodes[j])
-		if di != dj {
-			return di > dj
-		}
-		return nodes[i] < nodes[j]
-	})
-	colors := make(map[string]int, len(nodes))
+func colorWithK(g *Undirected, nodes []int, k int) ([]int, bool) {
+	order := append([]int(nil), nodes...)
+	sort.SliceStable(order, func(i, j int) bool { return g.degree(order[i]) > g.degree(order[j]) })
+	color := g.uncolored()
 
 	var assign func(i, used int) bool
 	assign = func(i, used int) bool {
-		if i == len(nodes) {
+		if i == len(order) {
 			return true
 		}
-		n := nodes[i]
-		limit := used + 1
-		if limit > k {
-			limit = k
-		}
-		for c := 0; c < limit; c++ {
-			ok := true
-			for _, nb := range g.Neighbors(n) {
-				if cc, set := colors[nb]; set && cc == c {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+		v := order[i]
+		for c := 0; c < min(used+1, k); c++ {
+			if g.colorAround(v, c, color) {
 				continue
 			}
-			colors[n] = c
+			color[v] = c
 			nextUsed := used
 			if c == used {
 				nextUsed++
@@ -197,12 +207,12 @@ func colorWithK(g *Undirected, k int) (map[string]int, bool) {
 			if assign(i+1, nextUsed) {
 				return true
 			}
-			delete(colors, n)
+			color[v] = -1
 		}
 		return false
 	}
 	if assign(0, 0) {
-		return colors, true
+		return color, true
 	}
 	return nil, false
 }

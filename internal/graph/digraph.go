@@ -5,14 +5,22 @@
 // minimum graph coloring (exact branch-and-bound with a DSATUR
 // fallback).
 //
-// Nodes are identified by strings so callers can use message names
-// directly.
+// A graph is a bit matrix over a relation.Universe: its nodes are the
+// universe's names, a node is its index there, and adjacency is one
+// relation.Row per node. Since the universe is sorted, every "ties
+// break by name" rule of the algorithms is "lowest index first", and
+// node, edge and component listings are sorted as they are produced.
+// Callers that already hold a universe (vnassign) build and read
+// graphs by index (NewDigraphOver, AddEdgeAt, FASResult.Arcs,
+// UndirectedOf, Coloring.Color); the string methods intern on the way
+// in and are for ad-hoc graphs and for output.
 package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"minvn/internal/relation"
 )
 
 // Edge is a weighted directed edge.
@@ -23,23 +31,43 @@ type Edge struct {
 
 // Digraph is a weighted directed graph. Parallel edges collapse; adding
 // an existing edge keeps the smaller weight. Self-loops are allowed.
-// The zero value is not usable; call NewDigraph.
+// The zero value is not usable; call NewDigraph or NewDigraphOver.
 type Digraph struct {
-	nodes map[string]bool
-	adj   map[string]map[string]int64
+	adj *relation.Relation // the edges; its universe is the node set
+	w   []int64            // n×n weights, meaningful where adj has the edge
 }
 
-// NewDigraph returns an empty directed graph.
-func NewDigraph() *Digraph {
-	return &Digraph{
-		nodes: make(map[string]bool),
-		adj:   make(map[string]map[string]int64),
-	}
+// NewDigraph returns an empty directed graph; AddNode and AddEdge grow
+// its node set.
+func NewDigraph() *Digraph { return NewDigraphOver(relation.NewUniverse()) }
+
+// NewDigraphOver returns an edgeless graph whose nodes are the names
+// of u.
+func NewDigraphOver(u *relation.Universe) *Digraph {
+	return &Digraph{adj: relation.NewOver(u), w: make([]int64, u.Len()*u.Len())}
 }
 
 // AddNode ensures n is a node of the graph.
 func (g *Digraph) AddNode(n string) {
-	g.nodes[n] = true
+	old := g.NumNodes()
+	at, _ := g.adj.Intern(n, n)
+	if g.NumNodes() == old {
+		return
+	}
+	// n is new at index at: nodes from there on moved up by one.
+	moved := func(i int) int {
+		if i >= at {
+			return i + 1
+		}
+		return i
+	}
+	w := make([]int64, (old+1)*(old+1))
+	for i := 0; i < old; i++ {
+		for j := 0; j < old; j++ {
+			w[moved(i)*(old+1)+moved(j)] = g.w[i*old+j]
+		}
+	}
+	g.w = w
 }
 
 // AddEdge inserts a directed edge with the given weight. If the edge
@@ -47,221 +75,66 @@ func (g *Digraph) AddNode(n string) {
 func (g *Digraph) AddEdge(from, to string, weight int64) {
 	g.AddNode(from)
 	g.AddNode(to)
-	m, ok := g.adj[from]
-	if !ok {
-		m = make(map[string]int64)
-		g.adj[from] = m
+	i, j := g.adj.Intern(from, to)
+	g.AddEdgeAt(i, j, weight)
+}
+
+// AddEdgeAt is AddEdge between the nodes with indexes i and j.
+func (g *Digraph) AddEdgeAt(i, j int, weight int64) {
+	if k := i*g.NumNodes() + j; !g.adj.Test(i, j) || weight < g.w[k] {
+		g.w[k] = weight
 	}
-	if w, ok := m[to]; !ok || weight < w {
-		m[to] = weight
-	}
+	g.adj.Set(i, j)
 }
 
 // HasEdge reports whether from→to is an edge.
-func (g *Digraph) HasEdge(from, to string) bool {
-	_, ok := g.adj[from][to]
-	return ok
-}
+func (g *Digraph) HasEdge(from, to string) bool { return g.adj.Has(from, to) }
 
 // Weight returns the weight of edge from→to; ok is false if absent.
 func (g *Digraph) Weight(from, to string) (w int64, ok bool) {
-	w, ok = g.adj[from][to]
-	return w, ok
+	u := g.adj.Universe()
+	i, okI := u.Index(from)
+	j, okJ := u.Index(to)
+	if !okI || !okJ || !g.adj.Test(i, j) {
+		return 0, false
+	}
+	return g.w[i*u.Len()+j], true
 }
 
 // Nodes returns all nodes, sorted.
-func (g *Digraph) Nodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (g *Digraph) Nodes() []string { return g.adj.Universe().Names() }
 
 // NumNodes returns the node count.
-func (g *Digraph) NumNodes() int { return len(g.nodes) }
+func (g *Digraph) NumNodes() int { return g.adj.Universe().Len() }
 
 // NumEdges returns the edge count.
-func (g *Digraph) NumEdges() int {
-	n := 0
-	for _, m := range g.adj {
-		n += len(m)
-	}
-	return n
-}
+func (g *Digraph) NumEdges() int { return g.adj.Size() }
 
-// Edges returns all edges in deterministic (sorted) order.
-func (g *Digraph) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	for from, m := range g.adj {
-		for to, w := range m {
-			out = append(out, Edge{from, to, w})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
+// edges lists the edges of arcs, a subset of g's, in sorted order.
+func (g *Digraph) edges(arcs *relation.Relation) []Edge {
+	u := g.adj.Universe()
+	out := make([]Edge, 0, arcs.Size())
+	arcs.Each(func(i, j int) {
+		out = append(out, Edge{u.Name(i), u.Name(j), g.w[i*u.Len()+j]})
 	})
 	return out
 }
 
-// Succ returns the successors of n, sorted.
-func (g *Digraph) Succ(n string) []string {
-	m := g.adj[n]
-	out := make([]string, 0, len(m))
-	for to := range m {
-		out = append(out, to)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Subgraph returns the induced subgraph on the given node set.
-func (g *Digraph) Subgraph(keep map[string]bool) *Digraph {
-	sub := NewDigraph()
-	for n := range keep {
-		if g.nodes[n] {
-			sub.AddNode(n)
-		}
-	}
-	for from, m := range g.adj {
-		if !keep[from] {
-			continue
-		}
-		for to, w := range m {
-			if keep[to] {
-				sub.AddEdge(from, to, w)
-			}
-		}
-	}
-	return sub
-}
-
-// RemoveEdges returns a copy of g without the given edges (matched by
-// endpoints; weights are ignored).
-func (g *Digraph) RemoveEdges(edges []Edge) *Digraph {
-	drop := make(map[[2]string]bool, len(edges))
-	for _, e := range edges {
-		drop[[2]string{e.From, e.To}] = true
-	}
-	out := NewDigraph()
-	for n := range g.nodes {
-		out.AddNode(n)
-	}
-	for from, m := range g.adj {
-		for to, w := range m {
-			if !drop[[2]string{from, to}] {
-				out.AddEdge(from, to, w)
-			}
-		}
-	}
-	return out
-}
+// Edges returns all edges in deterministic (sorted) order.
+func (g *Digraph) Edges() []Edge { return g.edges(g.adj) }
 
 // IsAcyclic reports whether the graph has no directed cycle
 // (self-loops count as cycles).
-func (g *Digraph) IsAcyclic() bool {
-	_, ok := g.TopoSort()
-	return ok
-}
-
-// TopoSort returns a topological order of the nodes and true, or nil
-// and false if the graph is cyclic. Ties break alphabetically so the
-// result is deterministic.
-func (g *Digraph) TopoSort() ([]string, bool) {
-	indeg := make(map[string]int, len(g.nodes))
-	for n := range g.nodes {
-		indeg[n] = 0
-	}
-	for from, m := range g.adj {
-		for to := range m {
-			if from == to {
-				return nil, false // self-loop
-			}
-			indeg[to]++
-		}
-	}
-	var ready []string
-	for n, d := range indeg {
-		if d == 0 {
-			ready = append(ready, n)
-		}
-	}
-	sort.Strings(ready)
-	order := make([]string, 0, len(g.nodes))
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		order = append(order, n)
-		newly := []string{}
-		for _, to := range g.Succ(n) {
-			indeg[to]--
-			if indeg[to] == 0 {
-				newly = append(newly, to)
-			}
-		}
-		// Keep ready sorted for determinism.
-		ready = append(ready, newly...)
-		sort.Strings(ready)
-	}
-	if len(order) != len(g.nodes) {
-		return nil, false
-	}
-	return order, true
-}
+func (g *Digraph) IsAcyclic() bool { return !g.adj.HasCycle() }
 
 // FindCycle returns the nodes of one directed cycle in edge order, or
 // nil if the graph is acyclic.
-func (g *Digraph) FindCycle() []string {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int)
-	parent := make(map[string]string)
-	var start, end string
-
-	var dfs func(n string) bool
-	dfs = func(n string) bool {
-		color[n] = gray
-		for _, next := range g.Succ(n) {
-			switch color[next] {
-			case white:
-				parent[next] = n
-				if dfs(next) {
-					return true
-				}
-			case gray:
-				start, end = next, n
-				return true
-			}
-		}
-		color[n] = black
-		return false
-	}
-	for _, n := range g.Nodes() {
-		if color[n] == white && dfs(n) {
-			cycle := []string{end}
-			for v := end; v != start; v = parent[v] {
-				cycle = append(cycle, parent[v])
-			}
-			for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-				cycle[i], cycle[j] = cycle[j], cycle[i]
-			}
-			return cycle
-		}
-	}
-	return nil
-}
+func (g *Digraph) FindCycle() []string { return g.adj.CycleWitness() }
 
 // String renders nodes and edges deterministically, for debugging.
 func (g *Digraph) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "digraph{%d nodes", len(g.nodes))
+	fmt.Fprintf(&b, "digraph{%d nodes", g.NumNodes())
 	for _, e := range g.Edges() {
 		fmt.Fprintf(&b, "; %s->%s(%d)", e.From, e.To, e.Weight)
 	}

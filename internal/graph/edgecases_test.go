@@ -147,7 +147,7 @@ func TestMinFASEdgeCases(t *testing.T) {
 		if len(res.Edges) != 1 || res.Edges[0].From != "a" || res.Edges[0].To != "a" {
 			t.Fatalf("FAS = %v, want exactly the self-loop", res.Edges)
 		}
-		if !g.RemoveEdges(res.Edges).IsAcyclic() {
+		if !without(g, res.Edges).IsAcyclic() {
 			t.Error("graph still cyclic after removing the FAS")
 		}
 	})
@@ -156,7 +156,7 @@ func TestMinFASEdgeCases(t *testing.T) {
 func TestColoringEdgeCases(t *testing.T) {
 	t.Run("empty graph", func(t *testing.T) {
 		c := ColorMinimal(NewUndirected())
-		if c.NumColors != 0 || len(c.Colors) != 0 {
+		if c.NumColors != 0 || len(c.Color) != 0 {
 			t.Errorf("coloring of empty graph = %+v, want zero colors", c)
 		}
 	})
@@ -191,11 +191,38 @@ func TestColoringEdgeCases(t *testing.T) {
 			}
 			for _, u := range g.Nodes() {
 				for _, v := range g.Neighbors(u) {
-					if c.Colors[u] == c.Colors[v] {
-						t.Fatalf("improper coloring: %s and %s share color %d", u, v, c.Colors[u])
+					if colorOf(g, c, u) == colorOf(g, c, v) {
+						t.Fatalf("improper coloring: %s and %s share color %d", u, v, colorOf(g, c, u))
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestMinFASUnbreakableWeightsDoNotOverflow: Eq. 6 weighs an
+// unbreakable edge 2^|V|+1 (|V| capped at 60), and a vertex order may
+// put many of them backward while the DP compares orders. A transitive
+// tournament of such edges plus one weight-1 back edge has exactly one
+// minimum feedback arc set, the back edge; summing eight or more
+// 2^60+1 weights in an int64 wrapped and made the DP pick nine
+// unbreakable edges instead.
+func TestMinFASUnbreakableWeightsDoNotOverflow(t *testing.T) {
+	const unbreakable = int64(1)<<60 + 1
+	for _, n := range []int{6, 10, 16} {
+		g := NewDigraph()
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				g.AddEdge(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", j), unbreakable)
+			}
+		}
+		last := fmt.Sprintf("n%02d", n-1)
+		g.AddEdge(last, "n00", 1)
+		for _, res := range []FASResult{MinFeedbackArcSet(g), HeuristicFeedbackArcSet(g)} {
+			if len(res.Edges) != 1 || res.Edges[0] != (Edge{last, "n00", 1}) || res.TotalWeight != 1 {
+				t.Errorf("%d nodes: FAS = %v (total weight %d, exact %v), want only the weight-1 back edge",
+					n, res.Edges, res.TotalWeight, res.Exact)
+			}
+		}
 	}
 }

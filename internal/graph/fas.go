@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+
+	"minvn/internal/relation"
 )
 
 // ExactFASLimit is the largest strongly connected component size for
@@ -14,8 +17,10 @@ const ExactFASLimit = 18
 
 // FASResult is the outcome of a feedback-arc-set computation.
 type FASResult struct {
-	// Edges whose removal makes the graph acyclic.
+	// Edges whose removal makes the graph acyclic, sorted.
 	Edges []Edge
+	// Arcs is the same set by node index, over the graph's universe.
+	Arcs *relation.Relation
 	// TotalWeight is the summed weight of Edges.
 	TotalWeight int64
 	// Exact reports whether every component was solved exactly.
@@ -38,80 +43,128 @@ func HeuristicFeedbackArcSet(g *Digraph) FASResult {
 	return minFAS(g, false)
 }
 
+// arc is an edge between two nodes of one component, by their position
+// among the component's (sorted) nodes.
+type arc struct {
+	from, to int
+	w        int64
+}
+
 func minFAS(g *Digraph, exactIfSmall bool) FASResult {
-	var res FASResult
-	res.Exact = true
-
-	// Self-loops are unconditionally feedback arcs.
-	work := NewDigraph()
-	for n := range g.nodes {
-		work.AddNode(n)
+	n := g.NumNodes()
+	res := FASResult{Exact: true, Arcs: relation.NewOver(g.adj.Universe())}
+	limit := g.weightLimit()
+	comp, count := g.sccs()
+	size := make([]int, count)
+	for _, c := range comp {
+		size[c]++
 	}
-	for _, e := range g.Edges() {
-		if e.From == e.To {
-			res.Edges = append(res.Edges, e)
-			res.TotalWeight += e.Weight
-		} else {
-			work.AddEdge(e.From, e.To, e.Weight)
+	local := make([]int, n)
+	var nodes []int
+	var arcs []arc
+	for v := 0; v < n; v++ {
+		// Self-loops are unconditionally feedback arcs.
+		if g.adj.Test(v, v) {
+			res.Arcs.Set(v, v)
 		}
-	}
-
-	for _, comp := range work.NontrivialSCCs() {
-		keep := make(map[string]bool, len(comp))
-		for _, n := range comp {
-			keep[n] = true
+		// Each component is solved when its lowest node comes up.
+		c := comp[v]
+		if size[c] < 2 {
+			continue
 		}
-		sub := work.Subgraph(keep)
-		var order []string
-		if exactIfSmall && len(comp) <= ExactFASLimit {
-			order = exactMinOrder(sub)
+		size[c] = 0
+		nodes, arcs = nodes[:0], arcs[:0]
+		for u := v; u < n; u++ {
+			if comp[u] == c {
+				local[u] = len(nodes)
+				nodes = append(nodes, u)
+			}
+		}
+		for _, from := range nodes {
+			succ := g.adj.Row(from)
+			for to := succ.Next(-1); to >= 0; to = succ.Next(to) {
+				if to != from && comp[to] == c {
+					arcs = append(arcs, arc{local[from], local[to], min(g.w[from*n+to], limit)})
+				}
+			}
+		}
+		var order []int
+		if exactIfSmall && len(nodes) <= ExactFASLimit {
+			order = exactMinOrder(len(nodes), arcs)
 		} else {
-			order = elsOrder(sub)
-			order = localSearchOrder(sub, order)
+			order = localSearchOrder(arcs, elsOrder(len(nodes), arcs))
 			res.Exact = false
 		}
-		pos := make(map[string]int, len(order))
-		for i, n := range order {
-			pos[n] = i
+		pos := make([]int, len(order))
+		for i, v := range order {
+			pos[v] = i
 		}
-		for _, e := range sub.Edges() {
-			if pos[e.From] > pos[e.To] {
-				res.Edges = append(res.Edges, e)
-				res.TotalWeight += e.Weight
+		for _, a := range arcs {
+			if pos[a.from] > pos[a.to] {
+				res.Arcs.Set(nodes[a.from], nodes[a.to])
 			}
 		}
 	}
-	sort.Slice(res.Edges, func(i, j int) bool {
-		if res.Edges[i].From != res.Edges[j].From {
-			return res.Edges[i].From < res.Edges[j].From
-		}
-		return res.Edges[i].To < res.Edges[j].To
-	})
+	res.Edges = g.edges(res.Arcs)
+	for _, e := range res.Edges {
+		res.TotalWeight += e.Weight
+	}
 	return res
 }
 
-// exactMinOrder returns a vertex ordering of sub minimizing the total
-// weight of backward edges, via DP over subsets: dp[mask] is the
+// weightLimit returns the value at which edge weights are capped while
+// vertex orders are compared, so that the sums cannot overflow. When
+// the heaviest weight W exceeds the summed weight S of all lighter
+// edges, an order's cost h·W + l (h heaviest back edges, l ≤ S the
+// lighter ones) compares like the pair (h, l), and so does h·(S+1) + l:
+// capping W at S+1 keeps every comparison, hence the chosen order and
+// every tie-break, while h·(S+1) stays far from 2^63. That is Eq. 6's
+// "one unbreakable edge outweighs all breakable ones", for which
+// vnassign passes 2^|V|+1 (|V| up to 60): ten such back edges wrap an
+// int64. Weights that do not have this shape are used as they are.
+func (g *Digraph) weightLimit() int64 {
+	scan := func(fn func(w int64)) {
+		g.adj.Each(func(i, j int) { fn(g.w[i*g.NumNodes()+j]) })
+	}
+	var heaviest, lighter int64
+	scan(func(w int64) { heaviest = max(heaviest, w) })
+	scan(func(w int64) {
+		if w < heaviest {
+			lighter = min(lighter+w, 1<<40)
+		}
+	})
+	if lighter < 1<<40 && lighter+1 < heaviest {
+		return lighter + 1
+	}
+	return heaviest
+}
+
+// exactMinOrder returns an ordering of the n nodes minimizing the
+// total weight of backward arcs, via DP over subsets: dp[mask] is the
 // minimum backward weight achievable when the vertices in mask form
 // the prefix of the order. Appending v after prefix mask turns every
-// edge v→u (u in mask) into a backward edge.
-func exactMinOrder(sub *Digraph) []string {
-	nodes := sub.Nodes()
-	n := len(nodes)
-	if n > 63 {
+// arc v→u (u in mask) into a backward arc.
+func exactMinOrder(n int, arcs []arc) []int {
+	if n > ExactFASLimit {
 		panic(fmt.Sprintf("graph: exactMinOrder called with %d nodes", n))
 	}
-	idx := make(map[string]int, n)
-	for i, name := range nodes {
-		idx[name] = i
+	// The cost of appending v after prefix mask is read off two tables
+	// instead of being summed arc by arc: lo[v][m] is the weight of v's
+	// arcs into the set m of the first half nodes, hi[v][m] into the
+	// set m of the others.
+	half := n / 2
+	lo, hi := make([]int64, n<<half), make([]int64, n<<(n-half))
+	w := make([]int64, n*n)
+	for _, a := range arcs {
+		w[a.from*n+a.to] = a.w
 	}
-	// w[v][u]: weight of edge v→u, 0 if absent.
-	w := make([][]int64, n)
-	for i := range w {
-		w[i] = make([]int64, n)
-	}
-	for _, e := range sub.Edges() {
-		w[idx[e.From]][idx[e.To]] = e.Weight
+	for v := 0; v < n; v++ {
+		for m := 1; m < 1<<half; m++ {
+			lo[v<<half|m] = lo[v<<half|m&(m-1)] + w[v*n+bits.TrailingZeros(uint(m))]
+		}
+		for m := 1; m < 1<<(n-half); m++ {
+			hi[v<<(n-half)|m] = hi[v<<(n-half)|m&(m-1)] + w[v*n+half+bits.TrailingZeros(uint(m))]
+		}
 	}
 
 	size := 1 << n
@@ -122,32 +175,21 @@ func exactMinOrder(sub *Digraph) []string {
 		dp[i] = inf
 	}
 	for mask := 0; mask < size; mask++ {
-		if dp[mask] == inf {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			bit := 1 << v
-			if mask&bit != 0 {
-				continue
-			}
-			cost := dp[mask]
-			for u := 0; u < n; u++ {
-				if mask&(1<<u) != 0 {
-					cost += w[v][u]
-				}
-			}
-			if cost < dp[mask|bit] {
-				dp[mask|bit] = cost
-				choice[mask|bit] = int8(v)
+		for rest := (size - 1) &^ mask; rest != 0; rest &= rest - 1 {
+			v := bits.TrailingZeros(uint(rest))
+			cost := dp[mask] + lo[v<<half|mask&(1<<half-1)] + hi[v<<(n-half)|mask>>half]
+			if next := mask | 1<<v; cost < dp[next] {
+				dp[next] = cost
+				choice[next] = int8(v)
 			}
 		}
 	}
 
-	order := make([]string, n)
+	order := make([]int, n)
 	mask := size - 1
 	for i := n - 1; i >= 0; i-- {
 		v := int(choice[mask])
-		order[i] = nodes[v]
+		order[i] = v
 		mask &^= 1 << v
 	}
 	return order
@@ -156,121 +198,101 @@ func exactMinOrder(sub *Digraph) []string {
 // elsOrder is the Eades–Lin–Smyth GR heuristic adapted to weights:
 // repeatedly peel sinks to the back, sources to the front, and
 // otherwise move the vertex maximizing (out-weight − in-weight) to the
-// front.
-func elsOrder(sub *Digraph) []string {
-	remaining := make(map[string]bool)
-	for _, n := range sub.Nodes() {
-		remaining[n] = true
+// front. Ties go to the lowest node.
+func elsOrder(n int, arcs []arc) []int {
+	remaining := make([]bool, n)
+	outW, inW := make([]int64, n), make([]int64, n)
+	outDeg, inDeg := make([]int, n), make([]int, n)
+	for v := range remaining {
+		remaining[v] = true
 	}
-	outW := make(map[string]int64)
-	inW := make(map[string]int64)
-	outDeg := make(map[string]int)
-	inDeg := make(map[string]int)
-	for _, e := range sub.Edges() {
-		outW[e.From] += e.Weight
-		inW[e.To] += e.Weight
-		outDeg[e.From]++
-		inDeg[e.To]++
+	for _, a := range arcs {
+		outW[a.from] += a.w
+		inW[a.to] += a.w
+		outDeg[a.from]++
+		inDeg[a.to]++
 	}
-	remove := func(v string) {
-		for _, e := range sub.Edges() {
-			if e.From == v && remaining[e.To] {
-				inW[e.To] -= e.Weight
-				inDeg[e.To]--
+	left := n
+	remove := func(v int) {
+		for _, a := range arcs {
+			if a.from == v && remaining[a.to] {
+				inW[a.to] -= a.w
+				inDeg[a.to]--
 			}
-			if e.To == v && remaining[e.From] {
-				outW[e.From] -= e.Weight
-				outDeg[e.From]--
+			if a.to == v && remaining[a.from] {
+				outW[a.from] -= a.w
+				outDeg[a.from]--
 			}
 		}
-		delete(remaining, v)
-	}
-	sortedRemaining := func() []string {
-		out := make([]string, 0, len(remaining))
-		for n := range remaining {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		return out
+		remaining[v] = false
+		left--
 	}
 
-	var front, back []string
-	for len(remaining) > 0 {
-		progress := true
-		for progress {
+	var front, back []int
+	for left > 0 {
+		for progress := true; progress; {
 			progress = false
-			for _, v := range sortedRemaining() {
-				if outDeg[v] == 0 { // sink
+			for v := 0; v < n; v++ {
+				if remaining[v] && outDeg[v] == 0 { // sink
 					back = append(back, v)
 					remove(v)
 					progress = true
 				}
 			}
-			for _, v := range sortedRemaining() {
-				if !remaining[v] {
-					continue
-				}
-				if inDeg[v] == 0 { // source
+			for v := 0; v < n; v++ {
+				if remaining[v] && inDeg[v] == 0 { // source
 					front = append(front, v)
 					remove(v)
 					progress = true
 				}
 			}
 		}
-		if len(remaining) == 0 {
+		if left == 0 {
 			break
 		}
-		best := ""
-		var bestScore int64
-		for _, v := range sortedRemaining() {
-			score := outW[v] - inW[v]
-			if best == "" || score > bestScore {
-				best, bestScore = v, score
+		best := -1
+		for v := 0; v < n; v++ {
+			if remaining[v] && (best < 0 || outW[v]-inW[v] > outW[best]-inW[best]) {
+				best = v
 			}
 		}
 		front = append(front, best)
 		remove(best)
 	}
-	// back was collected back-to-front.
-	for i, j := 0, len(back)-1; i < j; i, j = i+1, j-1 {
-		back[i], back[j] = back[j], back[i]
-	}
+	slices.Reverse(back) // it was collected back-to-front
 	return append(front, back...)
 }
 
 // localSearchOrder improves an ordering by repeatedly relocating single
 // vertices to their best position until a fixpoint (or an iteration
 // cap, to bound worst-case time).
-func localSearchOrder(sub *Digraph, order []string) []string {
-	cur := append([]string(nil), order...)
-	cost := func(ord []string) int64 {
-		pos := make(map[string]int, len(ord))
-		for i, n := range ord {
-			pos[n] = i
+func localSearchOrder(arcs []arc, cur []int) []int {
+	pos := make([]int, len(cur))
+	cost := func(ord []int) int64 {
+		for i, v := range ord {
+			pos[v] = i
 		}
 		var c int64
-		for _, e := range sub.Edges() {
-			if pos[e.From] > pos[e.To] {
-				c += e.Weight
+		for _, a := range arcs {
+			if pos[a.from] > pos[a.to] {
+				c += a.w
 			}
 		}
 		return c
 	}
 	bestCost := cost(cur)
+	cand := make([]int, len(cur))
 	for iter := 0; iter < 50; iter++ {
 		improved := false
 		for i := 0; i < len(cur); i++ {
-			vi := cur[i]
-			rem := make([]string, 0, len(cur)-1)
-			rem = append(rem, cur[:i]...)
-			rem = append(rem, cur[i+1:]...)
-			for j := 0; j <= len(rem); j++ {
-				cand := make([]string, 0, len(cur))
-				cand = append(cand, rem[:j]...)
-				cand = append(cand, vi)
-				cand = append(cand, rem[j:]...)
+			// Try cur[i] at every position j among the others.
+			vi, rest := cur[i], slices.Delete(slices.Clone(cur), i, i+1)
+			for j := 0; j <= len(rest); j++ {
+				copy(cand, rest[:j])
+				cand[j] = vi
+				copy(cand[j+1:], rest[j:])
 				if c := cost(cand); c < bestCost {
-					cur, bestCost = cand, c
+					cur, bestCost = slices.Clone(cand), c
 					improved = true
 				}
 			}

@@ -1,62 +1,67 @@
 package graph
 
-import "sort"
-
-// SCCs returns the strongly connected components of g using Tarjan's
-// algorithm. Components are returned in reverse topological order of
-// the condensation (callees before callers), each with its members
-// sorted; the outer slice order is deterministic.
-func (g *Digraph) SCCs() [][]string {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
+// sccs numbers the strongly connected components of g, using Tarjan's
+// algorithm from the lowest node, successors in ascending order: node
+// v lies in component comp[v] of count. Components are numbered in
+// reverse topological order of the condensation (callees before
+// callers).
+func (g *Digraph) sccs() (comp []int, count int) {
+	n := g.NumNodes()
+	index := make([]int, n) // discovery number + 1; 0 = unseen
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	stack := make([]int, 0, n)
+	comp = make([]int, n)
 	next := 0
-	var comps [][]string
 
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
+	var strongconnect func(v int)
+	strongconnect = func(v int) {
 		next++
+		index[v], low[v] = next, next
 		stack = append(stack, v)
 		onStack[v] = true
 
-		for _, w := range g.Succ(v) {
-			if _, seen := index[w]; !seen {
+		succ := g.adj.Row(v)
+		for w := succ.Next(-1); w >= 0; w = succ.Next(w) {
+			if index[w] == 0 {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
+				low[v] = min(low[v], low[w])
 			} else if onStack[w] {
-				if index[w] < low[v] {
-					low[v] = index[w]
-				}
+				low[v] = min(low[v], index[w])
 			}
 		}
 
 		if low[v] == index[v] {
-			var comp []string
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				comp[w] = count
 				if w == v {
 					break
 				}
 			}
-			sort.Strings(comp)
-			comps = append(comps, comp)
+			count++
 		}
 	}
 
-	for _, v := range g.Nodes() {
-		if _, seen := index[v]; !seen {
+	for v := 0; v < n; v++ {
+		if index[v] == 0 {
 			strongconnect(v)
 		}
 	}
-	return comps
+	return comp, count
+}
+
+// SCCs returns the strongly connected components of g, in the order
+// sccs numbers them, each with its members sorted.
+func (g *Digraph) SCCs() [][]string {
+	comp, count := g.sccs()
+	out := make([][]string, count)
+	for v, c := range comp {
+		out[c] = append(out[c], g.adj.Universe().Name(v))
+	}
+	return out
 }
 
 // NontrivialSCCs returns only the components that can contain a cycle:

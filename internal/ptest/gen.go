@@ -398,3 +398,36 @@ func mutateOnce(r *rand.Rand, s *Spec) {
 		})
 	}
 }
+
+// SweepSet is the protocol set of the repository benchmark's
+// static_sweep workload (bench/static.go), for in-package tests and
+// benchmarks of the static path: every built-in, every NonStalling
+// variant, every pair Compose accepts, and n generated protocols per
+// seed (mutations and syntheses only; the transforms are already in).
+func SweepSet(seeds []int64, n int) []*protocol.Protocol {
+	var ps []*protocol.Protocol
+	names := protocols.Names()
+	for _, name := range names {
+		ps = append(ps, protocols.MustLoad(name))
+	}
+	for _, name := range names {
+		if ns, err := xform.NonStalling(protocols.MustLoad(name)); err == nil {
+			ps = append(ps, ns)
+		}
+	}
+	for _, outer := range names {
+		for _, inner := range names {
+			c, err := xform.Compose(protocols.MustLoad(inner), protocols.MustLoad(outer), xform.ComposeName(inner, outer))
+			if err == nil {
+				ps = append(ps, c)
+			}
+		}
+	}
+	gen := NewGenerator(GenConfig{MutateFrac: 0.7, XformFrac: -1})
+	for _, seed := range seeds {
+		for i := 0; i < n; i++ {
+			ps = append(ps, gen.Generate(seed*1_000_003+int64(i)).Proto)
+		}
+	}
+	return ps
+}

@@ -2,14 +2,27 @@
 // together with the operators the paper's formalism is built from:
 // union, inverse, composition, and (reflexive) transitive closure.
 //
-// A Relation is a set of ordered pairs (a, b) of strings. The analysis
-// packages use relations to represent "causes", "stalls", "waits", and
-// "queues" (paper §IV), and the deadlock condition of Eq. 4 is evaluated
-// with the operators defined here.
+// Names are interned: a Universe is a sorted set of names, a name's
+// index is its rank in it, and a Relation over a universe of n names is
+// n rows of ⌈n/64⌉ words, bit j of row i standing for the pair
+// (name i, name j). Because the interning is sorted, ascending bit
+// order is lexicographic name order, so every listing (Pairs, Image,
+// String, a cycle witness) comes out sorted without sorting, and every
+// traversal that breaks ties "by name" breaks them by index. Union,
+// inverse and composition are word operations, closure is Warshall on
+// rows, cyclicity is the closure's diagonal.
+//
+// The analysis packages build one universe per protocol and work on
+// indexes and rows (Set, Test, Row); the string methods (Add, Has,
+// Image, Pairs, …) are the edge of the representation. A relation made
+// with New starts over the empty universe and grows it as names are
+// added; operands over different universes are re-indexed over their
+// union first, so the operators are total.
 package relation
 
 import (
-	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -19,16 +32,115 @@ type Pair struct {
 	From, To string
 }
 
-// Relation is a mutable finite binary relation over strings.
-// The zero value is not usable; call New.
-type Relation struct {
-	succ map[string]map[string]bool
-	size int
+// Universe is an immutable sorted set of names.
+type Universe struct {
+	names []string
 }
 
-// New returns an empty relation.
-func New() *Relation {
-	return &Relation{succ: make(map[string]map[string]bool)}
+// NewUniverse interns names (in any order, duplicates allowed).
+func NewUniverse(names ...string) *Universe {
+	s := append([]string(nil), names...)
+	sort.Strings(s)
+	return &Universe{names: slices.Compact(s)}
+}
+
+// Len returns the number of names.
+func (u *Universe) Len() int { return len(u.names) }
+
+// Name returns the name with index i.
+func (u *Universe) Name(i int) string { return u.names[i] }
+
+// Names returns all names in index (sorted) order.
+func (u *Universe) Names() []string { return append([]string(nil), u.names...) }
+
+// Index returns the index of name; ok is false if it is not interned.
+func (u *Universe) Index(name string) (i int, ok bool) {
+	return slices.BinarySearch(u.names, name)
+}
+
+// same reports whether u and v intern the same names.
+func (u *Universe) same(v *Universe) bool { return u == v || slices.Equal(u.names, v.names) }
+
+// NewRow returns an empty set of indexes of u.
+func (u *Universe) NewRow() Row { return make(Row, (len(u.names)+63)/64) }
+
+// Row is a set of indexes: one row of a relation, or any set over the
+// same universe.
+type Row []uint64
+
+// Has reports whether j is in the set.
+func (w Row) Has(j int) bool { return w[j>>6]&(1<<(j&63)) != 0 }
+
+// Set inserts j.
+func (w Row) Set(j int) { w[j>>6] |= 1 << (j & 63) }
+
+// Or inserts every member of o.
+func (w Row) Or(o Row) {
+	for k, x := range o {
+		w[k] |= x
+	}
+}
+
+// And keeps only the members also in o.
+func (w Row) And(o Row) {
+	for k, x := range o {
+		w[k] &= x
+	}
+}
+
+// AndNot removes every member of o.
+func (w Row) AndNot(o Row) {
+	for k, x := range o {
+		w[k] &^= x
+	}
+}
+
+// Empty reports whether the set has no member.
+func (w Row) Empty() bool {
+	for _, x := range w {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Count returns the number of members.
+func (w Row) Count() int {
+	n := 0
+	for _, x := range w {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// Next returns the smallest member greater than after, or -1 if there
+// is none: for j := w.Next(-1); j >= 0; j = w.Next(j) visits the set
+// in ascending order without allocating.
+func (w Row) Next(after int) int {
+	for j := after + 1; j>>6 < len(w); j = (j>>6 + 1) << 6 {
+		if x := w[j>>6] >> (j & 63); x != 0 {
+			return j + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// Relation is a mutable finite binary relation over a universe.
+// The zero value is not usable; call New or NewOver.
+type Relation struct {
+	u     *Universe
+	words int // per row
+	bits  []uint64
+}
+
+// New returns an empty relation over the empty universe; Add grows it.
+func New() *Relation { return NewOver(&Universe{}) }
+
+// NewOver returns an empty relation over u.
+func NewOver(u *Universe) *Relation {
+	words := (u.Len() + 63) / 64
+	return &Relation{u: u, words: words, bits: make([]uint64, u.Len()*words)}
 }
 
 // FromPairs builds a relation containing exactly the given pairs.
@@ -40,166 +152,182 @@ func FromPairs(pairs ...Pair) *Relation {
 	return r
 }
 
-// Add inserts the pair (from, to). Adding an existing pair is a no-op.
-func (r *Relation) Add(from, to string) {
-	m, ok := r.succ[from]
-	if !ok {
-		m = make(map[string]bool)
-		r.succ[from] = m
-	}
-	if !m[to] {
-		m[to] = true
-		r.size++
-	}
-}
+// Universe returns the universe r is indexed over.
+func (r *Relation) Universe() *Universe { return r.u }
 
-// Has reports whether (from, to) is in the relation.
-func (r *Relation) Has(from, to string) bool {
-	return r.succ[from][to]
-}
+// Row returns row i, the set of j with (i, j) in r. It aliases r.
+func (r *Relation) Row(i int) Row { return r.bits[i*r.words : (i+1)*r.words] }
 
-// Size returns the number of pairs.
-func (r *Relation) Size() int { return r.size }
+// Set inserts the pair of indexes (i, j).
+func (r *Relation) Set(i, j int) { r.Row(i).Set(j) }
 
-// IsEmpty reports whether the relation has no pairs.
-func (r *Relation) IsEmpty() bool { return r.size == 0 }
+// Test reports whether the pair of indexes (i, j) is in r.
+func (r *Relation) Test(i, j int) bool { return r.Row(i).Has(j) }
 
-// Image returns the successors of from in deterministic (sorted) order.
-func (r *Relation) Image(from string) []string {
-	m := r.succ[from]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for to := range m {
-		out = append(out, to)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Pairs returns all pairs in deterministic (sorted) order.
-func (r *Relation) Pairs() []Pair {
-	out := make([]Pair, 0, r.size)
-	for from, m := range r.succ {
-		for to := range m {
-			out = append(out, Pair{from, to})
+// Each calls fn for every pair of indexes, in ascending (i, j) order.
+func (r *Relation) Each(fn func(i, j int)) {
+	for i := 0; i < r.u.Len(); i++ {
+		row := r.Row(i)
+		for j := row.Next(-1); j >= 0; j = row.Next(j) {
+			fn(i, j)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+}
+
+// Intern returns the indexes of a and b, first growing r's universe
+// (and re-indexing r) if either name is new to it.
+func (r *Relation) Intern(a, b string) (i, j int) {
+	i, okA := r.u.Index(a)
+	j, okB := r.u.Index(b)
+	if !okA || !okB {
+		*r = *r.Over(NewUniverse(append(r.u.Names(), a, b)...))
+		i, _ = r.u.Index(a)
+		j, _ = r.u.Index(b)
+	}
+	return i, j
+}
+
+// Over returns r re-indexed over u, which must hold every name that
+// occurs in a pair of r. When r is already over u the result is r
+// itself, not a copy.
+func (r *Relation) Over(u *Universe) *Relation {
+	if r.u.same(u) {
+		return r
+	}
+	out := NewOver(u)
+	at := make([]int, r.u.Len())
+	for i, name := range r.u.names {
+		if k, ok := u.Index(name); ok {
+			at[i] = k
+		} else {
+			at[i] = -1
 		}
-		return out[i].To < out[j].To
+	}
+	r.Each(func(i, j int) {
+		if at[i] < 0 || at[j] < 0 {
+			panic("relation: Over a universe that lacks " + r.u.names[i] + " or " + r.u.names[j])
+		}
+		out.Set(at[i], at[j])
 	})
 	return out
 }
 
-// Elements returns every string appearing on either side of a pair,
-// sorted.
-func (r *Relation) Elements() []string {
-	set := make(map[string]bool)
-	for from, m := range r.succ {
-		if len(m) > 0 {
-			set[from] = true
-		}
-		for to := range m {
-			set[to] = true
-		}
+// common returns r and o indexed over one universe (their own when
+// they already share it, the union of the two otherwise).
+func common(r, o *Relation) (*Relation, *Relation) {
+	if r.u.same(o.u) {
+		return r, o
 	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	u := NewUniverse(append(r.u.Names(), o.u.names...)...)
+	return r.Over(u), o.Over(u)
+}
+
+// Add inserts the pair (from, to). Adding an existing pair is a no-op.
+func (r *Relation) Add(from, to string) { r.Set(r.Intern(from, to)) }
+
+// Has reports whether (from, to) is in the relation.
+func (r *Relation) Has(from, to string) bool {
+	i, okI := r.u.Index(from)
+	j, okJ := r.u.Index(to)
+	return okI && okJ && r.Test(i, j)
+}
+
+// Size returns the number of pairs.
+func (r *Relation) Size() int { return Row(r.bits).Count() }
+
+// IsEmpty reports whether the relation has no pairs.
+func (r *Relation) IsEmpty() bool { return Row(r.bits).Empty() }
+
+// names lists the members of w by name, in sorted order.
+func (r *Relation) names(w Row) []string {
+	if w.Empty() {
+		return nil
 	}
-	sort.Strings(out)
+	out := make([]string, 0, w.Count())
+	for j := w.Next(-1); j >= 0; j = w.Next(j) {
+		out = append(out, r.u.names[j])
+	}
 	return out
 }
 
-// Clone returns a deep copy.
-func (r *Relation) Clone() *Relation {
-	c := New()
-	for from, m := range r.succ {
-		for to := range m {
-			c.Add(from, to)
+// Image returns the successors of from in deterministic (sorted) order.
+func (r *Relation) Image(from string) []string {
+	i, ok := r.u.Index(from)
+	if !ok {
+		return nil
+	}
+	return r.names(r.Row(i))
+}
+
+// Pairs returns all pairs in deterministic (sorted) order.
+func (r *Relation) Pairs() []Pair {
+	out := make([]Pair, 0, r.Size())
+	r.Each(func(i, j int) { out = append(out, Pair{r.u.names[i], r.u.names[j]}) })
+	return out
+}
+
+// elements is the set of indexes appearing on either side of a pair.
+func (r *Relation) elements() Row {
+	set := r.u.NewRow()
+	for i := 0; i < r.u.Len(); i++ {
+		if row := r.Row(i); !row.Empty() {
+			set.Set(i)
+			set.Or(row)
 		}
 	}
-	return c
+	return set
+}
+
+// Elements returns every string appearing on either side of a pair,
+// sorted.
+func (r *Relation) Elements() []string { return r.names(r.elements()) }
+
+// Clone returns a deep copy.
+func (r *Relation) Clone() *Relation {
+	c := *r
+	c.bits = slices.Clone(r.bits)
+	return &c
 }
 
 // Equal reports whether r and o contain the same pairs.
 func (r *Relation) Equal(o *Relation) bool {
-	if r.size != o.size {
-		return false
-	}
-	for from, m := range r.succ {
-		for to := range m {
-			if !o.Has(from, to) {
-				return false
-			}
-		}
-	}
-	return true
+	r, o = common(r, o)
+	return slices.Equal(r.bits, o.bits)
 }
 
 // Union returns a new relation r ∪ o.
 func (r *Relation) Union(o *Relation) *Relation {
+	r, o = common(r, o)
 	u := r.Clone()
-	for from, m := range o.succ {
-		for to := range m {
-			u.Add(from, to)
-		}
-	}
+	Row(u.bits).Or(o.bits)
 	return u
 }
 
 // Inverse returns the relation with every pair reversed (paper: stalls⁻¹).
 func (r *Relation) Inverse() *Relation {
-	inv := New()
-	for from, m := range r.succ {
-		for to := range m {
-			inv.Add(to, from)
-		}
-	}
+	inv := NewOver(r.u)
+	r.Each(func(i, j int) { inv.Set(j, i) })
 	return inv
 }
 
 // Compose returns r ; o = { (a, c) | ∃b: (a,b) ∈ r ∧ (b,c) ∈ o }.
 func (r *Relation) Compose(o *Relation) *Relation {
-	c := New()
-	for a, m := range r.succ {
-		for b := range m {
-			for cc := range o.succ[b] {
-				c.Add(a, cc)
-			}
-		}
-	}
+	r, o = common(r, o)
+	c := NewOver(r.u)
+	r.Each(func(a, b int) { c.Row(a).Or(o.Row(b)) })
 	return c
 }
 
 // TransitiveClosure returns r⁺, the smallest transitive relation
-// containing r.
+// containing r (Warshall: once k is allowed as an intermediate, every
+// row that reaches k also reaches what k reaches).
 func (r *Relation) TransitiveClosure() *Relation {
-	tc := New()
-	// BFS from every source; the relations here are small (tens of
-	// message names), so repeated traversal is cheap and simple.
-	for from := range r.succ {
-		visited := make(map[string]bool)
-		queue := make([]string, 0, len(r.succ[from]))
-		for to := range r.succ[from] {
-			queue = append(queue, to)
-		}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			if visited[n] {
-				continue
-			}
-			visited[n] = true
-			tc.Add(from, n)
-			for next := range r.succ[n] {
-				if !visited[next] {
-					queue = append(queue, next)
-				}
+	tc := r.Clone()
+	for k := 0; k < tc.u.Len(); k++ {
+		via := tc.Row(k)
+		for i := 0; i < tc.u.Len(); i++ {
+			if row := tc.Row(i); row.Has(k) {
+				row.Or(via)
 			}
 		}
 	}
@@ -214,60 +342,62 @@ func (r *Relation) ReflexiveTransitiveClosure(universe []string) *Relation {
 	for _, e := range universe {
 		rt.Add(e, e)
 	}
-	for _, e := range r.Elements() {
-		rt.Add(e, e)
+	in := rt.elements()
+	for i := in.Next(-1); i >= 0; i = in.Next(i) {
+		rt.Set(i, i)
 	}
 	return rt
 }
 
 // HasCycle reports whether the relation, viewed as a directed graph,
-// contains a cycle (including self-loops).
+// contains a cycle (including self-loops): some name reaches itself.
 func (r *Relation) HasCycle() bool {
-	return r.CycleWitness() != nil
+	tc := r.TransitiveClosure()
+	for i := 0; i < tc.u.Len(); i++ {
+		if tc.Test(i, i) {
+			return true
+		}
+	}
+	return false
 }
 
 // CycleWitness returns the nodes of one cycle in order (the last node
 // has an edge back to the first), or nil if the relation is acyclic.
-// Self-loops yield a single-element witness.
+// Self-loops yield a single-element witness. The search is depth-first
+// from the lowest name, following successors in sorted order.
 func (r *Relation) CycleWitness() []string {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int)
-	parent := make(map[string]string)
-	nodes := r.Elements()
+	const white, gray, black = 0, 1, 2
+	n := r.u.Len()
+	color := make([]uint8, n)
+	parent := make([]int, n)
+	start, end := -1, -1
 
-	var cycleStart, cycleEnd string
-	var dfs func(n string) bool
-	dfs = func(n string) bool {
-		color[n] = gray
-		for _, next := range r.Image(n) {
+	var dfs func(v int) bool
+	dfs = func(v int) bool {
+		color[v] = gray
+		succ := r.Row(v)
+		for next := succ.Next(-1); next >= 0; next = succ.Next(next) {
 			switch color[next] {
 			case white:
-				parent[next] = n
+				parent[next] = v
 				if dfs(next) {
 					return true
 				}
 			case gray:
-				cycleStart, cycleEnd = next, n
+				start, end = next, v
 				return true
 			}
 		}
-		color[n] = black
+		color[v] = black
 		return false
 	}
-	for _, n := range nodes {
-		if color[n] == white && dfs(n) {
-			cycle := []string{cycleEnd}
-			for v := cycleEnd; v != cycleStart; v = parent[v] {
-				cycle = append(cycle, parent[v])
+	for v := 0; v < n; v++ {
+		if color[v] == white && dfs(v) {
+			cycle := []string{r.u.names[end]}
+			for ; end != start; end = parent[end] {
+				cycle = append(cycle, r.u.names[parent[end]])
 			}
-			// Reverse so the witness reads in edge order.
-			for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-				cycle[i], cycle[j] = cycle[j], cycle[i]
-			}
+			slices.Reverse(cycle) // the witness reads in edge order
 			return cycle
 		}
 	}
@@ -277,16 +407,17 @@ func (r *Relation) CycleWitness() []string {
 // Restrict returns the sub-relation whose pairs have both endpoints in
 // keep.
 func (r *Relation) Restrict(keep map[string]bool) *Relation {
-	out := New()
-	for from, m := range r.succ {
-		if !keep[from] {
-			continue
+	mask := r.u.NewRow()
+	for i, name := range r.u.names {
+		if keep[name] {
+			mask.Set(i)
 		}
-		for to := range m {
-			if keep[to] {
-				out.Add(from, to)
-			}
-		}
+	}
+	out := NewOver(r.u)
+	for i := mask.Next(-1); i >= 0; i = mask.Next(i) {
+		row := out.Row(i)
+		row.Or(r.Row(i))
+		row.And(mask)
 	}
 	return out
 }
@@ -295,12 +426,12 @@ func (r *Relation) Restrict(keep map[string]bool) *Relation {
 func (r *Relation) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, p := range r.Pairs() {
-		if i > 0 {
+	r.Each(func(i, j int) {
+		if b.Len() > 1 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s->%s", p.From, p.To)
-	}
+		b.WriteString(r.u.names[i] + "->" + r.u.names[j])
+	})
 	b.WriteByte('}')
 	return b.String()
 }

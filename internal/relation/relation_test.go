@@ -1,6 +1,11 @@
 package relation
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -207,5 +212,179 @@ func TestPropCycleWitnessSound(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// naive is the reference the bit-matrix operators are checked against:
+// a set of pairs, every operator by its definition.
+type naive map[Pair]bool
+
+func (a naive) union(b naive) naive {
+	out := naive{}
+	for p := range a {
+		out[p] = true
+	}
+	for p := range b {
+		out[p] = true
+	}
+	return out
+}
+
+func (a naive) inverse() naive {
+	out := naive{}
+	for p := range a {
+		out[Pair{p.To, p.From}] = true
+	}
+	return out
+}
+
+func (a naive) compose(b naive) naive {
+	next := map[string][]string{}
+	for q := range b {
+		next[q.From] = append(next[q.From], q.To)
+	}
+	out := naive{}
+	for p := range a {
+		for _, to := range next[p.To] {
+			out[Pair{p.From, to}] = true
+		}
+	}
+	return out
+}
+
+func (a naive) closure() naive {
+	out := a.union(nil)
+	for grew := true; grew; {
+		step := out.union(out.compose(a))
+		grew = len(step) > len(out)
+		out = step
+	}
+	return out
+}
+
+func (a naive) restrict(keep map[string]bool) naive {
+	out := naive{}
+	for p := range a {
+		if keep[p.From] && keep[p.To] {
+			out[p] = true
+		}
+	}
+	return out
+}
+
+// sorted lists the pairs like Relation.Pairs does.
+func (a naive) sorted() []Pair {
+	out := make([]Pair, 0, len(a))
+	for p := range a {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].From < out[j].From || out[i].From == out[j].From && out[i].To < out[j].To
+	})
+	return out
+}
+
+func (a naive) relation() *Relation { return FromPairs(a.sorted()...) }
+
+// randomNaive draws pairs over names[lo:hi], about 1.2 per name, so
+// closures are neither empty nor full.
+func randomNaive(r *rand.Rand, names []string, lo, hi int) naive {
+	out := naive{}
+	for i := 0; i < (hi-lo)*6/5+1; i++ {
+		out[Pair{names[lo+r.Intn(hi-lo)], names[lo+r.Intn(hi-lo)]}] = true
+	}
+	return out
+}
+
+// same reports whether got holds exactly want's pairs, in Pairs order.
+func same(t *testing.T, op string, got *Relation, want naive) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Pairs(), want.sorted()) {
+		t.Fatalf("%s: got %d pairs %v, want %d", op, got.Size(), got, len(want))
+	}
+	if got.Size() != len(want) || got.IsEmpty() != (len(want) == 0) {
+		t.Fatalf("%s: Size/IsEmpty disagree with Pairs", op)
+	}
+}
+
+// TestOperatorsMatchNaive checks every operator against the naive
+// reference on random relations over universes that need one, two,
+// three and four words per row, with operands over one shared universe
+// (how the analysis builds them) and over different, overlapping ones
+// (how relation.New's ad-hoc users do).
+func TestOperatorsMatchNaive(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130, 256} {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("m%03d", i)
+		}
+		u := NewUniverse(names...)
+		r := rand.New(rand.NewSource(int64(n)))
+		for round := 0; round < 4; round++ {
+			// Odd rounds: a over the lower two thirds of the names,
+			// b over the upper two thirds, each with its own universe.
+			na, nb := randomNaive(r, names, 0, n), randomNaive(r, names, 0, n)
+			var a, b *Relation
+			if round%2 == 0 {
+				a, b = na.relation().Over(u), nb.relation().Over(u)
+			} else {
+				na, nb = randomNaive(r, names, 0, (2*n+2)/3), randomNaive(r, names, n/3, n)
+				a, b = na.relation(), nb.relation()
+			}
+			same(t, "operand", a, na)
+			same(t, "Clone", a.Clone(), na)
+			same(t, "Union", a.Union(b), na.union(nb))
+			same(t, "Inverse", a.Inverse(), na.inverse())
+			same(t, "Compose", a.Compose(b), na.compose(nb))
+			same(t, "TransitiveClosure", a.TransitiveClosure(), na.closure())
+
+			some := names[:r.Intn(n)+1]
+			star := na.closure()
+			for _, p := range na.sorted() {
+				star[Pair{p.From, p.From}], star[Pair{p.To, p.To}] = true, true
+			}
+			keep := map[string]bool{}
+			for _, m := range some {
+				star[Pair{m, m}] = true
+				keep[m] = r.Intn(2) == 0
+			}
+			same(t, "ReflexiveTransitiveClosure", a.ReflexiveTransitiveClosure(some), star)
+			same(t, "Restrict", a.Restrict(keep), na.restrict(keep))
+
+			if a.Equal(b) != reflect.DeepEqual(na.sorted(), nb.sorted()) || !a.Equal(na.relation()) {
+				t.Fatalf("n=%d: Equal disagrees with the pairs", n)
+			}
+			elems := map[string]bool{}
+			for p := range na {
+				elems[p.From], elems[p.To] = true, true
+				if !a.Has(p.From, p.To) || !slices.Contains(a.Image(p.From), p.To) {
+					t.Fatalf("n=%d: %v missing from Has/Image", n, p)
+				}
+			}
+			if got := a.Elements(); len(got) != len(elems) || !sort.StringsAreSorted(got) {
+				t.Fatalf("n=%d: Elements = %v, want the %d sorted names in pairs", n, got, len(elems))
+			}
+			for _, m := range names {
+				if !sort.StringsAreSorted(a.Image(m)) {
+					t.Fatalf("n=%d: Image(%s) unsorted: %v", n, m, a.Image(m))
+				}
+			}
+
+			// The witness is a cycle of a, and there is one exactly
+			// when the closure relates some name to itself.
+			cyclic := false
+			for p := range na.closure() {
+				cyclic = cyclic || p.From == p.To
+			}
+			w := a.CycleWitness()
+			if (w != nil) != cyclic || a.HasCycle() != cyclic {
+				t.Fatalf("n=%d: witness %v, HasCycle %v, reference cyclic=%v", n, w, a.HasCycle(), cyclic)
+			}
+			for i := range w {
+				if !na[Pair{w[i], w[(i+1)%len(w)]}] {
+					t.Fatalf("n=%d: witness %v is not a cycle of the relation", n, w)
+				}
+			}
+		}
 	}
 }

@@ -2,11 +2,12 @@ package vnassign
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"minvn/internal/analysis"
 	"minvn/internal/graph"
 	"minvn/internal/protocol"
+	"minvn/internal/relation"
 )
 
 // The paper notes (§VI-C.3) that a designer "may choose to use more"
@@ -60,55 +61,31 @@ func AssignConstrained(r *analysis.Result, constraints []Constraint) (*Assignmen
 
 	// Rebuild the conflict graph with the deadlock pairs plus the
 	// designer constraints, recolor, recomplete, and recheck Eq. 4.
-	conflict := graph.NewUndirected()
-	for _, pr := range a.ConflictPairs {
-		conflict.AddEdge(pr[0], pr[1])
-	}
+	conflict := relation.NewOver(r.Names)
+	pairs := slices.Clone(a.ConflictPairs)
 	for _, c := range constraints {
-		conflict.AddEdge(c.A, c.B)
+		pairs = append(pairs, [2]string{min(c.A, c.B), max(c.A, c.B)})
 	}
-	coloring := graph.ColorMinimal(conflict)
-	numVNs := coloring.NumColors
-	if numVNs == 0 {
-		numVNs = 1
+	for _, pr := range pairs {
+		conflict.Add(pr[0], pr[1])
 	}
-	vn := completeAssignment(p, coloring.Colors, numVNs)
-	// completeAssignment may co-locate an unconstrained... constrained
-	// messages are all colored, so completion cannot break a
-	// constraint; Eq. 4 could still need refinement in principle.
+	slices.SortFunc(pairs, func(x, y [2]string) int { return slices.Compare(x[:], y[:]) })
+	coloring := graph.ColorMinimal(graph.UndirectedOf(conflict))
+	numVNs := max(coloring.NumColors, 1)
+	// Every constrained message is colored, so completing the
+	// assignment cannot break a constraint; Eq. 4 is re-checked anyway.
 	out := &Assignment{
 		Protocol:      p,
 		Analysis:      r,
 		Class:         Class3,
 		NumVNs:        numVNs,
-		VN:            vn,
-		ConflictPairs: append(append([][2]string{}, a.ConflictPairs...), constraintPairs(constraints)...),
+		VN:            completeAssignment(r, coloring.Color, numVNs),
+		ConflictPairs: pairs,
 		Exact:         a.Exact && coloring.Exact,
 	}
-	sortPairs(out.ConflictPairs)
 	if ok, _ := analysis.DeadlockFree(r, out.VN); !ok {
-		// Fall back to refinement via the standard loop: reuse
-		// AssignFromAnalysis' machinery by treating this as a failure
-		// (never observed; guarded for soundness).
+		// Never observed; guarded for soundness.
 		return nil, fmt.Errorf("vnassign: constrained assignment failed Eq. 4 re-check")
 	}
 	return out, nil
-}
-
-func constraintPairs(cs []Constraint) [][2]string {
-	out := make([][2]string, 0, len(cs))
-	for _, c := range cs {
-		a, b := c.A, c.B
-		if b < a {
-			a, b = b, a
-		}
-		out = append(out, [2]string{a, b})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

@@ -1,8 +1,11 @@
 package vnassign
 
 import (
+	"strconv"
+	"strings"
+
 	"minvn/internal/analysis"
-	"minvn/internal/graph"
+	"minvn/internal/relation"
 )
 
 // EnumerateAssignments lists distinct minimal VN assignments — the
@@ -27,11 +30,19 @@ func EnumerateAssignments(r *analysis.Result, limit int) []*Assignment {
 	}
 
 	// Rebuild the conflict graph from the recorded pairs.
-	conflict := graph.NewUndirected()
+	conflict := relation.NewOver(r.Names)
 	for _, pr := range base.ConflictPairs {
-		conflict.AddEdge(pr[0], pr[1])
+		conflict.Add(pr[0], pr[1])
+		conflict.Add(pr[1], pr[0])
 	}
-	nodes := conflict.Nodes()
+	var nodes []int
+	colors := make([]int, r.Names.Len())
+	for i := range colors {
+		colors[i] = -1
+		if !conflict.Row(i).Empty() {
+			nodes = append(nodes, i)
+		}
+	}
 	k := base.NumVNs
 
 	// Enumerate proper k-colorings with canonical color order (the
@@ -39,7 +50,6 @@ func EnumerateAssignments(r *analysis.Result, limit int) []*Assignment {
 	// unused — eliminating permutations).
 	var out []*Assignment
 	seen := map[string]bool{}
-	colors := make(map[string]int, len(nodes))
 
 	var rec func(i, used int)
 	rec = func(i, used int) {
@@ -47,7 +57,7 @@ func EnumerateAssignments(r *analysis.Result, limit int) []*Assignment {
 			return
 		}
 		if i == len(nodes) {
-			vn := completeAssignment(r.Protocol, colors, k)
+			vn := completeAssignment(r, colors, k)
 			key := assignmentKey(r, vn)
 			if seen[key] {
 				return
@@ -68,17 +78,11 @@ func EnumerateAssignments(r *analysis.Result, limit int) []*Assignment {
 			return
 		}
 		n := nodes[i]
-		lim := used + 1
-		if lim > k {
-			lim = k
-		}
-		for c := 0; c < lim; c++ {
+		for c := 0; c < min(used+1, k); c++ {
 			ok := true
-			for _, nb := range conflict.Neighbors(n) {
-				if cc, set := colors[nb]; set && cc == c {
-					ok = false
-					break
-				}
+			around := conflict.Row(n)
+			for nb := around.Next(-1); nb >= 0 && ok; nb = around.Next(nb) {
+				ok = colors[nb] != c
 			}
 			if !ok {
 				continue
@@ -89,7 +93,7 @@ func EnumerateAssignments(r *analysis.Result, limit int) []*Assignment {
 				nextUsed++
 			}
 			rec(i+1, nextUsed)
-			delete(colors, n)
+			colors[n] = -1
 			if len(out) >= limit {
 				return
 			}
@@ -122,32 +126,7 @@ func assignmentKey(r *analysis.Result, vn map[string]int) string {
 func GroupsString(a *Assignment) string {
 	var parts []string
 	for i, g := range a.VNGroups() {
-		parts = append(parts, "VN"+itoa(i)+"={"+join(g, ",")+"}")
+		parts = append(parts, "VN"+strconv.Itoa(i)+"={"+strings.Join(g, ",")+"}")
 	}
-	return join(parts, " ")
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [4]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-func join(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
+	return strings.Join(parts, " ")
 }

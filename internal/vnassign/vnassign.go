@@ -23,7 +23,7 @@ package vnassign
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"minvn/internal/analysis"
@@ -163,43 +163,33 @@ func AssignFromAnalysisObserved(r *analysis.Result, tl *obs.Timeline) *Assignmen
 	a.Exact = fas.Exact
 
 	// Eq. 6: an unbreakable (pure-waits) edge in the feedback arc set
-	// means waits itself is cyclic — Class 2.
-	for _, e := range fas.Edges {
-		if dep.unbreakable(e.From, e.To) {
-			a.Class = Class2
-			a.WaitsCycle = r.Waits.CycleWitness()
-			return a
-		}
-	}
-	// Consistency: the direct check must agree (asserted by tests).
-	if w := r.Waits.CycleWitness(); w != nil {
+	// means waits itself is cyclic — Class 2. The direct check must
+	// agree (asserted by tests) and decides alone when it does not.
+	unbreakable := false
+	fas.Arcs.Each(func(i, j int) { unbreakable = unbreakable || dep.waitsPlus.Test(i, j) })
+	if w := dep.waits.CycleWitness(); unbreakable || w != nil {
 		a.Class = Class2
 		a.WaitsCycle = w
 		return a
 	}
 
 	// Translate removed edges to their queues pairs and color.
-	conflict := graph.NewUndirected()
+	conflict := relation.NewOver(r.Names)
 	var coloring graph.Coloring
 	tl.Time("vnassign/coloring", func() {
-		for _, e := range fas.Edges {
-			for _, q := range dep.qs(e.From, e.To) {
-				a.ConflictPairs = append(a.ConflictPairs, q)
-				conflict.AddEdge(q[0], q[1])
+		for a := 0; a < r.Names.Len(); a++ {
+			if removed := fas.Arcs.Row(a); !removed.Empty() {
+				dep.queuesPairs(conflict, a, removed)
 			}
 		}
-		a.ConflictPairs = dedupePairs(a.ConflictPairs)
-
-		coloring = graph.ColorMinimal(conflict)
+		a.ConflictPairs = pairsOf(conflict)
+		coloring = graph.ColorMinimal(graph.UndirectedOf(conflict))
 	})
 	if !coloring.Exact {
 		a.Exact = false
 	}
-	a.NumVNs = coloring.NumColors
-	if a.NumVNs == 0 {
-		a.NumVNs = 1
-	}
-	a.VN = completeAssignment(r.Protocol, coloring.Colors, a.NumVNs)
+	a.NumVNs = max(coloring.NumColors, 1)
+	a.VN = completeAssignment(r, coloring.Color, a.NumVNs)
 
 	// Verify-and-refine: re-check Eq. 4 under the concrete assignment
 	// and add conflict edges until it holds (hardening; no built-in
@@ -216,9 +206,8 @@ func AssignFromAnalysisObserved(r *analysis.Result, tl *obs.Timeline) *Assignmen
 		queues := analysis.QueuesUnder(r, a.VN)
 		for i, from := range cycle {
 			to := cycle[(i+1)%len(cycle)]
-			if queues.Has(from, to) && from != to && !conflict.HasEdge(from, to) {
-				conflict.AddEdge(from, to)
-				a.ConflictPairs = append(a.ConflictPairs, [2]string{from, to})
+			if queues.Has(from, to) && from != to && !conflict.Has(from, to) && !conflict.Has(to, from) {
+				conflict.Add(from, to)
 				added = true
 			}
 		}
@@ -229,10 +218,10 @@ func AssignFromAnalysisObserved(r *analysis.Result, tl *obs.Timeline) *Assignmen
 			a.WaitsCycle = cycle
 			return a
 		}
-		coloring = graph.ColorMinimal(conflict)
+		coloring = graph.ColorMinimal(graph.UndirectedOf(conflict))
 		a.NumVNs = coloring.NumColors
-		a.VN = completeAssignment(r.Protocol, coloring.Colors, a.NumVNs)
-		a.ConflictPairs = dedupePairs(a.ConflictPairs)
+		a.VN = completeAssignment(r, coloring.Color, a.NumVNs)
+		a.ConflictPairs = pairsOf(conflict)
 	}
 	// Refinement failed to converge; declare Class 2 conservatively.
 	a.Class = Class2
@@ -240,212 +229,168 @@ func AssignFromAnalysisObserved(r *analysis.Result, tl *obs.Timeline) *Assignmen
 	return a
 }
 
-func sortPairs(ps [][2]string) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-}
-
-// dedupePairs sorts and removes duplicates (the same queues pair is
-// often discovered through many dependency-graph edges).
-func dedupePairs(ps [][2]string) [][2]string {
-	sortPairs(ps)
-	out := ps[:0]
-	for i, p := range ps {
-		if i == 0 || p != ps[i-1] {
-			out = append(out, p)
-		}
-	}
+// pairsOf lists a conflict relation's pairs, sorted (the same queues
+// pair is often discovered through many dependency-graph edges; the
+// relation holds it once).
+func pairsOf(conflict *relation.Relation) [][2]string {
+	names := conflict.Universe()
+	out := make([][2]string, 0, conflict.Size())
+	conflict.Each(func(i, j int) { out = append(out, [2]string{names.Name(i), names.Name(j)}) })
 	return out
 }
 
-// completeAssignment extends a partial coloring to all messages. The
-// uncolored messages cannot cause VN deadlocks (paper §VI.A-c), so any
-// placement is sound; for presentation we co-locate them with colored
-// messages of the same type (requests with requests, responses with
-// responses), matching how the paper reports its assignments
-// (VN1 = requests, VN2 = everything else).
-func completeAssignment(p *protocol.Protocol, colors map[string]int, numVNs int) map[string]int {
+// completeAssignment extends a partial coloring (color[i] < 0: message
+// i of r.Names is uncolored) to all messages. The uncolored messages
+// cannot cause VN deadlocks (paper §VI.A-c), so any placement is
+// sound; for presentation we co-locate them with colored messages of
+// the same type (requests with requests, responses with responses),
+// matching how the paper reports its assignments (VN1 = requests,
+// VN2 = everything else).
+func completeAssignment(r *analysis.Result, color []int, numVNs int) map[string]int {
+	p := r.Protocol
+	// votes(t) counts the colored messages of type t per color; the
+	// extra last row counts every colored response.
+	const responses = protocol.CtrlResponse + 1
+	tally := make([]int, int(responses+1)*numVNs)
+	votes := func(t protocol.MsgType) []int { return tally[int(t)*numVNs : int(t+1)*numVNs] }
+	for i, c := range color {
+		if c < 0 {
+			continue
+		}
+		t := p.Messages[r.Names.Name(i)].Type
+		votes(t)[c]++
+		if t != protocol.Request {
+			votes(responses)[c]++
+		}
+	}
+	majority := func(votes []int) (int, bool) {
+		best := 0
+		for c, n := range votes {
+			if n > votes[best] {
+				best = c
+			}
+		}
+		return best, votes[best] > 0
+	}
 	vn := make(map[string]int, len(p.Messages))
-	// Majority color per message type among colored messages.
-	typeVotes := make(map[protocol.MsgType]map[int]int)
-	respVotes := make(map[int]int)
-	for m, c := range colors {
-		t := p.Messages[m].Type
-		if typeVotes[t] == nil {
-			typeVotes[t] = make(map[int]int)
-		}
-		typeVotes[t][c]++
-		if t != protocol.Request {
-			respVotes[c]++
-		}
-	}
-	majority := func(votes map[int]int) (int, bool) {
-		best, bestN, ok := 0, 0, false
-		for c := 0; c < numVNs; c++ {
-			if n := votes[c]; n > bestN {
-				best, bestN, ok = c, n, true
-			}
-		}
-		return best, ok
-	}
 	for _, m := range p.MessageNames() {
-		if c, done := colors[m]; done {
-			vn[m] = c
-			continue
-		}
+		i, _ := r.Names.Index(m)
 		t := p.Messages[m].Type
-		if c, ok := majority(typeVotes[t]); ok {
+		if color[i] >= 0 {
+			vn[m] = color[i]
+		} else if c, ok := majority(votes(t)); ok {
 			vn[m] = c
-			continue
+		} else if c, ok := majority(votes(responses)); ok && t != protocol.Request {
+			vn[m] = c
+		} else {
+			vn[m] = 0
 		}
-		if t != protocol.Request {
-			if c, ok := majority(respVotes); ok {
-				vn[m] = c
-				continue
-			}
-		}
-		vn[m] = 0
 	}
 	return vn
 }
 
-// depGraph carries the Eq. 5 graph plus the bookkeeping needed to
-// translate feedback arcs back to protocol relations.
+// depGraph carries the Eq. 5 graph plus the relations needed to
+// translate feedback arcs back to protocol relations, all over the
+// analysis' universe of message names.
 type depGraph struct {
 	g *graph.Digraph
-	// unbreak marks edges realizable by a pure-waits path (those are
-	// exactly the pairs of the transitive closure of waits).
-	unbreak map[[2]string]bool
-	// qsByEdge records, per edge, the queues pairs found on minimal
-	// realizing paths.
-	qsByEdge map[[2]string][][2]string
-}
-
-func (d *depGraph) unbreakable(from, to string) bool {
-	return d.unbreak[[2]string{from, to}]
-}
-
-func (d *depGraph) qs(from, to string) [][2]string {
-	return d.qsByEdge[[2]string{from, to}]
+	// waits is the analysis' relation; waitsPlus is waits⁺, whose
+	// pairs are exactly the edges realizable by a pure-waits path, the
+	// unbreakable ones.
+	waits, waitsPlus *relation.Relation
+	// Under a single VN any message can queue behind any stallable
+	// one: queues relates every message to each of these.
+	stallable relation.Row
 }
 
 // unbreakableWeight implements Eq. 6's 2^|V|+1 for pure-waits edges,
-// capped to avoid overflow; any sum of breakable edges stays below a
-// single unbreakable edge for |V| within the cap.
+// capped to fit an int64. It is the weight the graph shows; while
+// orders are compared, graph.MinFeedbackArcSet scales it down to what
+// Eq. 6 needs — one unbreakable edge outweighs all breakable ones —
+// so no number of them overflows.
 func unbreakableWeight(numNodes int) int64 {
-	if numNodes > 60 {
-		numNodes = 60
-	}
-	return (int64(1) << numNodes) + 1
+	return (int64(1) << min(numNodes, 60)) + 1
 }
 
 // buildDependencyGraph constructs Eq. 5 under the single-VN queues
-// relation: for each source a, BFS whose first step follows waits and
-// whose later steps follow waits ∪ queues. Every reachable b yields an
-// edge (a, b); queues-only edges on shortest paths are recorded as
-// qs(a→b). Self-loop queues edges never lie on a shortest path, so the
-// recorded pairs never relate a message to itself (§VI.A-c).
+// relation: a → b when b is reachable from a by one waits step
+// followed by any number of waits ∪ queues steps, that is, the
+// relation waits ; (waits ∪ queues)*. Edges that a pure-waits path
+// realizes are unbreakable (Eq. 6); the others weigh 1.
 func buildDependencyGraph(r *analysis.Result) *depGraph {
-	p := r.Protocol
-	queues := analysis.QueuesUnder(r, analysis.SingleVN(p))
-	union := r.Waits.Union(queues)
-	waitsPlus := r.Waits.TransitiveClosure()
-
 	d := &depGraph{
-		g:        graph.NewDigraph(),
-		unbreak:  make(map[[2]string]bool),
-		qsByEdge: make(map[[2]string][][2]string),
+		g:         graph.NewDigraphOver(r.Names),
+		waits:     r.Waits.Over(r.Names),
+		stallable: r.Names.NewRow(),
 	}
-	msgs := p.MessageNames()
-	for _, m := range msgs {
-		d.g.AddNode(m)
+	for _, m := range r.Stallable {
+		i, _ := r.Names.Index(m)
+		d.stallable.Set(i)
 	}
-	big := unbreakableWeight(len(msgs))
+	d.waitsPlus = d.waits.TransitiveClosure()
+	big := unbreakableWeight(r.Names.Len())
+	analysis.Dependencies(r, nil).Each(func(a, b int) {
+		if d.waitsPlus.Test(a, b) {
+			d.g.AddEdgeAt(a, b, big)
+		} else {
+			d.g.AddEdgeAt(a, b, 1)
+		}
+	})
+	return d
+}
 
-	// queuesOnly identifies edges of the union that cannot be
-	// realized as waits — only those are breakable by VN separation.
-	queuesOnly := func(x, y string) bool {
-		return queues.Has(x, y) && !r.Waits.Has(x, y)
+// queuesPairs adds to out the queues pairs that realize the breakable
+// edges from a to the messages in targets: the queues-only steps
+// (x, y) on the shortest paths from a to a target, whose first step
+// follows waits and whose later steps follow waits ∪ queues. Only a
+// step that waits cannot make is breakable by VN separation. Shortest
+// paths never repeat a message, so no pair relates a message to itself
+// (§VI.A-c).
+func (d *depGraph) queuesPairs(out *relation.Relation, a int, targets relation.Row) {
+	names := d.waits.Universe()
+	// Breadth-first levels from a, until every target is in one.
+	level := slices.Clone(d.waits.Row(a))
+	seen := slices.Clone(level)
+	levels := []relation.Row{level}
+	for missing := slices.Clone(targets); ; level = levels[len(levels)-1] {
+		if missing.AndNot(seen); missing.Empty() {
+			break
+		}
+		next := slices.Clone(d.stallable)
+		for x := level.Next(-1); x >= 0; x = level.Next(x) {
+			next.Or(d.waits.Row(x))
+		}
+		if next.AndNot(seen); next.Empty() {
+			panic("vnassign: feedback arc is not an edge of the dependency graph")
+		}
+		seen.Or(next)
+		levels = append(levels, next)
 	}
-
-	for _, a := range msgs {
-		first := r.Waits.Image(a)
-		if len(first) == 0 {
-			continue
+	// Walk back: a message is on a shortest path to a target iff it
+	// is one, or steps to a message of the next level that is.
+	onPath, steps := names.NewRow(), names.NewRow()
+	for k := len(levels) - 1; ; k-- {
+		copy(steps, targets)
+		steps.And(levels[k])
+		onPath.Or(steps)
+		if k == 0 {
+			return
 		}
-		// BFS distances; the virtual source reaches `first` at depth 1.
-		dist := map[string]int{}
-		frontier := []string{}
-		for _, b := range first {
-			dist[b] = 1
-			frontier = append(frontier, b)
-		}
-		for len(frontier) > 0 {
-			var next []string
-			for _, x := range frontier {
-				for _, y := range union.Image(x) {
-					if _, seen := dist[y]; !seen {
-						dist[y] = dist[x] + 1
-						next = append(next, y)
-					}
-				}
-			}
-			frontier = next
-		}
-		// qs accumulation over the shortest-path DAG, in distance
-		// order: qsAt(y) = ∪ over shortest preds x of qsAt(x) plus
-		// the edge (x,y) when it is queues-only. First-step edges are
-		// waits by construction and contribute nothing.
-		byDist := make([]string, 0, len(dist))
-		for b := range dist {
-			byDist = append(byDist, b)
-		}
-		sort.Slice(byDist, func(i, j int) bool {
-			if dist[byDist[i]] != dist[byDist[j]] {
-				return dist[byDist[i]] < dist[byDist[j]]
-			}
-			return byDist[i] < byDist[j]
-		})
-		qsAt := make(map[string]map[[2]string]bool, len(dist))
-		for _, b := range byDist {
-			set := make(map[[2]string]bool)
-			if dist[b] > 1 {
-				for _, x := range byDist {
-					if dist[x] != dist[b]-1 || !union.Has(x, b) {
-						continue
-					}
-					for pr := range qsAt[x] {
-						set[pr] = true
-					}
-					if queuesOnly(x, b) {
-						set[[2]string{x, b}] = true
-					}
-				}
-			}
-			qsAt[b] = set
-		}
-
-		for _, b := range byDist {
-			key := [2]string{a, b}
-			if waitsPlus.Has(a, b) {
-				d.unbreak[key] = true
-				d.g.AddEdge(a, b, big)
+		before := names.NewRow()
+		for x := levels[k-1].Next(-1); x >= 0; x = levels[k-1].Next(x) {
+			copy(steps, d.waits.Row(x))
+			steps.Or(d.stallable)
+			if steps.And(onPath); steps.Empty() {
 				continue
 			}
-			var pairs [][2]string
-			for pr := range qsAt[b] {
-				pairs = append(pairs, pr)
-			}
-			sortPairs(pairs)
-			d.qsByEdge[key] = pairs
-			d.g.AddEdge(a, b, 1)
+			before.Set(x)
+			// Queues-only: behind a stallable message, and not a wait.
+			steps.And(d.stallable)
+			steps.AndNot(d.waits.Row(x))
+			out.Row(x).Or(steps)
 		}
+		onPath = before
 	}
-	return d
 }
 
 // Eq4Holds re-exports the deadlock-freedom check for callers that
@@ -456,9 +401,4 @@ func Eq4Holds(a *Assignment) bool {
 	}
 	ok, _ := analysis.DeadlockFree(a.Analysis, a.VN)
 	return ok
-}
-
-// WaitsClosure exposes waits⁺ for diagnostics and tests.
-func WaitsClosure(r *analysis.Result) *relation.Relation {
-	return r.Waits.TransitiveClosure()
 }

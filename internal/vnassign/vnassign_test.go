@@ -1,6 +1,7 @@
 package vnassign
 
 import (
+	"fmt"
 	"testing"
 
 	"minvn/internal/analysis"
@@ -258,5 +259,87 @@ func TestAssignmentStringRendering(t *testing.T) {
 	s := a.String()
 	if s == "" || a.VNGroups() == nil {
 		t.Fatal("empty rendering")
+	}
+}
+
+// chainProtocol builds a Class 3 protocol whose waits relation is one
+// long chain Fwd1 → Fwd2 → … → FwdK: a cache waiting for Rsp_i stalls
+// Fwd_i, and the directory answers Req_i with Rsp_i and Fwd_{i+1}. With
+// K = 16 it has 66 messages, so Eq. 6's unbreakable weight is at its
+// cap of 2^60+1, and the sixteen Fwd messages form one component of the
+// dependency graph with 120 unbreakable edges (i → j, i < j) — every
+// vertex order but one puts some of them backward.
+func chainProtocol(t *testing.T, k int) *protocol.Protocol {
+	b := protocol.NewBuilder(fmt.Sprintf("chain%d", k))
+	name := func(kind string, i int) string { return fmt.Sprintf("%s%02d", kind, i) }
+	for i := 0; i <= k; i++ {
+		b.Message(name("Req", i), protocol.Request)
+		b.Message(name("Rsp", i), protocol.DataResponse)
+		if i > 0 {
+			b.Message(name("Fwd", i), protocol.FwdRequest)
+			b.Message(name("Ack", i), protocol.CtrlResponse)
+		}
+	}
+	c := b.Cache("S0")
+	d := b.Dir("Idle")
+	d.Stable("Idle")
+	for i := 0; i <= k; i++ {
+		// Three core events per stable state issue three requests.
+		stable, pending := fmt.Sprintf("S%d", i/3), fmt.Sprintf("T%d", i)
+		if i%3 == 0 {
+			c.Stable(stable)
+		}
+		c.Transient(pending)
+		c.On(stable, protocol.CoreEv(protocol.CoreEvents[i%3])).Send(name("Req", i), protocol.ToDir).Goto(pending)
+		c.On(pending, protocol.MsgEv(name("Rsp", i))).Goto(stable)
+		answer := d.On("Idle", protocol.MsgEv(name("Req", i))).Send(name("Rsp", i), protocol.ToReq)
+		if i < k {
+			answer.Send(name("Fwd", i+1), protocol.ToReq)
+		}
+		answer.Stay()
+		if i > 0 {
+			c.StallOn(pending, protocol.MsgEv(name("Fwd", i)))
+			c.On("S0", protocol.MsgEv(name("Fwd", i))).Send(name("Ack", i), protocol.ToDir).Stay()
+			d.On("Idle", protocol.MsgEv(name("Ack", i))).Stay()
+		}
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestUnbreakableWeightManyMessages: a protocol with more than 60
+// messages and an acyclic waits relation is Class 3. Summing Eq. 6's
+// capped 2^60+1 weights in the feedback-arc-set DP used to wrap for
+// such protocols, put an unbreakable edge in the arc set, and report
+// Class 2 with no waits cycle to show for it.
+func TestUnbreakableWeightManyMessages(t *testing.T) {
+	p := chainProtocol(t, 16)
+	if len(p.Messages) < 64 {
+		t.Fatalf("only %d messages", len(p.Messages))
+	}
+	r := analysis.Analyze(p)
+	if w := r.Waits.CycleWitness(); w != nil {
+		t.Fatalf("the chain's waits relation has a cycle: %v", w)
+	}
+	a := AssignFromAnalysis(r)
+	if a.Class != Class3 || a.WaitsCycle != nil {
+		t.Fatalf("class = %v (waits cycle %v), want Class 3", a.Class, a.WaitsCycle)
+	}
+	if !Eq4Holds(a) {
+		t.Fatalf("the %d-VN assignment violates Eq. 4", a.NumVNs)
+	}
+	closure := r.Waits.TransitiveClosure()
+	for _, e := range a.FAS {
+		if closure.Has(e.From, e.To) {
+			t.Errorf("feedback arc %s -> %s is unbreakable", e.From, e.To)
+		}
+	}
+	// Every Fwd message is stalled behind every other: they all need
+	// their own VN.
+	if a.NumVNs < 16 {
+		t.Errorf("NumVNs = %d, want at least one per Fwd message", a.NumVNs)
 	}
 }
