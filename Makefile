@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check serve-stress bench-build perf-gate fuzz-smoke table serve family family-smoke family-cover ledger-smoke dist-smoke
+.PHONY: build test race vet fmt check serve-stress bench-build perf-gate fuzz-smoke table depth-table serve family family-smoke family-cover ledger-smoke dist-smoke
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,15 @@ fuzz-smoke:
 
 table:
 	$(GO) run ./cmd/vntable -extensions
+
+# How deep bounded verification gets at the paper's configuration on
+# this box (~15 min, up to ~6 GB resident): every clean Table I row at
+# 3c/2d/2a through `vnverify -engine seq -store exact` to 20,000,000
+# states under GOMEMLIMIT=6GiB, as a Markdown table of deepest complete
+# level, states, wall time and peak RSS. EXPERIMENTS.md § "Depth reached
+# at 3c/2d/2a" is its output; Table I's note and deviation 1 cite it.
+depth-table:
+	python3 scripts/depth-table.py
 
 # Regenerate FAMILY_mc.json: every built-in in stalling and derived
 # non-stalling form plus the two-level composites, analyzed statically

@@ -38,12 +38,6 @@ import (
 // result batch costs) against expansions.
 const pipelineBatch = 16
 
-// pwork is one state handed to a worker for expansion.
-type pwork struct {
-	id    int32
-	state []byte
-}
-
 // CheckPipelined runs Check's BFS with a pipelined worker pool and a
 // sharded fingerprint visited set. workers <= 0 picks GOMAXPROCS;
 // shards <= 0 picks DefaultShards. DFS and single-worker runs fall
@@ -82,7 +76,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 
 	quit := make(chan struct{})
 	defer close(quit)
-	workCh := make(chan []pwork, workers)
+	workCh := make(chan []work, workers)
 	resCh := make(chan []expansion, workers)
 
 	// expandBatch collects the whole work batch on the worker's own
@@ -95,11 +89,11 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 	// not see, let alone re-hash, a duplicate's bytes, and at two
 	// duplicates in three shipping the collection arena instead would
 	// more than double what a batch allocates.
-	expandBatch := func(batch []pwork, col *collector, preqs []probeReq, sc *setScratch) ([]expansion, []probeReq) {
+	expandBatch := func(batch []work, col *collector, preqs []probeReq, sc *setScratch) ([]expansion, []probeReq) {
 		out := make([]expansion, 0, len(batch))
 		col.reset()
 		for _, w := range batch {
-			out = append(out, col.expand(w.id, w.state))
+			out = append(out, col.expand(w))
 		}
 		succs := col.resolve()
 		preqs = preqs[:0]
@@ -181,26 +175,24 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 	maxWindow := max(workers*pipelineBatch*4, 64)
 
 	var (
-		reorder      = make(map[int32]expansion)
-		nextMerge    = 0 // next node id to merge, in storage order
-		nextDispatch = 0 // next node id to hand to a worker
-		outstanding  = 0 // dispatched states whose results have not arrived
-		pending      []pwork
+		reorder     = make(map[int32]expansion)
+		merge       ref // next state to merge, in storage order
+		dispatch    ref // next state to hand to a worker
+		outstanding = 0 // dispatched states whose results have not arrived
+		pending     []work
 	)
 
 	// nextBatch claims up to pipelineBatch dispatchable states.
 	// Depth-bounded states are skipped here and settled inline by the
 	// merge — the sequential engine never expands them either.
-	nextBatch := func() []pwork {
-		if nextDispatch-nextMerge >= maxWindow {
+	nextBatch := func() []work {
+		if int(dispatch.id-merge.id) >= maxWindow {
 			return nil
 		}
-		var batch []pwork
-		for nextDispatch < len(s.nodes) && len(batch) < pipelineBatch {
-			id := int32(nextDispatch)
-			nextDispatch++
-			if !s.atDepthBound(id) {
-				batch = append(batch, pwork{id: id, state: s.take(id)})
+		var batch []work
+		for int(dispatch.id) < s.stored && len(batch) < pipelineBatch {
+			if w := s.next(&dispatch); !s.atDepthBound(w.depth) {
+				batch = append(batch, w)
 			}
 		}
 		return batch
@@ -219,28 +211,30 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 		// Merge every result that is ready, strictly in storage order —
 		// the sequential engine's loop, with the expansion read from the
 		// reorder buffer instead of computed.
-		for nextMerge < len(s.nodes) {
+		for int(merge.id) < s.stored {
 			if res, done := s.stop(); done {
 				return res
 			}
-			id := int32(nextMerge)
-			if s.atDepthBound(id) {
-				nextMerge++
+			after := merge
+			if w := s.next(&after); s.atDepthBound(w.depth) {
+				merge = after
 				continue
 			}
-			e, ok := reorder[id]
+			e, ok := reorder[merge.id]
 			if !ok {
 				break // the expansion for the next id has not arrived yet
 			}
-			delete(reorder, id)
+			delete(reorder, merge.id)
 			if res, done := s.merge(&e); done {
 				return res
 			}
-			nextMerge++
-			s.tr.maybeProgress(len(s.nodes), len(s.nodes)-nextMerge, s.res.MaxDepth, s.res.Rules)
+			// Merged, not merely taken: a worker may have been reading it.
+			merge = after
+			s.log.release(merge.pos)
+			s.tr.maybeProgress(s.stored, s.stored-int(merge.id), s.res.MaxDepth, s.res.Rules)
 		}
 
-		if nextMerge == len(s.nodes) {
+		if int(merge.id) == s.stored {
 			// Everything stored has been merged; nothing can be in
 			// flight (in-flight ids are always unmerged).
 			return s.exhausted()
@@ -258,7 +252,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 			// is claimable) and it is not in the reorder buffer. This is
 			// the pipeline's only wait state, counted as a reorder stall.
 			if outstanding == 0 {
-				panic(fmt.Sprintf("mc: pipeline stalled at id %d with no work in flight", nextMerge))
+				panic(fmt.Sprintf("mc: pipeline stalled at id %d with no work in flight", merge.id))
 			}
 			s.tr.reorderStalls++
 			sendCh = nil // a nil channel never selects

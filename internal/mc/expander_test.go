@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"minvn/internal/machine"
@@ -66,10 +65,13 @@ var (
 	_ mc.Model    = hidden{}
 )
 
-// keeper is a StateObserver that keeps the very slices it is shown.
+// keeper is a StateObserver that keeps a copy of every state it is shown
+// (the bytes themselves are lent for the call only).
 type keeper struct{ states [][]byte }
 
-func (k *keeper) Observe(state []byte) { k.states = append(k.states, state) }
+func (k *keeper) Observe(state []byte) {
+	k.states = append(k.states, append([]byte(nil), state...))
+}
 
 // TestScribblingExpanderParity: through both schedulers and both stores,
 // with traces on and an observer attached, a model that destroys its
@@ -156,30 +158,6 @@ func TestHiddenExpanderParity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSequentialMallocsPerState is the allocation budget of the search
-// core: a sequential run of the paper's cell with traces off allocates
-// the stored state's own copy and, amortized, the growth of the node
-// table, the visited set and the collector — 1.03 per stored state when
-// this was written, against 6.5 before expansion was streamed. A count,
-// so it holds on a loaded box.
-func TestSequentialMallocsPerState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
-	sys := paritySystem(t, "MSI_nonblocking_cache", "minimal", 3, 2, 2)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := mc.Check(sys, mc.Options{MaxStates: 40_000, DisableTraces: true})
-	runtime.ReadMemStats(&after)
-	if res.Outcome != mc.Bounded || res.States != 40_000 {
-		t.Fatalf("unexpected run: %v", res)
-	}
-	perState := float64(after.Mallocs-before.Mallocs) / float64(res.States)
-	if perState > 1.5 {
-		t.Errorf("%.2f mallocs per stored state, budget 1.5", perState)
 	}
 }
 

@@ -10,9 +10,9 @@
 // model's streaming form (Expander; a model that has only Successors is
 // adapted by asExpander): each successor is visited in the model's work
 // buffer, canonicalized and fingerprinted in a reusable arena (the
-// collector, search.go), probed, and copied out — once, at exact size,
-// into the node table — only if it is new. Both schedulers and the seed
-// go through that one path.
+// collector, search.go), probed, and copied out — once, to the tail of
+// the state log (statelog.go) — only if it is new. Both schedulers and
+// the seed go through that one path.
 package mc
 
 import (
@@ -190,11 +190,13 @@ const DefaultProgressEvery = 100_000
 
 // StateObserver receives every freshly stored state, in storage order,
 // from the single-threaded store path of whichever engine runs the
-// search (implementations need not be thread-safe). Observers are
-// strictly passive: because all engines store the identical state set
-// in the identical order, an observer sees the same sequence no matter
-// which engine ran — the occupancy profiler (machine.OccupancyProfiler)
-// is the canonical implementation.
+// search (implementations need not be thread-safe). state is lent, like
+// an Expander's visitor's: it is valid only during the call, and an
+// observer that keeps it copies it. Observers are strictly passive:
+// because all engines store the identical state set in the identical
+// order, an observer sees the same sequence no matter which engine ran —
+// the occupancy profiler (machine.OccupancyProfiler) is the canonical
+// implementation.
 type StateObserver interface {
 	Observe(state []byte)
 }
@@ -222,8 +224,9 @@ type Options struct {
 	// The choice can change the outcome class of a run, so callers
 	// that key caches on results must include it (internal/serve does).
 	Store Store
-	// DisableTraces saves the parent table's memory when
-	// counterexamples are not needed.
+	// DisableTraces gives up counterexamples (Result.Trace is then the
+	// bad state alone) for memory: no parent table is kept, and a stored
+	// state's bytes are held only until it has been expanded.
 	DisableTraces bool
 	// Progress, when non-nil, receives live telemetry snapshots: after
 	// every ProgressEvery stored states, after every ProgressInterval
@@ -281,11 +284,11 @@ const (
 	// was found in the states explored so far. Result.Message carries
 	// the context error.
 	Canceled
-	// Capacity: the visited set or node table reached a hard
-	// implementation limit (int32 node ids / entry indices, uint32
-	// arena offsets — see CapacityError) and the search stopped rather
-	// than wrap indices. No deadlock or violation was found in the
-	// states explored; Result.Message names the limit.
+	// Capacity: the visited set or state log reached a hard
+	// implementation limit (int32 node ids / entry indices, uint32 arena
+	// offsets) or the Go memory limit — see CapacityError — and the search
+	// stopped rather than wrap indices or be killed. No deadlock or violation
+	// was found in the states explored; Result.Message names the limit.
 	Capacity
 )
 
@@ -340,7 +343,7 @@ type Result struct {
 	Duration time.Duration
 	// Stats is the final telemetry snapshot (Final = true): states/sec,
 	// dedup hit rate, depth histogram, per-rule firing counts (for
-	// NamedModels), and approximate memory footprint.
+	// NamedModels), and the bytes held, by structure (Health).
 	Stats Snapshot
 }
 
@@ -384,34 +387,24 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 	}
 
 	// BFS order is storage order, so the BFS work list is just a cursor
-	// over the node table; DFS keeps a stack of the ids it has yet to
+	// over the log; DFS pops the core's stack of states it has yet to
 	// expand.
-	var (
-		next  int32
-		stack []int32
-	)
+	var cur ref
 	dfs := opts.Strategy == DFS
-	if dfs {
-		for id := range s.nodes {
-			stack = append(stack, int32(id))
-		}
-	}
 	for {
-		if (dfs && len(stack) == 0) || (!dfs && int(next) == len(s.nodes)) {
+		if (dfs && len(s.stack) == 0) || (!dfs && int(cur.id) == s.stored) {
 			return s.exhausted()
 		}
 		if res, done := s.stop(); done {
 			return res
 		}
-		var id int32
+		var w work
 		if dfs {
-			id = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+			w = s.pop()
 		} else {
-			id = next
-			next++
+			w = s.next(&cur)
 		}
-		if s.atDepthBound(id) {
+		if s.atDepthBound(w.depth) {
 			continue
 		}
 
@@ -422,23 +415,21 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 		}
 		sp := s.lane.Start("expand")
 		s.col.reset()
-		e := s.col.expand(id, s.take(id))
+		e := s.col.expand(w)
 		s.col.resolve()
 		sp.EndArg("succs", int64(len(e.succs)))
 		if sampled {
 			s.tr.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
 		}
-		stored := len(s.nodes)
 		if res, done := s.merge(&e); done {
 			return res
 		}
-		frontier := len(s.nodes) - int(next)
+		frontier := s.stored - int(cur.id)
 		if dfs {
-			for id := stored; id < len(s.nodes); id++ {
-				stack = append(stack, int32(id))
-			}
-			frontier = len(stack)
+			frontier = len(s.stack)
+		} else {
+			s.log.release(cur.pos)
 		}
-		s.tr.maybeProgress(len(s.nodes), frontier, s.res.MaxDepth, s.res.Rules)
+		s.tr.maybeProgress(s.stored, frontier, s.res.MaxDepth, s.res.Rules)
 	}
 }

@@ -36,7 +36,7 @@ func TestShardedSetBasic(t *testing.T) {
 				t.Fatalf("re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
 			}
 		}
-		if st := s.stats(); st.entries != len(keys) || st.arenaBytes == 0 {
+		if st := s.st; st.entries != len(keys) || st.arenaBytes == 0 {
 			t.Fatalf("stats: %+v", st)
 		}
 	})
@@ -92,7 +92,7 @@ func TestShardedSetCollisions(t *testing.T) {
 		for _, k := range keys {
 			total += int64(len(k))
 		}
-		if st := s.stats(); st.arenaBytes != total {
+		if st := s.st; st.arenaBytes != total {
 			t.Errorf("arenaBytes = %d, want the %d key bytes stored", st.arenaBytes, total)
 		}
 	})

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"minvn/internal/obs/health"
@@ -9,7 +10,7 @@ import (
 )
 
 // search is the one search core behind every in-process engine: the
-// visited set, the node table, the telemetry tracker, and the Result
+// visited set, the state log, the telemetry tracker, and the Result
 // under construction, plus the store-thread bookkeeping that decides
 // what is stored, counted, and reported. CheckCtx and the pipelined
 // merge loop only schedule — who computes an expansion and when — and
@@ -20,16 +21,24 @@ import (
 // Except for the Expander itself (safe from worker goroutines, each with
 // its own collector), every method is store-thread only.
 type search struct {
-	ctx   context.Context
-	m     Model
-	exp   Expander // m's streaming form; the only way to its successors
-	opts  Options  // normalized
-	start time.Time
-	lane  *trace.Lane
-	tr    *tracker
-	set   *VisitedStore
-	nodes []node
-	res   Result
+	ctx    context.Context
+	m      Model
+	exp    Expander // m's streaming form; the only way to its successors
+	opts   Options  // normalized
+	start  time.Time
+	lane   *trace.Lane
+	tr     *tracker
+	set    *VisitedStore
+	log    stateLog
+	stored int    // states stored so far: the next state's id
+	nodes  []node // the parent table, by id; traces on only
+	// levels[d] is the id of the first state at depth d: BFS stores in depth
+	// order, so a cursor reads its depth off it. DFS's work list is stack.
+	levels   []int32
+	stack    []ref
+	popped   []byte // the state pop took, which the log no longer holds
+	memLimit int64  // the Go memory limit, read once (see stop)
+	res      Result
 	// bounded records that some state was left unexpanded at MaxDepth.
 	bounded bool
 	col     *collector  // the store thread's: seed, and the sequential scheduler
@@ -37,13 +46,26 @@ type search struct {
 	scratch setScratch
 }
 
-// node is one stored state. state is the node's own exact-size copy,
-// retained until the scheduler takes it for expansion and, when traces
-// are enabled, for good.
+// node is what a counterexample needs of one stored state: where its
+// bytes are in the log, and the state it was first reached from.
 type node struct {
-	state  []byte
+	pos    logPos
 	parent int32
-	depth  int32
+}
+
+// ref names one stored state. A BFS work list is one ref walked along
+// the log, storage order being BFS order (the sequential cursor, the
+// pipeline's dispatch and merge cursors); DFS's is a stack of them.
+type ref struct {
+	pos       logPos
+	id, depth int32
+}
+
+// work is one stored state on its way to expansion. state is lent from
+// the log: valid until the state has been merged.
+type work struct {
+	ref
+	state []byte
 }
 
 // succ is one generated successor on its way to the store. Its bytes
@@ -74,8 +96,7 @@ func aliases(a, b []byte) bool {
 
 // expansion is one stored state's successor set, or its terminal info.
 type expansion struct {
-	id       int32
-	state    []byte // the expanded state, for traces on terminal outcomes
+	work     // the expanded state; its bytes serve traces on terminal outcomes
 	err      error
 	deadlock bool
 	succs    []succ
@@ -127,18 +148,18 @@ func (c *collector) add(state []byte, rule int) {
 	c.succs = append(c.succs, succ{fp: Fingerprint(key), rule: int32(rule)})
 }
 
-// expand collects id's successors behind whatever is already collected.
+// expand collects w's successors behind whatever is already collected.
 // The expansion's succs alias the collector's list and get their bytes
 // from the next resolve. That serves the latest expansion of a
 // collection; an earlier one may have been left behind by the list's
 // growth, but its length is still right, and the lengths partition
 // resolve's result in expansion order.
-func (c *collector) expand(id int32, state []byte) expansion {
+func (c *collector) expand(w work) expansion {
 	from := len(c.succs)
-	n, err := c.exp.Expand(state, c.visit)
-	e := expansion{id: id, state: state, err: err}
+	n, err := c.exp.Expand(w.state, c.visit)
+	e := expansion{work: w, err: err}
 	if err == nil {
-		e.deadlock = n == 0 && !c.m.Quiescent(state)
+		e.deadlock = n == 0 && !c.m.Quiescent(w.state)
 		e.succs = c.succs[from:len(c.succs):len(c.succs)]
 	}
 	return e
@@ -166,16 +187,23 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	tc, _ := trace.TraceContextFrom(ctx)
 	s.lane = opts.Trace.Lane(tc.LanePrefix() + mainLane)
 	s.set = newVisitedStore(opts.Store, shards)
+	s.log.keep = !opts.DisableTraces
+	s.memLimit = memoryLimit()
 	s.tr = newTracker(opts, s.start, s.exp)
 	s.tr.lane = s.lane
 	s.tr.workers = health.NewWorkerSet(workers)
 	s.tr.setHealth = func(r *health.Report) {
-		st := s.set.stats()
-		r.ArenaBytes = st.arenaBytes
-		r.SetBytes = st.setBytes
+		r.ArenaBytes = s.set.st.arenaBytes
+		r.SetBytes = s.set.st.setBytes
+		r.FrontierBytes = s.frontierBytes()
 		r.LockWaitNS, r.LockWaitSamples = s.set.lockWait()
 	}
 	return s
+}
+
+// frontierBytes is what the search holds beside the visited set.
+func (s *search) frontierBytes() int64 {
+	return s.log.held + int64(cap(s.nodes))*12 + int64(cap(s.stack))*16 // a node, a ref
 }
 
 // seed stores the model's initial states.
@@ -193,13 +221,13 @@ func (s *search) seed() (Result, bool) {
 
 // settle probes digested successors of parent against the visited set
 // in order and stores the fresh ones at depth: one shard-grouped
-// insertBatch (which assigns ids len(nodes)+0,1,… to fresh entries in
-// request order, so the nodes appended below land exactly on their
-// ids), then the per-successor bookkeeping — rule firing, probe
-// accounting, node append, observer. The batch stops after the insert
+// insertBatch (which assigns ids stored+0,1,… to fresh entries in
+// request order, the order they are appended to the log below), then the
+// per-successor bookkeeping — rule firing, probe accounting, log append,
+// parent table or DFS stack, observer. The batch stops after the insert
 // that reaches MaxStates; the caller's next stop() ends the search. A
-// *CapacityError means nothing past the offending successor was
-// touched (its rule firing is still counted: fire precedes store).
+// *CapacityError means nothing past the offending successor was counted
+// (its rule firing still is: fire precedes store).
 func (s *search) settle(parent, depth int32, succs []succ) error {
 	s.ireqs = s.ireqs[:0]
 	for i := range succs {
@@ -208,29 +236,34 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 	}
 	limit := -1
 	if s.opts.MaxStates > 0 {
-		limit = s.opts.MaxStates - len(s.nodes)
+		limit = s.opts.MaxStates - s.stored
 	}
-	processed, _, err := s.set.insertBatch(s.ireqs, int32(len(s.nodes)), limit, &s.scratch)
+	processed, _, err := s.set.insertBatch(s.ireqs, int32(s.stored), limit, &s.scratch)
 	for i := 0; i < processed; i++ {
 		sc, r := &succs[i], &s.ireqs[i]
+		if r.fresh {
+			at := ref{id: int32(s.stored), depth: depth}
+			if at.pos, err = s.log.append(sc.state); err != nil {
+				processed = i
+				break
+			}
+			s.stored++
+			if s.log.keep {
+				s.nodes = append(s.nodes, node{at.pos, parent})
+			}
+			if s.opts.Strategy == DFS {
+				s.stack = append(s.stack, at)
+			} else if int(depth) == len(s.levels) {
+				s.levels = append(s.levels, at.id)
+			}
+			s.res.MaxDepth = max(s.res.MaxDepth, int(depth))
+		}
 		if parent >= 0 {
 			s.tr.fire(sc.rule)
 		}
-		switch {
-		case sc.dup:
-			s.tr.recordProbe(sc.fp, depth, false, sc.conflated)
-		case !r.fresh:
-			s.tr.recordProbe(sc.fp, depth, false, r.conflated)
-		default:
-			s.tr.recordProbe(sc.fp, depth, true, false)
-			state := append(make([]byte, 0, len(sc.state)), sc.state...)
-			s.nodes = append(s.nodes, node{state: state, parent: parent, depth: depth})
-			if int(depth) > s.res.MaxDepth {
-				s.res.MaxDepth = int(depth)
-			}
-			if s.opts.Observer != nil {
-				s.opts.Observer.Observe(state)
-			}
+		s.tr.recordProbe(sc.fp, depth, r.fresh, sc.conflated || r.conflated)
+		if r.fresh && s.opts.Observer != nil {
+			s.opts.Observer.Observe(sc.state)
 		}
 	}
 	if err != nil && parent >= 0 {
@@ -239,35 +272,55 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 	return err
 }
 
-// take hands node id's state to the scheduler for expansion, dropping
-// the node table's reference when traces do not need it.
-func (s *search) take(id int32) []byte {
-	n := &s.nodes[id]
-	state := n.state
-	if s.opts.DisableTraces {
-		n.state = nil
+// next takes the state under a BFS cursor and moves the cursor past it.
+func (s *search) next(c *ref) work {
+	for int(c.depth)+1 < len(s.levels) && c.id >= s.levels[c.depth+1] {
+		c.depth++
 	}
-	return state
+	w := work{ref: *c}
+	w.state, c.pos = s.log.read(c.pos)
+	c.id++
+	return w
 }
 
-// stop is the pre-expansion check: cancellation and the stored-state
-// bound end the search before the next state is merged, so
-// Result.States never exceeds MaxStates and always counts states
-// actually stored.
+// pop takes the top of the DFS stack. With traces off the log holds the
+// stack's bytes and nothing else, so the state moves to a buffer of its
+// own and the log is cut back to where its successors will go.
+func (s *search) pop() work {
+	w := work{ref: s.stack[len(s.stack)-1]}
+	s.stack = s.stack[:len(s.stack)-1]
+	w.state, _ = s.log.read(w.pos)
+	if !s.log.keep {
+		s.popped = append(s.popped[:0], w.state...)
+		w.state = s.popped
+		s.log.truncate(w.pos)
+	}
+	return w
+}
+
+// stop is the pre-expansion check: cancellation, the stored-state bound
+// and the memory limit end the search before the next state is merged,
+// so Result.States never exceeds MaxStates and always counts states
+// actually stored, and the held bytes (SetBytes + FrontierBytes) pass the
+// limit by less than one expansion's successors, not into the OOM killer.
 func (s *search) stop() (Result, bool) {
 	if err := s.ctx.Err(); err != nil {
 		return s.cancel(err), true
 	}
-	if s.opts.MaxStates > 0 && len(s.nodes) >= s.opts.MaxStates {
+	if s.set.st.setBytes+s.frontierBytes() >= s.memLimit {
+		s.res.Message = (&CapacityError{Limit: "memory", Max: s.memLimit}).Error()
+		return s.finish(Capacity), true
+	}
+	if s.opts.MaxStates > 0 && s.stored >= s.opts.MaxStates {
 		return s.finish(Bounded), true
 	}
 	return Result{}, false
 }
 
-// atDepthBound reports whether node id sits at MaxDepth and must not be
-// expanded.
-func (s *search) atDepthBound(id int32) bool {
-	if s.opts.MaxDepth > 0 && int(s.nodes[id].depth) >= s.opts.MaxDepth {
+// atDepthBound reports whether a state at depth sits at MaxDepth and
+// must not be expanded.
+func (s *search) atDepthBound(depth int32) bool {
+	if s.opts.MaxDepth > 0 && int(depth) >= s.opts.MaxDepth {
 		s.bounded = true
 		return true
 	}
@@ -290,27 +343,25 @@ func (s *search) merge(e *expansion) (Result, bool) {
 		return s.finish(Deadlock), true
 	}
 	s.tr.generated += int64(len(e.succs))
-	if err := s.settle(e.id, s.nodes[e.id].depth+1, e.succs); err != nil {
+	if err := s.settle(e.id, e.depth+1, e.succs); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true
 	}
 	return Result{}, false
 }
 
-// trace reconstructs the path from an initial state to node id, whose
-// state is last (the node table may no longer hold it).
+// trace reconstructs the path from an initial state to state id, whose
+// bytes are last, as copies: the log's bytes are only lent.
 func (s *search) trace(id int32, last []byte) [][]byte {
-	if s.opts.DisableTraces {
-		return [][]byte{last}
+	out := [][]byte{append([]byte(nil), last...)}
+	if !s.log.keep {
+		return out
 	}
-	var rev [][]byte
-	for cur := id; cur >= 0; cur = s.nodes[cur].parent {
-		rev = append(rev, s.nodes[cur].state)
+	for cur := s.nodes[id].parent; cur >= 0; cur = s.nodes[cur].parent {
+		state, _ := s.log.read(s.nodes[cur].pos)
+		out = append(out, append([]byte(nil), state...))
 	}
-	out := make([][]byte, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -329,9 +380,9 @@ func (s *search) exhausted() Result {
 }
 
 func (s *search) finish(o Outcome) Result {
-	s.lane.InstantArg("outcome/"+o.Tag(), "states", int64(len(s.nodes)))
+	s.lane.InstantArg("outcome/"+o.Tag(), "states", int64(s.stored))
 	s.res.Outcome = o
-	s.res.States = len(s.nodes)
+	s.res.States = s.stored
 	s.res.Duration = time.Since(s.start)
 	s.res.Stats = s.tr.finish(s.res.States, s.res.MaxDepth, s.res.Rules)
 	return s.res

@@ -153,8 +153,6 @@ type setShard struct {
 	entries []setEntry
 	chunks  [][]byte // canonical state bytes of entries
 	fill    arenaFill
-	keyLen  int64 // canonical bytes stored, for telemetry
-	bare    int   // states stored by fingerprint alone (negative m values)
 }
 
 // VisitedStore is the visited set (see the package comment above). The
@@ -173,6 +171,7 @@ type VisitedStore struct {
 	// keys, -1 for none (keep every key); retained is how much of it is
 	// spent. Store thread only.
 	budget, retained int64
+	st               setStats // the footprint so far; store thread only
 }
 
 // newVisitedStore builds a store of the given mode with shardCount(n)
@@ -248,23 +247,29 @@ func (sh *setShard) capacity(pending int, fill arenaFill, keyLen int) error {
 // state takes the fingerprint's map slot and nothing else. A retained
 // one is prepended to the fingerprint's chain (next = old head), so
 // chain iteration runs newest-first — ids stay stable regardless
-// because an equal key is never inserted twice.
-func (sh *setShard) append(fp uint64, key []byte, id int32, retain bool) {
+// because an equal key is never inserted twice. st is the store's
+// footprint, which append keeps.
+func (sh *setShard) append(fp uint64, key []byte, id int32, retain bool, st *setStats) {
+	st.entries++
 	if !retain {
 		sh.m[fp] = ^id
-		sh.bare++
+		st.setBytes += mapSlotSize
 		return
 	}
 	if sh.fill.add(len(key)) {
 		sh.chunks = append(sh.chunks, make([]byte, 0, max(arenaChunk, len(key))))
+		st.setBytes += int64(max(arenaChunk, len(key))) + sliceHeaderSize
 	}
 	last := len(sh.chunks) - 1
 	off := uint32(last)<<arenaChunkBits | uint32(len(sh.chunks[last]))
 	sh.chunks[last] = append(sh.chunks[last], key...)
-	sh.keyLen += int64(len(key))
+	st.arenaBytes += int64(len(key))
+	st.setBytes += setEntrySize
 	next := int32(-1)
 	if head, collision := sh.m[fp]; collision {
 		next = head
+	} else {
+		st.setBytes += mapSlotSize
 	}
 	sh.entries = append(sh.entries, setEntry{id: id, next: next, off: off, n: uint32(len(key))})
 	sh.m[fp] = int32(len(sh.entries) - 1)
@@ -334,7 +339,7 @@ func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fre
 		return 0, false, false, err
 	}
 	sh.mu.lock(fp)
-	sh.append(fp, key, id, retain)
+	sh.append(fp, key, id, retain, &s.st)
 	sh.mu.Unlock()
 	return id, true, false, nil
 }
@@ -416,7 +421,7 @@ pre:
 			sh.mu.lock(reqs[idx[0]].fp)
 			for _, i := range idx {
 				r := &reqs[i]
-				sh.append(r.fp, r.key, r.id, r.retain)
+				sh.append(r.fp, r.key, r.id, r.retain, &s.st)
 			}
 			sh.mu.Unlock()
 		})
@@ -424,30 +429,9 @@ pre:
 	return processed, fresh, err
 }
 
-// stats reports the stored state count and footprint across all
-// shards, for telemetry.
-func (s *VisitedStore) stats() setStats {
-	var st setStats
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		var chunkBytes int64
-		for _, c := range sh.chunks {
-			chunkBytes += int64(cap(c)) + sliceHeaderSize
-		}
-		st.entries += len(sh.entries) + sh.bare
-		st.arenaBytes += sh.keyLen
-		st.setBytes += chunkBytes +
-			int64(len(sh.entries))*setEntrySize + int64(len(sh.m))*mapSlotSize
-		sh.mu.RUnlock()
-	}
-	return st
-}
-
 // Stats reports the stored state count and approximate footprint.
 func (s *VisitedStore) Stats() (entries int, arenaBytes, setBytes int64) {
-	st := s.stats()
-	return st.entries, st.arenaBytes, st.setBytes
+	return s.st.entries, s.st.arenaBytes, s.st.setBytes
 }
 
 // lockWait sums the sampled lock-acquisition wait across all shards:

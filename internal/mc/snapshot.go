@@ -41,8 +41,11 @@ type Snapshot struct {
 	// RuleFirings attributes generated successors to the guarded rule
 	// that produced them, when the model implements NamedModel.
 	RuleFirings map[string]int64 `json:"rule_firings,omitempty"`
-	// HeapBytes is the process's live heap at snapshot time — the
-	// search's approximate memory footprint.
+	// HeapBytes is the whole process's heap in use at snapshot time
+	// (runtime HeapAlloc): garbage not yet swept is in it, and so is every
+	// other search running in the process (under vnserved, each concurrent
+	// job reports the sum of all of them). What this search holds is
+	// Health.SetBytes + Health.FrontierBytes.
 	HeapBytes uint64 `json:"heap_bytes"`
 	// Occupancy is the state observer's summary at snapshot time, when
 	// Options.Observer implements SummarizingObserver — for the ICN
@@ -52,8 +55,8 @@ type Snapshot struct {
 	// Health is the run's contention profile: per-stripe visited-set
 	// occupancy and dedup-hit histograms (identical across engines by
 	// construction), per-worker expand/queue-wait/send-wait times,
-	// visited-set footprint and shard lock-wait, and — for the
-	// pipelined engine — reorder-buffer stalls.
+	// visited-set and frontier footprint and shard lock-wait, and — for
+	// the pipelined engine — reorder-buffer stalls.
 	Health *health.Report `json:"health,omitempty"`
 	// Final marks the end-of-run snapshot stored in Result.Stats.
 	Final bool `json:"final"`

@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 )
 
@@ -51,12 +52,13 @@ func ParseStore(s string) (Store, error) {
 }
 
 // CapacityError is the typed error behind the Capacity outcome: the
-// visited set or the node table reached a hard implementation limit —
-// int32 node ids, int32 per-shard entry indices, or the per-shard
-// arena chunk count — and the search stopped instead of letting an index
-// silently wrap and corrupt collision chains.
+// visited set or the state log reached a hard implementation limit —
+// int32 node ids, int32 per-shard entry indices, the per-shard arena or
+// the log's chunk count — and the search stopped instead of letting an
+// index silently wrap and corrupt collision chains; or it reached the Go
+// memory limit, and stopped instead of being killed.
 type CapacityError struct {
-	Limit string // which limit tripped ("node ids", "shard entries", "shard arena chunks")
+	Limit string // "node ids", "shard entries", "shard arena chunks", "state log chunks", "memory"
 	Max   int64  // the limit's value
 }
 
@@ -88,6 +90,14 @@ var (
 	// sized — the point of hash compaction; a large budget would quietly
 	// turn the compact store back into the exact one.
 	compactVerifiedBudget = int64(64 << 10)
+	// logChunk sizes the state log's chunks (64 KiB is nothing to a small
+	// search and ~800 paper-sized states to a large one); maxLogChunks
+	// caps their count, a state's position carrying a uint32 chunk index.
+	logChunk     = 1 << 16
+	maxLogChunks = int64(math.MaxUint32)
+	// memoryLimit reads the Go memory limit (GOMEMLIMIT; math.MaxInt64
+	// when unset), which a search's held bytes must not pass.
+	memoryLimit = func() int64 { return debug.SetMemoryLimit(-1) }
 )
 
 // probeReq is one membership test in a batched read-only probe.

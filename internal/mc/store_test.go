@@ -79,7 +79,7 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 			t.Fatalf("overflow insert: err=%v", err)
 		}
 		// The failed insert must not have stored anything.
-		if st := s.stats(); st.entries != 3 {
+		if st := s.st; st.entries != 3 {
 			t.Fatalf("entries after failed insert: %d", st.entries)
 		}
 		// Duplicates of stored keys still resolve (no capacity consumed).
@@ -327,7 +327,7 @@ func TestCompactConflationWhenBudgetExhausted(t *testing.T) {
 	if id, hit, conf := probe(s, fp, b); !hit || !conf || id != 5 {
 		t.Fatalf("conflated probe: id=%d hit=%v conf=%v", id, hit, conf)
 	}
-	if st := s.stats(); st.entries != 1 || st.arenaBytes != 0 {
+	if st := s.st; st.entries != 1 || st.arenaBytes != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -345,7 +345,7 @@ func TestCompactVerifiedChainUnderBudget(t *testing.T) {
 	if id, hit, conf := probe(s, fp, b); !hit || conf || id != 6 {
 		t.Fatalf("collider probe: id=%d hit=%v conf=%v", id, hit, conf)
 	}
-	if st := s.stats(); st.entries != 2 || st.arenaBytes != 6 {
+	if st := s.st; st.entries != 2 || st.arenaBytes != 6 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -450,7 +450,7 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 				if nextB != nextS {
 					t.Fatalf("fresh counts diverge: %d vs %d", nextB, nextS)
 				}
-				bs, ss := batched.stats(), single.stats()
+				bs, ss := batched.st, single.st
 				if bs.entries != ss.entries || bs.arenaBytes != ss.arenaBytes {
 					t.Fatalf("stats diverge: %+v vs %+v", bs, ss)
 				}
@@ -499,7 +499,7 @@ func TestInsertBatchLimit(t *testing.T) {
 	if err != nil || processed != 4 || fresh != 4 {
 		t.Fatalf("processed=%d fresh=%d err=%v, want 4/4", processed, fresh, err)
 	}
-	if st := s.stats(); st.entries != 4 {
+	if st := s.st; st.entries != 4 {
 		t.Fatalf("entries=%d, want 4 (limit must stop inserts too)", st.entries)
 	}
 }

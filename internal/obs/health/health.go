@@ -87,6 +87,12 @@ type Report struct {
 	// canonical bytes plus index structures — the number the
 	// exact-vs-compact store comparison is about.
 	SetBytes int64 `json:"set_bytes,omitempty"`
+	// FrontierBytes is what the search holds beside the visited set:
+	// the state log's chunks (stored states not yet expanded — every
+	// stored state with traces on) plus the parent table and DFS stack.
+	// Exact, read off the structures. (SetBytes + FrontierBytes) / states
+	// is the search's resident bytes per stored state, by structure.
+	FrontierBytes int64 `json:"frontier_bytes,omitempty"`
 	// UnverifiedHits counts duplicate verdicts the compact store could
 	// not byte-verify (hash-compaction conflations). Always 0 for the
 	// exact store; deterministic and identical across engines for the
@@ -281,6 +287,7 @@ func (r *Report) Merge(o *Report) {
 	}
 	r.ArenaBytes += o.ArenaBytes
 	r.SetBytes += o.SetBytes
+	r.FrontierBytes += o.FrontierBytes
 	r.UnverifiedHits += o.UnverifiedHits
 	r.LockWaitNS += o.LockWaitNS
 	r.LockWaitSamples += o.LockWaitSamples

@@ -101,3 +101,14 @@ func TestResummarize(t *testing.T) {
 			want.OccMin, want.OccMax, want.OccMean, want.OccCV)
 	}
 }
+
+// TestMergeSumsFootprint: the three footprint fields add across the
+// reports of a partitioned run, so a merged record still answers "bytes
+// per stored state, by structure".
+func TestMergeSumsFootprint(t *testing.T) {
+	r := Report{ArenaBytes: 10, SetBytes: 30, FrontierBytes: 7}
+	r.Merge(&Report{ArenaBytes: 1, SetBytes: 2, FrontierBytes: 3})
+	if r.ArenaBytes != 11 || r.SetBytes != 32 || r.FrontierBytes != 10 {
+		t.Fatalf("merged footprint = arena %d, set %d, frontier %d", r.ArenaBytes, r.SetBytes, r.FrontierBytes)
+	}
+}

@@ -223,8 +223,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// HeapBytes reports the current live-heap allocation — the search's
-// approximate memory footprint. It calls runtime.ReadMemStats, which
+// HeapBytes reports the process's heap in use (runtime HeapAlloc): every
+// search in the process, and garbage not yet swept. It is not one
+// search's footprint. It calls runtime.ReadMemStats, which
 // briefly stops the world, so call it at snapshot granularity, not per
 // state.
 func HeapBytes() uint64 {
