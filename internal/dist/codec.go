@@ -7,10 +7,10 @@ import (
 )
 
 // Frontier batch wire format. A batch carries states generated at one
-// depth by one worker for one owner, as raw canonical state bytes —
-// the receiver recomputes the canonical key and fingerprint with its
-// own (identical, see buildSystem) system, so the wire never has
-// to be trusted about ownership or identity.
+// depth by one worker for one owner, as raw state bytes — the receiver
+// recomputes the canonical key and fingerprint with its own
+// (identical, see buildSystem) system, so the wire never has to be
+// trusted about ownership or identity.
 //
 //	magic   "MVNF" (4 bytes)
 //	version uvarint (currently 1)
@@ -69,7 +69,8 @@ func clampInt(v uint64) int {
 	return int(v)
 }
 
-// batch is a decoded frontier message.
+// batch is a decoded frontier message. Its States alias the body it was
+// decoded from.
 type batch struct {
 	From   int
 	Depth  int
@@ -77,36 +78,70 @@ type batch struct {
 	States [][]byte
 }
 
-// encodeBatch serializes b. Callers keep batches under the caps by
-// construction (flushEntries < MaxBatchEntries); encode still enforces
-// them so a bug here can never emit a batch its peer must reject.
-func encodeBatch(b *batch) ([]byte, error) {
-	if len(b.States) > MaxBatchEntries {
-		return nil, &LimitError{Section: "entries", Count: len(b.States), Max: MaxBatchEntries}
+// appendEntry appends s to dst in an entry's wire form: uvarint length,
+// then the bytes. A sender builds a batch's entries this way as it
+// generates them, and encodeBatch frames them.
+func appendEntry(dst, s []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// encodeBatch frames count entries, already in wire form (appendEntry),
+// as one batch, in a new buffer: the caller may reuse entries at once,
+// and the result is never written again, so a retried or still
+// in-flight send can read it for as long as it likes. Callers keep
+// batches under the caps by construction (flushEntries <
+// MaxBatchEntries); encode still enforces them, walking the entries
+// with the decoder's own parser, so a bug here can never emit a batch
+// its peer must reject.
+func encodeBatch(from, depth int, seq uint64, count int, entries []byte) ([]byte, error) {
+	if count > MaxBatchEntries {
+		return nil, &LimitError{Section: "entries", Count: count, Max: MaxBatchEntries}
 	}
-	out := make([]byte, 0, 64+len(b.States)*24)
+	out := make([]byte, 0, 5*binary.MaxVarintLen64+len(frontierMagic)+len(entries))
 	out = append(out, frontierMagic...)
 	out = binary.AppendUvarint(out, frontierVersion)
-	out = binary.AppendUvarint(out, uint64(b.From))
-	out = binary.AppendUvarint(out, uint64(b.Depth))
-	out = binary.AppendUvarint(out, b.Seq)
-	out = binary.AppendUvarint(out, uint64(len(b.States)))
-	for _, s := range b.States {
-		if len(s) > MaxEntryBytes {
-			return nil, &LimitError{Section: "entry bytes", Count: len(s), Max: MaxEntryBytes}
+	out = binary.AppendUvarint(out, uint64(from))
+	out = binary.AppendUvarint(out, uint64(depth))
+	out = binary.AppendUvarint(out, seq)
+	out = binary.AppendUvarint(out, uint64(count))
+	rest := entries
+	for i := 0; i < count; i++ {
+		var err error
+		if _, rest, err = nextEntry(rest, i); err != nil {
+			return nil, err
 		}
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
 	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("dist: frontier batch: %d bytes past %d entries", len(rest), count)
+	}
+	out = append(out, entries...)
 	if len(out) > MaxBatchBytes {
 		return nil, &LimitError{Section: "batch bytes", Count: len(out), Max: MaxBatchBytes}
 	}
 	return out, nil
 }
 
+// nextEntry splits entry i off the front of rest, enforcing the entry
+// cap before anything of it is used.
+func nextEntry(rest []byte, i int) (entry, tail []byte, err error) {
+	n, w := binary.Uvarint(rest)
+	if w <= 0 {
+		return nil, nil, fmt.Errorf("dist: frontier batch: truncated entry length")
+	}
+	if n > MaxEntryBytes {
+		return nil, nil, &LimitError{Section: "entry bytes", Count: clampInt(n), Max: MaxEntryBytes}
+	}
+	rest = rest[w:]
+	if uint64(len(rest)) < n {
+		return nil, nil, fmt.Errorf("dist: frontier batch: truncated entry %d (%d of %d bytes)", i, len(rest), n)
+	}
+	return rest[:n:n], rest[n:], nil
+}
+
 // decodeBatch parses an encoded batch, enforcing every cap before the
-// corresponding allocation. The input slice is not retained; entry
-// bytes are copied out.
+// corresponding allocation. Entries are lent, not copied: each aliases
+// data, which must stay unmodified until the last of them has been
+// settled — for a worker, until the level is promoted.
 func decodeBatch(data []byte) (*batch, error) {
 	if len(data) > MaxBatchBytes {
 		return nil, &LimitError{Section: "batch bytes", Count: len(data), Max: MaxBatchBytes}
@@ -149,20 +184,11 @@ func decodeBatch(data []byte) (*batch, error) {
 	if count > MaxBatchEntries {
 		return nil, &LimitError{Section: "entries", Count: clampInt(count), Max: MaxBatchEntries}
 	}
-	b := &batch{From: int(from), Depth: int(depth), Seq: seq, States: make([][]byte, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		n, err := next("entry length")
-		if err != nil {
+	b := &batch{From: int(from), Depth: int(depth), Seq: seq, States: make([][]byte, count)}
+	for i := range b.States {
+		if b.States[i], rest, err = nextEntry(rest, i); err != nil {
 			return nil, err
 		}
-		if n > MaxEntryBytes {
-			return nil, &LimitError{Section: "entry bytes", Count: clampInt(n), Max: MaxEntryBytes}
-		}
-		if uint64(len(rest)) < n {
-			return nil, fmt.Errorf("dist: frontier batch: truncated entry %d (%d of %d bytes)", i, len(rest), n)
-		}
-		b.States = append(b.States, append([]byte(nil), rest[:n]...))
-		rest = rest[n:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("dist: frontier batch: %d trailing bytes", len(rest))

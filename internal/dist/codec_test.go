@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -16,6 +18,16 @@ func mkBatch(from, depth int, seq uint64, states ...string) *batch {
 	return b
 }
 
+// encode frames b through the worker's own encoder: its entries in wire
+// form, then the one encodeBatch.
+func encode(b *batch) ([]byte, error) {
+	var entries []byte
+	for _, s := range b.States {
+		entries = appendEntry(entries, s)
+	}
+	return encodeBatch(b.From, b.Depth, b.Seq, len(b.States), entries)
+}
+
 func TestFrontierRoundTrip(t *testing.T) {
 	cases := []*batch{
 		mkBatch(0, 0, 0),
@@ -23,7 +35,7 @@ func TestFrontierRoundTrip(t *testing.T) {
 		mkBatch(1, 2, 3, strings.Repeat("s", MaxEntryBytes)),
 	}
 	for _, in := range cases {
-		data, err := encodeBatch(in)
+		data, err := encode(in)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -40,11 +52,23 @@ func TestFrontierRoundTrip(t *testing.T) {
 				t.Fatalf("state %d mismatch", i)
 			}
 		}
+		// Entries are lent from the body, not copied out of it: flipping
+		// every body byte flips every entry byte.
+		for i := range data {
+			data[i] ^= 0xff
+		}
+		for i, s := range out.States {
+			for j := range s {
+				if s[j] != in.States[i][j]^0xff {
+					t.Fatalf("state %d does not alias the body", i)
+				}
+			}
+		}
 	}
 }
 
 func TestFrontierDecodeRejectsAbuse(t *testing.T) {
-	valid, err := encodeBatch(mkBatch(1, 2, 3, "state-a", "state-b"))
+	valid, err := encode(mkBatch(1, 2, 3, "state-a", "state-b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +141,68 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 		}
 	})
 
+	t.Run("encode-count-mismatch", func(t *testing.T) {
+		entries := appendEntry(nil, []byte("only-one"))
+		for _, count := range []int{0, 2} {
+			if _, err := encodeBatch(0, 0, 0, count, entries); err == nil {
+				t.Fatalf("encode framed one entry as %d", count)
+			}
+		}
+	})
+
+	t.Run("encode-oversized-entry", func(t *testing.T) {
+		entries := appendEntry(nil, make([]byte, MaxEntryBytes+1))
+		_, err := encodeBatch(0, 0, 0, 1, entries)
+		var le *LimitError
+		if !errors.As(err, &le) || le.Section != "entry bytes" {
+			t.Fatalf("want entry-bytes LimitError, got %v", err)
+		}
+	})
+
 	t.Run("encode-too-many-entries", func(t *testing.T) {
 		b := &batch{States: make([][]byte, MaxBatchEntries+1)}
-		_, err := encodeBatch(b)
+		_, err := encode(b)
 		var le *LimitError
 		if !errors.As(err, &le) || le.Section != "entries" {
 			t.Fatalf("want entries LimitError, got %v", err)
 		}
 	})
+}
+
+// endlessReader yields zeros forever and counts what it handed out.
+type endlessReader struct{ n int64 }
+
+func (r *endlessReader) Read(p []byte) (int, error) {
+	clear(p)
+	r.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestFrontierOversizedBody pins that an over-cap frontier body is
+// answered 413 without being read past the cap: not at all when its
+// length is declared, through the limited read when it is not.
+func TestFrontierOversizedBody(t *testing.T) {
+	h := NewWorker().Handler()
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		maxRead  int64
+	}{
+		{"declared", MaxBatchBytes + 1, 0},
+		{"unknown-length", -1, MaxBatchBytes + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &endlessReader{}
+			req := httptest.NewRequest(http.MethodPost, "/dist/v1/frontier", body)
+			req.ContentLength = tc.declared
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d (%s), want 413", rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+			if body.n > tc.maxRead {
+				t.Fatalf("read %d body bytes, at most %d allowed", body.n, tc.maxRead)
+			}
+		})
+	}
 }

@@ -16,7 +16,7 @@ import (
 // cover the abuse classes the caps exist for: truncated batches,
 // headers with oversized counts, and cap-triggering entry lengths.
 func FuzzFrontierDecode(f *testing.F) {
-	valid, err := encodeBatch(mkBatch(1, 3, 9, "state-a", "state-b", ""))
+	valid, err := encode(mkBatch(1, 3, 9, "state-a", "state-b", ""))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func FuzzFrontierDecode(f *testing.F) {
 			}
 			return
 		}
-		re, err := encodeBatch(b)
+		re, err := encode(b)
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}

@@ -1,0 +1,107 @@
+package dist_test
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"testing"
+
+	"minvn/internal/dist"
+	"minvn/internal/mc"
+)
+
+// TestDistAllocsPerState is the ceiling on what a distributed search
+// allocates per stored state — coordinator, transport and both workers,
+// all in this process — so the workers' copy-only-what-is-stored path
+// cannot silently erode. A count read off the allocator, so it holds on
+// a loaded box; the ceiling is 1.2x what the code made when this was
+// written (1.45 mallocs per state, nearly all of them the per-level
+// control calls and per-batch requests), against 6.46 when every
+// generated successor was an exact-size copy of its own.
+func TestDistAllocsPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	cfg := minimalConfig(t, "CXL_cache", 3, 1, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := dist.Check(context.Background(), dist.Job{
+		Config: cfg, Options: mc.Options{DisableTraces: true}, Workers: 2,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != mc.Complete || res.States != 44_719 {
+		t.Fatalf("unexpected run: %v", res)
+	}
+	mallocs := float64(after.Mallocs-before.Mallocs) / float64(res.States)
+	t.Logf("%.3f mallocs, %.0f B allocated per stored state", mallocs,
+		float64(after.TotalAlloc-before.TotalAlloc)/float64(res.States))
+	if mallocs > 1.75 {
+		t.Errorf("%.3f mallocs per stored state, ceiling 1.75", mallocs)
+	}
+}
+
+// TestDistFrontierBytes pins what a worker counts beside its visited set
+// (Health.FrontierBytes: its frontier, candidate arena and pending peer
+// buffers) and that the coordinator's
+// merged report is the workers' sum, read off each worker's last settle
+// response on the wire.
+func TestDistFrontierBytes(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	reported := make([]int64, 2)
+	var peers []string
+	for i := range reported {
+		i, h := i, dist.NewWorker().Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/dist/v1/settle" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var out struct {
+				Stats struct {
+					Health struct {
+						FrontierBytes int64 `json:"frontier_bytes"`
+					} `json:"health"`
+				} `json:"stats"`
+			}
+			if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &out) == nil {
+				mu.Lock()
+				reported[i] = out.Stats.Health.FrontierBytes
+				mu.Unlock()
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		}))
+		t.Cleanup(srv.Close)
+		peers = append(peers, srv.URL)
+	}
+	res, err := dist.Check(context.Background(), dist.Job{
+		Config:  minimalConfig(t, "CXL_cache", 3, 1, 1),
+		Options: mc.Options{MaxDepth: 20, DisableTraces: true},
+		Peers:   peers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != mc.Bounded || res.Stats.Frontier == 0 {
+		t.Fatalf("unexpected run: %v, frontier %d", res, res.Stats.Frontier)
+	}
+	merged := res.Stats.Health.FrontierBytes
+	t.Logf("frontier bytes %v, merged %d, %d states in the frontier", reported, merged, res.Stats.Frontier)
+	for i, b := range reported {
+		if b <= 0 {
+			t.Errorf("worker %d reported %d frontier bytes", i, b)
+		}
+	}
+	if merged != reported[0]+reported[1] {
+		t.Errorf("merged frontier bytes %d, workers reported %v", merged, reported)
+	}
+}

@@ -165,11 +165,9 @@ type workerRun struct {
 
 	ctrlMu   sync.Mutex
 	depth    int      // depth of the states in frontier
-	frontier [][]byte // settled states awaiting expansion
-	next     [][]byte // freshly settled states for depth+1
+	frontier levelLog // settled states awaiting expansion
 	expanded bool     // expand(depth) done, settle(depth) pending
-
-	candLocal [][]byte // self-owned successors, generation order
+	cands    candidates
 
 	candMu      sync.Mutex
 	recvSeen    map[int]map[uint64]bool // sender → batch seqs already applied
@@ -194,8 +192,75 @@ type workerRun struct {
 
 	peers   []string
 	client  *http.Client
-	seq     uint64     // next frontier batch sequence (unique across the run)
-	pending [][][]byte // per-peer unflushed states
+	seq     uint64   // next frontier batch sequence (unique across the run)
+	pending []outbox // per-peer unflushed states
+}
+
+// levelLog is one BFS level's states back to back in one byte slice,
+// in storage order: the level-synchronous counterpart of mc's stateLog.
+// A worker's frontier is one: expand reads it, and settle rebuilds it
+// in place — by then every state in it has been expanded — so its bytes
+// are reused level after level and a stored state is copied once.
+type levelLog struct {
+	buf  []byte
+	ends []int
+}
+
+func (l *levelLog) reset() { l.buf, l.ends = l.buf[:0], l.ends[:0] }
+
+func (l *levelLog) add(s []byte) {
+	l.buf = append(l.buf, s...)
+	l.ends = append(l.ends, len(l.buf))
+}
+
+func (l *levelLog) held() int64 { return int64(cap(l.buf) + 8*cap(l.ends)) }
+
+// candidates are a level's self-owned successors in generation order,
+// kept the way mc's collector keeps them so settle can store one
+// without canonicalizing it again: raw bytes and, when it differs, the
+// canonical key back to back in one arena, plus the fingerprint. The
+// arena is reused level after level.
+type candidates struct {
+	arena []byte
+	spans []candSpan
+}
+
+// candSpan locates one candidate: raw bytes in arena[lo:mid], its key in
+// arena[mid:end], or the raw bytes again when mid == end.
+type candSpan struct {
+	lo, mid, end int
+	fp           uint64
+}
+
+func (c *candidates) reset() { c.arena, c.spans = c.arena[:0], c.spans[:0] }
+
+// add copies a lent successor and its key (which may alias it) in.
+func (c *candidates) add(raw, key []byte, fp uint64) {
+	lo := len(c.arena)
+	c.arena = append(c.arena, raw...)
+	mid := len(c.arena)
+	if &key[0] != &raw[0] {
+		c.arena = append(c.arena, key...)
+	}
+	c.spans = append(c.spans, candSpan{lo, mid, len(c.arena), fp})
+}
+
+// at returns the bytes sp locates, valid until the next add or reset.
+func (c *candidates) at(sp candSpan) (raw, key []byte) {
+	raw = c.arena[sp.lo:sp.mid:sp.mid]
+	if sp.mid == sp.end {
+		return raw, raw
+	}
+	return raw, c.arena[sp.mid:sp.end:sp.end]
+}
+
+func (c *candidates) held() int64 { return int64(cap(c.arena) + 32*cap(c.spans)) } // a candSpan is 32 B
+
+// outbox is one peer's unflushed successors, already in entry wire form
+// (appendEntry); the buffer is reused once a flush has framed it.
+type outbox struct {
+	entries []byte
+	n       int
 }
 
 func httpError(rw http.ResponseWriter, code int, format string, args ...any) {
@@ -258,7 +323,7 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 		wset:        health.NewWorkerSet(1),
 		peers:       in.Peers,
 		client:      &http.Client{Timeout: 30 * time.Second},
-		pending:     make([][][]byte, in.Workers),
+		pending:     make([]outbox, in.Workers),
 	}
 	if in.Occupancy {
 		r.prof = sys.NewOccupancyProfiler()
@@ -268,10 +333,12 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 	// across the fleet is exactly the sequential engine's initial
 	// frontier, each state probed at exactly one owner.
 	for _, s := range sys.Initial() {
-		if mc.OwnerOf(mc.Fingerprint(r.canonical(s)), r.n) != r.self {
+		key := r.canonical(s)
+		fp := mc.Fingerprint(key)
+		if mc.OwnerOf(fp, r.n) != r.self {
 			continue
 		}
-		if err := r.settleOne(s, 0); err != nil {
+		if err := r.store(s, key, fp, 0); err != nil {
 			httpError(rw, http.StatusInternalServerError, "init: %v", err)
 			return
 		}
@@ -308,13 +375,13 @@ func (r *workerRun) canonical(s []byte) []byte {
 	return ck
 }
 
-// settleOne probes one candidate at the given depth, storing it if
-// fresh — the distributed counterpart of the sequential engine's push.
-func (r *workerRun) settleOne(s []byte, depth int) error {
-	ck := r.canonical(s)
-	fp := mc.Fingerprint(ck)
+// store probes one candidate at the given depth by its canonical key
+// and fingerprint and, if it is fresh, copies its raw bytes into the
+// frontier — the only copy a stored state gets, and the distributed
+// counterpart of the sequential engine's settle.
+func (r *workerRun) store(s, key []byte, fp uint64, depth int) error {
 	r.probes++
-	_, fresh, conflated, err := r.visited.Insert(fp, ck, int32(r.states))
+	_, fresh, conflated, err := r.visited.Insert(fp, key, int32(r.states))
 	if err != nil {
 		return err
 	}
@@ -335,21 +402,20 @@ func (r *workerRun) settleOne(s []byte, depth int) error {
 	if depth > r.maxDepth {
 		r.maxDepth = depth
 	}
-	r.next = append(r.next, s)
+	r.frontier.add(s)
 	if r.prof != nil {
 		r.prof.Observe(s)
 	}
 	return nil
 }
 
-// promote installs the settled next level as the current frontier at
-// the given depth and resets the per-level exchange state. The depth
-// write happens under candMu (in addition to the caller's ctrlMu)
-// because the frontier handler reads it under candMu alone.
+// promote makes the settled frontier the one at the given depth, empties
+// the candidate arena and drops the received batches, whose bodies their
+// entries alias. The depth write happens under candMu (in addition to
+// the caller's ctrlMu) because the frontier handler reads it under
+// candMu alone.
 func (r *workerRun) promote(depth int) {
-	r.frontier = r.next
-	r.next = nil
-	r.candLocal = nil
+	r.cands.reset()
 	r.expanded = false
 	r.candMu.Lock()
 	r.depth = depth
@@ -357,6 +423,19 @@ func (r *workerRun) promote(depth int) {
 	r.recvBatches = make(map[int][]*batch)
 	r.recvEntries = 0
 	r.candMu.Unlock()
+}
+
+// heldBytes is what the worker holds beside its visited set: the
+// frontier, the candidate arena and the pending peer buffers, each at
+// its capacity, the way mc counts its state log's free chunks. Received
+// batch bodies are not among them: a worker reports only after promote
+// has dropped them.
+func (r *workerRun) heldBytes() int64 {
+	n := r.frontier.held() + r.cands.held()
+	for _, o := range r.pending {
+		n += int64(cap(o.entries))
+	}
+	return n
 }
 
 func (r *workerRun) stats() statsBlock {
@@ -367,6 +446,7 @@ func (r *workerRun) stats() statsBlock {
 	_, arena, setB := r.visited.Stats()
 	hr.ArenaBytes = arena
 	hr.SetBytes = setB
+	hr.FrontierBytes = r.heldBytes()
 	b := statsBlock{
 		States:     r.states,
 		Expansions: r.expansions,
@@ -376,7 +456,7 @@ func (r *workerRun) stats() statsBlock {
 		MaxDepth:   r.maxDepth,
 		DepthHist:  append([]int64(nil), r.depthHist...),
 		Health:     hr,
-		Frontier:   len(r.frontier),
+		Frontier:   len(r.frontier.ends),
 	}
 	// Rule names are resolved here, where the block is reported: the wire
 	// carries firings by name.
@@ -427,22 +507,27 @@ func (w *Worker) handleExpand(rw http.ResponseWriter, req *http.Request) {
 // frontier state, keep self-owned successors, and ship the rest to
 // their owners. Every shipped batch is acknowledged before expand
 // returns, so once all expand responses are in, every candidate for
-// the next depth has landed at its owner. Unlike the in-process
-// engines the worker keeps every successor it generates — as a local
-// candidate or in a peer's pending batch — so it copies each out of the
-// expansion's work buffer at exact size; only the key is transient.
+// the next depth has landed at its owner. The visit canonicalizes and
+// fingerprints each successor once, in the machine's work buffer: a
+// self-owned one goes to the candidate arena with its key and
+// fingerprint, which settle stores from; a peer's is appended in wire
+// form to that peer's pending buffer. Nothing is allocated per
+// successor once the buffers are warm.
 func (r *workerRun) expand() expandResp {
 	resp := expandResp{Sent: make([]int, r.n)}
 	visit := func(succ []byte, rule int) {
 		r.rules[rule]++
-		owner := mc.OwnerOf(mc.Fingerprint(r.canonical(succ)), r.n)
-		s := append(make([]byte, 0, len(succ)), succ...)
+		key := r.canonical(succ)
+		fp := mc.Fingerprint(key)
+		owner := mc.OwnerOf(fp, r.n)
 		if owner == r.self {
-			r.candLocal = append(r.candLocal, s)
+			r.cands.add(succ, key, fp)
 			return
 		}
 		resp.Sent[owner]++
-		r.pending[owner] = append(r.pending[owner], s)
+		o := &r.pending[owner]
+		o.entries = appendEntry(o.entries, succ)
+		o.n++
 	}
 	flushAll := func() error {
 		for p := range r.pending {
@@ -452,7 +537,10 @@ func (r *workerRun) expand() expandResp {
 		}
 		return nil
 	}
-	for _, st := range r.frontier {
+	lo := 0
+	for _, hi := range r.frontier.ends {
+		st := r.frontier.buf[lo:hi:hi]
+		lo = hi
 		if r.canceled.Load() {
 			resp.SendFailed = "run canceled"
 			return resp
@@ -483,7 +571,7 @@ func (r *workerRun) expand() expandResp {
 		// Flushing between expansions keeps network I/O out of the visit;
 		// a batch overshoots flushEntries by less than one state's fan-out.
 		for p := range r.pending {
-			if len(r.pending[p]) < flushEntries {
+			if r.pending[p].n < flushEntries {
 				continue
 			}
 			if err := r.flush(p); err != nil {
@@ -503,15 +591,18 @@ func (r *workerRun) expand() expandResp {
 // flush ships the pending states for one peer as a frontier batch,
 // retrying with backoff. Sends to one peer are strictly sequential
 // (the next batch is not built until this one is acknowledged), so
-// per-sender arrival order equals sequence order.
+// per-sender arrival order equals sequence order. The pending buffer is
+// reused at once: encodeBatch framed a copy, which no later batch
+// overwrites, because net/http may still read a request body after Do
+// has returned an error.
 func (r *workerRun) flush(peer int) error {
-	if len(r.pending[peer]) == 0 {
+	o := &r.pending[peer]
+	if o.n == 0 {
 		return nil
 	}
-	b := &batch{From: r.self, Depth: r.depth, Seq: r.seq, States: r.pending[peer]}
+	data, err := encodeBatch(r.self, r.depth, r.seq, o.n, o.entries)
 	r.seq++
-	r.pending[peer] = nil
-	data, err := encodeBatch(b)
+	o.entries, o.n = o.entries[:0], 0
 	if err != nil {
 		return err
 	}
@@ -547,13 +638,34 @@ func (r *workerRun) flush(peer int) error {
 		peer, sendRetries+1, lastErr)
 }
 
-func (w *Worker) handleFrontier(rw http.ResponseWriter, req *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
-	if err != nil {
-		httpError(rw, http.StatusBadRequest, "read batch: %v", err)
-		return
+// readBatch reads a frontier body into one buffer: exactly the declared
+// length when there is one (refused before a byte is read if it is over
+// the cap), else a limited read that decodeBatch refuses if it is.
+func readBatch(req *http.Request) ([]byte, error) {
+	n := req.ContentLength
+	if n > MaxBatchBytes {
+		return nil, &LimitError{Section: "batch bytes", Count: clampInt(uint64(n)), Max: MaxBatchBytes}
 	}
-	b, err := decodeBatch(data)
+	var data []byte
+	var err error
+	if n >= 0 {
+		data = make([]byte, n)
+		_, err = io.ReadFull(req.Body, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("read batch: %w", err)
+	}
+	return data, nil
+}
+
+func (w *Worker) handleFrontier(rw http.ResponseWriter, req *http.Request) {
+	data, err := readBatch(req)
+	var b *batch
+	if err == nil {
+		b, err = decodeBatch(data)
+	}
 	if err != nil {
 		code := http.StatusBadRequest
 		var le *LimitError
@@ -624,35 +736,45 @@ func (w *Worker) handleSettle(rw http.ResponseWriter, req *http.Request) {
 			in.Depth, got, in.Expect)
 		return
 	}
-	// Settle deterministically: local candidates in generation order,
-	// then received batches by (sender asc, sequence asc). Every pinned
-	// statistic is order-independent (see the package comment); the
-	// fixed order buys bit-reproducibility of the stored byte arenas
-	// across identical runs.
 	nextDepth := r.depth + 1
-	settle := func(states [][]byte) bool {
-		for _, s := range states {
-			if err := r.settleOne(s, nextDepth); err != nil {
-				httpError(rw, http.StatusInsufficientStorage, "settle: %v", err)
-				return false
-			}
-		}
-		return true
-	}
-	if !settle(r.candLocal) {
+	if err := r.settle(batches, nextDepth); err != nil {
+		httpError(rw, http.StatusInsufficientStorage, "settle: %v", err)
 		return
+	}
+	r.promote(nextDepth)
+	writeJSON(rw, settleResp{Stats: r.stats(), Frontier: len(r.frontier.ends)})
+}
+
+// settle stores the level's fresh candidates as the frontier at depth,
+// in a fixed order: local candidates in generation order, then received
+// batches by (sender asc, sequence asc). The order is load-bearing:
+// under symmetry reduction it decides which orbit representative is
+// stored, and with it the state counts (package comment, "Parity";
+// TestDistStoredCounts). Every state in the frontier has been expanded,
+// so the next level is built in its place. Local candidates come with
+// their key and fingerprint; a received state's are recomputed here, so
+// the wire is never trusted about identity or ownership.
+func (r *workerRun) settle(batches map[int][]*batch, depth int) error {
+	r.frontier.reset()
+	for _, sp := range r.cands.spans {
+		raw, key := r.cands.at(sp)
+		if err := r.store(raw, key, sp.fp, depth); err != nil {
+			return err
+		}
 	}
 	for from := 0; from < r.n; from++ {
 		bs := batches[from]
 		sort.Slice(bs, func(i, j int) bool { return bs[i].Seq < bs[j].Seq })
 		for _, b := range bs {
-			if !settle(b.States) {
-				return
+			for _, s := range b.States {
+				key := r.canonical(s)
+				if err := r.store(s, key, mc.Fingerprint(key), depth); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	r.promote(nextDepth)
-	writeJSON(rw, settleResp{Stats: r.stats(), Frontier: len(r.frontier)})
+	return nil
 }
 
 func (w *Worker) handleCancel(rw http.ResponseWriter, req *http.Request) {

@@ -89,7 +89,9 @@ type Report struct {
 	SetBytes int64 `json:"set_bytes,omitempty"`
 	// FrontierBytes is what the search holds beside the visited set:
 	// the state log's chunks (stored states not yet expanded — every
-	// stored state with traces on) plus the parent table and DFS stack.
+	// stored state with traces on) plus the parent table and DFS stack;
+	// on a dist worker, its frontier, candidate arena and pending peer
+	// batches, each buffer at its capacity.
 	// Exact, read off the structures. (SetBytes + FrontierBytes) / states
 	// is the search's resident bytes per stored state, by structure.
 	FrontierBytes int64 `json:"frontier_bytes,omitempty"`
