@@ -121,10 +121,9 @@ type System struct {
 	// and the network, which holds `queues` FIFOs.
 	l2Off, dirOff, netOff, queues int
 
-	// expandPool and canonPool recycle the scratch of expansion and of
-	// the canonicalizer across (possibly concurrent) calls.
+	// expandPool recycles the scratch of expansion across (possibly
+	// concurrent) calls.
 	expandPool sync.Pool
-	canonPool  sync.Pool
 }
 
 // New validates cfg and builds a system.
@@ -218,7 +217,6 @@ func New(cfg Config) (*System, error) {
 		s.perms = permutations(cfg.Caches)
 	}
 	s.expandPool.New = func() any { return s.newScratch() }
-	s.canonPool.New = func() any { return &canonScratch{} }
 	return s, nil
 }
 

@@ -285,8 +285,8 @@ const (
 	// the context error.
 	Canceled
 	// Capacity: the visited set or state log reached a hard
-	// implementation limit (int32 node ids / entry indices, uint32 arena
-	// offsets) or the Go memory limit — see CapacityError — and the search
+	// implementation limit (int32 node ids, a shard's slot table, uint32
+	// arena locations) or the Go memory limit — see CapacityError — and the search
 	// stopped rather than wrap indices or be killed. No deadlock or violation
 	// was found in the states explored; Result.Message names the limit.
 	Capacity
@@ -326,7 +326,7 @@ func (o Outcome) String() string {
 	case Canceled:
 		return "canceled before completion"
 	case Capacity:
-		return "stopped at a visited-set capacity limit"
+		return "stopped at a capacity limit"
 	default:
 		return fmt.Sprintf("Outcome(%d)", int(o))
 	}

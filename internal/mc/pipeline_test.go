@@ -43,10 +43,10 @@ func TestShardedSetBasic(t *testing.T) {
 }
 
 // TestShardedSetCollisions forces distinct keys through one
-// fingerprint, so the collision chain (not the 64-bit hash) decides
-// membership — including across arena chunks: the keys are sized so the
-// chain links entries in four chunks, and the layout pins that a key
-// never straddles a chunk boundary.
+// fingerprint, so the bytes (not the 64-bit hash) decide membership —
+// including across arena chunks: the keys are sized so their records,
+// each behind a uvarint length, land in four chunks, and the layout pins
+// that a record never straddles a chunk boundary.
 func TestShardedSetCollisions(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
 		s := newVisitedStore(store, 4)
@@ -58,10 +58,10 @@ func TestShardedSetCollisions(t *testing.T) {
 			big('y', 3000),           // does not: starts chunk 1
 			big('z', arenaChunk+904), // longer than a chunk: gets chunk 2 to itself
 			[]byte("tail"),           // chunk 2 is full by construction: chunk 3
-			big('w', arenaChunk-4),   // exactly fills chunk 3
+			big('w', arenaChunk-7),   // exactly fills chunk 3
 		}
 		wantChunk := []uint32{0, 0, 0, 0, 0, 1, 2, 3, 3}
-		wantAt := []uint32{0, 5, 9, 14, 14, 0, 0, 0, 4}
+		wantAt := []uint32{0, 6, 11, 17, 18, 0, 0, 0, 5}
 		for i, k := range keys {
 			if id, fresh, _, err := s.Insert(fp, k, int32(i)); err != nil || !fresh || id != int32(i) {
 				t.Fatalf("colliding insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
@@ -76,16 +76,20 @@ func TestShardedSetCollisions(t *testing.T) {
 			}
 		}
 		if _, hit, _ := probe(s, fp, []byte("delta")); hit {
-			t.Fatal("unrelated key matched a collision chain")
+			t.Fatal("unrelated key matched a colliding one")
 		}
 		sh := &s.shards[s.shardIdx(fp)]
-		for i, e := range sh.entries {
-			if c, at := e.off>>arenaChunkBits, e.off&(arenaChunk-1); c != wantChunk[i] || at != wantAt[i] {
+		for _, sl := range sh.slots {
+			if sl.at == 0 {
+				continue
+			}
+			i, loc := sl.id, sl.at-1
+			if c, at := loc>>arenaChunkBits, loc&(arenaChunk-1); c != wantChunk[i] || at != wantAt[i] {
 				t.Errorf("key %d (%d bytes) stored at chunk %d offset %d, want chunk %d offset %d",
 					i, len(keys[i]), c, at, wantChunk[i], wantAt[i])
 			}
 		}
-		if len(sh.chunks) != 4 || cap(sh.chunks[2]) != arenaChunk+904 || len(sh.chunks[3]) != arenaChunk {
+		if len(sh.chunks) != 4 || cap(sh.chunks[2]) != arenaChunk+906 || len(sh.chunks[3]) != arenaChunk {
 			t.Errorf("chunks: %d, oversize cap %d, last len %d", len(sh.chunks), cap(sh.chunks[2]), len(sh.chunks[3]))
 		}
 		var total int64

@@ -12,9 +12,10 @@ import (
 // state log's gain cannot silently erode. Both numbers are counts read
 // off the structures (Health.SetBytes + Health.FrontierBytes) and the
 // allocator, so they hold on a loaded box; the ceilings are 1.15x what
-// the code held when this was written (173.5 B for BFS without traces,
-// 206.7 B for DFS with them); both runs made 0.05 mallocs per state, against
-// 1.03 when every stored state was a heap object of its own.
+// the code held with the open-addressed index (159.8 B for BFS without
+// traces, 193.0 B for DFS with them, slot tables counted at their
+// length); both runs made 0.03 mallocs per state, against 1.03 when
+// every stored state was a heap object of its own.
 func TestResidentBytesPerState(t *testing.T) {
 	sys := paritySystem(t, "MSI_nonblocking_cache", "minimal", 3, 2, 2)
 	for _, tc := range []struct {
@@ -22,8 +23,8 @@ func TestResidentBytesPerState(t *testing.T) {
 		opts             mc.Options
 		maxBytes, maxMal float64
 	}{
-		{"bfs-notraces", mc.Options{MaxStates: 100_000, DisableTraces: true}, 200, 0.1},
-		{"dfs-traces", mc.Options{MaxStates: 100_000, Strategy: mc.DFS}, 238, 0.1},
+		{"bfs-notraces", mc.Options{MaxStates: 100_000, DisableTraces: true}, 184, 0.1},
+		{"dfs-traces", mc.Options{MaxStates: 100_000, Strategy: mc.DFS}, 222, 0.1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

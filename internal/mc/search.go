@@ -104,8 +104,9 @@ type expansion struct {
 
 // collector is the one expansion path of both schedulers: it visits a
 // state's successors in the model's work buffer and, per successor,
-// appends the raw bytes and — when it differs — the canonical key to a
-// reusable arena, fingerprints the key, and notes the rule id. Nothing
+// appends the raw bytes to a reusable arena, has the model write the
+// canonical key — when it differs — straight behind them, and notes the
+// rule id; resolve then fingerprints the keys four at a time. Nothing
 // is allocated once the arena is warm. Everything collected since the
 // last reset stays valid until the next one, so a pipeline worker
 // collects a whole batch before it probes. One collector per goroutine.
@@ -114,7 +115,6 @@ type collector struct {
 	exp   Expander
 	visit func(succ []byte, rule int) // c.add, bound once
 	arena []byte
-	key   []byte // AppendCanonical's destination
 	spans []span
 	succs []succ
 }
@@ -134,18 +134,24 @@ func (c *collector) reset() {
 	c.arena, c.spans, c.succs = c.arena[:0], c.spans[:0], c.succs[:0]
 }
 
-// add collects one successor; it is the Expander's visitor.
+// add collects one successor; it is the Expander's visitor. The arena's
+// spare capacity is AppendCanonical's destination, so a key of the
+// state's length is written once, in place; a model that returns one
+// elsewhere has it copied in.
 func (c *collector) add(state []byte, rule int) {
 	lo := len(c.arena)
-	c.arena = append(c.arena, state...)
+	c.arena = slices.Grow(append(c.arena, state...), len(state))
 	mid := len(c.arena)
-	key := c.exp.AppendCanonical(c.key, state)
-	if !aliases(key, state) {
+	tail := c.arena[mid:]
+	switch key := c.exp.AppendCanonical(tail, state); {
+	case aliases(key, state):
+	case len(key) <= cap(tail) && aliases(key, tail[:len(key)]):
+		c.arena = c.arena[:mid+len(key)]
+	default:
 		c.arena = append(c.arena, key...)
-		c.key = key[:0]
 	}
 	c.spans = append(c.spans, span{lo, mid, len(c.arena)})
-	c.succs = append(c.succs, succ{fp: Fingerprint(key), rule: int32(rule)})
+	c.succs = append(c.succs, succ{rule: int32(rule)})
 }
 
 // expand collects w's successors behind whatever is already collected.
@@ -166,7 +172,9 @@ func (c *collector) expand(w work) expansion {
 }
 
 // resolve points every collected successor at its bytes, now that the
-// arena has stopped moving, and returns them all.
+// arena has stopped moving, fingerprints the keys in groups of four (a
+// short last group fills its spare lanes with its own keys) and returns
+// them all.
 func (c *collector) resolve() []succ {
 	for i, sp := range c.spans {
 		sc := &c.succs[i]
@@ -174,6 +182,17 @@ func (c *collector) resolve() []succ {
 		sc.ckey = sc.state
 		if sp.mid != sp.end {
 			sc.ckey = c.arena[sp.mid:sp.end:sp.end]
+		}
+	}
+	for lo := 0; lo < len(c.succs); lo += 4 {
+		g := c.succs[lo:min(lo+4, len(c.succs))]
+		var keys [4][]byte
+		for j := range keys {
+			keys[j] = g[j%len(g)].ckey
+		}
+		fps := fingerprint4(keys)
+		for j := range g {
+			g[j].fp = fps[j]
 		}
 	}
 	return c.succs

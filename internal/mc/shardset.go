@@ -1,6 +1,9 @@
 package mc
 
 import (
+	"encoding/binary"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,37 +12,43 @@ import (
 // The visited set is the model checker's dominant memory consumer and
 // the one decision every engine makes per successor: "have I stored this
 // state?". VisitedStore is the only implementation: N lock-striped
-// shards keyed by a 64-bit FNV-1a fingerprint, each a map[uint64]int32
-// whose value is tagged.
+// shards chosen by the 64-bit FNV-1a fingerprint, each one
+// open-addressed table of 16-byte slots plus a chunked byte arena.
 //
-//   - v >= 0 is the head index of a byte-verified collision chain in the
-//     shard's entry table; the entries' canonical bytes live in a chunked
-//     per-shard arena and decide membership, so correctness never rests
-//     on the 64-bit hash.
-//   - v < 0 is ^id of a state stored by fingerprint alone (hash
-//     compaction, Murphi lineage): it has no entry record and no bytes,
-//     just the map slot, and every hit on it conflates — is taken as a
-//     duplicate on faith and surfaced to telemetry as an unverified hit.
+// A slot holds a stored state's fingerprint, its id and a tagged
+// location. Zero is an empty slot. bareSlot marks a state stored by
+// fingerprint alone (hash compaction, Murphi lineage): it has no bytes,
+// and every hit on it conflates — is taken as a duplicate on faith and
+// surfaced to telemetry as an unverified hit. Anything else locates the
+// state's canonical key in the arena, behind a uvarint length prefix as
+// in the state log; those bytes decide membership, so correctness never
+// rests on the 64-bit hash. A state's home slot is the top bits of its
+// fingerprint times 2^64/φ, which depend on every fingerprint bit, so
+// the few bits shardIdx fixed within a shard cost the spread nothing.
+// Probing is linear: keys with equal fingerprints are further slots of
+// the same run, and a lookup walks the run to its first empty slot. A
+// table grows to twice its size at 7/8 full, rehashed under the shard's
+// write lock.
 //
 // Which states keep their bytes is a retained-bytes budget. With no
-// budget (StoreExact) every key is kept and no value is ever negative.
-// With a finite one (StoreCompact, compactVerifiedBudget) the first
-// state stored under a fingerprint keeps its bytes while the budget
-// lasts and is stored bare after; a state whose fingerprint collides
-// with a verified chain always keeps its bytes, uncharged (collisions
-// are rare, and conflating two states already told apart would be
-// gratuitous). The budget is charged in storage order, which the
-// engines' parity contract pins identical, so compact runs produce the
-// same result on every engine.
+// budget (StoreExact) every key is kept and no slot is bare. With a
+// finite one (StoreCompact, compactVerifiedBudget) the first state
+// stored under a fingerprint keeps its bytes while the budget lasts and
+// is stored bare after; a state whose fingerprint already has a retained
+// state always keeps its bytes, uncharged (collisions are rare, and
+// conflating two states already told apart would be gratuitous). So a
+// fingerprint has either one bare slot or only retained ones. The budget
+// is charged in storage order, which the engines' parity contract pins
+// identical, so compact runs produce the same result on every engine.
 //
 // The arena is a list of fixed arenaChunk-byte chunks that are filled
 // front to back and never recopied (one contiguous slice would be
 // recopied on every growth, a measured +15 % in allocated bytes and
 // peak RSS on the sequential engine). A key never straddles chunks: one
 // that does not fit the current chunk's remainder starts the next, and
-// one longer than a chunk gets a chunk of its own. Entries stay 16
-// bytes and pointer-free by packing the location as
-// off = chunk<<arenaChunkBits | offset-within-chunk.
+// one longer than a chunk gets a chunk of its own. Slots stay
+// pointer-free by packing the location as
+// 1 + chunk<<arenaChunkBits | offset-within-chunk.
 //
 // Concurrency contract: probeBatch takes read locks and may run from
 // any number of worker goroutines. Insert and insertBatch are only ever
@@ -47,14 +56,14 @@ import (
 // pipelined merge, or a distributed worker's settle), which is also the
 // only writer of the budget counter; because it is the sole writer it
 // decides duplicate status with unlocked reads and takes a shard's write
-// lock only to append. Nothing is ever removed or rewritten — a map
-// value changes only from one chain head to a newer one — so a hit, and
+// lock only to store (and grow). Nothing is ever removed or rewritten
+// but by a rehash, which keeps every slot's content, so a hit, and
 // whether it conflates, is stable over the whole run: a worker's early
 // probe and the store thread's authoritative insert agree.
 
 // DefaultShards is the shard count the engines use when the caller
 // passes 0. Striping only has to out-provision the worker count; 64
-// keeps per-shard maps dense at paper-scale state counts.
+// keeps per-shard tables small at paper-scale state counts.
 const DefaultShards = 64
 
 // lockSampleMask selects which acquisitions get their lock-wait timed:
@@ -70,13 +79,35 @@ const (
 	arenaChunk     = 1 << arenaChunkBits
 )
 
-// setEntry is one stored state: its node id plus the location of its
-// canonical bytes in the shard arena, chained on fingerprint collision.
-type setEntry struct {
-	id   int32
-	next int32  // index of the next entry with the same fingerprint, -1 = none
-	off  uint32 // chunk<<arenaChunkBits | offset within the chunk
-	n    uint32
+// slot is one stored state in a shard's table (see the package comment
+// above for at's tags).
+type slot struct {
+	fp uint64
+	id int32
+	at uint32
+}
+
+const (
+	slotSize = 16 // bytes of a slot
+	// bareSlot is the location of a state stored without bytes.
+	bareSlot = math.MaxUint32
+	// minSlots is a table's size at its first insert.
+	minSlots = 4
+	// fibMul is 2^64/φ: a fingerprint times it has a home slot in its
+	// top bits.
+	fibMul = 0x9e3779b97f4a7c15
+)
+
+// overfull reports whether a table of slots slots is past its maximum
+// load with states in it: 7/8, beyond which linear probing's runs grow
+// fast.
+func overfull(states, slots int64) bool {
+	return states*8 > slots*7
+}
+
+// recordLen is the arena bytes an n-byte key takes, prefix included.
+func recordLen(n int) int {
+	return (bits.Len(uint(n)|1)+6)/7 + n
 }
 
 // arenaFill tracks how full a chunked arena is: the chunk count and the
@@ -88,7 +119,7 @@ type arenaFill struct {
 	free   int
 }
 
-// add accounts one n-byte key, reporting whether it opens a new chunk.
+// add accounts one n-byte record, reporting whether it opens a new chunk.
 func (f *arenaFill) add(n int) bool {
 	if f.chunks > 0 && n <= f.free {
 		f.free -= n
@@ -145,14 +176,12 @@ func shardCount(n int) int {
 }
 
 type setShard struct {
-	mu stripeLock
-	// m maps a fingerprint to its tagged value: >= 0 the index of its
-	// verified chain's head in entries, < 0 the ^id of the one state
-	// stored under it without bytes (see the package comment above).
-	m       map[uint64]int32
-	entries []setEntry
-	chunks  [][]byte // canonical state bytes of entries
-	fill    arenaFill
+	mu     stripeLock
+	slots  []slot // nil until the first insert, then a power of two long
+	shift  uint8  // 64 - log2(len(slots))
+	used   int    // occupied slots
+	chunks [][]byte
+	fill   arenaFill
 }
 
 // VisitedStore is the visited set (see the package comment above). The
@@ -182,9 +211,6 @@ func newVisitedStore(store Store, n int) *VisitedStore {
 	if store == StoreCompact {
 		s.budget = compactVerifiedBudget
 	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]int32)
-	}
 	return s
 }
 
@@ -199,105 +225,151 @@ func NewVisitedStore(store Store, shards int) *VisitedStore {
 	return newVisitedStore(store, shards)
 }
 
-// shardIdx picks the stripe: the shared mix (fphash.go) keeps the
-// index independent of the map's use of the low bits.
+// shardIdx picks the stripe: the shared mix (fphash.go), the same
+// partition the telemetry stripes and dist ownership use.
 func (s *VisitedStore) shardIdx(fp uint64) uint32 {
 	return uint32(FingerprintMix(fp) & s.mask)
 }
 
-// lookup resolves key's membership: a bare fingerprint conflates, a
-// verified chain is walked for an equal key. The caller must hold the
-// shard lock, or be the store thread (the sole writer).
-func (sh *setShard) lookup(fp uint64, key []byte) (id int32, hit, conflated bool) {
-	idx, ok := sh.m[fp]
-	if ok && idx < 0 {
-		return ^idx, true, true
-	}
-	for ok {
-		e := &sh.entries[idx]
-		at := e.off & (arenaChunk - 1)
-		if string(sh.chunks[e.off>>arenaChunkBits][at:at+e.n]) == string(key) {
-			return e.id, true, false
-		}
-		idx = e.next
-		ok = idx >= 0
-	}
-	return 0, false, false
+// home is fp's first probe position; the table must not be empty.
+func (sh *setShard) home(fp uint64) int {
+	return int(fp * fibMul >> sh.shift)
 }
 
-// capacity reports the guard error, if any, for storing one more
-// keyLen-byte entry. pending and fill account for a batch's earlier
-// fresh inserts into this shard that are not applied yet (0 and sh.fill
-// for a single insert). Checked before every append so the int32 entry
-// indices and the chunk index packed into uint32 offsets can never wrap
-// (the silent-wrap bug this guard replaced corrupted collision chains
-// past 2^31 entries or a 4 GiB per-shard arena).
-func (sh *setShard) capacity(pending int, fill arenaFill, keyLen int) error {
-	if int64(len(sh.entries)+pending) >= maxShardEntries {
-		return &CapacityError{Limit: "shard entries", Max: maxShardEntries}
+// key returns the key stored at a retained slot's location.
+func (sh *setShard) key(at uint32) []byte {
+	loc := at - 1
+	c := sh.chunks[loc>>arenaChunkBits][loc&(arenaChunk-1):]
+	n, w := binary.Uvarint(c)
+	return c[w : w+int(n)]
+}
+
+// lookup resolves key's membership: a bare slot for fp conflates, a
+// retained one hits when its bytes equal key. known reports whether any
+// state is stored under fp, the first-for-fingerprint question the
+// budget asks. The caller must hold the shard lock, or be the store
+// thread (the sole writer).
+func (sh *setShard) lookup(fp uint64, key []byte) (id int32, hit, conflated, known bool) {
+	if len(sh.slots) == 0 {
+		return 0, false, false, false
 	}
-	if fill.add(keyLen) && int64(fill.chunks) > maxShardChunks {
+	mask := len(sh.slots) - 1
+	for i := sh.home(fp); ; i = (i + 1) & mask {
+		sl := &sh.slots[i]
+		switch {
+		case sl.at == 0:
+			return 0, false, false, known
+		case sl.fp != fp:
+		case sl.at == bareSlot:
+			return sl.id, true, true, true
+		case string(sh.key(sl.at)) == string(key):
+			return sl.id, true, false, true
+		default:
+			known = true
+		}
+	}
+}
+
+// touch loads what a lookup of fp will read first — its home slot and,
+// when that slot holds fp with bytes, the key's first byte — and
+// returns something of it, so a batch can start every request's cache
+// misses before it compares any key and have them overlap.
+func (sh *setShard) touch(fp uint64) uint64 {
+	if len(sh.slots) == 0 {
+		return 0
+	}
+	sl := &sh.slots[sh.home(fp)]
+	if sl.fp != fp || sl.at == 0 || sl.at == bareSlot {
+		return sl.fp
+	}
+	loc := sl.at - 1
+	return uint64(sh.chunks[loc>>arenaChunkBits][loc&(arenaChunk-1)])
+}
+
+// firstFor reports whether a key that missed lookup would be the first
+// state stored under its fingerprint, known telling whether one is, and
+// the budget applies: without a budget the answer is never needed.
+func (s *VisitedStore) firstFor(known bool) bool {
+	return s.budget >= 0 && !known
+}
+
+// capacity reports the guard error, if any, for storing one more state,
+// with a keyLen-byte key if it is retained. pending and fill account for
+// a batch's earlier fresh inserts into this shard that are not applied
+// yet (0 and sh.fill for a single insert). Checked before every store so
+// no table outgrows maxShardSlots and the chunk index packed into a
+// uint32 location can never wrap.
+func (sh *setShard) capacity(pending int, fill arenaFill, retain bool, keyLen int) error {
+	if overfull(int64(sh.used+pending+1), maxShardSlots) {
+		return &CapacityError{Limit: "shard slots", Max: maxShardSlots}
+	}
+	if retain && fill.add(recordLen(keyLen)) && int64(fill.chunks) > maxShardChunks {
 		return &CapacityError{Limit: "shard arena chunks", Max: maxShardChunks}
 	}
 	return nil
 }
 
-// append stores key unconditionally; the caller holds the write lock
+// store records key unconditionally; the caller holds the write lock
 // and has already decided freshness, retention and capacity. A bare
-// state takes the fingerprint's map slot and nothing else. A retained
-// one is prepended to the fingerprint's chain (next = old head), so
-// chain iteration runs newest-first — ids stay stable regardless
-// because an equal key is never inserted twice. st is the store's
-// footprint, which append keeps.
-func (sh *setShard) append(fp uint64, key []byte, id int32, retain bool, st *setStats) {
+// state takes a slot and nothing else; a retained one also appends its
+// record to the arena. st is the store's footprint, which store keeps.
+func (sh *setShard) store(fp uint64, key []byte, id int32, retain bool, st *setStats) {
+	if overfull(int64(sh.used+1), int64(len(sh.slots))) {
+		sh.grow(st)
+	}
+	at := uint32(bareSlot)
+	if retain {
+		n := recordLen(len(key))
+		if sh.fill.add(n) {
+			had := cap(sh.chunks)
+			sh.chunks = append(sh.chunks, make([]byte, 0, max(arenaChunk, n)))
+			st.setBytes += int64(max(arenaChunk, n)) + int64(cap(sh.chunks)-had)*sliceHeaderSize
+		}
+		last := len(sh.chunks) - 1
+		at = 1 + (uint32(last)<<arenaChunkBits | uint32(len(sh.chunks[last])))
+		sh.chunks[last] = append(binary.AppendUvarint(sh.chunks[last], uint64(len(key))), key...)
+		st.arenaBytes += int64(len(key))
+	}
+	sh.place(slot{fp: fp, id: id, at: at})
 	st.entries++
-	if !retain {
-		sh.m[fp] = ^id
-		st.setBytes += mapSlotSize
-		return
-	}
-	if sh.fill.add(len(key)) {
-		sh.chunks = append(sh.chunks, make([]byte, 0, max(arenaChunk, len(key))))
-		st.setBytes += int64(max(arenaChunk, len(key))) + sliceHeaderSize
-	}
-	last := len(sh.chunks) - 1
-	off := uint32(last)<<arenaChunkBits | uint32(len(sh.chunks[last]))
-	sh.chunks[last] = append(sh.chunks[last], key...)
-	st.arenaBytes += int64(len(key))
-	st.setBytes += setEntrySize
-	next := int32(-1)
-	if head, collision := sh.m[fp]; collision {
-		next = head
-	} else {
-		st.setBytes += mapSlotSize
-	}
-	sh.entries = append(sh.entries, setEntry{id: id, next: next, off: off, n: uint32(len(key))})
-	sh.m[fp] = int32(len(sh.entries) - 1)
 }
 
-// firstFor reports whether a key that just missed lookup would be the
-// first state stored under fp, the only kind the budget applies to.
-// Without a budget the answer is never needed, so the map is not asked.
-func (s *VisitedStore) firstFor(sh *setShard, fp uint64) bool {
-	if s.budget < 0 {
-		return false
+// place puts sl in the first empty slot of its run.
+func (sh *setShard) place(sl slot) {
+	mask := len(sh.slots) - 1
+	i := sh.home(sl.fp)
+	for sh.slots[i].at != 0 {
+		i = (i + 1) & mask
 	}
-	_, known := sh.m[fp]
-	return !known
+	sh.slots[i] = sl
+	sh.used++
+}
+
+// grow doubles the table (or makes the first) and rehashes every slot
+// into it.
+func (sh *setShard) grow(st *setStats) {
+	old := sh.slots
+	n := max(2*len(old), minSlots)
+	sh.slots, sh.shift, sh.used = make([]slot, n), uint8(64-bits.TrailingZeros(uint(n))), 0
+	for _, sl := range old {
+		if sl.at != 0 {
+			sh.place(sl)
+		}
+	}
+	st.setBytes += int64(n-len(old)) * slotSize
 }
 
 // admit is the one decision on a fresh n-byte key about to be stored in
 // sh under id: whether it keeps its bytes — always, unless it is first
-// for its fingerprint and the budget cannot take it — and whether the
-// guards let it in. A retained key needs an entry and arena room
-// (pending and fill as for capacity); every key needs an id in
-// [0, maxNodeID): ids are int32 everywhere and the map value's sign bit
-// is the bare-state tag. The budget is charged only when err is nil.
+// for its fingerprint under a budget (see firstFor) that cannot take
+// it — and whether the
+// guards let it in. Every key needs a slot (pending and fill as for
+// capacity), a retained one arena room, and every key an id in
+// [0, maxNodeID): ids are int32 everywhere. The budget is charged only
+// when err is nil.
 func (s *VisitedStore) admit(sh *setShard, first bool, pending int, fill arenaFill, n int, id int64) (retain bool, err error) {
 	retain = !first || s.retained+int64(n) <= s.budget
-	if retain {
-		err = sh.capacity(pending, fill, n)
-	}
+	err = sh.capacity(pending, fill, retain, n)
 	if err == nil && (id < 0 || id >= maxNodeID) {
 		err = &CapacityError{Limit: "node ids", Max: maxNodeID}
 	}
@@ -312,13 +384,18 @@ func (s *VisitedStore) admit(sh *setShard, first bool, pending int, fill arenaFi
 // positions, so callers see request order). Read-only; safe from any
 // goroutine.
 func (s *VisitedStore) probeBatch(reqs []probeReq, sc *setScratch) {
-	sc.group(len(reqs), nil, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
+	sc.group(len(reqs), func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
 	sc.runs(func(shard uint32, idx []int32) {
 		sh := &s.shards[shard]
 		sh.mu.rlock(reqs[idx[0]].fp)
+		var touched uint64
+		for _, i := range idx {
+			touched += sh.touch(reqs[i].fp)
+		}
+		sc.touched += touched
 		for _, i := range idx {
 			r := &reqs[i]
-			_, r.hit, r.conflated = sh.lookup(r.fp, r.key)
+			_, r.hit, r.conflated, _ = sh.lookup(r.fp, r.key)
 		}
 		sh.mu.RUnlock()
 	})
@@ -331,29 +408,39 @@ func (s *VisitedStore) probeBatch(reqs []probeReq, sc *setScratch) {
 // only.
 func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error) {
 	sh := &s.shards[s.shardIdx(fp)]
-	if got, hit, conflated := sh.lookup(fp, key); hit {
+	got, hit, conflated, known := sh.lookup(fp, key)
+	if hit {
 		return got, false, conflated, nil
 	}
-	retain, err := s.admit(sh, s.firstFor(sh, fp), 0, sh.fill, len(key), int64(id))
+	retain, err := s.admit(sh, s.firstFor(known), 0, sh.fill, len(key), int64(id))
 	if err != nil {
 		return 0, false, false, err
 	}
 	sh.mu.lock(fp)
-	sh.append(fp, key, id, retain, &s.st)
+	sh.store(fp, key, id, retain, &s.st)
 	sh.mu.Unlock()
 	return id, true, false, nil
 }
 
 // insertBatch settles reqs in order with ids baseID, baseID+1, …
-// assigned to fresh entries, taking each touched shard's write lock at
-// most once. limit >= 0 stops processing after that many fresh inserts
-// (the limiting request is still processed); processed reports how many
-// leading requests were settled. A *CapacityError stops before the
-// offending request, which is then reqs[processed]; everything before
-// it is fully applied. Store thread only: the pre-pass decides duplicate
-// status, retention, ids and capacity in request order with unlocked
-// reads, and the apply pass then appends under the locks.
+// assigned to fresh entries. limit >= 0 stops processing after that
+// many fresh inserts (the limiting request is still processed);
+// processed reports how many leading requests were settled. A
+// *CapacityError stops before the offending request, which is then
+// reqs[processed]; everything before it is fully applied. Store thread
+// only: a first pass loads every request's slot and key, the pre-pass
+// then decides duplicate status, retention, ids and capacity in request
+// order with unlocked reads, and the apply pass stores under the locks,
+// one acquisition per run of fresh entries in one shard.
 func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int, sc *setScratch) (processed, fresh int, err error) {
+	var touched uint64
+	for i := range reqs {
+		if r := &reqs[i]; !r.skip {
+			touched += s.shards[s.shardIdx(r.fp)].touch(r.fp)
+		}
+	}
+	sc.touched += touched
+
 	sc.pend, sc.pendShard = sc.pend[:0], sc.pendShard[:0]
 	processed = len(reqs)
 pre:
@@ -365,31 +452,32 @@ pre:
 		r.fresh, r.id, r.conflated, r.retain = false, 0, false, false
 		shard := s.shardIdx(r.fp)
 		sh := &s.shards[shard]
-		if got, hit, conflated := sh.lookup(r.fp, r.key); hit {
+		got, hit, conflated, known := sh.lookup(r.fp, r.key)
+		if hit {
 			r.id, r.conflated = got, conflated
 			continue
 		}
 		// Replay this batch's pending inserts into the shard against the
-		// semantics lookup applies to stored entries, so a batch settles
+		// semantics lookup applies to stored states, so a batch settles
 		// exactly like a one-at-a-time insert sequence; and count the
-		// entries and arena bytes they will take, or a batch could
+		// slots and arena bytes they will take, or a batch could
 		// overshoot the caps.
-		first := s.firstFor(sh, r.fp)
+		first := s.firstFor(known)
 		pending, fill := 0, sh.fill
 		for k, j := range sc.pend {
 			if sc.pendShard[k] != shard {
 				continue
 			}
 			p := &reqs[j]
+			pending++
 			if p.retain {
-				pending++
-				fill.add(len(p.key))
+				fill.add(recordLen(len(p.key)))
 			}
 			if p.fp != r.fp {
 				continue
 			}
 			first = false
-			// A pending entry without bytes is necessarily the first for
+			// A pending state without bytes is necessarily the first for
 			// its fingerprint (colliders always keep theirs): conflate.
 			if !p.retain || string(p.key) == string(r.key) {
 				r.id, r.conflated = p.id, !p.retain
@@ -411,25 +499,22 @@ pre:
 		}
 	}
 
-	// Apply pass: one write lock per touched shard, appending in
-	// request order so collision chains match a one-at-a-time insert
-	// sequence exactly.
-	if len(sc.pend) > 0 {
-		sc.group(processed, func(i int) bool { return reqs[i].fresh }, func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
-		sc.runs(func(shard uint32, idx []int32) {
-			sh := &s.shards[shard]
-			sh.mu.lock(reqs[idx[0]].fp)
-			for _, i := range idx {
-				r := &reqs[i]
-				sh.append(r.fp, r.key, r.id, r.retain, &s.st)
-			}
-			sh.mu.Unlock()
-		})
+	// Apply pass, in request order: within a shard that is storage order,
+	// which a one-at-a-time insert sequence would also give.
+	for k := 0; k < len(sc.pend); {
+		shard := sc.pendShard[k]
+		sh := &s.shards[shard]
+		sh.mu.lock(reqs[sc.pend[k]].fp)
+		for ; k < len(sc.pend) && sc.pendShard[k] == shard; k++ {
+			r := &reqs[sc.pend[k]]
+			sh.store(r.fp, r.key, r.id, r.retain, &s.st)
+		}
+		sh.mu.Unlock()
 	}
 	return processed, fresh, err
 }
 
-// Stats reports the stored state count and approximate footprint.
+// Stats reports the stored state count and footprint.
 func (s *VisitedStore) Stats() (entries int, arenaBytes, setBytes int64) {
 	return s.st.entries, s.st.arenaBytes, s.st.setBytes
 }

@@ -19,7 +19,7 @@ const (
 	// them bit-identical across the engines.
 	StoreExact Store = iota
 	// StoreCompact keeps canonical bytes only while a small retained-bytes
-	// budget lasts, enough to detect (and chain past) fingerprint
+	// budget lasts, enough to detect (and store past) fingerprint
 	// collisions among the earliest states. Past the budget a state is
 	// stored as its 64-bit fingerprint alone and the set degrades to
 	// classic Murphi-style hash compaction: a fingerprint
@@ -53,17 +53,30 @@ func ParseStore(s string) (Store, error) {
 
 // CapacityError is the typed error behind the Capacity outcome: the
 // visited set or the state log reached a hard implementation limit —
-// int32 node ids, int32 per-shard entry indices, the per-shard arena or
-// the log's chunk count — and the search stopped instead of letting an
-// index silently wrap and corrupt collision chains; or it reached the Go
-// memory limit, and stopped instead of being killed.
+// int32 node ids, a shard's slot table, the per-shard arena or the log's
+// chunk count — and the search stopped instead of letting an index
+// silently wrap; or it reached the Go memory limit, and stopped instead
+// of being killed.
 type CapacityError struct {
-	Limit string // "node ids", "shard entries", "shard arena chunks", "state log chunks", "memory"
+	Limit string // "node ids", "shard slots", "shard arena chunks", "state log chunks", "memory"
 	Max   int64  // the limit's value
 }
 
+// capacityRemedy says, per Limit, what lets the next run go further.
+var capacityRemedy = map[string]string{
+	"node ids":           "lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own",
+	"shard slots":        "lower -max-states, or split the states over more slot tables (-shards with -engine pipeline, or more -engine dist workers)",
+	"shard arena chunks": "lower -max-states, keep fewer key bytes with -store compact, or split the keys over more shards (-shards with -engine pipeline, or more -engine dist workers)",
+	"state log chunks":   "lower -max-states, or drop -trace so the log releases expanded states",
+	"memory":             "raise GOMEMLIMIT or lower -max-states",
+}
+
 func (e *CapacityError) Error() string {
-	return fmt.Sprintf("visited-set capacity: %s limit (%d) reached; raise the bound or shard count, or stop the search earlier", e.Limit, e.Max)
+	remedy, ok := capacityRemedy[e.Limit]
+	if !ok {
+		remedy = "stop the search earlier"
+	}
+	return fmt.Sprintf("search capacity: %s limit (%d) reached; %s", e.Limit, e.Max, remedy)
 }
 
 // Capacity limits. Package vars rather than consts so the guard tests
@@ -73,12 +86,14 @@ var (
 	// maxNodeID caps stored states: node ids (and therefore set entry
 	// ids) are int32 everywhere.
 	maxNodeID = int64(math.MaxInt32)
-	// maxShardEntries caps one shard's entry table: collision-chain
-	// links are int32 indices into it.
-	maxShardEntries = int64(math.MaxInt32)
+	// maxShardSlots caps one shard's slot table, a power of two that
+	// grows at 7/8 full, so a shard stores at most 7/8 of it: 2^31 slots
+	// is a 32 GiB table, the largest single allocation the set makes.
+	maxShardSlots = int64(1) << 31
 	// maxShardChunks caps one shard's canonical-bytes arena (4 GiB of
-	// full chunks): the chunk index is the upper bits of a uint32 offset.
-	maxShardChunks = int64(1) << (32 - arenaChunkBits)
+	// full chunks): the chunk index is the upper bits of a uint32
+	// location, whose all-ones value is the bare-slot tag.
+	maxShardChunks = int64(1)<<(32-arenaChunkBits) - 1
 	// compactVerifiedBudget is the compact store's retained-bytes budget
 	// (read when a store is built): canonical bytes are retained for
 	// collision verification until this many bytes are kept, then new
@@ -129,14 +144,9 @@ type insertReq struct {
 	retain bool
 }
 
-// Footprint approximation constants behind setStats.setBytes. Exact
-// per-entry map costs depend on the runtime; these are close enough
-// for the exact-vs-compact memory comparison the stats exist for.
-const (
-	setEntrySize    = 16 // setEntry: id, next, off, n
-	mapSlotSize     = 20 // map[uint64]int32 entry: key+value plus bucket overhead
-	sliceHeaderSize = 24 // []byte header
-)
+// sliceHeaderSize is the size of a []byte header, which a chunk list
+// holds one of per chunk.
+const sliceHeaderSize = 24
 
 // setStats is a visited set's footprint report.
 type setStats struct {
@@ -144,21 +154,25 @@ type setStats struct {
 	// arenaBytes counts full canonical bytes retained: everything for
 	// the exact store, only the verification cache for the compact one.
 	arenaBytes int64
-	// setBytes approximates the set's total footprint including index
-	// structures (entry tables and hash-map slots), the number the
-	// exact-vs-compact memory comparison is about.
+	// setBytes is the set's whole footprint, read off the structures as
+	// they grow: every slot table at its length, every arena chunk at its
+	// capacity, and the chunk lists' headers at theirs.
 	setBytes int64
 }
 
 // setScratch holds the reusable buffers behind batched probes and
-// inserts: the shard-grouping sort and the intra-batch pending-insert
-// bookkeeping. One scratch per goroutine; the zero value is ready.
+// inserts: the shard-grouping sort of a probe and the intra-batch
+// pending-insert bookkeeping of an insert. One scratch per goroutine;
+// the zero value is ready.
 type setScratch struct {
 	idx    []int32  // request indices, sorted by (shard, index)
 	shards []uint32 // parallel to idx
 	// pending insert bookkeeping (store thread only):
 	pend      []int32 // request indices of this batch's fresh inserts
 	pendShard []uint32
+	// touched sums what the batches loaded ahead of their lookups (see
+	// setShard.touch); it is kept so the loads are.
+	touched uint64
 }
 
 func (s *setScratch) Len() int { return len(s.idx) }
@@ -173,15 +187,12 @@ func (s *setScratch) Swap(i, j int) {
 	s.shards[i], s.shards[j] = s.shards[j], s.shards[i]
 }
 
-// group sorts request indices by shard so callers can walk runs of
-// equal shard and take each lock once. keep filters which requests
-// participate; shardOf maps a request index to its shard.
-func (s *setScratch) group(n int, keep func(int) bool, shardOf func(int) uint32) {
+// group sorts n request indices by shard so callers can walk runs of
+// equal shard and take each lock once; shardOf maps a request index to
+// its shard.
+func (s *setScratch) group(n int, shardOf func(int) uint32) {
 	s.idx, s.shards = s.idx[:0], s.shards[:0]
 	for i := 0; i < n; i++ {
-		if keep != nil && !keep(i) {
-			continue
-		}
 		s.idx = append(s.idx, int32(i))
 		s.shards = append(s.shards, shardOf(i))
 	}

@@ -59,12 +59,15 @@ func probe(s *VisitedStore, fp uint64, key []byte) (id int32, hit, conflated boo
 	sh := &s.shards[s.shardIdx(fp)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.lookup(fp, key)
+	id, hit, conflated, _ = sh.lookup(fp, key)
+	return id, hit, conflated
 }
 
+// A table of maxShardSlots grows no further: 7/8 of it, here 3 of 4
+// slots, is what one shard stores.
 func TestShardedSetEntryCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		withCap(t, &maxShardEntries, 3)
+		withCap(t, &maxShardSlots, 4)
 		s := newVisitedStore(store, 1)
 		for i := 0; i < 3; i++ {
 			k := []byte(fmt.Sprintf("key-%d", i))
@@ -75,7 +78,7 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 		k := []byte("key-overflow")
 		_, _, _, err := s.Insert(Fingerprint(k), k, 3)
 		var ce *CapacityError
-		if !errors.As(err, &ce) || ce.Limit != "shard entries" || ce.Max != 3 {
+		if !errors.As(err, &ce) || ce.Limit != "shard slots" || ce.Max != 4 {
 			t.Fatalf("overflow insert: err=%v", err)
 		}
 		// The failed insert must not have stored anything.
@@ -91,12 +94,13 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 }
 
 // The arena guard counts chunks: the chunk index is what the packed
-// uint32 offset can run out of.
+// uint32 location can run out of. A record is the key behind its
+// uvarint length, two bytes for these big keys and one for small ones.
 func TestShardedSetArenaCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
 		withCap(t, &maxShardChunks, 2)
 		s := newVisitedStore(store, 1)
-		a, b := make([]byte, arenaChunk-8), make([]byte, arenaChunk-8)
+		a, b := make([]byte, arenaChunk-11), make([]byte, arenaChunk-11) // 9 bytes left in each chunk
 		a[0], b[0] = 'a', 'b'
 		if _, _, _, err := s.Insert(Fingerprint(a), a, 0); err != nil {
 			t.Fatal(err)
@@ -104,13 +108,13 @@ func TestShardedSetArenaCapacityGuard(t *testing.T) {
 		if _, _, _, err := s.Insert(Fingerprint(b), b, 1); err != nil {
 			t.Fatal(err)
 		}
-		c := []byte("ccccccccc") // 9 bytes: neither chunk's 8-byte remainder holds it
+		c := []byte("ccccccccc") // a 10-byte record: neither chunk's 9-byte remainder holds it
 		_, _, _, err := s.Insert(Fingerprint(c), c, 2)
 		var ce *CapacityError
 		if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || ce.Max != 2 {
 			t.Fatalf("arena overflow: err=%v", err)
 		}
-		d := []byte("dddddddd") // 8 bytes still fit the last chunk
+		d := []byte("dddddddd") // a 9-byte record still fits the last chunk
 		if _, fresh, _, err := s.Insert(Fingerprint(d), d, 2); err != nil || !fresh {
 			t.Fatalf("fitting insert after overflow: fresh=%v err=%v", fresh, err)
 		}
@@ -135,33 +139,51 @@ func TestShardedSetArenaCapacityGuard(t *testing.T) {
 
 func TestInsertBatchCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		withCap(t, &maxShardEntries, 4)
+		withCap(t, &maxShardSlots, 8) // 7 states
 		s := newVisitedStore(store, 1)
 		var sc setScratch
-		reqs := make([]insertReq, 7)
+		reqs := make([]insertReq, 8)
 		for i := range reqs {
 			k := []byte(fmt.Sprintf("bk-%d", i))
 			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 		}
 		processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
 		var ce *CapacityError
-		if !errors.As(err, &ce) || ce.Limit != "shard entries" {
+		if !errors.As(err, &ce) || ce.Limit != "shard slots" {
 			t.Fatalf("batch overflow: err=%v", err)
 		}
-		if processed != 4 || fresh != 4 {
-			t.Fatalf("processed=%d fresh=%d, want 4/4", processed, fresh)
+		if processed != 7 || fresh != 7 {
+			t.Fatalf("processed=%d fresh=%d, want 7/7", processed, fresh)
 		}
 		// The prefix before the overflowing request must be fully applied.
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 7; i++ {
 			k := []byte(fmt.Sprintf("bk-%d", i))
 			if id, hit, _ := probe(s, Fingerprint(k), k); !hit || id != int32(i) {
 				t.Fatalf("prefix key %d: id=%d hit=%v", i, id, hit)
 			}
 		}
-		if k := []byte("bk-4"); func() bool { _, hit, _ := probe(s, Fingerprint(k), k); return hit }() {
+		if k := []byte("bk-7"); func() bool { _, hit, _ := probe(s, Fingerprint(k), k); return hit }() {
 			t.Fatal("overflowing key was stored")
 		}
 	})
+}
+
+// TestCapacityErrorAdvice: each limit's message names what lets the
+// next run go further, and only that — more shards do nothing for the
+// memory limit or the state log.
+func TestCapacityErrorAdvice(t *testing.T) {
+	for _, tc := range []struct{ limit, want string }{
+		{"node ids", "search capacity: node ids limit (7) reached; lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own"},
+		{"shard slots", "search capacity: shard slots limit (7) reached; lower -max-states, or split the states over more slot tables (-shards with -engine pipeline, or more -engine dist workers)"},
+		{"shard arena chunks", "search capacity: shard arena chunks limit (7) reached; lower -max-states, keep fewer key bytes with -store compact, or split the keys over more shards (-shards with -engine pipeline, or more -engine dist workers)"},
+		{"state log chunks", "search capacity: state log chunks limit (7) reached; lower -max-states, or drop -trace so the log releases expanded states"},
+		{"memory", "search capacity: memory limit (7) reached; raise GOMEMLIMIT or lower -max-states"},
+		{"unnamed", "search capacity: unnamed limit (7) reached; stop the search earlier"},
+	} {
+		if got := (&CapacityError{Limit: tc.limit, Max: 7}).Error(); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.limit, got, tc.want)
+		}
+	}
 }
 
 // TestCapacityOutcomeAllEngines pins the engine-level behavior: when a
@@ -183,7 +205,7 @@ func TestCapacityOutcomeAllEngines(t *testing.T) {
 		// chunk stops the search. The compact store fills a chunk only
 		// with a budget that retains that much per stripe.
 		{"arena-chunks", &maxShardChunks, 1, 1 << 20, "shard arena chunks", 0},
-		{"shard-entries", &maxShardEntries, 50, compactVerifiedBudget, "shard entries", 0},
+		{"shard-slots", &maxShardSlots, 64, compactVerifiedBudget, "shard slots", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withCap(t, tc.cap, tc.n)
@@ -254,9 +276,10 @@ func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
 	if res.Outcome != Capacity || !strings.Contains(res.Message, "shard arena chunks") {
 		t.Fatalf("res = %v message %q", res, res.Message)
 	}
-	// 6-byte states into a single 4 KiB chunk: exactly 682 fit.
-	if res.States != arenaChunk/6 {
-		t.Fatalf("states = %d, want %d", res.States, arenaChunk/6)
+	// 6-byte states, 7-byte records, into a single 4 KiB chunk: exactly
+	// 585 fit.
+	if res.States != arenaChunk/7 {
+		t.Fatalf("states = %d, want %d", res.States, arenaChunk/7)
 	}
 }
 

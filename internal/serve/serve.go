@@ -249,10 +249,12 @@ func (s *Server) Submit(t *task) (*Job, *JobView, error) {
 		return job, job.view(), nil
 	}
 
+	// The job is admitted and logged before it is queued: once queued, a
+	// free worker may log "started" at once. Submit is the only sender
+	// and holds s.mu, and workers only drain, so a queue with room now
+	// still has room at the send, which therefore cannot block.
 	job := newJob(jobID(s.bumpID()), t)
-	select {
-	case s.queue <- job:
-	default:
+	if len(s.queue) == cap(s.queue) {
 		s.mRejected.Inc()
 		s.logJob(slog.LevelWarn, "rejected_busy", trace.NewTraceContext(t.requestID, ""),
 			"kind", t.kind, "protocol", t.protocol, "queued", len(s.queue))
@@ -260,8 +262,10 @@ func (s *Server) Submit(t *task) (*Job, *JobView, error) {
 	}
 	s.jobs[job.id] = job
 	s.inflight[t.key] = job
-	s.gQueued.Set(int64(len(s.queue)))
-	s.logJob(slog.LevelInfo, "admitted", job.tc, "kind", t.kind, "protocol", t.protocol, "queued", len(s.queue))
+	queued := len(s.queue) + 1 // this job included
+	s.gQueued.Set(int64(queued))
+	s.logJob(slog.LevelInfo, "admitted", job.tc, "kind", t.kind, "protocol", t.protocol, "queued", queued)
+	s.queue <- job
 	return job, job.view(), nil
 }
 

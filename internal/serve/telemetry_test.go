@@ -346,3 +346,50 @@ func TestJobLoggerLevelsAndShape(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJobLogOrderPerJob: however concurrent submitters and the one
+// worker interleave, every job's lines read admitted, started, finished
+// — a job is logged as admitted before a worker can take it. Waiting on
+// each verify is enough: a job is done only once its finished line is
+// written.
+func TestJobLogOrderPerJob(t *testing.T) {
+	const jobs = 12
+	var log syncBuffer
+	_, cl, _ := telemetryServer(t, serve.Config{Workers: 1, QueueDepth: jobs, JobLog: serve.NewJobLog(&log, slog.LevelInfo)})
+	errs := make(chan error, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := cl.Verify(context.Background(), verifyMSI(200+i), true) // distinct keys: no cache, no join
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var rec struct {
+			Event string `json:"event"`
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		events[rec.JobID] = append(events[rec.JobID], rec.Event)
+	}
+	if len(events) != jobs {
+		t.Fatalf("%d jobs in the log, want %d:\n%s", len(events), jobs, log.String())
+	}
+	for id, ev := range events {
+		if got := strings.Join(ev, ","); got != "admitted,started,finished" {
+			t.Errorf("job %s: events = %s", id, got)
+		}
+	}
+}
