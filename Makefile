@@ -92,14 +92,19 @@ serve:
 	$(GO) run ./cmd/vnserved -addr 127.0.0.1:8437
 
 # Distributed-engine smoke, in two parts. First, failure recovery
-# under the race detector: a worker killed mid-run and a worker whose
-# frontier endpoint blackholes must both fail the job cleanly (typed
-# WorkerLostError, no hang, no partial result). Second, a dist run is
-# recorded to a ledger and read back, proving dist runs carry the
-# "dist" engine tag through the query side. (Pipeline-vs-dist
-# agreement, occupancy aggregate included, is TestDistParityComplete.)
+# under the race detector, twenty times over: a seeded lossy network
+# around both transports (drops, duplicates, delays, reorders, lost
+# control calls) must end every schedule in the fault-free result or a
+# typed WorkerLostError; a canceled run must return while a worker is
+# blocked mid-delivery; a replaced run must stop shipping; and over
+# HTTP a worker killed mid-run and a worker whose frontier endpoint
+# fails must both fail the job cleanly (no hang, no partial result).
+# Second, a dist run is recorded to a ledger and read back, proving
+# dist runs carry the "dist" engine tag through the query side.
+# (Pipeline-vs-dist agreement, occupancy aggregate included, is
+# TestDistParityComplete.)
 dist-smoke:
-	$(GO) test -race -run 'TestDistWorkerLoss|TestDistSendFailure' ./internal/dist/
+	$(GO) test -race -count=20 -run 'TestDistFaults|TestDistCancelMidDelivery|TestInitStopsReplacedRun|TestDistWorkerLoss|TestDistSendFailure' ./internal/dist/
 	rm -f LEDGER_dist.jsonl
 	$(GO) run ./cmd/vnverify -engine dist -workers 2 -max-states 30000 \
 		-ledger LEDGER_dist.jsonl MSI_nonblocking_cache

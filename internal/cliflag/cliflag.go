@@ -103,14 +103,14 @@ func Register(fs *flag.FlagSet, which Flags) *Telemetry {
 		fs.StringVar(&t.Ledger, "ledger", "", "append this run's record to the content-addressed run ledger at this path")
 	}
 	if which&FlagDist != 0 {
-		fs.StringVar(&t.PeerList, "peers", "", "comma-separated worker URLs for -engine dist (e.g. http://h1:9410,http://h2:9410); empty spawns -workers loopback workers")
+		fs.StringVar(&t.PeerList, "peers", "", "comma-separated worker URLs for -engine dist (e.g. http://h1:9410,http://h2:9410); empty runs -workers in-process workers")
 	}
 	return t
 }
 
 // Peers splits -peers into worker base URLs, dropping empty elements
 // so trailing commas are harmless. Nil when the flag is unset, which
-// tells the distributed coordinator to spawn loopback workers.
+// tells the distributed coordinator to run in-process workers.
 func (t *Telemetry) Peers() []string { return splitList(t.PeerList) }
 
 // Record sends the run's one document to both sinks: the -stats-json

@@ -9,7 +9,7 @@ import (
 // Frontier batch wire format. A batch carries states generated at one
 // depth by one worker for one owner, as raw state bytes — the receiver
 // recomputes the canonical key and fingerprint with its own
-// (identical, see buildSystem) system, so the wire never has to be
+// (identical, see Worker.init) system, so the wire never has to be
 // trusted about ownership or identity.
 //
 //	magic   "MVNF" (4 bytes)
@@ -17,10 +17,10 @@ import (
 //	from    uvarint — sender's worker index
 //	depth   uvarint — the depth the carried states were generated AT
 //	        (they are candidates for depth+1)
-//	seq     uvarint — sender's per-(receiver,depth) batch sequence
-//	        number, starting at 0; receivers dedup on (from, depth,
-//	        seq) so a retried send after a lost acknowledgement is
-//	        idempotent
+//	seq     uvarint — the sender's batch number, one counter per sender
+//	        for the whole run; a receiver dedups on (from, seq) among
+//	        its current depth's batches, so a retried send after a lost
+//	        acknowledgement is idempotent
 //	count   uvarint — number of entries
 //	entries count × (uvarint length, raw state bytes)
 //

@@ -1,17 +1,12 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"sync"
 	"time"
 
 	"minvn/internal/machine"
@@ -43,9 +38,9 @@ type Job struct {
 	// DisableTraces.
 	Options mc.Options
 	// Workers is the parallelism: in-process, the pipelined engine's
-	// worker count; distributed, the loopback fleet size when Peers is
-	// empty (the coordinator spawns that many workers on 127.0.0.1).
-	// Values below 1 pick GOMAXPROCS.
+	// worker count; distributed, the in-process fleet size when Peers is
+	// empty (the coordinator calls that many workers in this process,
+	// through no socket). Values below 1 pick GOMAXPROCS.
 	Workers int
 	// Peers, when non-empty, is the base URLs of already-running worker
 	// daemons (cmd/vnworkerd), one per worker; Workers is ignored.
@@ -71,7 +66,7 @@ type Job struct {
 // partial result is sound.
 type WorkerLostError struct {
 	Worker int    // worker index the failure was observed at
-	URL    string // that worker's base URL
+	URL    string // that worker's base URL, or "in-process"
 	Op     string // "init", "expand", "settle", or "frontier-send"
 	Err    error
 }
@@ -82,30 +77,54 @@ func (e *WorkerLostError) Error() string {
 
 func (e *WorkerLostError) Unwrap() error { return e.Err }
 
-// statusError is a non-200 control response.
-type statusError struct {
-	Code int
-	Body string
+// member is one worker as the coordinator drives it: a *Worker in this
+// process, or a worker daemon over HTTP (httpMember).
+type member interface {
+	init(context.Context, initReq) (initResp, error)
+	expand(context.Context, expandReq) (expandResp, error)
+	settle(context.Context, settleReq) (settleResp, error)
+	cancel(context.Context, cancelReq) error
 }
 
-func (e *statusError) Error() string { return fmt.Sprintf("%d: %s", e.Code, e.Body) }
+// peer is a worker as another worker delivers encoded frontier batches
+// to it: a *Worker in this process, or httpPeer. A nil error
+// acknowledges the batch.
+type peer interface {
+	deliver(ctx context.Context, batch []byte) error
+}
 
 // Check runs the distributed search and blocks until it finishes. The
 // returned Result matches the in-process engines' contract — context
 // cancellation yields Outcome Canceled with a nil error — while infra
 // failures (spec errors, worker loss, accounting mismatches) yield a
 // non-nil error alongside a Canceled result, so callers can tell "the
-// user stopped it" from "the fleet broke".
+// user stopped it" from "the fleet broke". With Peers empty the fleet
+// is Workers in this process, called directly; otherwise it is the
+// worker daemons at Peers, over HTTP.
 func Check(ctx context.Context, job Job) (mc.Result, error) {
+	if len(job.Peers) > 0 {
+		return check(ctx, job, dialFleet(job.Peers), nil)
+	}
+	members, peers := make([]member, job.fleetSize()), make([]peer, job.fleetSize())
+	for i := range members {
+		w := NewWorker()
+		members[i], peers[i] = w, w
+	}
+	return check(ctx, job, members, peers)
+}
+
+// check runs job on a fleet: members[i] is worker i, and peers, when
+// non-nil, is what every worker delivers batches to (over HTTP each
+// worker dials Job.Peers itself).
+func check(ctx context.Context, job Job, members []member, peers []peer) (mc.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	opts := job.Options
 	if err := job.distRefusal(); err != nil {
 		return mc.Result{}, err
 	}
-	if opts.Observer != nil {
+	if job.Options.Observer != nil {
 		return mc.Result{}, fmt.Errorf("dist: Observer is unsupported (states are stored in worker processes); set Job.Occupancy")
 	}
 	if job.Config.Protocol == nil {
@@ -117,61 +136,24 @@ func Check(ctx context.Context, job Job) (mc.Result, error) {
 		return mc.Result{}, fmt.Errorf("dist: encode config: %w", err)
 	}
 
-	peers := job.Peers
-	if len(peers) == 0 {
-		loop, err := spawnLoopback(job.fleetSize())
-		if err != nil {
-			return mc.Result{}, err
-		}
-		defer loop.close()
-		peers = loop.urls
-	}
-
 	c := &coord{
-		job: job, opts: opts, start: start, peers: peers, n: len(peers),
-		runID:  newRunID(),
-		client: &http.Client{},
-		latest: make([]statsBlock, len(peers)),
+		job: job, opts: job.Options, start: start,
+		members: members, peers: peers, n: len(members),
+		urls:        make([]string, len(members)),
+		runID:       newRunID(),
+		latest:      make([]statsBlock, len(members)),
+		workerLanes: make([]*trace.Lane, len(members)),
 	}
 	tc, _ := trace.TraceContextFrom(ctx)
-	c.lane = opts.Trace.Lane(tc.LanePrefix() + "dist coordinator")
-	c.workerLanes = make([]*trace.Lane, c.n)
-	for i := range c.workerLanes {
-		c.workerLanes[i] = opts.Trace.Lane(tc.LanePrefix() + fmt.Sprintf("dist worker %d", i))
+	c.lane = c.opts.Trace.Lane(tc.LanePrefix() + "dist coordinator")
+	for i := range c.members {
+		c.urls[i] = "in-process"
+		c.workerLanes[i] = c.opts.Trace.Lane(tc.LanePrefix() + fmt.Sprintf("dist worker %d", i))
 	}
+	copy(c.urls, job.Peers)
 	res, err := c.run(ctx, config)
 	res.Duration = time.Since(start)
 	return res, err
-}
-
-// loopbackFleet is a set of in-process workers on 127.0.0.1, the
-// default deployment: real HTTP servers exercising the full wire
-// path, without any daemon to operate.
-type loopbackFleet struct {
-	urls []string
-	srvs []*http.Server
-}
-
-func spawnLoopback(n int) (*loopbackFleet, error) {
-	f := &loopbackFleet{}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.close()
-			return nil, fmt.Errorf("dist: spawn loopback worker %d: %w", i, err)
-		}
-		srv := &http.Server{Handler: NewWorker().Handler()}
-		go srv.Serve(ln)
-		f.urls = append(f.urls, "http://"+ln.Addr().String())
-		f.srvs = append(f.srvs, srv)
-	}
-	return f, nil
-}
-
-func (f *loopbackFleet) close() {
-	for _, s := range f.srvs {
-		s.Close()
-	}
 }
 
 func newRunID() string {
@@ -183,66 +165,56 @@ func newRunID() string {
 }
 
 type coord struct {
-	job   Job
-	opts  mc.Options
-	start time.Time
-	peers []string
-	n     int
-	runID string
+	job     Job
+	opts    mc.Options
+	start   time.Time
+	members []member
+	peers   []peer   // the fleet's delivery targets in process; nil over HTTP
+	urls    []string // WorkerLostError.URL by worker
+	n       int
+	runID   string
 
-	client      *http.Client
 	latest      []statsBlock // each worker's most recent cumulative block
 	lane        *trace.Lane
 	workerLanes []*trace.Lane
 }
 
-func (c *coord) postJSON(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
+// each calls f on every worker at once and returns the answers in
+// worker order, or the lowest-indexed failure as a *WorkerLostError. It
+// returns as soon as ctx ends, without waiting for the calls: an
+// in-process expand blocked in a delivery notices ctx, or the cancel
+// that follows, only once the delivery returns, and its late answer
+// lands in a buffer nobody reads.
+func each[T any](ctx context.Context, c *coord, op string, f func(ctx context.Context, i int, m member) (T, error)) ([]T, error) {
+	type answer struct {
+		i   int
+		out T
+		err error
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
+	answers := make(chan answer, c.n)
+	for i, m := range c.members {
+		go func() {
+			sp := c.workerLanes[i].Start(op)
+			out, err := f(ctx, i, m)
+			sp.End()
+			answers <- answer{i, out, err}
+		}()
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return &statusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(data))}
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
-}
-
-// each runs op against every worker concurrently and returns the
-// lowest-indexed failure, wrapped as a WorkerLostError.
-func (c *coord) each(ctx context.Context, op string, f func(ctx context.Context, i int) error) error {
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
-	for i := 0; i < c.n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return &WorkerLostError{Worker: i, URL: c.peers[i], Op: op, Err: err}
+	outs, errs := make([]T, c.n), make([]error, c.n)
+	for range c.n {
+		select {
+		case a := <-answers:
+			outs[a.i], errs[a.i] = a.out, a.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-	return nil
+	for i, err := range errs {
+		if err != nil {
+			return nil, &WorkerLostError{Worker: i, URL: c.urls[i], Op: op, Err: err}
+		}
+	}
+	return outs, nil
 }
 
 // cancelAll best-effort tears the fleet down. It runs on its own
@@ -251,15 +223,9 @@ func (c *coord) each(ctx context.Context, op string, f func(ctx context.Context,
 func (c *coord) cancelAll() {
 	cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < c.n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c.postJSON(cctx, c.peers[i]+"/dist/v1/cancel", cancelReq{RunID: c.runID}, nil)
-		}(i)
-	}
-	wg.Wait()
+	each(cctx, c, "cancel", func(ctx context.Context, _ int, m member) (struct{}, error) {
+		return struct{}{}, m.cancel(ctx, cancelReq{RunID: c.runID})
+	})
 }
 
 func (c *coord) snapshot(frontier int, final bool) mc.Snapshot {
@@ -281,167 +247,75 @@ func (c *coord) finish(outcome mc.Outcome, frontier int) mc.Result {
 	return res
 }
 
+// fail ends a run that cannot go on and cancels the fleet. The end of
+// ctx is Outcome Canceled with a nil error (the user stopped it); a
+// worker's capacity stop is Outcome Capacity; anything else is Canceled
+// with the error, so no partial result passes for a sound one.
+func (c *coord) fail(ctx context.Context, frontier int, err error) (mc.Result, error) {
+	c.cancelAll()
+	outcome, msg := mc.Canceled, err.Error()
+	var ce *callError
+	switch {
+	case ctx.Err() != nil:
+		msg, err = ctx.Err().Error(), nil
+	case errors.As(err, &ce) && ce.kind == capacity:
+		outcome, msg, err = mc.Capacity, ce.Error(), nil
+	}
+	res := c.finish(outcome, frontier)
+	res.Message = msg
+	return res, err
+}
+
 func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, error) {
-	// Initialize the fleet: each worker builds the system, settles its
-	// owned initial states at depth 0, and reports its first block.
-	initErr := c.each(ctx, "init", func(ctx context.Context, i int) error {
-		sp := c.workerLanes[i].Start("init")
-		defer sp.End()
-		var out initResp
-		err := c.postJSON(ctx, c.peers[i]+"/dist/v1/init", initReq{
+	// Each worker builds the system, settles its owned initial states at
+	// depth 0 and reports its first block.
+	blocks, err := each(ctx, c, "init", func(ctx context.Context, i int, m member) (statsBlock, error) {
+		r, err := m.init(ctx, initReq{
 			RunID: c.runID, Self: i, Workers: c.n,
 			Spec: config, Store: c.opts.Store.String(),
-			Occupancy: c.job.Occupancy, Peers: c.peers,
-		}, &out)
-		if err != nil {
-			return err
-		}
-		c.latest[i] = out.Stats
-		return nil
+			Occupancy: c.job.Occupancy, Peers: c.job.Peers, peers: c.peers,
+		})
+		return r.Stats, err
 	})
-	if initErr != nil {
-		c.cancelAll()
-		if ctx.Err() != nil {
-			res := c.finish(mc.Canceled, 0)
-			res.Message = ctx.Err().Error()
-			return res, nil
-		}
-		res := c.finish(mc.Canceled, 0)
-		res.Message = initErr.Error()
-		return res, initErr
+	if err != nil {
+		return c.fail(ctx, 0, err)
 	}
-
-	frontier := 0
-	for i := range c.latest {
-		frontier += c.latest[i].Frontier
-	}
+	frontier, states := c.record(blocks)
 
 	for depth := 0; ; depth++ {
-		if err := ctx.Err(); err != nil {
+		switch {
+		case ctx.Err() != nil:
+			return c.fail(ctx, frontier, ctx.Err())
+		case frontier == 0:
+			return c.finish(mc.Complete, 0), nil
+		case c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth,
+			c.opts.MaxStates > 0 && states >= c.opts.MaxStates:
 			c.cancelAll()
-			res := c.finish(mc.Canceled, frontier)
-			res.Message = err.Error()
+			return c.finish(mc.Bounded, frontier), nil
+		}
+		levelSpan := c.lane.Start(fmt.Sprintf("level %d", depth))
+		blocks, terminal, err := c.level(ctx, depth)
+		switch {
+		case err != nil:
+			levelSpan.End()
+			return c.fail(ctx, frontier, err)
+		case terminal != nil:
+			levelSpan.End()
+			// A deadlock or violation ends the run; counts in the result
+			// are from the last settled level boundary.
+			c.cancelAll()
+			oc := mc.Deadlock
+			if terminal.Kind == "violation" {
+				oc = mc.Violation
+			}
+			res := c.finish(oc, frontier)
+			res.Message = terminal.Message
+			if terminal.State != nil {
+				res.Trace = [][]byte{terminal.State}
+			}
 			return res, nil
 		}
-		if frontier == 0 {
-			return c.finish(mc.Complete, 0), nil
-		}
-		if c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth {
-			c.cancelAll()
-			return c.finish(mc.Bounded, frontier), nil
-		}
-		if states := c.totalStates(); c.opts.MaxStates > 0 && states >= c.opts.MaxStates {
-			c.cancelAll()
-			return c.finish(mc.Bounded, frontier), nil
-		}
-
-		levelSpan := c.lane.Start(fmt.Sprintf("level %d", depth))
-
-		// Expand: every worker expands its share of the level, shipping
-		// non-owned successors. All sends are acknowledged before each
-		// response, so afterwards every candidate is at its owner.
-		expandResps := make([]expandResp, c.n)
-		expandErr := c.each(ctx, "expand", func(ctx context.Context, i int) error {
-			sp := c.workerLanes[i].Start("expand")
-			defer sp.End()
-			return c.postJSON(ctx, c.peers[i]+"/dist/v1/expand",
-				expandReq{RunID: c.runID, Depth: depth}, &expandResps[i])
-		})
-		if expandErr != nil {
-			levelSpan.End()
-			c.cancelAll()
-			res := c.finish(mc.Canceled, frontier)
-			if err := ctx.Err(); err != nil {
-				res.Message = err.Error()
-				return res, nil
-			}
-			res.Message = expandErr.Error()
-			return res, expandErr
-		}
-
-		// A terminal (deadlock or violation) ends the run. The
-		// lowest worker index wins for determinism; counts in the result
-		// are from the last settled level boundary.
-		for i := 0; i < c.n; i++ {
-			if t := expandResps[i].Terminal; t != nil {
-				levelSpan.EndArg("terminal", int64(i))
-				c.cancelAll()
-				oc := mc.Deadlock
-				if t.Kind == "violation" {
-					oc = mc.Violation
-				}
-				res := c.finish(oc, frontier)
-				res.Message = t.Message
-				if t.State != nil {
-					res.Trace = [][]byte{t.State}
-				}
-				return res, nil
-			}
-		}
-		for i := 0; i < c.n; i++ {
-			if msg := expandResps[i].SendFailed; msg != "" {
-				levelSpan.End()
-				c.cancelAll()
-				lost := &WorkerLostError{
-					Worker: i, URL: c.peers[i], Op: "frontier-send",
-					Err: fmt.Errorf("%s", msg),
-				}
-				res := c.finish(mc.Canceled, frontier)
-				res.Message = lost.Error()
-				return res, lost
-			}
-		}
-
-		// In-flight accounting: worker i must have received exactly the
-		// sum of what every peer reported sending it.
-		expect := make([]int, c.n)
-		for i := 0; i < c.n; i++ {
-			if len(expandResps[i].Sent) != c.n {
-				levelSpan.End()
-				c.cancelAll()
-				err := fmt.Errorf("dist: worker %d reported %d send counters for a %d-worker fleet",
-					i, len(expandResps[i].Sent), c.n)
-				res := c.finish(mc.Canceled, frontier)
-				res.Message = err.Error()
-				return res, err
-			}
-			for j, sent := range expandResps[i].Sent {
-				expect[j] += sent
-			}
-		}
-
-		// Settle: each worker dedups its candidates into depth+1 and
-		// reports its new cumulative block.
-		settleResps := make([]settleResp, c.n)
-		settleErr := c.each(ctx, "settle", func(ctx context.Context, i int) error {
-			sp := c.workerLanes[i].Start("settle")
-			defer sp.End()
-			return c.postJSON(ctx, c.peers[i]+"/dist/v1/settle",
-				settleReq{RunID: c.runID, Depth: depth, Expect: expect[i]}, &settleResps[i])
-		})
-		if settleErr != nil {
-			levelSpan.End()
-			c.cancelAll()
-			res := c.finish(mc.Canceled, frontier)
-			if err := ctx.Err(); err != nil {
-				res.Message = err.Error()
-				return res, nil
-			}
-			var st *statusError
-			if errors.As(settleErr, &st) && st.Code == http.StatusInsufficientStorage {
-				// A visited-set capacity limit, not a lost worker.
-				capRes := c.finish(mc.Capacity, frontier)
-				capRes.Message = st.Body
-				return capRes, nil
-			}
-			res.Message = settleErr.Error()
-			return res, settleErr
-		}
-		frontier = 0
-		for i := 0; i < c.n; i++ {
-			c.latest[i] = settleResps[i].Stats
-			frontier += settleResps[i].Frontier
-		}
+		frontier, states = c.record(blocks)
 		levelSpan.EndArg("frontier", int64(frontier))
 		if c.opts.Progress != nil {
 			c.opts.Progress(c.snapshot(frontier, false))
@@ -449,10 +323,54 @@ func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, err
 	}
 }
 
-func (c *coord) totalStates() int {
-	t := 0
-	for i := range c.latest {
-		t += c.latest[i].States
+// record keeps each worker's latest block and returns the fleet's
+// frontier and stored states.
+func (c *coord) record(blocks []statsBlock) (frontier, states int) {
+	copy(c.latest, blocks)
+	for _, b := range blocks {
+		frontier += b.Frontier
+		states += b.States
 	}
-	return t
+	return frontier, states
+}
+
+// level runs one round at depth and returns every worker's new block,
+// or the terminal state the lowest-indexed worker hit.
+func (c *coord) level(ctx context.Context, depth int) ([]statsBlock, *terminalReport, error) {
+	// Expand: every worker expands its share of the level, shipping
+	// non-owned successors. All sends are acknowledged before each
+	// answer, so afterwards every candidate is at its owner.
+	expands, err := each(ctx, c, "expand", func(ctx context.Context, _ int, m member) (expandResp, error) {
+		return m.expand(ctx, expandReq{RunID: c.runID, Depth: depth})
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, r := range expands {
+		if r.Terminal != nil {
+			return nil, r.Terminal, nil
+		}
+	}
+	// In-flight accounting: worker i must have received exactly the
+	// sum of what every peer reported sending it.
+	expect := make([]int, c.n)
+	for i, r := range expands {
+		if r.SendFailed != "" {
+			return nil, nil, &WorkerLostError{Worker: i, URL: c.urls[i], Op: "frontier-send", Err: errors.New(r.SendFailed)}
+		}
+		if len(r.Sent) != c.n {
+			return nil, nil, fmt.Errorf("dist: worker %d reported %d send counters for a %d-worker fleet", i, len(r.Sent), c.n)
+		}
+		for j, sent := range r.Sent {
+			expect[j] += sent
+		}
+	}
+
+	// Settle: each worker dedups its candidates into depth+1 and
+	// reports its new cumulative block.
+	blocks, err := each(ctx, c, "settle", func(ctx context.Context, i int, m member) (statsBlock, error) {
+		r, err := m.settle(ctx, settleReq{RunID: c.runID, Depth: depth, Expect: expect[i]})
+		return r.Stats, err
+	})
+	return blocks, nil, err
 }

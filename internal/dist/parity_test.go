@@ -5,7 +5,8 @@ package dist_test
 // outcome, stored-state count, max depth, expansion (Rules) count,
 // generated/dedup counters, depth histogram, per-rule firings, stripe
 // histograms, and per-VN occupancy aggregates, for every built-in
-// protocol, both visited-set stores, and 1, 2, and 4 loopback workers.
+// protocol, both visited-set stores, and 1, 2, and 4 workers, each on
+// both transports: in process and over HTTP.
 //
 // The compared runs are Complete or depth-bounded. Without symmetry
 // reduction those quantities are order-independent (each distinct state
@@ -25,6 +26,7 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -124,8 +126,27 @@ func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got
 
 var parityWorkerCounts = []int{1, 2, 4}
 
+var transports = []string{"in-process", "http"}
+
+// onFleet runs job on n workers over the named transport: in this
+// process (Job.Workers), or as worker handlers behind httptest servers
+// (Job.Peers).
+func onFleet(t testing.TB, transport string, job dist.Job, n int) (mc.Result, error) {
+	t.Helper()
+	job.Workers = n
+	if transport == "http" {
+		for range n {
+			srv := httptest.NewServer(dist.NewWorker().Handler())
+			t.Cleanup(srv.Close)
+			job.Peers = append(job.Peers, srv.URL)
+		}
+	}
+	return dist.Check(context.Background(), job)
+}
+
 // TestDistParityAllProtocols sweeps every built-in protocol × both
-// stores × 1/2/4 workers on a depth-bounded per-message-VN config.
+// stores × 1/2/4 workers × both transports on a depth-bounded
+// per-message-VN config.
 func TestDistParityAllProtocols(t *testing.T) {
 	for _, proto := range protocols.Names() {
 		proto := proto
@@ -140,13 +161,13 @@ func TestDistParityAllProtocols(t *testing.T) {
 					for _, workers := range parityWorkerCounts {
 						workers := workers
 						t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-							got, err := dist.Check(context.Background(), dist.Job{
-								Config: cfg, Options: opts, Workers: workers, Occupancy: true,
-							})
-							if err != nil {
-								t.Fatal(err)
+							for _, transport := range transports {
+								got, err := onFleet(t, transport, dist.Job{Config: cfg, Options: opts, Occupancy: true}, workers)
+								if err != nil {
+									t.Fatalf("%s: %v", transport, err)
+								}
+								assertParity(t, want, wantOcc, got)
 							}
-							assertParity(t, want, wantOcc, got)
 						})
 					}
 				})
@@ -182,13 +203,13 @@ func TestDistParityComplete(t *testing.T) {
 				t.Fatalf("baseline outcome %v, want %v", want.Outcome, tc.want)
 			}
 			for _, workers := range append([]int{3}, parityWorkerCounts...) {
-				got, err := dist.Check(context.Background(), dist.Job{
-					Config: tc.cfg, Options: tc.opts, Workers: workers, Occupancy: true,
-				})
-				if err != nil {
-					t.Fatalf("workers %d: %v", workers, err)
+				for _, transport := range transports {
+					got, err := onFleet(t, transport, dist.Job{Config: tc.cfg, Options: tc.opts, Occupancy: true}, workers)
+					if err != nil {
+						t.Fatalf("workers %d %s: %v", workers, transport, err)
+					}
+					assertParity(t, want, wantOcc, got)
 				}
-				assertParity(t, want, wantOcc, got)
 			}
 		})
 	}
@@ -201,8 +222,8 @@ func TestDistParityComplete(t *testing.T) {
 // settles its candidates in (local ones in generation order, then
 // received batches by sender and sequence; package comment, "Parity").
 // The numbers were recorded before the worker's data path was last
-// rewritten; the 2-worker ones are bench/expected.json's
-// complete_batch_dist verdicts.
+// rewritten, over HTTP, and hold on both transports; the 2-worker ones
+// are bench/expected.json's complete_batch_dist verdicts.
 func TestDistStoredCounts(t *testing.T) {
 	for _, tc := range []struct {
 		proto   string
@@ -219,16 +240,15 @@ func TestDistStoredCounts(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/w%d", tc.proto, tc.workers), func(t *testing.T) {
 			t.Parallel()
-			got, err := dist.Check(context.Background(), dist.Job{
-				Config:  minimalConfig(t, tc.proto, 3, 1, 1),
-				Options: mc.Options{DisableTraces: true},
-				Workers: tc.workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Outcome != mc.Complete || got.States != tc.states {
-				t.Fatalf("%v with %d states, want complete with %d", got.Outcome, got.States, tc.states)
+			job := dist.Job{Config: minimalConfig(t, tc.proto, 3, 1, 1), Options: mc.Options{DisableTraces: true}}
+			for _, transport := range transports {
+				got, err := onFleet(t, transport, job, tc.workers)
+				if err != nil {
+					t.Fatalf("%s: %v", transport, err)
+				}
+				if got.Outcome != mc.Complete || got.States != tc.states {
+					t.Errorf("%s: %v with %d states, want complete with %d", transport, got.Outcome, got.States, tc.states)
+				}
 			}
 		})
 	}

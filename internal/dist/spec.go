@@ -1,11 +1,16 @@
 // Package dist is the distributed explicit-state search engine: a
-// coordinator drives a fleet of worker processes, each of which owns a
+// coordinator drives a fleet of workers, each of which owns a
 // deterministic hash range of state-fingerprint space (mc.OwnerOf),
 // expands the states it owns, and ships non-owned successors to their
-// owners as batched frontier messages over a length-prefixed HTTP wire
-// codec. It is the process-level promotion of the thread-level
-// partition in mc's sharded visited set — the step the ROADMAP names
-// from single-node search to fleet-scale runs.
+// owners as batched frontier messages in a length-prefixed wire codec.
+// It is the process-level promotion of the thread-level partition in
+// mc's sharded visited set — the step the ROADMAP names from
+// single-node search to fleet-scale runs.
+//
+// A worker is one API (coord.go's member and peer) over two transports:
+// an in-process fleet is Workers called directly, through no socket,
+// still encoding and decoding every batch; a remote one is worker
+// daemons (cmd/vnworkerd) over HTTP, all of which is http.go.
 //
 // # Search structure
 //
@@ -107,8 +112,8 @@ type Spec struct {
 	// Traces keeps parent links so a terminal outcome carries its
 	// counterexample trace.
 	Traces bool `json:"-"`
-	// Peers are the worker daemons of a distributed run (empty spawns
-	// Workers loopback workers).
+	// Peers are the worker daemons of a distributed run (empty runs
+	// Workers in-process workers).
 	Peers []string `json:"-"`
 	// Assignment, when non-nil, is an explicit message→VN map over
 	// NumVNs networks and replaces the VN mode.

@@ -196,7 +196,7 @@ func TestJobKey(t *testing.T) {
 		t.Error("dist fleets of 2 and 3 workers share a key")
 	}
 	if keyOf(dist.Spec{Engine: "dist", Peers: []string{"http://a", "http://b"}, Workers: 9}) != d2 {
-		t.Error("two peers and two loopback workers are the same fleet size but differ in key")
+		t.Error("two peers and two in-process workers are the same fleet size but differ in key")
 	}
 }
 

@@ -1,12 +1,10 @@
 package dist
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,19 +22,6 @@ import (
 // profiles are comparable.
 const expandSample = 8
 
-// sendRetries and sendBackoff govern frontier-send failure recovery: a
-// failed POST is retried with doubling backoff (batch sequence numbers
-// make redelivery idempotent), and only after the last retry fails
-// does the worker report the send failure, which fails the whole job.
-const (
-	sendRetries = 4
-	sendBackoff = 25 * time.Millisecond
-)
-
-// maxControlBody caps JSON control-request bodies (the model spec
-// dominates; real specs are a few KiB).
-const maxControlBody = 8 << 20
-
 // Control-plane request/response bodies. One coordinator drives each
 // worker; control calls (init/expand/settle/cancel) never overlap,
 // while frontier batches from peers arrive concurrently with expand.
@@ -48,8 +33,10 @@ type initReq struct {
 	Spec      json.RawMessage `json:"spec"`
 	Store     string          `json:"store"`
 	Occupancy bool            `json:"occupancy"`
-	// Peers[i] is worker i's base URL; Peers[Self] is unused.
+	// Peers[i] is worker i's base URL over HTTP, and peers[i] what this
+	// worker delivers to it (Workers in process); [Self] is unused.
 	Peers []string `json:"peers"`
+	peers []peer
 }
 
 type initResp struct {
@@ -62,10 +49,9 @@ type expandReq struct {
 }
 
 // terminalReport describes a deadlock or violation hit while expanding
-// (a capacity stop happens at settle, whose handler answers 507
-// instead). State is the offending raw state (the distributed engine
-// has no parent table, so like DisableTraces the trace is the single
-// terminal state).
+// (a capacity stop happens at settle instead). State is the offending
+// raw state: with no parent table, like DisableTraces, the trace is the
+// single terminal state.
 type terminalReport struct {
 	Kind    string `json:"kind"` // "deadlock" or "violation"
 	Message string `json:"message"`
@@ -120,42 +106,46 @@ type statsBlock struct {
 	Frontier   int                 `json:"frontier"`
 }
 
+// callError is a call a worker refuses or cannot complete; its kind is
+// what the caller may conclude, spelled as a status code over HTTP.
+type callError struct {
+	kind errKind
+	err  error
+}
+
+type errKind int
+
+const (
+	badCall  errKind = iota // the request is malformed
+	conflict                // no such run, another depth, a receipt count mismatch: retrying cannot help
+	capacity                // the visited set reached a limit (*mc.CapacityError): the run ends as Capacity
+)
+
+func refuse(kind errKind, format string, args ...any) error {
+	return &callError{kind, fmt.Errorf(format, args...)}
+}
+
+func (e *callError) Error() string { return e.err.Error() }
+func (e *callError) Unwrap() error { return e.err }
+
 // Worker hosts the distributed engine's per-process state: the owned
 // slice of the visited set, the current frontier, and the accumulating
-// candidates for the next depth. One Worker serves one run at a time;
-// a new init replaces any previous run.
+// candidates for the next depth. One Worker serves one run at a time; a
+// new init replaces and stops any previous run. A Worker is a member
+// and a peer, called directly in process and through Handler over HTTP.
 type Worker struct {
-	mu  sync.Mutex // guards run pointer swaps only
-	run *workerRun
-	mux *http.ServeMux
+	run atomic.Pointer[workerRun] // the active run, nil when idle
 }
 
 // NewWorker builds an idle worker.
-func NewWorker() *Worker {
-	w := &Worker{mux: http.NewServeMux()}
-	w.mux.HandleFunc("POST /dist/v1/init", w.handleInit)
-	w.mux.HandleFunc("POST /dist/v1/expand", w.handleExpand)
-	w.mux.HandleFunc("POST /dist/v1/frontier", w.handleFrontier)
-	w.mux.HandleFunc("POST /dist/v1/settle", w.handleSettle)
-	w.mux.HandleFunc("POST /dist/v1/cancel", w.handleCancel)
-	return w
-}
+func NewWorker() *Worker { return &Worker{} }
 
-// Handler returns the worker's HTTP handler.
-func (w *Worker) Handler() http.Handler { return w.mux }
-
-func (w *Worker) current() *workerRun {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.run
-}
-
-// workerRun is one run's state. Control handlers are serialized by the
-// coordinator and additionally by ctrlMu; the frontier handler runs
-// concurrently with expand (peers ship batches while this worker is
-// itself expanding) and touches only candMu-guarded state — frontier
-// receipt MUST NOT take ctrlMu, or two workers mid-expand shipping to
-// each other would deadlock waiting for acknowledgements.
+// workerRun is one run's state. Control calls are serialized by the
+// coordinator and additionally by ctrlMu; deliver runs concurrently
+// with expand (peers ship batches while this worker is itself
+// expanding) and touches only candMu-guarded state — frontier receipt
+// MUST NOT take ctrlMu, or two workers mid-expand shipping to each
+// other would deadlock waiting for acknowledgements.
 type workerRun struct {
 	id       string
 	self, n  int
@@ -170,8 +160,7 @@ type workerRun struct {
 	cands    candidates
 
 	candMu      sync.Mutex
-	recvSeen    map[int]map[uint64]bool // sender → batch seqs already applied
-	recvBatches map[int][]*batch        // sender → batches, arrival order
+	recv        [][]*batch // by sender: the batches applied at this depth, in arrival order
 	recvEntries int
 
 	// Cumulative accounting, mirroring mc's tracker field for field so
@@ -190,8 +179,7 @@ type workerRun struct {
 	wset       *health.WorkerSet
 	prof       *machine.OccupancyProfiler
 
-	peers   []string
-	client  *http.Client
+	peers   []peer
 	seq     uint64   // next frontier batch sequence (unique across the run)
 	pending []outbox // per-peer unflushed states
 }
@@ -263,67 +251,36 @@ type outbox struct {
 	n       int
 }
 
-func httpError(rw http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(rw, fmt.Sprintf(format, args...), code)
-}
-
-func readJSON(rw http.ResponseWriter, req *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxControlBody+1))
-	if err != nil {
-		httpError(rw, http.StatusBadRequest, "read body: %v", err)
-		return false
-	}
-	if len(body) > maxControlBody {
-		httpError(rw, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxControlBody)
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		httpError(rw, http.StatusBadRequest, "decode request: %v", err)
-		return false
-	}
-	return true
-}
-
-func writeJSON(rw http.ResponseWriter, v any) {
-	rw.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(rw).Encode(v); err != nil {
-		// Too late for a status change; the coordinator sees the broken
-		// body and fails the job.
-		return
-	}
-}
-
-func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
-	var in initReq
-	if !readJSON(rw, req, &in) {
-		return
-	}
+// init builds the run's system, settles its owned initial states at
+// depth 0 and reports the first block.
+func (w *Worker) init(_ context.Context, in initReq) (initResp, error) {
 	if len(in.Spec) == 0 || in.Workers < 1 || in.Self < 0 || in.Self >= in.Workers ||
-		len(in.Peers) != in.Workers || in.RunID == "" {
-		httpError(rw, http.StatusBadRequest, "init: bad worker geometry (self %d of %d, %d peers)",
-			in.Self, in.Workers, len(in.Peers))
-		return
+		len(in.peers) != in.Workers || in.RunID == "" {
+		return initResp{}, refuse(badCall, "init: bad worker geometry (self %d of %d, %d peers)",
+			in.Self, in.Workers, len(in.peers))
 	}
+	// Every worker builds the same system from the same config document
+	// (machine.Config's JSON form): the same transitions, canonicalizer
+	// and state encoding, which the whole ownership scheme rests on.
 	store, err := mc.ParseStore(in.Store)
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "init: %v", err)
-		return
+		return initResp{}, refuse(badCall, "init: %v", err)
 	}
-	sys, err := buildSystem(in.Spec)
+	var cfg machine.Config
+	if err := json.Unmarshal(in.Spec, &cfg); err != nil {
+		return initResp{}, refuse(badCall, "init: decode config: %v", err)
+	}
+	sys, err := machine.New(cfg)
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "init: %v", err)
-		return
+		return initResp{}, refuse(badCall, "init: %v", err)
 	}
 	r := &workerRun{
 		id: in.RunID, self: in.Self, n: in.Workers,
 		sys: sys, visited: mc.NewVisitedStore(store, 1),
-		recvSeen:    make(map[int]map[uint64]bool),
-		recvBatches: make(map[int][]*batch),
-		rules:       make([]int64, len(sys.RuleNames())),
-		wset:        health.NewWorkerSet(1),
-		peers:       in.Peers,
-		client:      &http.Client{Timeout: 30 * time.Second},
-		pending:     make([]outbox, in.Workers),
+		rules:   make([]int64, len(sys.RuleNames())),
+		wset:    health.NewWorkerSet(1),
+		peers:   in.peers,
+		pending: make([]outbox, in.Workers),
 	}
 	if in.Occupancy {
 		r.prof = sys.NewOccupancyProfiler()
@@ -339,28 +296,16 @@ func (w *Worker) handleInit(rw http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		if err := r.store(s, key, fp, 0); err != nil {
-			httpError(rw, http.StatusInternalServerError, "init: %v", err)
-			return
+			return initResp{}, fmt.Errorf("init: %w", err)
 		}
 	}
 	r.promote(0)
-	w.mu.Lock()
-	w.run = r
-	w.mu.Unlock()
-	writeJSON(rw, initResp{Stats: r.stats()})
-}
-
-// buildSystem rebuilds the executable system from an init request's
-// config document (machine.Config's JSON form). Every worker building
-// from the same document gets the same transition system,
-// canonicalizer, and state encoding — the property the whole ownership
-// scheme rests on.
-func buildSystem(config []byte) (*machine.System, error) {
-	var cfg machine.Config
-	if err := json.Unmarshal(config, &cfg); err != nil {
-		return nil, fmt.Errorf("dist: decode config: %w", err)
+	if old := w.run.Swap(r); old != nil {
+		// The replaced run stops at its next state, so an abandoned
+		// expand ships nothing more into its peers' new runs.
+		old.canceled.Store(true)
 	}
-	return machine.New(cfg)
+	return initResp{Stats: r.stats()}, nil
 }
 
 // canonical returns s's canonical form, in the run's key buffer unless s
@@ -412,15 +357,13 @@ func (r *workerRun) store(s, key []byte, fp uint64, depth int) error {
 // promote makes the settled frontier the one at the given depth, empties
 // the candidate arena and drops the received batches, whose bodies their
 // entries alias. The depth write happens under candMu (in addition to
-// the caller's ctrlMu) because the frontier handler reads it under
-// candMu alone.
+// the caller's ctrlMu) because deliver reads it under candMu alone.
 func (r *workerRun) promote(depth int) {
 	r.cands.reset()
 	r.expanded = false
 	r.candMu.Lock()
 	r.depth = depth
-	r.recvSeen = make(map[int]map[uint64]bool)
-	r.recvBatches = make(map[int][]*batch)
+	r.recv = make([][]*batch, r.n)
 	r.recvEntries = 0
 	r.candMu.Unlock()
 }
@@ -475,32 +418,19 @@ func (r *workerRun) stats() statsBlock {
 	return b
 }
 
-func (w *Worker) runFor(rw http.ResponseWriter, runID string) *workerRun {
-	r := w.current()
+// lockRun returns the named run with ctrlMu held, for the caller to
+// release, if it is active, at depth, and expanded there or not as asked.
+func (w *Worker) lockRun(op, runID string, depth int, expanded bool) (*workerRun, error) {
+	r := w.run.Load()
 	if r == nil || r.id != runID {
-		httpError(rw, http.StatusConflict, "no active run %q", runID)
-		return nil
-	}
-	return r
-}
-
-func (w *Worker) handleExpand(rw http.ResponseWriter, req *http.Request) {
-	var in expandReq
-	if !readJSON(rw, req, &in) {
-		return
-	}
-	r := w.runFor(rw, in.RunID)
-	if r == nil {
-		return
+		return nil, refuse(conflict, "no active run %q", runID)
 	}
 	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	if in.Depth != r.depth || r.expanded {
-		httpError(rw, http.StatusConflict, "expand depth %d: worker at depth %d (expanded=%v)",
-			in.Depth, r.depth, r.expanded)
-		return
+	if depth != r.depth || r.expanded != expanded {
+		defer r.ctrlMu.Unlock()
+		return nil, refuse(conflict, "%s depth %d: worker at depth %d (expanded=%v)", op, depth, r.depth, r.expanded)
 	}
-	writeJSON(rw, r.expand())
+	return r, nil
 }
 
 // expand runs the worker's share of one BFS level: expand every
@@ -512,8 +442,14 @@ func (w *Worker) handleExpand(rw http.ResponseWriter, req *http.Request) {
 // self-owned one goes to the candidate arena with its key and
 // fingerprint, which settle stores from; a peer's is appended in wire
 // form to that peer's pending buffer. Nothing is allocated per
-// successor once the buffers are warm.
-func (r *workerRun) expand() expandResp {
+// successor once the buffers are warm. Between states expand stops if
+// ctx has ended or the run was canceled.
+func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
+	r, err := w.lockRun("expand", in.RunID, in.Depth, false)
+	if err != nil {
+		return expandResp{}, err
+	}
+	defer r.ctrlMu.Unlock()
 	resp := expandResp{Sent: make([]int, r.n)}
 	visit := func(succ []byte, rule int) {
 		r.rules[rule]++
@@ -529,21 +465,13 @@ func (r *workerRun) expand() expandResp {
 		o.entries = appendEntry(o.entries, succ)
 		o.n++
 	}
-	flushAll := func() error {
-		for p := range r.pending {
-			if err := r.flush(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	lo := 0
 	for _, hi := range r.frontier.ends {
 		st := r.frontier.buf[lo:hi:hi]
 		lo = hi
-		if r.canceled.Load() {
+		if r.canceled.Load() || ctx.Err() != nil {
 			resp.SendFailed = "run canceled"
-			return resp
+			return resp, nil
 		}
 		sampled := r.expansions%expandSample == 0
 		var t0 time.Time
@@ -555,242 +483,153 @@ func (r *workerRun) expand() expandResp {
 			r.wset.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
 		}
 		r.expansions++
-		if err != nil {
-			resp.Terminal = &terminalReport{Kind: "violation", Message: err.Error(), State: st}
-			r.expanded = true
-			return resp
+		switch {
+		case err != nil:
+			resp.Terminal = &terminalReport{Kind: "violation", Message: err.Error()}
+		case n == 0 && !r.sys.Quiescent(st):
+			resp.Terminal = &terminalReport{Kind: "deadlock", Message: "no enabled rule in non-quiescent state"}
 		}
-		if n == 0 && !r.sys.Quiescent(st) {
-			resp.Terminal = &terminalReport{
-				Kind: "deadlock", Message: "no enabled rule in non-quiescent state", State: st,
-			}
+		if resp.Terminal != nil {
+			// A copy: in process the report is not re-encoded, and st is
+			// the frontier's buffer.
+			resp.Terminal.State = slices.Clone(st)
 			r.expanded = true
-			return resp
+			return resp, nil
 		}
 		r.generated += int64(n)
-		// Flushing between expansions keeps network I/O out of the visit;
-		// a batch overshoots flushEntries by less than one state's fan-out.
-		for p := range r.pending {
-			if r.pending[p].n < flushEntries {
-				continue
-			}
-			if err := r.flush(p); err != nil {
-				resp.SendFailed = err.Error()
-				r.expanded = true
-				return resp
-			}
+		// Flushing between expansions keeps delivery out of the visit; a
+		// batch overshoots flushEntries by less than one state's fan-out.
+		if err := r.flush(ctx, flushEntries); err != nil {
+			resp.SendFailed = err.Error()
+			r.expanded = true
+			return resp, nil
 		}
 	}
-	if err := flushAll(); err != nil {
+	if err := r.flush(ctx, 1); err != nil {
 		resp.SendFailed = err.Error()
 	}
 	r.expanded = true
-	return resp
+	return resp, nil
 }
 
-// flush ships the pending states for one peer as a frontier batch,
-// retrying with backoff. Sends to one peer are strictly sequential
-// (the next batch is not built until this one is acknowledged), so
-// per-sender arrival order equals sequence order. The pending buffer is
-// reused at once: encodeBatch framed a copy, which no later batch
-// overwrites, because net/http may still read a request body after Do
-// has returned an error.
-func (r *workerRun) flush(peer int) error {
-	o := &r.pending[peer]
-	if o.n == 0 {
-		return nil
-	}
-	data, err := encodeBatch(r.self, r.depth, r.seq, o.n, o.entries)
-	r.seq++
-	o.entries, o.n = o.entries[:0], 0
-	if err != nil {
-		return err
-	}
-	url := r.peers[peer] + "/dist/v1/frontier"
-	t0 := time.Now()
-	defer func() { r.wset.Worker(0).AddBatch(0, 0, 0, time.Since(t0)) }()
-	var lastErr error
-	for attempt := 0; attempt <= sendRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(sendBackoff << (attempt - 1))
-			if r.canceled.Load() {
-				break
-			}
-		}
-		resp, err := r.client.Post(url, "application/octet-stream", bytes.NewReader(data))
-		if err != nil {
-			lastErr = err
+// flush ships the pending states of every peer with at least atLeast
+// of them as one frontier batch each. Sends to one peer are strictly
+// sequential (the next batch is not built until this one is
+// acknowledged), so per-sender arrival order equals sequence order. The
+// pending buffer is reused at once: encodeBatch framed a copy, which no
+// later batch overwrites, because a transport may still read a batch
+// after its delivery has failed, and a receiver in this process keeps
+// the one it was handed.
+func (r *workerRun) flush(ctx context.Context, atLeast int) error {
+	for p := range r.pending {
+		o := &r.pending[p]
+		if o.n < atLeast {
 			continue
 		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			return nil
-		}
-		lastErr = fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
-		// A 409 means the receiver is not in a state to accept this
-		// batch (canceled or desynchronized) — retrying cannot help.
-		if resp.StatusCode == http.StatusConflict {
-			break
-		}
-	}
-	return fmt.Errorf("dist: frontier send to worker %d failed after %d attempts: %w",
-		peer, sendRetries+1, lastErr)
-}
-
-// readBatch reads a frontier body into one buffer: exactly the declared
-// length when there is one (refused before a byte is read if it is over
-// the cap), else a limited read that decodeBatch refuses if it is.
-func readBatch(req *http.Request) ([]byte, error) {
-	n := req.ContentLength
-	if n > MaxBatchBytes {
-		return nil, &LimitError{Section: "batch bytes", Count: clampInt(uint64(n)), Max: MaxBatchBytes}
-	}
-	var data []byte
-	var err error
-	if n >= 0 {
-		data = make([]byte, n)
-		_, err = io.ReadFull(req.Body, data)
-	} else {
-		data, err = io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("read batch: %w", err)
-	}
-	return data, nil
-}
-
-func (w *Worker) handleFrontier(rw http.ResponseWriter, req *http.Request) {
-	data, err := readBatch(req)
-	var b *batch
-	if err == nil {
-		b, err = decodeBatch(data)
-	}
-	if err != nil {
-		code := http.StatusBadRequest
-		var le *LimitError
-		if errors.As(err, &le) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(rw, code, "frontier: %v", err)
-		return
-	}
-	r := w.current()
-	if r == nil {
-		httpError(rw, http.StatusConflict, "frontier: no active run")
-		return
-	}
-	if r.canceled.Load() {
-		httpError(rw, http.StatusConflict, "frontier: run canceled")
-		return
-	}
-	if b.From < 0 || b.From >= r.n || b.From == r.self {
-		httpError(rw, http.StatusBadRequest, "frontier: bad sender %d", b.From)
-		return
-	}
-	r.candMu.Lock()
-	defer r.candMu.Unlock()
-	if b.Depth != r.depth {
-		httpError(rw, http.StatusConflict, "frontier: batch for depth %d, worker at depth %d", b.Depth, r.depth)
-		return
-	}
-	seen := r.recvSeen[b.From]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		r.recvSeen[b.From] = seen
-	}
-	if seen[b.Seq] {
-		// Redelivery after a lost acknowledgement: already applied.
-		rw.WriteHeader(http.StatusOK)
-		return
-	}
-	seen[b.Seq] = true
-	r.recvBatches[b.From] = append(r.recvBatches[b.From], b)
-	r.recvEntries += len(b.States)
-	rw.WriteHeader(http.StatusOK)
-}
-
-func (w *Worker) handleSettle(rw http.ResponseWriter, req *http.Request) {
-	var in settleReq
-	if !readJSON(rw, req, &in) {
-		return
-	}
-	r := w.runFor(rw, in.RunID)
-	if r == nil {
-		return
-	}
-	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	if in.Depth != r.depth || !r.expanded {
-		httpError(rw, http.StatusConflict, "settle depth %d: worker at depth %d (expanded=%v)",
-			in.Depth, r.depth, r.expanded)
-		return
-	}
-	r.candMu.Lock()
-	got := r.recvEntries
-	batches := r.recvBatches
-	r.candMu.Unlock()
-	if got != in.Expect {
-		httpError(rw, http.StatusConflict,
-			"settle depth %d: received %d frontier entries, peers reported sending %d",
-			in.Depth, got, in.Expect)
-		return
-	}
-	nextDepth := r.depth + 1
-	if err := r.settle(batches, nextDepth); err != nil {
-		httpError(rw, http.StatusInsufficientStorage, "settle: %v", err)
-		return
-	}
-	r.promote(nextDepth)
-	writeJSON(rw, settleResp{Stats: r.stats(), Frontier: len(r.frontier.ends)})
-}
-
-// settle stores the level's fresh candidates as the frontier at depth,
-// in a fixed order: local candidates in generation order, then received
-// batches by (sender asc, sequence asc). The order is load-bearing:
-// under symmetry reduction it decides which orbit representative is
-// stored, and with it the state counts (package comment, "Parity";
-// TestDistStoredCounts). Every state in the frontier has been expanded,
-// so the next level is built in its place. Local candidates come with
-// their key and fingerprint; a received state's are recomputed here, so
-// the wire is never trusted about identity or ownership.
-func (r *workerRun) settle(batches map[int][]*batch, depth int) error {
-	r.frontier.reset()
-	for _, sp := range r.cands.spans {
-		raw, key := r.cands.at(sp)
-		if err := r.store(raw, key, sp.fp, depth); err != nil {
+		data, err := encodeBatch(r.self, r.depth, r.seq, o.n, o.entries)
+		r.seq++
+		o.entries, o.n = o.entries[:0], 0
+		if err != nil {
 			return err
 		}
-	}
-	for from := 0; from < r.n; from++ {
-		bs := batches[from]
-		sort.Slice(bs, func(i, j int) bool { return bs[i].Seq < bs[j].Seq })
-		for _, b := range bs {
-			for _, s := range b.States {
-				key := r.canonical(s)
-				if err := r.store(s, key, mc.Fingerprint(key), depth); err != nil {
-					return err
-				}
-			}
+		t0 := time.Now()
+		err = r.peers[p].deliver(ctx, data)
+		r.wset.Worker(0).AddBatch(0, 0, 0, time.Since(t0))
+		if err != nil {
+			return fmt.Errorf("dist: frontier send to worker %d: %w", p, err)
 		}
 	}
 	return nil
 }
 
-func (w *Worker) handleCancel(rw http.ResponseWriter, req *http.Request) {
-	var in cancelReq
-	if !readJSON(rw, req, &in) {
-		return
+// deliver receives one encoded frontier batch from a peer; a nil error
+// acknowledges it. A batch redelivered after a lost acknowledgement
+// (same sender and sequence number) is acknowledged, not applied, again.
+func (w *Worker) deliver(_ context.Context, data []byte) error {
+	b, err := decodeBatch(data)
+	if err != nil {
+		return refuse(badCall, "frontier: %w", err)
 	}
-	w.mu.Lock()
-	r := w.run
-	if r != nil && (in.RunID == "" || r.id == in.RunID) {
-		// Flag first so an in-flight expand aborts between states, then
-		// drop the run. Never takes ctrlMu: cancel must land while an
-		// expand (possibly stuck retrying sends to a lost peer) holds it.
+	r := w.run.Load()
+	if r == nil {
+		return refuse(conflict, "frontier: no active run")
+	}
+	if r.canceled.Load() {
+		return refuse(conflict, "frontier: run canceled")
+	}
+	if b.From < 0 || b.From >= r.n || b.From == r.self {
+		return refuse(badCall, "frontier: bad sender %d", b.From)
+	}
+	r.candMu.Lock()
+	defer r.candMu.Unlock()
+	if b.Depth != r.depth {
+		return refuse(conflict, "frontier: batch for depth %d, worker at depth %d", b.Depth, r.depth)
+	}
+	for _, applied := range r.recv[b.From] {
+		if applied.Seq == b.Seq {
+			return nil
+		}
+	}
+	r.recv[b.From] = append(r.recv[b.From], b)
+	r.recvEntries += len(b.States)
+	return nil
+}
+
+// settle checks that every entry the peers reported sending here has
+// arrived, stores the level's fresh candidates as the frontier at the
+// next depth and reports the new cumulative block. It stores in a fixed
+// order: local candidates in generation order, then received batches by
+// (sender asc, sequence asc). The order is load-bearing: under symmetry
+// reduction it decides which orbit representative is stored, and with
+// it the state counts (package comment, "Parity"; TestDistStoredCounts).
+// Every state in the frontier has been expanded, so the next level is
+// built in its place. Local candidates come with their key and
+// fingerprint; a received state's are recomputed here, so the wire is
+// never trusted about identity or ownership.
+func (w *Worker) settle(_ context.Context, in settleReq) (settleResp, error) {
+	r, err := w.lockRun("settle", in.RunID, in.Depth, true)
+	if err != nil {
+		return settleResp{}, err
+	}
+	defer r.ctrlMu.Unlock()
+	r.candMu.Lock()
+	got, batches := r.recvEntries, r.recv
+	r.candMu.Unlock()
+	if got != in.Expect {
+		return settleResp{}, refuse(conflict,
+			"settle depth %d: received %d frontier entries, peers reported sending %d",
+			in.Depth, got, in.Expect)
+	}
+	depth := r.depth + 1
+	r.frontier.reset()
+	for _, sp := range r.cands.spans {
+		raw, key := r.cands.at(sp)
+		if err := r.store(raw, key, sp.fp, depth); err != nil {
+			return settleResp{}, refuse(capacity, "settle: %w", err)
+		}
+	}
+	for _, bs := range batches {
+		sort.Slice(bs, func(i, j int) bool { return bs[i].Seq < bs[j].Seq })
+		for _, b := range bs {
+			for _, s := range b.States {
+				key := r.canonical(s)
+				if err := r.store(s, key, mc.Fingerprint(key), depth); err != nil {
+					return settleResp{}, refuse(capacity, "settle: %w", err)
+				}
+			}
+		}
+	}
+	r.promote(depth)
+	return settleResp{Stats: r.stats(), Frontier: len(r.frontier.ends)}, nil
+}
+
+// cancel stops the run it names (any run, for an empty id) and drops
+// it, so an in-flight expand aborts between states. It never takes
+// ctrlMu: it must land while an expand stuck retrying sends holds it.
+func (w *Worker) cancel(_ context.Context, in cancelReq) error {
+	if r := w.run.Load(); r != nil && (in.RunID == "" || r.id == in.RunID) {
 		r.canceled.Store(true)
-		w.run = nil
+		w.run.CompareAndSwap(r, nil)
 	}
-	w.mu.Unlock()
-	rw.WriteHeader(http.StatusOK)
+	return nil
 }

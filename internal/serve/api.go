@@ -286,7 +286,7 @@ func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, e
 			job := job
 			job.Options.Progress = progress
 			job.Options.Trace = rec
-			// A dist job gets loopback workers (serve has no -peers
+			// A dist job gets in-process workers (serve has no -peers
 			// surface); a fleet failure fails the job, while cancellation
 			// surfaces as Outcome Canceled on every engine.
 			res, err := dist.Run(ctx, job)

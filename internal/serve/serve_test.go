@@ -420,7 +420,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 }
 
 // TestVerifyDistEngine pins the distributed engine's serve wiring: a
-// dist job (loopback workers) reproduces the pipeline engine's result
+// dist job (in-process workers) reproduces the pipeline engine's result
 // on an exhaustible configuration, but does NOT share its cache entry
 // — dist applies max_states at level granularity, so its bounded
 // results are keyed separately from the in-process engines'. DFS
