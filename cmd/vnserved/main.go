@@ -30,7 +30,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("vnserved", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8437", "listen address")
-	workers := fs.Int("workers", 4, "concurrent checking jobs")
+	workers := fs.Int("workers", 4, "concurrent checking jobs; a search that sets neither workers nor engine gets GOMAXPROCS divided by the jobs running as it starts")
 	queueDepth := fs.Int("queue-depth", 16, "admission queue depth (beyond running jobs)")
 	cacheEntries := fs.Int("cache-entries", 256, "result cache capacity (-1 disables)")
 	maxStates := fs.Int("max-states", 2_000_000, "per-job stored-state cap (requests are clamped to it)")

@@ -10,6 +10,8 @@ package icn
 // is the evidence that minimizing VNs does not trade deadlock freedom
 // for congestion.
 
+import "fmt"
+
 // VNOccupancy aggregates one virtual network's queue depths across all
 // observed states. Histogram index d counts observations of depth d:
 // GlobalHist counts one observation per global buffer per state (two
@@ -105,89 +107,114 @@ func (o *OccupancyStats) Equal(p *OccupancyStats) bool {
 // safe for concurrent use; the model checker feeds it from its
 // single-threaded store path.
 type OccupancyProfiler struct {
-	cfg     Config
-	stats   OccupancyStats
-	scratch *State // reused decode target for ObserveEncoded
+	cfg      Config
+	observed int64
+	// hist is every VN's global-buffer depth histogram (GlobalCap+1
+	// slots each), then every VN's endpoint-FIFO one (LocalCap+1 each),
+	// in one flat array; high-water marks are read off it by Stats.
+	// base[i] is where the histogram of the encoding's i-th queue starts,
+	// and depths[i] is where ObserveEncoded records that queue's length.
+	hist     []int64
+	base     []int
+	depths   []uint8
+	messages [][]string
 }
 
 // NewOccupancyProfiler builds a profiler for states shaped by cfg.
 func NewOccupancyProfiler(cfg Config) *OccupancyProfiler {
-	p := &OccupancyProfiler{cfg: cfg, scratch: NewState(cfg)}
-	p.stats.GlobalCap = cfg.GlobalCap
-	p.stats.LocalCap = cfg.LocalCap
-	p.stats.PerVN = make([]VNOccupancy, cfg.NumVNs)
-	for vn := range p.stats.PerVN {
-		p.stats.PerVN[vn] = VNOccupancy{
-			VN: vn,
-			// Depth d needs hist slot d; preallocating cap+1 keeps the
-			// hot path free of growth checks.
-			GlobalHist: make([]int64, cfg.GlobalCap+1),
-			LocalHist:  make([]int64, cfg.LocalCap+1),
+	g, l := cfg.GlobalCap+1, cfg.LocalCap+1
+	p := &OccupancyProfiler{
+		cfg:      cfg,
+		hist:     make([]int64, cfg.NumVNs*(g+l)),
+		depths:   make([]uint8, cfg.NumVNs*(2+cfg.Endpoints)),
+		messages: make([][]string, cfg.NumVNs),
+	}
+	// Queues in State.Encode's order: each VN's two global buffers, then
+	// each endpoint's FIFO per VN.
+	for vn := 0; vn < cfg.NumVNs; vn++ {
+		p.base = append(p.base, vn*g, vn*g)
+	}
+	for e := 0; e < cfg.Endpoints; e++ {
+		for vn := 0; vn < cfg.NumVNs; vn++ {
+			p.base = append(p.base, cfg.NumVNs*g+vn*l)
 		}
 	}
 	return p
 }
 
-// Observe aggregates one decoded state.
-func (p *OccupancyProfiler) Observe(s *State) {
-	p.stats.StatesObserved++
-	for vn := range s.Global {
-		v := &p.stats.PerVN[vn]
-		for b := 0; b < 2; b++ {
-			d := len(s.Global[vn][b])
-			v.GlobalHist[d]++
-			if d > v.GlobalHighWater {
-				v.GlobalHighWater = d
-				if d > p.stats.GlobalHighWater {
-					p.stats.GlobalHighWater = d
-				}
-			}
-		}
-	}
-	for e := range s.Local {
-		for vn := range s.Local[e] {
-			v := &p.stats.PerVN[vn]
-			d := len(s.Local[e][vn])
-			v.LocalHist[d]++
-			if d > v.LocalHighWater {
-				v.LocalHighWater = d
-				if d > p.stats.LocalHighWater {
-					p.stats.LocalHighWater = d
-				}
-			}
-		}
-	}
-}
-
-// ObserveEncoded decodes an encoded network state (as produced by
-// State.Encode) into the profiler's scratch state and aggregates it.
+// ObserveEncoded aggregates one encoded network state (exactly the
+// bytes State.Encode wrote) without decoding a message: it reads each
+// queue's length byte and skips its records. It rejects what
+// DecodeInto rejects — a length above the queue's capacity or past the
+// end of the input — and, since the network is the encoding's tail,
+// bytes left after the last FIFO. A rejected state leaves the
+// aggregate untouched.
 func (p *OccupancyProfiler) ObserveEncoded(data []byte) error {
-	if _, err := DecodeInto(p.cfg, p.scratch, data); err != nil {
-		return err
+	// Each length byte says where the next one is, so the walk is one
+	// chain of dependent loads; it only records the lengths, and the
+	// counting, which nothing chains, happens once the state is valid.
+	off, globals := 0, 2*p.cfg.NumVNs
+	for i := range p.depths {
+		if off >= len(data) {
+			return fmt.Errorf("icn: truncated state: missing queue length")
+		}
+		n, capacity := int(data[off]), p.cfg.LocalCap
+		if i < globals {
+			capacity = p.cfg.GlobalCap
+		}
+		if n > capacity {
+			return fmt.Errorf("icn: queue length %d exceeds capacity %d", n, capacity)
+		}
+		next := off + 1 + n*MessageBytes
+		if next > len(data) {
+			return fmt.Errorf("icn: truncated state: queue needs %d bytes, %d left",
+				n*MessageBytes, len(data)-off-1)
+		}
+		p.depths[i] = uint8(n)
+		off = next
 	}
-	p.Observe(p.scratch)
+	if off < len(data) {
+		return fmt.Errorf("icn: %d bytes after the last queue", len(data)-off)
+	}
+	p.observed++
+	for i, d := range p.depths {
+		p.hist[p.base[i]+int(d)]++
+	}
 	return nil
 }
 
-// Stats returns a deep copy of the aggregate so far, with trailing
-// all-zero histogram buckets beyond each VN's high-water mark trimmed
-// (the serialized form stays readable for large capacities).
+// Stats returns the aggregate so far, with each histogram cut after its
+// high-water mark (the serialized form stays readable for large
+// capacities).
 func (p *OccupancyProfiler) Stats() *OccupancyStats {
-	out := p.stats
-	out.PerVN = make([]VNOccupancy, len(p.stats.PerVN))
-	for i, v := range p.stats.PerVN {
-		c := v
-		c.Messages = append([]string(nil), v.Messages...)
-		c.GlobalHist = append([]int64(nil), v.GlobalHist[:v.GlobalHighWater+1]...)
-		c.LocalHist = append([]int64(nil), v.LocalHist[:v.LocalHighWater+1]...)
-		out.PerVN[i] = c
+	out := &OccupancyStats{StatesObserved: p.observed, GlobalCap: p.cfg.GlobalCap, LocalCap: p.cfg.LocalCap,
+		PerVN: make([]VNOccupancy, p.cfg.NumVNs)}
+	g, l := p.cfg.GlobalCap+1, p.cfg.LocalCap+1
+	local := p.hist[p.cfg.NumVNs*g:]
+	// upTo copies hist through its deepest observed depth, which it
+	// returns as the high-water mark.
+	upTo := func(hist []int64) ([]int64, int) {
+		hw := len(hist) - 1
+		for hw > 0 && hist[hw] == 0 {
+			hw--
+		}
+		return append([]int64(nil), hist[:hw+1]...), hw
 	}
-	return &out
+	for vn := range out.PerVN {
+		v := &out.PerVN[vn]
+		v.VN = vn
+		v.Messages = append([]string(nil), p.messages[vn]...)
+		v.GlobalHist, v.GlobalHighWater = upTo(p.hist[vn*g : (vn+1)*g])
+		v.LocalHist, v.LocalHighWater = upTo(local[vn*l : (vn+1)*l])
+		out.GlobalHighWater = max(out.GlobalHighWater, v.GlobalHighWater)
+		out.LocalHighWater = max(out.LocalHighWater, v.LocalHighWater)
+	}
+	return out
 }
 
 // SetMessages labels a VN with the message names assigned to it.
 func (p *OccupancyProfiler) SetMessages(vn int, names []string) {
-	p.stats.PerVN[vn].Messages = append([]string(nil), names...)
+	p.messages[vn] = append([]string(nil), names...)
 }
 
 // Merge folds another aggregate into o, for coordinators that combine

@@ -14,7 +14,7 @@ func TestOccupancyAggregation(t *testing.T) {
 	p := NewOccupancyProfiler(cfg)
 
 	// State 1: empty network.
-	p.Observe(NewState(cfg))
+	observe(t, p, NewState(cfg))
 
 	// State 2: two messages in VN0 global buffer 0, one delivered into
 	// endpoint 1's VN1 FIFO.
@@ -22,7 +22,7 @@ func TestOccupancyAggregation(t *testing.T) {
 	s.Send(0, 0, Message{Name: 1, Dst: 1})
 	s.Send(0, 0, Message{Name: 2, Dst: 2})
 	s.Local[1][1] = append(s.Local[1][1], Message{Name: 3, Dst: 1})
-	p.Observe(s)
+	observe(t, p, s)
 
 	st := p.Stats()
 	if st.StatesObserved != 2 {
@@ -52,24 +52,54 @@ func TestOccupancyAggregation(t *testing.T) {
 	}
 }
 
+// observe feeds the profiler s's encoding, the only form it reads.
+func observe(t *testing.T, p *OccupancyProfiler, s *State) {
+	t.Helper()
+	if err := p.ObserveEncoded(s.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOccupancyObserveEncoded pins that the byte walk refuses what
+// DecodeInto refuses, plus trailing bytes, and that a refused state is
+// not counted.
 func TestOccupancyObserveEncoded(t *testing.T) {
 	cfg := occCfg()
 	s := NewState(cfg)
 	s.Send(1, 1, Message{Name: 5, Dst: 0})
+	s.Local[2][0] = append(s.Local[2][0], Message{Name: 1, Dst: 2})
 	enc := s.Encode(nil)
-
-	direct := NewOccupancyProfiler(cfg)
-	direct.Observe(s)
-	encoded := NewOccupancyProfiler(cfg)
-	if err := encoded.ObserveEncoded(enc); err != nil {
+	p := NewOccupancyProfiler(cfg)
+	if err := p.ObserveEncoded(enc); err != nil {
 		t.Fatal(err)
 	}
-	if !direct.Stats().Equal(encoded.Stats()) {
-		t.Fatalf("encoded observation differs:\n%+v\nvs\n%+v", direct.Stats(), encoded.Stats())
-	}
+	want := p.Stats()
 
-	if err := encoded.ObserveEncoded(enc[:2]); err == nil {
-		t.Fatal("truncated encoding observed without error")
+	overCap := NewState(cfg)
+	for i := 0; i <= cfg.GlobalCap; i++ {
+		overCap.Send(0, 1, Message{Dst: 1})
+	}
+	localOverCap := NewState(cfg)
+	for i := 0; i <= cfg.LocalCap; i++ {
+		localOverCap.Local[1][1] = append(localOverCap.Local[1][1], Message{Dst: 1})
+	}
+	for name, bad := range map[string][]byte{
+		"empty":                  nil,
+		"missing queue length":   enc[:len(enc)-1],
+		"truncated queue":        enc[:5],
+		"global length over cap": overCap.Encode(nil),
+		"local length over cap":  localOverCap.Encode(nil),
+		"trailing bytes":         append(append([]byte(nil), enc...), 0),
+	} {
+		if _, err := DecodeInto(cfg, NewState(cfg), bad); err == nil && name != "trailing bytes" {
+			t.Errorf("%s: DecodeInto accepts it; the case tests nothing", name)
+		}
+		if err := p.ObserveEncoded(bad); err == nil {
+			t.Errorf("%s: observed without error", name)
+		}
+	}
+	if got := p.Stats(); !got.Equal(want) {
+		t.Fatalf("a rejected state changed the aggregate:\n%+v\nvs\n%+v", got, want)
 	}
 }
 
@@ -78,12 +108,12 @@ func TestOccupancyStatsEqualAndJSON(t *testing.T) {
 	a, b := NewOccupancyProfiler(cfg), NewOccupancyProfiler(cfg)
 	s := NewState(cfg)
 	s.Send(0, 0, Message{Dst: 1})
-	a.Observe(s)
-	b.Observe(s)
+	observe(t, a, s)
+	observe(t, b, s)
 	if !a.Stats().Equal(b.Stats()) {
 		t.Fatal("identical observations compare unequal")
 	}
-	b.Observe(NewState(cfg))
+	observe(t, b, NewState(cfg))
 	if a.Stats().Equal(b.Stats()) {
 		t.Fatal("different observation counts compare equal")
 	}

@@ -84,6 +84,28 @@ func BenchmarkExpand(b *testing.B) {
 	}
 }
 
+// BenchmarkOccupancyObserve measures the occupancy observer's cost per
+// stored state over the same corpus, at 13 VNs (MSI_blocking_cache, one
+// VN per message) as well as at the minimal 2.
+func BenchmarkOccupancyObserve(b *testing.B) {
+	p := protocols.MustLoad("MSI_blocking_cache")
+	vn, n := PerMessageVN(p)
+	permsg, err := New(Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sys := range []*System{paperSystem(b, "MSI_nonblocking_cache", 3), permsg} {
+		corpus := benchCorpus(sys)
+		b.Run(fmt.Sprintf("vn%d", sys.Config().NumVNs), func(b *testing.B) {
+			prof := sys.NewOccupancyProfiler()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prof.Observe(corpus[i%len(corpus)])
+			}
+		})
+	}
+}
+
 // benchCanonical runs canon over a corpus of the paper's cell at 3
 // caches (6 permutations) and at 4 (24).
 func benchCanonical(b *testing.B, canon func(sys *System, raw []byte)) {

@@ -183,3 +183,41 @@ func BenchmarkCheckSeqPaper(b *testing.B) {
 	}
 	b.ReportMetric(400_000*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }
+
+// BenchmarkDFSWitnessReplay prices rebuilding a witness instead of
+// keeping its states: bench's deadlock_hunt_dfs search (MSI_blocking_cache
+// at 3c/2d/2a, one VN per message, DFS from the owned seed) runs once with
+// traces on, outside the timer; each iteration then re-expands every
+// trace state and finds the next one among its successors — what a
+// search that kept only parent links and rule ids would pay to print its
+// counterexample.
+func BenchmarkDFSWitnessReplay(b *testing.B) {
+	p := protocols.MustLoad("MSI_blocking_cache")
+	vn, n := machine.PerMessageVN(p)
+	sys, err := machine.New(machine.Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed, err := machine.OwnedSeed(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := mc.Check(&machine.Seeded{System: sys, Seeds: [][]byte{seed}},
+		mc.Options{Strategy: mc.DFS, MaxStates: 1_000_000})
+	if res.Outcome != mc.Deadlock {
+		b.Fatal(res)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for step := 0; step+1 < len(res.Trace); step++ {
+			found := false
+			_, err := sys.Expand(res.Trace[step], func(succ []byte, _ int) {
+				found = found || bytes.Equal(succ, res.Trace[step+1])
+			})
+			if err != nil || !found {
+				b.Fatalf("step %d: the next trace state is not a successor (err %v)", step, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(res.Trace)-1), "steps")
+}

@@ -67,18 +67,24 @@ func Names() []string {
 	return out
 }
 
+// Canonical returns the registry name that name — a canonical name or
+// an alias like "MSI" — loads, and false if it names no built-in.
+func Canonical(name string) (string, bool) {
+	if a, ok := aliases[name]; ok {
+		name = a
+	}
+	_, ok := registry[name]
+	return name, ok
+}
+
 // Load returns a fresh copy of the named built-in protocol. Aliases
 // like "MSI" (for MSI_blocking_cache) are accepted.
 func Load(name string) (*protocol.Protocol, error) {
-	canonical := name
-	if a, ok := aliases[name]; ok {
-		canonical = a
-	}
-	f, ok := registry[canonical]
+	canonical, ok := Canonical(name)
 	if !ok {
 		return nil, fmt.Errorf("protocols: unknown protocol %q (known: %v)", name, Names())
 	}
-	return f(), nil
+	return registry[canonical](), nil
 }
 
 // MustLoad is Load panicking on error, for tests and examples.

@@ -32,9 +32,18 @@ func TestAliases(t *testing.T) {
 		if p.Name != canonical {
 			t.Errorf("alias %s resolved to %s", alias, p.Name)
 		}
+		if got, ok := Canonical(alias); !ok || got != canonical {
+			t.Errorf("Canonical(%s) = %s, %v; want %s", alias, got, ok, canonical)
+		}
+		if got, ok := Canonical(canonical); !ok || got != canonical {
+			t.Errorf("Canonical(%s) = %s, %v", canonical, got, ok)
+		}
 	}
 	if _, err := Load("bogus"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("expected unknown-protocol error, got %v", err)
+	}
+	if _, ok := Canonical("bogus"); ok {
+		t.Error("Canonical accepts an unknown name")
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"minvn/internal/analysis"
@@ -132,31 +133,76 @@ var reqErrf = dist.RequestErrorf
 // or inline spec and returns it with its canonical encoding (the
 // content-address half of the cache key). Inline specs go through the
 // hardened protocol.Decode, so oversized documents are rejected here
-// with a *protocol.LimitError wrapped as a RequestError.
+// with a *protocol.LimitError wrapped as a RequestError. A built-in is
+// shared with every other request for it (see builtin): the caller
+// must not modify the protocol.
 func resolveProtocol(name string, spec json.RawMessage) (*protocol.Protocol, []byte, error) {
-	var p *protocol.Protocol
+	var r *resolved
 	var err error
 	switch {
 	case name != "" && len(spec) > 0:
 		return nil, nil, reqErrf("give either protocol or protocol_spec, not both")
 	case name != "":
-		p, err = protocols.Load(name)
+		r, err = builtin(name)
 	case len(spec) > 0:
-		p, err = protocol.Decode(spec)
+		var p *protocol.Protocol
+		if p, err = protocol.Decode(spec); err != nil {
+			return nil, nil, reqErrf("%v", err)
+		}
+		r, err = resolve(p)
 	default:
 		return nil, nil, reqErrf("protocol or protocol_spec is required")
 	}
 	if err != nil {
-		return nil, nil, reqErrf("%v", err)
+		return nil, nil, err
 	}
-	// Re-encode rather than hashing the user's bytes: Decode→Encode is a
-	// fixpoint (pinned by FuzzProtocolRoundTrip), so all formattings of
-	// the same protocol — and its built-in name — share one cache entry.
+	return r.p, r.canon, nil
+}
+
+// resolved is a protocol with its canonical encoding.
+type resolved struct {
+	p     *protocol.Protocol
+	canon []byte
+}
+
+// resolve encodes p. Re-encoding rather than hashing the user's bytes:
+// Decode→Encode is a fixpoint (pinned by FuzzProtocolRoundTrip), so all
+// formattings of the same protocol — and its built-in name — share one
+// cache entry.
+func resolve(p *protocol.Protocol) (*resolved, error) {
 	canon, err := protocol.Encode(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("encode %s: %w", p.Name, err)
+		return nil, fmt.Errorf("encode %s: %w", p.Name, err)
 	}
-	return p, canon, nil
+	return &resolved{p, canon}, nil
+}
+
+// builtins memoizes each built-in, resolved, under its canonical name,
+// so it holds at most one entry per built-in, and an entry is a pure
+// function of its name: servers in one process (tests included) share
+// it without seeing each other. Every request naming a built-in shares
+// that one copy: jobs only read a protocol (analysis, assignment,
+// machine.New), which TestSharedBuiltinsUnmodified pins.
+// protocols.Load still builds a fresh copy for everyone else.
+var builtins sync.Map // canonical name → *resolved
+
+// builtin resolves a built-in protocol name or alias, building and
+// encoding the protocol on its first request only.
+func builtin(name string) (*resolved, error) {
+	canonical, _ := protocols.Canonical(name)
+	if r, ok := builtins.Load(canonical); ok {
+		return r.(*resolved), nil
+	}
+	p, err := protocols.Load(name)
+	if err != nil {
+		return nil, reqErrf("%v", err) // an unknown name is never stored
+	}
+	r, err := resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := builtins.LoadOrStore(canonical, r)
+	return shared.(*resolved), nil
 }
 
 // requestKey computes the content address of a job: SHA-256 over a
@@ -182,7 +228,8 @@ type task struct {
 	key      cacheKey
 	protocol string
 	// search is the verify job's resolved spec (nil for analyze jobs);
-	// its Params are what the run-ledger record says was asked.
+	// its Params are what the run-ledger record says was asked, with
+	// the worker count runJob gives it at start. run reads it then.
 	search   *dist.Job
 	deadline time.Duration
 	// requestID is the caller's X-Request-ID (sanitized), set by the
@@ -224,35 +271,41 @@ func prepareAnalyze(req AnalyzeRequest) (*task, error) {
 			if ctx.Err() != nil {
 				return nil, errJobCanceled
 			}
-			a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
-			res := AnalyzeResult{
-				Protocol:    p.Name,
-				Class:       a.Class.String(),
-				Stallable:   a.Analysis.Stallable,
-				Causes:      pairs(a.Analysis.Causes),
-				Stalls:      pairs(a.Analysis.Stalls),
-				Waits:       pairs(a.Analysis.Waits),
-				Refinements: a.Refinements,
-				Exact:       a.Exact,
-			}
-			switch a.Class {
-			case vnassign.Class3:
-				res.NumVNs = a.NumVNs
-				res.VN = a.VN
-				res.VNGroups = a.VNGroups()
-			case vnassign.Class2:
-				res.WaitsCycle = a.WaitsCycle
-			}
-			raw, err := json.Marshal(res)
-			return raw, err
+			return analyzeResult(p)
 		},
 	}, nil
+}
+
+// analyzeResult is the analyze job's result document for p.
+func analyzeResult(p *protocol.Protocol) (json.RawMessage, error) {
+	a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
+	res := AnalyzeResult{
+		Protocol:    p.Name,
+		Class:       a.Class.String(),
+		Stallable:   a.Analysis.Stallable,
+		Causes:      pairs(a.Analysis.Causes),
+		Stalls:      pairs(a.Analysis.Stalls),
+		Waits:       pairs(a.Analysis.Waits),
+		Refinements: a.Refinements,
+		Exact:       a.Exact,
+	}
+	switch a.Class {
+	case vnassign.Class3:
+		res.NumVNs = a.NumVNs
+		res.VN = a.VN
+		res.VNGroups = a.VNGroups()
+	case vnassign.Class2:
+		res.WaitsCycle = a.WaitsCycle
+	}
+	return json.Marshal(res)
 }
 
 // prepareVerify validates a verify request into a runnable task: the
 // spec is resolved at admission time — VN assignment computed, system
 // built — so a Class 2 protocol under vn=minimal or an option the
-// machine rejects is a 400, not a failed job.
+// machine rejects is a 400, not a failed job. A job on the auto engine
+// whose request leaves workers unset gets its worker count when it
+// starts (Server.searchShare).
 func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, error) {
 	p, canon, err := resolveProtocol(req.Protocol, req.ProtocolSpec)
 	if err != nil {
@@ -283,7 +336,7 @@ func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, e
 		search:   &job,
 		deadline: time.Duration(req.DeadlineMillis) * time.Millisecond,
 		run: func(ctx context.Context, progress func(mc.Snapshot), rec *trace.Recorder) (json.RawMessage, error) {
-			job := job
+			job := job // what search points at, workers share included
 			job.Options.Progress = progress
 			job.Options.Trace = rec
 			// A dist job gets in-process workers (serve has no -peers

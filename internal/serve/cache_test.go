@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -125,6 +126,40 @@ func TestVerifyKeyIgnoresPerfKnobs(t *testing.T) {
 	// fleet, asked for two ways, is one cache entry.
 	if distKey(0) != distKey(runtime.GOMAXPROCS(0)) {
 		t.Error("dist workers=0 is keyed apart from the GOMAXPROCS fleet it runs")
+	}
+
+	// The pool's CPU share is a perf knob as well, given when a job
+	// starts, after its key (TestPoolShare runs it): the keys are the
+	// digests recorded before the share existed, and a dist job's key
+	// names its fleet as asked.
+	dist2 := base
+	dist2.Options.Engine, dist2.Options.Workers = "dist", 2
+	dist0 := base
+	dist0.Options.Engine = "dist"
+	for _, tc := range []struct {
+		name   string
+		req    VerifyRequest
+		digest string
+		fleet  int
+	}{
+		{"in-process", base, "14456a818efc5b6eebab6db2ff3f5506ced3c3902f88191884b31624b35c4e68", 0},
+		{"dist/2", dist2, "6f3195bed55fd005a1142eac416d5b48824b9a16b1a7aac5fd0eb3d2770bcf6a", 2},
+		{"dist", dist0, "", runtime.GOMAXPROCS(0)},
+	} {
+		task, err := prepareVerify(tc.req, cap, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.digest != "" && fmt.Sprintf("%x", task.key) != tc.digest {
+			t.Errorf("%s: cache key %x, want %s", tc.name, task.key, tc.digest)
+		}
+		if tc.fleet > 0 && !strings.HasSuffix(task.search.Key(), fmt.Sprintf(" engine=dist/%d", tc.fleet)) {
+			t.Errorf("%s: Job.Key %q does not name a fleet of %d", tc.name, task.search.Key(), tc.fleet)
+		}
+	}
+	if an, err := prepareAnalyze(AnalyzeRequest{Protocol: "MSI"}); err != nil ||
+		fmt.Sprintf("%x", an.key) != "4298326a845d2d9b771819dab267318636c6d89e34a5f7a9b6aa2bca8d20c967" {
+		t.Errorf("analyze MSI: cache key moved from its recorded digest (err %v)", err)
 	}
 }
 

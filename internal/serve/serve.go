@@ -5,6 +5,7 @@ import (
 	"errors"
 	"log"
 	"log/slog"
+	"runtime"
 	"sync"
 	"time"
 
@@ -18,7 +19,10 @@ import (
 // every unset field.
 type Config struct {
 	// Workers is the size of the checking pool: the number of jobs
-	// that run concurrently. Queued jobs beyond that wait.
+	// that run concurrently. Queued jobs beyond that wait. A verify
+	// job whose request leaves workers and engine unset searches with
+	// GOMAXPROCS divided by the jobs running as it starts (at least
+	// one worker).
 	Workers int
 	// QueueDepth bounds the admission queue. A submit that finds the
 	// queue full is refused (HTTP 503 + Retry-After) instead of
@@ -280,6 +284,16 @@ func (s *Server) retireLocked(job *Job) {
 	}
 }
 
+// searchShare is the search workers of a verify job on the auto engine
+// whose request leaves workers unset: the host's CPUs divided among the
+// jobs running as it starts, itself included, and at least one (which
+// auto runs as the sequential engine). A job alone on the server gets
+// every CPU. A job does not give CPUs back when others start after it.
+// Caller holds s.mu.
+func (s *Server) searchShare() int {
+	return max(1, runtime.GOMAXPROCS(0)/s.running)
+}
+
 func (s *Server) bumpID() uint64 {
 	s.nextID++
 	return s.nextID
@@ -422,6 +436,12 @@ func (s *Server) runJob(job *Job) {
 	}
 	s.gRunning.Set(int64(s.running))
 	s.gQueued.Set(int64(len(s.queue)))
+	// A perf knob, outside the cache key like workers itself. An engine
+	// the request named keeps its default: dist's key names its fleet
+	// size, and a pipeline of one worker would only add overhead.
+	if j := job.task.search; j != nil && j.Engine == mc.EngineAuto && j.Workers <= 0 {
+		j.Workers = s.searchShare()
+	}
 	if rec != nil {
 		s.traces[job.id] = rec
 		s.traceOrder = append(s.traceOrder, job.id)

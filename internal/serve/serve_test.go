@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
@@ -526,5 +530,114 @@ func waitForRunning(t *testing.T, cl *client.Client, n int) {
 			t.Fatalf("running never reached %d (at %d)", n, st.Running)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPoolShare pins how many search workers a verify job gets. A job
+// on the auto engine whose request leaves workers unset gets GOMAXPROCS
+// divided by the jobs running as it starts, itself included, and at
+// least one: every CPU on an idle server, max(1, GOMAXPROCS/Workers)
+// when it fills the pool. Its ledger record states that count and its
+// health report has a line per worker it ran. An explicit workers is
+// kept, and an engine the request names keeps its default: a pipeline
+// runs GOMAXPROCS workers, a dist job its fleet as asked. None of it
+// changes an answer: every row of a complete search reaches the same
+// outcome, counts and occupancy.
+func TestPoolShare(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	base := serve.VerifyOptions{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 50_000}
+	var ref *serve.VerifyResult
+	var refOcc []byte
+	// Each pool runs the measured job with its other slots held busy;
+	// the largest also runs it alone.
+	for _, c := range []struct{ pool, others int }{
+		{1, 0}, {procs, procs - 1}, {4 * procs, 0}, {4 * procs, 4*procs - 1},
+	} {
+		pool, others := c.pool, c.others
+		share := max(1, procs/(others+1))
+		for _, tc := range []struct {
+			name           string
+			engine         string
+			workers        int
+			param, ranWith int // params.workers; workers in the health report, 0 unchecked
+		}{
+			{"unset", "", 0, share, share},
+			{"workers=3", "", 3, 3, 3},
+			{"pipeline", "pipeline", 0, 0, procs},
+			{"dist", "dist", 0, 0, 0},
+		} {
+			t.Run(fmt.Sprintf("pool=%d/running=%d/%s", pool, others+1, tc.name), func(t *testing.T) {
+				led, err := ledger.Open(filepath.Join(t.TempDir(), "runs.jsonl"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { led.Close() }) // after the server's
+				// The first others jobs to start hold their pool slots
+				// until the measured job is done.
+				gate := make(chan struct{})
+				defer close(gate)
+				var started atomic.Int32
+				_, cl := testServer(t, serve.Config{Workers: pool, Ledger: led, BeforeRun: func() {
+					if int(started.Add(1)) <= others {
+						<-gate
+					}
+				}})
+				ctx := context.Background()
+				for i := 0; i < others; i++ {
+					if _, err := cl.Verify(ctx, verifyMSI(100+i), false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				waitForRunning(t, cl, others)
+				opts := base
+				opts.Engine, opts.Workers = tc.engine, tc.workers
+				view, err := cl.Verify(ctx, serve.VerifyRequest{Protocol: "MSI_nonblocking_cache", Options: opts}, true)
+				if err != nil || view.Status != serve.StatusDone {
+					t.Fatalf("verify: %v %+v", err, view)
+				}
+				var rec *ledger.Record
+				for _, e := range led.Entries() {
+					if e.Record.Extra["job_id"] == view.ID {
+						rec = e.Record
+					}
+				}
+				if rec == nil {
+					t.Fatalf("no ledger record for %s", view.ID)
+				}
+				if got := rec.Params["workers"]; got != float64(tc.param) {
+					t.Errorf("params.workers = %v, want %d", got, tc.param)
+				}
+				if tc.ranWith > 0 && len(rec.Snapshot.Health.Workers) != tc.ranWith {
+					t.Errorf("ran with %d workers, want %d", len(rec.Snapshot.Health.Workers), tc.ranWith)
+				}
+				var res serve.VerifyResult
+				var occ struct {
+					Stats struct {
+						Occupancy json.RawMessage `json:"occupancy"`
+					} `json:"stats"`
+				}
+				if err := jsonUnmarshal(view.Result, &res); err != nil {
+					t.Fatal(err)
+				}
+				if err := jsonUnmarshal(view.Result, &occ); err != nil || len(occ.Stats.Occupancy) == 0 {
+					t.Fatalf("no occupancy in the result (err %v)", err)
+				}
+				if res.Outcome != "complete" {
+					t.Fatalf("outcome %s, want a complete search", res.Outcome)
+				}
+				if ref == nil {
+					ref, refOcc = &res, occ.Stats.Occupancy
+					return
+				}
+				if res.Outcome != ref.Outcome || res.States != ref.States || res.Rules != ref.Rules ||
+					res.MaxDepth != ref.MaxDepth {
+					t.Errorf("%s/%d states/%d rules/depth %d, first row %s/%d/%d/%d", res.Outcome, res.States,
+						res.Rules, res.MaxDepth, ref.Outcome, ref.States, ref.Rules, ref.MaxDepth)
+				}
+				if !bytes.Equal(occ.Stats.Occupancy, refOcc) {
+					t.Error("occupancy differs from the first row's")
+				}
+			})
+		}
 	}
 }
