@@ -12,14 +12,16 @@ import (
 // Pipelined parallel breadth-first search: the parallel scheduler over
 // the shared search core (search.go).
 //
-// Workers pull batches of stored-but-unexpanded states from a shared
-// work channel and run the expensive per-state work — expansion,
-// canonicalization and fingerprinting on a per-worker collector, and a
-// read-only duplicate probe against the sharded visited set — while a
-// single merge loop consumes the expansion results strictly in storage
-// order through a reorder buffer. There is no per-depth barrier: states
-// at depth d+1 are being expanded while depth-d results are still
-// merging.
+// The merge goroutine claims stored-but-unexpanded states in batches and
+// hands each batch, with an arena of its own, to a worker from a shared
+// work channel. The worker does the expensive per-state work —
+// expansion, canonicalization and fingerprinting, on the batch's
+// collector exactly as the sequential loop does on its own — and sends
+// the batch back. The merge consumes the expansions strictly in storage
+// order, straight out of the batch's arena, and puts the batch back on
+// its free list after the last one merges. There is no per-depth
+// barrier: states at depth d+1 are being expanded while depth-d results
+// are still merging.
 //
 // Determinism: because successor computation is a pure function of the
 // state, farming it out does not change what the merge sees, and the
@@ -34,9 +36,37 @@ import (
 // a termination point are simply discarded.
 
 // pipelineBatch is the number of states per work/result message;
-// batching amortizes channel operations (and the two allocations a
-// result batch costs) against expansions.
+// batching amortizes channel operations against expansions.
 const pipelineBatch = 16
+
+// batch is one dispatch of up to pipelineBatch states and the arena
+// their successors are collected into. Its worker owns it from the
+// dispatch until it sends it back and never touches it after; the merge
+// owns it the rest of the time. Nothing is copied between collection
+// and the state log: the merge settles every expansion out of col.
+type batch struct {
+	seq  int // dispatch sequence: the batch's place in the reorder buffer
+	work []work
+	exps []expansion
+	col  *collector
+	next int // the first of exps not merged yet
+}
+
+// expand collects the batch's successors and cuts each expansion's from
+// the collector's list, whose growth may have left the earlier ones
+// behind (see collector.expand).
+func (b *batch) expand() {
+	b.col.reset()
+	b.exps = b.exps[:0]
+	for _, w := range b.work {
+		b.exps = append(b.exps, b.col.expand(w))
+	}
+	succs := b.col.resolve()
+	for i := range b.exps {
+		n := len(b.exps[i].succs)
+		b.exps[i].succs, succs = succs[:n:n], succs[n:]
+	}
+}
 
 // CheckPipelined runs Check's BFS with a pipelined worker pool and a
 // sharded fingerprint visited set. workers <= 0 picks GOMAXPROCS;
@@ -76,91 +106,30 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 
 	quit := make(chan struct{})
 	defer close(quit)
-	workCh := make(chan []work, workers)
-	resCh := make(chan []expansion, workers)
-
-	// expandBatch collects the whole work batch on the worker's own
-	// collector, resolves all membership probes shard-grouped — each
-	// shard lock is taken once per batch instead of once per successor —
-	// and ships what the merge needs and nothing else: one succ slab
-	// holding every successor's fingerprint, rule and probe verdict, and
-	// one exact-size buffer holding the bytes of the probe misses only.
-	// The set only grows, so a probe hit is conclusive: the merge need
-	// not see, let alone re-hash, a duplicate's bytes, and at two
-	// duplicates in three shipping the collection arena instead would
-	// more than double what a batch allocates.
-	expandBatch := func(batch []work, col *collector, preqs []probeReq, sc *setScratch) ([]expansion, []probeReq) {
-		out := make([]expansion, 0, len(batch))
-		col.reset()
-		for _, w := range batch {
-			out = append(out, col.expand(w))
-		}
-		succs := col.resolve()
-		preqs = preqs[:0]
-		for i := range succs {
-			preqs = append(preqs, probeReq{fp: succs[i].fp, key: succs[i].ckey})
-		}
-		s.set.probeBatch(preqs, sc)
-		missBytes := 0
-		for i := range preqs {
-			if !preqs[i].hit {
-				missBytes += len(succs[i].state)
-				if keyed(&succs[i]) {
-					missBytes += len(succs[i].ckey)
-				}
-			}
-		}
-		slab, buf := make([]succ, len(succs)), make([]byte, 0, missBytes)
-		for i := range succs {
-			c, r, sh := &succs[i], &preqs[i], &slab[i]
-			sh.fp, sh.rule = c.fp, c.rule
-			if r.hit {
-				sh.dup, sh.conflated = true, r.conflated
-				continue
-			}
-			at := len(buf)
-			buf = append(buf, c.state...)
-			sh.state = buf[at:len(buf):len(buf)]
-			sh.ckey = sh.state
-			if keyed(c) {
-				at = len(buf)
-				buf = append(buf, c.ckey...)
-				sh.ckey = buf[at:len(buf):len(buf)]
-			}
-		}
-		// The expansions' succs were cut from the collector's list; their
-		// lengths partition the slab in order.
-		for bi := range out {
-			n := len(out[bi].succs)
-			out[bi].succs, slab = slab[:n:n], slab[n:]
-		}
-		return out, preqs
-	}
+	workCh := make(chan *batch, workers)
+	resCh := make(chan *batch, workers)
 
 	for w := 0; w < workers; w++ {
 		wl := wlanes[w]
 		prof := s.tr.workers.Worker(w)
 		go func() {
-			col := newCollector(s.m, s.exp)
-			var preqs []probeReq
-			var scratch setScratch
 			for {
 				tq := time.Now()
 				select {
 				case <-quit:
 					return
-				case batch := <-workCh:
+				case b := <-workCh:
 					queueWait := time.Since(tq)
+					n := len(b.work)
 					sp := wl.Start("batch")
 					t0 := time.Now()
-					var out []expansion
-					out, preqs = expandBatch(batch, col, preqs, &scratch)
+					b.expand()
 					expand := time.Since(t0)
-					sp.EndArg("states", int64(len(batch)))
+					sp.EndArg("states", int64(n))
 					ts := time.Now()
 					select {
-					case resCh <- out:
-						prof.AddBatch(len(batch), expand, queueWait, time.Since(ts))
+					case resCh <- b:
+						prof.AddBatch(n, expand, queueWait, time.Since(ts))
 					case <-quit:
 						return
 					}
@@ -170,47 +139,64 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 	}
 
 	// maxWindow bounds how far dispatch may run ahead of the merge, so
-	// the reorder buffer (and the successor batches parked in it) stays
-	// a small multiple of the worker pool rather than the frontier.
+	// the batches out at once stay a small multiple of the worker pool
+	// rather than the frontier. Batches cut short by the end of the
+	// stored states or by the depth bound hold fewer states, so the
+	// pool is capped in batches too: a full window's worth plus one per
+	// worker. The reorder buffer holds the batches back from workers,
+	// keyed by dispatch sequence; no two batches out share a slot.
 	maxWindow := max(workers*pipelineBatch*4, 64)
+	reorder := make([]*batch, maxWindow/pipelineBatch+workers)
 
 	var (
-		reorder     = make(map[int32]expansion)
-		merge       ref // next state to merge, in storage order
-		dispatch    ref // next state to hand to a worker
-		outstanding = 0 // dispatched states whose results have not arrived
-		pending     []work
+		free     []*batch // batches not out, ready for reuse
+		made     = 0      // batches allocated so far, at most len(reorder)
+		merge    ref      // next state to merge, in storage order
+		dispatch ref      // next state to hand to a worker
+		sent     = 0      // dispatch sequence of the next batch
+		head     = 0      // dispatch sequence of the batch merging next
+		inFlight = 0      // dispatched batches that have not come back
+		parked   = 0      // expansions back from workers, not merged yet
+		pending  *batch
 	)
 
-	// nextBatch claims up to pipelineBatch dispatchable states.
-	// Depth-bounded states are skipped here and settled inline by the
-	// merge — the sequential engine never expands them either.
-	nextBatch := func() []work {
-		if int(dispatch.id-merge.id) >= maxWindow {
+	// nextBatch claims up to pipelineBatch dispatchable states into a
+	// free batch. Depth-bounded states are skipped here and settled
+	// inline by the merge — the sequential engine never expands them
+	// either.
+	nextBatch := func() *batch {
+		if int(dispatch.id-merge.id) >= maxWindow || int(dispatch.id) == s.stored {
 			return nil
 		}
-		var batch []work
-		for int(dispatch.id) < s.stored && len(batch) < pipelineBatch {
+		var b *batch
+		switch {
+		case len(free) > 0:
+			b, free = free[len(free)-1], free[:len(free)-1]
+		case made < len(reorder):
+			b = &batch{col: newCollector(s.m, s.exp)}
+			made++
+		default:
+			return nil // every batch is out; the one merging next among them
+		}
+		b.work = b.work[:0]
+		for int(dispatch.id) < s.stored && len(b.work) < pipelineBatch {
 			if w := s.next(&dispatch); !s.atDepthBound(w.depth) {
-				batch = append(batch, w)
+				b.work = append(b.work, w)
 			}
 		}
-		return batch
-	}
-
-	// receive parks a result batch in the reorder buffer.
-	receive := func(rb []expansion) {
-		outstanding -= len(rb)
-		for _, e := range rb {
-			reorder[e.id] = e
+		if len(b.work) == 0 {
+			free = append(free, b)
+			return nil
 		}
-		s.tr.reorderMax = max(s.tr.reorderMax, int64(len(reorder)))
+		b.seq, b.next = sent, 0
+		sent++
+		return b
 	}
 
 	for {
 		// Merge every result that is ready, strictly in storage order —
 		// the sequential engine's loop, with the expansion read from the
-		// reorder buffer instead of computed.
+		// batch at the head of the reorder buffer instead of computed.
 		for int(merge.id) < s.stored {
 			if res, done := s.stop(); done {
 				return res
@@ -220,13 +206,18 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 				merge = after
 				continue
 			}
-			e, ok := reorder[merge.id]
-			if !ok {
-				break // the expansion for the next id has not arrived yet
+			b := reorder[head%len(reorder)]
+			if b == nil {
+				break // the batch holding the next id has not come back yet
 			}
-			delete(reorder, merge.id)
-			if res, done := s.merge(&e); done {
+			if res, done := s.merge(&b.exps[b.next]); done {
 				return res
+			}
+			parked--
+			if b.next++; b.next == len(b.exps) {
+				reorder[head%len(reorder)] = nil
+				head++
+				free = append(free, b)
 			}
 			// Merged, not merely taken: a worker may have been reading it.
 			merge = after
@@ -241,9 +232,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 		}
 
 		if pending == nil {
-			if b := nextBatch(); len(b) > 0 {
-				pending = b
-			}
+			pending = nextBatch()
 		}
 		sendCh := workCh
 		if pending == nil {
@@ -251,7 +240,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 			// in flight: everything before it was dispatched (no batch
 			// is claimable) and it is not in the reorder buffer. This is
 			// the pipeline's only wait state, counted as a reorder stall.
-			if outstanding == 0 {
+			if inFlight == 0 {
 				panic(fmt.Sprintf("mc: pipeline stalled at id %d with no work in flight", merge.id))
 			}
 			s.tr.reorderStalls++
@@ -259,10 +248,13 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 		}
 		select {
 		case sendCh <- pending:
-			outstanding += len(pending)
+			inFlight++
 			pending = nil
-		case rb := <-resCh:
-			receive(rb)
+		case b := <-resCh:
+			inFlight--
+			reorder[b.seq%len(reorder)] = b
+			parked += len(b.exps)
+			s.tr.reorderMax = max(s.tr.reorderMax, int64(parked))
 		case <-ctx.Done():
 			return s.cancel(ctx.Err())
 		}

@@ -184,6 +184,28 @@ func BenchmarkCheckSeqPaper(b *testing.B) {
 	b.ReportMetric(400_000*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }
 
+// BenchmarkCheckPipelinedPaper is bench's paper_bounded_pipeline search
+// in-package — CHI at 3c/2d/2a under the minimal assignment, 400,000
+// states, 2 workers, compact store, traces off — so a -cpuprofile shows
+// the pipeline's product path: the workers' collection beside the merge
+// goroutine's store path.
+func BenchmarkCheckPipelinedPaper(b *testing.B) {
+	p := protocols.MustLoad("CHI")
+	a := vnassign.Assign(p)
+	sys, err := machine.New(machine.Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: a.VN, NumVNs: a.NumVNs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res := mc.CheckPipelined(sys, mc.Options{MaxStates: 400_000, DisableTraces: true, Store: mc.StoreCompact}, 2, 0)
+		if res.Outcome != mc.Bounded || res.States != 400_000 {
+			b.Fatal(res)
+		}
+	}
+	b.ReportMetric(400_000*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+}
+
 // BenchmarkDFSWitnessReplay prices rebuilding a witness instead of
 // keeping its states: bench's deadlock_hunt_dfs search (MSI_blocking_cache
 // at 3c/2d/2a, one VN per message, DFS from the owned seed) runs once with

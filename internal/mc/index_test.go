@@ -92,16 +92,12 @@ func (r *indexRun) insert(key []byte) {
 	}
 }
 
-// batch settles keys through insertBatch; a key the reference already
-// holds is passed as skip when skip says so, as a worker's proven
-// duplicate would be.
-func (r *indexRun) batch(keys [][]byte, skip func(i int) bool) {
+// batch settles keys through insertBatch.
+func (r *indexRun) batch(keys [][]byte) {
 	r.t.Helper()
 	reqs := make([]insertReq, len(keys))
 	for i, k := range keys {
-		fp := r.fpOf(k)
-		_, known, _ := r.ref.lookup(fp, k)
-		reqs[i] = insertReq{fp: fp, key: k, skip: known && skip(i)}
+		reqs[i] = insertReq{fp: r.fpOf(k), key: k}
 	}
 	processed, fresh, err := r.set.insertBatch(reqs, r.next, -1, &r.sc)
 	if err != nil || processed != len(reqs) {
@@ -109,12 +105,6 @@ func (r *indexRun) batch(keys [][]byte, skip func(i int) bool) {
 	}
 	nfresh := 0
 	for _, q := range reqs {
-		if q.skip {
-			if q.fresh || q.id != 0 || q.conflated {
-				r.t.Fatalf("skipped request %q was settled: %+v", q.key, q)
-			}
-			continue
-		}
 		wid, wfresh, wconflated := r.ref.insert(q.fp, q.key, r.next+int32(nfresh))
 		if q.id != wid || q.fresh != wfresh || q.conflated != wconflated {
 			r.t.Fatalf("insertBatch %q: id=%d fresh=%v conflated=%v, reference id=%d fresh=%v conflated=%v",
@@ -130,17 +120,15 @@ func (r *indexRun) batch(keys [][]byte, skip func(i int) bool) {
 	r.next += int32(fresh)
 }
 
-// probe checks probeBatch's verdicts on keys against the reference.
+// probe checks the single-key lookup's verdicts and ids on keys against
+// the reference.
 func (r *indexRun) probe(keys [][]byte) {
 	r.t.Helper()
-	reqs := make([]probeReq, len(keys))
-	for i, k := range keys {
-		reqs[i] = probeReq{fp: r.fpOf(k), key: k}
-	}
-	r.set.probeBatch(reqs, &r.sc)
-	for _, q := range reqs {
-		if _, hit, conflated := r.ref.lookup(q.fp, q.key); q.hit != hit || q.conflated != conflated {
-			r.t.Fatalf("probe %q: hit=%v conflated=%v, reference hit=%v conflated=%v", q.key, q.hit, q.conflated, hit, conflated)
+	for _, k := range keys {
+		fp := r.fpOf(k)
+		id, hit, conflated := probe(r.set, fp, k)
+		if wid, whit, wconflated := r.ref.lookup(fp, k); hit != whit || conflated != wconflated || (hit && id != wid) {
+			r.t.Fatalf("probe %q: id=%d hit=%v conflated=%v, reference id=%d hit=%v conflated=%v", k, id, hit, conflated, wid, whit, wconflated)
 		}
 	}
 }
@@ -202,11 +190,10 @@ var indexBudgets = []struct {
 
 // TestVisitedStoreMatchesReference drives the open-addressed index
 // beside the map reference with a seeded mix of single inserts, batches
-// (with proven duplicates skipped) and read-only probes, over every
-// budget and fingerprint function. With real fingerprints it stores
-// enough keys on 4 shards to grow every shard's table at least ten
-// times; with colliding ones, fewer, since each key then walks a long
-// run.
+// and lookups, over every budget and fingerprint function. With real
+// fingerprints it stores enough keys on 4 shards to grow every shard's
+// table at least ten times; with colliding ones, fewer, since each key
+// then walks a long run.
 func TestVisitedStoreMatchesReference(t *testing.T) {
 	for _, b := range indexBudgets {
 		for _, f := range indexFingerprints {
@@ -236,7 +223,7 @@ func TestVisitedStoreMatchesReference(t *testing.T) {
 						for n := 1 + rng.Intn(12); n > 0; n-- {
 							keys = append(keys, pick())
 						}
-						r.batch(keys, func(int) bool { return rng.Intn(2) == 0 })
+						r.batch(keys)
 					}
 				}
 				r.finish()
@@ -275,14 +262,14 @@ func FuzzVisitedStore(f *testing.F) {
 			case 1:
 				r.probe([][]byte{key(op), key(op + 1)})
 			default:
-				// A batch of the next few program bytes' keys, the
-				// duplicates among them skipped when op's low bit says so.
+				// A batch of the next few program bytes' keys (op's bit 2
+				// is unused).
 				rest := prog[2+i:]
 				keys := make([][]byte, 0, 4)
 				for _, x := range rest[:min(len(rest), 1+int(op&3))] {
 					keys = append(keys, key(x))
 				}
-				r.batch(keys, func(int) bool { return op&4 != 0 })
+				r.batch(keys)
 			}
 		}
 		r.finish()

@@ -26,9 +26,9 @@ import (
 
 // seqExpandSample is the sequential engine's expansion-timing sample
 // period: 1-in-N expansions get their collection (expand, canonicalize
-// and fingerprint every successor — what a pipeline worker's expand time
-// covers too, short of its read-only probe) timed for the worker
-// profile, keeping the clock-read cost off the hot path.
+// and fingerprint every successor — exactly what a pipeline worker's
+// expand time covers) timed for the worker profile, keeping the
+// clock-read cost off the hot path.
 const seqExpandSample = 8
 
 // Model is an explicit-state transition system over opaque encoded

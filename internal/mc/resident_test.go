@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -47,6 +48,45 @@ func TestResidentBytesPerState(t *testing.T) {
 			t.Logf("%.3f mallocs per stored state", mallocs)
 			if mallocs > tc.maxMal {
 				t.Errorf("%.3f mallocs per stored state, ceiling %.2f", mallocs, tc.maxMal)
+			}
+		})
+	}
+}
+
+// TestPipelineAllocsPerState is the ceiling on what a 2-worker pipeline
+// allocates per stored state at the paper's configuration beyond what
+// the sequential engine allocates on the same search: its batches and
+// their arenas are recycled, so once the pool is warm only the
+// structures both engines grow allocate. (The ceiling is on the excess
+// because the exact store's own arena chunks cost ~0.03 mallocs per
+// state on either engine.) Each run must also agree with the sequential
+// one and fire the same rules.
+func TestPipelineAllocsPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	sys := paritySystem(t, "CHI", "minimal", 3, 2, 2)
+	mallocsPerState := func(run func() mc.Result) (mc.Result, float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := run()
+		runtime.ReadMemStats(&after)
+		return res, float64(after.Mallocs-before.Mallocs) / float64(res.States)
+	}
+	for _, store := range []mc.Store{mc.StoreCompact, mc.StoreExact} {
+		t.Run(store.String(), func(t *testing.T) {
+			opts := mc.Options{MaxStates: 100_000, DisableTraces: true, Store: store}
+			seq, seqMal := mallocsPerState(func() mc.Result { return mc.Check(sys, opts) })
+			pip, pipMal := mallocsPerState(func() mc.Result { return mc.CheckPipelined(sys, opts, 2, 0) })
+			if pip.Outcome != mc.Bounded || !mc.Agree(pip, seq) {
+				t.Fatalf("pipeline %v, seq %v", pip, seq)
+			}
+			if !reflect.DeepEqual(pip.Stats.RuleFirings, seq.Stats.RuleFirings) {
+				t.Fatalf("rule firings: pipeline %v, seq %v", pip.Stats.RuleFirings, seq.Stats.RuleFirings)
+			}
+			t.Logf("mallocs per stored state: pipeline %.4f, seq %.4f", pipMal, seqMal)
+			if pipMal-seqMal > 0.02 {
+				t.Errorf("the pipeline makes %.4f mallocs per stored state beyond seq's, ceiling 0.02", pipMal-seqMal)
 			}
 		})
 	}

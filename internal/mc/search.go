@@ -18,8 +18,8 @@ import (
 // their results bit-identical by construction rather than by parallel
 // maintenance.
 //
-// Except for the Expander itself (safe from worker goroutines, each with
-// its own collector), every method is store-thread only.
+// Except for the Expander itself (safe from worker goroutines, each on
+// its batch's collector), every method is store-thread only.
 type search struct {
 	ctx    context.Context
 	m      Model
@@ -69,24 +69,14 @@ type work struct {
 }
 
 // succ is one generated successor on its way to the store. Its bytes
-// are lent — they alias a collector's arena or a worker's batch buffer —
-// so settle copies the state of one it stores.
+// are lent — they alias a collector's arena, the store thread's or a
+// pipeline batch's — so settle copies the state of one it stores.
 type succ struct {
-	state []byte // nil once a worker probe proved it a duplicate
+	state []byte
 	ckey  []byte // canonical bytes (aliases state when state is canonical)
 	fp    uint64
 	rule  int32 // producing rule's id (see Expander.RuleNames)
-	// dup marks a duplicate verdict already proven by a worker's
-	// read-only probe (the set only grows, so it is conclusive);
-	// conflated carries that probe's unverified-hit flag, which is
-	// time-stable (see the shardset.go contract).
-	dup       bool
-	conflated bool
 }
-
-// keyed reports whether sc's canonical key is bytes of its own rather
-// than the state's.
-func keyed(sc *succ) bool { return !aliases(sc.ckey, sc.state) }
 
 // aliases reports whether a and b are the same bytes in memory — how an
 // Expander says "already canonical" without a second return value.
@@ -108,8 +98,9 @@ type expansion struct {
 // canonical key — when it differs — straight behind them, and notes the
 // rule id; resolve then fingerprints the keys four at a time. Nothing
 // is allocated once the arena is warm. Everything collected since the
-// last reset stays valid until the next one, so a pipeline worker
-// collects a whole batch before it probes. One collector per goroutine.
+// last reset stays valid until the next one, so a pipeline batch's
+// collector holds the whole batch until the merge has settled it. One
+// goroutine at a time per collector.
 type collector struct {
 	m     Model
 	exp   Expander
@@ -239,9 +230,9 @@ func (s *search) seed() (Result, bool) {
 }
 
 // settle probes digested successors of parent against the visited set
-// in order and stores the fresh ones at depth: one shard-grouped
-// insertBatch (which assigns ids stored+0,1,… to fresh entries in
-// request order, the order they are appended to the log below), then the
+// in order and stores the fresh ones at depth: one insertBatch (which
+// assigns ids stored+0,1,… to fresh entries in request order, the order
+// they are appended to the log below), then the
 // per-successor bookkeeping — rule firing, probe accounting, log append,
 // parent table or DFS stack, observer. The batch stops after the insert
 // that reaches MaxStates; the caller's next stop() ends the search. A
@@ -251,7 +242,7 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 	s.ireqs = s.ireqs[:0]
 	for i := range succs {
 		sc := &succs[i]
-		s.ireqs = append(s.ireqs, insertReq{fp: sc.fp, key: sc.ckey, skip: sc.dup})
+		s.ireqs = append(s.ireqs, insertReq{fp: sc.fp, key: sc.ckey})
 	}
 	limit := -1
 	if s.opts.MaxStates > 0 {
@@ -280,7 +271,7 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 		if parent >= 0 {
 			s.tr.fire(sc.rule)
 		}
-		s.tr.recordProbe(sc.fp, depth, r.fresh, sc.conflated || r.conflated)
+		s.tr.recordProbe(sc.fp, depth, r.fresh, r.conflated)
 		if r.fresh && s.opts.Observer != nil {
 			s.opts.Observer.Observe(sc.state)
 		}

@@ -28,7 +28,7 @@ import (
 // Probing is linear: keys with equal fingerprints are further slots of
 // the same run, and a lookup walks the run to its first empty slot. A
 // table grows to twice its size at 7/8 full, rehashed under the shard's
-// write lock.
+// lock.
 //
 // Which states keep their bytes is a retained-bytes budget. With no
 // budget (StoreExact) every key is kept and no slot is bare. With a
@@ -50,20 +50,20 @@ import (
 // pointer-free by packing the location as
 // 1 + chunk<<arenaChunkBits | offset-within-chunk.
 //
-// Concurrency contract: probeBatch takes read locks and may run from
-// any number of worker goroutines. Insert and insertBatch are only ever
-// called by the single store thread (the sequential search loop, the
-// pipelined merge, or a distributed worker's settle), which is also the
-// only writer of the budget counter; because it is the sole writer it
-// decides duplicate status with unlocked reads and takes a shard's write
-// lock only to store (and grow). Nothing is ever removed or rewritten
-// but by a rehash, which keeps every slot's content, so a hit, and
-// whether it conflates, is stable over the whole run: a worker's early
-// probe and the store thread's authoritative insert agree.
+// Concurrency contract: store thread only. Every method is called by
+// the single store thread (the sequential search loop, the pipelined
+// merge, or a distributed worker's settle); pipeline workers never
+// touch the set. The thread decides duplicate status with unlocked
+// reads and takes a shard's lock only to store (and grow), which with
+// one goroutine on the set guards nothing: the locks stay for their
+// sampled wait, which the run record reports. Nothing is ever removed
+// or rewritten but by a rehash, which keeps every slot's content, so a
+// hit, and whether it conflates, is stable over the whole run.
 
 // DefaultShards is the shard count the engines use when the caller
-// passes 0. Striping only has to out-provision the worker count; 64
-// keeps per-shard tables small at paper-scale state counts.
+// passes 0. With the set store-thread only, striping serves no
+// concurrency; 64 keeps per-shard tables small at paper-scale state
+// counts.
 const DefaultShards = 64
 
 // lockSampleMask selects which acquisitions get their lock-wait timed:
@@ -132,14 +132,15 @@ func (f *arenaFill) add(n int) bool {
 
 // stripeLock is one shard's lock plus the sampled wait to acquire it
 // (see lockSampleMask): how long callers waited for this stripe, a
-// direct read on contention. Atomic because probes run from every
-// worker.
+// direct read on contention. With the store thread the set's only
+// goroutine neither the lock nor the atomics guard anything (see the
+// contract above).
 type stripeLock struct {
-	sync.RWMutex
+	sync.Mutex
 	waitNS, waitN atomic.Int64
 }
 
-// lock write-locks on behalf of fingerprint fp; rlock read-locks.
+// lock locks on behalf of fingerprint fp.
 func (l *stripeLock) lock(fp uint64) {
 	if fp&lockSampleMask != 0 {
 		l.Lock()
@@ -147,17 +148,6 @@ func (l *stripeLock) lock(fp uint64) {
 	}
 	t0 := time.Now()
 	l.Lock()
-	l.waitNS.Add(int64(time.Since(t0)))
-	l.waitN.Add(1)
-}
-
-func (l *stripeLock) rlock(fp uint64) {
-	if fp&lockSampleMask != 0 {
-		l.RLock()
-		return
-	}
-	t0 := time.Now()
-	l.RLock()
 	l.waitNS.Add(int64(time.Since(t0)))
 	l.waitN.Add(1)
 }
@@ -247,8 +237,7 @@ func (sh *setShard) key(at uint32) []byte {
 // lookup resolves key's membership: a bare slot for fp conflates, a
 // retained one hits when its bytes equal key. known reports whether any
 // state is stored under fp, the first-for-fingerprint question the
-// budget asks. The caller must hold the shard lock, or be the store
-// thread (the sole writer).
+// budget asks.
 func (sh *setShard) lookup(fp uint64, key []byte) (id int32, hit, conflated, known bool) {
 	if len(sh.slots) == 0 {
 		return 0, false, false, false
@@ -309,7 +298,7 @@ func (sh *setShard) capacity(pending int, fill arenaFill, retain bool, keyLen in
 	return nil
 }
 
-// store records key unconditionally; the caller holds the write lock
+// store records key unconditionally; the caller holds the shard lock
 // and has already decided freshness, retention and capacity. A bare
 // state takes a slot and nothing else; a retained one also appends its
 // record to the arena. st is the store's footprint, which store keeps.
@@ -379,28 +368,6 @@ func (s *VisitedStore) admit(sh *setShard, first bool, pending int, fill arenaFi
 	return retain, err
 }
 
-// probeBatch resolves all requests with one read-lock acquisition per
-// touched shard, in shard-grouped order (results land back in request
-// positions, so callers see request order). Read-only; safe from any
-// goroutine.
-func (s *VisitedStore) probeBatch(reqs []probeReq, sc *setScratch) {
-	sc.group(len(reqs), func(i int) uint32 { return s.shardIdx(reqs[i].fp) })
-	sc.runs(func(shard uint32, idx []int32) {
-		sh := &s.shards[shard]
-		sh.mu.rlock(reqs[idx[0]].fp)
-		var touched uint64
-		for _, i := range idx {
-			touched += sh.touch(reqs[i].fp)
-		}
-		sc.touched += touched
-		for _, i := range idx {
-			r := &reqs[i]
-			_, r.hit, r.conflated, _ = sh.lookup(r.fp, r.key)
-		}
-		sh.mu.RUnlock()
-	})
-}
-
 // Insert stores key (with fingerprint fp) under id unless an equal key
 // is present, returning the surviving id, whether the insert was
 // fresh, and whether a duplicate verdict was unverifiable (compact
@@ -435,9 +402,7 @@ func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fre
 func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int, sc *setScratch) (processed, fresh int, err error) {
 	var touched uint64
 	for i := range reqs {
-		if r := &reqs[i]; !r.skip {
-			touched += s.shards[s.shardIdx(r.fp)].touch(r.fp)
-		}
+		touched += s.shards[s.shardIdx(reqs[i].fp)].touch(reqs[i].fp)
 	}
 	sc.touched += touched
 
@@ -446,9 +411,6 @@ func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int, sc
 pre:
 	for i := range reqs {
 		r := &reqs[i]
-		if r.skip {
-			continue
-		}
 		r.fresh, r.id, r.conflated, r.retain = false, 0, false, false
 		shard := s.shardIdx(r.fp)
 		sh := &s.shards[shard]

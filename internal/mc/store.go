@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 )
 
 // Store selects how the visited set represents stored states — the
@@ -115,27 +114,11 @@ var (
 	memoryLimit = func() int64 { return debug.SetMemoryLimit(-1) }
 )
 
-// probeReq is one membership test in a batched read-only probe.
-type probeReq struct {
+// insertReq is one insert-or-get in a batched store operation.
+type insertReq struct {
 	fp  uint64
 	key []byte
 	// Outputs:
-	hit bool
-	// conflated marks a compact-store hit that could not be
-	// byte-verified (hash-compaction conflation).
-	conflated bool
-}
-
-// insertReq is one insert-or-get in a batched store operation. skip
-// marks successors whose duplicate status a worker probe already
-// proved (the set only grows, so the verdict is conclusive); they pass
-// through without touching the set but keep their position so the
-// engine's bookkeeping stays in successor order.
-type insertReq struct {
-	fp   uint64
-	key  []byte
-	skip bool
-	// Outputs (skip entries are left zero):
 	fresh     bool
 	id        int32
 	conflated bool
@@ -160,54 +143,13 @@ type setStats struct {
 	setBytes int64
 }
 
-// setScratch holds the reusable buffers behind batched probes and
-// inserts: the shard-grouping sort of a probe and the intra-batch
-// pending-insert bookkeeping of an insert. One scratch per goroutine;
-// the zero value is ready.
+// setScratch holds the reusable buffers behind batched inserts: the
+// intra-batch pending-insert bookkeeping. Store thread only; the zero
+// value is ready.
 type setScratch struct {
-	idx    []int32  // request indices, sorted by (shard, index)
-	shards []uint32 // parallel to idx
-	// pending insert bookkeeping (store thread only):
 	pend      []int32 // request indices of this batch's fresh inserts
 	pendShard []uint32
 	// touched sums what the batches loaded ahead of their lookups (see
 	// setShard.touch); it is kept so the loads are.
 	touched uint64
-}
-
-func (s *setScratch) Len() int { return len(s.idx) }
-func (s *setScratch) Less(i, j int) bool {
-	if s.shards[i] != s.shards[j] {
-		return s.shards[i] < s.shards[j]
-	}
-	return s.idx[i] < s.idx[j] // stable within a shard: request order
-}
-func (s *setScratch) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.shards[i], s.shards[j] = s.shards[j], s.shards[i]
-}
-
-// group sorts n request indices by shard so callers can walk runs of
-// equal shard and take each lock once; shardOf maps a request index to
-// its shard.
-func (s *setScratch) group(n int, shardOf func(int) uint32) {
-	s.idx, s.shards = s.idx[:0], s.shards[:0]
-	for i := 0; i < n; i++ {
-		s.idx = append(s.idx, int32(i))
-		s.shards = append(s.shards, shardOf(i))
-	}
-	sort.Sort(s)
-}
-
-// runs calls f once per shard with the grouped request indices that
-// fall in it, in request order.
-func (s *setScratch) runs(f func(shard uint32, idx []int32)) {
-	for lo := 0; lo < len(s.idx); {
-		hi := lo + 1
-		for hi < len(s.idx) && s.shards[hi] == s.shards[lo] {
-			hi++
-		}
-		f(s.shards[lo], s.idx[lo:hi])
-		lo = hi
-	}
 }

@@ -40,11 +40,9 @@ func StripeOf(fp uint64) int { return int((fp ^ (fp >> 32)) & stripeMask) }
 
 // WorkerStats is one engine worker's contention profile. On every
 // engine ExpandNS brackets the same work per state — expanding it and
-// canonicalizing and fingerprinting each successor — so ExpandNS /
-// States compares across engines, with one difference: a pipeline
-// worker's also covers its read-only probe of the visited set (and
-// cutting the batch it ships), which the seq and dist store paths do
-// outside the bracket. Otherwise the engines fill it differently:
+// canonicalizing and fingerprinting each successor, nothing else — so
+// ExpandNS / States compares across engines. The engines fill it
+// differently:
 //
 //   - pipeline: one entry per pool worker; Batches counts work-channel
 //     batches, QueueWaitNS the time blocked receiving work, SendWaitNS
@@ -110,8 +108,9 @@ type Report struct {
 
 	// ReorderStalls counts merge-loop blocks on an expansion that had
 	// not arrived yet (the in-order merge's only wait state);
-	// ReorderMax is the reorder buffer's high-water mark. Pipeline
-	// engine only.
+	// ReorderMax is the reorder buffer's high-water mark, in
+	// expansions back from workers and not merged yet (not batches).
+	// Pipeline engine only.
 	ReorderStalls int64 `json:"reorder_stalls,omitempty"`
 	ReorderMax    int64 `json:"reorder_max,omitempty"`
 
