@@ -42,6 +42,19 @@ func paperSystem(tb testing.TB, proto string, caches int) *System {
 	return sys
 }
 
+// perMessageSystem builds the Class 2 cell of Table I: MSI_blocking_cache
+// at 3c/2d/2a with one VN per message — 13 VNs, so 91 queues a state.
+func perMessageSystem(tb testing.TB) *System {
+	tb.Helper()
+	p := protocols.MustLoad("MSI_blocking_cache")
+	vn, n := PerMessageVN(p)
+	sys, err := New(Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
 // benchCorpus samples 512 of the first 65,536 states a search of sys
 // stores, evenly: raw successors from the shallow symmetric levels up
 // to levels with a handful of messages in flight.
@@ -69,18 +82,22 @@ func BenchmarkSuccessors(b *testing.B) {
 }
 
 // BenchmarkExpand is BenchmarkSuccessors through the visitor the search
-// runs on: the same corpus, nothing copied out.
+// runs on: the same corpus, nothing copied out — and the same at 13 VNs
+// (MSI_blocking_cache, one VN per message), where a state holds 91
+// queues and a successor changes a few of them.
 func BenchmarkExpand(b *testing.B) {
-	sys := paperSystem(b, "MSI_nonblocking_cache", 3)
-	corpus := benchCorpus(sys)
-	var bytes int
-	visit := func(succ []byte, _ int) { bytes += len(succ) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Expand(corpus[i%len(corpus)], visit); err != nil {
-			b.Fatal(err)
-		}
+	for _, sys := range []*System{paperSystem(b, "MSI_nonblocking_cache", 3), perMessageSystem(b)} {
+		corpus := benchCorpus(sys)
+		b.Run(fmt.Sprintf("vn%d", sys.Config().NumVNs), func(b *testing.B) {
+			var bytes int
+			visit := func(succ []byte, _ int) { bytes += len(succ) }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Expand(corpus[i%len(corpus)], visit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -88,13 +105,7 @@ func BenchmarkExpand(b *testing.B) {
 // stored state over the same corpus, at 13 VNs (MSI_blocking_cache, one
 // VN per message) as well as at the minimal 2.
 func BenchmarkOccupancyObserve(b *testing.B) {
-	p := protocols.MustLoad("MSI_blocking_cache")
-	vn, n := PerMessageVN(p)
-	permsg, err := New(Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sys := range []*System{paperSystem(b, "MSI_nonblocking_cache", 3), permsg} {
+	for _, sys := range []*System{paperSystem(b, "MSI_nonblocking_cache", 3), perMessageSystem(b)} {
 		corpus := benchCorpus(sys)
 		b.Run(fmt.Sprintf("vn%d", sys.Config().NumVNs), func(b *testing.B) {
 			prof := sys.NewOccupancyProfiler()
@@ -107,12 +118,18 @@ func BenchmarkOccupancyObserve(b *testing.B) {
 }
 
 // benchCanonical runs canon over a corpus of the paper's cell at 3
-// caches (6 permutations) and at 4 (24).
+// caches (6 permutations) and at 4 (24), and of the 13-VN cell.
 func benchCanonical(b *testing.B, canon func(sys *System, raw []byte)) {
-	for _, caches := range []int{3, 4} {
-		sys := paperSystem(b, "MSI_nonblocking_cache", caches)
-		corpus := benchCorpus(sys)
-		b.Run(fmt.Sprintf("%dc", caches), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sys  *System
+	}{
+		{"3c", paperSystem(b, "MSI_nonblocking_cache", 3)},
+		{"4c", paperSystem(b, "MSI_nonblocking_cache", 4)},
+		{"vn13", perMessageSystem(b)},
+	} {
+		sys, corpus := c.sys, benchCorpus(c.sys)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				canon(sys, corpus[i%len(corpus)])
@@ -140,8 +157,9 @@ func BenchmarkAppendCanonical(b *testing.B) {
 
 // TestExpansionAllocations is the allocation budget of the calls a
 // search makes per state and per successor, on a fixed mid-exploration
-// state of the paper's cell: Expand and AppendCanonical into a warm
-// buffer allocate nothing; of the collecting forms, SuccessorsNamed
+// state of the paper's cell and of the 13-VN cell (whose successors are
+// spliced around many more queues): Expand and AppendCanonical into a
+// warm buffer allocate nothing; of the collecting forms, SuccessorsNamed
 // allocates its two result slices and the bytes of each successor it
 // returns (one spare for a pool refill after a GC), Canonicalize at most
 // the copy it returns. Counts, unlike timings, are deterministic on a
@@ -150,36 +168,39 @@ func TestExpansionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	sys := paperSystem(t, "MSI_nonblocking_cache", 3)
-	states := bfsStates(sys, 5000)
-	raw := states[len(states)-1]
-	succs, _, err := sys.SuccessorsNamed(raw)
-	if err != nil || len(succs) < 4 {
-		t.Fatalf("fixture state has %d successors, err %v", len(succs), err)
-	}
-	if got, max := testing.AllocsPerRun(200, func() { sys.SuccessorsNamed(raw) }), float64(len(succs)+3); got > max {
-		t.Errorf("SuccessorsNamed: %v allocations for %d successors, budget %v", got, len(succs), max)
-	}
-	if got := testing.AllocsPerRun(200, func() { sys.Canonicalize(raw) }); got > 1 {
-		t.Errorf("Canonicalize: %v allocations, budget 1", got)
-	}
-	visit := func([]byte, int) {}
-	if got := testing.AllocsPerRun(200, func() { sys.Expand(raw, visit) }); got != 0 {
-		t.Errorf("Expand: %v allocations, budget 0", got)
-	}
-	// A successor the identity does not win on, so the buffer is written.
-	var moved []byte
-	for _, s := range succs {
-		if ck := sys.Canonicalize(s); &ck[0] != &s[0] {
-			moved = s
-		}
-	}
-	if moved == nil {
-		t.Fatal("fixture state has no successor that canonicalization relabels")
-	}
-	key := make([]byte, 0, len(moved))
-	if got := testing.AllocsPerRun(200, func() { sys.AppendCanonical(key, moved) }); got != 0 {
-		t.Errorf("AppendCanonical into a warm buffer: %v allocations, budget 0", got)
+	for _, sys := range []*System{paperSystem(t, "MSI_nonblocking_cache", 3), perMessageSystem(t)} {
+		t.Run(fmt.Sprintf("vn%d", sys.Config().NumVNs), func(t *testing.T) {
+			states := bfsStates(sys, 5000)
+			raw := states[len(states)-1]
+			succs, _, err := sys.SuccessorsNamed(raw)
+			if err != nil || len(succs) < 4 {
+				t.Fatalf("fixture state has %d successors, err %v", len(succs), err)
+			}
+			if got, max := testing.AllocsPerRun(200, func() { sys.SuccessorsNamed(raw) }), float64(len(succs)+3); got > max {
+				t.Errorf("SuccessorsNamed: %v allocations for %d successors, budget %v", got, len(succs), max)
+			}
+			if got := testing.AllocsPerRun(200, func() { sys.Canonicalize(raw) }); got > 1 {
+				t.Errorf("Canonicalize: %v allocations, budget 1", got)
+			}
+			visit := func([]byte, int) {}
+			if got := testing.AllocsPerRun(200, func() { sys.Expand(raw, visit) }); got != 0 {
+				t.Errorf("Expand: %v allocations, budget 0", got)
+			}
+			// A successor the identity does not win on, so the buffer is written.
+			var moved []byte
+			for _, s := range succs {
+				if ck := sys.Canonicalize(s); &ck[0] != &s[0] {
+					moved = s
+				}
+			}
+			if moved == nil {
+				t.Fatal("fixture state has no successor that canonicalization relabels")
+			}
+			key := make([]byte, 0, len(moved))
+			if got := testing.AllocsPerRun(200, func() { sys.AppendCanonical(key, moved) }); got != 0 {
+				t.Errorf("AppendCanonical into a warm buffer: %v allocations, budget 0", got)
+			}
+		})
 	}
 }
 

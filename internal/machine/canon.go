@@ -297,6 +297,10 @@ func compareHomeEntries(best, raw []byte, width int, p *perm) int {
 // icn.MessageBytes).
 func relabelQueues(q []byte, p *perm) {
 	for i := 0; i < len(q); {
+		if k := emptyQueues(q, i); k > 0 {
+			i += k
+			continue
+		}
 		end := i + 1 + int(q[i])*icn.MessageBytes
 		for i++; i < end; i += icn.MessageBytes {
 			m := q[i : i+icn.MessageBytes : i+icn.MessageBytes]
@@ -330,8 +334,13 @@ func compareQueues(best, src []byte, p *perm) int {
 func (s *System) indexLocal(raw []byte, local []int) []int {
 	i := s.netOff
 	skip := func(queues int) {
-		for ; queues > 0; queues-- {
+		for queues > 0 {
+			if k := min(emptyQueues(raw, i), queues); k > 0 {
+				i, queues = i+k, queues-k
+				continue
+			}
 			i += 1 + int(raw[i])*icn.MessageBytes
+			queues--
 		}
 	}
 	skip(2 * s.net.NumVNs)
@@ -340,4 +349,18 @@ func (s *System) indexLocal(raw []byte, local []int) []int {
 		skip(s.net.NumVNs)
 	}
 	return append(local, i)
+}
+
+// emptyQueues counts the empty queues — zero length bytes — that start
+// at q[i], up to eight: at one VN per message most queues are empty, so
+// it reads eight length bytes as one little-endian word, and near the
+// end of q only the byte at i.
+func emptyQueues(q []byte, i int) int {
+	if i+8 <= len(q) {
+		return bits.TrailingZeros64(binary.LittleEndian.Uint64(q[i:])) / 8
+	}
+	if q[i] == 0 {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,10 @@
 package machine
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -205,4 +209,109 @@ func walkStates(sys *System, n int) [][]byte {
 		}
 	}
 	return out
+}
+
+// byteWalkLocal and byteWalkRelabel are indexLocal and relabelQueues
+// the plain way, one length byte at a time.
+func byteWalkLocal(s *System, raw []byte) []int {
+	i := s.netOff
+	skip := func(queues int) {
+		for ; queues > 0; queues-- {
+			i += 1 + int(raw[i])*icn.MessageBytes
+		}
+	}
+	skip(2 * s.net.NumVNs)
+	var local []int
+	for c := 0; c < s.cfg.Caches; c++ {
+		local = append(local, i)
+		skip(s.net.NumVNs)
+	}
+	return append(local, i)
+}
+
+func byteWalkRelabel(q []byte, p *perm) {
+	for i := 0; i < len(q); {
+		end := i + 1 + int(q[i])*icn.MessageBytes
+		for i++; i < end; i += icn.MessageBytes {
+			q[i+2], q[i+3], q[i+4] = p.ep[q[i+2]], p.ep[q[i+3]], p.ep[q[i+4]]
+		}
+	}
+}
+
+// TestQueueSkipMatchesByteWalk pins the word-at-a-time skip over empty
+// queues in indexLocal and relabelQueues against the byte walks above,
+// on networks built queue by queue: runs of 0–20 empty queues between
+// non-empty ones, at every phase, so a non-empty queue's length byte
+// falls at every offset mod 8 of the word read before it; seeded random
+// fillings; every suffix of each network, down to regions shorter than a
+// word; at 3 and 4 caches, with 13 VNs and with one (a network of 6 and
+// 7 length bytes).
+func TestQueueSkipMatchesByteWalk(t *testing.T) {
+	msi, blocking := protocols.MustLoad("MSI_nonblocking_cache"), protocols.MustLoad("MSI_blocking_cache")
+	uvn, un := UniformVN(msi)
+	pvn, pn := PerMessageVN(blocking)
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []Config{
+		{Protocol: blocking, Caches: 3, Dirs: 2, Addrs: 2, VN: pvn, NumVNs: pn},
+		{Protocol: blocking, Caches: 4, Dirs: 2, Addrs: 2, VN: pvn, NumVNs: pn},
+		{Protocol: msi, Caches: 3, Dirs: 1, Addrs: 1, VN: uvn, NumVNs: un},
+		{Protocol: msi, Caches: 4, Dirs: 1, Addrs: 1, VN: uvn, NumVNs: un},
+	} {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%dc/vn%d", cfg.Caches, cfg.NumVNs)
+		var fills [][]int
+		for run := 0; run <= 20; run++ {
+			for phase := 0; phase < 8; phase++ {
+				fill := make([]int, sys.queues)
+				for q := phase; q < len(fill); q += run + 1 {
+					fill[q] = 1 + q%2
+				}
+				fills = append(fills, fill)
+			}
+		}
+		for range 200 {
+			fill := make([]int, sys.queues)
+			for q := range fill {
+				if rng.Intn(4) == 0 {
+					fill[q] = 1 + rng.Intn(3)
+				}
+			}
+			fills = append(fills, fill)
+		}
+		var offsets [8]bool // of non-empty length bytes in the network, mod 8
+		for _, fill := range fills {
+			// The controller bytes are never read; the records' bytes are
+			// small so that many of them are zero.
+			raw := make([]byte, sys.netOff)
+			var starts []int
+			for _, n := range fill {
+				starts = append(starts, len(raw))
+				if n > 0 {
+					offsets[(len(raw)-sys.netOff)%8] = true
+				}
+				raw = append(raw, byte(n))
+				for range n * icn.MessageBytes {
+					raw = append(raw, byte(rng.Intn(3)))
+				}
+			}
+			if got, want := sys.indexLocal(raw, nil), byteWalkLocal(sys, raw); !slices.Equal(got, want) {
+				t.Fatalf("%s fill %v: indexLocal %v, byte walk %v", name, fill, got, want)
+			}
+			for _, from := range starts {
+				p := &sys.perms[len(sys.perms)-1]
+				got, want := slices.Clone(raw[from:]), slices.Clone(raw[from:])
+				relabelQueues(got, p)
+				byteWalkRelabel(want, p)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s fill %v from byte %d: relabelQueues %x, byte walk %x", name, fill, from, got, want)
+				}
+			}
+		}
+		if slices.Contains(offsets[:], false) {
+			t.Fatalf("%s: non-empty length bytes only at offsets %v mod 8", name, offsets)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"minvn/internal/mc"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
@@ -289,4 +291,112 @@ func TestExpansionGolden(t *testing.T) {
 			t.Errorf("expansion digest diverged\n got  %s\n want %s", got[i], want[i])
 		}
 	}
+}
+
+// huntSample keeps a copy of every every-th state a search stores.
+type huntSample struct {
+	seen, every int
+	states      [][]byte
+}
+
+func (h *huntSample) Observe(state []byte) {
+	if h.seen%h.every == 0 {
+		h.states = append(h.states, append([]byte(nil), state...))
+	}
+	h.seen++
+}
+
+// TestExpandMatchesApply pins the successors Expand splices from the
+// parent's bytes against Apply, which encodes each one in full: for
+// every state, Expand must visit Apply over EnabledRules, in order, with
+// the self-loops left out. The states are the first expansionStates
+// breadth-first states of every pinned system and ~2,000 states of the
+// depth-first hunt from the owned seed at one VN per message, where more
+// messages are in flight. The golden digest covers the same ground; this
+// names the state and the rule when they part. It runs on one goroutine,
+// so under the race detector, twenty times slower, a tenth of each
+// corpus does.
+func TestExpandMatchesApply(t *testing.T) {
+	first, every := expansionStates, 150
+	if raceEnabled {
+		first, every = expansionStates/10, 1500
+	}
+	var got [][]byte
+	visit := func(succ []byte, _ int) { got = append(got, append([]byte(nil), succ...)) }
+	compare := func(name string, sys *System, states [][]byte) {
+		t.Helper()
+		compared := 0
+		for i, raw := range states {
+			got = got[:0]
+			if _, err := sys.Expand(raw, visit); err != nil {
+				continue // a violation; the golden digest pins its text
+			}
+			rules, err := sys.EnabledRules(raw)
+			if err != nil {
+				t.Fatalf("%s state %d: Expand succeeds, EnabledRules fails: %v", name, i, err)
+			}
+			k := 0
+			for _, r := range rules {
+				want, err := sys.Apply(raw, r)
+				if err != nil {
+					t.Fatalf("%s state %d, %s: Apply: %v", name, i, r, err)
+				}
+				if bytes.Equal(want, raw) {
+					continue
+				}
+				if k >= len(got) {
+					t.Fatalf("%s state %d, %s: Expand visited %d successors, Apply has more", name, i, r, len(got))
+				}
+				if !bytes.Equal(got[k], want) {
+					at := 0
+					for at < min(len(got[k]), len(want)) && got[k][at] == want[at] {
+						at++
+					}
+					t.Fatalf("%s state %d, %s: successor %d differs from Apply's at byte %d (network from %d)\n got  %x\n want %x",
+						name, i, r, k, at, sys.netOff, got[k], want)
+				}
+				k++
+			}
+			if k != len(got) {
+				t.Fatalf("%s state %d: Expand visited %d successors, Apply over EnabledRules gives %d", name, i, len(got), k)
+			}
+			compared += k
+		}
+		if compared == 0 {
+			t.Errorf("%s: no successor compared", name)
+		}
+	}
+
+	for _, c := range expansionCases(t) {
+		sys, err := New(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		compare(c.name, sys, bfsStates(sys, first))
+	}
+
+	// Bench's deadlock_hunt_dfs search, every 150th of its 301,611 stored
+	// states: four to six messages in flight where breadth-first has two
+	// or three.
+	hunt := perMessageSystem(t)
+	seed, err := OwnedSeed(hunt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := &huntSample{every: every}
+	res := mc.Check(&Seeded{System: hunt, Seeds: [][]byte{seed}},
+		mc.Options{Strategy: mc.DFS, MaxStates: 600_000, DisableTraces: true, Observer: sample})
+	if res.Outcome != mc.Deadlock {
+		t.Fatalf("the depth-first hunt ends %v", res.Outcome)
+	}
+	deepest := 0
+	for _, raw := range sample.states {
+		deepest = max(deepest, hunt.InFlight(raw))
+	}
+	for _, raw := range bfsStates(hunt, first) {
+		if n := hunt.InFlight(raw); n >= deepest {
+			t.Fatalf("the depth-first sample holds at most %d messages in flight, breadth-first %d", deepest, n)
+		}
+	}
+	compare("dfs-owned/MSI_blocking_cache/permsg", hunt, sample.states)
 }

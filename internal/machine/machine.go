@@ -11,11 +11,13 @@
 // indexed by state id and event slot, with the unqualified fallback
 // column folded in, actions resolved to message ids, and rule labels
 // interned. Expansion (rules.go) then runs over a pooled scratch state:
-// decode into it, fire one rule in place, encode into the scratch's
-// arena, roll the rule back. Expand (model.go) lends those encodings to
-// a visitor and allocates nothing — the form the model checker runs on,
-// since most successors turn out to be duplicates and are never kept;
-// the collecting forms beside it copy them into fresh slices.
+// decode into it, fire one rule in place, splice the successor into the
+// scratch's arena — the parent's bytes with the controller sections and
+// the few queues the rule changed written afresh — and roll the rule
+// back. Expand (model.go) lends those encodings to a visitor and
+// allocates nothing — the form the model checker runs on, since most
+// successors turn out to be duplicates and are never kept; the
+// collecting forms beside it copy them into fresh slices.
 // AppendCanonical (canon.go) relabels straight from the encoded bytes
 // into the caller's buffer; Canonicalize is the same into a fresh one.
 // The reference for all of it is testdata/expansion.golden, recorded
@@ -272,7 +274,7 @@ type l2Entry struct {
 	cacheAcks int8  // outer (cache-role) ack counter
 }
 
-// Encoded sizes of the three entry kinds (see appendEncode).
+// Encoded sizes of the three entry kinds (see appendControllers).
 const (
 	cacheEntryBytes = 4 // state, acks, saved, savedAcks
 	l2EntryBytes    = 5 // state, owner, sharers, acks, cacheAcks
@@ -316,16 +318,18 @@ func int8b(v int8) byte { return byte(uint8(v) + 128) }
 func bInt8(b byte) int8 { return int8(b - 128) }
 
 // encode produces the deterministic byte form used for deduplication
-// and trace storage.
+// and trace storage: the controller sections, then the network.
+// Expansion splices its successors instead (appendSpliced), so this is
+// the encoder of Initial, Apply and the scenario driver — and Apply the
+// independent reference the splice is tested against.
 func (s *System) encode(st *state) []byte {
 	size := s.netOff + s.queues + st.net.InFlight()*icn.MessageBytes
-	return s.appendEncode(make([]byte, 0, size), st)
+	return st.net.Encode(s.appendControllers(make([]byte, 0, size), st))
 }
 
-// appendEncode appends st's encoding to out, reusing out's capacity —
-// the allocation-free form expansion leans on when it encodes one
-// candidate per enabled rule.
-func (s *System) appendEncode(out []byte, st *state) []byte {
+// appendControllers appends the controller sections of st's encoding:
+// every cache entry, then the l2 and the directory entries.
+func (s *System) appendControllers(out []byte, st *state) []byte {
 	for _, row := range st.cache {
 		for _, e := range row {
 			out = append(out, e.state, int8b(e.acks), e.saved, int8b(e.savedAcks))
@@ -339,7 +343,35 @@ func (s *System) appendEncode(out []byte, st *state) []byte {
 	for _, e := range st.dir {
 		out = append(out, e.state, e.owner, e.sharers, int8b(e.acks))
 	}
-	return st.net.Encode(out)
+	return out
+}
+
+// The network's FIFOs are numbered in encoding order (icn.State.Encode):
+// the two global buffers of each VN, then every endpoint's input FIFOs,
+// VN by VN. globalQueue and localQueue give a FIFO's number, queue the
+// FIFO a number names.
+
+func globalQueue(vn, buf int) int { return 2*vn + buf }
+
+func (s *System) localQueue(e, vn int) int { return (2+e)*s.net.NumVNs + vn }
+
+func (s *System) queue(st *state, q int) []icn.Message {
+	vns := s.net.NumVNs
+	if q < 2*vns {
+		return st.net.Global[q/2][q%2]
+	}
+	q -= 2 * vns
+	return st.net.Local[q/vns][q%vns]
+}
+
+// appendQueue appends one FIFO's encoding: its length byte, then each
+// message's icn.MessageBytes record.
+func appendQueue(out []byte, q []icn.Message) []byte {
+	out = append(out, byte(len(q)))
+	for _, m := range q {
+		out = append(out, m.Name, m.Addr, m.Src, m.Req, m.Dst, int8b(m.Acks))
+	}
+	return out
 }
 
 // checkLen panics unless raw is long enough to hold every controller

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"minvn/internal/icn"
 	"minvn/internal/protocol"
@@ -94,12 +95,19 @@ type scratch struct {
 	arena     []byte
 	ends      []int
 	ids       []int
+
+	// What a successor is spliced from (appendSpliced): at[q] is where
+	// FIFO q starts in raw and at[len(at)-1] where raw ends, filled by
+	// open; dirty is the FIFOs the fired rule changed, in order.
+	at    []int
+	dirty []int
 }
 
 // undo is what rollback restores after a rule fired on the scratch
 // state: the controller entries at (ep, addr) and up to two queue
 // headers (a pop reslices and an append within capacity leaves the
-// popped head intact, so restoring the header restores the queue).
+// popped head intact, so restoring the header restores the queue),
+// with the queues' numbers.
 type undo struct {
 	ep, addr int // addr < 0: no controller entry touched
 	cache    cacheEntry
@@ -107,6 +115,7 @@ type undo struct {
 	dir      dirEntry
 	queue    [2]*[]icn.Message
 	header   [2][]icn.Message
+	number   [2]int
 }
 
 // newScratch builds a scratch whose every queue already has its full
@@ -128,15 +137,32 @@ func (s *System) newScratch() *scratch {
 			st.net.Local[e][vn] = carve(s.net.LocalCap)
 		}
 	}
-	return &scratch{st: st}
+	return &scratch{st: st, at: make([]int, 0, s.queues+1)}
 }
 
 // open takes a scratch from the pool with raw decoded into it, set to
-// collect enabled rules or successor encodings.
+// collect enabled rules or successor encodings — for the latter with
+// each FIFO's offset in raw, read off the decoded lengths.
 func (s *System) open(raw []byte, wantRules bool) *scratch {
 	sc := s.expandPool.Get().(*scratch)
 	s.decodeInto(sc.st, raw)
 	sc.raw, sc.wantRules = raw, wantRules
+	if !wantRules {
+		at, i := sc.at[:0], s.netOff
+		for _, bufs := range sc.st.net.Global {
+			for _, q := range bufs {
+				at = append(at, i)
+				i += 1 + len(q)*icn.MessageBytes
+			}
+		}
+		for _, fifos := range sc.st.net.Local {
+			for _, q := range fifos {
+				at = append(at, i)
+				i += 1 + len(q)*icn.MessageBytes
+			}
+		}
+		sc.at = append(at, i)
+	}
 	return sc
 }
 
@@ -159,9 +185,9 @@ func (sc *scratch) touch(ep, addr int) {
 	}
 }
 
-// keep records a queue header for rollback.
-func (sc *scratch) keep(i int, q *[]icn.Message) {
-	sc.undo.queue[i], sc.undo.header[i] = q, *q
+// keep records the header of queue number n for rollback.
+func (sc *scratch) keep(i int, q *[]icn.Message, n int) {
+	sc.undo.queue[i], sc.undo.header[i], sc.undo.number[i] = q, *q, n
 }
 
 // rollback undoes the last fired rule.
@@ -474,8 +500,9 @@ func (s *System) fireDeliver(sc *scratch, vn, buf int) error {
 	}
 	sc.outs = sc.outs[:0]
 	sc.undo = undo{addr: -1}
-	sc.keep(0, &net.Global[vn][buf])
-	sc.keep(1, &net.Local[net.Global[vn][buf][0].Dst][vn])
+	dst := int(net.Global[vn][buf][0].Dst)
+	sc.keep(0, &net.Global[vn][buf], globalQueue(vn, buf))
+	sc.keep(1, &net.Local[dst][vn], s.localQueue(dst, vn))
 	net.Deliver(vn, buf)
 	return nil
 }
@@ -507,7 +534,7 @@ func (s *System) fireProcess(sc *scratch, ep, vn int) (uint8, error) {
 		return 0, errBlocked
 	}
 	sc.touch(ep, addr)
-	sc.keep(0, &st.net.Local[ep][vn])
+	sc.keep(0, &st.net.Local[ep][vn], s.localQueue(ep, vn))
 	st.net.PopLocal(ep, vn)
 	return m.Name, s.execute(sc, ep, addr, t, &m, m.Req)
 }
@@ -596,13 +623,42 @@ func (s *System) emit(sc *scratch, r *Rule, plan []int, id int) {
 		return
 	}
 	start := len(sc.arena)
-	sc.arena = s.appendEncode(sc.arena, sc.st)
+	sc.arena = s.appendSpliced(sc.arena, sc, plan)
 	if bytes.Equal(sc.arena[start:], sc.raw) {
 		sc.arena = sc.arena[:start]
 		return
 	}
 	sc.ends = append(sc.ends, len(sc.arena))
 	sc.ids = append(sc.ids, id)
+}
+
+// appendSpliced appends what encode would return for sc.st after a rule
+// fired under plan, at the cost of what the rule changed: the controller
+// sections encoded afresh, raw's network copied but for the FIFOs the
+// rule touched — those it kept for rollback and the global buffers plan
+// sent to — which are written from sc.st.
+func (s *System) appendSpliced(out []byte, sc *scratch, plan []int) []byte {
+	dirty := sc.dirty[:0]
+	for i, q := range sc.undo.queue {
+		if q != nil {
+			dirty = append(dirty, sc.undo.number[i])
+		}
+	}
+	for j, m := range sc.outs {
+		dirty = append(dirty, globalQueue(s.vnOf[m.Name], plan[j]))
+	}
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
+	sc.dirty = dirty
+
+	out = s.appendControllers(out, sc.st)
+	from := s.netOff
+	for _, q := range dirty {
+		out = append(out, sc.raw[from:sc.at[q]]...)
+		out = appendQueue(out, s.queue(sc.st, q))
+		from = sc.at[q+1]
+	}
+	return append(out, sc.raw[from:]...)
 }
 
 // enumerate fires every enabled rule of sc.st under every feasible

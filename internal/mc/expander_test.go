@@ -206,6 +206,35 @@ func BenchmarkCheckPipelinedPaper(b *testing.B) {
 	b.ReportMetric(400_000*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }
 
+// BenchmarkCheckDFSHunt is bench's deadlock_hunt_dfs search in-package —
+// MSI_blocking_cache at 3c/2d/2a with one VN per message (13 VNs, 91
+// queues a state), DFS from the owned seed, traces on, bound 600,000 —
+// so a -cpuprofile shows where a large-network state's time goes. It must
+// end in the Class 2 deadlock.
+func BenchmarkCheckDFSHunt(b *testing.B) {
+	p := protocols.MustLoad("MSI_blocking_cache")
+	vn, n := machine.PerMessageVN(p)
+	sys, err := machine.New(machine.Config{Protocol: p, Caches: 3, Dirs: 2, Addrs: 2, VN: vn, NumVNs: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed, err := machine.OwnedSeed(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := &machine.Seeded{System: sys, Seeds: [][]byte{seed}}
+	b.ReportAllocs()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		res := mc.Check(model, mc.Options{Strategy: mc.DFS, MaxStates: 600_000})
+		if res.Outcome != mc.Deadlock {
+			b.Fatal(res)
+		}
+		states += res.States
+	}
+	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+}
+
 // BenchmarkDFSWitnessReplay prices rebuilding a witness instead of
 // keeping its states: bench's deadlock_hunt_dfs search (MSI_blocking_cache
 // at 3c/2d/2a, one VN per message, DFS from the owned seed) runs once with
