@@ -29,7 +29,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		Spec:    dist.Spec{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 50_000, Workers: 2},
 		Engines: "seq,pipeline", Stores: "exact",
 	}
-	search.Register(fs, cliflag.SearchSystem|cliflag.SearchMatrix|cliflag.SearchWorkers|cliflag.SearchShards)
+	search.Register(fs, cliflag.SearchSystem|cliflag.SearchMatrix|cliflag.SearchWorkers)
 	var (
 		seed       = fs.Int64("seed", 1, "campaign seed; every case derives a sub-seed from (seed, index)")
 		count      = fs.Int("count", 500, "number of generated protocols")
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	opts := ptest.Options{
 		Caches: search.Caches, Dirs: search.Dirs, Addrs: search.Addrs,
 		MaxStates: search.MaxStates, Engines: engs, Stores: sts,
-		Workers: search.Workers, Shards: search.Shards,
+		Workers: search.Workers,
 	}
 
 	if *selfTest {

@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 300_000,
 		Engine: "auto", Store: "exact", Workers: 1,
 	}}
-	search.Register(fs, cliflag.SearchSystem|cliflag.SearchEngine|cliflag.SearchWorkers|cliflag.SearchShards)
+	search.Register(fs, cliflag.SearchSystem|cliflag.SearchEngine|cliflag.SearchWorkers)
 	var (
 		runMC  = fs.Bool("mc", false, "also run the model-checking verification per cell")
 		ext    = fs.Bool("extensions", false, "include the extension protocols (MESIF, TileLink, MSI_completion)")

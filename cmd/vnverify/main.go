@@ -38,7 +38,7 @@ var defaults = cliflag.Search{Spec: dist.Spec{
 func main() {
 	search := defaults
 	search.Register(flag.CommandLine, cliflag.SearchSystem|cliflag.SearchVN|cliflag.SearchNet|
-		cliflag.SearchEngine|cliflag.SearchWorkers|cliflag.SearchShards)
+		cliflag.SearchEngine|cliflag.SearchWorkers)
 	var (
 		walk      = flag.Int("walk", 0, "instead of exhaustive checking, run N random-workload walks")
 		walkSteps = flag.Int("walk-steps", 5000, "steps per random walk")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"testing"
 
@@ -19,9 +20,13 @@ func TestDefaults(t *testing.T) {
 	search := defaults
 	fs := flag.NewFlagSet("vnverify", flag.ContinueOnError)
 	search.Register(fs, cliflag.SearchSystem|cliflag.SearchVN|cliflag.SearchNet|
-		cliflag.SearchEngine|cliflag.SearchWorkers|cliflag.SearchShards)
+		cliflag.SearchEngine|cliflag.SearchWorkers)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
+	}
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse([]string{"-shards", "8"}); err == nil {
+		t.Error("-shards parsed; the visited set has no shard knob")
 	}
 	job, err := search.Resolve(protocols.MustLoad("MSI_nonblocking_cache"), nil)
 	if err != nil {

@@ -170,7 +170,6 @@ func TestRecordSinks(t *testing.T) {
 			StripeDedupHits: []int64{100, 90, 110, 95},
 			OccMin:          4999, OccMax: 5001, OccMean: 5000, OccCV: 0.00014,
 			ArenaBytes: 1 << 20, SetBytes: 2 << 20, UnverifiedHits: 3,
-			LockWaitNS: 12345, LockWaitSamples: 17,
 			ReorderStalls: 2, ReorderMax: 9,
 			Workers: []health.WorkerStats{
 				{Worker: 0, Batches: 10, States: 10000, ExpandNS: 600_000_000, QueueWaitNS: 50_000_000, SendWaitNS: 1_000_000},
@@ -316,7 +315,6 @@ func TestSearchRegisterSubsets(t *testing.T) {
 		SearchEngine:  {"engine", "store"},
 		SearchMatrix:  {"engines", "stores"},
 		SearchWorkers: {"workers"},
-		SearchShards:  {"shards"},
 	}
 	for which, defined := range all {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -352,18 +350,18 @@ func TestSearchRegisterSubsets(t *testing.T) {
 func TestSearchParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	s := Search{Spec: dist.Spec{VN: "minimal", MaxStates: 100}}
-	s.Register(fs, SearchSystem|SearchVN|SearchL2s|SearchNet|SearchEngine|SearchWorkers|SearchShards)
+	s.Register(fs, SearchSystem|SearchVN|SearchL2s|SearchNet|SearchEngine|SearchWorkers)
 	err := fs.Parse([]string{"-caches", "4", "-vn", "uniform", "-strategy", "dfs", "-no-repl",
 		"-seed-owned", "-file", "-l2s", "2", "-max-depth", "9", "-gcap", "5", "-lcap", "6", "-p2p", "2",
 		"-no-symmetry", "-invariants", "-trace", "-engine", "pipeline", "-store", "compact",
-		"-workers", "3", "-shards", "8"})
+		"-workers", "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	two := 2
 	want := dist.Spec{VN: "uniform", Caches: 4, Strategy: "dfs", MaxStates: 100, MaxDepth: 9,
 		GlobalCap: 5, LocalCap: 6, P2P: &two, NoReplacement: true, NoSymmetry: true, Invariants: true,
-		Engine: "pipeline", Store: "compact", Workers: 3, Shards: 8, L2s: 2, SeedOwned: true, Traces: true}
+		Engine: "pipeline", Store: "compact", Workers: 3, L2s: 2, SeedOwned: true, Traces: true}
 	if !reflect.DeepEqual(s.Spec, want) || !s.File {
 		t.Errorf("parsed spec = %+v (file %v)\nwant          %+v", s.Spec, s.File, want)
 	}
@@ -407,9 +405,9 @@ func TestSearchMatrix(t *testing.T) {
 func TestSearchParams(t *testing.T) {
 	s := Search{Spec: dist.Spec{Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 20000, Workers: 4},
 		Engines: "seq,pipeline", Stores: "exact,compact"}
-	s.Register(flag.NewFlagSet("vnfuzz", flag.ContinueOnError), SearchSystem|SearchMatrix|SearchWorkers|SearchShards)
+	s.Register(flag.NewFlagSet("vnfuzz", flag.ContinueOnError), SearchSystem|SearchMatrix|SearchWorkers)
 	want := map[string]any{"caches": 3, "dirs": 2, "addrs": 2, "max_states": 20000,
-		"workers": 4, "shards": 0, "engines": "seq,pipeline", "stores": "exact,compact"}
+		"workers": 4, "engines": "seq,pipeline", "stores": "exact,compact"}
 	if got := s.Params(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Params = %v, want %v", got, want)
 	}

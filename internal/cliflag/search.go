@@ -35,8 +35,6 @@ const (
 	SearchMatrix
 	// SearchWorkers defines -workers.
 	SearchWorkers
-	// SearchShards defines -shards.
-	SearchShards
 )
 
 // Search is the one registration of the verification flags: a command
@@ -122,9 +120,6 @@ func (s *Search) Register(fs *flag.FlagSet, which SearchFlags) {
 	if which&SearchWorkers != 0 {
 		fs.IntVar(&s.Workers, "workers", s.Workers, "workers for the parallel engines (0 = GOMAXPROCS; BFS only)")
 	}
-	if which&SearchShards != 0 {
-		fs.IntVar(&s.Shards, "shards", s.Shards, "visited-set shards for the pipeline engine (0 = default)")
-	}
 }
 
 // Params records the registered flags' values under the run-record key
@@ -143,9 +138,6 @@ func (s *Search) Params() map[string]any {
 	}
 	if s.which&SearchWorkers != 0 {
 		p["workers"] = s.Workers
-	}
-	if s.which&SearchShards != 0 {
-		p["shards"] = s.Shards
 	}
 	return p
 }

@@ -45,10 +45,8 @@ type Job struct {
 	// Peers, when non-empty, is the base URLs of already-running worker
 	// daemons (cmd/vnworkerd), one per worker; Workers is ignored.
 	Peers []string
-	// Engine picks the scheduler (Run); Shards is the pipelined engine's
-	// visited-set shard count (0 = default).
+	// Engine picks the scheduler (Run).
 	Engine mc.Engine
-	Shards int
 	// Seeds, when non-empty, replace the reset state as the search's
 	// initial states. In-process engines only.
 	Seeds [][]byte

@@ -28,8 +28,8 @@ func (j Job) distRefusal() error {
 // EngineDist runs Check — never an in-process substitute — and returns
 // a *RequestError for DFS or seeds. Every other engine runs
 // mc.CheckEngineCtx in this process on job.System (built from
-// job.Config when nil) with job.Workers workers and job.Shards
-// visited-set shards; job.Seeds, when non-empty, replace the reset
+// job.Config when nil) with job.Workers workers; job.Seeds, when
+// non-empty, replace the reset
 // state as the search's initial states (machine.Seeded). job.Occupancy
 // fills Result.Stats.Occupancy with the same *icn.OccupancyStats on
 // every engine: in-process by installing the system's profiler as
@@ -54,5 +54,5 @@ func Run(ctx context.Context, job Job) (mc.Result, error) {
 	if job.Occupancy {
 		opts.Observer = sys.NewOccupancyProfiler()
 	}
-	return mc.CheckEngineCtx(ctx, model, opts, job.Engine, job.Workers, job.Shards), nil
+	return mc.CheckEngineCtx(ctx, model, opts, job.Engine, job.Workers), nil
 }

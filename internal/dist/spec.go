@@ -97,11 +97,10 @@ type Spec struct {
 	NoReplacement bool `json:"no_replacement,omitempty"`
 	NoSymmetry    bool `json:"no_symmetry,omitempty"`
 	Invariants    bool `json:"invariants,omitempty"`
-	// Which of these four can change a result, and why, is Key's doc.
+	// Which of these three can change a result, and why, is Key's doc.
 	Engine  string `json:"engine,omitempty"` // auto | seq | pipeline | dist
 	Store   string `json:"store,omitempty"`  // exact | compact
 	Workers int    `json:"workers,omitempty"`
-	Shards  int    `json:"shards,omitempty"`
 
 	// L2s is the L2 home count of a two-level protocol (0 = 1 for a
 	// two-level protocol, none otherwise).
@@ -120,6 +119,11 @@ type Spec struct {
 	Assignment map[string]int `json:"-"`
 	NumVNs     int            `json:"-"`
 }
+
+// maxWorkers is the most workers a Spec may ask for: each is a
+// goroutine, a lane and channel slots in the pipelined engine, and a
+// whole Worker in an in-process dist fleet.
+const maxWorkers = 1024
 
 // RequestError is a fault in what was asked — an unknown mode, an
 // out-of-range value, a combination an engine cannot honor, a protocol
@@ -165,6 +169,9 @@ func (s Spec) normalize(p *protocol.Protocol) (n Spec, engine mc.Engine, store m
 		return n, 0, 0, RequestErrorf("unknown strategy %q (want bfs or dfs)", s.Strategy)
 	}
 	n.MaxStates, n.MaxDepth = max(n.MaxStates, 0), max(n.MaxDepth, 0)
+	if n.Workers > maxWorkers {
+		return n, 0, 0, RequestErrorf("workers %d exceeds the maximum of %d", n.Workers, maxWorkers)
+	}
 	if n.P2P != nil && (*n.P2P < 0 || *n.P2P > 3) {
 		return n, 0, 0, RequestErrorf("p2p variant %d out of range 0-3", *n.P2P)
 	}
@@ -227,7 +234,7 @@ func (s Spec) Resolve(p *protocol.Protocol, tl *obs.Timeline) (Job, error) {
 	job := Job{
 		Spec: n, Config: cfg, System: sys,
 		Options: mc.Options{MaxStates: n.MaxStates, MaxDepth: n.MaxDepth, DisableTraces: !n.Traces, Store: store},
-		Engine:  engine, Workers: n.Workers, Shards: n.Shards, Peers: n.Peers,
+		Engine:  engine, Workers: n.Workers, Peers: n.Peers,
 	}
 	if n.Strategy == "dfs" {
 		job.Options.Strategy = mc.DFS
@@ -261,14 +268,14 @@ func (j Job) Params() map[string]any {
 		"strategy":       j.Options.Strategy.String(),
 		"store":          j.Options.Store.String(),
 		"max_states":     j.Options.MaxStates, "max_depth": j.Options.MaxDepth,
-		"engine": j.Engine.String(), "workers": j.Workers, "shards": j.Shards,
+		"engine": j.Engine.String(), "workers": j.Workers,
 	}
 }
 
 // Key renders the result-affecting part of a resolved job's spec: two
 // jobs over the same protocol with equal keys produce bit-identical
-// results, so one may be served from the other's cache entry. Engine,
-// Workers and Shards are absent for the in-process engines: seq and
+// results, so one may be served from the other's cache entry. Engine
+// and Workers are absent for the in-process engines: seq and
 // pipeline run one search core, pinned bit-identical by the parity
 // suite. Store is present: a hash-compacted visited set can (with
 // ~n²/2⁶⁵ probability) conflate distinct states and change the outcome

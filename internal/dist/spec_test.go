@@ -70,6 +70,8 @@ func TestResolveRefusals(t *testing.T) {
 		{"p2p", msi, dist.Spec{P2P: &seven}, "out of range 0-3"},
 		{"engine", msi, dist.Spec{Engine: "levels"}, "engine"},
 		{"store", msi, dist.Spec{Store: "bogus"}, "unknown store"},
+		{"workers", msi, dist.Spec{Workers: 100_000_000}, "workers 100000000 exceeds the maximum of 1024"},
+		{"workers on dist", msi, dist.Spec{Engine: "dist", Workers: 1025}, "exceeds the maximum"},
 		{"dfs on dist", msi, dist.Spec{Engine: "dist", Strategy: "dfs"}, "not supported by the distributed engine"},
 		{"seeds on dist", msi, dist.Spec{Engine: "dist", SeedOwned: true, VN: dist.VNPerMessage}, "not supported by the distributed engine"},
 		{"class 2 under minimal", protocols.MustLoad("MSI_blocking_cache"), dist.Spec{}, "use vn=permsg"},
@@ -80,6 +82,9 @@ func TestResolveRefusals(t *testing.T) {
 		if !errors.As(err, &re) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want *RequestError mentioning %q", tc.name, err, tc.want)
 		}
+	}
+	if _, err := (dist.Spec{Workers: 1024}).Resolve(msi, nil); err != nil {
+		t.Errorf("1024 workers, the ceiling itself: %v", err)
 	}
 }
 
@@ -131,7 +136,7 @@ func TestJobParams(t *testing.T) {
 	}
 	sort.Strings(keys)
 	want := []string{"addrs", "caches", "dirs", "engine", "global_cap", "invariants", "local_cap",
-		"max_depth", "max_states", "num_vns", "point_to_point", "protocol", "shards", "store",
+		"max_depth", "max_states", "num_vns", "point_to_point", "protocol", "store",
 		"strategy", "symmetry", "vn", "vn_mode", "workers"}
 	if !reflect.DeepEqual(keys, want) {
 		t.Errorf("param keys = %v\nwant         %v", keys, want)
@@ -148,7 +153,7 @@ func TestJobParams(t *testing.T) {
 }
 
 // TestJobKey: the key is the result-affecting part of the spec. The
-// in-process engine, workers, shards, traces and peers never reach it;
+// in-process engine, workers, traces and peers never reach it;
 // everything that can change a result does — including, for the
 // distributed engine, the fleet size (the stored-state set under
 // symmetry reduction depends on it).
@@ -166,7 +171,7 @@ func TestJobKey(t *testing.T) {
 	k0 := keyOf(base)
 	for name, same := range map[string]dist.Spec{
 		"defaults spelled out": {MaxStates: 5000, VN: "minimal", Caches: 3, Dirs: 2, Addrs: 2, Strategy: "BFS", Store: "exact", Engine: "auto"},
-		"in-process knobs":     {MaxStates: 5000, Engine: "pipeline", Workers: 7, Shards: 32, Traces: true},
+		"in-process knobs":     {MaxStates: 5000, Engine: "pipeline", Workers: 7, Traces: true},
 	} {
 		if keyOf(same) != k0 {
 			t.Errorf("%s changed the key", name)

@@ -35,7 +35,9 @@ var update = flag.Bool("update", false, "rewrite testdata/expansion.golden")
 // order: the state, Quiescent, the ordered successors of Successors and
 // SuccessorsNamed with their labels, Canonicalize of the state and of
 // each successor, every EnabledRules string, Apply of every enabled
-// rule, and any error text; then three seeded random walks.
+// rule, and any error text; then three seeded random walks. The same
+// walk checks Expand against Apply (matchApply), so it can name the
+// state and rule where they part.
 const expansionStates = 3000
 
 type expansionCase struct {
@@ -156,12 +158,48 @@ func bfsStates(sys *System, n int) [][]byte {
 	return queue[:min(n, len(queue))]
 }
 
+// matchApply pins the successors Expand splices from the parent's bytes
+// against Apply, which encodes each one in full: Expand must have
+// visited got, Apply over the enabled rules (next(i) applies rules[i]),
+// in order, with the self-loops left out. It reports how many
+// successors it compared, or the first difference, naming the rule.
+func matchApply(sys *System, raw []byte, got [][]byte, rules []Rule, next func(i int) ([]byte, error)) (int, error) {
+	k := 0
+	for i, r := range rules {
+		want, err := next(i)
+		if err != nil {
+			return k, fmt.Errorf("%s: Apply: %v", r, err)
+		}
+		if bytes.Equal(want, raw) {
+			continue
+		}
+		if k >= len(got) {
+			return k, fmt.Errorf("%s: Expand visited %d successors, Apply has more", r, len(got))
+		}
+		if !bytes.Equal(got[k], want) {
+			at := 0
+			for at < min(len(got[k]), len(want)) && got[k][at] == want[at] {
+				at++
+			}
+			return k, fmt.Errorf("%s: successor %d differs from Apply's at byte %d (network from %d)\n got  %x\n want %x",
+				r, k, at, sys.netOff, got[k], want)
+		}
+		k++
+	}
+	if k != len(got) {
+		return k, fmt.Errorf("Expand visited %d successors, Apply over EnabledRules gives %d", len(got), k)
+	}
+	return k, nil
+}
+
 // expansionDigest hashes everything the package's expansion surface
 // says about each of sys's first expansionStates stored states, into two
 // digests that must come out equal: collected reads successors, labels
 // and canonical forms off the collecting forms, streamed off Expand,
-// RuleNames and AppendCanonical; everything else goes into both.
-func expansionDigest(sys *System) (collected, streamed string, states, succs int) {
+// RuleNames and AppendCanonical; everything else goes into both. On the
+// way it checks each state's expansion against Apply (matchApply);
+// mismatch is the first difference, naming the state's index.
+func expansionDigest(sys *System) (collected, streamed string, states, succs int, mismatch error) {
 	hc, hs := sha256.New(), sha256.New()
 	d, dc, ds := digester{io.MultiWriter(hc, hs)}, digester{hc}, digester{hs}
 	var key []byte // AppendCanonical's warm destination
@@ -173,19 +211,20 @@ func expansionDigest(sys *System) (collected, streamed string, states, succs int
 		return ck
 	}
 	// expand copies what Expand lends — the successors back to back, their
-	// end offsets and rule ids — and digests error and count; each then
-	// walks the copies.
+	// end offsets and rule ids — digests error and count, and returns the
+	// error; each then walks the copies.
 	var arena []byte
 	var ends, ids []int
 	visit := func(succ []byte, rule int) {
 		arena = append(arena, succ...)
 		ends, ids = append(ends, len(arena)), append(ids, rule)
 	}
-	expand := func(raw []byte) {
+	expand := func(raw []byte) error {
 		arena, ends, ids = arena[:0], ends[:0], ids[:0]
 		n, err := sys.Expand(raw, visit)
 		ds.err(err)
 		ds.num(n)
+		return err
 	}
 	each := func(f func(succ []byte, rule int)) {
 		lo := 0
@@ -194,7 +233,9 @@ func expansionDigest(sys *System) (collected, streamed string, states, succs int
 			lo = hi
 		}
 	}
-	for _, raw := range bfsStates(sys, expansionStates) {
+	var got, applied [][]byte
+	var applyErrs []error
+	for i, raw := range bfsStates(sys, expansionStates) {
 		states++
 		d.bytes(raw)
 		dc.bytes(sys.Canonicalize(raw))
@@ -224,20 +265,34 @@ func expansionDigest(sys *System) (collected, streamed string, states, succs int
 			ds.bytes(s)
 			ds.bytes(canonical(s))
 		})
-		expand(raw)
+		expandErr := expand(raw)
+		got = got[:0]
 		each(func(s []byte, rule int) {
 			ds.bytes(s)
 			ds.str(sys.RuleNames()[rule])
+			got = append(got, s)
 		})
 
 		rules, rerr := sys.EnabledRules(raw)
 		d.err(rerr)
 		d.num(len(rules))
+		applied, applyErrs = applied[:0], applyErrs[:0]
 		for _, r := range rules {
 			d.str(r.String())
 			next, aerr := sys.Apply(raw, r)
 			d.err(aerr)
 			d.bytes(next)
+			applied, applyErrs = append(applied, next), append(applyErrs, aerr)
+		}
+		// A state whose expansion fails is a violation, whose text the
+		// digest pins; one that expands must match Apply.
+		if expandErr != nil || mismatch != nil {
+			continue
+		}
+		if rerr != nil {
+			mismatch = fmt.Errorf("state %d: Expand succeeds, EnabledRules fails: %v", i, rerr)
+		} else if _, err := matchApply(sys, raw, got, rules, func(j int) ([]byte, error) { return applied[j], applyErrs[j] }); err != nil {
+			mismatch = fmt.Errorf("state %d, %v", i, err)
 		}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -245,12 +300,13 @@ func expansionDigest(sys *System) (collected, streamed string, states, succs int
 		d.str(w.String())
 		d.bytes(w.Final)
 	}
-	return fmt.Sprintf("%x", hc.Sum(nil)), fmt.Sprintf("%x", hs.Sum(nil)), states, succs
+	return fmt.Sprintf("%x", hc.Sum(nil)), fmt.Sprintf("%x", hs.Sum(nil)), states, succs, mismatch
 }
 
 // TestExpansionGolden: the compiled expansion path reproduces the
-// recorded interpreter on every pinned system. Run with -update to
-// re-record (only legitimate when the semantics are meant to change).
+// recorded interpreter on every pinned system, and Expand matches Apply
+// on every state the digest walks. Run with -update to re-record (only
+// legitimate when the semantics are meant to change).
 func TestExpansionGolden(t *testing.T) {
 	path := filepath.Join("testdata", "expansion.golden")
 	var got []string
@@ -259,7 +315,10 @@ func TestExpansionGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		sum, streamed, states, succs := expansionDigest(sys)
+		sum, streamed, states, succs, mismatch := expansionDigest(sys)
+		if mismatch != nil {
+			t.Errorf("%s: %v", c.name, mismatch)
+		}
 		if streamed != sum {
 			t.Errorf("%s: digest through Expand/RuleNames/AppendCanonical is %s, through the collecting forms %s", c.name, streamed, sum)
 		}
@@ -306,75 +365,17 @@ func (h *huntSample) Observe(state []byte) {
 	h.seen++
 }
 
-// TestExpandMatchesApply pins the successors Expand splices from the
-// parent's bytes against Apply, which encodes each one in full: for
-// every state, Expand must visit Apply over EnabledRules, in order, with
-// the self-loops left out. The states are the first expansionStates
-// breadth-first states of every pinned system and ~2,000 states of the
-// depth-first hunt from the owned seed at one VN per message, where more
-// messages are in flight. The golden digest covers the same ground; this
-// names the state and the rule when they part. It runs on one goroutine,
-// so under the race detector, twenty times slower, a tenth of each
-// corpus does.
+// TestExpandMatchesApply pins Expand against Apply (matchApply) where
+// more messages are in flight than on the golden digest's breadth-first
+// states, which TestExpansionGolden checks the same way: ~2,000 states
+// of the depth-first hunt from the owned seed at one VN per message. It
+// runs on one goroutine, so under the race detector, twenty times
+// slower, a tenth of the sample does.
 func TestExpandMatchesApply(t *testing.T) {
 	first, every := expansionStates, 150
 	if raceEnabled {
 		first, every = expansionStates/10, 1500
 	}
-	var got [][]byte
-	visit := func(succ []byte, _ int) { got = append(got, append([]byte(nil), succ...)) }
-	compare := func(name string, sys *System, states [][]byte) {
-		t.Helper()
-		compared := 0
-		for i, raw := range states {
-			got = got[:0]
-			if _, err := sys.Expand(raw, visit); err != nil {
-				continue // a violation; the golden digest pins its text
-			}
-			rules, err := sys.EnabledRules(raw)
-			if err != nil {
-				t.Fatalf("%s state %d: Expand succeeds, EnabledRules fails: %v", name, i, err)
-			}
-			k := 0
-			for _, r := range rules {
-				want, err := sys.Apply(raw, r)
-				if err != nil {
-					t.Fatalf("%s state %d, %s: Apply: %v", name, i, r, err)
-				}
-				if bytes.Equal(want, raw) {
-					continue
-				}
-				if k >= len(got) {
-					t.Fatalf("%s state %d, %s: Expand visited %d successors, Apply has more", name, i, r, len(got))
-				}
-				if !bytes.Equal(got[k], want) {
-					at := 0
-					for at < min(len(got[k]), len(want)) && got[k][at] == want[at] {
-						at++
-					}
-					t.Fatalf("%s state %d, %s: successor %d differs from Apply's at byte %d (network from %d)\n got  %x\n want %x",
-						name, i, r, k, at, sys.netOff, got[k], want)
-				}
-				k++
-			}
-			if k != len(got) {
-				t.Fatalf("%s state %d: Expand visited %d successors, Apply over EnabledRules gives %d", name, i, len(got), k)
-			}
-			compared += k
-		}
-		if compared == 0 {
-			t.Errorf("%s: no successor compared", name)
-		}
-	}
-
-	for _, c := range expansionCases(t) {
-		sys, err := New(c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		compare(c.name, sys, bfsStates(sys, first))
-	}
-
 	// Bench's deadlock_hunt_dfs search, every 150th of its 301,611 stored
 	// states: four to six messages in flight where breadth-first has two
 	// or three.
@@ -398,5 +399,26 @@ func TestExpandMatchesApply(t *testing.T) {
 			t.Fatalf("the depth-first sample holds at most %d messages in flight, breadth-first %d", deepest, n)
 		}
 	}
-	compare("dfs-owned/MSI_blocking_cache/permsg", hunt, sample.states)
+
+	var got [][]byte
+	visit := func(succ []byte, _ int) { got = append(got, append([]byte(nil), succ...)) }
+	compared := 0
+	for i, raw := range sample.states {
+		got = got[:0]
+		if _, err := hunt.Expand(raw, visit); err != nil {
+			continue // a violation; the golden digest pins its text
+		}
+		rules, err := hunt.EnabledRules(raw)
+		if err != nil {
+			t.Fatalf("state %d: Expand succeeds, EnabledRules fails: %v", i, err)
+		}
+		k, err := matchApply(hunt, raw, got, rules, func(j int) ([]byte, error) { return hunt.Apply(raw, rules[j]) })
+		if err != nil {
+			t.Fatalf("state %d, %v", i, err)
+		}
+		compared += k
+	}
+	if compared == 0 {
+		t.Error("no successor compared")
+	}
 }

@@ -191,23 +191,13 @@ func (sc *Scenario) Stuck() (bool, error) {
 }
 
 // StalledHeads lists input-FIFO heads whose processing is currently
-// stalled, as "ep3 VN0: Fwd-GetM a1" strings — the visible footprint
-// of a (potential) deadlock.
+// stalled, as "ep3 VN0: Fwd-GetM a1 stalled in IM_AD" strings — the
+// visible footprint of a (potential) deadlock. They are Explain's
+// Blocked heads, rendered.
 func (sc *Scenario) StalledHeads() []string {
-	st := sc.sys.decode(sc.state)
 	var out []string
-	for ep := 0; ep < sc.sys.endpoints; ep++ {
-		for vn := 0; vn < sc.sys.net.NumVNs; vn++ {
-			m, ok := st.net.Head(ep, vn)
-			if !ok {
-				continue
-			}
-			tab, state, _, t := sc.sys.reception(st, ep, m)
-			if t != nil && t.stall {
-				out = append(out, fmt.Sprintf("ep%d VN%d: %s a%d stalled in %s",
-					ep, vn, sc.sys.msgNames[m.Name], m.Addr, tab.states[state]))
-			}
-		}
+	for _, h := range sc.sys.Explain(sc.state).Blocked {
+		out = append(out, fmt.Sprintf("ep%d VN%d: %s a%d stalled in %s", h.Endpoint, h.VN, h.Msg, h.Addr, h.State))
 	}
 	return out
 }

@@ -28,7 +28,7 @@ func engineRuns(m Model, opts Options) []struct {
 		run  func(context.Context) Result
 	}{
 		{"seq", func(ctx context.Context) Result { return CheckCtx(ctx, m, opts) }},
-		{"pipeline", func(ctx context.Context) Result { return CheckPipelinedCtx(ctx, m, opts, 4, 0) }},
+		{"pipeline", func(ctx context.Context) Result { return CheckPipelinedCtx(ctx, m, opts, 4) }},
 	}
 }
 

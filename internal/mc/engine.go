@@ -17,8 +17,7 @@ const (
 	EngineAuto Engine = iota
 	// EngineSeq is the sequential reference engine (Check).
 	EngineSeq
-	// EnginePipeline is the pipelined parallel engine with the sharded
-	// fingerprint visited set (CheckPipelined).
+	// EnginePipeline is the pipelined parallel engine (CheckPipelined).
 	EnginePipeline
 	// EngineDist is the distributed engine (internal/dist): hash-owned
 	// state shards across worker processes with batched frontier
@@ -59,22 +58,22 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // CheckEngineCtx dispatches to the selected in-process engine, with
-// cancellation (see CheckCtx). workers and shards are ignored by
-// EngineSeq. DFS always runs sequentially. EngineDist is not an
-// in-process engine (see its comment) and panics here rather than
-// silently running something else.
-func CheckEngineCtx(ctx context.Context, m Model, opts Options, engine Engine, workers, shards int) Result {
+// cancellation (see CheckCtx). workers is ignored by EngineSeq. DFS
+// always runs sequentially. EngineDist is not an in-process engine (see
+// its comment) and panics here rather than silently running something
+// else.
+func CheckEngineCtx(ctx context.Context, m Model, opts Options, engine Engine, workers int) Result {
 	switch engine {
 	case EngineSeq:
 		return CheckCtx(ctx, m, opts)
 	case EnginePipeline:
-		return CheckPipelinedCtx(ctx, m, opts, workers, shards)
+		return CheckPipelinedCtx(ctx, m, opts, workers)
 	case EngineDist:
 		panic("mc: EngineDist cannot run in-process; dispatch through dist.Run")
 	default:
 		if workers == 1 {
 			return CheckCtx(ctx, m, opts)
 		}
-		return CheckPipelinedCtx(ctx, m, opts, workers, shards)
+		return CheckPipelinedCtx(ctx, m, opts, workers)
 	}
 }

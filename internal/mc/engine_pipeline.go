@@ -68,13 +68,13 @@ func (b *batch) expand() {
 	}
 }
 
-// CheckPipelined runs Check's BFS with a pipelined worker pool and a
-// sharded fingerprint visited set. workers <= 0 picks GOMAXPROCS;
-// shards <= 0 picks DefaultShards. DFS and single-worker runs fall
-// back to the sequential engine (results are identical either way —
-// that is the point).
+// CheckPipelined runs Check's BFS with a pipelined worker pool.
+// workers <= 0 picks GOMAXPROCS. DFS and single-worker runs fall back
+// to the sequential engine (results are identical either way — that is
+// the point). shards is ignored: the visited set always has
+// DefaultShards shards; the argument stays for existing callers.
 func CheckPipelined(m Model, opts Options, workers, shards int) Result {
-	return CheckPipelinedCtx(context.Background(), m, opts, workers, shards)
+	return CheckPipelinedCtx(context.Background(), m, opts, workers)
 }
 
 // CheckPipelinedCtx is CheckPipelined with cancellation: the context
@@ -82,7 +82,7 @@ func CheckPipelined(m Model, opts Options, workers, shards int) Result {
 // bound and in the dispatch select, so a cancel stops the search
 // promptly with Outcome Canceled (the worker pool is torn down via
 // the quit channel as usual). A background context changes nothing.
-func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shards int) Result {
+func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers int) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -94,7 +94,7 @@ func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers, shar
 		return CheckCtx(ctx, m, opts)
 	}
 
-	s := newSearch(ctx, m, opts, "merge", workers, shards)
+	s := newSearch(ctx, m, opts, "merge", workers)
 	tc, _ := trace.TraceContextFrom(ctx)
 	wlanes := make([]*trace.Lane, workers)
 	for w := range wlanes {

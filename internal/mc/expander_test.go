@@ -102,7 +102,7 @@ func TestScribblingExpanderParity(t *testing.T) {
 					opts.Trace = trace.New(trace.Config{LaneCapacity: 64, SampleEvery: 10})
 					k := new(keeper)
 					opts.Observer = k
-					return mc.CheckEngineCtx(context.Background(), m, opts, engine, 4, 0), k
+					return mc.CheckEngineCtx(context.Background(), m, opts, engine, 4), k
 				}
 				plain, plainSeen := run(tc.sys)
 				got, gotSeen := run(scribbler{tc.sys})
@@ -140,8 +140,8 @@ func TestHiddenExpanderParity(t *testing.T) {
 			sys := paritySystem(t, tc.proto, tc.vnMode, 3, 2, 2)
 			opts := mc.Options{MaxStates: 20_000, DisableTraces: true}
 			for _, engine := range []mc.Engine{mc.EngineSeq, mc.EnginePipeline} {
-				direct := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4, 0)
-				adapted := mc.CheckEngineCtx(context.Background(), hidden{sys}, opts, engine, 4, 0)
+				direct := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4)
+				adapted := mc.CheckEngineCtx(context.Background(), hidden{sys}, opts, engine, 4)
 				name := tc.proto + "/" + engine.String()
 				requireIdentical(t, name, direct, adapted)
 				ds, as := direct.Stats, adapted.Stats

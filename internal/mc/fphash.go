@@ -3,8 +3,8 @@ package mc
 // State-fingerprint hashing and partition layout, extracted here so
 // every consumer of the partition agrees on it by construction:
 //
-//   - the lock-striped visited set (shardset.go) picks a thread-level
-//     shard with FingerprintMix(fp) & mask;
+//   - the visited set (shardset.go) picks an in-process shard with
+//     FingerprintMix(fp) & mask;
 //   - the telemetry stripes (health.StripeOf) use the same mix over a
 //     fixed 64-stripe partition (pinned against this file by
 //     TestStripePartitionMatchesHealth);
@@ -12,7 +12,7 @@ package mc
 //     owning worker process with OwnerOf, which applies the same mix
 //     before reducing modulo the worker count.
 //
-// Thread-shards, telemetry stripes, and process-shards are therefore
+// Set shards, telemetry stripes, and process-shards are therefore
 // all functions of one mixed value: they can disagree in granularity
 // but never in geometry. The fingerprint itself is FNV-1a 64 over the
 // canonical state bytes — fast, dependency-free, and stable across

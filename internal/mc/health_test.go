@@ -183,11 +183,6 @@ func TestHealthWorkerAndContentionFields(t *testing.T) {
 		t.Fatalf("arena/set bytes: pipeline %d/%d vs seq %d/%d",
 			h.ArenaBytes, h.SetBytes, seqArena, seqSet)
 	}
-	// 1-in-64 sampling by fingerprint low bits: with thousands of
-	// probes the sampled set is deterministic and non-empty.
-	if h.LockWaitSamples <= 0 {
-		t.Fatalf("pipeline lock-wait samples = %d", h.LockWaitSamples)
-	}
 	if h.ReorderMax < 1 {
 		t.Fatalf("pipeline reorder high-water = %d", h.ReorderMax)
 	}
@@ -227,7 +222,7 @@ func TestTraceContextPrefixesLanes(t *testing.T) {
 		{"seq", wantPrefix + "search (BFS)",
 			func(o mc.Options) mc.Result { return mc.CheckCtx(ctx, sys, o) }},
 		{"pipeline", wantPrefix + "worker 0",
-			func(o mc.Options) mc.Result { return mc.CheckPipelinedCtx(ctx, sys, o, 3, 4) }},
+			func(o mc.Options) mc.Result { return mc.CheckPipelinedCtx(ctx, sys, o, 3) }},
 	}
 	for _, eng := range engines {
 		eng := eng

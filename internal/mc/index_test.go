@@ -59,7 +59,6 @@ type indexRun struct {
 	ref  *refIndex
 	fpOf func([]byte) uint64
 	next int32 // the next fresh id
-	sc   setScratch
 }
 
 func newIndexRun(t testing.TB, store Store, budget int64, shards int, fpOf func([]byte) uint64) *indexRun {
@@ -99,7 +98,7 @@ func (r *indexRun) batch(keys [][]byte) {
 	for i, k := range keys {
 		reqs[i] = insertReq{fp: r.fpOf(k), key: k}
 	}
-	processed, fresh, err := r.set.insertBatch(reqs, r.next, -1, &r.sc)
+	processed, fresh, err := r.set.insertBatch(reqs, r.next, -1)
 	if err != nil || processed != len(reqs) {
 		r.t.Fatalf("insertBatch: processed %d of %d, err %v", processed, len(reqs), err)
 	}

@@ -343,7 +343,8 @@ type Result struct {
 	Duration time.Duration
 	// Stats is the final telemetry snapshot (Final = true): states/sec,
 	// dedup hit rate, depth histogram, per-rule firing counts (for
-	// NamedModels), and the bytes held, by structure (Health).
+	// models that name their rules), and the bytes held, by structure
+	// (Health).
 	Stats Snapshot
 }
 
@@ -381,7 +382,7 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 		ctx = context.Background()
 	}
 	opts = opts.normalized()
-	s := newSearch(ctx, m, opts, "search ("+opts.Strategy.String()+")", 1, 0)
+	s := newSearch(ctx, m, opts, "search ("+opts.Strategy.String()+")", 1)
 	if res, done := s.seed(); done {
 		return res
 	}

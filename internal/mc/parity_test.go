@@ -108,7 +108,7 @@ func TestParallelParityProtocols(t *testing.T) {
 					snaps := 0
 					opts.Progress = func(mc.Snapshot) { snaps++ }
 					opts.ProgressEvery = 500
-					res := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4, 0)
+					res := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4)
 					if !res.Stats.Final || res.Stats.States != res.States {
 						t.Fatalf("%s Stats inconsistent: %+v", name, res.Stats)
 					}
@@ -169,8 +169,8 @@ func TestContextParityProtocols(t *testing.T) {
 		res  mc.Result
 	}{
 		{"seq-ctx", mc.CheckCtx(bg, sys, opts)},
-		{"pipeline-ctx", mc.CheckPipelinedCtx(bg, sys, opts, 4, 0)},
-		{"engine-ctx", mc.CheckEngineCtx(bg, sys, opts, mc.EnginePipeline, 4, 0)},
+		{"pipeline-ctx", mc.CheckPipelinedCtx(bg, sys, opts, 4)},
+		{"engine-ctx", mc.CheckEngineCtx(bg, sys, opts, mc.EnginePipeline, 4)},
 	} {
 		if seq.Outcome != eng.res.Outcome || seq.States != eng.res.States ||
 			seq.Rules != eng.res.Rules || seq.MaxDepth != eng.res.MaxDepth {
@@ -188,7 +188,7 @@ func TestContextParityProtocols(t *testing.T) {
 		run  func(context.Context) mc.Result
 	}{
 		{"seq", func(ctx context.Context) mc.Result { return mc.CheckCtx(ctx, big, unbounded) }},
-		{"pipeline", func(ctx context.Context) mc.Result { return mc.CheckPipelinedCtx(ctx, big, unbounded, 4, 0) }},
+		{"pipeline", func(ctx context.Context) mc.Result { return mc.CheckPipelinedCtx(ctx, big, unbounded, 4) }},
 	} {
 		ctx, cancel := context.WithCancel(bg)
 		done := make(chan mc.Result, 1)
@@ -227,7 +227,7 @@ func TestPipelineParityAllProtocols(t *testing.T) {
 			}
 			opts := mc.Options{MaxStates: 1500}
 			seq := mc.Check(sys, opts)
-			pip := mc.CheckPipelined(sys, opts, 4, 8)
+			pip := mc.CheckPipelined(sys, opts, 4, 0)
 			if seq.Outcome != pip.Outcome || seq.Message != pip.Message {
 				t.Fatalf("outcome: seq %v %q vs pipeline %v %q", seq.Outcome, seq.Message, pip.Outcome, pip.Message)
 			}

@@ -120,17 +120,17 @@ func TestShardedSetShardCount(t *testing.T) {
 // comparePipeline runs both engines and requires full result parity:
 // outcome, message, states, depth, rules, trace, and the telemetry
 // counters the single-threaded merge reproduces exactly.
-func comparePipeline(t *testing.T, name string, m Model, opts Options, workers, shards int) {
+func comparePipeline(t *testing.T, name string, m Model, opts Options, workers int) {
 	t.Helper()
-	comparePipelineAgainst(t, name, Check(m, opts), m, opts, workers, shards)
+	comparePipelineAgainst(t, name, Check(m, opts), m, opts, workers)
 }
 
 // comparePipelineAgainst is comparePipeline with the sequential result
 // precomputed, so a matrix of pipeline configurations pays for the
 // reference run once.
-func comparePipelineAgainst(t *testing.T, name string, seq Result, m Model, opts Options, workers, shards int) {
+func comparePipelineAgainst(t *testing.T, name string, seq Result, m Model, opts Options, workers int) {
 	t.Helper()
-	pip := CheckPipelined(m, opts, workers, shards)
+	pip := CheckPipelined(m, opts, workers, 0)
 	if pip.Outcome != seq.Outcome || pip.Message != seq.Message {
 		t.Fatalf("%s: outcome %v %q vs sequential %v %q", name, pip.Outcome, pip.Message, seq.Outcome, seq.Message)
 	}
@@ -189,13 +189,9 @@ func TestPipelineMatchesSequential(t *testing.T) {
 		seqTraced := Check(m, Options{})
 		seqBare := Check(m, Options{DisableTraces: true})
 		for _, workers := range []int{2, 4, 8} {
-			// shards=1 funnels everything through one stripe; 0 is the
-			// DefaultShards fast path.
-			for _, shards := range []int{1, 0} {
-				tag := fmt.Sprintf("%s/w%d/s%d", name, workers, shards)
-				comparePipelineAgainst(t, tag, seqTraced, m, Options{}, workers, shards)
-				comparePipelineAgainst(t, tag+"/notrace", seqBare, m, Options{DisableTraces: true}, workers, shards)
-			}
+			tag := fmt.Sprintf("%s/w%d", name, workers)
+			comparePipelineAgainst(t, tag, seqTraced, m, Options{}, workers)
+			comparePipelineAgainst(t, tag+"/notrace", seqBare, m, Options{DisableTraces: true}, workers)
 		}
 	}
 }
@@ -208,20 +204,20 @@ func TestPipelineBounds(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		for _, maxStates := range []int{1, 17, 500, 4096} {
 			comparePipeline(t, fmt.Sprintf("states=%d/w%d", maxStates, workers),
-				m, Options{MaxStates: maxStates, DisableTraces: true}, workers, 0)
+				m, Options{MaxStates: maxStates, DisableTraces: true}, workers)
 		}
 		for _, maxDepth := range []int{1, 3, 10} {
 			comparePipeline(t, fmt.Sprintf("depth=%d/w%d", maxDepth, workers),
-				m, Options{MaxDepth: maxDepth, DisableTraces: true}, workers, 0)
+				m, Options{MaxDepth: maxDepth, DisableTraces: true}, workers)
 		}
 		comparePipeline(t, fmt.Sprintf("both/w%d", workers),
-			m, Options{MaxStates: 700, MaxDepth: 12}, workers, 0)
+			m, Options{MaxStates: 700, MaxDepth: 12}, workers)
 	}
 	// A violation discovered near a state bound: whichever limit the
 	// sequential engine hits first, the pipeline must report the same.
 	v := &counter{n: 100000, branch: true, quiet: -1, bad: -1, errAt: 900}
-	comparePipeline(t, "violation-near-bound", v, Options{MaxStates: 1000}, 4, 0)
-	comparePipeline(t, "bound-before-violation", v, Options{MaxStates: 200}, 4, 0)
+	comparePipeline(t, "violation-near-bound", v, Options{MaxStates: 1000}, 4)
+	comparePipeline(t, "bound-before-violation", v, Options{MaxStates: 200}, 4)
 }
 
 func TestPipelineDFSFallsBack(t *testing.T) {
@@ -278,12 +274,12 @@ func TestCheckEngineDispatch(t *testing.T) {
 	m := &counter{n: 2000, branch: true, quiet: 1999, bad: -1, errAt: -1}
 	seq := Check(m, Options{})
 	for _, e := range []Engine{EngineAuto, EngineSeq, EnginePipeline} {
-		res := CheckEngineCtx(context.Background(), m, Options{}, e, 4, 0)
+		res := CheckEngineCtx(context.Background(), m, Options{}, e, 4)
 		if res.Outcome != seq.Outcome || res.States != seq.States || res.Rules != seq.Rules {
 			t.Errorf("engine %v: %v vs sequential %v", e, res, seq)
 		}
 	}
-	if got := CheckEngineCtx(context.Background(), m, Options{}, EngineAuto, 1, 0); got.States != seq.States {
+	if got := CheckEngineCtx(context.Background(), m, Options{}, EngineAuto, 1); got.States != seq.States {
 		t.Errorf("auto single-worker: %v", got)
 	}
 	// EngineDist has no in-process form; answering it with some other
@@ -295,7 +291,7 @@ func TestCheckEngineDispatch(t *testing.T) {
 				t.Error("CheckEngine(EngineDist) ran an in-process engine instead of refusing")
 			}
 		}()
-		CheckEngineCtx(context.Background(), m, Options{}, EngineDist, 4, 0)
+		CheckEngineCtx(context.Background(), m, Options{}, EngineDist, 4)
 	}()
 }
 

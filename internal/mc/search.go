@@ -43,7 +43,6 @@ type search struct {
 	bounded bool
 	col     *collector  // the store thread's: seed, and the sequential scheduler
 	ireqs   []insertReq // settle's reusable insert batch
-	scratch setScratch
 }
 
 // node is what a counterexample needs of one stored state: where its
@@ -190,13 +189,13 @@ func (c *collector) resolve() []succ {
 }
 
 // newSearch builds the core for one run; mainLane names the store
-// thread's flight-recorder lane. shards <= 0 picks DefaultShards.
-func newSearch(ctx context.Context, m Model, opts Options, mainLane string, workers, shards int) *search {
+// thread's flight-recorder lane.
+func newSearch(ctx context.Context, m Model, opts Options, mainLane string, workers int) *search {
 	s := &search{ctx: ctx, m: m, exp: asExpander(m), opts: opts, start: time.Now()}
 	s.col = newCollector(m, s.exp)
 	tc, _ := trace.TraceContextFrom(ctx)
 	s.lane = opts.Trace.Lane(tc.LanePrefix() + mainLane)
-	s.set = newVisitedStore(opts.Store, shards)
+	s.set = newVisitedStore(opts.Store, DefaultShards)
 	s.log.keep = !opts.DisableTraces
 	s.memLimit = memoryLimit()
 	s.tr = newTracker(opts, s.start, s.exp)
@@ -206,7 +205,6 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 		r.ArenaBytes = s.set.st.arenaBytes
 		r.SetBytes = s.set.st.setBytes
 		r.FrontierBytes = s.frontierBytes()
-		r.LockWaitNS, r.LockWaitSamples = s.set.lockWait()
 	}
 	return s
 }
@@ -248,7 +246,7 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 	if s.opts.MaxStates > 0 {
 		limit = s.opts.MaxStates - s.stored
 	}
-	processed, _, err := s.set.insertBatch(s.ireqs, int32(s.stored), limit, &s.scratch)
+	processed, _, err := s.set.insertBatch(s.ireqs, int32(s.stored), limit)
 	for i := 0; i < processed; i++ {
 		sc, r := &succs[i], &s.ireqs[i]
 		if r.fresh {

@@ -4,16 +4,13 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // The visited set is the model checker's dominant memory consumer and
 // the one decision every engine makes per successor: "have I stored this
-// state?". VisitedStore is the only implementation: N lock-striped
-// shards chosen by the 64-bit FNV-1a fingerprint, each one
-// open-addressed table of 16-byte slots plus a chunked byte arena.
+// state?". VisitedStore is the only implementation: N shards chosen by
+// the 64-bit FNV-1a fingerprint, each one open-addressed table of
+// 16-byte slots plus a chunked byte arena.
 //
 // A slot holds a stored state's fingerprint, its id and a tagged
 // location. Zero is an empty slot. bareSlot marks a state stored by
@@ -27,8 +24,7 @@ import (
 // the few bits shardIdx fixed within a shard cost the spread nothing.
 // Probing is linear: keys with equal fingerprints are further slots of
 // the same run, and a lookup walks the run to its first empty slot. A
-// table grows to twice its size at 7/8 full, rehashed under the shard's
-// lock.
+// table grows to twice its size at 7/8 full, rehashed in place.
 //
 // Which states keep their bytes is a retained-bytes budget. With no
 // budget (StoreExact) every key is kept and no slot is bare. With a
@@ -50,27 +46,17 @@ import (
 // pointer-free by packing the location as
 // 1 + chunk<<arenaChunkBits | offset-within-chunk.
 //
-// Concurrency contract: store thread only. Every method is called by
-// the single store thread (the sequential search loop, the pipelined
-// merge, or a distributed worker's settle); pipeline workers never
-// touch the set. The thread decides duplicate status with unlocked
-// reads and takes a shard's lock only to store (and grow), which with
-// one goroutine on the set guards nothing: the locks stay for their
-// sampled wait, which the run record reports. Nothing is ever removed
-// or rewritten but by a rehash, which keeps every slot's content, so a
-// hit, and whether it conflates, is stable over the whole run.
+// Concurrency contract: one writer. Every method is called by the
+// single store thread (the sequential search loop, the pipelined merge,
+// or a distributed worker's settle); pipeline workers never touch the
+// set, so nothing in it is locked. Nothing is ever removed or rewritten
+// but by a rehash, which keeps every slot's content, so a hit, and
+// whether it conflates, is stable over the whole run.
 
-// DefaultShards is the shard count the engines use when the caller
-// passes 0. With the set store-thread only, striping serves no
-// concurrency; 64 keeps per-shard tables small at paper-scale state
-// counts.
+// DefaultShards is the shard count the in-process engines use. Sharding
+// serves no concurrency; 64 keeps per-shard tables small at paper-scale
+// state counts.
 const DefaultShards = 64
-
-// lockSampleMask selects which acquisitions get their lock-wait timed:
-// fingerprints with the low 6 bits clear, i.e. a deterministic 1-in-64
-// sample, so contention profiling costs two clock reads per 64 probes
-// rather than per probe.
-const lockSampleMask = 63
 
 // arenaChunkBits sizes the arena chunks (4 KiB). Larger chunks cost a
 // small search real memory — every touched stripe holds at least one.
@@ -111,9 +97,7 @@ func recordLen(n int) int {
 }
 
 // arenaFill tracks how full a chunked arena is: the chunk count and the
-// free bytes left in the last chunk. The capacity guards replay pending
-// keys through it, so a batch trips the chunk limit exactly where a
-// one-at-a-time insert sequence would.
+// free bytes left in the last chunk.
 type arenaFill struct {
 	chunks int
 	free   int
@@ -130,28 +114,6 @@ func (f *arenaFill) add(n int) bool {
 	return true
 }
 
-// stripeLock is one shard's lock plus the sampled wait to acquire it
-// (see lockSampleMask): how long callers waited for this stripe, a
-// direct read on contention. With the store thread the set's only
-// goroutine neither the lock nor the atomics guard anything (see the
-// contract above).
-type stripeLock struct {
-	sync.Mutex
-	waitNS, waitN atomic.Int64
-}
-
-// lock locks on behalf of fingerprint fp.
-func (l *stripeLock) lock(fp uint64) {
-	if fp&lockSampleMask != 0 {
-		l.Lock()
-		return
-	}
-	t0 := time.Now()
-	l.Lock()
-	l.waitNS.Add(int64(time.Since(t0)))
-	l.waitN.Add(1)
-}
-
 // shardCount rounds a requested shard count up to a power of two,
 // clamped to [1, 1<<16]; n <= 0 selects DefaultShards.
 func shardCount(n int) int {
@@ -166,7 +128,6 @@ func shardCount(n int) int {
 }
 
 type setShard struct {
-	mu     stripeLock
 	slots  []slot // nil until the first insert, then a power of two long
 	shift  uint8  // 64 - log2(len(slots))
 	used   int    // occupied slots
@@ -188,9 +149,12 @@ type VisitedStore struct {
 	mask   uint64
 	// budget is the retained-bytes budget for first-for-fingerprint
 	// keys, -1 for none (keep every key); retained is how much of it is
-	// spent. Store thread only.
+	// spent.
 	budget, retained int64
-	st               setStats // the footprint so far; store thread only
+	st               setStats // the footprint so far
+	// touched sums what insertBatch loaded ahead of its lookups (see
+	// setShard.touch); it is kept so the loads are.
+	touched uint64
 }
 
 // newVisitedStore builds a store of the given mode with shardCount(n)
@@ -205,9 +169,7 @@ func newVisitedStore(store Store, n int) *VisitedStore {
 }
 
 // NewVisitedStore builds a store of the given mode for an
-// out-of-package engine. shards <= 0 selects a single shard, the right
-// choice for a single-threaded owner (striping only pays off under
-// concurrent probes).
+// out-of-package engine. shards <= 0 selects a single shard.
 func NewVisitedStore(store Store, shards int) *VisitedStore {
 	if shards <= 0 {
 		shards = 1
@@ -283,25 +245,23 @@ func (s *VisitedStore) firstFor(known bool) bool {
 }
 
 // capacity reports the guard error, if any, for storing one more state,
-// with a keyLen-byte key if it is retained. pending and fill account for
-// a batch's earlier fresh inserts into this shard that are not applied
-// yet (0 and sh.fill for a single insert). Checked before every store so
-// no table outgrows maxShardSlots and the chunk index packed into a
+// with a keyLen-byte key if it is retained. Checked before every store
+// so no table outgrows maxShardSlots and the chunk index packed into a
 // uint32 location can never wrap.
-func (sh *setShard) capacity(pending int, fill arenaFill, retain bool, keyLen int) error {
-	if overfull(int64(sh.used+pending+1), maxShardSlots) {
+func (sh *setShard) capacity(retain bool, keyLen int) error {
+	if overfull(int64(sh.used+1), maxShardSlots) {
 		return &CapacityError{Limit: "shard slots", Max: maxShardSlots}
 	}
-	if retain && fill.add(recordLen(keyLen)) && int64(fill.chunks) > maxShardChunks {
+	if fill := sh.fill; retain && fill.add(recordLen(keyLen)) && int64(fill.chunks) > maxShardChunks {
 		return &CapacityError{Limit: "shard arena chunks", Max: maxShardChunks}
 	}
 	return nil
 }
 
-// store records key unconditionally; the caller holds the shard lock
-// and has already decided freshness, retention and capacity. A bare
-// state takes a slot and nothing else; a retained one also appends its
-// record to the arena. st is the store's footprint, which store keeps.
+// store records key unconditionally; the caller has already decided
+// freshness, retention and capacity. A bare state takes a slot and
+// nothing else; a retained one also appends its record to the arena. st
+// is the store's footprint, which store keeps.
 func (sh *setShard) store(fp uint64, key []byte, id int32, retain bool, st *setStats) {
 	if overfull(int64(sh.used+1), int64(len(sh.slots))) {
 		sh.grow(st)
@@ -351,14 +311,12 @@ func (sh *setShard) grow(st *setStats) {
 // admit is the one decision on a fresh n-byte key about to be stored in
 // sh under id: whether it keeps its bytes — always, unless it is first
 // for its fingerprint under a budget (see firstFor) that cannot take
-// it — and whether the
-// guards let it in. Every key needs a slot (pending and fill as for
-// capacity), a retained one arena room, and every key an id in
-// [0, maxNodeID): ids are int32 everywhere. The budget is charged only
-// when err is nil.
-func (s *VisitedStore) admit(sh *setShard, first bool, pending int, fill arenaFill, n int, id int64) (retain bool, err error) {
+// it — and whether the guards let it in. Every key needs a slot, a
+// retained one arena room, and every key an id in [0, maxNodeID): ids
+// are int32 everywhere. The budget is charged only when err is nil.
+func (s *VisitedStore) admit(sh *setShard, first bool, n int, id int64) (retain bool, err error) {
 	retain = !first || s.retained+int64(n) <= s.budget
-	err = sh.capacity(pending, fill, retain, n)
+	err = sh.capacity(retain, n)
 	if err == nil && (id < 0 || id >= maxNodeID) {
 		err = &CapacityError{Limit: "node ids", Max: maxNodeID}
 	}
@@ -368,126 +326,61 @@ func (s *VisitedStore) admit(sh *setShard, first bool, pending int, fill arenaFi
 	return retain, err
 }
 
-// Insert stores key (with fingerprint fp) under id unless an equal key
-// is present, returning the surviving id, whether the insert was
-// fresh, and whether a duplicate verdict was unverifiable (compact
-// conflation). A *CapacityError means nothing was stored. Store thread
-// only.
-func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error) {
+// insert is the one insert-or-get path: lookup, then admit, then store.
+// It stores key (with fingerprint fp) under id unless an equal key is
+// present, returning the surviving id, whether the insert was fresh,
+// and whether a duplicate verdict was unverifiable (compact
+// conflation). A *CapacityError means nothing was stored.
+func (s *VisitedStore) insert(fp uint64, key []byte, id int64) (gotID int32, fresh, conflated bool, err error) {
 	sh := &s.shards[s.shardIdx(fp)]
 	got, hit, conflated, known := sh.lookup(fp, key)
 	if hit {
 		return got, false, conflated, nil
 	}
-	retain, err := s.admit(sh, s.firstFor(known), 0, sh.fill, len(key), int64(id))
+	retain, err := s.admit(sh, s.firstFor(known), len(key), id)
 	if err != nil {
 		return 0, false, false, err
 	}
-	sh.mu.lock(fp)
-	sh.store(fp, key, id, retain, &s.st)
-	sh.mu.Unlock()
-	return id, true, false, nil
+	sh.store(fp, key, int32(id), retain, &s.st)
+	return int32(id), true, false, nil
 }
 
-// insertBatch settles reqs in order with ids baseID, baseID+1, …
-// assigned to fresh entries. limit >= 0 stops processing after that
-// many fresh inserts (the limiting request is still processed);
-// processed reports how many leading requests were settled. A
+// Insert settles one key through insert, for out-of-package engines.
+func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error) {
+	return s.insert(fp, key, int64(id))
+}
+
+// insertBatch settles reqs in order through insert, with ids baseID,
+// baseID+1, … assigned to fresh entries, so a batch settles exactly
+// like a sequence of Inserts. A first pass loads every request's home
+// slot (see setShard.touch) so their cache misses overlap. limit >= 0
+// stops after that many fresh inserts (the limiting request is still
+// settled); processed reports how many leading requests were settled. A
 // *CapacityError stops before the offending request, which is then
-// reqs[processed]; everything before it is fully applied. Store thread
-// only: a first pass loads every request's slot and key, the pre-pass
-// then decides duplicate status, retention, ids and capacity in request
-// order with unlocked reads, and the apply pass stores under the locks,
-// one acquisition per run of fresh entries in one shard.
-func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int, sc *setScratch) (processed, fresh int, err error) {
+// reqs[processed].
+func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int) (processed, fresh int, err error) {
 	var touched uint64
 	for i := range reqs {
 		touched += s.shards[s.shardIdx(reqs[i].fp)].touch(reqs[i].fp)
 	}
-	sc.touched += touched
+	s.touched += touched
 
-	sc.pend, sc.pendShard = sc.pend[:0], sc.pendShard[:0]
-	processed = len(reqs)
-pre:
 	for i := range reqs {
 		r := &reqs[i]
-		r.fresh, r.id, r.conflated, r.retain = false, 0, false, false
-		shard := s.shardIdx(r.fp)
-		sh := &s.shards[shard]
-		got, hit, conflated, known := sh.lookup(r.fp, r.key)
-		if hit {
-			r.id, r.conflated = got, conflated
-			continue
+		if r.id, r.fresh, r.conflated, err = s.insert(r.fp, r.key, int64(baseID)+int64(fresh)); err != nil {
+			return i, fresh, err
 		}
-		// Replay this batch's pending inserts into the shard against the
-		// semantics lookup applies to stored states, so a batch settles
-		// exactly like a one-at-a-time insert sequence; and count the
-		// slots and arena bytes they will take, or a batch could
-		// overshoot the caps.
-		first := s.firstFor(known)
-		pending, fill := 0, sh.fill
-		for k, j := range sc.pend {
-			if sc.pendShard[k] != shard {
-				continue
+		if r.fresh {
+			fresh++
+			if limit >= 0 && fresh >= limit {
+				return i + 1, fresh, nil
 			}
-			p := &reqs[j]
-			pending++
-			if p.retain {
-				fill.add(recordLen(len(p.key)))
-			}
-			if p.fp != r.fp {
-				continue
-			}
-			first = false
-			// A pending state without bytes is necessarily the first for
-			// its fingerprint (colliders always keep theirs): conflate.
-			if !p.retain || string(p.key) == string(r.key) {
-				r.id, r.conflated = p.id, !p.retain
-				continue pre
-			}
-		}
-		if r.retain, err = s.admit(sh, first, pending, fill, len(r.key), int64(baseID)+int64(fresh)); err != nil {
-			processed = i
-			break pre
-		}
-		r.fresh = true
-		r.id = baseID + int32(fresh)
-		fresh++
-		sc.pend = append(sc.pend, int32(i))
-		sc.pendShard = append(sc.pendShard, shard)
-		if limit >= 0 && fresh >= limit {
-			processed = i + 1
-			break pre
 		}
 	}
-
-	// Apply pass, in request order: within a shard that is storage order,
-	// which a one-at-a-time insert sequence would also give.
-	for k := 0; k < len(sc.pend); {
-		shard := sc.pendShard[k]
-		sh := &s.shards[shard]
-		sh.mu.lock(reqs[sc.pend[k]].fp)
-		for ; k < len(sc.pend) && sc.pendShard[k] == shard; k++ {
-			r := &reqs[sc.pend[k]]
-			sh.store(r.fp, r.key, r.id, r.retain, &s.st)
-		}
-		sh.mu.Unlock()
-	}
-	return processed, fresh, err
+	return len(reqs), fresh, nil
 }
 
 // Stats reports the stored state count and footprint.
 func (s *VisitedStore) Stats() (entries int, arenaBytes, setBytes int64) {
 	return s.st.entries, s.st.arenaBytes, s.st.setBytes
-}
-
-// lockWait sums the sampled lock-acquisition wait across all shards:
-// total nanoseconds waited and the number of sampled acquisitions.
-func (s *VisitedStore) lockWait() (ns, samples int64) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		ns += sh.mu.waitNS.Load()
-		samples += sh.mu.waitN.Load()
-	}
-	return ns, samples
 }

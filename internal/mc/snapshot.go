@@ -39,7 +39,8 @@ type Snapshot struct {
 	// DepthHistogram[d] is the number of stored states at depth d.
 	DepthHistogram []int64 `json:"depth_histogram"`
 	// RuleFirings attributes generated successors to the guarded rule
-	// that produced them, when the model implements NamedModel.
+	// that produced them, when the model names its rules (see
+	// Expander.RuleNames).
 	RuleFirings map[string]int64 `json:"rule_firings,omitempty"`
 	// HeapBytes is the whole process's heap in use at snapshot time
 	// (runtime HeapAlloc): garbage not yet swept is in it, and so is every
@@ -124,7 +125,7 @@ func newTracker(opts Options, start time.Time, exp Expander) *tracker {
 // was new and stored at the given depth. fp is the state's fingerprint,
 // attributing the probe to its telemetry stripe. conflated marks a
 // compact-store duplicate verdict that could not be byte-verified;
-// conflation verdicts are stable over a run (see compactShard.lookup),
+// conflation verdicts are stable over a run (see setShard.lookup),
 // so this count is deterministic and identical across engines.
 func (t *tracker) recordProbe(fp uint64, depth int32, fresh, conflated bool) {
 	t.probes++

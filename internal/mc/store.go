@@ -64,8 +64,8 @@ type CapacityError struct {
 // capacityRemedy says, per Limit, what lets the next run go further.
 var capacityRemedy = map[string]string{
 	"node ids":           "lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own",
-	"shard slots":        "lower -max-states, or split the states over more slot tables (-shards with -engine pipeline, or more -engine dist workers)",
-	"shard arena chunks": "lower -max-states, keep fewer key bytes with -store compact, or split the keys over more shards (-shards with -engine pipeline, or more -engine dist workers)",
+	"shard slots":        "lower -max-states, or split the states over more -engine dist workers",
+	"shard arena chunks": "lower -max-states, keep fewer key bytes with -store compact, or split the keys over more -engine dist workers",
 	"state log chunks":   "lower -max-states, or drop -trace so the log releases expanded states",
 	"memory":             "raise GOMEMLIMIT or lower -max-states",
 }
@@ -122,9 +122,6 @@ type insertReq struct {
 	fresh     bool
 	id        int32
 	conflated bool
-	// retain is store-internal: whether this fresh entry keeps its
-	// bytes (decided in the pre-pass, applied under the shard lock).
-	retain bool
 }
 
 // sliceHeaderSize is the size of a []byte header, which a chunk list
@@ -141,15 +138,4 @@ type setStats struct {
 	// they grow: every slot table at its length, every arena chunk at its
 	// capacity, and the chunk lists' headers at theirs.
 	setBytes int64
-}
-
-// setScratch holds the reusable buffers behind batched inserts: the
-// intra-batch pending-insert bookkeeping. Store thread only; the zero
-// value is ready.
-type setScratch struct {
-	pend      []int32 // request indices of this batch's fresh inserts
-	pendShard []uint32
-	// touched sums what the batches loaded ahead of their lookups (see
-	// setShard.touch); it is kept so the loads are.
-	touched uint64
 }

@@ -60,7 +60,7 @@ func TestCompactParityAllProtocols(t *testing.T) {
 			}
 			opts := mc.Options{MaxStates: 1500, Store: mc.StoreCompact}
 			seq := mc.Check(sys, opts)
-			pip := mc.CheckPipelined(sys, opts, 4, 8)
+			pip := mc.CheckPipelined(sys, opts, 4, 0)
 			if seq.Stats.Store != "compact" {
 				t.Fatalf("Stats.Store = %q, want compact", seq.Stats.Store)
 			}

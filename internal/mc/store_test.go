@@ -123,9 +123,8 @@ func TestShardedSetArenaCapacityGuard(t *testing.T) {
 			k[0] = byte('p' + i)
 			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 		}
-		var sc setScratch
 		withCap(t, &maxShardChunks, 1)
-		processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
+		processed, fresh, err := s.insertBatch(reqs, 0, -1)
 		if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || processed != 1 || fresh != 1 {
 			t.Fatalf("batch arena overflow: processed=%d fresh=%d err=%v", processed, fresh, err)
 		}
@@ -136,13 +135,12 @@ func TestInsertBatchCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
 		withCap(t, &maxShardSlots, 8) // 7 states
 		s := newVisitedStore(store, 1)
-		var sc setScratch
 		reqs := make([]insertReq, 8)
 		for i := range reqs {
 			k := []byte(fmt.Sprintf("bk-%d", i))
 			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 		}
-		processed, fresh, err := s.insertBatch(reqs, 0, -1, &sc)
+		processed, fresh, err := s.insertBatch(reqs, 0, -1)
 		var ce *CapacityError
 		if !errors.As(err, &ce) || ce.Limit != "shard slots" {
 			t.Fatalf("batch overflow: err=%v", err)
@@ -164,13 +162,13 @@ func TestInsertBatchCapacityGuard(t *testing.T) {
 }
 
 // TestCapacityErrorAdvice: each limit's message names what lets the
-// next run go further, and only that — more shards do nothing for the
-// memory limit or the state log.
+// next run go further, and only that — more dist workers do nothing
+// for the memory limit or the state log.
 func TestCapacityErrorAdvice(t *testing.T) {
 	for _, tc := range []struct{ limit, want string }{
 		{"node ids", "search capacity: node ids limit (7) reached; lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own"},
-		{"shard slots", "search capacity: shard slots limit (7) reached; lower -max-states, or split the states over more slot tables (-shards with -engine pipeline, or more -engine dist workers)"},
-		{"shard arena chunks", "search capacity: shard arena chunks limit (7) reached; lower -max-states, keep fewer key bytes with -store compact, or split the keys over more shards (-shards with -engine pipeline, or more -engine dist workers)"},
+		{"shard slots", "search capacity: shard slots limit (7) reached; lower -max-states, or split the states over more -engine dist workers"},
+		{"shard arena chunks", "search capacity: shard arena chunks limit (7) reached; lower -max-states, keep fewer key bytes with -store compact, or split the keys over more -engine dist workers"},
 		{"state log chunks", "search capacity: state log chunks limit (7) reached; lower -max-states, or drop -trace so the log releases expanded states"},
 		{"memory", "search capacity: memory limit (7) reached; raise GOMEMLIMIT or lower -max-states"},
 		{"unnamed", "search capacity: unnamed limit (7) reached; stop the search earlier"},
@@ -266,15 +264,27 @@ func TestInsertNodeIDGuard(t *testing.T) {
 
 func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
 	withCap(t, &maxShardChunks, 1)
-	m := &counter{n: 1000, branch: true, quiet: -1, bad: -1, errAt: -1}
-	res := CheckPipelined(m, Options{DisableTraces: true}, 4, 1)
+	m := &counter{n: 100_000, branch: true, quiet: -1, bad: -1, errAt: -1}
+	res := CheckPipelined(m, Options{DisableTraces: true}, 4, 0)
 	if res.Outcome != Capacity || !strings.Contains(res.Message, "shard arena chunks") {
 		t.Fatalf("res = %v message %q", res, res.Message)
 	}
-	// 6-byte states, 7-byte records, into a single 4 KiB chunk: exactly
-	// 585 fit.
-	if res.States != arenaChunk/7 {
-		t.Fatalf("states = %d, want %d", res.States, arenaChunk/7)
+	// 6-byte states, 7-byte records, into a single 4 KiB chunk per
+	// shard: exactly 585 fit in each, and the counter stores its states
+	// in numeric order, so the search stops at the first state whose
+	// shard already holds 585.
+	perShard := make([]int, DefaultShards)
+	want := 0
+	for {
+		shard := FingerprintMix(Fingerprint(m.enc(want))) % DefaultShards
+		if perShard[shard] == arenaChunk/7 {
+			break
+		}
+		perShard[shard]++
+		want++
+	}
+	if res.States != want {
+		t.Fatalf("states = %d, want %d", res.States, want)
 	}
 }
 
@@ -305,13 +315,12 @@ func TestCollisionChainFirstInsertedID(t *testing.T) {
 			}
 		}
 		// Same stability through the batched path.
-		var sc setScratch
 		reqs := []insertReq{
 			{fp: fp, key: []byte("second")}, // dup of id 11
 			{fp: fp, key: []byte("fourth")}, // fresh
 			{fp: fp, key: []byte("first")},  // dup of id 10
 		}
-		processed, fresh, err := s.insertBatch(reqs, 100, -1, &sc)
+		processed, fresh, err := s.insertBatch(reqs, 100, -1)
 		if err != nil || processed != 3 || fresh != 1 {
 			t.Fatalf("batch: processed=%d fresh=%d err=%v", processed, fresh, err)
 		}
@@ -381,7 +390,7 @@ func TestCompactConflationDeterministicAcrossEngines(t *testing.T) {
 		t.Fatal("budget 128 produced no unverified hits; test is vacuous")
 	}
 	for name, r := range map[string]Result{
-		"pipeline": CheckPipelined(m, opts, 4, 8),
+		"pipeline": CheckPipelined(m, opts, 4, 0),
 	} {
 		if r.Outcome != seq.Outcome || r.States != seq.States ||
 			r.MaxDepth != seq.MaxDepth || r.Rules != seq.Rules {
@@ -406,10 +415,10 @@ func TestCompactConflationDeterministicAcrossEngines(t *testing.T) {
 // over many shards; "forced" squeezes the keys into three fingerprints,
 // so every batch holds several distinct keys per fingerprint, and runs
 // at a retained-bytes budget of nothing, a few bytes and unlimited:
-// together those reach every branch of the pre-pass's pending-entry
-// replay (conflate on a pending bare entry, byte-compare against
-// pending retained ones, a first-for-fingerprint decision that a
-// pending entry pre-empts).
+// together those reach every branch of lookup and admit against
+// entries stored earlier in the same batch (conflate on a bare entry,
+// byte-compare against retained ones, a first-for-fingerprint decision
+// that an earlier request pre-empts).
 func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 	keyOf := func(i int) []byte {
 		j := i % 9
@@ -431,13 +440,12 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 				withCap(t, &compactVerifiedBudget, tc.budget)
 				batched := newVisitedStore(store, 8)
 				single := newVisitedStore(store, 8)
-				var sc setScratch
 				nextB, nextS := int32(0), int32(0)
 				conflated := 0
 				seen := make(map[string]bool)
 				for lo := 0; lo < 500; lo += 9 {
 					reqs := reqs500(keyOf, tc.fpOf, lo, 9, seen)
-					processed, fresh, err := batched.insertBatch(reqs, nextB, -1, &sc)
+					processed, fresh, err := batched.insertBatch(reqs, nextB, -1)
 					if err != nil || processed != len(reqs) {
 						t.Fatalf("batch @%d: processed=%d err=%v", lo, processed, err)
 					}
@@ -493,13 +501,12 @@ func reqs500(keyOf func(int) []byte, fpOf func([]byte) uint64, lo, n int, seen m
 
 func TestInsertBatchLimit(t *testing.T) {
 	s := newVisitedStore(StoreExact, 4)
-	var sc setScratch
 	reqs := make([]insertReq, 10)
 	for i := range reqs {
 		k := []byte(fmt.Sprintf("lim-%d", i))
 		reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 	}
-	processed, fresh, err := s.insertBatch(reqs, 0, 4, &sc)
+	processed, fresh, err := s.insertBatch(reqs, 0, 4)
 	if err != nil || processed != 4 || fresh != 4 {
 		t.Fatalf("processed=%d fresh=%d err=%v, want 4/4", processed, fresh, err)
 	}

@@ -3,17 +3,16 @@
 // run. Where package obs answers "how fast is the search" and package
 // trace answers "what happened when", health answers "where does the
 // time go" — which visited-set shards are hot, whether workers spend
-// their time expanding states or waiting for work, how long the merge
-// loop stalls on out-of-order results, and how much lock-wait the
-// sharded set accumulates.
+// their time expanding states or waiting for work, and how long the
+// merge loop stalls on out-of-order results.
 //
 // Everything here is strictly passive. Collectors only count and time;
 // they never touch search state, so runs with and without them are
 // bit-identical (pinned by TestTraceAndObserverDoNotPerturb and the
 // engine-parity suite). The per-shard occupancy histogram is computed
 // over a fixed fingerprint partition (Stripes) rather than the
-// engine's physical visited-set layout, so sequential, level-parallel,
-// and pipelined runs of the same model produce the identical histogram
+// engine's physical visited-set layout, so sequential, pipelined and
+// distributed runs of the same model produce the identical histogram
 // — cross-engine comparability is what makes a skew reading trustable.
 package health
 
@@ -24,11 +23,10 @@ import (
 )
 
 // Stripes is the fixed stripe count of the telemetry occupancy
-// histogram. It matches mc.DefaultShards so that for a default run the
-// telemetry stripes coincide with the physical visited-set shards; for
-// every other shard count (and for the distributed workers) the
-// stripes are a virtual partition of fingerprint space, identical
-// across engines by construction.
+// histogram. It matches mc.DefaultShards, so for the in-process engines
+// the telemetry stripes coincide with the physical visited-set shards;
+// for the distributed workers they are a virtual partition of
+// fingerprint space, identical across engines by construction.
 const Stripes = 64
 
 // stripeMask selects a stripe from a fingerprint exactly the way the
@@ -98,13 +96,10 @@ type Report struct {
 	// exact store; deterministic and identical across engines for the
 	// compact one.
 	UnverifiedHits int64 `json:"unverified_hits,omitempty"`
-	// LockWaitNS is the summed shard-lock acquisition wait over
-	// LockWaitSamples sampled acquisitions (1-in-N by fingerprint), so
-	// LockWaitNS/LockWaitSamples estimates the mean wait per
-	// acquisition. Near zero on the sequential engine, whose store
-	// thread is the only locker.
-	LockWaitNS      int64 `json:"lock_wait_ns,omitempty"`
-	LockWaitSamples int64 `json:"lock_wait_samples,omitempty"`
+	// LockWaitNS is never set: the visited set has one writer and no
+	// locks. The field stays only because the benchmark harness still
+	// reads it, and goes with that read.
+	LockWaitNS int64 `json:"lock_wait_ns,omitempty"`
 
 	// ReorderStalls counts merge-loop blocks on an expansion that had
 	// not arrived yet (the in-order merge's only wait state);
@@ -290,8 +285,6 @@ func (r *Report) Merge(o *Report) {
 	r.SetBytes += o.SetBytes
 	r.FrontierBytes += o.FrontierBytes
 	r.UnverifiedHits += o.UnverifiedHits
-	r.LockWaitNS += o.LockWaitNS
-	r.LockWaitSamples += o.LockWaitSamples
 	r.ReorderStalls += o.ReorderStalls
 	if o.ReorderMax > r.ReorderMax {
 		r.ReorderMax = o.ReorderMax

@@ -78,8 +78,8 @@ type Options struct {
 	// every engine runs under every store and all answers must agree —
 	// the exact-vs-compact differential applied to mutants.
 	Stores []mc.Store
-	// Workers/Shards for the parallel engines (default 2 workers).
-	Workers, Shards int
+	// Workers for the parallel engines (default 2).
+	Workers int
 	// AnalysisHook, when non-nil, runs on the analysis result before
 	// the VN assignment — the fault-injection port for the self-test.
 	AnalysisHook func(*analysis.Result)
@@ -213,7 +213,7 @@ func runAllEngines(p *protocol.Protocol, spec dist.Spec,
 	phase string, opts Options, res *CaseResult) (mc.Result, Verdict, string) {
 
 	spec.Caches, spec.Dirs, spec.Addrs = opts.Caches, opts.Dirs, opts.Addrs
-	spec.MaxStates, spec.Workers, spec.Shards = opts.MaxStates, opts.Workers, opts.Shards
+	spec.MaxStates, spec.Workers = opts.MaxStates, opts.Workers
 	job, err := spec.Resolve(p, nil)
 	if err != nil {
 		return mc.Result{}, VerdictDynInvalid, err.Error()

@@ -10,7 +10,7 @@ import (
 // options. Two requests with the same key are guaranteed to produce
 // bit-identical results (verification is deterministic, and the
 // engine-parity suite pins that the perf knobs excluded from the key
-// — engine, workers, shards — cannot change the result either), so
+// — engine, workers — cannot change the result either), so
 // one run can serve every identical request after it.
 type cacheKey [sha256.Size]byte
 

@@ -63,7 +63,7 @@ func TestLRUCacheDisabled(t *testing.T) {
 }
 
 // TestVerifyKeyIgnoresPerfKnobs pins the cache-key contract: the
-// in-process engine, workers, shards, and the deadline never affect the
+// in-process engine, workers, and the deadline never affect the
 // key, while every result-affecting option does — which for engine
 // "dist" includes the effective fleet size, because its stored-state
 // set under symmetry reduction depends on how many workers partition
@@ -86,7 +86,6 @@ func TestVerifyKeyIgnoresPerfKnobs(t *testing.T) {
 	same := base
 	same.Options.Engine = "pipeline"
 	same.Options.Workers = 7
-	same.Options.Shards = 32
 	same.DeadlineMillis = 12345
 	if keyOf(t, same) != k0 {
 		t.Error("perf knobs or deadline changed the cache key")

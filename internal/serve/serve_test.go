@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -353,6 +354,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad engine", serve.VerifyRequest{Protocol: "MSI_nonblocking_cache",
 			Options: serve.VerifyOptions{Engine: "warp"}}},
 		{"class2 minimal", serve.VerifyRequest{Protocol: "MSI_blocking_cache"}},
+		{"too many workers", serve.VerifyRequest{Protocol: "MSI_nonblocking_cache",
+			Options: serve.VerifyOptions{Workers: 100_000_000}}},
 		{"oversized spec", serve.VerifyRequest{ProtocolSpec: append(append([]byte{'"'},
 			bytes.Repeat([]byte("x"), protocol.MaxDecodeBytes)...), '"')}},
 	}
@@ -362,6 +365,27 @@ func TestBadRequests(t *testing.T) {
 		if !asStatusError(err, &se) || se.Code != http.StatusBadRequest {
 			t.Errorf("%s: err = %v, want 400", tc.name, err)
 		}
+	}
+}
+
+// TestUnknownOptionRefused: an option the spec does not have, such as
+// "shards", is a 400 naming it, never silently ignored.
+func TestUnknownOptionRefused(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	resp, err := http.Post(hs.URL+"/v1/verify?wait=1", "application/json",
+		strings.NewReader(`{"protocol":"MSI_nonblocking_cache","options":{"max_states":100,"shards":8}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"shards\"`) {
+		t.Errorf("status %d, body %s; want 400 naming the unknown field", resp.StatusCode, body)
 	}
 }
 

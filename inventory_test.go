@@ -1,6 +1,7 @@
 package minvn_test
 
 import (
+	"flag"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"minvn/internal/cliflag"
 )
 
 // section returns the part of a markdown file from the heading that
@@ -213,4 +216,54 @@ func TestREADMENamesServeSurface(t *testing.T) {
 			t.Errorf("README names vnserved flag -%s, which cmd/vnserved does not register", f)
 		}
 	}
+}
+
+// TestREADMESearchFlagsMatchCliflag gates the flag list of README's "One
+// description of a verification" paragraph against the one registration
+// it describes: every flag the paragraph names must be defined by
+// cliflag.Search.Register (every bit) or cliflag.Register (FlagAll), and
+// every flag Search.Register defines must be named there.
+func TestREADMESearchFlagsMatchCliflag(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	para := string(raw)
+	start := strings.Index(para, "**One description of a verification.**")
+	if start < 0 {
+		t.Fatal(`README has no "One description of a verification" paragraph`)
+	}
+	para = para[start:]
+	if end := strings.Index(para, "\n\n"); end >= 0 {
+		para = para[:end]
+	}
+	// Flags appear in code spans, alone ("-vn"), joined ("-gcap/-lcap")
+	// or with a value ("-engine dist").
+	named := map[string]bool{}
+	flagToken := regexp.MustCompile(`(?:^|[\s/])-([a-z][a-z0-9-]*)`)
+	for _, span := range regexp.MustCompile("`([^`]*)`").FindAllStringSubmatch(para, -1) {
+		for _, m := range flagToken.FindAllStringSubmatch(span[1], -1) {
+			named[m[1]] = true
+		}
+	}
+
+	search := flag.NewFlagSet("search", flag.ContinueOnError)
+	new(cliflag.Search).Register(search, ^cliflag.SearchFlags(0))
+	telemetry := flag.NewFlagSet("telemetry", flag.ContinueOnError)
+	cliflag.Register(telemetry, cliflag.FlagAll)
+	var names []string
+	for name := range named {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if search.Lookup(name) == nil && telemetry.Lookup(name) == nil {
+			t.Errorf("README's verification paragraph names -%s, which internal/cliflag does not register", name)
+		}
+	}
+	search.VisitAll(func(f *flag.Flag) {
+		if !named[f.Name] {
+			t.Errorf("README's verification paragraph does not name -%s (cliflag.Search.Register)", f.Name)
+		}
+	})
 }
