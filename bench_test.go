@@ -17,6 +17,8 @@
 //     (FAS + coloring) on the real protocol instances.
 //   - BenchmarkStaticSweep        — the static path over the repository
 //     benchmark's static_sweep set (742 protocols), for profiling.
+//   - BenchmarkSweepSet           — building that set: the workload's
+//     set-up.
 //
 // Run: go test -bench=. -benchmem
 package minvn_test
@@ -80,6 +82,18 @@ func BenchmarkStaticSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/protocol")
+}
+
+// BenchmarkSweepSet is bench/'s static_sweep set-up: building the 742
+// tables BenchmarkStaticSweep analyzes (built-ins, NonStalling
+// variants, composites, 600 generated protocols), once per iteration.
+func BenchmarkSweepSet(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ps := ptest.SweepSet([]int64{3}, 600); len(ps) != 742 {
+			b.Fatalf("sweep set has %d protocols, want 742", len(ps))
+		}
+	}
 }
 
 // Per-protocol static benchmarks, one per Table I row.

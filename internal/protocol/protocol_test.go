@@ -212,3 +212,115 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("expected unknown-type error")
 	}
 }
+
+// tinyTwoLevel builds a minimal valid two-level composite: the cache
+// asks the L2 home, which asks the outer directory.
+func tinyTwoLevel() *Builder {
+	b := NewBuilder("tiny2")
+	b.Message("Req", Request)
+	b.Message("Resp", DataResponse)
+	b.Message("OReq", Request, WithLevel(LevelOuter))
+	b.Message("OResp", DataResponse, WithLevel(LevelOuter))
+	c := b.Cache("I")
+	c.Stable("I", "V")
+	c.Transient("IV")
+	c.On("I", CoreEv(Load)).Send("Req", ToDir).Goto("IV")
+	c.On("IV", MsgEv("Resp")).Goto("V")
+	l2 := b.L2("H")
+	l2.Stable("H")
+	l2.Transient("HW")
+	l2.On("H", MsgEv("Req")).Send("OReq", ToDir).Goto("HW")
+	l2.On("HW", MsgEv("OResp")).Send("Resp", ToReq).Goto("H")
+	d := b.Dir("D")
+	d.Stable("D")
+	d.On("D", MsgEv("OReq")).Send("OResp", ToReq).Stay()
+	return b
+}
+
+// TestValidateCellMessages pins the exact text of one cell-level
+// failure per controller kind: the cell is named only when reported,
+// and naming it lazily must not change a byte.
+func TestValidateCellMessages(t *testing.T) {
+	if _, err := tinyTwoLevel().Build(); err != nil {
+		t.Fatalf("two-level base does not build: %v", err)
+	}
+	for _, tc := range []struct {
+		kind string
+		edit func() *Builder
+		want string
+	}{
+		{"cache", func() *Builder {
+			b := tiny()
+			b.Cache("I").On("V", CoreEv(Load)).Goto("Nowhere")
+			return b
+		}, `cache cell (V, Load): next state "Nowhere" not declared`},
+		{"directory", func() *Builder {
+			b := tiny()
+			b.Dir("ID").On("ID", MsgQualEv("Req", QLastAck)).Stay()
+			return b
+		}, `directory cell (ID, Req(last-ack)): qualifier "last-ack" not produced by message "Req" (kind 0)`},
+		{"l2", func() *Builder {
+			b := tinyTwoLevel()
+			b.L2("H").On("HW", MsgEv("Req")).Send("Resp", ToSaved).Stay()
+			return b
+		}, `l2 cell (HW, Req): destination Saved only resolvable at cache`},
+	} {
+		_, err := tc.edit().Build()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v\nwant %s", tc.kind, err, tc.want)
+		}
+	}
+}
+
+// TestCloneIsDeep edits every part of a clone — messages, states,
+// cells, actions, next states and the three orders, plus the maps
+// themselves — and checks the original still encodes as it did, and
+// that an untouched clone encodes like its original.
+func TestCloneIsDeep(t *testing.T) {
+	for _, b := range []*Builder{tiny(), tinyTwoLevel()} {
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := Encode(p.Clone()); string(got) != string(want) {
+			t.Fatalf("%s: clone encodes differently:\n%s\nwant\n%s", p.Name, got, want)
+		}
+		q := p.Clone()
+		q.Name += "x"
+		for _, m := range q.Messages {
+			m.Name += "x"
+			m.Type = (m.Type + 1) % 4
+			m.Level = LevelOuter
+		}
+		q.Messages["New"] = &Message{Name: "New"}
+		q.msgOrder[0] = "New"
+		q.msgOrder = append(q.msgOrder[:1], "Extra")
+		for _, c := range q.Controllers() {
+			c.Initial += "x"
+			for _, s := range c.States {
+				s.Name += "x"
+				s.Transient = !s.Transient
+			}
+			c.States["New"] = &State{Name: "New"}
+			c.stateOrder[0] = "New"
+			c.eventOrder[0] = MsgEv("New")
+			for key, tr := range c.Transitions {
+				tr.Stall = !tr.Stall
+				tr.Next += "x"
+				for i := range tr.Actions {
+					tr.Actions[i].Msg += "x"
+					tr.Actions[i].To = ToSelf
+				}
+				tr.Actions = append(tr.Actions, Action{Kind: ACopyToMem})
+				c.Transitions[TransKey{State: key.State + "x", Event: key.Event}] = tr
+			}
+		}
+		if got, err := Encode(p); err != nil || string(got) != string(want) {
+			t.Fatalf("%s: editing a clone changed the original (err %v):\n%s\nwant\n%s", p.Name, err, got, want)
+		}
+	}
+}

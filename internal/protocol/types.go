@@ -426,6 +426,66 @@ func (p *Protocol) MessagesOfType(t MsgType) []string {
 	return out
 }
 
+// Clone returns a deep copy of p: its messages, its controllers'
+// states and transitions, every transition's actions, and the message,
+// state and event orders. Nothing in the copy aliases p, so either may
+// be edited without the other seeing it.
+func (p *Protocol) Clone() *Protocol {
+	q := &Protocol{
+		Name:     p.Name,
+		Messages: make(map[string]*Message, len(p.Messages)),
+		Cache:    p.Cache.clone(),
+		Dir:      p.Dir.clone(),
+		L2:       p.L2.clone(),
+		msgOrder: append([]string(nil), p.msgOrder...),
+	}
+	ms := make([]Message, 0, len(p.Messages))
+	for name, m := range p.Messages {
+		ms = append(ms, *m)
+		q.Messages[name] = &ms[len(ms)-1]
+	}
+	return q
+}
+
+// clone deep-copies c, nil included. States, transitions and actions
+// are copied into one slab each; every Actions slice is capped at its
+// length, so an append to one cell's actions never reaches another's.
+func (c *Controller) clone() *Controller {
+	if c == nil {
+		return nil
+	}
+	d := &Controller{
+		Kind:        c.Kind,
+		Initial:     c.Initial,
+		States:      make(map[string]*State, len(c.States)),
+		Transitions: make(map[TransKey]*Transition, len(c.Transitions)),
+		stateOrder:  append([]string(nil), c.stateOrder...),
+		eventOrder:  append([]Event(nil), c.eventOrder...),
+	}
+	ss := make([]State, 0, len(c.States))
+	for name, s := range c.States {
+		ss = append(ss, *s)
+		d.States[name] = &ss[len(ss)-1]
+	}
+	nActions := 0
+	for _, t := range c.Transitions {
+		nActions += len(t.Actions)
+	}
+	ts := make([]Transition, 0, len(c.Transitions))
+	as := make([]Action, 0, nActions)
+	for key, t := range c.Transitions {
+		ts = append(ts, *t)
+		nt := &ts[len(ts)-1]
+		if t.Actions != nil {
+			start := len(as)
+			as = append(as, t.Actions...)
+			nt.Actions = as[start:len(as):len(as)]
+		}
+		d.Transitions[key] = nt
+	}
+	return d
+}
+
 // Controllers returns the cache and directory controllers, plus the
 // L2 controller when the protocol is a two-level composite.
 func (p *Protocol) Controllers() []*Controller {

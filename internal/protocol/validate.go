@@ -54,7 +54,7 @@ func Validate(p *Protocol) error {
 		}
 
 		for key, t := range c.Transitions {
-			cell := fmt.Sprintf("%s cell (%s, %s)", c.Kind, key.State, key.Event)
+			cell := cellName{c.Kind, key}
 			if _, ok := c.States[key.State]; !ok {
 				report("%s: state not declared", cell)
 				continue
@@ -158,12 +158,14 @@ func Validate(p *Protocol) error {
 			if !key.Event.IsCore() {
 				received[key.Event.Msg] = true
 			}
-			for _, s := range t.Sends() {
-				sent[s] = true
+			for _, a := range t.Actions {
+				if a.Kind == ASend {
+					sent[a.Msg] = true
+				}
 			}
 		}
 	}
-	for _, name := range p.MessageNames() {
+	for _, name := range p.msgOrder {
 		if !sent[name] {
 			report("message %q is never sent", name)
 		}
@@ -176,4 +178,16 @@ func Validate(p *Protocol) error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// cellName names a table cell in Validate's messages, "cache cell
+// (IS_D, Inv)". It is formatted only when a message is reported, so a
+// valid table formats nothing.
+type cellName struct {
+	kind ControllerKind
+	key  TransKey
+}
+
+func (c cellName) String() string {
+	return fmt.Sprintf("%s cell (%s, %s)", c.kind, c.key.State, c.key.Event)
 }

@@ -2,7 +2,6 @@ package xform
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"minvn/internal/protocol"
@@ -95,22 +94,20 @@ func Compose(inner, outer *protocol.Protocol, name string) (*protocol.Protocol, 
 		if err != nil {
 			return nil, err
 		}
-		for _, st := range sp.stateOrder {
-			if sp.dead[st] {
+		for i, st := range sp.stateOrder {
+			if sp.dead[i] {
 				continue
 			}
-			if sp.transient[st] {
+			if sp.transient[i] {
 				cb.Transient(st)
 			} else {
 				cb.Stable(st)
 			}
 		}
-		for _, key := range sp.order {
-			t := sp.cells[key]
-			if t == nil {
-				continue
+		for _, c := range sp.cells {
+			if c.t != nil {
+				copyCell(cb, c.key.State, c.key.Event, c.t)
 			}
-			copyCell(cb, key.State, key.Event, t)
 		}
 	}
 	p, err := b.Build()
@@ -126,37 +123,54 @@ type ctrlSpec struct {
 	kind       protocol.ControllerKind
 	initial    string
 	stateOrder []string
-	transient  map[string]bool
-	dead       map[string]bool
-	cells      map[protocol.TransKey]*protocol.Transition
-	order      []protocol.TransKey
+	transient  []bool // by stateOrder index
+	dead       []bool // by stateOrder index, set by prune
+	// cells in table order; prune sets a removed cell's t to nil. The
+	// spec builders visit each (state, event) once — states are unique
+	// and events go through uniqueEvents — so a key repeats only when
+	// two product names collide, which Build rejects as a state
+	// declared twice.
+	cells []specCell
+}
+
+type specCell struct {
+	key protocol.TransKey
+	t   *protocol.Transition
 }
 
 func (sp *ctrlSpec) add(state string, ev protocol.Event, t *protocol.Transition) {
-	key := protocol.TransKey{State: state, Event: ev}
-	if _, dup := sp.cells[key]; dup {
-		return
+	sp.cells = append(sp.cells, specCell{protocol.TransKey{State: state, Event: ev}, t})
+}
+
+// uniqueEvents returns a controller's event order without repeats
+// (Columns may declare an event twice), first occurrence first.
+func uniqueEvents(c *protocol.Controller) []protocol.Event {
+	evs := c.EventOrder()
+	seen := make(map[protocol.Event]bool, len(evs))
+	out := evs[:0]
+	for _, ev := range evs {
+		if !seen[ev] {
+			seen[ev] = true
+			out = append(out, ev)
+		}
 	}
-	sp.cells[key] = t
-	sp.order = append(sp.order, key)
+	return out
 }
 
 // specFromController copies a flat controller verbatim with its
 // messages moved onto a prefix tier.
 func specFromController(c *protocol.Controller, prefix string) *ctrlSpec {
 	sp := &ctrlSpec{
-		kind:      c.Kind,
-		initial:   c.Initial,
-		transient: map[string]bool{},
-		dead:      map[string]bool{},
-		cells:     map[protocol.TransKey]*protocol.Transition{},
+		kind:    c.Kind,
+		initial: c.Initial,
 	}
-	for _, name := range c.StateNames() {
-		sp.stateOrder = append(sp.stateOrder, name)
-		sp.transient[name] = c.States[name].Transient
+	sp.stateOrder = c.StateNames()
+	for _, name := range sp.stateOrder {
+		sp.transient = append(sp.transient, c.States[name].Transient)
 	}
-	for _, st := range c.StateNames() {
-		for _, ev := range c.EventOrder() {
+	events := uniqueEvents(c)
+	for _, st := range sp.stateOrder {
+		for _, ev := range events {
 			t := c.Lookup(st, ev)
 			if t == nil {
 				continue
@@ -241,29 +255,28 @@ func productSpec(inner, outer *protocol.Protocol) (*ctrlSpec, error) {
 	}
 
 	sp := &ctrlSpec{
-		kind:      protocol.L2Ctrl,
-		initial:   join(d1Init, outer.Cache.Initial),
-		transient: map[string]bool{},
-		dead:      map[string]bool{},
-		cells:     map[protocol.TransKey]*protocol.Transition{},
+		kind:    protocol.L2Ctrl,
+		initial: join(d1Init, outer.Cache.Initial),
 	}
-	for _, d1 := range inner.Dir.StateNames() {
-		for _, c2 := range outer.Cache.StateNames() {
+	d1States, c2States := inner.Dir.StateNames(), outer.Cache.StateNames()
+	d1Events, c2Events := uniqueEvents(inner.Dir), uniqueEvents(outer.Cache)
+	for _, d1 := range d1States {
+		for _, c2 := range c2States {
 			ps := join(d1, c2)
 			sp.stateOrder = append(sp.stateOrder, ps)
-			sp.transient[ps] = inner.Dir.States[d1].Transient ||
-				outer.Cache.States[c2].Transient || d1 != d1Init
+			sp.transient = append(sp.transient, inner.Dir.States[d1].Transient ||
+				outer.Cache.States[c2].Transient || d1 != d1Init)
 		}
 	}
 
 	stall := func() *protocol.Transition { return &protocol.Transition{Stall: true} }
-	for _, d1 := range inner.Dir.StateNames() {
-		for _, c2 := range outer.Cache.StateNames() {
+	for _, d1 := range d1States {
+		for _, c2 := range c2States {
 			ps := join(d1, c2)
 			c2Transient := outer.Cache.States[c2].Transient
 
 			// Inner tier: d1's row, gated by c2's permissions.
-			for _, ev := range inner.Dir.EventOrder() {
+			for _, ev := range d1Events {
 				t := inner.Dir.Lookup(d1, ev)
 				if t == nil {
 					continue
@@ -295,7 +308,7 @@ func productSpec(inner, outer *protocol.Protocol) (*ctrlSpec, error) {
 						"xform: outer base %s has no usable (%s, %s) transition for an L2 launch",
 						outer.Name, c2, core)
 				}
-				if len(u.Sends()) == 0 {
+				if !sends(u) {
 					// Silent core transition: c2 already holds the
 					// permission (possibly upgrading, e.g. E→M).
 					nt := mapCell(t, InnerPrefix, func(string) string { return "" })
@@ -320,7 +333,7 @@ func productSpec(inner, outer *protocol.Protocol) (*ctrlSpec, error) {
 			// while the inner level holds copies (d1 non-initial) —
 			// the L2 cannot recall inner caches, so revocation waits
 			// for inner evictions.
-			for _, ev := range outer.Cache.EventOrder() {
+			for _, ev := range c2Events {
 				if ev.IsCore() {
 					continue
 				}
@@ -372,56 +385,114 @@ func composeMessages(inner, outer *protocol.Protocol) []*composedMsg {
 // event or a still-live message. Static reachability over-approximates
 // dynamic reachability, so every dynamically possible reception keeps
 // its cell.
+//
+// The tables are numbered once — messages by their index in msgs,
+// states by stateOrder — so each round is a pass over the cells for
+// the messages they send and one worklist walk per controller.
 func prune(specs []*ctrlSpec, msgs []*composedMsg) {
-	live := map[string]bool{}
-	for _, m := range msgs {
-		live[m.name] = true
+	msgIdx := make(map[string]int32, len(msgs))
+	for i, m := range msgs {
+		msgIdx[m.name] = int32(i)
 	}
+	live := make([]bool, len(msgs))
+	for i := range live {
+		live[i] = true
+	}
+	// A cell's trigger is coreTrigger, a message index, or
+	// undeclaredTrigger for a message no tier declares (never live).
+	const coreTrigger, undeclaredTrigger = -1, -2
+	fireable := func(on int32) bool {
+		return on == coreTrigger || (on >= 0 && live[on])
+	}
+	type numbered struct {
+		state, next, on int32 // next is -1 for "stay" or an undeclared state
+		sends           []int32
+	}
+	tables := make([][]numbered, len(specs))
+	// start[i] is specs[i]'s initial state, -1 if it is undeclared.
+	start := make([]int32, len(specs))
+	// out[i][s] lists the cells of specs[i] leaving state s for a next
+	// state, in cell order: the static transition graph.
+	out := make([][][]int32, len(specs))
+	for i, sp := range specs {
+		stateIdx := make(map[string]int32, len(sp.stateOrder))
+		for j, st := range sp.stateOrder {
+			stateIdx[st] = int32(j)
+		}
+		start[i] = -1
+		if s, ok := stateIdx[sp.initial]; ok {
+			start[i] = s
+		}
+		sp.dead = make([]bool, len(sp.stateOrder))
+		out[i] = make([][]int32, len(sp.stateOrder))
+		tables[i] = make([]numbered, len(sp.cells))
+		for j, c := range sp.cells {
+			n := &tables[i][j]
+			// Every cell's state is in stateOrder: both spec builders
+			// emit cells only for declared rows.
+			n.state = stateIdx[c.key.State]
+			n.next = -1
+			if nx, ok := stateIdx[c.t.Next]; ok && c.t.Next != "" {
+				n.next = nx
+				out[i][n.state] = append(out[i][n.state], int32(j))
+			}
+			n.on = coreTrigger
+			if !c.key.Event.IsCore() {
+				n.on = undeclaredTrigger
+				if m, ok := msgIdx[c.key.Event.Msg]; ok {
+					n.on = m
+				}
+			}
+			for _, a := range c.t.Actions {
+				if m, ok := msgIdx[a.Msg]; ok && a.Kind == protocol.ASend {
+					n.sends = append(n.sends, m)
+				}
+			}
+		}
+	}
+
+	sent := make([]bool, len(msgs))
+	var work []int32
 	for {
 		changed := false
 
 		// Messages sent by fireable cells.
-		sent := map[string]bool{}
-		for _, sp := range specs {
-			for key, t := range sp.cells {
-				if t == nil || sp.dead[key.State] {
+		clear(sent)
+		for i, sp := range specs {
+			for _, n := range tables[i] {
+				if sp.dead[n.state] || !fireable(n.on) {
 					continue
 				}
-				if !key.Event.IsCore() && !live[key.Event.Msg] {
-					continue
-				}
-				for _, s := range t.Sends() {
-					sent[s] = true
+				for _, m := range n.sends {
+					sent[m] = true
 				}
 			}
 		}
-		for name := range live {
-			if !sent[name] {
-				delete(live, name)
+		for m := range live {
+			if live[m] && !sent[m] {
+				live[m] = false
 				changed = true
 			}
 		}
 
 		// States reachable through fireable cells.
-		for _, sp := range specs {
-			reach := map[string]bool{sp.initial: true}
-			for {
-				grew := false
-				for key, t := range sp.cells {
-					if t == nil || t.Next == "" || !reach[key.State] || reach[t.Next] {
-						continue
+		for i, sp := range specs {
+			reach := make([]bool, len(sp.stateOrder))
+			if start[i] >= 0 {
+				reach[start[i]] = true
+				work = append(work[:0], start[i])
+			}
+			for len(work) > 0 {
+				st := work[len(work)-1]
+				work = work[:len(work)-1]
+				for _, j := range out[i][st] {
+					if n := tables[i][j]; !reach[n.next] && fireable(n.on) {
+						reach[n.next] = true
+						work = append(work, n.next)
 					}
-					if !key.Event.IsCore() && !live[key.Event.Msg] {
-						continue
-					}
-					reach[t.Next] = true
-					grew = true
-				}
-				if !grew {
-					break
 				}
 			}
-			for _, st := range sp.stateOrder {
+			for st := range sp.stateOrder {
 				if !reach[st] && !sp.dead[st] {
 					sp.dead[st] = true
 					changed = true
@@ -434,16 +505,26 @@ func prune(specs []*ctrlSpec, msgs []*composedMsg) {
 		}
 	}
 
-	for _, sp := range specs {
-		for key := range sp.cells {
-			if sp.dead[key.State] || (!key.Event.IsCore() && !live[key.Event.Msg]) {
-				sp.cells[key] = nil
+	for i, sp := range specs {
+		for j, n := range tables[i] {
+			if sp.dead[n.state] || !fireable(n.on) {
+				sp.cells[j].t = nil
 			}
 		}
 	}
-	for _, m := range msgs {
-		m.dead = !live[m.name]
+	for i, m := range msgs {
+		m.dead = !live[i]
 	}
+}
+
+// sends reports whether t sends a message.
+func sends(t *protocol.Transition) bool {
+	for _, a := range t.Actions {
+		if a.Kind == protocol.ASend {
+			return true
+		}
+	}
+	return false
 }
 
 // controllerBuilderKind returns the builder for a controller of the
@@ -471,15 +552,4 @@ func ComposeName(innerName, outerName string) string {
 		return n
 	}
 	return short(innerName) + "_under_" + short(outerName)
-}
-
-// sortKeys is a test helper exposing deterministic cell ordering.
-func sortKeys(keys []protocol.TransKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.State != b.State {
-			return a.State < b.State
-		}
-		return a.Event.String() < b.Event.String()
-	})
 }

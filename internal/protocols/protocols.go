@@ -15,6 +15,7 @@ package protocols
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"minvn/internal/protocol"
 )
@@ -36,6 +37,9 @@ func msgQ(name string, q protocol.Qualifier) protocol.Event {
 // builderFunc constructs one built-in protocol.
 type builderFunc func() *protocol.Protocol
 
+// registry maps a canonical name to its table, built and validated on
+// the first Load and kept for the life of the process. The cached
+// protocol is never handed out: Load returns a clone of it.
 var registry = map[string]builderFunc{}
 
 // aliases maps convenience names to canonical registry names.
@@ -54,7 +58,7 @@ func register(name string, f builderFunc) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("protocols: %q registered twice", name))
 	}
-	registry[name] = f
+	registry[name] = sync.OnceValue(f)
 }
 
 // Names returns the canonical names of all built-in protocols, sorted.
@@ -78,13 +82,16 @@ func Canonical(name string) (string, bool) {
 }
 
 // Load returns a fresh copy of the named built-in protocol. Aliases
-// like "MSI" (for MSI_blocking_cache) are accepted.
+// like "MSI" (for MSI_blocking_cache) are accepted. Each built-in is
+// built and validated once per process, on its first Load; every call
+// returns a deep copy of that table (protocol.Protocol.Clone), so the
+// caller may edit it freely and no two calls share anything.
 func Load(name string) (*protocol.Protocol, error) {
 	canonical, ok := Canonical(name)
 	if !ok {
 		return nil, fmt.Errorf("protocols: unknown protocol %q (known: %v)", name, Names())
 	}
-	return registry[canonical](), nil
+	return registry[canonical]().Clone(), nil
 }
 
 // MustLoad is Load panicking on error, for tests and examples.

@@ -1,7 +1,9 @@
 package protocols
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"minvn/internal/protocol"
@@ -47,15 +49,95 @@ func TestAliases(t *testing.T) {
 	}
 }
 
-// TestLoadReturnsFreshCopies: mutating one load must not leak into the
-// next (the Class-1 builder mutates a copy of MSI).
+// TestLoadReturnsFreshCopies: editing one load must not leak into the
+// next. Every built-in is built once per process and every Load is a
+// deep copy of it, so the test edits, in place, every message, state,
+// cell, action and next state of one copy (plus its maps) and checks
+// the next Load encodes byte for byte as the first did untouched.
 func TestLoadReturnsFreshCopies(t *testing.T) {
-	p1 := MustLoad("MSI_blocking_cache")
-	key := protocol.TransKey{State: "SM_AD", Event: protocol.MsgEv("Inv")}
-	p1.Cache.Transitions[key] = &protocol.Transition{Stall: true}
-	p2 := MustLoad("MSI_blocking_cache")
-	if p2.Cache.Transitions[key].Stall {
-		t.Fatal("Load shares state between calls")
+	for _, name := range Names() {
+		p1 := MustLoad(name)
+		want, err := protocol.Encode(p1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mutate(p1)
+		got, err := protocol.Encode(MustLoad(name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: editing one Load changed the next:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+}
+
+// mutate edits every part of p reachable through its exported fields.
+func mutate(p *protocol.Protocol) {
+	p.Name += "_edited"
+	for _, m := range p.Messages {
+		m.Name += "_edited"
+		m.Type = (m.Type + 1) % 4
+		m.Ack = protocol.AckUnit
+		m.Qual = protocol.QualOwnership
+		m.Level = protocol.LevelOuter
+	}
+	p.Messages["Edited"] = &protocol.Message{Name: "Edited"}
+	for _, c := range p.Controllers() {
+		c.Initial += "_edited"
+		for _, st := range c.States {
+			st.Name += "_edited"
+			st.Transient = !st.Transient
+		}
+		c.States["Edited"] = &protocol.State{Name: "Edited"}
+		for key, tr := range c.Transitions {
+			tr.Stall = !tr.Stall
+			tr.Next += "_edited"
+			for i := range tr.Actions {
+				a := &tr.Actions[i]
+				a.Kind = protocol.ASend
+				a.Msg += "_edited"
+				a.To = protocol.ToSelf
+				a.WithAcks, a.Inherit, a.ReqSaved = !a.WithAcks, !a.Inherit, !a.ReqSaved
+			}
+			tr.Actions = append(tr.Actions, protocol.Action{Kind: protocol.ACopyToMem})
+			c.Transitions[protocol.TransKey{State: key.State, Event: protocol.MsgEv("Edited")}] = tr
+		}
+	}
+}
+
+// TestLoadConcurrent loads every built-in from 16 goroutines at once,
+// each editing its copies, and checks they all encode alike: under
+// -race it catches a copy that shares memory with the cached table or
+// with another copy, and, run alone, a first build that races.
+func TestLoadConcurrent(t *testing.T) {
+	names := Names()
+	const goroutines = 16
+	encs := make([][][]byte, goroutines)
+	var wg sync.WaitGroup
+	for g := range encs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				p := MustLoad(name)
+				enc, err := protocol.Encode(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				encs[g] = append(encs[g], enc)
+				mutate(p)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		for i, name := range names {
+			if !bytes.Equal(encs[g][i], encs[0][i]) {
+				t.Fatalf("%s: goroutine %d loaded a different table from goroutine 0", name, g)
+			}
+		}
 	}
 }
 

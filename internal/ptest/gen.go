@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
@@ -70,28 +71,35 @@ type Case struct {
 type Generator struct {
 	cfg      GenConfig
 	builtins []string
-	// pairs are the (inner, outer) built-in combinations the composer
-	// accepts — outers are the blocking-cache variants (the saved
-	// register and directory-book qualifiers rule the rest out).
-	pairs [][2]string
 }
 
 // NewGenerator returns a generator over the built-in protocol corpus.
 func NewGenerator(cfg GenConfig) *Generator {
-	g := &Generator{cfg: cfg.normalized(), builtins: protocols.Names()}
-	for _, outer := range g.builtins {
+	return &Generator{cfg: cfg.normalized(), builtins: protocols.Names()}
+}
+
+// composePairs returns the (inner, outer) built-in combinations the
+// composer accepts, outer-major in name order — outers are the
+// blocking-cache variants (the saved register and directory-book
+// qualifiers rule the rest out). They depend only on the built-ins, so
+// they are probed once per process, by the first generator that
+// derives a composite.
+var composePairs = sync.OnceValue(func() [][2]string {
+	var pairs [][2]string
+	names := protocols.Names()
+	for _, outer := range names {
 		if !strings.Contains(outer, "_blocking_cache") {
 			continue
 		}
-		for _, inner := range g.builtins {
+		for _, inner := range names {
 			if _, err := xform.Compose(
 				protocols.MustLoad(inner), protocols.MustLoad(outer), "probe"); err == nil {
-				g.pairs = append(g.pairs, [2]string{inner, outer})
+				pairs = append(pairs, [2]string{inner, outer})
 			}
 		}
 	}
-	return g
-}
+	return pairs
+})
 
 // caseSeed decorrelates per-case streams from (campaign seed, index)
 // with a splitmix64 step, so neighbouring indices do not produce
@@ -147,7 +155,8 @@ func (g *Generator) Generate(seed int64) *Case {
 func (g *Generator) xformCase(r *rand.Rand, seed int64) *Case {
 	var p *protocol.Protocol
 	var origin string
-	if len(g.pairs) == 0 || r.Intn(2) == 0 {
+	pairs := composePairs()
+	if len(pairs) == 0 || r.Intn(2) == 0 {
 		base := g.builtins[r.Intn(len(g.builtins))]
 		ns, err := xform.NonStalling(protocols.MustLoad(base))
 		if err != nil {
@@ -155,7 +164,7 @@ func (g *Generator) xformCase(r *rand.Rand, seed int64) *Case {
 		}
 		p, origin = ns, "xform:nonstalling:"+base
 	} else {
-		pair := g.pairs[r.Intn(len(g.pairs))]
+		pair := pairs[r.Intn(len(pairs))]
 		comp, err := xform.Compose(protocols.MustLoad(pair[0]), protocols.MustLoad(pair[1]),
 			fmt.Sprintf("compose_%d", seed&0xffff))
 		if err != nil {

@@ -108,11 +108,12 @@ func FromProtocol(p *protocol.Protocol) *Spec {
 	lift := func(c *protocol.Controller, cs *CtrlSpec) {
 		cs.Initial = c.Initial
 		cs.Events = c.EventOrder()
-		for _, name := range c.StateNames() {
+		states := c.StateNames()
+		for _, name := range states {
 			cs.States = append(cs.States, StateSpec{Name: name, Transient: c.States[name].Transient})
 		}
-		for _, st := range c.StateNames() {
-			for _, ev := range c.EventOrder() {
+		for _, st := range states {
+			for _, ev := range cs.Events {
 				t := c.Lookup(st, ev)
 				if t == nil {
 					continue

@@ -14,8 +14,8 @@ import (
 // the produced cases are valid, diverse, and clean under the harness.
 func TestGeneratorXformCases(t *testing.T) {
 	g := NewGenerator(GenConfig{XformFrac: 1})
-	if len(g.pairs) < 2 {
-		t.Fatalf("generator accepted only %d compose pairs", len(g.pairs))
+	if pairs := composePairs(); len(pairs) < 2 {
+		t.Fatalf("generator accepted only %d compose pairs", len(pairs))
 	}
 	origins := map[string]int{}
 	n := 24

@@ -169,10 +169,11 @@ func TestBackpressure503(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gate := make(chan struct{})
+			parked := make(chan struct{}, tc.workers)
 			srv, cl := testServer(t, serve.Config{
 				Workers:    tc.workers,
 				QueueDepth: tc.queueDepth,
-				BeforeRun:  func() { <-gate },
+				BeforeRun:  park(parked, gate),
 			})
 			ctx := context.Background()
 			next := 3000 // distinct max_states: no singleflight, no cache hit
@@ -191,7 +192,7 @@ func TestBackpressure503(t *testing.T) {
 			submit("running", tc.workers)
 			// Once every worker holds a job at the gate, the queue has
 			// room for exactly QueueDepth more.
-			waitForRunning(t, cl, tc.workers)
+			awaitParked(parked, tc.workers)
 			submit("queued", tc.queueDepth)
 			for i := 0; i < 2*(tc.workers+tc.queueDepth); i++ {
 				_, err := cl.Verify(ctx, verifyMSI(next), false)
@@ -262,16 +263,17 @@ func TestSSEOrdering(t *testing.T) {
 // work, lets the in-flight job finish, and returns.
 func TestGracefulDrain(t *testing.T) {
 	gate := make(chan struct{})
+	parked := make(chan struct{}, 1)
 	srv, cl := testServer(t, serve.Config{
 		Workers:   1,
-		BeforeRun: func() { <-gate },
+		BeforeRun: park(parked, gate),
 	})
 	ctx := context.Background()
 	view, err := cl.Verify(ctx, verifyMSI(3000), false)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitForRunning(t, cl, 1)
+	awaitParked(parked, 1)
 
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(context.Background()) }()
@@ -538,22 +540,24 @@ func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
 
 func asStatusError(err error, se **client.StatusError) bool { return errors.As(err, se) }
 
-// waitForRunning polls /v1/stats until the running count reaches n.
-func waitForRunning(t *testing.T, cl *client.Client, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := cl.Stats(context.Background())
-		if err != nil {
-			t.Fatalf("stats: %v", err)
+// park returns a BeforeRun hook that signals parked, then holds the job
+// until gate closes. The signal never blocks: a full parked already
+// holds every signal a test awaits, so sizing it for those is enough.
+func park(parked chan<- struct{}, gate <-chan struct{}) func() {
+	return func() {
+		select {
+		case parked <- struct{}{}:
+		default:
 		}
-		if st.Running >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("running never reached %d (at %d)", n, st.Running)
-		}
-		time.Sleep(2 * time.Millisecond)
+		<-gate
+	}
+}
+
+// awaitParked returns once n jobs have signalled parked: each of them
+// is running and inside BeforeRun, holding its pool slot.
+func awaitParked(parked <-chan struct{}, n int) {
+	for i := 0; i < n; i++ {
+		<-parked
 	}
 }
 
@@ -598,12 +602,15 @@ func TestPoolShare(t *testing.T) {
 				t.Cleanup(func() { led.Close() }) // after the server's
 				// The first others jobs to start hold their pool slots
 				// until the measured job is done.
+				// The measured job is submitted only after all of them
+				// have parked, so it is never one of the first others.
 				gate := make(chan struct{})
 				defer close(gate)
+				parked := make(chan struct{}, others)
 				var started atomic.Int32
 				_, cl := testServer(t, serve.Config{Workers: pool, Ledger: led, BeforeRun: func() {
 					if int(started.Add(1)) <= others {
-						<-gate
+						park(parked, gate)()
 					}
 				}})
 				ctx := context.Background()
@@ -612,7 +619,7 @@ func TestPoolShare(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				waitForRunning(t, cl, others)
+				awaitParked(parked, others)
 				opts := base
 				opts.Engine, opts.Workers = tc.engine, tc.workers
 				view, err := cl.Verify(ctx, serve.VerifyRequest{Protocol: "MSI_nonblocking_cache", Options: opts}, true)
