@@ -285,30 +285,55 @@ func (j Job) Params() map[string]any {
 // workers partition the frontier (package comment, "Parity").
 // Telemetry and Traces never change a result.
 func (j Job) Key() string {
-	n := j.Spec
+	return renderKey(j.Spec, j.Engine, j.Options.Store, j.fleetSize())
+}
+
+// Key normalizes the spec for protocol p and renders the key that
+// Resolve(p, tl).Key() renders, without computing an assignment or
+// building a system: the key reads only the normalized spec, the
+// engine, the store and the fleet size. It also returns the normalized
+// spec, on which Resolve yields the same job. Every error is the
+// *RequestError Resolve returns for the same spec; faults only Resolve
+// finds (an unknown VN mode, a protocol with no assignment of the
+// asked kind, a configuration the machine rejects) are not looked for.
+func (s Spec) Key(p *protocol.Protocol) (string, Spec, error) {
+	n, engine, store, err := s.normalize(p)
+	if err != nil {
+		return "", Spec{}, err
+	}
+	return renderKey(n, engine, store, fleetSize(n.Peers, n.Workers)), n, nil
+}
+
+// renderKey is the one rendering of a normalized spec's result-affecting
+// part; see Job.Key for what it includes and why.
+func renderKey(n Spec, engine mc.Engine, store mc.Store, fleet int) string {
 	p2p := -1
 	if n.P2P != nil {
 		p2p = *n.P2P
 	}
-	engine := ""
-	if j.Engine == mc.EngineDist {
-		engine = fmt.Sprintf("dist/%d", j.fleetSize())
+	eng := ""
+	if engine == mc.EngineDist {
+		eng = fmt.Sprintf("dist/%d", fleet)
 	}
 	return fmt.Sprintf("vn=%s given=%v/%d caches=%d dirs=%d addrs=%d l2s=%d strategy=%s "+
 		"max_states=%d max_depth=%d gcap=%d lcap=%d p2p=%d norepl=%t nosym=%t invariants=%t "+
 		"seed_owned=%t store=%s engine=%s",
 		n.VN, n.Assignment, n.NumVNs, n.Caches, n.Dirs, n.Addrs, n.L2s, n.Strategy,
 		n.MaxStates, n.MaxDepth, n.GlobalCap, n.LocalCap, p2p, n.NoReplacement, n.NoSymmetry, n.Invariants,
-		n.SeedOwned, j.Options.Store, engine)
+		n.SeedOwned, store, eng)
 }
 
 // fleetSize is the number of workers a distributed run of j uses.
-func (j Job) fleetSize() int {
+func (j Job) fleetSize() int { return fleetSize(j.Peers, j.Workers) }
+
+// fleetSize is the number of workers a distributed run over peers, or
+// else over workers in-process workers, uses.
+func fleetSize(peers []string, workers int) int {
 	switch {
-	case len(j.Peers) > 0:
-		return len(j.Peers)
-	case j.Workers >= 1:
-		return j.Workers
+	case len(peers) > 0:
+		return len(peers)
+	case workers >= 1:
+		return workers
 	}
 	return runtime.GOMAXPROCS(0)
 }

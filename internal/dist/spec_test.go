@@ -205,6 +205,80 @@ func TestJobKey(t *testing.T) {
 	}
 }
 
+// TestSpecKeyMatchesResolve: Spec.Key renders, without resolving, the
+// key the resolved job renders, for every kind of value a key reads;
+// the normalized spec it returns resolves to the same job spec and key;
+// and every fault normalize finds is the same *RequestError Resolve
+// gives.
+func TestSpecKeyMatchesResolve(t *testing.T) {
+	msi := protocols.MustLoad("MSI_nonblocking_cache")
+	one, three := 1, 3
+	given, nGiven := machine.TypeVN(msi, true)
+	for name, tc := range map[string]struct {
+		proto *protocol.Protocol
+		spec  dist.Spec
+	}{
+		"zero":             {msi, dist.Spec{}},
+		"auto":             {msi, dist.Spec{MaxStates: 5000, Engine: "auto"}},
+		"seq":              {msi, dist.Spec{MaxStates: 5000, Engine: "seq"}},
+		"pipeline workers": {msi, dist.Spec{MaxStates: 5000, Engine: "pipeline", Workers: 7}},
+		"workers":          {msi, dist.Spec{MaxStates: 5000, Workers: 3}},
+		"store exact":      {msi, dist.Spec{MaxStates: 5000, Store: "exact"}},
+		"store compact":    {msi, dist.Spec{MaxStates: 5000, Store: "compact"}},
+		"p2p":              {msi, dist.Spec{MaxStates: 5000, P2P: &one}},
+		"invariants":       {msi, dist.Spec{MaxStates: 5000, Invariants: true}},
+		"strategy":         {msi, dist.Spec{MaxStates: 5000, Strategy: "DFS"}},
+		"caches":           {msi, dist.Spec{MaxStates: 5000, Caches: 4}},
+		"caps and flags": {msi, dist.Spec{MaxStates: 5000, MaxDepth: 9, GlobalCap: 40, LocalCap: 9,
+			NoReplacement: true, NoSymmetry: true, SeedOwned: true, Traces: true, VN: dist.VNPerMessage}},
+		"dist workers 0":  {msi, dist.Spec{MaxStates: 5000, Engine: "dist"}},
+		"dist workers 2":  {msi, dist.Spec{MaxStates: 5000, Engine: "dist", Workers: 2}},
+		"dist workers 3":  {msi, dist.Spec{MaxStates: 5000, Engine: "dist", Workers: 3}},
+		"dist peers":      {msi, dist.Spec{MaxStates: 5000, Engine: "dist", Workers: 9, Peers: []string{"http://a", "http://b"}}},
+		"vn minimal":      {msi, dist.Spec{VN: dist.VNMinimal}},
+		"vn permsg":       {msi, dist.Spec{VN: dist.VNPerMessage}},
+		"vn uniform":      {msi, dist.Spec{VN: dist.VNUniform}},
+		"vn type":         {msi, dist.Spec{VN: dist.VNType}},
+		"vn given":        {msi, dist.Spec{VN: dist.VNUniform, Assignment: given, NumVNs: nGiven}},
+		"negative bounds": {msi, dist.Spec{MaxStates: -5, MaxDepth: -1}},
+		"two-level":       {composite(t), dist.Spec{VN: dist.VNPerMessage, Caches: 2, Dirs: 1, Addrs: 1, P2P: &three}},
+	} {
+		key, n, err := tc.spec.Key(tc.proto)
+		if err != nil {
+			t.Errorf("%s: Spec.Key: %v", name, err)
+			continue
+		}
+		job, err := tc.spec.Resolve(tc.proto, nil)
+		if err != nil {
+			t.Errorf("%s: Resolve: %v", name, err)
+			continue
+		}
+		if want := job.Key(); key != want {
+			t.Errorf("%s: Spec.Key %q\nResolve(p).Key() %q", name, key, want)
+		}
+		again, err := n.Resolve(tc.proto, nil)
+		if err != nil || !reflect.DeepEqual(again.Spec, n) || again.Key() != key {
+			t.Errorf("%s: the normalized spec resolves to %+v (err %v), want itself and the same key", name, again.Spec, err)
+		}
+	}
+
+	seven := 7
+	for name, spec := range map[string]dist.Spec{
+		"strategy": {Strategy: "sideways"},
+		"workers":  {Workers: 100_000_000},
+		"p2p":      {P2P: &seven},
+		"engine":   {Engine: "levels"},
+		"store":    {Store: "bogus"},
+	} {
+		_, _, keyErr := spec.Key(msi)
+		_, resolveErr := spec.Resolve(msi, nil)
+		var kre, rre *dist.RequestError
+		if !errors.As(keyErr, &kre) || !errors.As(resolveErr, &rre) || kre.Error() != rre.Error() {
+			t.Errorf("%s: Spec.Key err %v, Resolve err %v; want the same *RequestError", name, keyErr, resolveErr)
+		}
+	}
+}
+
 // fullConfig sets every machine.Config field to a non-zero value.
 func fullConfig(t testing.TB) machine.Config {
 	comp := composite(t)

@@ -10,13 +10,16 @@
 // produce bit-identical results (the engine-parity suite pins this
 // across the in-process engines), so results are cached under the
 // SHA-256 of the canonical protocol encoding plus the result-affecting
-// part of the request's verification spec (dist.Job.Key), and one run
-// serves every identical request after it. The request's "options"
-// object is a dist.Spec — the same description the CLIs' flags fill
-// in — and dist.Spec.Resolve is the only code that turns it into a
-// search, so a request and the equivalent command line cannot mean
-// different things, and a job's ledger record states what was asked in
-// the CLIs' parameter names (dist.Job.Params).
+// part of the request's verification spec (dist.Spec.Key, the string
+// dist.Job.Key renders), and one run serves every identical request
+// after it. A verify request is keyed at admission and resolved only on
+// a miss: a cache hit or a singleflight join computes no assignment and
+// builds no system. The request's "options" object is a dist.Spec — the
+// same description the CLIs' flags fill in — and dist.Spec.Resolve is
+// the only code that turns it into a search, so a request and the
+// equivalent command line cannot mean different things, and a job's
+// ledger record states what was asked in the CLIs' parameter names
+// (dist.Job.Params).
 //
 // Jobs carry per-job deadlines enforced through the model checker's
 // context plumbing (mc.CheckEngineCtx / Outcome Canceled), progress is
@@ -207,7 +210,7 @@ func builtin(name string) (*resolved, error) {
 
 // requestKey computes the content address of a job: SHA-256 over a
 // format tag, the job kind, the canonical protocol encoding, and the
-// result-affecting options (dist.Job.Key; empty for analyze).
+// result-affecting options (dist.Spec.Key; empty for analyze).
 func requestKey(kind string, canonProto []byte, optsKey string) cacheKey {
 	h := sha256.New()
 	h.Write([]byte("vnserved/v1\x00"))
@@ -221,24 +224,33 @@ func requestKey(kind string, canonProto []byte, optsKey string) cacheKey {
 	return key
 }
 
-// task is a prepared, validated job body: everything resolved at
+// task is a prepared, validated job body: everything checked at
 // admission time so request faults surface as 400s, not failed jobs.
 type task struct {
 	kind     string
 	key      cacheKey
 	protocol string
-	// search is the verify job's resolved spec (nil for analyze jobs);
-	// its Params are what the run-ledger record says was asked, with
-	// the worker count runJob gives it at start. run reads it then.
+	// spec is the verify job's normalized spec, the source of its key
+	// (zero for analyze jobs).
+	spec dist.Spec
+	// resolve, set on verify tasks, resolves spec into search and run.
+	// Submit calls it only when neither the cache nor an in-flight job
+	// answers key, so a hit or a join is never resolved.
+	resolve func() error
+	// search is the verify job's resolved spec (nil until resolved, once
+	// the job has finished, and for analyze jobs); its Params are what the run-ledger record says
+	// was asked, with the worker count runJob gives it at start. run
+	// reads it then.
 	search   *dist.Job
 	deadline time.Duration
 	// requestID is the caller's X-Request-ID (sanitized), set by the
 	// HTTP layer before Submit. It feeds the job's TraceContext and is
 	// deliberately excluded from the cache key.
 	requestID string
-	// run produces the result document. It must honor ctx (the
-	// per-job deadline and the server's hard-stop context, which also
-	// carries the job's TraceContext) and report cancellation by
+	// run produces the result document (nil on a verify task until it
+	// is resolved, and on any job once it has finished). It must honor ctx (the per-job deadline and the
+	// server's hard-stop context, which also carries the job's
+	// TraceContext) and report cancellation by
 	// returning errJobCanceled. rec, when non-nil, is the job's flight
 	// recorder — engine runs attach it via mc.Options.Trace.
 	run func(ctx context.Context, progress func(mc.Snapshot), rec *trace.Recorder) (json.RawMessage, error)
@@ -300,12 +312,15 @@ func analyzeResult(p *protocol.Protocol) (json.RawMessage, error) {
 	return json.Marshal(res)
 }
 
-// prepareVerify validates a verify request into a runnable task: the
-// spec is resolved at admission time — VN assignment computed, system
-// built — so a Class 2 protocol under vn=minimal or an option the
-// machine rejects is a 400, not a failed job. A job on the auto engine
-// whose request leaves workers unset gets its worker count when it
-// starts (Server.searchShare).
+// prepareVerify validates a verify request into a task that is keyed
+// but not resolved: the spec is clamped to the server's state bound and
+// normalized, and its cache key rendered (dist.Spec.Key), so a fault in
+// the options is a 400 here. Resolving — the VN assignment computed,
+// the system built — is the task's resolve step, which Submit runs only
+// on a miss; a Class 2 protocol under vn=minimal or a configuration the
+// machine rejects is then a 400 too, not a failed job. A job on the
+// auto engine whose request leaves workers unset gets its worker count
+// when it starts (Server.searchShare).
 func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, error) {
 	p, canon, err := resolveProtocol(req.Protocol, req.ProtocolSpec)
 	if err != nil {
@@ -318,9 +333,27 @@ func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, e
 	if spec.MaxStates <= 0 || spec.MaxStates > maxStatesCap {
 		spec.MaxStates = maxStatesCap
 	}
-	job, err := spec.Resolve(p, nil)
+	optsKey, n, err := spec.Key(p)
 	if err != nil {
 		return nil, err
+	}
+	t := &task{
+		kind:     "verify",
+		key:      requestKey("verify", canon, optsKey),
+		protocol: p.Name,
+		spec:     n,
+		deadline: time.Duration(req.DeadlineMillis) * time.Millisecond,
+	}
+	t.resolve = func() error { return t.resolveVerify(p, progressEvery) }
+	return t, nil
+}
+
+// resolveVerify resolves a verify task's spec over p into its search
+// and the run that executes it.
+func (t *task) resolveVerify(p *protocol.Protocol, progressEvery int) error {
+	job, err := t.spec.Resolve(p, nil)
+	if err != nil {
+		return err
 	}
 	job.Options.ProgressEvery = progressEvery
 	// Occupancy: per-VN queue-depth histograms for the dashboard's
@@ -329,43 +362,38 @@ func prepareVerify(req VerifyRequest, maxStatesCap, progressEvery int) (*task, e
 	// cannot affect the cached result beyond adding the summary.
 	job.Occupancy = true
 
-	return &task{
-		kind:     "verify",
-		key:      requestKey("verify", canon, job.Key()),
-		protocol: p.Name,
-		search:   &job,
-		deadline: time.Duration(req.DeadlineMillis) * time.Millisecond,
-		run: func(ctx context.Context, progress func(mc.Snapshot), rec *trace.Recorder) (json.RawMessage, error) {
-			job := job // what search points at, workers share included
-			job.Options.Progress = progress
-			job.Options.Trace = rec
-			// A dist job gets in-process workers (serve has no -peers
-			// surface); a fleet failure fails the job, while cancellation
-			// surfaces as Outcome Canceled on every engine.
-			res, err := dist.Run(ctx, job)
-			if err != nil && ctx.Err() == nil {
-				return nil, err
-			}
-			if err != nil || res.Outcome == mc.Canceled {
-				return nil, errJobCanceled
-			}
-			cfg := job.Config
-			doc := VerifyResult{
-				Protocol: p.Name,
-				VNMode:   job.Spec.VN, NumVNs: cfg.NumVNs, VN: cfg.VN,
-				Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
-				Engine:          job.Engine.String(),
-				Store:           job.Options.Store.String(),
-				Outcome:         res.Outcome.Tag(),
-				States:          res.States,
-				Rules:           res.Rules,
-				MaxDepth:        res.MaxDepth,
-				Message:         res.Message,
-				DurationSeconds: res.Duration.Seconds(),
-				Stats:           res.Stats,
-			}
-			raw, err := json.Marshal(doc)
-			return raw, err
-		},
-	}, nil
+	t.search = &job
+	t.run = func(ctx context.Context, progress func(mc.Snapshot), rec *trace.Recorder) (json.RawMessage, error) {
+		job := job // what search points at, workers share included
+		job.Options.Progress = progress
+		job.Options.Trace = rec
+		// A dist job gets in-process workers (serve has no -peers
+		// surface); a fleet failure fails the job, while cancellation
+		// surfaces as Outcome Canceled on every engine.
+		res, err := dist.Run(ctx, job)
+		if err != nil && ctx.Err() == nil {
+			return nil, err
+		}
+		if err != nil || res.Outcome == mc.Canceled {
+			return nil, errJobCanceled
+		}
+		cfg := job.Config
+		doc := VerifyResult{
+			Protocol: p.Name,
+			VNMode:   job.Spec.VN, NumVNs: cfg.NumVNs, VN: cfg.VN,
+			Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
+			Engine:          job.Engine.String(),
+			Store:           job.Options.Store.String(),
+			Outcome:         res.Outcome.Tag(),
+			States:          res.States,
+			Rules:           res.Rules,
+			MaxDepth:        res.MaxDepth,
+			Message:         res.Message,
+			DurationSeconds: res.Duration.Seconds(),
+			Stats:           res.Stats,
+		}
+		raw, err := json.Marshal(doc)
+		return raw, err
+	}
+	return nil
 }

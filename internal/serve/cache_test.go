@@ -135,6 +135,10 @@ func TestVerifyKeyIgnoresPerfKnobs(t *testing.T) {
 	dist2.Options.Engine, dist2.Options.Workers = "dist", 2
 	dist0 := base
 	dist0.Options.Engine = "dist"
+	msi, err := builtin("MSI_nonblocking_cache")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		req    VerifyRequest
@@ -152,8 +156,12 @@ func TestVerifyKeyIgnoresPerfKnobs(t *testing.T) {
 		if tc.digest != "" && fmt.Sprintf("%x", task.key) != tc.digest {
 			t.Errorf("%s: cache key %x, want %s", tc.name, task.key, tc.digest)
 		}
-		if tc.fleet > 0 && !strings.HasSuffix(task.search.Key(), fmt.Sprintf(" engine=dist/%d", tc.fleet)) {
-			t.Errorf("%s: Job.Key %q does not name a fleet of %d", tc.name, task.search.Key(), tc.fleet)
+		if tc.fleet == 0 {
+			continue
+		}
+		if optsKey, _, err := task.spec.Key(msi.p); err != nil ||
+			!strings.HasSuffix(optsKey, fmt.Sprintf(" engine=dist/%d", tc.fleet)) {
+			t.Errorf("%s: key %q (err %v) does not name a fleet of %d", tc.name, optsKey, err, tc.fleet)
 		}
 	}
 	if an, err := prepareAnalyze(AnalyzeRequest{Protocol: "MSI"}); err != nil ||
@@ -183,11 +191,11 @@ func TestVerifyKeyClampsMaxStates(t *testing.T) {
 	if unbounded.key != atCap.key || overCap.key != atCap.key {
 		t.Error("clamped max_states requests do not share a cache key")
 	}
-	// The zero options under the server's defaults: the paper's
-	// experiment at the server's bound.
+	// The zero options under the server's defaults, normalized: the
+	// paper's experiment at the server's bound.
 	want := VerifyOptions{VN: "minimal", Caches: 3, Dirs: 2, Addrs: 2, Strategy: "bfs",
 		MaxStates: cap, Engine: "auto", Store: "exact"}
-	if got := unbounded.search.Spec; !reflect.DeepEqual(got, want) {
+	if got := unbounded.spec; !reflect.DeepEqual(got, want) {
 		t.Errorf("zero options resolve to %+v, want %+v", got, want)
 	}
 }

@@ -75,32 +75,33 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // submit runs admission for a prepared task and writes the HTTP
-// response: 400 on request faults, 503 + Retry-After under
-// backpressure or drain, otherwise 200/202 with the job view. The
-// caller's X-Request-ID (sanitized) becomes the job's correlation
-// identity and is echoed back on the response.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *task, prepErr error) {
-	if prepErr != nil {
+// response: 400 on request faults, whether preparing or resolving the
+// task found them; 503 + Retry-After under backpressure or drain,
+// otherwise 200/202 with the job view. The caller's X-Request-ID
+// (sanitized) becomes the job's correlation identity and is echoed
+// back on every response but a fault's.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *task, err error) {
+	var job *Job
+	var view *JobView
+	if err == nil {
+		t.requestID = sanitizeRequestID(r.Header.Get("X-Request-ID"))
+		job, view, err = s.Submit(t)
+	}
+	if err != nil && !errors.Is(err, ErrBusy) && !errors.Is(err, ErrDraining) {
+		code, msg := http.StatusInternalServerError, err.Error()
 		var re *RequestError
-		if errors.As(prepErr, &re) {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: re.Error()})
-		} else {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: prepErr.Error()})
+		if errors.As(err, &re) {
+			code, msg = http.StatusBadRequest, re.Error()
 		}
+		writeJSON(w, code, errorBody{Error: msg})
 		return
 	}
-	t.requestID = sanitizeRequestID(r.Header.Get("X-Request-ID"))
 	if t.requestID != "" {
 		w.Header().Set("X-Request-ID", t.requestID)
 	}
-	job, view, err := s.Submit(t)
-	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrDraining):
+	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {

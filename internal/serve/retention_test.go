@@ -15,7 +15,8 @@ import (
 // jobs. After more than maxTerminalJobs completions the oldest job is
 // gone from every by-id surface (404, SSE "no such job"), the newest is
 // served, and a job that was running all along — with a ?wait=1 client
-// blocked on it — is untouched and completes normally.
+// blocked on it — is untouched and completes normally, and then no
+// longer holds its search.
 func TestTerminalJobRetention(t *testing.T) {
 	var hold atomic.Bool
 	gate := make(chan struct{})
@@ -98,7 +99,17 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 
 	close(gate)
-	if v := <-waited; v.Status != StatusDone || len(v.Result) == 0 {
+	v := <-waited
+	if v.Status != StatusDone || len(v.Result) == 0 {
 		t.Fatalf("waiter on the running job: %+v", v)
+	}
+	// A finished job stays addressable, but nothing reads its search or
+	// run again: the compiled system goes with them.
+	srv.mu.Lock()
+	done := srv.jobs[v.ID]
+	released := done != nil && done.task.search == nil && done.task.run == nil
+	srv.mu.Unlock()
+	if !released {
+		t.Errorf("finished verify job %s still holds its search or run", v.ID)
 	}
 }

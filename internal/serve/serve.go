@@ -215,8 +215,23 @@ func New(cfg Config) *Server {
 // fresh one, or (with cached/deduped true in the view) an existing
 // one when the result cache or the singleflight map already covers
 // the key — and its view at admission. ErrBusy means the queue is
-// full; ErrDraining means the server is shutting down.
+// full; ErrDraining means the server is shutting down; a
+// *RequestError is a fault that resolving a verify task found.
+//
+// A verify task is keyed but not resolved: a hit or a join is answered
+// from the key alone, and only a miss resolves the task, off the lock.
+// A resolve fault refuses the request as a fault found while preparing
+// it would: nothing is counted, logged or admitted.
 func (s *Server) Submit(t *task) (*Job, *JobView, error) {
+	if t.resolve != nil {
+		if job, view, ok := s.answer(t); ok {
+			return job, view, nil
+		}
+		if err := t.resolve(); err != nil {
+			return nil, nil, err
+		}
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mRequests.Inc()
@@ -224,34 +239,12 @@ func (s *Server) Submit(t *task) (*Job, *JobView, error) {
 	if s.draining {
 		return nil, nil, ErrDraining
 	}
-
-	// Content-addressed cache: replay the first completed run's exact
-	// bytes as an immediately-done job.
-	if ent, ok := s.cache.get(t.key); ok {
-		s.mCacheHits.Inc()
-		job := newJob(jobID(s.bumpID()), t)
-		job.status = StatusDone
-		job.cached = true
-		job.result = ent.result
-		s.jobs[job.id] = job
-		s.retireLocked(job)
-		job.appendEvent(Event{Type: "done", Job: job.view()})
-		s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
-		s.logJob(slog.LevelInfo, "cache_hit", job.tc, "kind", t.kind, "protocol", t.protocol, "produced_by", ent.jobID)
-		return job, job.view(), nil
+	// Checked again for a task resolved above: an identical request may
+	// have been admitted, or have finished, while this one resolved.
+	if job, view, ok := s.answerLocked(t); ok {
+		return job, view, nil
 	}
 	s.mCacheMisses.Inc()
-
-	// Singleflight: a queued or running job for the same key serves
-	// this request too. The joiner's own request ID gets its own log
-	// line, tied to the serving job's identity, so both requests stay
-	// traceable even though only one job runs.
-	if job, ok := s.inflight[t.key]; ok {
-		s.mDedup.Inc()
-		s.logJob(slog.LevelInfo, "joined", trace.NewTraceContext(t.requestID, job.id), "kind", t.kind,
-			"protocol", t.protocol, "job_request_id", job.tc.RequestID, "job_trace_id", job.tc.TraceID)
-		return job, job.view(), nil
-	}
 
 	// The job is admitted and logged before it is queued: once queued, a
 	// free worker may log "started" at once. Submit is the only sender
@@ -271,6 +264,58 @@ func (s *Server) Submit(t *task) (*Job, *JobView, error) {
 	s.logJob(slog.LevelInfo, "admitted", job.tc, "kind", t.kind, "protocol", t.protocol, "queued", queued)
 	s.queue <- job
 	return job, job.view(), nil
+}
+
+// answer serves a task before it is resolved, when the cache or an
+// in-flight job covers its key and the server is not draining, and
+// counts it as a request; ok false means neither did, and counts
+// nothing.
+func (s *Server) answer(t *task) (job *Job, view *JobView, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return nil, nil, false
+	}
+	if job, view, ok = s.answerLocked(t); ok {
+		s.mRequests.Inc()
+	}
+	return job, view, ok
+}
+
+// answerLocked serves t from the result cache or from a queued or
+// running job with the same key, counting the hit, or the miss and the
+// join; ok false means neither covers the key, and counts nothing.
+// Caller holds s.mu.
+func (s *Server) answerLocked(t *task) (*Job, *JobView, bool) {
+	// Content-addressed cache: replay the first completed run's exact
+	// bytes as an immediately-done job.
+	if ent, ok := s.cache.get(t.key); ok {
+		s.mCacheHits.Inc()
+		job := newJob(jobID(s.bumpID()), t)
+		job.status = StatusDone
+		job.cached = true
+		job.result = ent.result
+		s.jobs[job.id] = job
+		s.retireLocked(job)
+		job.appendEvent(Event{Type: "done", Job: job.view()})
+		s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
+		s.logJob(slog.LevelInfo, "cache_hit", job.tc, "kind", t.kind, "protocol", t.protocol, "produced_by", ent.jobID)
+		return job, job.view(), true
+	}
+
+	// Singleflight: a queued or running job for the same key serves
+	// this request too. The joiner's own request ID gets its own log
+	// line, tied to the serving job's identity, so both requests stay
+	// traceable even though only one job runs.
+	job, ok := s.inflight[t.key]
+	if !ok {
+		return nil, nil, false
+	}
+	s.mCacheMisses.Inc()
+	s.mDedup.Inc()
+	s.logJob(slog.LevelInfo, "joined", trace.NewTraceContext(t.requestID, job.id), "kind", t.kind,
+		"protocol", t.protocol, "job_request_id", job.tc.RequestID, "job_trace_id", job.tc.TraceID)
+	return job, job.view(), true
 }
 
 // retireLocked notes that job is terminal and evicts the oldest
@@ -533,4 +578,8 @@ func (s *Server) runJob(job *Job) {
 	s.gRunning.Set(int64(s.running))
 	job.appendEvent(Event{Type: "done", Job: job.view()})
 	s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
+	// Recorded and published: nothing reads the search (a verify job's
+	// compiled system) or the run closure again, so a job kept in the
+	// terminal window does not keep them.
+	job.task.search, job.task.run = nil, nil
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,6 +153,51 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Counters["serve.singleflight_hits"] != 1 {
 		t.Errorf("singleflight_hits = %d, want 1", st.Counters["serve.singleflight_hits"])
+	}
+}
+
+// TestConcurrentIdenticalColdRequests sends one cold verify request
+// from 8 goroutines at once: whichever of them resolve it before another
+// is admitted, exactly one job runs, every request is answered by it
+// (joined or from the cache) with the same bytes, and each request is
+// counted once, as a hit or a miss.
+func TestConcurrentIdenticalColdRequests(t *testing.T) {
+	const n = 8
+	srv, cl := testServer(t, serve.Config{})
+	req := serve.VerifyRequest{Protocol: "MSI_nonblocking_cache",
+		Options: serve.VerifyOptions{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 4000}}
+	start := make(chan struct{})
+	views := make([]*serve.JobView, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			views[i], errs[i] = cl.Verify(context.Background(), req, true)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, v := range views {
+		if errs[i] != nil || v.Status != serve.StatusDone {
+			t.Fatalf("request %d: %v %+v", i, errs[i], v)
+		}
+		if !bytes.Equal(v.Result, views[0].Result) {
+			t.Errorf("request %d's result differs from request 0's", i)
+		}
+	}
+	c := srv.Stats().Counters
+	if c["serve.jobs_done"] != 1 {
+		t.Errorf("jobs_done = %d, want 1", c["serve.jobs_done"])
+	}
+	if c["serve.requests"] != n || c["serve.cache_hits"]+c["serve.cache_misses"] != n {
+		t.Errorf("requests %d, hits %d + misses %d; want %d and a sum of %d",
+			c["serve.requests"], c["serve.cache_hits"], c["serve.cache_misses"], n, n)
+	}
+	if admitted := c["serve.cache_misses"] - c["serve.singleflight_hits"]; admitted != 1 {
+		t.Errorf("%d requests admitted a job, want 1", admitted)
 	}
 }
 
@@ -540,26 +586,8 @@ func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
 
 func asStatusError(err error, se **client.StatusError) bool { return errors.As(err, se) }
 
-// park returns a BeforeRun hook that signals parked, then holds the job
-// until gate closes. The signal never blocks: a full parked already
-// holds every signal a test awaits, so sizing it for those is enough.
-func park(parked chan<- struct{}, gate <-chan struct{}) func() {
-	return func() {
-		select {
-		case parked <- struct{}{}:
-		default:
-		}
-		<-gate
-	}
-}
-
-// awaitParked returns once n jobs have signalled parked: each of them
-// is running and inside BeforeRun, holding its pool slot.
-func awaitParked(parked <-chan struct{}, n int) {
-	for i := 0; i < n; i++ {
-		<-parked
-	}
-}
+// park and awaitParked hold jobs in BeforeRun (admission_test.go).
+var park, awaitParked = serve.Park, serve.AwaitParked
 
 // TestPoolShare pins how many search workers a verify job gets. A job
 // on the auto engine whose request leaves workers unset gets GOMAXPROCS
