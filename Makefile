@@ -123,6 +123,9 @@ ledger-smoke:
 	rm -f LEDGER_smoke.jsonl
 	$(GO) run ./cmd/vnverify -workers 4 -store compact -max-states 30000 \
 		-ledger LEDGER_smoke.jsonl MSI_nonblocking_cache
+	grep -q '"verdict":{' LEDGER_smoke.jsonl
+	grep -q '"max_states":30000' LEDGER_smoke.jsonl
+	grep -q '"outcome":"bounded"' LEDGER_smoke.jsonl
 	$(GO) run ./cmd/vnstats inject -ledger LEDGER_smoke.jsonl -slow 1.6 \
 		-stage mc/check=2.0 -rule deliver/vn0=2.5 -stripes 12-19=2.0
 	$(GO) run ./cmd/vnstats compare -ledger LEDGER_smoke.jsonl -top 5 \

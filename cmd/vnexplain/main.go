@@ -114,9 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *dotOut)
 	}
+	v := job.Verdict(res)
 	rec := ledger.New("vnexplain")
-	rec.Params = job.Params()
-	rec.Outcome = res.Outcome.Tag()
+	rec.Verdict, rec.Outcome = &v, v.Outcome
 	rec.Snapshot = &res.Stats
 	rec.Extra = map[string]any{"report": rep}
 	if err := tel.Record(rec, stdout); err != nil {

@@ -147,12 +147,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rec.Params["protocol"] = p.Name
 	rec.Params["separate_data"] = *sepData
 	rec.Stages = tl.Summaries()
+	rec.Outcome = a.Class.Tag()
 	switch a.Class {
 	case vnassign.Class2:
-		rec.Outcome = "class2"
 		rec.Extra = map[string]any{"metrics": map[string]any{"waits_cycle": a.WaitsCycle}}
 	default:
-		rec.Outcome = "class3"
 		rec.Extra = map[string]any{"metrics": map[string]any{
 			"num_vns":        a.NumVNs,
 			"vn":             a.VN,

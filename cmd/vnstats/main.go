@@ -70,23 +70,12 @@ func openLedger(path string, stderr io.Writer) *ledger.Ledger {
 	return l
 }
 
-// protoOf extracts the protocol parameter a CLI recorded, if any.
-func protoOf(r *ledger.Record) string {
-	if r.Params == nil {
-		return ""
-	}
-	if p, ok := r.Params["protocol"].(string); ok {
-		return p
-	}
-	return ""
-}
-
 // matches applies the shared -tool / -protocol filters.
 func matches(e ledger.Entry, tool, proto string) bool {
 	if tool != "" && e.Record.Tool != tool {
 		return false
 	}
-	if proto != "" && protoOf(e.Record) != proto {
+	if proto != "" && e.Record.Protocol() != proto {
 		return false
 	}
 	return true
@@ -128,7 +117,7 @@ func runList(args []string, stdout, stderr io.Writer) int {
 			sps = r.Snapshot.StatesPerSec
 		}
 		fmt.Fprintf(stdout, "%-4d %-12s %-20s %-10s %-28s %-10s %10d %12.0f\n",
-			e.Seq, e.ID[:12], r.Created, r.Tool, protoOf(r), r.Outcome, states, sps)
+			e.Seq, e.ID[:12], r.Created, r.Tool, r.Protocol(), r.Outcome, states, sps)
 	}
 	fmt.Fprintf(stdout, "%d record(s)\n", len(rows))
 	return 0
@@ -149,7 +138,7 @@ func trendPoints(entries []ledger.Entry, proto string) map[string][]point {
 	series := make(map[string][]point)
 	for _, e := range entries {
 		r := e.Record
-		p := protoOf(r)
+		p := r.Protocol()
 		if r.Snapshot == nil || p == "" || (proto != "" && p != proto) {
 			continue
 		}

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/obs/health"
@@ -195,5 +197,58 @@ func TestUsageAndErrors(t *testing.T) {
 	// inject -stage with no match must fail.
 	if code, _, _ := runCmd(t, "inject", "-ledger", path, "-stage", "nope=2"); code != 2 {
 		t.Fatal("inject with unmatched stage accepted")
+	}
+}
+
+// TestLegacyLedgerByProtocol: list and trend find every record of a
+// protocol, whether a verdict names it or — in a ledger written before
+// verdicts, one record each from vnverify, vnexplain, vnmin and a
+// vnserved verify job — the params do.
+func TestLegacyLedgerByProtocol(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "obs", "ledger", "testdata", "legacy.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ledger.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := ledger.New("vnverify")
+	rec.Verdict = &dist.Verdict{Protocol: "MSI_blocking_cache", Outcome: "bounded", States: 10}
+	rec.Outcome, rec.Snapshot = "bounded", &mc.Snapshot{States: 10, StatesPerSec: 5}
+	if _, _, err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	for proto, c := range map[string]struct {
+		tools  []string
+		trends int // records with a snapshot
+	}{
+		"MSI_nonblocking_cache":  {[]string{"vnverify"}, 1},
+		"MSI_blocking_cache":     {[]string{"vnexplain", "vnverify"}, 2},
+		"MESI_nonblocking_cache": {[]string{"vnmin", "vnserved"}, 1},
+	} {
+		code, out, errOut := runCmd(t, "list", "-ledger", path, "-protocol", proto)
+		if code != 0 {
+			t.Fatalf("list -protocol %s: exit %d: %s", proto, code, errOut)
+		}
+		rows := strings.Split(strings.TrimSpace(out), "\n")
+		if len(rows) != len(c.tools)+2 || rows[len(rows)-1] != fmt.Sprintf("%d record(s)", len(c.tools)) {
+			t.Fatalf("list -protocol %s:\n%s", proto, out)
+		}
+		for i, tool := range c.tools {
+			if f := strings.Fields(rows[i+1]); f[3] != tool || f[4] != proto {
+				t.Errorf("list -protocol %s row %d = %q, want a %s run", proto, i, rows[i+1], tool)
+			}
+		}
+		code, out, errOut = runCmd(t, "trend", "-ledger", path, "-protocol", proto)
+		if want := fmt.Sprintf("%s (%d runs)\n", proto, c.trends); code != 0 || !strings.HasPrefix(out, want) {
+			t.Errorf("trend -protocol %s: exit %d, %q%s; want %q", proto, code, out, errOut, want)
+		}
 	}
 }

@@ -25,8 +25,7 @@ import (
 	"minvn/internal/mc"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
-	"minvn/internal/protocol/xform"
-	"minvn/internal/protocols"
+	"minvn/internal/ptest"
 	"minvn/internal/vnassign"
 )
 
@@ -98,15 +97,6 @@ type config struct {
 	Addrs     int `json:"addrs"`
 	L2s       int `json:"l2s"` // used for composite rows only
 	MaxStates int `json:"max_states"`
-}
-
-// composites is the campaign's two-level slice of the family: the two
-// canonical blocking stacks, plus a Class 3 inner to show that a
-// well-assigned L1 protocol does not rescue the composite's class.
-var composites = []struct{ name, inner, outer string }{
-	{"MSI_under_MESI", "MSI_blocking_cache", "MESI_blocking_cache"},
-	{"MESI_under_MESI", "MESI_blocking_cache", "MESI_blocking_cache"},
-	{"MSInb_under_MESI", "MSI_nonblocking_cache", "MESI_blocking_cache"},
 }
 
 const verdict = "add wins: every non-stalling variant certifies 1 VN statically " +
@@ -213,44 +203,31 @@ func sweep(search cliflag.Search) (*familyFile, error) {
 		Engines: search.Engines, Stores: search.Stores,
 	}
 
+	// Each job is a protocol and its row's identity columns.
 	type job struct {
-		p       *protocol.Protocol
-		family  string
-		variant string
-		inner   string
-		outer   string
-		ident   bool
+		p *protocol.Protocol
+		r row
+	}
+	fam, err := ptest.Family()
+	if err != nil {
+		return nil, err
 	}
 	var jobs []job
-	for _, name := range protocols.Names() {
-		p := protocols.MustLoad(name)
-		jobs = append(jobs, job{p: p, family: name, variant: "stalling"})
-		ns, err := xform.NonStalling(p)
-		if err != nil {
-			return nil, fmt.Errorf("non-stalling %s: %w", name, err)
+	for _, m := range fam {
+		if m.Parent == nil {
+			jobs = append(jobs, job{m.Proto, row{Family: m.Proto.Name, Variant: "composite", Inner: m.Inner, Outer: m.Outer}})
+			continue
 		}
-		jobs = append(jobs, job{
-			p: ns, family: name, variant: "nonstalling",
-			ident: len(ns.Messages) == len(p.Messages),
-		})
+		jobs = append(jobs, job{m.Parent, row{Family: m.Parent.Name, Variant: "stalling"}},
+			job{m.Proto, row{Family: m.Parent.Name, Variant: "nonstalling",
+				AlreadyNonStalling: len(m.Proto.Messages) == len(m.Parent.Messages)}})
 	}
 	classOf := map[string]*vnassign.Assignment{}
-	for _, c := range composites {
-		p, err := xform.Compose(protocols.MustLoad(c.inner), protocols.MustLoad(c.outer), c.name)
-		if err != nil {
-			return nil, fmt.Errorf("compose %s: %w", c.name, err)
-		}
-		jobs = append(jobs, job{p: p, family: c.name, variant: "composite", inner: c.inner, outer: c.outer})
-	}
-
 	for _, j := range jobs {
 		a := vnassign.Assign(j.p)
 		classOf[j.p.Name] = a
-		r := row{
-			Protocol: j.p.Name, Family: j.family, Variant: j.variant,
-			Inner: j.inner, Outer: j.outer, AlreadyNonStalling: j.ident,
-			Messages: len(j.p.Messages), Class: a.Class.String(),
-		}
+		r := j.r
+		r.Protocol, r.Messages, r.Class = j.p.Name, len(j.p.Messages), a.Class.String()
 		// A Class 3 row is checked under its minimal assignment; a Class 2
 		// row has none, so it runs under per-message VNs.
 		spec := search.Spec
@@ -261,7 +238,7 @@ func sweep(search cliflag.Search) (*familyFile, error) {
 		} else {
 			r.WaitsCycle = a.WaitsCycle
 		}
-		if strings.HasPrefix(j.family, "MO") {
+		if strings.HasPrefix(r.Family, "MO") {
 			spec.NoReplacement = true
 			r.Workload = "load-store"
 		}
@@ -295,25 +272,19 @@ func sweep(search cliflag.Search) (*familyFile, error) {
 
 	ff.AddVsCompose.TransformMinVNs = 1
 	ff.AddVsCompose.Verdict = verdict
-	for _, c := range composites {
-		ia, oa := classOf[protocols.MustLoad(c.inner).Name], classOf[protocols.MustLoad(c.outer).Name]
-		if ia == nil {
-			ia = vnassign.Assign(protocols.MustLoad(c.inner))
-		}
-		if oa == nil {
-			oa = vnassign.Assign(protocols.MustLoad(c.outer))
-		}
-		ca := classOf[c.name]
+	for _, c := range ptest.Composites {
+		// Every built-in has a stalling row, so its class is known.
+		ia, oa, ca := classOf[c.Inner], classOf[c.Outer], classOf[c.Name]
 		var outcome string
 		for _, r := range ff.Rows {
-			if r.Protocol == c.name {
+			if r.Protocol == c.Name {
 				outcome = r.Runs[0].Outcome
 			}
 		}
 		ff.AddVsCompose.Composites = append(ff.AddVsCompose.Composites, compareRec{
-			Protocol: c.name,
-			Inner:    c.inner, InnerClass: ia.Class.String(), InnerMinVNs: ia.NumVNs,
-			Outer: c.outer, OuterClass: oa.Class.String(),
+			Protocol: c.Name,
+			Inner:    c.Inner, InnerClass: ia.Class.String(), InnerMinVNs: ia.NumVNs,
+			Outer: c.Outer, OuterClass: oa.Class.String(),
 			CompositeClass: ca.Class.String(), CompositeMinVNs: ca.NumVNs,
 			MCOutcome: outcome,
 		})

@@ -24,8 +24,8 @@ import (
 	"minvn/internal/mc"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
-	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
+	"minvn/internal/ptest"
 	"minvn/internal/vnassign"
 )
 
@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			mcCol := "-"
 			if *runMC && r.mcMode != "" {
-				out, ok, mcRes, err := runModelCheck(p, r.mcMode, search.Spec, tel, stderr)
+				out, ok, v, err := runModelCheck(p, r.mcMode, search.Spec, tel, stderr)
 				if err != nil {
 					return cliflag.Fail(stderr, "vntable", err)
 				}
@@ -137,8 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				ar["mc"] = out
 				ar["mc_ok"] = ok
-				ar["mc_outcome"] = mcRes.Outcome.Tag()
-				ar["mc_stats"] = mcRes.Stats
+				if v != nil {
+					ar["verdict"] = v
+				}
 			}
 			artRows = append(artRows, ar)
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d VN\t%s\t%s\n",
@@ -175,8 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // printFamily appends the synthesized protocol family: every
 // built-in's non-stalling variant (stall-on-receive rewritten into
 // explicit replay messages) and the two-level composites the sweep in
-// cmd/vnsweep model checks. Static analysis only — FAMILY_mc.json
-// holds the model-checked half.
+// cmd/vnsweep model checks (ptest.Family). Static analysis only —
+// FAMILY_mc.json holds the model-checked half.
 func printFamily(stdout io.Writer, artRows *[]map[string]any) error {
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, "family synthesis (static; model-checked sweep in FAMILY_mc.json):")
@@ -184,49 +185,26 @@ func printFamily(stdout io.Writer, artRows *[]map[string]any) error {
 	fmt.Fprintln(w, "derivation\tprotocol\tparent static\tderived static\tmessages")
 	fmt.Fprintln(w, "----------\t--------\t-------------\t--------------\t--------")
 
-	emit := func(derivation string, parent, derived *protocol.Protocol) {
-		parentStatic := "-"
-		var delta string
-		if parent != nil {
-			parentStatic = staticLabel(vnassign.Assign(parent))
-			delta = fmt.Sprintf("%d -> %d", len(parent.Messages), len(derived.Messages))
-		} else {
-			delta = fmt.Sprintf("%d", len(derived.Messages))
+	fam, err := ptest.Family()
+	if err != nil {
+		return err
+	}
+	for _, m := range fam {
+		derivation, parentStatic := fmt.Sprintf("compose %s under %s", m.Inner, m.Outer), "-"
+		delta := fmt.Sprint(len(m.Proto.Messages))
+		if m.Parent != nil {
+			derivation, parentStatic = "non-stalling", staticLabel(vnassign.Assign(m.Parent))
+			delta = fmt.Sprintf("%d -> %d", len(m.Parent.Messages), len(m.Proto.Messages))
+			if len(m.Proto.Messages) == len(m.Parent.Messages) {
+				derivation = "non-stalling (identity)"
+			}
 		}
-		derivedStatic := staticLabel(vnassign.Assign(derived))
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n",
-			derivation, derived.Name, parentStatic, derivedStatic, delta)
+		derivedStatic := staticLabel(vnassign.Assign(m.Proto))
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n", derivation, m.Proto.Name, parentStatic, derivedStatic, delta)
 		*artRows = append(*artRows, map[string]any{
-			"experiment": "family",
-			"derivation": derivation,
-			"protocol":   derived.Name,
-			"parent":     parentStatic,
-			"static":     derivedStatic,
+			"experiment": "family", "derivation": derivation,
+			"protocol": m.Proto.Name, "parent": parentStatic, "static": derivedStatic,
 		})
-	}
-
-	for _, name := range protocols.Names() {
-		parent := protocols.MustLoad(name)
-		ns, err := xform.NonStalling(parent)
-		if err != nil {
-			return fmt.Errorf("non-stalling %s: %w", name, err)
-		}
-		kind := "non-stalling"
-		if len(ns.Messages) == len(parent.Messages) {
-			kind = "non-stalling (identity)"
-		}
-		emit(kind, parent, ns)
-	}
-	for _, c := range []struct{ name, inner, outer string }{
-		{"MSI_under_MESI", "MSI_blocking_cache", "MESI_blocking_cache"},
-		{"MESI_under_MESI", "MESI_blocking_cache", "MESI_blocking_cache"},
-		{"MSInb_under_MESI", "MSI_nonblocking_cache", "MESI_blocking_cache"},
-	} {
-		comp, err := xform.Compose(protocols.MustLoad(c.inner), protocols.MustLoad(c.outer), c.name)
-		if err != nil {
-			return fmt.Errorf("compose %s: %w", c.name, err)
-		}
-		emit(fmt.Sprintf("compose %s under %s", c.inner, c.outer), nil, comp)
 	}
 	return w.Flush()
 }
@@ -245,9 +223,11 @@ func staticLabel(a *vnassign.Assignment) string {
 // never-blocking-directory protocols, restricted to loads and stores
 // (see DESIGN.md). For "verify" cells the computed minimal assignment
 // must show no deadlock up to the bound, on the engine the flags chose.
-// A non-nil error is a fault in the flags (a *dist.RequestError).
+// It returns the cell's text, whether it matches the paper, and the
+// run's verdict (nil when the run failed). A non-nil error is a fault
+// in the flags (a *dist.RequestError).
 func runModelCheck(p *protocol.Protocol, mode string, spec dist.Spec,
-	tel *cliflag.Telemetry, stderr io.Writer) (string, bool, mc.Result, error) {
+	tel *cliflag.Telemetry, stderr io.Writer) (string, bool, *dist.Verdict, error) {
 
 	if mode == "deadlock" {
 		spec.VN, spec.Strategy, spec.SeedOwned, spec.Engine = dist.VNPerMessage, "dfs", true, "seq"
@@ -255,7 +235,7 @@ func runModelCheck(p *protocol.Protocol, mode string, spec dist.Spec,
 	}
 	job, err := spec.Resolve(p, nil)
 	if err != nil {
-		return "", false, mc.Result{}, err
+		return "", false, nil, err
 	}
 	if tel.Progress {
 		job.Options.Progress = func(s mc.Snapshot) {
@@ -268,22 +248,23 @@ func runModelCheck(p *protocol.Protocol, mode string, spec dist.Spec,
 	job.Options.Trace = tel.Recorder()
 	res, err := dist.Run(context.Background(), job)
 	if err != nil {
-		return "error: " + err.Error(), false, res, nil
+		return "error: " + err.Error(), false, nil, nil
 	}
+	v := job.Verdict(res)
 
 	switch mode {
 	case "deadlock":
 		if res.Outcome == mc.Deadlock {
-			return fmt.Sprintf("DEADLOCK found (%d states, depth %d)", res.States, res.MaxDepth), true, res, nil
+			return fmt.Sprintf("DEADLOCK found (%d states, depth %d)", res.States, res.MaxDepth), true, &v, nil
 		}
-		return fmt.Sprintf("no deadlock within bound (%v)", res), false, res, nil
+		return fmt.Sprintf("no deadlock within bound (%v)", res), false, &v, nil
 	default:
 		if res.Outcome == mc.Complete {
-			return fmt.Sprintf("no deadlock, complete (%d states)", res.States), true, res, nil
+			return fmt.Sprintf("no deadlock, complete (%d states)", res.States), true, &v, nil
 		}
 		if res.Outcome == mc.Bounded {
-			return fmt.Sprintf("no deadlock to depth %d (%d states, bounded)", res.MaxDepth, res.States), true, res, nil
+			return fmt.Sprintf("no deadlock to depth %d (%d states, bounded)", res.MaxDepth, res.States), true, &v, nil
 		}
-		return res.String() + " " + res.Message, false, res, nil
+		return res.String() + " " + res.Message, false, &v, nil
 	}
 }

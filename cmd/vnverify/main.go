@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
@@ -71,10 +72,10 @@ func main() {
 	tel.Configure(&job.Options, os.Stderr)
 	sys, cfg := job.System, job.Config
 	// record writes the run's one document to -stats-json and -ledger.
-	record := func(outcome string, snap *mc.Snapshot, extra map[string]any) {
+	record := func(res mc.Result, snap *mc.Snapshot, extra map[string]any) {
+		v := job.Verdict(res)
 		rec := ledger.New("vnverify")
-		rec.Params = job.Params()
-		rec.Outcome = outcome
+		rec.Verdict, rec.Outcome = &v, v.Outcome
 		rec.Snapshot = snap
 		rec.Stages = tl.Summaries()
 		rec.Extra = extra
@@ -84,19 +85,26 @@ func main() {
 	}
 
 	if *walk > 0 {
-		bad := 0
+		// The walks' verdict: the first wedged walk's deadlock or violation,
+		// else bounded; rules counts steps, max_depth the longest walk.
+		start, res, bad := time.Now(), mc.Result{Outcome: mc.Bounded}, 0
 		for s := 0; s < *walk; s++ {
-			res := sys.Walk(int64(s), *walkSteps)
-			fmt.Printf("walk seed %d: %v\n", s, res)
-			if res.Deadlocked || res.Violation != nil {
-				bad++
+			w := sys.Walk(int64(s), *walkSteps)
+			fmt.Printf("walk seed %d: %v\n", s, w)
+			res.Rules, res.MaxDepth = res.Rules+w.Steps, max(res.MaxDepth, w.Steps)
+			if !w.Deadlocked && w.Violation == nil {
+				continue
 			}
+			if bad == 0 {
+				res.Outcome, res.Message = mc.Deadlock, fmt.Sprintf("walk seed %d: %v", s, w)
+				if w.Violation != nil {
+					res.Outcome = mc.Violation
+				}
+			}
+			bad++
 		}
-		outcome := "walks-ok"
-		if bad > 0 {
-			outcome = "walks-wedged"
-		}
-		record(outcome, nil, map[string]any{"metrics": map[string]any{"walks": *walk, "walk_steps": *walkSteps, "bad": bad}})
+		res.Duration = time.Since(start)
+		record(res, nil, map[string]any{"metrics": map[string]any{"walks": *walk, "walk_steps": *walkSteps, "bad": bad}})
 		if bad > 0 {
 			fmt.Printf("%d of %d walks wedged or violated\n", bad, *walk)
 			os.Exit(1)
@@ -127,11 +135,7 @@ func main() {
 			occStats.GlobalHighWater, capLabel(occStats.GlobalCap),
 			occStats.LocalHighWater, capLabel(occStats.LocalCap))
 	}
-	var extra map[string]any
-	if res.Message != "" {
-		extra = map[string]any{"message": res.Message}
-	}
-	record(res.Outcome.Tag(), &res.Stats, extra)
+	record(res, &res.Stats, nil)
 	if len(res.Trace) > 0 && search.Traces {
 		last := res.Trace[len(res.Trace)-1]
 		fmt.Println("\nsequence chart (controller states per endpoint, (+n) = queued messages):")

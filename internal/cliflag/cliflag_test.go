@@ -401,7 +401,7 @@ func TestSearchMatrix(t *testing.T) {
 }
 
 // TestSearchParams: a matrix tool's artifact records exactly the flags
-// it registered (here vnfuzz's set), under dist.Job.Params' key names.
+// it registered (here vnfuzz's set), under dist.Spec's JSON names.
 func TestSearchParams(t *testing.T) {
 	s := Search{Spec: dist.Spec{Caches: 3, Dirs: 2, Addrs: 2, MaxStates: 20000, Workers: 4},
 		Engines: "seq,pipeline", Stores: "exact,compact"}

@@ -122,9 +122,9 @@ func (s *Search) Register(fs *flag.FlagSet, which SearchFlags) {
 	}
 }
 
-// Params records the registered flags' values under the run-record key
-// names dist.Job.Params uses — the tool-level parameters of a matrix
-// tool, whose record covers many resolved jobs.
+// Params records the registered flags' values under dist.Spec's JSON
+// names (the matrix lists as engines and stores) — the tool-level
+// parameters of a matrix tool, whose record covers many resolved jobs.
 func (s *Search) Params() map[string]any {
 	p := map[string]any{}
 	if s.which&SearchSystem != 0 {

@@ -21,7 +21,7 @@ import (
 // Options.Store per cell.
 type Job struct {
 	// Spec is the normalized description the job was resolved from
-	// (zero for a hand-built job); Params and Key read it.
+	// (zero for a hand-built job); Verdict and Key read it.
 	Spec   Spec
 	Config machine.Config
 	// System, when non-nil, is Config already built (Resolve sets it);

@@ -254,21 +254,32 @@ func (s Spec) Resolve(p *protocol.Protocol, tl *obs.Timeline) (Job, error) {
 	return job, nil
 }
 
-// Params is the one rendering of a resolved job's question, under the
-// key names run records have always used.
-func (j Job) Params() map[string]any {
-	return map[string]any{
-		"protocol": j.Config.Protocol.Name,
-		"vn_mode":  j.Spec.VN, "num_vns": j.Config.NumVNs, "vn": j.Config.VN,
-		"caches": j.Config.Caches, "dirs": j.Config.Dirs, "addrs": j.Config.Addrs,
-		"global_cap": j.Config.GlobalCap, "local_cap": j.Config.LocalCap,
-		"point_to_point": j.Config.PointToPoint,
-		"symmetry":       !j.Config.NoSymmetry,
-		"invariants":     j.Config.Invariants,
-		"strategy":       j.Options.Strategy.String(),
-		"store":          j.Options.Store.String(),
-		"max_states":     j.Options.MaxStates, "max_depth": j.Options.MaxDepth,
-		"engine": j.Engine.String(), "workers": j.Workers,
+// Verdict is the one description of a verification run, what was asked
+// and answered: vnserved's verify response (beside its stats), a verify
+// tool's ledger record and vntable's model-checked rows. Options is the
+// normalized spec Spec.Key renders the cache key from; its code-only
+// fields (L2s, SeedOwned, Traces, Peers, Assignment) are absent from the
+// JSON form, where NumVNs and VN give the assignment the search ran.
+type Verdict struct {
+	Protocol        string         `json:"protocol"`
+	Options         Spec           `json:"options"`
+	NumVNs          int            `json:"num_vns"`
+	VN              map[string]int `json:"vn"`
+	Outcome         string         `json:"outcome"` // mc.Outcome.Tag
+	States          int            `json:"states"`
+	Rules           int            `json:"rules"`
+	MaxDepth        int            `json:"max_depth"`
+	Message         string         `json:"message,omitempty"`
+	DurationSeconds float64        `json:"duration_seconds"`
+}
+
+// Verdict describes the run of j that produced res.
+func (j Job) Verdict(res mc.Result) Verdict {
+	return Verdict{
+		Protocol: j.Config.Protocol.Name, Options: j.Spec,
+		NumVNs: j.Config.NumVNs, VN: j.Config.VN,
+		Outcome: res.Outcome.Tag(), States: res.States, Rules: res.Rules, MaxDepth: res.MaxDepth,
+		Message: res.Message, DurationSeconds: res.Duration.Seconds(),
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"minvn/internal/dist"
 	"minvn/internal/icn"
@@ -119,36 +119,48 @@ func TestResolveTwoLevel(t *testing.T) {
 	}
 }
 
-// TestJobParams pins the artifact/ledger key set to exactly what
-// vnverify's run artifact has always carried, so checked-in baselines
-// and ledger queries stay valid.
-func TestJobParams(t *testing.T) {
+// TestJobVerdict: a verdict states the question as the normalized spec
+// Spec.Key keys it by, and the answer as the result's. In JSON the
+// spec's code-only facts are absent and everything a request can set
+// survives (p2p and no_replacement included).
+func TestJobVerdict(t *testing.T) {
+	for name, tc := range specCases(t) {
+		_, n, err := tc.spec.Key(tc.proto)
+		if err != nil {
+			t.Errorf("%s: Spec.Key: %v", name, err)
+			continue
+		}
+		job, err := tc.spec.Resolve(tc.proto, nil)
+		if err != nil {
+			t.Errorf("%s: Resolve: %v", name, err)
+			continue
+		}
+		res := mc.Result{Outcome: mc.Bounded, States: 5000, Rules: 9000, MaxDepth: 17, Message: "m", Duration: time.Second}
+		v := job.Verdict(res)
+		if !reflect.DeepEqual(v.Options, n) {
+			t.Errorf("%s: verdict options %+v\nnormalized spec %+v", name, v.Options, n)
+		}
+		want := dist.Verdict{Protocol: tc.proto.Name, Options: n, NumVNs: job.Config.NumVNs, VN: job.Config.VN,
+			Outcome: "bounded", States: 5000, Rules: 9000, MaxDepth: 17, Message: "m", DurationSeconds: 1}
+		if !reflect.DeepEqual(v, want) {
+			t.Errorf("%s: verdict %+v\nwant %+v", name, v, want)
+		}
+	}
+
 	one := 1
-	job, err := dist.Spec{MaxStates: 5000, P2P: &one, Workers: 4, Store: "compact"}.
+	job, err := dist.Spec{MaxStates: 5000, P2P: &one, NoReplacement: true, SeedOwned: true}.
 		Resolve(protocols.MustLoad("MSI_nonblocking_cache"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := job.Params()
-	var keys []string
-	for k := range params {
-		keys = append(keys, k)
+	raw, err := json.Marshal(job.Verdict(mc.Result{}).Options)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(keys)
-	want := []string{"addrs", "caches", "dirs", "engine", "global_cap", "invariants", "local_cap",
-		"max_depth", "max_states", "num_vns", "point_to_point", "protocol", "store",
-		"strategy", "symmetry", "vn", "vn_mode", "workers"}
-	if !reflect.DeepEqual(keys, want) {
-		t.Errorf("param keys = %v\nwant         %v", keys, want)
-	}
-	for k, v := range map[string]any{
-		"protocol": "MSI_nonblocking_cache", "vn_mode": "minimal", "num_vns": 2,
-		"caches": 3, "strategy": "BFS", "store": "compact", "engine": "auto",
-		"max_states": 5000, "workers": 4, "point_to_point": true, "symmetry": true,
-	} {
-		if !reflect.DeepEqual(params[k], v) {
-			t.Errorf("params[%q] = %v, want %v", k, params[k], v)
-		}
+	const want = `{"vn":"minimal","caches":3,"dirs":2,"addrs":2,"strategy":"bfs","max_states":5000,` +
+		`"p2p":1,"no_replacement":true,"engine":"auto","store":"exact"}`
+	if string(raw) != want {
+		t.Errorf("options = %s\nwant      %s", raw, want)
 	}
 }
 
@@ -205,19 +217,18 @@ func TestJobKey(t *testing.T) {
 	}
 }
 
-// TestSpecKeyMatchesResolve: Spec.Key renders, without resolving, the
-// key the resolved job renders, for every kind of value a key reads;
-// the normalized spec it returns resolves to the same job spec and key;
-// and every fault normalize finds is the same *RequestError Resolve
-// gives.
-func TestSpecKeyMatchesResolve(t *testing.T) {
+// specCase is one spec over one protocol.
+type specCase struct {
+	proto *protocol.Protocol
+	spec  dist.Spec
+}
+
+// specCases are specs over every knob a request or a flag can turn.
+func specCases(t testing.TB) map[string]specCase {
 	msi := protocols.MustLoad("MSI_nonblocking_cache")
 	one, three := 1, 3
 	given, nGiven := machine.TypeVN(msi, true)
-	for name, tc := range map[string]struct {
-		proto *protocol.Protocol
-		spec  dist.Spec
-	}{
+	return map[string]specCase{
 		"zero":             {msi, dist.Spec{}},
 		"auto":             {msi, dist.Spec{MaxStates: 5000, Engine: "auto"}},
 		"seq":              {msi, dist.Spec{MaxStates: 5000, Engine: "seq"}},
@@ -242,7 +253,17 @@ func TestSpecKeyMatchesResolve(t *testing.T) {
 		"vn given":        {msi, dist.Spec{VN: dist.VNUniform, Assignment: given, NumVNs: nGiven}},
 		"negative bounds": {msi, dist.Spec{MaxStates: -5, MaxDepth: -1}},
 		"two-level":       {composite(t), dist.Spec{VN: dist.VNPerMessage, Caches: 2, Dirs: 1, Addrs: 1, P2P: &three}},
-	} {
+	}
+}
+
+// TestSpecKeyMatchesResolve: Spec.Key renders, without resolving, the
+// key the resolved job renders, for every kind of value a key reads;
+// the normalized spec it returns resolves to the same job spec and key;
+// and every fault normalize finds is the same *RequestError Resolve
+// gives.
+func TestSpecKeyMatchesResolve(t *testing.T) {
+	msi := protocols.MustLoad("MSI_nonblocking_cache")
+	for name, tc := range specCases(t) {
 		key, n, err := tc.spec.Key(tc.proto)
 		if err != nil {
 			t.Errorf("%s: Spec.Key: %v", name, err)

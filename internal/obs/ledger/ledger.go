@@ -1,10 +1,11 @@
 // Package ledger holds the one run document, Record, and the repo's
 // durable observability plane built on it: an append-only,
 // content-addressed history of runs. A Record captures one CLI run or
-// one vnserved job — provenance, parameters, outcome, the final
-// mc.Snapshot (including health stripes and occupancy), and stage-timer
-// summaries. New is its only constructor and it has two writers,
-// WriteFile (a -stats-json file, indented) and Ledger.Append (one
+// one vnserved job — provenance, what was asked and answered (a
+// verification's dist.Verdict, or a tool's parameters and outcome), the
+// final mc.Snapshot (including health stripes and occupancy), and
+// stage-timer summaries. New is its only constructor and it has two
+// writers, WriteFile (a -stats-json file, indented) and Ledger.Append (one
 // canonical JSON line), which emit the same bytes modulo whitespace.
 // The record's identity is the SHA-256 of the canonical line, so the
 // same run recorded twice (or shipped between replicas) dedups to one
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 )
@@ -34,12 +36,15 @@ import (
 // Record is one run in the ledger. The JSON field order (struct fields
 // in declaration order, map keys sorted by the canonical encoder) is
 // part of the on-disk contract: two semantically identical records must
-// produce identical bytes.
+// produce identical bytes. A verification states what was asked and
+// answered as Verdict, and Outcome repeats the verdict's; Params is what
+// other tools, and verifications recorded before verdicts, were asked.
 type Record struct {
 	Tool       string             `json:"tool"`
 	Created    string             `json:"created,omitempty"`
 	Provenance obs.Provenance     `json:"provenance"`
 	Params     map[string]any     `json:"params,omitempty"`
+	Verdict    *dist.Verdict      `json:"verdict,omitempty"`
 	Outcome    string             `json:"outcome,omitempty"`
 	Snapshot   *mc.Snapshot       `json:"snapshot,omitempty"`
 	Stages     []obs.StageSummary `json:"stages,omitempty"`
@@ -48,9 +53,9 @@ type Record struct {
 
 // New starts the record of one run of tool, stamped with the current
 // time and the producing binary's provenance. Every run document is
-// born here; the caller fills in what was asked (Params), what was
-// answered (Outcome, Snapshot), where the time went (Stages) and any
-// tool-specific payload (Extra).
+// born here; the caller fills in what was asked and answered (a
+// verification's Verdict, or Params and Outcome), the final Snapshot,
+// where the time went (Stages) and any tool-specific payload (Extra).
 func New(tool string) *Record {
 	return &Record{
 		Tool:       tool,
@@ -58,6 +63,16 @@ func New(tool string) *Record {
 		Provenance: obs.CollectProvenance(),
 		Params:     make(map[string]any),
 	}
+}
+
+// Protocol is the protocol the run was about: its verdict's, else the
+// params.protocol a tool or a pre-verdict verification wrote, else "".
+func (r *Record) Protocol() string {
+	if r.Verdict != nil {
+		return r.Verdict.Protocol
+	}
+	p, _ := r.Params["protocol"].(string)
+	return p
 }
 
 // Encode renders the record in the ledger's canonical byte-stable form:

@@ -2,10 +2,12 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 )
@@ -233,5 +235,48 @@ func TestLastAndEntries(t *testing.T) {
 	}
 	if got := l.Last(10); len(got) != 5 {
 		t.Fatalf("Last(10) len=%d want 5", len(got))
+	}
+}
+
+// legacyProtocols is testdata/legacy.jsonl by tool: one record each that
+// vnverify, vnexplain, vnmin and a vnserved verify job wrote before run
+// records carried verdicts, and the protocol each was about.
+var legacyProtocols = map[string]string{
+	"vnverify":  "MSI_nonblocking_cache",
+	"vnexplain": "MSI_blocking_cache",
+	"vnmin":     "MESI_nonblocking_cache",
+	"vnserved":  "MESI_nonblocking_cache",
+}
+
+// TestLegacyRecords: records written before the verdict field still
+// decode to the same content address and name their protocol; a
+// verdict names it when present.
+func TestLegacyRecords(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if len(lines) != len(legacyProtocols) {
+		t.Fatalf("%d fixture records, want %d", len(lines), len(legacyProtocols))
+	}
+	for _, line := range lines {
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.Protocol(), legacyProtocols[rec.Tool]; got != want || rec.Verdict != nil {
+			t.Errorf("%s record: protocol %q, verdict %v; want %q and none", rec.Tool, got, rec.Verdict, want)
+		}
+		again, err := rec.Encode()
+		if err != nil || !bytes.Equal(again, line) {
+			t.Errorf("%s record re-encodes differently (err %v)", rec.Tool, err)
+		}
+	}
+
+	rec := testRecord("bounded", 1)
+	rec.Verdict = &dist.Verdict{Protocol: "CHI"}
+	if got := rec.Protocol(); got != "CHI" {
+		t.Errorf("verdict record protocol = %q, want the verdict's", got)
 	}
 }

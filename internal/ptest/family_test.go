@@ -116,11 +116,8 @@ func TestFamilyVariantsCleanUnderHarness(t *testing.T) {
 		}
 		cases = append(cases, ns)
 	}
-	for _, c := range []struct{ name, inner, outer string }{
-		{"MSI_under_MESI", "MSI_blocking_cache", "MESI_blocking_cache"},
-		{"MESI_under_MESI", "MESI_blocking_cache", "MESI_blocking_cache"},
-	} {
-		comp, err := xform.Compose(protocols.MustLoad(c.inner), protocols.MustLoad(c.outer), c.name)
+	for _, c := range Composites[:2] { // the two blocking stacks
+		comp, err := xform.Compose(protocols.MustLoad(c.Inner), protocols.MustLoad(c.Outer), c.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

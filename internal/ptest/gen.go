@@ -440,3 +440,42 @@ func SweepSet(seeds []int64, n int) []*protocol.Protocol {
 	}
 	return ps
 }
+
+// Composites are the two-level members of the protocol family that
+// vntable -family lists and vnsweep model checks: the two canonical
+// blocking stacks, plus a Class 3 inner to show that a well-assigned L1
+// protocol does not rescue the composite's class.
+var Composites = []struct{ Name, Inner, Outer string }{
+	{"MSI_under_MESI", "MSI_blocking_cache", "MESI_blocking_cache"},
+	{"MESI_under_MESI", "MESI_blocking_cache", "MESI_blocking_cache"},
+	{"MSInb_under_MESI", "MSI_nonblocking_cache", "MESI_blocking_cache"},
+}
+
+// FamilyMember is one derived protocol of the family: a non-stalling
+// variant of Parent, or (Parent nil) the composite of Inner under Outer.
+type FamilyMember struct {
+	Proto, Parent *protocol.Protocol
+	Inner, Outer  string
+}
+
+// Family derives the protocol family: every built-in's NonStalling
+// variant in name order, then the Composites in order.
+func Family() ([]FamilyMember, error) {
+	var fam []FamilyMember
+	for _, name := range protocols.Names() {
+		parent := protocols.MustLoad(name)
+		ns, err := xform.NonStalling(parent)
+		if err != nil {
+			return nil, fmt.Errorf("non-stalling %s: %w", name, err)
+		}
+		fam = append(fam, FamilyMember{Proto: ns, Parent: parent})
+	}
+	for _, c := range Composites {
+		comp, err := xform.Compose(protocols.MustLoad(c.Inner), protocols.MustLoad(c.Outer), c.Name)
+		if err != nil {
+			return nil, fmt.Errorf("compose %s: %w", c.Name, err)
+		}
+		fam = append(fam, FamilyMember{Proto: comp, Inner: c.Inner, Outer: c.Outer})
+	}
+	return fam, nil
+}

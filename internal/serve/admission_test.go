@@ -1,14 +1,15 @@
 package serve
 
 import (
+	"context"
 	"testing"
 )
 
 // park returns a BeforeRun hook that signals parked, then holds the job
 // until gate closes. The signal never blocks: a full parked already
 // holds every signal a test awaits, so sizing it for those is enough.
-func park(parked chan<- struct{}, gate <-chan struct{}) func() {
-	return func() {
+func park(parked chan<- struct{}, gate <-chan struct{}) func(context.Context) {
+	return func(context.Context) {
 		select {
 		case parked <- struct{}{}:
 		default:

@@ -17,9 +17,9 @@
 // builds no system. The request's "options" object is a dist.Spec — the
 // same description the CLIs' flags fill in — and dist.Spec.Resolve is
 // the only code that turns it into a search, so a request and the
-// equivalent command line cannot mean different things, and a job's
-// ledger record states what was asked in the CLIs' parameter names
-// (dist.Job.Params).
+// equivalent command line cannot mean different things. What a verify
+// job asked and answered is one dist.Verdict: its response document,
+// and its ledger record's verdict, which vnverify's records carry too.
 //
 // Jobs carry per-job deadlines enforced through the model checker's
 // context plumbing (mc.CheckEngineCtx / Outcome Canceled), progress is
@@ -27,9 +27,10 @@
 // SIGTERM drains gracefully: admitted jobs complete, new ones are
 // refused.
 //
-// What a job leaves behind is one document: its ledger.Record (params,
-// outcome, final snapshot with the health report, and the job, request
-// and trace ids), written before the job is published as done and
+// What a job leaves behind is one document: its ledger.Record (a verify
+// job's verdict, or an analyze job's kind and protocol; the outcome; the
+// final snapshot with the health report; and the job, request and trace
+// ids), written before the job is published as done and
 // served back by GET /v1/runs. The other surfaces answer what the
 // record cannot: SSE and GET /v1/jobs/{id} are the live job; the job
 // log (Config.JobLog) is every request's lifecycle, including those
@@ -102,28 +103,13 @@ type AnalyzeResult struct {
 	Exact       bool           `json:"exact"`
 }
 
-// VerifyResult is the verify job's result document: the assignment
-// the check ran under plus the checker's verdict and final telemetry
-// snapshot. Duration and Stats carry the producing run's timings —
-// cache hits replay them verbatim, which is the point of
-// content-addressed caching.
+// VerifyResult is the verify job's result document: the run's verdict
+// and its final telemetry snapshot. DurationSeconds and Stats carry the
+// producing run's timings — cache hits replay them verbatim, which is
+// the point of content-addressed caching.
 type VerifyResult struct {
-	Protocol        string         `json:"protocol"`
-	VNMode          string         `json:"vn_mode"`
-	NumVNs          int            `json:"num_vns"`
-	VN              map[string]int `json:"vn"`
-	Caches          int            `json:"caches"`
-	Dirs            int            `json:"dirs"`
-	Addrs           int            `json:"addrs"`
-	Engine          string         `json:"engine"`
-	Store           string         `json:"store"`
-	Outcome         string         `json:"outcome"`
-	States          int            `json:"states"`
-	Rules           int            `json:"rules"`
-	MaxDepth        int            `json:"max_depth"`
-	Message         string         `json:"message,omitempty"`
-	DurationSeconds float64        `json:"duration_seconds"`
-	Stats           mc.Snapshot    `json:"stats"`
+	dist.Verdict
+	Stats mc.Snapshot `json:"stats"`
 }
 
 // RequestError is a client-side fault (unknown protocol, invalid
@@ -238,10 +224,14 @@ type task struct {
 	// answers key, so a hit or a join is never resolved.
 	resolve func() error
 	// search is the verify job's resolved spec (nil until resolved, once
-	// the job has finished, and for analyze jobs); its Params are what the run-ledger record says
-	// was asked, with the worker count runJob gives it at start. run
-	// reads it then.
-	search   *dist.Job
+	// the job has finished, and for analyze jobs), with the worker count
+	// runJob gives it at start. run reads it then.
+	search *dist.Job
+	// verdict and outcome are what run answered, for the ledger record:
+	// a verify run's verdict (canceled ones too), and a finished run's
+	// outcome (an analyze job's class tag, or the verdict's).
+	verdict  *dist.Verdict
+	outcome  string
 	deadline time.Duration
 	// requestID is the caller's X-Request-ID (sanitized), set by the
 	// HTTP layer before Submit. It feeds the job's TraceContext and is
@@ -275,24 +265,22 @@ func prepareAnalyze(req AnalyzeRequest) (*task, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &task{
-		kind:     "analyze",
-		key:      requestKey("analyze", canon, ""),
-		protocol: p.Name,
-		run: func(ctx context.Context, _ func(mc.Snapshot), _ *trace.Recorder) (json.RawMessage, error) {
-			if ctx.Err() != nil {
-				return nil, errJobCanceled
-			}
-			return analyzeResult(p)
-		},
-	}, nil
+	t := &task{kind: "analyze", key: requestKey("analyze", canon, ""), protocol: p.Name}
+	t.run = func(ctx context.Context, _ func(mc.Snapshot), _ *trace.Recorder) (json.RawMessage, error) {
+		if ctx.Err() != nil {
+			return nil, errJobCanceled
+		}
+		a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
+		t.outcome = a.Class.Tag()
+		return analyzeResult(a)
+	}
+	return t, nil
 }
 
-// analyzeResult is the analyze job's result document for p.
-func analyzeResult(p *protocol.Protocol) (json.RawMessage, error) {
-	a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
+// analyzeResult is the analyze job's result document for a.
+func analyzeResult(a *vnassign.Assignment) (json.RawMessage, error) {
 	res := AnalyzeResult{
-		Protocol:    p.Name,
+		Protocol:    a.Protocol.Name,
 		Class:       a.Class.String(),
 		Stallable:   a.Analysis.Stallable,
 		Causes:      pairs(a.Analysis.Causes),
@@ -371,29 +359,18 @@ func (t *task) resolveVerify(p *protocol.Protocol, progressEvery int) error {
 		// surface); a fleet failure fails the job, while cancellation
 		// surfaces as Outcome Canceled on every engine.
 		res, err := dist.Run(ctx, job)
-		if err != nil && ctx.Err() == nil {
+		switch {
+		case err != nil && ctx.Err() == nil:
 			return nil, err
-		}
-		if err != nil || res.Outcome == mc.Canceled {
+		case err != nil:
 			return nil, errJobCanceled
 		}
-		cfg := job.Config
-		doc := VerifyResult{
-			Protocol: p.Name,
-			VNMode:   job.Spec.VN, NumVNs: cfg.NumVNs, VN: cfg.VN,
-			Caches: cfg.Caches, Dirs: cfg.Dirs, Addrs: cfg.Addrs,
-			Engine:          job.Engine.String(),
-			Store:           job.Options.Store.String(),
-			Outcome:         res.Outcome.Tag(),
-			States:          res.States,
-			Rules:           res.Rules,
-			MaxDepth:        res.MaxDepth,
-			Message:         res.Message,
-			DurationSeconds: res.Duration.Seconds(),
-			Stats:           res.Stats,
+		v := job.Verdict(res)
+		t.verdict, t.outcome = &v, v.Outcome
+		if res.Outcome == mc.Canceled {
+			return nil, errJobCanceled
 		}
-		raw, err := json.Marshal(doc)
-		return raw, err
+		return json.Marshal(VerifyResult{Verdict: v, Stats: res.Stats})
 	}
 	return nil
 }

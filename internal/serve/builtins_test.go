@@ -10,10 +10,12 @@ import (
 	"sync"
 	"testing"
 
+	"minvn/internal/analysis"
 	"minvn/internal/dist"
 	"minvn/internal/protocol"
 	"minvn/internal/protocol/xform"
 	"minvn/internal/protocols"
+	"minvn/internal/vnassign"
 )
 
 // TestSharedBuiltinsUnmodified sends analyze and verify requests from
@@ -110,7 +112,7 @@ func TestSharedBuiltinsUnmodified(t *testing.T) {
 			continue
 		}
 		p := fresh(name)
-		want, err := analyzeResult(p)
+		want, err := analyzeResult(vnassign.AssignFromAnalysis(analysis.Analyze(p)))
 		if err != nil {
 			t.Fatal(err)
 		}

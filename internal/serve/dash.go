@@ -258,7 +258,7 @@ function loadRuns() {
       '<th>outcome</th><th class="num">states</th><th class="num">states/s</th></tr>';
     for (var i = 0; i < page.runs.length; i++) {
       var r = page.runs[i];
-      var cls = (r.outcome === "done" || r.outcome === "ok") ? "ok-cell" : "bad-cell";
+      var cls = (r.outcome === "failed" || r.outcome === "canceled") ? "bad-cell" : "ok-cell";
       var mark = (cls === "ok-cell") ? "● " : "▲ ";
       html += '<tr><td><span class="id">' + r.id.slice(0, 12) + "</span></td><td>" +
         (r.tool || "") + "</td><td>" + (r.kind || "") + "</td><td>" + (r.protocol || "") +

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +48,9 @@ func TestRunsEndpoint(t *testing.T) {
 	}
 	// Same request again: served from the result cache, so the run
 	// history must not grow.
-	if view, err := cl.Verify(context.Background(), req, true); err != nil || !view.Cached {
-		t.Fatalf("hot verify: err=%v cached=%v", err, view != nil && view.Cached)
+	hot, err := cl.Verify(context.Background(), req, true)
+	if err != nil || !hot.Cached {
+		t.Fatalf("hot verify: err=%v cached=%v", err, hot != nil && hot.Cached)
 	}
 	if _, err := cl.Analyze(context.Background(), serve.AnalyzeRequest{Protocol: "MSI_nonblocking_cache"}); err != nil {
 		t.Fatalf("analyze: %v", err)
@@ -65,10 +68,14 @@ func TestRunsEndpoint(t *testing.T) {
 	if page.Runs[0].Kind != "analyze" || page.Runs[1].Kind != "verify" {
 		t.Errorf("order = %s, %s; want analyze, verify", page.Runs[0].Kind, page.Runs[1].Kind)
 	}
+	// A finished run's outcome is its answer: the verdict's, the class.
 	v := page.Runs[1]
 	if v.Tool != "vnserved" || v.Protocol != "MSI_nonblocking_cache" ||
-		v.Outcome != string(serve.StatusDone) || v.States == 0 || v.ID == "" {
+		v.Outcome != "bounded" || v.States == 0 || v.ID == "" {
 		t.Errorf("verify run view incomplete: %+v", v)
+	}
+	if a := page.Runs[0]; a.Protocol != "MSI_nonblocking_cache" || a.Outcome != "class3" {
+		t.Errorf("analyze run view = %+v, want class3", a)
 	}
 	if v.Record != nil {
 		t.Errorf("summary view unexpectedly carries the full record")
@@ -90,22 +97,25 @@ func TestRunsEndpoint(t *testing.T) {
 	if !page.Runs[0].Record.Snapshot.Final {
 		t.Errorf("recorded snapshot is not the final one")
 	}
-	// The record states what was asked — the spec's params — not just of
-	// which protocol. (JSON numbers decode as float64.)
-	for k, want := range map[string]any{
-		"kind": "verify", "vn_mode": "minimal", "caches": 3.0, "dirs": 2.0, "addrs": 2.0,
-		"max_states": 2000.0, "strategy": "BFS", "store": "exact", "engine": "auto", "num_vns": 2.0,
-	} {
-		if got := page.Runs[0].Record.Params[k]; got != want {
-			t.Errorf("ledger record params[%q] = %v, want %v", k, got, want)
-		}
+	// The record states what was asked and answered as the verdict the
+	// response carried, with the outcome the response served.
+	rec := page.Runs[0].Record
+	var served serve.VerifyResult
+	if err := json.Unmarshal(hot.Result, &served); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Verdict == nil || !reflect.DeepEqual(*rec.Verdict, served.Verdict) || rec.Outcome != served.Outcome {
+		t.Errorf("record outcome %s, verdict %+v\nserved %+v", rec.Outcome, rec.Verdict, served.Verdict)
+	}
+	if len(rec.Params) != 0 {
+		t.Errorf("verify record writes params %v", rec.Params)
 	}
 	// The dashboard's per-VN bars and stripe-heat panels read these off
 	// the job snapshots; the ledger record must carry both.
-	if page.Runs[0].Record.Snapshot.Occupancy == nil {
+	if rec.Snapshot.Occupancy == nil {
 		t.Errorf("recorded snapshot lacks per-VN occupancy")
 	}
-	if page.Runs[0].Record.Snapshot.Health == nil {
+	if rec.Snapshot.Health == nil {
 		t.Errorf("recorded snapshot lacks the health report")
 	}
 }
@@ -165,6 +175,8 @@ func TestDashPage(t *testing.T) {
 	for _, want := range []string{
 		"minvn fleet", "/debug/dash/events", "/v1/runs",
 		"prefers-color-scheme", "EventSource",
+		// Only a run that did not finish is red; every verdict is an answer.
+		`(r.outcome === "failed" || r.outcome === "canceled") ? "bad-cell" : "ok-cell"`,
 	} {
 		if !strings.Contains(html, want) {
 			t.Errorf("dashboard HTML misses %q", want)
@@ -228,5 +240,45 @@ func TestFleetFeed(t *testing.T) {
 	}
 	if !sawStarted || !sawDone {
 		t.Fatalf("SSE replay incomplete: started=%v done=%v", sawStarted, sawDone)
+	}
+}
+
+// TestRunsLegacyLedger: records written before run records carried
+// verdicts still page by protocol. The fixture holds one record each
+// from vnverify, vnexplain, vnmin and a vnserved verify job.
+func TestRunsLegacyLedger(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "obs", "ledger", "testdata", "legacy.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	led, err := ledger.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Ledger: led})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close(); led.Close() })
+
+	for proto, tools := range map[string]string{
+		"MSI_nonblocking_cache":  "vnverify",
+		"MSI_blocking_cache":     "vnexplain",
+		"MESI_nonblocking_cache": "vnmin,vnserved",
+	} {
+		var page serve.RunsPage
+		getJSON(t, hs, "/v1/runs?protocol="+proto, &page)
+		var got []string
+		for _, r := range page.Runs {
+			if r.Protocol != proto {
+				t.Errorf("?protocol=%s listed a %s run", proto, r.Protocol)
+			}
+			got = append([]string{r.Tool}, got...) // oldest first
+		}
+		if strings.Join(got, ",") != tools || page.Total != len(got) {
+			t.Errorf("?protocol=%s: %d runs from %v, want %s", proto, page.Total, got, tools)
+		}
 	}
 }

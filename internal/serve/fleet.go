@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"maps"
-
 	"minvn/internal/mc"
 	"minvn/internal/obs/ledger"
 )
@@ -65,13 +63,15 @@ func (s *Server) recordJob(job *Job, status JobStatus, errMsg string, snap *mc.S
 		return
 	}
 	rec := ledger.New("vnserved")
-	rec.Params["kind"] = job.task.kind
-	rec.Params["protocol"] = job.task.protocol
-	// A verify record states what was asked, not just of which protocol.
-	if job.task.search != nil {
-		maps.Copy(rec.Params, job.task.search.Params())
-	}
+	// A finished run's outcome is its answer; a run with no verdict says
+	// what was asked by kind and protocol.
 	rec.Outcome = string(status)
+	if status == StatusDone {
+		rec.Outcome = job.task.outcome
+	}
+	if rec.Verdict = job.task.verdict; rec.Verdict == nil {
+		rec.Params["kind"], rec.Params["protocol"] = job.task.kind, job.task.protocol
+	}
 	rec.Snapshot = snap
 	// The three ids join the record to the job log, the SSE stream and
 	// /debug/trace.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -20,7 +21,7 @@ import (
 func TestTerminalJobRetention(t *testing.T) {
 	var hold atomic.Bool
 	gate := make(chan struct{})
-	srv := New(Config{Workers: 1, BeforeRun: func() {
+	srv := New(Config{Workers: 1, BeforeRun: func(context.Context) {
 		if hold.Load() {
 			<-gate
 		}

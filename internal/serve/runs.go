@@ -71,8 +71,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		if toolF != "" && rec.Tool != toolF {
 			continue
 		}
-		proto, _ := rec.Params["protocol"].(string)
-		if protoF != "" && proto != protoF {
+		if protoF != "" && rec.Protocol() != protoF {
 			continue
 		}
 		if matched >= offset && len(page.Runs) < limit {
@@ -90,8 +89,12 @@ func runView(e ledger.Entry, full bool) RunView {
 		Seq: e.Seq, ID: e.ID,
 		Created: rec.Created, Tool: rec.Tool, Outcome: rec.Outcome,
 	}
+	// Every verdict answers a verification; other runs state their kind.
 	v.Kind, _ = rec.Params["kind"].(string)
-	v.Protocol, _ = rec.Params["protocol"].(string)
+	if rec.Verdict != nil {
+		v.Kind = "verify"
+	}
+	v.Protocol = rec.Protocol()
 	if rec.Snapshot != nil {
 		v.States = rec.Snapshot.States
 		v.StatesPerSec = rec.Snapshot.StatesPerSec

@@ -64,9 +64,10 @@ type Config struct {
 	// DefaultTraceLaneCap.
 	TraceLaneCap int
 	// BeforeRun, when non-nil, runs at the start of every job
-	// execution (after dequeue, before the task body). Tests use it to
-	// hold jobs in the running state deterministically.
-	BeforeRun func()
+	// execution (after dequeue, before the task body) with the job's
+	// context, whose deadline is already running. Tests use it to hold
+	// jobs in the running state, or until their deadline, deterministically.
+	BeforeRun func(ctx context.Context)
 	// Logf receives server lifecycle logs; log.Printf if nil.
 	Logf func(format string, args ...any)
 }
@@ -499,15 +500,14 @@ func (s *Server) runJob(job *Job) {
 	s.appendFleetLocked(fleetEvent("started", job, nil, job.view()))
 	s.mu.Unlock()
 
-	if s.cfg.BeforeRun != nil {
-		s.cfg.BeforeRun()
-	}
-
 	deadline := effectiveDeadline(job.task.deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	ctx, cancel := context.WithTimeout(s.runBase, deadline)
 	// The TraceContext rides the run context into the engines, which
 	// prefix their recorder lanes with the job/request identity.
 	ctx = trace.WithTraceContext(ctx, job.tc)
+	if s.cfg.BeforeRun != nil {
+		s.cfg.BeforeRun(ctx)
+	}
 	var finalSnap *mc.Snapshot
 	progress := func(snap mc.Snapshot) {
 		if snap.Final {

@@ -93,6 +93,23 @@ func TestVerifyCacheHitByteIdentical(t *testing.T) {
 	if res.Outcome == "" || res.States == 0 {
 		t.Errorf("empty verify result: %+v", res)
 	}
+	// Every field the response had before it was a verdict is still
+	// there: the question's under "options", in the request's names.
+	var doc map[string]any
+	if err := jsonUnmarshal(hot.Result, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"protocol", "num_vns", "vn", "outcome", "states", "rules", "max_depth", "duration_seconds", "stats"} {
+		if _, ok := doc[k]; !ok {
+			t.Errorf("response lacks %q", k)
+		}
+	}
+	opts, _ := doc["options"].(map[string]any)
+	for k, want := range map[string]any{"vn": "minimal", "caches": 3.0, "dirs": 2.0, "addrs": 2.0, "engine": "auto", "store": "exact"} {
+		if got := opts[k]; got != want {
+			t.Errorf("options.%s = %v, want %v", k, got, want)
+		}
+	}
 }
 
 // TestSpecAndNameShareCacheEntry pins that an inline protocol_spec and
@@ -133,7 +150,7 @@ func TestSingleflightDedup(t *testing.T) {
 	gate := make(chan struct{})
 	srv, cl := testServer(t, serve.Config{
 		Workers:   1,
-		BeforeRun: func() { <-gate },
+		BeforeRun: func(context.Context) { <-gate },
 	})
 	first, err := cl.Verify(context.Background(), verifyMSI(3000), false)
 	if err != nil {
@@ -357,17 +374,19 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestDeadlineCancelsJob pins per-job deadlines: a tiny deadline on a
-// large search yields a canceled job, and canceled results are never
-// cached.
+// TestDeadlineCancelsJob pins per-job deadlines: a job still running
+// at its deadline is canceled, and canceled results are never cached.
+// The job waits out its deadline in BeforeRun, so no search races it.
 func TestDeadlineCancelsJob(t *testing.T) {
-	_, cl := testServer(t, serve.Config{MaxStates: 5_000_000})
+	var held atomic.Bool
+	_, cl := testServer(t, serve.Config{BeforeRun: func(ctx context.Context) {
+		if held.CompareAndSwap(false, true) {
+			<-ctx.Done()
+		}
+	}})
 	ctx := context.Background()
-	req := serve.VerifyRequest{
-		Protocol:       "MOESI_nonblocking_cache",
-		Options:        serve.VerifyOptions{MaxStates: 5_000_000},
-		DeadlineMillis: 30,
-	}
+	req := verifyMSI(4000)
+	req.DeadlineMillis = 30
 	view, err := cl.Verify(ctx, req, true)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
@@ -375,10 +394,9 @@ func TestDeadlineCancelsJob(t *testing.T) {
 	if view.Status != serve.StatusCanceled {
 		t.Fatalf("status = %s, want canceled", view.Status)
 	}
-	// The same request with a workable deadline must run fresh — the
+	// The same request without the deadline must run fresh — the
 	// canceled attempt must not have poisoned the cache.
 	req.DeadlineMillis = 0
-	req.Options.MaxStates = 4000
 	again, err := cl.Verify(ctx, req, true)
 	if err != nil {
 		t.Fatalf("second verify: %v", err)
@@ -534,8 +552,8 @@ func TestVerifyDistEngine(t *testing.T) {
 	if err := jsonUnmarshal(dv.Result, &dr); err != nil {
 		t.Fatalf("dist result: %v", err)
 	}
-	if dr.Engine != "dist" {
-		t.Errorf("engine = %q, want dist", dr.Engine)
+	if dr.Options.Engine != "dist" {
+		t.Errorf("engine = %q, want dist", dr.Options.Engine)
 	}
 	if dr.Outcome != pr.Outcome || dr.States != pr.States || dr.MaxDepth != pr.MaxDepth {
 		t.Errorf("dist disagrees with pipeline: outcome %s/%s states %d/%d depth %d/%d",
@@ -577,7 +595,7 @@ func TestVerifyTwoLevelSpec(t *testing.T) {
 	if err := jsonUnmarshal(view.Result, &res); err != nil || view.Status != serve.StatusDone {
 		t.Fatalf("status=%s (%s), result err %v", view.Status, view.Error, err)
 	}
-	if res.Protocol != "MSI_under_MESI" || res.States == 0 || res.VNMode != "permsg" {
+	if res.Protocol != "MSI_under_MESI" || res.States == 0 || res.Options.VN != "permsg" {
 		t.Errorf("result = %+v", res)
 	}
 }
@@ -593,8 +611,9 @@ var park, awaitParked = serve.Park, serve.AwaitParked
 // on the auto engine whose request leaves workers unset gets GOMAXPROCS
 // divided by the jobs running as it starts, itself included, and at
 // least one: every CPU on an idle server, max(1, GOMAXPROCS/Workers)
-// when it fills the pool. Its ledger record states that count and its
-// health report has a line per worker it ran. An explicit workers is
+// when it fills the pool. Its health report has a line per worker it
+// ran, and its ledger verdict states the workers asked for (the share
+// is a perf knob, outside what was asked). An explicit workers is
 // kept, and an engine the request names keeps its default: a pipeline
 // runs GOMAXPROCS workers, a dist job its fleet as asked. None of it
 // changes an answer: every row of a complete search reaches the same
@@ -612,15 +631,15 @@ func TestPoolShare(t *testing.T) {
 		pool, others := c.pool, c.others
 		share := max(1, procs/(others+1))
 		for _, tc := range []struct {
-			name           string
-			engine         string
-			workers        int
-			param, ranWith int // params.workers; workers in the health report, 0 unchecked
+			name    string
+			engine  string
+			workers int
+			ranWith int // workers in the health report, 0 unchecked
 		}{
-			{"unset", "", 0, share, share},
-			{"workers=3", "", 3, 3, 3},
-			{"pipeline", "pipeline", 0, 0, procs},
-			{"dist", "dist", 0, 0, 0},
+			{"unset", "", 0, share},
+			{"workers=3", "", 3, 3},
+			{"pipeline", "pipeline", 0, procs},
+			{"dist", "dist", 0, 0},
 		} {
 			t.Run(fmt.Sprintf("pool=%d/running=%d/%s", pool, others+1, tc.name), func(t *testing.T) {
 				led, err := ledger.Open(filepath.Join(t.TempDir(), "runs.jsonl"))
@@ -636,9 +655,9 @@ func TestPoolShare(t *testing.T) {
 				defer close(gate)
 				parked := make(chan struct{}, others)
 				var started atomic.Int32
-				_, cl := testServer(t, serve.Config{Workers: pool, Ledger: led, BeforeRun: func() {
+				_, cl := testServer(t, serve.Config{Workers: pool, Ledger: led, BeforeRun: func(ctx context.Context) {
 					if int(started.Add(1)) <= others {
-						park(parked, gate)()
+						park(parked, gate)(ctx)
 					}
 				}})
 				ctx := context.Background()
@@ -663,8 +682,8 @@ func TestPoolShare(t *testing.T) {
 				if rec == nil {
 					t.Fatalf("no ledger record for %s", view.ID)
 				}
-				if got := rec.Params["workers"]; got != float64(tc.param) {
-					t.Errorf("params.workers = %v, want %d", got, tc.param)
+				if rec.Outcome != "complete" || rec.Verdict == nil || rec.Verdict.Options.Workers != tc.workers {
+					t.Errorf("record outcome %s, verdict %+v; want complete and %d workers", rec.Outcome, rec.Verdict, tc.workers)
 				}
 				if tc.ranWith > 0 && len(rec.Snapshot.Health.Workers) != tc.ranWith {
 					t.Errorf("ran with %d workers, want %d", len(rec.Snapshot.Health.Workers), tc.ranWith)

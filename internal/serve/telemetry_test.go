@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"minvn/internal/obs/ledger"
 	"minvn/internal/serve"
@@ -43,21 +42,16 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// waitFor polls until the buffer contains want (the job log is written
-// by the worker goroutine after the terminal event is published).
-func (s *syncBuffer) waitFor(t *testing.T, want string) string {
+// has returns the log, failing unless it contains want. runJob writes a
+// job's "finished" line before it publishes the terminal state, so the
+// log of a job a waited request returned already holds it.
+func (s *syncBuffer) has(t *testing.T, want string) string {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got := s.String()
-		if strings.Contains(got, want) {
-			return got
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job log never contained %q:\n%s", want, got)
-		}
-		time.Sleep(10 * time.Millisecond)
+	got := s.String()
+	if !strings.Contains(got, want) {
+		t.Fatalf("job log does not contain %q:\n%s", want, got)
 	}
+	return got
 }
 
 // telemetryServer is testServer plus the raw base URL for endpoints
@@ -140,7 +134,7 @@ func TestRequestIDCorrelation(t *testing.T) {
 
 	// 3. The JSONL job log ties the whole lifecycle to the request ID.
 	// It carries lifecycle events only — snapshots are on the SSE stream.
-	logText := logBuf.waitFor(t, `"event":"finished"`)
+	logText := logBuf.has(t, `"event":"finished"`)
 	for _, want := range []string{`"event":"admitted"`, `"event":"started"`} {
 		if !strings.Contains(logText, want) {
 			t.Errorf("job log missing %s:\n%s", want, logText)
@@ -286,11 +280,11 @@ func TestRequestIDSanitized(t *testing.T) {
 // dropped, and a server without a logger logs nothing.
 func TestJobLoggerLevelsAndShape(t *testing.T) {
 	ctx := context.Background()
-	long := serve.VerifyRequest{
-		Protocol:       "MOESI_nonblocking_cache",
-		Options:        serve.VerifyOptions{MaxStates: 5_000_000},
-		DeadlineMillis: 30,
-	}
+	// A verify that waits out its 30 ms deadline in BeforeRun is
+	// canceled, with no search racing the deadline.
+	long := verifyMSI(4000)
+	long.DeadlineMillis = 30
+	waitOut := func(ctx context.Context) { <-ctx.Done() }
 
 	// At info, a successful analyze logs its whole lifecycle.
 	var info syncBuffer
@@ -300,7 +294,7 @@ func TestJobLoggerLevelsAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(info.waitFor(t, `"event":"finished"`)), "\n")
+	lines := strings.Split(strings.TrimSpace(info.has(t, `"event":"finished"`)), "\n")
 	var events []string
 	for _, line := range lines {
 		var rec map[string]any
@@ -331,11 +325,11 @@ func TestJobLoggerLevelsAndShape(t *testing.T) {
 	// At warn, the info lifecycle lines are dropped and only the
 	// canceled job's "finished" survives.
 	var warn syncBuffer
-	_, cl, _ = telemetryServer(t, serve.Config{JobLog: serve.NewJobLog(&warn, slog.LevelWarn), MaxStates: 5_000_000})
+	_, cl, _ = telemetryServer(t, serve.Config{JobLog: serve.NewJobLog(&warn, slog.LevelWarn), BeforeRun: waitOut})
 	if view, err := cl.Verify(ctx, long, true); err != nil || view.Status != serve.StatusCanceled {
 		t.Fatalf("verify: %v %+v", err, view)
 	}
-	got := strings.TrimSpace(warn.waitFor(t, `"event":"finished"`))
+	got := strings.TrimSpace(warn.has(t, `"event":"finished"`))
 	if strings.Count(got, "\n") != 0 || !strings.Contains(got, `"level":"warn"`) || !strings.Contains(got, `"status":"canceled"`) {
 		t.Fatalf("warn-level log = %q, want the one canceled line", got)
 	}

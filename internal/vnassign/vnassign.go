@@ -63,6 +63,10 @@ func (c Class) String() string {
 	}
 }
 
+// Tag is the class's short stable name in run records: "class2" or
+// "class3" for what the static algorithm finds.
+func (c Class) Tag() string { return fmt.Sprintf("class%d", int(c)) }
+
 // Assignment is the algorithm's result.
 type Assignment struct {
 	Protocol *protocol.Protocol
