@@ -117,10 +117,12 @@ dist-smoke:
 # the regression to exactly the injected stage, rule, and stripe range
 # (-expect exits nonzero on a miss). list and trend then read the same
 # ledger back, proving the query side parses what the record side
-# wrote. Leaves LEDGER_smoke.jsonl (run records) and LEDGER_attr.json
-# (the attribution, itself a run record) behind.
+# wrote. Last, vnmin records CHI's static verdict (2 VNs, against the
+# textbook's 4). Leaves LEDGER_smoke.jsonl (run records),
+# LEDGER_attr.json (the attribution, itself a run record) and
+# LEDGER_vnmin.json (vnmin's run record, indented) behind.
 ledger-smoke:
-	rm -f LEDGER_smoke.jsonl
+	rm -f LEDGER_smoke.jsonl LEDGER_vnmin.json
 	$(GO) run ./cmd/vnverify -workers 4 -store compact -max-states 30000 \
 		-ledger LEDGER_smoke.jsonl MSI_nonblocking_cache
 	grep -q '"verdict":{' LEDGER_smoke.jsonl
@@ -133,3 +135,8 @@ ledger-smoke:
 		-expect stage:mc/check,rule:deliver/vn0,stripes:12-19
 	$(GO) run ./cmd/vnstats list -ledger LEDGER_smoke.jsonl
 	$(GO) run ./cmd/vnstats trend -ledger LEDGER_smoke.jsonl
+	$(GO) run ./cmd/vnmin -stats-json LEDGER_vnmin.json CHI
+	grep -q '"static": {' LEDGER_vnmin.json
+	grep -q '"num_vns": 2,' LEDGER_vnmin.json
+	grep -q '"textbook_vns": 4,' LEDGER_vnmin.json
+	grep -q '"outcome": "class3",' LEDGER_vnmin.json

@@ -100,13 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	a := vnassign.AssignFromAnalysisObserved(r, tl)
-	if *sepData && a.Class == vnassign.Class3 {
-		ca, err := vnassign.AssignConstrained(r, vnassign.SeparateDataFromControl(p))
-		if err != nil {
+	if *sepData {
+		if a, err = vnassign.AssignConstrained(r, vnassign.SeparateDataFromControl(p)); err != nil {
 			fmt.Fprintln(stderr, "vnmin:", err)
 			return 1
 		}
-		a = ca
 	}
 	switch a.Class {
 	case vnassign.Class2:
@@ -144,24 +142,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	rec := ledger.New("vnmin")
-	rec.Params["protocol"] = p.Name
-	rec.Params["separate_data"] = *sepData
+	v := a.Verdict()
+	rec.Static, rec.Outcome = &v, v.Outcome
 	rec.Stages = tl.Summaries()
-	rec.Outcome = a.Class.Tag()
-	switch a.Class {
-	case vnassign.Class2:
-		rec.Extra = map[string]any{"metrics": map[string]any{"waits_cycle": a.WaitsCycle}}
-	default:
-		rec.Extra = map[string]any{"metrics": map[string]any{
-			"num_vns":        a.NumVNs,
-			"vn":             a.VN,
-			"vn_groups":      a.VNGroups(),
-			"exact":          a.Exact,
-			"refinements":    a.Refinements,
-			"conflict_pairs": len(a.ConflictPairs),
-			"textbook_vns":   vnassign.Textbook(r).NumVNs,
-		}}
-	}
 	if err := tel.Record(rec, stdout); err != nil {
 		return cliflag.Fail(stderr, "vnmin", err)
 	}

@@ -2,10 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"minvn"
+	"minvn/internal/analysis"
+	"minvn/internal/obs/ledger"
+	"minvn/internal/protocols"
+	"minvn/internal/vnassign"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -61,5 +69,65 @@ func TestRunErrors(t *testing.T) {
 	}
 	if code := run(nil, &stdout, &stderr); code != 2 {
 		t.Errorf("no args: run = %d, want 2", code)
+	}
+}
+
+// TestStatsJSONStatic: a -stats-json record states the answer as the
+// library's static verdict, with the run's outcome repeating its class
+// tag; under -separate-data the verdict names the constraints it was
+// computed under, Class 2 included, and counts MinimizeConstrained's VNs.
+func TestStatsJSONStatic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sepData bool
+	}{
+		{"CHI", false},
+		{"MSI_blocking_cache", false},
+		{"CHI", true},
+		{"MSI_blocking_cache", true},
+	} {
+		p := protocols.MustLoad(tc.name)
+		r := analysis.Analyze(p)
+		a := vnassign.AssignFromAnalysis(r)
+		args := []string{"-stats-json", filepath.Join(t.TempDir(), "rec.json"), tc.name}
+		if tc.sepData {
+			args = append([]string{"-separate-data"}, args...)
+			var err error
+			if a, err = vnassign.AssignConstrained(r, vnassign.SeparateDataFromControl(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := a.Verdict()
+
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, stderr.String())
+		}
+		raw, err := os.ReadFile(args[len(args)-2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec ledger.Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Static == nil || !reflect.DeepEqual(*rec.Static, want) || rec.Outcome != want.Outcome {
+			t.Errorf("%v: record outcome %q, static %+v\nwant %+v", args, rec.Outcome, rec.Static, want)
+		}
+		if len(rec.Params) != 0 || len(rec.Extra) != 0 {
+			t.Errorf("%v: record writes params %v, extra %v", args, rec.Params, rec.Extra)
+		}
+		if tc.sepData && len(want.Constraints) == 0 {
+			t.Errorf("%v: verdict lacks its constraints", args)
+		}
+		if tc.sepData && want.Outcome == "class3" {
+			res, err := minvn.MinimizeConstrained(p, minvn.SeparateDataFromControl(p))
+			if err != nil || res.NumVNs != want.NumVNs {
+				t.Errorf("%v: num_vns %d, MinimizeConstrained %v (err %v)", args, want.NumVNs, res, err)
+			}
+		}
+		if want.Outcome == "class2" && len(want.WaitsCycle) == 0 {
+			t.Errorf("%v: Class 2 verdict lacks its waits cycle", args)
+		}
 	}
 }

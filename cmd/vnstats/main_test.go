@@ -14,6 +14,7 @@ import (
 	"minvn/internal/obs"
 	"minvn/internal/obs/health"
 	"minvn/internal/obs/ledger"
+	"minvn/internal/vnassign"
 )
 
 // seedLedger writes a realistic baseline record and returns the path.
@@ -201,9 +202,10 @@ func TestUsageAndErrors(t *testing.T) {
 }
 
 // TestLegacyLedgerByProtocol: list and trend find every record of a
-// protocol, whether a verdict names it or — in a ledger written before
-// verdicts, one record each from vnverify, vnexplain, vnmin and a
-// vnserved verify job — the params do.
+// protocol, whether a verdict or static verdict names it or — in a
+// ledger written before verdicts, one record each from vnverify,
+// vnexplain, vnmin, a vnserved verify job and a vnserved analyze job —
+// the params do. Analyze records have no snapshot, so no trend.
 func TestLegacyLedgerByProtocol(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "obs", "ledger", "testdata", "legacy.jsonl"))
 	if err != nil {
@@ -223,6 +225,12 @@ func TestLegacyLedgerByProtocol(t *testing.T) {
 	if _, _, err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
+	rec = ledger.New("vnmin")
+	rec.Static = &vnassign.Verdict{Protocol: "CHI", Outcome: "class3", NumVNs: 2}
+	rec.Outcome = rec.Static.Outcome
+	if _, _, err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
 	l.Close()
 
 	for proto, c := range map[string]struct {
@@ -232,6 +240,7 @@ func TestLegacyLedgerByProtocol(t *testing.T) {
 		"MSI_nonblocking_cache":  {[]string{"vnverify"}, 1},
 		"MSI_blocking_cache":     {[]string{"vnexplain", "vnverify"}, 2},
 		"MESI_nonblocking_cache": {[]string{"vnmin", "vnserved"}, 1},
+		"CHI":                    {[]string{"vnserved", "vnmin"}, 0},
 	} {
 		code, out, errOut := runCmd(t, "list", "-ledger", path, "-protocol", proto)
 		if code != 0 {
@@ -247,7 +256,11 @@ func TestLegacyLedgerByProtocol(t *testing.T) {
 			}
 		}
 		code, out, errOut = runCmd(t, "trend", "-ledger", path, "-protocol", proto)
-		if want := fmt.Sprintf("%s (%d runs)\n", proto, c.trends); code != 0 || !strings.HasPrefix(out, want) {
+		want := fmt.Sprintf("%s (%d runs)\n", proto, c.trends)
+		if c.trends == 0 {
+			want = "no trend data"
+		}
+		if code != 0 || !strings.HasPrefix(out, want) {
 			t.Errorf("trend -protocol %s: exit %d, %q%s; want %q", proto, code, out, errOut, want)
 		}
 	}

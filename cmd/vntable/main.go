@@ -18,7 +18,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"minvn/internal/analysis"
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/mc"
@@ -65,6 +64,20 @@ var extensionRows = []row{
 		[]string{"MESIF_blocking_cache"}, "deadlocks with 3 VNs (extension)", "deadlock"},
 }
 
+// tableRow is one row of the run record: a protocol's static verdict
+// and, under -mc, the model check's cell text, match and verdict. A
+// non-stalling family row also carries its parent's static verdict.
+type tableRow struct {
+	Experiment string            `json:"experiment"`
+	Derivation string            `json:"derivation,omitempty"`
+	Expected   string            `json:"expected,omitempty"`
+	Static     vnassign.Verdict  `json:"static"`
+	Parent     *vnassign.Verdict `json:"parent,omitempty"`
+	MC         string            `json:"mc,omitempty"`
+	MCOK       *bool             `json:"mc_ok,omitempty"`
+	Verdict    *dist.Verdict     `json:"verdict,omitempty"`
+}
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -100,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rows = append(append([]row{}, tableI...), extensionRows...)
 	}
 	exitCode := 0
-	var artRows []map[string]any
+	var artRows []tableRow
 	for _, r := range rows {
 		if len(r.protos) == 0 {
 			fmt.Fprintf(w, "%s\t%s\t-\t%s\t-\t%s\t-\n", r.experiment, r.cell, "irrelevant", r.expect)
@@ -108,23 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, name := range r.protos {
 			p := protocols.MustLoad(name)
-			res := analysis.Analyze(p)
-			a := vnassign.AssignFromAnalysis(res)
-			tb := vnassign.Textbook(res)
-
-			static := staticLabel(a)
-
-			ar := map[string]any{
-				"experiment":   r.experiment,
-				"protocol":     name,
-				"class":        a.Class.String(),
-				"static":       static,
-				"textbook_vns": tb.NumVNs,
-				"expected":     r.expect,
-			}
-			if a.Class == vnassign.Class3 {
-				ar["num_vns"] = a.NumVNs
-			}
+			ar := tableRow{Experiment: r.experiment, Expected: r.expect, Static: vnassign.Assign(p).Verdict()}
 			mcCol := "-"
 			if *runMC && r.mcMode != "" {
 				out, ok, v, err := runModelCheck(p, r.mcMode, search.Spec, tel, stderr)
@@ -135,15 +132,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if !ok {
 					exitCode = 1
 				}
-				ar["mc"] = out
-				ar["mc_ok"] = ok
-				if v != nil {
-					ar["verdict"] = v
-				}
+				ar.MC, ar.MCOK, ar.Verdict = out, &ok, v
 			}
 			artRows = append(artRows, ar)
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d VN\t%s\t%s\n",
-				r.experiment, r.cell, name, static, tb.NumVNs, r.expect, mcCol)
+				r.experiment, r.cell, name, staticLabel(ar.Static), ar.Static.TextbookVNs, r.expect, mcCol)
 		}
 	}
 	w.Flush()
@@ -178,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // explicit replay messages) and the two-level composites the sweep in
 // cmd/vnsweep model checks (ptest.Family). Static analysis only —
 // FAMILY_mc.json holds the model-checked half.
-func printFamily(stdout io.Writer, artRows *[]map[string]any) error {
+func printFamily(stdout io.Writer, artRows *[]tableRow) error {
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, "family synthesis (static; model-checked sweep in FAMILY_mc.json):")
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
@@ -190,30 +183,29 @@ func printFamily(stdout io.Writer, artRows *[]map[string]any) error {
 		return err
 	}
 	for _, m := range fam {
-		derivation, parentStatic := fmt.Sprintf("compose %s under %s", m.Inner, m.Outer), "-"
-		delta := fmt.Sprint(len(m.Proto.Messages))
+		ar := tableRow{Experiment: "family", Derivation: fmt.Sprintf("compose %s under %s", m.Inner, m.Outer),
+			Static: vnassign.Assign(m.Proto).Verdict()}
+		parentStatic, delta := "-", fmt.Sprint(len(m.Proto.Messages))
 		if m.Parent != nil {
-			derivation, parentStatic = "non-stalling", staticLabel(vnassign.Assign(m.Parent))
+			parent := vnassign.Assign(m.Parent).Verdict()
+			ar.Derivation, ar.Parent, parentStatic = "non-stalling", &parent, staticLabel(parent)
 			delta = fmt.Sprintf("%d -> %d", len(m.Parent.Messages), len(m.Proto.Messages))
 			if len(m.Proto.Messages) == len(m.Parent.Messages) {
-				derivation = "non-stalling (identity)"
+				ar.Derivation = "non-stalling (identity)"
 			}
 		}
-		derivedStatic := staticLabel(vnassign.Assign(m.Proto))
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n", derivation, m.Proto.Name, parentStatic, derivedStatic, delta)
-		*artRows = append(*artRows, map[string]any{
-			"experiment": "family", "derivation": derivation,
-			"protocol": m.Proto.Name, "parent": parentStatic, "static": derivedStatic,
-		})
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n", ar.Derivation, m.Proto.Name, parentStatic, staticLabel(ar.Static), delta)
+		*artRows = append(*artRows, ar)
 	}
 	return w.Flush()
 }
 
-func staticLabel(a *vnassign.Assignment) string {
-	if a.Class == vnassign.Class2 {
+// staticLabel is a verdict's "static result" column.
+func staticLabel(v vnassign.Verdict) string {
+	if v.Outcome == vnassign.Class2.Tag() {
 		return "Class 2 (no finite assignment)"
 	}
-	return fmt.Sprintf("%d VN", a.NumVNs)
+	return fmt.Sprintf("%d VN", v.NumVNs)
 }
 
 // runModelCheck verifies one cell. For "deadlock" cells, every message

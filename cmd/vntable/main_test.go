@@ -2,10 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"minvn/internal/protocols"
+	"minvn/internal/ptest"
+	"minvn/internal/vnassign"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -47,5 +53,58 @@ func TestGolden(t *testing.T) {
 				t.Errorf("output changed; run with -update if intended.\n--- got ---\n%s--- want ---\n%s", stdout.String(), want)
 			}
 		})
+	}
+}
+
+// TestStatsJSONRows: every artifact row carries the library's static
+// verdict for its protocol, and a family row its parent's too.
+func TestStatsJSONRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-extensions", "-family", "-stats-json", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Extra struct {
+			Metrics struct {
+				Rows []tableRow `json:"rows"`
+			} `json:"metrics"`
+		} `json:"extra"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	fam, err := ptest.Family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []tableRow
+	for _, r := range append(tableI, extensionRows...) {
+		for _, name := range r.protos {
+			want = append(want, tableRow{Experiment: r.experiment, Expected: r.expect,
+				Static: vnassign.Assign(protocols.MustLoad(name)).Verdict()})
+		}
+	}
+	for _, m := range fam {
+		row := tableRow{Experiment: "family", Static: vnassign.Assign(m.Proto).Verdict()}
+		if m.Parent != nil {
+			parent := vnassign.Assign(m.Parent).Verdict()
+			row.Parent = &parent
+		}
+		want = append(want, row)
+	}
+	got := rec.Extra.Metrics.Rows
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		got[i].Derivation = ""
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("row %d = %+v\nwant %+v", i, got[i], want[i])
+		}
 	}
 }

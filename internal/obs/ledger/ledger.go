@@ -2,11 +2,12 @@
 // durable observability plane built on it: an append-only,
 // content-addressed history of runs. A Record captures one CLI run or
 // one vnserved job — provenance, what was asked and answered (a
-// verification's dist.Verdict, or a tool's parameters and outcome), the
-// final mc.Snapshot (including health stripes and occupancy), and
-// stage-timer summaries. New is its only constructor and it has two
-// writers, WriteFile (a -stats-json file, indented) and Ledger.Append (one
-// canonical JSON line), which emit the same bytes modulo whitespace.
+// verification's dist.Verdict, a static analysis' vnassign.Verdict, or
+// a tool's parameters and outcome), the final mc.Snapshot (including
+// health stripes and occupancy), and stage-timer summaries. New is its
+// only constructor and it has two writers, WriteFile (a -stats-json
+// file, indented) and Ledger.Append (one canonical JSON line), which
+// emit the same bytes modulo whitespace.
 // The record's identity is the SHA-256 of the canonical line, so the
 // same run recorded twice (or shipped between replicas) dedups to one
 // record, and the index can always be rebuilt by rehashing the file.
@@ -31,20 +32,23 @@ import (
 	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
+	"minvn/internal/vnassign"
 )
 
 // Record is one run in the ledger. The JSON field order (struct fields
 // in declaration order, map keys sorted by the canonical encoder) is
 // part of the on-disk contract: two semantically identical records must
 // produce identical bytes. A verification states what was asked and
-// answered as Verdict, and Outcome repeats the verdict's; Params is what
-// other tools, and verifications recorded before verdicts, were asked.
+// answered as Verdict, a static analysis (vnmin, a vnserved analyze job)
+// as Static, and Outcome repeats either's; Params is what other tools,
+// and runs recorded before verdicts, were asked.
 type Record struct {
 	Tool       string             `json:"tool"`
 	Created    string             `json:"created,omitempty"`
 	Provenance obs.Provenance     `json:"provenance"`
 	Params     map[string]any     `json:"params,omitempty"`
 	Verdict    *dist.Verdict      `json:"verdict,omitempty"`
+	Static     *vnassign.Verdict  `json:"static,omitempty"`
 	Outcome    string             `json:"outcome,omitempty"`
 	Snapshot   *mc.Snapshot       `json:"snapshot,omitempty"`
 	Stages     []obs.StageSummary `json:"stages,omitempty"`
@@ -53,9 +57,9 @@ type Record struct {
 
 // New starts the record of one run of tool, stamped with the current
 // time and the producing binary's provenance. Every run document is
-// born here; the caller fills in what was asked and answered (a
-// verification's Verdict, or Params and Outcome), the final Snapshot,
-// where the time went (Stages) and any tool-specific payload (Extra).
+// born here; the caller fills in what was asked and answered (Verdict,
+// Static, or Params and Outcome), the final Snapshot, where the time
+// went (Stages) and any tool-specific payload (Extra).
 func New(tool string) *Record {
 	return &Record{
 		Tool:       tool,
@@ -65,11 +69,14 @@ func New(tool string) *Record {
 	}
 }
 
-// Protocol is the protocol the run was about: its verdict's, else the
-// params.protocol a tool or a pre-verdict verification wrote, else "".
+// Protocol is the protocol the run was about: its Verdict's or Static's,
+// else the params.protocol older and other records wrote, else "".
 func (r *Record) Protocol() string {
 	if r.Verdict != nil {
 		return r.Verdict.Protocol
+	}
+	if r.Static != nil {
+		return r.Static.Protocol
 	}
 	p, _ := r.Params["protocol"].(string)
 	return p

@@ -10,6 +10,7 @@ import (
 	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
+	"minvn/internal/vnassign"
 )
 
 func testRecord(outcome string, sps float64) *Record {
@@ -238,35 +239,40 @@ func TestLastAndEntries(t *testing.T) {
 	}
 }
 
-// legacyProtocols is testdata/legacy.jsonl by tool: one record each that
-// vnverify, vnexplain, vnmin and a vnserved verify job wrote before run
-// records carried verdicts, and the protocol each was about.
-var legacyProtocols = map[string]string{
-	"vnverify":  "MSI_nonblocking_cache",
-	"vnexplain": "MSI_blocking_cache",
-	"vnmin":     "MESI_nonblocking_cache",
-	"vnserved":  "MESI_nonblocking_cache",
+// legacyRecords is testdata/legacy.jsonl in order: one record each that
+// vnverify, vnexplain, vnmin, a vnserved verify job and a vnserved
+// analyze job wrote before run records carried verdicts (the analyze
+// job's before they carried static verdicts), by tool, and the protocol
+// each was about.
+var legacyRecords = [][2]string{
+	{"vnverify", "MSI_nonblocking_cache"},
+	{"vnexplain", "MSI_blocking_cache"},
+	{"vnmin", "MESI_nonblocking_cache"},
+	{"vnserved", "MESI_nonblocking_cache"},
+	{"vnserved", "CHI"},
 }
 
-// TestLegacyRecords: records written before the verdict field still
+// TestLegacyRecords: records written before the verdict fields still
 // decode to the same content address and name their protocol; a
-// verdict names it when present.
+// verdict or static verdict names it when present.
 func TestLegacyRecords(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "legacy.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) != len(legacyProtocols) {
-		t.Fatalf("%d fixture records, want %d", len(lines), len(legacyProtocols))
+	if len(lines) != len(legacyRecords) {
+		t.Fatalf("%d fixture records, want %d", len(lines), len(legacyRecords))
 	}
-	for _, line := range lines {
+	for i, line := range lines {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := rec.Protocol(), legacyProtocols[rec.Tool]; got != want || rec.Verdict != nil {
-			t.Errorf("%s record: protocol %q, verdict %v; want %q and none", rec.Tool, got, rec.Verdict, want)
+		if tool, proto := legacyRecords[i][0], legacyRecords[i][1]; rec.Tool != tool || rec.Protocol() != proto ||
+			rec.Verdict != nil || rec.Static != nil {
+			t.Errorf("record %d: %s about %q, verdicts %v, %v; want %s about %q and none",
+				i, rec.Tool, rec.Protocol(), rec.Verdict, rec.Static, tool, proto)
 		}
 		again, err := rec.Encode()
 		if err != nil || !bytes.Equal(again, line) {
@@ -278,5 +284,10 @@ func TestLegacyRecords(t *testing.T) {
 	rec.Verdict = &dist.Verdict{Protocol: "CHI"}
 	if got := rec.Protocol(); got != "CHI" {
 		t.Errorf("verdict record protocol = %q, want the verdict's", got)
+	}
+	rec = testRecord("class3", 1)
+	rec.Static = &vnassign.Verdict{Protocol: "TileLink"}
+	if got := rec.Protocol(); got != "TileLink" {
+		t.Errorf("static record protocol = %q, want the static verdict's", got)
 	}
 }

@@ -266,6 +266,14 @@ func (r *Relation) Pairs() []Pair {
 	return out
 }
 
+// Arrays is Pairs as [from, to] arrays, the form JSON documents and
+// conflict-pair lists take.
+func (r *Relation) Arrays() [][2]string {
+	out := make([][2]string, 0, r.Size())
+	r.Each(func(i, j int) { out = append(out, [2]string{r.u.names[i], r.u.names[j]}) })
+	return out
+}
+
 // elements is the set of indexes appearing on either side of a pair.
 func (r *Relation) elements() Row {
 	set := r.u.NewRow()

@@ -38,6 +38,9 @@ func TestPairsDeterministic(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
+	if arrays := r.Arrays(); !reflect.DeepEqual(arrays, [][2]string{{"a", "a"}, {"a", "b"}, {"c", "a"}}) {
+		t.Fatalf("Arrays() = %v, want Pairs() in the same order", arrays)
+	}
 }
 
 func TestInverse(t *testing.T) {

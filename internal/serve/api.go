@@ -27,17 +27,19 @@
 // SIGTERM drains gracefully: admitted jobs complete, new ones are
 // refused.
 //
-// What a job leaves behind is one document: its ledger.Record (a verify
-// job's verdict, or an analyze job's kind and protocol; the outcome; the
-// final snapshot with the health report; and the job, request and trace
-// ids), written before the job is published as done and
-// served back by GET /v1/runs. The other surfaces answer what the
-// record cannot: SSE and GET /v1/jobs/{id} are the live job; the job
-// log (Config.JobLog) is every request's lifecycle, including those
-// that never became a run; GET /v1/stats and /metrics are the
-// fleet-level registry as JSON and as Prometheus text; /debug/dash is
-// the only live cross-job view. Memory is bounded in jobs served (see
-// maxTerminalJobs; stage timing is per-kind running summaries).
+// What a job leaves behind is one document: its ledger.Record (the
+// verdict its response carries — a verify job's dist.Verdict, an
+// analyze job's vnassign.Verdict — or, if it answered nothing, its kind
+// and protocol; the outcome; the final snapshot with the health report;
+// and the job, request and trace ids), written before the job is
+// published as done and served back by GET /v1/runs. The other
+// surfaces answer what the record cannot: SSE and GET /v1/jobs/{id} are
+// the live job; the job log (Config.JobLog) is every request's
+// lifecycle, including those that never became a run; GET /v1/stats
+// and /metrics are the fleet-level registry as JSON and as Prometheus
+// text; /debug/dash is the only live cross-job view. Memory is bounded
+// in jobs served (see maxTerminalJobs; stage timing is per-kind running
+// summaries).
 package serve
 
 import (
@@ -55,7 +57,6 @@ import (
 	"minvn/internal/obs/trace"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
-	"minvn/internal/relation"
 	"minvn/internal/vnassign"
 )
 
@@ -85,22 +86,17 @@ type VerifyRequest struct {
 	DeadlineMillis int64           `json:"deadline_ms,omitempty"`
 }
 
-// AnalyzeResult is the analyze job's result document. It is fully
-// deterministic (no wall-clock fields), so cached and fresh runs are
-// byte-identical by construction as well as by caching.
+// AnalyzeResult is the analyze job's result document: the static
+// verdict, and the relations it was derived from, which only this
+// document serves. It is fully deterministic (no wall-clock fields), so
+// cached and fresh runs are byte-identical by construction as well as
+// by caching.
 type AnalyzeResult struct {
-	Protocol    string         `json:"protocol"`
-	Class       string         `json:"class"`
-	NumVNs      int            `json:"num_vns,omitempty"`
-	VN          map[string]int `json:"vn,omitempty"`
-	VNGroups    [][]string     `json:"vn_groups,omitempty"`
-	WaitsCycle  []string       `json:"waits_cycle,omitempty"`
-	Stallable   []string       `json:"stallable,omitempty"`
-	Causes      [][2]string    `json:"causes"`
-	Stalls      [][2]string    `json:"stalls"`
-	Waits       [][2]string    `json:"waits"`
-	Refinements int            `json:"refinements"`
-	Exact       bool           `json:"exact"`
+	vnassign.Verdict
+	Stallable []string    `json:"stallable,omitempty"`
+	Causes    [][2]string `json:"causes"`
+	Stalls    [][2]string `json:"stalls"`
+	Waits     [][2]string `json:"waits"`
 }
 
 // VerifyResult is the verify job's result document: the run's verdict
@@ -227,10 +223,11 @@ type task struct {
 	// the job has finished, and for analyze jobs), with the worker count
 	// runJob gives it at start. run reads it then.
 	search *dist.Job
-	// verdict and outcome are what run answered, for the ledger record:
-	// a verify run's verdict (canceled ones too), and a finished run's
-	// outcome (an analyze job's class tag, or the verdict's).
+	// verdict, static and outcome are what run answered, for the ledger
+	// record: a verify run's verdict (canceled ones too), an analyze
+	// run's static verdict, and a finished run's outcome (either's).
 	verdict  *dist.Verdict
+	static   *vnassign.Verdict
 	outcome  string
 	deadline time.Duration
 	// requestID is the caller's X-Request-ID (sanitized), set by the
@@ -250,15 +247,6 @@ type task struct {
 // hard stop; the job is reported canceled and nothing is cached.
 var errJobCanceled = errors.New("job canceled")
 
-func pairs(r *relation.Relation) [][2]string {
-	ps := r.Pairs()
-	out := make([][2]string, len(ps))
-	for i, p := range ps {
-		out[i] = [2]string{p.From, p.To}
-	}
-	return out
-}
-
 // prepareAnalyze validates an analyze request into a runnable task.
 func prepareAnalyze(req AnalyzeRequest) (*task, error) {
 	p, canon, err := resolveProtocol(req.Protocol, req.ProtocolSpec)
@@ -270,34 +258,24 @@ func prepareAnalyze(req AnalyzeRequest) (*task, error) {
 		if ctx.Err() != nil {
 			return nil, errJobCanceled
 		}
-		a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
-		t.outcome = a.Class.Tag()
-		return analyzeResult(a)
+		res := analyzeResult(vnassign.AssignFromAnalysis(analysis.Analyze(p)))
+		v := res.Verdict // not &res.Verdict: the record keeps no relations
+		t.static, t.outcome = &v, v.Outcome
+		return json.Marshal(res)
 	}
 	return t, nil
 }
 
 // analyzeResult is the analyze job's result document for a.
-func analyzeResult(a *vnassign.Assignment) (json.RawMessage, error) {
-	res := AnalyzeResult{
-		Protocol:    a.Protocol.Name,
-		Class:       a.Class.String(),
-		Stallable:   a.Analysis.Stallable,
-		Causes:      pairs(a.Analysis.Causes),
-		Stalls:      pairs(a.Analysis.Stalls),
-		Waits:       pairs(a.Analysis.Waits),
-		Refinements: a.Refinements,
-		Exact:       a.Exact,
+func analyzeResult(a *vnassign.Assignment) AnalyzeResult {
+	r := a.Analysis
+	return AnalyzeResult{
+		Verdict:   a.Verdict(),
+		Stallable: r.Stallable,
+		Causes:    r.Causes.Arrays(),
+		Stalls:    r.Stalls.Arrays(),
+		Waits:     r.Waits.Arrays(),
 	}
-	switch a.Class {
-	case vnassign.Class3:
-		res.NumVNs = a.NumVNs
-		res.VN = a.VN
-		res.VNGroups = a.VNGroups()
-	case vnassign.Class2:
-		res.WaitsCycle = a.WaitsCycle
-	}
-	return json.Marshal(res)
 }
 
 // prepareVerify validates a verify request into a task that is keyed

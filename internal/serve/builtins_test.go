@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -19,14 +20,15 @@ import (
 )
 
 // TestSharedBuiltinsUnmodified sends analyze and verify requests from
-// 16 goroutines through one server, naming built-ins (the alias MSI
-// among them, which shares MSI_blocking_cache's memo entry) and
+// two goroutines per protocol through one server, naming every built-in
+// (and the alias MSI, which shares MSI_blocking_cache's memo entry) and
 // carrying the two-level MSI_under_MESI inline. Under -race a job that
 // wrote to a shared protocol is a reported race; afterwards every
 // memoized protocol must still encode to its memoized bytes, and every
-// served answer must equal one computed from a freshly built protocol.
+// served answer must equal one computed from a freshly built protocol:
+// an analysis decodes to that protocol's static verdict.
 func TestSharedBuiltinsUnmodified(t *testing.T) {
-	names := []string{"MSI", "MSI_blocking_cache", "MSI_nonblocking_cache", "MESI_nonblocking_cache", "CHI", "MSI_under_MESI"}
+	names := append(protocols.Names(), "MSI", "MSI_under_MESI")
 	fresh := func(name string) *protocol.Protocol {
 		if name != "MSI_under_MESI" {
 			return protocols.MustLoad(name)
@@ -46,7 +48,8 @@ func TestSharedBuiltinsUnmodified(t *testing.T) {
 		return VerifyOptions{VN: dist.VNPerMessage, Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 1000 + 250*(g%3)}
 	}
 
-	srv := New(Config{Workers: 4, Logf: func(string, ...any) {}})
+	goroutines := 2 * len(names)
+	srv := New(Config{Workers: 4, QueueDepth: goroutines, Logf: func(string, ...any) {}})
 	defer srv.Close()
 	post := func(path string, body any) (JobView, error) {
 		raw, _ := json.Marshal(body)
@@ -65,7 +68,6 @@ func TestSharedBuiltinsUnmodified(t *testing.T) {
 		return v, nil
 	}
 
-	const goroutines = 16
 	analyzed := make([]json.RawMessage, goroutines)
 	verified := make([]json.RawMessage, goroutines)
 	errs := make([]error, goroutines)
@@ -112,12 +114,20 @@ func TestSharedBuiltinsUnmodified(t *testing.T) {
 			continue
 		}
 		p := fresh(name)
-		want, err := analyzeResult(vnassign.AssignFromAnalysis(analysis.Analyze(p)))
+		a := vnassign.AssignFromAnalysis(analysis.Analyze(p))
+		want, err := json.Marshal(analyzeResult(a))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(compact(t, analyzed[g]), want) {
 			t.Errorf("%s: served analysis differs from a fresh protocol's:\n%s\nvs\n%s", name, analyzed[g], want)
+		}
+		var served AnalyzeResult
+		if err := json.Unmarshal(analyzed[g], &served); err != nil {
+			t.Fatal(err)
+		}
+		if v := a.Verdict(); !reflect.DeepEqual(served.Verdict, v) {
+			t.Errorf("%s: served verdict %+v, library verdict %+v", name, served.Verdict, v)
 		}
 
 		job, err := options(g).Resolve(p, nil)

@@ -17,6 +17,7 @@ import (
 	"minvn/internal/obs/ledger"
 	"minvn/internal/serve"
 	"minvn/internal/serve/client"
+	"minvn/internal/vnassign"
 )
 
 // ledgerServer is testServer plus a run ledger backed by a temp file.
@@ -52,7 +53,8 @@ func TestRunsEndpoint(t *testing.T) {
 	if err != nil || !hot.Cached {
 		t.Fatalf("hot verify: err=%v cached=%v", err, hot != nil && hot.Cached)
 	}
-	if _, err := cl.Analyze(context.Background(), serve.AnalyzeRequest{Protocol: "MSI_nonblocking_cache"}); err != nil {
+	analyzed, err := cl.Analyze(context.Background(), serve.AnalyzeRequest{Protocol: "MSI_nonblocking_cache"})
+	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	if led.Len() != 2 {
@@ -109,6 +111,16 @@ func TestRunsEndpoint(t *testing.T) {
 	}
 	if len(rec.Params) != 0 {
 		t.Errorf("verify record writes params %v", rec.Params)
+	}
+	// An analyze record states the static verdict its response served.
+	getJSON(t, hs, "/v1/runs?full=1&limit=1", &page)
+	var static serve.AnalyzeResult
+	if err := json.Unmarshal(analyzed.Result, &static); err != nil {
+		t.Fatal(err)
+	}
+	if a := page.Runs[0].Record; a == nil || a.Static == nil || !reflect.DeepEqual(*a.Static, static.Verdict) ||
+		a.Outcome != static.Outcome || len(a.Params) != 0 {
+		t.Errorf("analyze record %+v\nserved %+v", a, static.Verdict)
 	}
 	// The dashboard's per-VN bars and stripe-heat panels read these off
 	// the job snapshots; the ledger record must carry both.
@@ -245,7 +257,9 @@ func TestFleetFeed(t *testing.T) {
 
 // TestRunsLegacyLedger: records written before run records carried
 // verdicts still page by protocol. The fixture holds one record each
-// from vnverify, vnexplain, vnmin and a vnserved verify job.
+// from vnverify, vnexplain, vnmin, a vnserved verify job and a vnserved
+// analyze job; an analyze record pages as one whether its kind is a
+// param or its answer a static verdict.
 func TestRunsLegacyLedger(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "obs", "ledger", "testdata", "legacy.jsonl"))
 	if err != nil {
@@ -259,6 +273,12 @@ func TestRunsLegacyLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := ledger.New("vnmin")
+	rec.Static = &vnassign.Verdict{Protocol: "CHI", Outcome: "class3", NumVNs: 2}
+	rec.Outcome = rec.Static.Outcome
+	if _, _, err := led.Append(rec); err != nil {
+		t.Fatal(err)
+	}
 	srv := serve.New(serve.Config{Ledger: led})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close(); led.Close() })
@@ -267,6 +287,7 @@ func TestRunsLegacyLedger(t *testing.T) {
 		"MSI_nonblocking_cache":  "vnverify",
 		"MSI_blocking_cache":     "vnexplain",
 		"MESI_nonblocking_cache": "vnmin,vnserved",
+		"CHI":                    "vnserved,vnmin",
 	} {
 		var page serve.RunsPage
 		getJSON(t, hs, "/v1/runs?protocol="+proto, &page)
@@ -274,6 +295,9 @@ func TestRunsLegacyLedger(t *testing.T) {
 		for _, r := range page.Runs {
 			if r.Protocol != proto {
 				t.Errorf("?protocol=%s listed a %s run", proto, r.Protocol)
+			}
+			if proto == "CHI" && (r.Kind != "analyze" || r.Outcome != "class3") {
+				t.Errorf("CHI %s run pages as kind %q, outcome %q; want analyze, class3", r.Tool, r.Kind, r.Outcome)
 			}
 			got = append([]string{r.Tool}, got...) // oldest first
 		}

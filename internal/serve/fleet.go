@@ -69,7 +69,8 @@ func (s *Server) recordJob(job *Job, status JobStatus, errMsg string, snap *mc.S
 	if status == StatusDone {
 		rec.Outcome = job.task.outcome
 	}
-	if rec.Verdict = job.task.verdict; rec.Verdict == nil {
+	rec.Verdict, rec.Static = job.task.verdict, job.task.static
+	if rec.Verdict == nil && rec.Static == nil {
 		rec.Params["kind"], rec.Params["protocol"] = job.task.kind, job.task.protocol
 	}
 	rec.Snapshot = snap

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestTerminalJobRetention: the id map keeps a fixed number of finished
@@ -20,10 +19,10 @@ import (
 // longer holds its search.
 func TestTerminalJobRetention(t *testing.T) {
 	var hold atomic.Bool
-	gate := make(chan struct{})
-	srv := New(Config{Workers: 1, BeforeRun: func(context.Context) {
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
+	srv := New(Config{Workers: 1, BeforeRun: func(ctx context.Context) {
 		if hold.Load() {
-			<-gate
+			park(parked, gate)(ctx)
 		}
 	}})
 	hs := httptest.NewServer(srv.Handler())
@@ -65,12 +64,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	go func() {
 		waited <- post("/v1/verify?wait=1", `{"protocol":"MSI_nonblocking_cache","options":{"max_states":2000}}`)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Running < 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("the held job never started running")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitParked(parked, 1)
 
 	// Every further analyze is a cache hit: an immediately terminal job
 	// that needs no worker.

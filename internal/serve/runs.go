@@ -89,10 +89,13 @@ func runView(e ledger.Entry, full bool) RunView {
 		Seq: e.Seq, ID: e.ID,
 		Created: rec.Created, Tool: rec.Tool, Outcome: rec.Outcome,
 	}
-	// Every verdict answers a verification; other runs state their kind.
+	// A verdict answers a verification, a static verdict an analysis;
+	// other runs state their kind.
 	v.Kind, _ = rec.Params["kind"].(string)
 	if rec.Verdict != nil {
 		v.Kind = "verify"
+	} else if rec.Static != nil {
+		v.Kind = "analyze"
 	}
 	v.Protocol = rec.Protocol()
 	if rec.Snapshot != nil {

@@ -20,7 +20,8 @@ import (
 
 // Constraint demands that two message names land on different VNs.
 type Constraint struct {
-	A, B string
+	A string `json:"a"`
+	B string `json:"b"`
 }
 
 // SeparateDataFromControl builds the constraint set a designer
@@ -39,7 +40,8 @@ func SeparateDataFromControl(p *protocol.Protocol) []Constraint {
 // AssignConstrained is Assign plus designer constraints. Returns an
 // error for unknown message names or self-constraints; Class 2
 // verdicts are reported exactly as by Assign (constraints cannot
-// rescue an inevitable VN deadlock).
+// rescue an inevitable VN deadlock). Either way the result records the
+// constraints it was computed under.
 func AssignConstrained(r *analysis.Result, constraints []Constraint) (*Assignment, error) {
 	p := r.Protocol
 	for _, c := range constraints {
@@ -56,6 +58,7 @@ func AssignConstrained(r *analysis.Result, constraints []Constraint) (*Assignmen
 
 	a := AssignFromAnalysis(r)
 	if a.Class != Class3 {
+		a.Constraints = constraints
 		return a, nil
 	}
 
@@ -82,6 +85,7 @@ func AssignConstrained(r *analysis.Result, constraints []Constraint) (*Assignmen
 		VN:            completeAssignment(r, coloring.Color, numVNs),
 		ConflictPairs: pairs,
 		Exact:         a.Exact && coloring.Exact,
+		Constraints:   constraints,
 	}
 	if ok, _ := analysis.DeadlockFree(r, out.VN); !ok {
 		// Never observed; guarded for soundness.

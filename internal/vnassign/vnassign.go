@@ -80,6 +80,10 @@ type Assignment struct {
 	// WaitsCycle witnesses Class 2 (a cycle in waits).
 	WaitsCycle []string
 
+	// Constraints are the designer separations AssignConstrained
+	// computed it under (nil for Assign).
+	Constraints []Constraint
+
 	// Diagnostics of the reduction.
 	Graph         *graph.Digraph // Eq. 5 dependency graph
 	FAS           []graph.Edge   // chosen feedback arc set
@@ -100,6 +104,44 @@ func (a *Assignment) VNGroups() [][]string {
 		groups[v] = append(groups[v], m)
 	}
 	return groups
+}
+
+// Verdict is the one description of a static answer — what the
+// paper's algorithm says about a protocol: its class, for Class 3 the
+// minimum VN count and mapping, for Class 2 the waits cycle, and the
+// textbook count the answer is measured against. vnserved's analyze
+// response, the vnmin and vnserved analyze run records, and vntable's
+// rows all carry it; (*Assignment).Verdict is its only constructor.
+type Verdict struct {
+	Protocol      string         `json:"protocol"`
+	Outcome       string         `json:"outcome"` // Class.Tag
+	Class         string         `json:"class"`   // Class.String
+	NumVNs        int            `json:"num_vns,omitempty"`
+	VN            map[string]int `json:"vn,omitempty"`
+	VNGroups      [][]string     `json:"vn_groups,omitempty"`
+	WaitsCycle    []string       `json:"waits_cycle,omitempty"`
+	TextbookVNs   int            `json:"textbook_vns"`
+	ConflictPairs int            `json:"conflict_pairs"`
+	Refinements   int            `json:"refinements"`
+	Exact         bool           `json:"exact"`
+	Constraints   []Constraint   `json:"constraints,omitempty"`
+}
+
+// Verdict describes a. It computes the textbook count, so a caller that
+// only needs the class or the mapping reads the assignment instead.
+func (a *Assignment) Verdict() Verdict {
+	v := Verdict{
+		Protocol: a.Protocol.Name, Outcome: a.Class.Tag(), Class: a.Class.String(),
+		TextbookVNs: Textbook(a.Analysis).NumVNs, ConflictPairs: len(a.ConflictPairs),
+		Refinements: a.Refinements, Exact: a.Exact, Constraints: a.Constraints,
+	}
+	switch a.Class {
+	case Class3:
+		v.NumVNs, v.VN, v.VNGroups = a.NumVNs, a.VN, a.VNGroups()
+	case Class2:
+		v.WaitsCycle = a.WaitsCycle
+	}
+	return v
 }
 
 // String renders a human-readable summary.
@@ -186,7 +228,7 @@ func AssignFromAnalysisObserved(r *analysis.Result, tl *obs.Timeline) *Assignmen
 				dep.queuesPairs(conflict, a, removed)
 			}
 		}
-		a.ConflictPairs = pairsOf(conflict)
+		a.ConflictPairs = conflict.Arrays()
 		coloring = graph.ColorMinimal(graph.UndirectedOf(conflict))
 	})
 	if !coloring.Exact {
@@ -225,22 +267,12 @@ func AssignFromAnalysisObserved(r *analysis.Result, tl *obs.Timeline) *Assignmen
 		coloring = graph.ColorMinimal(graph.UndirectedOf(conflict))
 		a.NumVNs = coloring.NumColors
 		a.VN = completeAssignment(r, coloring.Color, a.NumVNs)
-		a.ConflictPairs = pairsOf(conflict)
+		a.ConflictPairs = conflict.Arrays()
 	}
 	// Refinement failed to converge; declare Class 2 conservatively.
 	a.Class = Class2
 	a.WaitsCycle = r.Protocol.MessageNames()
 	return a
-}
-
-// pairsOf lists a conflict relation's pairs, sorted (the same queues
-// pair is often discovered through many dependency-graph edges; the
-// relation holds it once).
-func pairsOf(conflict *relation.Relation) [][2]string {
-	names := conflict.Universe()
-	out := make([][2]string, 0, conflict.Size())
-	conflict.Each(func(i, j int) { out = append(out, [2]string{names.Name(i), names.Name(j)}) })
-	return out
 }
 
 // completeAssignment extends a partial coloring (color[i] < 0: message

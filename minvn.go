@@ -88,15 +88,7 @@ func MinimizeConstrained(p *protocol.Protocol, cs []Constraint) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Protocol:   p,
-		Class:      a.Class,
-		NumVNs:     a.NumVNs,
-		VN:         a.VN,
-		WaitsCycle: a.WaitsCycle,
-		Textbook:   vnassign.Textbook(r).NumVNs,
-		Assignment: a,
-	}, nil
+	return result(a), nil
 }
 
 // EnumerateMinimal lists up to limit distinct minimal assignments
@@ -118,15 +110,18 @@ func DecodeProtocol(data []byte) (*protocol.Protocol, error) {
 
 // Minimize runs the paper's algorithm on a protocol.
 func Minimize(p *protocol.Protocol) *Result {
-	r := analysis.Analyze(p)
-	a := vnassign.AssignFromAnalysis(r)
+	return result(vnassign.AssignFromAnalysis(analysis.Analyze(p)))
+}
+
+// result is the facade's view of an assignment.
+func result(a *vnassign.Assignment) *Result {
 	return &Result{
-		Protocol:   p,
+		Protocol:   a.Protocol,
 		Class:      a.Class,
 		NumVNs:     a.NumVNs,
 		VN:         a.VN,
 		WaitsCycle: a.WaitsCycle,
-		Textbook:   vnassign.Textbook(r).NumVNs,
+		Textbook:   vnassign.Textbook(a.Analysis).NumVNs,
 		Assignment: a,
 	}
 }
