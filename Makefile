@@ -71,8 +71,8 @@ family:
 	$(GO) run ./cmd/vnsweep -out FAMILY_mc.json
 
 # CI gate for the family sweep: recompute the whole campaign and
-# compare classes, min-VN counts, and per-combination outcomes (plus
-# states/depth for completed runs) against the checked-in
+# compare each row's static verdict and per-combination outcomes (plus
+# states/max_depth for completed runs) against the checked-in
 # FAMILY_mc.json. Cross-engine/cross-store disagreement fails the run
 # on its own; on any mismatch the recomputed table is left in
 # FAMILY_mc.json.fresh as the failure artifact.
@@ -84,7 +84,7 @@ family-smoke:
 # the commands that consume it.
 family-cover:
 	$(GO) test -short -cover ./internal/protocol/xform/ ./internal/ptest/ \
-		./cmd/vnsweep/ ./cmd/vntable/
+		./cmd/vnsweep/ ./cmd/vnfuzz/ ./cmd/vntable/
 
 # Run the analysis service in the foreground (SIGINT/SIGTERM drains
 # gracefully and exits 0).

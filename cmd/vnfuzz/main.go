@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"minvn/internal/cliflag"
@@ -22,7 +23,15 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run(args []string, stdout, stderr *os.File) int {
+// metrics is the campaign's payload in its run record (extra.metrics).
+type metrics struct {
+	Cases      int            `json:"cases"`
+	ByVerdict  map[string]int `json:"by_verdict"`
+	ByOrigin   map[string]int `json:"by_origin"`
+	Violations int            `json:"violations"`
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vnfuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	search := cliflag.Search{
@@ -54,11 +63,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	if err != nil {
 		return cliflag.Fail(stderr, "vnfuzz", err)
 	}
-	opts := ptest.Options{
-		Caches: search.Caches, Dirs: search.Dirs, Addrs: search.Addrs,
-		MaxStates: search.MaxStates, Engines: engs, Stores: sts,
-		Workers: search.Workers,
-	}
+	opts := ptest.Options{Spec: search.Spec, Engines: engs, Stores: sts}
 
 	if *selfTest {
 		res, err := ptest.SelfTest(opts)
@@ -111,7 +116,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "  shrunk: %d transitions (%d removals, %d attempts)\n",
 				v.Shrunk.Spec.NumTransitions(), v.Shrunk.Removed, v.Shrunk.Attempts)
 		}
-		path, err := ptest.WriteRepro(*reproDir, *seed, v)
+		path, err := ptest.WriteRepro(*reproDir, *seed, opts, v)
 		if err != nil {
 			fmt.Fprintln(stderr, "vnfuzz: writing repro:", err)
 			return 1
@@ -134,12 +139,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		rec.Outcome = "violations"
 	}
 	rec.Stages = tl.Summaries()
-	rec.Extra = map[string]any{"metrics": map[string]any{
-		"cases":      res.Cases,
-		"by_verdict": res.ByVerdict,
-		"by_origin":  res.ByOrigin,
-		"violations": len(res.Violations),
-	}}
+	rec.Extra = map[string]any{"metrics": metrics{res.Cases, res.ByVerdict, res.ByOrigin, len(res.Violations)}}
 	if len(reproPaths) > 0 {
 		rec.Extra["repros"] = reproPaths
 	}

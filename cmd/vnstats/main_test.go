@@ -205,7 +205,9 @@ func TestUsageAndErrors(t *testing.T) {
 // protocol, whether a verdict or static verdict names it or — in a
 // ledger written before verdicts, one record each from vnverify,
 // vnexplain, vnmin, a vnserved verify job and a vnserved analyze job —
-// the params do. Analyze records have no snapshot, so no trend.
+// the params do. Analyze records have no snapshot, so no trend. The
+// vnsweep and vnfuzz records of the same fixture, about no one
+// protocol, list by tool.
 func TestLegacyLedgerByProtocol(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "obs", "ledger", "testdata", "legacy.jsonl"))
 	if err != nil {
@@ -263,5 +265,15 @@ func TestLegacyLedgerByProtocol(t *testing.T) {
 		if code != 0 || !strings.HasPrefix(out, want) {
 			t.Errorf("trend -protocol %s: exit %d, %q%s; want %q", proto, code, out, errOut, want)
 		}
+	}
+	for tool, outcome := range map[string]string{"vnsweep": "ok", "vnfuzz": "clean"} {
+		code, out, errOut := runCmd(t, "list", "-ledger", path, "-tool", tool)
+		rows := strings.Split(strings.TrimSpace(out), "\n")
+		if code != 0 || len(rows) != 3 || strings.Fields(rows[1])[4] != outcome {
+			t.Errorf("list -tool %s: exit %d, %q%s; want one %s record", tool, code, out, errOut, outcome)
+		}
+	}
+	if code, out, _ := runCmd(t, "list", "-ledger", path); code != 0 || !strings.HasSuffix(out, "\n9 record(s)\n") {
+		t.Errorf("list: exit %d, %q; want every fixture record and both appended", code, out)
 	}
 }

@@ -7,12 +7,14 @@
 // adding replay messages certifies one VN, while stacking protocols
 // into a hierarchy is not statically certifiable at all.
 //
-// Cross-combination agreement is enforced: all engines and stores must
-// report the same outcome, state count and depth (mc.Agree).
-// Disagreement is an engine bug and fails the run.
+// Cross-combination agreement is enforced: every row is cross-checked
+// by ptest.CrossCheck, and all engines and stores must report the same
+// outcome, state count and depth (mc.Agree). Disagreement is an engine
+// bug and fails the run.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -29,16 +31,6 @@ import (
 	"minvn/internal/vnassign"
 )
 
-// runRec is one engine × store bounded-verification result.
-type runRec struct {
-	Engine  string `json:"engine"`
-	Store   string `json:"store"`
-	Outcome string `json:"outcome"`
-	States  int    `json:"states"`
-	Depth   int    `json:"depth"`
-	Rules   int    `json:"rules"`
-}
-
 // row is one protocol of the family table.
 type row struct {
 	Protocol string `json:"protocol"`
@@ -53,15 +45,15 @@ type row struct {
 	// never-blocking directories overrun the single saved register
 	// under eviction workloads (see DESIGN.md); empty means the full
 	// core-event set.
-	Workload   string   `json:"workload,omitempty"`
-	Messages   int      `json:"messages"`
-	Class      string   `json:"class"`
-	MinVNs     int      `json:"min_vns"` // 0: no finite per-name assignment
-	WaitsCycle []string `json:"waits_cycle,omitempty"`
-	VNMode     string   `json:"vn_mode"` // minimal | permsg
-	NumVNsUsed int      `json:"num_vns_used"`
-	Runs       []runRec `json:"runs"`
-	Agree      bool     `json:"agree"`
+	Workload string `json:"workload,omitempty"`
+	Messages int    `json:"messages"`
+	// Static is the analysis' verdict: the class, and the minimum VN
+	// count and mapping (Class 3) or the waits cycle (Class 2).
+	Static     vnassign.Verdict `json:"static"`
+	VNMode     string           `json:"vn_mode"` // minimal | permsg
+	NumVNsUsed int              `json:"num_vns_used"`
+	Runs       []ptest.Cell     `json:"runs"`
+	Agree      bool             `json:"agree"`
 }
 
 // compareRec is one composite of the add-vs-compose summary.
@@ -136,7 +128,7 @@ func main() {
 			disagree++
 		}
 		fmt.Printf("%-42s %-12s %-8s minVN=%d %-9s %8d states  %s\n",
-			r.Protocol, r.Variant, r.Class, r.MinVNs, r.Runs[0].Outcome, r.Runs[0].States, status)
+			r.Protocol, r.Variant, r.Static.Class, r.Static.NumVNs, r.Runs[0].Outcome, r.Runs[0].States, status)
 	}
 
 	if *out != "" {
@@ -165,10 +157,19 @@ func main() {
 	}
 }
 
+// familyRec is one row of the sweep's run record.
+type familyRec struct {
+	Protocol string `json:"protocol"`
+	Variant  string `json:"variant"`
+	Class    string `json:"class"`
+	MinVNs   int    `json:"min_vns"`
+	Agree    bool   `json:"agree"`
+}
+
 // sweepRecord summarizes the whole campaign as one ledger record:
-// the sweep config, row count, and per-row class/minVN/outcome — enough
-// for vnstats to track family drift across commits without replaying
-// FAMILY_mc.json.
+// the sweep config, row count, and per-row class/minVN/agreement —
+// enough for vnstats to track family drift across commits without
+// replaying FAMILY_mc.json.
 func sweepRecord(search cliflag.Search, ff *familyFile, disagree int) *ledger.Record {
 	rec := ledger.New("vnsweep")
 	rec.Params = search.Params()
@@ -176,12 +177,9 @@ func sweepRecord(search cliflag.Search, ff *familyFile, disagree int) *ledger.Re
 	if disagree > 0 {
 		rec.Outcome = "disagree"
 	}
-	rows := make([]map[string]any, 0, len(ff.Rows))
+	rows := make([]familyRec, 0, len(ff.Rows))
 	for _, r := range ff.Rows {
-		rows = append(rows, map[string]any{
-			"protocol": r.Protocol, "variant": r.Variant,
-			"class": r.Class, "min_vns": r.MinVNs, "agree": r.Agree,
-		})
+		rows = append(rows, familyRec{r.Protocol, r.Variant, r.Static.Class, r.Static.NumVNs, r.Agree})
 	}
 	rec.Extra = map[string]any{
 		"metrics": map[string]any{"rows": len(ff.Rows), "disagree": disagree},
@@ -222,21 +220,16 @@ func sweep(search cliflag.Search) (*familyFile, error) {
 			job{m.Proto, row{Family: m.Parent.Name, Variant: "nonstalling",
 				AlreadyNonStalling: len(m.Proto.Messages) == len(m.Parent.Messages)}})
 	}
-	classOf := map[string]*vnassign.Assignment{}
 	for _, j := range jobs {
 		a := vnassign.Assign(j.p)
-		classOf[j.p.Name] = a
 		r := j.r
-		r.Protocol, r.Messages, r.Class = j.p.Name, len(j.p.Messages), a.Class.String()
+		r.Protocol, r.Messages, r.Static = j.p.Name, len(j.p.Messages), a.Verdict()
 		// A Class 3 row is checked under its minimal assignment; a Class 2
 		// row has none, so it runs under per-message VNs.
 		spec := search.Spec
 		spec.VN = dist.VNPerMessage
 		if a.Class == vnassign.Class3 {
 			spec.VN = dist.VNMinimal
-			r.MinVNs = a.NumVNs
-		} else {
-			r.WaitsCycle = a.WaitsCycle
 		}
 		if strings.HasPrefix(r.Family, "MO") {
 			spec.NoReplacement = true
@@ -247,46 +240,33 @@ func sweep(search cliflag.Search) (*familyFile, error) {
 			return nil, fmt.Errorf("%s: %w", j.p.Name, err)
 		}
 		r.VNMode, r.NumVNsUsed = job.Spec.VN, job.Config.NumVNs
-		r.Agree = true
-		var first mc.Result
-		for _, eng := range engines {
-			for _, st := range stores {
-				job.Engine, job.Options.Store = eng, st
-				res, err := dist.Run(context.Background(), job)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", j.p.Name, err)
-				}
-				if len(r.Runs) == 0 {
-					first = res
-				}
-				r.Agree = r.Agree && mc.Agree(res, first)
-				r.Runs = append(r.Runs, runRec{
-					Engine: eng.String(), Store: st.String(),
-					Outcome: res.Outcome.Tag(), States: res.States,
-					Depth: res.MaxDepth, Rules: res.Rules,
-				})
-			}
+		var disagree string
+		r.Runs, _, disagree, err = ptest.CrossCheck(context.Background(), job, engines, stores)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", j.p.Name, err)
 		}
+		r.Agree = disagree == ""
 		ff.Rows = append(ff.Rows, r)
 	}
 
 	ff.AddVsCompose.TransformMinVNs = 1
 	ff.AddVsCompose.Verdict = verdict
-	for _, c := range ptest.Composites {
-		// Every built-in has a stalling row, so its class is known.
-		ia, oa, ca := classOf[c.Inner], classOf[c.Outer], classOf[c.Name]
-		var outcome string
+	rowOf := func(name string) row {
 		for _, r := range ff.Rows {
-			if r.Protocol == c.Name {
-				outcome = r.Runs[0].Outcome
+			if r.Protocol == name {
+				return r
 			}
 		}
+		panic("vnsweep: no row for " + name) // every built-in has a stalling row
+	}
+	for _, c := range ptest.Composites {
+		in, out, comp := rowOf(c.Inner).Static, rowOf(c.Outer).Static, rowOf(c.Name)
 		ff.AddVsCompose.Composites = append(ff.AddVsCompose.Composites, compareRec{
 			Protocol: c.Name,
-			Inner:    c.Inner, InnerClass: ia.Class.String(), InnerMinVNs: ia.NumVNs,
-			Outer: c.Outer, OuterClass: oa.Class.String(),
-			CompositeClass: ca.Class.String(), CompositeMinVNs: ca.NumVNs,
-			MCOutcome: outcome,
+			Inner:    c.Inner, InnerClass: in.Class, InnerMinVNs: in.NumVNs,
+			Outer: c.Outer, OuterClass: out.Class,
+			CompositeClass: comp.Static.Class, CompositeMinVNs: comp.Static.NumVNs,
+			MCOutcome: comp.Runs[0].Outcome,
 		})
 	}
 	return ff, nil
@@ -301,9 +281,9 @@ func writeJSON(path string, ff *familyFile) error {
 }
 
 // checkAgainst compares the stable columns of a recomputed family
-// against a checked-in FAMILY_mc.json: row set, class, min-VN, and
-// per-run outcomes (plus states/depth for completed runs). Timing and
-// frontier-dependent counts are not compared.
+// against a checked-in FAMILY_mc.json: rows in order, the whole static
+// verdict, and per-run outcomes (plus states/depth for completed runs).
+// Timing and frontier-dependent counts are not compared.
 func checkAgainst(path string, fresh *familyFile) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -317,22 +297,22 @@ func checkAgainst(path string, fresh *familyFile) error {
 		return fmt.Errorf("configuration drift: checked-in %+v %q %q vs %+v %q %q — regenerate with -out",
 			old.Config, old.Engines, old.Stores, fresh.Config, fresh.Engines, fresh.Stores)
 	}
-	oldRows := map[string]row{}
-	for _, r := range old.Rows {
-		oldRows[r.Protocol] = r
-	}
 	if len(old.Rows) != len(fresh.Rows) {
 		return fmt.Errorf("row count drift: %d checked in, %d recomputed", len(old.Rows), len(fresh.Rows))
 	}
-	for _, fr := range fresh.Rows {
-		or, ok := oldRows[fr.Protocol]
-		if !ok {
-			return fmt.Errorf("row %s missing from %s", fr.Protocol, path)
+	for i, fr := range fresh.Rows {
+		or := old.Rows[i]
+		if or.Protocol != fr.Protocol {
+			return fmt.Errorf("row %d: %s checked in, %s recomputed", i, or.Protocol, fr.Protocol)
 		}
-		if or.Class != fr.Class || or.MinVNs != fr.MinVNs || or.Variant != fr.Variant ||
+		// A Verdict always marshals: it holds only strings, ints, bools,
+		// string-keyed maps and slices of them.
+		oldStatic, _ := json.Marshal(or.Static)
+		freshStatic, _ := json.Marshal(fr.Static)
+		if !bytes.Equal(oldStatic, freshStatic) || or.Variant != fr.Variant ||
 			or.Messages != fr.Messages || or.NumVNsUsed != fr.NumVNsUsed {
-			return fmt.Errorf("row %s drifted: checked-in class=%s minVN=%d msgs=%d, recomputed class=%s minVN=%d msgs=%d",
-				fr.Protocol, or.Class, or.MinVNs, or.Messages, fr.Class, fr.MinVNs, fr.Messages)
+			return fmt.Errorf("row %s drifted: checked-in msgs=%d static %s, recomputed msgs=%d static %s",
+				fr.Protocol, or.Messages, oldStatic, fr.Messages, freshStatic)
 		}
 		if len(or.Runs) != len(fr.Runs) {
 			return fmt.Errorf("row %s: run matrix drift (%d vs %d)", fr.Protocol, len(or.Runs), len(fr.Runs))
@@ -344,10 +324,10 @@ func checkAgainst(path string, fresh *familyFile) error {
 					fr.Protocol, frun.Engine, frun.Store, orun.Outcome, frun.Outcome)
 			}
 			if frun.Outcome == mc.Complete.Tag() &&
-				(orun.States != frun.States || orun.Depth != frun.Depth) {
+				(orun.States != frun.States || orun.MaxDepth != frun.MaxDepth) {
 				return fmt.Errorf("row %s %s/%s: states/depth drift (%d/%d vs %d/%d)",
 					fr.Protocol, frun.Engine, frun.Store,
-					orun.States, orun.Depth, frun.States, frun.Depth)
+					orun.States, orun.MaxDepth, frun.States, frun.MaxDepth)
 			}
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"minvn/internal/ptest"
+	"minvn/internal/vnassign"
 )
 
 // TestCheckAgainst covers the baseline comparison: a file round-trip
@@ -17,9 +20,11 @@ func TestCheckAgainst(t *testing.T) {
 		Stores:  "exact",
 		Rows: []row{{
 			Protocol: "MSI_blocking_cache", Family: "MSI_blocking_cache",
-			Variant: "stalling", Messages: 13, Class: "Class 2",
+			Variant: "stalling", Messages: 13,
+			Static: vnassign.Verdict{Protocol: "MSI_blocking_cache", Outcome: "class2", Class: "Class 2",
+				WaitsCycle: []string{"Fwd-GetM", "Inv"}, TextbookVNs: 3},
 			VNMode: "permsg", NumVNsUsed: 13,
-			Runs:  []runRec{{Engine: "seq", Store: "exact", Outcome: "complete", States: 500, Depth: 20}},
+			Runs:  []ptest.Cell{{Engine: "seq", Store: "exact", Outcome: "complete", States: 500, MaxDepth: 20, Rules: 900}},
 			Agree: true,
 		}},
 	}
@@ -34,7 +39,7 @@ func TestCheckAgainst(t *testing.T) {
 	mutate := func(f func(*familyFile)) *familyFile {
 		clone := *fresh
 		clone.Rows = append([]row(nil), fresh.Rows...)
-		clone.Rows[0].Runs = append([]runRec(nil), fresh.Rows[0].Runs...)
+		clone.Rows[0].Runs = append([]ptest.Cell(nil), fresh.Rows[0].Runs...)
 		f(&clone)
 		return &clone
 	}
@@ -45,10 +50,13 @@ func TestCheckAgainst(t *testing.T) {
 	}{
 		{"config", mutate(func(f *familyFile) { f.Config.Caches = 3 }), "configuration drift"},
 		{"row-count", mutate(func(f *familyFile) { f.Rows = append(f.Rows, row{Protocol: "extra"}) }), "row count drift"},
-		{"class", mutate(func(f *familyFile) { f.Rows[0].Class = "Class 3" }), "drifted"},
-		{"min-vn", mutate(func(f *familyFile) { f.Rows[0].MinVNs = 2 }), "drifted"},
+		{"row-order", mutate(func(f *familyFile) { f.Rows[0].Protocol = "MESI_blocking_cache" }), "checked in"},
+		{"class", mutate(func(f *familyFile) { f.Rows[0].Static.Class = "Class 3" }), "drifted"},
+		{"static.num_vns", mutate(func(f *familyFile) { f.Rows[0].Static.NumVNs = 2 }), "drifted"},
+		{"static.waits_cycle", mutate(func(f *familyFile) { f.Rows[0].Static.WaitsCycle = []string{"Inv", "Fwd-GetM"} }), "drifted"},
 		{"outcome", mutate(func(f *familyFile) { f.Rows[0].Runs[0].Outcome = "deadlock" }), "outcome"},
 		{"states", mutate(func(f *familyFile) { f.Rows[0].Runs[0].States = 501 }), "states/depth drift"},
+		{"max_depth", mutate(func(f *familyFile) { f.Rows[0].Runs[0].MaxDepth = 21 }), "states/depth drift"},
 	}
 	for _, tc := range drifts {
 		err := checkAgainst(path, tc.ff)

@@ -52,11 +52,9 @@ func ExampleMinimize_mapping() {
 func ExampleVerify() {
 	p, _ := minvn.LoadProtocol("TileLink")
 	res, _ := minvn.Verify(p, minvn.VerifyConfig{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 100_000})
-	fmt.Println("deadlock:", res.Deadlock)
-	fmt.Println("complete:", res.Complete)
+	fmt.Println("outcome:", res.Outcome)
 	// Output:
-	// deadlock: false
-	// complete: true
+	// outcome: complete
 }
 
 func contains(xs []string, want string) bool {

@@ -46,12 +46,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		status := fmt.Sprintf("complete, %d states", ver.States)
-		if !ver.Complete {
-			status = fmt.Sprintf("bounded, %d states", ver.States)
-		}
-		if ver.Deadlock || ver.Violation != "" {
-			status = "FAILED: " + ver.Violation
+		status := fmt.Sprintf("%s, %d states", ver.Outcome, ver.States)
+		if ver.Outcome != "complete" && ver.Outcome != "bounded" {
+			status = "FAILED: " + ver.Outcome + " " + ver.Message
 		}
 		fmt.Fprintf(w, "%s\t%s\t%d VNs (textbook: %d)\t%s\n",
 			row.proto, row.prescribed, res.NumVNs, res.Textbook, status)

@@ -42,6 +42,10 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
+// MarshalText writes the engine as its name, so a JSON document lists
+// engines the way the -engine flag takes them.
+func (e Engine) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
 // ParseEngine maps a CLI flag value to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {

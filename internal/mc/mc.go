@@ -353,8 +353,9 @@ func (r Result) String() string {
 		r.Outcome, r.States, r.Rules, r.MaxDepth, r.Duration.Round(time.Millisecond))
 }
 
-// Agree is the cross-engine, cross-store agreement predicate of the
-// matrix tools (vnsweep, vnfuzz's ptest harness): two runs of the
+// Agree is the cross-engine, cross-store agreement predicate of
+// ptest.CrossCheck, the one engine × store loop, which vnsweep's family
+// sweep and vnfuzz's differential harness both run: two runs of the
 // same search agree when they report the same outcome, stored-state
 // count and depth. Bounded and terminal runs are held to it too — seq
 // and pipeline are two schedulers over one search core, so they stop

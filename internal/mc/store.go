@@ -39,6 +39,10 @@ func (s Store) String() string {
 	return "exact"
 }
 
+// MarshalText writes the store as its name, so a JSON document lists
+// stores the way the -store flag takes them.
+func (s Store) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // ParseStore maps a CLI flag value to a Store.
 func ParseStore(s string) (Store, error) {
 	switch s {

@@ -242,14 +242,17 @@ func TestLastAndEntries(t *testing.T) {
 // legacyRecords is testdata/legacy.jsonl in order: one record each that
 // vnverify, vnexplain, vnmin, a vnserved verify job and a vnserved
 // analyze job wrote before run records carried verdicts (the analyze
-// job's before they carried static verdicts), by tool, and the protocol
-// each was about.
+// job's before they carried static verdicts), then one each from
+// vnsweep and vnfuzz written before their rows and metrics were typed,
+// by tool, and the protocol each was about ("" for the campaigns).
 var legacyRecords = [][2]string{
 	{"vnverify", "MSI_nonblocking_cache"},
 	{"vnexplain", "MSI_blocking_cache"},
 	{"vnmin", "MESI_nonblocking_cache"},
 	{"vnserved", "MESI_nonblocking_cache"},
 	{"vnserved", "CHI"},
+	{"vnsweep", ""},
+	{"vnfuzz", ""},
 }
 
 // TestLegacyRecords: records written before the verdict fields still

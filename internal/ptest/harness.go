@@ -66,23 +66,21 @@ func (v Verdict) IsViolation() bool {
 
 // Options configures the differential harness.
 type Options struct {
-	// System size; defaults 2 caches, 1 directory, 1 address — small
+	// Spec is the search every phase runs under its own VN mode or
+	// assignment. Zero fields default to 2 caches, 1 directory, as many
+	// addresses as directories, 50,000 states and 2 workers — small
 	// enough that the per-case state spaces usually complete, which is
 	// what makes the soundness oracle definitive.
-	Caches, Dirs, Addrs int
-	// MaxStates bounds each model-checking run (default 50_000).
-	MaxStates int
+	dist.Spec
 	// Engines to cross-check (default seq, pipeline; in-process only).
-	Engines []mc.Engine
+	Engines []mc.Engine `json:"engines"`
 	// Stores to cross-check (default exact only). With more than one,
 	// every engine runs under every store and all answers must agree —
 	// the exact-vs-compact differential applied to mutants.
-	Stores []mc.Store
-	// Workers for the parallel engines (default 2).
-	Workers int
+	Stores []mc.Store `json:"stores"`
 	// AnalysisHook, when non-nil, runs on the analysis result before
 	// the VN assignment — the fault-injection port for the self-test.
-	AnalysisHook func(*analysis.Result)
+	AnalysisHook func(*analysis.Result) `json:"-"`
 }
 
 func (o Options) normalized() Options {
@@ -110,23 +108,57 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// RunRecord is one engine's answer on one system instance.
-type RunRecord struct {
-	Phase    string `json:"phase"` // "screen" or "assigned"
+// Cell is one engine × store run of a cross-check.
+type Cell struct {
 	Engine   string `json:"engine"`
 	Store    string `json:"store"`
-	Outcome  string `json:"outcome"`
+	Outcome  string `json:"outcome"` // mc.Outcome.Tag
 	States   int    `json:"states"`
 	MaxDepth int    `json:"max_depth"`
+	Rules    int    `json:"rules"`
+}
+
+// CrossCheck runs a resolved job on every engine × store cell, engine
+// by engine, and returns every cell in that order, the first cell's
+// result, and a description of the first cell that fails mc.Agree
+// against it ("" when all agree). It is the one cross-check of the
+// matrix tools: vnsweep records every cell, and RunCase's parity
+// oracle fails on the first disagreement. err reports a run that
+// failed; the cells before it are returned with it.
+func CrossCheck(ctx context.Context, job dist.Job, engines []mc.Engine, stores []mc.Store) (cells []Cell, first mc.Result, disagree string, err error) {
+	for _, eng := range engines {
+		for _, st := range stores {
+			job.Engine, job.Options.Store = eng, st
+			r, err := dist.Run(ctx, job)
+			if err != nil {
+				return cells, first, disagree, fmt.Errorf("%v/%v failed to run: %w", eng, st, err)
+			}
+			c := Cell{
+				Engine: eng.String(), Store: st.String(), Outcome: r.Outcome.Tag(),
+				States: r.States, MaxDepth: r.MaxDepth, Rules: r.Rules,
+			}
+			if len(cells) == 0 {
+				first = r
+			} else if disagree == "" && !mc.Agree(r, first) {
+				disagree = fmt.Sprintf("%s vs %s", cells[0], c)
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, first, disagree, nil
+}
+
+func (c Cell) String() string {
+	return fmt.Sprintf("%s/%s=(%s,%d states,depth %d)", c.Engine, c.Store, c.Outcome, c.States, c.MaxDepth)
 }
 
 // CaseResult is the harness's full answer for one protocol.
 type CaseResult struct {
 	Verdict Verdict
-	Class   vnassign.Class
-	NumVNs  int
-	VN      map[string]int
-	Runs    []RunRecord
+	// Static is the analysis' answer, under the AnalysisHook if any.
+	Static vnassign.Verdict
+	// Screen and Assigned are the two phases' cross-check cells.
+	Screen, Assigned []Cell
 	// Detail is a one-line human explanation of non-OK verdicts.
 	Detail string
 }
@@ -136,8 +168,8 @@ type CaseResult struct {
 // — the paper's Class 1 test: any deadlock there is a protocol
 // deadlock, not a VN artifact. Phase 2 ("assigned") model checks under
 // the computed minimum assignment; a deadlock there, with a clean and
-// complete screen, is an oracle (a)/(c) violation. Every phase runs all
-// configured engines and compares their answers (oracle (b)).
+// complete screen, is an oracle (a)/(c) violation. Every phase is
+// cross-checked on the configured engine × store matrix (oracle (b)).
 func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 	opts = opts.normalized()
 	res := &CaseResult{}
@@ -147,11 +179,12 @@ func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 		opts.AnalysisHook(r)
 	}
 	a := vnassign.AssignFromAnalysis(r)
-	res.Class = a.Class
-	res.NumVNs, res.VN = a.NumVNs, a.VN
+	res.Static = a.Verdict()
 
 	// Phase 1: screen under per-message VNs.
-	screen, verdict, detail := runAllEngines(p, dist.Spec{VN: dist.VNPerMessage}, "screen", opts, res)
+	spec := opts.Spec
+	spec.VN = dist.VNPerMessage
+	screen, verdict, detail := runPhase(p, spec, "screen", opts, &res.Screen)
 	if verdict != VerdictOK {
 		res.Verdict, res.Detail = verdict, detail
 		return res
@@ -175,7 +208,9 @@ func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 	}
 
 	// Phase 2: the assigned mapping.
-	final, verdict, detail := runAllEngines(p, dist.Spec{Assignment: a.VN, NumVNs: a.NumVNs}, "assigned", opts, res)
+	spec = opts.Spec
+	spec.Assignment, spec.NumVNs = a.VN, a.NumVNs
+	final, verdict, detail := runPhase(p, spec, "assigned", opts, &res.Assigned)
 	if verdict != VerdictOK {
 		res.Verdict, res.Detail = verdict, detail
 		return res
@@ -203,48 +238,24 @@ func RunCase(p *protocol.Protocol, opts Options) *CaseResult {
 	return res
 }
 
-// runAllEngines checks one system instance — p under the VN assignment
-// spec names, at the harness's system size and bound — with every
-// configured engine, appends the records to res, and reports the first
-// engine's result plus a parity verdict. A configuration the shared
-// resolver refuses is reported as VerdictDynInvalid (the mutant asks
-// for something the executable semantics rejects).
-func runAllEngines(p *protocol.Protocol, spec dist.Spec,
-	phase string, opts Options, res *CaseResult) (mc.Result, Verdict, string) {
-
-	spec.Caches, spec.Dirs, spec.Addrs = opts.Caches, opts.Dirs, opts.Addrs
-	spec.MaxStates, spec.Workers = opts.MaxStates, opts.Workers
+// runPhase cross-checks p under spec on the harness's matrix, stores
+// the cells in *cells, and reports the first cell's result plus a
+// parity verdict. A configuration the shared resolver refuses is
+// reported as VerdictDynInvalid (the mutant asks for something the
+// executable semantics rejects).
+func runPhase(p *protocol.Protocol, spec dist.Spec, phase string, opts Options, cells *[]Cell) (mc.Result, Verdict, string) {
 	job, err := spec.Resolve(p, nil)
 	if err != nil {
 		return mc.Result{}, VerdictDynInvalid, err.Error()
 	}
 	var first mc.Result
-	var firstTag string
-	for _, st := range opts.Stores {
-		job.Options.Store = st
-		for _, eng := range opts.Engines {
-			job.Engine = eng
-			r, err := dist.Run(context.Background(), job)
-			if err != nil {
-				return first, VerdictParityBug, fmt.Sprintf("%s phase: %v/%v failed to run: %v", phase, eng, st, err)
-			}
-			res.Runs = append(res.Runs, RunRecord{
-				Phase: phase, Engine: eng.String(), Store: st.String(),
-				Outcome: r.Outcome.Tag(),
-				States:  r.States, MaxDepth: r.MaxDepth,
-			})
-			tag := eng.String() + "/" + st.String()
-			if firstTag == "" {
-				first, firstTag = r, tag
-				continue
-			}
-			if !mc.Agree(r, first) {
-				detail := fmt.Sprintf("%s phase: %s=(%s,%d states,depth %d) vs %s=(%s,%d states,depth %d)",
-					phase, firstTag, first.Outcome.Tag(), first.States, first.MaxDepth,
-					tag, r.Outcome.Tag(), r.States, r.MaxDepth)
-				return first, VerdictParityBug, detail
-			}
-		}
+	var disagree string
+	*cells, first, disagree, err = CrossCheck(context.TODO(), job, opts.Engines, opts.Stores)
+	switch {
+	case err != nil:
+		return first, VerdictParityBug, phase + " phase: " + err.Error()
+	case disagree != "":
+		return first, VerdictParityBug, phase + " phase: " + disagree
 	}
 	return first, VerdictOK, ""
 }
@@ -252,12 +263,15 @@ func runAllEngines(p *protocol.Protocol, spec dist.Spec,
 // Summary renders the run table for diagnostics.
 func (c *CaseResult) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "verdict=%s class=%v vns=%d", c.Verdict, c.Class, c.NumVNs)
+	fmt.Fprintf(&b, "verdict=%s class=%s vns=%d", c.Verdict, c.Static.Class, c.Static.NumVNs)
 	if c.Detail != "" {
 		fmt.Fprintf(&b, " (%s)", c.Detail)
 	}
-	for _, r := range c.Runs {
-		fmt.Fprintf(&b, "\n  %-8s %-8s %-8s %-10s states=%-8d depth=%d", r.Phase, r.Engine, r.Store, r.Outcome, r.States, r.MaxDepth)
+	for i, cells := range [][]Cell{c.Screen, c.Assigned} {
+		for _, r := range cells {
+			fmt.Fprintf(&b, "\n  %-8s %-8s %-8s %-10s states=%-8d depth=%d",
+				[...]string{"screen", "assigned"}[i], r.Engine, r.Store, r.Outcome, r.States, r.MaxDepth)
+		}
 	}
 	return b.String()
 }

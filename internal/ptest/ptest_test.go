@@ -2,15 +2,24 @@ package ptest
 
 import (
 	"bytes"
+	"encoding/json"
+	"go/parser"
+	"go/token"
+	"os"
+	"strings"
 	"testing"
 
+	"minvn/internal/dist"
+	"minvn/internal/mc"
+	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
+	"minvn/internal/vnassign"
 )
 
 // testOpts keeps per-case model checking cheap enough for tier-1.
 func testOpts() Options {
-	return Options{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 20_000, Workers: 2}
+	return Options{Spec: dist.Spec{Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 20_000, Workers: 2}}
 }
 
 func TestSpecRoundTrip(t *testing.T) {
@@ -107,10 +116,79 @@ func TestSelfTestCatchesInjectedBug(t *testing.T) {
 func TestRenderGoTestMentionsProtocol(t *testing.T) {
 	spec := pingSpec()
 	r := &CaseResult{Verdict: VerdictSoundnessBug, Detail: "injected"}
-	src := RenderGoTest(spec, r, 1, 2)
+	src := RenderGoTest(spec, r, Options{}, 1, 2)
 	for _, want := range []string{"package ptest", "VerdictSoundnessBug", "Req0", "StallOn"} {
 		if !bytes.Contains([]byte(src), []byte(want)) {
 			t.Errorf("rendered test missing %q", want)
 		}
+	}
+}
+
+// TestReproReplaysCampaign: a repro's record and rendered test carry the
+// campaign's options, normalized, so the test replays the search that
+// found the violation (here an exact-vs-compact matrix at 3 caches and
+// 20,000 states) rather than the harness defaults.
+func TestReproReplaysCampaign(t *testing.T) {
+	spec := pingSpec()
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Spec:    dist.Spec{Caches: 3, Dirs: 1, MaxStates: 20_000, Workers: 3},
+		Engines: []mc.Engine{mc.EnginePipeline},
+		Stores:  []mc.Store{mc.StoreExact, mc.StoreCompact},
+	}
+	v := &Violation{
+		Index:  4,
+		Case:   &Case{Spec: spec, Proto: p, Seed: 99, Origin: "synthesized"},
+		Result: &CaseResult{Verdict: VerdictParityBug, Static: vnassign.Assign(p).Verdict(), Detail: "injected"},
+	}
+	dir := t.TempDir()
+	path, err := WriteRepro(dir, 7, opts, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		ledger.Record
+		Params struct {
+			Options json.RawMessage `json:"options"`
+		} `json:"params"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"addrs":1,"caches":3,"dirs":1,"engines":["pipeline"],"max_states":20000,"stores":["exact","compact"],"workers":3}`
+	var got bytes.Buffer
+	if err := json.Compact(&got, rec.Params.Options); err != nil || got.String() != want {
+		t.Errorf("recorded options = %s (%v), want %s", got.String(), err, want)
+	}
+	if rec.Static == nil || rec.Static.Protocol != spec.Name || rec.Static.NumVNs != 2 || rec.Outcome != "parity-bug" {
+		t.Errorf("record static %+v, outcome %q", rec.Static, rec.Outcome)
+	}
+
+	src, err := os.ReadFile(strings.TrimSuffix(path, ".json") + "_test.go.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), "repro_test.go", src, 0); err != nil {
+		t.Fatalf("rendered test does not parse: %v\n%s", err, src)
+	}
+	for _, want := range []string{
+		"dist.Spec{Caches: 3, Dirs: 1, Addrs: 1, MaxStates: 20000, Workers: 3}",
+		"Engines: []mc.Engine{mc.EnginePipeline}",
+		"Stores:  []mc.Store{mc.StoreExact, mc.StoreCompact}",
+	} {
+		if !bytes.Contains(src, []byte(want)) {
+			t.Errorf("rendered test does not replay the campaign: missing %q in\n%s", want, src)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Errorf("repro dir holds %d files, want the record and the test", len(entries))
 	}
 }

@@ -259,7 +259,8 @@ func TestFleetFeed(t *testing.T) {
 // verdicts still page by protocol. The fixture holds one record each
 // from vnverify, vnexplain, vnmin, a vnserved verify job and a vnserved
 // analyze job; an analyze record pages as one whether its kind is a
-// param or its answer a static verdict.
+// param or its answer a static verdict. Its vnsweep and vnfuzz records,
+// written before their rows and metrics were typed, page by tool.
 func TestRunsLegacyLedger(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "obs", "ledger", "testdata", "legacy.jsonl"))
 	if err != nil {
@@ -304,5 +305,17 @@ func TestRunsLegacyLedger(t *testing.T) {
 		if strings.Join(got, ",") != tools || page.Total != len(got) {
 			t.Errorf("?protocol=%s: %d runs from %v, want %s", proto, page.Total, got, tools)
 		}
+	}
+	for tool, outcome := range map[string]string{"vnsweep": "ok", "vnfuzz": "clean"} {
+		var page serve.RunsPage
+		getJSON(t, hs, "/v1/runs?full=1&tool="+tool, &page)
+		if page.Total != 1 || page.Runs[0].Outcome != outcome || page.Runs[0].Record.Extra == nil {
+			t.Errorf("?tool=%s: %+v; want one %s record with its payload", tool, page, outcome)
+		}
+	}
+	var page serve.RunsPage
+	getJSON(t, hs, "/v1/runs", &page)
+	if page.Total != 8 {
+		t.Errorf("/v1/runs pages %d records, want the 7 fixture records and one appended", page.Total)
 	}
 }

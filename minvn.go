@@ -33,7 +33,6 @@ import (
 
 	"minvn/internal/analysis"
 	"minvn/internal/dist"
-	"minvn/internal/mc"
 	"minvn/internal/protocol"
 	"minvn/internal/protocols"
 	"minvn/internal/vnassign"
@@ -155,15 +154,12 @@ type VerifyConfig struct {
 	PointToPointVariant int
 }
 
-// VerifyResult reports a model-checking run in the vocabulary of the
-// paper's appendix H.
-type VerifyResult struct {
-	Deadlock  bool
-	Complete  bool // state space exhausted (vs bounded)
-	States    int
-	Depth     int
-	Violation string // non-empty when the protocol hit an undefined case
-}
+// VerifyResult is the repository's one description of a verification
+// run (dist.Verdict): the protocol, the normalized options, the VN
+// mapping searched, and the outcome tag ("complete", "bounded",
+// "deadlock" or "violation"), states, rules, depth and, for a
+// violation, its message.
+type VerifyResult = dist.Verdict
 
 // Verify model checks a protocol under a VN assignment on the paper's
 // ICN model. It describes the run as the repository's one verification
@@ -197,14 +193,5 @@ func Verify(p *protocol.Protocol, cfg VerifyConfig) (VerifyResult, error) {
 	if err != nil {
 		return VerifyResult{}, fmt.Errorf("minvn: %w", err)
 	}
-	out := VerifyResult{
-		Deadlock: res.Outcome == mc.Deadlock,
-		Complete: res.Outcome == mc.Complete,
-		States:   res.States,
-		Depth:    res.MaxDepth,
-	}
-	if res.Outcome == mc.Violation {
-		out.Violation = res.Message
-	}
-	return out, nil
+	return job.Verdict(res), nil
 }

@@ -50,7 +50,7 @@ func TestVerifySmallComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Deadlock || !res.Complete || res.Violation != "" {
+	if res.Outcome != "complete" || res.Protocol != "MSI_nonblocking_cache" || res.Options.MaxStates != 100_000 {
 		t.Fatalf("verify = %+v", res)
 	}
 }
@@ -93,7 +93,7 @@ func TestFacadeOrderedAndInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Complete || res.Deadlock || res.Violation != "" {
+	if res.Outcome != "complete" || !res.Options.Invariants || res.Options.P2P == nil {
 		t.Fatalf("ordered MOSI verify: %+v", res)
 	}
 }
