@@ -78,9 +78,9 @@ func (e *WorkerLostError) Unwrap() error { return e.Err }
 // member is one worker as the coordinator drives it: a *Worker in this
 // process, or a worker daemon over HTTP (httpMember).
 type member interface {
-	init(context.Context, initReq) (initResp, error)
+	init(context.Context, initReq) (report, error)
 	expand(context.Context, expandReq) (expandResp, error)
-	settle(context.Context, settleReq) (settleResp, error)
+	settle(context.Context, settleReq) (report, error)
 	cancel(context.Context, cancelReq) error
 }
 
@@ -139,7 +139,7 @@ func check(ctx context.Context, job Job, members []member, peers []peer) (mc.Res
 		members: members, peers: peers, n: len(members),
 		urls:        make([]string, len(members)),
 		runID:       newRunID(),
-		latest:      make([]statsBlock, len(members)),
+		latest:      make([]mc.Snapshot, len(members)),
 		workerLanes: make([]*trace.Lane, len(members)),
 	}
 	tc, _ := trace.TraceContextFrom(ctx)
@@ -172,7 +172,7 @@ type coord struct {
 	n       int
 	runID   string
 
-	latest      []statsBlock // each worker's most recent cumulative block
+	latest      []mc.Snapshot // each worker's most recent cumulative snapshot
 	lane        *trace.Lane
 	workerLanes []*trace.Lane
 }
@@ -226,14 +226,18 @@ func (c *coord) cancelAll() {
 	})
 }
 
-func (c *coord) snapshot(frontier int, final bool) mc.Snapshot {
-	return mergeBlocks(c.latest, time.Since(c.start).Seconds(), c.opts, frontier, final)
+// snapshot merges the workers' latest snapshots over the coordinator's
+// clock and stamps the search's identity: a BFS of the job's store.
+func (c *coord) snapshot(final bool) mc.Snapshot {
+	s := mc.MergeSnapshots(c.latest, time.Since(c.start).Seconds())
+	s.Strategy, s.Store, s.Final = mc.BFS.String(), c.opts.Store.String(), final
+	return s
 }
 
-// finish assembles the final Result from the latest settled blocks.
-func (c *coord) finish(outcome mc.Outcome, frontier int) mc.Result {
+// finish assembles the final Result from the latest settled snapshots.
+func (c *coord) finish(outcome mc.Outcome) mc.Result {
 	res := mc.Result{Outcome: outcome}
-	snap := c.snapshot(frontier, true)
+	snap := c.snapshot(true)
 	res.States = snap.States
 	res.Rules = int(snap.Expansions)
 	res.MaxDepth = snap.MaxDepth
@@ -249,7 +253,7 @@ func (c *coord) finish(outcome mc.Outcome, frontier int) mc.Result {
 // ctx is Outcome Canceled with a nil error (the user stopped it); a
 // worker's capacity stop is Outcome Capacity; anything else is Canceled
 // with the error, so no partial result passes for a sound one.
-func (c *coord) fail(ctx context.Context, frontier int, err error) (mc.Result, error) {
+func (c *coord) fail(ctx context.Context, err error) (mc.Result, error) {
 	c.cancelAll()
 	outcome, msg := mc.Canceled, err.Error()
 	var ce *callError
@@ -259,44 +263,43 @@ func (c *coord) fail(ctx context.Context, frontier int, err error) (mc.Result, e
 	case errors.As(err, &ce) && ce.kind == capacity:
 		outcome, msg, err = mc.Capacity, ce.Error(), nil
 	}
-	res := c.finish(outcome, frontier)
+	res := c.finish(outcome)
 	res.Message = msg
 	return res, err
 }
 
 func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, error) {
 	// Each worker builds the system, settles its owned initial states at
-	// depth 0 and reports its first block.
-	blocks, err := each(ctx, c, "init", func(ctx context.Context, i int, m member) (statsBlock, error) {
-		r, err := m.init(ctx, initReq{
+	// depth 0 and reports its first account.
+	reports, err := each(ctx, c, "init", func(ctx context.Context, i int, m member) (report, error) {
+		return m.init(ctx, initReq{
 			RunID: c.runID, Self: i, Workers: c.n,
 			Spec: config, Store: c.opts.Store.String(),
 			Occupancy: c.job.Occupancy, Peers: c.job.Peers, peers: c.peers,
 		})
-		return r.Stats, err
 	})
 	if err != nil {
-		return c.fail(ctx, 0, err)
+		return c.fail(ctx, err)
 	}
-	frontier, states := c.record(blocks)
+	frontier, states := c.record(reports)
 
 	for depth := 0; ; depth++ {
 		switch {
 		case ctx.Err() != nil:
-			return c.fail(ctx, frontier, ctx.Err())
+			return c.fail(ctx, ctx.Err())
 		case frontier == 0:
-			return c.finish(mc.Complete, 0), nil
+			return c.finish(mc.Complete), nil
 		case c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth,
 			c.opts.MaxStates > 0 && states >= c.opts.MaxStates:
 			c.cancelAll()
-			return c.finish(mc.Bounded, frontier), nil
+			return c.finish(mc.Bounded), nil
 		}
 		levelSpan := c.lane.Start(fmt.Sprintf("level %d", depth))
-		blocks, terminal, err := c.level(ctx, depth)
+		reports, terminal, err := c.level(ctx, depth)
 		switch {
 		case err != nil:
 			levelSpan.End()
-			return c.fail(ctx, frontier, err)
+			return c.fail(ctx, err)
 		case terminal != nil:
 			levelSpan.End()
 			// A deadlock or violation ends the run; counts in the result
@@ -306,35 +309,38 @@ func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, err
 			if terminal.Kind == "violation" {
 				oc = mc.Violation
 			}
-			res := c.finish(oc, frontier)
+			res := c.finish(oc)
 			res.Message = terminal.Message
 			if terminal.State != nil {
 				res.Trace = [][]byte{terminal.State}
 			}
 			return res, nil
 		}
-		frontier, states = c.record(blocks)
+		frontier, states = c.record(reports)
 		levelSpan.EndArg("frontier", int64(frontier))
 		if c.opts.Progress != nil {
-			c.opts.Progress(c.snapshot(frontier, false))
+			c.opts.Progress(c.snapshot(false))
 		}
 	}
 }
 
-// record keeps each worker's latest block and returns the fleet's
-// frontier and stored states.
-func (c *coord) record(blocks []statsBlock) (frontier, states int) {
-	copy(c.latest, blocks)
-	for _, b := range blocks {
-		frontier += b.Frontier
-		states += b.States
+// record keeps each worker's latest snapshot, its occupancy profile in
+// place, and returns the fleet's frontier and stored states.
+func (c *coord) record(reports []report) (frontier, states int) {
+	for i, r := range reports {
+		c.latest[i] = r.Stats
+		if r.Occupancy != nil {
+			c.latest[i].Occupancy = r.Occupancy
+		}
+		frontier += r.Stats.Frontier
+		states += r.Stats.States
 	}
 	return frontier, states
 }
 
-// level runs one round at depth and returns every worker's new block,
+// level runs one round at depth and returns every worker's new account,
 // or the terminal state the lowest-indexed worker hit.
-func (c *coord) level(ctx context.Context, depth int) ([]statsBlock, *terminalReport, error) {
+func (c *coord) level(ctx context.Context, depth int) ([]report, *terminalReport, error) {
 	// Expand: every worker expands its share of the level, shipping
 	// non-owned successors. All sends are acknowledged before each
 	// answer, so afterwards every candidate is at its owner.
@@ -365,10 +371,9 @@ func (c *coord) level(ctx context.Context, depth int) ([]statsBlock, *terminalRe
 	}
 
 	// Settle: each worker dedups its candidates into depth+1 and
-	// reports its new cumulative block.
-	blocks, err := each(ctx, c, "settle", func(ctx context.Context, i int, m member) (statsBlock, error) {
-		r, err := m.settle(ctx, settleReq{RunID: c.runID, Depth: depth, Expect: expect[i]})
-		return r.Stats, err
+	// reports its new cumulative account.
+	reports, err := each(ctx, c, "settle", func(ctx context.Context, i int, m member) (report, error) {
+		return m.settle(ctx, settleReq{RunID: c.runID, Depth: depth, Expect: expect[i]})
 	})
-	return blocks, nil, err
+	return reports, nil, err
 }

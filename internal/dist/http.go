@@ -58,16 +58,16 @@ func dialHTTP(url string) peer { return httpPeer(url + "/dist/v1/frontier") }
 // httpMember is a worker daemon, by base URL, driven over HTTP.
 type httpMember string
 
-func (m httpMember) init(ctx context.Context, in initReq) (initResp, error) {
-	return post[initResp](ctx, m, "init", in)
+func (m httpMember) init(ctx context.Context, in initReq) (report, error) {
+	return post[report](ctx, m, "init", in)
 }
 
 func (m httpMember) expand(ctx context.Context, in expandReq) (expandResp, error) {
 	return post[expandResp](ctx, m, "expand", in)
 }
 
-func (m httpMember) settle(ctx context.Context, in settleReq) (settleResp, error) {
-	return post[settleResp](ctx, m, "settle", in)
+func (m httpMember) settle(ctx context.Context, in settleReq) (report, error) {
+	return post[report](ctx, m, "settle", in)
 }
 
 func (m httpMember) cancel(ctx context.Context, in cancelReq) error {
@@ -122,7 +122,7 @@ func (w *Worker) Handler() http.Handler { return w.handler(dialHTTP) }
 // handler serves the API with dial making a peer of each URL in init.
 func (w *Worker) handler(dial func(url string) peer) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /dist/v1/init", route(func(ctx context.Context, in initReq) (initResp, error) {
+	mux.Handle("POST /dist/v1/init", route(func(ctx context.Context, in initReq) (report, error) {
 		in.peers = make([]peer, len(in.Peers))
 		for i, u := range in.Peers {
 			in.peers[i] = dial(u)

@@ -70,6 +70,14 @@ func pipelineBaseline(t testing.TB, cfg machine.Config, opts mc.Options) (mc.Res
 	return res, prof.Stats()
 }
 
+// assertParity requires dist's result to be the pipeline's, snapshot
+// and all, but for the fields that legitimately differ, which it zeroes
+// on both sides first: the elapsed clock and the rates over it, the
+// heap, the health report's byte and time fields and worker entries
+// (each engine has its own structures and workers), the pipeline's
+// reorder counts, and the final frontier (mc reports 0 where dist
+// reports the states a bound left unexpanded). Occupancy is compared
+// apart, by value. So a field dist forgets to merge fails here.
 func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got mc.Result) {
 	t.Helper()
 	if want.Outcome != got.Outcome {
@@ -78,49 +86,28 @@ func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got
 	if want.Outcome == mc.Deadlock || want.Outcome == mc.Violation {
 		return // terminal runs stop mid-level; only the verdict is pinned
 	}
-	if want.States != got.States {
-		t.Fatalf("states: pipeline %d vs dist %d", want.States, got.States)
-	}
-	if want.MaxDepth != got.MaxDepth {
-		t.Fatalf("depth: pipeline %d vs dist %d", want.MaxDepth, got.MaxDepth)
-	}
-	if want.Rules != got.Rules {
-		t.Fatalf("rules: pipeline %d vs dist %d", want.Rules, got.Rules)
-	}
-	if want.Stats.Generated != got.Stats.Generated {
-		t.Fatalf("generated: pipeline %d vs dist %d", want.Stats.Generated, got.Stats.Generated)
-	}
-	if want.Stats.DedupHits != got.Stats.DedupHits {
-		t.Fatalf("dedup hits: pipeline %d vs dist %d", want.Stats.DedupHits, got.Stats.DedupHits)
-	}
-	if !reflect.DeepEqual(want.Stats.DepthHistogram, got.Stats.DepthHistogram) {
-		t.Fatalf("depth histogram: pipeline %v vs dist %v", want.Stats.DepthHistogram, got.Stats.DepthHistogram)
-	}
-	if !reflect.DeepEqual(want.Stats.RuleFirings, got.Stats.RuleFirings) {
-		t.Fatalf("rule firings: pipeline %v vs dist %v", want.Stats.RuleFirings, got.Stats.RuleFirings)
-	}
-	// Stripe histograms are computed over the same fixed fingerprint
-	// partition by every engine; the ownership partition means the
-	// merged per-worker histograms must reproduce them exactly.
-	wh, gh := want.Stats.Health, got.Stats.Health
-	if wh == nil || gh == nil {
-		t.Fatalf("missing health report: pipeline %v dist %v", wh != nil, gh != nil)
-	}
-	if !reflect.DeepEqual(wh.StripeOccupancy, gh.StripeOccupancy) {
-		t.Fatalf("stripe occupancy: pipeline %v vs dist %v", wh.StripeOccupancy, gh.StripeOccupancy)
-	}
-	if !reflect.DeepEqual(wh.StripeDedupHits, gh.StripeDedupHits) {
-		t.Fatalf("stripe dedup hits: pipeline %v vs dist %v", wh.StripeDedupHits, gh.StripeDedupHits)
-	}
-	if wh.UnverifiedHits != gh.UnverifiedHits {
-		t.Fatalf("unverified hits: pipeline %d vs dist %d", wh.UnverifiedHits, gh.UnverifiedHits)
-	}
 	occ, ok := got.Stats.Occupancy.(*icn.OccupancyStats)
 	if !ok {
 		t.Fatalf("dist occupancy missing (got %T)", got.Stats.Occupancy)
 	}
 	if !wantOcc.Equal(occ) {
 		t.Fatalf("occupancy aggregates differ:\npipeline %+v\ndist     %+v", wantOcc, occ)
+	}
+	if want.Stats.Health == nil || got.Stats.Health == nil {
+		t.Fatalf("missing health report: pipeline %v dist %v", want.Stats.Health != nil, got.Stats.Health != nil)
+	}
+	comparable := func(r mc.Result) mc.Result {
+		r.Duration = 0
+		s := &r.Stats
+		s.ElapsedSeconds, s.StatesPerSec, s.HeapBytes, s.Frontier, s.Occupancy = 0, 0, 0, 0, nil
+		h := *s.Health
+		h.ArenaBytes, h.SetBytes, h.FrontierBytes = 0, 0, 0
+		h.ReorderStalls, h.ReorderMax, h.Workers = 0, 0, nil
+		s.Health = &h
+		return r
+	}
+	if w, g := comparable(want), comparable(got); !reflect.DeepEqual(w, g) {
+		t.Fatalf("results differ:\npipeline %+v\n         %+v\ndist     %+v\n         %+v", w, *w.Stats.Health, g, *g.Stats.Health)
 	}
 }
 
@@ -370,5 +357,29 @@ func TestDistProgress(t *testing.T) {
 	}
 	if time.Duration(last.ElapsedSeconds*float64(time.Second)) > time.Minute {
 		t.Fatalf("implausible elapsed: %v", last.ElapsedSeconds)
+	}
+}
+
+// TestDistWorkerBatches pins what a dist worker's profile counts: like
+// the sequential engine's, Batches counts the sampled expansions, so it
+// equals States in every worker entry — frontier sends add send wait
+// but no batch — on both transports.
+func TestDistWorkerBatches(t *testing.T) {
+	t.Parallel()
+	job := dist.Job{Config: permsgConfig(t, "MSI_nonblocking_cache", 2, 1, 1), Options: mc.Options{MaxDepth: 8, DisableTraces: true}}
+	for _, transport := range transports {
+		got, err := onFleet(t, transport, job, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", transport, err)
+		}
+		ws := got.Stats.Health.Workers
+		if len(ws) != 2 {
+			t.Fatalf("%s: %d worker entries, want 2", transport, len(ws))
+		}
+		for _, w := range ws {
+			if w.States == 0 || w.Batches != w.States {
+				t.Errorf("%s: worker %d counts %d batches for %d sampled expansions", transport, w.Worker, w.Batches, w.States)
+			}
+		}
 	}
 }

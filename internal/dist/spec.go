@@ -18,7 +18,8 @@
 // the coordinator tells every worker to expand its depth-d frontier
 // (workers forward each non-owned successor to its owner as they go),
 // then to settle: deduplicate the accumulated depth-d+1 candidates
-// against the worker's visited store and report cumulative statistics.
+// against the worker's visited store and report its cumulative
+// mc.Snapshot.
 // Termination detection is distributed quiescence with in-flight
 // accounting — every frontier batch is acknowledged before a worker
 // reports its expansion done, expand responses carry per-peer sent
@@ -48,6 +49,14 @@
 // distributed runs are reproducible but not comparable to the
 // sequential engine's mid-level cut. Both are why Job.Key keys a
 // distributed job on engine=dist and its fleet size.
+//
+// A search is counted once. Each worker keeps mc's books (mc.Books) for
+// its owned slice and reports their mc.Snapshot; the coordinator merges
+// the workers' latest snapshots with mc.MergeSnapshots, the in-process
+// engines' derivation. A field added to the snapshot is counted in mc
+// and merged there, and the parity suite compares the whole merged
+// snapshot against the pipeline's, less the fields that legitimately
+// differ (timing, heap, footprint, worker entries).
 package dist
 
 import (

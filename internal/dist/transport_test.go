@@ -42,7 +42,7 @@ type linked struct {
 	peers []peer
 }
 
-func (l linked) init(ctx context.Context, in initReq) (initResp, error) {
+func (l linked) init(ctx context.Context, in initReq) (report, error) {
 	in.peers = l.peers
 	return l.member.init(ctx, in)
 }
@@ -320,7 +320,7 @@ func call[In, Out any](ctx context.Context, l *lossy, i int, op string, depth in
 	return out, err
 }
 
-func (m lossyMember) init(ctx context.Context, in initReq) (initResp, error) {
+func (m lossyMember) init(ctx context.Context, in initReq) (report, error) {
 	return call(ctx, m.l, m.i, "init", -1, m.member.init, in)
 }
 
@@ -330,7 +330,7 @@ func (m lossyMember) expand(ctx context.Context, in expandReq) (expandResp, erro
 	return out, err
 }
 
-func (m lossyMember) settle(ctx context.Context, in settleReq) (settleResp, error) {
+func (m lossyMember) settle(ctx context.Context, in settleReq) (report, error) {
 	return call(ctx, m.l, m.i, "settle", in.Depth, m.member.settle, in)
 }
 

@@ -16,12 +16,6 @@ import (
 	"minvn/internal/obs/health"
 )
 
-// expandSample matches the sequential engine's 1-in-N expansion-timing
-// sample period and, like it, brackets expansion, canonicalization and
-// fingerprinting of one state's successors, so per-worker expand-time
-// profiles are comparable.
-const expandSample = 8
-
 // Control-plane request/response bodies. One coordinator drives each
 // worker; control calls (init/expand/settle/cancel) never overlap,
 // while frontier batches from peers arrive concurrently with expand.
@@ -37,10 +31,6 @@ type initReq struct {
 	// worker delivers to it (Workers in process); [Self] is unused.
 	Peers []string `json:"peers"`
 	peers []peer
-}
-
-type initResp struct {
-	Stats statsBlock `json:"stats"`
 }
 
 type expandReq struct {
@@ -79,31 +69,18 @@ type settleReq struct {
 	Expect int `json:"expect"`
 }
 
-type settleResp struct {
-	Stats    statsBlock `json:"stats"`
-	Frontier int        `json:"frontier"`
-}
-
 type cancelReq struct {
 	RunID string `json:"run_id"`
 }
 
-// statsBlock is one worker's cumulative accounting, reported after
-// init and after every settle. Because every field is cumulative, the
-// coordinator merges by summing each worker's latest block — a
-// re-reported block replaces, never double-counts.
-type statsBlock struct {
-	States     int                 `json:"states"`
-	Expansions int64               `json:"expansions"`
-	Generated  int64               `json:"generated"`
-	Probes     int64               `json:"probes"`
-	DedupHits  int64               `json:"dedup_hits"`
-	MaxDepth   int                 `json:"max_depth"`
-	DepthHist  []int64             `json:"depth_hist"`
-	Rules      map[string]int64    `json:"rule_firings,omitempty"`
-	Health     *health.Report      `json:"health,omitempty"`
-	Occupancy  *icn.OccupancyStats `json:"occupancy,omitempty"`
-	Frontier   int                 `json:"frontier"`
+// report is one worker's cumulative account, the answer to init and to
+// every settle: the snapshot of its slice of the search (mc.Books'), and
+// its occupancy profile beside it, typed, because Snapshot.Occupancy is
+// an any that would decode as a map. The coordinator keeps each worker's
+// latest report and merges them with mc.MergeSnapshots.
+type report struct {
+	Stats     mc.Snapshot         `json:"stats"`
+	Occupancy *icn.OccupancyStats `json:"occupancy,omitempty"`
 }
 
 // callError is a call a worker refuses or cannot complete; its kind is
@@ -163,20 +140,13 @@ type workerRun struct {
 	recv        [][]*batch // by sender: the batches applied at this depth, in arrival order
 	recvEntries int
 
-	// Cumulative accounting, mirroring mc's tracker field for field so
-	// the merged numbers are comparable to an in-process run.
+	// Cumulative accounting: mc's books, plus the position a snapshot
+	// reports.
+	books      *mc.Books
 	states     int
-	expansions int64
-	generated  int64
-	probes     int64
-	dedupHits  int64
-	unverified int64
+	expansions int
 	maxDepth   int
-	depthHist  []int64
-	rules      []int64 // firings by rule id (sys.RuleNames)
-	key        []byte  // AppendCanonical's destination, under ctrlMu
-	sampler    health.ShardSampler
-	wset       *health.WorkerSet
+	key        []byte // AppendCanonical's destination, under ctrlMu
 	prof       *machine.OccupancyProfiler
 
 	peers   []peer
@@ -252,11 +222,11 @@ type outbox struct {
 }
 
 // init builds the run's system, settles its owned initial states at
-// depth 0 and reports the first block.
-func (w *Worker) init(_ context.Context, in initReq) (initResp, error) {
+// depth 0 and reports its first account.
+func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 	if len(in.Spec) == 0 || in.Workers < 1 || in.Self < 0 || in.Self >= in.Workers ||
 		len(in.peers) != in.Workers || in.RunID == "" {
-		return initResp{}, refuse(badCall, "init: bad worker geometry (self %d of %d, %d peers)",
+		return report{}, refuse(badCall, "init: bad worker geometry (self %d of %d, %d peers)",
 			in.Self, in.Workers, len(in.peers))
 	}
 	// Every worker builds the same system from the same config document
@@ -264,21 +234,20 @@ func (w *Worker) init(_ context.Context, in initReq) (initResp, error) {
 	// and state encoding, which the whole ownership scheme rests on.
 	store, err := mc.ParseStore(in.Store)
 	if err != nil {
-		return initResp{}, refuse(badCall, "init: %v", err)
+		return report{}, refuse(badCall, "init: %v", err)
 	}
 	var cfg machine.Config
 	if err := json.Unmarshal(in.Spec, &cfg); err != nil {
-		return initResp{}, refuse(badCall, "init: decode config: %v", err)
+		return report{}, refuse(badCall, "init: decode config: %v", err)
 	}
 	sys, err := machine.New(cfg)
 	if err != nil {
-		return initResp{}, refuse(badCall, "init: %v", err)
+		return report{}, refuse(badCall, "init: %v", err)
 	}
 	r := &workerRun{
 		id: in.RunID, self: in.Self, n: in.Workers,
 		sys: sys, visited: mc.NewVisitedStore(store, 1),
-		rules:   make([]int64, len(sys.RuleNames())),
-		wset:    health.NewWorkerSet(1),
+		books:   mc.NewBooks(sys, 1),
 		peers:   in.peers,
 		pending: make([]outbox, in.Workers),
 	}
@@ -296,7 +265,7 @@ func (w *Worker) init(_ context.Context, in initReq) (initResp, error) {
 			continue
 		}
 		if err := r.store(s, key, fp, 0); err != nil {
-			return initResp{}, fmt.Errorf("init: %w", err)
+			return report{}, fmt.Errorf("init: %w", err)
 		}
 	}
 	r.promote(0)
@@ -305,7 +274,7 @@ func (w *Worker) init(_ context.Context, in initReq) (initResp, error) {
 		// expand ships nothing more into its peers' new runs.
 		old.canceled.Store(true)
 	}
-	return initResp{Stats: r.stats()}, nil
+	return r.report(), nil
 }
 
 // canonical returns s's canonical form, in the run's key buffer unless s
@@ -325,28 +294,16 @@ func (r *workerRun) canonical(s []byte) []byte {
 // frontier — the only copy a stored state gets, and the distributed
 // counterpart of the sequential engine's settle.
 func (r *workerRun) store(s, key []byte, fp uint64, depth int) error {
-	r.probes++
 	_, fresh, conflated, err := r.visited.Insert(fp, key, int32(r.states))
 	if err != nil {
 		return err
 	}
+	r.books.Probe(fp, int32(depth), fresh, conflated)
 	if !fresh {
-		r.dedupHits++
-		if conflated {
-			r.unverified++
-		}
-		r.sampler.Dup(fp)
 		return nil
 	}
-	r.sampler.Store(fp)
 	r.states++
-	for depth >= len(r.depthHist) {
-		r.depthHist = append(r.depthHist, 0)
-	}
-	r.depthHist[depth]++
-	if depth > r.maxDepth {
-		r.maxDepth = depth
-	}
+	r.maxDepth = max(r.maxDepth, depth)
 	r.frontier.add(s)
 	if r.prof != nil {
 		r.prof.Observe(s)
@@ -381,41 +338,21 @@ func (r *workerRun) heldBytes() int64 {
 	return n
 }
 
-func (r *workerRun) stats() statsBlock {
-	hr := new(health.Report)
-	r.sampler.Fill(hr)
-	hr.Workers = r.wset.Stats()
-	hr.UnverifiedHits = r.unverified
+// report is the worker's account so far. It has no clock: the
+// coordinator merges over its own, and stamps the search's identity.
+func (r *workerRun) report() report {
 	_, arena, setB := r.visited.Stats()
-	hr.ArenaBytes = arena
-	hr.SetBytes = setB
-	hr.FrontierBytes = r.heldBytes()
-	b := statsBlock{
+	rep := report{Stats: r.books.Snapshot(mc.Snapshot{
 		States:     r.states,
-		Expansions: r.expansions,
-		Generated:  r.generated,
-		Probes:     r.probes,
-		DedupHits:  r.dedupHits,
-		MaxDepth:   r.maxDepth,
-		DepthHist:  append([]int64(nil), r.depthHist...),
-		Health:     hr,
 		Frontier:   len(r.frontier.ends),
-	}
-	// Rule names are resolved here, where the block is reported: the wire
-	// carries firings by name.
-	names := r.sys.RuleNames()
-	for id, n := range r.rules {
-		if n != 0 {
-			if b.Rules == nil {
-				b.Rules = make(map[string]int64)
-			}
-			b.Rules[names[id]] += n
-		}
-	}
+		MaxDepth:   r.maxDepth,
+		Expansions: int64(r.expansions),
+		Health:     &health.Report{ArenaBytes: arena, SetBytes: setB, FrontierBytes: r.heldBytes()},
+	})}
 	if r.prof != nil {
-		b.Occupancy = r.prof.Stats()
+		rep.Occupancy = r.prof.Stats()
 	}
-	return b
+	return rep
 }
 
 // lockRun returns the named run with ctrlMu held, for the caller to
@@ -452,7 +389,7 @@ func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
 	defer r.ctrlMu.Unlock()
 	resp := expandResp{Sent: make([]int, r.n)}
 	visit := func(succ []byte, rule int) {
-		r.rules[rule]++
+		r.books.Fire(rule)
 		key := r.canonical(succ)
 		fp := mc.Fingerprint(key)
 		owner := mc.OwnerOf(fp, r.n)
@@ -473,15 +410,9 @@ func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
 			resp.SendFailed = "run canceled"
 			return resp, nil
 		}
-		sampled := r.expansions%expandSample == 0
-		var t0 time.Time
-		if sampled {
-			t0 = time.Now()
-		}
+		t0 := r.books.StartExpansion(r.expansions)
 		n, err := r.sys.Expand(st, visit)
-		if sampled {
-			r.wset.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
-		}
+		r.books.EndExpansion(t0)
 		r.expansions++
 		switch {
 		case err != nil:
@@ -496,7 +427,7 @@ func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
 			r.expanded = true
 			return resp, nil
 		}
-		r.generated += int64(n)
+		r.books.AddGenerated(n)
 		// Flushing between expansions keeps delivery out of the visit; a
 		// batch overshoots flushEntries by less than one state's fan-out.
 		if err := r.flush(ctx, flushEntries); err != nil {
@@ -534,7 +465,7 @@ func (r *workerRun) flush(ctx context.Context, atLeast int) error {
 		}
 		t0 := time.Now()
 		err = r.peers[p].deliver(ctx, data)
-		r.wset.Worker(0).AddBatch(0, 0, 0, time.Since(t0))
+		r.books.SendWait(time.Since(t0))
 		if err != nil {
 			return fmt.Errorf("dist: frontier send to worker %d: %w", p, err)
 		}
@@ -577,7 +508,7 @@ func (w *Worker) deliver(_ context.Context, data []byte) error {
 
 // settle checks that every entry the peers reported sending here has
 // arrived, stores the level's fresh candidates as the frontier at the
-// next depth and reports the new cumulative block. It stores in a fixed
+// next depth and reports its account. It stores in a fixed
 // order: local candidates in generation order, then received batches by
 // (sender asc, sequence asc). The order is load-bearing: under symmetry
 // reduction it decides which orbit representative is stored, and with
@@ -586,17 +517,17 @@ func (w *Worker) deliver(_ context.Context, data []byte) error {
 // built in its place. Local candidates come with their key and
 // fingerprint; a received state's are recomputed here, so the wire is
 // never trusted about identity or ownership.
-func (w *Worker) settle(_ context.Context, in settleReq) (settleResp, error) {
+func (w *Worker) settle(_ context.Context, in settleReq) (report, error) {
 	r, err := w.lockRun("settle", in.RunID, in.Depth, true)
 	if err != nil {
-		return settleResp{}, err
+		return report{}, err
 	}
 	defer r.ctrlMu.Unlock()
 	r.candMu.Lock()
 	got, batches := r.recvEntries, r.recv
 	r.candMu.Unlock()
 	if got != in.Expect {
-		return settleResp{}, refuse(conflict,
+		return report{}, refuse(conflict,
 			"settle depth %d: received %d frontier entries, peers reported sending %d",
 			in.Depth, got, in.Expect)
 	}
@@ -605,7 +536,7 @@ func (w *Worker) settle(_ context.Context, in settleReq) (settleResp, error) {
 	for _, sp := range r.cands.spans {
 		raw, key := r.cands.at(sp)
 		if err := r.store(raw, key, sp.fp, depth); err != nil {
-			return settleResp{}, refuse(capacity, "settle: %w", err)
+			return report{}, refuse(capacity, "settle: %w", err)
 		}
 	}
 	for _, bs := range batches {
@@ -614,13 +545,13 @@ func (w *Worker) settle(_ context.Context, in settleReq) (settleResp, error) {
 			for _, s := range b.States {
 				key := r.canonical(s)
 				if err := r.store(s, key, mc.Fingerprint(key), depth); err != nil {
-					return settleResp{}, refuse(capacity, "settle: %w", err)
+					return report{}, refuse(capacity, "settle: %w", err)
 				}
 			}
 		}
 	}
 	r.promote(depth)
-	return settleResp{Stats: r.stats(), Frontier: len(r.frontier.ends)}, nil
+	return r.report(), nil
 }
 
 // cancel stops the run it names (any run, for an empty id) and drops

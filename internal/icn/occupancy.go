@@ -31,26 +31,6 @@ type VNOccupancy struct {
 	LocalHighWater  int `json:"local_high_water"`
 }
 
-// meanDepth computes the observation-weighted mean of a depth
-// histogram.
-func meanDepth(hist []int64) float64 {
-	var n, sum int64
-	for d, c := range hist {
-		n += c
-		sum += int64(d) * c
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
-// GlobalMeanDepth is the mean global-buffer depth across observations.
-func (v *VNOccupancy) GlobalMeanDepth() float64 { return meanDepth(v.GlobalHist) }
-
-// LocalMeanDepth is the mean endpoint-FIFO depth across observations.
-func (v *VNOccupancy) LocalMeanDepth() float64 { return meanDepth(v.LocalHist) }
-
 // OccupancyStats is the serializable aggregate over a whole run.
 type OccupancyStats struct {
 	// StatesObserved counts the states aggregated — for the model
@@ -215,6 +195,16 @@ func (p *OccupancyProfiler) Stats() *OccupancyStats {
 // SetMessages labels a VN with the message names assigned to it.
 func (p *OccupancyProfiler) SetMessages(vn int, names []string) {
 	p.messages[vn] = append([]string(nil), names...)
+}
+
+// MergeSummary returns o and p, an *OccupancyStats, merged into a new
+// aggregate: the mc.MergeableSummary through which mc.MergeSnapshots
+// folds the distributed workers' profiles.
+func (o *OccupancyStats) MergeSummary(p any) any {
+	m := new(OccupancyStats)
+	m.Merge(o)
+	m.Merge(p.(*OccupancyStats))
+	return m
 }
 
 // Merge folds another aggregate into o, for coordinators that combine

@@ -47,9 +47,6 @@ func TestOccupancyAggregation(t *testing.T) {
 	if len(vn1.LocalHist) != 2 || vn1.LocalHist[0] != 5 || vn1.LocalHist[1] != 1 {
 		t.Fatalf("vn1 local hist = %v", vn1.LocalHist)
 	}
-	if got := vn0.GlobalMeanDepth(); got != 0.5 {
-		t.Fatalf("vn0 global mean depth = %v, want 0.5", got)
-	}
 }
 
 // observe feeds the profiler s's encoding, the only form it reads.

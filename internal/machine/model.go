@@ -283,12 +283,6 @@ func (s *System) DirState(raw []byte, addr int) string {
 	return s.dir.states[raw[s.dirOff+addr*dirEntryBytes]]
 }
 
-// L2State returns the L2 home state name for addr (two-level systems).
-func (s *System) L2State(raw []byte, addr int) string {
-	s.checkLen(raw)
-	return s.l2.states[raw[s.l2Off+addr*l2EntryBytes]]
-}
-
 // InFlight counts in-flight messages in an encoded state: every queue
 // is one length byte plus a fixed-size record per message, so the count
 // is what the network section holds beyond its length bytes.

@@ -1,0 +1,230 @@
+package mc
+
+import (
+	"math"
+	"time"
+
+	"minvn/internal/obs"
+	"minvn/internal/obs/health"
+)
+
+// expandSample is the expansion-timing sample period: 1-in-N expansions
+// get their collection (expand, canonicalize and fingerprint every
+// successor — exactly what a pipeline worker's expand time covers) timed
+// for the worker profile, keeping the clock-read cost off the hot path.
+const expandSample = 8
+
+// Books are one search's counts: dedup hits and the conflated ones among
+// them, generated successors, the depth histogram, rule firings by id,
+// the per-stripe occupancy and dedup histograms and the per-worker
+// profiles. Every engine keeps the same books — the in-process search
+// core in its tracker, each distributed worker for its owned slice — and
+// reports them through Snapshot, so a counter is defined once and every
+// engine's snapshot carries it. A probe is either a stored state or a
+// dedup hit, so States + DedupHits is the probe count and the books need
+// no third counter.
+//
+// The books are single-threaded, written only from the store path,
+// except for the worker profiles, which are internally atomic.
+type Books struct {
+	exp        Expander // resolves rule ids, once per snapshot
+	dedupHits  int64
+	unverified int64 // conflated dedup hits (compact store)
+	generated  int64
+	depthHist  []int64
+	rules      []int64 // firings by rule id, nil unless exp attributes rules
+	stripes    health.ShardSampler
+	workers    *health.WorkerSet
+}
+
+// NewBooks opens the books of a search of exp's model with the given
+// number of worker profiles.
+func NewBooks(exp Expander, workers int) *Books {
+	b := &Books{exp: exp, workers: health.NewWorkerSet(workers)}
+	if names := exp.RuleNames(); names != nil {
+		b.rules = make([]int64, len(names))
+	}
+	return b
+}
+
+// Probe accounts one visited-set lookup; fresh means the state was new
+// and stored at the given depth. fp is the state's fingerprint,
+// attributing the probe to its telemetry stripe. conflated marks a
+// compact-store duplicate verdict that could not be byte-verified;
+// conflation verdicts are stable over a run (see setShard.lookup), so
+// this count is deterministic and identical across engines.
+func (b *Books) Probe(fp uint64, depth int32, fresh, conflated bool) {
+	if !fresh {
+		b.dedupHits++
+		if conflated {
+			b.unverified++
+		}
+		b.stripes.Dup(fp)
+		return
+	}
+	b.stripes.Store(fp)
+	for int(depth) >= len(b.depthHist) {
+		b.depthHist = append(b.depthHist, 0)
+	}
+	b.depthHist[depth]++
+}
+
+// Fire records a rule firing (one generated successor) by rule id.
+func (b *Books) Fire(rule int) {
+	if b.rules == nil {
+		return
+	}
+	for rule >= len(b.rules) {
+		b.rules = append(b.rules, 0) // an adapted model interns names as it goes
+	}
+	b.rules[rule]++
+}
+
+// AddGenerated counts the n successors of one expansion that did not end
+// the search.
+func (b *Books) AddGenerated(n int) { b.generated += int64(n) }
+
+// StartExpansion starts the clock on expansion number n (counted from 0)
+// when it falls in the 1-in-expandSample timing sample, and returns the
+// zero time when it does not.
+func (b *Books) StartExpansion(n int) time.Time {
+	if n%expandSample != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// EndExpansion closes StartExpansion's clock: a sampled expansion is
+// one batch of one state on worker profile 0.
+func (b *Books) EndExpansion(t0 time.Time) {
+	if !t0.IsZero() {
+		b.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
+	}
+}
+
+// SendWait records time worker 0 spent blocked handing work on.
+func (b *Books) SendWait(d time.Duration) { b.workers.Worker(0).AddSendWait(d) }
+
+// Snapshot derives a snapshot from the books — the one derivation every
+// engine reports through. s carries what only the caller knows: its
+// identity (Strategy, Store), its position (ElapsedSeconds, States,
+// Frontier, MaxDepth, Expansions, Final), the heap, the observer's
+// summary and, in s.Health when non-nil, the footprint and scheduling
+// fields. The books add their counters, histograms, rule firings and
+// contention profile, and derive the rates.
+func (b *Books) Snapshot(s Snapshot) Snapshot {
+	s.Generated = b.generated
+	s.DedupHits = b.dedupHits
+	s.DepthHistogram = append([]int64(nil), b.depthHist...)
+	if b.rules != nil {
+		names := b.exp.RuleNames()
+		s.RuleFirings = make(map[string]int64)
+		for id, n := range b.rules {
+			if n != 0 {
+				s.RuleFirings[names[id]] += n
+			}
+		}
+	}
+	if s.Health == nil {
+		s.Health = new(health.Report)
+	}
+	b.stripes.Fill(s.Health)
+	s.Health.Workers = b.workers.Stats()
+	s.Health.UnverifiedHits = b.unverified
+	s.derive()
+	return s
+}
+
+// MergeableSummary is an optional extension of a SummarizingObserver's
+// summary: MergeSummary returns the summary of the states the receiver
+// and o (a summary of the same type) describe together, modifying
+// neither. MergeSnapshots folds Snapshot.Occupancy with it.
+type MergeableSummary interface {
+	MergeSummary(o any) any
+}
+
+// MergeSnapshots folds the latest cumulative snapshots of the workers of
+// one partitioned search — each state probed and stored by exactly one
+// of them — into the search's, over the merging clock's elapsed
+// seconds. Counts, the frontier, the depth histogram and rule firings
+// sum; the depth is the deepest; health merges by health.Report.Merge
+// and the observer summaries by MergeableSummary, which a summary merged
+// with another must implement. Identity comes from the first
+// snapshot, and the merge is Final when every snapshot is. The heap is
+// read now, and the rates are derived again from the sums — never
+// averaged from per-worker rates, whose clocks differ. Because every
+// snapshot is cumulative, merging each worker's latest one replaces
+// rather than double-counts a snapshot reported twice.
+func MergeSnapshots(snaps []Snapshot, elapsed float64) Snapshot {
+	m := Snapshot{ElapsedSeconds: elapsed, Final: len(snaps) > 0}
+	if len(snaps) > 0 {
+		m.Strategy, m.Store = snaps[0].Strategy, snaps[0].Store
+	}
+	for i := range snaps {
+		s := &snaps[i]
+		m.States += s.States
+		m.Frontier += s.Frontier
+		m.MaxDepth = max(m.MaxDepth, s.MaxDepth)
+		m.Expansions += s.Expansions
+		m.Generated += s.Generated
+		m.DedupHits += s.DedupHits
+		for len(m.DepthHistogram) < len(s.DepthHistogram) {
+			m.DepthHistogram = append(m.DepthHistogram, 0)
+		}
+		for d, v := range s.DepthHistogram {
+			m.DepthHistogram[d] += v
+		}
+		if s.RuleFirings != nil && m.RuleFirings == nil {
+			m.RuleFirings = make(map[string]int64, len(s.RuleFirings))
+		}
+		for k, v := range s.RuleFirings {
+			m.RuleFirings[k] += v
+		}
+		if s.Health != nil {
+			if m.Health == nil {
+				m.Health = new(health.Report)
+			}
+			m.Health.Merge(s.Health)
+		}
+		switch {
+		case s.Occupancy == nil:
+		case m.Occupancy == nil:
+			m.Occupancy = s.Occupancy
+		default:
+			m.Occupancy = m.Occupancy.(MergeableSummary).MergeSummary(s.Occupancy)
+		}
+		m.Final = m.Final && s.Final
+	}
+	m.HeapBytes = obs.HeapBytes()
+	m.derive()
+	return m
+}
+
+// derive finishes a snapshot's derived fields from its counts: the
+// elapsed clock clamped to non-negative, the dedup hit rate over all
+// probes (States + DedupHits) and the states per second. A start time
+// in the future (clock step, bad injection) must not leak a negative
+// duration into artifacts, and a zero or sub-resolution denominator
+// must not leak NaN or ±Inf, which encoding/json rejects. It is the one
+// place a snapshot's rates are computed.
+func (s *Snapshot) derive() {
+	if !(s.ElapsedSeconds > 0) {
+		s.ElapsedSeconds = 0
+	}
+	if probes := int64(s.States) + s.DedupHits; probes > 0 {
+		s.DedupHitRate = sanitizeRate(float64(s.DedupHits) / float64(probes))
+	}
+	if s.ElapsedSeconds > 0 {
+		s.StatesPerSec = sanitizeRate(float64(s.States) / s.ElapsedSeconds)
+	}
+}
+
+// sanitizeRate guards a derived rate against +Inf/NaN and negative
+// values from clock weirdness: anything non-finite or negative reports
+// as 0.
+func sanitizeRate(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0
+	}
+	return v
+}

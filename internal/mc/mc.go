@@ -24,13 +24,6 @@ import (
 	"minvn/internal/obs/trace"
 )
 
-// seqExpandSample is the sequential engine's expansion-timing sample
-// period: 1-in-N expansions get their collection (expand, canonicalize
-// and fingerprint every successor — exactly what a pipeline worker's
-// expand time covers) timed for the worker profile, keeping the
-// clock-read cost off the hot path.
-const seqExpandSample = 8
-
 // Model is an explicit-state transition system over opaque encoded
 // states. Implementations must produce deterministic encodings: two
 // equal states must encode to equal byte strings.
@@ -410,19 +403,13 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 			continue
 		}
 
-		sampled := s.res.Rules%seqExpandSample == 0
-		var t0 time.Time
-		if sampled {
-			t0 = time.Now()
-		}
+		t0 := s.tr.StartExpansion(s.res.Rules)
 		sp := s.lane.Start("expand")
 		s.col.reset()
 		e := s.col.expand(w)
 		s.col.resolve()
 		sp.EndArg("succs", int64(len(e.succs)))
-		if sampled {
-			s.tr.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
-		}
+		s.tr.EndExpansion(t0)
 		if res, done := s.merge(&e); done {
 			return res
 		}

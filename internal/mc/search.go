@@ -198,9 +198,8 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	s.set = newVisitedStore(opts.Store, DefaultShards)
 	s.log.keep = !opts.DisableTraces
 	s.memLimit = memoryLimit()
-	s.tr = newTracker(opts, s.start, s.exp)
+	s.tr = newTracker(opts, s.start, s.exp, workers)
 	s.tr.lane = s.lane
-	s.tr.workers = health.NewWorkerSet(workers)
 	s.tr.setHealth = func(r *health.Report) {
 		r.ArenaBytes = s.set.st.arenaBytes
 		r.SetBytes = s.set.st.setBytes
@@ -267,15 +266,15 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 			s.res.MaxDepth = max(s.res.MaxDepth, int(depth))
 		}
 		if parent >= 0 {
-			s.tr.fire(sc.rule)
+			s.tr.Fire(int(sc.rule))
 		}
-		s.tr.recordProbe(sc.fp, depth, r.fresh, r.conflated)
+		s.tr.Probe(sc.fp, depth, r.fresh, r.conflated)
 		if r.fresh && s.opts.Observer != nil {
 			s.opts.Observer.Observe(sc.state)
 		}
 	}
 	if err != nil && parent >= 0 {
-		s.tr.fire(succs[processed].rule)
+		s.tr.Fire(int(succs[processed].rule))
 	}
 	return err
 }
@@ -350,7 +349,7 @@ func (s *search) merge(e *expansion) (Result, bool) {
 		s.res.Trace = s.trace(e.id, e.state)
 		return s.finish(Deadlock), true
 	}
-	s.tr.generated += int64(len(e.succs))
+	s.tr.AddGenerated(len(e.succs))
 	if err := s.settle(e.id, e.depth+1, e.succs); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true

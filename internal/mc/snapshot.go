@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"minvn/internal/obs"
@@ -70,46 +69,30 @@ func (s Snapshot) String() string {
 		s.MaxDepth, s.Expansions, 100*s.DedupHitRate, obs.FormatBytes(s.HeapBytes))
 }
 
-// tracker accumulates search telemetry for the shared search core
-// (search.go). Everything except the worker profiles — counters, depth
-// histogram, rule firings, progress scheduling — is only updated (and
-// read) from the single store thread, so the counters are plain ints.
+// tracker is the in-process search core's telemetry (search.go): the
+// search's Books, plus progress scheduling and the pipelined engine's
+// reorder counts. Everything except the worker profiles is only updated
+// (and read) from the single store thread, so the counters are plain
+// ints.
 type tracker struct {
-	opts      Options
-	strategy  Strategy
-	start     time.Time
-	probes    int64 // visited-set probes (push attempts)
-	dedupHits int64
-	generated int64
-	depthHist []int64
-	// rules counts firings by rule id, nil unless the model attributes
-	// rules; exp.RuleNames resolves the ids, once per snapshot.
-	rules      []int64
-	exp        Expander
+	Books
+	opts       Options
+	start      time.Time
 	nextStates int
 	nextTime   time.Time
 	// lane, when tracing, receives progress instants from the search
 	// goroutine; the engines set it to their main/merge lane.
 	lane *trace.Lane
 
-	// Contention profile. shardSamp and the reorder fields follow the
-	// single-threaded store/merge-path contract above; workers is
-	// internally atomic (the pool writes it while snapshots read).
-	shardSamp     health.ShardSampler
-	workers       *health.WorkerSet
-	unverified    int64 // conflated dedup hits (compact store)
 	reorderStalls int64
 	reorderMax    int64
-	// setHealth contributes the visited set's fields (footprint, lock
-	// wait) to each report.
+	// setHealth contributes the visited set's and the state log's
+	// footprint to each report.
 	setHealth func(*health.Report)
 }
 
-func newTracker(opts Options, start time.Time, exp Expander) *tracker {
-	t := &tracker{opts: opts, strategy: opts.Strategy, start: start, exp: exp}
-	if names := exp.RuleNames(); names != nil {
-		t.rules = make([]int64, len(names))
-	}
+func newTracker(opts Options, start time.Time, exp Expander, workers int) *tracker {
+	t := &tracker{Books: *NewBooks(exp, workers), opts: opts, start: start}
 	if opts.Progress != nil {
 		if opts.ProgressEvery > 0 {
 			t.nextStates = opts.ProgressEvery
@@ -119,55 +102,6 @@ func newTracker(opts Options, start time.Time, exp Expander) *tracker {
 		}
 	}
 	return t
-}
-
-// recordProbe accounts one visited-set lookup; fresh means the state
-// was new and stored at the given depth. fp is the state's fingerprint,
-// attributing the probe to its telemetry stripe. conflated marks a
-// compact-store duplicate verdict that could not be byte-verified;
-// conflation verdicts are stable over a run (see setShard.lookup),
-// so this count is deterministic and identical across engines.
-func (t *tracker) recordProbe(fp uint64, depth int32, fresh, conflated bool) {
-	t.probes++
-	if !fresh {
-		t.dedupHits++
-		if conflated {
-			t.unverified++
-		}
-		t.shardSamp.Dup(fp)
-		return
-	}
-	t.shardSamp.Store(fp)
-	for int(depth) >= len(t.depthHist) {
-		t.depthHist = append(t.depthHist, 0)
-	}
-	t.depthHist[depth]++
-}
-
-// health assembles the contention report for a snapshot. Called from
-// the single-threaded snapshot path.
-func (t *tracker) health() *health.Report {
-	r := new(health.Report)
-	t.shardSamp.Fill(r)
-	r.Workers = t.workers.Stats()
-	r.UnverifiedHits = t.unverified
-	r.ReorderStalls = t.reorderStalls
-	r.ReorderMax = t.reorderMax
-	if t.setHealth != nil {
-		t.setHealth(r)
-	}
-	return r
-}
-
-// fire records a rule firing (one generated successor) by rule id.
-func (t *tracker) fire(rule int32) {
-	if t.rules == nil {
-		return
-	}
-	for int(rule) >= len(t.rules) {
-		t.rules = append(t.rules, 0) // an adapted model interns names as it goes
-	}
-	t.rules[rule]++
 }
 
 // maybeProgress emits a snapshot when a count or wall-clock threshold
@@ -193,64 +127,26 @@ func (t *tracker) maybeProgress(states, frontier, maxDepth, expansions int) {
 	}
 }
 
-// SanitizeRate guards a derived rate against +Inf/NaN (which
-// encoding/json rejects, breaking -stats-json artifacts) and negative
-// values from clock weirdness: anything non-finite or negative reports
-// as 0. Exported for out-of-package snapshot producers — the
-// distributed coordinator (internal/dist) recomputes merged rates from
-// summed counters over its own elapsed clock and must apply the same
-// guard, or a zero-elapsed merge of worker snapshots would ship +Inf.
-func SanitizeRate(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return 0
-	}
-	return v
-}
-
 func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final bool) Snapshot {
-	elapsed := time.Since(t.start).Seconds()
-	if elapsed < 0 || math.IsNaN(elapsed) {
-		// A start time in the future (clock step, bad injection) must
-		// not leak a negative duration into artifacts.
-		elapsed = 0
-	}
 	s := Snapshot{
-		Strategy:       t.strategy.String(),
+		Strategy:       t.opts.Strategy.String(),
 		Store:          t.opts.Store.String(),
-		ElapsedSeconds: elapsed,
+		ElapsedSeconds: time.Since(t.start).Seconds(),
 		States:         states,
 		Frontier:       frontier,
 		MaxDepth:       maxDepth,
 		Expansions:     int64(expansions),
-		Generated:      t.generated,
-		DedupHits:      t.dedupHits,
-		DepthHistogram: append([]int64(nil), t.depthHist...),
 		HeapBytes:      obs.HeapBytes(),
+		Health:         &health.Report{ReorderStalls: t.reorderStalls, ReorderMax: t.reorderMax},
 		Final:          final,
 	}
-	// Both rates are division results on counters an engine bug (or a
-	// sub-resolution elapsed time) could zero out; sanitize so a tiny
-	// run can never emit +Inf/NaN and break JSON encoding.
-	if t.probes > 0 {
-		s.DedupHitRate = SanitizeRate(float64(s.DedupHits) / float64(t.probes))
-	}
-	if elapsed > 0 {
-		s.StatesPerSec = SanitizeRate(float64(states) / elapsed)
-	}
-	if t.rules != nil {
-		names := t.exp.RuleNames()
-		s.RuleFirings = make(map[string]int64)
-		for id, n := range t.rules {
-			if n != 0 {
-				s.RuleFirings[names[id]] += n
-			}
-		}
+	if t.setHealth != nil {
+		t.setHealth(s.Health)
 	}
 	if so, ok := t.opts.Observer.(SummarizingObserver); ok {
 		s.Occupancy = so.Summary()
 	}
-	s.Health = t.health()
-	return s
+	return t.Books.Snapshot(s)
 }
 
 // finish builds the final snapshot and delivers it to the Progress

@@ -573,12 +573,12 @@ func BenchmarkCheckStore(b *testing.B) {
 
 func TestSanitizeRate(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		if got := SanitizeRate(v); got != 0 {
-			t.Errorf("SanitizeRate(%v) = %v, want 0", v, got)
+		if got := sanitizeRate(v); got != 0 {
+			t.Errorf("sanitizeRate(%v) = %v, want 0", v, got)
 		}
 	}
-	if got := SanitizeRate(12.5); got != 12.5 {
-		t.Errorf("SanitizeRate(12.5) = %v", got)
+	if got := sanitizeRate(12.5); got != 12.5 {
+		t.Errorf("sanitizeRate(12.5) = %v", got)
 	}
 }
 
@@ -589,9 +589,9 @@ func TestSanitizeRate(t *testing.T) {
 func TestSnapshotZeroElapsed(t *testing.T) {
 	// A start time in the future forces elapsed <= 0, the degenerate
 	// case a sub-resolution clock read produces.
-	tr := newTracker(Options{}, time.Now().Add(time.Hour), asExpander(multiInit{}))
-	tr.recordProbe(1, 0, true, false)
-	tr.recordProbe(1, 0, false, false)
+	tr := newTracker(Options{}, time.Now().Add(time.Hour), asExpander(multiInit{}), 1)
+	tr.Probe(1, 0, true, false)
+	tr.Probe(1, 0, false, false)
 	s := tr.snapshot(10, 2, 1, 5, true)
 	if s.ElapsedSeconds != 0 {
 		t.Errorf("ElapsedSeconds = %v, want 0", s.ElapsedSeconds)
@@ -610,7 +610,7 @@ func TestSnapshotZeroElapsed(t *testing.T) {
 		t.Fatalf("non-finite value leaked into JSON: %s", raw)
 	}
 	// Zero probes: DedupHitRate guard (0/0) must also hold.
-	tr2 := newTracker(Options{}, time.Now(), asExpander(multiInit{}))
+	tr2 := newTracker(Options{}, time.Now(), asExpander(multiInit{}), 1)
 	if s2 := tr2.snapshot(0, 0, 0, 0, true); s2.DedupHitRate != 0 {
 		t.Errorf("zero-probe DedupHitRate = %v", s2.DedupHitRate)
 	}

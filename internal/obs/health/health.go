@@ -45,8 +45,11 @@ func StripeOf(fp uint64) int { return int((fp ^ (fp >> 32)) & stripeMask) }
 //   - pipeline: one entry per pool worker; Batches counts work-channel
 //     batches, QueueWaitNS the time blocked receiving work, SendWaitNS
 //     the time blocked handing results to the merge loop.
-//   - seq, dist: a single entry; ExpandNS and States cover a 1-in-N
-//     sample of expansions, with Batches counting the sampled ones.
+//   - seq: a single entry; ExpandNS and States cover a 1-in-N sample of
+//     expansions, with Batches counting the sampled ones.
+//   - dist: one entry per worker, each filled like seq's, plus
+//     SendWaitNS, the time blocked shipping frontier batches to peers
+//     (which count no batch).
 type WorkerStats struct {
 	Worker      int   `json:"worker"`
 	Batches     int64 `json:"batches"`
@@ -213,6 +216,10 @@ func (w *WorkerProfile) AddBatch(states int, expand, queueWait, sendWait time.Du
 	w.queueNS.Add(int64(queueWait))
 	w.sendNS.Add(int64(sendWait))
 }
+
+// AddSendWait records time blocked handing results on that belongs to
+// no batch (a dist worker's frontier sends).
+func (w *WorkerProfile) AddSendWait(d time.Duration) { w.sendNS.Add(int64(d)) }
 
 // WorkerSet is a fixed pool of worker profiles, one per worker index.
 type WorkerSet struct {
