@@ -104,7 +104,8 @@ func (s *Search) Register(fs *flag.FlagSet, which SearchFlags) {
 		fs.IntVar(&s.MaxDepth, "max-depth", s.MaxDepth, "bounded model checking: depth limit (0 = none)")
 		fs.IntVar(&s.GlobalCap, "gcap", s.GlobalCap, "global buffer capacity (0 = paper default: never blocks sends)")
 		fs.IntVar(&s.LocalCap, "lcap", s.LocalCap, "endpoint input FIFO capacity (0 = paper default)")
-		fs.Var(p2pFlag{&s.P2P}, "p2p", "point-to-point ordered mode with mapping variant 0-3 (-1 = unordered)")
+		fs.Var(p2pFlag{&s.P2P}, "p2p", "point-to-point ordered mode with mapping variant 0-3 (-1 = unordered); "+
+			"variants 1-3 map buffers by endpoint-id parity, which no cache permutation preserves, so they turn symmetry reduction off")
 		fs.BoolVar(&s.NoSymmetry, "no-symmetry", s.NoSymmetry, "disable cache symmetry reduction")
 		fs.BoolVar(&s.Invariants, "invariants", s.Invariants, "check SWMR/bookkeeping invariants on every state")
 		fs.BoolVar(&s.Traces, "trace", s.Traces, "print the counterexample trace on deadlock/violation")

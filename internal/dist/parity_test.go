@@ -74,8 +74,9 @@ func pipelineBaseline(t testing.TB, cfg machine.Config, opts mc.Options) (mc.Res
 // and all, but for the fields that legitimately differ, which it zeroes
 // on both sides first: the elapsed clock and the rates over it, the
 // heap, the health report's byte and time fields and worker entries
-// (each engine has its own structures and workers), the pipeline's
-// reorder counts, and the final frontier (mc reports 0 where dist
+// (each engine has its own structures and workers), the sequential
+// BFS's raw-cache hits, the pipeline's reorder counts, and the final
+// frontier (mc reports 0 where dist
 // reports the states a bound left unexpanded). Occupancy is compared
 // apart, by value. So a field dist forgets to merge fails here.
 func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got mc.Result) {
@@ -101,7 +102,7 @@ func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got
 		s := &r.Stats
 		s.ElapsedSeconds, s.StatesPerSec, s.HeapBytes, s.Frontier, s.Occupancy = 0, 0, 0, 0, nil
 		h := *s.Health
-		h.ArenaBytes, h.SetBytes, h.FrontierBytes = 0, 0, 0
+		h.ArenaBytes, h.SetBytes, h.FrontierBytes, h.RawHits = 0, 0, 0, 0
 		h.ReorderStalls, h.ReorderMax, h.Workers = 0, 0, nil
 		s.Health = &h
 		return r

@@ -101,7 +101,7 @@ type Spec struct {
 	GlobalCap int    `json:"global_cap,omitempty"`
 	LocalCap  int    `json:"local_cap,omitempty"`
 	// P2P, when non-nil, selects point-to-point ordered mode with the
-	// given mapping variant (0-3).
+	// given mapping variant (0-3). Variants 1-3 normalize NoSymmetry on.
 	P2P           *int `json:"p2p,omitempty"`
 	NoReplacement bool `json:"no_replacement,omitempty"`
 	NoSymmetry    bool `json:"no_symmetry,omitempty"`
@@ -183,6 +183,12 @@ func (s Spec) normalize(p *protocol.Protocol) (n Spec, engine mc.Engine, store m
 	}
 	if n.P2P != nil && (*n.P2P < 0 || *n.P2P > 3) {
 		return n, 0, 0, RequestErrorf("p2p variant %d out of range 0-3", *n.P2P)
+	}
+	if n.P2P != nil && *n.P2P != 0 {
+		// Variants 1-3 pick a buffer by the parity of endpoint ids, so no
+		// cache permutation is a symmetry of the system and the symmetry
+		// quotient would be unsound.
+		n.NoSymmetry = true
 	}
 	if engine, err = mc.ParseEngine(n.Engine); err != nil {
 		return n, 0, 0, RequestErrorf("%v", err)

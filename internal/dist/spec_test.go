@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -92,6 +93,37 @@ func TestResolveRefusals(t *testing.T) {
 // the spec says otherwise, so the composite every entry point used to
 // treat differently resolves — as `vnverify -file … -vn permsg -caches
 // 2 -dirs 1 -addrs 1` would — and runs.
+// TestP2PSymmetry: p2p variants 1-3 map buffers by endpoint-id parity,
+// which no cache permutation preserves, so they resolve with symmetry
+// reduction off, and the normalized spec and its key say so; variant 0
+// and unordered mode keep it.
+func TestP2PSymmetry(t *testing.T) {
+	p := protocols.MustLoad("MSI_nonblocking_cache")
+	for _, variant := range []int{-1, 0, 1, 2, 3} {
+		s := dist.Spec{MaxStates: 1000}
+		if variant >= 0 {
+			v := variant
+			s.P2P = &v
+		}
+		job, err := s.Resolve(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := variant > 0
+		if job.Config.NoSymmetry != want || job.Spec.NoSymmetry != want {
+			t.Errorf("p2p %d: Config.NoSymmetry %v, Spec.NoSymmetry %v; want %v",
+				variant, job.Config.NoSymmetry, job.Spec.NoSymmetry, want)
+		}
+		key, n, err := s.Key(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.NoSymmetry != want || !strings.Contains(key, fmt.Sprintf("nosym=%t", want)) {
+			t.Errorf("p2p %d: normalized NoSymmetry %v, key %q; want %v", variant, n.NoSymmetry, key, want)
+		}
+	}
+}
+
 func TestResolveTwoLevel(t *testing.T) {
 	comp := composite(t)
 	spec := dist.Spec{VN: dist.VNPerMessage, Caches: 2, Dirs: 1, Addrs: 1, MaxStates: 2000}
@@ -158,7 +190,7 @@ func TestJobVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = `{"vn":"minimal","caches":3,"dirs":2,"addrs":2,"strategy":"bfs","max_states":5000,` +
-		`"p2p":1,"no_replacement":true,"engine":"auto","store":"exact"}`
+		`"p2p":1,"no_replacement":true,"no_symmetry":true,"engine":"auto","store":"exact"}`
 	if string(raw) != want {
 		t.Errorf("options = %s\nwant      %s", raw, want)
 	}

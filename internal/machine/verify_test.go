@@ -98,7 +98,11 @@ func TestClass3MinimalAssignmentVerifies(t *testing.T) {
 
 // TestClass3SingleVNDeadlocks: the same protocols wedge when
 // everything shares one VN — the queues relation the minimal
-// assignment exists to break.
+// assignment exists to break. The DFS rows find it at 3c/1d/2a. The BFS
+// rows are Table I's "one VN deadlocks" evidence for every Class 3
+// built-in whose minimum is two VNs: under UniformVN at 3c/1d/1a a
+// minimal-depth deadlock, at a pinned stored-state count and depth,
+// whose trace replays through Successors.
 func TestClass3SingleVNDeadlocks(t *testing.T) {
 	for _, proto := range []string{"MSI_nonblocking_cache", "CHI", "TileLink"} {
 		proto := proto
@@ -116,6 +120,67 @@ func TestClass3SingleVNDeadlocks(t *testing.T) {
 				t.Fatalf("expected deadlock with 1 VN, got %v (%s)", res, res.Message)
 			}
 		})
+	}
+	for _, tc := range []struct {
+		proto         string
+		states, depth int
+	}{
+		{"CHI", 2887, 12},
+		{"TileLink", 3922, 12},
+		{"MSI_completion", 4173, 12},
+		{"CXL_cache", 4081, 15},
+		{"MESIF_nonblocking_cache", 29630, 19},
+		{"MESI_nonblocking_cache", 31633, 19},
+		{"MSI_nonblocking_cache", 80018, 20},
+	} {
+		tc := tc
+		t.Run("bfs/"+tc.proto, func(t *testing.T) {
+			p := protocols.MustLoad(tc.proto)
+			if a := vnassign.Assign(p); a.Class != vnassign.Class3 || a.NumVNs != 2 {
+				t.Fatalf("%s is %s with %d VNs; the row is for Class 3 with 2", tc.proto, a.Class, a.NumVNs)
+			}
+			vn, n := UniformVN(p)
+			sys, err := New(Config{Protocol: p, Caches: 3, Dirs: 1, Addrs: 1, VN: vn, NumVNs: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mc.Check(sys, mc.Options{MaxStates: 200_000})
+			if res.Outcome != mc.Deadlock || res.States != tc.states || res.MaxDepth != tc.depth {
+				t.Fatalf("got %v; pinned a deadlock at %d states, depth %d", res, tc.states, tc.depth)
+			}
+			replayDeadlock(t, sys, res.Trace)
+		})
+	}
+}
+
+// replayDeadlock checks a deadlock trace against the model: it starts
+// at an initial state, each state is byte-equal to one of its
+// predecessor's successors, and the last has none and is not quiescent.
+func replayDeadlock(t *testing.T, sys *System, trace [][]byte) {
+	t.Helper()
+	member := func(s []byte, set [][]byte) bool {
+		for _, x := range set {
+			if string(x) == string(s) {
+				return true
+			}
+		}
+		return false
+	}
+	if len(trace) == 0 || !member(trace[0], sys.Initial()) {
+		t.Fatal("the trace does not start at an initial state")
+	}
+	for i := 1; i < len(trace); i++ {
+		succs, err := sys.Successors(trace[i-1])
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if !member(trace[i], succs) {
+			t.Fatalf("step %d is not a successor of step %d", i, i-1)
+		}
+	}
+	last := trace[len(trace)-1]
+	if succs, err := sys.Successors(last); err != nil || len(succs) != 0 || sys.Quiescent(last) {
+		t.Fatalf("the last state has %d successors (err %v), quiescent %v", len(succs), err, sys.Quiescent(last))
 	}
 }
 

@@ -1,0 +1,10 @@
+package mc
+
+// The raw cache's test switches, for the external parity tests.
+var (
+	WithRawCache       = withRawCache
+	WithLogChunk       = withChunk
+	RawCacheComparable = rawCacheComparable
+)
+
+const NarrowRawHash = narrowRawHash

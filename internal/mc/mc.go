@@ -12,7 +12,11 @@
 // buffer, canonicalized and fingerprinted in a reusable arena (the
 // collector, search.go), probed, and copied out — once, to the tail of
 // the state log (statelog.go) — only if it is new. Both schedulers and
-// the seed go through that one path.
+// the seed go through that one path. The sequential BFS first looks each
+// successor up by its raw bytes among states stored recently and still
+// in the log (rawCache, statelog.go); one byte-equal to such a state is
+// settled as its duplicate without being canonicalized, fingerprinted
+// or probed.
 package mc
 
 import (
@@ -377,6 +381,11 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 	}
 	opts = opts.normalized()
 	s := newSearch(ctx, m, opts, "search ("+opts.Strategy.String()+")", 1)
+	dfs := opts.Strategy == DFS
+	if !dfs && rawCacheOn {
+		s.raw = &rawCache{log: &s.log}
+		s.col.raw = s.raw
+	}
 	if res, done := s.seed(); done {
 		return res
 	}
@@ -385,7 +394,6 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 	// over the log; DFS pops the core's stack of states it has yet to
 	// expand.
 	var cur ref
-	dfs := opts.Strategy == DFS
 	for {
 		if (dfs && len(s.stack) == 0) || (!dfs && int(cur.id) == s.stored) {
 			return s.exhausted()
@@ -418,6 +426,9 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 			frontier = len(s.stack)
 		} else {
 			s.log.release(cur.pos)
+			if s.raw != nil {
+				s.raw.allocate(s.stored)
+			}
 		}
 		s.tr.maybeProgress(s.stored, frontier, s.res.MaxDepth, s.res.Rules)
 	}

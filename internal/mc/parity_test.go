@@ -51,45 +51,53 @@ func paritySystem(t *testing.T, proto, vnMode string, caches, dirs, addrs int) *
 	return sys
 }
 
+// parityCase is one row of the parity suite: a system, search options
+// and the pinned shape of the sequential exact-store search — stored
+// states, deepest level, duplicate successors.
+type parityCase struct {
+	name          string
+	proto         string
+	vnMode        string
+	size          [3]int // caches, dirs, addrs
+	opts          mc.Options
+	states, depth int
+	dedup         int64
+}
+
+// The parity rows' sizes: caches, dirs, addrs.
+var smallSize, paperSize = [3]int{2, 1, 1}, [3]int{3, 2, 2}
+
+// parityCases are the parity suite's rows. The 3c/2d/2a rows are the
+// paper's system under the minimal assignment: the exact pin of the
+// search at that size.
+var parityCases = []parityCase{
+	{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal", smallSize,
+		mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 20, 5787},
+	{"MSI-minimal-traces", "MSI_nonblocking_cache", "minimal", smallSize,
+		mc.Options{MaxStates: 2500}, 2500, 17, 3332},
+	{"MESI-minimal-bounded", "MESI_nonblocking_cache", "minimal", smallSize,
+		mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 22, 6278},
+	{"MESI-uniform-depth", "MESI_nonblocking_cache", "uniform", smallSize,
+		mc.Options{MaxDepth: 3, DisableTraces: true}, 31, 3, 26},
+	{"MOESI-minimal-bounded", "MOESI_nonblocking_cache", "minimal", smallSize,
+		mc.Options{MaxStates: 3000, DisableTraces: true}, 1764, 20, 1680},
+	{"CHI-permsg-bounded", "CHI", "permsg", smallSize,
+		mc.Options{MaxStates: 2000, DisableTraces: true}, 2000, 32, 3480},
+	{"MSI-minimal-paper", "MSI_nonblocking_cache", "minimal", paperSize,
+		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
+	{"MESI-minimal-paper", "MESI_nonblocking_cache", "minimal", paperSize,
+		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
+	{"MOESI-minimal-paper", "MOESI_nonblocking_cache", "minimal", paperSize,
+		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 36494},
+}
+
 // TestParallelParityProtocols runs every row on both engines and both
 // visited-set modes: all four runs must mc.Agree with the sequential
 // exact-store reference, fire the same rules the same number of times
 // and profile the same per-VN occupancy, and the reference's search
-// shape is pinned. The 3c/2d/2a rows are the paper's system under the
-// minimal assignment: the exact pin of the search at that size.
+// shape is pinned.
 func TestParallelParityProtocols(t *testing.T) {
-	small, paper := [3]int{2, 1, 1}, [3]int{3, 2, 2}
-	cases := []struct {
-		name   string
-		proto  string
-		vnMode string
-		size   [3]int // caches, dirs, addrs
-		opts   mc.Options
-		// Pinned shape of the search: stored states, deepest level,
-		// duplicate successors.
-		states, depth int
-		dedup         int64
-	}{
-		{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal", small,
-			mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 20, 5787},
-		{"MSI-minimal-traces", "MSI_nonblocking_cache", "minimal", small,
-			mc.Options{MaxStates: 2500}, 2500, 17, 3332},
-		{"MESI-minimal-bounded", "MESI_nonblocking_cache", "minimal", small,
-			mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 22, 6278},
-		{"MESI-uniform-depth", "MESI_nonblocking_cache", "uniform", small,
-			mc.Options{MaxDepth: 3, DisableTraces: true}, 31, 3, 26},
-		{"MOESI-minimal-bounded", "MOESI_nonblocking_cache", "minimal", small,
-			mc.Options{MaxStates: 3000, DisableTraces: true}, 1764, 20, 1680},
-		{"CHI-permsg-bounded", "CHI", "permsg", small,
-			mc.Options{MaxStates: 2000, DisableTraces: true}, 2000, 32, 3480},
-		{"MSI-minimal-paper", "MSI_nonblocking_cache", "minimal", paper,
-			mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
-		{"MESI-minimal-paper", "MESI_nonblocking_cache", "minimal", paper,
-			mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
-		{"MOESI-minimal-paper", "MOESI_nonblocking_cache", "minimal", paper,
-			mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 36494},
-	}
-	for _, tc := range cases {
+	for _, tc := range parityCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -43,6 +43,7 @@ type search struct {
 	bounded bool
 	col     *collector  // the store thread's: seed, and the sequential scheduler
 	ireqs   []insertReq // settle's reusable insert batch
+	raw     *rawCache   // the sequential BFS's, shared with col; nil otherwise
 }
 
 // node is what a counterexample needs of one stored state: where its
@@ -69,12 +70,16 @@ type work struct {
 
 // succ is one generated successor on its way to the store. Its bytes
 // are lent — they alias a collector's arena, the store thread's or a
-// pipeline batch's — so settle copies the state of one it stores.
+// pipeline batch's — so settle copies the state of one it stores. A
+// known successor is a duplicate the raw cache recognized: it has no
+// bytes, and fp and conflated are the visited set's verdict, replayed.
 type succ struct {
-	state []byte
-	ckey  []byte // canonical bytes (aliases state when state is canonical)
-	fp    uint64
-	rule  int32 // producing rule's id (see Expander.RuleNames)
+	state     []byte
+	ckey      []byte // canonical bytes (aliases state when state is canonical)
+	fp        uint64
+	rule      int32 // producing rule's id (see Expander.RuleNames)
+	known     bool
+	conflated bool
 }
 
 // aliases reports whether a and b are the same bytes in memory — how an
@@ -95,15 +100,18 @@ type expansion struct {
 // state's successors in the model's work buffer and, per successor,
 // appends the raw bytes to a reusable arena, has the model write the
 // canonical key — when it differs — straight behind them, and notes the
-// rule id; resolve then fingerprints the keys four at a time. Nothing
-// is allocated once the arena is warm. Everything collected since the
-// last reset stays valid until the next one, so a pipeline batch's
-// collector holds the whole batch until the merge has settled it. One
-// goroutine at a time per collector.
+// rule id; resolve then fingerprints the keys four at a time. With a
+// raw cache (the sequential BFS's), a successor byte-equal to a cached
+// stored state is noted as known instead, and none of that is done for
+// it. Nothing is allocated once the arena is warm. Everything collected
+// since the last reset stays valid until the next one, so a pipeline
+// batch's collector holds the whole batch until the merge has settled
+// it. One goroutine at a time per collector.
 type collector struct {
 	m     Model
 	exp   Expander
 	visit func(succ []byte, rule int) // c.add, bound once
+	raw   *rawCache                   // nil but for the sequential BFS
 	arena []byte
 	spans []span
 	succs []succ
@@ -129,6 +137,15 @@ func (c *collector) reset() {
 // state's length is written once, in place; a model that returns one
 // elsewhere has it copied in.
 func (c *collector) add(state []byte, rule int) {
+	sc := succ{rule: int32(rule)}
+	if c.raw.on() {
+		if e := c.raw.lookup(rawHash(state), state); e != nil {
+			sc.fp, sc.conflated, sc.known = e.fp, e.conflated(), true
+			c.spans = append(c.spans, span{})
+			c.succs = append(c.succs, sc)
+			return
+		}
+	}
 	lo := len(c.arena)
 	c.arena = slices.Grow(append(c.arena, state...), len(state))
 	mid := len(c.arena)
@@ -141,7 +158,7 @@ func (c *collector) add(state []byte, rule int) {
 		c.arena = append(c.arena, key...)
 	}
 	c.spans = append(c.spans, span{lo, mid, len(c.arena)})
-	c.succs = append(c.succs, succ{rule: int32(rule)})
+	c.succs = append(c.succs, sc)
 }
 
 // expand collects w's successors behind whatever is already collected.
@@ -161,31 +178,45 @@ func (c *collector) expand(w work) expansion {
 	return e
 }
 
-// resolve points every collected successor at its bytes, now that the
-// arena has stopped moving, fingerprints the keys in groups of four (a
-// short last group fills its spare lanes with its own keys) and returns
-// them all.
+// resolve points every collected successor but the known ones at its
+// bytes, now that the arena has stopped moving, fingerprints their keys
+// in groups of four and returns them all.
 func (c *collector) resolve() []succ {
+	var g [4]int32 // a group's indexes into succs
+	n := 0
 	for i, sp := range c.spans {
 		sc := &c.succs[i]
+		if sc.known {
+			continue
+		}
 		sc.state = c.arena[sp.lo:sp.mid:sp.mid]
 		sc.ckey = sc.state
 		if sp.mid != sp.end {
 			sc.ckey = c.arena[sp.mid:sp.end:sp.end]
 		}
+		g[n] = int32(i)
+		if n++; n == len(g) {
+			c.fingerprint(g[:])
+			n = 0
+		}
 	}
-	for lo := 0; lo < len(c.succs); lo += 4 {
-		g := c.succs[lo:min(lo+4, len(c.succs))]
-		var keys [4][]byte
-		for j := range keys {
-			keys[j] = g[j%len(g)].ckey
-		}
-		fps := fingerprint4(keys)
-		for j := range g {
-			g[j].fp = fps[j]
-		}
+	if n > 0 {
+		c.fingerprint(g[:n])
 	}
 	return c.succs
+}
+
+// fingerprint fingerprints the keys of the successors at idx, one to
+// four of them; a short group fills its spare lanes with its own keys.
+func (c *collector) fingerprint(idx []int32) {
+	var keys [4][]byte
+	for j := range keys {
+		keys[j] = c.succs[idx[j%len(idx)]].ckey
+	}
+	fps := fingerprint4(keys)
+	for j, i := range idx {
+		c.succs[i].fp = fps[j]
+	}
 }
 
 // newSearch builds the core for one run; mainLane names the store
@@ -204,13 +235,17 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 		r.ArenaBytes = s.set.st.arenaBytes
 		r.SetBytes = s.set.st.setBytes
 		r.FrontierBytes = s.frontierBytes()
+		if s.raw != nil {
+			r.RawHits = s.raw.hits
+		}
 	}
 	return s
 }
 
 // frontierBytes is what the search holds beside the visited set.
 func (s *search) frontierBytes() int64 {
-	return s.log.held + int64(cap(s.nodes))*12 + int64(cap(s.stack))*16 // a node, a ref
+	return s.log.held + int64(cap(s.nodes))*12 + int64(cap(s.stack))*16 + // a node, a ref
+		s.raw.bytes()
 }
 
 // seed stores the model's initial states.
@@ -227,34 +262,52 @@ func (s *search) seed() (Result, bool) {
 }
 
 // settle probes digested successors of parent against the visited set
-// in order and stores the fresh ones at depth: one insertBatch (which
-// assigns ids stored+0,1,… to fresh entries in request order, the order
-// they are appended to the log below), then the
-// per-successor bookkeeping — rule firing, probe accounting, log append,
+// in order and stores the fresh ones at depth: one insertBatch of the
+// successors the raw cache did not know (which assigns ids stored+0,1,…
+// to fresh entries in request order, the order they are appended to the
+// log below), then the per-successor bookkeeping, known ones in their
+// place — rule firing, probe accounting, log append and raw cache entry,
 // parent table or DFS stack, observer. The batch stops after the insert
-// that reaches MaxStates; the caller's next stop() ends the search. A
+// that reaches MaxStates, and a known successor after that insert is cut
+// with the rest; the caller's next stop() ends the search. A
 // *CapacityError means nothing past the offending successor was counted
 // (its rule firing still is: fire precedes store).
 func (s *search) settle(parent, depth int32, succs []succ) error {
 	s.ireqs = s.ireqs[:0]
 	for i := range succs {
-		sc := &succs[i]
-		s.ireqs = append(s.ireqs, insertReq{fp: sc.fp, key: sc.ckey})
+		if sc := &succs[i]; !sc.known {
+			s.ireqs = append(s.ireqs, insertReq{fp: sc.fp, key: sc.ckey})
+		}
 	}
 	limit := -1
 	if s.opts.MaxStates > 0 {
 		limit = s.opts.MaxStates - s.stored
 	}
-	processed, _, err := s.set.insertBatch(s.ireqs, int32(s.stored), limit)
-	for i := 0; i < processed; i++ {
-		sc, r := &succs[i], &s.ireqs[i]
+	processed, fresh, err := s.set.insertBatch(s.ireqs, int32(s.stored), limit)
+	cut := limit >= 0 && fresh >= limit
+	var dup insertReq // a known successor's verdict
+	next, i := 0, 0   // next indexes s.ireqs
+	for ; i < len(succs); i++ {
+		sc, r := &succs[i], &dup
+		if !sc.known {
+			if next == processed {
+				break // past the cut, or the offending successor
+			}
+			r = &s.ireqs[next]
+			next++
+		} else if cut && next == processed {
+			break
+		} else {
+			dup.conflated = sc.conflated
+			s.raw.hits++
+		}
 		if r.fresh {
 			at := ref{id: int32(s.stored), depth: depth}
 			if at.pos, err = s.log.append(sc.state); err != nil {
-				processed = i
 				break
 			}
 			s.stored++
+			s.raw.fill(sc.state, at.pos, sc.fp, r.bare)
 			if s.log.keep {
 				s.nodes = append(s.nodes, node{at.pos, parent})
 			}
@@ -274,7 +327,7 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 		}
 	}
 	if err != nil && parent >= 0 {
-		s.tr.Fire(int(succs[processed].rule))
+		s.tr.Fire(int(succs[i].rule))
 	}
 	return err
 }
@@ -314,7 +367,13 @@ func (s *search) stop() (Result, bool) {
 	if err := s.ctx.Err(); err != nil {
 		return s.cancel(err), true
 	}
-	if s.set.st.setBytes+s.frontierBytes() >= s.memLimit {
+	held := s.set.st.setBytes + s.frontierBytes()
+	if held >= s.memLimit {
+		// The raw cache only saves time: it gives its bytes up first, so
+		// the search stops where it would have without one.
+		held -= s.raw.drop()
+	}
+	if held >= s.memLimit {
 		s.res.Message = (&CapacityError{Limit: "memory", Max: s.memLimit}).Error()
 		return s.finish(Capacity), true
 	}

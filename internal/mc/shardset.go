@@ -327,27 +327,33 @@ func (s *VisitedStore) admit(sh *setShard, first bool, n int, id int64) (retain 
 }
 
 // insert is the one insert-or-get path: lookup, then admit, then store.
-// It stores key (with fingerprint fp) under id unless an equal key is
-// present, returning the surviving id, whether the insert was fresh,
-// and whether a duplicate verdict was unverifiable (compact
-// conflation). A *CapacityError means nothing was stored.
-func (s *VisitedStore) insert(fp uint64, key []byte, id int64) (gotID int32, fresh, conflated bool, err error) {
-	sh := &s.shards[s.shardIdx(fp)]
-	got, hit, conflated, known := sh.lookup(fp, key)
+// It stores r.key (with fingerprint r.fp) under id unless an equal key is
+// present, and fills r's outputs: the surviving id, whether the insert
+// was fresh, whether a duplicate verdict was unverifiable (compact
+// conflation), and whether a fresh key was stored bare, so that every
+// later verdict on it will be. A *CapacityError means nothing was stored.
+func (s *VisitedStore) insert(r *insertReq, id int64) error {
+	sh := &s.shards[s.shardIdx(r.fp)]
+	got, hit, conflated, known := sh.lookup(r.fp, r.key)
 	if hit {
-		return got, false, conflated, nil
+		r.id, r.fresh, r.conflated, r.bare = got, false, conflated, false
+		return nil
 	}
-	retain, err := s.admit(sh, s.firstFor(known), len(key), id)
+	retain, err := s.admit(sh, s.firstFor(known), len(r.key), id)
 	if err != nil {
-		return 0, false, false, err
+		r.id, r.fresh, r.conflated, r.bare = 0, false, false, false
+		return err
 	}
-	sh.store(fp, key, int32(id), retain, &s.st)
-	return int32(id), true, false, nil
+	sh.store(r.fp, r.key, int32(id), retain, &s.st)
+	r.id, r.fresh, r.conflated, r.bare = int32(id), true, false, !retain
+	return nil
 }
 
 // Insert settles one key through insert, for out-of-package engines.
 func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error) {
-	return s.insert(fp, key, int64(id))
+	r := insertReq{fp: fp, key: key}
+	err = s.insert(&r, int64(id))
+	return r.id, r.fresh, r.conflated, err
 }
 
 // insertBatch settles reqs in order through insert, with ids baseID,
@@ -367,7 +373,7 @@ func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int) (p
 
 	for i := range reqs {
 		r := &reqs[i]
-		if r.id, r.fresh, r.conflated, err = s.insert(r.fp, r.key, int64(baseID)+int64(fresh)); err != nil {
+		if err = s.insert(r, int64(baseID)+int64(fresh)); err != nil {
 			return i, fresh, err
 		}
 		if r.fresh {

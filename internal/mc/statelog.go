@@ -1,6 +1,10 @@
 package mc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // stateLog holds the stored states' raw bytes back to back in storage
 // order, each behind a uvarint length prefix: where a state lives from
@@ -84,4 +88,151 @@ func (l *stateLog) recycle(c []byte) {
 	} else {
 		l.held -= int64(cap(c)) + sliceHeaderSize
 	}
+}
+
+// rawCache knows a successor already stored by its raw bytes: a
+// direct-mapped table from a stored state's raw hash to where its bytes
+// are in the log, with the fingerprint and conflation verdict the visited
+// set returns for it. A successor byte-equal to a cached state is a
+// duplicate of it — equal raw bytes have equal canonical forms — so the
+// sequential BFS settles it straight from its entry, without
+// canonicalizing, fingerprinting or probing it (DESIGN §5.26). The hash
+// only picks an entry; the verdict is the byte compare against the log's
+// copy. An entry is live while its chunk is: BFS releases the log from
+// the front, and an entry below low is dead. DFS truncates the log, so
+// positions are reused, and never builds one. Store thread only.
+type rawCache struct {
+	log   *stateLog
+	slots []rawEntry // rawCacheSize long from rawCacheFrom stored states on
+	hits  int64      // successors settled from an entry
+	off   bool       // dropped for the memory limit, for the rest of the run
+}
+
+// rawEntry is one stored state in a rawCache: its fingerprint, where its
+// bytes are in the log, and a tag: the low bits of its raw hash (the
+// table index is the high ones) with bit 0 set, so that zero means
+// empty, and bit 1 the verdict's conflation — whether the state was
+// stored by fingerprint alone. 16 bytes: at holds a state's offset in a
+// 64 KiB logChunk (an oversize chunk holds one state, at offset 0), and
+// fill skips a state at a larger one.
+type rawEntry struct {
+	fp    uint64
+	chunk uint32
+	at    uint16
+	tag   uint16
+}
+
+const (
+	rawEntrySize = 16
+	// rawCacheBits sizes the table at 2^14 entries (256 KiB): a larger
+	// one hits more but misses L2.
+	rawCacheBits = 14
+	rawCacheSize = 1 << rawCacheBits
+	// rawMul and rawMix are 64-bit odd multipliers for rawHash.
+	rawMul = 0x9e3779b97f4a7c15
+	rawMix = 0xff51afd7ed558ccd
+)
+
+// The raw cache's switches: package vars so that tests can compare a
+// search with the cache and without it.
+var (
+	rawCacheOn = true
+	// rawCacheFrom is the stored-state count at which the table is
+	// allocated: a search that never reaches it allocates nothing.
+	rawCacheFrom = 1 << 12
+	// rawHashMask is applied to every raw hash; tests narrow it to force
+	// collisions that only the byte compare tells apart.
+	rawHashMask = ^uint64(0)
+)
+
+// rawHash indexes the raw cache: two chains of a multiply per eight
+// bytes, sixteen bytes a step, the last step's words overlapping the
+// previous ones where the length is not a multiple of sixteen.
+func rawHash(b []byte) uint64 {
+	n := len(b)
+	x, y := uint64(n)*rawMul, uint64(n)^rawMix
+	switch {
+	case n > 16:
+		for p := b; len(p) > 16; p = p[16:] {
+			x = bits.RotateLeft64(x^binary.LittleEndian.Uint64(p), 29) * rawMul
+			y = bits.RotateLeft64(y^binary.LittleEndian.Uint64(p[8:]), 29) * rawMul
+		}
+		b = b[n-16:]
+		fallthrough
+	case n >= 8:
+		x ^= binary.LittleEndian.Uint64(b)
+		y ^= binary.LittleEndian.Uint64(b[len(b)-8:])
+	default:
+		for i, c := range b {
+			x ^= uint64(c) << (8 * i)
+		}
+	}
+	h := (bits.RotateLeft64(x, 29)*rawMul ^ y) * rawMix
+	return (h ^ h>>32) & rawHashMask
+}
+
+// rawTag is the tag of an entry with raw hash h; bare sets its
+// conflation bit.
+func rawTag(h uint64, bare bool) uint16 {
+	t := uint16(h)&^2 | 1
+	if bare {
+		t |= 2
+	}
+	return t
+}
+
+// on reports whether the table exists, so that successors are hashed.
+func (c *rawCache) on() bool { return c != nil && c.slots != nil }
+
+// lookup returns the entry of a live stored state byte-equal to raw, whose
+// hash is h, or nil.
+func (c *rawCache) lookup(h uint64, raw []byte) *rawEntry {
+	e := &c.slots[h>>(64-rawCacheBits)]
+	if e.tag&^2 != rawTag(h, false) || int(e.chunk) < c.log.low {
+		return nil
+	}
+	b := c.log.chunks[e.chunk][e.at:]
+	n, w := binary.Uvarint(b)
+	if int(n) != len(raw) || string(b[w:w+len(raw)]) != string(raw) {
+		return nil
+	}
+	return e
+}
+
+// conflated is the visited set's verdict on a duplicate of e's state.
+func (e *rawEntry) conflated() bool { return e.tag&2 != 0 }
+
+// fill records a state just stored at pos: its raw bytes, fingerprint fp
+// and whether it was stored bare. It displaces whatever held the entry.
+func (c *rawCache) fill(raw []byte, pos logPos, fp uint64, bare bool) {
+	if c.on() && pos.at <= math.MaxUint16 {
+		h := rawHash(raw)
+		c.slots[h>>(64-rawCacheBits)] = rawEntry{fp, pos.chunk, uint16(pos.at), rawTag(h, bare)}
+	}
+}
+
+// allocate allocates the table once the search has stored rawCacheFrom
+// states.
+func (c *rawCache) allocate(stored int) {
+	if c.slots == nil && !c.off && stored >= rawCacheFrom {
+		c.slots = make([]rawEntry, rawCacheSize)
+	}
+}
+
+// bytes is the table's footprint.
+func (c *rawCache) bytes() int64 {
+	if c == nil {
+		return 0
+	}
+	return int64(cap(c.slots)) * rawEntrySize
+}
+
+// drop frees the table for the rest of the run and returns the bytes it
+// held.
+func (c *rawCache) drop() int64 {
+	n := c.bytes()
+	if c != nil {
+		c.slots, c.off = nil, true
+	}
+	return n
 }

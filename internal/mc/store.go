@@ -126,6 +126,7 @@ type insertReq struct {
 	fresh     bool
 	id        int32
 	conflated bool
+	bare      bool // fresh, and stored by fingerprint alone
 }
 
 // sliceHeaderSize is the size of a []byte header, which a chunk list

@@ -88,7 +88,8 @@ type Report struct {
 	SetBytes int64 `json:"set_bytes,omitempty"`
 	// FrontierBytes is what the search holds beside the visited set:
 	// the state log's chunks (stored states not yet expanded — every
-	// stored state with traces on) plus the parent table and DFS stack;
+	// stored state with traces on) plus the parent table and DFS stack,
+	// and the sequential BFS's raw cache (see RawHits);
 	// on a dist worker, its frontier, candidate arena and pending peer
 	// batches, each buffer at its capacity.
 	// Exact, read off the structures. (SetBytes + FrontierBytes) / states
@@ -99,6 +100,10 @@ type Report struct {
 	// exact store; deterministic and identical across engines for the
 	// compact one.
 	UnverifiedHits int64 `json:"unverified_hits,omitempty"`
+	// RawHits counts successors settled without canonicalization: the
+	// sequential BFS found each byte-equal to a stored state still in its
+	// state log, a duplicate of it. Other engines and DFS report 0.
+	RawHits int64 `json:"raw_hits,omitempty"`
 	// LockWaitNS is never set: the visited set has one writer and no
 	// locks. The field stays only because the benchmark harness still
 	// reads it, and goes with that read.
@@ -292,6 +297,7 @@ func (r *Report) Merge(o *Report) {
 	r.SetBytes += o.SetBytes
 	r.FrontierBytes += o.FrontierBytes
 	r.UnverifiedHits += o.UnverifiedHits
+	r.RawHits += o.RawHits
 	r.ReorderStalls += o.ReorderStalls
 	if o.ReorderMax > r.ReorderMax {
 		r.ReorderMax = o.ReorderMax
