@@ -18,6 +18,10 @@ import (
 //	    Send("GetS", protocol.ToDir).Goto("IS_D")
 //	c.StallOn("IS_D", protocol.MsgEv("Inv"))
 //	p, err := b.Build()
+//
+// A table derived from another table (the codec, the xform transforms,
+// ptest's specs) is assembled by value instead: Declare each message,
+// take each Controller by kind, Declare its states and Set each cell.
 type Builder struct {
 	p    *Protocol
 	errs []error
@@ -47,46 +51,54 @@ func WithLevel(l MsgLevel) MsgOption { return func(m *Message) { m.Level = l } }
 
 // Message declares a static message name.
 func (b *Builder) Message(name string, t MsgType, opts ...MsgOption) {
-	if _, dup := b.p.Messages[name]; dup {
-		b.errs = append(b.errs, fmt.Errorf("message %q declared twice", name))
+	m := Message{Name: name, Type: t}
+	for _, o := range opts {
+		o(&m)
+	}
+	b.Declare(m)
+}
+
+// Declare declares message m by value, the form a table derived from
+// another table uses.
+func (b *Builder) Declare(m Message) {
+	if _, dup := b.p.Messages[m.Name]; dup {
+		b.errs = append(b.errs, fmt.Errorf("message %q declared twice", m.Name))
 		return
 	}
-	m := &Message{Name: name, Type: t}
-	for _, o := range opts {
-		o(m)
-	}
-	b.p.Messages[name] = m
-	b.p.msgOrder = append(b.p.msgOrder, name)
+	b.p.Messages[m.Name] = &m
+	b.p.msgOrder = append(b.p.msgOrder, m.Name)
 }
 
-// Cache returns the cache-controller builder, creating the controller
-// with the given initial state on first call.
-func (b *Builder) Cache(initial string) *ControllerBuilder {
-	if b.p.Cache == nil {
-		b.p.Cache = newController(CacheCtrl, initial)
+// Controller returns the builder of the controller of the given kind,
+// creating the controller with the given initial state on first call.
+func (b *Builder) Controller(kind ControllerKind, initial string) *ControllerBuilder {
+	var slot **Controller
+	switch kind {
+	case CacheCtrl:
+		slot = &b.p.Cache
+	case DirCtrl:
+		slot = &b.p.Dir
+	case L2Ctrl:
+		slot = &b.p.L2
+	default:
+		b.errs = append(b.errs, fmt.Errorf("unknown controller kind %d", int(kind)))
+		return &ControllerBuilder{b: b, c: newController(kind, initial)}
 	}
-	return &ControllerBuilder{b: b, c: b.p.Cache}
+	if *slot == nil {
+		*slot = newController(kind, initial)
+	}
+	return &ControllerBuilder{b: b, c: *slot}
 }
 
-// Dir returns the directory-controller builder, creating the
-// controller with the given initial state on first call.
-func (b *Builder) Dir(initial string) *ControllerBuilder {
-	if b.p.Dir == nil {
-		b.p.Dir = newController(DirCtrl, initial)
-	}
-	return &ControllerBuilder{b: b, c: b.p.Dir}
-}
+// Cache returns the cache-controller builder.
+func (b *Builder) Cache(initial string) *ControllerBuilder { return b.Controller(CacheCtrl, initial) }
 
-// L2 returns the L2 home-controller builder for a two-level
-// composite, creating the controller with the given initial state on
-// first call. The L2 controller is optional; flat protocols never
-// call this.
-func (b *Builder) L2(initial string) *ControllerBuilder {
-	if b.p.L2 == nil {
-		b.p.L2 = newController(L2Ctrl, initial)
-	}
-	return &ControllerBuilder{b: b, c: b.p.L2}
-}
+// Dir returns the directory-controller builder.
+func (b *Builder) Dir(initial string) *ControllerBuilder { return b.Controller(DirCtrl, initial) }
+
+// L2 returns the L2 home-controller builder for a two-level composite.
+// The L2 controller is optional; flat protocols never call this.
+func (b *Builder) L2(initial string) *ControllerBuilder { return b.Controller(L2Ctrl, initial) }
 
 func newController(kind ControllerKind, initial string) *Controller {
 	return &Controller{
@@ -136,7 +148,7 @@ type ControllerBuilder struct {
 // Stable declares stable states (table rows) in order.
 func (cb *ControllerBuilder) Stable(names ...string) *ControllerBuilder {
 	for _, n := range names {
-		cb.addState(n, false)
+		cb.Declare(State{Name: n})
 	}
 	return cb
 }
@@ -144,25 +156,41 @@ func (cb *ControllerBuilder) Stable(names ...string) *ControllerBuilder {
 // Transient declares transient states (table rows) in order.
 func (cb *ControllerBuilder) Transient(names ...string) *ControllerBuilder {
 	for _, n := range names {
-		cb.addState(n, true)
+		cb.Declare(State{Name: n, Transient: true})
 	}
 	return cb
 }
 
-func (cb *ControllerBuilder) addState(name string, transient bool) {
-	if _, dup := cb.c.States[name]; dup {
-		cb.b.errs = append(cb.b.errs,
-			fmt.Errorf("%s state %q declared twice", cb.c.Kind, name))
-		return
+// Declare declares states (table rows) by value, in order.
+func (cb *ControllerBuilder) Declare(states ...State) *ControllerBuilder {
+	for _, s := range states {
+		if _, dup := cb.c.States[s.Name]; dup {
+			cb.b.errs = append(cb.b.errs,
+				fmt.Errorf("%s state %q declared twice", cb.c.Kind, s.Name))
+			continue
+		}
+		cb.c.States[s.Name] = &s
+		cb.c.stateOrder = append(cb.c.stateOrder, s.Name)
 	}
-	cb.c.States[name] = &State{Name: name, Transient: transient}
-	cb.c.stateOrder = append(cb.c.stateOrder, name)
+	return cb
 }
 
 // Columns declares the table's column order for printing; optional.
+// An event keeps its first position.
 func (cb *ControllerBuilder) Columns(evs ...Event) *ControllerBuilder {
-	cb.c.eventOrder = append(cb.c.eventOrder, evs...)
+	for _, ev := range evs {
+		cb.addColumn(ev)
+	}
 	return cb
+}
+
+func (cb *ControllerBuilder) addColumn(ev Event) {
+	for _, e := range cb.c.eventOrder {
+		if e == ev {
+			return
+		}
+	}
+	cb.c.eventOrder = append(cb.c.eventOrder, ev)
 }
 
 // On starts defining the cell (state, ev); finish with Goto, Stay, or
@@ -189,6 +217,15 @@ func (cb *ControllerBuilder) Hit(state string, ev Event) *ControllerBuilder {
 	return cb
 }
 
+// Set places a copy of t in the cell (state, ev), the form a table
+// derived from another table uses. The copy is exactly t — stall flag,
+// actions and next state — so Validate judges the cell as given.
+func (cb *ControllerBuilder) Set(state string, ev Event, t Transition) *ControllerBuilder {
+	t.Actions = append([]Action(nil), t.Actions...)
+	cb.setCell(state, ev, &t)
+	return cb
+}
+
 func (cb *ControllerBuilder) setCell(state string, ev Event, t *Transition) {
 	key := TransKey{state, ev}
 	if _, dup := cb.c.Transitions[key]; dup {
@@ -198,16 +235,7 @@ func (cb *ControllerBuilder) setCell(state string, ev Event, t *Transition) {
 	}
 	cb.c.Transitions[key] = t
 	// Track column order on first sight if Columns was not used.
-	seen := false
-	for _, e := range cb.c.eventOrder {
-		if e == ev {
-			seen = true
-			break
-		}
-	}
-	if !seen {
-		cb.c.eventOrder = append(cb.c.eventOrder, ev)
-	}
+	cb.addColumn(ev)
 }
 
 // CellBuilder accumulates actions for one cell.

@@ -153,8 +153,7 @@ func Encode(p *Protocol) ([]byte, error) {
 		}
 		jp.Messages = append(jp.Messages, jm)
 	}
-	var encodeCtrl func(c *Controller) *jsonController
-	encodeCtrl = func(c *Controller) *jsonController {
+	encodeCtrl := func(c *Controller) *jsonController {
 		jc := &jsonController{Initial: c.Initial}
 		for _, s := range c.StateNames() {
 			if c.States[s].Transient {
@@ -163,33 +162,27 @@ func Encode(p *Protocol) ([]byte, error) {
 				jc.Stable = append(jc.Stable, s)
 			}
 		}
-		for _, s := range c.StateNames() {
-			for _, ev := range c.EventOrder() {
-				t := c.Lookup(s, ev)
-				if t == nil {
-					continue
-				}
-				jt := jsonTransition{State: s, Stall: t.Stall, Next: t.Next}
-				if ev.IsCore() {
-					jt.On = string(ev.Core)
-				} else {
-					jt.On = ev.Msg
-					jt.Qual = ev.Qual.String()
-				}
-				for _, a := range t.Actions {
-					ja := jsonAction{Action: actionJSONName[a.Kind]}
-					if a.Kind == ASend {
-						ja.Msg = a.Msg
-						ja.To = destJSONName[a.To]
-						ja.WithAcks = a.WithAcks
-						ja.Inherit = a.Inherit
-						ja.ReqSaved = a.ReqSaved
-					}
-					jt.Do = append(jt.Do, ja)
-				}
-				jc.Transitions = append(jc.Transitions, jt)
+		c.EachCell(func(s string, ev Event, t *Transition) {
+			jt := jsonTransition{State: s, Stall: t.Stall, Next: t.Next}
+			if ev.IsCore() {
+				jt.On = string(ev.Core)
+			} else {
+				jt.On = ev.Msg
+				jt.Qual = ev.Qual.String()
 			}
-		}
+			for _, a := range t.Actions {
+				ja := jsonAction{Action: actionJSONName[a.Kind]}
+				if a.Kind == ASend {
+					ja.Msg = a.Msg
+					ja.To = destJSONName[a.To]
+					ja.WithAcks = a.WithAcks
+					ja.Inherit = a.Inherit
+					ja.ReqSaved = a.ReqSaved
+				}
+				jt.Do = append(jt.Do, ja)
+			}
+			jc.Transitions = append(jc.Transitions, jt)
+		})
 		return jc
 	}
 	jp.Cache = encodeCtrl(p.Cache)
@@ -257,36 +250,35 @@ func Decode(data []byte) (*Protocol, error) {
 		if !ok {
 			return nil, fmt.Errorf("protocol: message %q: unknown type %q", jm.Name, jm.Type)
 		}
-		var opts []MsgOption
+		m := Message{Name: jm.Name, Type: t}
 		switch jm.Ack {
 		case "":
 		case "carrier":
-			opts = append(opts, WithAckRole(AckCarrier))
+			m.Ack = AckCarrier
 		case "unit":
-			opts = append(opts, WithAckRole(AckUnit))
+			m.Ack = AckUnit
 		default:
 			return nil, fmt.Errorf("protocol: message %q: unknown ack role %q", jm.Name, jm.Ack)
 		}
-		if jm.Qual != "" {
-			k, ok := qualKindByName[jm.Qual]
-			if !ok {
-				return nil, fmt.Errorf("protocol: message %q: unknown qual kind %q", jm.Name, jm.Qual)
-			}
-			opts = append(opts, WithQual(k))
+		if m.Qual, ok = qualKindByName[jm.Qual]; !ok {
+			return nil, fmt.Errorf("protocol: message %q: unknown qual kind %q", jm.Name, jm.Qual)
 		}
 		switch jm.Level {
 		case "", "inner":
 		case "outer":
-			opts = append(opts, WithLevel(LevelOuter))
+			m.Level = LevelOuter
 		default:
 			return nil, fmt.Errorf("protocol: message %q: unknown level %q", jm.Name, jm.Level)
 		}
-		b.Message(jm.Name, t, opts...)
+		b.Declare(m)
 	}
 
+	var acts []Action
+	var evs []Event
 	decodeCtrl := func(jc *jsonController, cb *ControllerBuilder) error {
 		cb.Stable(jc.Stable...)
 		cb.Transient(jc.Transient...)
+		evs = evs[:0]
 		for _, jt := range jc.Transitions {
 			var ev Event
 			switch CoreEvent(jt.On) {
@@ -299,53 +291,92 @@ func Decode(data []byte) (*Protocol, error) {
 				}
 				ev = MsgQualEv(jt.On, q)
 			}
-			if jt.Stall {
-				cb.StallOn(jt.State, ev)
-				continue
-			}
-			cell := cb.On(jt.State, ev)
+			acts = acts[:0]
 			for _, ja := range jt.Do {
 				kind, ok := actionByName[ja.Action]
 				if !ok {
 					return fmt.Errorf("protocol: transition (%s,%s): unknown action %q", jt.State, jt.On, ja.Action)
 				}
+				a := Action{Kind: kind}
 				if kind == ASend {
 					to, ok := destByName[ja.To]
 					if !ok {
 						return fmt.Errorf("protocol: transition (%s,%s): unknown destination %q", jt.State, jt.On, ja.To)
 					}
-					switch {
-					case ja.WithAcks:
-						cell.SendWithAcks(ja.Msg, to)
-					case ja.Inherit:
-						cell.SendInherit(ja.Msg, to)
-					case ja.ReqSaved:
-						cell.SendReqSaved(ja.Msg, to)
-					default:
-						cell.Send(ja.Msg, to)
-					}
-				} else {
-					cell.Do(kind)
+					a = Action{Kind: ASend, Msg: ja.Msg, To: to, WithAcks: ja.WithAcks, Inherit: ja.Inherit, ReqSaved: ja.ReqSaved}
 				}
+				acts = append(acts, a)
 			}
-			cell.Goto(jt.Next)
+			cb.Set(jt.State, ev, Transition{Stall: jt.Stall, Actions: acts, Next: jt.Next})
+			evs = append(evs, ev)
 		}
+		cb.c.eventOrder = columnOrder(jc.Transitions, evs, cb.c.eventOrder)
 		return nil
 	}
 
 	if jp.Cache == nil || jp.Dir == nil {
 		return nil, fmt.Errorf("protocol: both cache and directory controllers are required")
 	}
-	if err := decodeCtrl(jp.Cache, b.Cache(jp.Cache.Initial)); err != nil {
-		return nil, err
-	}
-	if err := decodeCtrl(jp.Dir, b.Dir(jp.Dir.Initial)); err != nil {
-		return nil, err
-	}
-	if jp.L2 != nil {
-		if err := decodeCtrl(jp.L2, b.L2(jp.L2.Initial)); err != nil {
+	for _, side := range []struct {
+		kind ControllerKind
+		jc   *jsonController
+	}{{CacheCtrl, jp.Cache}, {DirCtrl, jp.Dir}, {L2Ctrl, jp.L2}} {
+		if side.jc == nil {
+			continue
+		}
+		if err := decodeCtrl(side.jc, b.Controller(side.kind, side.jc.Initial)); err != nil {
 			return nil, err
 		}
 	}
 	return b.Build()
+}
+
+// columnOrder returns a column order under which Encode writes a
+// decoded controller's transitions as they were read, evs[i] being the
+// column of jts[i] and seen the columns in the order they were first
+// seen. Encode writes the table row by row, each row's cells in column
+// order, so seen already is such an order unless a row lists an event
+// ahead of one an earlier row listed first. Then an event goes after
+// every event just ahead of it in a row, and otherwise where it was
+// first seen.
+func columnOrder(jts []jsonTransition, evs, seen []Event) []Event {
+	pos := func(ev Event) int {
+		for i, e := range seen {
+			if e == ev {
+				return i
+			}
+		}
+		return -1
+	}
+	agree := true
+	for i := 1; i < len(evs) && agree; i++ {
+		agree = jts[i].State != jts[i-1].State || pos(evs[i-1]) < pos(evs[i])
+	}
+	if agree {
+		return seen
+	}
+	before := make([][]int, len(seen))
+	for i := 1; i < len(evs); i++ {
+		if jts[i].State == jts[i-1].State {
+			j := pos(evs[i])
+			before[j] = append(before[j], pos(evs[i-1]))
+		}
+	}
+	order := make([]Event, 0, len(seen))
+	placed := make([]bool, len(seen))
+	var place func(j int)
+	place = func(j int) {
+		if placed[j] {
+			return
+		}
+		placed[j] = true // on entry, so a cycle (only a hand-edited file has one) is cut here
+		for _, k := range before[j] {
+			place(k)
+		}
+		order = append(order, seen[j])
+	}
+	for j := range seen {
+		place(j)
+	}
+	return order
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -322,5 +323,76 @@ func TestCloneIsDeep(t *testing.T) {
 		if got, err := Encode(p); err != nil || string(got) != string(want) {
 			t.Fatalf("%s: editing a clone changed the original (err %v):\n%s\nwant\n%s", p.Name, err, got, want)
 		}
+	}
+}
+
+// TestDecodeRejectsIllFormedCells: Decode places every cell exactly as
+// the document gives it, so a stall cell with actions or a next state
+// (core events included) and a send carrying more than one of the
+// ack-count flags reach Validate, which names the cell, instead of
+// being trimmed into a different table.
+func TestDecodeRejectsIllFormedCells(t *testing.T) {
+	const doc = `{"name": "tiny", "messages": [{"name": "Req", "type": "request"}, {"name": "Resp", "type": "data"}],
+	"cache": {"initial": "I", "stable": ["I", "V"], "transient": ["IV"], "transitions": [
+		{"state": "I", "on": "Load", "next": "IV", "do": [{"action": "send", "msg": "Req", "to": "dir"}]},
+		{"state": "IV", "on": "Resp", "next": "V"},
+		%s]},
+	"directory": {"initial": "ID", "stable": ["ID"], "transitions": [
+		{"state": "ID", "on": "Req", "do": [{"action": "send", "msg": "Resp", "to": "req"%s}]}]}}`
+	const coreStall = `{"state": "IV", "on": "Store", "stall": true}`
+	if _, err := Decode([]byte(fmt.Sprintf(doc, coreStall, ""))); err != nil {
+		t.Fatalf("well-formed base rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name, cell, flags, want string
+	}{
+		{"core stall with a next state", `{"state": "IV", "on": "Store", "stall": true, "next": "V"}`, "",
+			"cache cell (IV, Store): stall cell must not have actions or a next state"},
+		{"core stall with actions", `{"state": "IV", "on": "Store", "stall": true, "do": [{"action": "send", "msg": "Req", "to": "dir"}]}`, "",
+			"cache cell (IV, Store): stall cell must not have actions or a next state"},
+		{"message stall with a next state", `{"state": "IV", "on": "Req", "stall": true, "next": "I"}`, "",
+			"cache cell (IV, Req): stall cell must not have actions or a next state"},
+		{"message stall with actions", `{"state": "IV", "on": "Req", "stall": true, "do": [{"action": "recordSaved"}]}`, "",
+			"cache cell (IV, Req): stall cell must not have actions or a next state"},
+		{"withAcks and inheritAcks", coreStall, `, "withAcks": true, "inheritAcks": true`,
+			`directory cell (ID, Req): send of "Resp" carries more than one of WithAcks, Inherit and ReqSaved`},
+		{"inheritAcks and reqSaved", `{"state": "V", "on": "Store", "do": [{"action": "send", "msg": "Req", "to": "dir", "inheritAcks": true, "reqSaved": true}]}`, "",
+			`cache cell (V, Store): send of "Req" carries more than one of WithAcks, Inherit and ReqSaved`},
+	} {
+		_, err := Decode([]byte(fmt.Sprintf(doc, tc.cell, tc.flags)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode error %v\nwant one naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDecodeKeepsRowOrder: Decode recovers a column order under which
+// every row re-encodes as it was written, though a row written later
+// puts an event before one an earlier row listed first.
+func TestDecodeKeepsRowOrder(t *testing.T) {
+	b := NewBuilder("order")
+	b.Message("Req", Request)
+	b.Message("Resp", DataResponse)
+	c := b.Cache("I").Stable("I", "V").Transient("IV").
+		Columns(CoreEv(Load), CoreEv(Store), MsgEv("Resp"))
+	c.On("I", CoreEv(Load)).Send("Req", ToDir).Goto("IV")
+	c.On("V", MsgEv("Resp")).Stay() // Resp is seen before Store
+	c.StallOn("IV", CoreEv(Store))  // but this row lists Store first
+	c.On("IV", MsgEv("Resp")).Goto("V")
+	b.Dir("ID").Stable("ID").On("ID", MsgEv("Req")).Send("Resp", ToReq).Stay()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := Encode(q); string(got) != string(want) {
+		t.Errorf("decoded table re-encodes differently:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -387,6 +387,18 @@ func (c *Controller) EventOrder() []Event {
 	return append([]Event(nil), c.eventOrder...)
 }
 
+// EachCell calls f on every defined cell in table order: rows in
+// authoring order and, within a row, columns in authoring order.
+func (c *Controller) EachCell(f func(state string, ev Event, t *Transition)) {
+	for _, st := range c.stateOrder {
+		for _, ev := range c.eventOrder {
+			if t := c.Transitions[TransKey{st, ev}]; t != nil {
+				f(st, ev, t)
+			}
+		}
+	}
+}
+
 // Lookup returns the transition for (state, event), or nil if the cell
 // is empty.
 func (c *Controller) Lookup(state string, ev Event) *Transition {

@@ -92,6 +92,9 @@ func Validate(p *Protocol) error {
 			}
 
 			if t.Stall {
+				if len(t.Actions) > 0 || t.Next != "" {
+					report("%s: stall cell must not have actions or a next state", cell)
+				}
 				if ev.IsCore() {
 					// A "stall" on a core event just means the core
 					// retries; it never blocks a queue. Authors write
@@ -100,9 +103,6 @@ func Validate(p *Protocol) error {
 				}
 				if st, ok := c.States[key.State]; ok && !st.Transient {
 					report("%s: message stall in stable state (no pending transaction to wait for)", cell)
-				}
-				if len(t.Actions) > 0 || t.Next != "" {
-					report("%s: stall cell must not have actions or a next state", cell)
 				}
 				continue
 			}
@@ -119,6 +119,9 @@ func Validate(p *Protocol) error {
 					} else if !levelLegal(c.Kind, m.Level) {
 						report("%s: %s controller cannot send %s-level message %q",
 							cell, c.Kind, m.Level, a.Msg)
+					}
+					if a.WithAcks && (a.Inherit || a.ReqSaved) || a.Inherit && a.ReqSaved {
+						report("%s: send of %q carries more than one of WithAcks, Inherit and ReqSaved", cell, a.Msg)
 					}
 					if a.WithAcks && c.Kind == CacheCtrl {
 						report("%s: WithAcks send outside directory", cell)

@@ -86,27 +86,21 @@ func Compose(inner, outer *protocol.Protocol, name string) (*protocol.Protocol, 
 	b := protocol.NewBuilder(name)
 	for _, m := range msgs {
 		if !m.dead {
-			b.Message(m.name, m.spec.Type, append(msgOpts(m.spec), protocol.WithLevel(m.level))...)
+			decl := *m.spec
+			decl.Name, decl.Level = m.name, m.level
+			b.Declare(decl)
 		}
 	}
 	for _, sp := range specs {
-		cb, err := controllerBuilderKind(b, sp.kind, sp.initial)
-		if err != nil {
-			return nil, err
-		}
-		for i, st := range sp.stateOrder {
-			if sp.dead[i] {
-				continue
-			}
-			if sp.transient[i] {
-				cb.Transient(st)
-			} else {
-				cb.Stable(st)
+		cb := b.Controller(sp.kind, sp.initial)
+		for i, st := range sp.states {
+			if !sp.dead[i] {
+				cb.Declare(st)
 			}
 		}
 		for _, c := range sp.cells {
 			if c.t != nil {
-				copyCell(cb, c.key.State, c.key.Event, c.t)
+				cb.Set(c.key.State, c.key.Event, *c.t)
 			}
 		}
 	}
@@ -120,15 +114,14 @@ func Compose(inner, outer *protocol.Protocol, name string) (*protocol.Protocol, 
 // ctrlSpec is the mutable intermediate form of one controller table,
 // pruned before it is re-authored through the builder.
 type ctrlSpec struct {
-	kind       protocol.ControllerKind
-	initial    string
-	stateOrder []string
-	transient  []bool // by stateOrder index
-	dead       []bool // by stateOrder index, set by prune
+	kind    protocol.ControllerKind
+	initial string
+	states  []protocol.State
+	dead    []bool // by states index, set by prune
 	// cells in table order; prune sets a removed cell's t to nil. The
 	// spec builders visit each (state, event) once — states are unique
-	// and events go through uniqueEvents — so a key repeats only when
-	// two product names collide, which Build rejects as a state
+	// and a controller's columns never repeat — so a key repeats only
+	// when two product names collide, which Build rejects as a state
 	// declared twice.
 	cells []specCell
 }
@@ -142,42 +135,16 @@ func (sp *ctrlSpec) add(state string, ev protocol.Event, t *protocol.Transition)
 	sp.cells = append(sp.cells, specCell{protocol.TransKey{State: state, Event: ev}, t})
 }
 
-// uniqueEvents returns a controller's event order without repeats
-// (Columns may declare an event twice), first occurrence first.
-func uniqueEvents(c *protocol.Controller) []protocol.Event {
-	evs := c.EventOrder()
-	seen := make(map[protocol.Event]bool, len(evs))
-	out := evs[:0]
-	for _, ev := range evs {
-		if !seen[ev] {
-			seen[ev] = true
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // specFromController copies a flat controller verbatim with its
 // messages moved onto a prefix tier.
 func specFromController(c *protocol.Controller, prefix string) *ctrlSpec {
-	sp := &ctrlSpec{
-		kind:    c.Kind,
-		initial: c.Initial,
+	sp := &ctrlSpec{kind: c.Kind, initial: c.Initial}
+	for _, name := range c.StateNames() {
+		sp.states = append(sp.states, *c.States[name])
 	}
-	sp.stateOrder = c.StateNames()
-	for _, name := range sp.stateOrder {
-		sp.transient = append(sp.transient, c.States[name].Transient)
-	}
-	events := uniqueEvents(c)
-	for _, st := range sp.stateOrder {
-		for _, ev := range events {
-			t := c.Lookup(st, ev)
-			if t == nil {
-				continue
-			}
-			sp.add(st, renameEvent(prefix, ev), mapCell(t, prefix, func(n string) string { return n }))
-		}
-	}
+	c.EachCell(func(st string, ev protocol.Event, t *protocol.Transition) {
+		sp.add(st, renameEvent(prefix, ev), mapCell(t, prefix, func(n string) string { return n }))
+	})
 	return sp
 }
 
@@ -259,13 +226,14 @@ func productSpec(inner, outer *protocol.Protocol) (*ctrlSpec, error) {
 		initial: join(d1Init, outer.Cache.Initial),
 	}
 	d1States, c2States := inner.Dir.StateNames(), outer.Cache.StateNames()
-	d1Events, c2Events := uniqueEvents(inner.Dir), uniqueEvents(outer.Cache)
+	d1Events, c2Events := inner.Dir.EventOrder(), outer.Cache.EventOrder()
 	for _, d1 := range d1States {
 		for _, c2 := range c2States {
-			ps := join(d1, c2)
-			sp.stateOrder = append(sp.stateOrder, ps)
-			sp.transient = append(sp.transient, inner.Dir.States[d1].Transient ||
-				outer.Cache.States[c2].Transient || d1 != d1Init)
+			sp.states = append(sp.states, protocol.State{
+				Name: join(d1, c2),
+				Transient: inner.Dir.States[d1].Transient ||
+					outer.Cache.States[c2].Transient || d1 != d1Init,
+			})
 		}
 	}
 
@@ -387,8 +355,9 @@ func composeMessages(inner, outer *protocol.Protocol) []*composedMsg {
 // its cell.
 //
 // The tables are numbered once — messages by their index in msgs,
-// states by stateOrder — so each round is a pass over the cells for
-// the messages they send and one worklist walk per controller.
+// states by their index in states — so each round is a pass over the
+// cells for the messages they send and one worklist walk per
+// controller.
 func prune(specs []*ctrlSpec, msgs []*composedMsg) {
 	msgIdx := make(map[string]int32, len(msgs))
 	for i, m := range msgs {
@@ -415,20 +384,20 @@ func prune(specs []*ctrlSpec, msgs []*composedMsg) {
 	// state, in cell order: the static transition graph.
 	out := make([][][]int32, len(specs))
 	for i, sp := range specs {
-		stateIdx := make(map[string]int32, len(sp.stateOrder))
-		for j, st := range sp.stateOrder {
-			stateIdx[st] = int32(j)
+		stateIdx := make(map[string]int32, len(sp.states))
+		for j, st := range sp.states {
+			stateIdx[st.Name] = int32(j)
 		}
 		start[i] = -1
 		if s, ok := stateIdx[sp.initial]; ok {
 			start[i] = s
 		}
-		sp.dead = make([]bool, len(sp.stateOrder))
-		out[i] = make([][]int32, len(sp.stateOrder))
+		sp.dead = make([]bool, len(sp.states))
+		out[i] = make([][]int32, len(sp.states))
 		tables[i] = make([]numbered, len(sp.cells))
 		for j, c := range sp.cells {
 			n := &tables[i][j]
-			// Every cell's state is in stateOrder: both spec builders
+			// Every cell's state is in states: both spec builders
 			// emit cells only for declared rows.
 			n.state = stateIdx[c.key.State]
 			n.next = -1
@@ -477,7 +446,7 @@ func prune(specs []*ctrlSpec, msgs []*composedMsg) {
 
 		// States reachable through fireable cells.
 		for i, sp := range specs {
-			reach := make([]bool, len(sp.stateOrder))
+			reach := make([]bool, len(sp.states))
 			if start[i] >= 0 {
 				reach[start[i]] = true
 				work = append(work[:0], start[i])
@@ -492,7 +461,7 @@ func prune(specs []*ctrlSpec, msgs []*composedMsg) {
 					}
 				}
 			}
-			for st := range sp.stateOrder {
+			for st := range sp.states {
 				if !reach[st] && !sp.dead[st] {
 					sp.dead[st] = true
 					changed = true
@@ -525,21 +494,6 @@ func sends(t *protocol.Transition) bool {
 		}
 	}
 	return false
-}
-
-// controllerBuilderKind returns the builder for a controller of the
-// given kind, creating it with the initial state.
-func controllerBuilderKind(b *protocol.Builder, k protocol.ControllerKind, initial string) (*protocol.ControllerBuilder, error) {
-	switch k {
-	case protocol.CacheCtrl:
-		return b.Cache(initial), nil
-	case protocol.DirCtrl:
-		return b.Dir(initial), nil
-	case protocol.L2Ctrl:
-		return b.L2(initial), nil
-	default:
-		return nil, fmt.Errorf("xform: unknown controller kind %v", k)
-	}
 }
 
 // ComposeName is the conventional name of a composite: "<inner>_under_<outer>"

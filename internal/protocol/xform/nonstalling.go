@@ -75,60 +75,52 @@ func NonStalling(p *protocol.Protocol) (*protocol.Protocol, error) {
 
 	b := protocol.NewBuilder(p.Name + NonStallingSuffix)
 	for _, name := range p.MessageNames() {
-		m := p.Messages[name]
-		b.Message(name, m.Type, msgOpts(m)...)
+		b.Declare(*p.Messages[name])
 	}
 	for _, name := range stalledNames {
-		m := p.Messages[name]
-		b.Message(ReplayPrefix+name, m.Type, msgOpts(m)...)
+		m := *p.Messages[name]
+		m.Name = ReplayPrefix + name
+		b.Declare(m)
 	}
 
+	// requeue consumes msg and re-enqueues it to the sender as its
+	// replay. Inherit keeps a carried ack count on the replay; the
+	// machine's ToSelf send keeps the original Src and Req, so the
+	// replay is the same message under a new name.
+	requeue := func(msg string) protocol.Transition {
+		return protocol.Transition{Actions: []protocol.Action{{
+			Kind: protocol.ASend, Msg: ReplayPrefix + msg, To: protocol.ToSelf, Inherit: true,
+		}}}
+	}
 	for _, c := range p.Controllers() {
-		cb, err := controllerBuilder(b, c)
-		if err != nil {
-			return nil, err
+		cb := b.Controller(c.Kind, c.Initial)
+		for _, name := range c.StateNames() {
+			cb.Declare(*c.States[name])
 		}
-		declareStates(cb, c)
 		// First pass: copy every cell, converting message stalls into
-		// replay requeues. SendInherit keeps a carried ack count on the
-		// replay; the machine's ToSelf send keeps the original Src and
-		// Req, so the replay is the same message under a new name.
-		for _, st := range c.StateNames() {
-			for _, ev := range c.EventOrder() {
-				t := c.Lookup(st, ev)
-				if t == nil {
-					continue
-				}
-				if t.Stall && !ev.IsCore() {
-					cb.On(st, ev).
-						SendInherit(ReplayPrefix+ev.Msg, protocol.ToSelf).Stay()
-					continue
-				}
-				copyCell(cb, st, ev, t)
+		// replay requeues.
+		c.EachCell(func(st string, ev protocol.Event, t *protocol.Transition) {
+			if t.Stall && !ev.IsCore() {
+				cb.Set(st, ev, requeue(ev.Msg))
+			} else {
+				cb.Set(st, ev, *t)
 			}
-		}
+		})
 		// Second pass: mirror every cell of a stalled message under its
 		// replay name, so Replay-<m> is received exactly like m in
 		// every state — including the converted stall cells, whose
 		// mirror re-requeues the replay until the state changes.
-		for _, st := range c.StateNames() {
-			for _, ev := range c.EventOrder() {
-				if ev.IsCore() || !stalled[ev.Msg] {
-					continue
-				}
-				t := c.Lookup(st, ev)
-				if t == nil {
-					continue
-				}
-				mirror := protocol.Event{Msg: ReplayPrefix + ev.Msg, Qual: ev.Qual}
-				if t.Stall {
-					cb.On(st, mirror).
-						SendInherit(ReplayPrefix+ev.Msg, protocol.ToSelf).Stay()
-					continue
-				}
-				copyCell(cb, st, mirror, t)
+		c.EachCell(func(st string, ev protocol.Event, t *protocol.Transition) {
+			if ev.IsCore() || !stalled[ev.Msg] {
+				return
 			}
-		}
+			mirror := protocol.Event{Msg: ReplayPrefix + ev.Msg, Qual: ev.Qual}
+			if t.Stall {
+				cb.Set(st, mirror, requeue(ev.Msg))
+			} else {
+				cb.Set(st, mirror, *t)
+			}
+		})
 	}
 
 	out, err := b.Build()
@@ -136,74 +128,4 @@ func NonStalling(p *protocol.Protocol) (*protocol.Protocol, error) {
 		return nil, fmt.Errorf("xform: non-stalling %s: %w", p.Name, err)
 	}
 	return out, nil
-}
-
-// msgOpts reconstructs the declaration options of a message.
-func msgOpts(m *protocol.Message) []protocol.MsgOption {
-	var opts []protocol.MsgOption
-	if m.Ack != protocol.AckNone {
-		opts = append(opts, protocol.WithAckRole(m.Ack))
-	}
-	if m.Qual != protocol.QualNone {
-		opts = append(opts, protocol.WithQual(m.Qual))
-	}
-	if m.Level != protocol.LevelInner {
-		opts = append(opts, protocol.WithLevel(m.Level))
-	}
-	return opts
-}
-
-// controllerBuilder returns the builder for the counterpart of c.
-func controllerBuilder(b *protocol.Builder, c *protocol.Controller) (*protocol.ControllerBuilder, error) {
-	switch c.Kind {
-	case protocol.CacheCtrl:
-		return b.Cache(c.Initial), nil
-	case protocol.DirCtrl:
-		return b.Dir(c.Initial), nil
-	case protocol.L2Ctrl:
-		return b.L2(c.Initial), nil
-	default:
-		return nil, fmt.Errorf("xform: unknown controller kind %v", c.Kind)
-	}
-}
-
-// declareStates re-declares c's states in authoring order.
-func declareStates(cb *protocol.ControllerBuilder, c *protocol.Controller) {
-	for _, name := range c.StateNames() {
-		if c.States[name].Transient {
-			cb.Transient(name)
-		} else {
-			cb.Stable(name)
-		}
-	}
-}
-
-// copyCell re-authors one non-stall (or core-stall) transition cell.
-func copyCell(cb *protocol.ControllerBuilder, st string, ev protocol.Event, t *protocol.Transition) {
-	if t.Stall {
-		cb.StallOn(st, ev)
-		return
-	}
-	cell := cb.On(st, ev)
-	for _, a := range t.Actions {
-		if a.Kind == protocol.ASend {
-			switch {
-			case a.WithAcks:
-				cell.SendWithAcks(a.Msg, a.To)
-			case a.Inherit:
-				cell.SendInherit(a.Msg, a.To)
-			case a.ReqSaved:
-				cell.SendReqSaved(a.Msg, a.To)
-			default:
-				cell.Send(a.Msg, a.To)
-			}
-		} else {
-			cell.Do(a.Kind)
-		}
-	}
-	if t.Next != "" {
-		cell.Goto(t.Next)
-	} else {
-		cell.Stay()
-	}
 }

@@ -215,10 +215,10 @@ func synthesize(r *rand.Rand, cfg GenConfig) *Spec {
 	}
 	s.Cache.Initial = stable[0]
 	for _, name := range stable {
-		s.Cache.States = append(s.Cache.States, StateSpec{Name: name})
+		s.Cache.States = append(s.Cache.States, protocol.State{Name: name})
 	}
 	s.Dir.Initial = "H"
-	s.Dir.States = append(s.Dir.States, StateSpec{Name: "H"})
+	s.Dir.States = append(s.Dir.States, protocol.State{Name: "H"})
 
 	type chain struct {
 		req, rsp, cmp string // cmp == "" for non-blocking chains
@@ -246,14 +246,14 @@ func synthesize(r *rand.Rand, cfg GenConfig) *Spec {
 		c.rsp = fmt.Sprintf("Rsp%d", i)
 		c.wait = fmt.Sprintf("W%d", i)
 		s.Msgs = append(s.Msgs,
-			MsgSpec{Name: c.req, Type: protocol.Request},
-			MsgSpec{Name: c.rsp, Type: rspTypes[r.Intn(len(rspTypes))]})
-		s.Cache.States = append(s.Cache.States, StateSpec{Name: c.wait, Transient: true})
+			protocol.Message{Name: c.req, Type: protocol.Request},
+			protocol.Message{Name: c.rsp, Type: rspTypes[r.Intn(len(rspTypes))]})
+		s.Cache.States = append(s.Cache.States, protocol.State{Name: c.wait, Transient: true})
 		blocking := r.Float64() < 0.6
 		if blocking {
 			c.cmp = fmt.Sprintf("Cmp%d", i)
-			s.Msgs = append(s.Msgs, MsgSpec{Name: c.cmp, Type: protocol.Request})
-			s.Dir.States = append(s.Dir.States, StateSpec{Name: "B" + fmt.Sprint(i), Transient: true})
+			s.Msgs = append(s.Msgs, protocol.Message{Name: c.cmp, Type: protocol.Request})
+			s.Dir.States = append(s.Dir.States, protocol.State{Name: "B" + fmt.Sprint(i), Transient: true})
 		}
 	}
 

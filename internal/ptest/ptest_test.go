@@ -114,10 +114,17 @@ func TestSelfTestCatchesInjectedBug(t *testing.T) {
 }
 
 func TestRenderGoTestMentionsProtocol(t *testing.T) {
-	spec := pingSpec()
+	p, err := pingSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := protocol.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &CaseResult{Verdict: VerdictSoundnessBug, Detail: "injected"}
-	src := RenderGoTest(spec, r, Options{}, 1, 2)
-	for _, want := range []string{"package ptest", "VerdictSoundnessBug", "Req0", "StallOn"} {
+	src := RenderGoTest(enc, r, Options{}, 1, 2)
+	for _, want := range []string{"package ptest", "VerdictSoundnessBug", "Req0", "protocol.Decode"} {
 		if !bytes.Contains([]byte(src), []byte(want)) {
 			t.Errorf("rendered test missing %q", want)
 		}

@@ -21,17 +21,17 @@ import (
 // reachable deadlock the model checker finds.
 func pingSpec() *Spec {
 	s := &Spec{Name: "selftest_ping"}
-	s.Msgs = []MsgSpec{
+	s.Msgs = []protocol.Message{
 		{Name: "Req0", Type: protocol.Request},
 		{Name: "Rsp0", Type: protocol.DataResponse},
 		{Name: "Cmp0", Type: protocol.Request},
 		{Name: "Req1", Type: protocol.Request},
 		{Name: "Rsp1", Type: protocol.DataResponse},
 	}
-	s.Cache = CtrlSpec{Initial: "I", States: []StateSpec{
+	s.Cache = CtrlSpec{Initial: "I", States: []protocol.State{
 		{Name: "I"}, {Name: "W0", Transient: true}, {Name: "W1", Transient: true},
 	}}
-	s.Dir = CtrlSpec{Initial: "H", States: []StateSpec{
+	s.Dir = CtrlSpec{Initial: "H", States: []protocol.State{
 		{Name: "H"}, {Name: "B0", Transient: true},
 	}}
 	send := func(msg string, to protocol.Dest) []protocol.Action {

@@ -62,7 +62,7 @@ func Shrink(s *Spec, repro func(*protocol.Protocol) bool, maxAttempts int) *Shri
 				changed = true
 			}
 		}
-		for _, m := range append([]MsgSpec(nil), cur.Msgs...) {
+		for _, m := range append([]protocol.Message(nil), cur.Msgs...) {
 			name := m.Name
 			if !cur.hasMsg(name) {
 				continue
@@ -73,7 +73,7 @@ func Shrink(s *Spec, repro func(*protocol.Protocol) bool, maxAttempts int) *Shri
 		}
 		for _, kind := range cur.ctrlKinds() {
 			cs := *cur.ctrl(kind)
-			for _, st := range append([]StateSpec(nil), cs.States...) {
+			for _, st := range append([]protocol.State(nil), cs.States...) {
 				if st.Name == cs.Initial {
 					continue
 				}

@@ -24,21 +24,6 @@ import (
 	"minvn/internal/protocol"
 )
 
-// MsgSpec mirrors protocol.Message in a mutable, value-typed form.
-type MsgSpec struct {
-	Name  string
-	Type  protocol.MsgType
-	Ack   protocol.AckRole
-	Qual  protocol.QualKind
-	Level protocol.MsgLevel
-}
-
-// StateSpec is one declared controller state.
-type StateSpec struct {
-	Name      string
-	Transient bool
-}
-
 // TransSpec is one table cell of either controller.
 type TransSpec struct {
 	Ctrl    protocol.ControllerKind
@@ -52,7 +37,7 @@ type TransSpec struct {
 // CtrlSpec is one controller's declaration (cells live in Spec.Trans).
 type CtrlSpec struct {
 	Initial string
-	States  []StateSpec
+	States  []protocol.State
 	// Events preserves the source table's column order so a lifted
 	// protocol rebuilds byte-identically; stale entries (left behind
 	// by shrinking) are harmless and ignored by the builder.
@@ -65,7 +50,7 @@ type CtrlSpec struct {
 // builds has passed protocol.Validate).
 type Spec struct {
 	Name  string
-	Msgs  []MsgSpec
+	Msgs  []protocol.Message
 	Cache CtrlSpec
 	Dir   CtrlSpec
 	// L2 is present (non-empty States) only for two-level composites.
@@ -102,59 +87,37 @@ func (s *Spec) ctrlKinds() []protocol.ControllerKind {
 func FromProtocol(p *protocol.Protocol) *Spec {
 	s := &Spec{Name: p.Name}
 	for _, name := range p.MessageNames() {
-		m := p.Messages[name]
-		s.Msgs = append(s.Msgs, MsgSpec{Name: name, Type: m.Type, Ack: m.Ack, Qual: m.Qual, Level: m.Level})
+		s.Msgs = append(s.Msgs, *p.Messages[name])
 	}
-	lift := func(c *protocol.Controller, cs *CtrlSpec) {
+	for _, c := range p.Controllers() {
+		cs := s.ctrl(c.Kind)
 		cs.Initial = c.Initial
 		cs.Events = c.EventOrder()
-		states := c.StateNames()
-		for _, name := range states {
-			cs.States = append(cs.States, StateSpec{Name: name, Transient: c.States[name].Transient})
+		for _, name := range c.StateNames() {
+			cs.States = append(cs.States, *c.States[name])
 		}
-		for _, st := range states {
-			for _, ev := range cs.Events {
-				t := c.Lookup(st, ev)
-				if t == nil {
-					continue
-				}
-				s.Trans = append(s.Trans, TransSpec{
-					Ctrl:    c.Kind,
-					State:   st,
-					Event:   ev,
-					Stall:   t.Stall,
-					Next:    t.Next,
-					Actions: append([]protocol.Action(nil), t.Actions...),
-				})
-			}
-		}
-	}
-	lift(p.Cache, &s.Cache)
-	lift(p.Dir, &s.Dir)
-	if p.L2 != nil {
-		lift(p.L2, &s.L2)
+		c.EachCell(func(st string, ev protocol.Event, t *protocol.Transition) {
+			s.Trans = append(s.Trans, TransSpec{
+				Ctrl:    c.Kind,
+				State:   st,
+				Event:   ev,
+				Stall:   t.Stall,
+				Next:    t.Next,
+				Actions: append([]protocol.Action(nil), t.Actions...),
+			})
+		})
 	}
 	return s
 }
 
 // Clone deep-copies the spec.
 func (s *Spec) Clone() *Spec {
-	out := &Spec{Name: s.Name}
-	out.Msgs = append([]MsgSpec(nil), s.Msgs...)
-	out.Cache = CtrlSpec{
-		Initial: s.Cache.Initial,
-		States:  append([]StateSpec(nil), s.Cache.States...),
-		Events:  append([]protocol.Event(nil), s.Cache.Events...),
-	}
-	out.Dir = CtrlSpec{
-		Initial: s.Dir.Initial,
-		States:  append([]StateSpec(nil), s.Dir.States...),
-		Events:  append([]protocol.Event(nil), s.Dir.Events...),
-	}
-	out.L2 = CtrlSpec{
-		Initial: s.L2.Initial,
-		States:  append([]StateSpec(nil), s.L2.States...),
-		Events:  append([]protocol.Event(nil), s.L2.Events...),
+	out := &Spec{
+		Name:  s.Name,
+		Msgs:  append([]protocol.Message(nil), s.Msgs...),
+		Cache: s.Cache.clone(),
+		Dir:   s.Dir.clone(),
+		L2:    s.L2.clone(),
 	}
 	out.Trans = make([]TransSpec, len(s.Trans))
 	for i, t := range s.Trans {
@@ -162,6 +125,14 @@ func (s *Spec) Clone() *Spec {
 		out.Trans[i] = t
 	}
 	return out
+}
+
+func (cs CtrlSpec) clone() CtrlSpec {
+	return CtrlSpec{
+		Initial: cs.Initial,
+		States:  append([]protocol.State(nil), cs.States...),
+		Events:  append([]protocol.Event(nil), cs.Events...),
+	}
 }
 
 // NumTransitions counts table cells (stalls included) — the size
@@ -177,73 +148,18 @@ func (s *Spec) Build() (*protocol.Protocol, error) {
 	}
 	b := protocol.NewBuilder(s.Name)
 	for _, m := range s.Msgs {
-		var opts []protocol.MsgOption
-		if m.Ack != protocol.AckNone {
-			opts = append(opts, protocol.WithAckRole(m.Ack))
-		}
-		if m.Qual != protocol.QualNone {
-			opts = append(opts, protocol.WithQual(m.Qual))
-		}
-		if m.Level != protocol.LevelInner {
-			opts = append(opts, protocol.WithLevel(m.Level))
-		}
-		b.Message(m.Name, m.Type, opts...)
+		b.Declare(m)
 	}
-	declare := func(cb *protocol.ControllerBuilder, cs CtrlSpec) {
-		for _, st := range cs.States {
-			if st.Transient {
-				cb.Transient(st.Name)
-			} else {
-				cb.Stable(st.Name)
-			}
-		}
+	var cbs [protocol.L2Ctrl + 1]*protocol.ControllerBuilder
+	for _, kind := range s.ctrlKinds() {
+		cs := s.ctrl(kind)
+		cbs[kind] = b.Controller(kind, cs.Initial).Declare(cs.States...).Columns(cs.Events...)
 	}
-	cache := b.Cache(s.Cache.Initial)
-	declare(cache, s.Cache)
-	cache.Columns(s.Cache.Events...)
-	dir := b.Dir(s.Dir.Initial)
-	declare(dir, s.Dir)
-	dir.Columns(s.Dir.Events...)
-	var l2 *protocol.ControllerBuilder
-	if s.TwoLevel() {
-		l2 = b.L2(s.L2.Initial)
-		declare(l2, s.L2)
-		l2.Columns(s.L2.Events...)
-	}
-
 	for _, t := range s.Trans {
-		cb := cache
-		switch t.Ctrl {
-		case protocol.DirCtrl:
-			cb = dir
-		case protocol.L2Ctrl:
-			if l2 == nil {
-				return nil, fmt.Errorf("ptest: spec %q has L2 cells but no L2 states", s.Name)
-			}
-			cb = l2
+		if t.Ctrl < 0 || int(t.Ctrl) >= len(cbs) || cbs[t.Ctrl] == nil {
+			return nil, fmt.Errorf("ptest: spec %q has %s cells but no %s states", s.Name, t.Ctrl, t.Ctrl)
 		}
-		if t.Stall {
-			cb.StallOn(t.State, t.Event)
-			continue
-		}
-		cell := cb.On(t.State, t.Event)
-		for _, a := range t.Actions {
-			if a.Kind != protocol.ASend {
-				cell.Do(a.Kind)
-				continue
-			}
-			switch {
-			case a.WithAcks:
-				cell.SendWithAcks(a.Msg, a.To)
-			case a.Inherit:
-				cell.SendInherit(a.Msg, a.To)
-			case a.ReqSaved:
-				cell.SendReqSaved(a.Msg, a.To)
-			default:
-				cell.Send(a.Msg, a.To)
-			}
-		}
-		cell.Goto(t.Next)
+		cbs[t.Ctrl].Set(t.State, t.Event, protocol.Transition{Stall: t.Stall, Actions: t.Actions, Next: t.Next})
 	}
 	return b.Build()
 }
