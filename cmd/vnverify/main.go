@@ -14,7 +14,6 @@ import (
 
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
-	"minvn/internal/icn"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/obs/ledger"
@@ -128,8 +127,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vnverify: trace-out:", err)
 		os.Exit(1)
 	}
-	occStats, _ := res.Stats.Occupancy.(*icn.OccupancyStats)
-	if occStats != nil {
+	if occStats := res.Stats.Occupancy; occStats != nil {
 		fmt.Printf("occupancy over %d states: global high water %d/%s, local high water %d/%s\n",
 			occStats.StatesObserved,
 			occStats.GlobalHighWater, capLabel(occStats.GlobalCap),

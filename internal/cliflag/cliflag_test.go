@@ -2,6 +2,7 @@ package cliflag
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -13,13 +14,13 @@ import (
 	"time"
 
 	"minvn/internal/dist"
-	"minvn/internal/icn"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/obs/health"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/obs/trace/tracetest"
 	"minvn/internal/protocol"
+	"minvn/internal/protocols"
 )
 
 // TestRegisterSubsets: each Flags bit defines exactly its own flags,
@@ -156,6 +157,17 @@ func TestWriteTrace(t *testing.T) {
 // report above all: vnstats compare reasons over it), a re-recorded
 // identical run dedups, and unset sinks are no-ops.
 func TestRecordSinks(t *testing.T) {
+	// The occupancy profile is a real run's, per-VN histograms and
+	// message labels included.
+	job, err := dist.Spec{Caches: 2, MaxStates: 2000}.Resolve(protocols.MustLoad("MSI_nonblocking_cache"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Occupancy = true
+	run, err := dist.Run(context.Background(), job)
+	if err != nil || run.Stats.Occupancy == nil || len(run.Stats.Occupancy.PerVN) == 0 {
+		t.Fatalf("profiled run: %v, %v", run, err)
+	}
 	snap := mc.Snapshot{
 		Strategy: "pipeline", Store: "compact",
 		ElapsedSeconds: 1.25, States: 20000, Frontier: 12, MaxDepth: 7,
@@ -176,10 +188,8 @@ func TestRecordSinks(t *testing.T) {
 				{Worker: 1, Batches: 11, States: 10000, ExpandNS: 610_000_000, QueueWaitNS: 40_000_000, SendWaitNS: 2_000_000},
 			},
 		},
-		Occupancy: &icn.OccupancyStats{
-			StatesObserved: 20000, GlobalCap: 2, LocalCap: 2, GlobalHighWater: 2, LocalHighWater: 1,
-		},
-		Final: true,
+		Occupancy: run.Stats.Occupancy,
+		Final:     true,
 	}
 	tl := &obs.Timeline{}
 	tl.Time("mc/check", func() {})
@@ -266,16 +276,11 @@ func TestRecordSinks(t *testing.T) {
 					t.Fatalf("extra metrics dropped: %+v", back.Extra)
 				}
 			} else {
-				// Occupancy is declared `any` and comes back generic;
-				// everything else must survive bit-exactly.
-				occ, _ := back.Snapshot.Occupancy.(map[string]any)
-				if occ["states_observed"] != float64(20000) {
-					t.Fatalf("occupancy did not round-trip: %+v", back.Snapshot.Occupancy)
+				if !back.Snapshot.Occupancy.Equal(run.Stats.Occupancy) {
+					t.Fatalf("occupancy did not round-trip:\ngot  %+v\nwant %+v", back.Snapshot.Occupancy, run.Stats.Occupancy)
 				}
-				want := snap
-				want.Occupancy, back.Snapshot.Occupancy = nil, nil
-				if !reflect.DeepEqual(*back.Snapshot, want) {
-					t.Fatalf("snapshot did not round-trip:\ngot  %+v\nwant %+v", *back.Snapshot, want)
+				if !reflect.DeepEqual(*back.Snapshot, snap) {
+					t.Fatalf("snapshot did not round-trip:\ngot  %+v\nwant %+v", *back.Snapshot, snap)
 				}
 				if sum := back.Stages; len(sum) != 1 || sum[0].Name != "mc/check" || sum[0].Count != 2 {
 					t.Fatalf("stages = %+v, want one mc/check summary of 2 runs", sum)

@@ -324,14 +324,11 @@ func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, err
 	}
 }
 
-// record keeps each worker's latest snapshot, its occupancy profile in
-// place, and returns the fleet's frontier and stored states.
+// record keeps each worker's latest snapshot and returns the fleet's
+// frontier and stored states.
 func (c *coord) record(reports []report) (frontier, states int) {
 	for i, r := range reports {
 		c.latest[i] = r.Stats
-		if r.Occupancy != nil {
-			c.latest[i].Occupancy = r.Occupancy
-		}
 		frontier += r.Stats.Frontier
 		states += r.Stats.States
 	}

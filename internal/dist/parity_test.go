@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"minvn/internal/dist"
-	"minvn/internal/icn"
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/protocols"
@@ -58,16 +57,14 @@ func minimalConfig(t testing.TB, proto string, caches, dirs, addrs int) machine.
 
 // pipelineBaseline runs the in-process oracle with the occupancy
 // profiler attached.
-func pipelineBaseline(t testing.TB, cfg machine.Config, opts mc.Options) (mc.Result, *icn.OccupancyStats) {
+func pipelineBaseline(t testing.TB, cfg machine.Config, opts mc.Options) mc.Result {
 	t.Helper()
 	sys, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := sys.NewOccupancyProfiler()
-	opts.Observer = prof
-	res := mc.CheckPipelined(sys, opts, 4, 0)
-	return res, prof.Stats()
+	opts.Observer = sys.NewOccupancyProfiler()
+	return mc.CheckPipelined(sys, opts, 4, 0)
 }
 
 // assertParity requires dist's result to be the pipeline's, snapshot
@@ -79,7 +76,7 @@ func pipelineBaseline(t testing.TB, cfg machine.Config, opts mc.Options) (mc.Res
 // frontier (mc reports 0 where dist
 // reports the states a bound left unexpanded). Occupancy is compared
 // apart, by value. So a field dist forgets to merge fails here.
-func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got mc.Result) {
+func assertParity(t *testing.T, want, got mc.Result) {
 	t.Helper()
 	if want.Outcome != got.Outcome {
 		t.Fatalf("outcome: pipeline %v vs dist %v (%s)", want.Outcome, got.Outcome, got.Message)
@@ -87,12 +84,11 @@ func assertParity(t *testing.T, want mc.Result, wantOcc *icn.OccupancyStats, got
 	if want.Outcome == mc.Deadlock || want.Outcome == mc.Violation {
 		return // terminal runs stop mid-level; only the verdict is pinned
 	}
-	occ, ok := got.Stats.Occupancy.(*icn.OccupancyStats)
-	if !ok {
-		t.Fatalf("dist occupancy missing (got %T)", got.Stats.Occupancy)
+	if got.Stats.Occupancy == nil {
+		t.Fatal("dist occupancy missing")
 	}
-	if !wantOcc.Equal(occ) {
-		t.Fatalf("occupancy aggregates differ:\npipeline %+v\ndist     %+v", wantOcc, occ)
+	if !want.Stats.Occupancy.Equal(got.Stats.Occupancy) {
+		t.Fatalf("occupancy aggregates differ:\npipeline %+v\ndist     %+v", want.Stats.Occupancy, got.Stats.Occupancy)
 	}
 	if want.Stats.Health == nil || got.Stats.Health == nil {
 		t.Fatalf("missing health report: pipeline %v dist %v", want.Stats.Health != nil, got.Stats.Health != nil)
@@ -145,7 +141,7 @@ func TestDistParityAllProtocols(t *testing.T) {
 				store := store
 				t.Run(store.String(), func(t *testing.T) {
 					opts := mc.Options{MaxDepth: 4, Store: store, DisableTraces: true}
-					want, wantOcc := pipelineBaseline(t, cfg, opts)
+					want := pipelineBaseline(t, cfg, opts)
 					for _, workers := range parityWorkerCounts {
 						workers := workers
 						t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
@@ -154,7 +150,7 @@ func TestDistParityAllProtocols(t *testing.T) {
 								if err != nil {
 									t.Fatalf("%s: %v", transport, err)
 								}
-								assertParity(t, want, wantOcc, got)
+								assertParity(t, want, got)
 							}
 						})
 					}
@@ -186,7 +182,7 @@ func TestDistParityComplete(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			want, wantOcc := pipelineBaseline(t, tc.cfg, tc.opts)
+			want := pipelineBaseline(t, tc.cfg, tc.opts)
 			if want.Outcome != tc.want {
 				t.Fatalf("baseline outcome %v, want %v", want.Outcome, tc.want)
 			}
@@ -196,7 +192,7 @@ func TestDistParityComplete(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers %d %s: %v", workers, transport, err)
 					}
-					assertParity(t, want, wantOcc, got)
+					assertParity(t, want, got)
 				}
 			}
 		})
@@ -249,7 +245,7 @@ func TestDistStoredCounts(t *testing.T) {
 func TestDistMaxStatesLevelGranular(t *testing.T) {
 	t.Parallel()
 	cfg := permsgConfig(t, "MSI_blocking_cache", 2, 1, 1)
-	unbounded, _ := pipelineBaseline(t, cfg, mc.Options{MaxDepth: 5, DisableTraces: true})
+	unbounded := pipelineBaseline(t, cfg, mc.Options{MaxDepth: 5, DisableTraces: true})
 	bound := unbounded.States / 2
 	if bound < 2 {
 		t.Fatalf("state space too small: %d", unbounded.States)

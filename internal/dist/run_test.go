@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"minvn/internal/dist"
-	"minvn/internal/icn"
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 )
@@ -17,7 +16,7 @@ import (
 // TestRunDispatch pins the one dispatch point: in-process engines never
 // touch a worker, EngineDist always does (it is never answered by an
 // in-process substitute), every engine reports the same search with
-// the occupancy profile in the same place, and what dist cannot do is a
+// the same occupancy profile in the same place, and what dist cannot do is a
 // typed error rather than a fallback.
 func TestRunDispatch(t *testing.T) {
 	var hits atomic.Int64
@@ -54,9 +53,8 @@ func TestRunDispatch(t *testing.T) {
 		if got := hits.Load() > 0; got != tc.wantDist {
 			t.Fatalf("%v: worker requests = %d, want distributed = %v", tc.engine, hits.Load(), tc.wantDist)
 		}
-		occ, ok := res.Stats.Occupancy.(*icn.OccupancyStats)
-		if !ok || occ.StatesObserved != int64(res.States) {
-			t.Fatalf("%v: Stats.Occupancy = %T %+v, want the profile of all %d states", tc.engine, res.Stats.Occupancy, occ, res.States)
+		if occ := res.Stats.Occupancy; occ == nil || occ.StatesObserved != int64(res.States) {
+			t.Fatalf("%v: Stats.Occupancy = %+v, want the profile of all %d states", tc.engine, occ, res.States)
 		}
 		if tc.engine == mc.EngineSeq {
 			ref = res
@@ -67,6 +65,9 @@ func TestRunDispatch(t *testing.T) {
 		}
 		if res.Outcome != ref.Outcome || res.States != ref.States || res.MaxDepth != ref.MaxDepth {
 			t.Fatalf("%v: %v vs seq %v", tc.engine, res, ref)
+		}
+		if !res.Stats.Occupancy.Equal(ref.Stats.Occupancy) {
+			t.Fatalf("%v: occupancy %+v vs seq %+v", tc.engine, res.Stats.Occupancy, ref.Stats.Occupancy)
 		}
 	}
 

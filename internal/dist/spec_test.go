@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"minvn/internal/dist"
-	"minvn/internal/icn"
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/protocol"
@@ -136,7 +135,7 @@ func TestResolveTwoLevel(t *testing.T) {
 	}
 	job.Occupancy = true // vnserved always profiles; the l2 section must not confuse it
 	res, err := dist.Run(context.Background(), job)
-	occ, _ := res.Stats.Occupancy.(*icn.OccupancyStats)
+	occ := res.Stats.Occupancy
 	if err != nil || res.States == 0 || occ == nil || occ.StatesObserved != int64(res.States) {
 		t.Errorf("composite run: %v, %v, occupancy %+v", res, err, occ)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"minvn/internal/icn"
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/obs/health"
@@ -74,13 +73,11 @@ type cancelReq struct {
 }
 
 // report is one worker's cumulative account, the answer to init and to
-// every settle: the snapshot of its slice of the search (mc.Books'), and
-// its occupancy profile beside it, typed, because Snapshot.Occupancy is
-// an any that would decode as a map. The coordinator keeps each worker's
+// every settle: the snapshot of its slice of the search (mc.Books'),
+// with its occupancy profile in it. The coordinator keeps each worker's
 // latest report and merges them with mc.MergeSnapshots.
 type report struct {
-	Stats     mc.Snapshot         `json:"stats"`
-	Occupancy *icn.OccupancyStats `json:"occupancy,omitempty"`
+	Stats mc.Snapshot `json:"stats"`
 }
 
 // callError is a call a worker refuses or cannot complete; its kind is
@@ -342,17 +339,17 @@ func (r *workerRun) heldBytes() int64 {
 // coordinator merges over its own, and stamps the search's identity.
 func (r *workerRun) report() report {
 	_, arena, setB := r.visited.Stats()
-	rep := report{Stats: r.books.Snapshot(mc.Snapshot{
+	s := mc.Snapshot{
 		States:     r.states,
 		Frontier:   len(r.frontier.ends),
 		MaxDepth:   r.maxDepth,
 		Expansions: int64(r.expansions),
 		Health:     &health.Report{ArenaBytes: arena, SetBytes: setB, FrontierBytes: r.heldBytes()},
-	})}
-	if r.prof != nil {
-		rep.Occupancy = r.prof.Stats()
 	}
-	return rep
+	if r.prof != nil {
+		s.Occupancy = r.prof.Stats()
+	}
+	return report{Stats: r.books.Snapshot(s)}
 }
 
 // lockRun returns the named run with ctrlMu held, for the caller to

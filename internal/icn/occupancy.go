@@ -197,18 +197,9 @@ func (p *OccupancyProfiler) SetMessages(vn int, names []string) {
 	p.messages[vn] = append([]string(nil), names...)
 }
 
-// MergeSummary returns o and p, an *OccupancyStats, merged into a new
-// aggregate: the mc.MergeableSummary through which mc.MergeSnapshots
-// folds the distributed workers' profiles.
-func (o *OccupancyStats) MergeSummary(p any) any {
-	m := new(OccupancyStats)
-	m.Merge(o)
-	m.Merge(p.(*OccupancyStats))
-	return m
-}
-
-// Merge folds another aggregate into o, for coordinators that combine
-// per-worker profilers over a partitioned state space (internal/dist):
+// Merge folds another aggregate into o, leaving p as it was: the way
+// mc.MergeSnapshots combines per-worker profiles over a partitioned
+// state space (internal/dist) into a fresh aggregate:
 // histograms add element-wise (padded to the longer), high-water marks
 // take the maximum, and StatesObserved sums. Because the distributed
 // engine partitions states by fingerprint owner, each state is

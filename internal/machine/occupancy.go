@@ -51,10 +51,6 @@ func (p *OccupancyProfiler) Observe(state []byte) {
 	}
 }
 
-// Summary implements the checker's optional summarizing-observer
-// extension: the occupancy aggregate is embedded in every mc.Snapshot.
-func (p *OccupancyProfiler) Summary() any { return p.prof.Stats() }
-
-// Stats returns the typed aggregate for direct consumers (CLIs,
-// parity tests).
+// Stats returns the aggregate so far. The model checker embeds it in
+// every mc.Snapshot of a run this profiler observes.
 func (p *OccupancyProfiler) Stats() *icn.OccupancyStats { return p.prof.Stats() }

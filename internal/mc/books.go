@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"minvn/internal/icn"
 	"minvn/internal/obs"
 	"minvn/internal/obs/health"
 )
@@ -59,10 +60,10 @@ func (b *Books) Probe(fp uint64, depth int32, fresh, conflated bool) {
 		if conflated {
 			b.unverified++
 		}
-		b.stripes.Dup(fp)
+		b.stripes.Dup(stripeOf(fp))
 		return
 	}
-	b.stripes.Store(fp)
+	b.stripes.Store(stripeOf(fp))
 	for int(depth) >= len(b.depthHist) {
 		b.depthHist = append(b.depthHist, 0)
 	}
@@ -108,8 +109,8 @@ func (b *Books) SendWait(d time.Duration) { b.workers.Worker(0).AddSendWait(d) }
 // Snapshot derives a snapshot from the books — the one derivation every
 // engine reports through. s carries what only the caller knows: its
 // identity (Strategy, Store), its position (ElapsedSeconds, States,
-// Frontier, MaxDepth, Expansions, Final), the heap, the observer's
-// summary and, in s.Health when non-nil, the footprint and scheduling
+// Frontier, MaxDepth, Expansions, Final), the heap, the occupancy
+// profile and, in s.Health when non-nil, the footprint and scheduling
 // fields. The books add their counters, histograms, rule firings and
 // contention profile, and derive the rates.
 func (b *Books) Snapshot(s Snapshot) Snapshot {
@@ -135,22 +136,15 @@ func (b *Books) Snapshot(s Snapshot) Snapshot {
 	return s
 }
 
-// MergeableSummary is an optional extension of a SummarizingObserver's
-// summary: MergeSummary returns the summary of the states the receiver
-// and o (a summary of the same type) describe together, modifying
-// neither. MergeSnapshots folds Snapshot.Occupancy with it.
-type MergeableSummary interface {
-	MergeSummary(o any) any
-}
-
 // MergeSnapshots folds the latest cumulative snapshots of the workers of
 // one partitioned search — each state probed and stored by exactly one
 // of them — into the search's, over the merging clock's elapsed
 // seconds. Counts, the frontier, the depth histogram and rule firings
 // sum; the depth is the deepest; health merges by health.Report.Merge
-// and the observer summaries by MergeableSummary, which a summary merged
-// with another must implement. Identity comes from the first
-// snapshot, and the merge is Final when every snapshot is. The heap is
+// and the occupancy profiles by icn.OccupancyStats.Merge. Identity
+// comes from the first snapshot, and the merge is Final when every
+// snapshot is. The merge is a fresh aggregate and modifies no input, so
+// merging the same snapshots again gives the same result. The heap is
 // read now, and the rates are derived again from the sums — never
 // averaged from per-worker rates, whose clocks differ. Because every
 // snapshot is cumulative, merging each worker's latest one replaces
@@ -186,12 +180,11 @@ func MergeSnapshots(snaps []Snapshot, elapsed float64) Snapshot {
 			}
 			m.Health.Merge(s.Health)
 		}
-		switch {
-		case s.Occupancy == nil:
-		case m.Occupancy == nil:
-			m.Occupancy = s.Occupancy
-		default:
-			m.Occupancy = m.Occupancy.(MergeableSummary).MergeSummary(s.Occupancy)
+		if s.Occupancy != nil {
+			if m.Occupancy == nil {
+				m.Occupancy = new(icn.OccupancyStats)
+			}
+			m.Occupancy.Merge(s.Occupancy)
 		}
 		m.Final = m.Final && s.Final
 	}

@@ -5,6 +5,7 @@ var (
 	WithRawCache       = withRawCache
 	WithLogChunk       = withChunk
 	RawCacheComparable = rawCacheComparable
+	Stripe             = stripeOf
 )
 
 const NarrowRawHash = narrowRawHash

@@ -5,9 +5,9 @@ package mc
 //
 //   - the visited set (shardset.go) picks an in-process shard with
 //     FingerprintMix(fp) & mask;
-//   - the telemetry stripes (health.StripeOf) use the same mix over a
-//     fixed 64-stripe partition (pinned against this file by
-//     TestStripePartitionMatchesHealth);
+//   - the telemetry stripes (stripeOf, through which Books attributes
+//     every probe) use the same mix over a fixed health.Stripes
+//     partition;
 //   - the distributed engine (internal/dist) assigns a state to its
 //     owning worker process with OwnerOf, which applies the same mix
 //     before reducing modulo the worker count.
@@ -17,6 +17,8 @@ package mc
 // but never in geometry. The fingerprint itself is FNV-1a 64 over the
 // canonical state bytes — fast, dependency-free, and stable across
 // platforms, which the table-driven tests in fphash_test.go pin.
+
+import "minvn/internal/obs/health"
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -60,6 +62,11 @@ func fingerprint4(k [4][]byte) (fp [4]uint64) {
 // on this mixed value rather than the raw fingerprint, whose low bits
 // FNV-1a mixes least.
 func FingerprintMix(fp uint64) uint64 { return fp ^ (fp >> 32) }
+
+// stripeOf maps a fingerprint to its telemetry stripe: the
+// health.Stripes-way partition of the contention profile's per-stripe
+// histograms.
+func stripeOf(fp uint64) int { return int(FingerprintMix(fp) & (health.Stripes - 1)) }
 
 // OwnerOf maps a fingerprint to its owning worker in an n-worker
 // distributed search: the deterministic hash-range placement of

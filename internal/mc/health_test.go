@@ -53,11 +53,11 @@ func (c *chainModel) Quiescent([]byte) bool    { return true }
 func (c *chainModel) Describe(s []byte) string { return string(s) }
 
 // stripeOf mirrors the engines' stripe attribution: FNV-1a 64 over the
-// canonical bytes, mapped through health.StripeOf.
+// canonical bytes, mapped to its stripe.
 func stripeOf(s []byte) int {
 	h := fnv.New64a()
 	h.Write(s)
-	return health.StripeOf(h.Sum64())
+	return mc.Stripe(h.Sum64())
 }
 
 // skewedStates builds a chain whose states land overwhelmingly in one

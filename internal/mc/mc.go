@@ -198,15 +198,6 @@ type StateObserver interface {
 	Observe(state []byte)
 }
 
-// SummarizingObserver is an optional StateObserver extension: Summary
-// returns a serializable digest of everything observed so far, which
-// the checker embeds in every Snapshot (and therefore in Result.Stats
-// and JSON run artifacts).
-type SummarizingObserver interface {
-	StateObserver
-	Summary() any
-}
-
 // Options bounds and configures a search. The zero value means BFS
 // with no bounds and traces enabled. Negative bounds are treated as 0
 // (unbounded).
@@ -242,7 +233,9 @@ type Options struct {
 	Trace *trace.Recorder
 	// Observer, when non-nil, receives every freshly stored state from
 	// the single-threaded store path (see StateObserver). Purely
-	// observational.
+	// observational. An observer that also has a
+	// Stats() *icn.OccupancyStats method (machine.OccupancyProfiler)
+	// fills every Snapshot's Occupancy.
 	Observer StateObserver
 }
 

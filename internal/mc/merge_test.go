@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"minvn/internal/icn"
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 	"minvn/internal/obs/health"
@@ -68,16 +69,25 @@ func TestMergeSnapshotsDegenerate(t *testing.T) {
 	})
 }
 
-// sumSummary is an observer summary that merges by adding.
-type sumSummary int
-
-func (s sumSummary) MergeSummary(o any) any { return s + o.(sumSummary) }
+// occ is a one-VN occupancy profile of n states with the given
+// global-buffer depth histogram.
+func occ(n int64, global ...int64) *icn.OccupancyStats {
+	hw := len(global) - 1
+	return &icn.OccupancyStats{
+		StatesObserved: n, GlobalCap: 2, LocalCap: 2,
+		PerVN: []icn.VNOccupancy{{
+			VN: 0, Messages: []string{"GetS"},
+			GlobalHist: global, LocalHist: []int64{n}, GlobalHighWater: hw,
+		}},
+		GlobalHighWater: hw,
+	}
+}
 
 // TestMergeSnapshotsSums pins the multi-worker semantics: counters,
 // frontiers and histograms sum, depths max, rates are recomputed from
 // the sums over the merging clock (never averaged per-worker rates),
-// worker health lanes concatenate with renumbered indices, and observer
-// summaries fold through MergeableSummary.
+// worker health lanes concatenate with renumbered indices, and
+// occupancy profiles fold by icn.OccupancyStats.Merge.
 func TestMergeSnapshotsSums(t *testing.T) {
 	h := func(occ ...int64) *health.Report {
 		r := &health.Report{Stripes: health.Stripes}
@@ -90,12 +100,12 @@ func TestMergeSnapshotsSums(t *testing.T) {
 	a := mc.Snapshot{
 		Store: "compact", States: 4, Frontier: 3, Expansions: 3, Generated: 8, DedupHits: 4,
 		MaxDepth: 2, DepthHistogram: []int64{1, 2, 1}, RuleFirings: map[string]int64{"x": 5, "y": 3},
-		Health: h(3, 1), Occupancy: sumSummary(2), Final: true,
+		Health: h(3, 1), Occupancy: occ(2, 3, 1), Final: true,
 	}
 	b := mc.Snapshot{
 		Store: "compact", States: 6, Frontier: 4, Expansions: 5, Generated: 12, DedupHits: 6,
 		MaxDepth: 3, DepthHistogram: []int64{0, 2, 2, 2}, RuleFirings: map[string]int64{"x": 7},
-		Health: h(2, 4), Occupancy: sumSummary(3), Final: true,
+		Health: h(2, 4), Occupancy: occ(3, 4, 1, 1), Final: true,
 	}
 	s := mc.MergeSnapshots([]mc.Snapshot{a, b}, 2.0)
 	if s.States != 10 || s.Expansions != 8 || s.Generated != 20 || s.DedupHits != 10 {
@@ -124,8 +134,43 @@ func TestMergeSnapshotsSums(t *testing.T) {
 	if len(s.Health.Workers) != 2 || s.Health.Workers[1].Worker != 1 {
 		t.Fatalf("worker lanes not renumbered: %+v", s.Health.Workers)
 	}
-	if s.Occupancy != sumSummary(5) {
-		t.Fatalf("occupancy = %v, want 5", s.Occupancy)
+	if want := occ(5, 7, 2, 1); !s.Occupancy.Equal(want) {
+		t.Fatalf("occupancy = %+v, want %+v", s.Occupancy, want)
+	}
+}
+
+// TestMergeSnapshotsFresh pins that a merge builds a fresh aggregate
+// and modifies no input: the coordinator merges its latest worker
+// snapshots again at every level, so merging the same snapshots twice
+// gives equal profiles, and the inputs' profiles stay as they were.
+func TestMergeSnapshotsFresh(t *testing.T) {
+	p := protocols.MustLoad("MSI_nonblocking_cache")
+	vn, n := machine.PerMessageVN(p)
+	sys, err := machine.New(machine.Config{Protocol: p, Caches: 2, Dirs: 1, Addrs: 1, VN: vn, NumVNs: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []mc.Snapshot
+	var before []*icn.OccupancyStats
+	for _, depth := range []int{4, 6} {
+		res := mc.Check(sys, mc.Options{MaxDepth: depth, Observer: sys.NewOccupancyProfiler()})
+		clone := new(icn.OccupancyStats)
+		clone.Merge(res.Stats.Occupancy)
+		snaps, before = append(snaps, res.Stats), append(before, clone)
+	}
+	for _, in := range [][]mc.Snapshot{snaps[:1], snaps} {
+		first, second := mc.MergeSnapshots(in, 1), mc.MergeSnapshots(in, 1)
+		if !first.Occupancy.Equal(second.Occupancy) {
+			t.Fatalf("%d snapshots: merging twice differs:\n%+v\n%+v", len(in), first.Occupancy, second.Occupancy)
+		}
+		for i, s := range in {
+			if s.Occupancy == first.Occupancy {
+				t.Fatalf("%d snapshots: the merge aliases input %d's profile", len(in), i)
+			}
+			if !s.Occupancy.Equal(before[i]) {
+				t.Fatalf("%d snapshots: merging modified input %d's profile:\n%+v\nwas %+v", len(in), i, s.Occupancy, before[i])
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"minvn/internal/icn"
 	"minvn/internal/obs"
 	"minvn/internal/obs/health"
 	"minvn/internal/obs/trace"
@@ -47,11 +48,11 @@ type Snapshot struct {
 	// job reports the sum of all of them). What this search holds is
 	// Health.SetBytes + Health.FrontierBytes.
 	HeapBytes uint64 `json:"heap_bytes"`
-	// Occupancy is the state observer's summary at snapshot time, when
-	// Options.Observer implements SummarizingObserver — for the ICN
-	// occupancy profiler, an *icn.OccupancyStats with per-VN queue
-	// depth histograms and high-water marks.
-	Occupancy any `json:"occupancy,omitempty"`
+	// Occupancy is the per-VN queue-depth profile of the stored states
+	// (histograms and high-water marks), when Options.Observer is an
+	// occupancy profiler (machine.OccupancyProfiler) or, on the
+	// distributed engine, when each worker runs one.
+	Occupancy *icn.OccupancyStats `json:"occupancy,omitempty"`
 	// Health is the run's contention profile: per-stripe visited-set
 	// occupancy and dedup-hit histograms (identical across engines by
 	// construction), per-worker expand/queue-wait/send-wait times,
@@ -67,6 +68,12 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf("[%8.2fs] %s: %d states (%.0f/s), frontier %d, depth %d, %d expansions, dedup %.1f%%, heap %s",
 		s.ElapsedSeconds, s.Strategy, s.States, s.StatesPerSec, s.Frontier,
 		s.MaxDepth, s.Expansions, 100*s.DedupHitRate, obs.FormatBytes(s.HeapBytes))
+}
+
+// profiler is an Options.Observer that profiles queue occupancy
+// (machine.OccupancyProfiler): every snapshot carries its aggregate.
+type profiler interface {
+	Stats() *icn.OccupancyStats
 }
 
 // tracker is the in-process search core's telemetry (search.go): the
@@ -143,8 +150,8 @@ func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final boo
 	if t.setHealth != nil {
 		t.setHealth(s.Health)
 	}
-	if so, ok := t.opts.Observer.(SummarizingObserver); ok {
-		s.Occupancy = so.Summary()
+	if p, ok := t.opts.Observer.(profiler); ok {
+		s.Occupancy = p.Stats()
 	}
 	return t.Books.Snapshot(s)
 }

@@ -26,15 +26,9 @@ import (
 // histogram. It matches mc.DefaultShards, so for the in-process engines
 // the telemetry stripes coincide with the physical visited-set shards;
 // for the distributed workers they are a virtual partition of
-// fingerprint space, identical across engines by construction.
+// fingerprint space, identical across engines by construction. It must
+// be a power of two: mc masks a fingerprint to its stripe (mc/fphash.go).
 const Stripes = 64
-
-// stripeMask selects a stripe from a fingerprint exactly the way the
-// sharded visited set does: mix the high bits in, mask the low ones.
-const stripeMask = Stripes - 1
-
-// StripeOf maps a 64-bit state fingerprint to its telemetry stripe.
-func StripeOf(fp uint64) int { return int((fp ^ (fp >> 32)) & stripeMask) }
 
 // WorkerStats is one engine worker's contention profile. On every
 // engine ExpandNS brackets the same work per state — expanding it and
@@ -186,11 +180,11 @@ type ShardSampler struct {
 	dup [Stripes]int64
 }
 
-// Store records one freshly stored state by fingerprint.
-func (s *ShardSampler) Store(fp uint64) { s.occ[StripeOf(fp)]++ }
+// Store records one freshly stored state in stripe i.
+func (s *ShardSampler) Store(i int) { s.occ[i]++ }
 
-// Dup records one duplicate visited-set probe by fingerprint.
-func (s *ShardSampler) Dup(fp uint64) { s.dup[StripeOf(fp)]++ }
+// Dup records one duplicate visited-set probe in stripe i.
+func (s *ShardSampler) Dup(i int) { s.dup[i]++ }
 
 // Fill copies the histograms into r and computes the skew summary.
 func (s *ShardSampler) Fill(r *Report) {

@@ -7,29 +7,23 @@ import (
 
 func TestShardSamplerHistogramsAndSkew(t *testing.T) {
 	var s ShardSampler
-	// Three distinct fingerprints, two landing in the same stripe by
-	// construction (identical low+high mix).
-	fpA := uint64(5)
-	fpB := uint64(5) // same stripe as fpA
-	fpC := uint64(9)
-	if StripeOf(fpA) == StripeOf(fpC) {
-		t.Fatalf("test fingerprints collide, pick different ones")
-	}
-	s.Store(fpA)
-	s.Store(fpB)
-	s.Store(fpC)
-	s.Dup(fpC)
+	// Three stored states, two of them in the same stripe.
+	const a, c = 5, 9
+	s.Store(a)
+	s.Store(a)
+	s.Store(c)
+	s.Dup(c)
 
 	var r Report
 	s.Fill(&r)
 	if r.Stripes != Stripes || len(r.StripeOccupancy) != Stripes {
 		t.Fatalf("stripes = %d, len = %d", r.Stripes, len(r.StripeOccupancy))
 	}
-	if got := r.StripeOccupancy[StripeOf(fpA)]; got != 2 {
-		t.Fatalf("stripe for fpA holds %d, want 2", got)
+	if got := r.StripeOccupancy[a]; got != 2 {
+		t.Fatalf("stripe %d holds %d, want 2", a, got)
 	}
-	if got := r.StripeDedupHits[StripeOf(fpC)]; got != 1 {
-		t.Fatalf("dedup stripe for fpC holds %d, want 1", got)
+	if got := r.StripeDedupHits[c]; got != 1 {
+		t.Fatalf("dedup stripe %d holds %d, want 1", c, got)
 	}
 	if r.OccMin != 0 || r.OccMax != 2 {
 		t.Fatalf("occ min/max = %d/%d, want 0/2", r.OccMin, r.OccMax)
@@ -86,7 +80,7 @@ func TestReportAggregates(t *testing.T) {
 func TestResummarize(t *testing.T) {
 	var s ShardSampler
 	for i := 0; i < 1000; i++ {
-		s.Store(uint64(i) * 0x9e3779b97f4a7c15)
+		s.Store(i * i % Stripes)
 	}
 	var want Report
 	s.Fill(&want)

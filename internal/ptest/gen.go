@@ -11,22 +11,22 @@ import (
 	"minvn/internal/protocols"
 )
 
-// GenConfig sizes the generator.
+// The generator's size bounds: request/response chains of a
+// synthesized protocol (each contributes a request, a response, and —
+// when its directory transaction blocks — a completion message), stable
+// states of the synthesized cache, and mutations per mutated case.
+const (
+	maxChains       = 4
+	maxStableStates = 3
+	maxMutations    = 4
+)
+
+// GenConfig picks the generator's mix of case origins.
 type GenConfig struct {
-	// MaxChains bounds the request/response chains of a synthesized
-	// protocol (default 4). Each chain contributes a request, a
-	// response, and — when its directory transaction blocks — a
-	// completion message.
-	MaxChains int
-	// MaxStableStates bounds the synthesized cache's stable states
-	// (default 3).
-	MaxStableStates int
 	// MutateFrac is the fraction of cases produced by mutating a
-	// built-in protocol instead of synthesizing one (default 0.5).
+	// built-in protocol instead of synthesizing one. The zero value
+	// mutates none; a value outside [0, 1] means 0.5.
 	MutateFrac float64
-	// MaxMutations bounds the mutation count per mutated case
-	// (default 4).
-	MaxMutations int
 	// XformFrac is the fraction of cases produced by the xform
 	// derivations — the non-stalling transform of a built-in, or a
 	// two-level composite of two built-ins — optionally mutated.
@@ -35,17 +35,8 @@ type GenConfig struct {
 }
 
 func (c GenConfig) normalized() GenConfig {
-	if c.MaxChains <= 0 {
-		c.MaxChains = 4
-	}
-	if c.MaxStableStates <= 0 {
-		c.MaxStableStates = 3
-	}
 	if c.MutateFrac < 0 || c.MutateFrac > 1 {
 		c.MutateFrac = 0.5
-	}
-	if c.MaxMutations <= 0 {
-		c.MaxMutations = 4
 	}
 	if c.XformFrac == 0 {
 		c.XformFrac = 0.25
@@ -126,7 +117,7 @@ func (g *Generator) Generate(seed int64) *Case {
 		for attempt := 0; attempt < 24; attempt++ {
 			spec := FromProtocol(protocols.MustLoad(base))
 			spec.Name = fmt.Sprintf("%s_mut_%d", base, seed&0xffff)
-			n := 1 + r.Intn(g.cfg.MaxMutations)
+			n := 1 + r.Intn(maxMutations)
 			for i := 0; i < n; i++ {
 				mutateOnce(r, spec)
 			}
@@ -136,7 +127,7 @@ func (g *Generator) Generate(seed int64) *Case {
 			}
 		}
 	}
-	spec := synthesize(r, g.cfg)
+	spec := synthesize(r)
 	p, err := spec.Build()
 	if err != nil {
 		// Synthesis is correct by construction; a failure here is a
@@ -174,7 +165,7 @@ func (g *Generator) xformCase(r *rand.Rand, seed int64) *Case {
 	}
 	spec := FromProtocol(p)
 	if r.Intn(2) == 0 {
-		n := 1 + r.Intn(g.cfg.MaxMutations)
+		n := 1 + r.Intn(maxMutations)
 		cand := spec.Clone()
 		for i := 0; i < n; i++ {
 			mutateOnce(r, cand)
@@ -201,9 +192,9 @@ func (g *Generator) xformCase(r *rand.Rand, seed int64) *Case {
 // completion arrives (CHI-style home orchestration). Random extra
 // cache stalls exercise the static analysis's conservatism: they add
 // waits edges for receptions that are dynamically unreachable.
-func synthesize(r *rand.Rand, cfg GenConfig) *Spec {
-	ns := 1 + r.Intn(cfg.MaxStableStates)
-	chains := 1 + r.Intn(cfg.MaxChains)
+func synthesize(r *rand.Rand) *Spec {
+	ns := 1 + r.Intn(maxStableStates)
+	chains := 1 + r.Intn(maxChains)
 	if max := ns * len(protocol.CoreEvents); chains > max {
 		chains = max
 	}

@@ -39,26 +39,37 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestGeneratorDeterministicAndValid(t *testing.T) {
-	g := NewGenerator(GenConfig{})
 	n := 60
 	if testing.Short() {
 		n = 20
 	}
-	for i := 0; i < n; i++ {
-		seed := caseSeed(42, i)
-		c1 := g.Generate(seed)
-		c2 := g.Generate(seed)
-		e1, err1 := protocol.Encode(c1.Proto)
-		e2, err2 := protocol.Encode(c2.Proto)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("case %d: encode: %v / %v", i, err1, err2)
+	// The zero MutateFrac mutates no built-in; 0.5 must, and its mutated
+	// cases must be as deterministic as the rest.
+	for _, cfg := range []GenConfig{{}, {MutateFrac: 0.5}} {
+		g := NewGenerator(cfg)
+		mutated := 0
+		for i := 0; i < n; i++ {
+			seed := caseSeed(42, i)
+			c1 := g.Generate(seed)
+			c2 := g.Generate(seed)
+			e1, err1 := protocol.Encode(c1.Proto)
+			e2, err2 := protocol.Encode(c2.Proto)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%+v case %d: encode: %v / %v", cfg, i, err1, err2)
+			}
+			if !bytes.Equal(e1, e2) || c1.Origin != c2.Origin {
+				t.Fatalf("%+v case %d (seed %d): generator not deterministic", cfg, i, seed)
+			}
+			// Build already validated; re-assert through the codec too.
+			if _, err := protocol.Decode(e1); err != nil {
+				t.Fatalf("%+v case %d: generated protocol does not round trip: %v", cfg, i, err)
+			}
+			if strings.HasPrefix(c1.Origin, "mutated:") {
+				mutated++
+			}
 		}
-		if !bytes.Equal(e1, e2) {
-			t.Fatalf("case %d (seed %d): generator not deterministic", i, seed)
-		}
-		// Build already validated; re-assert through the codec too.
-		if _, err := protocol.Decode(e1); err != nil {
-			t.Fatalf("case %d: generated protocol does not round trip: %v", i, err)
+		if (cfg.MutateFrac == 0) != (mutated == 0) {
+			t.Errorf("MutateFrac %v: %d of %d cases mutated", cfg.MutateFrac, mutated, n)
 		}
 	}
 }

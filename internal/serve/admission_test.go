@@ -74,7 +74,7 @@ func TestHitAndJoinUnresolved(t *testing.T) {
 	close(gate)
 	srv.mu.Lock()
 	for !first.terminal() {
-		ch := first.updated
+		ch := first.events.updated
 		srv.mu.Unlock()
 		<-ch
 		srv.mu.Lock()

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"strconv"
-)
+import "net/http"
 
 // handleDash serves the live fleet dashboard: one self-contained HTML
 // page (no external assets, safe behind an air gap) fed by the
@@ -15,50 +10,15 @@ func (s *Server) handleDash(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte(dashHTML))
 }
 
-// handleDashEvents streams the server-wide fleet activity ring as SSE.
-// Unlike the per-job stream, this feed never terminates: it replays
-// the retained ring from Last-Event-ID (or the oldest retained event)
-// and then follows live appends until the client disconnects.
+// handleDashEvents streams the server-wide fleet feed as SSE. Unlike
+// the per-job stream, it never ends: it replays the retained feed from
+// Last-Event-ID (or the oldest retained event) and then follows live
+// appends until the client disconnects.
 func (s *Server) handleDashEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
-		return
-	}
-	from := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			from = n + 1
-		}
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// Open the stream immediately so EventSource fires onopen even on
-	// an idle server.
-	fmt.Fprint(w, ": fleet stream\n\n")
-	flusher.Flush()
-
-	for {
-		events, updated := s.FleetEvents(from)
-		for _, e := range events {
-			data, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
-			from = e.Seq + 1
-		}
-		if len(events) > 0 {
-			flusher.Flush()
-		}
-		select {
-		case <-updated:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	streamEvents(w, r, "fleet stream", func(from int) ([]Event, <-chan struct{}, error) {
+		events, next := s.FleetEvents(from)
+		return events, next, nil
+	})
 }
 
 // dashHTML is the whole dashboard. Design notes: single-series

@@ -255,6 +255,64 @@ func TestFleetFeed(t *testing.T) {
 	}
 }
 
+// resumeSSE reads the SSE stream at path as a client resuming from
+// Last-Event-ID 1000, an id the server never issued (one kept across a
+// server restart), until its "done" event, its end or a timeout, and
+// returns the ids and types of the events it saw.
+func resumeSSE(t *testing.T, hs *httptest.Server, path string) (ids, types []string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, "GET", hs.URL+path, nil)
+	req.Header.Set("Last-Event-ID", "1000")
+	resp, err := hs.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if id, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+			ids = append(ids, id)
+		}
+		if typ, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			if types = append(types, typ); typ == "done" {
+				break
+			}
+		}
+	}
+	return ids, types
+}
+
+// TestFleetResumeUnknownID: a dashboard resuming from an event id past
+// the fleet feed's sequence is replayed the feed from its oldest event,
+// not left silent until the sequence catches up.
+func TestFleetResumeUnknownID(t *testing.T) {
+	_, hs, cl, _ := ledgerServer(t)
+	if _, err := cl.Verify(context.Background(), verifyMSI(2000), true); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	ids, types := resumeSSE(t, hs, "/debug/dash/events")
+	if len(ids) == 0 || ids[0] != "0" || types[0] != "started" || types[len(types)-1] != "done" {
+		t.Fatalf("resumed fleet stream: ids %v, events %v; want the feed from id 0, started..done", ids, types)
+	}
+}
+
+// TestJobEventsResumeUnknownID: a finished job's stream resumed from an
+// event id past its history replays the history, ending in "done",
+// instead of closing empty.
+func TestJobEventsResumeUnknownID(t *testing.T) {
+	_, hs, cl, _ := ledgerServer(t)
+	view, err := cl.Verify(context.Background(), verifyMSI(2000), true)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	ids, types := resumeSSE(t, hs, "/v1/jobs/"+view.ID+"/events")
+	if strings.Join(ids, ",") != "0" || strings.Join(types, ",") != "done" {
+		t.Fatalf("resumed job stream: ids %v, events %v; want its one done event, id 0", ids, types)
+	}
+}
+
 // TestRunsLegacyLedger: records written before run records carried
 // verdicts still page by protocol. The fixture holds one record each
 // from vnverify, vnexplain, vnmin, a vnserved verify job and a vnserved

@@ -5,52 +5,27 @@ import (
 	"minvn/internal/obs/ledger"
 )
 
-// fleetCap bounds the server-wide activity ring behind /debug/dash.
-// Old events fall off the front; fleetBase tracks the Seq of the
-// oldest retained event so late subscribers know what they missed.
+// fleetCap bounds the server-wide activity feed behind /debug/dash:
+// the oldest events fall off it.
 const fleetCap = 512
 
-// appendFleetLocked stamps a fleet-wide sequence number onto e, stores
-// it in the bounded ring, and wakes dashboard subscribers. Caller
-// holds s.mu. Unlike per-job events, fleet Seq numbers are global and
-// monotonically increasing across the server's lifetime.
-func (s *Server) appendFleetLocked(e Event) {
-	e.Seq = s.fleetSeq
-	s.fleetSeq++
-	s.fleet = append(s.fleet, e)
-	if drop := len(s.fleet) - fleetCap; drop > 0 {
-		s.fleet = append(s.fleet[:0], s.fleet[drop:]...)
-		s.fleetBase += drop
-	}
-	close(s.fleetCh)
-	s.fleetCh = make(chan struct{})
+// publishLocked appends one of a job's events, stamped with its
+// correlation identity, to the job's history and to the fleet feed.
+// Caller holds s.mu.
+func (s *Server) publishLocked(j *Job, e Event) {
+	e = j.event(e)
+	j.events.append(e)
+	s.fleet.append(e)
 }
 
-// fleetEvent builds a fleet ring entry carrying the job's correlation
-// identity; Seq is assigned at append time.
-func fleetEvent(typ string, j *Job, snap *mc.Snapshot, view *JobView) Event {
-	return Event{
-		Type: typ, JobID: j.id,
-		RequestID: j.tc.RequestID, TraceID: j.tc.TraceID,
-		Snapshot: snap, Job: view,
-	}
-}
-
-// FleetEvents returns the server-wide activity events with Seq >= from
-// plus a channel closed on the next append. The fleet feed never
-// terminates: the channel is always non-nil, so dashboard streams stay
-// open across idle periods.
+// FleetEvents returns the server-wide activity events from seq from on
+// (see eventLog.since) plus a channel closed on the next append. The
+// fleet feed never ends: the channel is never nil, so dashboard streams
+// stay open across idle periods.
 func (s *Server) FleetEvents(from int) ([]Event, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if from < s.fleetBase {
-		from = s.fleetBase
-	}
-	var tail []Event
-	if idx := from - s.fleetBase; idx < len(s.fleet) {
-		tail = append(tail, s.fleet[idx:]...)
-	}
-	return tail, s.fleetCh
+	return s.fleet.since(from), s.fleet.updated
 }
 
 // recordJob appends a finished job to the run ledger, if one is

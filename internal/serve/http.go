@@ -120,7 +120,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *task, err err
 func (s *Server) wait(r *http.Request, j *Job) *JobView {
 	for {
 		s.mu.Lock()
-		ch := j.updated
+		ch := j.events.updated
 		view := j.view()
 		done := j.terminal()
 		s.mu.Unlock()
@@ -168,6 +168,24 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // after completion still sees the full sequence ending in "done".
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	streamEvents(w, r, "", func(from int) ([]Event, <-chan struct{}, error) {
+		events, next, ok := s.Events(id, from)
+		if !ok {
+			return nil, nil, errors.New("no such job")
+		}
+		return events, next, nil
+	})
+}
+
+// streamEvents writes an event log as Server-Sent Events: the events
+// from the client's Last-Event-ID on (all of them without one), then
+// each new one, until the client goes away. read returns the events
+// from a sequence number on and a channel closed on the next change; a
+// nil channel ends the stream once those events are written, and an
+// error ends it with an error event. A non-empty hello is written first
+// as a comment line, so a client sees the stream open on an idle feed.
+func streamEvents(w http.ResponseWriter, r *http.Request, hello string,
+	read func(from int) ([]Event, <-chan struct{}, error)) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
@@ -183,11 +201,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	if hello != "" {
+		fmt.Fprintf(w, ": %s\n\n", hello)
+		flusher.Flush()
+	}
 
 	for {
-		events, updated, ok := s.Events(id, from)
-		if !ok {
-			fmt.Fprintf(w, "event: error\ndata: {\"error\":\"no such job\"}\n\n")
+		events, next, err := read(from)
+		if err != nil {
+			data, _ := json.Marshal(errorBody{Error: err.Error()})
+			fmt.Fprintf(w, "event: error\ndata: %s\n\n", data)
 			flusher.Flush()
 			return
 		}
@@ -202,11 +225,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if len(events) > 0 {
 			flusher.Flush()
 		}
-		if updated == nil {
-			return // terminal and fully replayed
+		if next == nil {
+			return
 		}
 		select {
-		case <-updated:
+		case <-next:
 		case <-r.Context().Done():
 			return
 		}

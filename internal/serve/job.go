@@ -62,21 +62,22 @@ type Job struct {
 
 	task *task
 
-	status  JobStatus
-	cached  bool
-	err     string
-	result  json.RawMessage
-	events  []Event
-	updated chan struct{} // closed and replaced on every change
+	status JobStatus
+	cached bool
+	err    string
+	result json.RawMessage
+	// events is the job's replayable history. Its channel also wakes
+	// waiters on a change that adds no event (the job starting).
+	events eventLog
 }
 
 func newJob(id string, t *task) *Job {
 	return &Job{
-		id:      id,
-		tc:      trace.NewTraceContext(t.requestID, id),
-		task:    t,
-		status:  StatusQueued,
-		updated: make(chan struct{}),
+		id:     id,
+		tc:     trace.NewTraceContext(t.requestID, id),
+		task:   t,
+		status: StatusQueued,
+		events: newEventLog(0),
 	}
 }
 
@@ -90,23 +91,54 @@ func (j *Job) view() *JobView {
 	}
 }
 
-// notify wakes every waiter by closing the current update channel and
-// installing a fresh one. Caller holds the server mutex.
-func (j *Job) notify() {
-	close(j.updated)
-	j.updated = make(chan struct{})
+// event stamps e with the job's correlation identity.
+func (j *Job) event(e Event) Event {
+	e.JobID, e.RequestID, e.TraceID = j.id, j.tc.RequestID, j.tc.TraceID
+	return e
 }
 
-// appendEvent records an event in the replayable history and wakes
-// SSE subscribers, stamping the job's correlation identity. Caller
-// holds the server mutex.
-func (j *Job) appendEvent(e Event) {
-	e.Seq = len(j.events)
-	e.JobID = j.id
-	e.RequestID = j.tc.RequestID
-	e.TraceID = j.tc.TraceID
-	j.events = append(j.events, e)
-	j.notify()
+// eventLog is a replayable history of events numbered from 0: a job's,
+// which keeps every event, or the server's fleet feed, which keeps its
+// newest limit. Guarded by the server mutex.
+type eventLog struct {
+	events  []Event
+	base    int           // Seq of events[0]
+	limit   int           // events retained; 0 keeps all
+	updated chan struct{} // closed and replaced on every change
+}
+
+func newEventLog(limit int) eventLog {
+	return eventLog{limit: limit, updated: make(chan struct{})}
+}
+
+// append stamps e with the next sequence number, retains it, dropping
+// the oldest event beyond the limit, and wakes every waiter.
+func (l *eventLog) append(e Event) {
+	e.Seq = l.base + len(l.events)
+	l.events = append(l.events, e)
+	if drop := len(l.events) - l.limit; l.limit > 0 && drop > 0 {
+		l.events = append(l.events[:0], l.events[drop:]...)
+		l.base += drop
+	}
+	l.notify()
+}
+
+// notify wakes every waiter by closing the update channel and
+// installing a fresh one.
+func (l *eventLog) notify() {
+	close(l.updated)
+	l.updated = make(chan struct{})
+}
+
+// since returns the retained events from sequence number from on. A
+// from past the next sequence number is one this log never issued (a
+// client resuming across a server restart, say): like a from older
+// than the oldest retained event, it replays from the oldest one.
+func (l *eventLog) since(from int) []Event {
+	if from < l.base || from > l.base+len(l.events) {
+		from = l.base
+	}
+	return append([]Event(nil), l.events[from-l.base:]...)
 }
 
 // terminal reports whether the job has finished (any way).

@@ -60,9 +60,6 @@ type Config struct {
 	// recorder, exported by GET /debug/trace. 0 disables job tracing
 	// (the endpoint then serves an empty, valid trace document).
 	TraceJobs int
-	// TraceLaneCap bounds each job recorder's per-lane ring; 0 uses
-	// DefaultTraceLaneCap.
-	TraceLaneCap int
 	// BeforeRun, when non-nil, runs at the start of every job
 	// execution (after dequeue, before the task body) with the job's
 	// context, whose deadline is already running. Tests use it to hold
@@ -100,9 +97,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
-	}
-	if cfg.TraceLaneCap <= 0 {
-		cfg.TraceLaneCap = DefaultTraceLaneCap
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -148,13 +142,10 @@ type Server struct {
 	traces     map[string]*trace.Recorder
 	traceOrder []string
 
-	// fleet is the server-wide activity ring feeding the dashboard's
-	// SSE stream: started/snapshot/done events across all jobs, with a
+	// fleet is the server-wide activity feed behind the dashboard's SSE
+	// stream: started/snapshot/done events across all jobs, with a
 	// fleet-wide sequence so reconnects resume via Last-Event-ID.
-	fleet     []Event
-	fleetBase int // Seq of fleet[0]
-	fleetSeq  int
-	fleetCh   chan struct{} // closed and replaced on every append
+	fleet eventLog
 
 	runBase context.Context // canceled by Close to hard-stop runs
 	stopRun context.CancelFunc
@@ -190,7 +181,7 @@ func New(cfg Config) *Server {
 		cache:    newLRUCache(cfg.CacheEntries),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		traces:   make(map[string]*trace.Recorder),
-		fleetCh:  make(chan struct{}),
+		fleet:    newEventLog(fleetCap),
 	}
 	r := cfg.Registry
 	s.mRequests = r.Counter("serve.requests")
@@ -298,8 +289,7 @@ func (s *Server) answerLocked(t *task) (*Job, *JobView, bool) {
 		job.result = ent.result
 		s.jobs[job.id] = job
 		s.retireLocked(job)
-		job.appendEvent(Event{Type: "done", Job: job.view()})
-		s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
+		s.publishLocked(job, Event{Type: "done", Job: job.view()})
 		s.logJob(slog.LevelInfo, "cache_hit", job.tc, "kind", t.kind, "protocol", t.protocol, "produced_by", ent.jobID)
 		return job, job.view(), true
 	}
@@ -356,9 +346,9 @@ func (s *Server) Job(id string) (*JobView, bool) {
 	return j.view(), true
 }
 
-// Events returns the job's event history from seq onward plus a
-// channel that is closed on the next change (nil if the job is
-// terminal and fully replayed).
+// Events returns the job's events from seq from on (see
+// eventLog.since) plus a channel that is closed on the next change (nil
+// if the job is terminal, when they end its history).
 func (s *Server) Events(id string, from int) ([]Event, <-chan struct{}, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,14 +356,10 @@ func (s *Server) Events(id string, from int) ([]Event, <-chan struct{}, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	var tail []Event
-	if from < len(j.events) {
-		tail = append(tail, j.events[from:]...)
-	}
 	if j.terminal() {
-		return tail, nil, true
+		return j.events.since(from), nil, true
 	}
-	return tail, j.updated, true
+	return j.events.since(from), j.events.updated, true
 }
 
 // TraceRecorder returns the flight recorder of the given job, or —
@@ -468,7 +454,7 @@ func (s *Server) runJob(job *Job) {
 	// the run so /debug/trace can export a still-running job.
 	var rec *trace.Recorder
 	if s.cfg.TraceJobs > 0 {
-		rec = trace.New(trace.Config{LaneCapacity: s.cfg.TraceLaneCap})
+		rec = trace.New(trace.Config{LaneCapacity: DefaultTraceLaneCap})
 	}
 
 	// Logged before the status flips, so a client that sees "running"
@@ -496,8 +482,8 @@ func (s *Server) runJob(job *Job) {
 			s.traceOrder = s.traceOrder[1:]
 		}
 	}
-	job.notify()
-	s.appendFleetLocked(fleetEvent("started", job, nil, job.view()))
+	job.events.notify()
+	s.fleet.append(job.event(Event{Type: "started", Job: job.view()}))
 	s.mu.Unlock()
 
 	deadline := effectiveDeadline(job.task.deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
@@ -518,8 +504,7 @@ func (s *Server) runJob(job *Job) {
 			return
 		}
 		s.mu.Lock()
-		job.appendEvent(Event{Type: "snapshot", Snapshot: &snap})
-		s.appendFleetLocked(fleetEvent("snapshot", job, &snap, nil))
+		s.publishLocked(job, Event{Type: "snapshot", Snapshot: &snap})
 		s.mu.Unlock()
 	}
 	// The job lane guarantees the correlation identity appears in the
@@ -576,8 +561,7 @@ func (s *Server) runJob(job *Job) {
 	s.retireLocked(job)
 	s.running--
 	s.gRunning.Set(int64(s.running))
-	job.appendEvent(Event{Type: "done", Job: job.view()})
-	s.appendFleetLocked(fleetEvent("done", job, nil, job.view()))
+	s.publishLocked(job, Event{Type: "done", Job: job.view()})
 	// Recorded and published: nothing reads the search (a verify job's
 	// compiled system) or the run closure again, so a job kept in the
 	// terminal window does not keep them.
