@@ -203,7 +203,7 @@ func TestDistParityComplete(t *testing.T) {
 // with symmetry reduction on at 3 caches, where the parity suite cannot:
 // there the counts depend on which orbit representative is stored
 // first, so they move with the fleet size and with the order a worker
-// settles its candidates in (local ones in generation order, then
+// stores its states in (its own successors in generation order, then
 // received batches by sender and sequence; package comment, "Parity").
 // The numbers were recorded before the worker's data path was last
 // rewritten, over HTTP, and hold on both transports; the 2-worker ones

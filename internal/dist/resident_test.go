@@ -54,10 +54,9 @@ func TestDistAllocsPerState(t *testing.T) {
 }
 
 // TestDistFrontierBytes pins what a worker counts beside its visited set
-// (Health.FrontierBytes: its frontier, candidate arena and pending peer
-// buffers) and that the coordinator's
-// merged report is the workers' sum, read off each worker's last settle
-// response on the wire.
+// (Health.FrontierBytes: its state-log chunks and pending peer buffers)
+// and that the coordinator's merged report is the workers' sum, read off
+// each worker's last settle response on the wire.
 func TestDistFrontierBytes(t *testing.T) {
 	t.Parallel()
 	var mu sync.Mutex

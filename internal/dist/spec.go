@@ -15,11 +15,10 @@
 // # Search structure
 //
 // The search is a level-synchronized distributed BFS. For each depth d
-// the coordinator tells every worker to expand its depth-d frontier
-// (workers forward each non-owned successor to its owner as they go),
-// then to settle: deduplicate the accumulated depth-d+1 candidates
-// against the worker's visited store and report its cumulative
-// mc.Snapshot.
+// the coordinator tells every worker to expand its depth-d frontier —
+// settling each owned successor as it is generated, and forwarding each
+// non-owned one to its owner — then to settle: store the depth-d+1
+// states its peers sent, and report its cumulative mc.Snapshot.
 // Termination detection is distributed quiescence with in-flight
 // accounting — every frontier batch is acknowledged before a worker
 // reports its expansion done, expand responses carry per-peer sent
@@ -50,8 +49,10 @@
 // sequential engine's mid-level cut. Both are why Job.Key keys a
 // distributed job on engine=dist and its fleet size.
 //
-// A search is counted once. Each worker keeps mc's books (mc.Books) for
-// its owned slice and reports their mc.Snapshot; the coordinator merges
+// A search is counted once, and searched by one core. Each worker runs
+// mc's search core over its owned slice (an mc.Partition: its collector,
+// settle, state log, books and memory stop) and reports its
+// mc.Snapshot; the coordinator merges
 // the workers' latest snapshots with mc.MergeSnapshots, the in-process
 // engines' derivation. A field added to the snapshot is counted in mc
 // and merged there, and the parity suite compares the whole merged

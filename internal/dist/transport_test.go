@@ -13,6 +13,7 @@ import (
 	"go/parser"
 	"go/token"
 	"hash/fnv"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -201,6 +202,77 @@ func TestInitStopsReplacedRun(t *testing.T) {
 	}
 	if r := ws[0].run.Load(); r == nil || r.id != "B" {
 		t.Error("worker 0 does not serve run B")
+	}
+}
+
+// refusing is a member that refuses op with err, as a worker at a
+// capacity limit refuses it.
+type refusing struct {
+	member
+	op  string
+	err error
+}
+
+func (r refusing) expand(ctx context.Context, in expandReq) (expandResp, error) {
+	if r.op == "expand" {
+		return expandResp{}, r.err
+	}
+	return r.member.expand(ctx, in)
+}
+
+func (r refusing) settle(ctx context.Context, in settleReq) (report, error) {
+	if r.op == "settle" {
+		return report{}, r.err
+	}
+	return r.member.settle(ctx, in)
+}
+
+// TestDistCapacity: a worker that refuses expand for capacity (its held
+// bytes at the memory limit) or settle (its visited set full) ends the
+// run as Capacity, with no error, the refusal's text as the message and
+// the fleet canceled. Over HTTP the refusal is the worker's answer, so
+// it crosses the wire as its status code.
+func TestDistCapacity(t *testing.T) {
+	for _, transport := range transports {
+		for _, op := range []string{"expand", "settle"} {
+			t.Run(transport+"/"+op, func(t *testing.T) {
+				refusal := refuse(capacity, "%s: %w", op, &mc.CapacityError{Limit: "memory", Max: 1 << 20})
+				ws := []*Worker{NewWorker(), NewWorker()}
+				var members []member
+				var peers []peer
+				var urls []string
+				if transport == "in-process" {
+					members, peers = []member{ws[0], refusing{ws[1], op, refusal}}, []peer{ws[0], ws[1]}
+				} else {
+					for i, w := range ws {
+						h := w.Handler()
+						if inner := h; i == 1 {
+							h = http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+								if req.URL.Path == "/dist/v1/"+op {
+									writeError(rw, refusal)
+									return
+								}
+								inner.ServeHTTP(rw, req)
+							})
+						}
+						srv := httptest.NewServer(h)
+						t.Cleanup(srv.Close)
+						urls = append(urls, srv.URL)
+					}
+					members = dialFleet(urls)
+				}
+				job := Job{Config: minimal(t, "MSI_nonblocking_cache", 2), Options: mc.Options{DisableTraces: true}, Peers: urls}
+				got, err := check(context.Background(), job, members, peers)
+				if err != nil || got.Outcome != mc.Capacity || got.Message != refusal.Error() {
+					t.Fatalf("%v %q, err %v; want Capacity %q and no error", got.Outcome, got.Message, err, refusal.Error())
+				}
+				for i, w := range ws {
+					if w.run.Load() != nil {
+						t.Errorf("worker %d still serves its run", i)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"minvn/internal/machine"
 	"minvn/internal/mc"
-	"minvn/internal/obs/health"
 )
 
 // Control-plane request/response bodies. One coordinator drives each
@@ -38,8 +36,8 @@ type expandReq struct {
 }
 
 // terminalReport describes a deadlock or violation hit while expanding
-// (a capacity stop happens at settle instead). State is the offending
-// raw state: with no parent table, like DisableTraces, the trace is the
+// (a capacity stop is a refusal instead). State is the offending raw
+// state: with no parent table, like DisableTraces, the trace is the
 // single terminal state.
 type terminalReport struct {
 	Kind    string `json:"kind"` // "deadlock" or "violation"
@@ -73,9 +71,10 @@ type cancelReq struct {
 }
 
 // report is one worker's cumulative account, the answer to init and to
-// every settle: the snapshot of its slice of the search (mc.Books'),
-// with its occupancy profile in it. The coordinator keeps each worker's
-// latest report and merges them with mc.MergeSnapshots.
+// every settle: the snapshot of its slice of the search (its
+// mc.Partition's), with its occupancy profile in it. The coordinator
+// keeps each worker's latest report and merges them with
+// mc.MergeSnapshots.
 type report struct {
 	Stats mc.Snapshot `json:"stats"`
 }
@@ -92,7 +91,7 @@ type errKind int
 const (
 	badCall  errKind = iota // the request is malformed
 	conflict                // no such run, another depth, a receipt count mismatch: retrying cannot help
-	capacity                // the visited set reached a limit (*mc.CapacityError): the run ends as Capacity
+	capacity                // the search reached a limit (*mc.CapacityError): the run ends as Capacity
 )
 
 func refuse(kind errKind, format string, args ...any) error {
@@ -102,11 +101,12 @@ func refuse(kind errKind, format string, args ...any) error {
 func (e *callError) Error() string { return e.err.Error() }
 func (e *callError) Unwrap() error { return e.err }
 
-// Worker hosts the distributed engine's per-process state: the owned
-// slice of the visited set, the current frontier, and the accumulating
-// candidates for the next depth. One Worker serves one run at a time; a
-// new init replaces and stops any previous run. A Worker is a member
-// and a peer, called directly in process and through Handler over HTTP.
+// Worker hosts the distributed engine's per-process state: one run's
+// partition of the search — its owned slice of the visited set and its
+// frontier — and the frontier batches peers have sent it for the next
+// depth. One Worker serves one run at a time; a new init replaces and
+// stops any previous run. A Worker is a member and a peer, called
+// directly in process and through Handler over HTTP.
 type Worker struct {
 	run atomic.Pointer[workerRun] // the active run, nil when idle
 }
@@ -115,101 +115,29 @@ type Worker struct {
 func NewWorker() *Worker { return &Worker{} }
 
 // workerRun is one run's state. Control calls are serialized by the
-// coordinator and additionally by ctrlMu; deliver runs concurrently
-// with expand (peers ship batches while this worker is itself
-// expanding) and touches only candMu-guarded state — frontier receipt
-// MUST NOT take ctrlMu, or two workers mid-expand shipping to each
-// other would deadlock waiting for acknowledgements.
+// coordinator and additionally by ctrlMu, which guards the partition;
+// deliver runs concurrently with expand (peers ship batches while this
+// worker is itself expanding) and touches only recvMu-guarded state —
+// frontier receipt MUST NOT take ctrlMu, or two workers mid-expand
+// shipping to each other would deadlock waiting for acknowledgements.
 type workerRun struct {
 	id       string
 	self, n  int
-	sys      *machine.System
-	visited  *mc.VisitedStore
 	canceled atomic.Bool
 
 	ctrlMu   sync.Mutex
-	depth    int      // depth of the states in frontier
-	frontier levelLog // settled states awaiting expansion
-	expanded bool     // expand(depth) done, settle(depth) pending
-	cands    candidates
+	part     *mc.Partition
+	depth    int  // depth of the partition's frontier
+	expanded bool // expand(depth) done, settle(depth) pending
 
-	candMu      sync.Mutex
+	recvMu      sync.Mutex
 	recv        [][]*batch // by sender: the batches applied at this depth, in arrival order
 	recvEntries int
-
-	// Cumulative accounting: mc's books, plus the position a snapshot
-	// reports.
-	books      *mc.Books
-	states     int
-	expansions int
-	maxDepth   int
-	key        []byte // AppendCanonical's destination, under ctrlMu
-	prof       *machine.OccupancyProfiler
 
 	peers   []peer
 	seq     uint64   // next frontier batch sequence (unique across the run)
 	pending []outbox // per-peer unflushed states
 }
-
-// levelLog is one BFS level's states back to back in one byte slice,
-// in storage order: the level-synchronous counterpart of mc's stateLog.
-// A worker's frontier is one: expand reads it, and settle rebuilds it
-// in place — by then every state in it has been expanded — so its bytes
-// are reused level after level and a stored state is copied once.
-type levelLog struct {
-	buf  []byte
-	ends []int
-}
-
-func (l *levelLog) reset() { l.buf, l.ends = l.buf[:0], l.ends[:0] }
-
-func (l *levelLog) add(s []byte) {
-	l.buf = append(l.buf, s...)
-	l.ends = append(l.ends, len(l.buf))
-}
-
-func (l *levelLog) held() int64 { return int64(cap(l.buf) + 8*cap(l.ends)) }
-
-// candidates are a level's self-owned successors in generation order,
-// kept the way mc's collector keeps them so settle can store one
-// without canonicalizing it again: raw bytes and, when it differs, the
-// canonical key back to back in one arena, plus the fingerprint. The
-// arena is reused level after level.
-type candidates struct {
-	arena []byte
-	spans []candSpan
-}
-
-// candSpan locates one candidate: raw bytes in arena[lo:mid], its key in
-// arena[mid:end], or the raw bytes again when mid == end.
-type candSpan struct {
-	lo, mid, end int
-	fp           uint64
-}
-
-func (c *candidates) reset() { c.arena, c.spans = c.arena[:0], c.spans[:0] }
-
-// add copies a lent successor and its key (which may alias it) in.
-func (c *candidates) add(raw, key []byte, fp uint64) {
-	lo := len(c.arena)
-	c.arena = append(c.arena, raw...)
-	mid := len(c.arena)
-	if &key[0] != &raw[0] {
-		c.arena = append(c.arena, key...)
-	}
-	c.spans = append(c.spans, candSpan{lo, mid, len(c.arena), fp})
-}
-
-// at returns the bytes sp locates, valid until the next add or reset.
-func (c *candidates) at(sp candSpan) (raw, key []byte) {
-	raw = c.arena[sp.lo:sp.mid:sp.mid]
-	if sp.mid == sp.end {
-		return raw, raw
-	}
-	return raw, c.arena[sp.mid:sp.end:sp.end]
-}
-
-func (c *candidates) held() int64 { return int64(cap(c.arena) + 32*cap(c.spans)) } // a candSpan is 32 B
 
 // outbox is one peer's unflushed successors, already in entry wire form
 // (appendEntry); the buffer is reused once a flush has framed it.
@@ -218,8 +146,8 @@ type outbox struct {
 	n       int
 }
 
-// init builds the run's system, settles its owned initial states at
-// depth 0 and reports its first account.
+// init builds the run's system and partition, which settles its owned
+// initial states at depth 0, and reports its first account.
 func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 	if len(in.Spec) == 0 || in.Workers < 1 || in.Self < 0 || in.Self >= in.Workers ||
 		len(in.peers) != in.Workers || in.RunID == "" {
@@ -243,27 +171,18 @@ func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 	}
 	r := &workerRun{
 		id: in.RunID, self: in.Self, n: in.Workers,
-		sys: sys, visited: mc.NewVisitedStore(store, 1),
-		books:   mc.NewBooks(sys, 1),
 		peers:   in.peers,
 		pending: make([]outbox, in.Workers),
 	}
+	opts := mc.Options{Store: store}
 	if in.Occupancy {
-		r.prof = sys.NewOccupancyProfiler()
+		opts.Observer = sys.NewOccupancyProfiler()
 	}
-	// Settle the owned initial states at depth 0. Every worker computes
-	// the same Initial() list and keeps its owned slice, so the union
-	// across the fleet is exactly the sequential engine's initial
-	// frontier, each state probed at exactly one owner.
-	for _, s := range sys.Initial() {
-		key := r.canonical(s)
-		fp := mc.Fingerprint(key)
-		if mc.OwnerOf(fp, r.n) != r.self {
-			continue
-		}
-		if err := r.store(s, key, fp, 0); err != nil {
-			return report{}, fmt.Errorf("init: %w", err)
-		}
+	// Every worker computes the same Initial() list and keeps its owned
+	// slice, so the union across the fleet is exactly the sequential
+	// engine's initial frontier, each state probed at exactly one owner.
+	if r.part, err = mc.NewPartition(sys, opts, in.Self, in.Workers, r.pendingBytes); err != nil {
+		return report{}, refuse(capacity, "init: %w", err)
 	}
 	r.promote(0)
 	if old := w.run.Swap(r); old != nil {
@@ -274,83 +193,34 @@ func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 	return r.report(), nil
 }
 
-// canonical returns s's canonical form, in the run's key buffer unless s
-// is canonical already; it is valid until the next call. Like every
-// control-path method it runs under ctrlMu (or before the run is
-// published).
-func (r *workerRun) canonical(s []byte) []byte {
-	ck := r.sys.AppendCanonical(r.key, s)
-	if len(ck) > 0 && &ck[0] != &s[0] {
-		r.key = ck[:0]
-	}
-	return ck
-}
-
-// store probes one candidate at the given depth by its canonical key
-// and fingerprint and, if it is fresh, copies its raw bytes into the
-// frontier — the only copy a stored state gets, and the distributed
-// counterpart of the sequential engine's settle.
-func (r *workerRun) store(s, key []byte, fp uint64, depth int) error {
-	_, fresh, conflated, err := r.visited.Insert(fp, key, int32(r.states))
-	if err != nil {
-		return err
-	}
-	r.books.Probe(fp, int32(depth), fresh, conflated)
-	if !fresh {
-		return nil
-	}
-	r.states++
-	r.maxDepth = max(r.maxDepth, depth)
-	r.frontier.add(s)
-	if r.prof != nil {
-		r.prof.Observe(s)
-	}
-	return nil
-}
-
-// promote makes the settled frontier the one at the given depth, empties
-// the candidate arena and drops the received batches, whose bodies their
-// entries alias. The depth write happens under candMu (in addition to
-// the caller's ctrlMu) because deliver reads it under candMu alone.
+// promote makes the partition's frontier the one at the given depth and
+// drops the received batches, whose bodies their entries alias. The
+// depth write happens under recvMu (in addition to the caller's ctrlMu)
+// because deliver reads it under recvMu alone.
 func (r *workerRun) promote(depth int) {
-	r.cands.reset()
 	r.expanded = false
-	r.candMu.Lock()
+	r.recvMu.Lock()
 	r.depth = depth
 	r.recv = make([][]*batch, r.n)
 	r.recvEntries = 0
-	r.candMu.Unlock()
+	r.recvMu.Unlock()
 }
 
-// heldBytes is what the worker holds beside its visited set: the
-// frontier, the candidate arena and the pending peer buffers, each at
-// its capacity, the way mc counts its state log's free chunks. Received
-// batch bodies are not among them: a worker reports only after promote
-// has dropped them.
-func (r *workerRun) heldBytes() int64 {
-	n := r.frontier.held() + r.cands.held()
+// pendingBytes is what the worker holds for its peers, each pending
+// buffer at its capacity: the partition counts it in its frontier bytes
+// and against the memory limit. Received batch bodies are not among
+// them: a worker reports only after promote has dropped them.
+func (r *workerRun) pendingBytes() int64 {
+	var n int64
 	for _, o := range r.pending {
 		n += int64(cap(o.entries))
 	}
 	return n
 }
 
-// report is the worker's account so far. It has no clock: the
-// coordinator merges over its own, and stamps the search's identity.
-func (r *workerRun) report() report {
-	_, arena, setB := r.visited.Stats()
-	s := mc.Snapshot{
-		States:     r.states,
-		Frontier:   len(r.frontier.ends),
-		MaxDepth:   r.maxDepth,
-		Expansions: int64(r.expansions),
-		Health:     &health.Report{ArenaBytes: arena, SetBytes: setB, FrontierBytes: r.heldBytes()},
-	}
-	if r.prof != nil {
-		s.Occupancy = r.prof.Stats()
-	}
-	return report{Stats: r.books.Snapshot(s)}
-}
+// report is the worker's account so far. The coordinator merges it over
+// its own clock, and stamps the search's identity.
+func (r *workerRun) report() report { return report{Stats: r.part.Snapshot()} }
 
 // lockRun returns the named run with ctrlMu held, for the caller to
 // release, if it is active, at depth, and expanded there or not as asked.
@@ -367,76 +237,50 @@ func (w *Worker) lockRun(op, runID string, depth int, expanded bool) (*workerRun
 	return r, nil
 }
 
-// expand runs the worker's share of one BFS level: expand every
-// frontier state, keep self-owned successors, and ship the rest to
-// their owners. Every shipped batch is acknowledged before expand
-// returns, so once all expand responses are in, every candidate for
-// the next depth has landed at its owner. The visit canonicalizes and
-// fingerprints each successor once, in the machine's work buffer: a
-// self-owned one goes to the candidate arena with its key and
-// fingerprint, which settle stores from; a peer's is appended in wire
-// form to that peer's pending buffer. Nothing is allocated per
-// successor once the buffers are warm. Between states expand stops if
-// ctx has ended or the run was canceled.
+// expand runs the worker's share of one BFS level: the partition
+// expands every frontier state, settling self-owned successors, and the
+// rest are appended in wire form to their owners' pending buffers.
+// Between states expand stops if ctx has ended or the run was canceled,
+// and ships full buffers otherwise — keeping delivery out of the visit;
+// a batch overshoots flushEntries by less than one state's fan-out.
+// Every shipped batch is acknowledged before expand returns, so once all
+// expand responses are in, every successor for the next depth has landed
+// at its owner. Nothing is allocated per successor once the buffers are
+// warm.
 func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
 	r, err := w.lockRun("expand", in.RunID, in.Depth, false)
 	if err != nil {
 		return expandResp{}, err
 	}
 	defer r.ctrlMu.Unlock()
+	r.expanded = true
 	resp := expandResp{Sent: make([]int, r.n)}
-	visit := func(succ []byte, rule int) {
-		r.books.Fire(rule)
-		key := r.canonical(succ)
-		fp := mc.Fingerprint(key)
-		owner := mc.OwnerOf(fp, r.n)
-		if owner == r.self {
-			r.cands.add(succ, key, fp)
-			return
-		}
+	ship := func(succ []byte, owner int) {
 		resp.Sent[owner]++
 		o := &r.pending[owner]
 		o.entries = appendEntry(o.entries, succ)
 		o.n++
 	}
-	lo := 0
-	for _, hi := range r.frontier.ends {
-		st := r.frontier.buf[lo:hi:hi]
-		lo = hi
+	more := func() bool {
 		if r.canceled.Load() || ctx.Err() != nil {
 			resp.SendFailed = "run canceled"
-			return resp, nil
-		}
-		t0 := r.books.StartExpansion(r.expansions)
-		n, err := r.sys.Expand(st, visit)
-		r.books.EndExpansion(t0)
-		r.expansions++
-		switch {
-		case err != nil:
-			resp.Terminal = &terminalReport{Kind: "violation", Message: err.Error()}
-		case n == 0 && !r.sys.Quiescent(st):
-			resp.Terminal = &terminalReport{Kind: "deadlock", Message: "no enabled rule in non-quiescent state"}
-		}
-		if resp.Terminal != nil {
-			// A copy: in process the report is not re-encoded, and st is
-			// the frontier's buffer.
-			resp.Terminal.State = slices.Clone(st)
-			r.expanded = true
-			return resp, nil
-		}
-		r.books.AddGenerated(n)
-		// Flushing between expansions keeps delivery out of the visit; a
-		// batch overshoots flushEntries by less than one state's fan-out.
-		if err := r.flush(ctx, flushEntries); err != nil {
+		} else if err := r.flush(ctx, flushEntries); err != nil {
 			resp.SendFailed = err.Error()
-			r.expanded = true
-			return resp, nil
+		}
+		return resp.SendFailed == ""
+	}
+	term, err := r.part.Expand(ship, more)
+	switch {
+	case err != nil:
+		return expandResp{}, refuse(capacity, "expand: %w", err)
+	case term.Outcome == mc.Deadlock || term.Outcome == mc.Violation:
+		// The trace is the core's copy of the state.
+		resp.Terminal = &terminalReport{Kind: term.Outcome.Tag(), Message: term.Message, State: term.Trace[0]}
+	case resp.SendFailed == "":
+		if err := r.flush(ctx, 1); err != nil {
+			resp.SendFailed = err.Error()
 		}
 	}
-	if err := r.flush(ctx, 1); err != nil {
-		resp.SendFailed = err.Error()
-	}
-	r.expanded = true
 	return resp, nil
 }
 
@@ -462,7 +306,7 @@ func (r *workerRun) flush(ctx context.Context, atLeast int) error {
 		}
 		t0 := time.Now()
 		err = r.peers[p].deliver(ctx, data)
-		r.books.SendWait(time.Since(t0))
+		r.part.SendWait(time.Since(t0))
 		if err != nil {
 			return fmt.Errorf("dist: frontier send to worker %d: %w", p, err)
 		}
@@ -488,8 +332,8 @@ func (w *Worker) deliver(_ context.Context, data []byte) error {
 	if b.From < 0 || b.From >= r.n || b.From == r.self {
 		return refuse(badCall, "frontier: bad sender %d", b.From)
 	}
-	r.candMu.Lock()
-	defer r.candMu.Unlock()
+	r.recvMu.Lock()
+	defer r.recvMu.Unlock()
 	if b.Depth != r.depth {
 		return refuse(conflict, "frontier: batch for depth %d, worker at depth %d", b.Depth, r.depth)
 	}
@@ -504,50 +348,37 @@ func (w *Worker) deliver(_ context.Context, data []byte) error {
 }
 
 // settle checks that every entry the peers reported sending here has
-// arrived, stores the level's fresh candidates as the frontier at the
-// next depth and reports its account. It stores in a fixed
-// order: local candidates in generation order, then received batches by
-// (sender asc, sequence asc). The order is load-bearing: under symmetry
-// reduction it decides which orbit representative is stored, and with
-// it the state counts (package comment, "Parity"; TestDistStoredCounts).
-// Every state in the frontier has been expanded, so the next level is
-// built in its place. Local candidates come with their key and
-// fingerprint; a received state's are recomputed here, so the wire is
-// never trusted about identity or ownership.
+// arrived, has the partition store the received states at the next
+// depth and reports its account. They are stored by (sender asc,
+// sequence asc), after the level's own successors, which expand stored.
+// The order is load-bearing: under symmetry reduction it decides which
+// orbit representative is stored, and with it the state counts (package
+// comment, "Parity"; TestDistStoredCounts). The partition recomputes a
+// received state's key and fingerprint, so the wire is never trusted
+// about identity or ownership.
 func (w *Worker) settle(_ context.Context, in settleReq) (report, error) {
 	r, err := w.lockRun("settle", in.RunID, in.Depth, true)
 	if err != nil {
 		return report{}, err
 	}
 	defer r.ctrlMu.Unlock()
-	r.candMu.Lock()
+	r.recvMu.Lock()
 	got, batches := r.recvEntries, r.recv
-	r.candMu.Unlock()
+	r.recvMu.Unlock()
 	if got != in.Expect {
 		return report{}, refuse(conflict,
 			"settle depth %d: received %d frontier entries, peers reported sending %d",
 			in.Depth, got, in.Expect)
 	}
-	depth := r.depth + 1
-	r.frontier.reset()
-	for _, sp := range r.cands.spans {
-		raw, key := r.cands.at(sp)
-		if err := r.store(raw, key, sp.fp, depth); err != nil {
-			return report{}, refuse(capacity, "settle: %w", err)
-		}
-	}
 	for _, bs := range batches {
 		sort.Slice(bs, func(i, j int) bool { return bs[i].Seq < bs[j].Seq })
 		for _, b := range bs {
-			for _, s := range b.States {
-				key := r.canonical(s)
-				if err := r.store(s, key, mc.Fingerprint(key), depth); err != nil {
-					return report{}, refuse(capacity, "settle: %w", err)
-				}
+			if err := r.part.Settle(b.States); err != nil {
+				return report{}, refuse(capacity, "settle: %w", err)
 			}
 		}
 	}
-	r.promote(depth)
+	r.promote(r.depth + 1)
 	return r.report(), nil
 }
 

@@ -15,19 +15,19 @@ import (
 // for the worker profile, keeping the clock-read cost off the hot path.
 const expandSample = 8
 
-// Books are one search's counts: dedup hits and the conflated ones among
+// books are one search's counts: dedup hits and the conflated ones among
 // them, generated successors, the depth histogram, rule firings by id,
 // the per-stripe occupancy and dedup histograms and the per-worker
-// profiles. Every engine keeps the same books — the in-process search
-// core in its tracker, each distributed worker for its owned slice — and
-// reports them through Snapshot, so a counter is defined once and every
+// profiles. Every engine keeps the same books — the search core in its
+// tracker, in process and in each distributed worker's Partition — and
+// reports them through report, so a counter is defined once and every
 // engine's snapshot carries it. A probe is either a stored state or a
 // dedup hit, so States + DedupHits is the probe count and the books need
 // no third counter.
 //
 // The books are single-threaded, written only from the store path,
 // except for the worker profiles, which are internally atomic.
-type Books struct {
+type books struct {
 	exp        Expander // resolves rule ids, once per snapshot
 	dedupHits  int64
 	unverified int64 // conflated dedup hits (compact store)
@@ -38,23 +38,23 @@ type Books struct {
 	workers    *health.WorkerSet
 }
 
-// NewBooks opens the books of a search of exp's model with the given
+// newBooks opens the books of a search of exp's model with the given
 // number of worker profiles.
-func NewBooks(exp Expander, workers int) *Books {
-	b := &Books{exp: exp, workers: health.NewWorkerSet(workers)}
+func newBooks(exp Expander, workers int) *books {
+	b := &books{exp: exp, workers: health.NewWorkerSet(workers)}
 	if names := exp.RuleNames(); names != nil {
 		b.rules = make([]int64, len(names))
 	}
 	return b
 }
 
-// Probe accounts one visited-set lookup; fresh means the state was new
+// probe accounts one visited-set lookup; fresh means the state was new
 // and stored at the given depth. fp is the state's fingerprint,
 // attributing the probe to its telemetry stripe. conflated marks a
 // compact-store duplicate verdict that could not be byte-verified;
 // conflation verdicts are stable over a run (see setShard.lookup), so
 // this count is deterministic and identical across engines.
-func (b *Books) Probe(fp uint64, depth int32, fresh, conflated bool) {
+func (b *books) probe(fp uint64, depth int32, fresh, conflated bool) {
 	if !fresh {
 		b.dedupHits++
 		if conflated {
@@ -70,8 +70,8 @@ func (b *Books) Probe(fp uint64, depth int32, fresh, conflated bool) {
 	b.depthHist[depth]++
 }
 
-// Fire records a rule firing (one generated successor) by rule id.
-func (b *Books) Fire(rule int) {
+// fire records a rule firing (one generated successor) by rule id.
+func (b *books) fire(rule int) {
 	if b.rules == nil {
 		return
 	}
@@ -81,39 +81,39 @@ func (b *Books) Fire(rule int) {
 	b.rules[rule]++
 }
 
-// AddGenerated counts the n successors of one expansion that did not end
+// addGenerated counts the n successors of one expansion that did not end
 // the search.
-func (b *Books) AddGenerated(n int) { b.generated += int64(n) }
+func (b *books) addGenerated(n int) { b.generated += int64(n) }
 
-// StartExpansion starts the clock on expansion number n (counted from 0)
+// startExpansion starts the clock on expansion number n (counted from 0)
 // when it falls in the 1-in-expandSample timing sample, and returns the
 // zero time when it does not.
-func (b *Books) StartExpansion(n int) time.Time {
+func (b *books) startExpansion(n int) time.Time {
 	if n%expandSample != 0 {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// EndExpansion closes StartExpansion's clock: a sampled expansion is
+// endExpansion closes startExpansion's clock: a sampled expansion is
 // one batch of one state on worker profile 0.
-func (b *Books) EndExpansion(t0 time.Time) {
+func (b *books) endExpansion(t0 time.Time) {
 	if !t0.IsZero() {
 		b.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
 	}
 }
 
-// SendWait records time worker 0 spent blocked handing work on.
-func (b *Books) SendWait(d time.Duration) { b.workers.Worker(0).AddSendWait(d) }
+// sendWait records time worker 0 spent blocked handing work on.
+func (b *books) sendWait(d time.Duration) { b.workers.Worker(0).AddSendWait(d) }
 
-// Snapshot derives a snapshot from the books — the one derivation every
+// report derives a snapshot from the books — the one derivation every
 // engine reports through. s carries what only the caller knows: its
 // identity (Strategy, Store), its position (ElapsedSeconds, States,
 // Frontier, MaxDepth, Expansions, Final), the heap, the occupancy
 // profile and, in s.Health when non-nil, the footprint and scheduling
 // fields. The books add their counters, histograms, rule firings and
 // contention profile, and derive the rates.
-func (b *Books) Snapshot(s Snapshot) Snapshot {
+func (b *books) report(s Snapshot) Snapshot {
 	s.Generated = b.generated
 	s.DedupHits = b.dedupHits
 	s.DepthHistogram = append([]int64(nil), b.depthHist...)

@@ -5,7 +5,7 @@ package mc
 //
 //   - the visited set (shardset.go) picks an in-process shard with
 //     FingerprintMix(fp) & mask;
-//   - the telemetry stripes (stripeOf, through which Books attributes
+//   - the telemetry stripes (stripeOf, through which the books attribute
 //     every probe) use the same mix over a fixed health.Stripes
 //     partition;
 //   - the distributed engine (internal/dist) assigns a state to its

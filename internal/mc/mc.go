@@ -404,13 +404,7 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 			continue
 		}
 
-		t0 := s.tr.StartExpansion(s.res.Rules)
-		sp := s.lane.Start("expand")
-		s.col.reset()
-		e := s.col.expand(w)
-		s.col.resolve()
-		sp.EndArg("succs", int64(len(e.succs)))
-		s.tr.EndExpansion(t0)
+		e := s.collect(w)
 		if res, done := s.merge(&e); done {
 			return res
 		}

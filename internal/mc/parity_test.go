@@ -10,7 +10,9 @@ package mc_test
 // stopping point must not count.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"reflect"
 	"testing"
 	"time"
@@ -69,7 +71,9 @@ var smallSize, paperSize = [3]int{2, 1, 1}, [3]int{3, 2, 2}
 
 // parityCases are the parity suite's rows. The 3c/2d/2a rows are the
 // paper's system under the minimal assignment: the exact pin of the
-// search at that size.
+// search at that size. The complete 3c/1d/1a row is one where symmetry
+// reduction stores whichever orbit representative comes first, so it
+// pins the store order itself.
 var parityCases = []parityCase{
 	{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal", smallSize,
 		mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 20, 5787},
@@ -83,6 +87,8 @@ var parityCases = []parityCase{
 		mc.Options{MaxStates: 3000, DisableTraces: true}, 1764, 20, 1680},
 	{"CHI-permsg-bounded", "CHI", "permsg", smallSize,
 		mc.Options{MaxStates: 2000, DisableTraces: true}, 2000, 32, 3480},
+	{"CXL-minimal-complete", "CXL_cache", "minimal", [3]int{3, 1, 1},
+		mc.Options{DisableTraces: true}, 44662, 57, 98838},
 	{"MSI-minimal-paper", "MSI_nonblocking_cache", "minimal", paperSize,
 		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
 	{"MESI-minimal-paper", "MESI_nonblocking_cache", "minimal", paperSize,
@@ -250,6 +256,66 @@ func TestPipelineParityAllProtocols(t *testing.T) {
 				if string(seq.Trace[i]) != string(pip.Trace[i]) {
 					t.Fatalf("trace diverges at step %d", i)
 				}
+			}
+		})
+	}
+}
+
+// TestPartitionIsSeqCore pins what a distributed worker rests on: a
+// one-owner Partition, driven level by level, is the sequential BFS with
+// traces off. On every parity row that MaxStates does not cut — a
+// partition applies no bound, its caller stops it between levels — it
+// hands its observer the same states in the same order, stops at the
+// same violation or deadlock, and ends with the same states, depth,
+// expansions, generated successors, dedup hits, rule firings and depth
+// histogram as mc.Check. The 3-cache row is where the order decides
+// which orbit representative is stored.
+func TestPartitionIsSeqCore(t *testing.T) {
+	for _, tc := range parityCases {
+		if tc.opts.MaxStates > 0 && tc.states >= tc.opts.MaxStates {
+			continue // cut mid-level, where a partition is never cut
+		}
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys := paritySystem(t, tc.proto, tc.vnMode, tc.size[0], tc.size[1], tc.size[2])
+			opts := tc.opts
+			opts.DisableTraces = true
+			seqObs := hashingObserver{sha256.New()}
+			opts.Observer = seqObs
+			want := mc.Check(sys, opts)
+
+			obs := hashingObserver{sha256.New()}
+			p, err := mc.NewPartition(sys, mc.Options{Observer: obs}, 0, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ship := func([]byte, int) { t.Fatal("a lone owner shipped a state") }
+			more := func() bool { return true }
+			got := p.Snapshot()
+			var res mc.Result
+			for depth := 0; got.Frontier > 0 && res.Message == "" && (tc.opts.MaxDepth == 0 || depth < tc.opts.MaxDepth); depth++ {
+				if res, err = p.Expand(ship, more); err != nil {
+					t.Fatalf("depth %d: %v", depth, err)
+				}
+				got = p.Snapshot()
+			}
+			// A violation or deadlock ends both at the same state.
+			if terminal := want.Outcome == mc.Deadlock || want.Outcome == mc.Violation; terminal != (res.Message != "") ||
+				terminal && (res.Outcome != want.Outcome || res.Message != want.Message) {
+				t.Fatalf("partition ended %v %q; seq %v %q", res.Outcome, res.Message, want.Outcome, want.Message)
+			}
+			w := want.Stats
+			if got.States != want.States || got.MaxDepth != want.MaxDepth || got.Expansions != int64(want.Rules) ||
+				got.Generated != w.Generated || got.DedupHits != w.DedupHits {
+				t.Errorf("partition: %d states, depth %d, %d expansions, %d generated, %d dedup hits; seq %v, %d generated, %d dedup hits",
+					got.States, got.MaxDepth, got.Expansions, got.Generated, got.DedupHits, want, w.Generated, w.DedupHits)
+			}
+			if !reflect.DeepEqual(got.DepthHistogram, w.DepthHistogram) || !reflect.DeepEqual(got.RuleFirings, w.RuleFirings) {
+				t.Errorf("partition histogram %v, firings %v; seq %v, %v", got.DepthHistogram, got.RuleFirings, w.DepthHistogram, w.RuleFirings)
+			}
+			if !bytes.Equal(obs.h.Sum(nil), seqObs.h.Sum(nil)) {
+				t.Error("the partition observed another state sequence than seq")
 			}
 		})
 	}

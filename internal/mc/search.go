@@ -9,14 +9,14 @@ import (
 	"minvn/internal/obs/trace"
 )
 
-// search is the one search core behind every in-process engine: the
-// visited set, the state log, the telemetry tracker, and the Result
-// under construction, plus the store-thread bookkeeping that decides
-// what is stored, counted, and reported. CheckCtx and the pipelined
-// merge loop only schedule — who computes an expansion and when — and
-// hand every expansion to merge in storage order, which is what makes
-// their results bit-identical by construction rather than by parallel
-// maintenance.
+// search is the one search core behind every engine: the visited set,
+// the state log, the telemetry tracker, and the Result under
+// construction, plus the store-thread bookkeeping that decides what is
+// stored, counted, and reported. CheckCtx and the pipelined merge loop
+// only schedule — who computes an expansion and when — and hand every
+// expansion to merge in storage order, which is what makes their results
+// bit-identical by construction rather than by parallel maintenance. A
+// distributed worker runs it over its owned slice, as a Partition.
 //
 // Except for the Expander itself (safe from worker goroutines, each on
 // its batch's collector), every method is store-thread only.
@@ -41,9 +41,12 @@ type search struct {
 	res      Result
 	// bounded records that some state was left unexpanded at MaxDepth.
 	bounded bool
-	col     *collector  // the store thread's: seed, and the sequential scheduler
+	col     *collector  // the store thread's: seed, the sequential scheduler, a Partition
 	ireqs   []insertReq // settle's reusable insert batch
 	raw     *rawCache   // the sequential BFS's, shared with col; nil otherwise
+	// outbox is what a Partition's caller holds for its peers, counted in
+	// the frontier bytes; nil otherwise.
+	outbox func() int64
 }
 
 // node is what a counterexample needs of one stored state: where its
@@ -244,17 +247,28 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 
 // frontierBytes is what the search holds beside the visited set.
 func (s *search) frontierBytes() int64 {
-	return s.log.held + int64(cap(s.nodes))*12 + int64(cap(s.stack))*16 + // a node, a ref
+	n := s.log.held + int64(cap(s.nodes))*12 + int64(cap(s.stack))*16 + // a node, a ref
 		s.raw.bytes()
+	if s.outbox != nil {
+		n += s.outbox()
+	}
+	return n
+}
+
+// digest has the store thread's collector canonicalize and fingerprint
+// states that no rule produced: the initial ones, or a Partition's
+// received ones.
+func (s *search) digest(states [][]byte) []succ {
+	s.col.reset()
+	for _, st := range states {
+		s.col.add(st, 0)
+	}
+	return s.col.resolve()
 }
 
 // seed stores the model's initial states.
 func (s *search) seed() (Result, bool) {
-	s.col.reset()
-	for _, st := range s.m.Initial() {
-		s.col.add(st, 0)
-	}
-	if err := s.settle(-1, 0, s.col.resolve()); err != nil {
+	if err := s.settle(-1, 0, s.digest(s.m.Initial())); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true
 	}
@@ -313,21 +327,25 @@ func (s *search) settle(parent, depth int32, succs []succ) error {
 			}
 			if s.opts.Strategy == DFS {
 				s.stack = append(s.stack, at)
-			} else if int(depth) == len(s.levels) {
-				s.levels = append(s.levels, at.id)
+			} else {
+				// A Partition may own no state at some depth: an empty
+				// level starts where the next one does.
+				for int(depth) >= len(s.levels) {
+					s.levels = append(s.levels, at.id)
+				}
 			}
 			s.res.MaxDepth = max(s.res.MaxDepth, int(depth))
 		}
 		if parent >= 0 {
-			s.tr.Fire(int(sc.rule))
+			s.tr.fire(int(sc.rule))
 		}
-		s.tr.Probe(sc.fp, depth, r.fresh, r.conflated)
+		s.tr.probe(sc.fp, depth, r.fresh, r.conflated)
 		if r.fresh && s.opts.Observer != nil {
 			s.opts.Observer.Observe(sc.state)
 		}
 	}
 	if err != nil && parent >= 0 {
-		s.tr.Fire(int(succs[i].rule))
+		s.tr.fire(int(succs[i].rule))
 	}
 	return err
 }
@@ -367,6 +385,19 @@ func (s *search) stop() (Result, bool) {
 	if err := s.ctx.Err(); err != nil {
 		return s.cancel(err), true
 	}
+	if err := s.overMemory(); err != nil {
+		s.res.Message = err.Error()
+		return s.finish(Capacity), true
+	}
+	if s.opts.MaxStates > 0 && s.stored >= s.opts.MaxStates {
+		return s.finish(Bounded), true
+	}
+	return Result{}, false
+}
+
+// overMemory is stop's memory check: a *CapacityError once the held
+// bytes reach the Go memory limit.
+func (s *search) overMemory() error {
 	held := s.set.st.setBytes + s.frontierBytes()
 	if held >= s.memLimit {
 		// The raw cache only saves time: it gives its bytes up first, so
@@ -374,13 +405,23 @@ func (s *search) stop() (Result, bool) {
 		held -= s.raw.drop()
 	}
 	if held >= s.memLimit {
-		s.res.Message = (&CapacityError{Limit: "memory", Max: s.memLimit}).Error()
-		return s.finish(Capacity), true
+		return &CapacityError{Limit: "memory", Max: s.memLimit}
 	}
-	if s.opts.MaxStates > 0 && s.stored >= s.opts.MaxStates {
-		return s.finish(Bounded), true
-	}
-	return Result{}, false
+	return nil
+}
+
+// collect expands w on the store thread's collector: the sequential
+// scheduler's expansion, and a Partition's. The worker profile's sampled
+// expand time covers exactly this — expand, canonicalize, fingerprint.
+func (s *search) collect(w work) expansion {
+	t0 := s.tr.startExpansion(s.res.Rules)
+	sp := s.lane.Start("expand")
+	s.col.reset()
+	e := s.col.expand(w)
+	s.col.resolve()
+	sp.EndArg("succs", int64(len(e.succs)))
+	s.tr.endExpansion(t0)
+	return e
 }
 
 // atDepthBound reports whether a state at depth sits at MaxDepth and
@@ -397,23 +438,35 @@ func (s *search) atDepthBound(depth int32) bool {
 // in the order the sequential engine would expand (storage order for
 // BFS); done means the expansion ended the search.
 func (s *search) merge(e *expansion) (Result, bool) {
-	s.res.Rules++
-	switch {
-	case e.err != nil:
-		s.res.Message = e.err.Error()
-		s.res.Trace = s.trace(e.id, e.state)
-		return s.finish(Violation), true
-	case e.deadlock:
-		s.res.Message = "no enabled rule in non-quiescent state"
-		s.res.Trace = s.trace(e.id, e.state)
-		return s.finish(Deadlock), true
+	if s.count(e) {
+		return s.res, true
 	}
-	s.tr.AddGenerated(len(e.succs))
 	if err := s.settle(e.id, e.depth+1, e.succs); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true
 	}
 	return Result{}, false
+}
+
+// count books one expansion before its successors are settled; a
+// violation or deadlock ends the search there, which done reports and
+// s.res then holds.
+func (s *search) count(e *expansion) (done bool) {
+	s.res.Rules++
+	switch {
+	case e.err != nil:
+		s.res.Message = e.err.Error()
+		s.res.Trace = s.trace(e.id, e.state)
+		s.finish(Violation)
+		return true
+	case e.deadlock:
+		s.res.Message = "no enabled rule in non-quiescent state"
+		s.res.Trace = s.trace(e.id, e.state)
+		s.finish(Deadlock)
+		return true
+	}
+	s.tr.addGenerated(len(e.succs))
+	return false
 }
 
 // trace reconstructs the path from an initial state to state id, whose

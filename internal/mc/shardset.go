@@ -48,7 +48,7 @@ import (
 //
 // Concurrency contract: one writer. Every method is called by the
 // single store thread (the sequential search loop, the pipelined merge,
-// or a distributed worker's settle); pipeline workers never touch the
+// or a distributed worker's Partition); pipeline workers never touch the
 // set, so nothing in it is locked. Nothing is ever removed or rewritten
 // but by a rehash, which keeps every slot's content, so a hit, and
 // whether it conflates, is stable over the whole run.
@@ -135,15 +135,14 @@ type setShard struct {
 	fill   arenaFill
 }
 
-// VisitedStore is the visited set (see the package comment above). The
-// in-process engines reach it through the search core; out-of-package
-// engines — the distributed workers (internal/dist) store their owned
-// slice of fingerprint space in one — get the single-threaded
-// insert-or-get path, Insert, so exact and compact dedup semantics are
-// shared by construction rather than re-implemented. In compact mode
-// the budget is per store, and therefore per distributed worker rather
-// than global across the fleet; see the distributed engine's docs for
-// the (tiny) omission-probability consequence.
+// VisitedStore is the visited set (see the package comment above). Every
+// engine reaches it through the search core, a distributed worker as a
+// Partition, which stores its owned slice of fingerprint space in one.
+// In compact mode the budget is per store, and therefore per distributed
+// worker rather than global across the fleet; see the distributed
+// engine's docs for the (tiny) omission-probability consequence. Its
+// exported constructor and Insert are for one outside caller, the
+// benchmark's layer replay, which measures the set alone.
 type VisitedStore struct {
 	shards []setShard
 	mask   uint64
@@ -168,8 +167,8 @@ func newVisitedStore(store Store, n int) *VisitedStore {
 	return s
 }
 
-// NewVisitedStore builds a store of the given mode for an
-// out-of-package engine. shards <= 0 selects a single shard.
+// NewVisitedStore builds a store of the given mode outside a search, for
+// the benchmark's layer replay. shards <= 0 selects a single shard.
 func NewVisitedStore(store Store, shards int) *VisitedStore {
 	if shards <= 0 {
 		shards = 1
@@ -349,7 +348,8 @@ func (s *VisitedStore) insert(r *insertReq, id int64) error {
 	return nil
 }
 
-// Insert settles one key through insert, for out-of-package engines.
+// Insert settles one key through insert, for the benchmark's layer
+// replay.
 func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fresh, conflated bool, err error) {
 	r := insertReq{fp: fp, key: key}
 	err = s.insert(&r, int64(id))

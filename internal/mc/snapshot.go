@@ -76,13 +76,13 @@ type profiler interface {
 	Stats() *icn.OccupancyStats
 }
 
-// tracker is the in-process search core's telemetry (search.go): the
-// search's Books, plus progress scheduling and the pipelined engine's
+// tracker is the search core's telemetry (search.go): the search's
+// books, plus progress scheduling and the pipelined engine's
 // reorder counts. Everything except the worker profiles is only updated
 // (and read) from the single store thread, so the counters are plain
 // ints.
 type tracker struct {
-	Books
+	books
 	opts       Options
 	start      time.Time
 	nextStates int
@@ -99,7 +99,7 @@ type tracker struct {
 }
 
 func newTracker(opts Options, start time.Time, exp Expander, workers int) *tracker {
-	t := &tracker{Books: *NewBooks(exp, workers), opts: opts, start: start}
+	t := &tracker{books: *newBooks(exp, workers), opts: opts, start: start}
 	if opts.Progress != nil {
 		if opts.ProgressEvery > 0 {
 			t.nextStates = opts.ProgressEvery
@@ -130,10 +130,15 @@ func (t *tracker) maybeProgress(states, frontier, maxDepth, expansions int) {
 	}
 	if fire {
 		t.lane.InstantArg("progress", "states", int64(states))
-		t.opts.Progress(t.snapshot(states, frontier, maxDepth, expansions, false))
+		s := t.snapshot(states, frontier, maxDepth, expansions, false)
+		s.HeapBytes = obs.HeapBytes()
+		t.opts.Progress(s)
 	}
 }
 
+// snapshot is the search's account so far, but for the heap: reading it
+// stops the world, so the callers that report it read it (a Partition's
+// snapshot leaves it to the merge, which reads its own).
 func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final bool) Snapshot {
 	s := Snapshot{
 		Strategy:       t.opts.Strategy.String(),
@@ -143,7 +148,6 @@ func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final boo
 		Frontier:       frontier,
 		MaxDepth:       maxDepth,
 		Expansions:     int64(expansions),
-		HeapBytes:      obs.HeapBytes(),
 		Health:         &health.Report{ReorderStalls: t.reorderStalls, ReorderMax: t.reorderMax},
 		Final:          final,
 	}
@@ -153,13 +157,14 @@ func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final boo
 	if p, ok := t.opts.Observer.(profiler); ok {
 		s.Occupancy = p.Stats()
 	}
-	return t.Books.Snapshot(s)
+	return t.books.report(s)
 }
 
 // finish builds the final snapshot and delivers it to the Progress
 // callback (Final = true) so observers always see the closing metrics.
 func (t *tracker) finish(states, maxDepth, expansions int) Snapshot {
 	s := t.snapshot(states, 0, maxDepth, expansions, true)
+	s.HeapBytes = obs.HeapBytes()
 	if t.opts.Progress != nil {
 		t.opts.Progress(s)
 	}

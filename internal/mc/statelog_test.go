@@ -2,6 +2,7 @@ package mc
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -178,6 +179,49 @@ func TestStateLogGuards(t *testing.T) {
 					pip.MaxDepth != seq.MaxDepth || pip.Message != seq.Message {
 					t.Fatalf("%+v pipeline: %v (rules=%d) vs seq %v (rules=%d)", opts, pip, pip.Rules, seq, seq.Rules)
 				}
+			}
+		})
+	}
+}
+
+// TestPartitionMemoryStop: a Partition stops at the Go memory limit the
+// way the in-process engines do, before it expands the next state, with
+// the memory *CapacityError; and the bytes its caller holds for peers
+// count against the limit beside its own.
+func TestPartitionMemoryStop(t *testing.T) {
+	const memLimit = 1 << 20
+	old := memoryLimit
+	memoryLimit = func() int64 { return memLimit }
+	t.Cleanup(func() { memoryLimit = old })
+	withChunk(t, 1024)
+	m := &counter{n: 100000, branch: true, quiet: -1, bad: -1, errAt: -1}
+	for _, tc := range []struct {
+		name string
+		held int64 // what the caller holds for its peers
+	}{{"own", 0}, {"outbox", memLimit}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPartition(m, Options{}, 0, 1, func() int64 { return tc.held })
+			if err != nil {
+				t.Fatal(err)
+			}
+			ship := func([]byte, int) { t.Fatal("a lone owner shipped a state") }
+			more := func() bool { return true }
+			for level := 0; err == nil && level < m.n; level++ {
+				_, err = p.Expand(ship, more)
+			}
+			var ce *CapacityError
+			if !errors.As(err, &ce) || *ce != (CapacityError{Limit: "memory", Max: memLimit}) {
+				t.Fatalf("stopped with %v, want the memory limit", err)
+			}
+			s := p.Snapshot()
+			h := s.Health
+			switch {
+			case tc.held > 0 && s.Expansions != 0:
+				t.Errorf("expanded %d states holding the limit for peers", s.Expansions)
+			case tc.held > 0 && h.FrontierBytes < tc.held:
+				t.Errorf("frontier bytes %d leave out the %d held for peers", h.FrontierBytes, tc.held)
+			case tc.held == 0 && h.SetBytes+h.FrontierBytes > memLimit+memLimit/4:
+				t.Errorf("holds %d bytes under a limit of %d", h.SetBytes+h.FrontierBytes, memLimit)
 			}
 		})
 	}

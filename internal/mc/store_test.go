@@ -590,8 +590,8 @@ func TestSnapshotZeroElapsed(t *testing.T) {
 	// A start time in the future forces elapsed <= 0, the degenerate
 	// case a sub-resolution clock read produces.
 	tr := newTracker(Options{}, time.Now().Add(time.Hour), asExpander(multiInit{}), 1)
-	tr.Probe(1, 0, true, false)
-	tr.Probe(1, 0, false, false)
+	tr.probe(1, 0, true, false)
+	tr.probe(1, 0, false, false)
 	s := tr.snapshot(10, 2, 1, 5, true)
 	if s.ElapsedSeconds != 0 {
 		t.Errorf("ElapsedSeconds = %v, want 0", s.ElapsedSeconds)

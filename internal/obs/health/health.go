@@ -84,7 +84,7 @@ type Report struct {
 	// the state log's chunks (stored states not yet expanded — every
 	// stored state with traces on) plus the parent table and DFS stack,
 	// and the sequential BFS's raw cache (see RawHits);
-	// on a dist worker, its frontier, candidate arena and pending peer
+	// on a dist worker, its state-log chunks and its pending peer
 	// batches, each buffer at its capacity.
 	// Exact, read off the structures. (SetBytes + FrontierBytes) / states
 	// is the search's resident bytes per stored state, by structure.
