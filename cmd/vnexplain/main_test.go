@@ -155,7 +155,7 @@ func TestDefaults(t *testing.T) {
 	if !reflect.DeepEqual(job.Spec, want) {
 		t.Errorf("spec = %+v\nwant   %+v", job.Spec, want)
 	}
-	if job.Engine != mc.EngineSeq || len(job.Seeds) != 1 || job.Options.DisableTraces ||
+	if job.Engine != dist.EngineSeq || len(job.Seeds) != 1 || job.Options.DisableTraces ||
 		job.Options.Strategy != mc.DFS || job.Config.NumVNs != len(job.Config.Protocol.Messages) {
 		t.Errorf("job: engine %v seeds %d options %+v vns %d", job.Engine, len(job.Seeds), job.Options, job.Config.NumVNs)
 	}

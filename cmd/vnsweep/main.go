@@ -20,13 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"minvn/internal/cliflag"
 	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs/ledger"
 	"minvn/internal/protocol"
+	"minvn/internal/protocols"
 	"minvn/internal/ptest"
 	"minvn/internal/vnassign"
 )
@@ -231,7 +231,7 @@ func sweep(search cliflag.Search) (*familyFile, error) {
 		if a.Class == vnassign.Class3 {
 			spec.VN = dist.VNMinimal
 		}
-		if strings.HasPrefix(r.Family, "MO") {
+		if protocols.LoadStoreOnly(r.Family) {
 			spec.NoReplacement = true
 			r.Workload = "load-store"
 		}

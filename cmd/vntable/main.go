@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"minvn/internal/cliflag"
@@ -223,7 +222,7 @@ func runModelCheck(p *protocol.Protocol, mode string, spec dist.Spec,
 
 	if mode == "deadlock" {
 		spec.VN, spec.Strategy, spec.SeedOwned, spec.Engine = dist.VNPerMessage, "dfs", true, "seq"
-		spec.NoReplacement = strings.HasPrefix(p.Name, "MOSI") || strings.HasPrefix(p.Name, "MOESI")
+		spec.NoReplacement = protocols.LoadStoreOnly(p.Name)
 	}
 	job, err := spec.Resolve(p, nil)
 	if err != nil {

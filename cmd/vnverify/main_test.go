@@ -37,7 +37,7 @@ func TestDefaults(t *testing.T) {
 	if !reflect.DeepEqual(job.Spec, want) {
 		t.Errorf("spec = %+v\nwant   %+v", job.Spec, want)
 	}
-	if job.Engine != mc.EngineAuto || job.Workers != 1 || len(job.Seeds) != 0 ||
+	if job.Engine != dist.EngineAuto || job.Workers != 1 || len(job.Seeds) != 0 ||
 		!job.Options.DisableTraces || job.Options.Strategy != mc.BFS || job.Options.MaxStates != 2_000_000 {
 		t.Errorf("job: engine %v workers %d seeds %d options %+v", job.Engine, job.Workers, len(job.Seeds), job.Options)
 	}

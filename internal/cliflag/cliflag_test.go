@@ -383,7 +383,7 @@ func TestSearchParse(t *testing.T) {
 func TestSearchMatrix(t *testing.T) {
 	s := Search{Engines: " seq, pipeline,, ", Stores: "exact,compact,"}
 	engs, sts, err := s.Matrix()
-	if err != nil || !reflect.DeepEqual(engs, []mc.Engine{mc.EngineSeq, mc.EnginePipeline}) ||
+	if err != nil || !reflect.DeepEqual(engs, []dist.Engine{dist.EngineSeq, dist.EnginePipeline}) ||
 		!reflect.DeepEqual(sts, []mc.Store{mc.StoreExact, mc.StoreCompact}) {
 		t.Errorf("Matrix = %v, %v, %v", engs, sts, err)
 	}

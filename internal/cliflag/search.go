@@ -147,8 +147,8 @@ func (s *Search) Params() map[string]any {
 // tool cross-checks. The distributed engine is refused: the agreement
 // contract covers state-bounded runs, which it cuts at a level
 // boundary. Errors are *dist.RequestError.
-func (s *Search) Matrix() ([]mc.Engine, []mc.Store, error) {
-	engines, err := parseList(s.Engines, mc.ParseEngine)
+func (s *Search) Matrix() ([]dist.Engine, []mc.Store, error) {
+	engines, err := parseList(s.Engines, dist.ParseEngine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,7 +159,7 @@ func (s *Search) Matrix() ([]mc.Engine, []mc.Store, error) {
 	if len(engines) == 0 || len(stores) == 0 {
 		return nil, nil, dist.RequestErrorf("empty matrix: engines %q, stores %q", s.Engines, s.Stores)
 	}
-	if slices.Contains(engines, mc.EngineDist) {
+	if slices.Contains(engines, dist.EngineDist) {
 		return nil, nil, dist.RequestErrorf("engine dist is not cross-checked here: it applies -max-states at level granularity, so its bounded runs differ from the in-process engines' by design")
 	}
 	return engines, stores, nil

@@ -46,7 +46,7 @@ type Job struct {
 	// daemons (cmd/vnworkerd), one per worker; Workers is ignored.
 	Peers []string
 	// Engine picks the scheduler (Run).
-	Engine mc.Engine
+	Engine Engine
 	// Seeds, when non-empty, replace the reset state as the search's
 	// initial states. In-process engines only.
 	Seeds [][]byte

@@ -2,10 +2,57 @@ package dist
 
 import (
 	"context"
+	"fmt"
 
 	"minvn/internal/machine"
 	"minvn/internal/mc"
 )
+
+// Engine selects which engine runs a search (Run). All engines produce
+// identical results on identical inputs; they differ only in throughput
+// and memory footprint, so the choice is an operational one.
+type Engine int
+
+const (
+	// EngineAuto picks sequential for one worker and pipelined
+	// otherwise.
+	EngineAuto Engine = iota
+	// EngineSeq is the sequential reference engine (mc.CheckCtx).
+	EngineSeq
+	// EnginePipeline is the parallel engine (mc.CheckPipelinedCtx).
+	EnginePipeline
+	// EngineDist is the distributed engine (Check): hash-owned state
+	// shards across workers with batched frontier exchange.
+	EngineDist
+)
+
+var engineNames = [...]string{"auto", "seq", "pipeline", "dist"}
+
+func (e Engine) String() string {
+	if e >= 0 && int(e) < len(engineNames) {
+		return engineNames[e]
+	}
+	return fmt.Sprintf("Engine(%d)", int(e))
+}
+
+// MarshalText writes the engine as its name, so a JSON document lists
+// engines the way the -engine flag takes them.
+func (e Engine) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// ParseEngine maps a CLI flag value to an Engine.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "", "auto":
+		return EngineAuto, nil
+	case "seq", "sequential":
+		return EngineSeq, nil
+	case "pipeline", "pipelined":
+		return EnginePipeline, nil
+	case "dist", "distributed":
+		return EngineDist, nil
+	}
+	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, seq, pipeline, or dist)", s)
+}
 
 // distRefusal reports what the distributed engine cannot honor about j
 // — a caller error (*RequestError), as opposed to a fleet failure.
@@ -20,23 +67,23 @@ func (j Job) distRefusal() error {
 	return nil
 }
 
-// Run is the one place a search is dispatched to an engine: every
-// caller that lets its user pick the engine describes the search as a
-// Job (usually by resolving a Spec) and calls Run, so "which engines
-// exist and what each needs" is decided here and nowhere else.
+// Run is the one engine switch: every caller that lets its user pick the
+// engine describes the search as a Job (usually by resolving a Spec) and
+// calls Run, so "which engines exist and what each needs" is decided here
+// and nowhere else.
 //
-// EngineDist runs Check — never an in-process substitute — and returns
-// a *RequestError for DFS or seeds. Every other engine runs
-// mc.CheckEngineCtx in this process on job.System (built from
-// job.Config when nil) with job.Workers workers; job.Seeds, when
-// non-empty, replace the reset
-// state as the search's initial states (machine.Seeded). job.Occupancy
-// fills Result.Stats.Occupancy with the same *icn.OccupancyStats on
-// every engine: in-process by installing the system's profiler as
-// Options.Observer, distributed by the workers' merged profiles.
-// job.Peers is meaningful to dist only.
+// EngineDist runs Check — never an in-process substitute — and returns a
+// *RequestError for DFS or seeds. The others search job.System (built
+// from job.Config when nil) in this process: EngineSeq, and EngineAuto at
+// one worker, on mc.CheckCtx; EnginePipeline, and EngineAuto otherwise,
+// on mc.CheckPipelinedCtx with job.Workers. job.Seeds, when non-empty,
+// replace the reset state as the initial states (machine.Seeded).
+// job.Occupancy fills Result.Stats.Occupancy with the same
+// *icn.OccupancyStats on every engine: in-process by installing the
+// system's profiler as Options.Observer, distributed by the workers'
+// merged profiles. job.Peers is meaningful to dist only.
 func Run(ctx context.Context, job Job) (mc.Result, error) {
-	if job.Engine == mc.EngineDist {
+	if job.Engine == EngineDist {
 		return Check(ctx, job)
 	}
 	sys := job.System
@@ -54,5 +101,8 @@ func Run(ctx context.Context, job Job) (mc.Result, error) {
 	if job.Occupancy {
 		opts.Observer = sys.NewOccupancyProfiler()
 	}
-	return mc.CheckEngineCtx(ctx, model, opts, job.Engine, job.Workers), nil
+	if job.Engine == EngineSeq || (job.Engine == EngineAuto && job.Workers == 1) {
+		return mc.CheckCtx(ctx, model, opts), nil
+	}
+	return mc.CheckPipelinedCtx(ctx, model, opts, job.Workers), nil
 }

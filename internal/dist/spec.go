@@ -152,7 +152,7 @@ func RequestErrorf(format string, args ...any) error {
 // specs asking the same question are equal afterwards; it also returns
 // the parsed engine and store. The VN mode is validated where it is
 // used, in Resolve.
-func (s Spec) normalize(p *protocol.Protocol) (n Spec, engine mc.Engine, store mc.Store, err error) {
+func (s Spec) normalize(p *protocol.Protocol) (n Spec, engine Engine, store mc.Store, err error) {
 	n = s
 	if n.Assignment != nil {
 		n.VN = vnGiven
@@ -191,7 +191,7 @@ func (s Spec) normalize(p *protocol.Protocol) (n Spec, engine mc.Engine, store m
 		// quotient would be unsound.
 		n.NoSymmetry = true
 	}
-	if engine, err = mc.ParseEngine(n.Engine); err != nil {
+	if engine, err = ParseEngine(n.Engine); err != nil {
 		return n, 0, 0, RequestErrorf("%v", err)
 	}
 	if store, err = mc.ParseStore(n.Store); err != nil {
@@ -262,7 +262,7 @@ func (s Spec) Resolve(p *protocol.Protocol, tl *obs.Timeline) (Job, error) {
 		}
 		job.Seeds = [][]byte{seed}
 	}
-	if job.Engine == mc.EngineDist {
+	if job.Engine == EngineDist {
 		if err := job.distRefusal(); err != nil {
 			return Job{}, err
 		}
@@ -333,13 +333,13 @@ func (s Spec) Key(p *protocol.Protocol) (string, Spec, error) {
 
 // renderKey is the one rendering of a normalized spec's result-affecting
 // part; see Job.Key for what it includes and why.
-func renderKey(n Spec, engine mc.Engine, store mc.Store, fleet int) string {
+func renderKey(n Spec, engine Engine, store mc.Store, fleet int) string {
 	p2p := -1
 	if n.P2P != nil {
 		p2p = *n.P2P
 	}
 	eng := ""
-	if engine == mc.EngineDist {
+	if engine == EngineDist {
 		eng = fmt.Sprintf("dist/%d", fleet)
 	}
 	return fmt.Sprintf("vn=%s given=%v/%d caches=%d dirs=%d addrs=%d l2s=%d strategy=%s "+

@@ -43,7 +43,7 @@ func TestResolveDefaults(t *testing.T) {
 	if !reflect.DeepEqual(job.Spec, want) {
 		t.Errorf("normalized zero spec = %+v, want %+v", job.Spec, want)
 	}
-	if job.Engine != mc.EngineAuto || job.Options.Store != mc.StoreExact ||
+	if job.Engine != dist.EngineAuto || job.Options.Store != mc.StoreExact ||
 		job.Options.Strategy != mc.BFS || !job.Options.DisableTraces ||
 		job.Options.MaxStates != 0 || len(job.Seeds) != 0 || job.System == nil {
 		t.Errorf("resolved zero spec: engine %v options %+v seeds %d", job.Engine, job.Options, len(job.Seeds))

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"strings"
 	"testing"
 
 	"minvn/internal/mc"
@@ -45,11 +44,8 @@ func TestClass2DeadlocksUnderPerMessageVNs(t *testing.T) {
 			cfg := Config{
 				Protocol: p, Caches: 3, Dirs: 2, Addrs: 2,
 				VN: vn, NumVNs: n}
-			if strings.HasPrefix(proto, "MO") {
-				// Never-blocking directories let forwards pile up
-				// past the single saved register during evictions;
-				// the deadlock needs only loads and stores (see
-				// DESIGN.md).
+			if protocols.LoadStoreOnly(proto) {
+				// The deadlock needs only loads and stores.
 				cfg.CoreEvents = []protocol.CoreEvent{protocol.Load, protocol.Store}
 			}
 			sys, err := New(cfg)

@@ -99,7 +99,7 @@ func (b *books) startExpansion(n int) time.Time {
 // one batch of one state on worker profile 0.
 func (b *books) endExpansion(t0 time.Time) {
 	if !t0.IsZero() {
-		b.workers.Worker(0).AddBatch(1, time.Since(t0), 0, 0)
+		b.workers.Worker(0).AddBatch(1, time.Since(t0), 0)
 	}
 }
 

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -131,5 +132,43 @@ func TestDeadlineExpiry(t *testing.T) {
 func TestCanceledTag(t *testing.T) {
 	if got := Canceled.Tag(); got != "canceled" {
 		t.Fatalf("Canceled.Tag() = %q", got)
+	}
+}
+
+// TestPipelineWorkersExit pins that no pipeline worker outlives its
+// search, however the search ends: complete, bounded, at a violation, or
+// canceled (here from the loop's own progress callback, mid-search).
+func TestPipelineWorkersExit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopAt := func(s Snapshot) {
+		if s.States >= 200 {
+			cancel()
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		m    Model
+		opts Options
+		want Outcome
+	}{
+		{"complete", context.Background(), &counter{n: 3000, branch: true, bad: -1, quiet: 2999, errAt: -1}, Options{}, Complete},
+		{"bounded", context.Background(), &counter{n: 3000, branch: true, bad: -1, quiet: 2999, errAt: -1}, Options{MaxStates: 1000}, Bounded},
+		{"violation", context.Background(), &counter{n: 3000, branch: true, bad: -1, quiet: 2999, errAt: 1500}, Options{}, Violation},
+		{"canceled", ctx, &counter{n: 3000, branch: true, bad: -1, quiet: 2999, errAt: -1},
+			Options{Progress: stopAt, ProgressEvery: 50}, Canceled},
+	} {
+		before := runtime.NumGoroutine()
+		if res := CheckPipelinedCtx(tc.ctx, tc.m, tc.opts, 4); res.Outcome != tc.want {
+			t.Fatalf("%s: %v, want %v", tc.name, res, tc.want)
+		}
+		// A worker is counted until it has returned, a moment after the
+		// search's wait on it ends.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the search, %d before", tc.name, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

@@ -4,52 +4,43 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
+	"minvn/internal/obs/health"
 	"minvn/internal/obs/trace"
 )
 
-// Pipelined parallel breadth-first search: the parallel scheduler over
-// the shared search core (search.go).
+// Pipelined breadth-first search: the one search loop (check) with every
+// state's expansion computed ahead of it by a pool of workers.
 //
-// The merge goroutine claims stored-but-unexpanded states in batches and
-// hands each batch, with an arena of its own, to a worker from a shared
-// work channel. The worker does the expensive per-state work —
-// expansion, canonicalization and fingerprinting, on the batch's
-// collector exactly as the sequential loop does on its own — and sends
-// the batch back. The merge consumes the expansions strictly in storage
-// order, straight out of the batch's arena, and puts the batch back on
-// its free list after the last one merges. There is no per-depth
-// barrier: states at depth d+1 are being expanded while depth-d results
-// are still merging.
-//
-// Determinism: because successor computation is a pure function of the
-// state, farming it out does not change what the merge sees, and the
-// in-order merge hands each expansion to the same search.merge the
-// sequential engine calls — same visited-set probe order, same storage
-// order, same bound checks, same first-violation-by-depth (BFS order is
-// depth order, and the merge order is BFS order, so whichever worker
-// finds a bad state first, the *reported* one is the one the sequential
-// engine would report). Outcome, States, Rules, MaxDepth, traces, and
-// the telemetry counters are bit-identical to Check for every model and
-// bound, including early-terminating runs. Speculative expansions past
-// a termination point are simply discarded.
+// The pipeline claims stored-but-unexpanded states in batches, in
+// storage order, and hands each batch, with an arena of its own, to
+// whichever worker is free. The worker expands, canonicalizes and
+// fingerprints on the batch's collector exactly as the one-worker loop
+// does on its own, and signals the batch's ready channel. The loop takes
+// the batches in the order they were claimed, waiting on the oldest when
+// it is not ready yet, and merges each expansion straight out of its
+// batch's arena. There is no per-depth barrier. Successor computation is
+// a pure function of the state, so the loop sees what it would have
+// computed itself: Outcome, States, Rules, MaxDepth, traces and the
+// books are bit-identical to Check's, including on early-terminating
+// runs, whose speculative expansions are simply discarded.
 
-// pipelineBatch is the number of states per work/result message;
-// batching amortizes channel operations against expansions.
+// pipelineBatch is the number of states per dispatch; batching amortizes
+// channel operations against expansions.
 const pipelineBatch = 16
 
 // batch is one dispatch of up to pipelineBatch states and the arena
 // their successors are collected into. Its worker owns it from the
-// dispatch until it sends it back and never touches it after; the merge
+// dispatch until it signals ready and never touches it after; the loop
 // owns it the rest of the time. Nothing is copied between collection
-// and the state log: the merge settles every expansion out of col.
+// and the state log: the loop settles every expansion out of col.
 type batch struct {
-	seq  int // dispatch sequence: the batch's place in the reorder buffer
-	work []work
-	exps []expansion
-	col  *collector
-	next int // the first of exps not merged yet
+	work  []work
+	exps  []expansion
+	col   *collector
+	ready chan struct{} // one slot: signaled once per dispatch
 }
 
 // expand collects the batch's successors and cuts each expansion's from
@@ -68,195 +59,148 @@ func (b *batch) expand() {
 	}
 }
 
-// CheckPipelined runs Check's BFS with a pipelined worker pool.
-// workers <= 0 picks GOMAXPROCS. DFS and single-worker runs fall back
-// to the sequential engine (results are identical either way — that is
-// the point). shards is ignored: the visited set always has
-// DefaultShards shards; the argument stays for existing callers.
-func CheckPipelined(m Model, opts Options, workers, shards int) Result {
-	return CheckPipelinedCtx(context.Background(), m, opts, workers)
+// pipeline is the expansion source of a search with more than one
+// worker. Everything but the workers' half of a batch is the loop's.
+type pipeline struct {
+	s *search
+	// window bounds how far dispatch may run ahead of the loop, in
+	// states, so the batches out at once stay a small multiple of the
+	// worker pool rather than the frontier. Batches cut short by the end
+	// of the stored states or by the depth bound hold fewer states, so
+	// the pool is capped in batches too: a full window's worth plus one
+	// per worker, made up front. todo and order each hold the whole
+	// pool, so dispatch never blocks.
+	window   int
+	todo     chan *batch // dispatched batches, for any worker
+	order    chan *batch // dispatched batches, oldest first, for take
+	free     []*batch
+	dispatch ref    // the next state to hand to a worker
+	cur      *batch // the batch take reads, ready
+	next     int    // cur's next expansion
+	quit     chan struct{}
+	wg       sync.WaitGroup
 }
 
-// CheckPipelinedCtx is CheckPipelined with cancellation: the context
-// is polled in the merge loop at the same point as the MaxStates
-// bound and in the dispatch select, so a cancel stops the search
-// promptly with Outcome Canceled (the worker pool is torn down via
-// the quit channel as usual). A background context changes nothing.
-func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers int) Result {
-	if ctx == nil {
-		ctx = context.Background()
+// newPipeline starts workers expanding for s; close stops them.
+func newPipeline(s *search, workers int) *pipeline {
+	window := max(workers*pipelineBatch*4, 64)
+	pool := window/pipelineBatch + workers
+	p := &pipeline{
+		s: s, window: window, quit: make(chan struct{}), free: make([]*batch, pool),
+		todo: make(chan *batch, pool), order: make(chan *batch, pool),
 	}
-	opts = opts.normalized()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	bs := make([]batch, pool)
+	for i := range bs {
+		bs[i] = batch{
+			work: make([]work, 0, pipelineBatch), exps: make([]expansion, 0, pipelineBatch),
+			col: newCollector(s.m, s.exp), ready: make(chan struct{}, 1),
+		}
+		p.free[i] = &bs[i]
 	}
-	if opts.Strategy == DFS || workers == 1 {
-		return CheckCtx(ctx, m, opts)
-	}
-
-	s := newSearch(ctx, m, opts, "merge", workers)
-	tc, _ := trace.TraceContextFrom(ctx)
-	wlanes := make([]*trace.Lane, workers)
-	for w := range wlanes {
-		wlanes[w] = opts.Trace.Lane(fmt.Sprintf("%sworker %d", tc.LanePrefix(), w))
-	}
-	if res, done := s.seed(); done {
-		return res
-	}
-
-	quit := make(chan struct{})
-	defer close(quit)
-	workCh := make(chan *batch, workers)
-	resCh := make(chan *batch, workers)
-
+	tc, _ := trace.TraceContextFrom(s.ctx)
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wl := wlanes[w]
-		prof := s.tr.workers.Worker(w)
-		go func() {
-			for {
-				tq := time.Now()
-				select {
-				case <-quit:
-					return
-				case b := <-workCh:
-					queueWait := time.Since(tq)
-					n := len(b.work)
-					sp := wl.Start("batch")
-					t0 := time.Now()
-					b.expand()
-					expand := time.Since(t0)
-					sp.EndArg("states", int64(n))
-					ts := time.Now()
-					select {
-					case resCh <- b:
-						prof.AddBatch(n, expand, queueWait, time.Since(ts))
-					case <-quit:
-						return
-					}
-				}
-			}
-		}()
+		go p.worker(s.opts.Trace.Lane(fmt.Sprintf("%sworker %d", tc.LanePrefix(), w)), s.tr.workers.Worker(w))
 	}
+	return p
+}
 
-	// maxWindow bounds how far dispatch may run ahead of the merge, so
-	// the batches out at once stay a small multiple of the worker pool
-	// rather than the frontier. Batches cut short by the end of the
-	// stored states or by the depth bound hold fewer states, so the
-	// pool is capped in batches too: a full window's worth plus one per
-	// worker. The reorder buffer holds the batches back from workers,
-	// keyed by dispatch sequence; no two batches out share a slot.
-	maxWindow := max(workers*pipelineBatch*4, 64)
-	reorder := make([]*batch, maxWindow/pipelineBatch+workers)
+// worker expands batches until the pipeline closes. A slow loop shows
+// as queue wait: a worker never waits to hand a batch back.
+func (p *pipeline) worker(lane *trace.Lane, prof *health.WorkerProfile) {
+	defer p.wg.Done()
+	for {
+		tq := time.Now()
+		select {
+		case <-p.quit:
+			return
+		case b := <-p.todo:
+			queueWait := time.Since(tq)
+			n := len(b.work)
+			sp := lane.Start("batch")
+			t0 := time.Now()
+			b.expand()
+			expand := time.Since(t0)
+			sp.EndArg("states", int64(n))
+			prof.AddBatch(n, expand, queueWait)
+			b.ready <- struct{}{}
+		}
+	}
+}
 
-	var (
-		free     []*batch // batches not out, ready for reuse
-		made     = 0      // batches allocated so far, at most len(reorder)
-		merge    ref      // next state to merge, in storage order
-		dispatch ref      // next state to hand to a worker
-		sent     = 0      // dispatch sequence of the next batch
-		head     = 0      // dispatch sequence of the batch merging next
-		inFlight = 0      // dispatched batches that have not come back
-		parked   = 0      // expansions back from workers, not merged yet
-		pending  *batch
-	)
+// close stops the workers and waits for them: none outlives its search.
+func (p *pipeline) close() {
+	close(p.quit)
+	p.wg.Wait()
+}
 
-	// nextBatch claims up to pipelineBatch dispatchable states into a
-	// free batch. Depth-bounded states are skipped here and settled
-	// inline by the merge — the sequential engine never expands them
-	// either.
-	nextBatch := func() *batch {
-		if int(dispatch.id-merge.id) >= maxWindow || int(dispatch.id) == s.stored {
+// take returns the expansion of w, the state the loop merges next: it
+// tops dispatch up, then, when w starts a batch, waits on the oldest one
+// out — the loop's only wait, counted as a reorder stall. nil means the
+// search's context ended the wait.
+func (p *pipeline) take(w work) *expansion {
+	if p.cur != nil && p.next == len(p.cur.exps) {
+		p.free = append(p.free, p.cur) // merged, not merely taken: a worker may reuse it now
+		p.cur = nil
+	}
+	p.fill(w.id)
+	if p.cur == nil {
+		if len(p.order) == 0 {
+			panic(fmt.Sprintf("mc: pipeline has no batch out for state %d", w.id))
+		}
+		b := <-p.order
+		if len(b.ready) == 0 {
+			p.s.tr.reorderStalls++
+		}
+		select {
+		case <-b.ready:
+		case <-p.s.ctx.Done():
 			return nil
 		}
-		var b *batch
-		switch {
-		case len(free) > 0:
-			b, free = free[len(free)-1], free[:len(free)-1]
-		case made < len(reorder):
-			b = &batch{col: newCollector(s.m, s.exp)}
-			made++
-		default:
-			return nil // every batch is out; the one merging next among them
-		}
+		p.cur, p.next = b, 0
+	}
+	p.next++
+	return &p.cur.exps[p.next-1]
+}
+
+// fill claims the stored states past the last dispatched one into
+// batches for the workers, while dispatch is less than the window ahead
+// of from and a batch is free. Depth-bounded states are skipped: the
+// loop never expands them either.
+func (p *pipeline) fill(from int32) {
+	s := p.s
+	for int(p.dispatch.id-from) < p.window && int(p.dispatch.id) < s.stored && len(p.free) > 0 {
+		b := p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
 		b.work = b.work[:0]
-		for int(dispatch.id) < s.stored && len(b.work) < pipelineBatch {
-			if w := s.next(&dispatch); !s.atDepthBound(w.depth) {
+		for int(p.dispatch.id) < s.stored && len(b.work) < pipelineBatch {
+			if w := s.next(&p.dispatch); !s.atDepthBound(w.depth) {
 				b.work = append(b.work, w)
 			}
 		}
 		if len(b.work) == 0 {
-			free = append(free, b)
-			return nil
+			p.free = append(p.free, b)
+			return
 		}
-		b.seq, b.next = sent, 0
-		sent++
-		return b
+		p.order <- b
+		p.todo <- b
 	}
+}
 
-	for {
-		// Merge every result that is ready, strictly in storage order —
-		// the sequential engine's loop, with the expansion read from the
-		// batch at the head of the reorder buffer instead of computed.
-		for int(merge.id) < s.stored {
-			if res, done := s.stop(); done {
-				return res
-			}
-			after := merge
-			if w := s.next(&after); s.atDepthBound(w.depth) {
-				merge = after
-				continue
-			}
-			b := reorder[head%len(reorder)]
-			if b == nil {
-				break // the batch holding the next id has not come back yet
-			}
-			if res, done := s.merge(&b.exps[b.next]); done {
-				return res
-			}
-			parked--
-			if b.next++; b.next == len(b.exps) {
-				reorder[head%len(reorder)] = nil
-				head++
-				free = append(free, b)
-			}
-			// Merged, not merely taken: a worker may have been reading it.
-			merge = after
-			s.log.release(merge.pos)
-			s.tr.maybeProgress(s.stored, s.stored-int(merge.id), s.res.MaxDepth, s.res.Rules)
-		}
+// CheckPipelined runs Check's BFS with a pipelined worker pool.
+// workers <= 0 picks GOMAXPROCS. DFS and single-worker runs are the
+// sequential engine (results are identical either way — that is the
+// point). shards is ignored: the visited set always has DefaultShards
+// shards; the argument stays for existing callers.
+func CheckPipelined(m Model, opts Options, workers, shards int) Result {
+	return CheckPipelinedCtx(context.Background(), m, opts, workers)
+}
 
-		if int(merge.id) == s.stored {
-			// Everything stored has been merged; nothing can be in
-			// flight (in-flight ids are always unmerged).
-			return s.exhausted()
-		}
-
-		if pending == nil {
-			pending = nextBatch()
-		}
-		sendCh := workCh
-		if pending == nil {
-			// The merge is blocked on an expansion that must already be
-			// in flight: everything before it was dispatched (no batch
-			// is claimable) and it is not in the reorder buffer. This is
-			// the pipeline's only wait state, counted as a reorder stall.
-			if inFlight == 0 {
-				panic(fmt.Sprintf("mc: pipeline stalled at id %d with no work in flight", merge.id))
-			}
-			s.tr.reorderStalls++
-			sendCh = nil // a nil channel never selects
-		}
-		select {
-		case sendCh <- pending:
-			inFlight++
-			pending = nil
-		case b := <-resCh:
-			inFlight--
-			reorder[b.seq%len(reorder)] = b
-			parked += len(b.exps)
-			s.tr.reorderMax = max(s.tr.reorderMax, int64(parked))
-		case <-ctx.Done():
-			return s.cancel(ctx.Err())
-		}
+// CheckPipelinedCtx is CheckPipelined with cancellation (see CheckCtx):
+// the loop also polls the context while it waits on a batch.
+func CheckPipelinedCtx(ctx context.Context, m Model, opts Options, workers int) Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	return check(ctx, m, opts, workers)
 }

@@ -94,15 +94,15 @@ func TestScribblingExpanderParity(t *testing.T) {
 		{"bounded-paper", paritySystem(t, "MSI_nonblocking_cache", "minimal", 3, 2, 2), mc.Options{MaxStates: 5000}, mc.Bounded},
 	} {
 		for _, store := range []mc.Store{mc.StoreExact, mc.StoreCompact} {
-			for _, engine := range []mc.Engine{mc.EngineSeq, mc.EnginePipeline} {
-				name := tc.name + "/" + engine.String() + "/" + store.String()
+			for _, engine := range inProcess {
+				name := tc.name + "/" + engine.name + "/" + store.String()
 				run := func(m mc.Model) (mc.Result, *keeper) {
 					opts := tc.opts
 					opts.Store = store
 					opts.Trace = trace.New(trace.Config{LaneCapacity: 64, SampleEvery: 10})
 					k := new(keeper)
 					opts.Observer = k
-					return mc.CheckEngineCtx(context.Background(), m, opts, engine, 4), k
+					return engine.run(context.Background(), m, opts), k
 				}
 				plain, plainSeen := run(tc.sys)
 				got, gotSeen := run(scribbler{tc.sys})
@@ -139,10 +139,10 @@ func TestHiddenExpanderParity(t *testing.T) {
 			t.Parallel()
 			sys := paritySystem(t, tc.proto, tc.vnMode, 3, 2, 2)
 			opts := mc.Options{MaxStates: 20_000, DisableTraces: true}
-			for _, engine := range []mc.Engine{mc.EngineSeq, mc.EnginePipeline} {
-				direct := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4)
-				adapted := mc.CheckEngineCtx(context.Background(), hidden{sys}, opts, engine, 4)
-				name := tc.proto + "/" + engine.String()
+			for _, engine := range inProcess {
+				direct := engine.run(context.Background(), sys, opts)
+				adapted := engine.run(context.Background(), hidden{sys}, opts)
+				name := tc.proto + "/" + engine.name
 				requireIdentical(t, name, direct, adapted)
 				ds, as := direct.Stats, adapted.Stats
 				if len(ds.RuleFirings) == 0 || !reflect.DeepEqual(ds.RuleFirings, as.RuleFirings) {

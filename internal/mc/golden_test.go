@@ -70,7 +70,7 @@ func TestSearchGolden(t *testing.T) {
 		// the end: complete, or the deadlock).
 		bfs, dfs int
 		// big systems leave two things to the small one. DFS x pipeline:
-		// CheckPipelined hands DFS to CheckCtx before it builds anything,
+		// the search loop runs DFS on one worker, without a pipeline,
 		// so the cell would re-run the seq cell to pin that fallback. And
 		// the race detector, under which they take minutes (TestLentBytes
 		// is the race test).

@@ -183,9 +183,6 @@ func TestHealthWorkerAndContentionFields(t *testing.T) {
 		t.Fatalf("arena/set bytes: pipeline %d/%d vs seq %d/%d",
 			h.ArenaBytes, h.SetBytes, seqArena, seqSet)
 	}
-	if h.ReorderMax < 1 {
-		t.Fatalf("pipeline reorder high-water = %d", h.ReorderMax)
-	}
 	var pipBatches int64
 	for _, w := range h.Workers {
 		pipBatches += w.Batches

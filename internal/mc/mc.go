@@ -6,13 +6,20 @@
 // limits), optional symmetry reduction via a canonicalization hook,
 // and counterexample trace reconstruction.
 //
-// Like Murphi, the search never materializes a duplicate. It runs on the
+// Like Murphi, the search has one loop (check): take the next stored
+// state, expand it, merge its successors. Check and CheckCtx run it on
+// one goroutine; CheckPipelined runs the same loop with a pool of
+// workers expanding batches of states ahead of it, in the order the loop
+// takes them (engine_pipeline.go), so both produce the same result.
+// Which engine runs a search is dist.Run's choice, not this package's.
+//
+// Nor does the search ever materialize a duplicate. It runs on the
 // model's streaming form (Expander; a model that has only Successors is
 // adapted by asExpander): each successor is visited in the model's work
 // buffer, canonicalized and fingerprinted in a reusable arena (the
 // collector, search.go), probed, and copied out — once, to the tail of
-// the state log (statelog.go) — only if it is new. Both schedulers and
-// the seed go through that one path. The sequential BFS first looks each
+// the state log (statelog.go) — only if it is new. Every engine and the
+// seed go through that one path. The sequential BFS first looks each
 // successor up by its raw bytes among states stored recently and still
 // in the log (rawCache, statelog.go); one byte-equal to such a state is
 // settled as its duplicate without being canonicalized, fingerprinted
@@ -364,18 +371,32 @@ func Check(m Model, opts Options) Result {
 // cancel or deadline stops the search promptly with Outcome Canceled.
 // A background (never-canceled) context changes nothing — the result
 // is bit-identical to Check's, which the parity suite pins.
-//
-// This is the sequential scheduler over the shared search core
-// (search.go): collect one state's successors at a time, in BFS or DFS
-// order, on the core's own collector, and merge them immediately.
 func CheckCtx(ctx context.Context, m Model, opts Options) Result {
+	return check(ctx, m, opts, 1)
+}
+
+// check is the one search loop, behind every in-process engine: take
+// the next stored state in BFS or DFS order, have it expanded, and hand
+// the expansion to the search core's merge (search.go). With one worker
+// the loop expands each state itself, on the core's collector; with
+// more (BFS only: DFS always runs on one) a pipeline expands batches of
+// states ahead of it, in the same order, and the loop takes each
+// expansion from it. The sequential BFS alone has the raw cache.
+func check(ctx context.Context, m Model, opts Options, workers int) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.normalized()
-	s := newSearch(ctx, m, opts, "search ("+opts.Strategy.String()+")", 1)
 	dfs := opts.Strategy == DFS
-	if !dfs && rawCacheOn {
+	if dfs {
+		workers = 1
+	}
+	s := newSearch(ctx, m, opts, "search ("+opts.Strategy.String()+")", workers)
+	var p *pipeline
+	if workers > 1 {
+		p = newPipeline(s, workers)
+		defer p.close()
+	} else if !dfs && rawCacheOn {
 		s.raw = &rawCache{log: &s.log}
 		s.col.raw = s.raw
 	}
@@ -404,14 +425,22 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 			continue
 		}
 
-		e := s.collect(w)
-		if res, done := s.merge(&e); done {
+		var e *expansion
+		if p == nil {
+			x := s.collect(w)
+			e = &x
+		} else if e = p.take(w); e == nil {
+			return s.cancel(ctx.Err())
+		}
+		if res, done := s.merge(e); done {
 			return res
 		}
 		frontier := s.stored - int(cur.id)
 		if dfs {
 			frontier = len(s.stack)
 		} else {
+			// Only now: w's bytes, lent from the log, were in use until
+			// its merge, and a pipeline worker's before that.
 			s.log.release(cur.pos)
 			if s.raw != nil {
 				s.raw.allocate(s.stored)

@@ -54,16 +54,29 @@ func paritySystem(t *testing.T, proto, vnMode string, caches, dirs, addrs int) *
 }
 
 // parityCase is one row of the parity suite: a system, search options
-// and the pinned shape of the sequential exact-store search — stored
-// states, deepest level, duplicate successors.
+// and the pinned shape of the sequential exact-store search — its
+// outcome, stored states, deepest level, duplicate successors.
 type parityCase struct {
 	name          string
 	proto         string
 	vnMode        string
 	size          [3]int // caches, dirs, addrs
 	opts          mc.Options
+	outcome       mc.Outcome
 	states, depth int
 	dedup         int64
+}
+
+// inProcess are the in-process engines the mc suites compare: the
+// sequential loop and the pipeline at 4 workers.
+var inProcess = []struct {
+	name string
+	run  func(context.Context, mc.Model, mc.Options) mc.Result
+}{
+	{"seq", mc.CheckCtx},
+	{"pipeline", func(ctx context.Context, m mc.Model, opts mc.Options) mc.Result {
+		return mc.CheckPipelinedCtx(ctx, m, opts, 4)
+	}},
 }
 
 // The parity rows' sizes: caches, dirs, addrs.
@@ -73,28 +86,29 @@ var smallSize, paperSize = [3]int{2, 1, 1}, [3]int{3, 2, 2}
 // paper's system under the minimal assignment: the exact pin of the
 // search at that size. The complete 3c/1d/1a row is one where symmetry
 // reduction stores whichever orbit representative comes first, so it
-// pins the store order itself.
+// pins the store order itself. The MOESI 2c/1d/1a row ends before its
+// bound, at a cell its table leaves unspecified (ROADMAP item 1).
 var parityCases = []parityCase{
 	{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal", smallSize,
-		mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 20, 5787},
+		mc.Options{MaxStates: 4000, DisableTraces: true}, mc.Bounded, 4000, 20, 5787},
 	{"MSI-minimal-traces", "MSI_nonblocking_cache", "minimal", smallSize,
-		mc.Options{MaxStates: 2500}, 2500, 17, 3332},
+		mc.Options{MaxStates: 2500}, mc.Bounded, 2500, 17, 3332},
 	{"MESI-minimal-bounded", "MESI_nonblocking_cache", "minimal", smallSize,
-		mc.Options{MaxStates: 4000, DisableTraces: true}, 4000, 22, 6278},
+		mc.Options{MaxStates: 4000, DisableTraces: true}, mc.Bounded, 4000, 22, 6278},
 	{"MESI-uniform-depth", "MESI_nonblocking_cache", "uniform", smallSize,
-		mc.Options{MaxDepth: 3, DisableTraces: true}, 31, 3, 26},
-	{"MOESI-minimal-bounded", "MOESI_nonblocking_cache", "minimal", smallSize,
-		mc.Options{MaxStates: 3000, DisableTraces: true}, 1764, 20, 1680},
+		mc.Options{MaxDepth: 3, DisableTraces: true}, mc.Bounded, 31, 3, 26},
+	{"MOESI-minimal-violation", "MOESI_nonblocking_cache", "minimal", smallSize,
+		mc.Options{MaxStates: 3000, DisableTraces: true}, mc.Violation, 1764, 20, 1680},
 	{"CHI-permsg-bounded", "CHI", "permsg", smallSize,
-		mc.Options{MaxStates: 2000, DisableTraces: true}, 2000, 32, 3480},
+		mc.Options{MaxStates: 2000, DisableTraces: true}, mc.Bounded, 2000, 32, 3480},
 	{"CXL-minimal-complete", "CXL_cache", "minimal", [3]int{3, 1, 1},
-		mc.Options{DisableTraces: true}, 44662, 57, 98838},
+		mc.Options{DisableTraces: true}, mc.Complete, 44662, 57, 98838},
 	{"MSI-minimal-paper", "MSI_nonblocking_cache", "minimal", paperSize,
-		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
+		mc.Options{MaxStates: 40_000, DisableTraces: true}, mc.Bounded, 40000, 6, 38224},
 	{"MESI-minimal-paper", "MESI_nonblocking_cache", "minimal", paperSize,
-		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 38224},
+		mc.Options{MaxStates: 40_000, DisableTraces: true}, mc.Bounded, 40000, 6, 38224},
 	{"MOESI-minimal-paper", "MOESI_nonblocking_cache", "minimal", paperSize,
-		mc.Options{MaxStates: 40_000, DisableTraces: true}, 40000, 6, 36494},
+		mc.Options{MaxStates: 40_000, DisableTraces: true}, mc.Bounded, 40000, 6, 36494},
 }
 
 // TestParallelParityProtocols runs every row on both engines and both
@@ -111,8 +125,8 @@ func TestParallelParityProtocols(t *testing.T) {
 			var ref mc.Result
 			var refOcc *icn.OccupancyStats
 			for _, store := range []mc.Store{mc.StoreExact, mc.StoreCompact} {
-				for _, engine := range []mc.Engine{mc.EngineSeq, mc.EnginePipeline} {
-					name := engine.String() + "/" + store.String()
+				for _, engine := range inProcess {
+					name := engine.name + "/" + store.String()
 					opts := tc.opts
 					opts.Store = store
 					prof := sys.NewOccupancyProfiler()
@@ -122,7 +136,7 @@ func TestParallelParityProtocols(t *testing.T) {
 					snaps := 0
 					opts.Progress = func(mc.Snapshot) { snaps++ }
 					opts.ProgressEvery = 500
-					res := mc.CheckEngineCtx(context.Background(), sys, opts, engine, 4)
+					res := engine.run(context.Background(), sys, opts)
 					if !res.Stats.Final || res.Stats.States != res.States {
 						t.Fatalf("%s Stats inconsistent: %+v", name, res.Stats)
 					}
@@ -144,9 +158,9 @@ func TestParallelParityProtocols(t *testing.T) {
 					}
 				}
 			}
-			if ref.States != tc.states || ref.MaxDepth != tc.depth || ref.Stats.DedupHits != tc.dedup {
-				t.Fatalf("search shape: %d states, depth %d, %d dedup hits; pinned %d, %d, %d",
-					ref.States, ref.MaxDepth, ref.Stats.DedupHits, tc.states, tc.depth, tc.dedup)
+			if ref.Outcome != tc.outcome || ref.States != tc.states || ref.MaxDepth != tc.depth || ref.Stats.DedupHits != tc.dedup {
+				t.Fatalf("search shape: %v, %d states, depth %d, %d dedup hits (%s); pinned %v, %d, %d, %d",
+					ref.Outcome, ref.States, ref.MaxDepth, ref.Stats.DedupHits, ref.Message, tc.outcome, tc.states, tc.depth, tc.dedup)
 			}
 		})
 	}
@@ -184,7 +198,6 @@ func TestContextParityProtocols(t *testing.T) {
 	}{
 		{"seq-ctx", mc.CheckCtx(bg, sys, opts)},
 		{"pipeline-ctx", mc.CheckPipelinedCtx(bg, sys, opts, 4)},
-		{"engine-ctx", mc.CheckEngineCtx(bg, sys, opts, mc.EnginePipeline, 4)},
 	} {
 		if seq.Outcome != eng.res.Outcome || seq.States != eng.res.States ||
 			seq.Rules != eng.res.Rules || seq.MaxDepth != eng.res.MaxDepth {

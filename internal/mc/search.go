@@ -12,11 +12,12 @@ import (
 // search is the one search core behind every engine: the visited set,
 // the state log, the telemetry tracker, and the Result under
 // construction, plus the store-thread bookkeeping that decides what is
-// stored, counted, and reported. CheckCtx and the pipelined merge loop
-// only schedule — who computes an expansion and when — and hand every
-// expansion to merge in storage order, which is what makes their results
-// bit-identical by construction rather than by parallel maintenance. A
-// distributed worker runs it over its owned slice, as a Partition.
+// stored, counted, and reported. The one search loop (check) hands it
+// every expansion in storage order, whether it computed the expansion
+// itself or took it from a pipeline, which is what makes the in-process
+// engines' results bit-identical by construction rather than by parallel
+// maintenance. A distributed worker runs it over its owned slice, as a
+// Partition.
 //
 // Except for the Expander itself (safe from worker goroutines, each on
 // its batch's collector), every method is store-thread only.
@@ -41,7 +42,7 @@ type search struct {
 	res      Result
 	// bounded records that some state was left unexpanded at MaxDepth.
 	bounded bool
-	col     *collector  // the store thread's: seed, the sequential scheduler, a Partition
+	col     *collector  // the store thread's: seed, the one-worker loop, a Partition
 	ireqs   []insertReq // settle's reusable insert batch
 	raw     *rawCache   // the sequential BFS's, shared with col; nil otherwise
 	// outbox is what a Partition's caller holds for its peers, counted in
@@ -57,8 +58,8 @@ type node struct {
 }
 
 // ref names one stored state. A BFS work list is one ref walked along
-// the log, storage order being BFS order (the sequential cursor, the
-// pipeline's dispatch and merge cursors); DFS's is a stack of them.
+// the log, storage order being BFS order (the loop's cursor, the
+// pipeline's dispatch cursor); DFS's is a stack of them.
 type ref struct {
 	pos       logPos
 	id, depth int32
@@ -99,7 +100,7 @@ type expansion struct {
 	succs    []succ
 }
 
-// collector is the one expansion path of both schedulers: it visits a
+// collector is the one expansion path of every engine: it visits a
 // state's successors in the model's work buffer and, per successor,
 // appends the raw bytes to a reusable arena, has the model write the
 // canonical key — when it differs — straight behind them, and notes the
@@ -108,8 +109,8 @@ type expansion struct {
 // stored state is noted as known instead, and none of that is done for
 // it. Nothing is allocated once the arena is warm. Everything collected
 // since the last reset stays valid until the next one, so a pipeline
-// batch's collector holds the whole batch until the merge has settled
-// it. One goroutine at a time per collector.
+// batch's collector holds the whole batch until the loop has merged it.
+// One goroutine at a time per collector.
 type collector struct {
 	m     Model
 	exp   Expander
@@ -410,8 +411,8 @@ func (s *search) overMemory() error {
 	return nil
 }
 
-// collect expands w on the store thread's collector: the sequential
-// scheduler's expansion, and a Partition's. The worker profile's sampled
+// collect expands w on the store thread's collector: the one-worker
+// loop's expansion, and a Partition's. The worker profile's sampled
 // expand time covers exactly this — expand, canonicalize, fingerprint.
 func (s *search) collect(w work) expansion {
 	t0 := s.tr.startExpansion(s.res.Rules)
@@ -434,9 +435,9 @@ func (s *search) atDepthBound(depth int32) bool {
 	return false
 }
 
-// merge applies one expansion to the store. The scheduler must call it
-// in the order the sequential engine would expand (storage order for
-// BFS); done means the expansion ended the search.
+// merge applies one expansion to the store. The search loop (check) is
+// its only caller, in expansion order (storage order for BFS); done
+// means the expansion ended the search.
 func (s *search) merge(e *expansion) (Result, bool) {
 	if s.count(e) {
 		return s.res, true

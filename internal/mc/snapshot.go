@@ -57,7 +57,7 @@ type Snapshot struct {
 	// occupancy and dedup-hit histograms (identical across engines by
 	// construction), per-worker expand/queue-wait/send-wait times,
 	// visited-set and frontier footprint and shard lock-wait, and — for
-	// the pipelined engine — reorder-buffer stalls.
+	// the pipelined engine — the loop's waits on its workers' batches.
 	Health *health.Report `json:"health,omitempty"`
 	// Final marks the end-of-run snapshot stored in Result.Stats.
 	Final bool `json:"final"`
@@ -78,7 +78,7 @@ type profiler interface {
 
 // tracker is the search core's telemetry (search.go): the search's
 // books, plus progress scheduling and the pipelined engine's
-// reorder counts. Everything except the worker profiles is only updated
+// wait counts. Everything except the worker profiles is only updated
 // (and read) from the single store thread, so the counters are plain
 // ints.
 type tracker struct {
@@ -88,11 +88,10 @@ type tracker struct {
 	nextStates int
 	nextTime   time.Time
 	// lane, when tracing, receives progress instants from the search
-	// goroutine; the engines set it to their main/merge lane.
+	// goroutine; the search sets it to its main lane.
 	lane *trace.Lane
 
 	reorderStalls int64
-	reorderMax    int64
 	// setHealth contributes the visited set's and the state log's
 	// footprint to each report.
 	setHealth func(*health.Report)
@@ -148,7 +147,7 @@ func (t *tracker) snapshot(states, frontier, maxDepth, expansions int, final boo
 		Frontier:       frontier,
 		MaxDepth:       maxDepth,
 		Expansions:     int64(expansions),
-		Health:         &health.Report{ReorderStalls: t.reorderStalls, ReorderMax: t.reorderMax},
+		Health:         &health.Report{ReorderStalls: t.reorderStalls},
 		Final:          final,
 	}
 	if t.setHealth != nil {

@@ -37,8 +37,8 @@ const Stripes = 64
 // differently:
 //
 //   - pipeline: one entry per pool worker; Batches counts work-channel
-//     batches, QueueWaitNS the time blocked receiving work, SendWaitNS
-//     the time blocked handing results to the merge loop.
+//     batches, QueueWaitNS the time blocked receiving work (a slow search
+//     loop shows here: a worker never blocks handing a batch back).
 //   - seq: a single entry; ExpandNS and States cover a 1-in-N sample of
 //     expansions, with Batches counting the sampled ones.
 //   - dist: one entry per worker, each filled like seq's, plus
@@ -103,13 +103,14 @@ type Report struct {
 	// reads it, and goes with that read.
 	LockWaitNS int64 `json:"lock_wait_ns,omitempty"`
 
-	// ReorderStalls counts merge-loop blocks on an expansion that had
-	// not arrived yet (the in-order merge's only wait state);
-	// ReorderMax is the reorder buffer's high-water mark, in
-	// expansions back from workers and not merged yet (not batches).
+	// ReorderStalls counts the times the search loop waited on a batch
+	// its workers had not finished yet (the loop's only wait state).
 	// Pipeline engine only.
 	ReorderStalls int64 `json:"reorder_stalls,omitempty"`
-	ReorderMax    int64 `json:"reorder_max,omitempty"`
+	// ReorderMax is never set: it was the depth of a reorder buffer the
+	// pipeline no longer has. The field stays so that run records written
+	// with it decode and re-encode unchanged.
+	ReorderMax int64 `json:"reorder_max,omitempty"`
 
 	// Workers is the per-worker breakdown (see WorkerStats).
 	Workers []WorkerStats `json:"workers,omitempty"`
@@ -195,7 +196,7 @@ func (s *ShardSampler) Fill(r *Report) {
 }
 
 // WorkerProfile is one worker's accumulator. Fields are atomic because
-// the pipelined engine's merge loop snapshots profiles while workers
+// the pipelined engine's search loop snapshots profiles while workers
 // are still expanding speculatively.
 type WorkerProfile struct {
 	batches  atomic.Int64
@@ -206,18 +207,16 @@ type WorkerProfile struct {
 }
 
 // AddBatch records one unit of worker work: states expanded, time
-// spent expanding, and (where observable) time blocked waiting for
-// work and handing off results.
-func (w *WorkerProfile) AddBatch(states int, expand, queueWait, sendWait time.Duration) {
+// spent expanding, and (where observable) time blocked waiting for it.
+func (w *WorkerProfile) AddBatch(states int, expand, queueWait time.Duration) {
 	w.batches.Add(1)
 	w.states.Add(int64(states))
 	w.expandNS.Add(int64(expand))
 	w.queueNS.Add(int64(queueWait))
-	w.sendNS.Add(int64(sendWait))
 }
 
-// AddSendWait records time blocked handing results on that belongs to
-// no batch (a dist worker's frontier sends).
+// AddSendWait records time blocked handing results on (a dist worker's
+// frontier sends; a pipeline worker never blocks there).
 func (w *WorkerProfile) AddSendWait(d time.Duration) { w.sendNS.Add(int64(d)) }
 
 // WorkerSet is a fixed pool of worker profiles, one per worker index.
@@ -264,7 +263,7 @@ func (s *WorkerSet) Stats() []WorkerStats {
 // equal a single-process run's (the distributed parity suite pins
 // this). Worker entries concatenate with renumbered indices, giving
 // the merged report one lane per process; footprint and conflation
-// counters sum; ReorderMax takes the maximum. The skew summary is
+// counters sum. The skew summary is
 // recomputed over the merged histogram.
 func (r *Report) Merge(o *Report) {
 	if o == nil {
@@ -293,8 +292,5 @@ func (r *Report) Merge(o *Report) {
 	r.UnverifiedHits += o.UnverifiedHits
 	r.RawHits += o.RawHits
 	r.ReorderStalls += o.ReorderStalls
-	if o.ReorderMax > r.ReorderMax {
-		r.ReorderMax = o.ReorderMax
-	}
 	r.Resummarize()
 }

@@ -35,9 +35,10 @@ func TestShardSamplerHistogramsAndSkew(t *testing.T) {
 
 func TestWorkerSetStats(t *testing.T) {
 	ws := NewWorkerSet(3)
-	ws.Worker(0).AddBatch(16, 5*time.Millisecond, time.Millisecond, 0)
-	ws.Worker(0).AddBatch(8, 3*time.Millisecond, 0, time.Millisecond)
-	ws.Worker(2).AddBatch(4, time.Millisecond, 0, 0)
+	ws.Worker(0).AddBatch(16, 5*time.Millisecond, time.Millisecond)
+	ws.Worker(0).AddBatch(8, 3*time.Millisecond, 0)
+	ws.Worker(0).AddSendWait(time.Millisecond)
+	ws.Worker(2).AddBatch(4, time.Millisecond, 0)
 
 	st := ws.Stats()
 	if len(st) != 3 {

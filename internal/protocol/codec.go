@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // The JSON codec lets users define protocols in files and feed them to
@@ -62,16 +63,23 @@ type jsonMessage struct {
 }
 
 type jsonController struct {
-	Initial     string           `json:"initial"`
-	Stable      []string         `json:"stable"`
-	Transient   []string         `json:"transient,omitempty"`
+	Initial   string   `json:"initial"`
+	Stable    []string `json:"stable"`
+	Transient []string `json:"transient,omitempty"`
+	// Columns is the table's column order, written only when the
+	// transitions do not determine it (see columnOrder).
+	Columns     []jsonEvent      `json:"columns,omitempty"`
 	Transitions []jsonTransition `json:"transitions"`
 }
 
+type jsonEvent struct {
+	On   string `json:"on"`             // core event or message name
+	Qual string `json:"qual,omitempty"` // qualifier name
+}
+
 type jsonTransition struct {
-	State string       `json:"state"`
-	On    string       `json:"on"`             // core event or message name
-	Qual  string       `json:"qual,omitempty"` // qualifier name
+	State string `json:"state"`
+	jsonEvent
 	Stall bool         `json:"stall,omitempty"`
 	Next  string       `json:"next,omitempty"`
 	Do    []jsonAction `json:"do,omitempty"`
@@ -162,13 +170,13 @@ func Encode(p *Protocol) ([]byte, error) {
 				jc.Stable = append(jc.Stable, s)
 			}
 		}
+		// each transition's column, and the columns in first-seen order
+		evs, seen := make([]Event, 0, len(c.Transitions)), make([]Event, 0, len(c.eventOrder))
 		c.EachCell(func(s string, ev Event, t *Transition) {
-			jt := jsonTransition{State: s, Stall: t.Stall, Next: t.Next}
-			if ev.IsCore() {
-				jt.On = string(ev.Core)
-			} else {
-				jt.On = ev.Msg
-				jt.Qual = ev.Qual.String()
+			jt := jsonTransition{State: s, jsonEvent: encodeEvent(ev), Stall: t.Stall, Next: t.Next}
+			evs = append(evs, ev)
+			if !slices.Contains(seen, ev) {
+				seen = append(seen, ev)
 			}
 			for _, a := range t.Actions {
 				ja := jsonAction{Action: actionJSONName[a.Kind]}
@@ -183,6 +191,12 @@ func Encode(p *Protocol) ([]byte, error) {
 			}
 			jc.Transitions = append(jc.Transitions, jt)
 		})
+		if !slices.Equal(columnOrder(jc.Transitions, evs, seen), c.eventOrder) {
+			jc.Columns = make([]jsonEvent, len(c.eventOrder))
+			for i, ev := range c.eventOrder {
+				jc.Columns[i] = encodeEvent(ev)
+			}
+		}
 		return jc
 	}
 	jp.Cache = encodeCtrl(p.Cache)
@@ -235,6 +249,9 @@ func Decode(data []byte) (*Protocol, error) {
 		if n := len(side.jc.Transitions); n > MaxTransitionsPerController {
 			return nil, &LimitError{Section: side.name + " transitions", Count: n, Max: MaxTransitionsPerController}
 		}
+		if n := len(side.jc.Columns); n > MaxTransitionsPerController {
+			return nil, &LimitError{Section: side.name + " columns", Count: n, Max: MaxTransitionsPerController}
+		}
 		for _, jt := range side.jc.Transitions {
 			if len(jt.Do) > MaxActionsPerTransition {
 				return nil, &LimitError{
@@ -280,16 +297,9 @@ func Decode(data []byte) (*Protocol, error) {
 		cb.Transient(jc.Transient...)
 		evs = evs[:0]
 		for _, jt := range jc.Transitions {
-			var ev Event
-			switch CoreEvent(jt.On) {
-			case Load, Store, Replacement:
-				ev = CoreEv(CoreEvent(jt.On))
-			default:
-				q, ok := qualByName[jt.Qual]
-				if !ok {
-					return fmt.Errorf("protocol: transition (%s,%s): unknown qualifier %q", jt.State, jt.On, jt.Qual)
-				}
-				ev = MsgQualEv(jt.On, q)
+			ev, ok := decodeEvent(jt.jsonEvent)
+			if !ok {
+				return fmt.Errorf("protocol: transition (%s,%s): unknown qualifier %q", jt.State, jt.On, jt.Qual)
 			}
 			acts = acts[:0]
 			for _, ja := range jt.Do {
@@ -310,7 +320,29 @@ func Decode(data []byte) (*Protocol, error) {
 			cb.Set(jt.State, ev, Transition{Stall: jt.Stall, Actions: acts, Next: jt.Next})
 			evs = append(evs, ev)
 		}
-		cb.c.eventOrder = columnOrder(jc.Transitions, evs, cb.c.eventOrder)
+		if jc.Columns == nil {
+			cb.c.eventOrder = columnOrder(jc.Transitions, evs, cb.c.eventOrder)
+			return nil
+		}
+		cols := make([]Event, 0, len(jc.Columns))
+		listed := make(map[Event]bool, len(jc.Columns))
+		for _, je := range jc.Columns {
+			ev, ok := decodeEvent(je)
+			if !ok {
+				return fmt.Errorf("protocol: column %s: unknown qualifier %q", je.On, je.Qual)
+			}
+			if listed[ev] {
+				return fmt.Errorf("protocol: column %s listed twice", ev)
+			}
+			listed[ev] = true
+			cols = append(cols, ev)
+		}
+		for _, ev := range cb.c.eventOrder {
+			if !listed[ev] {
+				return fmt.Errorf("protocol: column %s has cells but is not in the column list", ev)
+			}
+		}
+		cb.c.eventOrder = cols
 		return nil
 	}
 
@@ -331,6 +363,25 @@ func Decode(data []byte) (*Protocol, error) {
 	return b.Build()
 }
 
+// encodeEvent is how a transition or the column list names ev.
+func encodeEvent(ev Event) jsonEvent {
+	if ev.IsCore() {
+		return jsonEvent{On: string(ev.Core)}
+	}
+	return jsonEvent{On: ev.Msg, Qual: ev.Qual.String()}
+}
+
+// decodeEvent is encodeEvent's inverse; false means an unknown
+// qualifier.
+func decodeEvent(je jsonEvent) (Event, bool) {
+	switch CoreEvent(je.On) {
+	case Load, Store, Replacement:
+		return CoreEv(CoreEvent(je.On)), true
+	}
+	q, ok := qualByName[je.Qual]
+	return MsgQualEv(je.On, q), ok
+}
+
 // columnOrder returns a column order under which Encode writes a
 // decoded controller's transitions as they were read, evs[i] being the
 // column of jts[i] and seen the columns in the order they were first
@@ -338,7 +389,9 @@ func Decode(data []byte) (*Protocol, error) {
 // order, so seen already is such an order unless a row lists an event
 // ahead of one an earlier row listed first. Then an event goes after
 // every event just ahead of it in a row, and otherwise where it was
-// first seen.
+// first seen. Columns that never share a row, and a declared column
+// with no cells, are left where this puts them; Encode writes a
+// controller's column list when that is not its order.
 func columnOrder(jts []jsonTransition, evs, seen []Event) []Event {
 	pos := func(ev Event) int {
 		for i, e := range seen {

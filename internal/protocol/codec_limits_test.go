@@ -83,6 +83,20 @@ func TestDecodeRejectsTooManyTransitions(t *testing.T) {
 	wantLimit(t, oversizedTransitions(MaxTransitionsPerController+1), "cache transitions")
 }
 
+func TestDecodeRejectsTooManyColumns(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"name":"big","messages":[{"name":"Get","type":"request"}],` +
+		`"cache":{"initial":"I","stable":["I"],"columns":[`)
+	for i := 0; i <= MaxTransitionsPerController; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`{"on":"Get"}`)
+	}
+	b.WriteString(`],"transitions":[]},"directory":{"initial":"I","stable":["I"],"transitions":[]}}`)
+	wantLimit(t, []byte(b.String()), "cache columns")
+}
+
 func TestDecodeRejectsTooManyActions(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(`{"name":"big","messages":[{"name":"Get","type":"request"},{"name":"Data","type":"data"}],` +

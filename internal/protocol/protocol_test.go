@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -394,5 +395,66 @@ func TestDecodeKeepsRowOrder(t *testing.T) {
 	}
 	if got, _ := Encode(q); string(got) != string(want) {
 		t.Errorf("decoded table re-encodes differently:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestDecodeColumnList: a table whose cells leave its column order open
+// — here a column no row shares with another, and a declared column with
+// no cells — is encoded with its column list and prints the same after a
+// round trip; a list that repeats a column, leaves out one with cells or
+// names an unknown qualifier is rejected.
+func TestDecodeColumnList(t *testing.T) {
+	b := NewBuilder("columns")
+	b.Message("Req", Request)
+	b.Message("Resp", DataResponse)
+	c := b.Cache("I").Stable("I", "V").Transient("IV").
+		Columns(CoreEv(Store), CoreEv(Replacement), CoreEv(Load), MsgEv("Resp"))
+	c.On("I", CoreEv(Load)).Send("Req", ToDir).Goto("IV")
+	c.On("IV", MsgEv("Resp")).Goto("V")
+	c.On("V", CoreEv(Store)).Stay()
+	b.Dir("ID").Stable("ID").On("ID", MsgEv("Req")).Send("Resp", ToReq).Stay()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(enc, &doc); err != nil {
+		t.Fatal(err)
+	}
+	cache, dir := doc["cache"].(map[string]any), doc["directory"].(map[string]any)
+	if dir["columns"] != nil || cache["columns"] == nil {
+		t.Fatalf("the cache's column list, and only it, must be encoded:\n%s", enc)
+	}
+	q, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FormatProtocol(q), FormatProtocol(p); got != want {
+		t.Errorf("round trip prints\n%s\nwant\n%s", got, want)
+	}
+	if again, _ := Encode(q); string(again) != string(enc) {
+		t.Errorf("decoded table re-encodes differently:\n%s\nwant\n%s", again, enc)
+	}
+	col := func(on, qual string) map[string]string { return map[string]string{"on": on, "qual": qual} }
+	for name, tc := range map[string]struct {
+		list []map[string]string
+		want string
+	}{
+		"repeated":      {[]map[string]string{col("Store", ""), col("Store", ""), col("Load", ""), col("Resp", "")}, "column Store listed twice"},
+		"missing":       {[]map[string]string{col("Store", ""), col("Load", "")}, "column Resp has cells but is not in the column list"},
+		"bad qualifier": {[]map[string]string{col("Resp", "bogus")}, `column Resp: unknown qualifier "bogus"`},
+	} {
+		cache["columns"] = tc.list
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode error %v, want one naming %q", name, err, tc.want)
+		}
 	}
 }

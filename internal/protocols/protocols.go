@@ -15,6 +15,7 @@ package protocols
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"minvn/internal/protocol"
@@ -92,6 +93,15 @@ func Load(name string) (*protocol.Protocol, error) {
 		return nil, fmt.Errorf("protocols: unknown protocol %q (known: %v)", name, Names())
 	}
 	return registry[canonical]().Clone(), nil
+}
+
+// LoadStoreOnly reports whether the protocol named (a MOSI or MOESI
+// built-in, or one derived from it and named after it) is model checked
+// on loads and stores only: under replacements, forwards pile up past a
+// cache's single saved-requestor register, reaching cells the tables
+// leave unspecified. Every tool and test decides the restriction here.
+func LoadStoreOnly(name string) bool {
+	return strings.HasPrefix(name, "MOSI") || strings.HasPrefix(name, "MOESI")
 }
 
 // MustLoad is Load panicking on error, for tests and examples.

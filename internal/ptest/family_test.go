@@ -1,7 +1,6 @@
 package ptest
 
 import (
-	"strings"
 	"testing"
 
 	"minvn/internal/analysis"
@@ -95,9 +94,9 @@ func TestFamilyMinVNDifferential(t *testing.T) {
 // TestFamilyVariantsCleanUnderHarness cross-checks the derived family
 // members dynamically: the harness runs its three oracles over every
 // engine × store combination at the paper configuration. The MO*
-// families are excluded — their built-in tables are already
-// incomplete under eviction workloads (see DESIGN.md), which the
-// harness reports as dyn-invalid before any oracle applies.
+// families are excluded (protocols.LoadStoreOnly): their built-in
+// tables are incomplete under eviction workloads, which the harness
+// reports as dyn-invalid before any oracle applies.
 func TestFamilyVariantsCleanUnderHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model-checking matrix")
@@ -107,7 +106,7 @@ func TestFamilyVariantsCleanUnderHarness(t *testing.T) {
 
 	var cases []*protocol.Protocol
 	for _, pin := range familyPins {
-		if strings.HasPrefix(pin.name, "MO") {
+		if protocols.LoadStoreOnly(pin.name) {
 			continue
 		}
 		ns, err := xform.NonStalling(protocols.MustLoad(pin.name))

@@ -73,7 +73,7 @@ type Options struct {
 	// what makes the soundness oracle definitive.
 	dist.Spec
 	// Engines to cross-check (default seq, pipeline; in-process only).
-	Engines []mc.Engine `json:"engines"`
+	Engines []dist.Engine `json:"engines"`
 	// Stores to cross-check (default exact only). With more than one,
 	// every engine runs under every store and all answers must agree —
 	// the exact-vs-compact differential applied to mutants.
@@ -97,7 +97,7 @@ func (o Options) normalized() Options {
 		o.MaxStates = 50_000
 	}
 	if len(o.Engines) == 0 {
-		o.Engines = []mc.Engine{mc.EngineSeq, mc.EnginePipeline}
+		o.Engines = []dist.Engine{dist.EngineSeq, dist.EnginePipeline}
 	}
 	if len(o.Stores) == 0 {
 		o.Stores = []mc.Store{mc.StoreExact}
@@ -125,7 +125,7 @@ type Cell struct {
 // matrix tools: vnsweep records every cell, and RunCase's parity
 // oracle fails on the first disagreement. err reports a run that
 // failed; the cells before it are returned with it.
-func CrossCheck(ctx context.Context, job dist.Job, engines []mc.Engine, stores []mc.Store) (cells []Cell, first mc.Result, disagree string, err error) {
+func CrossCheck(ctx context.Context, job dist.Job, engines []dist.Engine, stores []mc.Store) (cells []Cell, first mc.Result, disagree string, err error) {
 	for _, eng := range engines {
 		for _, st := range stores {
 			job.Engine, job.Options.Store = eng, st

@@ -154,7 +154,7 @@ func TestReproReplaysCampaign(t *testing.T) {
 	}
 	opts := Options{
 		Spec:    dist.Spec{Caches: 3, Dirs: 1, MaxStates: 20_000, Workers: 3},
-		Engines: []mc.Engine{mc.EnginePipeline},
+		Engines: []dist.Engine{dist.EnginePipeline},
 		Stores:  []mc.Store{mc.StoreExact, mc.StoreCompact},
 	}
 	v := &Violation{
@@ -199,7 +199,7 @@ func TestReproReplaysCampaign(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dist.Spec{Caches: 3, Dirs: 1, Addrs: 1, MaxStates: 20000, Workers: 3}",
-		"Engines: []mc.Engine{mc.EnginePipeline}",
+		"Engines: []dist.Engine{dist.EnginePipeline}",
 		"Stores:  []mc.Store{mc.StoreExact, mc.StoreCompact}",
 	} {
 		if !bytes.Contains(src, []byte(want)) {

@@ -22,7 +22,7 @@
 // and its ledger record's verdict, which vnverify's records carry too.
 //
 // Jobs carry per-job deadlines enforced through the model checker's
-// context plumbing (mc.CheckEngineCtx / Outcome Canceled), progress is
+// context plumbing (dist.Run / Outcome Canceled), progress is
 // streamed over SSE from the existing mc.Snapshot machinery, and
 // SIGTERM drains gracefully: admitted jobs complete, new ones are
 // refused.

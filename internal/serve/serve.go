@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"minvn/internal/dist"
 	"minvn/internal/mc"
 	"minvn/internal/obs"
 	"minvn/internal/obs/ledger"
@@ -471,7 +472,7 @@ func (s *Server) runJob(job *Job) {
 	// A perf knob, outside the cache key like workers itself. An engine
 	// the request named keeps its default: dist's key names its fleet
 	// size, and a pipeline of one worker would only add overhead.
-	if j := job.task.search; j != nil && j.Engine == mc.EngineAuto && j.Workers <= 0 {
+	if j := job.task.search; j != nil && j.Engine == dist.EngineAuto && j.Workers <= 0 {
 		j.Workers = s.searchShare()
 	}
 	if rec != nil {
