@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Frontier batch wire format. A batch carries states generated at one
@@ -28,6 +29,18 @@ import (
 // single byte of it is allocated, and a violated cap surfaces as a
 // typed *LimitError — the decode path is fuzzed (FuzzFrontierDecode)
 // with the same discipline as protocol.Decode.
+//
+// Buffers. A batch is copied once, by its sender, entry by entry as the
+// states are generated, into a buffer that keeps room for the header in
+// front (newFrame, appendEntry); frameBatch writes the header into that
+// room, so the frame is the buffer from the header on. The sender owns
+// the frame until its delivery is acknowledged and may reuse it after
+// that only if the receiver does not keep it: a receiver in this
+// process keeps the batch it was handed, since its entries alias the
+// frame, while a receiver over HTTP has read its own copy. A receiver
+// keeps what it applied (the frame, or the body it read) until it
+// promotes the level, and decodes entries into slices it reuses; then
+// the buffers are free for its own frames and bodies (Worker.bufs).
 const (
 	frontierMagic   = "MVNF"
 	frontierVersion = 1
@@ -78,33 +91,38 @@ type batch struct {
 	States [][]byte
 }
 
+// frameReserve is the room a frame buffer keeps in front of its entries
+// for the header: the magic and five uvarints at their longest.
+const frameReserve = len(frontierMagic) + 5*binary.MaxVarintLen64
+
+// newFrame empties buf and reserves the header's room at its front: the
+// buffer a sender appends a batch's entries to (appendEntry) as it
+// generates them, for frameBatch to frame in place.
+func newFrame(buf []byte) []byte {
+	return slices.Grow(buf[:0], frameReserve)[:frameReserve]
+}
+
 // appendEntry appends s to dst in an entry's wire form: uvarint length,
-// then the bytes. A sender builds a batch's entries this way as it
-// generates them, and encodeBatch frames them.
+// then the bytes.
 func appendEntry(dst, s []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// encodeBatch frames count entries, already in wire form (appendEntry),
-// as one batch, in a new buffer: the caller may reuse entries at once,
-// and the result is never written again, so a retried or still
-// in-flight send can read it for as long as it likes. Callers keep
-// batches under the caps by construction (flushEntries <
-// MaxBatchEntries); encode still enforces them, walking the entries
-// with the decoder's own parser, so a bug here can never emit a batch
-// its peer must reject.
-func encodeBatch(from, depth int, seq uint64, count int, entries []byte) ([]byte, error) {
+// frameBatch frames the count entries a sender appended to buf behind
+// its reserved room (newFrame) as one batch, without copying them: it
+// writes the header into the end of that room and returns the batch,
+// buf from the header on. Callers keep batches under the caps by
+// construction (flushEntries < MaxBatchEntries); framing still enforces
+// them, walking the entries with the decoder's own parser, so a bug
+// here can never emit a batch its peer must reject.
+func frameBatch(buf []byte, from, depth int, seq uint64, count int) ([]byte, error) {
 	if count > MaxBatchEntries {
 		return nil, &LimitError{Section: "entries", Count: count, Max: MaxBatchEntries}
 	}
-	out := make([]byte, 0, 5*binary.MaxVarintLen64+len(frontierMagic)+len(entries))
-	out = append(out, frontierMagic...)
-	out = binary.AppendUvarint(out, frontierVersion)
-	out = binary.AppendUvarint(out, uint64(from))
-	out = binary.AppendUvarint(out, uint64(depth))
-	out = binary.AppendUvarint(out, seq)
-	out = binary.AppendUvarint(out, uint64(count))
-	rest := entries
+	if len(buf) < frameReserve {
+		return nil, fmt.Errorf("dist: frontier batch: no header room")
+	}
+	rest := buf[frameReserve:]
 	for i := 0; i < count; i++ {
 		var err error
 		if _, rest, err = nextEntry(rest, i); err != nil {
@@ -114,7 +132,15 @@ func encodeBatch(from, depth int, seq uint64, count int, entries []byte) ([]byte
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("dist: frontier batch: %d bytes past %d entries", len(rest), count)
 	}
-	out = append(out, entries...)
+	var hdr [frameReserve]byte
+	h := append(hdr[:0], frontierMagic...)
+	h = binary.AppendUvarint(h, frontierVersion)
+	h = binary.AppendUvarint(h, uint64(from))
+	h = binary.AppendUvarint(h, uint64(depth))
+	h = binary.AppendUvarint(h, seq)
+	h = binary.AppendUvarint(h, uint64(count))
+	out := buf[frameReserve-len(h):]
+	copy(out, h)
 	if len(out) > MaxBatchBytes {
 		return nil, &LimitError{Section: "batch bytes", Count: len(out), Max: MaxBatchBytes}
 	}
@@ -139,59 +165,61 @@ func nextEntry(rest []byte, i int) (entry, tail []byte, err error) {
 }
 
 // decodeBatch parses an encoded batch, enforcing every cap before the
-// corresponding allocation. Entries are lent, not copied: each aliases
-// data, which must stay unmodified until the last of them has been
-// settled — for a worker, until the level is promoted.
-func decodeBatch(data []byte) (*batch, error) {
+// corresponding allocation, and appends its entries to states; the
+// batch's States are what it appended. Entries are lent, not copied:
+// each aliases data, which must stay unmodified until the last of them
+// has been settled — for a worker, until the level is promoted.
+func decodeBatch(data []byte, states [][]byte) (batch, error) {
+	b, body, count, err := decodeHeader(data)
+	if err != nil {
+		return b, err
+	}
+	all, err := decodeEntries(states, body, count)
+	b.States = all[len(states):]
+	return b, err
+}
+
+// decodeHeader parses a batch's header: the batch less its States, the
+// entries' bytes and their number, under the entries cap.
+func decodeHeader(data []byte) (b batch, body []byte, count int, err error) {
 	if len(data) > MaxBatchBytes {
-		return nil, &LimitError{Section: "batch bytes", Count: len(data), Max: MaxBatchBytes}
+		return b, nil, 0, &LimitError{Section: "batch bytes", Count: len(data), Max: MaxBatchBytes}
 	}
 	if len(data) < len(frontierMagic) || string(data[:len(frontierMagic)]) != frontierMagic {
-		return nil, fmt.Errorf("dist: frontier batch: bad magic")
+		return b, nil, 0, fmt.Errorf("dist: frontier batch: bad magic")
 	}
 	rest := data[len(frontierMagic):]
-	next := func(what string) (uint64, error) {
+	var fields [5]uint64 // version, sender, depth, sequence, count
+	for i, what := range [...]string{"version", "sender", "depth", "sequence", "count"} {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return 0, fmt.Errorf("dist: frontier batch: truncated %s", what)
+			return b, nil, 0, fmt.Errorf("dist: frontier batch: truncated %s", what)
 		}
-		rest = rest[n:]
-		return v, nil
-	}
-	ver, err := next("version")
-	if err != nil {
-		return nil, err
-	}
-	if ver != frontierVersion {
-		return nil, fmt.Errorf("dist: frontier batch: unsupported version %d", ver)
-	}
-	from, err := next("sender")
-	if err != nil {
-		return nil, err
-	}
-	depth, err := next("depth")
-	if err != nil {
-		return nil, err
-	}
-	seq, err := next("sequence")
-	if err != nil {
-		return nil, err
-	}
-	count, err := next("count")
-	if err != nil {
-		return nil, err
-	}
-	if count > MaxBatchEntries {
-		return nil, &LimitError{Section: "entries", Count: clampInt(count), Max: MaxBatchEntries}
-	}
-	b := &batch{From: int(from), Depth: int(depth), Seq: seq, States: make([][]byte, count)}
-	for i := range b.States {
-		if b.States[i], rest, err = nextEntry(rest, i); err != nil {
-			return nil, err
+		if rest, fields[i] = rest[n:], v; i == 0 && v != frontierVersion {
+			return b, nil, 0, fmt.Errorf("dist: frontier batch: unsupported version %d", v)
 		}
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("dist: frontier batch: %d trailing bytes", len(rest))
+	if fields[4] > MaxBatchEntries {
+		return b, nil, 0, &LimitError{Section: "entries", Count: clampInt(fields[4]), Max: MaxBatchEntries}
 	}
-	return b, nil
+	b = batch{From: int(fields[1]), Depth: int(fields[2]), Seq: fields[3]}
+	return b, rest, int(fields[4]), nil
+}
+
+// decodeEntries appends the count entries that make up body to states.
+// On an error states comes back as it was given.
+func decodeEntries(states [][]byte, body []byte, count int) ([][]byte, error) {
+	out := states
+	for i := 0; i < count; i++ {
+		var s []byte
+		var err error
+		if s, body, err = nextEntry(body, i); err != nil {
+			return states, err
+		}
+		out = append(out, s)
+	}
+	if len(body) != 0 {
+		return states, fmt.Errorf("dist: frontier batch: %d trailing bytes", len(body))
+	}
+	return out, nil
 }

@@ -19,13 +19,13 @@ func mkBatch(from, depth int, seq uint64, states ...string) *batch {
 }
 
 // encode frames b through the worker's own encoder: its entries in wire
-// form, then the one encodeBatch.
+// form behind the header's room, then the one frameBatch.
 func encode(b *batch) ([]byte, error) {
-	var entries []byte
+	buf := newFrame(nil)
 	for _, s := range b.States {
-		entries = appendEntry(entries, s)
+		buf = appendEntry(buf, s)
 	}
-	return encodeBatch(b.From, b.Depth, b.Seq, len(b.States), entries)
+	return frameBatch(buf, b.From, b.Depth, b.Seq, len(b.States))
 }
 
 func TestFrontierRoundTrip(t *testing.T) {
@@ -39,7 +39,7 @@ func TestFrontierRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		out, err := decodeBatch(data)
+		out, err := decodeBatch(data, nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -76,14 +76,14 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		// Every strict prefix must fail cleanly — no panic, no success.
 		for i := 0; i < len(valid); i++ {
-			if _, err := decodeBatch(valid[:i]); err == nil {
+			if _, err := decodeBatch(valid[:i], nil); err == nil {
 				t.Fatalf("decode accepted %d-byte prefix of a %d-byte batch", i, len(valid))
 			}
 		}
 	})
 
 	t.Run("trailing-bytes", func(t *testing.T) {
-		if _, err := decodeBatch(append(append([]byte(nil), valid...), 0)); err == nil {
+		if _, err := decodeBatch(append(append([]byte(nil), valid...), 0), nil); err == nil {
 			t.Fatal("decode accepted trailing bytes")
 		}
 	})
@@ -91,7 +91,7 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
 		bad[0] ^= 0xff
-		if _, err := decodeBatch(bad); err == nil {
+		if _, err := decodeBatch(bad, nil); err == nil {
 			t.Fatal("decode accepted corrupted magic")
 		}
 	})
@@ -99,7 +99,7 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 	t.Run("bad-version", func(t *testing.T) {
 		bad := []byte(frontierMagic)
 		bad = binary.AppendUvarint(bad, 99)
-		if _, err := decodeBatch(bad); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := decodeBatch(bad, nil); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("want version error, got %v", err)
 		}
 	})
@@ -113,7 +113,7 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 		hdr = binary.AppendUvarint(hdr, 0)     // depth
 		hdr = binary.AppendUvarint(hdr, 0)     // seq
 		hdr = binary.AppendUvarint(hdr, 1<<40) // count
-		_, err := decodeBatch(hdr)
+		_, err := decodeBatch(hdr, nil)
 		var le *LimitError
 		if !errors.As(err, &le) || le.Section != "entries" || le.Max != MaxBatchEntries {
 			t.Fatalf("want entries LimitError, got %v", err)
@@ -128,7 +128,7 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 		hdr = binary.AppendUvarint(hdr, 0)
 		hdr = binary.AppendUvarint(hdr, 1)               // one entry
 		hdr = binary.AppendUvarint(hdr, MaxEntryBytes+1) // too long
-		_, err := decodeBatch(hdr)
+		_, err := decodeBatch(hdr, nil)
 		var le *LimitError
 		if !errors.As(err, &le) || le.Section != "entry bytes" {
 			t.Fatalf("want entry-bytes LimitError, got %v", err)
@@ -136,23 +136,23 @@ func TestFrontierDecodeRejectsAbuse(t *testing.T) {
 	})
 
 	t.Run("oversized-batch", func(t *testing.T) {
-		if _, err := decodeBatch(make([]byte, MaxBatchBytes+1)); err == nil {
+		if _, err := decodeBatch(make([]byte, MaxBatchBytes+1), nil); err == nil {
 			t.Fatal("decode accepted an over-cap batch body")
 		}
 	})
 
 	t.Run("encode-count-mismatch", func(t *testing.T) {
-		entries := appendEntry(nil, []byte("only-one"))
+		entries := appendEntry(newFrame(nil), []byte("only-one"))
 		for _, count := range []int{0, 2} {
-			if _, err := encodeBatch(0, 0, 0, count, entries); err == nil {
+			if _, err := frameBatch(entries, 0, 0, 0, count); err == nil {
 				t.Fatalf("encode framed one entry as %d", count)
 			}
 		}
 	})
 
 	t.Run("encode-oversized-entry", func(t *testing.T) {
-		entries := appendEntry(nil, make([]byte, MaxEntryBytes+1))
-		_, err := encodeBatch(0, 0, 0, 1, entries)
+		entries := appendEntry(newFrame(nil), make([]byte, MaxEntryBytes+1))
+		_, err := frameBatch(entries, 0, 0, 0, 1)
 		var le *LimitError
 		if !errors.As(err, &le) || le.Section != "entry bytes" {
 			t.Fatalf("want entry-bytes LimitError, got %v", err)

@@ -86,9 +86,12 @@ type member interface {
 
 // peer is a worker as another worker delivers encoded frontier batches
 // to it: a *Worker in this process, or httpPeer. A nil error
-// acknowledges the batch.
+// acknowledges the batch. keeps reports whether the peer may still read
+// an acknowledged batch — a receiver in this process keeps the batch it
+// was handed — so that its sender must not reuse the buffer.
 type peer interface {
 	deliver(ctx context.Context, batch []byte) error
+	keeps() bool
 }
 
 // Check runs the distributed search and blocks until it finishes. The

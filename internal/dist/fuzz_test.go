@@ -36,7 +36,7 @@ func FuzzFrontierDecode(f *testing.F) {
 	f.Add(hdr(99, 0, 0, 0, 0))                               // bad version
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBatch(data)
+		b, err := decodeBatch(data, nil)
 		if err != nil {
 			// Errors are fine; cap violations must be typed.
 			var le *LimitError
@@ -45,11 +45,11 @@ func FuzzFrontierDecode(f *testing.F) {
 			}
 			return
 		}
-		re, err := encode(b)
+		re, err := encode(&b)
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}
-		b2, err := decodeBatch(re)
+		b2, err := decodeBatch(re, nil)
 		if err != nil {
 			t.Fatalf("decode of re-encoded batch failed: %v", err)
 		}

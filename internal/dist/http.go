@@ -37,11 +37,25 @@ var kindStatus = [...]int{
 }
 
 // controlClient carries coordinators' control calls, frontierClient
-// workers' frontier POSTs.
+// workers' frontier POSTs. The frontier connections buffer frameWrite
+// bytes of what they send, so that a frame up to about that size goes
+// out of the connection's own buffer: through the default 4 KiB one,
+// net/http copies the rest of a body through a copy buffer it allocates
+// for the request.
 var (
 	controlClient  = &http.Client{}
-	frontierClient = &http.Client{Timeout: 30 * time.Second}
+	frontierClient = &http.Client{Timeout: 30 * time.Second, Transport: writeBuffered(frameWrite)}
 )
+
+// frameWrite covers a batch of flushEntries entries of up to 120 bytes.
+const frameWrite = 64 << 10
+
+// writeBuffered is the default transport with n-byte write buffers.
+func writeBuffered(n int) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.WriteBufferSize = n
+	return t
+}
 
 // dialFleet returns the members for worker daemons at base URLs.
 func dialFleet(urls []string) []member {
@@ -102,6 +116,9 @@ func postBody(ctx context.Context, client *http.Client, url, contentType string,
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK && resp.ContentLength == 0 {
+		return nil, nil // an acknowledgement: nothing to read
+	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
 	if err != nil || resp.StatusCode == http.StatusOK {
 		return data, err
@@ -135,9 +152,13 @@ func (w *Worker) handler(dial func(url string) peer) http.Handler {
 		return struct{}{}, w.cancel(ctx, in)
 	}))
 	mux.HandleFunc("POST /dist/v1/frontier", func(rw http.ResponseWriter, req *http.Request) {
-		data, err := readBatch(req)
+		data, err := w.readBatch(req)
+		kept := false
 		if err == nil {
-			err = w.deliver(req.Context(), data)
+			kept, err = w.receive(data)
+		}
+		if data != nil && !kept {
+			w.bufs.put(data)
 		}
 		if err != nil {
 			writeError(rw, err)
@@ -191,9 +212,10 @@ func writeError(rw http.ResponseWriter, err error) {
 }
 
 // readBatch reads a frontier body into one buffer: exactly the declared
-// length when there is one (refused before a byte is read if it is over
-// the cap), else a limited read that decodeBatch refuses if it is.
-func readBatch(req *http.Request) ([]byte, error) {
+// length, into a free buffer of the worker's, when there is one (refused
+// before a byte is read if it is over the cap), else a limited read that
+// decodeBatch refuses if it is.
+func (w *Worker) readBatch(req *http.Request) ([]byte, error) {
 	n := req.ContentLength
 	if n > MaxBatchBytes {
 		return nil, &LimitError{Section: "batch bytes", Count: clampInt(uint64(n)), Max: MaxBatchBytes}
@@ -201,7 +223,7 @@ func readBatch(req *http.Request) ([]byte, error) {
 	var data []byte
 	var err error
 	if n >= 0 {
-		data = make([]byte, n)
+		data = w.bufs.get(int(n))[:n]
 		_, err = io.ReadFull(req.Body, data)
 	} else {
 		data, err = io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
@@ -216,6 +238,10 @@ func readBatch(req *http.Request) ([]byte, error) {
 // retrying a failed POST with doubling backoff. A 409 is not retried:
 // the receiver is canceled or at another depth.
 type httpPeer string
+
+// keeps is false: the receiver reads its own copy off the wire, and
+// answers only once it has read all of it.
+func (httpPeer) keeps() bool { return false }
 
 func (p httpPeer) deliver(ctx context.Context, data []byte) error {
 	var err error

@@ -17,9 +17,11 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +37,9 @@ var transports = []string{"in-process", "http"}
 type peerFunc func(ctx context.Context, data []byte) error
 
 func (f peerFunc) deliver(ctx context.Context, data []byte) error { return f(ctx, data) }
+
+// keeps is true: a test double may hold a batch past its acknowledgement.
+func (peerFunc) keeps() bool { return true }
 
 // linked is a member whose init hands the worker its own peers, so each
 // worker's links can be wrapped apart.
@@ -108,9 +113,9 @@ func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 // on returns p behind the gate.
 func (g *gate) on(p peer) peer {
 	return peerFunc(func(ctx context.Context, data []byte) error {
-		b, err := decodeBatch(data)
+		b, err := decodeBatch(data, nil)
 		g.mu.Lock()
-		first := !g.blocked && err == nil && g.hold(b)
+		first := !g.blocked && err == nil && g.hold(&b)
 		if first {
 			g.blocked = true
 		} else if g.blocked {
@@ -202,6 +207,130 @@ func TestInitStopsReplacedRun(t *testing.T) {
 	}
 	if r := ws[0].run.Load(); r == nil || r.id != "B" {
 		t.Error("worker 0 does not serve run B")
+	}
+}
+
+// dying is a member that is lost at its expand at depth at: from then
+// on its calls fail, and so does every delivery to it (dead).
+type dying struct {
+	member
+	at   int
+	dead *atomic.Bool
+}
+
+func (d dying) expand(ctx context.Context, in expandReq) (expandResp, error) {
+	if in.Depth >= d.at {
+		d.dead.Store(true)
+	}
+	if d.dead.Load() {
+		return expandResp{}, errLost
+	}
+	return d.member.expand(ctx, in)
+}
+
+// TestDistSendersExit pins that no frontier sender outlives its run,
+// however the run ends: complete, canceled mid-delivery, with a worker
+// lost mid-run, or replaced by a new init. Each run is made in a subtest
+// of its own, whose cleanup closes the fleet's servers; the clients' idle
+// connections, which outlive a run by design, are dropped before the
+// count.
+func TestDistSendersExit(t *testing.T) {
+	cfg := minimal(t, "MSI_nonblocking_cache", 2)
+	ends := []struct {
+		name string
+		run  func(t *testing.T, transport string) error
+	}{
+		{"complete", func(t *testing.T, transport string) error {
+			_, members, urls := fleet(t, transport, 2, func(_, _ int, p peer) peer { return p })
+			res, err := check(context.Background(), Job{Config: cfg, Options: mc.Options{DisableTraces: true}, Peers: urls}, members, nil)
+			if err == nil && res.Outcome != mc.Complete {
+				err = fmt.Errorf("outcome %v", res.Outcome)
+			}
+			return err
+		}},
+		{"canceled", func(t *testing.T, transport string) error {
+			g := newGate(func(*batch) bool { return true })
+			_, members, urls := fleet(t, transport, 2, gateWorker1(g))
+			t.Cleanup(g.open)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				res, err := check(ctx, Job{Config: cfg, Options: mc.Options{DisableTraces: true}, Peers: urls}, members, nil)
+				if err == nil && res.Outcome != mc.Canceled {
+					err = fmt.Errorf("outcome %v", res.Outcome)
+				}
+				done <- err
+			}()
+			<-g.entered
+			cancel()
+			err := <-done
+			g.open()
+			return err
+		}},
+		{"lost", func(t *testing.T, transport string) error {
+			var dead atomic.Bool
+			_, members, urls := fleet(t, transport, 2, func(_, to int, p peer) peer {
+				if to != 1 {
+					return p
+				}
+				return peerFunc(func(ctx context.Context, data []byte) error {
+					if dead.Load() {
+						return errLost
+					}
+					return p.deliver(ctx, data)
+				})
+			})
+			members[1] = dying{members[1], 4, &dead}
+			_, err := check(context.Background(), Job{Config: cfg, Options: mc.Options{DisableTraces: true}, Peers: urls}, members, nil)
+			var lost *WorkerLostError
+			if !errors.As(err, &lost) {
+				return fmt.Errorf("ended with %v, want a lost worker", err)
+			}
+			return nil
+		}},
+		{"replaced", func(t *testing.T, transport string) error {
+			g := newGate(func(*batch) bool { return true })
+			ws, members, urls := fleet(t, transport, 2, gateWorker1(g))
+			t.Cleanup(g.open)
+			done := make(chan error, 1)
+			go func() {
+				_, err := check(context.Background(), Job{Config: cfg, Options: mc.Options{DisableTraces: true}, Peers: urls}, members, nil)
+				done <- err
+			}()
+			<-g.entered
+			spec, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ws[0].init(context.Background(), initReq{RunID: "B", Workers: 1, Spec: spec, Store: "exact", peers: []peer{nil}}); err != nil {
+				t.Fatal(err)
+			}
+			g.open()
+			if err := <-done; err == nil {
+				return errors.New("the replaced run completed")
+			}
+			return nil
+		}},
+	}
+	for _, transport := range transports {
+		for _, end := range ends {
+			t.Run(transport+"/"+end.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				t.Run("run", func(t *testing.T) {
+					if err := end.run(t, transport); err != nil {
+						t.Fatal(err)
+					}
+				})
+				controlClient.CloseIdleConnections()
+				frontierClient.CloseIdleConnections()
+				for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+					}
+				}
+			})
+		}
 	}
 }
 

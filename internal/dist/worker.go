@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,22 +110,60 @@ func (e *callError) Unwrap() error { return e.err }
 // stops any previous run. A Worker is a member and a peer, called
 // directly in process and through Handler over HTTP.
 type Worker struct {
-	run atomic.Pointer[workerRun] // the active run, nil when idle
+	run  atomic.Pointer[workerRun] // the active run, nil when idle
+	bufs bufPool                   // free frame and body buffers, kept from run to run
 }
 
 // NewWorker builds an idle worker.
 func NewWorker() *Worker { return &Worker{} }
 
+// bufPool is a worker's free buffers: frames its senders are done with
+// and bodies or frames it received, once the level they served is
+// promoted. Its frames and bodies are taken from it, so that a worker in
+// its stride allocates none. Nothing trims it: it keeps about as much
+// as the worker ever held at once in frames and bodies.
+type bufPool struct {
+	mu    sync.Mutex
+	free  [][]byte
+	bytes atomic.Int64 // the capacity of every free buffer
+}
+
+// get returns an empty buffer of capacity at least n: a free one, the
+// most recently freed that fits, or a new one with room to spare.
+func (p *bufPool) get(n int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if b := p.free[i]; cap(b) >= n {
+			last := len(p.free) - 1
+			p.free[i], p.free[last] = p.free[last], nil
+			p.free = p.free[:last]
+			p.bytes.Add(-int64(cap(b)))
+			return b
+		}
+	}
+	return make([]byte, 0, n+n/8)
+}
+
+// put frees b, which nothing may read or write any more.
+func (p *bufPool) put(b []byte) {
+	p.mu.Lock()
+	p.free = append(p.free, b[:0])
+	p.bytes.Add(int64(cap(b)))
+	p.mu.Unlock()
+}
+
 // workerRun is one run's state. Control calls are serialized by the
 // coordinator and additionally by ctrlMu, which guards the partition;
-// deliver runs concurrently with expand (peers ship batches while this
-// worker is itself expanding) and touches only recvMu-guarded state —
+// deliveries run concurrently with expand (peers ship batches while this
+// worker is itself expanding) and touch only recvMu-guarded state —
 // frontier receipt MUST NOT take ctrlMu, or two workers mid-expand
 // shipping to each other would deadlock waiting for acknowledgements.
 type workerRun struct {
 	id       string
 	self, n  int
 	canceled atomic.Bool
+	bufs     *bufPool // the worker's
 
 	ctrlMu   sync.Mutex
 	part     *mc.Partition
@@ -131,19 +171,37 @@ type workerRun struct {
 	expanded bool // expand(depth) done, settle(depth) pending
 
 	recvMu      sync.Mutex
-	recv        [][]*batch // by sender: the batches applied at this depth, in arrival order
+	recv        []inbox // by sender: the batches applied at this depth
 	recvEntries int
+	kept        [][]byte     // the buffers applied batches alias, until promote
+	keptBytes   atomic.Int64 // their capacity
 
 	peers   []peer
-	seq     uint64   // next frontier batch sequence (unique across the run)
-	pending []outbox // per-peer unflushed states
+	seq     uint64       // next frontier batch sequence (unique across the run)
+	pending []outbox     // per peer: the frame being filled
+	sending atomic.Int64 // the capacity of the frames queued for or in delivery
 }
 
-// outbox is one peer's unflushed successors, already in entry wire form
-// (appendEntry); the buffer is reused once a flush has framed it.
+// inbox is what one sender delivered at the current depth: the entries
+// of its applied batches, in arrival order, and where each batch's are.
+// Both slices are reused from level to level.
+type inbox struct {
+	states  [][]byte
+	batches []received
+}
+
+// received is one applied batch: its sequence number and its entries,
+// states[lo:hi] of its sender's inbox.
+type received struct {
+	seq    uint64
+	lo, hi int
+}
+
+// outbox is one peer's frame being filled: the header's room, then n
+// entries in wire form (newFrame, appendEntry).
 type outbox struct {
-	entries []byte
-	n       int
+	buf []byte
+	n   int
 }
 
 // init builds the run's system and partition, which settles its owned
@@ -170,9 +228,14 @@ func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 		return report{}, refuse(badCall, "init: %v", err)
 	}
 	r := &workerRun{
-		id: in.RunID, self: in.Self, n: in.Workers,
-		peers:   in.peers,
-		pending: make([]outbox, in.Workers),
+		id: in.RunID, self: in.Self, n: in.Workers, bufs: &w.bufs,
+		recv:  make([]inbox, in.Workers),
+		peers: in.peers, pending: make([]outbox, in.Workers),
+	}
+	for p := range r.pending {
+		if p != r.self {
+			r.pending[p].buf = newFrame(w.bufs.get(0))
+		}
 	}
 	opts := mc.Options{Store: store}
 	if in.Occupancy {
@@ -181,39 +244,46 @@ func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 	// Every worker computes the same Initial() list and keeps its owned
 	// slice, so the union across the fleet is exactly the sequential
 	// engine's initial frontier, each state probed at exactly one owner.
-	if r.part, err = mc.NewPartition(sys, opts, in.Self, in.Workers, r.pendingBytes); err != nil {
+	if r.part, err = mc.NewPartition(sys, opts, in.Self, in.Workers, r.heldBytes); err != nil {
 		return report{}, refuse(capacity, "init: %w", err)
 	}
-	r.promote(0)
 	if old := w.run.Swap(r); old != nil {
-		// The replaced run stops at its next state, so an abandoned
-		// expand ships nothing more into its peers' new runs.
+		// The replaced run stops at its next state, and its senders
+		// deliver nothing more, so an abandoned expand ships nothing
+		// into its peers' new runs.
 		old.canceled.Store(true)
 	}
 	return r.report(), nil
 }
 
 // promote makes the partition's frontier the one at the given depth and
-// drops the received batches, whose bodies their entries alias. The
-// depth write happens under recvMu (in addition to the caller's ctrlMu)
-// because deliver reads it under recvMu alone.
+// frees the buffers the applied batches' entries alias. The caller holds
+// recvMu as well as ctrlMu: deliveries read the depth under recvMu alone.
 func (r *workerRun) promote(depth int) {
 	r.expanded = false
-	r.recvMu.Lock()
 	r.depth = depth
-	r.recv = make([][]*batch, r.n)
-	r.recvEntries = 0
-	r.recvMu.Unlock()
+	for i := range r.recv {
+		in := &r.recv[i]
+		clear(in.states)
+		in.states, in.batches = in.states[:0], in.batches[:0]
+	}
+	for _, b := range r.kept {
+		r.bufs.put(b)
+	}
+	clear(r.kept)
+	r.kept, r.recvEntries = r.kept[:0], 0
+	r.keptBytes.Store(0)
 }
 
-// pendingBytes is what the worker holds for its peers, each pending
-// buffer at its capacity: the partition counts it in its frontier bytes
-// and against the memory limit. Received batch bodies are not among
-// them: a worker reports only after promote has dropped them.
-func (r *workerRun) pendingBytes() int64 {
-	var n int64
+// heldBytes is what the worker holds for the frontier beside its
+// partition, each buffer at its capacity: the frames being filled, those
+// queued for or in delivery, the received batches it keeps and its free
+// buffers. The partition counts them in its frontier bytes and against
+// the memory limit.
+func (r *workerRun) heldBytes() int64 {
+	n := r.sending.Load() + r.keptBytes.Load() + r.bufs.bytes.Load()
 	for _, o := range r.pending {
-		n += int64(cap(o.entries))
+		n += int64(cap(o.buf))
 	}
 	return n
 }
@@ -239,13 +309,16 @@ func (w *Worker) lockRun(op, runID string, depth int, expanded bool) (*workerRun
 
 // expand runs the worker's share of one BFS level: the partition
 // expands every frontier state, settling self-owned successors, and the
-// rest are appended in wire form to their owners' pending buffers.
-// Between states expand stops if ctx has ended or the run was canceled,
-// and ships full buffers otherwise — keeping delivery out of the visit;
-// a batch overshoots flushEntries by less than one state's fan-out.
-// Every shipped batch is acknowledged before expand returns, so once all
-// expand responses are in, every successor for the next depth has landed
-// at its owner. Nothing is allocated per successor once the buffers are
+// rest are appended in wire form to their owners' frames. Between
+// states expand stops if ctx has ended, the run was canceled or a
+// delivery failed, and queues full frames for delivery otherwise —
+// keeping delivery out of the visit; a batch overshoots flushEntries by
+// less than one state's fan-out. Delivery runs beside the expansion
+// (sends), and expand waits for it only at the end of the level, or
+// when a peer's queue is full: every queued batch is acknowledged
+// before expand returns, so once all expand responses are in, every
+// successor for the next depth has landed at its owner. Nothing is
+// allocated per successor, and no frame per batch once the buffers are
 // warm.
 func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
 	r, err := w.lockRun("expand", in.RunID, in.Depth, false)
@@ -255,96 +328,247 @@ func (w *Worker) expand(ctx context.Context, in expandReq) (expandResp, error) {
 	defer r.ctrlMu.Unlock()
 	r.expanded = true
 	resp := expandResp{Sent: make([]int, r.n)}
+	out := r.startSends(ctx)
 	ship := func(succ []byte, owner int) {
 		resp.Sent[owner]++
 		o := &r.pending[owner]
-		o.entries = appendEntry(o.entries, succ)
+		o.buf = appendEntry(o.buf, succ)
 		o.n++
 	}
 	more := func() bool {
 		if r.canceled.Load() || ctx.Err() != nil {
-			resp.SendFailed = "run canceled"
-		} else if err := r.flush(ctx, flushEntries); err != nil {
+			resp.SendFailed = errRunCanceled.Error()
+		} else if err := out.failed(); err != nil {
 			resp.SendFailed = err.Error()
+		} else {
+			out.flush(flushEntries)
 		}
 		return resp.SendFailed == ""
 	}
 	term, err := r.part.Expand(ship, more)
+	terminal := term.Outcome == mc.Deadlock || term.Outcome == mc.Violation
+	whole := err == nil && !terminal && resp.SendFailed == ""
+	if whole {
+		out.flush(1)
+	}
+	if serr := out.finish(!whole); whole && serr != nil {
+		resp.SendFailed = serr.Error()
+	}
 	switch {
 	case err != nil:
 		return expandResp{}, refuse(capacity, "expand: %w", err)
-	case term.Outcome == mc.Deadlock || term.Outcome == mc.Violation:
+	case terminal:
 		// The trace is the core's copy of the state.
 		resp.Terminal = &terminalReport{Kind: term.Outcome.Tag(), Message: term.Message, State: term.Trace[0]}
-	case resp.SendFailed == "":
-		if err := r.flush(ctx, 1); err != nil {
-			resp.SendFailed = err.Error()
-		}
 	}
 	return resp, nil
 }
 
-// flush ships the pending states of every peer with at least atLeast
-// of them as one frontier batch each. Sends to one peer are strictly
-// sequential (the next batch is not built until this one is
-// acknowledged), so per-sender arrival order equals sequence order. The
-// pending buffer is reused at once: encodeBatch framed a copy, which no
-// later batch overwrites, because a transport may still read a batch
-// after its delivery has failed, and a receiver in this process keeps
-// the one it was handed.
-func (r *workerRun) flush(ctx context.Context, atLeast int) error {
-	for p := range r.pending {
-		o := &r.pending[p]
-		if o.n < atLeast {
-			continue
+// sendAhead bounds the frames queued for one peer behind the one in
+// delivery; expand waits when a peer's queue is full. Four let the
+// expansion run on through a slow acknowledgement or two while a
+// worker holds at most five frames in flight per peer.
+const sendAhead = 4
+
+// sends is one level's frontier delivery: a sender goroutine per peer,
+// each delivering that peer's frames one at a time in sequence order,
+// so per-sender arrival order equals sequence order. A frame is never
+// delivered once the run is canceled or replaced, ctx has ended, a
+// delivery has failed or the level was abandoned: from then on the
+// senders free what is queued until expand closes their queues.
+type sends struct {
+	r         *workerRun
+	ctx       context.Context
+	queues    []chan frame // by peer; nil for self
+	wg        sync.WaitGroup
+	abandoned atomic.Bool
+	err       atomic.Pointer[error] // the first failure
+}
+
+// frame is one framed batch: data, the batch, is buf from its header on.
+type frame struct{ buf, data []byte }
+
+// startSends starts the level's senders.
+func (r *workerRun) startSends(ctx context.Context) *sends {
+	s := &sends{r: r, ctx: ctx, queues: make([]chan frame, r.n)}
+	for p := range s.queues {
+		if p != r.self {
+			s.queues[p] = make(chan frame, sendAhead)
+			s.wg.Add(1)
+			go s.send(p)
 		}
-		data, err := encodeBatch(r.self, r.depth, r.seq, o.n, o.entries)
-		r.seq++
-		o.entries, o.n = o.entries[:0], 0
-		if err != nil {
-			return err
+	}
+	return s
+}
+
+// send is peer p's sender. A delivered frame is freed unless the peer
+// keeps it or the delivery failed (a transport may still read a batch
+// after its delivery has failed); an undelivered one is freed at once.
+func (s *sends) send(p int) {
+	defer s.wg.Done()
+	to := s.r.peers[p]
+	reuse := !to.keeps()
+	for f := range s.queues[p] {
+		free := true
+		if !s.stopped() {
+			err := to.deliver(s.ctx, f.data)
+			if err != nil {
+				s.fail(fmt.Errorf("dist: frontier send to worker %d: %w", p, err))
+			}
+			free = err == nil && reuse
 		}
-		t0 := time.Now()
-		err = r.peers[p].deliver(ctx, data)
-		r.part.SendWait(time.Since(t0))
-		if err != nil {
-			return fmt.Errorf("dist: frontier send to worker %d: %w", p, err)
+		s.r.sending.Add(-int64(cap(f.buf)))
+		if free {
+			s.r.bufs.put(f.buf)
 		}
+	}
+}
+
+// stopped reports whether a queued frame must no longer be delivered.
+func (s *sends) stopped() bool {
+	return s.abandoned.Load() || s.r.canceled.Load() || s.ctx.Err() != nil || s.err.Load() != nil
+}
+
+// fail records a failure; the first one is the level's.
+func (s *sends) fail(err error) { s.err.CompareAndSwap(nil, &err) }
+
+// failed is the first failure, or nil.
+func (s *sends) failed() error {
+	if e := s.err.Load(); e != nil {
+		return *e
 	}
 	return nil
 }
 
-// deliver receives one encoded frontier batch from a peer; a nil error
+// flush frames the pending entries of every peer with at least atLeast
+// of them, in place, and queues the frame for its sender; the peer's
+// next frame is a free buffer with room for as much.
+func (s *sends) flush(atLeast int) {
+	r := s.r
+	for p := range r.pending {
+		o := &r.pending[p]
+		if o.n < atLeast || p == r.self {
+			continue
+		}
+		data, err := frameBatch(o.buf, r.self, r.depth, r.seq, o.n)
+		r.seq++
+		f := frame{buf: o.buf, data: data}
+		o.buf, o.n = newFrame(r.bufs.get(len(o.buf))), 0
+		if err != nil {
+			s.fail(err)
+			r.bufs.put(f.buf)
+			continue
+		}
+		s.queue(p, f)
+	}
+}
+
+// queue hands f to peer p's sender, waiting while the queue is full; a
+// wait counts as send wait.
+func (s *sends) queue(p int, f frame) {
+	s.r.sending.Add(int64(cap(f.buf)))
+	select {
+	case s.queues[p] <- f:
+		return
+	default:
+	}
+	t0 := time.Now()
+	select {
+	case s.queues[p] <- f:
+	case <-s.ctx.Done():
+		s.r.sending.Add(-int64(cap(f.buf)))
+		s.r.bufs.put(f.buf)
+	}
+	s.r.part.SendWait(time.Since(t0))
+}
+
+// finish ends the level's delivery and returns its first failure: it
+// closes the queues and waits for the senders to deliver what is queued
+// — the end-of-level wait, which counts as send wait — or, when the
+// level is abandoned, to free it undelivered. An abandoned level's
+// unframed entries are dropped.
+func (s *sends) finish(abandon bool) error {
+	if abandon {
+		s.abandoned.Store(true)
+		for p := range s.r.pending {
+			if o := &s.r.pending[p]; p != s.r.self {
+				o.buf, o.n = newFrame(o.buf), 0
+			}
+		}
+	}
+	for _, q := range s.queues {
+		if q != nil {
+			close(q)
+		}
+	}
+	t0 := time.Now()
+	s.wg.Wait()
+	s.r.part.SendWait(time.Since(t0))
+	if err := s.failed(); err != nil || abandon {
+		return err
+	}
+	if s.r.canceled.Load() || s.ctx.Err() != nil {
+		return errRunCanceled
+	}
+	return nil
+}
+
+// errRunCanceled is what expand reports when its run was canceled or
+// replaced, or its caller gave up, before the level was delivered.
+var errRunCanceled = errors.New("run canceled")
+
+// deliver receives one encoded frontier batch from a peer in this
+// process; a nil error acknowledges it. The worker keeps what it
+// applies (keeps).
+func (w *Worker) deliver(_ context.Context, data []byte) error {
+	_, err := w.receive(data)
+	return err
+}
+
+// keeps is true: a batch handed to a worker in this process is the
+// worker's until it promotes the level, and then a free buffer of its.
+func (w *Worker) keeps() bool { return true }
+
+// receive applies one encoded frontier batch from a peer; a nil error
 // acknowledges it. A batch redelivered after a lost acknowledgement
 // (same sender and sequence number) is acknowledged, not applied, again.
-func (w *Worker) deliver(_ context.Context, data []byte) error {
-	b, err := decodeBatch(data)
+// kept reports that the batch was applied: its entries alias data, which
+// the worker keeps until it promotes the level and then frees.
+func (w *Worker) receive(data []byte) (kept bool, err error) {
+	b, body, count, err := decodeHeader(data)
 	if err != nil {
-		return refuse(badCall, "frontier: %w", err)
+		return false, refuse(badCall, "frontier: %w", err)
 	}
 	r := w.run.Load()
 	if r == nil {
-		return refuse(conflict, "frontier: no active run")
+		return false, refuse(conflict, "frontier: no active run")
 	}
 	if r.canceled.Load() {
-		return refuse(conflict, "frontier: run canceled")
+		return false, refuse(conflict, "frontier: run canceled")
 	}
 	if b.From < 0 || b.From >= r.n || b.From == r.self {
-		return refuse(badCall, "frontier: bad sender %d", b.From)
+		return false, refuse(badCall, "frontier: bad sender %d", b.From)
 	}
 	r.recvMu.Lock()
 	defer r.recvMu.Unlock()
 	if b.Depth != r.depth {
-		return refuse(conflict, "frontier: batch for depth %d, worker at depth %d", b.Depth, r.depth)
+		return false, refuse(conflict, "frontier: batch for depth %d, worker at depth %d", b.Depth, r.depth)
 	}
-	for _, applied := range r.recv[b.From] {
-		if applied.Seq == b.Seq {
-			return nil
+	in := &r.recv[b.From]
+	for _, applied := range in.batches {
+		if applied.seq == b.Seq {
+			return false, nil
 		}
 	}
-	r.recv[b.From] = append(r.recv[b.From], b)
-	r.recvEntries += len(b.States)
-	return nil
+	lo := len(in.states)
+	if in.states, err = decodeEntries(in.states, body, count); err != nil {
+		return false, refuse(badCall, "frontier: %w", err)
+	}
+	in.batches = append(in.batches, received{b.Seq, lo, len(in.states)})
+	r.recvEntries += count
+	r.kept = append(r.kept, data)
+	r.keptBytes.Add(int64(cap(data)))
+	return true, nil
 }
 
 // settle checks that every entry the peers reported sending here has
@@ -354,8 +578,10 @@ func (w *Worker) deliver(_ context.Context, data []byte) error {
 // The order is load-bearing: under symmetry reduction it decides which
 // orbit representative is stored, and with it the state counts (package
 // comment, "Parity"; TestDistStoredCounts). The partition recomputes a
-// received state's key and fingerprint, so the wire is never trusted
-// about identity or ownership.
+// received state's key and fingerprint, unless it finds the state's
+// bytes among its own stored states, so the wire is never trusted about
+// identity or ownership. Deliveries wait meanwhile: all of this depth's
+// have been acknowledged.
 func (w *Worker) settle(_ context.Context, in settleReq) (report, error) {
 	r, err := w.lockRun("settle", in.RunID, in.Depth, true)
 	if err != nil {
@@ -363,17 +589,17 @@ func (w *Worker) settle(_ context.Context, in settleReq) (report, error) {
 	}
 	defer r.ctrlMu.Unlock()
 	r.recvMu.Lock()
-	got, batches := r.recvEntries, r.recv
-	r.recvMu.Unlock()
-	if got != in.Expect {
+	defer r.recvMu.Unlock()
+	if r.recvEntries != in.Expect {
 		return report{}, refuse(conflict,
 			"settle depth %d: received %d frontier entries, peers reported sending %d",
-			in.Depth, got, in.Expect)
+			in.Depth, r.recvEntries, in.Expect)
 	}
-	for _, bs := range batches {
-		sort.Slice(bs, func(i, j int) bool { return bs[i].Seq < bs[j].Seq })
-		for _, b := range bs {
-			if err := r.part.Settle(b.States); err != nil {
+	for i := range r.recv {
+		from := &r.recv[i]
+		slices.SortFunc(from.batches, func(a, b received) int { return cmp.Compare(a.seq, b.seq) })
+		for _, b := range from.batches {
+			if err := r.part.Settle(from.states[b.lo:b.hi]); err != nil {
 				return report{}, refuse(capacity, "settle: %w", err)
 			}
 		}

@@ -19,11 +19,11 @@
 // buffer, canonicalized and fingerprinted in a reusable arena (the
 // collector, search.go), probed, and copied out — once, to the tail of
 // the state log (statelog.go) — only if it is new. Every engine and the
-// seed go through that one path. The sequential BFS first looks each
-// successor up by its raw bytes among states stored recently and still
-// in the log (rawCache, statelog.go); one byte-equal to such a state is
-// settled as its duplicate without being canonicalized, fingerprinted
-// or probed.
+// seed go through that one path. The sequential BFS, and a Partition,
+// first look each successor up by its raw bytes among states stored
+// recently and still in the log (rawCache, statelog.go); one byte-equal
+// to such a state is settled as its duplicate without being
+// canonicalized, fingerprinted or probed.
 package mc
 
 import (
@@ -381,7 +381,8 @@ func CheckCtx(ctx context.Context, m Model, opts Options) Result {
 // the loop expands each state itself, on the core's collector; with
 // more (BFS only: DFS always runs on one) a pipeline expands batches of
 // states ahead of it, in the same order, and the loop takes each
-// expansion from it. The sequential BFS alone has the raw cache.
+// expansion from it. Of the loop's searches the sequential BFS alone has
+// the raw cache.
 func check(ctx context.Context, m Model, opts Options, workers int) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -396,9 +397,8 @@ func check(ctx context.Context, m Model, opts Options, workers int) Result {
 	if workers > 1 {
 		p = newPipeline(s, workers)
 		defer p.close()
-	} else if !dfs && rawCacheOn {
-		s.raw = &rawCache{log: &s.log}
-		s.col.raw = s.raw
+	} else if !dfs {
+		s.addRawCache()
 	}
 	if res, done := s.seed(); done {
 		return res
@@ -442,9 +442,7 @@ func check(ctx context.Context, m Model, opts Options, workers int) Result {
 			// Only now: w's bytes, lent from the log, were in use until
 			// its merge, and a pipeline worker's before that.
 			s.log.release(cur.pos)
-			if s.raw != nil {
-				s.raw.allocate(s.stored)
-			}
+			s.raw.allocate(s.stored)
 		}
 		s.tr.maybeProgress(s.stored, frontier, s.res.MaxDepth, s.res.Rules)
 	}

@@ -86,8 +86,9 @@ var smallSize, paperSize = [3]int{2, 1, 1}, [3]int{3, 2, 2}
 // paper's system under the minimal assignment: the exact pin of the
 // search at that size. The complete 3c/1d/1a row is one where symmetry
 // reduction stores whichever orbit representative comes first, so it
-// pins the store order itself. The MOESI 2c/1d/1a row ends before its
-// bound, at a cell its table leaves unspecified (ROADMAP item 1).
+// pins the store order itself. The MOESI and MOSI 2c/1d/1a rows end
+// before their bound, each at a cell its table leaves unspecified
+// (ROADMAP item 1).
 var parityCases = []parityCase{
 	{"MSI-minimal-bounded", "MSI_nonblocking_cache", "minimal", smallSize,
 		mc.Options{MaxStates: 4000, DisableTraces: true}, mc.Bounded, 4000, 20, 5787},
@@ -99,6 +100,8 @@ var parityCases = []parityCase{
 		mc.Options{MaxDepth: 3, DisableTraces: true}, mc.Bounded, 31, 3, 26},
 	{"MOESI-minimal-violation", "MOESI_nonblocking_cache", "minimal", smallSize,
 		mc.Options{MaxStates: 3000, DisableTraces: true}, mc.Violation, 1764, 20, 1680},
+	{"MOSI-minimal-violation", "MOSI_nonblocking_cache", "minimal", smallSize,
+		mc.Options{MaxStates: 3000, DisableTraces: true}, mc.Violation, 1755, 16, 1811},
 	{"CHI-permsg-bounded", "CHI", "permsg", smallSize,
 		mc.Options{MaxStates: 2000, DisableTraces: true}, mc.Bounded, 2000, 32, 3480},
 	{"CXL-minimal-complete", "CXL_cache", "minimal", [3]int{3, 1, 1},
@@ -280,13 +283,15 @@ func TestPipelineParityAllProtocols(t *testing.T) {
 // partition applies no bound, its caller stops it between levels — it
 // hands its observer the same states in the same order, stops at the
 // same violation or deadlock, and ends with the same states, depth,
-// expansions, generated successors, dedup hits, rule firings and depth
-// histogram as mc.Check. The 3-cache row is where the order decides
-// which orbit representative is stored.
+// expansions, generated successors, dedup hits, raw-cache hits, rule
+// firings and depth histogram as mc.Check: it fills and consults its raw
+// cache exactly where the sequential BFS does. The 3-cache row is where
+// the order decides which orbit representative is stored, and the one
+// big enough to allocate the cache.
 func TestPartitionIsSeqCore(t *testing.T) {
 	for _, tc := range parityCases {
-		if tc.opts.MaxStates > 0 && tc.states >= tc.opts.MaxStates {
-			continue // cut mid-level, where a partition is never cut
+		if cutMidLevel(tc) {
+			continue
 		}
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -299,37 +304,65 @@ func TestPartitionIsSeqCore(t *testing.T) {
 			want := mc.Check(sys, opts)
 
 			obs := hashingObserver{sha256.New()}
-			p, err := mc.NewPartition(sys, mc.Options{Observer: obs}, 0, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ship := func([]byte, int) { t.Fatal("a lone owner shipped a state") }
-			more := func() bool { return true }
-			got := p.Snapshot()
-			var res mc.Result
-			for depth := 0; got.Frontier > 0 && res.Message == "" && (tc.opts.MaxDepth == 0 || depth < tc.opts.MaxDepth); depth++ {
-				if res, err = p.Expand(ship, more); err != nil {
-					t.Fatalf("depth %d: %v", depth, err)
-				}
-				got = p.Snapshot()
-			}
-			// A violation or deadlock ends both at the same state.
-			if terminal := want.Outcome == mc.Deadlock || want.Outcome == mc.Violation; terminal != (res.Message != "") ||
-				terminal && (res.Outcome != want.Outcome || res.Message != want.Message) {
-				t.Fatalf("partition ended %v %q; seq %v %q", res.Outcome, res.Message, want.Outcome, want.Message)
-			}
-			w := want.Stats
-			if got.States != want.States || got.MaxDepth != want.MaxDepth || got.Expansions != int64(want.Rules) ||
-				got.Generated != w.Generated || got.DedupHits != w.DedupHits {
-				t.Errorf("partition: %d states, depth %d, %d expansions, %d generated, %d dedup hits; seq %v, %d generated, %d dedup hits",
-					got.States, got.MaxDepth, got.Expansions, got.Generated, got.DedupHits, want, w.Generated, w.DedupHits)
-			}
-			if !reflect.DeepEqual(got.DepthHistogram, w.DepthHistogram) || !reflect.DeepEqual(got.RuleFirings, w.RuleFirings) {
-				t.Errorf("partition histogram %v, firings %v; seq %v, %v", got.DepthHistogram, got.RuleFirings, w.DepthHistogram, w.RuleFirings)
-			}
+			opts.Observer = obs
+			got, res := onePartition(t, sys, opts)
 			if !bytes.Equal(obs.h.Sum(nil), seqObs.h.Sum(nil)) {
 				t.Error("the partition observed another state sequence than seq")
 			}
+			assertPartitionIsSeq(t, want, got, res)
+			if tc.name == "CXL-minimal-complete" && got.Health.RawHits == 0 {
+				t.Errorf("no successor settled from the raw cache in %d states", got.States)
+			}
 		})
+	}
+}
+
+// cutMidLevel reports whether MaxStates cuts a row's search mid-level,
+// where a partition is never cut.
+func cutMidLevel(tc parityCase) bool {
+	return tc.opts.MaxStates > 0 && tc.states >= tc.opts.MaxStates
+}
+
+// onePartition drives a one-owner partition of m, under opts' store and
+// observer, level by level until its frontier is empty, it stops at a
+// violation or deadlock, or it reaches opts.MaxDepth; it returns the
+// partition's account and the stop.
+func onePartition(t *testing.T, m mc.Model, opts mc.Options) (mc.Snapshot, mc.Result) {
+	t.Helper()
+	p, err := mc.NewPartition(m, mc.Options{Store: opts.Store, Observer: opts.Observer}, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship := func([]byte, int) { t.Fatal("a lone owner shipped a state") }
+	more := func() bool { return true }
+	got := p.Snapshot()
+	var res mc.Result
+	for depth := 0; got.Frontier > 0 && res.Message == "" && (opts.MaxDepth == 0 || depth < opts.MaxDepth); depth++ {
+		if res, err = p.Expand(ship, more); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		got = p.Snapshot()
+	}
+	return got, res
+}
+
+// assertPartitionIsSeq requires a one-owner partition's account and stop
+// to be the sequential BFS's result: a violation or deadlock at the same
+// state, and the same books, raw-cache hits included.
+func assertPartitionIsSeq(t *testing.T, want mc.Result, got mc.Snapshot, res mc.Result) {
+	t.Helper()
+	if terminal := want.Outcome == mc.Deadlock || want.Outcome == mc.Violation; terminal != (res.Message != "") ||
+		terminal && (res.Outcome != want.Outcome || res.Message != want.Message) {
+		t.Fatalf("partition ended %v %q; seq %v %q", res.Outcome, res.Message, want.Outcome, want.Message)
+	}
+	w := want.Stats
+	if got.States != want.States || got.MaxDepth != want.MaxDepth || got.Expansions != int64(want.Rules) ||
+		got.Generated != w.Generated || got.DedupHits != w.DedupHits || got.Health.RawHits != w.Health.RawHits {
+		t.Errorf("partition: %d states, depth %d, %d expansions, %d generated, %d dedup hits, %d raw hits; seq %v, %d generated, %d dedup hits, %d raw hits",
+			got.States, got.MaxDepth, got.Expansions, got.Generated, got.DedupHits, got.Health.RawHits,
+			want, w.Generated, w.DedupHits, w.Health.RawHits)
+	}
+	if !reflect.DeepEqual(got.DepthHistogram, w.DepthHistogram) || !reflect.DeepEqual(got.RuleFirings, w.RuleFirings) {
+		t.Errorf("partition histogram %v, firings %v; seq %v, %v", got.DepthHistogram, got.RuleFirings, w.DepthHistogram, w.RuleFirings)
 	}
 }

@@ -18,8 +18,14 @@ import (
 // sequential BFS would store its own share: its own successors in
 // generation order, then the received ones in the order given.
 //
-// A partition keeps no counterexample trace (like DisableTraces), no raw
-// cache and no bounds: the caller applies MaxStates and MaxDepth at level
+// A partition has the sequential BFS's raw cache (rawCache, allocated
+// at the same stored-state count and the first thing dropped at the
+// memory limit): an owned successor or a received state byte-equal to a
+// state it stores, still in its log, settles as that state's duplicate
+// without being canonicalized. The compare is against the partition's
+// own copy, so a received state's bytes are trusted no more than
+// before. It keeps no counterexample trace (like DisableTraces) and no
+// bounds: the caller applies MaxStates and MaxDepth at level
 // granularity. It has one caller at a time.
 type Partition struct {
 	s       *search
@@ -40,6 +46,7 @@ func NewPartition(m Model, opts Options, self, n int, held func() int64) (*Parti
 	// its footprint and allocations those of a single table.
 	s.set = newVisitedStore(opts.Store, 1)
 	s.outbox = held
+	s.addRawCache()
 	p := &Partition{s: s, self: self, n: n}
 	succs := s.digest(m.Initial())
 	own := succs[:0]
@@ -89,6 +96,7 @@ func (p *Partition) Expand(ship func(state []byte, owner int), more func() bool)
 			return Result{}, err
 		}
 		s.log.release(p.cur.pos)
+		s.raw.allocate(s.stored)
 	}
 	p.depth++
 	return Result{}, nil
@@ -98,7 +106,12 @@ func (p *Partition) Expand(ship func(state []byte, owner int), more func() bool)
 // in the order given; states is only read. The error is a
 // *CapacityError.
 func (p *Partition) Settle(states [][]byte) error {
-	return p.s.settle(-1, p.depth, p.s.digest(states))
+	s := p.s
+	if err := s.settle(-1, p.depth, s.digest(states)); err != nil {
+		return err
+	}
+	s.raw.allocate(s.stored)
+	return nil
 }
 
 // SendWait books time the caller spent blocked handing successors on.

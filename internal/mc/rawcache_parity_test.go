@@ -17,7 +17,9 @@ import (
 // that traces-off runs release chunks that entries still point into.
 // The rows up to 4,000 states run again with raw hashes narrowed to four
 // bits, so that every tag matches and only the byte compare tells a
-// duplicate from a collision.
+// duplicate from a collision. With traces off, a row MaxStates does not
+// cut runs again as a one-owner Partition under the same switches, which
+// must be that search, raw-cache hits and all.
 func TestRawCacheParity(t *testing.T) {
 	for _, tc := range parityCases {
 		sys := paritySystem(t, tc.proto, tc.vnMode, tc.size[0], tc.size[1], tc.size[2])
@@ -53,6 +55,10 @@ func TestRawCacheParity(t *testing.T) {
 						t.Fatalf("no successor was settled from the raw cache in %d states", got.States)
 					}
 					check("256-byte log chunks", got, occ)
+					if !traces && !cutMidLevel(tc) {
+						part, res := onePartition(t, sys, opts)
+						assertPartitionIsSeq(t, got, part, res)
+					}
 				})
 			}
 		}

@@ -44,7 +44,7 @@ type search struct {
 	bounded bool
 	col     *collector  // the store thread's: seed, the one-worker loop, a Partition
 	ireqs   []insertReq // settle's reusable insert batch
-	raw     *rawCache   // the sequential BFS's, shared with col; nil otherwise
+	raw     *rawCache   // the sequential BFS's or a Partition's, shared with col; nil otherwise
 	// outbox is what a Partition's caller holds for its peers, counted in
 	// the frontier bytes; nil otherwise.
 	outbox func() int64
@@ -105,7 +105,7 @@ type expansion struct {
 // appends the raw bytes to a reusable arena, has the model write the
 // canonical key — when it differs — straight behind them, and notes the
 // rule id; resolve then fingerprints the keys four at a time. With a
-// raw cache (the sequential BFS's), a successor byte-equal to a cached
+// raw cache (the sequential BFS's or a Partition's), a successor byte-equal to a cached
 // stored state is noted as known instead, and none of that is done for
 // it. Nothing is allocated once the arena is warm. Everything collected
 // since the last reset stays valid until the next one, so a pipeline
@@ -115,7 +115,7 @@ type collector struct {
 	m     Model
 	exp   Expander
 	visit func(succ []byte, rule int) // c.add, bound once
-	raw   *rawCache                   // nil but for the sequential BFS
+	raw   *rawCache                   // nil but for the sequential BFS and a Partition
 	arena []byte
 	spans []span
 	succs []succ
@@ -244,6 +244,14 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 		}
 	}
 	return s
+}
+
+// addRawCache gives the search a raw cache, unless tests switched it off.
+func (s *search) addRawCache() {
+	if rawCacheOn {
+		s.raw = &rawCache{log: &s.log}
+		s.col.raw = s.raw
+	}
 }
 
 // frontierBytes is what the search holds beside the visited set.

@@ -95,8 +95,8 @@ func (l *stateLog) recycle(c []byte) {
 // are in the log, with the fingerprint and conflation verdict the visited
 // set returns for it. A successor byte-equal to a cached state is a
 // duplicate of it — equal raw bytes have equal canonical forms — so the
-// sequential BFS settles it straight from its entry, without
-// canonicalizing, fingerprinting or probing it (DESIGN §5.26). The hash
+// sequential BFS, and a Partition, settle it straight from its entry,
+// without canonicalizing, fingerprinting or probing it (DESIGN §5.26). The hash
 // only picks an entry; the verdict is the byte compare against the log's
 // copy. An entry is live while its chunk is: BFS releases the log from
 // the front, and an entry below low is dead. DFS truncates the log, so
@@ -214,7 +214,7 @@ func (c *rawCache) fill(raw []byte, pos logPos, fp uint64, bare bool) {
 // allocate allocates the table once the search has stored rawCacheFrom
 // states.
 func (c *rawCache) allocate(stored int) {
-	if c.slots == nil && !c.off && stored >= rawCacheFrom {
+	if c != nil && c.slots == nil && !c.off && stored >= rawCacheFrom {
 		c.slots = make([]rawEntry, rawCacheSize)
 	}
 }

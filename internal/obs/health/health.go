@@ -42,8 +42,10 @@ const Stripes = 64
 //   - seq: a single entry; ExpandNS and States cover a 1-in-N sample of
 //     expansions, with Batches counting the sampled ones.
 //   - dist: one entry per worker, each filled like seq's, plus
-//     SendWaitNS, the time blocked shipping frontier batches to peers
-//     (which count no batch).
+//     SendWaitNS, the time the worker's expansion waited on frontier
+//     delivery to its peers: blocked on a peer's full send queue, and
+//     draining the queues at the end of each level (sends count no
+//     batch).
 type WorkerStats struct {
 	Worker      int   `json:"worker"`
 	Batches     int64 `json:"batches"`
@@ -83,9 +85,11 @@ type Report struct {
 	// FrontierBytes is what the search holds beside the visited set:
 	// the state log's chunks (stored states not yet expanded — every
 	// stored state with traces on) plus the parent table and DFS stack,
-	// and the sequential BFS's raw cache (see RawHits);
-	// on a dist worker, its state-log chunks and its pending peer
-	// batches, each buffer at its capacity.
+	// and the raw cache of a sequential BFS (see RawHits); on a dist
+	// worker, its state-log chunks and raw cache plus every frame it
+	// holds — those being filled, queued or in delivery, the received
+	// batches it keeps until its level settles and its free buffers —
+	// each at its capacity.
 	// Exact, read off the structures. (SetBytes + FrontierBytes) / states
 	// is the search's resident bytes per stored state, by structure.
 	FrontierBytes int64 `json:"frontier_bytes,omitempty"`
@@ -95,8 +99,10 @@ type Report struct {
 	// compact one.
 	UnverifiedHits int64 `json:"unverified_hits,omitempty"`
 	// RawHits counts successors settled without canonicalization: the
-	// sequential BFS found each byte-equal to a stored state still in its
-	// state log, a duplicate of it. Other engines and DFS report 0.
+	// sequential BFS, or a dist worker, found each byte-equal to a state
+	// it stores, still in its state log — a duplicate of it. On dist it
+	// counts received states too, summed over the workers. The pipeline
+	// and DFS report 0.
 	RawHits int64 `json:"raw_hits,omitempty"`
 	// LockWaitNS is never set: the visited set has one writer and no
 	// locks. The field stays only because the benchmark harness still
