@@ -6,9 +6,13 @@
 //
 //	vnworkerd -listen :9410
 //
-// The daemon is stateless across runs — a new init replaces any
-// previous run's shard — so restarting it is always safe; the
-// coordinator detects the loss and fails the affected job cleanly.
+// The daemon keeps nothing of a run once it ends: its coordinator
+// cancels the run on every worker however it ended, and a new init
+// replaces any previous run's shard. The one exception is its free frame
+// buffers, which serve the next run and are never trimmed, so an idle
+// daemon holds about as much in them as it held in frames at once.
+// Restarting it is always safe; the coordinator detects the loss and
+// fails the affected job cleanly.
 package main
 
 import (

@@ -30,17 +30,17 @@ import (
 // typed *LimitError — the decode path is fuzzed (FuzzFrontierDecode)
 // with the same discipline as protocol.Decode.
 //
-// Buffers. A batch is copied once, by its sender, entry by entry as the
-// states are generated, into a buffer that keeps room for the header in
-// front (newFrame, appendEntry); frameBatch writes the header into that
-// room, so the frame is the buffer from the header on. The sender owns
-// the frame until its delivery is acknowledged and may reuse it after
-// that only if the receiver does not keep it: a receiver in this
-// process keeps the batch it was handed, since its entries alias the
-// frame, while a receiver over HTTP has read its own copy. A receiver
-// keeps what it applied (the frame, or the body it read) until it
-// promotes the level, and decodes entries into slices it reuses; then
-// the buffers are free for its own frames and bodies (Worker.bufs).
+// Buffers. A sender copies a batch once, entry by entry as the states
+// are generated, into a buffer that keeps room for the header in front
+// (newFrame, appendEntry); frameBatch writes the header into that room,
+// so the frame is the buffer from the header on. A receiver, on either
+// transport, reads the batch into a buffer of its own before it
+// acknowledges it (Worker.accept), so an acknowledged frame is its
+// sender's to reuse; a frame whose delivery failed is never reused,
+// since a transport may still read it. The receiver keeps its buffer
+// until it promotes the level, decoding entries into slices it reuses;
+// freed frames and buffers serve a worker's next frames and reads
+// (Worker.bufs).
 const (
 	frontierMagic   = "MVNF"
 	frontierVersion = 1

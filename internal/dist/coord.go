@@ -86,12 +86,11 @@ type member interface {
 
 // peer is a worker as another worker delivers encoded frontier batches
 // to it: a *Worker in this process, or httpPeer. A nil error
-// acknowledges the batch. keeps reports whether the peer may still read
-// an acknowledged batch — a receiver in this process keeps the batch it
-// was handed — so that its sender must not reuse the buffer.
+// acknowledges the batch and hands it back: the receiver has copied what
+// it keeps, so the sender may reuse the buffer. After an error the
+// transport may still read it.
 type peer interface {
 	deliver(ctx context.Context, batch []byte) error
-	keeps() bool
 }
 
 // Check runs the distributed search and blocks until it finishes. The
@@ -101,7 +100,8 @@ type peer interface {
 // non-nil error alongside a Canceled result, so callers can tell "the
 // user stopped it" from "the fleet broke". With Peers empty the fleet
 // is Workers in this process, called directly; otherwise it is the
-// worker daemons at Peers, over HTTP.
+// worker daemons at Peers, over HTTP. Before Check returns, every
+// worker drops the run, however it ended.
 func Check(ctx context.Context, job Job) (mc.Result, error) {
 	if len(job.Peers) > 0 {
 		return check(ctx, job, dialFleet(job.Peers), nil)
@@ -153,6 +153,8 @@ func check(ctx context.Context, job Job, members []member, peers []peer) (mc.Res
 	}
 	copy(c.urls, job.Peers)
 	res, err := c.run(ctx, config)
+	// However the run ended, no worker keeps it.
+	c.cancelAll()
 	res.Duration = time.Since(start)
 	return res, err
 }
@@ -218,9 +220,9 @@ func each[T any](ctx context.Context, c *coord, op string, f func(ctx context.Co
 	return outs, nil
 }
 
-// cancelAll best-effort tears the fleet down. It runs on its own
-// deadline, not ctx — the usual reason to be here is that ctx is
-// already dead.
+// cancelAll best-effort tears the fleet down, once per run whatever its
+// outcome, so that no worker keeps a run's partition past it. It runs on
+// its own deadline, not ctx, which may already be dead.
 func (c *coord) cancelAll() {
 	cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -252,12 +254,11 @@ func (c *coord) finish(outcome mc.Outcome) mc.Result {
 	return res
 }
 
-// fail ends a run that cannot go on and cancels the fleet. The end of
-// ctx is Outcome Canceled with a nil error (the user stopped it); a
-// worker's capacity stop is Outcome Capacity; anything else is Canceled
-// with the error, so no partial result passes for a sound one.
+// fail ends a run that cannot go on. The end of ctx is Outcome Canceled
+// with a nil error (the user stopped it); a worker's capacity stop is
+// Outcome Capacity; anything else is Canceled with the error, so no
+// partial result passes for a sound one.
 func (c *coord) fail(ctx context.Context, err error) (mc.Result, error) {
-	c.cancelAll()
 	outcome, msg := mc.Canceled, err.Error()
 	var ce *callError
 	switch {
@@ -294,7 +295,6 @@ func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, err
 			return c.finish(mc.Complete), nil
 		case c.opts.MaxDepth > 0 && depth >= c.opts.MaxDepth,
 			c.opts.MaxStates > 0 && states >= c.opts.MaxStates:
-			c.cancelAll()
 			return c.finish(mc.Bounded), nil
 		}
 		levelSpan := c.lane.Start(fmt.Sprintf("level %d", depth))
@@ -307,7 +307,6 @@ func (c *coord) run(ctx context.Context, config json.RawMessage) (mc.Result, err
 			levelSpan.End()
 			// A deadlock or violation ends the run; counts in the result
 			// are from the last settled level boundary.
-			c.cancelAll()
 			oc := mc.Deadlock
 			if terminal.Kind == "violation" {
 				oc = mc.Violation

@@ -152,15 +152,7 @@ func (w *Worker) handler(dial func(url string) peer) http.Handler {
 		return struct{}{}, w.cancel(ctx, in)
 	}))
 	mux.HandleFunc("POST /dist/v1/frontier", func(rw http.ResponseWriter, req *http.Request) {
-		data, err := w.readBatch(req)
-		kept := false
-		if err == nil {
-			kept, err = w.receive(data)
-		}
-		if data != nil && !kept {
-			w.bufs.put(data)
-		}
-		if err != nil {
+		if err := w.accept(req.Body, req.ContentLength); err != nil {
 			writeError(rw, err)
 		}
 	})
@@ -211,37 +203,10 @@ func writeError(rw http.ResponseWriter, err error) {
 	http.Error(rw, err.Error(), code)
 }
 
-// readBatch reads a frontier body into one buffer: exactly the declared
-// length, into a free buffer of the worker's, when there is one (refused
-// before a byte is read if it is over the cap), else a limited read that
-// decodeBatch refuses if it is.
-func (w *Worker) readBatch(req *http.Request) ([]byte, error) {
-	n := req.ContentLength
-	if n > MaxBatchBytes {
-		return nil, &LimitError{Section: "batch bytes", Count: clampInt(uint64(n)), Max: MaxBatchBytes}
-	}
-	var data []byte
-	var err error
-	if n >= 0 {
-		data = w.bufs.get(int(n))[:n]
-		_, err = io.ReadFull(req.Body, data)
-	} else {
-		data, err = io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
-	}
-	if err != nil {
-		return nil, refuse(badCall, "frontier: read batch: %w", err)
-	}
-	return data, nil
-}
-
 // httpPeer delivers frontier batches to a worker's frontier route URL,
 // retrying a failed POST with doubling backoff. A 409 is not retried:
 // the receiver is canceled or at another depth.
 type httpPeer string
-
-// keeps is false: the receiver reads its own copy off the wire, and
-// answers only once it has read all of it.
-func (httpPeer) keeps() bool { return false }
 
 func (p httpPeer) deliver(ctx context.Context, data []byte) error {
 	var err error

@@ -28,7 +28,10 @@ import (
 // decoded into reused slices (182 B in process, 308 B over HTTP, each
 // with two 256 KiB raw caches in it), against 270 and 531 B when every
 // batch was copied into a new frame, read into a new body and split
-// into new slice headers.
+// into new slice headers. Since an in-process receiver reads each batch
+// into a buffer of its own, as one over HTTP does, rather than keeping
+// its sender's frame, the in-process run measures 0.17 mallocs and
+// 185 B per stored state (0.16 and 182 B before).
 func TestDistAllocsPerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")

@@ -3,14 +3,17 @@
 // deterministic hash range of state-fingerprint space (mc.OwnerOf),
 // expands the states it owns, and ships non-owned successors to their
 // owners as batched frontier messages in a length-prefixed wire codec.
-// It is the process-level promotion of the thread-level partition in
-// mc's sharded visited set — the step the ROADMAP names from
-// single-node search to fleet-scale runs.
+// It is the step the ROADMAP names from single-node search to
+// fleet-scale runs.
 //
 // A worker is one API (coord.go's member and peer) over two transports:
 // an in-process fleet is Workers called directly, through no socket,
 // still encoding and decoding every batch; a remote one is worker
-// daemons (cmd/vnworkerd) over HTTP, all of which is http.go.
+// daemons (cmd/vnworkerd) over HTTP, all of which is http.go. Both
+// behave as one: a receiver reads every batch into a buffer of its own
+// (Worker.accept), so an acknowledged frame is its sender's again, and
+// every run, however it ends, is dropped by every worker before Check
+// returns.
 //
 // # Search structure
 //

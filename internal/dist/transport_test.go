@@ -38,9 +38,6 @@ type peerFunc func(ctx context.Context, data []byte) error
 
 func (f peerFunc) deliver(ctx context.Context, data []byte) error { return f(ctx, data) }
 
-// keeps is true: a test double may hold a batch past its acknowledgement.
-func (peerFunc) keeps() bool { return true }
-
 // linked is a member whose init hands the worker its own peers, so each
 // worker's links can be wrapped apart.
 type linked struct {
@@ -334,6 +331,94 @@ func TestDistSendersExit(t *testing.T) {
 	}
 }
 
+// TestDistRunReleased: every worker drops its run before Check returns,
+// however the run ends — complete, bounded by depth or by states,
+// deadlocked, canceled, or at a capacity stop — so an idle worker
+// daemon holds no finished run's partition.
+func TestDistRunReleased(t *testing.T) {
+	p := protocols.MustLoad("MSI_class1")
+	vn, nvn := machine.PerMessageVN(p)
+	deadlocks := machine.Config{Protocol: p, Caches: 2, Dirs: 1, Addrs: 1, VN: vn, NumVNs: nvn}
+	cfg := minimal(t, "MSI_nonblocking_cache", 2)
+	full := refuse(capacity, "settle: %w", &mc.CapacityError{Limit: "memory", Max: 1 << 20})
+	ends := []struct {
+		want    mc.Outcome
+		cfg     machine.Config
+		opts    mc.Options
+		refusal error // settle's answer on worker 1
+		cancel  bool  // cancel after the first level
+	}{
+		{want: mc.Complete, cfg: cfg},
+		{want: mc.Bounded, cfg: cfg, opts: mc.Options{MaxDepth: 4}},
+		{want: mc.Bounded, cfg: cfg, opts: mc.Options{MaxStates: 100}},
+		{want: mc.Deadlock, cfg: deadlocks},
+		{want: mc.Canceled, cfg: cfg, cancel: true},
+		{want: mc.Capacity, cfg: cfg, refusal: full},
+	}
+	for _, transport := range transports {
+		for _, end := range ends {
+			name := end.want.Tag()
+			if end.opts.MaxStates > 0 {
+				name += "-states"
+			}
+			t.Run(transport+"/"+name, func(t *testing.T) {
+				ws, members, urls := fleet(t, transport, 2, func(_, _ int, p peer) peer { return p })
+				if end.refusal != nil {
+					members[1] = refusing{members[1], "settle", end.refusal}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				opts := end.opts
+				opts.DisableTraces = true
+				if end.cancel {
+					opts.Progress = func(mc.Snapshot) { cancel() }
+				}
+				res, err := check(ctx, Job{Config: end.cfg, Options: opts, Peers: urls}, members, nil)
+				if err != nil || res.Outcome != end.want {
+					t.Fatalf("outcome %v, err %v; want %v", res.Outcome, err, end.want)
+				}
+				for i, w := range ws {
+					if r := w.run.Load(); r != nil {
+						t.Errorf("worker %d still holds its run (%d states)", i, r.part.Snapshot().States)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAckedFrameIsSenders: once a delivery is acknowledged the frame is
+// its sender's again, on both transports. Every link scribbles over the
+// frame it delivered as soon as the peer acknowledges it, as a sender
+// reusing the buffer would; the run must agree with the clean one.
+func TestAckedFrameIsSenders(t *testing.T) {
+	cfg := minimal(t, "CXL_cache", 3)
+	opts := mc.Options{MaxDepth: 12, DisableTraces: true}
+	want, err := Check(context.Background(), Job{Config: cfg, Options: opts, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			_, members, urls := fleet(t, transport, 2, func(_, _ int, p peer) peer {
+				return peerFunc(func(ctx context.Context, data []byte) error {
+					err := p.deliver(ctx, data)
+					if err == nil {
+						for i := range data {
+							data[i] = 0xff
+						}
+					}
+					return err
+				})
+			})
+			got, err := check(context.Background(), Job{Config: cfg, Options: opts, Peers: urls}, members, nil)
+			if err != nil || !mc.Agree(got, want) {
+				t.Fatalf("%v, err %v; want %v", got, err, want)
+			}
+		})
+	}
+}
+
 // refusing is a member that refuses op with err, as a worker at a
 // capacity limit refuses it.
 type refusing struct {
@@ -482,10 +567,12 @@ func (l *lossy) link(from, to int, p peer) peer {
 			}
 		case f < 300:
 			// Acknowledged now, delivered after the sender's next batch
-			// or when its expand ends, whichever comes first.
+			// or when its expand ends, whichever comes first: from a copy,
+			// since the acknowledged frame is its sender's again.
 			l.note("reorder")
+			held := slices.Clone(data)
 			l.mu.Lock()
-			l.held[from] = append(l.held[from], func(ctx context.Context) { p.deliver(ctx, data) })
+			l.held[from] = append(l.held[from], func(ctx context.Context) { p.deliver(ctx, held) })
 			l.mu.Unlock()
 			return nil
 		case f < 450:

@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -118,10 +120,10 @@ type Worker struct {
 func NewWorker() *Worker { return &Worker{} }
 
 // bufPool is a worker's free buffers: frames its senders are done with
-// and bodies or frames it received, once the level they served is
-// promoted. Its frames and bodies are taken from it, so that a worker in
-// its stride allocates none. Nothing trims it: it keeps about as much
-// as the worker ever held at once in frames and bodies.
+// and batches it read, once the level they served is promoted. Its
+// frames and reads are taken from it, so that a worker in its stride
+// allocates none. Nothing trims it: it keeps about as much as the
+// worker ever held at once in frames and read batches.
 type bufPool struct {
 	mu    sync.Mutex
 	free  [][]byte
@@ -401,13 +403,12 @@ func (r *workerRun) startSends(ctx context.Context) *sends {
 	return s
 }
 
-// send is peer p's sender. A delivered frame is freed unless the peer
-// keeps it or the delivery failed (a transport may still read a batch
-// after its delivery has failed); an undelivered one is freed at once.
+// send is peer p's sender. A frame is freed once it is acknowledged
+// (the peer has copied what it keeps) or undelivered, never after a
+// failed delivery: a transport may still read a batch then.
 func (s *sends) send(p int) {
 	defer s.wg.Done()
 	to := s.r.peers[p]
-	reuse := !to.keeps()
 	for f := range s.queues[p] {
 		free := true
 		if !s.stopped() {
@@ -415,7 +416,7 @@ func (s *sends) send(p int) {
 			if err != nil {
 				s.fail(fmt.Errorf("dist: frontier send to worker %d: %w", p, err))
 			}
-			free = err == nil && reuse
+			free = err == nil
 		}
 		s.r.sending.Add(-int64(cap(f.buf)))
 		if free {
@@ -518,22 +519,46 @@ func (s *sends) finish(abandon bool) error {
 var errRunCanceled = errors.New("run canceled")
 
 // deliver receives one encoded frontier batch from a peer in this
-// process; a nil error acknowledges it. The worker keeps what it
-// applies (keeps).
+// process; a nil error acknowledges it, and data is its sender's again.
 func (w *Worker) deliver(_ context.Context, data []byte) error {
-	_, err := w.receive(data)
+	return w.accept(bytes.NewReader(data), int64(len(data)))
+}
+
+// accept is the worker's one receive path, behind deliver and the HTTP
+// frontier route: it reads a batch of n bytes from src into a buffer of
+// its own — a free one, refused before a byte is read if n is over the
+// cap; for n < 0, a limited read that decodeHeader refuses if it is —
+// and applies it (receive). So once accept returns, the sender's frame
+// is the sender's again. The buffer is kept until the level is promoted
+// if the batch was applied, and freed at once otherwise.
+func (w *Worker) accept(src io.Reader, n int64) error {
+	if n > MaxBatchBytes {
+		return &LimitError{Section: "batch bytes", Count: clampInt(uint64(n)), Max: MaxBatchBytes}
+	}
+	var data []byte
+	var err error
+	if n >= 0 {
+		data = w.bufs.get(int(n))[:n]
+		_, err = io.ReadFull(src, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(src, MaxBatchBytes+1))
+	}
+	if err != nil {
+		return refuse(badCall, "frontier: read batch: %w", err)
+	}
+	kept, err := w.receive(data)
+	if !kept {
+		w.bufs.put(data)
+	}
 	return err
 }
 
-// keeps is true: a batch handed to a worker in this process is the
-// worker's until it promotes the level, and then a free buffer of its.
-func (w *Worker) keeps() bool { return true }
-
-// receive applies one encoded frontier batch from a peer; a nil error
-// acknowledges it. A batch redelivered after a lost acknowledgement
-// (same sender and sequence number) is acknowledged, not applied, again.
-// kept reports that the batch was applied: its entries alias data, which
-// the worker keeps until it promotes the level and then frees.
+// receive applies one encoded frontier batch from a peer, which accept
+// read into data; a nil error acknowledges it. A batch redelivered after a
+// lost acknowledgement (same sender and sequence number) is
+// acknowledged, not applied, again. kept reports that the batch was
+// applied: its entries alias data, which the worker keeps until it
+// promotes the level and then frees.
 func (w *Worker) receive(data []byte) (kept bool, err error) {
 	b, body, count, err := decodeHeader(data)
 	if err != nil {

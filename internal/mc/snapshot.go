@@ -56,8 +56,8 @@ type Snapshot struct {
 	// Health is the run's contention profile: per-stripe visited-set
 	// occupancy and dedup-hit histograms (identical across engines by
 	// construction), per-worker expand/queue-wait/send-wait times,
-	// visited-set and frontier footprint and shard lock-wait, and — for
-	// the pipelined engine — the loop's waits on its workers' batches.
+	// visited-set and frontier footprint, and — for the pipelined
+	// engine — the loop's waits on its workers' batches.
 	Health *health.Report `json:"health,omitempty"`
 	// Final marks the end-of-run snapshot stored in Result.Stats.
 	Final bool `json:"final"`

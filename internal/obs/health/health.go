@@ -3,8 +3,9 @@
 // run. Where package obs answers "how fast is the search" and package
 // trace answers "what happened when", health answers "where does the
 // time go" — which visited-set shards are hot, whether workers spend
-// their time expanding states or waiting for work, and how long the
-// merge loop stalls on out-of-order results.
+// their time expanding states or waiting for work or for their peers,
+// and how often the search loop waits on a batch its workers have not
+// finished.
 //
 // Everything here is strictly passive. Collectors only count and time;
 // they never touch search state, so runs with and without them are
