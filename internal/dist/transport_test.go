@@ -6,6 +6,7 @@ package dist
 // delays and reorders deliveries and loses control calls.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"go/parser"
 	"go/token"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -384,6 +386,138 @@ func TestDistRunReleased(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// heldInits holds every worker's init, before it builds anything, until
+// release is closed (never, while it is nil), and counts the inits
+// under way, on either transport: in process around the member's call,
+// counted from the start since the coordinator may return before it is
+// made; over HTTP around the route's handler, its body read first so
+// that the held call no longer needs its client.
+type heldInits struct {
+	release chan struct{}
+	entered chan struct{} // one receive per held init
+	calls   sync.WaitGroup
+}
+
+func (h *heldInits) hold() {
+	if h.release != nil {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+}
+
+// fleet starts n workers on the named transport behind h. It returns
+// the workers, the members a coordinator drives, and the peers and URLs
+// check takes (peers in process, URLs over HTTP).
+func (h *heldInits) fleet(t *testing.T, transport string, n int) ([]*Worker, []member, []peer, []string) {
+	t.Helper()
+	ws := make([]*Worker, n)
+	members, peers := make([]member, n), make([]peer, n)
+	urls := make([]string, n)
+	for i := range ws {
+		ws[i] = NewWorker()
+		if transport == "in-process" {
+			members[i], peers[i] = heldMember{ws[i], h}, ws[i]
+			h.calls.Add(1)
+			continue
+		}
+		inner := ws[i].Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/dist/v1/init" {
+				h.calls.Add(1)
+				defer h.calls.Done()
+				body, err := io.ReadAll(req.Body)
+				if err != nil {
+					return
+				}
+				req.Body = io.NopCloser(bytes.NewReader(body))
+				h.hold()
+			}
+			inner.ServeHTTP(rw, req)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	if transport == "in-process" {
+		return ws, members, peers, nil
+	}
+	return ws, dialFleet(urls), nil, urls
+}
+
+// heldMember is a worker in process whose init waits for its heldInits.
+type heldMember struct {
+	*Worker
+	h *heldInits
+}
+
+func (m heldMember) init(ctx context.Context, in initReq) (report, error) {
+	defer m.h.calls.Done()
+	m.h.hold()
+	return m.Worker.init(ctx, in)
+}
+
+// TestDistCanceledInitReleased: a Check whose ctx ends before its
+// workers' inits have returned leaves no worker holding the run, even
+// when an init swaps its run in only after the coordinator's cancel has
+// come and gone. In process with a ctx canceled before Check, the
+// coordinator stops waiting at once and its cancel usually lands while
+// the inits are still building; on both transports with ctx canceled
+// while every init is held, the cancel always lands first. Each case
+// waits for every init to return before it looks.
+func TestDistCanceledInitReleased(t *testing.T) {
+	cfg := minimal(t, "CXL_cache", 3)
+	job := Job{Config: cfg, Options: mc.Options{DisableTraces: true}}
+	released := func(t *testing.T, ws []*Worker) {
+		t.Helper()
+		for i, w := range ws {
+			if r := w.run.Load(); r != nil {
+				t.Errorf("worker %d holds run %s after Check returned", i, r.id)
+			}
+		}
+	}
+	t.Run("in-process/pre-canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for range 20 {
+			h := &heldInits{}
+			ws, members, peers, _ := h.fleet(t, "in-process", 2)
+			res, err := check(ctx, job, members, peers)
+			if err != nil || res.Outcome != mc.Canceled {
+				t.Fatalf("outcome %v, err %v; want Canceled", res.Outcome, err)
+			}
+			h.calls.Wait()
+			released(t, ws)
+		}
+	})
+	for _, transport := range transports {
+		t.Run(transport+"/canceled-in-init", func(t *testing.T) {
+			h := &heldInits{release: make(chan struct{}), entered: make(chan struct{})}
+			ws, members, peers, urls := h.fleet(t, transport, 2)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				j := job
+				j.Peers = urls
+				res, err := check(ctx, j, members, peers)
+				if err == nil && res.Outcome != mc.Canceled {
+					err = fmt.Errorf("outcome %v, want Canceled", res.Outcome)
+				}
+				done <- err
+			}()
+			for range ws {
+				<-h.entered
+			}
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			close(h.release)
+			h.calls.Wait()
+			released(t, ws)
+		})
 	}
 }
 

@@ -114,6 +114,9 @@ func (e *callError) Unwrap() error { return e.err }
 type Worker struct {
 	run  atomic.Pointer[workerRun] // the active run, nil when idle
 	bufs bufPool                   // free frame and body buffers, kept from run to run
+	// dead is the id of the last run canceled by name, so that an init
+	// of it that lands after its cancel drops the run it built.
+	dead atomic.Pointer[string]
 }
 
 // NewWorker builds an idle worker.
@@ -254,6 +257,13 @@ func (w *Worker) init(_ context.Context, in initReq) (report, error) {
 		// deliver nothing more, so an abandoned expand ships nothing
 		// into its peers' new runs.
 		old.canceled.Store(true)
+	}
+	// A cancel of this run that came before the swap found nothing to
+	// drop; it left its id in dead first, so one of the two drops it.
+	if d := w.dead.Load(); d != nil && *d == r.id {
+		r.canceled.Store(true)
+		w.run.CompareAndSwap(r, nil)
+		return report{}, refuse(conflict, "init: run canceled")
 	}
 	return r.report(), nil
 }
@@ -634,9 +644,14 @@ func (w *Worker) settle(_ context.Context, in settleReq) (report, error) {
 }
 
 // cancel stops the run it names (any run, for an empty id) and drops
-// it, so an in-flight expand aborts between states. It never takes
-// ctrlMu: it must land while an expand stuck retrying sends holds it.
+// it, so an in-flight expand aborts between states. A named run is
+// marked dead before the current run is read, for an init of it still
+// under way (see init). It never takes ctrlMu: it must land while an
+// expand stuck retrying sends holds it.
 func (w *Worker) cancel(_ context.Context, in cancelReq) error {
+	if in.RunID != "" {
+		w.dead.Store(&in.RunID)
+	}
 	if r := w.run.Load(); r != nil && (in.RunID == "" || r.id == in.RunID) {
 		r.canceled.Store(true)
 		w.run.CompareAndSwap(r, nil)

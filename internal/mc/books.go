@@ -52,7 +52,7 @@ func newBooks(exp Expander, workers int) *books {
 // and stored at the given depth. fp is the state's fingerprint,
 // attributing the probe to its telemetry stripe. conflated marks a
 // compact-store duplicate verdict that could not be byte-verified;
-// conflation verdicts are stable over a run (see setShard.lookup), so
+// conflation verdicts are stable over a run (see VisitedStore.lookup), so
 // this count is deterministic and identical across engines.
 func (b *books) probe(fp uint64, depth int32, fresh, conflated bool) {
 	if !fresh {

@@ -190,8 +190,8 @@ func (p *pipeline) fill(from int32) {
 // CheckPipelined runs Check's BFS with a pipelined worker pool.
 // workers <= 0 picks GOMAXPROCS. DFS and single-worker runs are the
 // sequential engine (results are identical either way — that is the
-// point). shards is ignored: the visited set always has DefaultShards
-// shards; the argument stays for existing callers.
+// point). shards is ignored: the visited set is one table; the argument
+// stays for existing callers.
 func CheckPipelined(m Model, opts Options, workers, shards int) Result {
 	return CheckPipelinedCtx(context.Background(), m, opts, workers)
 }

@@ -3,20 +3,20 @@ package mc
 // State-fingerprint hashing and partition layout, extracted here so
 // every consumer of the partition agrees on it by construction:
 //
-//   - the visited set (shardset.go) picks an in-process shard with
-//     FingerprintMix(fp) & mask;
 //   - the telemetry stripes (stripeOf, through which the books attribute
-//     every probe) use the same mix over a fixed health.Stripes
+//     every probe) are FingerprintMix(fp) over a fixed health.Stripes
 //     partition;
 //   - the distributed engine (internal/dist) assigns a state to its
 //     owning worker process with OwnerOf, which applies the same mix
 //     before reducing modulo the worker count.
 //
-// Set shards, telemetry stripes, and process-shards are therefore
-// all functions of one mixed value: they can disagree in granularity
-// but never in geometry. The fingerprint itself is FNV-1a 64 over the
-// canonical state bytes — fast, dependency-free, and stable across
-// platforms, which the table-driven tests in fphash_test.go pin.
+// Telemetry stripes and process shards are therefore both functions of
+// one mixed value: they can disagree in granularity but never in
+// geometry. The visited set is one table per search or worker, and
+// takes its home slot from the fingerprint itself (shardset.go). The
+// fingerprint is FNV-1a 64 over the canonical state bytes — fast,
+// dependency-free, and stable across platforms, which the table-driven
+// tests in fphash_test.go pin.
 
 import "minvn/internal/obs/health"
 
@@ -58,7 +58,7 @@ func fingerprint4(k [4][]byte) (fp [4]uint64) {
 }
 
 // FingerprintMix folds the fingerprint's high bits into the low ones.
-// Every partition of fingerprint space (shard, stripe, worker) selects
+// Every partition of fingerprint space (stripe, worker) selects
 // on this mixed value rather than the raw fingerprint, whose low bits
 // FNV-1a mixes least.
 func FingerprintMix(fp uint64) uint64 { return fp ^ (fp >> 32) }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The fingerprint/partition functions are shared by thread-level
-// shards, telemetry stripes, and the distributed engine's process
-// shards; these tables pin their exact values so the partition can
+// The fingerprint/partition functions are shared by the telemetry
+// stripes and the distributed engine's process shards; these tables
+// pin their exact values so the partition can
 // never drift silently — a worker built from an older binary would
 // disagree about state ownership the moment any constant changed.
 
@@ -67,24 +67,6 @@ func TestStripePartitionMatchesHealth(t *testing.T) {
 			t.Errorf("stripeOf(%#x) = %d, pinned %d", tc.fp, got, tc.stripe)
 		}
 	}
-}
-
-// TestShardIndexUsesSharedMix pins the visited set's thread-level
-// shard choice, in both store modes, to the shared mix.
-func TestShardIndexUsesSharedMix(t *testing.T) {
-	eachStore(t, func(t *testing.T, store Store) {
-		s := newVisitedStore(store, 64)
-		fp := uint64(0x243f6a8885a308d3)
-		for i := 0; i < 1000; i++ {
-			fp ^= fp << 13
-			fp ^= fp >> 7
-			fp ^= fp << 17
-			want := uint32(FingerprintMix(fp) & 63)
-			if got := s.shardIdx(fp); got != want {
-				t.Fatalf("shardIdx(%#x) = %d, want %d", fp, got, want)
-			}
-		}
-	})
 }
 
 // TestOwnerOfPartitions checks the ownership map is a total partition:

@@ -84,7 +84,7 @@ func skewedStates(t *testing.T, hotN, coldN int) ([][]byte, int) {
 }
 
 // TestHealthSkewIdenticalAcrossEngines runs a deliberately unbalanced
-// model through both engines and requires the shard-occupancy and
+// model through both engines and requires the stripe-occupancy and
 // dedup histograms to (a) surface the imbalance and (b) agree exactly.
 func TestHealthSkewIdenticalAcrossEngines(t *testing.T) {
 	const hotN, coldN = 40, 8

@@ -61,7 +61,7 @@ type indexRun struct {
 	next int32 // the next fresh id
 }
 
-func newIndexRun(t testing.TB, store Store, budget int64, shards int, fpOf func([]byte) uint64) *indexRun {
+func newIndexRun(t testing.TB, store Store, budget int64, fpOf func([]byte) uint64) *indexRun {
 	t.Helper()
 	old := compactVerifiedBudget
 	compactVerifiedBudget = budget
@@ -70,7 +70,7 @@ func newIndexRun(t testing.TB, store Store, budget int64, shards int, fpOf func(
 	if store == StoreCompact {
 		ref.budget = budget
 	}
-	return &indexRun{t: t, set: newVisitedStore(store, shards), ref: ref, fpOf: fpOf}
+	return &indexRun{t: t, set: newVisitedStore(store), ref: ref, fpOf: fpOf}
 }
 
 // insert settles one key through Insert.
@@ -190,9 +190,9 @@ var indexBudgets = []struct {
 // TestVisitedStoreMatchesReference drives the open-addressed index
 // beside the map reference with a seeded mix of single inserts, batches
 // and lookups, over every budget and fingerprint function. With real
-// fingerprints it stores enough keys on 4 shards to grow every shard's
-// table at least ten times; with colliding ones, fewer, since each key
-// then walks a long run.
+// fingerprints it stores enough keys to grow the table at least twelve
+// times; with colliding ones, fewer, since each key then walks a long
+// run.
 func TestVisitedStoreMatchesReference(t *testing.T) {
 	for _, b := range indexBudgets {
 		for _, f := range indexFingerprints {
@@ -202,7 +202,7 @@ func TestVisitedStoreMatchesReference(t *testing.T) {
 					distinct = 600
 				}
 				rng := rand.New(rand.NewSource(26))
-				r := newIndexRun(t, b.store, b.budget, 4, f.fpOf)
+				r := newIndexRun(t, b.store, b.budget, f.fpOf)
 				var keys [][]byte
 				for op := 0; op < distinct; op++ {
 					// Mostly new keys, a third of them revisited.
@@ -226,21 +226,99 @@ func TestVisitedStoreMatchesReference(t *testing.T) {
 					}
 				}
 				r.finish()
-				for i := range r.set.shards {
-					sh := &r.set.shards[i]
-					if overfull(int64(sh.used), int64(len(sh.slots))) || (f.name == "fnv" && len(sh.slots) < minSlots<<10) {
-						t.Fatalf("shard %d holds %d states in %d slots", i, sh.used, len(sh.slots))
-					}
+				if s := r.set; overfull(int64(s.st.entries), int64(len(s.slots))) || (f.name == "fnv" && len(s.slots) < minSlots<<12) {
+					t.Fatalf("the table holds %d states in %d slots", s.st.entries, len(s.slots))
 				}
 			})
 		}
 	}
 }
 
+// TestVisitedStoreSegments: a store whose arena spans many segments,
+// each of maxSegChunks chunks, gives every verdict and id a one-segment
+// store gives on the same requests, in both store modes: the same
+// seeded mix of single inserts and batches of real-fingerprint keys,
+// then a probe of every key. Two-chunk segments take any 8 KiB of
+// records; the compact store's default budget retains 64 KiB. A search
+// over one-chunk segments is the search over one segment too.
+func TestVisitedStoreSegments(t *testing.T) {
+	eachStore(t, func(t *testing.T, store Store) {
+		run := func() (*VisitedStore, []insertReq) {
+			s := newVisitedStore(store)
+			rng := rand.New(rand.NewSource(48))
+			var out []insertReq
+			next := int32(0)
+			for op := 0; op < 3000; op++ {
+				reqs := make([]insertReq, 1+rng.Intn(12))
+				for i := range reqs {
+					k := indexKey(op)
+					if rng.Intn(3) == 0 {
+						k = indexKey(rng.Intn(op + 1))
+					}
+					reqs[i] = insertReq{fp: Fingerprint(k), key: k}
+				}
+				if len(reqs) == 1 {
+					r := &reqs[0]
+					var err error
+					if r.id, r.fresh, r.conflated, err = s.Insert(r.fp, r.key, next); err != nil {
+						t.Fatal(err)
+					}
+					if r.fresh {
+						next++
+					}
+				} else {
+					_, fresh, err := s.insertBatch(reqs, next, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					next += int32(fresh)
+				}
+				out = append(out, reqs...)
+			}
+			for i := range 3000 {
+				r := insertReq{key: indexKey(i)}
+				r.fp = Fingerprint(r.key)
+				r.id, r.fresh, r.conflated = probe(s, r.fp, r.key)
+				out = append(out, r)
+			}
+			return s, out
+		}
+		whole := maxSegChunks
+		one, want := run()
+		withCap(t, &maxSegChunks, 2)
+		many, got := run()
+		if len(one.segs) != 1 || len(many.segs) < 3 {
+			t.Fatalf("%d and %d segments, want 1 and at least 3", len(one.segs), len(many.segs))
+		}
+		for i := range want {
+			w, g := want[i], got[i]
+			if g.id != w.id || g.fresh != w.fresh || g.conflated != w.conflated {
+				t.Fatalf("request %d (%d bytes) over %d segments: id=%d fresh=%v conflated=%v, over one id=%d fresh=%v conflated=%v",
+					i, len(w.key), len(many.segs), g.id, g.fresh, g.conflated, w.id, w.fresh, w.conflated)
+			}
+		}
+		if one.st.entries != many.st.entries || one.st.arenaBytes != many.st.arenaBytes {
+			t.Fatalf("stats over %d segments %+v, over one %+v", len(many.segs), many.st, one.st)
+		}
+
+		m := &counter{n: 20000, branch: true, quiet: 19999, bad: -1, errAt: -1}
+		opts := Options{DisableTraces: true, Store: store}
+		withCap(t, &maxSegChunks, whole)
+		ref := Check(m, opts)
+		withCap(t, &maxSegChunks, 1)
+		res := Check(m, opts)
+		if res.Outcome != Complete || !Agree(res, ref) || res.Rules != ref.Rules || res.Stats.DedupHits != ref.Stats.DedupHits ||
+			res.Stats.Health.UnverifiedHits != ref.Stats.Health.UnverifiedHits {
+			t.Fatalf("over one-chunk segments %v, over one segment %v", res, ref)
+		}
+	})
+}
+
 // FuzzVisitedStore is TestVisitedStoreMatchesReference driven by fuzz
 // bytes: the first picks the budget, the second the fingerprint function
-// and the shard count, and each later byte one operation on keys drawn
-// from a 48-key alphabet, so duplicates and collisions are the rule.
+// (its top bits are unused), and each later byte one operation on keys
+// drawn from a 48-key alphabet, so duplicates and collisions are the
+// rule.
 func FuzzVisitedStore(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 2, 0x80, 0x81, 0x82, 0x40, 0x41, 0x42, 0xc3})
@@ -252,7 +330,7 @@ func FuzzVisitedStore(f *testing.F) {
 		}
 		b := indexBudgets[int(prog[0])%len(indexBudgets)]
 		fp := indexFingerprints[int(prog[1])%len(indexFingerprints)]
-		r := newIndexRun(t, b.store, b.budget, 1<<(prog[1]>>6), fp.fpOf)
+		r := newIndexRun(t, b.store, b.budget, fp.fpOf)
 		key := func(x byte) []byte { return indexKey(int(x) % 48) }
 		for i, op := range prog[2:] {
 			switch op >> 6 {

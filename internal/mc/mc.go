@@ -282,10 +282,11 @@ const (
 	// the context error.
 	Canceled
 	// Capacity: the visited set or state log reached a hard
-	// implementation limit (int32 node ids, a shard's slot table, uint32
-	// arena locations) or the Go memory limit — see CapacityError — and the search
-	// stopped rather than wrap indices or be killed. No deadlock or violation
-	// was found in the states explored; Result.Message names the limit.
+	// implementation limit (int32 node ids, the set's slot table, the
+	// log's chunk count) or the Go memory limit — see CapacityError — and
+	// the search stopped rather than wrap indices or be killed. No
+	// deadlock or violation was found in the states explored;
+	// Result.Message names the limit.
 	Capacity
 )
 

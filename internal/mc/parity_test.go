@@ -175,7 +175,7 @@ func TestParallelParityComplete(t *testing.T) {
 	sys := paritySystem(t, "MSI_nonblocking_cache", "minimal", 2, 1, 1)
 	opts := mc.Options{MaxStates: 2_000_000, DisableTraces: true}
 	seq := mc.Check(sys, opts)
-	pip := mc.CheckPipelined(sys, opts, 0, 0) // 0 workers = GOMAXPROCS, 0 shards = default
+	pip := mc.CheckPipelined(sys, opts, 0, 0) // 0 workers = GOMAXPROCS; shards is ignored
 	if seq.Outcome != mc.Complete {
 		t.Fatalf("expected the 2-cache MSI space to be exhaustible, got %v", seq)
 	}

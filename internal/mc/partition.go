@@ -18,15 +18,16 @@ import (
 // sequential BFS would store its own share: its own successors in
 // generation order, then the received ones in the order given.
 //
-// A partition has the sequential BFS's raw cache (rawCache, allocated
-// at the same stored-state count and the first thing dropped at the
-// memory limit): an owned successor or a received state byte-equal to a
-// state it stores, still in its log, settles as that state's duplicate
-// without being canonicalized. The compare is against the partition's
-// own copy, so a received state's bytes are trusted no more than
-// before. It keeps no counterexample trace (like DisableTraces) and no
-// bounds: the caller applies MaxStates and MaxDepth at level
-// granularity. It has one caller at a time.
+// A partition has the sequential BFS's raw cache (rawCache: the small
+// table from its first stored state, the large one from rawCacheFrom
+// on, and the first thing dropped at the memory limit): an owned
+// successor or a received state byte-equal to a state it stores, still
+// in its log, settles as that state's duplicate without being
+// canonicalized. The compare is against the partition's own copy, so a
+// received state's bytes are trusted no more than before. It keeps no
+// counterexample trace (like DisableTraces) and no bounds: the caller
+// applies MaxStates and MaxDepth at level granularity. It has one
+// caller at a time.
 type Partition struct {
 	s       *search
 	self, n int
@@ -42,9 +43,6 @@ type Partition struct {
 func NewPartition(m Model, opts Options, self, n int, held func() int64) (*Partition, error) {
 	opts = Options{Store: opts.Store, Observer: opts.Observer, DisableTraces: true}
 	s := newSearch(context.Background(), m, opts, "partition", 1)
-	// One shard: a partition's store has one writer, and one shard keeps
-	// its footprint and allocations those of a single table.
-	s.set = newVisitedStore(opts.Store, 1)
 	s.outbox = held
 	s.addRawCache()
 	p := &Partition{s: s, self: self, n: n}
@@ -75,7 +73,7 @@ func (p *Partition) Expand(ship func(state []byte, owner int), more func() bool)
 		if !more() {
 			return Result{}, nil
 		}
-		if err := s.overMemory(); err != nil {
+		if err := s.overMemory(0); err != nil {
 			return Result{}, err
 		}
 		e := s.collect(s.next(&p.cur))

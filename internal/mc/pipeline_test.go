@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// --- sharded visited set ---
+// --- visited set ---
 
 func TestShardedSetBasic(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		s := newVisitedStore(store, 8)
+		s := newVisitedStore(store)
 		keys := make([][]byte, 200)
 		for i := range keys {
 			keys[i] = []byte(fmt.Sprintf("state-%03d", i))
@@ -49,7 +49,7 @@ func TestShardedSetBasic(t *testing.T) {
 // that a record never straddles a chunk boundary.
 func TestShardedSetCollisions(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		s := newVisitedStore(store, 4)
+		s := newVisitedStore(store)
 		const fp = uint64(0xdeadbeefcafe)
 		big := func(c byte, n int) []byte { return []byte(strings.Repeat(string(c), n)) }
 		keys := [][]byte{
@@ -78,8 +78,7 @@ func TestShardedSetCollisions(t *testing.T) {
 		if _, hit, _ := probe(s, fp, []byte("delta")); hit {
 			t.Fatal("unrelated key matched a colliding one")
 		}
-		sh := &s.shards[s.shardIdx(fp)]
-		for _, sl := range sh.slots {
+		for _, sl := range s.slots {
 			if sl.at == 0 {
 				continue
 			}
@@ -89,8 +88,8 @@ func TestShardedSetCollisions(t *testing.T) {
 					i, len(keys[i]), c, at, wantChunk[i], wantAt[i])
 			}
 		}
-		if len(sh.chunks) != 4 || cap(sh.chunks[2]) != arenaChunk+906 || len(sh.chunks[3]) != arenaChunk {
-			t.Errorf("chunks: %d, oversize cap %d, last len %d", len(sh.chunks), cap(sh.chunks[2]), len(sh.chunks[3]))
+		if chunks := s.segs[0].chunks; len(s.segs) != 1 || len(chunks) != 4 || cap(chunks[2]) != arenaChunk+906 || len(chunks[3]) != arenaChunk {
+			t.Errorf("segments %d, chunks: %d, oversize cap %d, last len %d", len(s.segs), len(chunks), cap(chunks[2]), len(chunks[3]))
 		}
 		var total int64
 		for _, k := range keys {
@@ -100,19 +99,6 @@ func TestShardedSetCollisions(t *testing.T) {
 			t.Errorf("arenaBytes = %d, want the %d key bytes stored", st.arenaBytes, total)
 		}
 	})
-}
-
-func TestShardedSetShardCount(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{
-		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4},
-		{64, 64}, {100, 128}, {1 << 20, 1 << 16},
-	} {
-		for _, store := range []Store{StoreExact, StoreCompact} {
-			if got := len(newVisitedStore(store, tc.n).shards); got != tc.want {
-				t.Errorf("newVisitedStore(%v, %d): %d shards, want %d", store, tc.n, got, tc.want)
-			}
-		}
-	}
 }
 
 // --- pipelined engine vs sequential, synthetic models ---

@@ -16,8 +16,8 @@ import (
 const narrowRawHash = uint64(0xf) << 60
 
 // withRawCache sets the raw cache's switch and hash mask for the rest of
-// t, and has the table allocated after the first expansion, so that
-// small searches use it too. Tests that call it must not run in parallel
+// t, and has the large table in place of the small one from the first
+// expansion on, so that small searches use both. Tests that call it must not run in parallel
 // with anything that searches.
 func withRawCache(t testing.TB, on bool, mask uint64) {
 	t.Helper()

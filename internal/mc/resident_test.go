@@ -91,3 +91,42 @@ func TestPipelineAllocsPerState(t *testing.T) {
 		})
 	}
 }
+
+// TestSmallSearchFootprint is the ceiling on what one small search
+// allocates — a cold vnserved verify, or one step of a campaign of many
+// small complete searches — where the costs that do not grow with the
+// states dominate. The ceilings are about 1.25x what one table over one
+// arena, with the small raw cache from the first state, made: 135
+// mallocs and 513 KB a search. 64 table shards made 546 and 660 KB, and
+// a search this size never reached the raw cache.
+func TestSmallSearchFootprint(t *testing.T) {
+	sys := paritySystem(t, "MSI_nonblocking_cache", "minimal", 2, 1, 1)
+	opts := mc.Options{MaxStates: 3000}
+	const runs = 20
+	mc.Check(sys, opts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var res mc.Result
+	for range runs {
+		res = mc.Check(sys, opts)
+	}
+	runtime.ReadMemStats(&after)
+	if res.Outcome != mc.Bounded || res.States != 3000 {
+		t.Fatalf("unexpected run: %v", res)
+	}
+	if res.Stats.Health.RawHits == 0 {
+		t.Error("no successor was settled from the raw cache")
+	}
+	if raceEnabled {
+		return // sync.Pool drops items under the race detector
+	}
+	mallocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.1f mallocs and %.0f bytes a search; %d raw hits of %d successors", mallocs, bytes, res.Stats.Health.RawHits, res.Stats.Generated)
+	if mallocs > 170 {
+		t.Errorf("%.1f mallocs a search, ceiling 170", mallocs)
+	}
+	if bytes > 640<<10 {
+		t.Errorf("%.0f bytes a search, ceiling %d", bytes, 640<<10)
+	}
+}

@@ -230,7 +230,8 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	s.col = newCollector(m, s.exp)
 	tc, _ := trace.TraceContextFrom(ctx)
 	s.lane = opts.Trace.Lane(tc.LanePrefix() + mainLane)
-	s.set = newVisitedStore(opts.Store, DefaultShards)
+	s.set = newVisitedStore(opts.Store)
+	s.set.guard = s.overMemory
 	s.log.keep = !opts.DisableTraces
 	s.memLimit = memoryLimit()
 	s.tr = newTracker(opts, s.start, s.exp, workers)
@@ -246,10 +247,12 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	return s
 }
 
-// addRawCache gives the search a raw cache, unless tests switched it off.
+// addRawCache gives the search a raw cache, its small table allocated
+// for the first stored state, unless tests switched it off.
 func (s *search) addRawCache() {
 	if rawCacheOn {
 		s.raw = &rawCache{log: &s.log}
+		s.raw.allocate(0)
 		s.col.raw = s.raw
 	}
 }
@@ -394,7 +397,7 @@ func (s *search) stop() (Result, bool) {
 	if err := s.ctx.Err(); err != nil {
 		return s.cancel(err), true
 	}
-	if err := s.overMemory(); err != nil {
+	if err := s.overMemory(0); err != nil {
 		s.res.Message = err.Error()
 		return s.finish(Capacity), true
 	}
@@ -404,10 +407,12 @@ func (s *search) stop() (Result, bool) {
 	return Result{}, false
 }
 
-// overMemory is stop's memory check: a *CapacityError once the held
-// bytes reach the Go memory limit.
-func (s *search) overMemory() error {
-	held := s.set.st.setBytes + s.frontierBytes()
+// overMemory is the memory check: a *CapacityError once the held bytes
+// and extra more reach the Go memory limit. stop asks it with nothing
+// more before each expansion, the visited set with its next table
+// before that grows.
+func (s *search) overMemory(extra int64) error {
+	held := s.set.st.setBytes + s.frontierBytes() + extra
 	if held >= s.memLimit {
 		// The raw cache only saves time: it gives its bytes up first, so
 		// the search stops where it would have without one.

@@ -8,9 +8,10 @@ import (
 
 // The visited set is the model checker's dominant memory consumer and
 // the one decision every engine makes per successor: "have I stored this
-// state?". VisitedStore is the only implementation: N shards chosen by
-// the 64-bit FNV-1a fingerprint, each one open-addressed table of
-// 16-byte slots plus a chunked byte arena.
+// state?". VisitedStore is the only implementation: one open-addressed
+// table of 16-byte slots over one chunked byte arena, per search or per
+// distributed worker's Partition. Its one writer needs no shards: a
+// sharded table cost every small search a table and a chunk per shard.
 //
 // A slot holds a stored state's fingerprint, its id and a tagged
 // location. Zero is an empty slot. bareSlot marks a state stored by
@@ -20,11 +21,12 @@ import (
 // state's canonical key in the arena, behind a uvarint length prefix as
 // in the state log; those bytes decide membership, so correctness never
 // rests on the 64-bit hash. A state's home slot is the top bits of its
-// fingerprint times 2^64/φ, which depend on every fingerprint bit, so
-// the few bits shardIdx fixed within a shard cost the spread nothing.
+// fingerprint times 2^64/φ, which depend on every fingerprint bit.
 // Probing is linear: keys with equal fingerprints are further slots of
-// the same run, and a lookup walks the run to its first empty slot. A
-// table grows to twice its size at 7/8 full, rehashed in place.
+// the same run, and a lookup walks the run to its first empty slot. The
+// table grows to twice its size at 7/8 full, rehashed into the new one;
+// before a table that holds states grows, the search is asked whether
+// the new table fits under the Go memory limit (guard).
 //
 // Which states keep their bytes is a retained-bytes budget. With no
 // budget (StoreExact) every key is kept and no slot is bare. With a
@@ -44,7 +46,12 @@ import (
 // that does not fit the current chunk's remainder starts the next, and
 // one longer than a chunk gets a chunk of its own. Slots stay
 // pointer-free by packing the location as
-// 1 + chunk<<arenaChunkBits | offset-within-chunk.
+// 1 + chunk<<arenaChunkBits | offset-within-chunk, which addresses 4 GiB
+// of chunks. So the chunks are cut into segments of up to maxSegChunks,
+// each keyed by the id of the first key it holds: keys are appended in
+// id order, so a slot's id names its segment, and a location is read
+// within it. While the arena has one segment, finding it costs one
+// compare.
 //
 // Concurrency contract: one writer. Every method is called by the
 // single store thread (the sequential search loop, the pipelined merge,
@@ -53,20 +60,15 @@ import (
 // but by a rehash, which keeps every slot's content, so a hit, and
 // whether it conflates, is stable over the whole run.
 
-// DefaultShards is the shard count the in-process engines use. Sharding
-// serves no concurrency; 64 keeps per-shard tables small at paper-scale
-// state counts.
-const DefaultShards = 64
-
-// arenaChunkBits sizes the arena chunks (4 KiB). Larger chunks cost a
-// small search real memory — every touched stripe holds at least one.
+// arenaChunkBits sizes the arena chunks (4 KiB): a small search holds
+// at least one.
 const (
 	arenaChunkBits = 12
 	arenaChunk     = 1 << arenaChunkBits
 )
 
-// slot is one stored state in a shard's table (see the package comment
-// above for at's tags).
+// slot is one stored state in the table (see the package comment above
+// for at's tags).
 type slot struct {
 	fp uint64
 	id int32
@@ -75,6 +77,8 @@ type slot struct {
 
 const (
 	slotSize = 16 // bytes of a slot
+	// segmentSize is the bytes of a segment in the store's list of them.
+	segmentSize = 32
 	// bareSlot is the location of a state stored without bytes.
 	bareSlot = math.MaxUint32
 	// minSlots is a table's size at its first insert.
@@ -96,43 +100,11 @@ func recordLen(n int) int {
 	return (bits.Len(uint(n)|1)+6)/7 + n
 }
 
-// arenaFill tracks how full a chunked arena is: the chunk count and the
-// free bytes left in the last chunk.
-type arenaFill struct {
-	chunks int
-	free   int
-}
-
-// add accounts one n-byte record, reporting whether it opens a new chunk.
-func (f *arenaFill) add(n int) bool {
-	if f.chunks > 0 && n <= f.free {
-		f.free -= n
-		return false
-	}
-	f.chunks++
-	f.free = max(arenaChunk, n) - n
-	return true
-}
-
-// shardCount rounds a requested shard count up to a power of two,
-// clamped to [1, 1<<16]; n <= 0 selects DefaultShards.
-func shardCount(n int) int {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	size := 1
-	for size < min(n, 1<<16) {
-		size <<= 1
-	}
-	return size
-}
-
-type setShard struct {
-	slots  []slot // nil until the first insert, then a power of two long
-	shift  uint8  // 64 - log2(len(slots))
-	used   int    // occupied slots
+// segment is one piece of the arena: the chunks that hold the keys of
+// ids first and on, up to the next segment's first.
+type segment struct {
+	first  int32
 	chunks [][]byte
-	fill   arenaFill
 }
 
 // VisitedStore is the visited set (see the package comment above). Every
@@ -144,23 +116,26 @@ type setShard struct {
 // exported constructor and Insert are for one outside caller, the
 // benchmark's layer replay, which measures the set alone.
 type VisitedStore struct {
-	shards []setShard
-	mask   uint64
+	slots []slot    // nil until the first insert, then a power of two long
+	shift uint8     // 64 - log2(len(slots))
+	segs  []segment // the arena, by first id
 	// budget is the retained-bytes budget for first-for-fingerprint
 	// keys, -1 for none (keep every key); retained is how much of it is
 	// spent.
 	budget, retained int64
-	st               setStats // the footprint so far
+	st               setStats // the footprint so far; st.entries slots are used
 	// touched sums what insertBatch loaded ahead of its lookups (see
-	// setShard.touch); it is kept so the loads are.
+	// touch); it is kept so the loads are.
 	touched uint64
+	// guard, when set, is asked before a table that holds states grows
+	// whether extra more bytes may be held, and refuses with a
+	// *CapacityError: the search's memory check.
+	guard func(extra int64) error
 }
 
-// newVisitedStore builds a store of the given mode with shardCount(n)
-// shards.
-func newVisitedStore(store Store, n int) *VisitedStore {
-	size := shardCount(n)
-	s := &VisitedStore{shards: make([]setShard, size), mask: uint64(size - 1), budget: -1}
+// newVisitedStore builds an empty store of the given mode.
+func newVisitedStore(store Store) *VisitedStore {
+	s := &VisitedStore{budget: -1}
 	if store == StoreCompact {
 		s.budget = compactVerifiedBudget
 	}
@@ -168,29 +143,33 @@ func newVisitedStore(store Store, n int) *VisitedStore {
 }
 
 // NewVisitedStore builds a store of the given mode outside a search, for
-// the benchmark's layer replay. shards <= 0 selects a single shard.
+// the benchmark's layer replay; shards is ignored. The store has no
+// memory guard, and its ids must ascend from insert to insert, as a
+// search's do.
 func NewVisitedStore(store Store, shards int) *VisitedStore {
-	if shards <= 0 {
-		shards = 1
-	}
-	return newVisitedStore(store, shards)
-}
-
-// shardIdx picks the stripe: the shared mix (fphash.go), the same
-// partition the telemetry stripes and dist ownership use.
-func (s *VisitedStore) shardIdx(fp uint64) uint32 {
-	return uint32(FingerprintMix(fp) & s.mask)
+	return newVisitedStore(store)
 }
 
 // home is fp's first probe position; the table must not be empty.
-func (sh *setShard) home(fp uint64) int {
-	return int(fp * fibMul >> sh.shift)
+func (s *VisitedStore) home(fp uint64) int {
+	return int(fp * fibMul >> s.shift)
 }
 
-// key returns the key stored at a retained slot's location.
-func (sh *setShard) key(at uint32) []byte {
+// record returns the arena from the record stored for id at a retained
+// slot's location on: the segment that holds it is the last one to
+// start at or before id.
+func (s *VisitedStore) record(id int32, at uint32) []byte {
+	i := len(s.segs) - 1
+	for i > 0 && s.segs[i].first > id {
+		i--
+	}
 	loc := at - 1
-	c := sh.chunks[loc>>arenaChunkBits][loc&(arenaChunk-1):]
+	return s.segs[i].chunks[loc>>arenaChunkBits][loc&(arenaChunk-1):]
+}
+
+// key returns the key stored for id at a retained slot's location.
+func (s *VisitedStore) key(id int32, at uint32) []byte {
+	c := s.record(id, at)
 	n, w := binary.Uvarint(c)
 	return c[w : w+int(n)]
 }
@@ -199,20 +178,20 @@ func (sh *setShard) key(at uint32) []byte {
 // retained one hits when its bytes equal key. known reports whether any
 // state is stored under fp, the first-for-fingerprint question the
 // budget asks.
-func (sh *setShard) lookup(fp uint64, key []byte) (id int32, hit, conflated, known bool) {
-	if len(sh.slots) == 0 {
+func (s *VisitedStore) lookup(fp uint64, key []byte) (id int32, hit, conflated, known bool) {
+	if len(s.slots) == 0 {
 		return 0, false, false, false
 	}
-	mask := len(sh.slots) - 1
-	for i := sh.home(fp); ; i = (i + 1) & mask {
-		sl := &sh.slots[i]
+	mask := len(s.slots) - 1
+	for i := s.home(fp); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
 		switch {
 		case sl.at == 0:
 			return 0, false, false, known
 		case sl.fp != fp:
 		case sl.at == bareSlot:
 			return sl.id, true, true, true
-		case string(sh.key(sl.at)) == string(key):
+		case string(s.key(sl.id, sl.at)) == string(key):
 			return sl.id, true, false, true
 		default:
 			known = true
@@ -221,19 +200,22 @@ func (sh *setShard) lookup(fp uint64, key []byte) (id int32, hit, conflated, kno
 }
 
 // touch loads what a lookup of fp will read first — its home slot and,
-// when that slot holds fp with bytes, the key's first byte — and
-// returns something of it, so a batch can start every request's cache
-// misses before it compares any key and have them overlap.
-func (sh *setShard) touch(fp uint64) uint64 {
-	if len(sh.slots) == 0 {
-		return 0
-	}
-	sl := &sh.slots[sh.home(fp)]
+// when that slot holds fp with bytes in the newest segment, the key's
+// first byte — and returns something of it, so a batch can start every
+// request's cache misses before it compares any key and have them
+// overlap. The table must not be empty. It reads only the newest
+// segment so that it stays small enough to inline, which the overlap
+// needs.
+func (s *VisitedStore) touch(fp uint64) uint64 {
+	sl := &s.slots[s.home(fp)]
 	if sl.fp != fp || sl.at == 0 || sl.at == bareSlot {
 		return sl.fp
 	}
-	loc := sl.at - 1
-	return uint64(sh.chunks[loc>>arenaChunkBits][loc&(arenaChunk-1)])
+	seg, loc := &s.segs[len(s.segs)-1], sl.at-1
+	if sl.id < seg.first {
+		return sl.fp
+	}
+	return uint64(seg.chunks[loc>>arenaChunkBits][loc&(arenaChunk-1)])
 }
 
 // firstFor reports whether a key that missed lookup would be the first
@@ -243,81 +225,98 @@ func (s *VisitedStore) firstFor(known bool) bool {
 	return s.budget >= 0 && !known
 }
 
-// capacity reports the guard error, if any, for storing one more state,
-// with a keyLen-byte key if it is retained. Checked before every store
-// so no table outgrows maxShardSlots and the chunk index packed into a
-// uint32 location can never wrap.
-func (sh *setShard) capacity(retain bool, keyLen int) error {
-	if overfull(int64(sh.used+1), maxShardSlots) {
-		return &CapacityError{Limit: "shard slots", Max: maxShardSlots}
-	}
-	if fill := sh.fill; retain && fill.add(recordLen(keyLen)) && int64(fill.chunks) > maxShardChunks {
-		return &CapacityError{Limit: "shard arena chunks", Max: maxShardChunks}
-	}
-	return nil
-}
-
 // store records key unconditionally; the caller has already decided
 // freshness, retention and capacity. A bare state takes a slot and
-// nothing else; a retained one also appends its record to the arena. st
-// is the store's footprint, which store keeps.
-func (sh *setShard) store(fp uint64, key []byte, id int32, retain bool, st *setStats) {
-	if overfull(int64(sh.used+1), int64(len(sh.slots))) {
-		sh.grow(st)
+// nothing else; a retained one also appends its record to the arena.
+func (s *VisitedStore) store(fp uint64, key []byte, id int32, retain bool) {
+	if overfull(int64(s.st.entries+1), int64(len(s.slots))) {
+		s.grow()
 	}
 	at := uint32(bareSlot)
 	if retain {
-		n := recordLen(len(key))
-		if sh.fill.add(n) {
-			had := cap(sh.chunks)
-			sh.chunks = append(sh.chunks, make([]byte, 0, max(arenaChunk, n)))
-			st.setBytes += int64(max(arenaChunk, n)) + int64(cap(sh.chunks)-had)*sliceHeaderSize
-		}
-		last := len(sh.chunks) - 1
-		at = 1 + (uint32(last)<<arenaChunkBits | uint32(len(sh.chunks[last])))
-		sh.chunks[last] = append(binary.AppendUvarint(sh.chunks[last], uint64(len(key))), key...)
-		st.arenaBytes += int64(len(key))
+		at = s.appendKey(key, id)
 	}
-	sh.place(slot{fp: fp, id: id, at: at})
-	st.entries++
+	s.place(slot{fp: fp, id: id, at: at})
+	s.st.entries++
+}
+
+// appendKey appends id's key to the arena and returns its location in
+// the last segment, which a key that needs a chunk past maxSegChunks
+// starts afresh.
+func (s *VisitedStore) appendKey(key []byte, id int32) uint32 {
+	n := recordLen(len(key))
+	var seg *segment
+	room := 0 // what the last chunk has left
+	if len(s.segs) > 0 {
+		seg = &s.segs[len(s.segs)-1]
+		c := seg.chunks[len(seg.chunks)-1]
+		room = cap(c) - len(c)
+	}
+	if room < n {
+		if seg == nil || int64(len(seg.chunks)) >= maxSegChunks {
+			had := cap(s.segs)
+			s.segs = append(s.segs, segment{first: id})
+			s.st.setBytes += int64(cap(s.segs)-had) * segmentSize
+			seg = &s.segs[len(s.segs)-1]
+		}
+		had := cap(seg.chunks)
+		seg.chunks = append(seg.chunks, make([]byte, 0, max(arenaChunk, n)))
+		s.st.setBytes += int64(max(arenaChunk, n)) + int64(cap(seg.chunks)-had)*sliceHeaderSize
+	}
+	last := len(seg.chunks) - 1
+	at := 1 + (uint32(last)<<arenaChunkBits | uint32(len(seg.chunks[last])))
+	seg.chunks[last] = append(binary.AppendUvarint(seg.chunks[last], uint64(len(key))), key...)
+	s.st.arenaBytes += int64(len(key))
+	return at
 }
 
 // place puts sl in the first empty slot of its run.
-func (sh *setShard) place(sl slot) {
-	mask := len(sh.slots) - 1
-	i := sh.home(sl.fp)
-	for sh.slots[i].at != 0 {
+func (s *VisitedStore) place(sl slot) {
+	mask := len(s.slots) - 1
+	i := s.home(sl.fp)
+	for s.slots[i].at != 0 {
 		i = (i + 1) & mask
 	}
-	sh.slots[i] = sl
-	sh.used++
+	s.slots[i] = sl
+}
+
+// grown is the length of the table the next growth makes.
+func (s *VisitedStore) grown() int {
+	return max(2*len(s.slots), minSlots)
 }
 
 // grow doubles the table (or makes the first) and rehashes every slot
 // into it.
-func (sh *setShard) grow(st *setStats) {
-	old := sh.slots
-	n := max(2*len(old), minSlots)
-	sh.slots, sh.shift, sh.used = make([]slot, n), uint8(64-bits.TrailingZeros(uint(n))), 0
+func (s *VisitedStore) grow() {
+	old := s.slots
+	n := s.grown()
+	s.slots, s.shift = make([]slot, n), uint8(64-bits.TrailingZeros(uint(n)))
 	for _, sl := range old {
 		if sl.at != 0 {
-			sh.place(sl)
+			s.place(sl)
 		}
 	}
-	st.setBytes += int64(n-len(old)) * slotSize
+	s.st.setBytes += int64(n-len(old)) * slotSize
 }
 
-// admit is the one decision on a fresh n-byte key about to be stored in
-// sh under id: whether it keeps its bytes — always, unless it is first
-// for its fingerprint under a budget (see firstFor) that cannot take
-// it — and whether the guards let it in. Every key needs a slot, a
-// retained one arena room, and every key an id in [0, maxNodeID): ids
-// are int32 everywhere. The budget is charged only when err is nil.
-func (s *VisitedStore) admit(sh *setShard, first bool, n int, id int64) (retain bool, err error) {
+// admit is the one decision on a fresh n-byte key about to be stored
+// under id: whether it keeps its bytes — always, unless it is first for
+// its fingerprint under a budget (see firstFor) that cannot take it —
+// and whether the guards let it in. Every key needs a slot within
+// maxSetSlots and an id in [0, maxNodeID) (ids are int32 everywhere),
+// and a table that must grow to take it must fit beside what the search
+// holds (guard). The budget is charged only when err is nil.
+func (s *VisitedStore) admit(first bool, n int, id int64) (retain bool, err error) {
 	retain = !first || s.retained+int64(n) <= s.budget
-	err = sh.capacity(retain, n)
-	if err == nil && (id < 0 || id >= maxNodeID) {
+	entries := int64(s.st.entries + 1)
+	switch {
+	case overfull(entries, maxSetSlots):
+		err = &CapacityError{Limit: "set slots", Max: maxSetSlots}
+	case id < 0 || id >= maxNodeID:
 		err = &CapacityError{Limit: "node ids", Max: maxNodeID}
+	case s.guard != nil && len(s.slots) > 0 && overfull(entries, int64(len(s.slots))):
+		// Both tables are held while the slots move across.
+		err = s.guard(int64(s.grown()) * slotSize)
 	}
 	if err == nil && first && retain {
 		s.retained += int64(n)
@@ -332,18 +331,17 @@ func (s *VisitedStore) admit(sh *setShard, first bool, n int, id int64) (retain 
 // conflation), and whether a fresh key was stored bare, so that every
 // later verdict on it will be. A *CapacityError means nothing was stored.
 func (s *VisitedStore) insert(r *insertReq, id int64) error {
-	sh := &s.shards[s.shardIdx(r.fp)]
-	got, hit, conflated, known := sh.lookup(r.fp, r.key)
+	got, hit, conflated, known := s.lookup(r.fp, r.key)
 	if hit {
 		r.id, r.fresh, r.conflated, r.bare = got, false, conflated, false
 		return nil
 	}
-	retain, err := s.admit(sh, s.firstFor(known), len(r.key), id)
+	retain, err := s.admit(s.firstFor(known), len(r.key), id)
 	if err != nil {
 		r.id, r.fresh, r.conflated, r.bare = 0, false, false, false
 		return err
 	}
-	sh.store(r.fp, r.key, int32(id), retain, &s.st)
+	s.store(r.fp, r.key, int32(id), retain)
 	r.id, r.fresh, r.conflated, r.bare = int32(id), true, false, !retain
 	return nil
 }
@@ -359,15 +357,17 @@ func (s *VisitedStore) Insert(fp uint64, key []byte, id int32) (gotID int32, fre
 // insertBatch settles reqs in order through insert, with ids baseID,
 // baseID+1, … assigned to fresh entries, so a batch settles exactly
 // like a sequence of Inserts. A first pass loads every request's home
-// slot (see setShard.touch) so their cache misses overlap. limit >= 0
-// stops after that many fresh inserts (the limiting request is still
+// slot (see touch) so their cache misses overlap. limit >= 0 stops
+// after that many fresh inserts (the limiting request is still
 // settled); processed reports how many leading requests were settled. A
 // *CapacityError stops before the offending request, which is then
 // reqs[processed].
 func (s *VisitedStore) insertBatch(reqs []insertReq, baseID int32, limit int) (processed, fresh int, err error) {
 	var touched uint64
-	for i := range reqs {
-		touched += s.shards[s.shardIdx(reqs[i].fp)].touch(reqs[i].fp)
+	if len(s.slots) > 0 {
+		for i := range reqs {
+			touched += s.touch(reqs[i].fp)
+		}
 	}
 	s.touched += touched
 

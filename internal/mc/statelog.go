@@ -102,10 +102,14 @@ func (l *stateLog) recycle(c []byte) {
 // the front, and an entry below low is dead. DFS truncates the log, so
 // positions are reused, and never builds one. Store thread only.
 type rawCache struct {
-	log   *stateLog
-	slots []rawEntry // rawCacheSize long from rawCacheFrom stored states on
-	hits  int64      // successors settled from an entry
-	off   bool       // dropped for the memory limit, for the rest of the run
+	log *stateLog
+	// slots is 2^rawSmallBits long from the first stored state, and
+	// 2^rawCacheBits from rawCacheFrom stored states on; shift is 64 -
+	// log2 of its length.
+	slots []rawEntry
+	shift uint8
+	hits  int64 // successors settled from an entry
+	off   bool  // dropped for the memory limit, for the rest of the run
 }
 
 // rawEntry is one stored state in a rawCache: its fingerprint, where its
@@ -124,10 +128,12 @@ type rawEntry struct {
 
 const (
 	rawEntrySize = 16
-	// rawCacheBits sizes the table at 2^14 entries (256 KiB): a larger
-	// one hits more but misses L2.
+	// rawSmallBits sizes a search's first table at 2^10 entries (16 KiB),
+	// which a search of a few thousand states fills; rawCacheBits its
+	// table from rawCacheFrom stored states on at 2^14 (256 KiB): a
+	// larger one hits more but misses L2.
+	rawSmallBits = 10
 	rawCacheBits = 14
-	rawCacheSize = 1 << rawCacheBits
 	// rawMul and rawMix are 64-bit odd multipliers for rawHash.
 	rawMul = 0x9e3779b97f4a7c15
 	rawMix = 0xff51afd7ed558ccd
@@ -137,8 +143,9 @@ const (
 // search with the cache and without it.
 var (
 	rawCacheOn = true
-	// rawCacheFrom is the stored-state count at which the table is
-	// allocated: a search that never reaches it allocates nothing.
+	// rawCacheFrom is the stored-state count at which the small table
+	// makes way for the large one: a search that never reaches it holds
+	// 16 KiB of cache.
 	rawCacheFrom = 1 << 12
 	// rawHashMask is applied to every raw hash; tests narrow it to force
 	// collisions that only the byte compare tells apart.
@@ -187,7 +194,7 @@ func (c *rawCache) on() bool { return c != nil && c.slots != nil }
 // lookup returns the entry of a live stored state byte-equal to raw, whose
 // hash is h, or nil.
 func (c *rawCache) lookup(h uint64, raw []byte) *rawEntry {
-	e := &c.slots[h>>(64-rawCacheBits)]
+	e := &c.slots[h>>c.shift]
 	if e.tag&^2 != rawTag(h, false) || int(e.chunk) < c.log.low {
 		return nil
 	}
@@ -207,15 +214,20 @@ func (e *rawEntry) conflated() bool { return e.tag&2 != 0 }
 func (c *rawCache) fill(raw []byte, pos logPos, fp uint64, bare bool) {
 	if c.on() && pos.at <= math.MaxUint16 {
 		h := rawHash(raw)
-		c.slots[h>>(64-rawCacheBits)] = rawEntry{fp, pos.chunk, uint16(pos.at), rawTag(h, bare)}
+		c.slots[h>>c.shift] = rawEntry{fp, pos.chunk, uint16(pos.at), rawTag(h, bare)}
 	}
 }
 
-// allocate allocates the table once the search has stored rawCacheFrom
-// states.
+// allocate gives the cache the table the search's stored-state count
+// calls for: the small one to begin with, the large one in its place,
+// empty, once the search has stored rawCacheFrom states.
 func (c *rawCache) allocate(stored int) {
-	if c != nil && c.slots == nil && !c.off && stored >= rawCacheFrom {
-		c.slots = make([]rawEntry, rawCacheSize)
+	bits := rawSmallBits
+	if stored >= rawCacheFrom {
+		bits = rawCacheBits
+	}
+	if c != nil && !c.off && len(c.slots) < 1<<bits {
+		c.slots, c.shift = make([]rawEntry, 1<<bits), uint8(64-bits)
 	}
 }
 

@@ -168,10 +168,12 @@ func TestStateLogGuards(t *testing.T) {
 				if seq.Outcome != Capacity || seq.Message != tc.want.Error() {
 					t.Fatalf("%+v seq: %v, message %q", opts, seq, seq.Message)
 				}
-				// Checked once per expansion, so the overshoot is what one
-				// state's two successors added: here, at most a table's
-				// regrowth or two chunks.
-				if h := seq.Stats.Health; tc.name == "memory" && h.SetBytes+h.FrontierBytes > memLimit+memLimit/4 {
+				// Checked once per expansion, and before the table grows
+				// with the new table counted, so the overshoot is what one
+				// state's two successors add beside the table: two log
+				// chunks and an arena chunk, with their headers.
+				expansion := int64(2*(1024+sliceHeaderSize) + arenaChunk + sliceHeaderSize)
+				if h := seq.Stats.Health; tc.name == "memory" && h.SetBytes+h.FrontierBytes > memLimit+expansion {
 					t.Fatalf("%+v: holds %d bytes under a limit of %d", opts, h.SetBytes+h.FrontierBytes, memLimit)
 				}
 				pip := CheckPipelined(m, opts, 3, 0)

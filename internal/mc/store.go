@@ -56,22 +56,20 @@ func ParseStore(s string) (Store, error) {
 
 // CapacityError is the typed error behind the Capacity outcome: the
 // visited set or the state log reached a hard implementation limit —
-// int32 node ids, a shard's slot table, the per-shard arena or the log's
-// chunk count — and the search stopped instead of letting an index
-// silently wrap; or it reached the Go memory limit, and stopped instead
-// of being killed.
+// int32 node ids, the set's slot table or the log's chunk count — and
+// the search stopped instead of letting an index silently wrap; or it
+// reached the Go memory limit, and stopped instead of being killed.
 type CapacityError struct {
-	Limit string // "node ids", "shard slots", "shard arena chunks", "state log chunks", "memory"
+	Limit string // "node ids", "set slots", "state log chunks", "memory"
 	Max   int64  // the limit's value
 }
 
 // capacityRemedy says, per Limit, what lets the next run go further.
 var capacityRemedy = map[string]string{
-	"node ids":           "lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own",
-	"shard slots":        "lower -max-states, or split the states over more -engine dist workers",
-	"shard arena chunks": "lower -max-states, keep fewer key bytes with -store compact, or split the keys over more -engine dist workers",
-	"state log chunks":   "lower -max-states, or drop -trace so the log releases expanded states",
-	"memory":             "raise GOMEMLIMIT or lower -max-states",
+	"node ids":         "lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own",
+	"set slots":        "lower -max-states, or split the states over more -engine dist workers",
+	"state log chunks": "lower -max-states, or drop -trace so the log releases expanded states",
+	"memory":           "raise GOMEMLIMIT or lower -max-states",
 }
 
 func (e *CapacityError) Error() string {
@@ -89,14 +87,15 @@ var (
 	// maxNodeID caps stored states: node ids (and therefore set entry
 	// ids) are int32 everywhere.
 	maxNodeID = int64(math.MaxInt32)
-	// maxShardSlots caps one shard's slot table, a power of two that
-	// grows at 7/8 full, so a shard stores at most 7/8 of it: 2^31 slots
-	// is a 32 GiB table, the largest single allocation the set makes.
-	maxShardSlots = int64(1) << 31
-	// maxShardChunks caps one shard's canonical-bytes arena (4 GiB of
-	// full chunks): the chunk index is the upper bits of a uint32
-	// location, whose all-ones value is the bare-slot tag.
-	maxShardChunks = int64(1)<<(32-arenaChunkBits) - 1
+	// maxSetSlots caps the visited set's slot table, a power of two that
+	// grows at 7/8 full: 2^32 slots, a 64 GiB table, hold more states
+	// than there are node ids.
+	maxSetSlots = int64(1) << 32
+	// maxSegChunks caps the chunks of one segment of the set's arena (4
+	// GiB of full chunks): the chunk index is the upper bits of a uint32
+	// location, whose all-ones value is the bare-slot tag. A key that
+	// needs one more starts the next segment.
+	maxSegChunks = int64(1)<<(32-arenaChunkBits) - 1
 	// compactVerifiedBudget is the compact store's retained-bytes budget
 	// (read when a store is built): canonical bytes are retained for
 	// collision verification until this many bytes are kept, then new

@@ -54,16 +54,16 @@ func eachStore(t *testing.T, f func(t *testing.T, store Store)) {
 // probe is a read-only single-key lookup, for tests that also want the
 // id a hit resolves to.
 func probe(s *VisitedStore, fp uint64, key []byte) (id int32, hit, conflated bool) {
-	id, hit, conflated, _ = s.shards[s.shardIdx(fp)].lookup(fp, key)
+	id, hit, conflated, _ = s.lookup(fp, key)
 	return id, hit, conflated
 }
 
-// A table of maxShardSlots grows no further: 7/8 of it, here 3 of 4
-// slots, is what one shard stores.
+// A table of maxSetSlots grows no further: 7/8 of it, here 3 of 4
+// slots, is what the set stores.
 func TestShardedSetEntryCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		withCap(t, &maxShardSlots, 4)
-		s := newVisitedStore(store, 1)
+		withCap(t, &maxSetSlots, 4)
+		s := newVisitedStore(store)
 		for i := 0; i < 3; i++ {
 			k := []byte(fmt.Sprintf("key-%d", i))
 			if _, fresh, _, err := s.Insert(Fingerprint(k), k, int32(i)); err != nil || !fresh {
@@ -73,7 +73,7 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 		k := []byte("key-overflow")
 		_, _, _, err := s.Insert(Fingerprint(k), k, 3)
 		var ce *CapacityError
-		if !errors.As(err, &ce) || ce.Limit != "shard slots" || ce.Max != 4 {
+		if !errors.As(err, &ce) || ce.Limit != "set slots" || ce.Max != 4 {
 			t.Fatalf("overflow insert: err=%v", err)
 		}
 		// The failed insert must not have stored anything.
@@ -88,53 +88,60 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 	})
 }
 
-// The arena guard counts chunks: the chunk index is what the packed
-// uint32 location can run out of. A record is the key behind its
-// uvarint length, two bytes for these big keys and one for small ones.
+// The arena's segment boundary: the chunk index is what the packed
+// uint32 location can run out of, so a key that needs a chunk more than
+// a segment holds starts the next segment, keyed by the key's id, and
+// every key still resolves. A record is the key behind its uvarint
+// length, two bytes for these big keys and one for small ones.
 func TestShardedSetArenaCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		withCap(t, &maxShardChunks, 2)
-		s := newVisitedStore(store, 1)
+		withCap(t, &maxSegChunks, 2)
+		s := newVisitedStore(store)
 		a, b := make([]byte, arenaChunk-11), make([]byte, arenaChunk-11) // 9 bytes left in each chunk
 		a[0], b[0] = 'a', 'b'
-		if _, _, _, err := s.Insert(Fingerprint(a), a, 0); err != nil {
-			t.Fatal(err)
+		keys := [][]byte{
+			a, b,
+			[]byte("ccccccccc"), // a 10-byte record: neither chunk's 9-byte remainder holds it
+			[]byte("dddddddd"),  // a 9-byte record, behind it in the new segment
 		}
-		if _, _, _, err := s.Insert(Fingerprint(b), b, 1); err != nil {
-			t.Fatal(err)
+		for i, k := range keys {
+			if _, fresh, _, err := s.Insert(Fingerprint(k), k, int32(i)); err != nil || !fresh {
+				t.Fatalf("insert %d: fresh=%v err=%v", i, fresh, err)
+			}
 		}
-		c := []byte("ccccccccc") // a 10-byte record: neither chunk's 9-byte remainder holds it
-		_, _, _, err := s.Insert(Fingerprint(c), c, 2)
-		var ce *CapacityError
-		if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || ce.Max != 2 {
-			t.Fatalf("arena overflow: err=%v", err)
+		if len(s.segs) != 2 || s.segs[1].first != 2 || len(s.segs[0].chunks) != 2 || len(s.segs[1].chunks) != 1 {
+			t.Fatalf("%d segments, the second from id %d", len(s.segs), s.segs[len(s.segs)-1].first)
 		}
-		d := []byte("dddddddd") // a 9-byte record still fits the last chunk
-		if _, fresh, _, err := s.Insert(Fingerprint(d), d, 2); err != nil || !fresh {
-			t.Fatalf("fitting insert after overflow: fresh=%v err=%v", fresh, err)
+		for i, k := range keys {
+			if id, hit, _ := probe(s, Fingerprint(k), k); !hit || id != int32(i) {
+				t.Fatalf("probe %d: id=%d hit=%v", i, id, hit)
+			}
 		}
-		// The batched pre-pass must count its own pending inserts: the second
-		// half-chunk-plus-one key needs a third chunk only because the first
-		// is pending in the same shard.
-		s = newVisitedStore(store, 1)
+		// A batch crosses segments as single inserts do: with one chunk to
+		// a segment, each half-chunk-plus-one key starts one.
+		withCap(t, &maxSegChunks, 1)
+		s = newVisitedStore(store)
 		reqs := make([]insertReq, 3)
 		for i := range reqs {
 			k := make([]byte, arenaChunk/2+1)
 			k[0] = byte('p' + i)
 			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 		}
-		withCap(t, &maxShardChunks, 1)
-		processed, fresh, err := s.insertBatch(reqs, 0, -1)
-		if !errors.As(err, &ce) || ce.Limit != "shard arena chunks" || processed != 1 || fresh != 1 {
-			t.Fatalf("batch arena overflow: processed=%d fresh=%d err=%v", processed, fresh, err)
+		if processed, fresh, err := s.insertBatch(reqs, 0, -1); err != nil || processed != 3 || fresh != 3 || len(s.segs) != 3 {
+			t.Fatalf("batch: processed=%d fresh=%d err=%v, %d segments", processed, fresh, err, len(s.segs))
+		}
+		for i, r := range reqs {
+			if id, hit, _ := probe(s, r.fp, r.key); !hit || id != int32(i) {
+				t.Fatalf("batch key %d: id=%d hit=%v", i, id, hit)
+			}
 		}
 	})
 }
 
 func TestInsertBatchCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		withCap(t, &maxShardSlots, 8) // 7 states
-		s := newVisitedStore(store, 1)
+		withCap(t, &maxSetSlots, 8) // 7 states
+		s := newVisitedStore(store)
 		reqs := make([]insertReq, 8)
 		for i := range reqs {
 			k := []byte(fmt.Sprintf("bk-%d", i))
@@ -142,7 +149,7 @@ func TestInsertBatchCapacityGuard(t *testing.T) {
 		}
 		processed, fresh, err := s.insertBatch(reqs, 0, -1)
 		var ce *CapacityError
-		if !errors.As(err, &ce) || ce.Limit != "shard slots" {
+		if !errors.As(err, &ce) || ce.Limit != "set slots" {
 			t.Fatalf("batch overflow: err=%v", err)
 		}
 		if processed != 7 || fresh != 7 {
@@ -167,8 +174,7 @@ func TestInsertBatchCapacityGuard(t *testing.T) {
 func TestCapacityErrorAdvice(t *testing.T) {
 	for _, tc := range []struct{ limit, want string }{
 		{"node ids", "search capacity: node ids limit (7) reached; lower -max-states, or spread the states over more -engine dist workers, each of which numbers its own"},
-		{"shard slots", "search capacity: shard slots limit (7) reached; lower -max-states, or split the states over more -engine dist workers"},
-		{"shard arena chunks", "search capacity: shard arena chunks limit (7) reached; lower -max-states, keep fewer key bytes with -store compact, or split the keys over more -engine dist workers"},
+		{"set slots", "search capacity: set slots limit (7) reached; lower -max-states, or split the states over more -engine dist workers"},
 		{"state log chunks", "search capacity: state log chunks limit (7) reached; lower -max-states, or drop -trace so the log releases expanded states"},
 		{"memory", "search capacity: memory limit (7) reached; raise GOMEMLIMIT or lower -max-states"},
 		{"unnamed", "search capacity: unnamed limit (7) reached; stop the search earlier"},
@@ -191,18 +197,22 @@ func TestCapacityOutcomeAllEngines(t *testing.T) {
 		n      int64
 		budget int64 // compact retained-bytes budget for the row
 		limit  string
-		states int // 0 = only require engine agreement
+		states int   // 0 = only require engine agreement
+		seg    int64 // maxSegChunks for the row, 0 = the default
 	}{
-		{"node-ids", &maxNodeID, 10, compactVerifiedBudget, "node ids", 10},
-		// One 4 KiB chunk per stripe: the first stripe to need a second
-		// chunk stops the search. The compact store fills a chunk only
-		// with a budget that retains that much per stripe.
-		{"arena-chunks", &maxShardChunks, 1, 1 << 20, "shard arena chunks", 0},
-		{"shard-slots", &maxShardSlots, 64, compactVerifiedBudget, "shard slots", 0},
+		{"node-ids", &maxNodeID, 10, compactVerifiedBudget, "node ids", 10, 0},
+		// One 4 KiB chunk to an arena segment: the keys span 35 segments,
+		// which stop nothing, and the search goes on to its node-id limit.
+		// The budget has the compact store retain every key too.
+		{"arena-chunks", &maxNodeID, 20_000, 1 << 20, "node ids", 20_000, 1},
+		{"shard-slots", &maxSetSlots, 64, compactVerifiedBudget, "set slots", 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withCap(t, tc.cap, tc.n)
 			withCap(t, &compactVerifiedBudget, tc.budget)
+			if tc.seg > 0 {
+				withCap(t, &maxSegChunks, tc.seg)
+			}
 			for _, store := range []Store{StoreExact, StoreCompact} {
 				opts := Options{DisableTraces: true, Store: store}
 				seq := Check(m, opts)
@@ -215,7 +225,6 @@ func TestCapacityOutcomeAllEngines(t *testing.T) {
 				if seq.Outcome.Tag() != "capacity" {
 					t.Fatalf("tag = %q", seq.Outcome.Tag())
 				}
-				// Same stripe count as seq, so the same stripe fills first.
 				pip := CheckPipelined(m, opts, 4, 0)
 				if pip.Outcome != seq.Outcome || pip.States != seq.States ||
 					pip.MaxDepth != seq.MaxDepth || pip.Rules != seq.Rules || pip.Message != seq.Message {
@@ -262,32 +271,6 @@ func TestInsertNodeIDGuard(t *testing.T) {
 	})
 }
 
-func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
-	withCap(t, &maxShardChunks, 1)
-	m := &counter{n: 100_000, branch: true, quiet: -1, bad: -1, errAt: -1}
-	res := CheckPipelined(m, Options{DisableTraces: true}, 4, 0)
-	if res.Outcome != Capacity || !strings.Contains(res.Message, "shard arena chunks") {
-		t.Fatalf("res = %v message %q", res, res.Message)
-	}
-	// 6-byte states, 7-byte records, into a single 4 KiB chunk per
-	// shard: exactly 585 fit in each, and the counter stores its states
-	// in numeric order, so the search stops at the first state whose
-	// shard already holds 585.
-	perShard := make([]int, DefaultShards)
-	want := 0
-	for {
-		shard := FingerprintMix(Fingerprint(m.enc(want))) % DefaultShards
-		if perShard[shard] == arenaChunk/7 {
-			break
-		}
-		perShard[shard]++
-		want++
-	}
-	if res.States != want {
-		t.Fatalf("states = %d, want %d", res.States, want)
-	}
-}
-
 // --- collision-chain id stability (the prepend-order pin) ---
 
 // TestCollisionChainFirstInsertedID pins that probe and insert return
@@ -296,7 +279,7 @@ func TestPipelineShardArenaCapacityOutcome(t *testing.T) {
 func TestCollisionChainFirstInsertedID(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
 		const fp = uint64(0x42) // all keys forced through one chain
-		s := newVisitedStore(store, 1)
+		s := newVisitedStore(store)
 		keys := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
 		for i, k := range keys {
 			if id, fresh, _, err := s.Insert(fp, k, int32(10+i)); err != nil || !fresh || id != int32(10+i) {
@@ -337,7 +320,7 @@ func TestCollisionChainFirstInsertedID(t *testing.T) {
 
 func TestCompactConflationWhenBudgetExhausted(t *testing.T) {
 	withCap(t, &compactVerifiedBudget, 0)
-	s := newVisitedStore(StoreCompact, 1)
+	s := newVisitedStore(StoreCompact)
 	const fp = uint64(7)
 	a, b := []byte("aaa"), []byte("bbb")
 	if id, fresh, conf, err := s.Insert(fp, a, 5); err != nil || !fresh || conf || id != 5 {
@@ -357,7 +340,7 @@ func TestCompactConflationWhenBudgetExhausted(t *testing.T) {
 }
 
 func TestCompactVerifiedChainUnderBudget(t *testing.T) {
-	s := newVisitedStore(StoreCompact, 1)
+	s := newVisitedStore(StoreCompact)
 	const fp = uint64(7)
 	a, b := []byte("aaa"), []byte("bbb")
 	s.Insert(fp, a, 5)
@@ -411,9 +394,9 @@ func TestCompactConflationDeterministicAcrossEngines(t *testing.T) {
 // through insertBatch and through Insert and requires the same verdict
 // per request and the same footprint at the end. Each 9-request batch
 // holds five distinct keys and then repeats four of them, and batches
-// revisit keys stored by earlier ones. "spread" uses real fingerprints
-// over many shards; "forced" squeezes the keys into three fingerprints,
-// so every batch holds several distinct keys per fingerprint, and runs
+// revisit keys stored by earlier ones. "spread" uses real
+// fingerprints; "forced" squeezes the keys into three fingerprints, so
+// every batch holds several distinct keys per fingerprint, and runs
 // at a retained-bytes budget of nothing, a few bytes and unlimited:
 // together those reach every branch of lookup and admit against
 // entries stored earlier in the same batch (conflate on a bare entry,
@@ -438,8 +421,8 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				withCap(t, &compactVerifiedBudget, tc.budget)
-				batched := newVisitedStore(store, 8)
-				single := newVisitedStore(store, 8)
+				batched := newVisitedStore(store)
+				single := newVisitedStore(store)
 				nextB, nextS := int32(0), int32(0)
 				conflated := 0
 				seen := make(map[string]bool)
@@ -500,7 +483,7 @@ func reqs500(keyOf func(int) []byte, fpOf func([]byte) uint64, lo, n int, seen m
 }
 
 func TestInsertBatchLimit(t *testing.T) {
-	s := newVisitedStore(StoreExact, 4)
+	s := newVisitedStore(StoreExact)
 	reqs := make([]insertReq, 10)
 	for i := range reqs {
 		k := []byte(fmt.Sprintf("lim-%d", i))
@@ -534,7 +517,7 @@ func BenchmarkVisitedSet(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				set := newVisitedStore(mode, 1)
+				set := newVisitedStore(mode)
 				for j := 0; j < n; j++ {
 					if _, fresh, _, err := set.Insert(fps[j], keys[j], int32(j)); err != nil || !fresh {
 						b.Fatal(fresh, err)

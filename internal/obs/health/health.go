@@ -1,8 +1,8 @@
-// Package health is the model checker's contention profiler: per-shard
+// Package health is the model checker's contention profiler: per-stripe
 // and per-worker hot-spot statistics cheap enough to collect on every
 // run. Where package obs answers "how fast is the search" and package
 // trace answers "what happened when", health answers "where does the
-// time go" — which visited-set shards are hot, whether workers spend
+// time go" — which stripes of fingerprint space are hot, whether workers spend
 // their time expanding states or waiting for work or for their peers,
 // and how often the search loop waits on a batch its workers have not
 // finished.
@@ -10,7 +10,7 @@
 // Everything here is strictly passive. Collectors only count and time;
 // they never touch search state, so runs with and without them are
 // bit-identical (pinned by TestTraceAndObserverDoNotPerturb and the
-// engine-parity suite). The per-shard occupancy histogram is computed
+// engine-parity suite). The per-stripe occupancy histogram is computed
 // over a fixed fingerprint partition (Stripes) rather than the
 // engine's physical visited-set layout, so sequential, pipelined and
 // distributed runs of the same model produce the identical histogram
@@ -24,11 +24,10 @@ import (
 )
 
 // Stripes is the fixed stripe count of the telemetry occupancy
-// histogram. It matches mc.DefaultShards, so for the in-process engines
-// the telemetry stripes coincide with the physical visited-set shards;
-// for the distributed workers they are a virtual partition of
-// fingerprint space, identical across engines by construction. It must
-// be a power of two: mc masks a fingerprint to its stripe (mc/fphash.go).
+// histogram: a virtual partition of fingerprint space, identical across
+// engines by construction. The visited set is one table, so no stripe is
+// a physical part of it. It must be a power of two: mc masks a
+// fingerprint to its stripe (mc/fphash.go).
 const Stripes = 64
 
 // WorkerStats is one engine worker's contention profile. On every
@@ -76,7 +75,7 @@ type Report struct {
 	OccCV   float64 `json:"occ_cv"`
 
 	// ArenaBytes counts full canonical state bytes retained by the
-	// visited set: every stored key for the exact sharded set, only the
+	// visited set: every stored key for the exact set, only the
 	// collision-verification cache for the compact one.
 	ArenaBytes int64 `json:"arena_bytes,omitempty"`
 	// SetBytes approximates the visited set's total footprint —
