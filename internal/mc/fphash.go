@@ -13,7 +13,7 @@ package mc
 // Telemetry stripes and process shards are therefore both functions of
 // one mixed value: they can disagree in granularity but never in
 // geometry. The visited set is one table per search or worker, and
-// takes its home slot from the fingerprint itself (shardset.go). The
+// takes its home slot from the fingerprint itself (visited.go). The
 // fingerprint is FNV-1a 64 over the canonical state bytes — fast,
 // dependency-free, and stable across platforms, which the table-driven
 // tests in fphash_test.go pin.

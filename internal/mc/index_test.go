@@ -2,6 +2,7 @@ package mc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,27 +15,26 @@ import (
 // take it.
 type refIndex struct {
 	budget, retained int64
-	keys             map[string]int32 // retained keys
-	bare             map[uint64]int32 // fingerprints stored without bytes
-	fps              map[uint64]bool  // fingerprints with any state
+	keys             map[string]bool // retained keys
+	bare             map[uint64]bool // fingerprints stored without bytes
+	fps              map[uint64]bool // fingerprints with any state
 	keyBytes         int64
 }
 
 func newRefIndex(budget int64) *refIndex {
-	return &refIndex{budget: budget, keys: map[string]int32{}, bare: map[uint64]int32{}, fps: map[uint64]bool{}}
+	return &refIndex{budget: budget, keys: map[string]bool{}, bare: map[uint64]bool{}, fps: map[uint64]bool{}}
 }
 
-func (r *refIndex) lookup(fp uint64, key []byte) (id int32, hit, conflated bool) {
-	if id, ok := r.bare[fp]; ok {
-		return id, true, true
+func (r *refIndex) lookup(fp uint64, key []byte) (hit, conflated bool) {
+	if r.bare[fp] {
+		return true, true
 	}
-	id, ok := r.keys[string(key)]
-	return id, ok, false
+	return r.keys[string(key)], false
 }
 
-func (r *refIndex) insert(fp uint64, key []byte, id int32) (got int32, fresh, conflated bool) {
-	if got, hit, conflated := r.lookup(fp, key); hit {
-		return got, false, conflated
+func (r *refIndex) insert(fp uint64, key []byte) (fresh, conflated bool) {
+	if hit, conflated := r.lookup(fp, key); hit {
+		return false, conflated
 	}
 	first := r.budget >= 0 && !r.fps[fp]
 	retain := !first || r.retained+int64(len(key)) <= r.budget
@@ -42,17 +42,17 @@ func (r *refIndex) insert(fp uint64, key []byte, id int32) (got int32, fresh, co
 		r.retained += int64(len(key))
 	}
 	if retain {
-		r.keys[string(key)] = id
+		r.keys[string(key)] = true
 		r.keyBytes += int64(len(key))
 	} else {
-		r.bare[fp] = id
+		r.bare[fp] = true
 	}
 	r.fps[fp] = true
-	return id, true, false
+	return true, false
 }
 
 // indexRun drives one VisitedStore beside a refIndex and fails on the
-// first request whose verdict or id differs.
+// first request whose verdict differs.
 type indexRun struct {
 	t    testing.TB
 	set  *VisitedStore
@@ -61,11 +61,13 @@ type indexRun struct {
 	next int32 // the next fresh id
 }
 
-func newIndexRun(t testing.TB, store Store, budget int64, fpOf func([]byte) uint64) *indexRun {
+// newIndexRun builds the store at the given budget, on key log chunks of
+// chunk bytes.
+func newIndexRun(t testing.TB, store Store, budget int64, chunk int, fpOf func([]byte) uint64) *indexRun {
 	t.Helper()
-	old := compactVerifiedBudget
-	compactVerifiedBudget = budget
-	defer func() { compactVerifiedBudget = old }()
+	oldBudget, oldChunk := compactVerifiedBudget, arenaChunk
+	compactVerifiedBudget, arenaChunk = budget, chunk
+	defer func() { compactVerifiedBudget, arenaChunk = oldBudget, oldChunk }()
 	ref := newRefIndex(-1)
 	if store == StoreCompact {
 		ref.budget = budget
@@ -81,13 +83,18 @@ func (r *indexRun) insert(key []byte) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	wid, wfresh, wconflated := r.ref.insert(fp, key, r.next)
-	if id != wid || fresh != wfresh || conflated != wconflated {
-		r.t.Fatalf("Insert(%q): id=%d fresh=%v conflated=%v, reference id=%d fresh=%v conflated=%v",
-			key, id, fresh, conflated, wid, wfresh, wconflated)
+	wfresh, wconflated := r.ref.insert(fp, key)
+	if fresh != wfresh || conflated != wconflated {
+		r.t.Fatalf("Insert(%q): fresh=%v conflated=%v, reference fresh=%v conflated=%v",
+			key, fresh, conflated, wfresh, wconflated)
 	}
+	wantID := int32(-1)
 	if fresh {
+		wantID = r.next
 		r.next++
+	}
+	if id != wantID {
+		r.t.Fatalf("Insert(%q): id %d, want %d", key, id, wantID)
 	}
 }
 
@@ -104,10 +111,10 @@ func (r *indexRun) batch(keys [][]byte) {
 	}
 	nfresh := 0
 	for _, q := range reqs {
-		wid, wfresh, wconflated := r.ref.insert(q.fp, q.key, r.next+int32(nfresh))
-		if q.id != wid || q.fresh != wfresh || q.conflated != wconflated {
-			r.t.Fatalf("insertBatch %q: id=%d fresh=%v conflated=%v, reference id=%d fresh=%v conflated=%v",
-				q.key, q.id, q.fresh, q.conflated, wid, wfresh, wconflated)
+		wfresh, wconflated := r.ref.insert(q.fp, q.key)
+		if q.fresh != wfresh || q.conflated != wconflated {
+			r.t.Fatalf("insertBatch %q: fresh=%v conflated=%v, reference fresh=%v conflated=%v",
+				q.key, q.fresh, q.conflated, wfresh, wconflated)
 		}
 		if wfresh {
 			nfresh++
@@ -119,15 +126,15 @@ func (r *indexRun) batch(keys [][]byte) {
 	r.next += int32(fresh)
 }
 
-// probe checks the single-key lookup's verdicts and ids on keys against
-// the reference.
+// probe checks the single-key lookup's verdicts on keys against the
+// reference.
 func (r *indexRun) probe(keys [][]byte) {
 	r.t.Helper()
 	for _, k := range keys {
 		fp := r.fpOf(k)
-		id, hit, conflated := probe(r.set, fp, k)
-		if wid, whit, wconflated := r.ref.lookup(fp, k); hit != whit || conflated != wconflated || (hit && id != wid) {
-			r.t.Fatalf("probe %q: id=%d hit=%v conflated=%v, reference id=%d hit=%v conflated=%v", k, id, hit, conflated, wid, whit, wconflated)
+		hit, conflated := probe(r.set, fp, k)
+		if whit, wconflated := r.ref.lookup(fp, k); hit != whit || conflated != wconflated {
+			r.t.Fatalf("probe %q: hit=%v conflated=%v, reference hit=%v conflated=%v", k, hit, conflated, whit, wconflated)
 		}
 	}
 }
@@ -187,138 +194,72 @@ var indexBudgets = []struct {
 	{"compact-1MiB", StoreCompact, 1 << 20},
 }
 
+// indexChunks are the key log chunk sizes the index tests run on: the
+// default, and 64 bytes, on which keys cross chunks every few inserts and
+// most of indexKeyLens' long keys get a chunk of their own.
+var indexChunks = []int{arenaChunk, 64}
+
 // TestVisitedStoreMatchesReference drives the open-addressed index
 // beside the map reference with a seeded mix of single inserts, batches
-// and lookups, over every budget and fingerprint function. With real
-// fingerprints it stores enough keys to grow the table at least twelve
-// times; with colliding ones, fewer, since each key then walks a long
-// run.
+// and lookups, over every budget, fingerprint function and key chunk
+// size. With real fingerprints it stores enough keys to grow the table
+// at least twelve times; with colliding ones, fewer, since each key then
+// walks a long run.
 func TestVisitedStoreMatchesReference(t *testing.T) {
 	for _, b := range indexBudgets {
 		for _, f := range indexFingerprints {
-			t.Run(b.name+"/"+f.name, func(t *testing.T) {
-				distinct := 24_000
-				if f.name != "fnv" {
-					distinct = 600
+			for _, chunk := range indexChunks {
+				name := b.name + "/" + f.name
+				if chunk != arenaChunk {
+					name += fmt.Sprintf("/chunk-%d", chunk)
 				}
-				rng := rand.New(rand.NewSource(26))
-				r := newIndexRun(t, b.store, b.budget, f.fpOf)
-				var keys [][]byte
-				for op := 0; op < distinct; op++ {
-					// Mostly new keys, a third of them revisited.
-					pick := func() []byte {
-						if rng.Intn(3) == 0 {
-							return indexKey(rng.Intn(op + 1))
-						}
-						return indexKey(op)
+				t.Run(name, func(t *testing.T) {
+					distinct := 24_000
+					if f.name != "fnv" {
+						distinct = 600
 					}
-					switch rng.Intn(4) {
-					case 0:
-						r.insert(pick())
-					case 1:
-						r.probe([][]byte{pick(), indexKey(op + distinct)})
-					default:
-						keys = keys[:0]
-						for n := 1 + rng.Intn(12); n > 0; n-- {
-							keys = append(keys, pick())
+					rng := rand.New(rand.NewSource(26))
+					r := newIndexRun(t, b.store, b.budget, chunk, f.fpOf)
+					var keys [][]byte
+					for op := 0; op < distinct; op++ {
+						// Mostly new keys, a third of them revisited.
+						pick := func() []byte {
+							if rng.Intn(3) == 0 {
+								return indexKey(rng.Intn(op + 1))
+							}
+							return indexKey(op)
 						}
-						r.batch(keys)
+						switch rng.Intn(4) {
+						case 0:
+							r.insert(pick())
+						case 1:
+							r.probe([][]byte{pick(), indexKey(op + distinct)})
+						default:
+							keys = keys[:0]
+							for n := 1 + rng.Intn(12); n > 0; n-- {
+								keys = append(keys, pick())
+							}
+							r.batch(keys)
+						}
 					}
-				}
-				r.finish()
-				if s := r.set; overfull(int64(s.st.entries), int64(len(s.slots))) || (f.name == "fnv" && len(s.slots) < minSlots<<12) {
-					t.Fatalf("the table holds %d states in %d slots", s.st.entries, len(s.slots))
-				}
-			})
+					r.finish()
+					if s := r.set; overfull(int64(s.entries), int64(len(s.slots))) || (f.name == "fnv" && len(s.slots) < minSlots<<12) {
+						t.Fatalf("the table holds %d states in %d slots", s.entries, len(s.slots))
+					}
+					if s := r.set; s.arenaBytes > int64(chunk) && len(s.keys.chunks) < 2 {
+						t.Fatalf("%d key bytes in %d chunks of %d bytes", s.arenaBytes, len(s.keys.chunks), chunk)
+					}
+				})
+			}
 		}
 	}
-}
-
-// TestVisitedStoreSegments: a store whose arena spans many segments,
-// each of maxSegChunks chunks, gives every verdict and id a one-segment
-// store gives on the same requests, in both store modes: the same
-// seeded mix of single inserts and batches of real-fingerprint keys,
-// then a probe of every key. Two-chunk segments take any 8 KiB of
-// records; the compact store's default budget retains 64 KiB. A search
-// over one-chunk segments is the search over one segment too.
-func TestVisitedStoreSegments(t *testing.T) {
-	eachStore(t, func(t *testing.T, store Store) {
-		run := func() (*VisitedStore, []insertReq) {
-			s := newVisitedStore(store)
-			rng := rand.New(rand.NewSource(48))
-			var out []insertReq
-			next := int32(0)
-			for op := 0; op < 3000; op++ {
-				reqs := make([]insertReq, 1+rng.Intn(12))
-				for i := range reqs {
-					k := indexKey(op)
-					if rng.Intn(3) == 0 {
-						k = indexKey(rng.Intn(op + 1))
-					}
-					reqs[i] = insertReq{fp: Fingerprint(k), key: k}
-				}
-				if len(reqs) == 1 {
-					r := &reqs[0]
-					var err error
-					if r.id, r.fresh, r.conflated, err = s.Insert(r.fp, r.key, next); err != nil {
-						t.Fatal(err)
-					}
-					if r.fresh {
-						next++
-					}
-				} else {
-					_, fresh, err := s.insertBatch(reqs, next, -1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					next += int32(fresh)
-				}
-				out = append(out, reqs...)
-			}
-			for i := range 3000 {
-				r := insertReq{key: indexKey(i)}
-				r.fp = Fingerprint(r.key)
-				r.id, r.fresh, r.conflated = probe(s, r.fp, r.key)
-				out = append(out, r)
-			}
-			return s, out
-		}
-		whole := maxSegChunks
-		one, want := run()
-		withCap(t, &maxSegChunks, 2)
-		many, got := run()
-		if len(one.segs) != 1 || len(many.segs) < 3 {
-			t.Fatalf("%d and %d segments, want 1 and at least 3", len(one.segs), len(many.segs))
-		}
-		for i := range want {
-			w, g := want[i], got[i]
-			if g.id != w.id || g.fresh != w.fresh || g.conflated != w.conflated {
-				t.Fatalf("request %d (%d bytes) over %d segments: id=%d fresh=%v conflated=%v, over one id=%d fresh=%v conflated=%v",
-					i, len(w.key), len(many.segs), g.id, g.fresh, g.conflated, w.id, w.fresh, w.conflated)
-			}
-		}
-		if one.st.entries != many.st.entries || one.st.arenaBytes != many.st.arenaBytes {
-			t.Fatalf("stats over %d segments %+v, over one %+v", len(many.segs), many.st, one.st)
-		}
-
-		m := &counter{n: 20000, branch: true, quiet: 19999, bad: -1, errAt: -1}
-		opts := Options{DisableTraces: true, Store: store}
-		withCap(t, &maxSegChunks, whole)
-		ref := Check(m, opts)
-		withCap(t, &maxSegChunks, 1)
-		res := Check(m, opts)
-		if res.Outcome != Complete || !Agree(res, ref) || res.Rules != ref.Rules || res.Stats.DedupHits != ref.Stats.DedupHits ||
-			res.Stats.Health.UnverifiedHits != ref.Stats.Health.UnverifiedHits {
-			t.Fatalf("over one-chunk segments %v, over one segment %v", res, ref)
-		}
-	})
 }
 
 // FuzzVisitedStore is TestVisitedStoreMatchesReference driven by fuzz
 // bytes: the first picks the budget, the second the fingerprint function
 // (its top bits are unused), and each later byte one operation on keys
 // drawn from a 48-key alphabet, so duplicates and collisions are the
-// rule.
+// rule. Each program runs on every size of indexChunks.
 func FuzzVisitedStore(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 2, 0x80, 0x81, 0x82, 0x40, 0x41, 0x42, 0xc3})
@@ -330,26 +271,28 @@ func FuzzVisitedStore(f *testing.F) {
 		}
 		b := indexBudgets[int(prog[0])%len(indexBudgets)]
 		fp := indexFingerprints[int(prog[1])%len(indexFingerprints)]
-		r := newIndexRun(t, b.store, b.budget, fp.fpOf)
 		key := func(x byte) []byte { return indexKey(int(x) % 48) }
-		for i, op := range prog[2:] {
-			switch op >> 6 {
-			case 0:
-				r.insert(key(op))
-			case 1:
-				r.probe([][]byte{key(op), key(op + 1)})
-			default:
-				// A batch of the next few program bytes' keys (op's bit 2
-				// is unused).
-				rest := prog[2+i:]
-				keys := make([][]byte, 0, 4)
-				for _, x := range rest[:min(len(rest), 1+int(op&3))] {
-					keys = append(keys, key(x))
+		for _, chunk := range indexChunks {
+			r := newIndexRun(t, b.store, b.budget, chunk, fp.fpOf)
+			for i, op := range prog[2:] {
+				switch op >> 6 {
+				case 0:
+					r.insert(key(op))
+				case 1:
+					r.probe([][]byte{key(op), key(op + 1)})
+				default:
+					// A batch of the next few program bytes' keys (op's bit 2
+					// is unused).
+					rest := prog[2+i:]
+					keys := make([][]byte, 0, 4)
+					for _, x := range rest[:min(len(rest), 1+int(op&3))] {
+						keys = append(keys, key(x))
+					}
+					r.batch(keys)
 				}
-				r.batch(keys)
 			}
+			r.finish()
 		}
-		r.finish()
 	})
 }
 

@@ -18,7 +18,7 @@ func TestShardedSetBasic(t *testing.T) {
 		}
 		for i, k := range keys {
 			fp := Fingerprint(k)
-			if _, hit, _ := probe(s, fp, k); hit {
+			if hit, _ := probe(s, fp, k); hit {
 				t.Fatalf("key %d present before insert", i)
 			}
 			id, fresh, _, err := s.Insert(fp, k, int32(i))
@@ -28,25 +28,25 @@ func TestShardedSetBasic(t *testing.T) {
 		}
 		for i, k := range keys {
 			fp := Fingerprint(k)
-			if id, hit, _ := probe(s, fp, k); !hit || id != int32(i) {
-				t.Fatalf("probe %d: id=%d hit=%v", i, id, hit)
+			if hit, _ := probe(s, fp, k); !hit {
+				t.Fatalf("probe %d: a miss", i)
 			}
-			// Re-insert must return the original id and report a duplicate.
-			if id, fresh, _, err := s.Insert(fp, k, int32(1000+i)); err != nil || fresh || id != int32(i) {
+			// Re-insert must report a duplicate, which has no id.
+			if id, fresh, _, err := s.Insert(fp, k, int32(1000+i)); err != nil || fresh || id != -1 {
 				t.Fatalf("re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
 			}
 		}
-		if st := s.st; st.entries != len(keys) || st.arenaBytes == 0 {
-			t.Fatalf("stats: %+v", st)
+		if s.entries != len(keys) || s.arenaBytes == 0 {
+			t.Fatalf("stats: %d entries, %d key bytes", s.entries, s.arenaBytes)
 		}
 	})
 }
 
 // TestShardedSetCollisions forces distinct keys through one
 // fingerprint, so the bytes (not the 64-bit hash) decide membership —
-// including across arena chunks: the keys are sized so their records,
-// each behind a uvarint length, land in four chunks, and the layout pins
-// that a record never straddles a chunk boundary.
+// including across key log chunks: the keys are sized so their records,
+// each behind a uvarint length, land in four chunks, and the positions
+// the slots hold pin that a record never straddles a chunk boundary.
 func TestShardedSetCollisions(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
 		s := newVisitedStore(store)
@@ -68,35 +68,31 @@ func TestShardedSetCollisions(t *testing.T) {
 			}
 		}
 		for i, k := range keys {
-			if id, hit, _ := probe(s, fp, k); !hit || id != int32(i) {
-				t.Fatalf("colliding probe %d: id=%d hit=%v", i, id, hit)
+			if hit, conflated := probe(s, fp, k); !hit || conflated {
+				t.Fatalf("colliding probe %d: hit=%v conflated=%v", i, hit, conflated)
 			}
-			if id, fresh, _, err := s.Insert(fp, k, 99); err != nil || fresh || id != int32(i) {
-				t.Fatalf("colliding re-insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
+			if _, fresh, conflated, err := s.Insert(fp, k, 99); err != nil || fresh || conflated {
+				t.Fatalf("colliding re-insert %d: fresh=%v conflated=%v err=%v", i, fresh, conflated, err)
 			}
 		}
-		if _, hit, _ := probe(s, fp, []byte("delta")); hit {
+		if hit, _ := probe(s, fp, []byte("delta")); hit {
 			t.Fatal("unrelated key matched a colliding one")
 		}
-		for _, sl := range s.slots {
-			if sl.at == 0 {
-				continue
-			}
-			i, loc := sl.id, sl.at-1
-			if c, at := loc>>arenaChunkBits, loc&(arenaChunk-1); c != wantChunk[i] || at != wantAt[i] {
-				t.Errorf("key %d (%d bytes) stored at chunk %d offset %d, want chunk %d offset %d",
-					i, len(keys[i]), c, at, wantChunk[i], wantAt[i])
+		for i, k := range keys {
+			pos, ok := keyPos(s, fp, k)
+			if want := (logPos{wantChunk[i], wantAt[i]}); !ok || pos != want {
+				t.Errorf("key %d (%d bytes) stored at %+v (held %v), want %+v", i, len(k), pos, ok, want)
 			}
 		}
-		if chunks := s.segs[0].chunks; len(s.segs) != 1 || len(chunks) != 4 || cap(chunks[2]) != arenaChunk+906 || len(chunks[3]) != arenaChunk {
-			t.Errorf("segments %d, chunks: %d, oversize cap %d, last len %d", len(s.segs), len(chunks), cap(chunks[2]), len(chunks[3]))
+		if chunks := s.keys.chunks; len(chunks) != 4 || cap(chunks[2]) != arenaChunk+906 || len(chunks[3]) != arenaChunk {
+			t.Errorf("chunks: %d, oversize cap %d, last len %d", len(chunks), cap(chunks[2]), len(chunks[3]))
 		}
 		var total int64
 		for _, k := range keys {
 			total += int64(len(k))
 		}
-		if st := s.st; st.arenaBytes != total {
-			t.Errorf("arenaBytes = %d, want the %d key bytes stored", st.arenaBytes, total)
+		if s.arenaBytes != total {
+			t.Errorf("arenaBytes = %d, want the %d key bytes stored", s.arenaBytes, total)
 		}
 	})
 }

@@ -232,13 +232,13 @@ func newSearch(ctx context.Context, m Model, opts Options, mainLane string, work
 	s.lane = opts.Trace.Lane(tc.LanePrefix() + mainLane)
 	s.set = newVisitedStore(opts.Store)
 	s.set.guard = s.overMemory
-	s.log.keep = !opts.DisableTraces
+	s.log.size, s.log.keep = logChunk, !opts.DisableTraces
 	s.memLimit = memoryLimit()
 	s.tr = newTracker(opts, s.start, s.exp, workers)
 	s.tr.lane = s.lane
 	s.tr.setHealth = func(r *health.Report) {
-		r.ArenaBytes = s.set.st.arenaBytes
-		r.SetBytes = s.set.st.setBytes
+		r.ArenaBytes = s.set.arenaBytes
+		r.SetBytes = s.set.bytes()
 		r.FrontierBytes = s.frontierBytes()
 		if s.raw != nil {
 			r.RawHits = s.raw.hits
@@ -412,7 +412,7 @@ func (s *search) stop() (Result, bool) {
 // more before each expansion, the visited set with its next table
 // before that grows.
 func (s *search) overMemory(extra int64) error {
-	held := s.set.st.setBytes + s.frontierBytes() + extra
+	held := s.set.bytes() + s.frontierBytes() + extra
 	if held >= s.memLimit {
 		// The raw cache only saves time: it gives its bytes up first, so
 		// the search stops where it would have without one.

@@ -6,41 +6,49 @@ import (
 	"math/bits"
 )
 
-// stateLog holds the stored states' raw bytes back to back in storage
-// order, each behind a uvarint length prefix: where a state lives from
-// the insert that stores it to the expansion that consumes it. Like the
-// set arena (shardset.go) it is a list of fixed-size chunks filled front
-// to back and never recopied; a state never straddles chunks, and one
-// longer than a chunk gets its own. One log, three disciplines (DESIGN
-// §5.15): keep (traces on) releases nothing; else BFS uses it as a queue
-// (release) and DFS as a stack that holds exactly the DFS stack's states,
-// in order (truncate). Bytes handed out alias the chunks and die with
-// them. Store thread only, but for workers reading what they were lent.
+// stateLog holds byte strings back to back in the order they are
+// appended, each behind a uvarint length prefix: a search's stored states,
+// from the insert that stores each to the expansion that consumes it, and
+// the visited set's retained keys (visited.go). It is a list of chunks of
+// size bytes, filled front to back and never recopied; a record never
+// straddles chunks, and one longer than a chunk gets its own. One log,
+// four disciplines (DESIGN §5.15): keep (a search's log with traces on)
+// releases nothing; else BFS uses it as a queue (release) and DFS as a
+// stack that holds exactly the DFS stack's states, in order (truncate);
+// and the key log keeps every key in arenaChunk-byte chunks. Bytes handed
+// out alias the chunks and die with them. Store thread only, but for
+// workers reading what they were lent.
 type stateLog struct {
 	chunks [][]byte // nil once released
 	low    int      // chunks below this index are released
-	free   [][]byte // released logChunk-sized chunks, emptied
+	free   [][]byte // released size-byte chunks, emptied
 	held   int64    // bytes of every chunk held, free list included
+	size   int      // a chunk's bytes: logChunk, or arenaChunk for keys
 	keep   bool
 }
 
-// logPos locates one state: its chunk (guarded by maxLogChunks, never
+// logPos locates one record: its chunk (guarded by maxLogChunks, never
 // wrapped) and the offset of its length prefix.
 type logPos struct{ chunk, at uint32 }
 
+// recordLen is the log bytes an n-byte record takes, prefix included.
+func recordLen(n int) int {
+	return (bits.Len(uint(n)|1)+6)/7 + n
+}
+
 // append stores state at the tail and returns where.
 func (l *stateLog) append(state []byte) (logPos, error) {
-	need := binary.MaxVarintLen32 + len(state)
+	need := recordLen(len(state))
 	last := len(l.chunks) - 1
 	if last < 0 || cap(l.chunks[last])-len(l.chunks[last]) < need {
 		if int64(len(l.chunks)) >= maxLogChunks {
 			return logPos{}, &CapacityError{Limit: "state log chunks", Max: maxLogChunks}
 		}
 		var c []byte
-		if n := len(l.free); n > 0 && need <= logChunk {
+		if n := len(l.free); n > 0 && need <= l.size {
 			c, l.free = l.free[n-1], l.free[:n-1]
 		} else {
-			c = make([]byte, 0, max(logChunk, need))
+			c = make([]byte, 0, max(l.size, need))
 			l.held += int64(cap(c)) + sliceHeaderSize
 		}
 		l.chunks = append(l.chunks, c)
@@ -83,7 +91,7 @@ func (l *stateLog) truncate(pos logPos) {
 
 // recycle keeps a standard chunk for reuse and lets an oversize one go.
 func (l *stateLog) recycle(c []byte) {
-	if cap(c) == logChunk {
+	if cap(c) == l.size {
 		l.free = append(l.free, c[:0])
 	} else {
 		l.held -= int64(cap(c)) + sliceHeaderSize

@@ -21,7 +21,7 @@ func withChunk(t *testing.T, n int) {
 // reused rather than allocated again.
 func TestStateLogQueue(t *testing.T) {
 	withChunk(t, 64)
-	var l stateLog
+	l := stateLog{size: logChunk}
 	stateOf := func(i int) []byte {
 		n := i % 23
 		if i%50 == 49 {
@@ -68,8 +68,8 @@ func TestStateLogQueue(t *testing.T) {
 // is pushed afterwards lands where the popped bytes were.
 func TestStateLogStack(t *testing.T) {
 	withChunk(t, 64)
+	l := stateLog{size: logChunk}
 	var (
-		l     stateLog
 		stack []logPos
 		want  [][]byte
 	)

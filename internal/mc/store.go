@@ -91,11 +91,6 @@ var (
 	// grows at 7/8 full: 2^32 slots, a 64 GiB table, hold more states
 	// than there are node ids.
 	maxSetSlots = int64(1) << 32
-	// maxSegChunks caps the chunks of one segment of the set's arena (4
-	// GiB of full chunks): the chunk index is the upper bits of a uint32
-	// location, whose all-ones value is the bare-slot tag. A key that
-	// needs one more starts the next segment.
-	maxSegChunks = int64(1)<<(32-arenaChunkBits) - 1
 	// compactVerifiedBudget is the compact store's retained-bytes budget
 	// (read when a store is built): canonical bytes are retained for
 	// collision verification until this many bytes are kept, then new
@@ -107,10 +102,14 @@ var (
 	// sized — the point of hash compaction; a large budget would quietly
 	// turn the compact store back into the exact one.
 	compactVerifiedBudget = int64(64 << 10)
-	// logChunk sizes the state log's chunks (64 KiB is nothing to a small
-	// search and ~800 paper-sized states to a large one); maxLogChunks
-	// caps their count, a state's position carrying a uint32 chunk index.
+	// logChunk sizes a search's state log chunks (64 KiB is nothing to a
+	// small search and ~800 paper-sized states to a large one);
+	// arenaChunk the visited set's key log chunks (4 KiB: a small search
+	// holds at least one, and 16–64 KiB chunks cost 3,000-state searches
+	// 7 % more allocated bytes). maxLogChunks caps a log's chunk count, a
+	// position carrying a uint32 chunk index.
 	logChunk     = 1 << 16
+	arenaChunk   = 1 << 12
 	maxLogChunks = int64(math.MaxUint32)
 	// memoryLimit reads the Go memory limit (GOMEMLIMIT; math.MaxInt64
 	// when unset), which a search's held bytes must not pass.
@@ -123,7 +122,6 @@ type insertReq struct {
 	key []byte
 	// Outputs:
 	fresh     bool
-	id        int32
 	conflated bool
 	bare      bool // fresh, and stored by fingerprint alone
 }
@@ -131,15 +129,3 @@ type insertReq struct {
 // sliceHeaderSize is the size of a []byte header, which a chunk list
 // holds one of per chunk.
 const sliceHeaderSize = 24
-
-// setStats is a visited set's footprint report.
-type setStats struct {
-	entries int
-	// arenaBytes counts full canonical bytes retained: everything for
-	// the exact store, only the verification cache for the compact one.
-	arenaBytes int64
-	// setBytes is the set's whole footprint, read off the structures as
-	// they grow: every slot table at its length, every arena chunk at its
-	// capacity, and the chunk lists' headers at theirs.
-	setBytes int64
-}

@@ -33,7 +33,7 @@ func TestParseStore(t *testing.T) {
 
 // withCap temporarily lowers one of the package capacity vars. The
 // guard tests must not run in parallel with anything that inserts.
-func withCap(t *testing.T, v *int64, n int64) {
+func withCap[T any](t *testing.T, v *T, n T) {
 	t.Helper()
 	old := *v
 	*v = n
@@ -51,11 +51,24 @@ func eachStore(t *testing.T, f func(t *testing.T, store Store)) {
 	}
 }
 
-// probe is a read-only single-key lookup, for tests that also want the
-// id a hit resolves to.
-func probe(s *VisitedStore, fp uint64, key []byte) (id int32, hit, conflated bool) {
-	id, hit, conflated, _ = s.lookup(fp, key)
-	return id, hit, conflated
+// probe is a read-only single-key lookup.
+func probe(s *VisitedStore, fp uint64, key []byte) (hit, conflated bool) {
+	hit, conflated, _ = s.lookup(fp, key)
+	return hit, conflated
+}
+
+// keyPos is where key's bytes are in the key log, read off the slot
+// that retains it; ok is false when no slot does.
+func keyPos(s *VisitedStore, fp uint64, key []byte) (pos logPos, ok bool) {
+	for _, sl := range s.slots {
+		if sl.fp == fp && sl.at != 0 && sl.at != bareSlot {
+			pos = logPos{sl.chunk, sl.at - 1}
+			if k, _ := s.keys.read(pos); string(k) == string(key) {
+				return pos, true
+			}
+		}
+	}
+	return logPos{}, false
 }
 
 // A table of maxSetSlots grows no further: 7/8 of it, here 3 of 4
@@ -77,49 +90,50 @@ func TestShardedSetEntryCapacityGuard(t *testing.T) {
 			t.Fatalf("overflow insert: err=%v", err)
 		}
 		// The failed insert must not have stored anything.
-		if st := s.st; st.entries != 3 {
-			t.Fatalf("entries after failed insert: %d", st.entries)
+		if s.entries != 3 {
+			t.Fatalf("entries after failed insert: %d", s.entries)
 		}
 		// Duplicates of stored keys still resolve (no capacity consumed).
 		k0 := []byte("key-0")
-		if id, fresh, _, err := s.Insert(Fingerprint(k0), k0, 9); err != nil || fresh || id != 0 {
-			t.Fatalf("dup insert at capacity: id=%d fresh=%v err=%v", id, fresh, err)
+		if _, fresh, _, err := s.Insert(Fingerprint(k0), k0, 9); err != nil || fresh {
+			t.Fatalf("dup insert at capacity: fresh=%v err=%v", fresh, err)
 		}
 	})
 }
 
-// The arena's segment boundary: the chunk index is what the packed
-// uint32 location can run out of, so a key that needs a chunk more than
-// a segment holds starts the next segment, keyed by the key's id, and
-// every key still resolves. A record is the key behind its uvarint
-// length, two bytes for these big keys and one for small ones.
+// A key never straddles key log chunks: one whose record does not fit
+// what the last chunk has left starts the next chunk, singly and in a
+// batch, and every key still resolves. A record is the key behind its
+// uvarint length, two bytes for these big keys and one for small ones.
 func TestShardedSetArenaCapacityGuard(t *testing.T) {
 	eachStore(t, func(t *testing.T, store Store) {
-		withCap(t, &maxSegChunks, 2)
 		s := newVisitedStore(store)
-		a, b := make([]byte, arenaChunk-11), make([]byte, arenaChunk-11) // 9 bytes left in each chunk
-		a[0], b[0] = 'a', 'b'
+		a := make([]byte, arenaChunk-11) // 9 bytes left in chunk 0
+		a[0] = 'a'
 		keys := [][]byte{
-			a, b,
-			[]byte("ccccccccc"), // a 10-byte record: neither chunk's 9-byte remainder holds it
-			[]byte("dddddddd"),  // a 9-byte record, behind it in the new segment
+			a,
+			[]byte("ccccccccc"), // a 10-byte record: chunk 0's remainder does not hold it
+			[]byte("dddddddd"),  // a 9-byte record, behind it in chunk 1
 		}
+		want := []logPos{{0, 0}, {1, 0}, {1, 10}}
 		for i, k := range keys {
 			if _, fresh, _, err := s.Insert(Fingerprint(k), k, int32(i)); err != nil || !fresh {
 				t.Fatalf("insert %d: fresh=%v err=%v", i, fresh, err)
 			}
 		}
-		if len(s.segs) != 2 || s.segs[1].first != 2 || len(s.segs[0].chunks) != 2 || len(s.segs[1].chunks) != 1 {
-			t.Fatalf("%d segments, the second from id %d", len(s.segs), s.segs[len(s.segs)-1].first)
-		}
 		for i, k := range keys {
-			if id, hit, _ := probe(s, Fingerprint(k), k); !hit || id != int32(i) {
-				t.Fatalf("probe %d: id=%d hit=%v", i, id, hit)
+			if pos, ok := keyPos(s, Fingerprint(k), k); !ok || pos != want[i] {
+				t.Fatalf("key %d at %+v (held %v), want %+v", i, pos, ok, want[i])
+			}
+			if hit, conflated := probe(s, Fingerprint(k), k); !hit || conflated {
+				t.Fatalf("probe %d: hit=%v conflated=%v", i, hit, conflated)
 			}
 		}
-		// A batch crosses segments as single inserts do: with one chunk to
-		// a segment, each half-chunk-plus-one key starts one.
-		withCap(t, &maxSegChunks, 1)
+		if c := s.keys.chunks; len(c) != 2 || len(c[0]) != arenaChunk-9 {
+			t.Fatalf("%d chunks, the first %d bytes long", len(c), len(c[0]))
+		}
+		// A batch crosses chunks as single inserts do: each
+		// half-chunk-plus-one key starts one.
 		s = newVisitedStore(store)
 		reqs := make([]insertReq, 3)
 		for i := range reqs {
@@ -127,12 +141,12 @@ func TestShardedSetArenaCapacityGuard(t *testing.T) {
 			k[0] = byte('p' + i)
 			reqs[i] = insertReq{fp: Fingerprint(k), key: k}
 		}
-		if processed, fresh, err := s.insertBatch(reqs, 0, -1); err != nil || processed != 3 || fresh != 3 || len(s.segs) != 3 {
-			t.Fatalf("batch: processed=%d fresh=%d err=%v, %d segments", processed, fresh, err, len(s.segs))
+		if processed, fresh, err := s.insertBatch(reqs, 0, -1); err != nil || processed != 3 || fresh != 3 || len(s.keys.chunks) != 3 {
+			t.Fatalf("batch: processed=%d fresh=%d err=%v, %d chunks", processed, fresh, err, len(s.keys.chunks))
 		}
 		for i, r := range reqs {
-			if id, hit, _ := probe(s, r.fp, r.key); !hit || id != int32(i) {
-				t.Fatalf("batch key %d: id=%d hit=%v", i, id, hit)
+			if pos, ok := keyPos(s, r.fp, r.key); !ok || pos != (logPos{uint32(i), 0}) {
+				t.Fatalf("batch key %d at %+v (held %v), want the start of chunk %d", i, pos, ok, i)
 			}
 		}
 	})
@@ -158,11 +172,11 @@ func TestInsertBatchCapacityGuard(t *testing.T) {
 		// The prefix before the overflowing request must be fully applied.
 		for i := 0; i < 7; i++ {
 			k := []byte(fmt.Sprintf("bk-%d", i))
-			if id, hit, _ := probe(s, Fingerprint(k), k); !hit || id != int32(i) {
-				t.Fatalf("prefix key %d: id=%d hit=%v", i, id, hit)
+			if hit, _ := probe(s, Fingerprint(k), k); !hit {
+				t.Fatalf("prefix key %d: a miss", i)
 			}
 		}
-		if k := []byte("bk-7"); func() bool { _, hit, _ := probe(s, Fingerprint(k), k); return hit }() {
+		if k := []byte("bk-7"); func() bool { hit, _ := probe(s, Fingerprint(k), k); return hit }() {
 			t.Fatal("overflowing key was stored")
 		}
 	})
@@ -192,26 +206,26 @@ func TestCapacityErrorAdvice(t *testing.T) {
 func TestCapacityOutcomeAllEngines(t *testing.T) {
 	m := &counter{n: 100000, branch: true, quiet: -1, bad: -1, errAt: -1}
 	for _, tc := range []struct {
-		name   string
-		cap    *int64
-		n      int64
-		budget int64 // compact retained-bytes budget for the row
-		limit  string
-		states int   // 0 = only require engine agreement
-		seg    int64 // maxSegChunks for the row, 0 = the default
+		name     string
+		cap      *int64
+		n        int64
+		budget   int64 // compact retained-bytes budget for the row
+		limit    string
+		states   int // 0 = only require engine agreement
+		keyChunk int // arenaChunk for the row, 0 = the default
 	}{
 		{"node-ids", &maxNodeID, 10, compactVerifiedBudget, "node ids", 10, 0},
-		// One 4 KiB chunk to an arena segment: the keys span 35 segments,
-		// which stop nothing, and the search goes on to its node-id limit.
-		// The budget has the compact store retain every key too.
-		{"arena-chunks", &maxNodeID, 20_000, 1 << 20, "node ids", 20_000, 1},
+		// 64-byte key chunks: the keys span thousands of chunks, which
+		// stop nothing, and the search goes on to its node-id limit. The
+		// budget has the compact store retain every key too.
+		{"arena-chunks", &maxNodeID, 20_000, 1 << 20, "node ids", 20_000, 64},
 		{"shard-slots", &maxSetSlots, 64, compactVerifiedBudget, "set slots", 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withCap(t, tc.cap, tc.n)
 			withCap(t, &compactVerifiedBudget, tc.budget)
-			if tc.seg > 0 {
-				withCap(t, &maxSegChunks, tc.seg)
+			if tc.keyChunk > 0 {
+				withCap(t, &arenaChunk, tc.keyChunk)
 			}
 			for _, store := range []Store{StoreExact, StoreCompact} {
 				opts := Options{DisableTraces: true, Store: store}
@@ -247,8 +261,8 @@ func TestInsertNodeIDGuard(t *testing.T) {
 		withCap(t, &compactVerifiedBudget, 4) // "in" is retained, the rest bare
 		s := NewVisitedStore(store, 0)
 		in, dup := []byte("in"), []byte("in")
-		if id, fresh, _, err := s.Insert(Fingerprint(in), in, 9); err != nil || !fresh || id != 9 {
-			t.Fatalf("id 9 under cap 10: id=%d fresh=%v err=%v", id, fresh, err)
+		if _, fresh, _, err := s.Insert(Fingerprint(in), in, 9); err != nil || !fresh {
+			t.Fatalf("id 9 under cap 10: fresh=%v err=%v", fresh, err)
 		}
 		for _, id := range []int32{-1, math.MinInt32, 10, math.MaxInt32} {
 			k := []byte(fmt.Sprintf("out-%d", id))
@@ -257,7 +271,7 @@ func TestInsertNodeIDGuard(t *testing.T) {
 			if !errors.As(err, &ce) || ce.Limit != "node ids" || ce.Max != 10 || fresh {
 				t.Fatalf("id %d: fresh=%v err=%v", id, fresh, err)
 			}
-			if _, hit, _ := probe(s, Fingerprint(k), k); hit {
+			if hit, _ := probe(s, Fingerprint(k), k); hit {
 				t.Fatalf("refused id %d was stored", id)
 			}
 		}
@@ -265,53 +279,8 @@ func TestInsertNodeIDGuard(t *testing.T) {
 			t.Fatalf("entries after refused inserts: %d", n)
 		}
 		// A duplicate needs no id: it still resolves at the cap.
-		if id, fresh, _, err := s.Insert(Fingerprint(dup), dup, -1); err != nil || fresh || id != 9 {
-			t.Fatalf("dup insert with a bad id: id=%d fresh=%v err=%v", id, fresh, err)
-		}
-	})
-}
-
-// --- collision-chain id stability (the prepend-order pin) ---
-
-// TestCollisionChainFirstInsertedID pins that probe and insert return
-// the *first-inserted* id for a key, however many colliding keys were
-// stored after it.
-func TestCollisionChainFirstInsertedID(t *testing.T) {
-	eachStore(t, func(t *testing.T, store Store) {
-		const fp = uint64(0x42) // all keys forced through one chain
-		s := newVisitedStore(store)
-		keys := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
-		for i, k := range keys {
-			if id, fresh, _, err := s.Insert(fp, k, int32(10+i)); err != nil || !fresh || id != int32(10+i) {
-				t.Fatalf("insert %d: id=%d fresh=%v err=%v", i, id, fresh, err)
-			}
-		}
-		for i, k := range keys {
-			want := int32(10 + i)
-			if id, hit, conf := probe(s, fp, k); !hit || conf || id != want {
-				t.Errorf("probe %q: id=%d hit=%v conflated=%v, want %d", k, id, hit, conf, want)
-			}
-			// Re-inserting under a new id must return the first-inserted id,
-			// not the new one and not the newest chain entry's.
-			if id, fresh, _, _ := s.Insert(fp, k, 999); fresh || id != want {
-				t.Errorf("re-insert %q: id=%d fresh=%v, want %d", k, id, fresh, want)
-			}
-		}
-		// Same stability through the batched path.
-		reqs := []insertReq{
-			{fp: fp, key: []byte("second")}, // dup of id 11
-			{fp: fp, key: []byte("fourth")}, // fresh
-			{fp: fp, key: []byte("first")},  // dup of id 10
-		}
-		processed, fresh, err := s.insertBatch(reqs, 100, -1)
-		if err != nil || processed != 3 || fresh != 1 {
-			t.Fatalf("batch: processed=%d fresh=%d err=%v", processed, fresh, err)
-		}
-		if reqs[0].fresh || reqs[0].id != 11 || reqs[2].fresh || reqs[2].id != 10 {
-			t.Fatalf("batch dup ids: %+v %+v", reqs[0], reqs[2])
-		}
-		if !reqs[1].fresh || reqs[1].id != 100 {
-			t.Fatalf("batch fresh id: %+v", reqs[1])
+		if _, fresh, _, err := s.Insert(Fingerprint(dup), dup, -1); err != nil || fresh {
+			t.Fatalf("dup insert with a bad id: fresh=%v err=%v", fresh, err)
 		}
 	})
 }
@@ -327,15 +296,15 @@ func TestCompactConflationWhenBudgetExhausted(t *testing.T) {
 		t.Fatalf("first insert: id=%d fresh=%v conf=%v err=%v", id, fresh, conf, err)
 	}
 	// With no verified bytes, a distinct key with the same fingerprint
-	// conflates: reported as a duplicate of the first id.
-	if id, fresh, conf, err := s.Insert(fp, b, 6); err != nil || fresh || !conf || id != 5 {
-		t.Fatalf("conflated insert: id=%d fresh=%v conf=%v err=%v", id, fresh, conf, err)
+	// conflates: reported as a duplicate of the first key.
+	if _, fresh, conf, err := s.Insert(fp, b, 6); err != nil || fresh || !conf {
+		t.Fatalf("conflated insert: fresh=%v conf=%v err=%v", fresh, conf, err)
 	}
-	if id, hit, conf := probe(s, fp, b); !hit || !conf || id != 5 {
-		t.Fatalf("conflated probe: id=%d hit=%v conf=%v", id, hit, conf)
+	if hit, conf := probe(s, fp, b); !hit || !conf {
+		t.Fatalf("conflated probe: hit=%v conf=%v", hit, conf)
 	}
-	if st := s.st; st.entries != 1 || st.arenaBytes != 0 {
-		t.Fatalf("stats: %+v", st)
+	if s.entries != 1 || s.arenaBytes != 0 {
+		t.Fatalf("stats: %d entries, %d key bytes", s.entries, s.arenaBytes)
 	}
 }
 
@@ -349,11 +318,11 @@ func TestCompactVerifiedChainUnderBudget(t *testing.T) {
 	if id, fresh, conf, _ := s.Insert(fp, b, 6); !fresh || conf || id != 6 {
 		t.Fatalf("collider insert: id=%d fresh=%v conf=%v", id, fresh, conf)
 	}
-	if id, hit, conf := probe(s, fp, b); !hit || conf || id != 6 {
-		t.Fatalf("collider probe: id=%d hit=%v conf=%v", id, hit, conf)
+	if hit, conf := probe(s, fp, b); !hit || conf {
+		t.Fatalf("collider probe: hit=%v conf=%v", hit, conf)
 	}
-	if st := s.st; st.entries != 2 || st.arenaBytes != 6 {
-		t.Fatalf("stats: %+v", st)
+	if s.entries != 2 || s.arenaBytes != 6 {
+		t.Fatalf("stats: %d entries, %d key bytes", s.entries, s.arenaBytes)
 	}
 }
 
@@ -434,7 +403,7 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 					}
 					nextB += int32(fresh)
 					for _, r := range reqs {
-						id, fr, conf, err := single.Insert(r.fp, r.key, nextS)
+						_, fr, conf, err := single.Insert(r.fp, r.key, nextS)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -444,18 +413,18 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 						if conf {
 							conflated++
 						}
-						if fr != r.fresh || id != r.id || conf != r.conflated {
-							t.Fatalf("@%d key %q: batch (fresh=%v id=%d conflated=%v) vs single (fresh=%v id=%d conflated=%v)",
-								lo, r.key, r.fresh, r.id, r.conflated, fr, id, conf)
+						if fr != r.fresh || conf != r.conflated {
+							t.Fatalf("@%d key %q: batch (fresh=%v conflated=%v) vs single (fresh=%v conflated=%v)",
+								lo, r.key, r.fresh, r.conflated, fr, conf)
 						}
 					}
 				}
 				if nextB != nextS {
 					t.Fatalf("fresh counts diverge: %d vs %d", nextB, nextS)
 				}
-				bs, ss := batched.st, single.st
-				if bs.entries != ss.entries || bs.arenaBytes != ss.arenaBytes {
-					t.Fatalf("stats diverge: %+v vs %+v", bs, ss)
+				if batched.entries != single.entries || batched.arenaBytes != single.arenaBytes {
+					t.Fatalf("stats diverge: %d entries, %d key bytes vs %d, %d",
+						batched.entries, batched.arenaBytes, single.entries, single.arenaBytes)
 				}
 				// Exact conflates nothing and keeps every key; compact
 				// conflates exactly when the budget leaves a bare entry.
@@ -463,8 +432,8 @@ func TestInsertBatchMatchesSingleInserts(t *testing.T) {
 				if (conflated > 0) != wantConflation {
 					t.Fatalf("conflated %d requests, want conflation = %v", conflated, wantConflation)
 				}
-				if !wantConflation && (ss.entries != len(seen) || ss.arenaBytes != int64(5*len(seen))) {
-					t.Fatalf("stats %+v, want all %d five-byte keys kept", ss, len(seen))
+				if !wantConflation && (single.entries != len(seen) || single.arenaBytes != int64(5*len(seen))) {
+					t.Fatalf("stats %d entries, %d key bytes, want all %d five-byte keys kept", single.entries, single.arenaBytes, len(seen))
 				}
 			})
 		}
@@ -493,8 +462,8 @@ func TestInsertBatchLimit(t *testing.T) {
 	if err != nil || processed != 4 || fresh != 4 {
 		t.Fatalf("processed=%d fresh=%d err=%v, want 4/4", processed, fresh, err)
 	}
-	if st := s.st; st.entries != 4 {
-		t.Fatalf("entries=%d, want 4 (limit must stop inserts too)", st.entries)
+	if s.entries != 4 {
+		t.Fatalf("entries=%d, want 4 (limit must stop inserts too)", s.entries)
 	}
 }
 
@@ -522,7 +491,7 @@ func BenchmarkVisitedSet(b *testing.B) {
 					if _, fresh, _, err := set.Insert(fps[j], keys[j], int32(j)); err != nil || !fresh {
 						b.Fatal(fresh, err)
 					}
-					if _, hit, _ := probe(set, fps[j/2], keys[j/2]); !hit {
+					if hit, _ := probe(set, fps[j/2], keys[j/2]); !hit {
 						b.Fatal("miss on stored key")
 					}
 					miss := fps[j] ^ 0x9e3779b97f4a7c15

@@ -111,7 +111,7 @@ td .id { font-family: ui-monospace, monospace; font-size: 11.5px; }
   </div>
 
   <div class="card">
-    <h2>Dedup-shard balance</h2>
+    <h2>Dedup-stripe balance</h2>
     <div class="stripes" id="stripes"></div>
     <div class="kv num" id="skew">No health report yet.</div>
   </div>
